@@ -5,15 +5,15 @@ import (
 	"sort"
 )
 
-// AutoBatcher is the adaptive batch-sizing driver deferred by PR 1: it
-// feeds an op stream through an ApplyBatch function (update-only streams)
-// or a Pipeline front door (mixed update/query streams) while growing or
-// shrinking the chunk size k online against the measured amortized rounds
-// per op, seeking the knee of the k-vs-rounds curve without the caller
-// having to pick k. On mixed streams the measurement is the mixed
-// window's rounds over its ops — both halves — so k is sized for the
-// workload actually flowing, not for its write side alone, and the word
-// cap watches the peak round of either half.
+// AutoBatcher is the adaptive batch-sizing driver: it feeds an op stream
+// through a Pipeline front door while growing or shrinking the chunk size
+// k online against the measured amortized rounds per op, seeking the knee
+// of the k-vs-rounds curve without the caller having to pick k. The
+// measurement is the window's rounds over its ops — both halves — so k is
+// sized for the workload actually flowing, not for its write side alone,
+// and the word cap watches the peak round of either half. (On a
+// query-free stream the window is its update half, so the search sees
+// exactly the rounds per update.)
 //
 // Policy (deterministic, no randomness):
 //
@@ -40,8 +40,8 @@ import (
 //   - Respect the word cap: a batch whose MaxWords exceeds CapWords halves
 //     k immediately (mid-window, discarding the window), whatever the
 //     round trend said — wider waves mean more concurrent broadcasts per
-//     round, and the communication budget binds first. BatchStats.MaxWords
-//     counts cluster-wide words per round, so the natural setting is µ·S
+//     round, and the communication budget binds first. MaxWords counts
+//     cluster-wide words per round, so the natural setting is µ·S
 //     (Machines × MemWords), the model's aggregate per-round capacity.
 //   - Re-probe after the knee settles: every ReprobeEvery settled full
 //     batches the search re-opens so long-lived streams track workload
@@ -70,7 +70,6 @@ import (
 //     If even MinK violates the bound, the search settles there (the
 //     bound is unachievable; the batcher still minimizes what it can).
 type AutoBatcher struct {
-	apply        func(Batch) BatchStats
 	applyOps     func([]Op) (Results, MixedStats)
 	capWords     int
 	minK         int
@@ -96,23 +95,17 @@ type AutoBatcher struct {
 	winRounds, winUpdates, winBatches int
 	winSamples                        []chunkSample // per-chunk (rounds, units), for the tail bound
 
-	buf     []Op
-	history []BatchStats
-	mixed   []MixedStats // mixed-mode counterpart of history, index-aligned
-	ks      []int        // chunk size used for each recorded batch
+	buf   []Op
+	mixed []MixedStats // the window of every applied chunk
+	ks    []int        // chunk size used for each recorded chunk
 }
 
-// AutoBatcherConfig configures NewAutoBatcher. Apply is required; zero
+// AutoBatcherConfig configures NewAutoBatcher. ApplyOps is required; zero
 // values elsewhere pick the documented defaults.
 type AutoBatcherConfig struct {
-	// Apply runs one batch and returns its shared-window accounting —
-	// typically the ApplyBatch method of a structure in this package.
-	// Exactly one of Apply and ApplyOps must be set.
-	Apply func(Batch) BatchStats
-	// ApplyOps runs one mixed op chunk and returns its answers and mixed
-	// accounting — typically the Apply method of a Pipeline. Setting it
-	// makes the batcher accept queries (PushOp/RunOps) and size k on the
-	// amortized rounds per *op*.
+	// ApplyOps runs one op chunk and returns its answers and window
+	// accounting — typically the Apply method of a Pipeline. k is sized
+	// on the amortized rounds per *op*.
 	ApplyOps func([]Op) (Results, MixedStats)
 	// CapWords is the cluster-wide per-round word budget (naturally µ·S);
 	// a batch observing MaxWords above it forces k to halve. 0 disables
@@ -149,14 +142,13 @@ type AutoBatcherConfig struct {
 // estimate: units ops that each observed the chunk's rounds end to end.
 type chunkSample struct{ rounds, units int }
 
-// NewAutoBatcher builds the driver. It panics if cfg.Apply is nil or the
-// clamps are inconsistent.
+// NewAutoBatcher builds the driver. It panics if cfg.ApplyOps is nil or
+// the clamps are inconsistent.
 func NewAutoBatcher(cfg AutoBatcherConfig) *AutoBatcher {
-	if (cfg.Apply == nil) == (cfg.ApplyOps == nil) {
-		panic("dmpc: AutoBatcher needs exactly one of Apply and ApplyOps")
+	if cfg.ApplyOps == nil {
+		panic("dmpc: AutoBatcher needs ApplyOps")
 	}
 	ab := &AutoBatcher{
-		apply:        cfg.Apply,
 		applyOps:     cfg.ApplyOps,
 		capWords:     cfg.CapWords,
 		minK:         cfg.MinK,
@@ -233,36 +225,37 @@ func (ab *AutoBatcher) TailViolations() int { return ab.tailViolations }
 // than looping halve/climb around a violation it cannot shed.
 func (ab *AutoBatcher) TailInfeasible() bool { return ab.tailInfeasible }
 
-// History returns the accounting of every batch applied so far, and Ks the
-// chunk size each of those batches was scheduled at. In mixed mode each
-// entry is the corresponding mixed window's update half; MixedHistory has
-// the full windows.
-func (ab *AutoBatcher) History() []BatchStats { return ab.history }
+// History returns the update half of every chunk window applied so far,
+// and Ks the chunk size each of those chunks was scheduled at;
+// MixedHistory has the full windows.
+func (ab *AutoBatcher) History() []BatchStats {
+	out := make([]BatchStats, len(ab.mixed))
+	for i, m := range ab.mixed {
+		out[i] = m.Updates
+	}
+	return out
+}
 
-// MixedHistory returns the mixed accounting of every chunk applied through
-// ApplyOps, index-aligned with History and Ks. Nil in update-only mode.
+// MixedHistory returns the window of every chunk applied, index-aligned
+// with History and Ks.
 func (ab *AutoBatcher) MixedHistory() []MixedStats { return ab.mixed }
 
 // Ks returns the chunk size used for each recorded batch, index-aligned
 // with History.
 func (ab *AutoBatcher) Ks() []int { return ab.ks }
 
-// Push buffers one update, applying a chunk when the buffer reaches K. It
-// returns the chunk's update-half accounting and true when one was
-// applied. (In mixed mode, PushOp additionally returns the answers.)
+// Push buffers one update — the update spelling of PushOp — applying a
+// chunk when the buffer reaches K. It returns the chunk's update-half
+// accounting and true when one was applied.
 func (ab *AutoBatcher) Push(up Update) (BatchStats, bool) {
 	_, st, ok := ab.PushOp(OpOf(up))
 	return st, ok
 }
 
-// PushOp buffers one op (update or query; queries need ApplyOps mode),
-// applying a chunk when the buffer reaches K. It returns the answers to
-// the chunk's queries, the update half's accounting, and true when a
-// chunk was applied.
+// PushOp buffers one op (update or query), applying a chunk when the
+// buffer reaches K. It returns the answers to the chunk's queries, the
+// update half's accounting, and true when a chunk was applied.
 func (ab *AutoBatcher) PushOp(op Op) (Results, BatchStats, bool) {
-	if op.IsQuery() && ab.applyOps == nil {
-		panic("dmpc: AutoBatcher built with Apply cannot ingest queries (set ApplyOps)")
-	}
 	ab.buf = append(ab.buf, op)
 	if len(ab.buf) < ab.k {
 		return nil, BatchStats{}, false
@@ -302,16 +295,16 @@ func (ab *AutoBatcher) FlushOps() (Results, BatchStats, bool) {
 // Run pushes the whole update stream and flushes the tail, returning the
 // accounting of every chunk applied.
 func (ab *AutoBatcher) Run(updates []Update) []BatchStats {
-	start := len(ab.history)
+	start := len(ab.mixed)
 	for _, up := range updates {
 		ab.Push(up)
 	}
 	ab.Flush()
-	return ab.history[start:]
+	return ab.History()[start:]
 }
 
 // RunOps pushes a whole mixed op stream and flushes the tail, returning
-// every answer in stream order (needs ApplyOps mode).
+// every answer in stream order.
 func (ab *AutoBatcher) RunOps(ops []Op) Results {
 	var out Results
 	for _, op := range ops {
@@ -328,12 +321,9 @@ func (ab *AutoBatcher) RunOps(ops []Op) Results {
 // still records every chunk and adapts K on the full ones. full must be
 // true exactly when the chunk was cut by reaching K; chunks cut for any
 // other reason never drive adaptation, just as a partial Flush never
-// does. ApplyChunk requires ApplyOps mode and must not be interleaved
-// with a non-empty Push buffer (it panics on either misuse).
+// does. ApplyChunk must not be interleaved with a non-empty Push buffer
+// (it panics).
 func (ab *AutoBatcher) ApplyChunk(ops []Op, full bool) (Results, MixedStats) {
-	if ab.applyOps == nil {
-		panic("dmpc: AutoBatcher.ApplyChunk needs ApplyOps mode")
-	}
 	if len(ab.buf) > 0 {
 		panic("dmpc: AutoBatcher.ApplyChunk with ops still buffered by Push")
 	}
@@ -348,35 +338,17 @@ func (ab *AutoBatcher) ApplyChunk(ops []Op, full bool) (Results, MixedStats) {
 func (ab *AutoBatcher) flush(full bool) (Results, BatchStats) {
 	chunk := append([]Op(nil), ab.buf...)
 	ab.buf = ab.buf[:0]
-	if ab.applyOps != nil {
-		res, st := ab.applyOps(chunk)
-		ab.mixed = append(ab.mixed, st)
-		ab.history = append(ab.history, st.Updates)
-		ab.ks = append(ab.ks, ab.k)
-		if full {
-			maxWords := st.Updates.MaxWords
-			if st.Queries.MaxWords > maxWords {
-				maxWords = st.Queries.MaxWords
-			}
-			ab.adapt(st.Rounds(), st.Ops, maxWords)
-		}
-		return res, st.Updates
-	}
-	batch := make(Batch, len(chunk))
-	for i, op := range chunk {
-		batch[i] = op.Update()
-	}
-	st := ab.apply(batch)
-	ab.history = append(ab.history, st)
+	res, st := ab.applyOps(chunk)
+	ab.mixed = append(ab.mixed, st)
 	ab.ks = append(ab.ks, ab.k)
 	if full {
-		ab.adapt(st.Rounds, st.Updates, st.MaxWords)
+		ab.adapt(st.Rounds(), st.Ops, max(st.Updates.MaxWords, st.Queries.MaxWords))
 	}
-	return nil, st
+	return res, st.Updates
 }
 
-// adapt folds one full chunk (rounds over units ops/updates, with the
-// peak round's words) into the current probe window and, when the window
+// adapt folds one full chunk (rounds over units ops, with the peak
+// round's words) into the current probe window and, when the window
 // is complete, runs the knee-search step on the windowed amortized
 // rounds per unit.
 func (ab *AutoBatcher) adapt(rounds, units, maxWords int) {

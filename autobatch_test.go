@@ -29,6 +29,18 @@ func (f *fakeApply) apply(b Batch) BatchStats {
 	}
 }
 
+// asOps presents a scripted batch cost as the pipeline front door the
+// AutoBatcher drives: a read-free window whose update half is the script.
+func asOps(apply func(Batch) BatchStats) func([]Op) (Results, MixedStats) {
+	return func(ops []Op) (Results, MixedStats) {
+		b := make(Batch, len(ops))
+		for i, op := range ops {
+			b[i] = op.Update()
+		}
+		return nil, MixedStats{Ops: len(ops), Updates: apply(b)}
+	}
+}
+
 // TestAutoBatcherFindsKnee pins the probe-and-settle policy on a scripted
 // cost curve whose knee is at k=64: amortized rounds improve up to 64 and
 // get measurably worse beyond it (saturation overhead), so the driver must
@@ -46,7 +58,7 @@ func TestAutoBatcherFindsKnee(t *testing.T) {
 		},
 		words: func(int) int { return 10 },
 	}
-	ab := NewAutoBatcher(AutoBatcherConfig{Apply: f.apply, StartK: 8, MaxK: 512, ProbeBatches: 1, WarmupBatches: -1})
+	ab := NewAutoBatcher(AutoBatcherConfig{ApplyOps: asOps(f.apply), StartK: 8, MaxK: 512, ProbeBatches: 1, WarmupBatches: -1})
 	for i := 0; i < 64*20; i++ {
 		ab.Push(Update{Op: Insert, U: i, V: i + 1})
 	}
@@ -85,7 +97,7 @@ func TestAutoBatcherWindowSmoothsNoise(t *testing.T) {
 		return base
 	}
 	f.words = func(int) int { return 10 }
-	ab := NewAutoBatcher(AutoBatcherConfig{Apply: f.apply, StartK: 8, MaxK: 64, ProbeBatches: 3, WarmupBatches: -1})
+	ab := NewAutoBatcher(AutoBatcherConfig{ApplyOps: asOps(f.apply), StartK: 8, MaxK: 64, ProbeBatches: 3, WarmupBatches: -1})
 	for i := 0; i < 64*12; i++ {
 		ab.Push(Update{Op: Insert, U: i, V: i + 1})
 	}
@@ -119,7 +131,7 @@ func TestAutoBatcherWordCapForcesShrink(t *testing.T) {
 		cost:  func(k int) float64 { return 64.0 / float64(k) }, // rounds always favor growth
 		words: func(k int) int { return 10 * k },                // but words grow with k
 	}
-	ab := NewAutoBatcher(AutoBatcherConfig{Apply: f.apply, StartK: 32, CapWords: 200})
+	ab := NewAutoBatcher(AutoBatcherConfig{ApplyOps: asOps(f.apply), StartK: 32, CapWords: 200})
 	for i := 0; i < 32*8; i++ {
 		ab.Push(Update{Op: Insert, U: i, V: i + 1})
 	}
@@ -157,11 +169,11 @@ func TestAutoBatcherReprobeTracksDrift(t *testing.T) {
 	}
 	f.words = func(int) int { return 10 }
 	ab := NewAutoBatcher(AutoBatcherConfig{
-		Apply: func(b Batch) BatchStats {
+		ApplyOps: asOps(func(b Batch) BatchStats {
 			st := f.apply(b)
 			applied += len(b)
 			return st
-		},
+		}),
 		StartK: 8, MaxK: 128, ProbeBatches: 1, WarmupBatches: -1, ReprobeEvery: 4,
 	})
 	for i := 0; i < 8000; i++ {
@@ -197,7 +209,7 @@ func TestAutoBatcherReprobeStableWorkload(t *testing.T) {
 		words: func(int) int { return 10 },
 	}
 	ab := NewAutoBatcher(AutoBatcherConfig{
-		Apply: f.apply, StartK: 8, MaxK: 128,
+		ApplyOps: asOps(f.apply), StartK: 8, MaxK: 128,
 		ProbeBatches: 1, WarmupBatches: -1, ReprobeEvery: 3,
 	})
 	for i := 0; i < 32*200; i++ {
@@ -242,7 +254,7 @@ func TestAutoBatcherCapSettleNeverReprobes(t *testing.T) {
 		words: func(k int) int { return 10 * k },
 	}
 	ab := NewAutoBatcher(AutoBatcherConfig{
-		Apply: f.apply, StartK: 32, CapWords: 200, ReprobeEvery: 2,
+		ApplyOps: asOps(f.apply), StartK: 32, CapWords: 200, ReprobeEvery: 2,
 	})
 	for i := 0; i < 32*40; i++ {
 		ab.Push(Update{Op: Insert, U: i, V: i + 1})
@@ -268,7 +280,7 @@ func TestAutoBatcherPartialFlush(t *testing.T) {
 		cost:  func(k int) float64 { return 1000 }, // any full batch would stall the probe
 		words: func(int) int { return 1 },
 	}
-	ab := NewAutoBatcher(AutoBatcherConfig{Apply: f.apply, StartK: 8})
+	ab := NewAutoBatcher(AutoBatcherConfig{ApplyOps: asOps(f.apply), StartK: 8})
 	for i := 0; i < 3; i++ {
 		ab.Push(Update{Op: Insert, U: i, V: i + 1})
 	}
@@ -295,7 +307,7 @@ func TestAutoBatcherOnConnectivity(t *testing.T) {
 
 	cc := NewConnectivity(n, 5*n)
 	ab := NewAutoBatcher(AutoBatcherConfig{
-		Apply:    cc.ApplyBatch,
+		ApplyOps: cc.Apply,
 		CapWords: cc.Cluster().Machines() * cc.Cluster().MemWords(),
 		StartK:   8,
 		MaxK:     256,
@@ -320,9 +332,9 @@ func TestAutoBatcherOnConnectivity(t *testing.T) {
 	fixed := NewConnectivity(n, 5*n)
 	var fRounds, fUpd int
 	for _, b := range Chunk(stream, 8) {
-		st := fixed.ApplyBatch(b)
-		fRounds += st.Rounds
-		fUpd += st.Updates
+		_, st := fixed.Apply(UpdateOps(b))
+		fRounds += st.Updates.Rounds
+		fUpd += st.Updates.Updates
 	}
 	fixed8 := float64(fRounds) / float64(fUpd)
 	if auto >= fixed8 {
@@ -373,14 +385,8 @@ func TestAutoBatcherMixedStream(t *testing.T) {
 	ref := NewConnectivity(n, 5*n)
 	var want Results
 	for _, op := range ops {
-		switch op.Kind {
-		case OpInsert:
-			ref.Insert(op.U, op.V)
-		case OpDelete:
-			ref.Delete(op.U, op.V)
-		case OpConnected:
-			want = append(want, Answer{Bool: ref.Connected(op.U, op.V)})
-		}
+		res, _ := ref.Apply([]Op{op})
+		want = append(want, res...)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("%d answers, want %d", len(got), len(want))
@@ -414,8 +420,9 @@ func TestAutoBatcherMixedStream(t *testing.T) {
 	}
 }
 
-// TestAutoBatcherModeGuards pins the configuration contract: exactly one
-// of Apply and ApplyOps, and queries only in ApplyOps mode.
+// TestAutoBatcherModeGuards pins the configuration contract: ApplyOps is
+// required, the clamps must be consistent, and the one mode ingests
+// queries and updates alike.
 func TestAutoBatcherModeGuards(t *testing.T) {
 	wantPanic := func(name string, f func()) {
 		t.Helper()
@@ -426,15 +433,15 @@ func TestAutoBatcherModeGuards(t *testing.T) {
 		}()
 		f()
 	}
-	wantPanic("neither mode", func() { NewAutoBatcher(AutoBatcherConfig{}) })
-	wantPanic("both modes", func() {
-		NewAutoBatcher(AutoBatcherConfig{
-			Apply:    func(Batch) BatchStats { return BatchStats{} },
-			ApplyOps: func([]Op) (Results, MixedStats) { return nil, MixedStats{} },
-		})
-	})
-	ab := NewAutoBatcher(AutoBatcherConfig{Apply: func(Batch) BatchStats { return BatchStats{} }})
-	wantPanic("query in update mode", func() { ab.PushOp(OpQMateOf(1)) })
+	noop := func([]Op) (Results, MixedStats) { return nil, MixedStats{} }
+	wantPanic("no front door", func() { NewAutoBatcher(AutoBatcherConfig{}) })
+	wantPanic("MaxK below MinK", func() { NewAutoBatcher(AutoBatcherConfig{ApplyOps: noop, MinK: 8, MaxK: 4}) })
+	// The one mode takes reads and writes alike.
+	ab := NewAutoBatcher(AutoBatcherConfig{ApplyOps: noop, StartK: 2})
+	ab.PushOp(OpQMateOf(1))
+	if _, ok := ab.Push(Update{Op: Insert, U: 0, V: 1}); !ok {
+		t.Fatal("a query and an update did not fill a k=2 chunk")
+	}
 }
 
 // TestAutoBatcherFlushOps pins the mixed-tail contract: FlushOps returns
@@ -482,10 +489,10 @@ func TestAutoBatcherTargetP99CapsK(t *testing.T) {
 		}
 	}
 	free := NewAutoBatcher(AutoBatcherConfig{
-		Apply: mkFake().apply, StartK: 8, MaxK: 512, ProbeBatches: 1, WarmupBatches: -1,
+		ApplyOps: asOps(mkFake().apply), StartK: 8, MaxK: 512, ProbeBatches: 1, WarmupBatches: -1,
 	})
 	bound := NewAutoBatcher(AutoBatcherConfig{
-		Apply: mkFake().apply, StartK: 8, MaxK: 512, ProbeBatches: 1, WarmupBatches: -1,
+		ApplyOps: asOps(mkFake().apply), StartK: 8, MaxK: 512, ProbeBatches: 1, WarmupBatches: -1,
 		TargetP99Rounds: 40,
 	})
 	for i := 0; i < 512*8; i++ {
@@ -516,7 +523,7 @@ func TestAutoBatcherTargetP99Unachievable(t *testing.T) {
 		words: func(int) int { return 10 },
 	}
 	ab := NewAutoBatcher(AutoBatcherConfig{
-		Apply: f.apply, StartK: 8, MinK: 2, MaxK: 64, ProbeBatches: 1, WarmupBatches: -1,
+		ApplyOps: asOps(f.apply), StartK: 8, MinK: 2, MaxK: 64, ProbeBatches: 1, WarmupBatches: -1,
 		TargetP99Rounds: 40,
 	})
 	for i := 0; i < 400; i++ {
@@ -540,7 +547,7 @@ func TestAutoBatcherTailInfeasibleAtMinK(t *testing.T) {
 		words: func(int) int { return 10 },
 	}
 	ab := NewAutoBatcher(AutoBatcherConfig{
-		Apply: f.apply, StartK: 4, MinK: 1, MaxK: 64, ProbeBatches: 1, WarmupBatches: -1,
+		ApplyOps: asOps(f.apply), StartK: 4, MinK: 1, MaxK: 64, ProbeBatches: 1, WarmupBatches: -1,
 		ReprobeEvery: 2, TargetP99Rounds: 40,
 	})
 	// 4 → 2 → 1 → infeasible: three violating windows, then settle.
@@ -614,10 +621,6 @@ func TestAutoBatcherApplyChunk(t *testing.T) {
 		}()
 		f()
 	}
-	wantPanic("ApplyChunk in update mode", func() {
-		up := NewAutoBatcher(AutoBatcherConfig{Apply: func(Batch) BatchStats { return BatchStats{} }})
-		up.ApplyChunk([]Op{Ins(0, 1)}, false)
-	})
 	wantPanic("ApplyChunk with a dirty Push buffer", func() {
 		ab.PushOp(Ins(20, 21))
 		ab.ApplyChunk([]Op{Ins(22, 23)}, false)

@@ -44,11 +44,26 @@ type statsAgg struct {
 func (a *statsAgg) add(st mpc.UpdateStats) {
 	a.updates++
 	a.rounds += st.Rounds
-	if st.MaxActive > a.active {
-		a.active = st.MaxActive
-	}
-	if st.MaxWords > a.words {
-		a.words = st.MaxWords
+	a.active = max(a.active, st.MaxActive)
+	a.words = max(a.words, st.MaxWords)
+}
+
+// applyOps is a core's one execution path.
+type applyOps = func([]graph.Op) (graph.Results, mpc.MixedStats)
+
+// perOp runs one update as its own one-op ApplyOps window and reports the
+// window (a read-free window is its update half) in the per-update shape.
+func perOp(apply applyOps, up graph.Update) mpc.UpdateStats {
+	_, st := apply([]graph.Op{graph.OpUpdate(up)})
+	u := st.Updates
+	return mpc.UpdateStats{Rounds: u.Rounds, MaxActive: u.MaxActive, SumActive: u.SumActive, MaxWords: u.MaxWords, SumWords: u.SumWords}
+}
+
+// perBatch runs each batch as one write-only ApplyOps window.
+func perBatch(apply applyOps) func(graph.Batch) mpc.BatchStats {
+	return func(b graph.Batch) mpc.BatchStats {
+		_, st := apply(graph.UpdateOps(b))
+		return st.Updates
 	}
 }
 
@@ -68,13 +83,7 @@ func BenchmarkTable1MaximalMatching(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m := dmm.New(dmm.Config{N: benchN, CapEdges: benchCap})
 		for _, up := range benchStreamUpdates(1) {
-			var st mpc.UpdateStats
-			if up.Op == graph.Insert {
-				st = m.Insert(up.U, up.V)
-			} else {
-				st = m.Delete(up.U, up.V)
-			}
-			agg.add(st)
+			agg.add(perOp(m.ApplyOps, up))
 		}
 	}
 	agg.report(b)
@@ -87,20 +96,15 @@ func BenchmarkTable1ThreeHalves(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m := dmm.New(dmm.Config{N: benchN, CapEdges: benchCap, ThreeHalves: true})
 		for _, up := range benchStreamUpdates(2) {
-			var st mpc.UpdateStats
-			if up.Op == graph.Insert {
-				st = m.Insert(up.U, up.V)
-			} else {
-				st = m.Delete(up.U, up.V)
-			}
-			agg.add(st)
+			agg.add(perOp(m.ApplyOps, up))
 		}
 	}
 	agg.report(b)
 }
 
 // BenchmarkTable1TwoPlusEps reproduces Table 1 row 3 (§6): O(1) rounds,
-// Õ(1) machines, Õ(1) words.
+// Õ(1) machines, Õ(1) words — measured on the per-update cycle, the §6
+// protocol the row describes.
 func BenchmarkTable1TwoPlusEps(b *testing.B) {
 	var agg statsAgg
 	for i := 0; i < b.N; i++ {
@@ -125,13 +129,7 @@ func BenchmarkTable1ConnComp(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		d := dyncon.New(dyncon.Config{N: benchN, Mode: dyncon.CC, ExpectedEdges: benchCap})
 		for _, up := range benchStreamUpdates(4) {
-			var st mpc.UpdateStats
-			if up.Op == graph.Insert {
-				st = d.Insert(up.U, up.V, 1)
-			} else {
-				st = d.Delete(up.U, up.V)
-			}
-			agg.add(st)
+			agg.add(perOp(d.ApplyOps, up))
 		}
 	}
 	agg.report(b)
@@ -144,13 +142,7 @@ func BenchmarkTable1MST(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		d := dyncon.New(dyncon.Config{N: benchN, Mode: dyncon.MST, Eps: 0.25, ExpectedEdges: benchCap})
 		for _, up := range benchStreamUpdates(5) {
-			var st mpc.UpdateStats
-			if up.Op == graph.Insert {
-				st = d.Insert(up.U, up.V, up.W)
-			} else {
-				st = d.Delete(up.U, up.V)
-			}
-			agg.add(st)
+			agg.add(perOp(d.ApplyOps, up))
 		}
 	}
 	agg.report(b)
@@ -200,7 +192,7 @@ func BenchmarkReductionMST(b *testing.B) {
 }
 
 // BenchmarkBatchPipeline measures the batch-dynamic update pipeline: each
-// ApplyBatch implementation is driven over the same stream at batch sizes
+// core's ApplyOps is driven over the same stream in write-only windows of
 // k ∈ {1, 8, 64}; the metric to watch is amortized rounds/update dropping
 // as k grows (the §7 reduction replays sequentially and stays flat by
 // design).
@@ -211,23 +203,30 @@ func BenchmarkBatchPipeline(b *testing.B) {
 	}
 	runners := []runner{
 		{"MaximalMatching", func() func(graph.Batch) mpc.BatchStats {
-			return dmm.New(dmm.Config{N: benchN, CapEdges: benchCap}).ApplyBatch
+			return perBatch(dmm.New(dmm.Config{N: benchN, CapEdges: benchCap}).ApplyOps)
 		}},
 		{"ThreeHalves", func() func(graph.Batch) mpc.BatchStats {
-			return dmm.New(dmm.Config{N: benchN, CapEdges: benchCap, ThreeHalves: true}).ApplyBatch
+			return perBatch(dmm.New(dmm.Config{N: benchN, CapEdges: benchCap, ThreeHalves: true}).ApplyOps)
 		}},
 		{"TwoPlusEps", func() func(graph.Batch) mpc.BatchStats {
-			return amm.New(amm.Config{N: benchN, Seed: 13}).ApplyBatch
+			return perBatch(amm.New(amm.Config{N: benchN, Seed: 13}).ApplyOps)
 		}},
 		{"ConnComp", func() func(graph.Batch) mpc.BatchStats {
-			return dyncon.New(dyncon.Config{N: benchN, Mode: dyncon.CC, ExpectedEdges: benchCap}).ApplyBatch
+			return perBatch(dyncon.New(dyncon.Config{N: benchN, Mode: dyncon.CC, ExpectedEdges: benchCap}).ApplyOps)
 		}},
 		{"MST", func() func(graph.Batch) mpc.BatchStats {
-			return dyncon.New(dyncon.Config{N: benchN, Mode: dyncon.MST, Eps: 0.25, ExpectedEdges: benchCap}).ApplyBatch
+			return perBatch(dyncon.New(dyncon.Config{N: benchN, Mode: dyncon.MST, Eps: 0.25, ExpectedEdges: benchCap}).ApplyOps)
 		}},
 		{"ReductionConnectivity", func() func(graph.Batch) mpc.BatchStats {
 			sim := reduction.NewSim(8, 1<<17)
-			return reduction.NewWrapped(sim, reduction.HDTTarget{H: seqdyn.NewHDT(benchN)}).ApplyBatch
+			w := reduction.NewWrapped(sim, reduction.HDTTarget{H: seqdyn.NewHDT(benchN)})
+			return func(batch graph.Batch) mpc.BatchStats {
+				st := mpc.BatchStats{Updates: len(batch)}
+				for _, up := range batch {
+					st.Rounds += w.Update(up).Rounds
+				}
+				return st
+			}
 		}},
 	}
 	for _, r := range runners {
@@ -252,55 +251,53 @@ func BenchmarkBatchPipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryPipeline measures the batched query pipeline: after a
-// warm-up stream, each protocol query path (ConnectedBatch, MateOfBatch)
-// is driven at query-batch sizes k ∈ {1, 8, 64}; the metric to watch is
-// amortized rounds/query dropping from ~2 (resp. 1) toward 2/k (resp.
-// 1/k), the read-side mirror of the batch-dynamic update curves.
+// BenchmarkQueryPipeline measures the read side of the op pipeline: after
+// a warm-up stream, read-only ApplyOps windows of k ∈ {1, 8, 64} queries
+// are driven through each core; the metric to watch is amortized
+// rounds/query dropping from ~2 (resp. 1) toward 2/k (resp. 1/k), the
+// read-side mirror of the batch-dynamic update curves.
 func BenchmarkQueryPipeline(b *testing.B) {
-	type runner struct {
-		name string
-		mk   func() (query func(k int, rng *rand.Rand), stats func() *mpc.Stats)
-	}
-	runners := []runner{
-		{"ConnComp", func() (func(int, *rand.Rand), func() *mpc.Stats) {
-			d := dyncon.New(dyncon.Config{N: benchN, Mode: dyncon.CC, ExpectedEdges: benchCap})
-			for _, batch := range graph.Chunk(benchStreamUpdates(14), 32) {
-				d.ApplyBatch(batch)
-			}
-			return func(k int, rng *rand.Rand) { d.ConnectedBatch(graph.RandomPairs(benchN, k, rng)) },
-				func() *mpc.Stats { return d.Cluster().Stats() }
+	connected := func(rng *rand.Rand) graph.Op { return graph.OpQConnected(rng.Intn(benchN), rng.Intn(benchN)) }
+	mateOf := func(rng *rand.Rand) graph.Op { return graph.OpQMateOf(rng.Intn(benchN)) }
+	runners := []struct {
+		name  string
+		query func(*rand.Rand) graph.Op
+		mk    func() applyOps
+	}{
+		{"ConnComp", connected, func() applyOps {
+			return dyncon.New(dyncon.Config{N: benchN, Mode: dyncon.CC, ExpectedEdges: benchCap}).ApplyOps
 		}},
-		{"MaximalMatching", func() (func(int, *rand.Rand), func() *mpc.Stats) {
-			m := dmm.New(dmm.Config{N: benchN, CapEdges: benchCap})
-			for _, batch := range graph.Chunk(benchStreamUpdates(14), 32) {
-				m.ApplyBatch(batch)
-			}
-			return func(k int, rng *rand.Rand) { m.MateOfBatch(graph.RandomVerts(benchN, k, rng)) },
-				func() *mpc.Stats { return m.Cluster().Stats() }
+		{"MaximalMatching", mateOf, func() applyOps {
+			return dmm.New(dmm.Config{N: benchN, CapEdges: benchCap}).ApplyOps
 		}},
-		{"TwoPlusEps", func() (func(int, *rand.Rand), func() *mpc.Stats) {
-			m := amm.New(amm.Config{N: benchN, Seed: 13})
-			for _, batch := range graph.Chunk(benchStreamUpdates(14), 32) {
-				m.ApplyBatch(batch)
-			}
-			return func(k int, rng *rand.Rand) { m.MateOfBatch(graph.RandomVerts(benchN, k, rng)) },
-				func() *mpc.Stats { return m.Cluster().Stats() }
+		{"TwoPlusEps", mateOf, func() applyOps {
+			return amm.New(amm.Config{N: benchN, Seed: 13}).ApplyOps
 		}},
 	}
 	for _, r := range runners {
 		for _, k := range []int{1, 8, 64} {
 			b.Run(fmt.Sprintf("%s/k=%d", r.name, k), func(b *testing.B) {
-				query, stats := r.mk()
+				apply := r.mk()
+				for _, batch := range graph.Chunk(benchStreamUpdates(14), 32) {
+					apply(graph.UpdateOps(batch))
+				}
 				rng := rand.New(rand.NewSource(31))
+				var queries, rounds, words int
 				for i := 0; i < b.N; i++ {
 					for q := 0; q < 128; q += k {
-						query(k, rng)
+						ops := make([]graph.Op, k)
+						for j := range ops {
+							ops[j] = r.query(rng)
+						}
+						_, st := apply(ops)
+						queries += st.Queries.Queries
+						rounds += st.Queries.Rounds
+						words += st.Queries.SumWords
 					}
 				}
-				if rpq, _, words := stats().MeanQuery(); rpq > 0 {
-					b.ReportMetric(rpq, "rounds/query(amortized)")
-					b.ReportMetric(words, "words/round(mean)")
+				if rounds > 0 {
+					b.ReportMetric(float64(rounds)/float64(queries), "rounds/query(amortized)")
+					b.ReportMetric(float64(words)/float64(rounds), "words/round(mean)")
 				}
 			})
 		}
@@ -388,13 +385,8 @@ func BenchmarkAblationEntropy(b *testing.B) {
 		m := dmm.New(dmm.Config{N: benchN, CapEdges: benchCap})
 		d := dyncon.New(dyncon.Config{N: benchN, Mode: dyncon.CC, ExpectedEdges: benchCap})
 		for _, up := range benchStreamUpdates(12) {
-			if up.Op == graph.Insert {
-				m.Insert(up.U, up.V)
-				d.Insert(up.U, up.V, 1)
-			} else {
-				m.Delete(up.U, up.V)
-				d.Delete(up.U, up.V)
-			}
+			perOp(m.ApplyOps, up)
+			perOp(d.ApplyOps, up)
 		}
 		coordinated = m.Cluster().CommEntropy()
 		broadcast = d.Cluster().CommEntropy()
@@ -427,15 +419,7 @@ func BenchmarkScalingCommPerRound(b *testing.B) {
 		rng := rand.New(rand.NewSource(13))
 		worst := 0
 		for _, up := range graph.RandomStream(n, 200, 0.55, 1, rng) {
-			var st mpc.UpdateStats
-			if up.Op == graph.Insert {
-				st = d.Insert(up.U, up.V, 1)
-			} else {
-				st = d.Delete(up.U, up.V)
-			}
-			if st.MaxWords > worst {
-				worst = st.MaxWords
-			}
+			worst = max(worst, perOp(d.ApplyOps, up).MaxWords)
 		}
 		return float64(worst)
 	}

@@ -7,27 +7,19 @@
 // size N, exposing the O(√N) communication shape.
 //
 // With -batch k the same stream is additionally applied through each
-// algorithm's ApplyBatch in chunks of k, reporting rounds per batch and
-// the amortized rounds per update next to the k=1 baseline — the
-// batch-dynamic headline metric. With -json the whole measurement is
+// algorithm's ApplyOps in write-only chunks of k, reporting rounds per
+// batch and the amortized rounds per update next to the k=1 baseline —
+// the batch-dynamic headline metric. With -json the whole measurement is
 // emitted as a machine-readable JSON document (see benchReport) so the
 // perf trajectory can be committed as BENCH_NNNN.json snapshots and
 // diffed across PRs.
 //
-// With -shard each algorithm's wave-scheduled ApplyBatch is compared head
-// to head against its retained serial baseline at k ∈ {8, 64, 256}: dyncon
-// against the PR 1 greedy-prefix packer (ApplyBatchPrefix), dmm against
-// the PR 1 coordinator-chaining path (ApplyBatchChained), with wave-width
-// histograms showing where the round savings come from. With -autobatch
-// the dmpc.AutoBatcher adaptive batch-sizing driver runs the stream and
-// reports the chunk-size trajectory its knee search took.
-//
-// With -queries Q a mixed read/write workload is measured on top: update
-// batches are interleaved with protocol query batches
-// (ConnectedBatch/MateOfBatch) holding the read fraction at -readfrac,
-// at query-batch sizes k ∈ {1, 8, 64}, and the amortized rounds per
-// query are reported alongside that run's rounds per update — the read
-// path's counterpart of the batch-dynamic headline.
+// With -autobatch the dmpc.AutoBatcher adaptive batch-sizing driver runs
+// the stream and reports the chunk-size trajectory its knee search took.
+// With -mixed the unified op pipeline (reads sequenced into the update
+// waves) is compared against a position-preserving quiescence split of
+// the same op stream at -readfrac. (BENCH_0002/0003 keep the frozen
+// figures of the retired -queries and -shard comparators.)
 //
 // With -treedp the tree-DP workload is measured: mixed link/cut/weight/
 // DP-query streams (SubtreeSum, PathSum, TreeTop) from a uniform and a
@@ -50,7 +42,7 @@
 //
 // Usage:
 //
-//	dmpcbench [-n 128] [-updates 500] [-seed 1] [-sweep] [-batch k] [-shard] [-autobatch] [-queries Q] [-readfrac f] [-treedp] [-wallclock] [-wallmax n] [-cpuprofile FILE] [-memprofile FILE] [-json] [-baseline FILE] [-tolerance f]
+//	dmpcbench [-n 128] [-updates 500] [-seed 1] [-sweep] [-batch k] [-autobatch] [-mixed] [-readfrac f] [-arrivals] [-tenants] [-treedp] [-wallclock] [-wallmax n] [-backend b] [-workers w] [-cpuprofile FILE] [-memprofile FILE] [-json] [-baseline FILE] [-tolerance f]
 package main
 
 import (
@@ -62,7 +54,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"text/tabwriter"
 	"time"
 
@@ -88,6 +79,55 @@ type row struct {
 }
 
 type updater func(up graph.Update) mpc.UpdateStats
+
+// applyOps is a core's one execution path.
+type applyOps func([]graph.Op) (graph.Results, mpc.MixedStats)
+
+// perOp runs each update as its own one-op ApplyOps window and reports the
+// window (a read-free window is its update half) in the per-update shape.
+func perOp(apply applyOps) updater {
+	return func(up graph.Update) mpc.UpdateStats {
+		_, st := apply([]graph.Op{graph.OpUpdate(up)})
+		u := st.Updates
+		return mpc.UpdateStats{Rounds: u.Rounds, MaxActive: u.MaxActive, SumActive: u.SumActive, MaxWords: u.MaxWords, SumWords: u.SumWords}
+	}
+}
+
+// perBatch runs each batch as one write-only ApplyOps window.
+func perBatch(apply applyOps) func(graph.Batch) mpc.BatchStats {
+	return func(b graph.Batch) mpc.BatchStats {
+		_, st := apply(graph.UpdateOps(b))
+		return st.Updates
+	}
+}
+
+// foldUpdates runs a batch through a per-update driver and folds the
+// update windows into the batch shape — for the drivers that have no
+// shared window (the §7 reduction, and §6's per-update cycle at k=1).
+func foldUpdates(f updater) func(graph.Batch) mpc.BatchStats {
+	return func(b graph.Batch) mpc.BatchStats {
+		st := mpc.BatchStats{Updates: len(b)}
+		for _, up := range b {
+			u := f(up)
+			st.Rounds += u.Rounds
+			st.SumActive += u.SumActive
+			st.SumWords += u.SumWords
+			st.MaxActive = max(st.MaxActive, u.MaxActive)
+			st.MaxWords = max(st.MaxWords, u.MaxWords)
+		}
+		return st
+	}
+}
+
+// ammCycle is §6's fixed-schedule per-update driver (see amm.M.Insert).
+func ammCycle(m *amm.M) updater {
+	return func(up graph.Update) mpc.UpdateStats {
+		if up.Op == graph.Insert {
+			return m.Insert(up.U, up.V)
+		}
+		return m.Delete(up.U, up.V)
+	}
+}
 
 func measure(name, claim string, updates []graph.Update, f updater) row {
 	r := row{name: name, claim: claim}
@@ -122,49 +162,19 @@ func table(n, nUpdates int, seed int64) []row {
 	var rows []row
 
 	m1 := newDMM(dmm.Config{N: n, CapEdges: capEdges})
-	rows = append(rows, measure("Maximal matching (§3)", "O(1) r, O(1) mach, O(√N) words", mk(1),
-		func(up graph.Update) mpc.UpdateStats {
-			if up.Op == graph.Insert {
-				return m1.Insert(up.U, up.V)
-			}
-			return m1.Delete(up.U, up.V)
-		}))
+	rows = append(rows, measure("Maximal matching (§3)", "O(1) r, O(1) mach, O(√N) words", mk(1), perOp(m1.ApplyOps)))
 
 	m2 := newDMM(dmm.Config{N: n, CapEdges: capEdges, ThreeHalves: true})
-	rows = append(rows, measure("3/2-approx matching (§4)", "O(1) r, O(n/√N) mach, O(√N) words", mk(2),
-		func(up graph.Update) mpc.UpdateStats {
-			if up.Op == graph.Insert {
-				return m2.Insert(up.U, up.V)
-			}
-			return m2.Delete(up.U, up.V)
-		}))
+	rows = append(rows, measure("3/2-approx matching (§4)", "O(1) r, O(n/√N) mach, O(√N) words", mk(2), perOp(m2.ApplyOps)))
 
 	m3 := newAMM(amm.Config{N: n, Seed: seed})
-	rows = append(rows, measure("(2+ε)-approx matching (§6)", "O(1) r, Õ(1) mach, Õ(1) words", mk(3),
-		func(up graph.Update) mpc.UpdateStats {
-			if up.Op == graph.Insert {
-				return m3.Insert(up.U, up.V)
-			}
-			return m3.Delete(up.U, up.V)
-		}))
+	rows = append(rows, measure("(2+ε)-approx matching (§6)", "O(1) r, Õ(1) mach, Õ(1) words", mk(3), ammCycle(m3)))
 
 	d4 := newDyncon(dyncon.Config{N: n, Mode: dyncon.CC, ExpectedEdges: capEdges})
-	rows = append(rows, measure("Connected comps (§5)", "O(1) r, O(√N) mach, O(√N) words", mk(4),
-		func(up graph.Update) mpc.UpdateStats {
-			if up.Op == graph.Insert {
-				return d4.Insert(up.U, up.V, 1)
-			}
-			return d4.Delete(up.U, up.V)
-		}))
+	rows = append(rows, measure("Connected comps (§5)", "O(1) r, O(√N) mach, O(√N) words", mk(4), perOp(d4.ApplyOps)))
 
 	d5 := newDyncon(dyncon.Config{N: n, Mode: dyncon.MST, Eps: 0.25, ExpectedEdges: capEdges})
-	rows = append(rows, measure("(1+ε)-MST (§5.1)", "O(1) r, O(√N) mach, O(√N) words", mk(5),
-		func(up graph.Update) mpc.UpdateStats {
-			if up.Op == graph.Insert {
-				return d5.Insert(up.U, up.V, up.W)
-			}
-			return d5.Delete(up.U, up.V)
-		}))
+	rows = append(rows, measure("(1+ε)-MST (§5.1)", "O(1) r, O(√N) mach, O(√N) words", mk(5), perOp(d5.ApplyOps)))
 
 	simH := reduction.NewSim(8, 1<<18)
 	wh := reduction.NewWrapped(simH, reduction.HDTTarget{H: seqdyn.NewHDT(n)})
@@ -194,37 +204,38 @@ type batchRow struct {
 
 type batchRunner struct {
 	name string
-	mk   func() func(graph.Batch) mpc.BatchStats
+	mk   func(k int) func(graph.Batch) mpc.BatchStats
 }
 
 // batchRunners builds one fresh instance per measurement so successive k
 // values see identical starting states.
 func batchRunners(n, capEdges int, seed int64) []batchRunner {
 	return []batchRunner{
-		{"Maximal matching (§3)", func() func(graph.Batch) mpc.BatchStats {
-			m := newDMM(dmm.Config{N: n, CapEdges: capEdges})
-			return m.ApplyBatch
+		{"Maximal matching (§3)", func(int) func(graph.Batch) mpc.BatchStats {
+			return perBatch(newDMM(dmm.Config{N: n, CapEdges: capEdges}).ApplyOps)
 		}},
-		{"3/2-approx matching (§4)", func() func(graph.Batch) mpc.BatchStats {
-			m := newDMM(dmm.Config{N: n, CapEdges: capEdges, ThreeHalves: true})
-			return m.ApplyBatch
+		{"3/2-approx matching (§4)", func(int) func(graph.Batch) mpc.BatchStats {
+			return perBatch(newDMM(dmm.Config{N: n, CapEdges: capEdges, ThreeHalves: true}).ApplyOps)
 		}},
-		{"(2+ε)-approx matching (§6)", func() func(graph.Batch) mpc.BatchStats {
+		{"(2+ε)-approx matching (§6)", func(k int) func(graph.Batch) mpc.BatchStats {
 			m := newAMM(amm.Config{N: n, Seed: seed})
-			return m.ApplyBatch
+			if k == 1 {
+				// The k=1 column is by definition the per-update protocol.
+				return foldUpdates(ammCycle(m))
+			}
+			return perBatch(m.ApplyOps)
 		}},
-		{"Connected comps (§5)", func() func(graph.Batch) mpc.BatchStats {
-			d := newDyncon(dyncon.Config{N: n, Mode: dyncon.CC, ExpectedEdges: capEdges})
-			return d.ApplyBatch
+		{"Connected comps (§5)", func(int) func(graph.Batch) mpc.BatchStats {
+			return perBatch(newDyncon(dyncon.Config{N: n, Mode: dyncon.CC, ExpectedEdges: capEdges}).ApplyOps)
 		}},
-		{"(1+ε)-MST (§5.1)", func() func(graph.Batch) mpc.BatchStats {
-			d := newDyncon(dyncon.Config{N: n, Mode: dyncon.MST, Eps: 0.25, ExpectedEdges: capEdges})
-			return d.ApplyBatch
+		{"(1+ε)-MST (§5.1)", func(int) func(graph.Batch) mpc.BatchStats {
+			return perBatch(newDyncon(dyncon.Config{N: n, Mode: dyncon.MST, Eps: 0.25, ExpectedEdges: capEdges}).ApplyOps)
 		}},
-		{"Reduction: conn comps (§7+HDT)", func() func(graph.Batch) mpc.BatchStats {
+		{"Reduction: conn comps (§7+HDT)", func(int) func(graph.Batch) mpc.BatchStats {
+			// The §7 simulation is inherently serial: a batch costs the sum
+			// of its updates' O(u(N))-round costs, so the row stays flat.
 			sim := reduction.NewSim(8, 1<<18)
-			w := reduction.NewWrapped(sim, reduction.HDTTarget{H: seqdyn.NewHDT(n)})
-			return w.ApplyBatch
+			return foldUpdates(reduction.NewWrapped(sim, reduction.HDTTarget{H: seqdyn.NewHDT(n)}).Update)
 		}},
 	}
 }
@@ -266,142 +277,10 @@ func batchTable(n, nUpdates, batch int, seed int64) []batchRow {
 	var rows []batchRow
 	for _, br := range batchRunners(n, capEdges, seed) {
 		for _, k := range ks {
-			rows = append(rows, measureBatch(br.name, stream, k, br.mk()))
+			rows = append(rows, measureBatch(br.name, stream, k, br.mk(k)))
 		}
 	}
 	return rows
-}
-
-// --- wave scheduler vs per-algorithm serial baseline ----------------------
-
-// shardRow compares an algorithm's wave-scheduled ApplyBatch against its
-// retained serial baseline at one batch size, over the same stream (fresh
-// instances each): dyncon against the PR 1 greedy-prefix packer
-// (ApplyBatchPrefix), dmm against the PR 1 coordinator-chaining path
-// (ApplyBatchChained). The wave-width histograms expose *why* the
-// amortized rounds drop: the scheduler packs wider waves out of the same
-// batch (dmm's chained serial segments carry no wave attribution, so its
-// histogram shows the genuinely concurrent share).
-type shardRow struct {
-	Name           string   `json:"name"`
-	Baseline       string   `json:"baseline"`
-	K              int      `json:"k"`
-	BaseAmortized  float64  `json:"baseline_rounds_per_update"`
-	ShardAmortized float64  `json:"sharded_rounds_per_update"`
-	Ratio          float64  `json:"sharded_over_baseline"`
-	BaseWaves      int      `json:"baseline_waves"`
-	ShardWaves     int      `json:"sharded_waves"`
-	BaseWaveHist   [][2]int `json:"baseline_wave_width_hist"` // [width, count] ascending
-	ShardWaveHist  [][2]int `json:"sharded_wave_width_hist"`  // [width, count] ascending
-}
-
-// waveHist folds the per-wave attribution of a run's batches into a
-// [width, count] histogram sorted by width.
-func waveHist(batches []mpc.BatchStats) (hist [][2]int, waves int) {
-	counts := map[int]int{}
-	for _, b := range batches {
-		for _, w := range b.Waves {
-			counts[w.Updates]++
-			waves++
-		}
-	}
-	widths := make([]int, 0, len(counts))
-	for w := range counts {
-		widths = append(widths, w)
-	}
-	sort.Ints(widths)
-	for _, w := range widths {
-		hist = append(hist, [2]int{w, counts[w]})
-	}
-	return hist, waves
-}
-
-// shardRunner is one algorithm's pair of batch paths for the comparison.
-type shardRunner struct {
-	name     string
-	baseline string
-	mk       func() (base func(graph.Batch) mpc.BatchStats, wave func(graph.Batch) mpc.BatchStats)
-}
-
-func shardRunners(n, capEdges int) []shardRunner {
-	return []shardRunner{
-		{"Connected comps (§5)", "greedy-prefix packer", func() (func(graph.Batch) mpc.BatchStats, func(graph.Batch) mpc.BatchStats) {
-			a := newDyncon(dyncon.Config{N: n, Mode: dyncon.CC, ExpectedEdges: capEdges})
-			b := newDyncon(dyncon.Config{N: n, Mode: dyncon.CC, ExpectedEdges: capEdges})
-			return a.ApplyBatchPrefix, b.ApplyBatch
-		}},
-		{"(1+ε)-MST (§5.1)", "greedy-prefix packer", func() (func(graph.Batch) mpc.BatchStats, func(graph.Batch) mpc.BatchStats) {
-			a := newDyncon(dyncon.Config{N: n, Mode: dyncon.MST, Eps: 0.25, ExpectedEdges: capEdges})
-			b := newDyncon(dyncon.Config{N: n, Mode: dyncon.MST, Eps: 0.25, ExpectedEdges: capEdges})
-			return a.ApplyBatchPrefix, b.ApplyBatch
-		}},
-		{"Maximal matching (§3)", "coordinator chaining", func() (func(graph.Batch) mpc.BatchStats, func(graph.Batch) mpc.BatchStats) {
-			a := newDMM(dmm.Config{N: n, CapEdges: capEdges})
-			b := newDMM(dmm.Config{N: n, CapEdges: capEdges})
-			return a.ApplyBatchChained, b.ApplyBatch
-		}},
-	}
-}
-
-func shardTable(n, nUpdates int, seed int64) []shardRow {
-	capEdges := 6 * n
-	stream := graph.RandomStream(n, nUpdates, 0.55, 50, rand.New(rand.NewSource(seed+100)))
-	// Chunk clamps k to the stream length, so any k >= len(stream) measures
-	// the identical one-chunk run; report it once, labeled with the
-	// effective k, instead of emitting duplicate rows under distinct labels.
-	ks := make([]int, 0, 3)
-	for _, k := range []int{8, 64, 256} {
-		if k > len(stream) {
-			k = len(stream)
-		}
-		if len(ks) > 0 && ks[len(ks)-1] == k {
-			continue
-		}
-		ks = append(ks, k)
-	}
-	var rows []shardRow
-	for _, sr := range shardRunners(n, capEdges) {
-		for _, k := range ks {
-			run := func(apply func(graph.Batch) mpc.BatchStats) (float64, []mpc.BatchStats) {
-				var rounds, upd int
-				var batches []mpc.BatchStats
-				for _, b := range graph.Chunk(stream, k) {
-					st := apply(b)
-					rounds += st.Rounds
-					upd += st.Updates
-					batches = append(batches, st)
-				}
-				return float64(rounds) / float64(upd), batches
-			}
-			base, wave := sr.mk()
-			pa, pb := run(base)
-			sa, sb := run(wave)
-			row := shardRow{Name: sr.name, Baseline: sr.baseline, K: k,
-				BaseAmortized: pa, ShardAmortized: sa, Ratio: sa / pa}
-			row.BaseWaveHist, row.BaseWaves = waveHist(pb)
-			row.ShardWaveHist, row.ShardWaves = waveHist(sb)
-			rows = append(rows, row)
-		}
-	}
-	return rows
-}
-
-func printShardTable(rows []shardRow) {
-	fmt.Println("\nShared wave scheduler vs per-algorithm serial baseline (dyncon ApplyBatchPrefix, dmm ApplyBatchChained):")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "Algorithm\tbaseline\tk\tbase r/upd\tsharded r/upd\tratio\tbase waves\tsharded waves\twidest wave\n")
-	for _, r := range rows {
-		widest := 0
-		if len(r.ShardWaveHist) > 0 {
-			widest = r.ShardWaveHist[len(r.ShardWaveHist)-1][0]
-		}
-		fmt.Fprintf(w, "%s\t%s\t%d\t%.2f\t%.2f\t%.2f\t%d\t%d\t%d\n",
-			r.Name, r.Baseline, r.K, r.BaseAmortized, r.ShardAmortized, r.Ratio, r.BaseWaves, r.ShardWaves, widest)
-	}
-	w.Flush()
-	fmt.Println("(one early conflict caps a prefix wave and chaining runs every case analysis")
-	fmt.Println(" back to back; the shared scheduler packs independent updates from the whole")
-	fmt.Println(" batch into concurrent waves and budget-packs the orchestrator machines)")
 }
 
 // --- adaptive batch sizing ------------------------------------------------
@@ -420,22 +299,22 @@ func autoTable(n, nUpdates int, seed int64) []autoRow {
 	stream := graph.RandomStream(n, nUpdates, 0.55, 50, rand.New(rand.NewSource(seed+100)))
 	runners := []struct {
 		name string
-		mk   func() (func(dmpc.Batch) dmpc.BatchStats, *mpc.Cluster)
+		mk   func() (applyOps, *mpc.Cluster)
 	}{
-		{"Connected comps (§5)", func() (func(dmpc.Batch) dmpc.BatchStats, *mpc.Cluster) {
+		{"Connected comps (§5)", func() (applyOps, *mpc.Cluster) {
 			d := newDyncon(dyncon.Config{N: n, Mode: dyncon.CC, ExpectedEdges: capEdges})
-			return d.ApplyBatch, d.Cluster()
+			return d.ApplyOps, d.Cluster()
 		}},
-		{"Maximal matching (§3)", func() (func(dmpc.Batch) dmpc.BatchStats, *mpc.Cluster) {
+		{"Maximal matching (§3)", func() (applyOps, *mpc.Cluster) {
 			m := newDMM(dmm.Config{N: n, CapEdges: capEdges})
-			return m.ApplyBatch, m.Cluster()
+			return m.ApplyOps, m.Cluster()
 		}},
 	}
 	var rows []autoRow
 	for _, rn := range runners {
 		apply, cl := rn.mk()
 		ab := dmpc.NewAutoBatcher(dmpc.AutoBatcherConfig{
-			Apply:    apply,
+			ApplyOps: apply,
 			CapWords: cl.Machines() * cl.MemWords(),
 			StartK:   8,
 			MaxK:     256,
@@ -469,19 +348,18 @@ func printAutoTable(rows []autoRow) {
 
 // --- unified op pipeline: in-wave reads vs quiescence --------------------
 
-// mixedRow compares the unified op pipeline (ApplyOps: reads sequenced
-// into the update waves) against the quiescence baseline on the same
-// mixed op stream, chunked at k ops. The baseline answers the *same*
-// queries at the *same* stream positions — the only way to do that
-// without in-wave scheduling is to split each chunk at its read runs:
-// apply every maximal update run through ApplyBatch, then quiesce and
-// answer the following read run through the batched query path. (Moving
-// all reads to the chunk boundary would be cheaper but answers different
-// queries — chunk-end state instead of stream-position state — so it is
-// not a baseline for the same workload.) Both paths therefore return
-// bit-identical Results; only the round bill differs. FreeRides counts
-// the reads that shared an update-bearing wave — the reads whose rounds
-// cost nothing.
+// mixedRow compares the unified op pipeline (reads sequenced into the
+// update waves) against the quiescence split on the same mixed op stream,
+// chunked at k ops. The split answers the *same* queries at the *same*
+// stream positions — the only way to do that without in-wave scheduling is
+// to cut each chunk at its read runs: every maximal update run and every
+// maximal read run is its own ApplyOps window, so each read run waits for
+// the preceding writes to quiesce. (Moving all reads to the chunk boundary
+// would be cheaper but answers different queries — chunk-end state instead
+// of stream-position state — so it is not a baseline for the same
+// workload.) Both sides therefore return bit-identical Results; only the
+// round bill differs. FreeRides counts the reads that shared an
+// update-bearing wave — the reads whose rounds cost nothing.
 type mixedRow struct {
 	Name            string  `json:"name"`
 	K               int     `json:"k"`
@@ -495,79 +373,42 @@ type mixedRow struct {
 	FreeRides       int     `json:"reads_riding_update_waves"`
 }
 
-// mixedRunner builds fresh instances of one algorithm's two mixed paths:
-// the unified pipeline, and the split quiescence path (batch updates,
-// then batched reads).
+// mixedRunner builds fresh instances of one algorithm for the two sides
+// of the comparison.
 type mixedRunner struct {
 	name    string
 	mkQuery func(rng *rand.Rand) graph.Op
-	mk      func() (inwave func([]graph.Op) (graph.Results, mpc.MixedStats), inStats func() *mpc.Stats,
-		base func(graph.Batch) mpc.BatchStats, baseReads func([]graph.Op), baseStats func() *mpc.Stats)
+	mk      func() applyOps
 }
 
 func mixedRunners(n, capEdges int) []mixedRunner {
 	// amm is absent on purpose: its reads require settle-and-cycle
 	// barriers (no bit-equivalence contract), so it has no in-wave read
 	// path to compare — its Pipeline front door exists for API uniformity.
+	connected := func(rng *rand.Rand) graph.Op { return graph.OpQConnected(rng.Intn(n), rng.Intn(n)) }
 	return []mixedRunner{
-		{"Connected comps (§5)",
-			func(rng *rand.Rand) graph.Op { return graph.OpQConnected(rng.Intn(n), rng.Intn(n)) },
-			func() (func([]graph.Op) (graph.Results, mpc.MixedStats), func() *mpc.Stats, func(graph.Batch) mpc.BatchStats, func([]graph.Op), func() *mpc.Stats) {
-				a := newDyncon(dyncon.Config{N: n, Mode: dyncon.CC, ExpectedEdges: capEdges})
-				b := newDyncon(dyncon.Config{N: n, Mode: dyncon.CC, ExpectedEdges: capEdges})
-				return a.ApplyOps, func() *mpc.Stats { return a.Cluster().Stats() },
-					b.ApplyBatch, dynconReads(b), func() *mpc.Stats { return b.Cluster().Stats() }
-			}},
-		{"(1+ε)-MST (§5.1)",
-			func(rng *rand.Rand) graph.Op { return graph.OpQConnected(rng.Intn(n), rng.Intn(n)) },
-			func() (func([]graph.Op) (graph.Results, mpc.MixedStats), func() *mpc.Stats, func(graph.Batch) mpc.BatchStats, func([]graph.Op), func() *mpc.Stats) {
-				a := newDyncon(dyncon.Config{N: n, Mode: dyncon.MST, Eps: 0.25, ExpectedEdges: capEdges})
-				b := newDyncon(dyncon.Config{N: n, Mode: dyncon.MST, Eps: 0.25, ExpectedEdges: capEdges})
-				return a.ApplyOps, func() *mpc.Stats { return a.Cluster().Stats() },
-					b.ApplyBatch, dynconReads(b), func() *mpc.Stats { return b.Cluster().Stats() }
-			}},
+		{"Connected comps (§5)", connected, func() applyOps {
+			return newDyncon(dyncon.Config{N: n, Mode: dyncon.CC, ExpectedEdges: capEdges}).ApplyOps
+		}},
+		{"(1+ε)-MST (§5.1)", connected, func() applyOps {
+			return newDyncon(dyncon.Config{N: n, Mode: dyncon.MST, Eps: 0.25, ExpectedEdges: capEdges}).ApplyOps
+		}},
 		{"Maximal matching (§3)",
 			func(rng *rand.Rand) graph.Op { return graph.OpQMateOf(rng.Intn(n)) },
-			func() (func([]graph.Op) (graph.Results, mpc.MixedStats), func() *mpc.Stats, func(graph.Batch) mpc.BatchStats, func([]graph.Op), func() *mpc.Stats) {
-				a := newDMM(dmm.Config{N: n, CapEdges: capEdges})
-				b := newDMM(dmm.Config{N: n, CapEdges: capEdges})
-				baseReads := func(qs []graph.Op) {
-					vs := make([]int, len(qs))
-					for i, q := range qs {
-						vs[i] = q.U
-					}
-					b.MateOfBatch(vs)
-				}
-				return a.ApplyOps, func() *mpc.Stats { return a.Cluster().Stats() },
-					b.ApplyBatch, baseReads, func() *mpc.Stats { return b.Cluster().Stats() }
-			}},
+			func() applyOps { return newDMM(dmm.Config{N: n, CapEdges: capEdges}).ApplyOps }},
 	}
 }
 
-// dynconReads answers a chunk's reads through dyncon's batched quiescence
-// query path.
-func dynconReads(d *dyncon.D) func([]graph.Op) {
-	return func(qs []graph.Op) {
-		pairs := make([]graph.Pair, len(qs))
-		for i, q := range qs {
-			pairs[i] = graph.Pair{U: q.U, V: q.V}
-		}
-		d.ConnectedBatch(pairs)
-	}
-}
-
-// measureMixedPipeline runs one op stream through both paths at chunk
+// measureMixedPipeline runs one op stream through both sides at chunk
 // size k and reports the amortized rounds per op of each.
 func measureMixedPipeline(mr mixedRunner, ops []graph.Op, k int) mixedRow {
-	inwave, inStats, base, baseReads, baseStats := mr.mk()
 	row := mixedRow{Name: mr.name, K: k, Ops: len(ops)}
 	row.Updates, row.Queries = graph.CountOps(ops)
 
-	for _, chunk := range graph.SplitOps(ops, k) {
-		inwave(chunk)
-	}
+	inwave := mr.mk()
 	var inRounds int
-	for _, m := range inStats().Mixed() {
+	for _, chunk := range graph.SplitOps(ops, k) {
+		_, m := inwave(chunk)
 		inRounds += m.Rounds()
 		row.QueryHalf += m.Queries.Rounds
 		for _, w := range m.Waves {
@@ -578,37 +419,22 @@ func measureMixedPipeline(mr mixedRunner, ops []graph.Op, k int) mixedRow {
 	}
 	row.InwavePerOp = float64(inRounds) / float64(len(ops))
 
+	split := mr.mk()
+	var splitRounds int
 	for _, chunk := range graph.SplitOps(ops, k) {
-		// Position-preserving quiescence split: maximal update runs batch,
-		// every read run waits for quiescence.
+		// Position-preserving quiescence split: one window per maximal
+		// update run and per maximal read run.
 		for i := 0; i < len(chunk); {
 			j := i
-			if chunk[i].IsQuery() {
-				for j < len(chunk) && chunk[j].IsQuery() {
-					j++
-				}
-				baseReads(chunk[i:j])
-			} else {
-				for j < len(chunk) && !chunk[j].IsQuery() {
-					j++
-				}
-				b := make(graph.Batch, 0, j-i)
-				for _, op := range chunk[i:j] {
-					b = append(b, op.Update())
-				}
-				base(b)
+			for j < len(chunk) && chunk[j].IsQuery() == chunk[i].IsQuery() {
+				j++
 			}
+			_, m := split(chunk[i:j])
+			splitRounds += m.Rounds()
 			i = j
 		}
 	}
-	var baseRounds int
-	for _, b := range baseStats().Batches() {
-		baseRounds += b.Rounds
-	}
-	for _, q := range baseStats().Queries() {
-		baseRounds += q.Rounds
-	}
-	row.QuiescencePerOp = float64(baseRounds) / float64(len(ops))
+	row.QuiescencePerOp = float64(splitRounds) / float64(len(ops))
 	row.Ratio = row.InwavePerOp / row.QuiescencePerOp
 	return row
 }
@@ -647,130 +473,14 @@ func printMixedTable(rows []mixedRow, readfrac float64) {
 			r.Name, r.K, r.Ops, r.InwavePerOp, r.QuiescencePerOp, r.Ratio, r.QueryHalf, r.FreeRides, r.Queries)
 	}
 	w.Flush()
-	fmt.Println("(both paths answer the same reads at the same stream positions; the baseline")
+	fmt.Println("(both sides answer the same reads at the same stream positions; the split")
 	fmt.Println(" must quiesce at every read run, while the unified pipeline precedence-colors")
 	fmt.Println(" the reads into the update waves — a read sharing an update's wave costs zero")
 	fmt.Println(" extra rounds, which is where the ratio comes from)")
 }
 
-// --- mixed read/write workload -------------------------------------------
-
-// queryRow is one algorithm's mixed-workload measurement at one query
-// batch size.
-type queryRow struct {
-	name           string
-	k              int     // query batch size
-	queries        int     // protocol queries issued
-	windows        int     // query windows (batches) recorded
-	roundsPerQuery float64 // amortized over all query windows
-	updAmortized   float64 // rounds/update of the interleaved update batches
-	maxActive      int     // wc machines over the query windows
-	meanWords      float64 // words/round over the query windows
-}
-
-// queryRunner builds a fresh algorithm instance exposing its batched write
-// and read paths plus its cluster stats.
-type queryRunner struct {
-	name string
-	mk   func() (apply func(graph.Batch) mpc.BatchStats, query func(k int, rng *rand.Rand), stats func() *mpc.Stats)
-}
-
-func queryRunners(n, capEdges int, seed int64) []queryRunner {
-	mates := func(k int, rng *rand.Rand) []int { return graph.RandomVerts(n, k, rng) }
-	return []queryRunner{
-		{"Connected comps (§5)", func() (func(graph.Batch) mpc.BatchStats, func(int, *rand.Rand), func() *mpc.Stats) {
-			d := newDyncon(dyncon.Config{N: n, Mode: dyncon.CC, ExpectedEdges: capEdges})
-			return d.ApplyBatch, func(k int, rng *rand.Rand) { d.ConnectedBatch(graph.RandomPairs(n, k, rng)) }, func() *mpc.Stats { return d.Cluster().Stats() }
-		}},
-		{"(1+ε)-MST (§5.1)", func() (func(graph.Batch) mpc.BatchStats, func(int, *rand.Rand), func() *mpc.Stats) {
-			d := newDyncon(dyncon.Config{N: n, Mode: dyncon.MST, Eps: 0.25, ExpectedEdges: capEdges})
-			return d.ApplyBatch, func(k int, rng *rand.Rand) { d.ConnectedBatch(graph.RandomPairs(n, k, rng)) }, func() *mpc.Stats { return d.Cluster().Stats() }
-		}},
-		{"Maximal matching (§3)", func() (func(graph.Batch) mpc.BatchStats, func(int, *rand.Rand), func() *mpc.Stats) {
-			m := newDMM(dmm.Config{N: n, CapEdges: capEdges})
-			return m.ApplyBatch, func(k int, rng *rand.Rand) { m.MateOfBatch(mates(k, rng)) }, func() *mpc.Stats { return m.Cluster().Stats() }
-		}},
-		{"3/2-approx matching (§4)", func() (func(graph.Batch) mpc.BatchStats, func(int, *rand.Rand), func() *mpc.Stats) {
-			m := newDMM(dmm.Config{N: n, CapEdges: capEdges, ThreeHalves: true})
-			return m.ApplyBatch, func(k int, rng *rand.Rand) { m.MateOfBatch(mates(k, rng)) }, func() *mpc.Stats { return m.Cluster().Stats() }
-		}},
-		{"(2+ε)-approx matching (§6)", func() (func(graph.Batch) mpc.BatchStats, func(int, *rand.Rand), func() *mpc.Stats) {
-			m := newAMM(amm.Config{N: n, Seed: seed})
-			return m.ApplyBatch, func(k int, rng *rand.Rand) { m.MateOfBatch(mates(k, rng)) }, func() *mpc.Stats { return m.Cluster().Stats() }
-		}},
-	}
-}
-
-// measureMixed interleaves query batches of size qk into the batched update
-// stream, issuing reads after each update chunk so the running read
-// fraction tracks readfrac, up to totalQueries reads.
-func measureMixed(qr queryRunner, stream []graph.Update, updK, qk, totalQueries int, readfrac float64, seed int64) queryRow {
-	apply, query, stats := qr.mk()
-	rng := rand.New(rand.NewSource(seed + 1000))
-	r := queryRow{name: qr.name, k: qk}
-	writes := 0
-	for _, b := range graph.Chunk(stream, updK) {
-		apply(b)
-		writes += len(b)
-		target := int(readfrac / (1 - readfrac) * float64(writes))
-		if target > totalQueries {
-			target = totalQueries
-		}
-		// The last batch before the target may be partial, so small -queries
-		// values still measure every qk honestly instead of reporting rows
-		// with zero reads.
-		for r.queries < target {
-			k := qk
-			if k > target-r.queries {
-				k = target - r.queries
-			}
-			query(k, rng)
-			r.queries += k
-		}
-	}
-	for _, q := range stats().Queries() {
-		r.windows++
-		if q.MaxActive > r.maxActive {
-			r.maxActive = q.MaxActive
-		}
-	}
-	r.roundsPerQuery, _, r.meanWords = stats().MeanQuery()
-	r.updAmortized, _, _ = stats().MeanBatch()
-	return r
-}
-
-// queryTable measures the mixed workload for every query-capable algorithm
-// at query batch sizes k ∈ {1, 8, 64} (fresh instances per k; the §7
-// reduction has no protocol query — Lemma 7.1 covers update replay only).
-// updK and readfrac must already be resolved (see main), so the reported
-// parameters are the measured ones.
-func queryTable(n, nUpdates, updK, totalQueries int, readfrac float64, seed int64) []queryRow {
-	capEdges := 6 * n
-	stream := graph.RandomStream(n, nUpdates, 0.55, 50, rand.New(rand.NewSource(seed+100)))
-	var rows []queryRow
-	for _, qr := range queryRunners(n, capEdges, seed) {
-		for _, qk := range []int{1, 8, 64} {
-			rows = append(rows, measureMixed(qr, stream, updK, qk, totalQueries, readfrac, seed))
-		}
-	}
-	return rows
-}
-
-func printQueryTable(rows []queryRow, readfrac float64) {
-	fmt.Printf("\nMixed read/write workload (readfrac %.2f, query batches via ConnectedBatch/MateOfBatch):\n", readfrac)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "Algorithm\tqk\tqueries\trounds/query\trounds/upd (interleaved)\tmach/round (wc)\twords/round (mean)\n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%d\t%d\t%.3f\t%.2f\t%d\t%.1f\n",
-			r.name, r.k, r.queries, r.roundsPerQuery, r.updAmortized, r.maxActive, r.meanWords)
-	}
-	w.Flush()
-	fmt.Println("(a query batch shares one scatter/gather window: 2/k rounds per connectivity")
-	fmt.Println(" query, 1/k per mate query; update accounting is untouched by the reads)")
-}
-
 func printBatchTable(rows []batchRow, batch int) {
-	fmt.Printf("\nBatch pipeline (ApplyBatch, k=%d vs k=1):\n", batch)
+	fmt.Printf("\nBatch pipeline (write-only ApplyOps windows, k=%d vs k=1):\n", batch)
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(w, "Algorithm\tk\trounds/batch\tamortized rounds/upd\tmach/round (wc)\twords/round (mean)\n")
 	for _, r := range rows {
@@ -804,17 +514,6 @@ type jsonBatch struct {
 	MeanWordsPerRound float64 `json:"mean_words_per_round"`
 }
 
-type jsonQuery struct {
-	Name              string  `json:"name"`
-	K                 int     `json:"k"`
-	Queries           int     `json:"queries"`
-	Windows           int     `json:"windows"`
-	RoundsPerQuery    float64 `json:"amortized_rounds_per_query"`
-	UpdateAmortized   float64 `json:"interleaved_rounds_per_update"`
-	WorstMachines     int     `json:"wc_machines_per_round"`
-	MeanWordsPerRound float64 `json:"mean_words_per_round"`
-}
-
 type benchReport struct {
 	Schema   string      `json:"schema"`
 	N        int         `json:"n"`
@@ -822,12 +521,9 @@ type benchReport struct {
 	Seed     int64       `json:"seed"`
 	BatchK   int         `json:"batch_k,omitempty"`
 	ReadFrac float64     `json:"read_frac,omitempty"`
-	QueryUpd int         `json:"query_upd_k,omitempty"` // update-batch size of the mixed runs
 	Table1   []jsonAlgo  `json:"table1"`
 	Batch    []jsonBatch `json:"batch,omitempty"`
-	Shard    []shardRow  `json:"conflict_sharding,omitempty"`
 	Auto     []autoRow   `json:"autobatch,omitempty"`
-	Queries  []jsonQuery `json:"queries,omitempty"`
 	Mixed    []mixedRow  `json:"mixed,omitempty"`
 	Sweep    []sweepRow  `json:"sweep,omitempty"`
 
@@ -844,19 +540,11 @@ type benchReport struct {
 }
 
 // buildReport assembles the machine-readable measurement document.
-func buildReport(rows []row, brows []batchRow, shrows []shardRow, arows []autoRow, qrows []queryRow, mrows []mixedRow, srows []sweepRow, n, updates, batch, queryUpdK int, readfrac float64, seed int64) benchReport {
+func buildReport(rows []row, brows []batchRow, arows []autoRow, mrows []mixedRow, srows []sweepRow, n, updates, batch int, readfrac float64, seed int64) benchReport {
 	rep := benchReport{Schema: "dmpcbench/v2", N: n, Updates: updates, Seed: seed, BatchK: batch,
-		Shard: shrows, Auto: arows, Mixed: mrows, Sweep: srows}
-	if len(qrows) > 0 || len(mrows) > 0 {
+		Auto: arows, Mixed: mrows, Sweep: srows}
+	if len(mrows) > 0 {
 		rep.ReadFrac = readfrac
-		rep.QueryUpd = queryUpdK
-	}
-	for _, r := range qrows {
-		rep.Queries = append(rep.Queries, jsonQuery{
-			Name: r.name, K: r.k, Queries: r.queries, Windows: r.windows,
-			RoundsPerQuery: r.roundsPerQuery, UpdateAmortized: r.updAmortized,
-			WorstMachines: r.maxActive, MeanWordsPerRound: r.meanWords,
-		})
 	}
 	for _, r := range rows {
 		rep.Table1 = append(rep.Table1, jsonAlgo{
@@ -1138,13 +826,9 @@ func sweepRows(seed int64) []sweepRow {
 		d := newDyncon(dyncon.Config{N: n, Mode: dyncon.CC, ExpectedEdges: 5 * n})
 		rng := rand.New(rand.NewSource(seed))
 		var maxR, maxA, maxW int
+		update := perOp(d.ApplyOps)
 		for _, up := range graph.RandomStream(n, 300, 0.55, 1, rng) {
-			var st mpc.UpdateStats
-			if up.Op == graph.Insert {
-				st = d.Insert(up.U, up.V, 1)
-			} else {
-				st = d.Delete(up.U, up.V)
-			}
+			st := update(up)
 			if st.Rounds > maxR {
 				maxR = st.Rounds
 			}
@@ -1181,9 +865,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "stream seed")
 	doSweep := flag.Bool("sweep", false, "run the scaling sweep")
 	batch := flag.Int("batch", 0, "measure the batch pipeline at this batch size (and k=1)")
-	doShard := flag.Bool("shard", false, "compare the conflict-graph wave scheduler against the greedy-prefix packer at k in {8,64,256}")
 	doAuto := flag.Bool("autobatch", false, "run the AutoBatcher adaptive batch-sizing driver and report its k trajectory")
-	queries := flag.Int("queries", 0, "measure the mixed read/write workload with up to this many protocol queries per run")
 	doMixed := flag.Bool("mixed", false, "measure the unified op pipeline (in-wave reads) against the quiescence split at k in {8,64,256}")
 	doArrivals := flag.Bool("arrivals", false, "measure streaming ingestion latency (p50/p95/p99 rounds from arrival) at batch bounds k in {8,64,256} plus the tail-constrained AutoBatcher comparison")
 	doTreeDP := flag.Bool("treedp", false, "measure the tree-DP workload: mixed link/cut/weight/DP-query streams at k in {8,64,256} on both backends, with amortized DP rounds/query and cross-backend answer equality")
@@ -1227,26 +909,14 @@ func main() {
 	if *batch > 0 {
 		brows = batchTable(*n, *updates, *batch, *seed)
 	}
-	var shrows []shardRow
-	if *doShard {
-		shrows = shardTable(*n, *updates, *seed)
-	}
 	var arows []autoRow
 	if *doAuto {
 		arows = autoTable(*n, *updates, *seed)
 	}
-	// Resolve the mixed-workload parameters once, so table and JSON report
-	// what was actually measured.
-	queryUpdK := *batch
-	if queryUpdK < 1 {
-		queryUpdK = 64
-	}
+	// Resolve the read fraction once, so table and JSON report what was
+	// actually measured.
 	if *readfrac <= 0 || *readfrac >= 1 {
 		*readfrac = 0.5
-	}
-	var qrows []queryRow
-	if *queries > 0 {
-		qrows = queryTable(*n, *updates, queryUpdK, *queries, *readfrac, *seed)
 	}
 	var mrows []mixedRow
 	if *doMixed {
@@ -1293,7 +963,7 @@ func main() {
 		f.Close()
 	}
 
-	rep := buildReport(rows, brows, shrows, arows, qrows, mrows, srows, *n, *updates, *batch, queryUpdK, *readfrac, *seed)
+	rep := buildReport(rows, brows, arows, mrows, srows, *n, *updates, *batch, *readfrac, *seed)
 	rep.Arrivals = arrRows
 	rep.LatencyAuto = latRows
 	rep.Tenants = trows
@@ -1316,14 +986,8 @@ func main() {
 	if *batch > 0 {
 		printBatchTable(brows, *batch)
 	}
-	if *doShard {
-		printShardTable(shrows)
-	}
 	if *doAuto {
 		printAutoTable(arows)
-	}
-	if *queries > 0 {
-		printQueryTable(qrows, *readfrac)
 	}
 	if *doMixed {
 		printMixedTable(mrows, *readfrac)

@@ -96,11 +96,11 @@ func wallRunners() []wallRunner {
 	return []wallRunner{
 		{"Connected comps (§5)", func(n int, be mpc.BackendKind) (func(graph.Batch) mpc.BatchStats, func()) {
 			d := dyncon.New(dyncon.Config{N: n, Mode: dyncon.CC, ExpectedEdges: 6 * n, Backend: be})
-			return d.ApplyBatch, d.Close
+			return perBatch(d.ApplyOps), d.Close
 		}},
 		{"Maximal matching (§3)", func(n int, be mpc.BackendKind) (func(graph.Batch) mpc.BatchStats, func()) {
 			m := dmm.New(dmm.Config{N: n, CapEdges: 6 * n, Backend: be})
-			return m.ApplyBatch, m.Close
+			return perBatch(m.ApplyOps), m.Close
 		}},
 	}
 }

@@ -1,8 +1,9 @@
 // Command dmpctrace runs one dynamic DMPC algorithm over a random update
 // stream and prints a per-update trace of the model accounting — rounds,
 // active machines, communicated words — plus solution-quality checks
-// against sequential oracles. It is the quickest way to watch the
-// protocols at work.
+// against sequential oracles. Every update is its own one-op ApplyOps
+// window (amm runs its per-update §6 cycle). It is the quickest way to
+// watch the protocols at work.
 //
 // Usage:
 //
@@ -22,6 +23,18 @@ import (
 	"dmpc/internal/mpc"
 )
 
+// cost is one update's bill: rounds, peak active machines, peak words.
+type cost struct{ rounds, machines, words int }
+
+// oneOp runs each update as a one-op ApplyOps window (a read-free window
+// is its update half).
+func oneOp(apply func([]graph.Op) (graph.Results, mpc.MixedStats)) func(graph.Update) cost {
+	return func(up graph.Update) cost {
+		_, st := apply([]graph.Op{graph.OpUpdate(up)})
+		return cost{st.Updates.Rounds, st.Updates.MaxActive, st.Updates.MaxWords}
+	}
+}
+
 func main() {
 	alg := flag.String("alg", "cc", "algorithm: cc, mst, mm, mm32, amm")
 	n := flag.Int("n", 32, "vertices")
@@ -33,18 +46,13 @@ func main() {
 	stream := graph.RandomStream(*n, *updates, 0.6, 50, rng)
 	g := graph.New(*n)
 
-	var apply func(up graph.Update) mpc.UpdateStats
+	var apply func(up graph.Update) cost
 	var quality func() string
 
 	switch *alg {
 	case "cc":
 		d := dyncon.New(dyncon.Config{N: *n, Mode: dyncon.CC, ExpectedEdges: 6 * *n})
-		apply = func(up graph.Update) mpc.UpdateStats {
-			if up.Op == graph.Insert {
-				return d.Insert(up.U, up.V, 1)
-			}
-			return d.Delete(up.U, up.V)
-		}
+		apply = oneOp(d.ApplyOps)
 		quality = func() string {
 			mine := make([]int, *n)
 			for v := 0; v < *n; v++ {
@@ -55,23 +63,13 @@ func main() {
 		}
 	case "mst":
 		d := dyncon.New(dyncon.Config{N: *n, Mode: dyncon.MST, ExpectedEdges: 6 * *n})
-		apply = func(up graph.Update) mpc.UpdateStats {
-			if up.Op == graph.Insert {
-				return d.Insert(up.U, up.V, up.W)
-			}
-			return d.Delete(up.U, up.V)
-		}
+		apply = oneOp(d.ApplyOps)
 		quality = func() string {
 			return fmt.Sprintf("forest=%d kruskal=%d", d.ForestWeight(), graph.MSFWeight(g))
 		}
 	case "mm", "mm32":
 		m := dmm.New(dmm.Config{N: *n, CapEdges: 8 * *n, ThreeHalves: *alg == "mm32"})
-		apply = func(up graph.Update) mpc.UpdateStats {
-			if up.Op == graph.Insert {
-				return m.Insert(up.U, up.V)
-			}
-			return m.Delete(up.U, up.V)
-		}
+		apply = oneOp(m.ApplyOps)
 		quality = func() string {
 			mt := m.MateTable()
 			s := fmt.Sprintf("|M|=%d maximal=%v", graph.MatchingSize(mt), graph.IsMaximalMatching(g, mt))
@@ -82,11 +80,14 @@ func main() {
 		}
 	case "amm":
 		m := amm.New(amm.Config{N: *n, Seed: *seed})
-		apply = func(up graph.Update) mpc.UpdateStats {
+		apply = func(up graph.Update) cost {
+			var st mpc.UpdateStats
 			if up.Op == graph.Insert {
-				return m.Insert(up.U, up.V)
+				st = m.Insert(up.U, up.V)
+			} else {
+				st = m.Delete(up.U, up.V)
 			}
-			return m.Delete(up.U, up.V)
+			return cost{st.Rounds, st.MaxActive, st.MaxWords}
 		}
 		quality = func() string {
 			mt := m.MateTable()
@@ -103,6 +104,6 @@ func main() {
 		st := apply(up)
 		g.Apply(up)
 		fmt.Printf("%-4d %-18s %7d %9d %8d  %s\n",
-			i, up.String(), st.Rounds, st.MaxActive, st.MaxWords, quality())
+			i, up.String(), st.rounds, st.machines, st.words, quality())
 	}
 }

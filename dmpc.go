@@ -38,7 +38,7 @@
 // sequential replay — pinned by the FuzzMixedEquivalence harnesses)
 // instead of waiting for cluster quiescence. Reads touching state no
 // in-flight write conflicts with ride a write wave's rounds for free,
-// which is where mixed workloads beat the split read/write paths (see
+// which is where mixed workloads beat quiescing at every read run (see
 // cmd/dmpcbench -mixed and BENCH_0005.json).
 //
 // # Tree-DP queries
@@ -91,17 +91,18 @@
 // DESIGN.md §2c and cmd/dmpcbench -tenants (BENCH_0008.json) for the
 // noisy-neighbor isolation picture.
 //
-// The pre-redesign surface remains as thin deprecated wrappers delegating
-// to Apply: ApplyBatch is the write-only projection (a Batch shares one
-// BatchStats round-accounting window and non-conflicting updates
-// parallelize into waves, per Nowicki–Onak, arXiv:2002.07800), and the
-// batched query paths (ConnectedBatch, MateOfBatch) are the read-only
-// projection (one scatter/gather window, 2/k resp. 1/k amortized rounds
-// per query). Update and query accounting never mix: pure windows are
-// mutually exclusive in the simulator, and a mixed window partitions its
-// rounds between its two halves by wave. Driver-side oracle accessors
-// (MateTable, and dyncon's CompOf/ForestEdges) bypass the cluster and are
-// for validation only.
+// Apply is the only way a §3/§4/§5/§5.1 op is executed and billed: a
+// single update is an op stream of length one, a write-only batch is
+// UpdateOps(batch) (its BatchStats is the window's Updates half — one
+// shared round-accounting window with non-conflicting updates
+// parallelized into waves, per Nowicki–Onak, arXiv:2002.07800), and a
+// read-only stream is one scatter/gather wave charged to the Queries
+// half. Update and query accounting never mix: a window partitions its
+// rounds between its two halves by wave. The one exception is the §6
+// structure's Insert/Delete, the paper's fixed-schedule per-update cycle,
+// which is measurably not a length-one Apply (DESIGN.md §3). Driver-side
+// oracle accessors (MateTable, and dyncon's CompOf/ForestEdges) bypass
+// the cluster and are for validation only.
 //
 // See DESIGN.md for the system inventory, the op pipeline, and the
 // deviations from the paper; cmd/dmpcbench reproduces Table 1 and the
@@ -125,16 +126,19 @@ type (
 	Update = graph.Update
 	// Weight is an edge weight.
 	Weight = graph.Weight
-	// UpdateStats is the per-update DMPC accounting: rounds, active
-	// machines per round, words per round.
+	// UpdateStats is the accounting of one §6 per-update cycle
+	// (AlmostMaximalMatching.Insert/Delete): rounds, active machines per
+	// round, words per round.
 	UpdateStats = mpc.UpdateStats
-	// Batch is an ordered sequence of updates applied as one unit.
+	// Batch is an ordered sequence of updates; UpdateOps lifts it into an
+	// op stream.
 	Batch = graph.Batch
-	// BatchStats is the shared round-accounting window of one batch.
+	// BatchStats is the update half of a MixedStats window: the shared
+	// round accounting of the window's updates.
 	BatchStats = mpc.BatchStats
-	// WaveStats is one concurrent wave's slice of a batch or mixed window;
-	// the wave widths measure how much parallelism the scheduler
-	// extracted, and Queries counts the reads that rode the wave.
+	// WaveStats is one concurrent wave's slice of a window; the wave
+	// widths measure how much parallelism the scheduler extracted, and
+	// Queries counts the reads that rode the wave.
 	WaveStats = mpc.WaveStats
 	// Op is one operation of a unified op stream: an edge insertion, an
 	// edge deletion, or a typed read.
@@ -150,11 +154,8 @@ type (
 	// MixedStats is the round-accounting window of one mixed op stream,
 	// split into its update and query halves.
 	MixedStats = mpc.MixedStats
-	// Pair is one query's endpoints; a []Pair is the read-side analogue of
-	// a Batch.
-	Pair = graph.Pair
-	// QueryStats is the shared round-accounting window of one query or one
-	// query batch, mutually exclusive with update/batch windows.
+	// QueryStats is the query half of a MixedStats window: the rounds of
+	// its query-only waves.
 	QueryStats = mpc.QueryStats
 	// Cluster is the simulated DMPC cluster.
 	Cluster = mpc.Cluster
@@ -274,7 +275,7 @@ var (
 	OpQPathSum = graph.OpQPathSum
 	// OpQTreeTop returns a component-argmax query op.
 	OpQTreeTop = graph.OpQTreeTop
-	// OpOf lifts a legacy Update into an Op.
+	// OpOf lifts an Update into an Op.
 	OpOf = graph.OpUpdate
 	// UpdateOps lifts a write-only Batch into an op stream.
 	UpdateOps = graph.UpdateOps
@@ -414,13 +415,6 @@ func (p pipe) rawApply(ops []Op) (Results, MixedStats) { return p.apply(ops) }
 // Ingestor's admission control.
 func (p pipe) streamClaims() func(graph.Op) sched.Item { return p.claims }
 
-// applyBatch is the shared deprecated ApplyBatch wrapper: the write-only
-// projection of Apply.
-func (p pipe) applyBatch(b Batch) BatchStats {
-	_, st := p.apply(graph.UpdateOps(b))
-	return st.Updates
-}
-
 // Connectivity maintains the connected components of a dynamic graph (§5).
 type Connectivity struct {
 	pipe
@@ -434,40 +428,6 @@ func NewConnectivity(n, expectedEdges int, opts ...Option) *Connectivity {
 	d := dyncon.New(dyncon.Config{N: n, Mode: dyncon.CC, ExpectedEdges: expectedEdges, Backend: o.backend, Workers: o.workers, TenantWeights: o.tenants})
 	return &Connectivity{pipe: newPipe(d.ApplyOps, d.StreamItem, d.Cluster()), d: d}
 }
-
-// Insert adds an edge, returning the update's accounting.
-func (c *Connectivity) Insert(u, v int) UpdateStats { return c.d.Insert(u, v, 1) }
-
-// Delete removes an edge.
-func (c *Connectivity) Delete(u, v int) UpdateStats { return c.d.Delete(u, v) }
-
-// Connected answers a connectivity query through the cluster.
-//
-// Deprecated: Use Apply with QConnected ops, or Ingest for streaming
-// arrivals.
-func (c *Connectivity) Connected(u, v int) bool { return c.ConnectedBatch([]Pair{{U: u, V: v}})[0] }
-
-// ConnectedBatch answers k connectivity queries in one shared
-// scatter/gather window, amortizing the round cost to 2/k per query.
-// Answers are positional.
-//
-// Deprecated: Use Apply with QConnected ops, or Ingest for streaming
-// arrivals.
-func (c *Connectivity) ConnectedBatch(pairs []Pair) []bool { return c.pipe.connectedBatch(pairs) }
-
-// ApplyBatch applies a batch of updates in one shared round window,
-// running component-disjoint updates concurrently.
-//
-// Deprecated: Use Apply with Ins/Del ops (see UpdateOps), or Ingest for
-// streaming arrivals.
-func (c *Connectivity) ApplyBatch(b Batch) BatchStats { return c.applyBatch(b) }
-
-// ComponentOf returns v's component label, as a one-round protocol query
-// through the cluster.
-//
-// Deprecated: Use Apply with QComponentOf ops, or Ingest for streaming
-// arrivals.
-func (c *Connectivity) ComponentOf(v int) int64 { return c.pipe.componentOf(v) }
 
 // CompOf returns v's component label by driver-side oracle access —
 // validation only, no protocol accounting. Use an OpQComponentOf op for
@@ -493,18 +453,6 @@ func NewMST(n int, eps float64, expectedEdges int, opts ...Option) *MST {
 	return &MST{pipe: newPipe(d.ApplyOps, d.StreamItem, d.Cluster()), d: d}
 }
 
-// Insert adds a weighted edge.
-func (m *MST) Insert(u, v int, w Weight) UpdateStats { return m.d.Insert(u, v, w) }
-
-// Delete removes an edge.
-func (m *MST) Delete(u, v int) UpdateStats { return m.d.Delete(u, v) }
-
-// ApplyBatch applies a batch of updates in one shared round window.
-//
-// Deprecated: Use Apply with Ins/Del ops (see UpdateOps), or Ingest for
-// streaming arrivals.
-func (m *MST) ApplyBatch(b Batch) BatchStats { return m.applyBatch(b) }
-
 // Weight returns the maintained forest's total (bucketed) weight
 // (driver-side oracle access; validation only).
 func (m *MST) Weight() Weight { return m.d.ForestWeight() }
@@ -516,65 +464,6 @@ func (m *MST) ForestEdges() []graph.WEdge { return m.d.ForestEdges() }
 // WeightOf returns v's vertex weight by driver-side oracle access —
 // validation only, no protocol accounting.
 func (m *MST) WeightOf(v int) int64 { return m.d.WeightOf(v) }
-
-// Connected answers connectivity through the cluster.
-//
-// Deprecated: Use Apply with QConnected ops, or Ingest for streaming
-// arrivals.
-func (m *MST) Connected(u, v int) bool { return m.ConnectedBatch([]Pair{{U: u, V: v}})[0] }
-
-// ConnectedBatch answers k connectivity queries in one shared
-// scatter/gather window.
-//
-// Deprecated: Use Apply with QConnected ops, or Ingest for streaming
-// arrivals.
-func (m *MST) ConnectedBatch(pairs []Pair) []bool { return m.pipe.connectedBatch(pairs) }
-
-// connectedBatch and componentOf are the dyncon-backed read projections
-// shared by Connectivity and MST.
-func (p pipe) connectedBatch(pairs []Pair) []bool {
-	if len(pairs) == 0 {
-		return nil
-	}
-	ops := make([]Op, len(pairs))
-	for i, pr := range pairs {
-		ops[i] = graph.OpQConnected(pr.U, pr.V)
-	}
-	res, _ := p.apply(ops)
-	out := make([]bool, len(res))
-	for i, a := range res {
-		out[i] = a.Bool
-	}
-	return out
-}
-
-func (p pipe) componentOf(v int) int64 {
-	res, _ := p.apply([]Op{graph.OpQComponentOf(v)})
-	return res[0].Int
-}
-
-// mateOfBatch and mateOf are the read projections shared by the two
-// matching structures.
-func (p pipe) mateOfBatch(vs []int) []int {
-	if len(vs) == 0 {
-		return nil
-	}
-	ops := make([]Op, len(vs))
-	for i, v := range vs {
-		ops[i] = graph.OpQMateOf(v)
-	}
-	res, _ := p.apply(ops)
-	out := make([]int, len(res))
-	for i, a := range res {
-		out[i] = int(a.Int)
-	}
-	return out
-}
-
-func (p pipe) matched(u, v int) bool {
-	res, _ := p.apply([]Op{graph.OpQMatched(u, v)})
-	return res[0].Bool
-}
 
 // MaximalMatching maintains a maximal matching (§3).
 type MaximalMatching struct {
@@ -597,45 +486,6 @@ func NewThreeHalvesMatching(n, capEdges int, opts ...Option) *MaximalMatching {
 	m := dmm.New(dmm.Config{N: n, CapEdges: capEdges, ThreeHalves: true, Backend: o.backend, Workers: o.workers, TenantWeights: o.tenants})
 	return &MaximalMatching{pipe: newPipe(m.ApplyOps, m.StreamItem, m.Cluster()), m: m}
 }
-
-// Insert adds an edge.
-func (mm *MaximalMatching) Insert(u, v int) UpdateStats { return mm.m.Insert(u, v) }
-
-// Delete removes an edge.
-func (mm *MaximalMatching) Delete(u, v int) UpdateStats { return mm.m.Delete(u, v) }
-
-// ApplyBatch applies a batch of updates in one shared round window through
-// the shared wave scheduler; the resulting matching is identical to
-// applying the updates one at a time.
-//
-// Deprecated: Use Apply with Ins/Del ops (see UpdateOps), or Ingest for
-// streaming arrivals.
-func (mm *MaximalMatching) ApplyBatch(b Batch) BatchStats { return mm.applyBatch(b) }
-
-// ApplyBatchChained applies a batch through the PR 1 coordinator-chaining
-// path — strictly in-order execution with shared injection and ack-tail
-// rounds — retained as the serial baseline the wave scheduler is
-// benchmarked against (see dmm.ApplyBatchChained).
-func (mm *MaximalMatching) ApplyBatchChained(b Batch) BatchStats { return mm.m.ApplyBatchChained(b) }
-
-// MateOf answers "who is v matched to?" (-1 = free) as a one-round
-// protocol query at v's statistics machine.
-//
-// Deprecated: Use Apply with QMateOf ops, or Ingest for streaming
-// arrivals.
-func (mm *MaximalMatching) MateOf(v int) int { return mm.mateOfBatch([]int{v})[0] }
-
-// MateOfBatch answers k mate queries in one shared one-round window.
-//
-// Deprecated: Use Apply with QMateOf ops, or Ingest for streaming
-// arrivals.
-func (mm *MaximalMatching) MateOfBatch(vs []int) []int { return mm.pipe.mateOfBatch(vs) }
-
-// Matched reports whether (u,v) is in the matching, as a protocol query.
-//
-// Deprecated: Use Apply with QMatched ops, or Ingest for streaming
-// arrivals.
-func (mm *MaximalMatching) Matched(u, v int) bool { return mm.pipe.matched(u, v) }
 
 // MateTable returns the current matching as a mate table (-1 = free) by
 // driver-side oracle access — validation only, no protocol accounting. Use
@@ -669,35 +519,14 @@ func NewAlmostMaximalMatching(n int, eps float64, seed int64, opts ...Option) *A
 	return &AlmostMaximalMatching{pipe: newPipe(m.ApplyOps, ammStreamItem, m.Cluster()), m: m}
 }
 
-// Insert adds an edge.
+// Insert adds an edge through the paper's fixed-schedule per-update cycle
+// (seven rounds: the edge update plus one Δ-bounded batch of every
+// subscheduler) — the one sanctioned driver besides Apply, kept because it
+// is measurably not a length-one Apply (see amm.M.Insert, DESIGN.md §3).
 func (am *AlmostMaximalMatching) Insert(u, v int) UpdateStats { return am.m.Insert(u, v) }
 
-// Delete removes an edge.
+// Delete removes an edge through the per-update cycle; see Insert.
 func (am *AlmostMaximalMatching) Delete(u, v int) UpdateStats { return am.m.Delete(u, v) }
-
-// ApplyBatch applies a batch of updates in one shared round window:
-// endpoint-disjoint injection waves plus scheduler cycles shared across
-// the batch (see amm.ApplyBatch).
-func (am *AlmostMaximalMatching) ApplyBatch(b Batch) BatchStats { return am.m.ApplyBatch(b) }
-
-// MateOf answers "who is v matched to?" (-1 = free) as a one-round
-// protocol query at v's owner machine.
-//
-// Deprecated: Use Apply with QMateOf ops, or Ingest for streaming
-// arrivals.
-func (am *AlmostMaximalMatching) MateOf(v int) int { return am.mateOfBatch([]int{v})[0] }
-
-// MateOfBatch answers k mate queries in one shared one-round window.
-//
-// Deprecated: Use Apply with QMateOf ops, or Ingest for streaming
-// arrivals.
-func (am *AlmostMaximalMatching) MateOfBatch(vs []int) []int { return am.pipe.mateOfBatch(vs) }
-
-// Matched reports whether (u,v) is in the matching, as a protocol query.
-//
-// Deprecated: Use Apply with QMatched ops, or Ingest for streaming
-// arrivals.
-func (am *AlmostMaximalMatching) Matched(u, v int) bool { return am.pipe.matched(u, v) }
 
 // MateTable returns the current matching as a mate table (-1 = free) by
 // driver-side oracle access — validation only, no protocol accounting. Use

@@ -7,6 +7,18 @@ import (
 	"dmpc/internal/graph"
 )
 
+// replay runs ops through the pipeline one op per Apply window — the
+// sequential replica the batched and mixed runs are compared against —
+// returning the answers and the worst window's rounds.
+func replay(p Pipeline, ops ...Op) (res Results, worstRounds int) {
+	for _, op := range ops {
+		r, st := p.Apply([]Op{op})
+		res = append(res, r...)
+		worstRounds = max(worstRounds, st.Rounds())
+	}
+	return res, worstRounds
+}
+
 // TestFacadeConnectivity drives the public API against the oracle.
 func TestFacadeConnectivity(t *testing.T) {
 	const n = 40
@@ -14,24 +26,21 @@ func TestFacadeConnectivity(t *testing.T) {
 	g := NewGraph(n)
 	rng := rand.New(rand.NewSource(1))
 	for _, up := range graph.RandomStream(n, 250, 0.55, 1, rng) {
-		if up.Op == Insert {
-			cc.Insert(up.U, up.V)
-		} else {
-			cc.Delete(up.U, up.V)
-		}
+		replay(cc, OpOf(up))
 		g.Apply(up)
 	}
 	comp := graph.Components(g)
 	for u := 0; u < n; u += 3 {
 		for v := u + 1; v < n; v += 4 {
-			if cc.Connected(u, v) != (comp[u] == comp[v]) {
-				t.Fatalf("Connected(%d,%d) mismatch", u, v)
+			if res, _ := replay(cc, QConnected(u, v)); res[0].Bool != (comp[u] == comp[v]) {
+				t.Fatalf("QConnected(%d,%d) mismatch", u, v)
 			}
 		}
 	}
 	mine := make([]int, n)
 	for v := 0; v < n; v++ {
-		mine[v] = int(cc.ComponentOf(v))
+		res, _ := replay(cc, QComponentOf(v))
+		mine[v] = int(res[0].Int)
 	}
 	if !graph.SameLabeling(mine, comp) {
 		t.Fatal("component labels do not partition like the oracle")
@@ -47,11 +56,7 @@ func TestFacadeMST(t *testing.T) {
 	g := NewGraph(n)
 	rng := rand.New(rand.NewSource(2))
 	for _, up := range graph.RandomStream(n, 180, 0.6, 50, rng) {
-		if up.Op == Insert {
-			mst.Insert(up.U, up.V, up.W)
-		} else {
-			mst.Delete(up.U, up.V)
-		}
+		replay(mst, OpOf(up))
 		g.Apply(up)
 		if mst.Weight() != graph.MSFWeight(g) {
 			t.Fatalf("after %v: weight %d want %d", up, mst.Weight(), graph.MSFWeight(g))
@@ -74,13 +79,12 @@ func TestFacadeMatchings(t *testing.T) {
 	g := NewGraph(n)
 	rng := rand.New(rand.NewSource(3))
 	for _, up := range graph.RandomStream(n, 200, 0.55, 1, rng) {
+		replay(mm, OpOf(up))
+		replay(m32, OpOf(up))
+		// §6 through its per-update cycle, the one driver besides Apply.
 		if up.Op == Insert {
-			mm.Insert(up.U, up.V)
-			m32.Insert(up.U, up.V)
 			am.Insert(up.U, up.V)
 		} else {
-			mm.Delete(up.U, up.V)
-			m32.Delete(up.U, up.V)
 			am.Delete(up.U, up.V)
 		}
 		g.Apply(up)
@@ -106,20 +110,9 @@ func TestWorstCaseRoundsFlatAcrossSizes(t *testing.T) {
 		m := NewMST(n, 0.25, 5*n)
 		rng := rand.New(rand.NewSource(9))
 		for _, up := range graph.RandomStream(n, 200, 0.55, 30, rng) {
-			var s1, s2 UpdateStats
-			if up.Op == Insert {
-				s1 = c.Insert(up.U, up.V)
-				s2 = m.Insert(up.U, up.V, up.W)
-			} else {
-				s1 = c.Delete(up.U, up.V)
-				s2 = m.Delete(up.U, up.V)
-			}
-			if s1.Rounds > cc {
-				cc = s1.Rounds
-			}
-			if s2.Rounds > mst {
-				mst = s2.Rounds
-			}
+			_, r1 := replay(c, OpOf(up))
+			_, r2 := replay(m, OpOf(up))
+			cc, mst = max(cc, r1), max(mst, r2)
 		}
 		return cc, mst
 	}
@@ -133,7 +126,7 @@ func TestWorstCaseRoundsFlatAcrossSizes(t *testing.T) {
 	}
 }
 
-// TestBatchPipeline drives ApplyBatch through the public API: batch
+// TestBatchPipeline drives write-only windows through the public API: batch
 // application must match sequential application exactly for connectivity
 // and maximal matching, and the amortized rounds per update at k=64 must
 // be strictly lower than at k=1 — the batch-dynamic headline.
@@ -147,25 +140,22 @@ func TestBatchPipeline(t *testing.T) {
 		m := NewMaximalMatching(n, 5*n)
 		var ccR, mmR, upd int
 		for _, b := range Chunk(stream, k) {
-			ccR += c.ApplyBatch(b).Rounds
-			mmR += m.ApplyBatch(b).Rounds
+			_, cst := c.Apply(UpdateOps(b))
+			_, mst := m.Apply(UpdateOps(b))
+			ccR += cst.Updates.Rounds
+			mmR += mst.Updates.Rounds
 			upd += len(b)
 		}
 		if k == 64 {
 			// Pin equivalence against per-update application.
 			seqC := NewConnectivity(n, 5*n)
 			seqM := NewMaximalMatching(n, 5*n)
-			for _, up := range stream {
-				if up.Op == Insert {
-					seqC.Insert(up.U, up.V)
-					seqM.Insert(up.U, up.V)
-				} else {
-					seqC.Delete(up.U, up.V)
-					seqM.Delete(up.U, up.V)
-				}
-			}
+			replay(seqC, UpdateOps(stream)...)
+			replay(seqM, UpdateOps(stream)...)
 			for v := 0; v < n; v++ {
-				if c.ComponentOf(v) != seqC.ComponentOf(v) {
+				got, _ := replay(c, QComponentOf(v))
+				want, _ := replay(seqC, QComponentOf(v))
+				if got[0] != want[0] {
 					t.Fatalf("component of %d differs between batch and sequential", v)
 				}
 			}
@@ -189,63 +179,64 @@ func TestBatchPipeline(t *testing.T) {
 	}
 }
 
-// TestQueryPipeline drives the batched query path through the public API:
-// ConnectedBatch and MateOfBatch agree with the oracles, the k=64
-// connectivity batch amortizes under 0.5 rounds/query (vs ~2 sequential),
-// and interleaving query batches between update batches leaves the batch
+// TestQueryPipeline drives read-only windows through the public API:
+// connectivity and mate reads agree with the oracles, a k=64 connectivity
+// window amortizes under 0.5 rounds/query (vs ~2 for a lone read), and
+// interleaving read windows between write windows leaves the write
 // accounting untouched.
 func TestQueryPipeline(t *testing.T) {
 	const n = 64
 	rng := rand.New(rand.NewSource(33))
 	stream := graph.RandomStream(n, 256, 0.55, 1, rng)
+	connected := func(pairs []graph.Pair) []Op {
+		ops := make([]Op, len(pairs))
+		for i, p := range pairs {
+			ops[i] = QConnected(p.U, p.V)
+		}
+		return ops
+	}
 
 	cc := NewConnectivity(n, 5*n)
 	mm := NewMaximalMatching(n, 5*n)
 	g := NewGraph(n)
 	qrng := rand.New(rand.NewSource(34))
+	var got []BatchStats
 	for _, b := range Chunk(stream, 32) {
-		cc.ApplyBatch(b)
-		mm.ApplyBatch(b)
+		_, wst := cc.Apply(UpdateOps(b))
+		got = append(got, wst.Updates)
+		mm.Apply(UpdateOps(b))
 		b.Apply(g)
 		// A read burst between write batches.
 		pairs := graph.RandomPairs(n, 16, qrng)
 		comp := graph.Components(g)
-		for i, conn := range cc.ConnectedBatch(pairs) {
-			if conn != (comp[pairs[i].U] == comp[pairs[i].V]) {
-				t.Fatalf("ConnectedBatch(%v) wrong at %d", pairs[i], i)
+		res, _ := cc.Apply(connected(pairs))
+		for i, a := range res {
+			if a.Bool != (comp[pairs[i].U] == comp[pairs[i].V]) {
+				t.Fatalf("QConnected(%v) wrong at %d", pairs[i], i)
 			}
 		}
 		oracle := mm.MateTable()
 		vs := []int{0, n / 2, n - 1}
-		for i, mate := range mm.MateOfBatch(vs) {
-			if mate != oracle[vs[i]] {
-				t.Fatalf("MateOfBatch[%d] = %d, oracle %d", vs[i], mate, oracle[vs[i]])
+		res, _ = mm.Apply([]Op{QMateOf(vs[0]), QMateOf(vs[1]), QMateOf(vs[2])})
+		for i, a := range res {
+			if int(a.Int) != oracle[vs[i]] {
+				t.Fatalf("QMateOf[%d] = %d, oracle %d", vs[i], a.Int, oracle[vs[i]])
 			}
 		}
 	}
 
 	// Amortization on the public API: one k=64 window costs 2 rounds.
-	pairs := graph.RandomPairs(n, 64, qrng)
-	cc.ConnectedBatch(pairs)
-	qs := cc.Cluster().Stats().Queries()
-	last := qs[len(qs)-1]
-	if last.Queries != 64 || last.RoundsPerQuery() >= 0.5 {
+	_, st := cc.Apply(connected(graph.RandomPairs(n, 64, qrng)))
+	if last := st.Queries; last.Queries != 64 || last.RoundsPerQuery() >= 0.5 {
 		t.Fatalf("k=64 window %+v, want < 0.5 amortized rounds/query", last)
 	}
 
 	// The interleaved reads must not have perturbed write accounting.
 	quiet := NewConnectivity(n, 5*n)
-	for _, b := range Chunk(stream, 32) {
-		quiet.ApplyBatch(b)
-	}
-	want := quiet.Cluster().Stats().Batches()
-	got := cc.Cluster().Stats().Batches()
-	if len(want) != len(got) {
-		t.Fatalf("batch window counts differ: %d vs %d", len(got), len(want))
-	}
-	for i := range want {
-		if !got[i].Equal(want[i]) {
-			t.Fatalf("batch %d accounting differs with reads interleaved: %+v vs %+v", i, got[i], want[i])
+	for i, b := range Chunk(stream, 32) {
+		_, wst := quiet.Apply(UpdateOps(b))
+		if !got[i].Equal(wst.Updates) {
+			t.Fatalf("batch %d accounting differs with reads interleaved: %+v vs %+v", i, got[i], wst.Updates)
 		}
 	}
 }
@@ -266,19 +257,7 @@ func TestPipelineMixedConnectivity(t *testing.T) {
 	}, rng)
 
 	ref := NewConnectivity(n, 5*n)
-	var want Results
-	for _, op := range ops {
-		switch op.Kind {
-		case OpInsert:
-			ref.Insert(op.U, op.V)
-		case OpDelete:
-			ref.Delete(op.U, op.V)
-		case OpConnected:
-			want = append(want, Answer{Bool: ref.Connected(op.U, op.V)})
-		case OpComponentOf:
-			want = append(want, Answer{Int: ref.ComponentOf(op.U)})
-		}
-	}
+	want, _ := replay(ref, ops...)
 
 	cc := NewConnectivity(n, 5*n)
 	var got Results
@@ -323,19 +302,7 @@ func TestPipelineMixedMatching(t *testing.T) {
 	}, rng)
 
 	ref := NewMaximalMatching(n, len(updates))
-	var want Results
-	for _, op := range ops {
-		switch op.Kind {
-		case OpInsert:
-			ref.Insert(op.U, op.V)
-		case OpDelete:
-			ref.Delete(op.U, op.V)
-		case OpMateOf:
-			want = append(want, Answer{Int: int64(ref.MateOf(op.U))})
-		case OpMatched:
-			want = append(want, Answer{Bool: ref.Matched(op.U, op.V)})
-		}
-	}
+	want, _ := replay(ref, ops...)
 
 	mm := NewMaximalMatching(n, len(updates))
 	var got Results

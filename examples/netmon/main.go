@@ -32,10 +32,12 @@ func main() {
 
 	// Bring the fabric up: a 12x20 grid of racks with some cross links.
 	grid := graph.Grid(12, 20, 1, rng)
+	var up []dmpc.Op
 	for _, e := range grid.Edges() {
-		cc.Insert(e.U, e.V)
+		up = append(up, dmpc.Ins(e.U, e.V))
 		g.Insert(e.U, e.V, 1)
 	}
+	cc.Apply(up)
 	fmt.Printf("fabric up: %d racks, %d links\n", racks, g.M())
 
 	// Maintenance cycles, each one Apply: a batch of link flaps followed

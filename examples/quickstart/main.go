@@ -30,7 +30,7 @@ func main() {
 	for i := 0; i < 49; i++ {
 		ops = append(ops, dmpc.Ins(i, i+1), dmpc.Ins(50+i, 50+i+1))
 	}
-	cc.Apply(ops)
+	_, built := cc.Apply(ops)
 
 	// One mixed stream: a probe, the bridge insert, a probe, the bridge
 	// delete, a probe. Each read is answered against exactly the prefix
@@ -98,10 +98,19 @@ func main() {
 		wops = append(wops, dmpc.SetWeight(i, dmpc.Weight(i)))
 	}
 	wops = append(wops, dmpc.QSubtreeSum(0, 25), dmpc.QPathSum(10, 20), dmpc.QTreeTop(0))
-	dres, _ := cc.Apply(wops)
+	dres, wst := cc.Apply(wops)
 	fmt.Printf("tree DP: subtree(25) sums %d, path 10-20 sums %d, heaviest in 0's tree is %d\n",
 		dres[0].Int, dres[1].Int, dres[2].Int)
 
-	r, a, w := cc.Cluster().Stats().MeanBatch()
-	fmt.Printf("whole run: %.2f rounds/update, %.1f machines/round, %.1f words/round on average\n", r, a, w)
+	// Apply hands every window back to the caller — the cluster keeps
+	// none — so a run's mean is a fold over the windows it collected.
+	var upd, rounds, active, words int
+	for _, m := range []dmpc.MixedStats{built, st, wst} {
+		upd += m.Updates.Updates
+		rounds += m.Updates.Rounds
+		active += m.Updates.SumActive
+		words += m.Updates.SumWords
+	}
+	fmt.Printf("whole run: %.2f rounds/update, %.1f machines/round, %.1f words/round on average\n",
+		float64(rounds)/float64(upd), float64(active)/float64(rounds), float64(words)/float64(rounds))
 }

@@ -23,35 +23,37 @@ func main() {
 	mst := dmpc.NewMST(n, eps, 2*grid.M())
 	g := dmpc.NewGraph(n)
 
-	// Open the network road by road.
+	// Open the network: every road in one op stream.
+	var open []dmpc.Op
 	for _, e := range grid.Edges() {
-		mst.Insert(e.U, e.V, e.W)
+		open = append(open, dmpc.InsW(e.U, e.V, e.W))
 		g.Insert(e.U, e.V, e.W)
 	}
+	mst.Apply(open)
 	fmt.Printf("network opened: %d junctions, %d roads, MST (bucketed) weight %d, exact %d\n",
 		n, g.M(), mst.Weight(), graph.MSFWeight(g))
 
 	// Construction season: close random roads, open bypasses, re-grade
-	// travel times.
+	// travel times. Each change is its own one-op window, so its rounds
+	// are the per-update cost the paper bounds.
 	edges := g.Edges()
 	var worstRounds int
+	change := func(op dmpc.Op) {
+		if _, st := mst.Apply([]dmpc.Op{op}); st.Rounds() > worstRounds {
+			worstRounds = st.Rounds()
+		}
+	}
 	for i := 0; i < 150; i++ {
 		e := edges[rng.Intn(len(edges))]
 		if !g.Has(e.U, e.V) {
 			continue
 		}
-		st := mst.Delete(e.U, e.V)
+		change(dmpc.Del(e.U, e.V))
 		g.Delete(e.U, e.V)
-		if st.Rounds > worstRounds {
-			worstRounds = st.Rounds
-		}
 		// Re-open with a new travel time.
 		w := graph.Weight(1 + rng.Intn(100))
-		st = mst.Insert(e.U, e.V, w)
+		change(dmpc.InsW(e.U, e.V, w))
 		g.Insert(e.U, e.V, w)
-		if st.Rounds > worstRounds {
-			worstRounds = st.Rounds
-		}
 	}
 
 	exact := graph.MSFWeight(g)

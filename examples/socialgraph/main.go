@@ -29,18 +29,14 @@ func main() {
 
 	var worstRounds, worstWords int
 	for _, up := range stream {
-		var st dmpc.UpdateStats
-		if up.Op == dmpc.Insert {
-			st = mm.Insert(up.U, up.V)
-		} else {
-			st = mm.Delete(up.U, up.V)
-		}
+		// One event, one window: react to each update as it happens.
+		_, st := mm.Apply([]dmpc.Op{dmpc.OpOf(up)})
 		g.Apply(up)
-		if st.Rounds > worstRounds {
-			worstRounds = st.Rounds
+		if st.Rounds() > worstRounds {
+			worstRounds = st.Rounds()
 		}
-		if st.MaxWords > worstWords {
-			worstWords = st.MaxWords
+		if st.Updates.MaxWords > worstWords {
+			worstWords = st.Updates.MaxWords
 		}
 	}
 

@@ -27,14 +27,9 @@ func main() {
 	stream := graph.SlidingWindow(pages, window, events, 1, rng)
 	var sumRounds int
 	for _, up := range stream {
-		var st dmpc.UpdateStats
-		if up.Op == dmpc.Insert {
-			st = cc.Insert(up.U, up.V)
-		} else {
-			st = cc.Delete(up.U, up.V)
-		}
+		_, st := cc.Apply([]dmpc.Op{dmpc.OpOf(up)}) // one link event, one window
 		g.Apply(up)
-		sumRounds += st.Rounds
+		sumRounds += st.Rounds()
 	}
 
 	// Component census from the maintained labels (driver-side validation

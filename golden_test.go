@@ -14,9 +14,10 @@ import (
 
 var updateGolden = flag.Bool("update", false, "regenerate testdata golden files")
 
-// goldenReport is the serialized accounting of one workload: every batch
-// window (including per-wave attribution), every query window, and every
-// mixed op window, verbatim.
+// goldenReport is the serialized accounting of one workload: the update
+// half of every window that had one (including per-wave attribution), the
+// query half of every window that had one, and — for the mixed workload —
+// every window verbatim.
 type goldenReport struct {
 	Name    string
 	Batches []BatchStats
@@ -24,62 +25,54 @@ type goldenReport struct {
 	Mixed   []MixedStats `json:",omitempty"`
 }
 
-// goldenWorkloads runs a fixed seed/workload through every algorithm's
-// batch and query pipelines and returns the complete recorded accounting.
-// Any intentional scheduler change shows up as a diff against
-// testdata/golden_stats.json and is re-pinned with `go test -run Golden
-// -update .`; an unintentional one fails the table.
+// apply runs one op stream through the pipeline and files the returned
+// window's non-empty halves (a half is empty when it covers no ops and
+// was charged no rounds).
+func (r *goldenReport) apply(p Pipeline, ops []Op) MixedStats {
+	_, st := p.Apply(ops)
+	if st.Updates.Updates > 0 || st.Updates.Rounds > 0 {
+		r.Batches = append(r.Batches, st.Updates)
+	}
+	if st.Queries.Queries > 0 || st.Queries.Rounds > 0 {
+		r.Queries = append(r.Queries, st.Queries)
+	}
+	return st
+}
+
+// goldenWorkloads runs a fixed seed/workload through every algorithm as
+// write-only windows, read-only windows and mixed windows and returns the
+// complete returned accounting. Any intentional scheduler change shows up
+// as a diff against testdata/golden_stats.json and is re-pinned with
+// `go test -run Golden -update .`; an unintentional one fails the table.
 func goldenWorkloads() []goldenReport {
 	const n = 48
 	stream := graph.RandomStream(n, 160, 0.55, 30, rand.New(rand.NewSource(77)))
-	pairs := graph.RandomPairs(n, 24, rand.New(rand.NewSource(78)))
-	verts := graph.RandomVerts(n, 24, rand.New(rand.NewSource(79)))
+	var connected, mateOf []Op
+	for _, p := range graph.RandomPairs(n, 24, rand.New(rand.NewSource(78))) {
+		connected = append(connected, QConnected(p.U, p.V))
+	}
+	for _, v := range graph.RandomVerts(n, 24, rand.New(rand.NewSource(79))) {
+		mateOf = append(mateOf, QMateOf(v))
+	}
 	var out []goldenReport
-
-	cc := NewConnectivity(n, 5*n)
-	for _, b := range Chunk(stream, 16) {
-		cc.ApplyBatch(b)
+	// run applies the stream in write-only chunks of 16, then each read
+	// stream as its own window. (The names are the golden file's frozen
+	// labels: they predate the op stream and name the read windows by the
+	// methods that used to issue them.)
+	run := func(name string, p Pipeline, reads ...[]Op) {
+		r := goldenReport{Name: name}
+		for _, b := range Chunk(stream, 16) {
+			r.apply(p, UpdateOps(b))
+		}
+		for _, ops := range reads {
+			r.apply(p, ops)
+		}
+		out = append(out, r)
 	}
-	cc.ConnectedBatch(pairs)
-	cc.ComponentOf(0)
-	out = append(out, goldenReport{
-		Name:    "dyncon-cc k=16 + ConnectedBatch(24) + ComponentOf",
-		Batches: cc.Cluster().Stats().Batches(),
-		Queries: cc.Cluster().Stats().Queries(),
-	})
-
-	mst := NewMST(n, 0.25, 5*n)
-	for _, b := range Chunk(stream, 16) {
-		mst.ApplyBatch(b)
-	}
-	mst.ConnectedBatch(pairs)
-	out = append(out, goldenReport{
-		Name:    "dyncon-mst eps=0.25 k=16 + ConnectedBatch(24)",
-		Batches: mst.Cluster().Stats().Batches(),
-		Queries: mst.Cluster().Stats().Queries(),
-	})
-
-	mm := NewMaximalMatching(n, len(stream))
-	for _, b := range Chunk(stream, 16) {
-		mm.ApplyBatch(b)
-	}
-	mm.MateOfBatch(verts)
-	out = append(out, goldenReport{
-		Name:    "dmm k=16 + MateOfBatch(24)",
-		Batches: mm.Cluster().Stats().Batches(),
-		Queries: mm.Cluster().Stats().Queries(),
-	})
-
-	am := NewAlmostMaximalMatching(n, 0.5, 7)
-	for _, b := range Chunk(stream, 16) {
-		am.ApplyBatch(b)
-	}
-	am.MateOfBatch(verts)
-	out = append(out, goldenReport{
-		Name:    "amm eps=0.5 seed=7 k=16 + MateOfBatch(24)",
-		Batches: am.Cluster().Stats().Batches(),
-		Queries: am.Cluster().Stats().Queries(),
-	})
+	run("dyncon-cc k=16 + ConnectedBatch(24) + ComponentOf", NewConnectivity(n, 5*n), connected, []Op{QComponentOf(0)})
+	run("dyncon-mst eps=0.25 k=16 + ConnectedBatch(24)", NewMST(n, 0.25, 5*n), connected)
+	run("dmm k=16 + MateOfBatch(24)", NewMaximalMatching(n, len(stream)), mateOf)
+	run("amm eps=0.5 seed=7 k=16 + MateOfBatch(24)", NewAlmostMaximalMatching(n, 0.5, 7), mateOf)
 
 	// Mixed op pipeline: the same stream with reads sequenced into the
 	// waves, pinning the MixedStats attribution (update/query halves and
@@ -88,17 +81,12 @@ func goldenWorkloads() []goldenReport {
 	mops := graph.MixedStream(stream, 0.4, func(r *rand.Rand) Op {
 		return OpQConnected(r.Intn(n), r.Intn(n))
 	}, mrng)
+	mixed := goldenReport{Name: "dyncon-cc mixed readfrac=0.4 k=20 (unified op pipeline)"}
 	mcc := NewConnectivity(n, 5*n)
 	for _, chunk := range SplitOps(mops, 20) {
-		mcc.Apply(chunk)
+		mixed.Mixed = append(mixed.Mixed, mixed.apply(mcc, chunk))
 	}
-	out = append(out, goldenReport{
-		Name:    "dyncon-cc mixed readfrac=0.4 k=20 (unified op pipeline)",
-		Batches: mcc.Cluster().Stats().Batches(),
-		Queries: mcc.Cluster().Stats().Queries(),
-		Mixed:   mcc.Cluster().Stats().Mixed(),
-	})
-	return out
+	return append(out, mixed)
 }
 
 // TestGoldenStats pins the exact BatchStats/QueryStats accounting — rounds,

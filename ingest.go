@@ -54,7 +54,7 @@ type IngestorConfig struct {
 	// Auto, when set, applies every flush through the AutoBatcher — k
 	// tracks its live knee search (only k-bound flushes feed the search,
 	// exactly as partial Flush never adapts) — and must have been built
-	// in ApplyOps mode over this same Pipeline's Apply.
+	// over this same Pipeline's Apply.
 	Auto *AutoBatcher
 	// Weights, when non-nil, makes the conflict admitter meter each
 	// tenant's summed shared-claim cost against a weighted deficit-
@@ -187,13 +187,10 @@ const (
 )
 
 // NewIngestor builds the streaming front door. It panics if cfg.Pipeline
-// is nil or cfg.Auto was built without ApplyOps.
+// is nil.
 func NewIngestor(cfg IngestorConfig) *Ingestor {
 	if cfg.Pipeline == nil {
 		panic("dmpc: NewIngestor needs a Pipeline")
-	}
-	if cfg.Auto != nil && cfg.Auto.applyOps == nil {
-		panic("dmpc: Ingestor needs an ApplyOps-mode AutoBatcher")
 	}
 	return newIngestor(cfg.Pipeline, cfg, true)
 }

@@ -40,7 +40,6 @@ package amm
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"dmpc/internal/graph"
 	"dmpc/internal/mpc"
@@ -134,7 +133,12 @@ func (m *M) Close() { m.cluster.Close() }
 
 func (m *M) owner(v int) int { return 1 + v%(len(m.shards)) }
 
-// Insert adds edge (u,v) and runs one update cycle.
+// Insert adds edge (u,v) and runs one fixed-schedule update cycle — the
+// paper's per-update §6 protocol, and the one update driver in the tree
+// that is not ApplyOps: it is not a duplicate of a length-1 ApplyOps run
+// (seven rounds per update against the batch path's inject-then-drain
+// schedule, and a different valid matching; DESIGN.md §3 has the figures),
+// so Table 1's §6 row and every k=1 §6 baseline measure it directly.
 func (m *M) Insert(u, v int) mpc.UpdateStats {
 	return m.update(graph.Update{Op: graph.Insert, U: u, V: v})
 }
@@ -165,47 +169,13 @@ func (m *M) update(up graph.Update) mpc.UpdateStats {
 	return m.cluster.EndUpdate()
 }
 
-// ApplyBatch processes a batch of updates in one shared round-accounting
-// window. Edge updates are injected in endpoint-disjoint waves (three
-// rounds each — such updates mutate disjoint vertex state, so they commute
-// exactly); then, instead of one update cycle per update, scheduler cycles
-// run only until the free-vertex queues drain or stop shrinking (a vertex
-// whose sampling pools are exhausted waits in queue under sequential
-// application too). Each cycle processes a
-// Δ-bounded batch of every subscheduler family, so a batch of k updates
-// needs on the order of k/Δ cycles — this is where the amortized rounds
-// per update drop. The resulting matching is valid and almost-maximal over
-// the same final graph; unlike dmm and dyncon, the exact matched edges may
-// differ from sequential application because shuffle/rise probes fire per
-// cycle, not per update (see DESIGN.md).
-func (m *M) ApplyBatch(batch graph.Batch) mpc.BatchStats {
-	m.cluster.BeginBatch(len(batch))
-	if len(batch) == 0 {
-		return m.cluster.EndBatch()
-	}
-	if len(batch) == 1 {
-		// A singleton batch follows the fixed per-update schedule exactly,
-		// so k=1 batching matches sequential application in both state and
-		// round cost (the baseline the amortization claim is measured
-		// against).
-		m.update(batch[0])
-		return m.cluster.EndBatch()
-	}
-	m.injectWaves(batch, m.cluster.BeginWave, m.cluster.EndWave)
-	m.drainCycles(len(batch))
-	return m.cluster.EndBatch()
-}
-
-// injectWaves injects the batch as endpoint-disjoint waves of three
-// rounds each (such updates mutate disjoint vertex state, so they
-// commute exactly), bracketing every wave with the supplied attribution
-// hooks — BeginWave/EndWave inside a batch window, a mixed-wave variant
-// inside a mixed window.
-func (m *M) injectWaves(batch graph.Batch, begin func(k int), end func() mpc.WaveStats) {
-	rest := batch
-	for len(rest) > 0 {
+// injectWaves injects an update run as endpoint-disjoint waves of three
+// rounds each (such updates mutate disjoint vertex state, so they commute
+// exactly), each wave attributed inside the open mixed window.
+func (m *M) injectWaves(run graph.Batch) {
+	for rest := run; len(rest) > 0; {
 		k := rest.DisjointPrefix(0)
-		begin(k)
+		m.cluster.BeginMixedWave(k, 0)
 		for _, up := range rest[:k] {
 			m.seq++
 			m.cluster.Send(mpc.Message{
@@ -218,7 +188,7 @@ func (m *M) injectWaves(batch graph.Batch, begin func(k int), end func() mpc.Wav
 		m.cluster.Round() // owners of U process, contact owners of V
 		m.cluster.Round() // owners of V process, reply / report
 		m.cluster.Round() // both-free commits land back at owners of U
-		end()
+		m.cluster.EndMixedWave()
 	}
 }
 
@@ -247,17 +217,23 @@ func (m *M) drainCycles(updates int) {
 
 // ApplyOps processes a mixed op stream — updates *and* typed reads
 // (OpMateOf, OpMatched) — in one mixed round-accounting window
-// (mpc.MixedStats). amm's update cycles are randomized per cycle rather
-// than per update, so unlike dyncon and dmm the pipeline does not promise
-// bit-equivalence with sequential replay; the mixed contract is the same
-// one ApplyBatch already documents, extended to reads: update runs
-// execute as endpoint-disjoint injection waves followed by their run of
-// scheduler cycles (sequentially every update runs one cycle, so reads
-// following a run must see its cycle effects), and a run of consecutive
-// reads settles in-flight traffic and is answered by the authoritative
-// owners in one query-only wave (settle and answer rounds both charged to
-// the query half, as MateOfBatch charges them), observing exactly the
-// batched matching state at its stream position.
+// (mpc.MixedStats). Every maximal update run is injected in
+// endpoint-disjoint waves (see injectWaves); then, instead of one update
+// cycle per update, scheduler cycles run only until the free-vertex
+// queues drain or stop shrinking (see drainCycles). Each cycle processes a
+// Δ-bounded batch of every subscheduler family, so a run of k updates
+// needs on the order of k/Δ cycles — this is where the amortized rounds
+// per update drop. A run of consecutive reads settles in-flight traffic
+// and is answered by the authoritative owners in one query-only wave
+// (settle and answer rounds both charged to the query half), observing
+// exactly the batched matching state at its stream position.
+//
+// amm's update cycles are randomized per cycle rather than per update, so
+// unlike dyncon and dmm the pipeline does not promise bit-equivalence with
+// one-op-at-a-time replay: the resulting matching is valid and
+// almost-maximal over the same final graph, but the exact matched edges
+// may differ because shuffle/rise probes fire per cycle, not per update
+// (see DESIGN.md).
 //
 // Answers are positional over the stream's queries: the j-th entry of the
 // returned Results answers the j-th op with IsQuery() true.
@@ -267,10 +243,8 @@ func (m *M) ApplyOps(ops []graph.Op) (graph.Results, mpc.MixedStats) {
 	qids := make([]int64, len(ops))
 	for i := 0; i < len(ops); {
 		if !ops[i].IsQuery() {
-			// Maximal update run, injected in endpoint-disjoint waves (see
-			// injectWaves), then the run's share of scheduler cycles so
-			// any following read observes the post-cycle matching exactly
-			// as sequential replay would.
+			// Maximal update run, then the run's share of scheduler cycles
+			// so any following read observes the post-cycle matching.
 			j := i
 			for j < len(ops) && !ops[j].IsQuery() {
 				j++
@@ -279,7 +253,7 @@ func (m *M) ApplyOps(ops []graph.Op) (graph.Results, mpc.MixedStats) {
 			for _, op := range ops[i:j] {
 				run = append(run, op.Update())
 			}
-			m.injectWaves(run, func(k int) { m.cluster.BeginMixedWave(k, 0) }, m.cluster.EndMixedWave)
+			m.injectWaves(run)
 			m.drainCycles(j - i)
 			i = j
 			continue
@@ -287,9 +261,9 @@ func (m *M) ApplyOps(ops []graph.Op) (graph.Results, mpc.MixedStats) {
 		// Maximal read run. Settle in-flight update traffic before
 		// injecting the reads — an undelivered aExFreed sorts after a
 		// driver query in the same inbox, so answering first would return
-		// the pre-steal mate. As in MateOfBatch, the settle rounds are
-		// charged to the read side (the query-only wave) rather than left
-		// to perturb the update half's figures.
+		// the pre-steal mate. The settle rounds are charged to the read
+		// side (the query-only wave) rather than left to perturb the
+		// update half's figures.
 		j := i
 		for j < len(ops) && ops[j].IsQuery() {
 			j++
@@ -336,66 +310,9 @@ func (m *M) ApplyOps(ops []graph.Op) (graph.Results, mpc.MixedStats) {
 	return res, st
 }
 
-// MateOf answers "who is v matched to?" (-1 = free) through the cluster:
-// one round, one active owner machine, O(1) words, charged to a QueryStats
-// window.
-func (m *M) MateOf(v int) int {
-	return m.MateOfBatch([]int{v})[0]
-}
-
-// Matched reports whether edge (u,v) is in the maintained matching, as a
-// protocol query answered by u's owner machine.
-func (m *M) Matched(u, v int) bool {
-	return m.MateOf(u) == v
-}
-
-// MateOfBatch answers k mate queries in one shared query window: every
-// owner records its answers in the single round the queries are delivered
-// (a query-only round triggers no scheduler reports), so the batch costs
-// one round and amortizes to 1/k rounds per query. The matching state is
-// always authoritative at the owners (only level mirrors lag), so the
-// answers equal the oracle's. Update traffic still in flight from amm's
-// fixed-round driver is drained inside the query window rather than left
-// to perturb the next update window.
-func (m *M) MateOfBatch(vs []int) []int {
-	if len(vs) == 0 {
-		return nil
-	}
-	m.cluster.BeginQueryBatch(len(vs))
-	// Settle update traffic still in flight from amm's fixed-round driver
-	// *before* injecting the reads: an undelivered aExFreed sorts after a
-	// driver query in the same inbox, so answering first would return the
-	// pre-steal mate. The settling rounds are charged to the query window
-	// rather than left to perturb the next update window.
-	m.cluster.Drain(64, "amm: pre-query settle")
-	qids := make([]int64, len(vs))
-	for i, v := range vs {
-		m.queryID++
-		qids[i] = m.queryID
-		m.cluster.Send(mpc.Message{
-			From: -1, To: m.owner(v),
-			Payload: amsg{Kind: aMateQuery, U: int32(v), Seq: qids[i]},
-			Words:   3,
-		})
-	}
-	m.cluster.Drain(64, fmt.Sprintf("amm: query batch of %d", len(vs)))
-	m.cluster.EndQueryBatch()
-	out := make([]int, len(vs))
-	for i, v := range vs {
-		sh := m.shards[m.owner(v)-1]
-		res, ok := sh.queryResults[qids[i]]
-		if !ok {
-			panic(fmt.Sprintf("amm: mate query for %d produced no result", v))
-		}
-		delete(sh.queryResults, qids[i])
-		out[i] = int(res)
-	}
-	return out
-}
-
 // MateTable reads the authoritative mates — driver-side oracle access for
-// validation only, not part of the protocol accounting. Use
-// MateOf/MateOfBatch for protocol queries.
+// validation only, not part of the protocol accounting. The protocol
+// queries are OpMateOf/OpMatched ops.
 func (m *M) MateTable() []int {
 	out := make([]int, m.cfg.N)
 	for v := 0; v < m.cfg.N; v++ {
@@ -427,8 +344,15 @@ func (m *M) QueueBacklog() int {
 // point: the matching is consistent; matched vertices have level ≥ 0 and
 // both endpoints of a matched edge share its level; free vertices are at
 // level -1; any free-free edge's endpoints are queued or active (the
-// almost-maximality bookkeeping).
+// almost-maximality bookkeeping); and no gathered query answer is left
+// uncollected (ApplyOps is the result maps' only reader and deletes every
+// entry it collects).
 func (m *M) Validate(g *graph.Graph) error {
+	for _, sh := range m.shards {
+		if n := len(sh.queryResults); n != 0 {
+			return fmt.Errorf("machine %d: %d uncollected query answers at quiescence", sh.id, n)
+		}
+	}
 	pending := map[int32]bool{}
 	for _, q := range m.sched.queues {
 		for _, v := range q {
@@ -467,5 +391,3 @@ func (m *M) Validate(g *graph.Graph) error {
 	}
 	return nil
 }
-
-var _ = rand.Int // keep math/rand imported alongside future shuffle tuning

@@ -11,7 +11,7 @@ import (
 // batch pipeline. Exact edge-for-edge equality with sequential replay is
 // NOT the contract here — shuffle/rise probes fire per scheduler cycle, not
 // per update, so batching legitimately lands on a different almost-maximal
-// matching (see the ApplyBatch comment and DESIGN.md). What must hold for
+// matching (see the ApplyOps comment and DESIGN.md). What must hold for
 // every update sequence and every chunking, and what this fuzzer asserts,
 // is equivalence at the level of the §6 guarantees over the *same final
 // graph* as sequential replay: the batched matching is a valid matching,
@@ -40,18 +40,14 @@ func FuzzBatchEquivalence(f *testing.F) {
 		seqM := New(Config{N: n, Seed: 7})
 		gSeq := graph.New(n)
 		for _, up := range stream {
-			if up.Op == graph.Insert {
-				seqM.Insert(up.U, up.V)
-			} else {
-				seqM.Delete(up.U, up.V)
-			}
+			cycle(seqM, up)
 			gSeq.Apply(up)
 		}
 
 		batM := New(Config{N: n, Seed: 7})
 		g := graph.New(n)
 		for _, b := range graph.Chunk(stream, k) {
-			st := batM.ApplyBatch(b)
+			st := applyBatch(batM, b)
 			if st.Updates != len(b) {
 				t.Fatalf("batch stats cover %d updates, batch has %d", st.Updates, len(b))
 			}
@@ -82,7 +78,7 @@ func FuzzBatchEquivalence(f *testing.F) {
 		parM := New(Config{N: n, Seed: 7, Backend: mpc.BackendParallel, Workers: 3})
 		defer parM.Close()
 		for _, b := range graph.Chunk(stream, k) {
-			parM.ApplyBatch(b)
+			applyBatch(parM, b)
 		}
 		wantT, gotT := batM.MateTable(), parM.MateTable()
 		for v := range wantT {

@@ -5,57 +5,59 @@ import (
 	"testing"
 
 	"dmpc/internal/graph"
+	"dmpc/internal/mpc"
 )
 
-// TestMateQueries pins the §6 protocol query path: MateOf/Matched agree
+// TestMateQueries pins the §6 protocol query path: OpMateOf/OpMatched agree
 // with the MateTable validation oracle (matching state is authoritative at
-// the owners), a k-query batch costs one shared round, and query rounds are
-// charged to QueryStats windows only.
+// the owners), a read-only window of k queries costs one shared round, and
+// its rounds are charged to the query half only.
 func TestMateQueries(t *testing.T) {
 	const n = 40
 	rng := rand.New(rand.NewSource(9))
 	m := New(Config{N: n, Seed: 3})
+	g := graph.New(n)
 	for _, up := range graph.RandomStream(n, 150, 0.6, 1, rng) {
-		if up.Op == graph.Insert {
-			m.Insert(up.U, up.V)
-		} else {
-			m.Delete(up.U, up.V)
-		}
+		cycle(m, up)
+		g.Apply(up)
 	}
-	updatesBefore := len(m.Cluster().Stats().Updates())
 
-	vs := make([]int, n)
-	for v := range vs {
-		vs[v] = v
+	ops := make([]graph.Op, n)
+	for v := range ops {
+		ops[v] = graph.OpQMateOf(v)
 	}
-	got := m.MateOfBatch(vs)
-	// Oracle read *after* the query: the query window settles any update
+	got, st := m.ApplyOps(ops)
+	// Oracle read *after* the query: the read wave settles any update
 	// traffic still in flight first, so the answers must match the settled
 	// state — and be symmetric as a whole.
 	oracle := m.MateTable()
-	for v := range vs {
-		if got[v] != oracle[v] {
-			t.Fatalf("MateOfBatch[%d] = %d, oracle %d", v, got[v], oracle[v])
+	for v := range ops {
+		if int(got[v].Int) != oracle[v] {
+			t.Fatalf("OpMateOf[%d] = %d, oracle %d", v, got[v].Int, oracle[v])
 		}
-		if got[v] >= 0 && got[got[v]] != v {
-			t.Fatalf("asymmetric answers: MateOf(%d)=%d but MateOf(%d)=%d", v, got[v], got[v], got[got[v]])
+		if w := got[v].Int; w >= 0 && got[w].Int != int64(v) {
+			t.Fatalf("asymmetric answers: mate(%d)=%d but mate(%d)=%d", v, w, w, got[w].Int)
 		}
 	}
-	qs := m.Cluster().Stats().Queries()
-	if len(qs) != 1 || qs[0].Queries != n || qs[0].Rounds != 1 {
-		t.Fatalf("query windows %+v, want one window of %d queries over 1 round", qs, n)
+	if q := st.Queries; q.Queries != n || q.Rounds != 1 || st.Updates.Rounds != 0 {
+		t.Fatalf("read window %+v, want %d queries over 1 query-half round", st, n)
 	}
 
 	for _, v := range []int{0, 3, n - 1} {
-		if m.MateOf(v) != oracle[v] {
-			t.Fatalf("MateOf(%d) = %d, oracle %d", v, m.MateOf(v), oracle[v])
+		probes := []graph.Op{graph.OpQMateOf(v)}
+		if oracle[v] >= 0 {
+			probes = append(probes, graph.OpQMatched(v, oracle[v]))
 		}
-		if oracle[v] >= 0 && !m.Matched(v, oracle[v]) {
-			t.Fatalf("Matched(%d,%d) = false for a matched pair", v, oracle[v])
+		res, _ := m.ApplyOps(probes)
+		if int(res[0].Int) != oracle[v] {
+			t.Fatalf("OpMateOf(%d) = %d, oracle %d", v, res[0].Int, oracle[v])
+		}
+		if oracle[v] >= 0 && !res[1].Bool {
+			t.Fatalf("OpMatched(%d,%d) = false for a matched pair", v, oracle[v])
 		}
 	}
-	if after := len(m.Cluster().Stats().Updates()); after != updatesBefore {
-		t.Fatalf("queries leaked into update accounting: %d -> %d windows", updatesBefore, after)
+	if err := m.Validate(g); err != nil {
+		t.Fatalf("invariants broken after the reads: %v", err)
 	}
 }
 
@@ -65,7 +67,7 @@ func TestMateQueries(t *testing.T) {
 // quiescent, and the next update's accounting is identical to a query-free
 // run.
 func TestQueryLeavesNoResidue(t *testing.T) {
-	build := func(withQuery bool) *M {
+	build := func(withQuery bool) mpc.UpdateStats {
 		m := New(Config{N: 32, Seed: 5})
 		// A star around vertex 0 whose degree exceeds Delta, then a delete
 		// of 0's matched edge: the level change queues more neighbor
@@ -79,26 +81,17 @@ func TestQueryLeavesNoResidue(t *testing.T) {
 		// (jobs only drain on scheduler ticks, so they stay pending).
 		m.cluster.Run(64)
 		if withQuery {
-			m.MateOf(0)
-			qs := m.Cluster().Stats().Queries()
-			if last := qs[len(qs)-1]; last.Rounds != 1 {
-				t.Fatalf("query on a jobs-pending shard cost %d rounds, want 1", last.Rounds)
+			_, st := m.ApplyOps([]graph.Op{graph.OpQMateOf(0)})
+			if st.Queries.Rounds != 1 || st.Updates.Rounds != 0 {
+				t.Fatalf("query on a jobs-pending shard cost %d+%d rounds, want 1", st.Queries.Rounds, st.Updates.Rounds)
 			}
 			if !m.cluster.Quiescent() {
 				t.Fatal("read left traffic in flight for the next update window to absorb")
 			}
 		}
-		m.Insert(28, 29)
-		return m
+		return m.Insert(28, 29)
 	}
-	quiet := build(false)
-	noisy := build(true)
-	uq := quiet.Cluster().Stats().Updates()
-	un := noisy.Cluster().Stats().Updates()
-	if len(uq) != len(un) {
-		t.Fatalf("update window counts differ: %d vs %d", len(un), len(uq))
-	}
-	if uq[len(uq)-1] != un[len(un)-1] {
-		t.Fatalf("post-query update accounting differs: %+v vs %+v", un[len(un)-1], uq[len(uq)-1])
+	if quiet, noisy := build(false), build(true); quiet != noisy {
+		t.Fatalf("post-query update accounting differs: %+v vs %+v", noisy, quiet)
 	}
 }

@@ -13,11 +13,7 @@ import (
 func drive32(t *testing.T, m *M, g *graph.Graph, updates []graph.Update, tag string) {
 	t.Helper()
 	for step, up := range updates {
-		if up.Op == graph.Insert {
-			m.Insert(up.U, up.V)
-		} else {
-			m.Delete(up.U, up.V)
-		}
+		applyUpdate(m, up)
 		g.Apply(up)
 		mt := m.MateTable()
 		if !graph.IsMatching(g, mt) {
@@ -84,11 +80,7 @@ func TestApx32ApproximationFactor(t *testing.T) {
 		m := New(Config{N: n, CapEdges: 60, ThreeHalves: true})
 		g := graph.New(n)
 		for _, up := range graph.RandomStream(n, 120, 0.6, 1, rng) {
-			if up.Op == graph.Insert {
-				m.Insert(up.U, up.V)
-			} else {
-				m.Delete(up.U, up.V)
-			}
+			applyUpdate(m, up)
 			g.Apply(up)
 			size := graph.MatchingSize(m.MateTable())
 			if 3*size < 2*graph.MaxMatchingSize(g) {
@@ -143,9 +135,9 @@ func TestApx32BoundsRow(t *testing.T) {
 	g := graph.New(n)
 	worstRounds := 0
 	for _, up := range graph.RandomStream(n, 200, 0.55, 1, rng) {
-		var st = m.Insert(up.U, up.V)
+		var st = ins(m, up.U, up.V)
 		if up.Op == graph.Delete {
-			st = m.Delete(up.U, up.V)
+			st = del(m, up.U, up.V)
 		}
 		g.Apply(up)
 		if st.Rounds > worstRounds {

@@ -19,17 +19,13 @@ func TestBatchEquivalence(t *testing.T) {
 
 			seqM := New(Config{N: n, CapEdges: capEdges, ThreeHalves: three})
 			for _, up := range stream {
-				if up.Op == graph.Insert {
-					seqM.Insert(up.U, up.V)
-				} else {
-					seqM.Delete(up.U, up.V)
-				}
+				applyUpdate(seqM, up)
 			}
 
 			batM := New(Config{N: n, CapEdges: capEdges, ThreeHalves: three})
 			g := graph.New(n)
 			for _, b := range graph.Chunk(stream, k) {
-				st := batM.ApplyBatch(b)
+				st := applyBatch(batM, b)
 				if st.Updates != len(b) || st.Rounds == 0 {
 					t.Fatalf("three=%v k=%d: bad batch stats %+v", three, k, st)
 				}
@@ -67,7 +63,7 @@ func TestBatchAmortizedRoundsDrop(t *testing.T) {
 		m := New(Config{N: n, CapEdges: capEdges})
 		rounds, updates := 0, 0
 		for _, b := range graph.Chunk(stream, k) {
-			st := m.ApplyBatch(b)
+			st := applyBatch(m, b)
 			rounds += st.Rounds
 			updates += st.Updates
 		}

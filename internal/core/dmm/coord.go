@@ -183,7 +183,7 @@ type coordinator struct {
 	inflight map[int64]*flow
 	cur      *flow
 
-	// serialize restores the PR 1 chained baseline (ApplyBatchChained):
+	// serialize is the serial-segment mode ApplyOps' runChained drives:
 	// updates arriving while one is in flight queue here and start in the
 	// round the previous update finishes, overlapping each update's
 	// injection and ack-tail rounds with its successor but never running

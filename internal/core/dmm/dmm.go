@@ -149,26 +149,6 @@ func (m *M) Cluster() *mpc.Cluster { return m.cluster }
 // worker goroutines). The structure must not be used afterwards.
 func (m *M) Close() { m.cluster.Close() }
 
-// Insert adds edge (u,v), returning the update's accounting.
-func (m *M) Insert(u, v int) mpc.UpdateStats {
-	return m.update(graph.Update{Op: graph.Insert, U: u, V: v})
-}
-
-// Delete removes edge (u,v).
-func (m *M) Delete(u, v int) mpc.UpdateStats {
-	return m.update(graph.Update{Op: graph.Delete, U: u, V: v})
-}
-
-func (m *M) update(up graph.Update) mpc.UpdateStats {
-	m.seq++
-	m.cluster.BeginUpdate()
-	m.inject(up, m.seq)
-	if m.cluster.Run(80); !m.cluster.Quiescent() {
-		panic(fmt.Sprintf("dmm: update %v did not quiesce in 80 rounds", up))
-	}
-	return m.cluster.EndUpdate()
-}
-
 // ApplyOps processes a mixed op stream — updates *and* typed reads
 // (OpMateOf, OpMatched) — through one scheduled pipeline in a single
 // mixed round-accounting window (mpc.MixedStats), using the shared wave
@@ -194,17 +174,16 @@ func (m *M) update(up graph.Update) mpc.UpdateStats {
 // time (pinned by FuzzBatchEquivalence, FuzzMixedEquivalence and
 // TestWavePermutationCommutativity).
 //
-// A wave of w ops costs the rounds of one update instead of w — the
-// batch-dynamic win serial coordinator chaining (ApplyBatchChained, the
-// PR 1 baseline) could not reach, because chaining still ran every case
-// analysis back to back. Update stretches with no parallelism to extract
-// (a wave of width 1) do not regress below that baseline either: the
-// driver detects the maximal serial head-run of updates and executes it
-// chained through the coordinator queue — serialize mode is sequential
-// replay by construction, so the fallback needs no schedule-time reads at
-// all — and only genuine waves pay wave bookkeeping. Reads never chain:
-// a read reaching the head of the remaining stream runs as a query-only
-// wave costing one round, charged to the window's query half.
+// A wave of w ops costs the rounds of one update instead of w. Update
+// stretches with no parallelism to extract (a wave of width 1) take the
+// serial-segment path instead: the driver detects the maximal serial
+// head-run of updates and executes it chained through the coordinator
+// queue (runChained) — serialize mode is sequential replay by
+// construction, so the segment needs no schedule-time reads at all and
+// shares its injection round and ack tail — and only genuine waves pay
+// wave bookkeeping. Reads never chain: a read reaching the head of the
+// remaining stream runs as a query-only wave costing one round, charged
+// to the window's query half.
 //
 // Answers are positional over the stream's queries: the j-th entry of the
 // returned Results answers the j-th op with IsQuery() true.
@@ -311,23 +290,12 @@ func (m *M) ApplyOps(ops []graph.Op) (graph.Results, mpc.MixedStats) {
 	return res, st
 }
 
-// ApplyBatch processes a batch of updates in one shared round-accounting
-// window — the write-only projection of ApplyOps: the batch is lifted
-// into an op stream and scheduled through the same pipeline, so the
-// update half of the mixed window *is* the batch's BatchStats (no
-// query-only waves exist to absorb rounds). See ApplyOps for the
-// scheduling and correctness story.
-func (m *M) ApplyBatch(batch graph.Batch) mpc.BatchStats {
-	_, st := m.ApplyOps(graph.UpdateOps(batch))
-	return st.Updates
-}
-
 // runOpWave injects the scheduled wave (stream indices: updates at MC,
 // reads at their statistics machines) in one round — every update opens
 // its own continuation flow on arrival, every read is answered in the
 // delivery round — and drives the flows to completion inside a per-wave
 // attribution window. A query-only wave needs exactly one round (the
-// MateOfBatch scatter), charged to the query half. The test-only wavePerm
+// scatter), charged to the query half. The test-only wavePerm
 // hook permutes the injection order, backing the permutation-
 // commutativity property test.
 func (m *M) runOpWave(ops []graph.Op, ids []int64, wave []int, mt bool) {
@@ -372,8 +340,7 @@ func (m *M) runOpWave(ops []graph.Op, ids []int64, wave []int, mt bool) {
 // runChained executes a serial update segment (stream indices) through
 // the coordinator queue: all updates are injected in one round, MC runs
 // them strictly in order and chains each update's first requests into the
-// round the previous one finishes — the PR 1 batch path, scoped to the
-// segments where it is optimal. Chained rounds belong to the window's
+// round the previous one finishes. Chained rounds belong to the window's
 // update half only: a wave records genuine concurrency, and a serial
 // segment has none.
 func (m *M) runChained(ops []graph.Op, ids []int64, seg []int) {
@@ -567,80 +534,9 @@ func (m *M) statPeek(v int32) stat {
 	return m.stats[int(v)/m.coord.statsPer].peek(v)
 }
 
-// ApplyBatchChained is the PR 1 coordinator-chaining batch path, retained
-// as the baseline the wave scheduler is benchmarked against (see
-// cmd/dmpcbench -shard and BENCH_0004.json): all k updates are injected at
-// MC in a single round and executed strictly in order, each update's first
-// requests chained into the round the previous update finishes, so only
-// the injection round and the set/refresh ack tail are shared. Semantics
-// are identical to ApplyBatch; only the scheduling (and hence the
-// amortized round count) differs.
-func (m *M) ApplyBatchChained(batch graph.Batch) mpc.BatchStats {
-	m.coord.serialize = true
-	defer func() { m.coord.serialize = false }()
-	m.cluster.BeginBatch(len(batch))
-	for _, up := range batch {
-		m.seq++
-		m.inject(up, m.seq)
-	}
-	limit := 80*len(batch) + 16
-	if m.cluster.Run(limit); !m.cluster.Quiescent() {
-		panic(fmt.Sprintf("dmm: batch of %d updates did not quiesce in %d rounds", len(batch), limit))
-	}
-	return m.cluster.EndBatch()
-}
-
-// MateOf answers "who is v matched to?" (-1 = free) through the cluster:
-// one round, one active statistics machine, O(1) words. The rounds are
-// charged to a QueryStats window, never to an update window.
-func (m *M) MateOf(v int) int {
-	return m.MateOfBatch([]int{v})[0]
-}
-
-// Matched reports whether edge (u,v) is in the maintained matching, as a
-// protocol query answered by u's statistics machine.
-func (m *M) Matched(u, v int) bool {
-	return m.MateOf(u) == v
-}
-
-// MateOfBatch answers k mate queries in one shared query window: all
-// queries are injected at their statistics machines in a single scatter
-// round and every machine records its answers in that same round, so the
-// batch costs one round total and the amortized cost is 1/k rounds per
-// query.
-func (m *M) MateOfBatch(vs []int) []int {
-	if len(vs) == 0 {
-		return nil
-	}
-	m.cluster.BeginQueryBatch(len(vs))
-	qids := make([]int64, len(vs))
-	for i, v := range vs {
-		m.queryID++
-		qids[i] = m.queryID
-		m.cluster.Send(mpc.Message{
-			From: -1, To: 1 + v/m.coord.statsPer,
-			Payload: cmsg{Kind: cMateQuery, V: int32(v), Seq: qids[i]},
-			Words:   3,
-		})
-	}
-	n := m.cluster.Drain(64, fmt.Sprintf("dmm: query batch of %d", len(vs)))
-	m.cluster.EndQueryBatch()
-	out := make([]int, len(vs))
-	for i, v := range vs {
-		sm := m.stats[v/m.coord.statsPer]
-		res, ok := sm.queryResults[qids[i]]
-		if !ok {
-			panic(fmt.Sprintf("dmm: mate query for %d produced no result after %d rounds", v, n))
-		}
-		delete(sm.queryResults, qids[i])
-		out[i] = int(res)
-	}
-	return out
-}
-
 // MateTable reads the authoritative mate table from the statistics
 // machines — driver-side oracle access for validation only, not part of
-// the protocol accounting. Use MateOf/MateOfBatch for protocol queries.
+// the protocol accounting. The protocol queries are OpMateOf/OpMatched ops.
 func (m *M) MateTable() []int {
 	out := make([]int, m.cfg.N)
 	for v := 0; v < m.cfg.N; v++ {
@@ -656,8 +552,15 @@ func (m *M) Fallbacks() int64 { return m.coord.fallbacks }
 // Validate checks the distributed storage invariants: every graph edge is
 // stored under both endpoints exactly once (modulo lazy deletions still in
 // H), light vertices live on a single machine, alive windows respect their
-// capacity, and directory free-space figures match machine contents.
+// capacity, directory free-space figures match machine contents, and no
+// gathered query answer is left uncollected (ApplyOps is the result maps'
+// only reader and deletes every entry it collects).
 func (m *M) Validate(g *graph.Graph) error {
+	for _, sm := range m.stats {
+		if n := len(sm.queryResults); n != 0 {
+			return fmt.Errorf("machine %d: %d uncollected query answers at quiescence", sm.id, n)
+		}
+	}
 	// Effective edge sets per vertex, after applying pending H deletions.
 	for v := 0; v < m.cfg.N; v++ {
 		st := m.stats[v/m.coord.statsPer].get(int32(v))

@@ -12,11 +12,7 @@ import (
 func drive(t *testing.T, m *M, g *graph.Graph, updates []graph.Update, tag string) {
 	t.Helper()
 	for step, up := range updates {
-		if up.Op == graph.Insert {
-			m.Insert(up.U, up.V)
-		} else {
-			m.Delete(up.U, up.V)
-		}
+		applyUpdate(m, up)
 		g.Apply(up)
 		mt := m.MateTable()
 		if !graph.IsMatching(g, mt) {
@@ -143,9 +139,9 @@ func TestRoundsMachinesCommBounds(t *testing.T) {
 	g := graph.New(n)
 	worstRounds, worstActive := 0, 0
 	for _, up := range graph.RandomStream(n, 250, 0.55, 1, rng) {
-		var st = m.Insert(up.U, up.V)
+		var st = ins(m, up.U, up.V)
 		if up.Op == graph.Delete {
-			st = m.Delete(up.U, up.V)
+			st = del(m, up.U, up.V)
 		}
 		g.Apply(up)
 		if st.Rounds > worstRounds {

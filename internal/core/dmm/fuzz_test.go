@@ -59,15 +59,11 @@ func FuzzBatchEquivalence(f *testing.F) {
 		seqM := New(Config{N: n, CapEdges: capEdges})
 		g := graph.New(n)
 		for _, up := range stream {
-			if up.Op == graph.Insert {
-				seqM.Insert(up.U, up.V)
-			} else {
-				seqM.Delete(up.U, up.V)
-			}
+			applyUpdate(seqM, up)
 		}
 		batM := New(Config{N: n, CapEdges: capEdges})
 		for _, b := range graph.Chunk(stream, k) {
-			st := batM.ApplyBatch(b)
+			st := applyBatch(batM, b)
 			if st.Updates != len(b) {
 				t.Fatalf("batch stats cover %d updates, batch has %d", st.Updates, len(b))
 			}
@@ -97,7 +93,7 @@ func FuzzBatchEquivalence(f *testing.F) {
 		parM := New(parallelConfig(Config{N: n, CapEdges: capEdges}))
 		defer parM.Close()
 		for _, b := range graph.Chunk(stream, k) {
-			parM.ApplyBatch(b)
+			applyBatch(parM, b)
 		}
 		assertBackendEquivalent(t, batM, parM)
 	})

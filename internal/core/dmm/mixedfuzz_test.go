@@ -50,13 +50,13 @@ func FuzzMixedEquivalence(f *testing.F) {
 		for _, op := range ops {
 			switch op.Kind {
 			case graph.OpInsert:
-				seqM.Insert(op.U, op.V)
+				ins(seqM, op.U, op.V)
 			case graph.OpDelete:
-				seqM.Delete(op.U, op.V)
+				del(seqM, op.U, op.V)
 			case graph.OpMateOf:
-				want = append(want, graph.Answer{Int: int64(seqM.MateOf(op.U))})
+				want = append(want, graph.Answer{Int: int64(mateOf(seqM, op.U))})
 			case graph.OpMatched:
-				want = append(want, graph.Answer{Bool: seqM.Matched(op.U, op.V)})
+				want = append(want, graph.Answer{Bool: matched(seqM, op.U, op.V)})
 			}
 		}
 

@@ -26,18 +26,14 @@ func TestWavePermutationCommutativity(t *testing.T) {
 		m := New(Config{N: n, CapEdges: capEdges})
 		m.wavePerm = perm
 		for _, b := range graph.Chunk(stream, 32) {
-			m.ApplyBatch(b)
+			applyBatch(m, b)
 		}
 		return m
 	}
 
 	seqM := New(Config{N: n, CapEdges: capEdges})
 	for _, up := range stream {
-		if up.Op == graph.Insert {
-			seqM.Insert(up.U, up.V)
-		} else {
-			seqM.Delete(up.U, up.V)
-		}
+		applyUpdate(seqM, up)
 	}
 	want := seqM.MateTable()
 
@@ -89,47 +85,50 @@ func TestWavePermutationCommutativity(t *testing.T) {
 	}
 }
 
-// TestWaveBatchBeatsChained pins the batch-dynamic headline this PR adds:
-// on a stream with endpoint-disjoint stretches, the wave scheduler's
-// amortized rounds per update at k=64 beat the PR 1 coordinator-chaining
-// baseline, and genuine multi-update waves actually formed.
+// chainedRoundsSeed9 is the frozen figure of the PR 1 coordinator-chaining
+// batch path (all k updates injected at MC in one round and executed
+// strictly in order, sharing only the injection round and the ack tail),
+// which the wave scheduler replaced as the batch driver. The standalone
+// path is gone (chaining survives only as ApplyOps' serial-segment mode);
+// this was measured once on the stream below at commit 9b25edb, the last
+// one that carried it: 1602 rounds over 384 updates at k=64, 4.172
+// rounds/update.
+const chainedRoundsSeed9 = 1602
+
+// TestWaveBatchBeatsChained pins the batch-dynamic headline of the wave
+// scheduler: on a stream with endpoint-disjoint stretches its amortized
+// rounds per update at k=64 beat the coordinator-chaining figure, genuine
+// multi-update waves actually formed, and the matching is the sequential
+// one.
 func TestWaveBatchBeatsChained(t *testing.T) {
 	const n, capEdges = 96, 600
 	stream := graph.RandomStream(n, 384, 0.55, 1, rand.New(rand.NewSource(9)))
 
-	chainedM := New(Config{N: n, CapEdges: capEdges})
-	var cRounds, cUpd int
-	for _, b := range graph.Chunk(stream, 64) {
-		st := chainedM.ApplyBatchChained(b)
-		cRounds += st.Rounds
-		cUpd += st.Updates
+	seqM := New(Config{N: n, CapEdges: capEdges})
+	for _, up := range stream {
+		applyUpdate(seqM, up)
 	}
-	chained := float64(cRounds) / float64(cUpd)
 
 	waveM := New(Config{N: n, CapEdges: capEdges})
-	var wRounds, wUpd, widest int
+	var wRounds, widest int
 	for _, b := range graph.Chunk(stream, 64) {
-		st := waveM.ApplyBatch(b)
+		st := applyBatch(waveM, b)
 		wRounds += st.Rounds
-		wUpd += st.Updates
 		for _, w := range st.Waves {
-			if w.Updates > widest {
-				widest = w.Updates
-			}
+			widest = max(widest, w.Updates)
 		}
 	}
-	waved := float64(wRounds) / float64(wUpd)
 
-	if waved >= chained {
-		t.Fatalf("wave scheduler %.3f rounds/update not below chained baseline %.3f", waved, chained)
+	if wRounds >= chainedRoundsSeed9 {
+		t.Fatalf("wave scheduler spent %d rounds, not below the chained baseline's %d", wRounds, chainedRoundsSeed9)
 	}
 	if widest < 2 {
 		t.Fatalf("no wave wider than 1 formed (widest %d)", widest)
 	}
-	cm, wm := chainedM.MateTable(), waveM.MateTable()
-	for v := range cm {
-		if cm[v] != wm[v] {
-			t.Fatalf("schedulers disagree on mate of %d: chained %d, waves %d", v, cm[v], wm[v])
+	sm, wm := seqM.MateTable(), waveM.MateTable()
+	for v := range sm {
+		if sm[v] != wm[v] {
+			t.Fatalf("schedulers disagree on mate of %d: sequential %d, waves %d", v, sm[v], wm[v])
 		}
 	}
 }

@@ -7,56 +7,50 @@ import (
 	"dmpc/internal/graph"
 )
 
-// TestMateQueries pins the §3 protocol query path: MateOf/Matched agree
-// with the MateTable validation oracle, a k-query batch costs one shared
-// round, and query rounds never disturb update or batch accounting.
+// TestMateQueries pins the §3 protocol query path: OpMateOf/OpMatched agree
+// with the MateTable validation oracle, a read-only window of k mate
+// queries costs one shared round, and its rounds land on the query half,
+// never the update half.
 func TestMateQueries(t *testing.T) {
 	const n = 48
 	rng := rand.New(rand.NewSource(11))
 	m := New(Config{N: n, CapEdges: 4 * n})
 	for _, up := range graph.RandomStream(n, 160, 0.6, 1, rng) {
-		if up.Op == graph.Insert {
-			m.Insert(up.U, up.V)
-		} else {
-			m.Delete(up.U, up.V)
-		}
+		applyUpdate(m, up)
 	}
-	updatesBefore := m.Cluster().Stats().Updates()
 
 	oracle := m.MateTable()
-	vs := make([]int, n)
-	for v := range vs {
-		vs[v] = v
+	ops := make([]graph.Op, n)
+	for v := range ops {
+		ops[v] = graph.OpQMateOf(v)
 	}
-	got := m.MateOfBatch(vs)
-	for v := range vs {
-		if got[v] != oracle[v] {
-			t.Fatalf("MateOfBatch[%d] = %d, oracle %d", v, got[v], oracle[v])
+	got, st := m.ApplyOps(ops)
+	for v := range ops {
+		if int(got[v].Int) != oracle[v] {
+			t.Fatalf("OpMateOf[%d] = %d, oracle %d", v, got[v].Int, oracle[v])
 		}
 	}
-	qs := m.Cluster().Stats().Queries()
-	if len(qs) != 1 || qs[0].Queries != n {
-		t.Fatalf("query windows %+v, want one covering %d queries", qs, n)
+	if st.Queries.Queries != n {
+		t.Fatalf("query half %+v, want one covering %d queries", st.Queries, n)
 	}
-	if qs[0].Rounds != 1 {
-		t.Fatalf("k=%d mate batch cost %d rounds, want 1 shared round", n, qs[0].Rounds)
+	if st.Queries.Rounds != 1 {
+		t.Fatalf("k=%d mate window cost %d rounds, want 1 shared round", n, st.Queries.Rounds)
+	}
+	// Queries must not have billed the update half (the trailing ack drain
+	// finds nothing in flight after a read-only window).
+	if st.Updates.Rounds != 0 {
+		t.Fatalf("queries leaked %d rounds into update accounting", st.Updates.Rounds)
 	}
 
 	for _, v := range []int{0, 7, n - 1} {
-		if m.MateOf(v) != oracle[v] {
-			t.Fatalf("MateOf(%d) = %d, oracle %d", v, m.MateOf(v), oracle[v])
+		if mateOf(m, v) != oracle[v] {
+			t.Fatalf("OpMateOf(%d) = %d, oracle %d", v, mateOf(m, v), oracle[v])
 		}
-		if oracle[v] >= 0 && !m.Matched(v, oracle[v]) {
-			t.Fatalf("Matched(%d,%d) = false for a matched pair", v, oracle[v])
+		if oracle[v] >= 0 && !matched(m, v, oracle[v]) {
+			t.Fatalf("OpMatched(%d,%d) = false for a matched pair", v, oracle[v])
 		}
-		if m.Matched(v, v) {
-			t.Fatalf("Matched(%d,%d) = true for a self-loop", v, v)
+		if matched(m, v, v) {
+			t.Fatalf("OpMatched(%d,%d) = true for a self-loop", v, v)
 		}
-	}
-
-	// Queries must not have grown the per-update accounting.
-	if after := m.Cluster().Stats().Updates(); len(after) != len(updatesBefore) {
-		t.Fatalf("queries leaked into update accounting: %d -> %d windows",
-			len(updatesBefore), len(after))
 	}
 }

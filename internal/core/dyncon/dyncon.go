@@ -170,28 +170,6 @@ func (d *D) opWeight(w graph.Weight) graph.Weight {
 	return w
 }
 
-// Insert adds edge (u,v) with weight w (ignored in CC mode), driving the
-// cluster for the O(1) rounds of the §5 protocol. It returns the update's
-// accounting.
-func (d *D) Insert(u, v int, w graph.Weight) mpc.UpdateStats {
-	return d.update(graph.Update{Op: graph.Insert, U: u, V: v, W: w})
-}
-
-// Delete removes edge (u,v).
-func (d *D) Delete(u, v int) mpc.UpdateStats {
-	return d.update(graph.Update{Op: graph.Delete, U: u, V: v})
-}
-
-func (d *D) update(up graph.Update) mpc.UpdateStats {
-	d.seq++
-	d.cluster.BeginUpdate()
-	d.inject(up, d.seq)
-	if d.cluster.Run(64); !d.cluster.Quiescent() {
-		panic(fmt.Sprintf("dyncon: update %v did not quiesce in 64 rounds", up))
-	}
-	return d.cluster.EndUpdate()
-}
-
 func (d *D) inject(up graph.Update, seq int64) {
 	d.cluster.Send(mpc.Message{
 		From: -1, To: d.owner(up.U),
@@ -268,7 +246,7 @@ func (d *D) ApplyOps(ops []graph.Op) (graph.Results, mpc.MixedStats) {
 	// order: fresh component ids minted by cuts are derived from the seq
 	// (N + 2·seq), so position-based seqs make the labels of a reordered
 	// schedule bit-identical to sequential replay. Queries draw from the
-	// separate queryID counter, exactly like the quiescence read paths.
+	// separate queryID counter.
 	ids := make([]int64, len(ops))
 	for i, op := range ops {
 		if op.IsQuery() {
@@ -469,19 +447,6 @@ func (d *D) runOpWave(ops []graph.Op, ids []int64, wave []int, mt bool) {
 	d.cluster.EndMixedWave()
 }
 
-// ApplyBatch processes a batch of updates in one shared round-accounting
-// window — the write-only projection of ApplyOps: the batch is lifted into
-// an op stream and scheduled through the same pipeline, so the update
-// half of the mixed window *is* the batch's BatchStats (no query-only
-// waves exist to absorb rounds). See ApplyOps for the scheduling and
-// correctness story; unlike the greedy-prefix packer (ApplyBatchPrefix,
-// kept for comparison), one early conflicting pair never caps the wave
-// width.
-func (d *D) ApplyBatch(batch graph.Batch) mpc.BatchStats {
-	_, st := d.ApplyOps(graph.UpdateOps(batch))
-	return st.Updates
-}
-
 // broadcasts predicts, from driver-side oracle state at schedule time,
 // whether the §5 orchestration of up includes a cluster-wide broadcast
 // round: links (components differ), cuts (deleting a tree edge), and MST
@@ -514,122 +479,9 @@ func (d *D) broadcasts(up graph.Update) bool {
 	return d.cfg.Mode == MST
 }
 
-// ApplyBatchPrefix is the PR 1 greedy-prefix wave packer, retained as the
-// baseline the conflict-graph scheduler is benchmarked against (see
-// cmd/dmpcbench -shard and BENCH_0003.json): each wave is the longest
-// *prefix* of the remaining updates whose endpoint components are pairwise
-// disjoint and whose orchestrator machines are distinct, so one early
-// conflicting edge caps the wave width. Semantics are identical to
-// ApplyBatch; only the packing (and hence the amortized round count)
-// differs.
-func (d *D) ApplyBatchPrefix(batch graph.Batch) mpc.BatchStats {
-	d.cluster.BeginBatch(len(batch))
-	for i := 0; i < len(batch); {
-		touched := make(map[int64]bool, 8)
-		orch := make(map[int]bool, 8)
-		j := i
-		for j < len(batch) {
-			up := batch[j]
-			cu, cv := d.CompOf(up.U), d.CompOf(up.V)
-			o := d.owner(up.U)
-			if touched[cu] || touched[cv] || orch[o] {
-				break
-			}
-			touched[cu], touched[cv] = true, true
-			orch[o] = true
-			j++
-		}
-		d.cluster.BeginWave(j - i)
-		for _, up := range batch[i:j] {
-			d.seq++
-			d.inject(up, d.seq)
-		}
-		d.cluster.Drain(64, fmt.Sprintf("dyncon: batch wave of %d updates", j-i))
-		d.cluster.EndWave()
-		i = j
-	}
-	return d.cluster.EndBatch()
-}
-
-// Connected answers a connectivity query through the cluster (two rounds,
-// two active machines, O(1) words — the query path of §5). Its rounds are
-// charged to a QueryStats window, never to an update window.
-func (d *D) Connected(u, v int) bool {
-	return d.ConnectedBatch([]graph.Pair{{U: u, V: v}})[0]
-}
-
-// ConnectedBatch answers k connectivity queries in one shared query window:
-// all queries are injected at their first endpoints' owners in a single
-// scatter round, forwarded, and answered at the second endpoints' owners in
-// a single gather round — so the whole batch costs the two rounds of one §5
-// query and the amortized cost is 2/k rounds per query, exactly how
-// ApplyBatch amortizes update rounds. Answers are positional: out[i]
-// answers pairs[i].
-func (d *D) ConnectedBatch(pairs []graph.Pair) []bool {
-	if len(pairs) == 0 {
-		return nil
-	}
-	d.cluster.BeginQueryBatch(len(pairs))
-	qids := make([]int64, len(pairs))
-	for i, p := range pairs {
-		d.queryID++
-		qids[i] = d.queryID
-		d.cluster.Send(mpc.Message{
-			From: -1, To: d.owner(p.U),
-			Payload: wire{Kind: kQuery, U: int32(p.U), V: int32(p.V), Seq: qids[i]},
-			Words:   4,
-		})
-	}
-	rounds := d.drainQueries(len(pairs))
-	d.cluster.EndQueryBatch()
-	out := make([]bool, len(pairs))
-	for i, p := range pairs {
-		sh := d.shards[d.owner(p.V)]
-		res, ok := sh.queryResults[qids[i]]
-		if !ok {
-			panic(fmt.Sprintf("dyncon: query (%d,%d) produced no result after %d rounds", p.U, p.V, rounds))
-		}
-		delete(sh.queryResults, qids[i])
-		out[i] = res
-	}
-	return out
-}
-
-// ComponentOf answers a component-label query through the cluster (one
-// round, one active machine, O(1) words): the owner of v records comp(v)
-// for the driver to gather. This is the protocol-accounted counterpart of
-// the CompOf validation oracle.
-func (d *D) ComponentOf(v int) int64 {
-	d.cluster.BeginQuery()
-	d.queryID++
-	qid := d.queryID
-	d.cluster.Send(mpc.Message{
-		From: -1, To: d.owner(v),
-		Payload: wire{Kind: kCompQuery, V: int32(v), Seq: qid},
-		Words:   3,
-	})
-	rounds := d.drainQueries(1)
-	d.cluster.EndQuery()
-	sh := d.shards[d.owner(v)]
-	res, ok := sh.compResults[qid]
-	if !ok {
-		panic(fmt.Sprintf("dyncon: component query for %d produced no result after %d rounds", v, rounds))
-	}
-	delete(sh.compResults, qid)
-	return res
-}
-
-// drainQueries drives the cluster until quiescent under the standard
-// 64-round guard, reporting the round count. Queries normally settle in one
-// or two rounds; the slack covers update traffic still in flight when the
-// query was injected, which the query window then legitimately absorbs.
-func (d *D) drainQueries(k int) int {
-	return d.cluster.Drain(64, fmt.Sprintf("dyncon: query batch of %d", k))
-}
-
 // CompOf returns v's component label by inspecting the shard directly —
 // driver-side oracle access for validation only, not part of the protocol
-// accounting. Use ComponentOf for the protocol query.
+// accounting. The protocol query is an OpComponentOf op.
 func (d *D) CompOf(v int) int64 {
 	return d.shards[d.owner(v)].verts[int32(v)]
 }
@@ -674,7 +526,8 @@ func (d *D) ForestWeight() graph.Weight {
 // must agree, every component's positions must reassemble into a valid
 // Euler tour, registry sizes must match vertex counts, and every non-tree
 // anchor must be a genuine appearance of its endpoint with consistent
-// component labels. Driver-side; used by tests after every update.
+// component labels, and no gathered query answer may be left uncollected.
+// Driver-side; used by tests after every update.
 func (d *D) Validate() error {
 	type agg struct {
 		rec  treeRec
@@ -846,6 +699,15 @@ func (d *D) Validate() error {
 			if !appear[c][int(v)][rec.Anchor] {
 				return fmt.Errorf("weight record for %d: anchor %d is not an appearance", v, rec.Anchor)
 			}
+		}
+	}
+
+	// Gathered answers: ApplyOps is the result maps' only reader and deletes
+	// every entry it collects, so a leftover at quiescence is an answer
+	// some window produced and nobody picked up.
+	for _, sh := range d.shards {
+		if n := len(sh.queryResults) + len(sh.compResults) + len(sh.dpResults); n != 0 {
+			return fmt.Errorf("machine %d: %d uncollected query answers at quiescence", sh.id, n)
 		}
 	}
 	return nil

@@ -27,11 +27,7 @@ func TestCCBasicLinkCut(t *testing.T) {
 	g := graph.New(6)
 
 	apply := func(up graph.Update) {
-		if up.Op == graph.Insert {
-			d.Insert(up.U, up.V, up.W)
-		} else {
-			d.Delete(up.U, up.V)
-		}
+		applyUpdate(d, up)
 		g.Apply(up)
 		if err := d.Validate(); err != nil {
 			t.Fatalf("after %v: %v", up, err)
@@ -58,9 +54,9 @@ func TestCCRandomStreamAgainstOracle(t *testing.T) {
 		g := graph.New(n)
 		for step, up := range graph.RandomStream(n, 250, 0.55, 1, rng) {
 			if up.Op == graph.Insert {
-				d.Insert(up.U, up.V, 1)
+				ins(d, up.U, up.V, 1)
 			} else {
-				d.Delete(up.U, up.V)
+				del(d, up.U, up.V)
 			}
 			g.Apply(up)
 			if err := d.Validate(); err != nil {
@@ -78,11 +74,7 @@ func TestCCTreeChurn(t *testing.T) {
 	d := New(Config{N: n, Mode: CC})
 	g := graph.New(n)
 	for _, up := range append(initial, churn...) {
-		if up.Op == graph.Insert {
-			d.Insert(up.U, up.V, up.W)
-		} else {
-			d.Delete(up.U, up.V)
-		}
+		applyUpdate(d, up)
 		g.Apply(up)
 		if err := d.Validate(); err != nil {
 			t.Fatalf("after %v: %v", up, err)
@@ -98,16 +90,16 @@ func TestCCConnectedQueries(t *testing.T) {
 	g := graph.New(n)
 	for _, up := range graph.RandomStream(n, 120, 0.6, 1, rng) {
 		if up.Op == graph.Insert {
-			d.Insert(up.U, up.V, 1)
+			ins(d, up.U, up.V, 1)
 		} else {
-			d.Delete(up.U, up.V)
+			del(d, up.U, up.V)
 		}
 		g.Apply(up)
 	}
 	comp := graph.Components(g)
 	for u := 0; u < n; u++ {
 		for v := u + 1; v < n; v += 3 {
-			if d.Connected(u, v) != (comp[u] == comp[v]) {
+			if connected(d, u, v) != (comp[u] == comp[v]) {
 				t.Fatalf("Connected(%d,%d) wrong", u, v)
 			}
 		}
@@ -117,17 +109,17 @@ func TestCCConnectedQueries(t *testing.T) {
 func TestCCDuplicateAndNoopUpdates(t *testing.T) {
 	d := New(Config{N: 4, Mode: CC})
 	g := graph.New(4)
-	d.Insert(0, 1, 1)
+	ins(d, 0, 1, 1)
 	g.Insert(0, 1, 1)
-	d.Insert(0, 1, 1) // duplicate
-	d.Insert(1, 0, 1) // duplicate reversed
-	d.Insert(2, 2, 1) // self loop
-	d.Delete(0, 3)    // unknown
+	ins(d, 0, 1, 1) // duplicate
+	ins(d, 1, 0, 1) // duplicate reversed
+	ins(d, 2, 2, 1) // self loop
+	del(d, 0, 3)    // unknown
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	checkPartition(t, d, g, "noops")
-	d.Delete(0, 1)
+	del(d, 0, 1)
 	g.Delete(0, 1)
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
@@ -144,9 +136,9 @@ func TestCCRoundsPerUpdateConstant(t *testing.T) {
 		rng := rand.New(rand.NewSource(11))
 		d := New(Config{N: n, Mode: CC})
 		for _, up := range graph.RandomStream(n, 300, 0.55, 1, rng) {
-			var st = d.Insert(up.U, up.V, 1)
+			var st = ins(d, up.U, up.V, 1)
 			if up.Op == graph.Delete {
-				st = d.Delete(up.U, up.V)
+				st = del(d, up.U, up.V)
 			}
 			if st.Rounds > worst[n] {
 				worst[n] = st.Rounds
@@ -170,10 +162,10 @@ func TestMSTExactMatchesOracle(t *testing.T) {
 		oracle := seqdyn.NewDynMSF(n)
 		for step, up := range graph.RandomStream(n, 220, 0.6, 40, rng) {
 			if up.Op == graph.Insert {
-				d.Insert(up.U, up.V, up.W)
+				ins(d, up.U, up.V, up.W)
 				oracle.Insert(up.U, up.V, up.W)
 			} else {
-				d.Delete(up.U, up.V)
+				del(d, up.U, up.V)
 				oracle.Delete(up.U, up.V)
 			}
 			g.Apply(up)
@@ -193,7 +185,7 @@ func TestMSTSwapOnCycleInsert(t *testing.T) {
 	d := New(Config{N: 4, Mode: MST})
 	g := graph.New(4)
 	ins := func(u, v int, w graph.Weight) {
-		d.Insert(u, v, w)
+		ins(d, u, v, w)
 		g.Insert(u, v, w)
 	}
 	ins(0, 1, 10)
@@ -218,7 +210,7 @@ func TestMSTSwapOnCycleInsert(t *testing.T) {
 		t.Fatal("evicted edge not kept as non-tree")
 	}
 	// Deleting a light tree edge must promote the best replacement.
-	d.Delete(1, 2)
+	del(d, 1, 2)
 	g.Delete(1, 2)
 	if got, want := d.ForestWeight(), graph.MSFWeight(g); got != want {
 		t.Fatalf("after delete: weight %d want %d", got, want)
@@ -234,11 +226,11 @@ func TestMSTEpsilonBucketing(t *testing.T) {
 	bucketed := graph.New(n) // bucketed weights
 	for _, up := range graph.RandomStream(n, 160, 0.65, 500, rng) {
 		if up.Op == graph.Insert {
-			d.Insert(up.U, up.V, up.W)
+			ins(d, up.U, up.V, up.W)
 			g.Insert(up.U, up.V, up.W)
 			bucketed.Insert(up.U, up.V, graph.BucketWeight(up.W, eps))
 		} else {
-			d.Delete(up.U, up.V)
+			del(d, up.U, up.V)
 			g.Delete(up.U, up.V)
 			bucketed.Delete(up.U, up.V)
 		}
@@ -269,9 +261,9 @@ func TestEntropyCoordinatorPattern(t *testing.T) {
 	d := New(Config{N: n, Mode: CC})
 	for _, up := range graph.RandomStream(n, 150, 0.6, 1, rng) {
 		if up.Op == graph.Insert {
-			d.Insert(up.U, up.V, 1)
+			ins(d, up.U, up.V, 1)
 		} else {
-			d.Delete(up.U, up.V)
+			del(d, up.U, up.V)
 		}
 	}
 	if d.Cluster().CommEntropy() < 2 {
@@ -289,9 +281,9 @@ func TestCCSoakLargerScale(t *testing.T) {
 	g := graph.New(n)
 	for step, up := range graph.RandomStream(n, 900, 0.52, 1, rng) {
 		if up.Op == graph.Insert {
-			d.Insert(up.U, up.V, 1)
+			ins(d, up.U, up.V, 1)
 		} else {
-			d.Delete(up.U, up.V)
+			del(d, up.U, up.V)
 		}
 		g.Apply(up)
 		if step%10 == 0 || step > 870 {

@@ -39,16 +39,12 @@ func FuzzBatchEquivalence(f *testing.F) {
 
 		seqD := New(cfg)
 		for _, up := range stream {
-			if up.Op == graph.Insert {
-				seqD.Insert(up.U, up.V, up.W)
-			} else {
-				seqD.Delete(up.U, up.V)
-			}
+			applyUpdate(seqD, up)
 		}
 
 		batD := New(cfg)
 		for _, b := range graph.Chunk(stream, k) {
-			st := batD.ApplyBatch(b)
+			st := applyBatch(batD, b)
 			if st.Updates != len(b) {
 				t.Fatalf("batch stats cover %d updates, batch has %d", st.Updates, len(b))
 			}
@@ -90,7 +86,7 @@ func FuzzBatchEquivalence(f *testing.F) {
 		parD := New(parallelConfig(cfg))
 		defer parD.Close()
 		for _, b := range graph.Chunk(stream, k) {
-			parD.ApplyBatch(b)
+			applyBatch(parD, b)
 		}
 		assertBackendEquivalent(t, batD, parD)
 	})

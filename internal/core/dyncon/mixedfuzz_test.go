@@ -46,13 +46,13 @@ func FuzzMixedEquivalence(f *testing.F) {
 		for _, op := range ops {
 			switch op.Kind {
 			case graph.OpInsert:
-				seqD.Insert(op.U, op.V, op.W)
+				ins(seqD, op.U, op.V, op.W)
 			case graph.OpDelete:
-				seqD.Delete(op.U, op.V)
+				del(seqD, op.U, op.V)
 			case graph.OpConnected:
-				want = append(want, graph.Answer{Bool: seqD.Connected(op.U, op.V)})
+				want = append(want, graph.Answer{Bool: connected(seqD, op.U, op.V)})
 			case graph.OpComponentOf:
-				want = append(want, graph.Answer{Int: seqD.ComponentOf(op.U)})
+				want = append(want, graph.Answer{Int: componentOf(seqD, op.U)})
 			}
 		}
 

@@ -60,7 +60,7 @@ func TestWavePermutationCommutativity(t *testing.T) {
 			d := New(md.cfg)
 			d.wavePerm = perm
 			for _, b := range graph.Chunk(stream, 32) {
-				d.ApplyBatch(b)
+				applyBatch(d, b)
 			}
 			return d
 		}

@@ -32,9 +32,9 @@ func TestPreprocessArbitraryGraphThenUpdates(t *testing.T) {
 				continue
 			}
 			if up.Op == graph.Insert {
-				d.Insert(up.U, up.V, 1)
+				ins(d, up.U, up.V, 1)
 			} else {
-				d.Delete(up.U, up.V)
+				del(d, up.U, up.V)
 			}
 			g.Apply(up)
 			if err := d.Validate(); err != nil {
@@ -54,7 +54,7 @@ func TestPreprocessDeleteForestEdges(t *testing.T) {
 	d := New(Config{N: n, Mode: CC, ExpectedEdges: 200})
 	d.Preprocess(g)
 	for _, e := range d.ForestEdges() {
-		d.Delete(e.U, e.V)
+		del(d, e.U, e.V)
 		g.Delete(e.U, e.V)
 		if err := d.Validate(); err != nil {
 			t.Fatalf("after deleting (%d,%d): %v", e.U, e.V, err)
@@ -83,11 +83,7 @@ func TestPreprocessMSTExact(t *testing.T) {
 		if up.Op == graph.Delete && !g.Has(up.U, up.V) {
 			continue
 		}
-		if up.Op == graph.Insert {
-			d.Insert(up.U, up.V, up.W)
-		} else {
-			d.Delete(up.U, up.V)
-		}
+		applyUpdate(d, up)
 		g.Apply(up)
 		if got, want := d.ForestWeight(), graph.MSFWeight(g); got != want {
 			t.Fatalf("step %d (%v): weight %d want %d", step, up, got, want)

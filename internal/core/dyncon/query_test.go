@@ -6,13 +6,15 @@ import (
 	"testing"
 
 	"dmpc/internal/graph"
+	"dmpc/internal/mpc"
 )
 
 // TestQueryWindowRegression pins the headline bugfix of the query pipeline:
-// interleaving protocol queries into a batched update workload leaves the
-// recorded BatchStats bit-identical to the query-free run — query rounds
-// are charged to QueryStats windows instead of leaking into whatever batch
-// window is nearby, and no query disappears from per-op accounting.
+// interleaving read windows into a batched update workload leaves every
+// update window bit-identical to the query-free run — query rounds are
+// charged to the read windows' query halves instead of leaking into
+// whatever update window is nearby, and no query disappears from per-op
+// accounting.
 func TestQueryWindowRegression(t *testing.T) {
 	const n = 40
 	mkStream := func() []graph.Update {
@@ -20,70 +22,74 @@ func TestQueryWindowRegression(t *testing.T) {
 		return graph.RandomStream(n, 160, 0.55, 1, rng)
 	}
 
-	run := func(withQueries bool) (*D, int) {
+	run := func(withQueries bool) (writes []mpc.BatchStats, reads []mpc.MixedStats) {
 		d := New(Config{N: n, Mode: CC, ExpectedEdges: 200})
 		qrng := rand.New(rand.NewSource(23))
-		queries := 0
 		for _, b := range graph.Chunk(mkStream(), 8) {
-			d.ApplyBatch(b)
+			writes = append(writes, applyBatch(d, b))
 			if !withQueries {
 				continue
 			}
 			pairs := graph.RandomPairs(n, 4, qrng)
-			d.ConnectedBatch(pairs)
-			d.Connected(pairs[0].U, pairs[0].V)
-			d.ComponentOf(pairs[0].U)
-			queries += len(pairs) + 2
+			batch := make([]graph.Op, len(pairs))
+			for i, p := range pairs {
+				batch[i] = graph.OpQConnected(p.U, p.V)
+			}
+			for _, ops := range [][]graph.Op{
+				batch,
+				{graph.OpQConnected(pairs[0].U, pairs[0].V)},
+				{graph.OpQComponentOf(pairs[0].U)},
+			} {
+				_, st := d.ApplyOps(ops)
+				reads = append(reads, st)
+			}
 		}
-		return d, queries
+		return writes, reads
 	}
 
-	quiet, _ := run(false)
-	noisy, queries := run(true)
-
-	want := quiet.Cluster().Stats().Batches()
-	got := noisy.Cluster().Stats().Batches()
+	want, none := run(false)
+	got, reads := run(true)
+	if len(none) != 0 {
+		t.Fatal("query-free run produced read windows")
+	}
 	if len(want) != len(got) {
-		t.Fatalf("batch window count differs: %d vs %d", len(got), len(want))
+		t.Fatalf("update window count differs: %d vs %d", len(got), len(want))
 	}
 	for i := range want {
 		if !got[i].Equal(want[i]) {
 			t.Fatalf("batch %d stats differ with queries interleaved: %+v vs %+v", i, got[i], want[i])
 		}
 	}
-	if len(quiet.Cluster().Stats().Queries()) != 0 {
-		t.Fatal("query-free run recorded query windows")
-	}
 	var counted int
-	for _, q := range noisy.Cluster().Stats().Queries() {
-		if q.Rounds == 0 {
-			t.Fatalf("query window with zero rounds: %+v", q)
+	for _, st := range reads {
+		if st.Queries.Rounds == 0 || st.Updates.Rounds != 0 {
+			t.Fatalf("read window misattributed its rounds: %+v", st)
 		}
-		counted += q.Queries
+		counted += st.Queries.Queries
 	}
-	if counted != queries {
-		t.Fatalf("%d queries issued, %d accounted in query windows", queries, counted)
+	if want := len(reads) / 3 * 6; counted != want {
+		t.Fatalf("%d queries issued, %d accounted in query halves", want, counted)
 	}
 }
 
 // TestQueryWithInFlightUpdates covers the old fixed Run(8) budget panic:
-// a query injected while update messages are still in flight now drives the
-// cluster to quiescence (64-round guard) and answers, instead of dying with
-// a bare "query result missing".
+// a read window opened while update messages are still in flight drives
+// the cluster to quiescence (64-round guard) and answers, instead of dying
+// with a bare "query result missing".
 func TestQueryWithInFlightUpdates(t *testing.T) {
 	d := New(Config{N: 16, ExpectedEdges: 64})
-	d.Insert(0, 1, 1)
-	d.Insert(2, 3, 1)
+	ins(d, 0, 1, 1)
+	ins(d, 2, 3, 1)
 
-	// Inject an update without driving the cluster, as ApplyBatch's wave
-	// injection does, then query an unrelated pair while it is in flight.
+	// Inject an update without driving the cluster, as a wave injection
+	// does, then query an unrelated pair while it is in flight.
 	d.seq++
 	d.inject(graph.Update{Op: graph.Insert, U: 4, V: 5, W: 1}, d.seq)
-	if !d.Connected(0, 1) || d.Connected(0, 2) {
+	if !connected(d, 0, 1) || connected(d, 0, 2) {
 		t.Fatal("query answered wrong while an update was in flight")
 	}
 	// The in-flight update must have completed during the query drain.
-	if !d.Connected(4, 5) {
+	if !connected(d, 4, 5) {
 		t.Fatal("in-flight update was lost")
 	}
 	if err := d.Validate(); err != nil {
@@ -92,94 +98,83 @@ func TestQueryWithInFlightUpdates(t *testing.T) {
 }
 
 // TestConnectedBatchEquivalenceAndAmortization pins both halves of the
-// ConnectedBatch contract: answers equal the sequential oracle, and a k=64
-// batch shares one scatter and one gather round, putting the amortized cost
-// far under the ~2 rounds a lone Connected pays.
+// read-only window contract: answers equal the sequential oracle, and 64
+// connectivity reads share one scatter and one gather round, putting the
+// amortized cost far under the 2 rounds a lone read pays.
 func TestConnectedBatchEquivalenceAndAmortization(t *testing.T) {
 	const n = 64
 	rng := rand.New(rand.NewSource(5))
 	d := New(Config{N: n, ExpectedEdges: 5 * n})
 	g := graph.New(n)
 	for _, up := range graph.RandomStream(n, 200, 0.6, 1, rng) {
-		if up.Op == graph.Insert {
-			d.Insert(up.U, up.V, 1)
-		} else {
-			d.Delete(up.U, up.V)
-		}
+		applyUpdate(d, up)
 		g.Apply(up)
 	}
 	comp := graph.Components(g)
 
 	pairs := graph.RandomPairs(n, 64, rng)
-	before := len(d.Cluster().Stats().Queries())
-	got := d.ConnectedBatch(pairs)
+	ops := make([]graph.Op, len(pairs))
 	for i, p := range pairs {
-		if got[i] != (comp[p.U] == comp[p.V]) {
-			t.Fatalf("pair %d (%d,%d): got %v, oracle %v", i, p.U, p.V, got[i], comp[p.U] == comp[p.V])
+		ops[i] = graph.OpQConnected(p.U, p.V)
+	}
+	got, st := d.ApplyOps(ops)
+	for i, p := range pairs {
+		if got[i].Bool != (comp[p.U] == comp[p.V]) {
+			t.Fatalf("pair %d (%d,%d): got %v, oracle %v", i, p.U, p.V, got[i].Bool, comp[p.U] == comp[p.V])
 		}
 	}
-	qs := d.Cluster().Stats().Queries()
-	if len(qs) != before+1 {
-		t.Fatalf("expected one query window, got %d new", len(qs)-before)
-	}
-	batch := qs[len(qs)-1]
+	batch := st.Queries
 	if batch.Queries != 64 {
 		t.Fatalf("window covers %d queries, want 64", batch.Queries)
 	}
-	if batch.Rounds != 2 {
-		t.Fatalf("k=64 batch cost %d rounds, want the 2 of one query", batch.Rounds)
+	if batch.Rounds != 2 || st.Updates.Rounds != 0 {
+		t.Fatalf("k=64 read window cost %d+%d rounds, want the 2 of one query", batch.Rounds, st.Updates.Rounds)
 	}
 	if rpq := batch.RoundsPerQuery(); rpq >= 0.5 {
 		t.Fatalf("amortized %.3f rounds/query at k=64, want < 0.5", rpq)
 	}
 
-	// A lone Connected still pays its own two rounds.
-	d.Connected(0, 1)
-	qs = d.Cluster().Stats().Queries()
-	if single := qs[len(qs)-1]; single.Queries != 1 || single.Rounds != 2 {
+	// A lone read still pays its own two rounds.
+	_, st = d.ApplyOps([]graph.Op{graph.OpQConnected(0, 1)})
+	if single := st.Queries; single.Queries != 1 || single.Rounds != 2 {
 		t.Fatalf("lone query window %+v, want 1 query over 2 rounds", single)
 	}
 }
 
-// TestComponentOfProtocol pins the protocol ComponentOf: it matches the
+// TestComponentOfProtocol pins the protocol component read: it matches the
 // CompOf validation oracle, costs one round, and is accounted as a query.
 func TestComponentOfProtocol(t *testing.T) {
 	const n = 24
 	d := New(Config{N: n, ExpectedEdges: 100})
 	for i := 0; i < 10; i++ {
-		d.Insert(i, i+1, 1)
+		ins(d, i, i+1, 1)
 	}
 	for v := 0; v < n; v++ {
-		if got, want := d.ComponentOf(v), d.CompOf(v); got != want {
-			t.Fatalf("ComponentOf(%d) = %d, oracle %d", v, got, want)
+		res, st := d.ApplyOps([]graph.Op{graph.OpQComponentOf(v)})
+		if got, want := res[0].Int, d.CompOf(v); got != want {
+			t.Fatalf("OpComponentOf(%d) = %d, oracle %d", v, got, want)
 		}
-	}
-	qs := d.Cluster().Stats().Queries()
-	if len(qs) != n {
-		t.Fatalf("%d query windows, want %d", len(qs), n)
-	}
-	for _, q := range qs {
-		if q.Rounds != 1 || q.Queries != 1 {
-			t.Fatalf("component query window %+v, want 1 query over 1 round", q)
+		if q := st.Queries; q.Rounds != 1 || q.Queries != 1 || st.Updates.Rounds != 0 {
+			t.Fatalf("component query window %+v, want 1 query over 1 round", st)
 		}
 	}
 }
 
 // TestQueryInsideBatchPanics pins the exclusivity rule end to end through
-// dyncon: opening the query path while a batch window is live is a driver
-// bug and must panic, naming the window conflict.
+// dyncon: running an op while another accounting window is live is a
+// driver bug and must panic, naming the window conflict.
 func TestQueryInsideBatchPanics(t *testing.T) {
 	d := New(Config{N: 8, ExpectedEdges: 32})
-	d.Insert(0, 1, 1)
+	ins(d, 0, 1, 1)
 	defer func() {
 		r := recover()
 		if r == nil {
-			t.Fatal("expected panic for query inside a batch window")
+			t.Fatal("expected panic for a query inside an open window")
 		}
 		if msg, ok := r.(string); !ok || !strings.Contains(msg, "mutually exclusive") {
 			t.Fatalf("panic %v does not name the window conflict", r)
 		}
 	}()
-	d.Cluster().BeginBatch(4)
-	d.Connected(0, 1)
+	d.Cluster().BeginUpdate()
+	connected(d, 0, 1)
 }

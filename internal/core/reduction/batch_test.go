@@ -8,10 +8,11 @@ import (
 	"dmpc/internal/seqdyn"
 )
 
-// TestBatchSequentialReplay pins the §7 fallback: a batch costs exactly
-// the sum of its updates' round costs (no sharing — the simulation is
-// serial at the compute machine), and the wrapped structure's answers
-// still match the oracle.
+// TestBatchSequentialReplay pins the §7 batch story: the simulation is
+// serial at the compute machine, so a batch is its updates replayed one
+// window at a time — the cluster spends exactly the sum of the returned
+// per-update windows' rounds on it, nothing shared and nothing unbilled —
+// and the wrapped structure's answers still match the oracle.
 func TestBatchSequentialReplay(t *testing.T) {
 	const n = 32
 	rng := rand.New(rand.NewSource(31))
@@ -21,17 +22,17 @@ func TestBatchSequentialReplay(t *testing.T) {
 	w := NewWrapped(sim, HDTTarget{H: seqdyn.NewHDT(n)})
 	g := graph.New(n)
 	for _, b := range graph.Chunk(stream, 16) {
-		before := len(sim.Cluster().Stats().Updates())
-		st := w.ApplyBatch(b)
-		if st.Updates != len(b) {
-			t.Fatalf("batch stats cover %d updates, want %d", st.Updates, len(b))
-		}
+		before := sim.Cluster().Stats().Rounds
 		sum := 0
-		for _, u := range sim.Cluster().Stats().Updates()[before:] {
+		for _, up := range b {
+			u := w.Update(up)
+			if u.Rounds == 0 {
+				t.Fatalf("update %v billed no rounds", up)
+			}
 			sum += u.Rounds
 		}
-		if st.Rounds != sum {
-			t.Fatalf("batch rounds %d != sum of per-update rounds %d", st.Rounds, sum)
+		if spent := sim.Cluster().Stats().Rounds - before; spent != sum {
+			t.Fatalf("batch spent %d cluster rounds != sum of per-update windows %d", spent, sum)
 		}
 		b.Apply(g)
 	}

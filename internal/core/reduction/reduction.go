@@ -171,22 +171,6 @@ func (w *Wrapped) Update(up graph.Update) mpc.UpdateStats {
 	return w.Sim.EndUpdate()
 }
 
-// ApplyBatch replays the batch sequentially inside one shared batch
-// window. The §7 simulation is inherently serial — every elementary memory
-// operation of the wrapped algorithm is its own request/response exchange
-// at the compute machine — so a batch of k updates costs the sum of the
-// individual O(u(N))-round costs and the amortized rounds per update do
-// not drop with k; batching only unifies the accounting, matching the
-// reduction's O(u(N))-rounds-per-update guarantee (Lemma 7.1). Per-update
-// statistics keep accumulating inside the batch window.
-func (w *Wrapped) ApplyBatch(batch graph.Batch) mpc.BatchStats {
-	w.Sim.Cluster().BeginBatch(len(batch))
-	for _, up := range batch {
-		w.Update(up)
-	}
-	return w.Sim.Cluster().EndBatch()
-}
-
 // --- ready-made targets ---------------------------------------------------
 
 // HDTTarget plugs Holm–de Lichtenberg–Thorup connectivity (the paper's

@@ -2,11 +2,8 @@ package graph
 
 import "math/rand"
 
-// Pair names the two endpoints of a connectivity (or matching) query. A
-// slice of Pairs is the read-side analogue of a Batch: a query batch shares
-// a single scatter/gather round window in the DMPC simulator, so the
-// per-query round cost amortizes exactly like a batch amortizes update
-// rounds.
+// Pair names the two endpoints of a connectivity (or matching) query;
+// workload generators hand out Pairs for callers to lift into query ops.
 type Pair struct {
 	U, V int
 }
@@ -29,7 +26,7 @@ func RandomPairs(n, k int, rng *rand.Rand) []Pair {
 }
 
 // RandomVerts draws k uniform vertex ids on n vertices, the read workload
-// for single-vertex queries (MateOf, ComponentOf).
+// for single-vertex queries (OpMateOf, OpComponentOf).
 func RandomVerts(n, k int, rng *rand.Rand) []int {
 	out := make([]int, k)
 	for i := range out {

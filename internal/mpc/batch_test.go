@@ -12,30 +12,30 @@ func (bounceMachine) HandleRound(ctx *Ctx, inbox []Message) {
 	}
 }
 
-// TestBatchAccounting pins the BatchStats window semantics: rounds between
-// BeginBatch and EndBatch fold into one aggregate, per-update accounting
-// nests inside it, and the amortized helpers report against the batch's
-// update count.
+// TestBatchAccounting pins the BatchStats semantics of a read-free
+// pipeline window: every round between BeginMixed and EndMixed folds into
+// the update half, the amortized helper reports against the window's
+// update count, the window is handed back to the caller, and rounds
+// outside it fold into nothing.
 func TestBatchAccounting(t *testing.T) {
 	c := NewCluster(Config{Machines: 4, MemWords: 64})
 	for i := 0; i < 4; i++ {
 		c.SetMachine(i, bounceMachine{})
 	}
 
-	c.BeginBatch(3)
-	c.BeginUpdate()
+	c.BeginMixed(3, 0)
 	c.Send(Message{From: -1, To: 0, Payload: "ping", Words: 1})
-	c.Run(8)
-	inner := c.EndUpdate()
+	first := c.Run(8)
 	c.Send(Message{From: -1, To: 1, Payload: "ping", Words: 1})
 	c.Run(8)
-	b := c.EndBatch()
+	m := c.EndMixed()
+	b := m.Updates
 
-	if b.Updates != 3 {
-		t.Fatalf("batch covers %d updates, want 3", b.Updates)
+	if b.Updates != 3 || m.Ops != 3 {
+		t.Fatalf("window covers %d updates / %d ops, want 3", b.Updates, m.Ops)
 	}
-	if b.Rounds == 0 || b.Rounds < inner.Rounds {
-		t.Fatalf("batch rounds %d must cover nested update rounds %d", b.Rounds, inner.Rounds)
+	if b.Rounds <= first || b.Rounds != m.Rounds() {
+		t.Fatalf("update half has %d rounds, window %d, first run alone %d", b.Rounds, m.Rounds(), first)
 	}
 	if want := float64(b.Rounds) / 3; b.RoundsPerUpdate() != want {
 		t.Fatalf("RoundsPerUpdate %.3f, want %.3f", b.RoundsPerUpdate(), want)
@@ -43,57 +43,51 @@ func TestBatchAccounting(t *testing.T) {
 	if b.SumWords == 0 || b.MaxActive == 0 {
 		t.Fatalf("batch word/active accounting empty: %+v", b)
 	}
-
-	batches := c.Stats().Batches()
-	if len(batches) != 1 || !batches[0].Equal(b) {
-		t.Fatalf("recorded batches %+v, want [%+v]", batches, b)
-	}
-	rpu, act, words := c.Stats().MeanBatch()
-	if rpu != b.RoundsPerUpdate() || act == 0 || words == 0 {
-		t.Fatalf("MeanBatch = (%.2f, %.2f, %.2f)", rpu, act, words)
+	if m.Queries != (QueryStats{}) {
+		t.Fatalf("read-free window charged its query half: %+v", m.Queries)
 	}
 
-	// Rounds outside any batch window must not fold in.
+	// Rounds outside any window fold into the lifetime totals only.
+	before := c.Stats().Rounds
 	c.Send(Message{From: -1, To: 0, Payload: "ping", Words: 1})
 	c.Run(8)
-	if got := c.Stats().Batches(); len(got) != 1 || got[0].Rounds != b.Rounds {
-		t.Fatal("rounds outside the batch window leaked into the aggregate")
+	if c.Stats().Rounds == before {
+		t.Fatal("out-of-window rounds missing from the lifetime total")
 	}
-
-	if z := c.EndBatch(); !z.Equal(BatchStats{}) {
-		t.Fatalf("EndBatch without BeginBatch = %+v", z)
+	if z := c.EndMixed(); !z.Equal(MixedStats{}) {
+		t.Fatalf("EndMixed without BeginMixed = %+v", z)
 	}
 }
 
-// TestWaveAccounting pins the per-wave attribution inside a batch window:
-// rounds fold into the open wave and the batch simultaneously, scheduling
-// rounds outside waves belong to the batch only, and the wave discipline
-// (waves only inside batches, never nested, closed before EndBatch) is
-// enforced by panics.
+// TestWaveAccounting pins the per-wave attribution inside a pipeline
+// window: rounds fold into the open wave and the window simultaneously,
+// scheduling rounds outside waves belong to the window only, and the wave
+// discipline (waves only inside windows, never nested, closed before
+// EndMixed) is enforced by panics.
 func TestWaveAccounting(t *testing.T) {
 	c := NewCluster(Config{Machines: 4, MemWords: 64})
 	for i := 0; i < 4; i++ {
 		c.SetMachine(i, bounceMachine{})
 	}
 
-	c.BeginBatch(5)
-	c.BeginWave(3)
+	c.BeginMixed(5, 0)
+	c.BeginMixedWave(3, 0)
 	c.Send(Message{From: -1, To: 0, Payload: "ping", Words: 1})
 	c.Run(8)
-	w1 := c.EndWave()
+	w1 := c.EndMixedWave()
 	c.Send(Message{From: -1, To: 1, Payload: "ping", Words: 1}) // scheduling traffic outside any wave
 	c.Run(8)
-	c.BeginWave(2)
+	c.BeginMixedWave(2, 0)
 	c.Send(Message{From: -1, To: 2, Payload: "ping", Words: 1})
 	c.Run(8)
-	c.EndWave()
-	b := c.EndBatch()
+	c.EndMixedWave()
+	b := c.EndMixed().Updates
 
 	if len(b.Waves) != 2 {
-		t.Fatalf("batch recorded %d waves, want 2", len(b.Waves))
+		t.Fatalf("window recorded %d waves, want 2", len(b.Waves))
 	}
 	if b.Waves[0] != w1 {
-		t.Fatalf("EndWave returned %+v, batch recorded %+v", w1, b.Waves[0])
+		t.Fatalf("EndMixedWave returned %+v, window recorded %+v", w1, b.Waves[0])
 	}
 	if b.Waves[0].Updates != 3 || b.Waves[1].Updates != 2 {
 		t.Fatalf("wave widths (%d,%d), want (3,2)", b.Waves[0].Updates, b.Waves[1].Updates)
@@ -102,7 +96,7 @@ func TestWaveAccounting(t *testing.T) {
 		t.Fatalf("wave rounds empty: %+v", b.Waves)
 	}
 	if sum := b.Waves[0].Rounds + b.Waves[1].Rounds; sum >= b.Rounds {
-		t.Fatalf("wave rounds %d should undercount batch rounds %d (scheduling rounds are batch-only)", sum, b.Rounds)
+		t.Fatalf("wave rounds %d should undercount window rounds %d (scheduling rounds are window-only)", sum, b.Rounds)
 	}
 
 	mustPanic := func(name string, f func()) {
@@ -114,12 +108,12 @@ func TestWaveAccounting(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("BeginWave outside batch", func() { c.BeginWave(1) })
-	c.BeginBatch(1)
-	c.BeginWave(1)
-	mustPanic("nested BeginWave", func() { c.BeginWave(1) })
-	mustPanic("EndBatch with open wave", func() { c.EndBatch() })
-	c.EndWave()
-	mustPanic("EndWave without wave", func() { c.EndWave() })
-	c.EndBatch()
+	mustPanic("BeginMixedWave outside window", func() { c.BeginMixedWave(1, 0) })
+	c.BeginMixed(1, 0)
+	c.BeginMixedWave(1, 0)
+	mustPanic("nested BeginMixedWave", func() { c.BeginMixedWave(1, 0) })
+	mustPanic("EndMixed with open wave", func() { c.EndMixed() })
+	c.EndMixedWave()
+	mustPanic("EndMixedWave without wave", func() { c.EndMixedWave() })
+	c.EndMixed()
 }

@@ -4,9 +4,8 @@ import "testing"
 
 // TestMixedAttribution pins the MixedStats attribution rule: rounds of
 // update-bearing waves and out-of-wave scheduling rounds fold into the
-// update half, rounds of query-only waves fold into the query half, the
-// halves always partition the window, and the halves land on the Batches
-// and Queries logs so the aggregate means cover mixed runs.
+// update half, rounds of query-only waves fold into the query half, and
+// the halves always partition the window.
 func TestMixedAttribution(t *testing.T) {
 	c := NewCluster(Config{Machines: 4, MemWords: 64})
 	for i := 0; i < 4; i++ {
@@ -62,26 +61,12 @@ func TestMixedAttribution(t *testing.T) {
 	if want := float64(m.Rounds()) / 5; m.RoundsPerOp() != want {
 		t.Fatalf("RoundsPerOp %.3f, want %.3f", m.RoundsPerOp(), want)
 	}
-
-	// Halves recorded on the shared logs.
-	if bs := c.Stats().Batches(); len(bs) != 1 || !bs[0].Equal(m.Updates) {
-		t.Fatalf("update half not on the batch log: %+v", bs)
-	}
-	if qs := c.Stats().Queries(); len(qs) != 1 || qs[0] != m.Queries {
-		t.Fatalf("query half not on the query log: %+v", qs)
-	}
-	if ms := c.Stats().Mixed(); len(ms) != 1 || !ms[0].Equal(m) {
-		t.Fatalf("mixed log wrong: %+v", ms)
-	}
-	rpo, ur, qr := c.Stats().MeanMixed()
-	if rpo != m.RoundsPerOp() || ur != m.Updates.Rounds || qr != m.Queries.Rounds {
-		t.Fatalf("MeanMixed = (%.3f, %d, %d)", rpo, ur, qr)
-	}
 }
 
-// TestMixedHalvesSkipEmpty pins that an all-update mixed window records no
-// empty query window (which would pollute MeanQuery) and an all-query one
-// records no empty batch window.
+// TestMixedHalvesSkipEmpty pins that the half a window has no ops for
+// stays empty: an all-update window charges nothing to its query half and
+// an all-query window nothing to its update half, so a fold over returned
+// windows never counts phantom rounds.
 func TestMixedHalvesSkipEmpty(t *testing.T) {
 	c := NewCluster(Config{Machines: 2, MemWords: 64})
 	c.SetMachine(0, bounceMachine{})
@@ -92,12 +77,12 @@ func TestMixedHalvesSkipEmpty(t *testing.T) {
 	c.Send(Message{From: -1, To: 0, Payload: "ping", Words: 1})
 	c.Run(8)
 	c.EndMixedWave()
-	c.EndMixed()
-	if qs := c.Stats().Queries(); len(qs) != 0 {
-		t.Fatalf("all-update window recorded a query window: %+v", qs)
+	m := c.EndMixed()
+	if m.Queries != (QueryStats{}) {
+		t.Fatalf("all-update window charged its query half: %+v", m.Queries)
 	}
-	if bs := c.Stats().Batches(); len(bs) != 1 {
-		t.Fatalf("all-update window missing from the batch log: %+v", bs)
+	if m.Updates.Rounds == 0 || len(m.Updates.Waves) != 1 {
+		t.Fatalf("all-update window missing its update half: %+v", m.Updates)
 	}
 
 	c.BeginMixed(0, 2)
@@ -105,18 +90,19 @@ func TestMixedHalvesSkipEmpty(t *testing.T) {
 	c.Send(Message{From: -1, To: 1, Payload: "ping", Words: 1})
 	c.Run(8)
 	c.EndMixedWave()
-	c.EndMixed()
-	if bs := c.Stats().Batches(); len(bs) != 1 {
-		t.Fatalf("all-query window polluted the batch log: %+v", bs)
+	m = c.EndMixed()
+	if !m.Updates.Equal(BatchStats{}) {
+		t.Fatalf("all-query window charged its update half: %+v", m.Updates)
 	}
-	if qs := c.Stats().Queries(); len(qs) != 1 || qs[0].Queries != 2 {
-		t.Fatalf("all-query window missing from the query log: %+v", qs)
+	if m.Queries.Queries != 2 || m.Queries.Rounds == 0 {
+		t.Fatalf("all-query window missing its query half: %+v", m.Queries)
 	}
 }
 
-// TestMixedWindowExclusivity pins that mixed windows refuse to nest with
-// every other accounting class in both directions, preserving the window-
-// exclusivity invariant the query/update split established.
+// TestMixedWindowExclusivity pins that the two window kinds — the
+// pipeline's mixed window and the plain update window — refuse to nest
+// with each other and with themselves, so no round is ever billed twice
+// or to a window that silently replaced the one it belonged to.
 func TestMixedWindowExclusivity(t *testing.T) {
 	wantPanic := func(name string, f func()) {
 		t.Helper()
@@ -133,21 +119,20 @@ func TestMixedWindowExclusivity(t *testing.T) {
 	c := fresh()
 	c.BeginMixed(1, 1)
 	wantPanic("BeginUpdate inside mixed", func() { c.BeginUpdate() })
-	wantPanic("BeginBatch inside mixed", func() { c.BeginBatch(1) })
-	wantPanic("BeginQueryBatch inside mixed", func() { c.BeginQueryBatch(1) })
 	wantPanic("BeginMixed inside mixed", func() { c.BeginMixed(1, 1) })
 
-	c2 := fresh()
-	c2.BeginBatch(1)
-	wantPanic("BeginMixed inside batch", func() { c2.BeginMixed(1, 1) })
-
-	c3 := fresh()
-	c3.BeginQueryBatch(1)
-	wantPanic("BeginMixed inside query", func() { c3.BeginMixed(1, 1) })
-
 	c4 := fresh()
+	c4.SetMachine(0, bounceMachine{})
 	c4.BeginUpdate()
 	wantPanic("BeginMixed inside update", func() { c4.BeginMixed(1, 1) })
+	// A nested BeginUpdate used to replace the open window, silently
+	// discarding the outer window's rounds.
+	c4.Send(Message{From: -1, To: 0, Payload: "ping", Words: 1})
+	c4.Run(8)
+	wantPanic("BeginUpdate inside update", func() { c4.BeginUpdate() })
+	if u := c4.EndUpdate(); u.Rounds == 0 {
+		t.Fatal("refused nested BeginUpdate still discarded the outer window's rounds")
+	}
 
 	c5 := fresh()
 	wantPanic("BeginMixedWave outside mixed", func() { c5.BeginMixedWave(1, 0) })
@@ -159,9 +144,7 @@ func TestMixedWindowExclusivity(t *testing.T) {
 	wantPanic("EndMixedWave without wave", func() { c5.EndMixedWave() })
 	c5.EndMixed()
 
-	// A closed mixed window releases the cluster for every other class.
-	c5.BeginBatch(1)
-	c5.EndBatch()
-	c5.BeginQueryBatch(1)
-	c5.EndQueryBatch()
+	// A closed mixed window releases the cluster for the other kind.
+	c5.BeginUpdate()
+	c5.EndUpdate()
 }

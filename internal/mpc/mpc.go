@@ -143,40 +143,39 @@ func (u *UpdateStats) Add(r RoundStats) {
 	}
 }
 
-// WaveStats attributes a slice of a batch window to one concurrent wave: a
-// set of updates the algorithm executed simultaneously because they were
+// WaveStats attributes a slice of a mixed window to one concurrent wave: a
+// set of ops the algorithm executed simultaneously because they were
 // pairwise conflict-free at schedule time. Wave widths are the direct
-// measure of how much parallelism the batch scheduler extracted — a batch
-// whose waves are all width 1 degenerates to sequential replay — and the
-// word columns expose how close a wave's packing came to the per-round cap
-// S, the budget the shared scheduler (internal/sched) packs against.
+// measure of how much parallelism the scheduler extracted — a window whose
+// waves are all width 1 degenerates to sequential replay — and the word
+// columns expose how close a wave's packing came to the per-round cap S,
+// the budget the shared scheduler (internal/sched) packs against.
 type WaveStats struct {
 	Updates  int // wave width: updates executed concurrently in this wave
-	Queries  int // reads sequenced into this wave (mixed op windows only)
+	Queries  int // reads sequenced into this wave
 	Rounds   int // rounds attributed to this wave
 	SumWords int // words communicated over the wave's rounds
 	MaxWords int // peak words in any round of the wave
 }
 
-// BatchStats aggregates the rounds spent processing one batch of k dynamic
-// updates that share a single round-accounting window. Where UpdateStats
-// charges every update its own rounds, a batch charges the whole window
+// BatchStats is the update half of a mixed window: the rounds spent on the
+// window's k updates, which share one round-accounting window. Where
+// UpdateStats charges every update its own rounds, the window is charged
 // once, so RoundsPerUpdate reports the amortized cost the batch-dynamic
-// model (Nowicki–Onak, arXiv:2002.07800) optimizes for. Waves, when the
-// algorithm declares them via BeginWave/EndWave, break the window down per
-// concurrent wave; scheduling rounds outside any wave belong to the batch
-// only.
+// model (Nowicki–Onak, arXiv:2002.07800) optimizes for. Waves breaks the
+// half down per update-bearing wave; scheduling rounds outside any wave
+// belong to the half only.
 type BatchStats struct {
 	Updates   int // k, the number of updates covered by the window
 	Rounds    int
-	MaxActive int // max active machines over the batch's rounds
+	MaxActive int // max active machines over the half's rounds
 	SumActive int
-	MaxWords  int // max communicated words in any round of the batch
+	MaxWords  int // max communicated words in any round of the half
 	SumWords  int
 	Waves     []WaveStats // per-wave attribution, in execution order
 }
 
-// Add folds a round into the batch aggregate.
+// Add folds a round into the aggregate.
 func (b *BatchStats) Add(r RoundStats) {
 	b.Rounds++
 	b.SumActive += r.Active
@@ -190,7 +189,7 @@ func (b *BatchStats) Add(r RoundStats) {
 }
 
 // Equal reports deep equality, including the per-wave attribution.
-// (BatchStats holds a slice, so == no longer compiles.)
+// (BatchStats holds a slice, so == does not compile.)
 func (b BatchStats) Equal(o BatchStats) bool {
 	if b.Updates != o.Updates || b.Rounds != o.Rounds ||
 		b.MaxActive != o.MaxActive || b.SumActive != o.SumActive ||
@@ -206,7 +205,7 @@ func (b BatchStats) Equal(o BatchStats) bool {
 	return true
 }
 
-// RoundsPerUpdate returns the amortized rounds per update of the batch.
+// RoundsPerUpdate returns the amortized rounds per update of the window.
 func (b BatchStats) RoundsPerUpdate() float64 {
 	if b.Updates == 0 {
 		return 0
@@ -214,18 +213,17 @@ func (b BatchStats) RoundsPerUpdate() float64 {
 	return float64(b.Rounds) / float64(b.Updates)
 }
 
-// QueryStats aggregates the rounds spent answering one query — or one batch
-// of k queries sharing a single scatter/gather round window. Queries are a
-// first-class accounting class: their rounds never fold into an update or
-// batch window (the two window kinds are mutually exclusive), so
-// rounds-per-update figures stay comparable across read-free and read-heavy
-// workloads, and RoundsPerQuery reports the amortized §5 query cost.
+// QueryStats is the query half of a mixed window: the rounds of its
+// query-only waves, shared by the window's k queries. Its rounds never
+// fold into the update half, so rounds-per-update figures stay comparable
+// across read-free and read-heavy workloads, and RoundsPerQuery reports
+// the amortized §5 query cost.
 type QueryStats struct {
 	Queries   int // k, the number of queries covered by the window
 	Rounds    int
-	MaxActive int // max active machines over the window's rounds
+	MaxActive int // max active machines over the half's rounds
 	SumActive int
-	MaxWords  int // max communicated words in any round of the window
+	MaxWords  int // max communicated words in any round of the half
 	SumWords  int
 }
 
@@ -250,17 +248,16 @@ func (q QueryStats) RoundsPerQuery() float64 {
 	return float64(q.Rounds) / float64(q.Queries)
 }
 
-// MixedStats aggregates one mixed op window: a single scheduled pipeline
-// processing updates *and* queries, with the rounds attributed to the two
-// accounting halves without ever letting one leak into the other. The
-// attribution rule is per wave: a round folds into the query half iff the
-// open wave is query-only (it executes reads and nothing else); every
-// other round — update-bearing waves, scheduling and drain rounds outside
-// any wave — folds into the update half. A query sequenced into an
-// update-bearing wave therefore rides that wave's rounds for free, which
-// is exactly the batch-dynamic win the mixed pipeline exists to measure,
-// while the update half stays comparable to a pure BatchStats window over
-// the same updates.
+// MixedStats aggregates one pipeline window: a single scheduled run of
+// updates *and* queries, with the rounds attributed to the two accounting
+// halves without ever letting one leak into the other. The attribution
+// rule is per wave: a round folds into the query half iff the open wave
+// is query-only (it executes reads and nothing else); every other round —
+// update-bearing waves, scheduling and drain rounds outside any wave —
+// folds into the update half. A query sequenced into an update-bearing
+// wave therefore rides that wave's rounds for free, which is exactly the
+// batch-dynamic win the pipeline exists to measure, while the update half
+// of a read-free window is the whole window.
 type MixedStats struct {
 	Ops     int         // updates + queries covered by the window
 	Updates BatchStats  // update half; its Waves hold the update-bearing waves
@@ -279,7 +276,7 @@ func (m MixedStats) Rounds() int { return m.Updates.Rounds + m.Queries.Rounds }
 
 // RoundsPerOp returns the amortized rounds per op of the window — the
 // figure a mixed workload optimizes for, and the one the AutoBatcher
-// sizes k against on mixed streams.
+// sizes k against.
 func (m MixedStats) RoundsPerOp() float64 {
 	if m.Ops == 0 {
 		return 0
@@ -306,7 +303,10 @@ func (m MixedStats) Equal(o MixedStats) bool {
 	return true
 }
 
-// Stats is the lifetime accounting of a cluster.
+// Stats is the lifetime accounting of a cluster: running totals plus the
+// windows currently open. Closed windows are returned to whoever opened
+// them (EndUpdate, EndMixed) and never retained, so a cluster's footprint
+// does not grow with the number of windows it has served.
 type Stats struct {
 	Rounds        int
 	Messages      int
@@ -314,149 +314,10 @@ type Stats struct {
 	PeakMemWords  int
 	Violations    int
 	pairWords     map[[2]int]int // communication volume per (from,to) pair
-	updates       []UpdateStats
 	currentUpdate *UpdateStats
-	batches       []BatchStats
-	currentBatch  *BatchStats
-	currentWave   *WaveStats
-	queries       []QueryStats
-	currentQuery  *QueryStats
-	mixed         []MixedStats
 	currentMixed  *MixedStats
+	currentWave   *WaveStats
 	waveTenants   []TenantCount // tenant census of the open mixed wave
-}
-
-// Updates returns per-update statistics recorded between BeginUpdate and
-// EndUpdate calls. The returned slice is owned by the caller.
-func (s *Stats) Updates() []UpdateStats {
-	out := make([]UpdateStats, len(s.updates))
-	copy(out, s.updates)
-	return out
-}
-
-// Batches returns per-batch statistics recorded between BeginBatch and
-// EndBatch calls. The returned slice is owned by the caller.
-func (s *Stats) Batches() []BatchStats {
-	out := make([]BatchStats, len(s.batches))
-	copy(out, s.batches)
-	return out
-}
-
-// Queries returns per-window query statistics recorded between
-// BeginQuery/BeginQueryBatch and EndQuery/EndQueryBatch calls. The returned
-// slice is owned by the caller.
-func (s *Stats) Queries() []QueryStats {
-	out := make([]QueryStats, len(s.queries))
-	copy(out, s.queries)
-	return out
-}
-
-// Mixed returns per-window mixed op statistics recorded between
-// BeginMixed and EndMixed calls. The returned slice is owned by the
-// caller. Each window's halves are additionally recorded in Batches and
-// Queries (when non-empty), so the aggregate means keep covering mixed
-// runs.
-func (s *Stats) Mixed() []MixedStats {
-	out := make([]MixedStats, len(s.mixed))
-	copy(out, s.mixed)
-	return out
-}
-
-// MeanMixed returns the amortized rounds per op over all recorded mixed
-// windows, plus the totals of the two halves.
-func (s *Stats) MeanMixed() (roundsPerOp float64, updateRounds, queryRounds int) {
-	var ops int
-	for _, m := range s.mixed {
-		ops += m.Ops
-		updateRounds += m.Updates.Rounds
-		queryRounds += m.Queries.Rounds
-	}
-	if ops > 0 {
-		roundsPerOp = float64(updateRounds+queryRounds) / float64(ops)
-	}
-	return roundsPerOp, updateRounds, queryRounds
-}
-
-// MeanQuery returns the amortized rounds per query, plus mean active
-// machines and words per round, over all recorded query windows.
-func (s *Stats) MeanQuery() (roundsPerQuery, activePerRound, wordsPerRound float64) {
-	var qs, r, a, w int
-	for _, q := range s.queries {
-		qs += q.Queries
-		r += q.Rounds
-		a += q.SumActive
-		w += q.SumWords
-	}
-	if qs > 0 {
-		roundsPerQuery = float64(r) / float64(qs)
-	}
-	if r > 0 {
-		activePerRound = float64(a) / float64(r)
-		wordsPerRound = float64(w) / float64(r)
-	}
-	return roundsPerQuery, activePerRound, wordsPerRound
-}
-
-// MeanBatch returns the amortized rounds per update, plus mean active
-// machines and words per round, over all recorded batches.
-func (s *Stats) MeanBatch() (roundsPerUpdate, activePerRound, wordsPerRound float64) {
-	var upd, r, a, w int
-	for _, b := range s.batches {
-		upd += b.Updates
-		r += b.Rounds
-		a += b.SumActive
-		w += b.SumWords
-	}
-	if upd > 0 {
-		roundsPerUpdate = float64(r) / float64(upd)
-	}
-	if r > 0 {
-		activePerRound = float64(a) / float64(r)
-		wordsPerRound = float64(w) / float64(r)
-	}
-	return roundsPerUpdate, activePerRound, wordsPerRound
-}
-
-// WorstUpdate returns the element-wise maxima over all recorded updates,
-// i.e. the measured worst-case per-update complexity.
-func (s *Stats) WorstUpdate() UpdateStats {
-	var w UpdateStats
-	for _, u := range s.updates {
-		if u.Rounds > w.Rounds {
-			w.Rounds = u.Rounds
-		}
-		if u.MaxActive > w.MaxActive {
-			w.MaxActive = u.MaxActive
-		}
-		if u.MaxWords > w.MaxWords {
-			w.MaxWords = u.MaxWords
-		}
-		w.SumActive += u.SumActive
-		w.SumWords += u.SumWords
-	}
-	return w
-}
-
-// MeanUpdate returns the mean rounds, active machines per round and words
-// per round over all recorded updates.
-func (s *Stats) MeanUpdate() (rounds, activePerRound, wordsPerRound float64) {
-	if len(s.updates) == 0 {
-		return 0, 0, 0
-	}
-	var r, a, w, rr int
-	for _, u := range s.updates {
-		r += u.Rounds
-		a += u.SumActive
-		w += u.SumWords
-		rr += u.Rounds
-	}
-	n := float64(len(s.updates))
-	rounds = float64(r) / n
-	if rr > 0 {
-		activePerRound = float64(a) / float64(rr)
-		wordsPerRound = float64(w) / float64(rr)
-	}
-	return rounds, activePerRound, wordsPerRound
 }
 
 // Cluster is a simulated DMPC cluster. It is not safe for concurrent use by
@@ -542,13 +403,15 @@ func (c *Cluster) Backend() BackendKind { return c.cfg.Backend }
 // Close is idempotent and a no-op for the sim backend.
 func (c *Cluster) Close() { c.backend.Close() }
 
-// BeginUpdate starts per-update accounting; every subsequent round is folded
-// into the update until EndUpdate. Update and query windows are mutually
-// exclusive: opening one inside the other is a driver bug that would let
-// rounds leak across accounting classes, so it panics.
+// BeginUpdate starts a plain update window; every subsequent round is
+// folded into it until EndUpdate. This is the window of the drivers that
+// run outside the op pipeline — the static baselines, the §7 reduction and
+// amm's fixed-schedule per-update cycle. Windows never nest or overlap:
+// opening one while an update or mixed window is live would let rounds
+// leak across accounting classes, so it panics.
 func (c *Cluster) BeginUpdate() {
-	if c.stats.currentQuery != nil {
-		panic("mpc: BeginUpdate inside an open query window (update and query accounting are mutually exclusive)")
+	if c.stats.currentUpdate != nil {
+		panic("mpc: BeginUpdate inside an open update window (close it with EndUpdate first)")
 	}
 	if c.stats.currentMixed != nil {
 		panic("mpc: BeginUpdate inside an open mixed window (window kinds are mutually exclusive)")
@@ -556,119 +419,24 @@ func (c *Cluster) BeginUpdate() {
 	c.stats.currentUpdate = &UpdateStats{}
 }
 
-// EndUpdate finishes per-update accounting and records the aggregate.
+// EndUpdate closes the update window and returns its aggregate.
 func (c *Cluster) EndUpdate() UpdateStats {
 	u := c.stats.currentUpdate
 	c.stats.currentUpdate = nil
 	if u == nil {
 		return UpdateStats{}
 	}
-	c.stats.updates = append(c.stats.updates, *u)
 	return *u
 }
 
-// BeginBatch starts batch accounting for k updates sharing one round
-// window; every subsequent round is folded into the batch until EndBatch.
-// Per-update accounting (BeginUpdate/EndUpdate) may nest inside a batch:
-// rounds then fold into both aggregates. Query windows may not: see
-// BeginQueryBatch.
-func (c *Cluster) BeginBatch(k int) {
-	if c.stats.currentQuery != nil {
-		panic("mpc: BeginBatch inside an open query window (update and query accounting are mutually exclusive)")
-	}
-	if c.stats.currentMixed != nil {
-		panic("mpc: BeginBatch inside an open mixed window (window kinds are mutually exclusive)")
-	}
-	c.stats.currentBatch = &BatchStats{Updates: k}
-}
-
-// EndBatch finishes batch accounting and records the aggregate. An open
-// wave is a driver bug (its rounds would be misattributed), so it panics.
-func (c *Cluster) EndBatch() BatchStats {
-	if c.stats.currentWave != nil {
-		panic("mpc: EndBatch with an open wave (close it with EndWave first)")
-	}
-	b := c.stats.currentBatch
-	c.stats.currentBatch = nil
-	if b == nil {
-		return BatchStats{}
-	}
-	c.stats.batches = append(c.stats.batches, *b)
-	return *b
-}
-
-// BeginWave starts per-wave attribution inside an open batch window: the
-// algorithm declares that the next rounds execute k conflict-free updates
-// concurrently. Rounds fold into both the wave and the batch until EndWave.
-// Waves only exist inside batches and never nest.
-func (c *Cluster) BeginWave(k int) {
-	if c.stats.currentBatch == nil {
-		panic("mpc: BeginWave outside a batch window")
-	}
-	if c.stats.currentWave != nil {
-		panic("mpc: BeginWave inside an open wave (close it with EndWave first)")
-	}
-	c.stats.currentWave = &WaveStats{Updates: k}
-}
-
-// EndWave finishes the current wave and records it on the open batch.
-func (c *Cluster) EndWave() WaveStats {
-	w := c.stats.currentWave
-	if w == nil {
-		panic("mpc: EndWave without an open wave")
-	}
-	c.stats.currentWave = nil
-	c.stats.currentBatch.Waves = append(c.stats.currentBatch.Waves, *w)
-	return *w
-}
-
-// BeginQuery starts query accounting for a single query; every subsequent
-// round is folded into the query window until EndQuery. See BeginQueryBatch
-// for the window-exclusivity rule.
-func (c *Cluster) BeginQuery() { c.BeginQueryBatch(1) }
-
-// EndQuery finishes a single-query window and records the aggregate.
-func (c *Cluster) EndQuery() QueryStats { return c.EndQueryBatch() }
-
-// BeginQueryBatch starts query accounting for k queries sharing one
-// scatter/gather round window; every subsequent round is folded into the
-// window until EndQueryBatch. Query windows are mutually exclusive with
-// update/batch windows: a query window opened while BeginUpdate/BeginBatch
-// accounting is live (or vice versa) would fold read rounds into
-// rounds-per-update figures, so it panics instead.
-func (c *Cluster) BeginQueryBatch(k int) {
-	if c.stats.currentUpdate != nil || c.stats.currentBatch != nil {
-		panic("mpc: BeginQueryBatch inside an open update/batch window (update and query accounting are mutually exclusive)")
-	}
-	if c.stats.currentMixed != nil {
-		panic("mpc: BeginQueryBatch inside an open mixed window (window kinds are mutually exclusive)")
-	}
-	if c.stats.currentQuery != nil {
-		panic("mpc: BeginQueryBatch inside an open query window (close it with EndQueryBatch first)")
-	}
-	c.stats.currentQuery = &QueryStats{Queries: k}
-}
-
-// EndQueryBatch finishes query accounting and records the aggregate.
-func (c *Cluster) EndQueryBatch() QueryStats {
-	q := c.stats.currentQuery
-	c.stats.currentQuery = nil
-	if q == nil {
-		return QueryStats{}
-	}
-	c.stats.queries = append(c.stats.queries, *q)
-	return *q
-}
-
-// BeginMixed starts mixed op accounting for a window covering updates
-// writes and queries reads scheduled through one pipeline. Mixed windows
-// are mutually exclusive with every other window kind — their whole point
-// is to attribute each round to exactly one of the two halves (see
-// MixedStats), so opening one inside another accounting class panics.
-// Within the window, waves are declared with BeginMixedWave/EndMixedWave.
+// BeginMixed starts the pipeline window of one ApplyOps call, covering
+// updates writes and queries reads. Its whole point is to attribute each
+// round to exactly one of the two halves (see MixedStats), so opening one
+// inside another window panics. Within the window, waves are declared
+// with BeginMixedWave/EndMixedWave.
 func (c *Cluster) BeginMixed(updates, queries int) {
-	if c.stats.currentUpdate != nil || c.stats.currentBatch != nil || c.stats.currentQuery != nil {
-		panic("mpc: BeginMixed inside an open update/batch/query window (window kinds are mutually exclusive)")
+	if c.stats.currentUpdate != nil {
+		panic("mpc: BeginMixed inside an open update window (window kinds are mutually exclusive)")
 	}
 	if c.stats.currentMixed != nil {
 		panic("mpc: BeginMixed inside an open mixed window (close it with EndMixed first)")
@@ -680,11 +448,8 @@ func (c *Cluster) BeginMixed(updates, queries int) {
 	}
 }
 
-// EndMixed finishes mixed accounting and records the aggregate. The two
-// halves are additionally recorded on the Batches and Queries logs (when
-// they cover any ops or rounds), so MeanBatch/MeanQuery and the wave
-// histograms transparently include mixed runs. An open wave panics, as in
-// EndBatch.
+// EndMixed closes the pipeline window and returns its aggregate. An open
+// wave is a driver bug (its rounds would be misattributed), so it panics.
 func (c *Cluster) EndMixed() MixedStats {
 	if c.stats.currentWave != nil {
 		panic("mpc: EndMixed with an open wave (close it with EndMixedWave first)")
@@ -695,13 +460,6 @@ func (c *Cluster) EndMixed() MixedStats {
 		return MixedStats{}
 	}
 	c.stats.shareLeftoverRounds(m)
-	c.stats.mixed = append(c.stats.mixed, *m)
-	if m.Updates.Updates > 0 || m.Updates.Rounds > 0 {
-		c.stats.batches = append(c.stats.batches, m.Updates)
-	}
-	if m.Queries.Queries > 0 || m.Queries.Rounds > 0 {
-		c.stats.queries = append(c.stats.queries, m.Queries)
-	}
 	return *m
 }
 
@@ -714,18 +472,15 @@ func (c *Cluster) BeginMixedWave(updates, queries int) {
 	c.BeginMixedWaveTenants(updates, queries, nil)
 }
 
-// EndMixedWave finishes the current mixed wave and records it on the open
-// mixed window (update-bearing waves additionally on the update half's
-// wave log, keeping it shaped like a pure batch window).
+// EndMixedWave finishes the current wave and records it on the open mixed
+// window (update-bearing waves additionally on the update half's wave
+// log).
 func (c *Cluster) EndMixedWave() WaveStats {
 	w := c.stats.currentWave
 	if w == nil {
 		panic("mpc: EndMixedWave without an open wave")
 	}
 	m := c.stats.currentMixed
-	if m == nil {
-		panic("mpc: EndMixedWave outside a mixed window")
-	}
 	c.stats.currentWave = nil
 	m.Waves = append(m.Waves, *w)
 	if w.Updates > 0 {
@@ -751,30 +506,25 @@ func (c *Cluster) Round() RoundStats {
 	c.stats.Rounds++
 	c.stats.Messages += rs.Messages
 	c.stats.Words += rs.Words
-	if c.stats.currentUpdate != nil {
-		c.stats.currentUpdate.Add(rs)
+	if u := c.stats.currentUpdate; u != nil {
+		u.Add(rs)
 	}
-	if c.stats.currentBatch != nil {
-		c.stats.currentBatch.Add(rs)
-	}
+	w := c.stats.currentWave
 	if m := c.stats.currentMixed; m != nil {
 		// The per-wave attribution rule of MixedStats: query-only waves
 		// feed the query half, everything else feeds the update half.
-		if w := c.stats.currentWave; w != nil && w.Updates == 0 && w.Queries > 0 {
+		if w != nil && w.Updates == 0 && w.Queries > 0 {
 			m.Queries.Add(rs)
 		} else {
 			m.Updates.Add(rs)
 		}
 	}
-	if w := c.stats.currentWave; w != nil {
+	if w != nil {
 		w.Rounds++
 		w.SumWords += rs.Words
 		if rs.Words > w.MaxWords {
 			w.MaxWords = rs.Words
 		}
-	}
-	if c.stats.currentQuery != nil {
-		c.stats.currentQuery.Add(rs)
 	}
 	return rs
 }

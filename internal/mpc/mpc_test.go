@@ -84,13 +84,12 @@ func TestUpdateAccounting(t *testing.T) {
 	if u.MaxActive != 1 || u.MaxWords != 2 {
 		t.Fatalf("update stats = %+v", u)
 	}
-	w := c.Stats().WorstUpdate()
-	if w.Rounds != 3 {
-		t.Fatalf("worst rounds = %d", w.Rounds)
+	if u.SumActive != 3 || u.SumWords != 6 {
+		t.Fatalf("update sums = %+v, want 3 active and 6 words over the chain", u)
 	}
-	r, a, wo := c.Stats().MeanUpdate()
-	if r != 3 || a != 1 || wo != 2 {
-		t.Fatalf("mean = %v %v %v", r, a, wo)
+	// The window is returned, not retained: a second EndUpdate has nothing.
+	if z := c.EndUpdate(); z != (UpdateStats{}) {
+		t.Fatalf("EndUpdate without BeginUpdate = %+v", z)
 	}
 }
 

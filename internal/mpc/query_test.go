@@ -2,24 +2,27 @@ package mpc
 
 import "testing"
 
-// TestQueryAccounting pins the QueryStats window semantics: rounds between
-// BeginQueryBatch and EndQueryBatch fold into one query aggregate — and
-// into no update/batch aggregate — and the amortized helpers report against
-// the window's query count.
+// TestQueryAccounting pins the QueryStats semantics of a read-only
+// pipeline window: the rounds of its query-only wave fold into the query
+// half — and into no update aggregate — and the amortized helper reports
+// against the window's query count.
 func TestQueryAccounting(t *testing.T) {
 	c := NewCluster(Config{Machines: 4, MemWords: 64})
 	for i := 0; i < 4; i++ {
 		c.SetMachine(i, bounceMachine{})
 	}
 
-	c.BeginQueryBatch(8)
+	c.BeginMixed(0, 8)
+	c.BeginMixedWave(0, 8)
 	c.Send(Message{From: -1, To: 0, Payload: "ping", Words: 1})
 	c.Send(Message{From: -1, To: 2, Payload: "ping", Words: 1})
 	c.Run(8)
-	q := c.EndQueryBatch()
+	c.EndMixedWave()
+	m := c.EndMixed()
+	q := m.Queries
 
 	if q.Queries != 8 {
-		t.Fatalf("query window covers %d queries, want 8", q.Queries)
+		t.Fatalf("query half covers %d queries, want 8", q.Queries)
 	}
 	if q.Rounds == 0 || q.SumWords == 0 || q.MaxActive == 0 {
 		t.Fatalf("query accounting empty: %+v", q)
@@ -27,38 +30,19 @@ func TestQueryAccounting(t *testing.T) {
 	if want := float64(q.Rounds) / 8; q.RoundsPerQuery() != want {
 		t.Fatalf("RoundsPerQuery %.3f, want %.3f", q.RoundsPerQuery(), want)
 	}
-	if got := c.Stats().Updates(); len(got) != 0 {
-		t.Fatalf("query rounds recorded as updates: %+v", got)
+	if !m.Updates.Equal(BatchStats{}) {
+		t.Fatalf("query rounds recorded on the update half: %+v", m.Updates)
 	}
-	if got := c.Stats().Batches(); len(got) != 0 {
-		t.Fatalf("query rounds recorded as batches: %+v", got)
-	}
-
-	queries := c.Stats().Queries()
-	if len(queries) != 1 || queries[0] != q {
-		t.Fatalf("recorded query windows %+v, want [%+v]", queries, q)
-	}
-	rpq, act, words := c.Stats().MeanQuery()
-	if rpq != q.RoundsPerQuery() || act == 0 || words == 0 {
-		t.Fatalf("MeanQuery = (%.2f, %.2f, %.2f)", rpq, act, words)
-	}
-
-	// Rounds outside any query window must not fold in.
-	c.Send(Message{From: -1, To: 0, Payload: "ping", Words: 1})
-	c.Run(8)
-	if got := c.Stats().Queries(); len(got) != 1 || got[0].Rounds != q.Rounds {
-		t.Fatal("rounds outside the query window leaked into the aggregate")
-	}
-
-	if z := c.EndQueryBatch(); z != (QueryStats{}) {
-		t.Fatalf("EndQueryBatch without BeginQueryBatch = %+v", z)
+	if m.Rounds() != q.Rounds {
+		t.Fatalf("window has %d rounds, query half %d", m.Rounds(), q.Rounds)
 	}
 }
 
-// TestQueryWindowExclusivity pins the headline bugfix: query rounds can no
-// longer leak into an open update/batch stats window — opening a query
-// window inside an update or batch window (or vice versa) panics instead of
-// silently folding rounds across accounting classes.
+// TestQueryWindowExclusivity pins the headline bugfix of the query
+// pipeline: query rounds cannot leak into an open update window — opening
+// a pipeline window (the only home of query rounds) inside an update
+// window, or vice versa, panics instead of silently folding rounds across
+// accounting classes — while sequential windows leave each other alone.
 func TestQueryWindowExclusivity(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		t.Helper()
@@ -70,54 +54,45 @@ func TestQueryWindowExclusivity(t *testing.T) {
 		f()
 	}
 
-	mustPanic("query inside batch", func() {
-		c := NewCluster(Config{Machines: 2, MemWords: 64})
-		c.BeginBatch(4)
-		c.BeginQuery()
-	})
-	mustPanic("query inside update", func() {
+	mustPanic("queries inside update", func() {
 		c := NewCluster(Config{Machines: 2, MemWords: 64})
 		c.BeginUpdate()
-		c.BeginQueryBatch(2)
+		c.BeginMixed(0, 2)
 	})
-	mustPanic("batch inside query", func() {
+	mustPanic("update inside queries", func() {
 		c := NewCluster(Config{Machines: 2, MemWords: 64})
-		c.BeginQueryBatch(2)
-		c.BeginBatch(4)
-	})
-	mustPanic("update inside query", func() {
-		c := NewCluster(Config{Machines: 2, MemWords: 64})
-		c.BeginQuery()
+		c.BeginMixed(0, 2)
 		c.BeginUpdate()
 	})
-	mustPanic("query inside query", func() {
+	mustPanic("queries inside queries", func() {
 		c := NewCluster(Config{Machines: 2, MemWords: 64})
-		c.BeginQuery()
-		c.BeginQueryBatch(2)
+		c.BeginMixed(0, 1)
+		c.BeginMixed(0, 2)
 	})
 
-	// Sequential windows remain fine: batch, then queries, then a batch.
+	// Sequential windows remain fine: update, then queries, then an update.
 	c := NewCluster(Config{Machines: 4, MemWords: 64})
 	for i := 0; i < 4; i++ {
 		c.SetMachine(i, bounceMachine{})
 	}
-	c.BeginBatch(1)
+	c.BeginUpdate()
 	c.Send(Message{From: -1, To: 0, Payload: "ping", Words: 1})
 	c.Run(8)
-	b1 := c.EndBatch()
-	c.BeginQuery()
+	u1 := c.EndUpdate()
+	c.BeginMixed(0, 1)
+	c.BeginMixedWave(0, 1)
 	c.Send(Message{From: -1, To: 1, Payload: "ping", Words: 1})
 	c.Run(8)
-	c.EndQuery()
-	c.BeginBatch(1)
+	c.EndMixedWave()
+	q := c.EndMixed()
+	c.BeginUpdate()
 	c.Send(Message{From: -1, To: 2, Payload: "ping", Words: 1})
 	c.Run(8)
-	b2 := c.EndBatch()
-	if b1.Rounds != b2.Rounds {
-		t.Fatalf("interleaved query window changed batch accounting: %+v vs %+v", b1, b2)
+	u2 := c.EndUpdate()
+	if u1 != u2 {
+		t.Fatalf("interleaved query window changed update accounting: %+v vs %+v", u1, u2)
 	}
-	if len(c.Stats().Batches()) != 2 || len(c.Stats().Queries()) != 1 {
-		t.Fatalf("window bookkeeping wrong: %d batches, %d query windows",
-			len(c.Stats().Batches()), len(c.Stats().Queries()))
+	if q.Queries.Rounds == 0 || q.Updates.Rounds != 0 {
+		t.Fatalf("query window accounting wrong: %+v", q)
 	}
 }
