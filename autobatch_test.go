@@ -23,9 +23,8 @@ func (f *fakeApply) apply(b Batch) BatchStats {
 	f.sizes = append(f.sizes, len(b))
 	k := len(b)
 	return BatchStats{
-		Updates:  k,
-		Rounds:   int(f.cost(k) * float64(k)),
-		MaxWords: f.words(k),
+		Updates:     k,
+		UpdateStats: UpdateStats{Rounds: int(f.cost(k) * float64(k)), MaxWords: f.words(k)},
 	}
 }
 

@@ -55,8 +55,7 @@ type applyOps = func([]graph.Op) (graph.Results, mpc.MixedStats)
 // window (a read-free window is its update half) in the per-update shape.
 func perOp(apply applyOps, up graph.Update) mpc.UpdateStats {
 	_, st := apply([]graph.Op{graph.OpUpdate(up)})
-	u := st.Updates
-	return mpc.UpdateStats{Rounds: u.Rounds, MaxActive: u.MaxActive, SumActive: u.SumActive, MaxWords: u.MaxWords, SumWords: u.SumWords}
+	return st.Updates.UpdateStats
 }
 
 // perBatch runs each batch as one write-only ApplyOps window.

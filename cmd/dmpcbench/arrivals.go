@@ -110,7 +110,7 @@ func arrivalTable(n, nUpdates int, seed int64) []arrivalRow {
 // boundsOnlyPipeline hides the facade's claims oracle from the Ingestor,
 // so ingestion runs in the foreign-Pipeline regime: no admission control,
 // only the configured bounds cut the stream. With claims on, the
-// Admitter refuses any op that would not fit the forming set's first
+// packer refuses any op that would not fit the forming set's first
 // wave, which caps a chunk's rounds by construction and hides the
 // batch-size/tail trade this table exists to measure.
 type boundsOnlyPipeline struct{ p dmpc.Pipeline }

@@ -88,8 +88,7 @@ type applyOps func([]graph.Op) (graph.Results, mpc.MixedStats)
 func perOp(apply applyOps) updater {
 	return func(up graph.Update) mpc.UpdateStats {
 		_, st := apply([]graph.Op{graph.OpUpdate(up)})
-		u := st.Updates
-		return mpc.UpdateStats{Rounds: u.Rounds, MaxActive: u.MaxActive, SumActive: u.SumActive, MaxWords: u.MaxWords, SumWords: u.SumWords}
+		return st.Updates.UpdateStats
 	}
 }
 

@@ -498,25 +498,11 @@ type AlmostMaximalMatching struct {
 	m *amm.M
 }
 
-// ammStreamItem is the coarse claims oracle of the §6 structure: its
-// epoch scheduler rebuilds data-dependent slices of the matching, so the
-// safe schedule-time view is endpoint-level — updates hold both
-// endpoints exclusively, reads hold their vertex read-shared. Coarser
-// claims only cut the forming stream earlier (Apply itself orders every
-// flushed chunk correctly), so this errs toward latency, never
-// correctness.
-func ammStreamItem(op graph.Op) sched.Item {
-	if op.IsQuery() {
-		return sched.Item{Read: []int64{int64(op.U)}, Tenant: op.Tenant}
-	}
-	return sched.Item{Excl: []int64{int64(op.U), int64(op.V)}, Tenant: op.Tenant}
-}
-
 // NewAlmostMaximalMatching builds the §6 structure.
 func NewAlmostMaximalMatching(n int, eps float64, seed int64, opts ...Option) *AlmostMaximalMatching {
 	o := buildOptions(opts)
 	m := amm.New(amm.Config{N: n, Eps: eps, Seed: seed, Backend: o.backend, Workers: o.workers})
-	return &AlmostMaximalMatching{pipe: newPipe(m.ApplyOps, ammStreamItem, m.Cluster()), m: m}
+	return &AlmostMaximalMatching{pipe: newPipe(m.ApplyOps, m.StreamItem, m.Cluster()), m: m}
 }
 
 // Insert adds an edge through the paper's fixed-schedule per-update cycle

@@ -154,7 +154,7 @@ type Ingestor struct {
 	maxBatch int
 	maxAge   int64
 
-	adm       *sched.Admitter
+	adm       *sched.Admitter // the forming set's packer; nil iff claims is
 	admission map[int]AdmissionPolicy
 	forming   []Op
 	formingAt []int64
@@ -215,20 +215,20 @@ func newIngestor(p Pipeline, cfg IngestorConfig, admission bool) *Ingestor {
 	} else {
 		ing.raw = p.Apply
 	}
-	budget := 0
-	if cl := p.Cluster(); cl != nil {
-		budget = cl.MemWords()
-	}
-	if len(cfg.Weights) > 0 {
-		ing.adm = sched.NewAdmitterFair(budget, sched.NewFair(budget, cfg.Weights))
-	} else {
-		ing.adm = sched.NewAdmitter(budget)
-	}
 	if admission {
 		if cp, ok := p.(interface {
 			streamClaims() func(graph.Op) sched.Item
 		}); ok {
 			ing.claims = cp.streamClaims()
+			budget := 0
+			if cl := p.Cluster(); cl != nil {
+				budget = cl.MemWords()
+			}
+			var fair *sched.Fair // nil = first-fit
+			if len(cfg.Weights) > 0 {
+				fair = sched.NewFair(budget, cfg.Weights)
+			}
+			ing.adm = sched.NewAdmitterFair(budget, fair)
 		}
 	}
 	return ing
@@ -307,9 +307,9 @@ func (ing *Ingestor) Push(a Arrival) {
 	// set would serialize behind it inside one window anyway, so cut the
 	// window now — the set's ops answer sooner and the newcomer starts a
 	// fresh set. Claims are read against the post-last-flush quiescent
-	// state (the FirstWave convention), so they are recomputed after a
+	// state (the packer's convention), so they are recomputed after a
 	// conflict flush moves that state. With Weights configured the
-	// admitter additionally meters each tenant's claim cost against its
+	// packer additionally meters each tenant's claim cost against its
 	// deficit-round-robin share, so a share-exhausted tenant cuts the
 	// window exactly like a conflicting one.
 	if ing.claims != nil {
@@ -454,7 +454,9 @@ func (ing *Ingestor) flushAt(trigger int64, reason int) {
 	ing.forming = ing.forming[:0]
 	ing.formingAt = ing.formingAt[:0]
 	ing.formingQI = ing.formingQI[:0]
-	ing.adm.Reset()
+	if ing.adm != nil {
+		ing.adm.Reset()
+	}
 }
 
 // Ingest is the one-call streaming entry: it builds an Ingestor over the

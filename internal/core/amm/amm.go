@@ -43,6 +43,7 @@ import (
 
 	"dmpc/internal/graph"
 	"dmpc/internal/mpc"
+	"dmpc/internal/sched"
 )
 
 // Config sizes an instance.
@@ -66,6 +67,7 @@ type M struct {
 	cluster *mpc.Cluster
 	shards  []*shard
 	sched   *scheduler
+	packer  *sched.Admitter // cuts update runs into endpoint-disjoint waves
 	seq     int64
 	queryID int64
 }
@@ -93,7 +95,7 @@ func New(cfg Config) *M {
 		levels++
 	}
 	cl := mpc.NewCluster(mpc.Config{Machines: mu + 1, MemWords: 1 << 20, Backend: cfg.Backend, Workers: cfg.Workers})
-	m := &M{cfg: cfg}
+	m := &M{cfg: cfg, packer: sched.NewAdmitterFair(0, nil)}
 	m.cluster = cl
 	m.sched = newScheduler(cfg, mu, levels)
 	cl.SetMachine(0, m.sched)
@@ -169,14 +171,34 @@ func (m *M) update(up graph.Update) mpc.UpdateStats {
 	return m.cluster.EndUpdate()
 }
 
+// StreamItem is the coarse claims oracle of the §6 structure: its epoch
+// scheduler rebuilds data-dependent slices of the matching, so the safe
+// schedule-time view is endpoint-level — updates hold both endpoints
+// exclusively, reads hold their vertex read-shared. injectWaves cuts
+// update runs with it, and the streaming Ingestor its forming set, where
+// coarser claims only flush earlier (ApplyOps itself orders every flushed
+// chunk correctly), so this errs toward latency, never correctness.
+func (m *M) StreamItem(op graph.Op) sched.Item {
+	if op.IsQuery() {
+		return sched.Item{Read: []int64{int64(op.U)}, Tenant: op.Tenant}
+	}
+	return sched.Item{Excl: []int64{int64(op.U), int64(op.V)}, Tenant: op.Tenant}
+}
+
 // injectWaves injects an update run as endpoint-disjoint waves of three
-// rounds each (such updates mutate disjoint vertex state, so they commute
-// exactly), each wave attributed inside the open mixed window.
-func (m *M) injectWaves(run graph.Batch) {
-	for rest := run; len(rest) > 0; {
-		k := rest.DisjointPrefix(0)
+// rounds each — a wave is the longest prefix the packer admits whole, and
+// such updates mutate disjoint vertex state, so they commute exactly —
+// each wave attributed inside the open mixed window.
+func (m *M) injectWaves(run []graph.Op) {
+	for len(run) > 0 {
+		m.packer.Reset()
+		k := 0
+		for k < len(run) && m.packer.Admit(m.StreamItem(run[k])) {
+			k++
+		}
 		m.cluster.BeginMixedWave(k, 0)
-		for _, up := range rest[:k] {
+		for _, op := range run[:k] {
+			up := op.Update()
 			m.seq++
 			m.cluster.Send(mpc.Message{
 				From: -1, To: m.owner(up.U),
@@ -184,7 +206,7 @@ func (m *M) injectWaves(run graph.Batch) {
 				Words:   4,
 			})
 		}
-		rest = rest[k:]
+		run = run[k:]
 		m.cluster.Round() // owners of U process, contact owners of V
 		m.cluster.Round() // owners of V process, reply / report
 		m.cluster.Round() // both-free commits land back at owners of U
@@ -249,11 +271,7 @@ func (m *M) ApplyOps(ops []graph.Op) (graph.Results, mpc.MixedStats) {
 			for j < len(ops) && !ops[j].IsQuery() {
 				j++
 			}
-			run := make(graph.Batch, 0, j-i)
-			for _, op := range ops[i:j] {
-				run = append(run, op.Update())
-			}
-			m.injectWaves(run)
+			m.injectWaves(ops[i:j])
 			m.drainCycles(j - i)
 			i = j
 			continue

@@ -66,3 +66,26 @@ func TestBatchAmortizedRoundsDrop(t *testing.T) {
 			float64(rounds1)/256, float64(rounds64)/256)
 	}
 }
+
+// TestInjectWaveWidths pins how an update run is cut into injection
+// waves: each wave is the longest endpoint-disjoint prefix of what
+// remains (the packer's endpoint-prefix pattern), so (0,1),(2,3) share a
+// wave and (1,4), which touches vertex 1 again, opens the next; the read
+// that follows rides its own query-only wave.
+func TestInjectWaveWidths(t *testing.T) {
+	m := New(Config{N: 8, Seed: 1})
+	_, st := m.ApplyOps([]graph.Op{
+		graph.OpIns(0, 1, 1), graph.OpIns(2, 3, 1), graph.OpIns(1, 4, 1),
+		graph.OpQMateOf(0),
+	})
+	var widths []int
+	for _, w := range st.Updates.Waves {
+		widths = append(widths, w.Updates)
+	}
+	if len(widths) != 2 || widths[0] != 2 || widths[1] != 1 {
+		t.Fatalf("update wave widths = %v, want [2 1]", widths)
+	}
+	if len(st.Waves) != 3 || st.Waves[2].Updates != 0 || st.Waves[2].Queries != 1 {
+		t.Fatalf("window waves = %+v, want two update waves then one read wave", st.Waves)
+	}
+}

@@ -80,9 +80,13 @@ type M struct {
 	coord   *coordinator
 	stats   []*statsMachine
 	storage []*storeMachine
-	fair    *sched.Fair // tenant fairness policy; nil = first-fit
-	seq     int64
-	queryID int64
+	// packer forms every executed wave and carries the tenant policy, if
+	// any; probe is the serial head-run width heuristic's own first-fit
+	// instance (a packer's wave is valid only until its next call, and the
+	// heuristic must never spend tenant deficit).
+	packer, probe *sched.Admitter
+	seq           int64
+	queryID       int64
 
 	// wavePerm, when set by a test, permutes the injection order of every
 	// scheduled wave in place — the hook behind the permutation-
@@ -122,10 +126,12 @@ func New(cfg Config) *M {
 	}
 
 	cl := mpc.NewCluster(mpc.Config{Machines: mu, MemWords: mem, Backend: cfg.Backend, Workers: cfg.Workers})
-	m := &M{cfg: cfg}
+	m := &M{cfg: cfg, probe: sched.NewAdmitterFair(mem, nil)}
+	var fair *sched.Fair // nil = first-fit
 	if len(cfg.TenantWeights) > 0 {
-		m.fair = sched.NewFair(mem, cfg.TenantWeights)
+		fair = sched.NewFair(mem, cfg.TenantWeights)
 	}
+	m.packer = sched.NewAdmitterFair(mem, fair)
 	m.cluster = cl
 	m.coord = newCoordinator(cfg, mu, numStats, statsPer, mem, heavyAt, aliveCap)
 	cl.SetMachine(0, m.coord)
@@ -193,7 +199,7 @@ func (m *M) ApplyOps(ops []graph.Op) (graph.Results, mpc.MixedStats) {
 	// Per-tenant accounting engages only for multi-tenant streams (a
 	// nonzero tenant tag or a configured fairness policy); single-tenant
 	// windows stay census-free and bit-identical.
-	mt := m.fair != nil
+	mt := len(m.cfg.TenantWeights) > 0
 	for _, op := range ops {
 		if op.Tenant != 0 {
 			mt = true
@@ -216,8 +222,6 @@ func (m *M) ApplyOps(ops []graph.Op) (graph.Results, mpc.MixedStats) {
 			ids[i] = m.seq
 		}
 	}
-	item := m.opItem(ops)
-	budget := m.cluster.MemWords()
 	pending := make([]int, len(ops))
 	for i := range pending {
 		pending[i] = i
@@ -228,39 +232,26 @@ func (m *M) ApplyOps(ops []graph.Op) (graph.Results, mpc.MixedStats) {
 		// it is read once per scheduling pass, not once per item.
 		meanSuffix := m.coord.meanStoreSuffix()
 		for j, b := range pending {
-			items[j] = item(b, meanSuffix)
+			items[j] = m.itemFor(ops[b], meanSuffix)
 		}
-		// The executed wave packs fairly (tenant deficits metered); the
-		// serial head-run segmentation below keeps using plain FirstWave —
-		// it is a width heuristic over hypothetical futures, and letting it
-		// consume deficit top-ups would starve the real waves.
-		wave := sched.FirstWaveFair(items[:len(pending)], budget, m.fair)
-		if len(wave) > 1 || ops[pending[wave[0]]].IsQuery() {
-			idx := make([]int, len(wave))
-			for x, j := range wave {
-				idx[x] = pending[j]
-			}
-			m.runOpWave(ops, ids, idx, mt)
-			kept := pending[:0]
-			x := 0
-			for j, b := range pending {
-				if x < len(wave) && wave[x] == j {
-					x++
-					continue
-				}
-				kept = append(kept, b)
-			}
-			pending = kept
+		wave, rest := m.packer.Wave(pending, items[:len(pending)])
+		if len(wave) > 1 || ops[wave[0]].IsQuery() {
+			m.runOpWave(ops, ids, wave, mt)
+			pending = append(pending[:0], rest...)
 			continue
 		}
 		// Serial head-run: the front of the remaining stream packs no wave.
 		// Chain forward while the (schedule-time) item view keeps yielding
 		// width-1 waves over consecutive *updates* — a segmentation
 		// heuristic only; chained execution is sequential replay whatever
-		// the items say.
+		// the items say, which is also why it runs on the first-fit probe:
+		// a width guess over hypothetical futures must not consume the
+		// deficit top-ups of the real waves.
 		run := 1
-		for run < len(pending) && !ops[pending[run]].IsQuery() &&
-			len(sched.FirstWave(items[run:len(pending)], budget)) == 1 {
+		for run < len(pending) && !ops[pending[run]].IsQuery() {
+			if w, _ := m.probe.Wave(pending[run:], items[run:len(pending)]); len(w) != 1 {
+				break
+			}
 			run++
 		}
 		m.runChained(ops, ids, pending[:run])
@@ -383,7 +374,7 @@ func (m *M) driveFlows(limit int, what string) {
 	}
 }
 
-// opItem reads one op's schedule-time resources from the authoritative
+// itemFor reads one op's schedule-time resources from the authoritative
 // statistics (driver-side, between waves, at quiescence — so the reads
 // are current).
 //
@@ -415,27 +406,21 @@ func (m *M) driveFlows(limit int, what string) {
 // cross the heavy threshold additionally takes the exclusive transition
 // key: transitions hold fresh exclusive machines transiently, so at most
 // one per wave keeps the storage pool within its sequential envelope.
-func (m *M) opItem(ops []graph.Op) func(i, meanSuffix int) sched.Item {
-	return func(i, meanSuffix int) sched.Item {
-		return m.itemFor(ops[i], meanSuffix)
-	}
-}
-
-// StreamItem reads one op's schedule-time resources at the current mean
-// refresh-suffix cost — the per-op claims oracle the streaming Ingestor
-// feeds its incremental Admitter. Valid only at driver-side quiescence
-// (between flushes), which is when the Ingestor calls it; ApplyOps reads
-// the suffix cost once per scheduling pass instead (see opItem).
-func (m *M) StreamItem(op graph.Op) sched.Item {
-	return m.itemFor(op, m.coord.meanStoreSuffix())
-}
-
-// itemFor is the shared per-op core of opItem and StreamItem; every
-// item carries the op's tenant tag for the optional fairness policy.
+//
+// Every item carries the op's tenant tag for the optional fairness policy.
 func (m *M) itemFor(op graph.Op, meanSuffix int) sched.Item {
 	it := m.rawItemFor(op, meanSuffix)
 	it.Tenant = op.Tenant
 	return it
+}
+
+// StreamItem is itemFor at the current mean refresh-suffix cost — the
+// per-op claims oracle the streaming Ingestor offers its forming set.
+// Valid only at driver-side quiescence (between flushes), which is when
+// the Ingestor calls it; ApplyOps reads the suffix cost once per
+// scheduling pass instead.
+func (m *M) StreamItem(op graph.Op) sched.Item {
+	return m.itemFor(op, m.coord.meanStoreSuffix())
 }
 
 func (m *M) rawItemFor(op graph.Op, meanSuffix int) sched.Item {

@@ -98,8 +98,8 @@ type D struct {
 	cfg     Config
 	cluster *mpc.Cluster
 	shards  []*shard
-	fair    *sched.Fair // tenant fairness policy; nil = first-fit
-	seq     int64       // update sequence number, for fresh component ids
+	packer  *sched.Admitter // forms every wave; carries the tenant policy, if any
+	seq     int64           // update sequence number, for fresh component ids
 	queryID int64
 
 	// wavePerm, when set by a test, permutes the injection order of every
@@ -134,9 +134,11 @@ func New(cfg Config) *D {
 	auto.Backend = cfg.Backend
 	auto.Workers = cfg.Workers
 	d := &D{cfg: cfg}
+	var fair *sched.Fair // nil = first-fit
 	if len(cfg.TenantWeights) > 0 {
-		d.fair = sched.NewFair(auto.MemWords, cfg.TenantWeights)
+		fair = sched.NewFair(auto.MemWords, cfg.TenantWeights)
 	}
+	d.packer = sched.NewAdmitterFair(auto.MemWords, fair)
 	d.cluster = mpc.NewCluster(auto)
 	d.shards = make([]*shard, auto.Machines)
 	for i := range d.shards {
@@ -201,9 +203,9 @@ func (d *D) inject(up graph.Update, seq int64) {
 // The first precedence color class runs as one component-disjoint
 // concurrent wave through the §5 protocol, queries riding the same wave
 // as scatter/forward/gather traffic. Because executing a wave merges and
-// splits components, sched.Drive recomputes the items from live component
-// labels between waves; later color classes are only a prediction (see
-// sched.ConflictGraph).
+// splits components, the packer's Drive loop re-reads the items from live
+// component labels between waves; later color classes would only be a
+// prediction.
 //
 // Correctness rests on two facts. Commutativity: the per-shard
 // orchestration state is keyed by update sequence number and every
@@ -232,7 +234,7 @@ func (d *D) ApplyOps(ops []graph.Op) (graph.Results, mpc.MixedStats) {
 	// Per-tenant accounting engages only when the stream is actually
 	// multi-tenant (a nonzero tenant tag or a configured fairness
 	// policy); single-tenant windows stay census-free and bit-identical.
-	mt := d.fair != nil
+	mt := len(d.cfg.TenantWeights) > 0
 	for _, op := range ops {
 		if op.Tenant != 0 {
 			mt = true
@@ -257,10 +259,8 @@ func (d *D) ApplyOps(ops []graph.Op) (graph.Results, mpc.MixedStats) {
 			ids[i] = d.seq
 		}
 	}
-	sched.DriveFair(len(ops), func(i int) sched.Item { return d.StreamItem(ops[i]) },
-		d.cluster.MemWords(), d.fair, func(wave []int) {
-			d.runOpWave(ops, ids, wave, mt)
-		})
+	d.packer.Drive(len(ops), func(i int) sched.Item { return d.StreamItem(ops[i]) },
+		func(wave []int) { d.runOpWave(ops, ids, wave, mt) })
 	st := d.cluster.EndMixed()
 	res := make(graph.Results, 0, nq)
 	for i, op := range ops {
@@ -298,12 +298,12 @@ func (d *D) ApplyOps(ops []graph.Op) (graph.Results, mpc.MixedStats) {
 }
 
 // StreamItem reads one op's schedule-time resources from live driver
-// state — the per-op claims oracle ApplyOps feeds sched.Drive and the
-// streaming Ingestor feeds its incremental Admitter. Claims are valid
-// only for the state they were read from (executing ops moves component
-// labels), which both callers honor: Drive recomputes items between
-// waves, and the Ingestor computes each arrival's item against the
-// post-last-flush quiescent state, exactly the FirstWave convention.
+// state — the per-op claims oracle ApplyOps feeds the packer's Drive loop
+// and the streaming Ingestor offers its forming set. Claims are valid only
+// for the state they were read from (executing ops moves component
+// labels), which both callers honor: Drive re-reads items between waves,
+// and the Ingestor reads each arrival's item against the post-last-flush
+// quiescent state.
 func (d *D) StreamItem(op graph.Op) sched.Item {
 	switch op.Kind {
 	case graph.OpConnected:

@@ -58,24 +58,3 @@ func (b Batch) Apply(g *Graph) int {
 	}
 	return changed
 }
-
-// DisjointPrefix returns the length of the longest prefix of b whose
-// updates touch pairwise-disjoint endpoint sets, capped at max (0 = no
-// cap). Endpoint-disjoint updates mutate disjoint vertex state, so an
-// algorithm may inject such a prefix into its cluster concurrently and
-// still match the sequential outcome exactly.
-func (b Batch) DisjointPrefix(max int) int {
-	if max <= 0 || max > len(b) {
-		max = len(b)
-	}
-	touched := make(map[int]bool, 2*max)
-	for i := 0; i < max; i++ {
-		u := b[i]
-		if touched[u.U] || touched[u.V] {
-			return i
-		}
-		touched[u.U] = true
-		touched[u.V] = true
-	}
-	return max
-}

@@ -113,28 +113,6 @@ func TestBatchApplyMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestDisjointPrefix(t *testing.T) {
-	b := Batch{
-		{Op: Insert, U: 0, V: 1},
-		{Op: Insert, U: 2, V: 3},
-		{Op: Delete, U: 4, V: 5},
-		{Op: Insert, U: 1, V: 6}, // shares vertex 1 with the first update
-		{Op: Insert, U: 7, V: 8},
-	}
-	if got := b.DisjointPrefix(0); got != 3 {
-		t.Fatalf("DisjointPrefix = %d, want 3", got)
-	}
-	if got := b.DisjointPrefix(2); got != 2 {
-		t.Fatalf("DisjointPrefix capped at 2 = %d", got)
-	}
-	if got := b[3:].DisjointPrefix(0); got != 2 {
-		t.Fatalf("DisjointPrefix of tail = %d, want 2", got)
-	}
-	if got := (Batch{}).DisjointPrefix(0); got != 0 {
-		t.Fatalf("DisjointPrefix of empty = %d, want 0", got)
-	}
-}
-
 func TestBatchCounts(t *testing.T) {
 	b := Batch{
 		{Op: Insert, U: 0, V: 1},

@@ -121,16 +121,18 @@ type RoundStats struct {
 	Messages int // number of messages delivered into this round
 }
 
-// UpdateStats aggregates the rounds spent processing one dynamic update.
+// UpdateStats aggregates the rounds of one accounting window: on its own,
+// the rounds spent processing one dynamic update; embedded in BatchStats
+// and QueryStats, the rounds of that half of a mixed window.
 type UpdateStats struct {
 	Rounds    int
-	MaxActive int // max active machines over the update's rounds
+	MaxActive int // max active machines over the window's rounds
 	SumActive int
-	MaxWords  int // max communicated words in any round of the update
+	MaxWords  int // max communicated words in any round of the window
 	SumWords  int
 }
 
-// Add folds a round into the update aggregate.
+// Add folds a round into the aggregate.
 func (u *UpdateStats) Add(r RoundStats) {
 	u.Rounds++
 	u.SumActive += r.Active
@@ -166,35 +168,15 @@ type WaveStats struct {
 // half down per update-bearing wave; scheduling rounds outside any wave
 // belong to the half only.
 type BatchStats struct {
-	Updates   int // k, the number of updates covered by the window
-	Rounds    int
-	MaxActive int // max active machines over the half's rounds
-	SumActive int
-	MaxWords  int // max communicated words in any round of the half
-	SumWords  int
-	Waves     []WaveStats // per-wave attribution, in execution order
-}
-
-// Add folds a round into the aggregate.
-func (b *BatchStats) Add(r RoundStats) {
-	b.Rounds++
-	b.SumActive += r.Active
-	b.SumWords += r.Words
-	if r.Active > b.MaxActive {
-		b.MaxActive = r.Active
-	}
-	if r.Words > b.MaxWords {
-		b.MaxWords = r.Words
-	}
+	Updates     int         // k, the number of updates covered by the window
+	UpdateStats             // the half's rounds (fields promoted, JSON included)
+	Waves       []WaveStats // per-wave attribution, in execution order
 }
 
 // Equal reports deep equality, including the per-wave attribution.
 // (BatchStats holds a slice, so == does not compile.)
 func (b BatchStats) Equal(o BatchStats) bool {
-	if b.Updates != o.Updates || b.Rounds != o.Rounds ||
-		b.MaxActive != o.MaxActive || b.SumActive != o.SumActive ||
-		b.MaxWords != o.MaxWords || b.SumWords != o.SumWords ||
-		len(b.Waves) != len(o.Waves) {
+	if b.Updates != o.Updates || b.UpdateStats != o.UpdateStats || len(b.Waves) != len(o.Waves) {
 		return false
 	}
 	for i := range b.Waves {
@@ -219,25 +201,8 @@ func (b BatchStats) RoundsPerUpdate() float64 {
 // across read-free and read-heavy workloads, and RoundsPerQuery reports
 // the amortized §5 query cost.
 type QueryStats struct {
-	Queries   int // k, the number of queries covered by the window
-	Rounds    int
-	MaxActive int // max active machines over the half's rounds
-	SumActive int
-	MaxWords  int // max communicated words in any round of the half
-	SumWords  int
-}
-
-// Add folds a round into the query aggregate.
-func (q *QueryStats) Add(r RoundStats) {
-	q.Rounds++
-	q.SumActive += r.Active
-	q.SumWords += r.Words
-	if r.Active > q.MaxActive {
-		q.MaxActive = r.Active
-	}
-	if r.Words > q.MaxWords {
-		q.MaxWords = r.Words
-	}
+	Queries     int // k, the number of queries covered by the window
+	UpdateStats     // the half's rounds (fields promoted, JSON included)
 }
 
 // RoundsPerQuery returns the amortized rounds per query of the window.

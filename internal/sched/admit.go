@@ -1,111 +1,133 @@
 package sched
 
-// Admitter is the incremental face of FirstWave for streaming ingestion:
-// where FirstWave judges a complete batch in one pass, an Admitter grows
-// an open wave set one item at a time, answering "may this op join the
-// set already admitted?" under exactly the FirstWave rules. The streaming
-// front door (the facade's Ingestor) admits arrivals into the currently-
-// forming wave set and flushes the set the moment an arrival is refused,
-// so the greedy admitted prefix of an op stream equals the all-admitted
-// prefix FirstWave would certify over the same items (pinned by
-// TestAdmitterFirstWaveEquivalence).
-//
-// Unlike FirstWave, a refused item records nothing: the caller flushes on
-// refusal, so there is no later op that a blocked op's claims would need
-// to block (batch order across flushes is preserved by the flush itself).
+// Admitter is the one packer: it grows a set of ops that may share a wave,
+// one offered item at a time, under the rules of the package comment. It
+// is long-lived — a core or an Ingestor builds one and reuses it for every
+// wave — and owns its claim tables and index buffers, so steady-state
+// packing allocates nothing. Not safe for concurrent use.
 type Admitter struct {
-	budget      int
-	claimed     map[int64]bool // exclusive keys held by admitted items
-	readClaimed map[int64]bool // read keys held by admitted items
-	usage       map[int64]int  // shared-claim usage per key
-	n           int            // items admitted since the last Reset
-	solo        bool           // a Solo item holds the set: nothing else joins
-	fair        *Fair          // optional tenant policy; nil = first-fit
+	budget int
+	fair   *Fair // optional tenant policy; nil = first-fit
+
+	claimed     map[int64]bool // exclusive keys of every item offered to the set
+	readClaimed map[int64]bool // read keys of every item offered to the set
+	usage       map[int64]int  // shared-claim usage per key, admitted items only
+	n           int            // items admitted to the set
+	open        bool           // an item was offered since Reset: tenants are topped up
+	sealed      bool           // a Solo item was offered: nothing else joins
+
+	// Wave and Drive scratch, reused across calls.
+	wave, rest, pending []int
+	items               []Item
 }
 
-// NewAdmitter returns an empty admitter with the given shared-claim
-// budget (per key, per wave; <= 0 means unlimited, like FirstWave).
-func NewAdmitter(budget int) *Admitter {
-	a := &Admitter{budget: budget}
-	a.Reset()
-	return a
-}
-
-// NewAdmitterFair returns an admitter that additionally meters each
-// tenant's summed shared cost against the Fair policy's deficits, under
-// exactly the FirstWaveFair rules: the greedy admitted prefix equals
-// the prefix FirstWaveFair would certify over the same items (pinned by
-// TestAdmitterFirstWaveFairEquivalence). nil fair is NewAdmitter.
+// NewAdmitterFair returns an empty packer with the given shared-claim
+// budget (per key, per set; <= 0 means unlimited). A non-nil fair
+// additionally meters each tenant's summed shared cost against the
+// policy's deficits; nil packs first-fit.
 func NewAdmitterFair(budget int, fair *Fair) *Admitter {
-	a := &Admitter{budget: budget, fair: fair}
-	a.Reset()
-	return a
-}
-
-// Len returns the number of items admitted since the last Reset.
-func (a *Admitter) Len() int { return a.n }
-
-// Reset empties the wave set; the caller does this after flushing it.
-// With a Fair policy attached this is the wave boundary: every tenant's
-// deficit is topped up by its quantum, mirroring FirstWaveFair's
-// BeginWave.
-func (a *Admitter) Reset() {
-	a.claimed = make(map[int64]bool, 8)
-	a.readClaimed = make(map[int64]bool, 4)
-	a.usage = make(map[int64]int, 4)
-	a.n = 0
-	a.solo = false
-	if a.fair != nil {
-		a.fair.BeginWave()
+	return &Admitter{
+		budget:      budget,
+		fair:        fair,
+		claimed:     make(map[int64]bool),
+		readClaimed: make(map[int64]bool),
+		usage:       make(map[int64]int),
 	}
 }
 
-// Admit reports whether the item may join the open wave set, recording
-// its claims when it does. The rules are FirstWave's: a Solo item joins
-// only an empty set and seals it; an exclusive key is refused if any
-// admitted item claimed it (exclusively or read); a read key is refused
-// only against an exclusive claimant (reads never block reads); and each
-// shared claim must fit the remaining budget of its key (a claim larger
-// than the whole budget still gets an empty key to itself). An empty set
-// admits anything — position 0 always joins — so a flush-on-refuse loop
-// always makes progress.
-func (a *Admitter) Admit(it Item) bool {
-	if a.solo {
+// Reset empties the set: the streaming caller does this after flushing
+// it, Wave before forming the next one. The next item offered opens a new
+// set, which is where a Fair policy's tenants get their top-up.
+func (a *Admitter) Reset() {
+	clear(a.claimed)
+	clear(a.readClaimed)
+	clear(a.usage)
+	a.n = 0
+	a.open = false
+	a.sealed = false
+}
+
+// Admit offers one item to the set — the one-arrival-at-a-time spelling
+// of the packer — and reports whether it joined. An empty set admits
+// anything, so a flush-on-refuse loop always makes progress.
+func (a *Admitter) Admit(it Item) bool { return a.admit(&it) }
+
+// admit is the packing rule. The item joins iff
+//
+//   - no Solo item was offered before it (a Solo item itself joins only an
+//     empty set, and seals the set whether it joined or not),
+//   - none of its exclusive keys were recorded — exclusively *or* read —
+//     by an earlier offered item, and none of its read keys were recorded
+//     exclusively by one (reads never block reads),
+//   - for every shared claim, either the key is so far unused in this set
+//     or adding the claim keeps the key's total within budget (a claim
+//     larger than the whole budget still gets the key to itself, or it
+//     could never run); an item naming one key twice is checked claim by
+//     claim against the usage before the item, and
+//   - with a Fair policy, its tenant's deficit covers its cost — except
+//     the first item of the set, which joins unconditionally and is
+//     charged anyway (progress).
+//
+// Every offered item records its exclusive and read keys whether it joined
+// or not, so a refused item also holds back its later conflicters and
+// batch order is preserved; only admitted items consume budget and
+// deficit.
+func (a *Admitter) admit(it *Item) bool {
+	if !a.open {
+		a.open = true
+		if a.fair != nil {
+			a.fair.beginWave()
+		}
+	}
+	if a.sealed {
 		return false
 	}
 	if it.Solo {
+		a.sealed = true
 		if a.n > 0 {
 			return false
 		}
-		a.solo = true
 		a.n = 1
 		if a.fair != nil {
 			a.fair.charge(it.Tenant, a.fair.cost(it))
 		}
 		return true
 	}
+	free := true
 	for _, k := range it.Excl {
 		if a.claimed[k] || a.readClaimed[k] {
-			return false
+			free = false
+			break
 		}
 	}
-	for _, k := range it.Read {
-		if a.claimed[k] {
-			return false
-		}
-	}
-	if a.budget > 0 {
-		for _, cl := range it.Shared {
-			if u := a.usage[cl.Key]; u > 0 && u+cl.Cost > a.budget {
-				return false
+	if free {
+		for _, k := range it.Read {
+			if a.claimed[k] {
+				free = false
+				break
 			}
 		}
 	}
-	// Tenant fairness, FirstWaveFair's rule: the first item of the set
-	// always joins (progress) and is charged; later items need their
-	// tenant's deficit to cover the cost.
-	if a.fair != nil && a.n > 0 && !a.fair.allows(it.Tenant, a.fair.cost(it)) {
-		return false
+	if free && a.budget > 0 {
+		for _, cl := range it.Shared {
+			if u := a.usage[cl.Key]; u > 0 && u+cl.Cost > a.budget {
+				free = false
+				break
+			}
+		}
+	}
+	if free && a.fair != nil {
+		cost := a.fair.cost(it)
+		free = a.n == 0 || a.fair.allows(it.Tenant, cost)
+		if free {
+			a.fair.charge(it.Tenant, cost)
+		}
+	}
+	if free {
+		a.n++
+		for _, cl := range it.Shared {
+			a.usage[cl.Key] += cl.Cost
+		}
 	}
 	for _, k := range it.Excl {
 		a.claimed[k] = true
@@ -113,12 +135,60 @@ func (a *Admitter) Admit(it Item) bool {
 	for _, k := range it.Read {
 		a.readClaimed[k] = true
 	}
-	for _, cl := range it.Shared {
-		a.usage[cl.Key] += cl.Cost
+	return free
+}
+
+// Wave forms the next wave over a whole slice of pending ops: items[j]
+// describes batch index pending[j], read from current state. It empties
+// the set, offers every item in order, and returns the admitted batch
+// indices (never empty for a non-empty slice) and the refused ones, both
+// in batch order. The two slices are the packer's own buffers, valid only
+// until its next call; pending is left untouched.
+func (a *Admitter) Wave(pending []int, items []Item) (wave, rest []int) {
+	a.Reset()
+	wave, rest = a.wave[:0], a.rest[:0]
+	for j := range items {
+		if a.admit(&items[j]) {
+			wave = append(wave, pending[j])
+		} else {
+			rest = append(rest, pending[j])
+		}
 	}
-	if a.fair != nil {
-		a.fair.charge(it.Tenant, a.fair.cost(it))
+	a.wave, a.rest = wave, rest
+	return wave, rest
+}
+
+// Drive executes a batch of n ops as a sequence of waves: item(i) reads
+// op i's resource usage from live state, exec runs one wave of batch
+// indices concurrently (the slice is valid only during the call), and
+// every pending item is re-read between waves because executing a wave
+// changes the resources the remaining ops touch. It returns the number of
+// waves executed. Callers assign per-op identifiers (sequence numbers) by
+// batch position, not execution order, so reordered schedules replay state
+// transitions bit-identically.
+func (a *Admitter) Drive(n int, item func(i int) Item, exec func(wave []int)) int {
+	pending := a.pending[:0]
+	for i := 0; i < n; i++ {
+		pending = append(pending, i)
 	}
-	a.n++
-	return true
+	waves := 0
+	for len(pending) > 0 {
+		items := a.items[:0]
+		for _, b := range pending {
+			items = append(items, item(b))
+		}
+		a.items = items
+		wave, rest := a.Wave(pending, items)
+		exec(wave)
+		waves++
+		pending = append(pending[:0], rest...)
+	}
+	a.pending = pending
+	return waves
+}
+
+// Drive is Admitter.Drive on a fresh first-fit packer: the spelling for a
+// caller with one batch to run and no packer to keep.
+func Drive(n int, item func(i int) Item, budget int, exec func(wave []int)) int {
+	return NewAdmitterFair(budget, nil).Drive(n, item, exec)
 }

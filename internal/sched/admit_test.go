@@ -24,11 +24,12 @@ func randItem(rng *rand.Rand) Item {
 	return it
 }
 
-// TestAdmitterFirstWaveEquivalence pins the Admitter to FirstWave: the
-// greedy admitted prefix of an item sequence (admit until the first
-// refusal) must be exactly the longest prefix P such that FirstWave over
-// items[:len(P)] admits every position — the streaming and batch views
-// of "these ops can share a wave" may never disagree.
+// TestAdmitterFirstWaveEquivalence pins incremental admission to the
+// whole-slice oracle: the greedy admitted prefix of an item sequence
+// (admit until the first refusal) must be exactly the longest prefix P
+// such that oracleFirstWave over items[:len(P)] admits every position —
+// the streaming and batch views of "these ops can share a wave" may never
+// disagree.
 func TestAdmitterFirstWaveEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, budget := range []int{0, 16, 64, 1 << 20} {
@@ -38,7 +39,7 @@ func TestAdmitterFirstWaveEquivalence(t *testing.T) {
 			for i := range items {
 				items[i] = randItem(rng)
 			}
-			a := NewAdmitter(budget)
+			a := NewAdmitterFair(budget, nil)
 			prefix := 0
 			for _, it := range items {
 				if !a.Admit(it) {
@@ -46,25 +47,25 @@ func TestAdmitterFirstWaveEquivalence(t *testing.T) {
 				}
 				prefix++
 			}
-			if a.Len() != prefix {
-				t.Fatalf("budget %d: Len() = %d after %d admits", budget, a.Len(), prefix)
+			if a.n != prefix {
+				t.Fatalf("budget %d: %d items in the set after %d admits", budget, a.n, prefix)
 			}
 			if prefix == 0 {
 				t.Fatalf("budget %d: empty set refused an item (%+v)", budget, items[0])
 			}
 			// Every prefix up to the admitted one is a full first wave...
 			for p := 1; p <= prefix; p++ {
-				wave := FirstWave(items[:p], budget)
+				wave := oracleFirstWave(items[:p], budget)
 				if len(wave) != p {
-					t.Fatalf("budget %d: Admit took %d items but FirstWave(items[:%d]) = %v",
+					t.Fatalf("budget %d: Admit took %d items but oracleFirstWave(items[:%d]) = %v",
 						budget, prefix, p, wave)
 				}
 			}
 			// ...and the refused item breaks it.
 			if prefix < n {
-				wave := FirstWave(items[:prefix+1], budget)
+				wave := oracleFirstWave(items[:prefix+1], budget)
 				if len(wave) == prefix+1 {
-					t.Fatalf("budget %d: Admit refused item %d but FirstWave admits all of items[:%d]",
+					t.Fatalf("budget %d: Admit refused item %d but oracleFirstWave admits all of items[:%d]",
 						budget, prefix, prefix+1)
 				}
 			}
@@ -75,7 +76,7 @@ func TestAdmitterFirstWaveEquivalence(t *testing.T) {
 // TestAdmitterReset pins that Reset empties the set: keys and budget
 // usage held by the flushed wave no longer block anything.
 func TestAdmitterReset(t *testing.T) {
-	a := NewAdmitter(10)
+	a := NewAdmitterFair(10, nil)
 	if !a.Admit(Item{Excl: []int64{1}, Shared: []Claim{{Key: 0, Cost: 9}}}) {
 		t.Fatal("empty set refused the first item")
 	}
@@ -86,8 +87,8 @@ func TestAdmitterReset(t *testing.T) {
 		t.Fatal("over-budget shared claim admitted")
 	}
 	a.Reset()
-	if a.Len() != 0 {
-		t.Fatalf("Len() = %d after Reset", a.Len())
+	if a.n != 0 {
+		t.Fatalf("%d items in the set after Reset", a.n)
 	}
 	if !a.Admit(Item{Excl: []int64{1}, Shared: []Claim{{Key: 0, Cost: 10}}}) {
 		t.Fatal("Reset did not release the flushed wave's claims")
@@ -97,7 +98,7 @@ func TestAdmitterReset(t *testing.T) {
 // TestAdmitterSolo pins the Solo rules incrementally: a Solo item joins
 // only an empty set, and once in, seals it.
 func TestAdmitterSolo(t *testing.T) {
-	a := NewAdmitter(0)
+	a := NewAdmitterFair(0, nil)
 	if !a.Admit(Item{Solo: true}) {
 		t.Fatal("empty set refused a Solo item")
 	}

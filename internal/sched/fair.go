@@ -1,9 +1,9 @@
 package sched
 
 // Fair is a weighted deficit-round-robin share of the per-round word
-// budget S across tenants. Each tenant t holds a deficit counter; at
-// every wave boundary (BeginWave) the counter is topped up by the
-// tenant's quantum
+// budget S across tenants. Each tenant t holds a deficit counter; every
+// time the packer opens a set (once per wave, once per Ingestor flush)
+// the counter is topped up by the tenant's quantum
 //
 //	quantum(t) = max(1, S * weight(t) / totalWeight)
 //
@@ -19,13 +19,13 @@ package sched
 //
 // totalWeight is the sum of the configured weights (minimum 1), so the
 // configuration alone fixes every quantum. This is deliberate: quanta
-// must not depend on which tenants happen to appear in a batch, or the
-// greedy one-at-a-time Admitter and the whole-batch FirstWaveFair would
-// disagree (the Admitter cannot know the batch's tenant set in
-// advance). A tenant with no configured weight gets weight 1 over the
-// same denominator.
+// must not depend on which tenants happen to appear in a batch, or
+// packing one arrival at a time and packing a whole slice would disagree
+// (the streaming caller cannot know the batch's tenant set in advance). A
+// tenant with no configured weight gets weight 1 over the same
+// denominator.
 //
-// Fairness never reorders conflicting ops: FirstWaveFair refuses a
+// Fairness never reorders conflicting ops: the packer refuses a
 // tenant-throttled item exactly like a budget-refused one — the item
 // still records its exclusive/read claims, so everything that conflicts
 // with it stays behind it (the fairness invariant, pinned by
@@ -40,8 +40,8 @@ type Fair struct {
 // NewFair returns a Fair policy carving the per-wave budget into the
 // given weight shares. weights maps tenant id -> weight (values < 1 are
 // treated as 1); tenants absent from the map weigh 1 against the same
-// total. A nil Fair disables fairness entirely (plain FirstWave
-// packing), which is the single-tenant default.
+// total. A nil *Fair handed to NewAdmitterFair disables fairness
+// entirely (first-fit packing), which is the single-tenant default.
 func NewFair(budget int, weights map[int]int) *Fair {
 	f := &Fair{
 		budget:  budget,
@@ -78,10 +78,10 @@ func (f *Fair) quantum(t int) int {
 	return q
 }
 
-// BeginWave tops up every known tenant's deficit by its quantum, capped
-// at the full budget. Called once per wave by FirstWaveFair / the
-// Admitter's Reset.
-func (f *Fair) BeginWave() {
+// beginWave tops up every known tenant's deficit by its quantum, capped
+// at the full budget. The packer calls it once per set, when the set
+// opens.
+func (f *Fair) beginWave() {
 	for t, d := range f.deficit {
 		d += f.quantum(t)
 		if d > f.budget {
@@ -93,7 +93,7 @@ func (f *Fair) BeginWave() {
 
 // cost is the item's charge against its tenant's deficit: the summed
 // shared-claim words, or the whole budget for a Solo item.
-func (f *Fair) cost(it Item) int {
+func (f *Fair) cost(it *Item) int {
 	if it.Solo {
 		return f.budget
 	}
@@ -106,7 +106,7 @@ func (f *Fair) cost(it Item) int {
 
 // allows reports whether the tenant's deficit covers the cost. A tenant
 // seen for the first time mid-run starts with one quantum, exactly as
-// if it had been topped up at this wave's BeginWave.
+// if it had been topped up when this set opened.
 func (f *Fair) allows(t, cost int) bool {
 	d, ok := f.deficit[t]
 	if !ok {
@@ -123,110 +123,4 @@ func (f *Fair) charge(t, cost int) {
 		f.deficit[t] = f.quantum(t)
 	}
 	f.deficit[t] -= cost
-}
-
-// FirstWaveFair is FirstWave with a deficit-round-robin tenant policy
-// layered over the shared-claim packing: an item additionally needs its
-// tenant's deficit to cover its fair cost, except at position 0 of the
-// wave where it joins unconditionally and is charged anyway (progress).
-// A fairness-refused item records its exclusive/read claims exactly
-// like a budget-refused one, so conflicting ops keep batch order. nil
-// fair means FirstWaveFair(items, budget, nil) == FirstWave(items,
-// budget) identically.
-func FirstWaveFair(items []Item, budget int, fair *Fair) []int {
-	if fair == nil {
-		return FirstWave(items, budget)
-	}
-	fair.BeginWave()
-	claimed := make(map[int64]bool, 2*len(items))
-	readClaimed := make(map[int64]bool, 4)
-	usage := make(map[int64]int, 4)
-	var wave []int
-	for i, it := range items {
-		if it.Solo {
-			if i == 0 {
-				fair.charge(it.Tenant, fair.cost(it))
-				return []int{0}
-			}
-			break
-		}
-		free := true
-		for _, k := range it.Excl {
-			if claimed[k] || readClaimed[k] {
-				free = false
-				break
-			}
-		}
-		if free {
-			for _, k := range it.Read {
-				if claimed[k] {
-					free = false
-					break
-				}
-			}
-		}
-		if free && budget > 0 {
-			for _, cl := range it.Shared {
-				if u := usage[cl.Key]; u > 0 && u+cl.Cost > budget {
-					free = false
-					break
-				}
-			}
-		}
-		if free && len(wave) > 0 && !fair.allows(it.Tenant, fair.cost(it)) {
-			free = false
-		}
-		if free {
-			wave = append(wave, i)
-			fair.charge(it.Tenant, fair.cost(it))
-			for _, cl := range it.Shared {
-				usage[cl.Key] += cl.Cost
-			}
-		}
-		for _, k := range it.Excl {
-			claimed[k] = true
-		}
-		for _, k := range it.Read {
-			readClaimed[k] = true
-		}
-	}
-	return wave
-}
-
-// DriveFair is Drive with a Fair tenant policy threaded through each
-// wave's packing; nil fair is exactly Drive.
-func DriveFair(n int, item func(i int) Item, budget int, fair *Fair, exec func(wave []int)) int {
-	if fair == nil {
-		return Drive(n, item, budget, exec)
-	}
-	pending := make([]int, n)
-	for i := range pending {
-		pending[i] = i
-	}
-	items := make([]Item, 0, n)
-	waves := 0
-	for len(pending) > 0 {
-		items = items[:0]
-		for _, b := range pending {
-			items = append(items, item(b))
-		}
-		pos := FirstWaveFair(items, budget, fair)
-		wave := make([]int, len(pos))
-		for x, j := range pos {
-			wave[x] = pending[j]
-		}
-		exec(wave)
-		waves++
-		kept := pending[:0]
-		x := 0
-		for j, b := range pending {
-			if x < len(pos) && pos[x] == j {
-				x++
-				continue
-			}
-			kept = append(kept, b)
-		}
-		pending = kept
-	}
-	return waves
 }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -16,8 +17,9 @@ func randTenantItem(rng *rand.Rand) Item {
 	return it
 }
 
-// TestFirstWaveFairNil pins that a nil Fair is bit-identical to plain
-// FirstWave — the single-tenant fast path costs nothing.
+// TestFirstWaveFairNil pins that a packer with a nil Fair is bit-identical
+// to plain first-fit packing (both oracle spellings) whatever the tenant
+// tags say.
 func TestFirstWaveFairNil(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 200; trial++ {
@@ -27,15 +29,11 @@ func TestFirstWaveFairNil(t *testing.T) {
 			items[i] = randTenantItem(rng)
 		}
 		for _, budget := range []int{0, 16, 64} {
-			a := FirstWave(items, budget)
-			b := FirstWaveFair(items, budget, nil)
-			if len(a) != len(b) {
-				t.Fatalf("budget %d: FirstWave=%v FirstWaveFair(nil)=%v", budget, a, b)
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("budget %d: FirstWave=%v FirstWaveFair(nil)=%v", budget, a, b)
-				}
+			got := firstWave(items, budget, nil)
+			a := oracleFirstWave(items, budget)
+			b := oracleFirstWaveFair(items, budget, nil)
+			if !slices.Equal(got, a) || !slices.Equal(got, b) {
+				t.Fatalf("budget %d: packer(nil)=%v oracleFirstWave=%v oracleFirstWaveFair(nil)=%v", budget, got, a, b)
 			}
 		}
 	}
@@ -54,13 +52,13 @@ func TestFirstWaveFairThrottlesTenant(t *testing.T) {
 		{Tenant: 1, Shared: []Claim{{Key: 12, Cost: 40}}}, // throttled
 		{Tenant: 2, Shared: []Claim{{Key: 13, Cost: 40}}}, // own deficit 50: joins
 	}
-	wave := FirstWaveFair(items, 100, fair)
+	wave := firstWave(items, 100, fair)
 	if len(wave) != 2 || wave[0] != 0 || wave[1] != 3 {
 		t.Fatalf("fair wave = %v, want [0 3] (tenant 1 throttled after one 40-word op)", wave)
 	}
 	// First-fit would have taken all four: the keys are distinct and each
 	// claim fits its key's budget.
-	if ff := FirstWave(items, 100); len(ff) != 4 {
+	if ff := firstWave(items, 100, nil); len(ff) != 4 {
 		t.Fatalf("first-fit control wave = %v, want all 4", ff)
 	}
 }
@@ -71,7 +69,7 @@ func TestFirstWaveFairThrottlesTenant(t *testing.T) {
 func TestFairRollForward(t *testing.T) {
 	fair := NewFair(100, map[int]int{1: 1, 2: 1})
 	for w := 0; w < 5; w++ {
-		fair.BeginWave()
+		fair.beginWave()
 	}
 	if d := fair.deficit[1]; d != 100 {
 		t.Fatalf("idle tenant deficit = %d after 5 waves, want capped at budget 100", d)
@@ -83,7 +81,7 @@ func TestFairRollForward(t *testing.T) {
 		{Tenant: 1, Shared: []Claim{{Key: 21, Cost: 50}}},
 		{Tenant: 1, Shared: []Claim{{Key: 22, Cost: 50}}},
 	}
-	wave := FirstWaveFair(items, 100, fair)
+	wave := firstWave(items, 100, fair)
 	if len(wave) != 3 {
 		t.Fatalf("banked deficit not spendable: wave = %v, want [0 1 2]", wave)
 	}
@@ -100,7 +98,7 @@ func TestFirstWaveFairPreservesOrdering(t *testing.T) {
 		{Tenant: 1, Excl: []int64{5}, Shared: []Claim{{Key: 11, Cost: 10}}}, // throttled (deficit 5)
 		{Tenant: 2, Excl: []int64{5}},                                       // conflicts with the throttled op
 	}
-	wave := FirstWaveFair(items, 100, fair)
+	wave := firstWave(items, 100, fair)
 	if len(wave) != 1 || wave[0] != 0 {
 		t.Fatalf("wave = %v, want [0]: op 2 must stay behind the throttled op 1 it conflicts with", wave)
 	}
@@ -113,7 +111,7 @@ func TestFirstWaveFairPreservesOrdering(t *testing.T) {
 func TestFirstWaveFairProgress(t *testing.T) {
 	fair := NewFair(100, map[int]int{1: 1, 2: 99}) // tenant 1 quantum: 1 word
 	items := []Item{{Tenant: 1, Shared: []Claim{{Key: 10, Cost: 90}}}}
-	if wave := FirstWaveFair(items, 100, fair); len(wave) != 1 {
+	if wave := firstWave(items, 100, fair); len(wave) != 1 {
 		t.Fatalf("wave = %v: position 0 must always join", wave)
 	}
 	if d := fair.deficit[1]; d >= 0 {
@@ -121,7 +119,7 @@ func TestFirstWaveFairProgress(t *testing.T) {
 	}
 	// Solo from position 0 likewise joins and is charged the full budget.
 	fair2 := NewFair(100, map[int]int{1: 1, 2: 99})
-	if wave := FirstWaveFair([]Item{{Tenant: 1, Solo: true}}, 100, fair2); len(wave) != 1 {
+	if wave := firstWave([]Item{{Tenant: 1, Solo: true}}, 100, fair2); len(wave) != 1 {
 		t.Fatalf("solo wave = %v: position 0 must always join", wave)
 	}
 	if d := fair2.deficit[1]; d != 1-100 {
@@ -130,8 +128,8 @@ func TestFirstWaveFairProgress(t *testing.T) {
 }
 
 // TestDriveFairCompletes pins that fairness only delays ops, never
-// drops them: DriveFair executes every index exactly once, and nil
-// fair matches Drive's wave count bit-for-bit.
+// drops them: a fair packer's Drive executes every index exactly once,
+// and a nil-fair packer's matches the package-level Drive wave for wave.
 func TestDriveFairCompletes(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 100; trial++ {
@@ -143,7 +141,7 @@ func TestDriveFairCompletes(t *testing.T) {
 		item := func(i int) Item { return items[i] }
 		fair := NewFair(64, fairWeights)
 		seen := make([]int, n)
-		waves := DriveFair(n, item, 64, fair, func(wave []int) {
+		waves := NewAdmitterFair(64, fair).Drive(n, item, func(wave []int) {
 			if len(wave) == 0 {
 				t.Fatal("empty wave: no progress")
 			}
@@ -161,30 +159,26 @@ func TestDriveFairCompletes(t *testing.T) {
 		}
 		// nil fair must be Drive exactly.
 		var a, b [][]int
-		DriveFair(n, item, 64, nil, func(w []int) { a = append(a, append([]int(nil), w...)) })
+		NewAdmitterFair(64, nil).Drive(n, item, func(w []int) { a = append(a, append([]int(nil), w...)) })
 		Drive(n, item, 64, func(w []int) { b = append(b, append([]int(nil), w...)) })
 		if len(a) != len(b) {
-			t.Fatalf("DriveFair(nil) waves %v != Drive waves %v", a, b)
+			t.Fatalf("nil-fair packer waves %v != Drive waves %v", a, b)
 		}
 		for i := range a {
-			if len(a[i]) != len(b[i]) {
-				t.Fatalf("DriveFair(nil) waves %v != Drive waves %v", a, b)
-			}
-			for j := range a[i] {
-				if a[i][j] != b[i][j] {
-					t.Fatalf("DriveFair(nil) waves %v != Drive waves %v", a, b)
-				}
+			if !slices.Equal(a[i], b[i]) {
+				t.Fatalf("nil-fair packer waves %v != Drive waves %v", a, b)
 			}
 		}
 	}
 }
 
-// TestAdmitterFirstWaveFairEquivalence extends the Admitter-vs-
-// FirstWave invariant to the fair path: with identical weight tables,
+// TestAdmitterFirstWaveFairEquivalence extends the incremental-vs-
+// whole-slice invariant to the fair path: with identical weight tables,
 // the greedy admitted prefix must be exactly the longest prefix that
-// FirstWaveFair (over a fresh Fair with the same configuration) admits
-// in full, and the refused item must break it. The streaming and batch
-// views of fair packing may never disagree.
+// oracleFirstWaveFair (over a fresh Fair with the same configuration)
+// admits in full, and the refused item must break it. The streaming and
+// batch views of fair packing may never disagree. (One set only: the
+// second wave's top-up is FuzzPackerEquivalence's job.)
 func TestAdmitterFirstWaveFairEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, budget := range []int{16, 64, 1 << 20} {
@@ -202,23 +196,23 @@ func TestAdmitterFirstWaveFairEquivalence(t *testing.T) {
 				}
 				prefix++
 			}
-			if a.Len() != prefix {
-				t.Fatalf("budget %d: Len() = %d after %d admits", budget, a.Len(), prefix)
+			if a.n != prefix {
+				t.Fatalf("budget %d: %d items in the set after %d admits", budget, a.n, prefix)
 			}
 			if prefix == 0 {
 				t.Fatalf("budget %d: empty set refused an item (%+v)", budget, items[0])
 			}
 			for p := 1; p <= prefix; p++ {
-				wave := FirstWaveFair(items[:p], budget, NewFair(budget, fairWeights))
+				wave := oracleFirstWaveFair(items[:p], budget, NewFair(budget, fairWeights))
 				if len(wave) != p {
-					t.Fatalf("budget %d: Admit took %d items but FirstWaveFair(items[:%d]) = %v",
+					t.Fatalf("budget %d: Admit took %d items but oracleFirstWaveFair(items[:%d]) = %v",
 						budget, prefix, p, wave)
 				}
 			}
 			if prefix < n {
-				wave := FirstWaveFair(items[:prefix+1], budget, NewFair(budget, fairWeights))
+				wave := oracleFirstWaveFair(items[:prefix+1], budget, NewFair(budget, fairWeights))
 				if len(wave) == prefix+1 {
-					t.Fatalf("budget %d: Admit refused item %d but FirstWaveFair admits all of items[:%d]",
+					t.Fatalf("budget %d: Admit refused item %d but oracleFirstWaveFair admits all of items[:%d]",
 						budget, prefix, prefix+1)
 				}
 			}

@@ -1,28 +1,19 @@
-// Package sched is the shared wave scheduler of the batch-dynamic update
-// pipelines: the conflict machinery PR 3 grew inline in dyncon — resource-
-// keyed conflict building, order-preserving precedence coloring, wave
-// execution with between-wave conflict recompute — promoted to a subsystem
-// every algorithm can buy wave parallelism from (Nowicki–Onak,
-// arXiv:2002.07800 §3; Durfee et al., arXiv:1908.01956 frame the execution
-// model).
+// Package sched is the shared wave scheduler of the batch-dynamic
+// pipelines: it decides which ops of a stream may share a wave (Nowicki–
+// Onak, arXiv:2002.07800 §3; Durfee et al., arXiv:1908.01956 frame the
+// execution model). There is one packer, the Admitter, and every wave in
+// the system — the cores' executed waves, the streaming front door's
+// forming set and §6's endpoint-disjoint prefixes — is formed by it.
 //
-// A batch-dynamic algorithm describes each update of a batch as an Item
-// naming the resources the update touches at schedule time. Resources come
-// in two classes with different sharing rules:
+// A batch-dynamic algorithm describes each op as an Item naming the
+// resources the op touches at schedule time. Resources come in three
+// classes with different sharing rules:
 //
 //   - Exclusive keys (Item.Excl) are semantic state: dyncon's endpoint
 //     component labels, dmm's endpoint vertices and their current mates.
-//     Two updates sharing an exclusive key may interleave arbitrarily badly
+//     Two ops sharing an exclusive key may interleave arbitrarily badly
 //     (they read and write the same records), so they never share a wave
 //     and must keep batch order across waves.
-//
-//   - Shared claims (Item.Shared) are capacity-limited machine resources:
-//     the per-round word cap S of the machine a key names. Updates sharing
-//     such a key commute semantically — colliding on dyncon's orchestrator
-//     machine owner(U) mod µ only means two broadcasts would leave one
-//     machine in one round — so they may share a wave as long as the sum of
-//     their claimed costs stays within the budget. This is the packing PR 3
-//     deferred: before it, any orchestrator collision serialized the pair.
 //
 //   - Read keys (Item.Read) are the read-only view of semantic state: a
 //     query names the components or vertices it observes. Readers of one
@@ -34,15 +25,42 @@
 //     queries *into* the update waves of a mixed op stream instead of
 //     waiting for quiescence.
 //
-// Item.Solo marks an update whose touch set cannot be bounded at schedule
-// time (dmm's cascading rematch/surrogate chains): it conflicts with
-// everything and runs as a singleton wave in batch position.
+//   - Shared claims (Item.Shared) are capacity-limited machine resources:
+//     the per-round word cap S of the machine a key names. Ops sharing
+//     such a key commute semantically — colliding on dyncon's orchestrator
+//     machine owner(U) mod µ only means two broadcasts would leave one
+//     machine in one round — so they may share a wave as long as the sum of
+//     their claimed costs stays within the budget.
 //
-// The coloring/wave prediction is valid only for the state it was built
-// against — executing a wave changes the resources later updates touch —
-// so Drive recomputes items and takes only the first wave between
-// executions; ConflictGraph's later classes are a lower-bound prediction,
-// not a commitment.
+// Item.Solo marks an op whose touch set cannot be bounded at schedule
+// time (dmm's cascading rematch/surrogate chains): it conflicts with
+// everything and runs as a singleton wave in batch position. Item.Tenant
+// never affects conflicts; an optional Fair policy meters each tenant's
+// shared cost against a weighted share of the budget.
+//
+// The rules are written once, in the Admitter's admit step: offered the
+// items of a stream in order, it answers for each "may this op join the
+// set already chosen?", and an op it refuses still records its exclusive
+// and read claims (a refused Solo seals the set), so everything that
+// conflicts with a refused op stays behind it and batch order survives.
+// The first item offered to an empty set always joins, so every loop over
+// the packer makes progress. Three call patterns sit on that one step:
+//
+//   - whole slice (Admitter.Wave, and Drive around it): offer every pending
+//     item, execute the admitted ones as a wave, re-read the remainder
+//     from live state — executing a wave changes the resources later ops
+//     touch, so a wave is valid only for the state its items were read
+//     from — and repeat. dyncon runs Drive as is; dmm runs the same loop
+//     with its serial head-run policy on top.
+//   - incremental (Admitter.Admit, flush on refusal, Reset): the streaming
+//     Ingestor grows its forming set one arrival at a time.
+//   - endpoint prefix (Admit until the first refusal over items with
+//     Excl = {u, v}): amm's §6 injection waves.
+//
+// With a Fair policy attached, every tenant's deficit is topped up once
+// per set, when the set opens — at the first item offered after
+// construction or Reset — which is once per wave under Wave/Drive and once
+// per flush under the Ingestor.
 package sched
 
 // Claim is one capacity-limited resource claim: the update needs Cost
@@ -71,268 +89,7 @@ type Item struct {
 	Solo bool
 	// Tenant is the logical stream the op belongs to. It does not affect
 	// conflict semantics — only how a Fair policy meters the op's shared
-	// cost against the tenant's deficit (see FirstWaveFair). Zero is the
+	// cost against the tenant's deficit (see Fair). Zero is the
 	// single-tenant default.
 	Tenant int
-}
-
-// ConflictGraph is the semantic conflict relation over the ops of one
-// batch: vertices are batch indices 0..n-1 and an edge joins two ops that
-// may not run concurrently for *semantic* reasons (intersecting Excl
-// sets, an Excl set intersecting a Read set in either direction, or
-// either Solo — two Read claims on one key never conflict). Shared-claim
-// budget exhaustion is not an edge — it depends on which updates actually
-// pack together, a property of wave formation (FirstWave), not of pairs.
-// Build one with BuildConflict.
-type ConflictGraph struct {
-	n   int
-	adj [][]int // adjacency lists; neighbor order is unspecified
-}
-
-// BuildConflict builds the semantic conflict graph over the items: ops
-// conflict iff their exclusive key sets intersect, one's exclusive keys
-// intersect the other's read keys, or either is Solo. Keys are grouped
-// rather than compared pairwise, so construction is near-linear in the
-// total key count for sparse conflicts.
-func BuildConflict(items []Item) *ConflictGraph {
-	n := len(items)
-	cg := &ConflictGraph{n: n, adj: make([][]int, n)}
-	type claimants struct{ excl, read []int }
-	byKey := make(map[int64]*claimants)
-	group := func(k int64) *claimants {
-		c := byKey[k]
-		if c == nil {
-			c = &claimants{}
-			byKey[k] = c
-		}
-		return c
-	}
-	for i, it := range items {
-		seen := make(map[int64]bool, 4)
-		for _, k := range it.Excl {
-			if seen[k] {
-				continue // an op may name one resource twice (u,v in the same component)
-			}
-			seen[k] = true
-			group(k).excl = append(group(k).excl, i)
-		}
-		for _, k := range it.Read {
-			if seen[k] {
-				continue // an exclusive claim subsumes a read of the same key
-			}
-			seen[k] = true
-			group(k).read = append(group(k).read, i)
-		}
-	}
-	// Exclusive claimants of a key form a clique and additionally conflict
-	// with every reader of it; readers don't conflict among themselves. A
-	// pair sharing several keys gets one edge. Group members are appended
-	// in ascending index order, so pair{a,b} always has a < b.
-	type pair struct{ a, b int }
-	linked := make(map[pair]bool)
-	link := func(a, b int) {
-		if a > b {
-			a, b = b, a
-		}
-		p := pair{a, b}
-		if linked[p] {
-			return
-		}
-		linked[p] = true
-		cg.adj[a] = append(cg.adj[a], b)
-		cg.adj[b] = append(cg.adj[b], a)
-	}
-	for _, c := range byKey {
-		for x := 0; x < len(c.excl); x++ {
-			for y := x + 1; y < len(c.excl); y++ {
-				link(c.excl[x], c.excl[y])
-			}
-			for _, r := range c.read {
-				if r != c.excl[x] {
-					link(c.excl[x], r)
-				}
-			}
-		}
-	}
-	for i, it := range items {
-		if !it.Solo {
-			continue
-		}
-		for j := 0; j < n; j++ {
-			if j < i {
-				link(j, i)
-			} else if j > i {
-				link(i, j)
-			}
-		}
-	}
-	return cg
-}
-
-// N returns the number of updates the graph was built over.
-func (cg *ConflictGraph) N() int { return cg.n }
-
-// Conflicts reports whether updates i and j conflict.
-func (cg *ConflictGraph) Conflicts(i, j int) bool {
-	for _, k := range cg.adj[i] {
-		if k == j {
-			return true
-		}
-	}
-	return false
-}
-
-// PrecedenceColor greedily colors the conflict graph in batch order:
-// color(i) = 1 + max color of i's earlier conflicting neighbors, or 0 if it
-// has none. The coloring is proper (conflicting updates never share a
-// color) and order-preserving (for a conflicting pair i < j, color(i) <
-// color(j)), so color classes executed in order replay every conflicting
-// pair in batch order.
-func (cg *ConflictGraph) PrecedenceColor() []int {
-	colors := make([]int, cg.n)
-	for i := 0; i < cg.n; i++ {
-		c := 0
-		for _, j := range cg.adj[i] {
-			if j < i && colors[j]+1 > c {
-				c = colors[j] + 1
-			}
-		}
-		colors[i] = c
-	}
-	return colors
-}
-
-// Waves groups the updates by precedence color, in color order; within a
-// wave, updates keep ascending batch order. waves[0] is the set of updates
-// with no earlier conflicting update — the one class that is always safe to
-// execute against the state the items were read from (budget permitting;
-// see FirstWave).
-func (cg *ConflictGraph) Waves() [][]int {
-	colors := cg.PrecedenceColor()
-	max := -1
-	for _, c := range colors {
-		if c > max {
-			max = c
-		}
-	}
-	waves := make([][]int, max+1)
-	for i, c := range colors {
-		waves[c] = append(waves[c], i)
-	}
-	return waves
-}
-
-// FirstWave computes the wave to execute next in one pass over the items,
-// without materializing the conflict graph: the first precedence color
-// class, thinned by the shared-claim budgets. An update joins the wave iff
-//
-//   - no Solo op precedes it (a Solo op joins only from position 0,
-//     alone),
-//   - none of its exclusive keys were claimed — exclusively *or* read —
-//     by any earlier op, and none of its read keys were claimed
-//     exclusively by one (reads never block reads). Every op records its
-//     claims whether it joined or not, so a blocked op also blocks its
-//     later conflicters and batch order is preserved — and
-//   - for every shared claim, either the key is so far unused in this wave
-//     or adding the claim keeps the key's total within budget (a claim
-//     larger than the whole budget still gets the key to itself, or it
-//     could never run).
-//
-// budget <= 0 means unlimited, in which case FirstWave equals
-// BuildConflict(items).Waves()[0] exactly (pinned by
-// TestFirstWaveEquivalence). Position 0 always joins, so a scheduler
-// looping over FirstWave always makes progress.
-func FirstWave(items []Item, budget int) []int {
-	claimed := make(map[int64]bool, 2*len(items))
-	readClaimed := make(map[int64]bool, 4)
-	usage := make(map[int64]int, 4)
-	var wave []int
-	for i, it := range items {
-		if it.Solo {
-			if i == 0 {
-				return []int{0}
-			}
-			// A solo op conflicts with everything: it cannot join past
-			// position 0, and nothing after it may jump ahead of it.
-			break
-		}
-		free := true
-		for _, k := range it.Excl {
-			if claimed[k] || readClaimed[k] {
-				free = false
-				break
-			}
-		}
-		if free {
-			for _, k := range it.Read {
-				if claimed[k] {
-					free = false
-					break
-				}
-			}
-		}
-		if free && budget > 0 {
-			for _, cl := range it.Shared {
-				if u := usage[cl.Key]; u > 0 && u+cl.Cost > budget {
-					free = false
-					break
-				}
-			}
-		}
-		if free {
-			wave = append(wave, i)
-			for _, cl := range it.Shared {
-				usage[cl.Key] += cl.Cost
-			}
-		}
-		for _, k := range it.Excl {
-			claimed[k] = true
-		}
-		for _, k := range it.Read {
-			readClaimed[k] = true
-		}
-	}
-	return wave
-}
-
-// Drive executes a batch of n updates as a sequence of waves: item(i)
-// reads update i's resource usage from live state, exec runs one wave of
-// batch indices concurrently, and items are recomputed from scratch
-// between waves because executing a wave changes the resources the
-// remaining updates touch. It returns the number of waves executed.
-// Callers assign per-update identifiers (sequence numbers) by batch
-// position, not execution order, so reordered schedules replay state
-// transitions bit-identically.
-func Drive(n int, item func(i int) Item, budget int, exec func(wave []int)) int {
-	pending := make([]int, n)
-	for i := range pending {
-		pending[i] = i
-	}
-	items := make([]Item, 0, n)
-	waves := 0
-	for len(pending) > 0 {
-		items = items[:0]
-		for _, b := range pending {
-			items = append(items, item(b))
-		}
-		pos := FirstWave(items, budget)
-		wave := make([]int, len(pos))
-		for x, j := range pos {
-			wave[x] = pending[j]
-		}
-		exec(wave)
-		waves++
-		// Drop the executed wave (ascending positions) from pending.
-		kept := pending[:0]
-		x := 0
-		for j, b := range pending {
-			if x < len(pos) && pos[x] == j {
-				x++
-				continue
-			}
-			kept = append(kept, b)
-		}
-		pending = kept
-	}
-	return waves
 }

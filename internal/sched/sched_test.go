@@ -2,8 +2,21 @@ package sched
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
+
+// firstWave forms one wave over the whole slice on a fresh packer and
+// returns the admitted positions — the packer-side counterpart of
+// oracleFirstWaveFair (which likewise tops a non-nil fair up once).
+func firstWave(items []Item, budget int, fair *Fair) []int {
+	pending := make([]int, len(items))
+	for i := range pending {
+		pending[i] = i
+	}
+	wave, _ := NewAdmitterFair(budget, fair).Wave(pending, items)
+	return slices.Clone(wave)
+}
 
 func exclItems(keys [][]int64) []Item {
 	items := make([]Item, len(keys))
@@ -129,24 +142,23 @@ func TestPrecedenceColorProperties(t *testing.T) {
 	}
 }
 
-// TestFirstWaveEquivalence pins that the one-pass scheduler hot path with
-// an unlimited budget computes exactly the first precedence color class of
-// the materialized conflict graph, across random key sets including empty
-// key lists and Solo items.
+// TestFirstWaveEquivalence pins that the packer with an unlimited budget
+// computes exactly the first precedence color class of the materialized
+// conflict graph (and what the reference one-pass implementation
+// computes), across random key sets including empty key lists and Solo
+// items.
 func TestFirstWaveEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 100; trial++ {
 		n := 1 + rng.Intn(40)
 		items := randomItems(rng, n, 10, 0.15)
 		want := BuildConflict(items).Waves()[0]
-		got := FirstWave(items, 0)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: FirstWave %v, Waves()[0] %v", trial, got, want)
+		got := firstWave(items, 0, nil)
+		if !slices.Equal(got, want) {
+			t.Fatalf("trial %d: packer %v, Waves()[0] %v", trial, got, want)
 		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: FirstWave %v, Waves()[0] %v", trial, got, want)
-			}
+		if ref := oracleFirstWave(items, 0); !slices.Equal(got, ref) {
+			t.Fatalf("trial %d: packer %v, oracleFirstWave %v", trial, got, ref)
 		}
 	}
 }
@@ -222,19 +234,14 @@ func TestFirstWaveBudget(t *testing.T) {
 		orch(2, 1),   // blocked: key 2 over budget
 		orch(3, 10),  // joins: key 3 untouched
 	}
-	got := FirstWave(items, 100)
+	got := firstWave(items, 100, nil)
 	want := []int{0, 1, 3, 5}
-	if len(got) != len(want) {
-		t.Fatalf("FirstWave = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("FirstWave = %v, want %v", got, want)
-		}
+	if !slices.Equal(got, want) {
+		t.Fatalf("wave = %v, want %v", got, want)
 	}
 	// Unlimited budget packs everything conflict-free.
-	if all := FirstWave(items, 0); len(all) != len(items) {
-		t.Fatalf("unlimited budget FirstWave = %v, want all %d items", all, len(items))
+	if all := firstWave(items, 0, nil); len(all) != len(items) {
+		t.Fatalf("unlimited budget wave = %v, want all %d items", all, len(items))
 	}
 }
 
@@ -247,9 +254,9 @@ func TestFirstWaveExclBlocksLater(t *testing.T) {
 		{Excl: []int64{1, 2}}, // blocked on 1, claims 2
 		{Excl: []int64{2}},    // must not jump ahead of 1
 	}
-	got := FirstWave(items, 0)
+	got := firstWave(items, 0, nil)
 	if len(got) != 1 || got[0] != 0 {
-		t.Fatalf("FirstWave = %v, want [0]", got)
+		t.Fatalf("wave = %v, want [0]", got)
 	}
 }
 
@@ -289,14 +296,8 @@ func TestBuildConflictRead(t *testing.T) {
 func TestFirstWaveReadSharing(t *testing.T) {
 	check := func(items []Item, want []int) {
 		t.Helper()
-		got := FirstWave(items, 0)
-		if len(got) != len(want) {
-			t.Fatalf("FirstWave = %v, want %v", got, want)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("FirstWave = %v, want %v", got, want)
-			}
+		if got := firstWave(items, 0, nil); !slices.Equal(got, want) {
+			t.Fatalf("wave = %v, want %v", got, want)
 		}
 	}
 	// Readers pack together; an unrelated writer joins too.
@@ -331,12 +332,12 @@ func TestFirstWaveReadSharing(t *testing.T) {
 // TestFirstWaveSolo pins the solo rules: a solo update joins only from
 // position 0 and always alone, and blocks everything behind it.
 func TestFirstWaveSolo(t *testing.T) {
-	if got := FirstWave([]Item{{Solo: true}, {}, {}}, 0); len(got) != 1 || got[0] != 0 {
-		t.Fatalf("leading solo: FirstWave = %v, want [0]", got)
+	if got := firstWave([]Item{{Solo: true}, {}, {}}, 0, nil); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("leading solo: wave = %v, want [0]", got)
 	}
-	got := FirstWave([]Item{{Excl: []int64{1}}, {Solo: true}, {Excl: []int64{2}}}, 0)
+	got := firstWave([]Item{{Excl: []int64{1}}, {Solo: true}, {Excl: []int64{2}}}, 0, nil)
 	if len(got) != 1 || got[0] != 0 {
-		t.Fatalf("mid-batch solo: FirstWave = %v, want [0]", got)
+		t.Fatalf("mid-batch solo: wave = %v, want [0]", got)
 	}
 }
 
