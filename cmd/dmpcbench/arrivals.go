@@ -164,17 +164,15 @@ func printArrivalTable(rows []arrivalRow, lrows []latencyAutoRow) {
 	w.Flush()
 	fmt.Println("(latency is rounds from arrival to answer; a larger batch bound amortizes")
 	fmt.Println(" rounds/op but holds early arrivals longer, which is the p99 column's story)")
-	if len(lrows) > 0 {
-		fmt.Println("\nTail-constrained adaptive batching (TargetP99Rounds vs unconstrained):")
-		w = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-		fmt.Fprintf(w, "Algorithm\tarrivals\ttarget p99\tfree k\tfree p99\tbound k\tbound p99\n")
-		for _, r := range lrows {
-			fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%d\t%d\t%d\n",
-				r.Name, r.Gen, r.Target, r.FreeK, r.FreeP99, r.BoundK, r.BoundP99)
-		}
-		w.Flush()
-		fmt.Println("(the tail bound caps the knee search: windows whose worst-case p99 exceeds")
-		fmt.Println(" the target halve k and lower the search ceiling, so the constrained run")
-		fmt.Println(" settles at a smaller batch than the pure rounds/op knee)")
+	fmt.Println("\nTail-constrained adaptive batching (TargetP99Rounds vs unconstrained):")
+	w = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(w, "Algorithm\tarrivals\ttarget p99\tfree k\tfree p99\tbound k\tbound p99\n")
+	for _, r := range lrows {
+		fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%d\t%d\t%d\n",
+			r.Name, r.Gen, r.Target, r.FreeK, r.FreeP99, r.BoundK, r.BoundP99)
 	}
+	w.Flush()
+	fmt.Println("(the tail bound caps the knee search: windows whose worst-case p99 exceeds")
+	fmt.Println(" the target halve k and lower the search ceiling, so the constrained run")
+	fmt.Println(" settles at a smaller batch than the pure rounds/op knee)")
 }

@@ -1,0 +1,126 @@
+package main
+
+import (
+	"slices"
+	"strings"
+	"testing"
+)
+
+// passingReport is a hand-built suite document that passes every check
+// against itself: two rows per gated table (one gated, one not, where the
+// gate filters on k) and one sim/parallel wallclock pair at n = 10^4.
+func passingReport() benchReport {
+	return benchReport{
+		Schema: "dmpcbench/v3", N: 128, Updates: 500, Seed: 1, WallMax: 10_000,
+		Batch: []batchRow{
+			{Name: "cc", K: 1, Amortized: 5.5},
+			{Name: "cc", K: 64, Amortized: 1.5},
+		},
+		Mixed: []mixedRow{
+			{Name: "cc", K: 8, InwavePerOp: 1.5, Ratio: 0.4},
+			{Name: "cc", K: 64, InwavePerOp: 1.0, Ratio: 0.3},
+		},
+		Arrivals: []arrivalRow{
+			{Name: "cc", Gen: "poisson", K: 8, P99: 49},
+			{Name: "cc", Gen: "poisson", K: 64, P99: 73},
+		},
+		LatencyAuto: []latencyAutoRow{{Name: "cc", Gen: "poisson", Target: 40, FreeK: 128, BoundK: 16}},
+		Tenants:     []tenantRow{{Name: "cc", VictimSoloP99: 4, VictimFairP99: 6, ZeroTenantIdentical: true}},
+		TreeDP: []treedpRow{
+			{Name: "uniform", K: 64, Backend: "sim", DPRoundsPerQuery: 0.04, AnswersMatch: true},
+			{Name: "uniform", K: 256, Backend: "sim", DPRoundsPerQuery: 0.02, AnswersMatch: true},
+			{Name: "powerlaw", K: 64, Backend: "sim", DPRoundsPerQuery: 2.3, AnswersMatch: true},
+		},
+		Wall: []wallRow{
+			{Name: "cc", N: 10_000, Backend: "sim", RoundsPerOp: 1.5, AllocsPerRound: 100, MakespanNs: 1000},
+			{Name: "cc", N: 10_000, Backend: "parallel", RoundsPerOp: 1.5, AllocsPerRound: 50, MakespanNs: 800},
+		},
+	}
+}
+
+func failing(vs []verdict) []string {
+	var names []string
+	for _, v := range vs {
+		if v.err != nil {
+			names = append(names, v.name)
+		}
+	}
+	return names
+}
+
+// TestEveryNamedCheckTrips applies one mutation per named check to a
+// passing report/snapshot pair and requires that exactly that check fails.
+// Gates are tripped by tightening the snapshot (so no invariant of the run
+// moves), invariants by a mutation of the run that no gate sees.
+func TestEveryNamedCheckTrips(t *testing.T) {
+	if names := failing(checkBaseline(passingReport(), passingReport(), 0.10)); len(names) != 0 {
+		t.Fatalf("unmutated pair fails %q", names)
+	}
+	cases := []struct {
+		check  string
+		detail string // substring the failure must carry
+		mutate func(rep, want *benchReport)
+	}{
+		{"same suite", "-seed 2", func(_, want *benchReport) { want.Seed = 2 }},
+		{"same suite", "-wallmax 128", func(rep, _ *benchReport) { rep.WallMax = 128 }},
+		{"same suite", "dmpcbench/v2", func(_, want *benchReport) { want.Schema = "dmpcbench/v2" }},
+
+		{"batch: amortized rounds/update", "cc k=64", func(_, want *benchReport) { want.Batch[1].Amortized = 1.0 }},
+		{"mixed: in-wave rounds/op", "cc k=64", func(_, want *benchReport) { want.Mixed[1].InwavePerOp = 0.5 }},
+		{"arrivals: latency p99 rounds at k=64", "cc poisson k=64", func(_, want *benchReport) { want.Arrivals[1].P99 = 50 }},
+		{"tenants: fair victim p99 rounds", "cc", func(_, want *benchReport) { want.Tenants[0].VictimFairP99 = 4 }},
+		{"treedp: DP rounds/query at k=64", "uniform k=64 sim", func(_, want *benchReport) { want.TreeDP[0].DPRoundsPerQuery = 0.01 }},
+		{"wallclock: rounds/op", "cc n=10000 sim", func(_, want *benchReport) { want.Wall[0].RoundsPerOp = 1.0 }},
+		{"wallclock: allocs/round", "cc n=10000 parallel", func(_, want *benchReport) { want.Wall[1].AllocsPerRound = 10 }},
+
+		// A gated row missing on either side is an error naming table and key.
+		{"arrivals: latency p99 rounds at k=64", `snapshot row "cc poisson k=64" was not measured`,
+			func(rep, _ *benchReport) { rep.Arrivals = rep.Arrivals[:1] }},
+		{"arrivals: latency p99 rounds at k=64", `measured row "cc poisson k=64" is not in the snapshot`,
+			func(_, want *benchReport) { want.Arrivals = want.Arrivals[:1] }},
+		{"batch: amortized rounds/update", `snapshot row "cc k=1" was not measured`,
+			func(rep, _ *benchReport) { rep.Batch = rep.Batch[1:] }},
+
+		{"mixed: in-wave reads beat the quiescence split at k>=64", "k=64", func(rep, _ *benchReport) { rep.Mixed[1].Ratio = 1.0 }},
+		{"arrivals: tail-constrained AutoBatcher settles below the free k", "k=128", func(rep, _ *benchReport) { rep.LatencyAuto[0].BoundK = 128 }},
+		{"tenants: fair victim p99 <= 2x solo", "solo 2", func(rep, _ *benchReport) { rep.Tenants[0].VictimSoloP99 = 2 }},
+		{"tenants: tags alone change nothing", "cc", func(rep, _ *benchReport) { rep.Tenants[0].ZeroTenantIdentical = false }},
+		{"treedp: uniform DP reads < 1 round/query at k>=64", "k=256", func(rep, _ *benchReport) { rep.TreeDP[1].DPRoundsPerQuery = 1.5 }},
+		{"treedp: DP answers match across backends", "powerlaw k=64", func(rep, _ *benchReport) { rep.TreeDP[2].AnswersMatch = false }},
+		{"wallclock: rounds/op bit-equal across backends", "parallel 1.400 vs sim 1.500", func(rep, _ *benchReport) { rep.Wall[1].RoundsPerOp = 1.4 }},
+		{"wallclock: parallel makespan <= 1.02x sim at n>=10^4", "n=10000", func(rep, _ *benchReport) { rep.Wall[1].MakespanNs = 1021 }},
+	}
+	tripped := map[string]bool{}
+	for _, tc := range cases {
+		rep, want := passingReport(), passingReport()
+		tc.mutate(&rep, &want)
+		vs := checkBaseline(rep, want, 0.10)
+		if names := failing(vs); !slices.Equal(names, []string{tc.check}) {
+			t.Errorf("%s (%s): failing checks %q, want exactly that one", tc.check, tc.detail, names)
+			continue
+		}
+		for _, v := range vs {
+			if v.err != nil && !strings.Contains(v.err.Error(), tc.detail) {
+				t.Errorf("%s: failure %q does not name %q", tc.check, v.err, tc.detail)
+			}
+		}
+		tripped[tc.check] = true
+	}
+	for _, v := range checkBaseline(passingReport(), passingReport(), 0.10) {
+		if !tripped[v.name] {
+			t.Errorf("check %q has no mutation that trips it", v.name)
+		}
+	}
+}
+
+// TestGateTolerance pins the comparator's arithmetic: drift up to tol
+// (plus the allocs gate's absolute slack) passes, improvement passes.
+func TestGateTolerance(t *testing.T) {
+	rep, want := passingReport(), passingReport()
+	rep.Batch[1].Amortized = 1.5 * 1.09
+	rep.Mixed[1].InwavePerOp = 0.2
+	rep.Wall[1].AllocsPerRound = 50*1.10 + 15
+	if names := failing(checkBaseline(rep, want, 0.10)); len(names) != 0 {
+		t.Errorf("drift within tolerance fails %q", names)
+	}
+}

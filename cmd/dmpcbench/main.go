@@ -1,48 +1,26 @@
-// Command dmpcbench reproduces Table 1 of the paper in tabular form: for
-// every dynamic DMPC algorithm it measures, over a random update stream,
-// the three model complexity measures — rounds per update, active
-// machines per round and communicated words per round (mean and worst
-// case) — and prints them alongside the bound the paper claims. With
-// -sweep it additionally reports how the measures scale with the input
-// size N, exposing the O(√N) communication shape.
+// Command dmpcbench is the repo's one model-cost harness. Every run
+// measures every table on a deterministic random update stream — Table 1
+// of the paper (rounds per update, active machines and communicated words
+// per round, communication entropy, next to the bound the paper claims,
+// the §7 reductions and the static recompute baselines), the batch
+// pipeline at k ∈ {1, 64}, the AutoBatcher's knee search, in-wave reads
+// against the quiescence split, read-only windows, streaming arrivals,
+// tenant isolation, tree DP, the §5 O(√N) sweep and the sim-vs-parallel
+// ladder up to -wallmax — and emits them as text tables or, with -json,
+// as one dmpcbench/v3 document (see benchReport; BENCH_0015.json is the
+// committed one). Wall-clock has its own harness, bench/.
 //
-// With -batch k the same stream is additionally applied through each
-// algorithm's ApplyOps in write-only chunks of k, reporting rounds per
-// batch and the amortized rounds per update next to the k=1 baseline —
-// the batch-dynamic headline metric. With -json the whole measurement is
-// emitted as a machine-readable JSON document (see benchReport) so the
-// perf trajectory can be committed as BENCH_NNNN.json snapshots and
-// diffed across PRs.
+// With -baseline FILE the run is judged against such a document by the
+// named checks of checkBaseline, one verdict line each on stderr, and the
+// command exits nonzero if any fails — the CI bench-regression step.
 //
-// With -autobatch the dmpc.AutoBatcher adaptive batch-sizing driver runs
-// the stream and reports the chunk-size trajectory its knee search took.
-// With -mixed the unified op pipeline (reads sequenced into the update
-// waves) is compared against a position-preserving quiescence split of
-// the same op stream at -readfrac. (BENCH_0002/0003 keep the frozen
-// figures of the retired -queries and -shard comparators.)
-//
-// With -treedp the tree-DP workload is measured: mixed link/cut/weight/
-// DP-query streams (SubtreeSum, PathSum, TreeTop) from a uniform and a
-// preferential-attachment power-law generator, chunked at k ∈ {8, 64,
-// 256} on both backends, reporting rounds/op, the amortized DP rounds
-// per query and cross-backend answer equality (see BENCH_0010.json).
-//
-// With -baseline FILE the run's amortized batch rounds are compared
-// against a committed BENCH_*.json snapshot and the command exits nonzero
-// on a regression beyond -tolerance (default 10%) — the CI bench smoke.
-//
-// With -cpuprofile FILE / -memprofile FILE the measured section (every
-// table, from the first measurement to the last) is wrapped in a pprof
-// capture: -cpuprofile streams the CPU profile of the measurements
-// themselves, -memprofile snapshots the heap (after a forced collection)
-// the moment the measurements finish. Construction and report
-// marshalling stay outside both, so the profiles answer "where do the
-// benchmarked ops spend their time/memory" — the standing profiling
-// hook for perf PRs.
+// -cpuprofile FILE / -memprofile FILE wrap the measured section (first
+// table to last; construction of the report and printing stay outside) in
+// a pprof CPU capture, resp. snapshot the live heap right after it.
 //
 // Usage:
 //
-//	dmpcbench [-n 128] [-updates 500] [-seed 1] [-sweep] [-batch k] [-autobatch] [-mixed] [-readfrac f] [-arrivals] [-tenants] [-treedp] [-wallclock] [-wallmax n] [-backend b] [-workers w] [-cpuprofile FILE] [-memprofile FILE] [-json] [-baseline FILE] [-tolerance f]
+//	dmpcbench [-n 128] [-updates 500] [-seed 1] [-wallmax n] [-backend b] [-workers w] [-cpuprofile FILE] [-memprofile FILE] [-json] [-baseline FILE] [-tolerance f]
 package main
 
 import (
@@ -68,14 +46,25 @@ import (
 	"dmpc/internal/staticmpc"
 )
 
-type row struct {
-	name       string
-	claim      string
-	meanRounds float64
-	maxRounds  int
-	maxActive  int
-	meanWords  float64
-	maxWords   int
+// The suite's fixed parameters: the one value each retired mode flag was
+// ever run with.
+const (
+	batchK   = 64  // the batch table's k, measured next to k=1
+	readFrac = 0.5 // read fraction of the mixed table's op streams
+)
+
+// table1Row is one algorithm's per-update measurement. Entropy is §8's
+// communication entropy of the whole run: a coordinator (§3) concentrates
+// traffic on few machine pairs and scores low, broadcasts (§5) spread it.
+type table1Row struct {
+	Name          string  `json:"name"`
+	Claim         string  `json:"claim"`
+	MeanRounds    float64 `json:"mean_rounds_per_update"`
+	WorstRounds   int     `json:"wc_rounds"`
+	WorstMachines int     `json:"wc_machines_per_round"`
+	MeanWords     float64 `json:"mean_words_per_round"`
+	WorstWords    int     `json:"wc_words_per_round"`
+	Entropy       float64 `json:"comm_entropy_bits"`
 }
 
 type updater func(up graph.Update) mpc.UpdateStats
@@ -128,77 +117,71 @@ func ammCycle(m *amm.M) updater {
 	}
 }
 
-func measure(name, claim string, updates []graph.Update, f updater) row {
-	r := row{name: name, claim: claim}
-	var sumRounds, sumWords, rounds int
+func measure(name, claim string, updates []graph.Update, f updater, cl *mpc.Cluster) table1Row {
+	r := table1Row{Name: name, Claim: claim}
+	var rounds, words int
 	for _, up := range updates {
 		st := f(up)
-		sumRounds += st.Rounds
 		rounds += st.Rounds
-		sumWords += st.SumWords
-		if st.Rounds > r.maxRounds {
-			r.maxRounds = st.Rounds
-		}
-		if st.MaxActive > r.maxActive {
-			r.maxActive = st.MaxActive
-		}
-		if st.MaxWords > r.maxWords {
-			r.maxWords = st.MaxWords
-		}
+		words += st.SumWords
+		r.WorstRounds = max(r.WorstRounds, st.Rounds)
+		r.WorstMachines = max(r.WorstMachines, st.MaxActive)
+		r.WorstWords = max(r.WorstWords, st.MaxWords)
 	}
-	r.meanRounds = float64(sumRounds) / float64(len(updates))
+	r.MeanRounds = float64(rounds) / float64(len(updates))
 	if rounds > 0 {
-		r.meanWords = float64(sumWords) / float64(rounds)
+		r.MeanWords = float64(words) / float64(rounds)
 	}
+	r.Entropy = cl.CommEntropy()
 	return r
 }
 
-func table(n, nUpdates int, seed int64) []row {
+func table(n, nUpdates int, seed int64) []table1Row {
 	capEdges := 6 * n
 	mk := func(s int64) []graph.Update {
 		return graph.RandomStream(n, nUpdates, 0.55, 50, rand.New(rand.NewSource(seed+s)))
 	}
-	var rows []row
+	var rows []table1Row
 
 	m1 := newDMM(dmm.Config{N: n, CapEdges: capEdges})
-	rows = append(rows, measure("Maximal matching (§3)", "O(1) r, O(1) mach, O(√N) words", mk(1), perOp(m1.ApplyOps)))
+	rows = append(rows, measure("Maximal matching (§3)", "O(1) r, O(1) mach, O(√N) words", mk(1), perOp(m1.ApplyOps), m1.Cluster()))
 
 	m2 := newDMM(dmm.Config{N: n, CapEdges: capEdges, ThreeHalves: true})
-	rows = append(rows, measure("3/2-approx matching (§4)", "O(1) r, O(n/√N) mach, O(√N) words", mk(2), perOp(m2.ApplyOps)))
+	rows = append(rows, measure("3/2-approx matching (§4)", "O(1) r, O(n/√N) mach, O(√N) words", mk(2), perOp(m2.ApplyOps), m2.Cluster()))
 
 	m3 := newAMM(amm.Config{N: n, Seed: seed})
-	rows = append(rows, measure("(2+ε)-approx matching (§6)", "O(1) r, Õ(1) mach, Õ(1) words", mk(3), ammCycle(m3)))
+	rows = append(rows, measure("(2+ε)-approx matching (§6)", "O(1) r, Õ(1) mach, Õ(1) words", mk(3), ammCycle(m3), m3.Cluster()))
 
 	d4 := newDyncon(dyncon.Config{N: n, Mode: dyncon.CC, ExpectedEdges: capEdges})
-	rows = append(rows, measure("Connected comps (§5)", "O(1) r, O(√N) mach, O(√N) words", mk(4), perOp(d4.ApplyOps)))
+	rows = append(rows, measure("Connected comps (§5)", "O(1) r, O(√N) mach, O(√N) words", mk(4), perOp(d4.ApplyOps), d4.Cluster()))
 
 	d5 := newDyncon(dyncon.Config{N: n, Mode: dyncon.MST, Eps: 0.25, ExpectedEdges: capEdges})
-	rows = append(rows, measure("(1+ε)-MST (§5.1)", "O(1) r, O(√N) mach, O(√N) words", mk(5), perOp(d5.ApplyOps)))
+	rows = append(rows, measure("(1+ε)-MST (§5.1)", "O(1) r, O(√N) mach, O(√N) words", mk(5), perOp(d5.ApplyOps), d5.Cluster()))
 
 	simH := reduction.NewSim(8, 1<<18)
 	wh := reduction.NewWrapped(simH, reduction.HDTTarget{H: seqdyn.NewHDT(n)})
-	rows = append(rows, measure("Reduction: conn comps (§7+HDT)", "Õ(1) r amort., O(1) mach, O(1) words", mk(6), wh.Update))
+	rows = append(rows, measure("Reduction: conn comps (§7+HDT)", "Õ(1) r amort., O(1) mach, O(1) words", mk(6), wh.Update, simH.Cluster()))
 
 	simM := reduction.NewSim(8, 1<<18)
 	wm := reduction.NewWrapped(simM, reduction.NSMatchTarget{M: seqdyn.NewNSMatch(n, capEdges)})
-	rows = append(rows, measure("Reduction: matching (§7+NS)", "O(√m) r wc, O(1) mach, O(1) words", mk(7), wm.Update))
+	rows = append(rows, measure("Reduction: matching (§7+NS)", "O(√m) r wc, O(1) mach, O(1) words", mk(7), wm.Update, simM.Cluster()))
 
 	simF := reduction.NewSim(8, 1<<18)
 	wf := reduction.NewWrapped(simF, reduction.MSFTarget{F: seqdyn.NewDynMSF(n)})
-	rows = append(rows, measure("Reduction: MST (§7+DynMSF)", "Õ(1) r amort., O(1) mach, O(1) words", mk(8), wf.Update))
+	rows = append(rows, measure("Reduction: MST (§7+DynMSF)", "Õ(1) r amort., O(1) mach, O(1) words", mk(8), wf.Update, simF.Cluster()))
 
 	return rows
 }
 
 // batchRow is one algorithm's batch-pipeline measurement at a given k.
 type batchRow struct {
-	name       string
-	k          int
-	batches    int
-	meanRounds float64 // rounds per batch
-	amortized  float64 // rounds per update
-	maxActive  int
-	meanWords  float64 // words per round
+	Name           string  `json:"name"`
+	K              int     `json:"k"`
+	Batches        int     `json:"batches"`
+	RoundsPerBatch float64 `json:"rounds_per_batch"`
+	Amortized      float64 `json:"amortized_rounds_per_update"`
+	WorstMachines  int     `json:"wc_machines_per_round"`
+	MeanWords      float64 `json:"mean_words_per_round"`
 }
 
 type batchRunner struct {
@@ -240,46 +223,58 @@ func batchRunners(n, capEdges int, seed int64) []batchRunner {
 }
 
 func measureBatch(name string, updates []graph.Update, k int, run func(graph.Batch) mpc.BatchStats) batchRow {
-	r := batchRow{name: name, k: k}
+	r := batchRow{Name: name, K: k}
 	var rounds, words, upd int
 	for _, b := range graph.Chunk(updates, k) {
 		st := run(b)
-		r.batches++
+		r.Batches++
 		rounds += st.Rounds
 		words += st.SumWords
 		upd += st.Updates
-		if st.MaxActive > r.maxActive {
-			r.maxActive = st.MaxActive
-		}
+		r.WorstMachines = max(r.WorstMachines, st.MaxActive)
 	}
-	if r.batches > 0 {
-		r.meanRounds = float64(rounds) / float64(r.batches)
+	if r.Batches > 0 {
+		r.RoundsPerBatch = float64(rounds) / float64(r.Batches)
 	}
 	if upd > 0 {
-		r.amortized = float64(rounds) / float64(upd)
+		r.Amortized = float64(rounds) / float64(upd)
 	}
 	if rounds > 0 {
-		r.meanWords = float64(words) / float64(rounds)
+		r.MeanWords = float64(words) / float64(rounds)
 	}
 	return r
 }
 
-// batchTable measures every algorithm at k=1 and k=batch over the same
+// suiteStream is the one update stream the batch, autobatch, mixed and
+// read-only tables all replay, so their round counts are comparable.
+func suiteStream(n, nUpdates int, seed int64) []graph.Update {
+	return graph.RandomStream(n, nUpdates, 0.55, 50, rand.New(rand.NewSource(seed+100)))
+}
+
+// batchTable measures every algorithm at k=1 and k=batchK over the same
 // stream (fresh instances per k).
-func batchTable(n, nUpdates, batch int, seed int64) []batchRow {
-	capEdges := 6 * n
-	stream := graph.RandomStream(n, nUpdates, 0.55, 50, rand.New(rand.NewSource(seed+100)))
-	ks := []int{1}
-	if batch > 1 {
-		ks = append(ks, batch)
-	}
+func batchTable(n, nUpdates int, seed int64) []batchRow {
+	stream := suiteStream(n, nUpdates, seed)
 	var rows []batchRow
-	for _, br := range batchRunners(n, capEdges, seed) {
-		for _, k := range ks {
+	for _, br := range batchRunners(n, 6*n, seed) {
+		for _, k := range []int{1, batchK} {
 			rows = append(rows, measureBatch(br.name, stream, k, br.mk(k)))
 		}
 	}
 	return rows
+}
+
+func printBatchTable(rows []batchRow) {
+	fmt.Printf("\nBatch pipeline (write-only ApplyOps windows, k=%d vs k=1):\n", batchK)
+	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(w, "Algorithm\tk\trounds/batch\tamortized rounds/upd\tmach/round (wc)\twords/round (mean)\n")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%s\t%d\t%.2f\t%.2f\t%d\t%.1f\n",
+			r.Name, r.K, r.RoundsPerBatch, r.Amortized, r.WorstMachines, r.MeanWords)
+	}
+	w.Flush()
+	fmt.Println("(amortized rounds/update dropping as k grows is the batch-dynamic headline;")
+	fmt.Println(" the §7 reduction replays sequentially, so its amortized cost stays flat)")
 }
 
 // --- adaptive batch sizing ------------------------------------------------
@@ -295,7 +290,7 @@ type autoRow struct {
 
 func autoTable(n, nUpdates int, seed int64) []autoRow {
 	capEdges := 6 * n
-	stream := graph.RandomStream(n, nUpdates, 0.55, 50, rand.New(rand.NewSource(seed+100)))
+	stream := suiteStream(n, nUpdates, seed)
 	runners := []struct {
 		name string
 		mk   func() (applyOps, *mpc.Cluster)
@@ -440,12 +435,11 @@ func measureMixedPipeline(mr mixedRunner, ops []graph.Op, k int) mixedRow {
 
 // mixedTable measures the unified pipeline against the quiescence split
 // at op-chunk sizes k ∈ {8, 64, 256} over one mixed stream per algorithm.
-func mixedTable(n, nUpdates int, readfrac float64, seed int64) []mixedRow {
-	capEdges := 6 * n
-	stream := graph.RandomStream(n, nUpdates, 0.55, 50, rand.New(rand.NewSource(seed+100)))
+func mixedTable(n, nUpdates int, seed int64) []mixedRow {
+	stream := suiteStream(n, nUpdates, seed)
 	var rows []mixedRow
-	for _, mr := range mixedRunners(n, capEdges) {
-		ops := graph.MixedStream(stream, readfrac, mr.mkQuery, rand.New(rand.NewSource(seed+200)))
+	for _, mr := range mixedRunners(n, 6*n) {
+		ops := graph.MixedStream(stream, readFrac, mr.mkQuery, rand.New(rand.NewSource(seed+200)))
 		ks := make([]int, 0, 3)
 		for _, k := range []int{8, 64, 256} {
 			if k > len(ops) {
@@ -463,8 +457,8 @@ func mixedTable(n, nUpdates int, readfrac float64, seed int64) []mixedRow {
 	return rows
 }
 
-func printMixedTable(rows []mixedRow, readfrac float64) {
-	fmt.Printf("\nUnified op pipeline: in-wave reads vs quiescence split (readfrac %.2f):\n", readfrac)
+func printMixedTable(rows []mixedRow) {
+	fmt.Printf("\nUnified op pipeline: in-wave reads vs quiescence split (readfrac %.2f):\n", readFrac)
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(w, "Algorithm\tk\tops\tinwave r/op\tquiescence r/op\tratio\tquery-half rounds\tfree-riding reads\n")
 	for _, r := range rows {
@@ -478,335 +472,397 @@ func printMixedTable(rows []mixedRow, readfrac float64) {
 	fmt.Println(" extra rounds, which is where the ratio comes from)")
 }
 
-func printBatchTable(rows []batchRow, batch int) {
-	fmt.Printf("\nBatch pipeline (write-only ApplyOps windows, k=%d vs k=1):\n", batch)
+// readRow is one (algorithm, k) cell of the read-only-window table: after
+// the batch stream has been applied, 128 queries are answered in
+// read-only ApplyOps windows of k. A window's reads share its gather
+// rounds, so rounds/query falls from ~2 (§5) resp. 1 (§3) toward 2/k resp.
+// 1/k — the read-side mirror of the batch table.
+type readRow struct {
+	Name           string  `json:"name"`
+	K              int     `json:"k"`
+	Queries        int     `json:"queries"`
+	RoundsPerQuery float64 `json:"rounds_per_query"`
+	MeanWords      float64 `json:"mean_words_per_round"`
+}
+
+func readTable(n, nUpdates int, seed int64) []readRow {
+	stream := suiteStream(n, nUpdates, seed)
+	runners := append(mixedRunners(n, 6*n), mixedRunner{"(2+ε)-approx matching (§6)",
+		func(rng *rand.Rand) graph.Op { return graph.OpQMateOf(rng.Intn(n)) },
+		func() applyOps { return newAMM(amm.Config{N: n, Seed: seed}).ApplyOps }})
+	var rows []readRow
+	for _, mr := range runners {
+		for _, k := range []int{1, 8, 64} {
+			apply := mr.mk()
+			for _, b := range graph.Chunk(stream, batchK) {
+				apply(graph.UpdateOps(b))
+			}
+			rng := rand.New(rand.NewSource(seed + 600))
+			r := readRow{Name: mr.name, K: k}
+			var rounds, words int
+			for q := 0; q < 128; q += k {
+				ops := make([]graph.Op, k)
+				for j := range ops {
+					ops[j] = mr.mkQuery(rng)
+				}
+				_, st := apply(ops)
+				r.Queries += st.Queries.Queries
+				rounds += st.Queries.Rounds
+				words += st.Queries.SumWords
+			}
+			r.RoundsPerQuery = float64(rounds) / float64(r.Queries)
+			if rounds > 0 {
+				r.MeanWords = float64(words) / float64(rounds)
+			}
+			rows = append(rows, r)
+		}
+	}
+	return rows
+}
+
+func printReadTable(rows []readRow) {
+	fmt.Println("\nRead-only windows (k queries per ApplyOps window, after the batch stream):")
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "Algorithm\tk\trounds/batch\tamortized rounds/upd\tmach/round (wc)\twords/round (mean)\n")
+	fmt.Fprintf(w, "Algorithm\tk\tqueries\trounds/query\twords/round (mean)\n")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%d\t%.2f\t%.2f\t%d\t%.1f\n",
-			r.name, r.k, r.meanRounds, r.amortized, r.maxActive, r.meanWords)
+		fmt.Fprintf(w, "%s\t%d\t%d\t%.3f\t%.1f\n", r.Name, r.K, r.Queries, r.RoundsPerQuery, r.MeanWords)
 	}
 	w.Flush()
-	fmt.Println("(amortized rounds/update dropping as k grows is the batch-dynamic headline;")
-	fmt.Println(" the §7 reduction replays sequentially, so its amortized cost stays flat)")
 }
 
-// --- JSON output ----------------------------------------------------------
+// --- the suite document ----------------------------------------------------
 
-type jsonAlgo struct {
-	Name               string  `json:"name"`
-	Claim              string  `json:"claim"`
-	MeanRoundsPerUpd   float64 `json:"mean_rounds_per_update"`
-	WorstRounds        int     `json:"wc_rounds"`
-	WorstMachines      int     `json:"wc_machines_per_round"`
-	MeanWordsPerRound  float64 `json:"mean_words_per_round"`
-	WorstWordsPerRound int     `json:"wc_words_per_round"`
-}
-
-type jsonBatch struct {
-	Name              string  `json:"name"`
-	K                 int     `json:"k"`
-	Batches           int     `json:"batches"`
-	RoundsPerBatch    float64 `json:"rounds_per_batch"`
-	AmortizedRounds   float64 `json:"amortized_rounds_per_update"`
-	WorstMachines     int     `json:"wc_machines_per_round"`
-	MeanWordsPerRound float64 `json:"mean_words_per_round"`
-}
-
+// benchReport is the dmpcbench/v3 document: the flags that shape the
+// streams, then one block per table. Only the treedp and wallclock blocks
+// carry machine-dependent (timing) columns; everything else is a
+// deterministic function of (n, updates, seed).
 type benchReport struct {
-	Schema   string      `json:"schema"`
-	N        int         `json:"n"`
-	Updates  int         `json:"updates"`
-	Seed     int64       `json:"seed"`
-	BatchK   int         `json:"batch_k,omitempty"`
-	ReadFrac float64     `json:"read_frac,omitempty"`
-	Table1   []jsonAlgo  `json:"table1"`
-	Batch    []jsonBatch `json:"batch,omitempty"`
-	Auto     []autoRow   `json:"autobatch,omitempty"`
-	Mixed    []mixedRow  `json:"mixed,omitempty"`
-	Sweep    []sweepRow  `json:"sweep,omitempty"`
+	Schema  string `json:"schema"`
+	N       int    `json:"n"`
+	Updates int    `json:"updates"`
+	Seed    int64  `json:"seed"`
+	WallMax int    `json:"wallmax"`
+	// Backend records the -backend flag every table but treedp and
+	// wallclock ran on; those two always measure both backends.
+	Backend string `json:"backend"`
 
-	Arrivals    []arrivalRow     `json:"arrivals,omitempty"`
-	LatencyAuto []latencyAutoRow `json:"latency_autobatch,omitempty"`
-	Tenants     []tenantRow      `json:"tenants,omitempty"`
-	TreeDP      []treedpRow      `json:"treedp,omitempty"`
-
-	// Backend records the -backend flag the (non-wallclock) tables ran
-	// on; Wall is the sim-vs-parallel wall-clock trajectory, which always
-	// measures both backends.
-	Backend string    `json:"backend,omitempty"`
-	Wall    []wallRow `json:"wallclock,omitempty"`
+	Table1      []table1Row      `json:"table1"`
+	Static      []staticRow      `json:"static"`
+	Batch       []batchRow       `json:"batch"`
+	Auto        []autoRow        `json:"autobatch"`
+	Mixed       []mixedRow       `json:"mixed"`
+	ReadOnly    []readRow        `json:"read_only"`
+	Arrivals    []arrivalRow     `json:"arrivals"`
+	LatencyAuto []latencyAutoRow `json:"latency_autobatch"`
+	Tenants     []tenantRow      `json:"tenants"`
+	TreeDP      []treedpRow      `json:"treedp"`
+	Sweep       []sweepRow       `json:"sweep"`
+	Wall        []wallRow        `json:"wallclock"`
 }
 
-// buildReport assembles the machine-readable measurement document.
-func buildReport(rows []row, brows []batchRow, arows []autoRow, mrows []mixedRow, srows []sweepRow, n, updates, batch int, readfrac float64, seed int64) benchReport {
-	rep := benchReport{Schema: "dmpcbench/v2", N: n, Updates: updates, Seed: seed, BatchK: batch,
-		Auto: arows, Mixed: mrows, Sweep: srows}
-	if len(mrows) > 0 {
-		rep.ReadFrac = readfrac
-	}
-	for _, r := range rows {
-		rep.Table1 = append(rep.Table1, jsonAlgo{
-			Name: r.name, Claim: r.claim,
-			MeanRoundsPerUpd: r.meanRounds, WorstRounds: r.maxRounds,
-			WorstMachines: r.maxActive, MeanWordsPerRound: r.meanWords,
-			WorstWordsPerRound: r.maxWords,
-		})
-	}
-	for _, r := range brows {
-		rep.Batch = append(rep.Batch, jsonBatch{
-			Name: r.name, K: r.k, Batches: r.batches,
-			RoundsPerBatch: r.meanRounds, AmortizedRounds: r.amortized,
-			WorstMachines: r.maxActive, MeanWordsPerRound: r.meanWords,
-		})
-	}
-	return rep
-}
-
-func printJSON(rep benchReport) {
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		fmt.Fprintln(os.Stderr, "dmpcbench:", err)
-		os.Exit(1)
+// measureSuite runs every table.
+func measureSuite(n, updates int, seed int64, wallMax int) benchReport {
+	return benchReport{
+		Schema: "dmpcbench/v3", N: n, Updates: updates, Seed: seed, WallMax: wallMax,
+		Backend:     benchBackend.String(),
+		Table1:      table(n, updates, seed),
+		Static:      staticTable(n, seed),
+		Batch:       batchTable(n, updates, seed),
+		Auto:        autoTable(n, updates, seed),
+		Mixed:       mixedTable(n, updates, seed),
+		ReadOnly:    readTable(n, updates, seed),
+		Arrivals:    arrivalTable(n, updates, seed),
+		LatencyAuto: latencyAutoTable(n, updates, seed),
+		Tenants:     tenantTable(n, updates, seed),
+		TreeDP:      treedpTable(n, updates, seed),
+		Sweep:       sweepRows(seed),
+		Wall:        wallTable(seed, wallMax),
 	}
 }
 
-// checkBaseline compares the run's amortized batch rounds against a
-// committed BENCH snapshot (the CI bench-regression smoke): for every
-// (name, k) batch row present in both, the measured amortized
-// rounds/update may not exceed the snapshot's by more than tol (relative).
-// The simulator is deterministic for fixed flags and seed, so any drift is
-// a code change, and tol only leaves room for intentional small
-// scheduling tweaks between re-pins.
-func checkBaseline(rep benchReport, path string, tol float64) error {
+func (rep benchReport) print() {
+	fmt.Printf("DMPC dynamic algorithms — Table 1 reproduction (n=%d, %d updates, seed %d)\n\n", rep.N, rep.Updates, rep.Seed)
+	printTable(rep.Table1, rep.N)
+	printStatic(rep.Static)
+	printBatchTable(rep.Batch)
+	printAutoTable(rep.Auto)
+	printMixedTable(rep.Mixed)
+	printReadTable(rep.ReadOnly)
+	printArrivalTable(rep.Arrivals, rep.LatencyAuto)
+	printTenantTable(rep.Tenants)
+	printTreeDPTable(rep.TreeDP)
+	printSweep(rep.Sweep)
+	printWallTable(rep.Wall)
+}
+
+func readReport(path string) (benchReport, error) {
+	var rep benchReport
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		return err
+		return rep, err
 	}
-	var want benchReport
-	if err := json.Unmarshal(raw, &want); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		return rep, fmt.Errorf("%s: %w", path, err)
 	}
-	if want.N != rep.N || want.Updates != rep.Updates || want.Seed != rep.Seed || want.BatchK != rep.BatchK {
-		return fmt.Errorf("%s was recorded with -n %d -updates %d -seed %d -batch %d; this run used -n %d -updates %d -seed %d -batch %d",
-			path, want.N, want.Updates, want.Seed, want.BatchK, rep.N, rep.Updates, rep.Seed, rep.BatchK)
+	return rep, nil
+}
+
+// --- baseline checks -------------------------------------------------------
+
+// cell is one gated value and the key of the row it came from.
+type cell struct {
+	key string
+	v   float64
+}
+
+// gate is a tolerance check on one column of one table. Every gated row
+// of the snapshot must find its measured partner and vice versa, and the
+// measured value may not exceed the snapshot's by more than tol (relative)
+// plus slack (absolute). The sim oracle is deterministic for fixed flags
+// and seed, so any drift is a code change, and tol only leaves room for
+// intentional small scheduling tweaks between re-pins.
+type gate struct {
+	name  string
+	slack float64
+	cells func(benchReport) []cell
+}
+
+// column extracts a gate's cells from a table; gated=false skips the row.
+func column[T any](rows []T, f func(T) (key string, v float64, gated bool)) []cell {
+	var cs []cell
+	for _, r := range rows {
+		if k, v, ok := f(r); ok {
+			cs = append(cs, cell{k, v})
+		}
 	}
-	type key struct {
-		name string
-		k    int
+	return cs
+}
+
+func wallKey(w wallRow) string { return fmt.Sprintf("%s n=%d %s", w.Name, w.N, w.Backend) }
+
+var gates = []gate{
+	{"batch: amortized rounds/update", 0, func(r benchReport) []cell {
+		return column(r.Batch, func(b batchRow) (string, float64, bool) {
+			return fmt.Sprintf("%s k=%d", b.Name, b.K), b.Amortized, true
+		})
+	}},
+	{"mixed: in-wave rounds/op", 0, func(r benchReport) []cell {
+		return column(r.Mixed, func(m mixedRow) (string, float64, bool) {
+			return fmt.Sprintf("%s k=%d", m.Name, m.K), m.InwavePerOp, true
+		})
+	}},
+	{"arrivals: latency p99 rounds at k=64", 0, func(r benchReport) []cell {
+		return column(r.Arrivals, func(a arrivalRow) (string, float64, bool) {
+			return fmt.Sprintf("%s %s k=%d", a.Name, a.Gen, a.K), float64(a.P99), a.K == 64
+		})
+	}},
+	{"tenants: fair victim p99 rounds", 0, func(r benchReport) []cell {
+		return column(r.Tenants, func(t tenantRow) (string, float64, bool) {
+			return t.Name, float64(t.VictimFairP99), true
+		})
+	}},
+	{"treedp: DP rounds/query at k=64", 0, func(r benchReport) []cell {
+		return column(r.TreeDP, func(t treedpRow) (string, float64, bool) {
+			return fmt.Sprintf("%s k=%d %s", t.Name, t.K, t.Backend), t.DPRoundsPerQuery, t.K == 64
+		})
+	}},
+	{"wallclock: rounds/op", 0, func(r benchReport) []cell {
+		return column(r.Wall, func(w wallRow) (string, float64, bool) { return wallKey(w), w.RoundsPerOp, true })
+	}},
+	// The pooled round engine's allocation bill is a code property, not a
+	// machine property; the slack absorbs GC-clock jitter.
+	{"wallclock: allocs/round", 16, func(r benchReport) []cell {
+		return column(r.Wall, func(w wallRow) (string, float64, bool) { return wallKey(w), w.AllocsPerRound, true })
+	}},
+}
+
+func (g gate) check(rep, want benchReport, tol float64) error {
+	measured := g.cells(rep)
+	got := make(map[string]float64, len(measured))
+	for _, c := range measured {
+		got[c.key] = c.v
 	}
-	base := make(map[key]float64, len(want.Batch))
-	for _, b := range want.Batch {
-		base[key{b.Name, b.K}] = b.AmortizedRounds
-	}
-	matched := 0
-	for _, b := range rep.Batch {
-		wantA, ok := base[key{b.Name, b.K}]
+	for _, c := range g.cells(want) {
+		v, ok := got[c.key]
 		if !ok {
-			continue
+			return fmt.Errorf("snapshot row %q was not measured", c.key)
 		}
-		matched++
-		if b.AmortizedRounds > wantA*(1+tol) {
-			return fmt.Errorf("%s (k=%d): amortized rounds/update %.3f regressed past snapshot %.3f by more than %.0f%% (%s)",
-				b.Name, b.K, b.AmortizedRounds, wantA, tol*100, path)
-		}
-	}
-	// Mixed-pipeline regression: the in-wave rounds/op may not drift past
-	// the snapshot, and at k >= 64 the in-wave path must still *beat* the
-	// quiescence split outright — the unified-pipeline headline is an
-	// invariant, not just a number.
-	mixedBase := make(map[key]float64, len(want.Mixed))
-	for _, m := range want.Mixed {
-		mixedBase[key{m.Name, m.K}] = m.InwavePerOp
-	}
-	for _, m := range rep.Mixed {
-		wantA, ok := mixedBase[key{m.Name, m.K}]
-		if !ok {
-			continue
-		}
-		matched++
-		if m.InwavePerOp > wantA*(1+tol) {
-			return fmt.Errorf("%s (k=%d): in-wave rounds/op %.3f regressed past snapshot %.3f by more than %.0f%% (%s)",
-				m.Name, m.K, m.InwavePerOp, wantA, tol*100, path)
-		}
-		if m.K >= 64 && m.Ratio >= 1 {
-			return fmt.Errorf("%s (k=%d): in-wave reads no longer beat the quiescence path (ratio %.3f)",
-				m.Name, m.K, m.Ratio)
+		delete(got, c.key)
+		if v > c.v*(1+tol)+g.slack {
+			return fmt.Errorf("%s: %.3f regressed past snapshot %.3f by more than %.0f%%", c.key, v, c.v, tol*100)
 		}
 	}
-	// Streaming-latency regression: the p99 rounds-from-arrival at the
-	// k=64 batch bound may not drift past the snapshot, and the
-	// tail-constrained AutoBatcher must keep settling at a smaller k than
-	// the unconstrained search — the latency headline is an invariant.
-	type akey struct {
-		name, gen string
-		k         int
-	}
-	arrBase := make(map[akey]int64, len(want.Arrivals))
-	for _, a := range want.Arrivals {
-		arrBase[akey{a.Name, a.Gen, a.K}] = a.P99
-	}
-	for _, a := range rep.Arrivals {
-		if a.K != 64 {
-			continue
+	for _, c := range measured {
+		if _, unmatched := got[c.key]; unmatched {
+			return fmt.Errorf("measured row %q is not in the snapshot", c.key)
 		}
-		wantP, ok := arrBase[akey{a.Name, a.Gen, a.K}]
-		if !ok {
-			continue
-		}
-		matched++
-		if float64(a.P99) > float64(wantP)*(1+tol) {
-			return fmt.Errorf("%s (%s, k=%d): latency p99 %d rounds regressed past snapshot %d by more than %.0f%% (%s)",
-				a.Name, a.Gen, a.K, a.P99, wantP, tol*100, path)
-		}
-	}
-	for _, l := range rep.LatencyAuto {
-		matched++
-		if l.BoundK >= l.FreeK {
-			return fmt.Errorf("%s (%s): TargetP99Rounds=%d no longer settles below the unconstrained k (bound %d vs free %d)",
-				l.Name, l.Gen, l.Target, l.BoundK, l.FreeK)
-		}
-	}
-	// Multi-tenant gates. The fair victim p99 may not drift past the
-	// snapshot, and two invariants hold outright: the fair run must keep
-	// the victim's read tail bounded near its solo baseline under the
-	// noisy tenant's flood, and tenant tags alone (no weights, no
-	// admission) must leave the stream bit-identical to the untagged run.
-	tenBase := make(map[string]int64, len(want.Tenants))
-	for _, tr := range want.Tenants {
-		tenBase[tr.Name] = tr.VictimFairP99
-	}
-	for _, tr := range rep.Tenants {
-		if wantP, ok := tenBase[tr.Name]; ok {
-			matched++
-			if float64(tr.VictimFairP99) > float64(wantP)*(1+tol) {
-				return fmt.Errorf("%s: fair victim p99 %d rounds regressed past snapshot %d by more than %.0f%% (%s)",
-					tr.Name, tr.VictimFairP99, wantP, tol*100, path)
-			}
-		}
-		if tr.VictimFairP99 > 2*tr.VictimSoloP99 {
-			return fmt.Errorf("%s: fair victim p99 %d rounds exceeds 2x its solo baseline %d — the noisy tenant broke isolation",
-				tr.Name, tr.VictimFairP99, tr.VictimSoloP99)
-		}
-		if !tr.ZeroTenantIdentical {
-			return fmt.Errorf("%s: tenant tags alone changed answers or accounting — the zero-tenant compatibility contract is broken", tr.Name)
-		}
-	}
-	// Tree-DP gates. The amortized DP rounds/query at k=64 may not drift
-	// past the snapshot, and two invariants hold outright regardless of
-	// any snapshot: on the uniform workload DP reads must amortize below
-	// one round per query at k >= 64 (the power-law rows are exempt — a
-	// giant component legitimately serializes its reads around its own
-	// structural churn, that being the snapshot-consistency contract),
-	// and the sim and parallel backends must have answered the identical
-	// stream bit-identically.
-	type tkey struct {
-		name, backend string
-		k             int
-	}
-	treedpBase := make(map[tkey]float64, len(want.TreeDP))
-	for _, tr := range want.TreeDP {
-		treedpBase[tkey{tr.Name, tr.Backend, tr.K}] = tr.DPRoundsPerQuery
-	}
-	for _, tr := range rep.TreeDP {
-		if wantQ, ok := treedpBase[tkey{tr.Name, tr.Backend, tr.K}]; ok && tr.K == 64 {
-			matched++
-			if tr.DPRoundsPerQuery > wantQ*(1+tol) {
-				return fmt.Errorf("%s (k=%d, %s): DP rounds/query %.3f regressed past snapshot %.3f by more than %.0f%% (%s)",
-					tr.Name, tr.K, tr.Backend, tr.DPRoundsPerQuery, wantQ, tol*100, path)
-			}
-		}
-		if tr.Name == "uniform" && tr.K >= 64 && tr.DPRoundsPerQuery >= 1 {
-			return fmt.Errorf("%s (k=%d, %s): DP reads no longer amortize below one round per query (%.3f)",
-				tr.Name, tr.K, tr.Backend, tr.DPRoundsPerQuery)
-		}
-		if !tr.AnswersMatch {
-			return fmt.Errorf("%s (k=%d): sim and parallel backends disagree on DP answers — the determinism rule is broken", tr.Name, tr.K)
-		}
-	}
-	// Wall-clock gates. Rounds/op is deterministic, so (a) it may not
-	// drift past the snapshot, and (b) within the run the two backends
-	// must agree on it exactly — a rounds-vs-time divergence means a
-	// backend changed the computation, not just its speed. The ns columns
-	// are machine-dependent and never gated against the snapshot; what IS
-	// an invariant is the trajectory's headline: at n >= 10^4 the parallel
-	// backend must beat the sim oracle's makespan on the same stream.
-	// Allocs/round is gated outright: the pooled round engine's bill is a
-	// code property, not a machine property, so drifting past the snapshot
-	// (modulo tol and a small absolute slack for GC-clock jitter) means
-	// someone re-introduced per-round allocation.
-	type wkey struct {
-		name, backend string
-		n             int
-	}
-	wallBase := make(map[wkey]wallRow, len(want.Wall))
-	for _, w := range want.Wall {
-		wallBase[wkey{w.Name, w.Backend, w.N}] = w
-	}
-	simWall := make(map[wkey]wallRow, len(rep.Wall))
-	for _, w := range rep.Wall {
-		if w.Backend == "sim" {
-			simWall[wkey{name: w.Name, n: w.N}] = w
-		}
-	}
-	for _, w := range rep.Wall {
-		if wantW, ok := wallBase[wkey{w.Name, w.Backend, w.N}]; ok {
-			matched++
-			if w.RoundsPerOp > wantW.RoundsPerOp*(1+tol) {
-				return fmt.Errorf("%s (n=%d, %s): wall-clock rounds/op %.3f regressed past snapshot %.3f by more than %.0f%% (%s)",
-					w.Name, w.N, w.Backend, w.RoundsPerOp, wantW.RoundsPerOp, tol*100, path)
-			}
-			// Pre-PR-9 snapshots carry no allocs column (0): nothing to gate.
-			if budget := wantW.AllocsPerRound*(1+tol) + 16; wantW.AllocsPerRound > 0 && w.AllocsPerRound > budget {
-				return fmt.Errorf("%s (n=%d, %s): allocs/round %.1f exceeds the snapshot's %.1f (budget %.1f) — the pooled round engine is allocating again (%s)",
-					w.Name, w.N, w.Backend, w.AllocsPerRound, wantW.AllocsPerRound, budget, path)
-			}
-		}
-		if w.Backend != "parallel" {
-			continue
-		}
-		sim, ok := simWall[wkey{name: w.Name, n: w.N}]
-		if !ok {
-			continue
-		}
-		if w.RoundsPerOp != sim.RoundsPerOp {
-			return fmt.Errorf("%s (n=%d): backends diverge on rounds/op (parallel %.3f vs sim %.3f) — the determinism rule is broken",
-				w.Name, w.N, w.RoundsPerOp, sim.RoundsPerOp)
-		}
-		if w.N >= 10_000 && w.MakespanNs > sim.MakespanNs*102/100 {
-			return fmt.Errorf("%s (n=%d): parallel backend no longer beats the sim oracle (makespan %s vs %s)",
-				w.Name, w.N, time.Duration(w.MakespanNs), time.Duration(sim.MakespanNs))
-		}
-	}
-	if matched == 0 {
-		return fmt.Errorf("%s: no batch, mixed, arrival, tenant or wallclock rows matched this run (was the snapshot generated with -batch/-mixed/-arrivals/-tenants/-wallclock?)", path)
 	}
 	return nil
 }
 
-func printTable(rows []row, n int) {
+// invariant is a headline that must hold outright in the measured run,
+// whatever the snapshot says.
+type invariant struct {
+	name  string
+	check func(benchReport) error
+}
+
+var invariants = []invariant{
+	{"mixed: in-wave reads beat the quiescence split at k>=64", func(r benchReport) error {
+		for _, m := range r.Mixed {
+			if m.K >= 64 && m.Ratio >= 1 {
+				return fmt.Errorf("%s (k=%d): ratio %.3f", m.Name, m.K, m.Ratio)
+			}
+		}
+		return nil
+	}},
+	{"arrivals: tail-constrained AutoBatcher settles below the free k", func(r benchReport) error {
+		for _, l := range r.LatencyAuto {
+			if l.BoundK >= l.FreeK {
+				return fmt.Errorf("%s (%s): TargetP99Rounds=%d settled at k=%d, unconstrained at k=%d", l.Name, l.Gen, l.Target, l.BoundK, l.FreeK)
+			}
+		}
+		return nil
+	}},
+	{"tenants: fair victim p99 <= 2x solo", func(r benchReport) error {
+		for _, t := range r.Tenants {
+			if t.VictimFairP99 > 2*t.VictimSoloP99 {
+				return fmt.Errorf("%s: fair p99 %d rounds vs solo %d — the noisy tenant broke isolation", t.Name, t.VictimFairP99, t.VictimSoloP99)
+			}
+		}
+		return nil
+	}},
+	{"tenants: tags alone change nothing", func(r benchReport) error {
+		for _, t := range r.Tenants {
+			if !t.ZeroTenantIdentical {
+				return fmt.Errorf("%s: tagged and untagged runs differ in answers or accounting", t.Name)
+			}
+		}
+		return nil
+	}},
+	// The power-law rows are exempt: a giant component legitimately
+	// serializes its reads around its own structural churn (the
+	// snapshot-consistency contract).
+	{"treedp: uniform DP reads < 1 round/query at k>=64", func(r benchReport) error {
+		for _, t := range r.TreeDP {
+			if t.Name == "uniform" && t.K >= 64 && t.DPRoundsPerQuery >= 1 {
+				return fmt.Errorf("k=%d %s: %.3f rounds/query", t.K, t.Backend, t.DPRoundsPerQuery)
+			}
+		}
+		return nil
+	}},
+	{"treedp: DP answers match across backends", func(r benchReport) error {
+		for _, t := range r.TreeDP {
+			if !t.AnswersMatch {
+				return fmt.Errorf("%s k=%d: sim and parallel disagree — the determinism rule is broken", t.Name, t.K)
+			}
+		}
+		return nil
+	}},
+	{"wallclock: rounds/op bit-equal across backends", func(r benchReport) error {
+		return wallPairs(r, func(sim, par wallRow) error {
+			if par.RoundsPerOp != sim.RoundsPerOp {
+				return fmt.Errorf("%s n=%d: parallel %.3f vs sim %.3f — a backend changed the computation, not just its speed", par.Name, par.N, par.RoundsPerOp, sim.RoundsPerOp)
+			}
+			return nil
+		})
+	}},
+	{"wallclock: parallel makespan <= 1.02x sim at n>=10^4", func(r benchReport) error {
+		return wallPairs(r, func(sim, par wallRow) error {
+			if par.N >= 10_000 && par.MakespanNs > sim.MakespanNs*102/100 {
+				return fmt.Errorf("%s n=%d: parallel %s vs sim %s", par.Name, par.N, time.Duration(par.MakespanNs), time.Duration(sim.MakespanNs))
+			}
+			return nil
+		})
+	}},
+}
+
+// wallPairs calls f on every (sim, parallel) pair of wallclock rows; a row
+// without its partner is an error.
+func wallPairs(r benchReport, f func(sim, par wallRow) error) error {
+	rows := map[string]wallRow{}
+	for _, w := range r.Wall {
+		rows[wallKey(w)] = w
+	}
+	partner := map[string]string{"sim": "parallel", "parallel": "sim"}
+	for _, w := range r.Wall {
+		other := w
+		other.Backend = partner[w.Backend]
+		o, ok := rows[wallKey(other)]
+		if !ok {
+			return fmt.Errorf("%s has no %s partner", wallKey(w), other.Backend)
+		}
+		if w.Backend == "sim" {
+			if err := f(w, o); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// verdict is one named check's outcome.
+type verdict struct {
+	name string
+	err  error
+}
+
+// checkBaseline judges a run against a committed snapshot of the same
+// suite: first that both measured the same streams, then every gate and
+// every invariant, each reported under its own name.
+func checkBaseline(rep, want benchReport, tol float64) []verdict {
+	if want.Schema != rep.Schema || want.N != rep.N || want.Updates != rep.Updates || want.Seed != rep.Seed || want.WallMax != rep.WallMax {
+		return []verdict{{"same suite", fmt.Errorf("snapshot is %s -n %d -updates %d -seed %d -wallmax %d; this run is %s -n %d -updates %d -seed %d -wallmax %d",
+			want.Schema, want.N, want.Updates, want.Seed, want.WallMax, rep.Schema, rep.N, rep.Updates, rep.Seed, rep.WallMax)}}
+	}
+	vs := []verdict{{"same suite", nil}}
+	for _, g := range gates {
+		vs = append(vs, verdict{g.name, g.check(rep, want, tol)})
+	}
+	for _, iv := range invariants {
+		vs = append(vs, verdict{iv.name, iv.check(rep)})
+	}
+	return vs
+}
+
+func printTable(rows []table1Row, n int) {
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "Algorithm\tPaper bound\trounds/upd (mean)\trounds (wc)\tmach/round (wc)\twords/round (mean)\twords (wc)\n")
+	fmt.Fprintf(w, "Algorithm\tPaper bound\trounds/upd (mean)\trounds (wc)\tmach/round (wc)\twords/round (mean)\twords (wc)\tentropy (bits)\n")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%s\t%.2f\t%d\t%d\t%.1f\t%d\n",
-			r.name, r.claim, r.meanRounds, r.maxRounds, r.maxActive, r.meanWords, r.maxWords)
+		fmt.Fprintf(w, "%s\t%s\t%.2f\t%d\t%d\t%.1f\t%d\t%.2f\n",
+			r.Name, r.Claim, r.MeanRounds, r.WorstRounds, r.WorstMachines, r.MeanWords, r.WorstWords, r.Entropy)
 	}
 	w.Flush()
 	fmt.Printf("\n(N = n + 2m ≈ %d; √N ≈ %.0f)\n", 13*n, math.Sqrt(13*float64(n)))
 }
 
-func staticBaselines(n int, seed int64) {
+// staticRow is one recompute-from-scratch baseline, per recomputation.
+type staticRow struct {
+	Name          string `json:"name"`
+	Rounds        int    `json:"rounds_per_recompute"`
+	WorstMachines int    `json:"wc_machines_per_round"`
+	TotalWords    int    `json:"total_words"`
+}
+
+func staticTable(n int, seed int64) []staticRow {
 	g := graph.GNM(n, 5*n, 50, rand.New(rand.NewSource(seed)))
 	_, cc := staticmpc.ConnectedComponents(g, 0, 0)
 	_, mm := staticmpc.MaximalMatching(g, 0, 0, seed)
 	_, mf := staticmpc.MinSpanningForest(g, 8)
+	return []staticRow{
+		{"Label-prop CC (O(log n) rounds)", cc.Rounds, cc.MaxActive, cc.TotalWords},
+		{"Proposal matching (O(log n) w.h.p.)", mm.Rounds, mm.MaxActive, mm.TotalWords},
+		{"Filtering MSF [26]", mf.Rounds, mf.MaxActive, mf.TotalWords},
+	}
+}
+
+func printStatic(rows []staticRow) {
 	fmt.Println("\nStatic recompute-from-scratch baselines (per recomputation):")
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(w, "Baseline\trounds\tmach/round (wc)\twords total\n")
-	fmt.Fprintf(w, "Label-prop CC (O(log n) rounds)\t%d\t%d\t%d\n", cc.Rounds, cc.MaxActive, cc.TotalWords)
-	fmt.Fprintf(w, "Proposal matching (O(log n) w.h.p.)\t%d\t%d\t%d\n", mm.Rounds, mm.MaxActive, mm.TotalWords)
-	fmt.Fprintf(w, "Filtering MSF [26]\t%d\t%d\t%d\n", mf.Rounds, mf.MaxActive, mf.TotalWords)
+	for _, r := range rows {
+		fmt.Fprintf(w, "%s\t%d\t%d\t%d\n", r.Name, r.Rounds, r.WorstMachines, r.TotalWords)
+	}
 	w.Flush()
 }
 
@@ -823,25 +879,10 @@ func sweepRows(seed int64) []sweepRow {
 	var rows []sweepRow
 	for _, n := range []int{64, 128, 256, 512, 1024} {
 		d := newDyncon(dyncon.Config{N: n, Mode: dyncon.CC, ExpectedEdges: 5 * n})
-		rng := rand.New(rand.NewSource(seed))
-		var maxR, maxA, maxW int
-		update := perOp(d.ApplyOps)
-		for _, up := range graph.RandomStream(n, 300, 0.55, 1, rng) {
-			st := update(up)
-			if st.Rounds > maxR {
-				maxR = st.Rounds
-			}
-			if st.MaxActive > maxA {
-				maxA = st.MaxActive
-			}
-			if st.MaxWords > maxW {
-				maxW = st.MaxWords
-			}
-		}
-		root := math.Sqrt(11 * float64(n))
+		r := measure("", "", graph.RandomStream(n, 300, 0.55, 1, rand.New(rand.NewSource(seed))), perOp(d.ApplyOps), d.Cluster())
 		rows = append(rows, sweepRow{
-			N: n, WorstRounds: maxR, WorstMachines: maxA, WorstWords: maxW,
-			WordsPerSqrtN: float64(maxW) / root,
+			N: n, WorstRounds: r.WorstRounds, WorstMachines: r.WorstMachines, WorstWords: r.WorstWords,
+			WordsPerSqrtN: float64(r.WorstWords) / math.Sqrt(11*float64(n)),
 		})
 	}
 	return rows
@@ -858,153 +899,87 @@ func printSweep(rows []sweepRow) {
 	fmt.Println("(flat rounds and a roughly constant words/√N column are the paper's shape)")
 }
 
+func fatal(code int, args ...any) {
+	fmt.Fprintln(os.Stderr, append([]any{"dmpcbench:"}, args...)...)
+	os.Exit(code)
+}
+
 func main() {
 	n := flag.Int("n", 128, "number of vertices")
 	updates := flag.Int("updates", 500, "updates per algorithm")
 	seed := flag.Int64("seed", 1, "stream seed")
-	doSweep := flag.Bool("sweep", false, "run the scaling sweep")
-	batch := flag.Int("batch", 0, "measure the batch pipeline at this batch size (and k=1)")
-	doAuto := flag.Bool("autobatch", false, "run the AutoBatcher adaptive batch-sizing driver and report its k trajectory")
-	doMixed := flag.Bool("mixed", false, "measure the unified op pipeline (in-wave reads) against the quiescence split at k in {8,64,256}")
-	doArrivals := flag.Bool("arrivals", false, "measure streaming ingestion latency (p50/p95/p99 rounds from arrival) at batch bounds k in {8,64,256} plus the tail-constrained AutoBatcher comparison")
-	doTreeDP := flag.Bool("treedp", false, "measure the tree-DP workload: mixed link/cut/weight/DP-query streams at k in {8,64,256} on both backends, with amortized DP rounds/query and cross-backend answer equality")
-	doTenants := flag.Bool("tenants", false, "measure multi-tenant isolation: a read-mostly victim's p99 solo vs shared with a write-storm tenant, unweighted vs fair-wave packing plus token-bucket admission")
-	readfrac := flag.Float64("readfrac", 0.5, "target read fraction of the mixed workload")
 	backendFlag := flag.String("backend", "sim", "execution backend for the measurement tables: sim (deterministic oracle) or parallel (goroutine-per-machine runtime)")
 	workers := flag.Int("workers", 0, "backend worker bound (0 = GOMAXPROCS); never changes rounds, only wall-clock time")
-	doWall := flag.Bool("wallclock", false, "measure the sim-vs-parallel wall-clock trajectory (ns/op, makespan and allocs/round next to rounds/op) over the -wallmax n ladder")
-	wallMax := flag.Int("wallmax", 1_000_000, "largest n of the -wallclock ladder (CI smoke caps this; snapshots record the full climb)")
+	wallMax := flag.Int("wallmax", 10_000, "largest n of the sim-vs-parallel ladder {128, 10^4, 10^5, 10^6} (BENCH_0015.json and CI stop at the default)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the measured section to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile, captured right after the measured section, to this file")
-	asJSON := flag.Bool("json", false, "emit the measurements as JSON")
-	baseline := flag.String("baseline", "", "committed BENCH_*.json snapshot to compare amortized batch rounds against; exit nonzero on >tolerance regression")
-	tolerance := flag.Float64("tolerance", 0.10, "relative regression tolerance for -baseline")
+	asJSON := flag.Bool("json", false, "emit the measurements as one dmpcbench/v3 JSON document")
+	baseline := flag.String("baseline", "", "committed dmpcbench/v3 snapshot (BENCH_0015.json) to judge the run against; one verdict line per named check, exit nonzero if any fails")
+	tolerance := flag.Float64("tolerance", 0.10, "relative regression tolerance of the -baseline gates")
 	flag.Parse()
 
 	be, err := mpc.ParseBackend(*backendFlag)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dmpcbench:", err)
-		os.Exit(2)
+		fatal(2, err)
 	}
 	benchBackend, benchWorkers = be, *workers
+	var want benchReport
+	if *baseline != "" {
+		if want, err = readReport(*baseline); err != nil {
+			fatal(2, err)
+		}
+	}
 
 	// The profile window opens here and closes after the last table, so
 	// the captures cover exactly the measurements (see the doc comment).
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "dmpcbench:", err)
-			os.Exit(2)
+			fatal(2, err)
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "dmpcbench: cpuprofile:", err)
-			os.Exit(2)
+			fatal(2, "cpuprofile:", err)
 		}
 	}
-
-	rows := table(*n, *updates, *seed)
-	var brows []batchRow
-	if *batch > 0 {
-		brows = batchTable(*n, *updates, *batch, *seed)
-	}
-	var arows []autoRow
-	if *doAuto {
-		arows = autoTable(*n, *updates, *seed)
-	}
-	// Resolve the read fraction once, so table and JSON report what was
-	// actually measured.
-	if *readfrac <= 0 || *readfrac >= 1 {
-		*readfrac = 0.5
-	}
-	var mrows []mixedRow
-	if *doMixed {
-		mrows = mixedTable(*n, *updates, *readfrac, *seed)
-	}
-	var srows []sweepRow
-	if *doSweep {
-		srows = sweepRows(*seed)
-	}
-	var arrRows []arrivalRow
-	var latRows []latencyAutoRow
-	if *doArrivals {
-		arrRows = arrivalTable(*n, *updates, *seed)
-		latRows = latencyAutoTable(*n, *updates, *seed)
-	}
-	var trows []tenantRow
-	if *doTenants {
-		trows = tenantTable(*n, *updates, *seed)
-	}
-	var tdrows []treedpRow
-	if *doTreeDP {
-		tdrows = treedpTable(*n, *updates, *seed)
-	}
-	var wrows []wallRow
-	if *doWall {
-		wrows = wallTable(*updates, *seed, *wallMax)
-	}
-
-	// Measurements done: close the profile window before reporting.
+	rep := measureSuite(*n, *updates, *seed, *wallMax)
 	if *cpuProfile != "" {
 		pprof.StopCPUProfile()
 	}
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "dmpcbench:", err)
-			os.Exit(2)
+			fatal(2, err)
 		}
 		runtime.GC() // heap profile of live objects, not collectable garbage
 		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "dmpcbench: memprofile:", err)
-			os.Exit(2)
+			fatal(2, "memprofile:", err)
 		}
 		f.Close()
 	}
 
-	rep := buildReport(rows, brows, arows, mrows, srows, *n, *updates, *batch, *readfrac, *seed)
-	rep.Arrivals = arrRows
-	rep.LatencyAuto = latRows
-	rep.Tenants = trows
-	rep.TreeDP = tdrows
-	rep.Backend = benchBackend.String()
-	rep.Wall = wrows
 	if *baseline != "" {
-		if err := checkBaseline(rep, *baseline, *tolerance); err != nil {
-			fmt.Fprintln(os.Stderr, "dmpcbench: bench regression:", err)
-			os.Exit(1)
+		failed := 0
+		for _, v := range checkBaseline(rep, want, *tolerance) {
+			if v.err != nil {
+				failed++
+				fmt.Fprintf(os.Stderr, "FAIL  %s: %v\n", v.name, v.err)
+			} else {
+				fmt.Fprintf(os.Stderr, "ok    %s\n", v.name)
+			}
+		}
+		if failed > 0 {
+			fatal(1, fmt.Sprintf("bench regression vs %s: %d checks failed", *baseline, failed))
 		}
 		fmt.Fprintf(os.Stderr, "dmpcbench: no bench regression vs %s (tolerance %.0f%%)\n", *baseline, *tolerance*100)
 	}
 	if *asJSON {
-		printJSON(rep)
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(rep); err != nil {
+			fatal(1, err)
+		}
 		return
 	}
-	fmt.Printf("DMPC dynamic algorithms — Table 1 reproduction (n=%d, %d updates, seed %d)\n\n", *n, *updates, *seed)
-	printTable(rows, *n)
-	if *batch > 0 {
-		printBatchTable(brows, *batch)
-	}
-	if *doAuto {
-		printAutoTable(arows)
-	}
-	if *doMixed {
-		printMixedTable(mrows, *readfrac)
-	}
-	if *doArrivals {
-		printArrivalTable(arrRows, latRows)
-	}
-	if *doTenants {
-		printTenantTable(trows)
-	}
-	if *doTreeDP {
-		printTreeDPTable(tdrows)
-	}
-	if *doWall {
-		printWallTable(wrows)
-	}
-	staticBaselines(*n, *seed)
-	if *doSweep {
-		printSweep(srows)
-	}
+	rep.print()
 }

@@ -15,7 +15,7 @@ import (
 
 // --- tree-DP workload -------------------------------------------------------
 
-// treedpRow is one (workload, k, backend) cell of the -treedp table: a
+// treedpRow is one (workload, k, backend) cell of the tree-DP table: a
 // mixed link/cut/weight/DP-query stream chunked at k, measured in model
 // rounds and wall-clock. DPRoundsPerQuery is the query half's rounds
 // amortized over the stream's DP reads — a read that rides an update
@@ -37,7 +37,7 @@ type treedpRow struct {
 	AnswersMatch     bool    `json:"answers_match"`
 }
 
-// treeDPOps builds the -treedp op stream: the generator's structural
+// treeDPOps builds the tree-DP op stream: the generator's structural
 // churn (uniform random, or the preferential-attachment power-law tail)
 // interleaved with vertex-weight writes and one DP read per update,
 // cycling SubtreeSum / PathSum / TreeTop so every orchestration shape is

@@ -81,9 +81,13 @@ const wallK = 64
 
 // wallNs is the input-size ladder: the Table 1 default plus the three
 // orders of magnitude the parallel backend and the sparse-activation
-// round engine exist for. -wallmax caps it so CI smoke stays fast while
-// committed snapshots record the full climb.
+// round engine exist for. -wallmax caps it (CI and BENCH_0015.json stop
+// at 10^4; BENCH_0009.json records the full climb).
 var wallNs = []int{128, 10_000, 100_000, 1_000_000}
+
+// wallUpdates is the ladder's stream length, pinned independently of
+// -updates so its rounds/op stay comparable with BENCH_0009.json's.
+const wallUpdates = 200
 
 // wallRunner builds one algorithm instance pinned to a backend and
 // returns its batch front door plus the cluster teardown.
@@ -140,8 +144,7 @@ func measureWallOnce(wr wallRunner, n int, stream []graph.Update, be mpc.Backend
 
 // measureWall measures one (algorithm, n) cell on both backends,
 // interleaving wallReps replays of each, and returns the sim row then
-// the parallel row (each the fastest rep), the order the pairing in
-// checkBaseline expects.
+// the parallel row (each the fastest rep).
 func measureWall(wr wallRunner, n int, stream []graph.Update) []wallRow {
 	backends := []mpc.BackendKind{mpc.BackendSim, mpc.BackendParallel}
 	rows := make([]wallRow, len(backends))
@@ -166,13 +169,13 @@ func measureWall(wr wallRunner, n int, stream []graph.Update) []wallRow {
 
 // wallTable climbs the n ladder up to wallMax, measuring every algorithm
 // on both backends over the same stream.
-func wallTable(nUpdates int, seed int64, wallMax int) []wallRow {
+func wallTable(seed int64, wallMax int) []wallRow {
 	var rows []wallRow
 	for _, n := range wallNs {
 		if n > wallMax {
 			continue
 		}
-		stream := graph.RandomStream(n, nUpdates, 0.55, 50, rand.New(rand.NewSource(seed+300)))
+		stream := graph.RandomStream(n, wallUpdates, 0.55, 50, rand.New(rand.NewSource(seed+300)))
 		for _, wr := range wallRunners() {
 			rows = append(rows, measureWall(wr, n, stream)...)
 		}

@@ -39,7 +39,7 @@
 // instead of waiting for cluster quiescence. Reads touching state no
 // in-flight write conflicts with ride a write wave's rounds for free,
 // which is where mixed workloads beat quiescing at every read run (see
-// cmd/dmpcbench -mixed and BENCH_0005.json).
+// cmd/dmpcbench's mixed table and BENCH_0005.json).
 //
 // # Tree-DP queries
 //
@@ -54,7 +54,7 @@
 // interval (or path) predicate answered with one partial sum per machine
 // (DESIGN.md §2e). DP reads ride the same waves as every other read, so
 // mixed link/cut/weight/query streams amortize below one round per query
-// (cmd/dmpcbench -treedp, BENCH_0010.json); the FuzzTreeDPEquivalence
+// (cmd/dmpcbench's treedp table, BENCH_0010.json); the FuzzTreeDPEquivalence
 // harness pins answers bit-identical to sequential replay and to a
 // tour-free oracle on both backends. See examples/orgchart for a worked
 // rollup workload.
@@ -73,7 +73,7 @@
 // the zero-inter-arrival special case of this loop, so batch and
 // streaming callers share one code path; the FuzzArrivalEquivalence
 // harnesses pin that any arrival schedule yields answers bit-identical
-// to Apply on the full slice. See cmd/dmpcbench -arrivals and
+// to Apply on the full slice. See cmd/dmpcbench's arrivals table and
 // BENCH_0006.json for the latency picture.
 //
 // # Multi-tenant streams
@@ -88,8 +88,8 @@
 // TokenBucket) shape the streaming front door the same way, with
 // refused ops surfaced as typed Rejections, and StreamStats/MixedStats
 // gain per-tenant breakdowns (TenantStreamStats, TenantStats). See
-// DESIGN.md §2c and cmd/dmpcbench -tenants (BENCH_0008.json) for the
-// noisy-neighbor isolation picture.
+// DESIGN.md §2c and cmd/dmpcbench's tenants table (BENCH_0008.json) for
+// the noisy-neighbor isolation picture.
 //
 // Apply is the only way a §3/§4/§5/§5.1 op is executed and billed: a
 // single update is an op stream of length one, a write-only batch is
@@ -105,8 +105,10 @@
 // the cluster and are for validation only.
 //
 // See DESIGN.md for the system inventory, the op pipeline, and the
-// deviations from the paper; cmd/dmpcbench reproduces Table 1 and the
-// batch amortization curves (its -json snapshots live in BENCH_*.json).
+// deviations from the paper; cmd/dmpcbench measures the model costs —
+// Table 1, the batch amortization curves and every table named above, in
+// one run, gated against BENCH_0015.json — and bench/ measures time
+// (DESIGN.md §4).
 package dmpc
 
 import (

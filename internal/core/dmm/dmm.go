@@ -537,14 +537,18 @@ func (m *M) Fallbacks() int64 { return m.coord.fallbacks }
 // Validate checks the distributed storage invariants: every graph edge is
 // stored under both endpoints exactly once (modulo lazy deletions still in
 // H), light vertices live on a single machine, alive windows respect their
-// capacity, directory free-space figures match machine contents, and no
-// gathered query answer is left uncollected (ApplyOps is the result maps'
-// only reader and deletes every entry it collects).
+// capacity, directory free-space figures match machine contents, and
+// nothing is left behind at quiescence: no gathered query answer (ApplyOps
+// is the result maps' only reader and deletes every entry it collects), no
+// coordinator flow still in flight, no update still queued.
 func (m *M) Validate(g *graph.Graph) error {
 	for _, sm := range m.stats {
 		if n := len(sm.queryResults); n != 0 {
 			return fmt.Errorf("machine %d: %d uncollected query answers at quiescence", sm.id, n)
 		}
+	}
+	if fl, q := len(m.coord.inflight), len(m.coord.queue); fl+q != 0 {
+		return fmt.Errorf("coordinator: %d flows in flight and %d updates queued at quiescence", fl, q)
 	}
 	// Effective edge sets per vertex, after applying pending H deletions.
 	for v := 0; v < m.cfg.N; v++ {

@@ -526,7 +526,8 @@ func (d *D) ForestWeight() graph.Weight {
 // must agree, every component's positions must reassemble into a valid
 // Euler tour, registry sizes must match vertex counts, and every non-tree
 // anchor must be a genuine appearance of its endpoint with consistent
-// component labels, and no gathered query answer may be left uncollected.
+// component labels, and no gathered query answer or orchestration entry
+// may be left behind at quiescence.
 // Driver-side; used by tests after every update.
 func (d *D) Validate() error {
 	type agg struct {
@@ -704,10 +705,15 @@ func (d *D) Validate() error {
 
 	// Gathered answers: ApplyOps is the result maps' only reader and deletes
 	// every entry it collects, so a leftover at quiescence is an answer
-	// some window produced and nobody picked up.
+	// some window produced and nobody picked up. Likewise the orchestration
+	// tables: an update or DP query that finished deleted its entry, so a
+	// leftover is an op some window started and never completed.
 	for _, sh := range d.shards {
 		if n := len(sh.queryResults) + len(sh.compResults) + len(sh.dpResults); n != 0 {
 			return fmt.Errorf("machine %d: %d uncollected query answers at quiescence", sh.id, n)
+		}
+		if n := len(sh.pend) + len(sh.qpend); n != 0 {
+			return fmt.Errorf("machine %d: %d unfinished orchestrations (pend %d, qpend %d) at quiescence", sh.id, n, len(sh.pend), len(sh.qpend))
 		}
 	}
 	return nil
