@@ -39,12 +39,27 @@ func (r *goldenReport) apply(p Pipeline, ops []Op) MixedStats {
 	return st
 }
 
+// auditClaims switches on dyncon's AuditClaims check — every wave formed
+// from items equal to a full re-read of the pending ops — for the
+// connectivity pipelines among ps; the other cores do not run on
+// sched.Drive's incremental re-read and have nothing to audit.
+func auditClaims(t testing.TB, ps ...Pipeline) {
+	for _, p := range ps {
+		switch p := p.(type) {
+		case *Connectivity:
+			p.d.AuditClaims(t.Fatalf)
+		case *MST:
+			p.d.AuditClaims(t.Fatalf)
+		}
+	}
+}
+
 // goldenWorkloads runs a fixed seed/workload through every algorithm as
 // write-only windows, read-only windows and mixed windows and returns the
 // complete returned accounting. Any intentional scheduler change shows up
 // as a diff against testdata/golden_stats.json and is re-pinned with
 // `go test -run Golden -update .`; an unintentional one fails the table.
-func goldenWorkloads() []goldenReport {
+func goldenWorkloads(t testing.TB) []goldenReport {
 	const n = 48
 	stream := graph.RandomStream(n, 160, 0.55, 30, rand.New(rand.NewSource(77)))
 	var connected, mateOf []Op
@@ -60,6 +75,7 @@ func goldenWorkloads() []goldenReport {
 	// labels: they predate the op stream and name the read windows by the
 	// methods that used to issue them.)
 	run := func(name string, p Pipeline, reads ...[]Op) {
+		auditClaims(t, p)
 		r := goldenReport{Name: name}
 		for _, b := range Chunk(stream, 16) {
 			r.apply(p, UpdateOps(b))
@@ -83,6 +99,7 @@ func goldenWorkloads() []goldenReport {
 	}, mrng)
 	mixed := goldenReport{Name: "dyncon-cc mixed readfrac=0.4 k=20 (unified op pipeline)"}
 	mcc := NewConnectivity(n, 5*n)
+	auditClaims(t, mcc)
 	for _, chunk := range SplitOps(mops, 20) {
 		mixed.Mixed = append(mixed.Mixed, mixed.apply(mcc, chunk))
 	}
@@ -95,7 +112,7 @@ func goldenWorkloads() []goldenReport {
 // accounting: any drift fails here and must be re-pinned explicitly with
 // -update, making the accounting change visible in review.
 func TestGoldenStats(t *testing.T) {
-	got, err := json.MarshalIndent(goldenWorkloads(), "", "  ")
+	got, err := json.MarshalIndent(goldenWorkloads(t), "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,6 +58,7 @@ func FuzzArrivalEquivalenceConn(f *testing.F) {
 			refCC, strCC = NewConnectivity(n, 160), NewConnectivity(n, 160)
 			ref, str = refCC, strCC
 		}
+		auditClaims(t, ref, str)
 
 		want, _ := ref.Apply(ops)
 		got, st := Ingest(str, arrivals, cfg)

@@ -85,6 +85,7 @@ type M struct {
 	// instance (a packer's wave is valid only until its next call, and the
 	// heuristic must never spend tenant deficit).
 	packer, probe *sched.Admitter
+	items         []sched.Item // ApplyOps' re-read slots, slices reused
 	seq           int64
 	queryID       int64
 
@@ -226,13 +227,16 @@ func (m *M) ApplyOps(ops []graph.Op) (graph.Results, mpc.MixedStats) {
 	for i := range pending {
 		pending[i] = i
 	}
-	items := make([]sched.Item, len(ops))
+	if cap(m.items) < len(ops) {
+		m.items = append(m.items[:cap(m.items)], make([]sched.Item, len(ops)-cap(m.items))...)
+	}
+	items := m.items[:len(ops)] // slots keep their slices' capacity from window to window
 	for len(pending) > 0 {
 		// The mean refresh-suffix cost only moves when rounds execute, so
 		// it is read once per scheduling pass, not once per item.
 		meanSuffix := m.coord.meanStoreSuffix()
 		for j, b := range pending {
-			items[j] = m.itemFor(ops[b], meanSuffix)
+			m.itemFor(ops[b], meanSuffix, &items[j])
 		}
 		wave, rest := m.packer.Wave(pending, items[:len(pending)])
 		if len(wave) > 1 || ops[wave[0]].IsQuery() {
@@ -408,84 +412,83 @@ func (m *M) driveFlows(limit int, what string) {
 // one per wave keeps the storage pool within its sequential envelope.
 //
 // Every item carries the op's tenant tag for the optional fairness policy.
-func (m *M) itemFor(op graph.Op, meanSuffix int) sched.Item {
-	it := m.rawItemFor(op, meanSuffix)
-	it.Tenant = op.Tenant
-	return it
-}
-
-// StreamItem is itemFor at the current mean refresh-suffix cost — the
-// per-op claims oracle the streaming Ingestor offers its forming set.
-// Valid only at driver-side quiescence (between flushes), which is when
-// the Ingestor calls it; ApplyOps reads the suffix cost once per
-// scheduling pass instead.
-func (m *M) StreamItem(op graph.Op) sched.Item {
-	return m.itemFor(op, m.coord.meanStoreSuffix())
-}
-
-func (m *M) rawItemFor(op graph.Op, meanSuffix int) sched.Item {
+//
+// itemFor writes the item into it, reusing it's slices: ApplyOps' re-read
+// loop fills its own slots wave after wave and allocates nothing.
+func (m *M) itemFor(op graph.Op, meanSuffix int, it *sched.Item) {
+	*it = sched.Item{Excl: it.Excl[:0], Read: it.Read[:0], Shared: it.Shared[:0], Tenant: op.Tenant}
 	c := m.coord
 	const transitionKey = int64(-1) // vertex ids are >= 0
 	if op.IsQuery() {
 		switch op.Kind {
 		case graph.OpMateOf, graph.OpMatched:
-			return sched.Item{
-				Read:   []int64{int64(op.U)},
-				Shared: []sched.Claim{{Key: int64(c.statsOf(int32(op.U))), Cost: 4}},
-			}
+			it.Read = append(it.Read, int64(op.U))
+			it.Shared = append(it.Shared, sched.Claim{Key: int64(c.statsOf(int32(op.U))), Cost: 4})
+			return
 		}
 		panic(fmt.Sprintf("dmm: unsupported query kind %v (matching answers OpMateOf and OpMatched)", op.Kind))
 	}
 	up := op.Update()
 	u, v := int32(up.U), int32(up.V)
 	if u == v {
-		return sched.Item{Excl: []int64{int64(u)}} // no-op at MC
+		it.Excl = append(it.Excl, int64(u)) // no-op at MC
+		return
 	}
 	if c.threeHalves {
-		return sched.Item{Solo: true}
+		it.Solo = true
+		return
 	}
 	su, sv := m.statPeek(u), m.statPeek(v)
 	if up.Op == graph.Delete {
 		if su.mate == v {
-			return sched.Item{Solo: true} // unmatch + rematch both ends
+			it.Solo = true // unmatch + rematch both ends
+			return
 		}
 	} else {
 		uFree, vFree := su.mate < 0, sv.mate < 0
 		uHeavy := su.heavy || int(su.deg)+1 >= c.heavyAt // transitionUp runs before the case analysis
 		vHeavy := sv.heavy || int(sv.deg)+1 >= c.heavyAt
 		if !(uFree && vFree) && ((uFree && uHeavy) || (vFree && vHeavy)) {
-			return sched.Item{Solo: true} // surrogate chain
+			it.Solo = true // surrogate chain
+			return
 		}
 	}
-	excl := []int64{int64(u), int64(v)}
+	it.Excl = append(it.Excl, int64(u), int64(v))
 	if su.mate >= 0 {
-		excl = append(excl, int64(su.mate))
+		it.Excl = append(it.Excl, int64(su.mate))
 	}
 	if sv.mate >= 0 && sv.mate != su.mate {
-		excl = append(excl, int64(sv.mate))
+		it.Excl = append(it.Excl, int64(sv.mate))
 	}
 	mcCost := 128 + 4*meanSuffix
-	var shared []sched.Claim
-	addHome := func(s stat, deg int32) {
+	for _, s := range [2]stat{su, sv} {
 		if s.home < 0 {
-			return
+			continue
 		}
 		cost := 2 * edgeWords
 		mcCost += 4 * c.suffixLen(s.home)
 		if transitionPredicted(s, up.Op == graph.Delete, c.heavyAt) {
-			cost += edgeWords * int(deg) // cMoveOut ships the whole list
-			excl = append(excl, transitionKey)
+			cost += edgeWords * int(s.deg) // cMoveOut ships the whole list
+			it.Excl = append(it.Excl, transitionKey)
 		}
-		shared = append(shared, sched.Claim{Key: int64(s.home), Cost: cost})
+		it.Shared = append(it.Shared, sched.Claim{Key: int64(s.home), Cost: cost})
 	}
-	addHome(su, su.deg)
-	addHome(sv, sv.deg)
-	shared = append(shared,
+	it.Shared = append(it.Shared,
 		sched.Claim{Key: 0, Cost: mcCost},
 		sched.Claim{Key: int64(c.statsOf(u)), Cost: 32},
 		sched.Claim{Key: int64(c.statsOf(v)), Cost: 32},
 	)
-	return sched.Item{Excl: excl, Shared: shared}
+}
+
+// StreamItem is itemFor at the current mean refresh-suffix cost — the
+// per-op claims oracle the streaming Ingestor offers its forming set. The
+// returned item owns its slices, so callers may keep it. Valid only at
+// driver-side quiescence (between flushes), which is when the Ingestor
+// calls it; ApplyOps reads the suffix cost once per scheduling pass instead.
+func (m *M) StreamItem(op graph.Op) sched.Item {
+	var it sched.Item
+	m.itemFor(op, m.coord.meanStoreSuffix(), &it)
+	return it
 }
 
 // tenantCensus counts the (sub)stream's ops per tenant: over all ops

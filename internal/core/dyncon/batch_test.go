@@ -43,6 +43,7 @@ func TestBatchEquivalence(t *testing.T) {
 			}
 
 			batD := New(md.cfg)
+			batD.AuditClaims(t.Fatalf)
 			g := graph.New(n)
 			for _, b := range graph.Chunk(stream, k) {
 				st := applyBatch(batD, b)
@@ -192,5 +193,45 @@ func TestBatchAmortizedRoundsDrop(t *testing.T) {
 	r1, r64 := perUpdate(1), perUpdate(64)
 	if r64 >= r1 {
 		t.Fatalf("amortized rounds/update did not drop: k=1 %.2f, k=64 %.2f", r1, r64)
+	}
+}
+
+// TestStableClaims pins which ops Drive may skip re-reading after, by the
+// trap that separates the modes: [Del e, Ins e] on a present non-tree edge.
+// In CC the pending insert prices the same before and after the delete (a
+// non-tree add either way), so the delete is Stable; in MST it reads as a
+// duplicate until the delete runs and as a cycle-check broadcast after, so
+// the delete is not — and the AuditClaims check, on, would catch a packer
+// working from the stale duplicate.
+func TestStableClaims(t *testing.T) {
+	for _, md := range []struct {
+		mode   Mode
+		stable bool
+	}{{CC, true}, {MST, false}} {
+		d := New(Config{N: 4, Mode: md.mode})
+		d.AuditClaims(t.Fatalf)
+		applyBatch(d, graph.Batch{
+			{Op: graph.Insert, U: 0, V: 1, W: 1},
+			{Op: graph.Insert, U: 1, V: 2, W: 2},
+			{Op: graph.Insert, U: 0, V: 2, W: 9}, // closes the triangle: non-tree in both modes
+		})
+		delE, insE := graph.OpDel(0, 2), graph.OpIns(0, 2, 9)
+		if got := d.StreamItem(delE).Stable; got != md.stable {
+			t.Errorf("mode %v: non-tree delete Stable = %v, want %v", md.mode, got, md.stable)
+		}
+		before := d.StreamItem(insE).Shared[0].Cost
+		d.ApplyOps([]graph.Op{delE, insE, graph.OpQConnected(0, 2)})
+		if err := d.Validate(); err != nil {
+			t.Fatalf("mode %v: %v", md.mode, err)
+		}
+		d.ApplyOps([]graph.Op{delE})
+		if after := d.StreamItem(insE).Shared[0].Cost; (after == before) != md.stable {
+			t.Errorf("mode %v: re-insert priced %d with the edge present, %d without", md.mode, before, after)
+		}
+		for _, op := range []graph.Op{graph.OpQConnected(0, 1), graph.OpSetW(1, 5)} {
+			if !d.StreamItem(op).Stable {
+				t.Errorf("mode %v: %v not Stable", md.mode, op)
+			}
+		}
 	}
 }

@@ -48,6 +48,7 @@ package dyncon
 
 import (
 	"fmt"
+	"slices"
 
 	"dmpc/internal/etour"
 	"dmpc/internal/graph"
@@ -99,6 +100,7 @@ type D struct {
 	cluster *mpc.Cluster
 	shards  []*shard
 	packer  *sched.Admitter // forms every wave; carries the tenant policy, if any
+	scratch sched.Item      // the item ApplyOps reads claims into, slices reused
 	seq     int64           // update sequence number, for fresh component ids
 	queryID int64
 
@@ -106,6 +108,9 @@ type D struct {
 	// scheduled wave in place — the hook behind the permutation-
 	// commutativity property test. Production code leaves it nil.
 	wavePerm func(wave []int)
+	// auditFail, when set by a test (AuditClaims), makes ApplyOps check the
+	// packer's view of every pending op before every wave.
+	auditFail func(format string, args ...any)
 }
 
 // New builds the structure with an empty graph. Use Preprocess to load an
@@ -203,9 +208,9 @@ func (d *D) inject(up graph.Update, seq int64) {
 // The first precedence color class runs as one component-disjoint
 // concurrent wave through the §5 protocol, queries riding the same wave
 // as scatter/forward/gather traffic. Because executing a wave merges and
-// splits components, the packer's Drive loop re-reads the items from live
-// component labels between waves; later color classes would only be a
-// prediction.
+// splits components, the packer's Drive loop re-reads, between waves, the
+// items of the pending ops naming a label the wave held and may have moved
+// (see claims); later color classes would only be a prediction.
 //
 // Correctness rests on two facts. Commutativity: the per-shard
 // orchestration state is keyed by update sequence number and every
@@ -259,8 +264,12 @@ func (d *D) ApplyOps(ops []graph.Op) (graph.Results, mpc.MixedStats) {
 			ids[i] = d.seq
 		}
 	}
-	d.packer.Drive(len(ops), func(i int) sched.Item { return d.StreamItem(ops[i]) },
-		func(wave []int) { d.runOpWave(ops, ids, wave, mt) })
+	item := func(i int) sched.Item { d.claims(ops[i], &d.scratch); return d.scratch }
+	exec := func(wave []int) { d.runOpWave(ops, ids, wave, mt) }
+	if d.auditFail != nil {
+		item, exec = d.audited(ops, item, exec)
+	}
+	d.packer.Drive(len(ops), item, exec)
 	st := d.cluster.EndMixed()
 	res := make(graph.Results, 0, nq)
 	for i, op := range ops {
@@ -298,73 +307,116 @@ func (d *D) ApplyOps(ops []graph.Op) (graph.Results, mpc.MixedStats) {
 }
 
 // StreamItem reads one op's schedule-time resources from live driver
-// state — the per-op claims oracle ApplyOps feeds the packer's Drive loop
-// and the streaming Ingestor offers its forming set. Claims are valid only
-// for the state they were read from (executing ops moves component
-// labels), which both callers honor: Drive re-reads items between waves,
-// and the Ingestor reads each arrival's item against the post-last-flush
-// quiescent state.
+// state — the per-op claims oracle the streaming Ingestor offers its forming
+// set. The returned item owns its slices, so callers may keep it. Claims are
+// valid only for the state they were read from (executing ops moves
+// component labels), which the Ingestor honors by reading each arrival's
+// item against the post-last-flush quiescent state.
 func (d *D) StreamItem(op graph.Op) sched.Item {
+	var it sched.Item
+	d.claims(op, &it)
+	return it
+}
+
+// claims is StreamItem into it, reusing it's slices: what ApplyOps hands
+// the packer's Drive, which copies an item before asking for the next.
+//
+// Drive re-reads an item only when an executed op dirtied a key it names,
+// so every input below must be state those keys guard, and it is: an op
+// reads its endpoints' component labels, which are the keys, and the
+// tree/non-tree membership of its own edge (broadcasts), which only an
+// update holding the edge's component can change. Stable marks the ops
+// whose execution moves none of that: reads, vertex-weight writes, and in
+// CC mode every update that does not broadcast — a non-tree add or delete,
+// a duplicate, a no-op — since CC never asks whether a non-tree edge exists
+// to price another op. MST does (a present non-tree edge makes its
+// re-insert a cheap duplicate, an absent one a cycle-check broadcast), so
+// there only reads and weight writes are Stable.
+func (d *D) claims(op graph.Op, it *sched.Item) {
+	*it = sched.Item{Excl: it.Excl[:0], Read: it.Read[:0], Shared: it.Shared[:0], Tenant: op.Tenant, Stable: true}
+	orch := int64(d.owner(op.U))
 	switch op.Kind {
 	case graph.OpConnected:
-		return sched.Item{
-			Read:   []int64{d.CompOf(op.U), d.CompOf(op.V)},
-			Shared: []sched.Claim{{Key: int64(d.owner(op.U)), Cost: 8}},
-			Tenant: op.Tenant,
-		}
+		it.Read = append(it.Read, d.CompOf(op.U), d.CompOf(op.V))
+		it.Shared = append(it.Shared, sched.Claim{Key: orch, Cost: 8})
+		return
 	case graph.OpComponentOf:
-		return sched.Item{
-			Read:   []int64{d.CompOf(op.U)},
-			Shared: []sched.Claim{{Key: int64(d.owner(op.U)), Cost: 4}},
-			Tenant: op.Tenant,
-		}
+		it.Read = append(it.Read, d.CompOf(op.U))
+		it.Shared = append(it.Shared, sched.Claim{Key: orch, Cost: 4})
+		return
 	case graph.OpSubtreeSum:
 		// DP queries broadcast one Span/predicate descriptor and gather µ
 		// one-word partials; they read both observed components (the
 		// subtree degenerates to u's whole component when the root sits
 		// elsewhere, so the answer depends on V's label too).
-		return sched.Item{
-			Read:   []int64{d.CompOf(op.U), d.CompOf(op.V)},
-			Shared: []sched.Claim{{Key: int64(d.owner(op.U)), Cost: 8*len(d.shards) + 16}},
-			Tenant: op.Tenant,
-		}
+		it.Read = append(it.Read, d.CompOf(op.U), d.CompOf(op.V))
+		it.Shared = append(it.Shared, sched.Claim{Key: orch, Cost: 8*len(d.shards) + 16})
+		return
 	case graph.OpPathSum:
-		return sched.Item{
-			Read:   []int64{d.CompOf(op.U), d.CompOf(op.V)},
-			Shared: []sched.Claim{{Key: int64(d.owner(op.U)), Cost: 6*len(d.shards) + 16}},
-			Tenant: op.Tenant,
-		}
+		it.Read = append(it.Read, d.CompOf(op.U), d.CompOf(op.V))
+		it.Shared = append(it.Shared, sched.Claim{Key: orch, Cost: 6*len(d.shards) + 16})
+		return
 	case graph.OpTreeTop:
-		return sched.Item{
-			Read:   []int64{d.CompOf(op.U)},
-			Shared: []sched.Claim{{Key: int64(d.owner(op.U)), Cost: 5*len(d.shards) + 8}},
-			Tenant: op.Tenant,
-		}
+		it.Read = append(it.Read, d.CompOf(op.U))
+		it.Shared = append(it.Shared, sched.Claim{Key: orch, Cost: 5*len(d.shards) + 8})
+		return
 	case graph.OpMateOf, graph.OpMatched:
 		panic(fmt.Sprintf("dyncon: unsupported query kind %v (connectivity answers OpConnected and OpComponentOf)", op.Kind))
 	case graph.OpSetWeight:
 		// A vertex-weight write: purely local at the owner, but it must
 		// stay ordered against structural updates and DP reads of the
 		// same component, hence the exclusive component claim.
-		return sched.Item{
-			Excl:   []int64{d.CompOf(op.U)},
-			Shared: []sched.Claim{{Key: int64(d.owner(op.U)), Cost: 4}},
-			Tenant: op.Tenant,
-		}
+		it.Excl = append(it.Excl, d.CompOf(op.U))
+		it.Shared = append(it.Shared, sched.Claim{Key: orch, Cost: 4})
+		return
 	}
 	up := op.Update()
 	cost := 32 // info/size requests and non-tree record traffic, all O(1) words
-	if d.broadcasts(up) {
+	broadcasts := d.broadcasts(up)
+	if broadcasts {
 		// Worst orchestration round of a broadcasting update: a 3-shift
 		// descriptor to every machine, plus slack for the same round's
 		// O(1) point-to-point traffic.
 		cost = (16+5*3)*len(d.shards) + 32
 	}
-	return sched.Item{
-		Excl:   []int64{d.CompOf(up.U), d.CompOf(up.V)},
-		Shared: []sched.Claim{{Key: int64(d.owner(up.U)), Cost: cost}},
-		Tenant: op.Tenant,
-	}
+	it.Excl = append(it.Excl, d.CompOf(up.U), d.CompOf(up.V))
+	it.Shared = append(it.Shared, sched.Claim{Key: orch, Cost: cost})
+	it.Stable = d.cfg.Mode == CC && !broadcasts
+}
+
+// AuditClaims is a test-only switch that turns the contract claims rests on
+// — an executed op changes the item of a pending op only through a key the
+// pending op names, and not at all if it is Stable — into a checked
+// property: before every wave of every ApplyOps, each op still pending is
+// read afresh and must equal the item the packer last read for it, or fail
+// (a test's Fatalf) is called. It costs a full re-read per wave.
+func (d *D) AuditClaims(fail func(format string, args ...any)) { d.auditFail = fail }
+
+// audited wraps Drive's two callbacks with AuditClaims' check.
+func (d *D) audited(ops []graph.Op, item func(int) sched.Item, exec func([]int)) (func(int) sched.Item, func([]int)) {
+	last := make([]sched.Item, len(ops)) // what the packer last read, by stream position
+	done := make([]bool, len(ops))
+	return func(i int) sched.Item {
+			it := item(i)
+			last[i] = it
+			last[i].Excl, last[i].Read, last[i].Shared = slices.Clone(it.Excl), slices.Clone(it.Read), slices.Clone(it.Shared)
+			return it
+		}, func(wave []int) {
+			for i, op := range ops {
+				if done[i] {
+					continue
+				}
+				now, was := d.StreamItem(op), last[i]
+				if now.Solo != was.Solo || now.Tenant != was.Tenant || now.Stable != was.Stable ||
+					!slices.Equal(now.Excl, was.Excl) || !slices.Equal(now.Read, was.Read) || !slices.Equal(now.Shared, was.Shared) {
+					d.auditFail("dyncon: pending op %d (%v) reads as %+v, but the packer holds %+v", i, op, now, was)
+				}
+			}
+			for _, i := range wave {
+				done[i] = true
+			}
+			exec(wave)
+		}
 }
 
 // tenantCensus counts the (sub)stream's ops per tenant: over all ops

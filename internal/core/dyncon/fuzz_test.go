@@ -43,6 +43,7 @@ func FuzzBatchEquivalence(f *testing.F) {
 		}
 
 		batD := New(cfg)
+		batD.AuditClaims(t.Fatalf) // every wave is formed from items equal to a full re-read
 		for _, b := range graph.Chunk(stream, k) {
 			st := applyBatch(batD, b)
 			if st.Updates != len(b) {

@@ -59,6 +59,7 @@ func TestWavePermutationCommutativity(t *testing.T) {
 		run := func(perm func(wave []int)) *D {
 			d := New(md.cfg)
 			d.wavePerm = perm
+			d.AuditClaims(t.Fatalf)
 			for _, b := range graph.Chunk(stream, 32) {
 				applyBatch(d, b)
 			}

@@ -100,6 +100,7 @@ func FuzzTreeDPEquivalence(f *testing.F) {
 		}
 
 		batD := New(cfg)
+		batD.AuditClaims(t.Fatalf) // every wave is formed from items equal to a full re-read
 		var got graph.Results
 		for _, chunk := range graph.SplitOps(ops, k) {
 			res, st := batD.ApplyOps(chunk)

@@ -17,8 +17,8 @@ type Admitter struct {
 	sealed      bool           // a Solo item was offered: nothing else joins
 
 	// Wave and Drive scratch, reused across calls.
-	wave, rest, pending []int
-	items               []Item
+	wave, rest []int
+	index      pendingIndex // Drive's copy of the batch's items, and its view of the pending ones
 }
 
 // NewAdmitterFair returns an empty packer with the given shared-claim
@@ -39,9 +39,17 @@ func NewAdmitterFair(budget int, fair *Fair) *Admitter {
 // it, Wave before forming the next one. The next item offered opens a new
 // set, which is where a Fair policy's tenants get their top-up.
 func (a *Admitter) Reset() {
-	clear(a.claimed)
-	clear(a.readClaimed)
-	clear(a.usage)
+	// clear re-seeds a map's hash even when the map is empty, and Drive
+	// resets once per wave: skip the tables the last set never wrote.
+	if len(a.claimed) > 0 {
+		clear(a.claimed)
+	}
+	if len(a.readClaimed) > 0 {
+		clear(a.readClaimed)
+	}
+	if len(a.usage) > 0 {
+		clear(a.usage)
+	}
 	a.n = 0
 	a.open = false
 	a.sealed = false
@@ -159,32 +167,70 @@ func (a *Admitter) Wave(pending []int, items []Item) (wave, rest []int) {
 }
 
 // Drive executes a batch of n ops as a sequence of waves: item(i) reads
-// op i's resource usage from live state, exec runs one wave of batch
-// indices concurrently (the slice is valid only during the call), and
-// every pending item is re-read between waves because executing a wave
-// changes the resources the remaining ops touch. It returns the number of
-// waves executed. Callers assign per-op identifiers (sequence numbers) by
-// batch position, not execution order, so reordered schedules replay state
-// transitions bit-identically.
+// op i's resource usage from live state (the packer copies it, so the
+// returned slices need only outlive the call) and exec runs one wave of
+// batch indices concurrently (the slice is valid only during the call). It
+// returns the number of waves executed. Callers assign per-op identifiers
+// (sequence numbers) by batch position, not execution order, so reordered
+// schedules replay state transitions bit-identically.
+//
+// Every item is read once, and the first wave is one linear scan over them
+// — a batch that fits one wave pays nothing else. What it leaves pending is
+// indexed by key (pendingIndex): each later wave offers admit only the
+// key-free ops, cut at the first pending Solo, and after it executes only
+// the ops naming a key it dirtied are read again. That is sound under the
+// package comment's contract on what an Item may depend on.
 func (a *Admitter) Drive(n int, item func(i int) Item, exec func(wave []int)) int {
-	pending := a.pending[:0]
-	for i := 0; i < n; i++ {
-		pending = append(pending, i)
+	if n == 0 {
+		return 0
 	}
-	waves := 0
-	for len(pending) > 0 {
-		items := a.items[:0]
-		for _, b := range pending {
-			items = append(items, item(b))
+	x := &a.index
+	x.reset(n)
+	items := x.items
+	a.Reset()
+	wave, rest := a.wave[:0], a.rest[:0]
+	for i := range items {
+		fresh := item(i)
+		x.store(i, &fresh)
+		if a.admit(&items[i]) {
+			wave = append(wave, i)
+		} else {
+			rest = append(rest, i)
 		}
-		a.items = items
-		wave, rest := a.Wave(pending, items)
+	}
+	a.wave, a.rest = wave, rest
+	exec(wave)
+	waves := 1
+	if len(rest) == 0 {
+		return waves
+	}
+	x.build(rest)
+	for {
+		x.reread(wave, item)
+		x.refresh()
+		a.Reset()
+		wave = wave[:0]
+		solo := x.solos.first()
+		for _, i := range x.ready {
+			if i > solo {
+				break // nothing overtakes a pending Solo
+			}
+			if a.admit(&items[i]) {
+				wave = append(wave, i)
+			}
+		}
+		// The Solo is offered in its turn: admit takes it iff the set is
+		// still empty, which is iff no op before it is pending.
+		if solo != noOp && a.admit(&items[solo]) {
+			wave = append(wave, solo)
+		}
+		a.wave = wave
 		exec(wave)
 		waves++
-		pending = append(pending[:0], rest...)
+		if x.retire(wave) == 0 {
+			return waves
+		}
 	}
-	a.pending = pending
-	return waves
 }
 
 // Drive is Admitter.Drive on a fresh first-fit packer: the spelling for a

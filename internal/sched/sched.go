@@ -44,18 +44,38 @@
 // and read claims (a refused Solo seals the set), so everything that
 // conflicts with a refused op stays behind it and batch order survives.
 // The first item offered to an empty set always joins, so every loop over
-// the packer makes progress. Three call patterns sit on that one step:
+// the packer makes progress. Four call patterns sit on that one step:
 //
-//   - whole slice (Admitter.Wave, and Drive around it): offer every pending
-//     item, execute the admitted ones as a wave, re-read the remainder
-//     from live state — executing a wave changes the resources later ops
-//     touch, so a wave is valid only for the state its items were read
-//     from — and repeat. dyncon runs Drive as is; dmm runs the same loop
-//     with its serial head-run policy on top.
+//   - whole slice (Admitter.Wave): offer every pending item, execute the
+//     admitted ones as a wave, re-read the remainder from live state —
+//     executing a wave changes the resources later ops touch, so a wave is
+//     valid only for the state its items were read from — and repeat. dmm
+//     runs this loop, with its serial head-run policy on top.
+//   - driven batch (Admitter.Drive): the same loop with the re-read made
+//     incremental, under the contract below. Every item is read once; the
+//     first wave is the whole-slice scan; what it leaves pending is indexed
+//     by key, each later wave offers the admit step only the ops no earlier
+//     pending op conflicts with — the only ones a whole-slice scan could
+//     admit — and after a wave only the ops naming a key it dirtied are
+//     read again. dyncon runs Drive.
 //   - incremental (Admitter.Admit, flush on refusal, Reset): the streaming
 //     Ingestor grows its forming set one arrival at a time.
 //   - endpoint prefix (Admit until the first refusal over items with
 //     Excl = {u, v}): amm's §6 injection waves.
+//
+// The contract Drive rests on: an op's Item depends only on state guarded
+// by the keys it names (a Solo item names every key), and executing an item
+// changes only state guarded by its exclusive keys — none at all if the
+// item is Stable, anything if it is Solo. So a wave dirties the exclusive
+// keys of its items that are not Stable (every key, after such a Solo), and
+// a pending op naming none of them would read exactly the item the packer
+// already holds. dyncon keeps the contract: an op reads its endpoints'
+// component labels, which are its keys, and the tree/non-tree membership
+// of its own edge, which only an update holding that component moves
+// (checked by dyncon's AuditClaims in its equivalence suites). dmm does
+// not — its shared costs read the global mean refresh suffix and
+// per-machine cursor staleness, which every wave moves whatever it held —
+// and therefore stays on Wave with a full re-read.
 //
 // With a Fair policy attached, every tenant's deficit is topped up once
 // per set, when the set opens — at the first item offered after
@@ -92,4 +112,8 @@ type Item struct {
 	// cost against the tenant's deficit (see Fair). Zero is the
 	// single-tenant default.
 	Tenant int
+	// Stable marks an op whose execution changes no state that any op's
+	// Item is read from: Drive re-reads nothing on its account. Leaving it
+	// unset is always safe.
+	Stable bool
 }
