@@ -2,18 +2,22 @@ package dmpc
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
-// AutoBatcher is the adaptive batch-sizing driver: it feeds an op stream
-// through a Pipeline front door while growing or shrinking the chunk size
-// k online against the measured amortized rounds per op, seeking the knee
-// of the k-vs-rounds curve without the caller having to pick k. The
-// measurement is the window's rounds over its ops — both halves — so k is
-// sized for the workload actually flowing, not for its write side alone,
-// and the word cap watches the peak round of either half. (On a
-// query-free stream the window is its update half, so the search sees
-// exactly the rounds per update.)
+// AutoBatcher is the adaptive batch-sizing policy: the k-controller of the
+// Ingestor it is handed to (IngestorConfig.Auto). It buffers nothing and
+// applies nothing — the Ingestor cuts the stream at K() ops, flushes the
+// chunk through Pipeline.Apply, and feeds the window back as one
+// observation — and grows or shrinks k online against the measured
+// amortized rounds per op, seeking the knee of the k-vs-rounds curve
+// without the caller having to pick k. The measurement is the window's
+// rounds over its ops — both halves — so k is sized for the workload
+// actually flowing, not for its write side alone, and the word cap
+// watches the peak round of either half. (On a query-free stream the
+// window is its update half, so the search sees exactly the rounds per
+// update.) Its state is O(ProbeBatches): the in-progress probe window and
+// a handful of counters, however long the stream runs.
 //
 // Policy (deterministic, no randomness):
 //
@@ -54,9 +58,9 @@ import (
 //     under drift, repeated periods walk k to the new knee in either
 //     direction. A search settled by the word cap never re-probes: growing
 //     back into the cap would periodically violate the budget on purpose.
-//   - Partial batches (a final Flush shorter than k) are applied and
-//     recorded but never drive adaptation: their amortized figure is not
-//     comparable against full batches.
+//   - Partial chunks (cut by a conflict, the age bound or the end of the
+//     stream rather than by reaching k) never drive adaptation: their
+//     amortized figure is not comparable against full batches.
 //   - Respect the tail bound, when TargetP99Rounds is set: amortized
 //     rounds/op is non-increasing in k, but every op of a chunk waits
 //     the chunk's whole window under back-to-back arrivals, so the
@@ -70,7 +74,6 @@ import (
 //     If even MinK violates the bound, the search settles there (the
 //     bound is unachievable; the batcher still minimizes what it can).
 type AutoBatcher struct {
-	applyOps     func([]Op) (Results, MixedStats)
 	capWords     int
 	minK         int
 	maxK         int
@@ -94,19 +97,11 @@ type AutoBatcher struct {
 	// accumulators of the in-progress probe window at the current k
 	winRounds, winUpdates, winBatches int
 	winSamples                        []chunkSample // per-chunk (rounds, units), for the tail bound
-
-	buf   []Op
-	mixed []MixedStats // the window of every applied chunk
-	ks    []int        // chunk size used for each recorded chunk
 }
 
-// AutoBatcherConfig configures NewAutoBatcher. ApplyOps is required; zero
-// values elsewhere pick the documented defaults.
+// AutoBatcherConfig configures NewAutoBatcher; zero values pick the
+// documented defaults.
 type AutoBatcherConfig struct {
-	// ApplyOps runs one op chunk and returns its answers and window
-	// accounting — typically the Apply method of a Pipeline. k is sized
-	// on the amortized rounds per *op*.
-	ApplyOps func([]Op) (Results, MixedStats)
 	// CapWords is the cluster-wide per-round word budget (naturally µ·S);
 	// a batch observing MaxWords above it forces k to halve. 0 disables
 	// cap feedback.
@@ -142,14 +137,9 @@ type AutoBatcherConfig struct {
 // estimate: units ops that each observed the chunk's rounds end to end.
 type chunkSample struct{ rounds, units int }
 
-// NewAutoBatcher builds the driver. It panics if cfg.ApplyOps is nil or
-// the clamps are inconsistent.
+// NewAutoBatcher builds the controller. It panics if MaxK is below MinK.
 func NewAutoBatcher(cfg AutoBatcherConfig) *AutoBatcher {
-	if cfg.ApplyOps == nil {
-		panic("dmpc: AutoBatcher needs ApplyOps")
-	}
 	ab := &AutoBatcher{
-		applyOps:     cfg.ApplyOps,
 		capWords:     cfg.CapWords,
 		minK:         cfg.MinK,
 		maxK:         cfg.MaxK,
@@ -210,7 +200,7 @@ func (ab *AutoBatcher) clamp(k int) int {
 	return k
 }
 
-// K returns the chunk size the next batch will use.
+// K returns the chunk size the next chunk will be cut at.
 func (ab *AutoBatcher) K() int { return ab.k }
 
 // TailViolations counts the completed probe windows whose worst-case p99
@@ -225,126 +215,13 @@ func (ab *AutoBatcher) TailViolations() int { return ab.tailViolations }
 // than looping halve/climb around a violation it cannot shed.
 func (ab *AutoBatcher) TailInfeasible() bool { return ab.tailInfeasible }
 
-// History returns the update half of every chunk window applied so far,
-// and Ks the chunk size each of those chunks was scheduled at;
-// MixedHistory has the full windows.
-func (ab *AutoBatcher) History() []BatchStats {
-	out := make([]BatchStats, len(ab.mixed))
-	for i, m := range ab.mixed {
-		out[i] = m.Updates
-	}
-	return out
-}
-
-// MixedHistory returns the window of every chunk applied, index-aligned
-// with History and Ks.
-func (ab *AutoBatcher) MixedHistory() []MixedStats { return ab.mixed }
-
-// Ks returns the chunk size used for each recorded batch, index-aligned
-// with History.
-func (ab *AutoBatcher) Ks() []int { return ab.ks }
-
-// Push buffers one update — the update spelling of PushOp — applying a
-// chunk when the buffer reaches K. It returns the chunk's update-half
-// accounting and true when one was applied.
-func (ab *AutoBatcher) Push(up Update) (BatchStats, bool) {
-	_, st, ok := ab.PushOp(OpOf(up))
-	return st, ok
-}
-
-// PushOp buffers one op (update or query), applying a chunk when the
-// buffer reaches K. It returns the answers to the chunk's queries, the
-// update half's accounting, and true when a chunk was applied.
-func (ab *AutoBatcher) PushOp(op Op) (Results, BatchStats, bool) {
-	ab.buf = append(ab.buf, op)
-	if len(ab.buf) < ab.k {
-		return nil, BatchStats{}, false
-	}
-	res, st := ab.flush(true)
-	return res, st, true
-}
-
-// Flush applies whatever the buffer holds. It reports false if the buffer
-// was empty. A flushed buffer is always a partial chunk — Push applies the
-// chunk the moment the buffer reaches K — so Flush never drives adaptation.
-// Flush has no way to return query answers, so it panics if the buffer
-// holds any (they would be silently lost); drain mixed tails with
-// FlushOps instead.
-func (ab *AutoBatcher) Flush() (BatchStats, bool) {
-	for _, op := range ab.buf {
-		if op.IsQuery() {
-			panic("dmpc: AutoBatcher.Flush would discard buffered query answers (use FlushOps)")
-		}
-	}
-	_, st, ok := ab.FlushOps()
-	return st, ok
-}
-
-// FlushOps applies whatever the buffer holds, returning the answers to
-// the flushed chunk's queries alongside the update half's accounting. It
-// reports false if the buffer was empty, and like Flush never drives
-// adaptation.
-func (ab *AutoBatcher) FlushOps() (Results, BatchStats, bool) {
-	if len(ab.buf) == 0 {
-		return nil, BatchStats{}, false
-	}
-	res, st := ab.flush(false)
-	return res, st, true
-}
-
-// Run pushes the whole update stream and flushes the tail, returning the
-// accounting of every chunk applied.
-func (ab *AutoBatcher) Run(updates []Update) []BatchStats {
-	start := len(ab.mixed)
-	for _, up := range updates {
-		ab.Push(up)
-	}
-	ab.Flush()
-	return ab.History()[start:]
-}
-
-// RunOps pushes a whole mixed op stream and flushes the tail, returning
-// every answer in stream order.
-func (ab *AutoBatcher) RunOps(ops []Op) Results {
-	var out Results
-	for _, op := range ops {
-		res, _, _ := ab.PushOp(op)
-		out = append(out, res...)
-	}
-	res, _, _ := ab.FlushOps()
-	return append(out, res...)
-}
-
-// ApplyChunk applies one externally-formed chunk through the batcher —
-// the entry the streaming Ingestor flushes through: the Ingestor owns
-// the buffer (it cuts chunks on conflict, age and k), while the batcher
-// still records every chunk and adapts K on the full ones. full must be
-// true exactly when the chunk was cut by reaching K; chunks cut for any
-// other reason never drive adaptation, just as a partial Flush never
-// does. ApplyChunk must not be interleaved with a non-empty Push buffer
-// (it panics).
-func (ab *AutoBatcher) ApplyChunk(ops []Op, full bool) (Results, MixedStats) {
-	if len(ab.buf) > 0 {
-		panic("dmpc: AutoBatcher.ApplyChunk with ops still buffered by Push")
-	}
-	if len(ops) == 0 {
-		return nil, MixedStats{}
-	}
-	ab.buf = append(ab.buf, ops...)
-	res, _ := ab.flush(full)
-	return res, ab.mixed[len(ab.mixed)-1]
-}
-
-func (ab *AutoBatcher) flush(full bool) (Results, BatchStats) {
-	chunk := append([]Op(nil), ab.buf...)
-	ab.buf = ab.buf[:0]
-	res, st := ab.applyOps(chunk)
-	ab.mixed = append(ab.mixed, st)
-	ab.ks = append(ab.ks, ab.k)
+// observe is the controller's one input: the window of a chunk the
+// Ingestor just flushed, and whether the chunk was cut by reaching K. Only
+// full chunks feed the search.
+func (ab *AutoBatcher) observe(st MixedStats, full bool) {
 	if full {
 		ab.adapt(st.Rounds(), st.Ops, max(st.Updates.MaxWords, st.Queries.MaxWords))
 	}
-	return res, st.Updates
 }
 
 // adapt folds one full chunk (rounds over units ops, with the peak
@@ -457,7 +334,7 @@ func (ab *AutoBatcher) adapt(rounds, units, maxWords int) {
 // op of a chunk waits the chunk's whole window, so each recorded chunk
 // contributes units observations of its total rounds, and the weighted
 // nearest-rank p99 over them is the tail the TargetP99Rounds constraint
-// gates.
+// gates. It sorts the window's samples in place; adapt discards them next.
 func (ab *AutoBatcher) windowP99() int64 {
 	total := 0
 	for _, s := range ab.winSamples {
@@ -466,8 +343,8 @@ func (ab *AutoBatcher) windowP99() int64 {
 	if total == 0 {
 		return 0
 	}
-	samples := append([]chunkSample(nil), ab.winSamples...)
-	sort.Slice(samples, func(i, j int) bool { return samples[i].rounds < samples[j].rounds })
+	samples := ab.winSamples
+	slices.SortFunc(samples, func(a, b chunkSample) int { return a.rounds - b.rounds })
 	rank := int(math.Ceil(0.99 * float64(total)))
 	cum := 0
 	for _, s := range samples {

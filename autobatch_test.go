@@ -3,41 +3,65 @@ package dmpc
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dmpc/internal/graph"
 )
 
-// fakeApply returns a scripted BatchStats per call, recording the batch
-// sizes it saw — a deterministic stand-in for an algorithm whose amortized
-// rounds/update follow a known curve.
+// fakeApply is a scripted Pipeline: every Apply returns a read-free
+// window whose cost follows a known curve of the chunk size, recording
+// the sizes it saw — a deterministic stand-in for an algorithm whose
+// amortized rounds/update follow that curve. Having no claims oracle, it
+// ingests in the foreign-Pipeline regime: only the k bound (and the tail)
+// cut the stream.
 type fakeApply struct {
-	sizes []int
+	sizes   []int
+	applied int // ops applied by earlier chunks
 	// roundsPerUpdate(k) models the amortized cost at chunk size k.
 	cost func(k int) float64
 	// maxWords(k) models the per-round word pressure at chunk size k.
 	words func(k int) int
 }
 
-func (f *fakeApply) apply(b Batch) BatchStats {
-	f.sizes = append(f.sizes, len(b))
-	k := len(b)
-	return BatchStats{
+func (f *fakeApply) Apply(ops []Op) (Results, MixedStats) {
+	k := len(ops)
+	f.sizes = append(f.sizes, k)
+	st := BatchStats{
 		Updates:     k,
 		UpdateStats: UpdateStats{Rounds: int(f.cost(k) * float64(k)), MaxWords: f.words(k)},
 	}
+	f.applied += k
+	return nil, MixedStats{Ops: k, Updates: st}
+}
+func (f *fakeApply) Cluster() *Cluster { return nil }
+func (f *fakeApply) Close()            {}
+
+// inserts returns n back-to-back insert arrivals at time zero.
+func inserts(n int) []Arrival {
+	ops := make([]Op, n)
+	for i := range ops {
+		ops[i] = Ins(i, i+1)
+	}
+	return ArrivalsNow(ops)
 }
 
-// asOps presents a scripted batch cost as the pipeline front door the
-// AutoBatcher drives: a read-free window whose update half is the script.
-func asOps(apply func(Batch) BatchStats) func([]Op) (Results, MixedStats) {
-	return func(ops []Op) (Results, MixedStats) {
-		b := make(Batch, len(ops))
-		for i, op := range ops {
-			b[i] = op.Update()
-		}
-		return nil, MixedStats{Ops: len(ops), Updates: apply(b)}
+// fullKs returns the k trajectory of an ingested stream: the size of
+// every chunk cut by reaching k (a full chunk holds exactly the k it was
+// cut at), leaving out the partial tail.
+func fullKs(st StreamStats) []int {
+	var ks []int
+	for _, w := range st.Windows[:st.Flushes-st.FlushTail] {
+		ks = append(ks, w.Ops)
 	}
+	return ks
+}
+
+// runAuto ingests n inserts through p with ab sizing the chunks and
+// returns the k trajectory.
+func runAuto(p Pipeline, ab *AutoBatcher, n int) []int {
+	_, st := Ingest(p, inserts(n), IngestorConfig{Auto: ab})
+	return fullKs(st)
 }
 
 // TestAutoBatcherFindsKnee pins the probe-and-settle policy on a scripted
@@ -57,11 +81,8 @@ func TestAutoBatcherFindsKnee(t *testing.T) {
 		},
 		words: func(int) int { return 10 },
 	}
-	ab := NewAutoBatcher(AutoBatcherConfig{ApplyOps: asOps(f.apply), StartK: 8, MaxK: 512, ProbeBatches: 1, WarmupBatches: -1})
-	for i := 0; i < 64*20; i++ {
-		ab.Push(Update{Op: Insert, U: i, V: i + 1})
-	}
-	ks := ab.Ks()
+	ab := NewAutoBatcher(AutoBatcherConfig{StartK: 8, MaxK: 512, ProbeBatches: 1, WarmupBatches: -1})
+	ks := runAuto(f, ab, 64*20)
 	// 128 appears twice: the first bad window is a strike that re-measures,
 	// the second settles back to the best-measured k.
 	wantPrefix := []int{8, 16, 32, 64, 128, 128}
@@ -96,18 +117,16 @@ func TestAutoBatcherWindowSmoothsNoise(t *testing.T) {
 		return base
 	}
 	f.words = func(int) int { return 10 }
-	ab := NewAutoBatcher(AutoBatcherConfig{ApplyOps: asOps(f.apply), StartK: 8, MaxK: 64, ProbeBatches: 3, WarmupBatches: -1})
-	for i := 0; i < 64*12; i++ {
-		ab.Push(Update{Op: Insert, U: i, V: i + 1})
-	}
+	ab := NewAutoBatcher(AutoBatcherConfig{StartK: 8, MaxK: 64, ProbeBatches: 3, WarmupBatches: -1})
+	ks := runAuto(f, ab, 64*12)
 	reached32 := false
-	for _, k := range ab.Ks() {
+	for _, k := range ks {
 		if k >= 32 {
 			reached32 = true
 		}
 	}
 	if !reached32 {
-		t.Fatalf("one noisy batch at k=16 stopped the probe: trajectory %v", ab.Ks())
+		t.Fatalf("one noisy batch at k=16 stopped the probe: trajectory %v", ks)
 	}
 }
 
@@ -130,12 +149,9 @@ func TestAutoBatcherWordCapForcesShrink(t *testing.T) {
 		cost:  func(k int) float64 { return 64.0 / float64(k) }, // rounds always favor growth
 		words: func(k int) int { return 10 * k },                // but words grow with k
 	}
-	ab := NewAutoBatcher(AutoBatcherConfig{ApplyOps: asOps(f.apply), StartK: 32, CapWords: 200})
-	for i := 0; i < 32*8; i++ {
-		ab.Push(Update{Op: Insert, U: i, V: i + 1})
-	}
+	ab := NewAutoBatcher(AutoBatcherConfig{StartK: 32, CapWords: 200})
 	// k=32 → 320 words > 200: halve to 16 and settle (160 words fits).
-	ks := ab.Ks()
+	ks := runAuto(f, ab, 32*8)
 	if len(ks) < 3 || ks[0] != 32 || ks[1] != 16 {
 		t.Fatalf("cap trajectory %v, want 32 then 16", ks)
 	}
@@ -156,9 +172,8 @@ func TestAutoBatcherWordCapForcesShrink(t *testing.T) {
 // post-drift window looks "worse than best" forever).
 func TestAutoBatcherReprobeTracksDrift(t *testing.T) {
 	f := &fakeApply{}
-	applied := 0
 	f.cost = func(k int) float64 {
-		if applied < 1500 {
+		if f.applied < 1500 {
 			if k <= 64 {
 				return 64.0 / float64(k) // phase 1: knee at 64
 			}
@@ -168,17 +183,9 @@ func TestAutoBatcherReprobeTracksDrift(t *testing.T) {
 	}
 	f.words = func(int) int { return 10 }
 	ab := NewAutoBatcher(AutoBatcherConfig{
-		ApplyOps: asOps(func(b Batch) BatchStats {
-			st := f.apply(b)
-			applied += len(b)
-			return st
-		}),
 		StartK: 8, MaxK: 128, ProbeBatches: 1, WarmupBatches: -1, ReprobeEvery: 4,
 	})
-	for i := 0; i < 8000; i++ {
-		ab.Push(Update{Op: Insert, U: i, V: i + 1})
-	}
-	ks := ab.Ks()
+	ks := runAuto(f, ab, 8000)
 	settledAtKnee := false
 	for i, k := range ks {
 		if k == 64 && i+1 < len(ks) && ks[i+1] == 64 {
@@ -208,13 +215,10 @@ func TestAutoBatcherReprobeStableWorkload(t *testing.T) {
 		words: func(int) int { return 10 },
 	}
 	ab := NewAutoBatcher(AutoBatcherConfig{
-		ApplyOps: asOps(f.apply), StartK: 8, MaxK: 128,
+		StartK: 8, MaxK: 128,
 		ProbeBatches: 1, WarmupBatches: -1, ReprobeEvery: 3,
 	})
-	for i := 0; i < 32*200; i++ {
-		ab.Push(Update{Op: Insert, U: i, V: i + 1})
-	}
-	ks := ab.Ks()
+	ks := runAuto(f, ab, 32*200)
 	// A probe may be in flight when the stream ends, so judge the cycle,
 	// not the final instant: after the first settle the search must stay
 	// within one notch of the knee, and every re-probe climb must re-settle
@@ -252,15 +256,11 @@ func TestAutoBatcherCapSettleNeverReprobes(t *testing.T) {
 		cost:  func(k int) float64 { return 64.0 / float64(k) }, // rounds always favor growth
 		words: func(k int) int { return 10 * k },
 	}
-	ab := NewAutoBatcher(AutoBatcherConfig{
-		ApplyOps: asOps(f.apply), StartK: 32, CapWords: 200, ReprobeEvery: 2,
-	})
-	for i := 0; i < 32*40; i++ {
-		ab.Push(Update{Op: Insert, U: i, V: i + 1})
-	}
-	for i, k := range ab.Ks() {
+	ab := NewAutoBatcher(AutoBatcherConfig{StartK: 32, CapWords: 200, ReprobeEvery: 2})
+	ks := runAuto(f, ab, 32*40)
+	for i, k := range ks {
 		if i > 0 && k != 16 {
-			t.Fatalf("batch %d ran at k=%d after the cap settle, want 16 forever (trajectory %v)", i, k, ab.Ks())
+			t.Fatalf("batch %d ran at k=%d after the cap settle, want 16 forever (trajectory %v)", i, k, ks)
 		}
 	}
 }
@@ -272,23 +272,20 @@ func maxi(a, b int) int {
 	return b
 }
 
-// TestAutoBatcherPartialFlush pins that a short tail batch is applied and
-// recorded but never drives adaptation.
+// TestAutoBatcherPartialFlush pins that a short tail chunk is applied (once)
+// but never drives adaptation.
 func TestAutoBatcherPartialFlush(t *testing.T) {
 	f := &fakeApply{
 		cost:  func(k int) float64 { return 1000 }, // any full batch would stall the probe
 		words: func(int) int { return 1 },
 	}
-	ab := NewAutoBatcher(AutoBatcherConfig{ApplyOps: asOps(f.apply), StartK: 8})
-	for i := 0; i < 3; i++ {
-		ab.Push(Update{Op: Insert, U: i, V: i + 1})
+	ab := NewAutoBatcher(AutoBatcherConfig{StartK: 8})
+	ing := NewIngestor(IngestorConfig{Pipeline: f, Auto: ab})
+	ing.Ingest(inserts(3))
+	if _, st := ing.Close(); st.FlushTail != 1 {
+		t.Fatalf("Close dropped a partial chunk: %+v", st)
 	}
-	if _, ok := ab.Flush(); !ok {
-		t.Fatal("Flush dropped a partial batch")
-	}
-	if _, ok := ab.Flush(); ok {
-		t.Fatal("Flush applied an empty batch")
-	}
+	ing.Close() // idempotent: nothing left to apply
 	if got := ab.K(); got != 8 {
 		t.Fatalf("partial flush moved K to %d", got)
 	}
@@ -297,36 +294,27 @@ func TestAutoBatcherPartialFlush(t *testing.T) {
 	}
 }
 
-// TestAutoBatcherOnConnectivity drives the real §5 batch pipeline: the
-// driver must grow k away from its start, and its overall amortized
-// rounds/update must beat running every batch at the starting size.
+// TestAutoBatcherOnConnectivity sizes chunks for the real §5 batch
+// pipeline (ingested bounds-only, so every chunk but the tail is a full
+// k): the search must grow k away from its start, and the stream's overall
+// amortized rounds/update must beat running every batch at the starting
+// size.
 func TestAutoBatcherOnConnectivity(t *testing.T) {
 	const n = 96
 	stream := graph.RandomStream(n, 512, 0.55, 1, rand.New(rand.NewSource(5)))
 
 	cc := NewConnectivity(n, 5*n)
 	ab := NewAutoBatcher(AutoBatcherConfig{
-		ApplyOps: cc.Apply,
 		CapWords: cc.Cluster().Machines() * cc.Cluster().MemWords(),
 		StartK:   8,
 		MaxK:     256,
 	})
-	ab.Run(stream)
-	grew := false
-	for _, k := range ab.Ks() {
-		if k > 8 {
-			grew = true
-		}
+	_, st := Ingest(foreignPipeline{cc}, ArrivalsNow(UpdateOps(stream)), IngestorConfig{Auto: ab})
+	ks := fullKs(st)
+	if slices.Max(ks) <= 8 {
+		t.Fatalf("AutoBatcher never grew k: trajectory %v", ks)
 	}
-	if !grew {
-		t.Fatalf("AutoBatcher never grew k: trajectory %v", ab.Ks())
-	}
-	var rounds, upd int
-	for _, st := range ab.History() {
-		rounds += st.Rounds
-		upd += st.Updates
-	}
-	auto := float64(rounds) / float64(upd)
+	auto := float64(st.Rounds) / float64(st.Updates)
 
 	fixed := NewConnectivity(n, 5*n)
 	var fRounds, fUpd int
@@ -337,18 +325,18 @@ func TestAutoBatcherOnConnectivity(t *testing.T) {
 	}
 	fixed8 := float64(fRounds) / float64(fUpd)
 	if auto >= fixed8 {
-		t.Fatalf("adaptive amortized %.3f not better than fixed k=8 %.3f (trajectory %v)", auto, fixed8, ab.Ks())
+		t.Fatalf("adaptive amortized %.3f not better than fixed k=8 %.3f (trajectory %v)", auto, fixed8, ks)
 	}
 	if v := cc.Cluster().Stats().Violations; v != 0 {
 		t.Fatalf("%d cluster constraint violations under AutoBatcher", v)
 	}
 }
 
-// TestAutoBatcherMixedStream pins the mixed-mode driver: a half-reads op
-// stream flows through a Pipeline front door, the knee search still grows
-// k (now judged on amortized rounds per *op*), every query is answered
-// exactly as a fresh sequential replica answers it, and the growing
-// trajectory beats the starting chunk size on rounds/op.
+// TestAutoBatcherMixedStream pins k-sizing on a mixed stream: a half-reads
+// op stream is ingested through a Pipeline front door, the knee search
+// still grows k (judged on amortized rounds per *op*), every query is
+// answered exactly as a fresh sequential replica answers it, and the
+// growing trajectory beats the starting chunk size on rounds/op.
 func TestAutoBatcherMixedStream(t *testing.T) {
 	const n = 96
 	rng := rand.New(rand.NewSource(6))
@@ -359,25 +347,14 @@ func TestAutoBatcherMixedStream(t *testing.T) {
 
 	cc := NewConnectivity(n, 5*n)
 	ab := NewAutoBatcher(AutoBatcherConfig{
-		ApplyOps: cc.Apply,
 		CapWords: cc.Cluster().Machines() * cc.Cluster().MemWords(),
 		StartK:   8,
 		MaxK:     256,
 	})
-	got := ab.RunOps(ops)
-
-	grew := false
-	for _, k := range ab.Ks() {
-		if k > 8 {
-			grew = true
-		}
-	}
-	if !grew {
-		t.Fatalf("mixed AutoBatcher never grew k: trajectory %v", ab.Ks())
-	}
-	if len(ab.MixedHistory()) != len(ab.History()) || len(ab.Ks()) != len(ab.History()) {
-		t.Fatalf("histories misaligned: %d mixed, %d batch, %d ks",
-			len(ab.MixedHistory()), len(ab.History()), len(ab.Ks()))
+	got, st := Ingest(foreignPipeline{cc}, ArrivalsNow(ops), IngestorConfig{Auto: ab})
+	ks := fullKs(st)
+	if slices.Max(ks) <= 8 {
+		t.Fatalf("mixed AutoBatcher never grew k: trajectory %v", ks)
 	}
 
 	// Bit-identical answers vs sequential replay at the same positions.
@@ -396,12 +373,7 @@ func TestAutoBatcherMixedStream(t *testing.T) {
 		}
 	}
 
-	var rounds, opsN int
-	for _, st := range ab.MixedHistory() {
-		rounds += st.Rounds()
-		opsN += st.Ops
-	}
-	auto := float64(rounds) / float64(opsN)
+	auto := st.RoundsPerOp()
 
 	fixed := NewConnectivity(n, 5*n)
 	var fRounds, fOps int
@@ -412,64 +384,24 @@ func TestAutoBatcherMixedStream(t *testing.T) {
 	}
 	fixed8 := float64(fRounds) / float64(fOps)
 	if auto >= fixed8 {
-		t.Fatalf("adaptive rounds/op %.3f not better than fixed k=8 %.3f (trajectory %v)", auto, fixed8, ab.Ks())
+		t.Fatalf("adaptive rounds/op %.3f not better than fixed k=8 %.3f (trajectory %v)", auto, fixed8, ks)
 	}
 	if v := cc.Cluster().Stats().Violations; v != 0 {
 		t.Fatalf("%d cluster violations", v)
 	}
 }
 
-// TestAutoBatcherModeGuards pins the configuration contract: ApplyOps is
-// required, the clamps must be consistent, and the one mode ingests
-// queries and updates alike.
+// TestAutoBatcherModeGuards pins the configuration contract: the clamps
+// must be consistent. (Nothing else can be mis-wired: the controller holds
+// no apply func, so it cannot point at a different structure than the
+// Ingestor's Pipeline.)
 func TestAutoBatcherModeGuards(t *testing.T) {
-	wantPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
-	noop := func([]Op) (Results, MixedStats) { return nil, MixedStats{} }
-	wantPanic("no front door", func() { NewAutoBatcher(AutoBatcherConfig{}) })
-	wantPanic("MaxK below MinK", func() { NewAutoBatcher(AutoBatcherConfig{ApplyOps: noop, MinK: 8, MaxK: 4}) })
-	// The one mode takes reads and writes alike.
-	ab := NewAutoBatcher(AutoBatcherConfig{ApplyOps: noop, StartK: 2})
-	ab.PushOp(OpQMateOf(1))
-	if _, ok := ab.Push(Update{Op: Insert, U: 0, V: 1}); !ok {
-		t.Fatal("a query and an update did not fill a k=2 chunk")
-	}
-}
-
-// TestAutoBatcherFlushOps pins the mixed-tail contract: FlushOps returns
-// the partial chunk's answers, and Flush refuses to discard them.
-func TestAutoBatcherFlushOps(t *testing.T) {
-	cc := NewConnectivity(16, 64)
-	ab := NewAutoBatcher(AutoBatcherConfig{ApplyOps: cc.Apply, StartK: 8})
-	ab.PushOp(OpIns(0, 1, 1))
-	ab.PushOp(OpQConnected(0, 1))
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("Flush with buffered queries did not panic")
-			}
-		}()
-		ab.Flush()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("MaxK below MinK did not panic")
+		}
 	}()
-	res, st, ok := ab.FlushOps()
-	if !ok || len(res) != 1 || !res[0].Bool || st.Updates != 1 {
-		t.Fatalf("FlushOps = (%v, %+v, %v), want the buffered query answered", res, st, ok)
-	}
-	if _, _, ok := ab.FlushOps(); ok {
-		t.Fatal("FlushOps on an empty buffer reported a flush")
-	}
-	// Update-only tails still drain through plain Flush.
-	ab.PushOp(OpIns(1, 2, 1))
-	if _, ok := ab.Flush(); !ok {
-		t.Fatal("Flush on an update-only tail failed")
-	}
+	NewAutoBatcher(AutoBatcherConfig{MinK: 8, MaxK: 4})
 }
 
 // TestAutoBatcherTargetP99CapsK pins the tail constraint on a scripted
@@ -488,27 +420,23 @@ func TestAutoBatcherTargetP99CapsK(t *testing.T) {
 		}
 	}
 	free := NewAutoBatcher(AutoBatcherConfig{
-		ApplyOps: asOps(mkFake().apply), StartK: 8, MaxK: 512, ProbeBatches: 1, WarmupBatches: -1,
+		StartK: 8, MaxK: 512, ProbeBatches: 1, WarmupBatches: -1,
 	})
 	bound := NewAutoBatcher(AutoBatcherConfig{
-		ApplyOps: asOps(mkFake().apply), StartK: 8, MaxK: 512, ProbeBatches: 1, WarmupBatches: -1,
+		StartK: 8, MaxK: 512, ProbeBatches: 1, WarmupBatches: -1,
 		TargetP99Rounds: 40,
 	})
-	for i := 0; i < 512*8; i++ {
-		up := Update{Op: Insert, U: i, V: i + 1}
-		free.Push(up)
-		bound.Push(up)
-	}
+	runAuto(mkFake(), free, 512*8)
+	ks := runAuto(mkFake(), bound, 512*8)
 	if free.K() != 512 {
 		t.Fatalf("unconstrained search settled at %d, want MaxK 512", free.K())
 	}
 	if bound.K() != 16 {
-		t.Fatalf("constrained search settled at %d, want 16 (trajectory %v)", bound.K(), bound.Ks())
+		t.Fatalf("constrained search settled at %d, want 16 (trajectory %v)", bound.K(), ks)
 	}
-	for i, k := range bound.Ks() {
+	for i, k := range ks {
 		if k > 32 {
-			t.Fatalf("batch %d ran at k=%d, above the first tail violation (trajectory %v)",
-				i, k, bound.Ks())
+			t.Fatalf("batch %d ran at k=%d, above the first tail violation (trajectory %v)", i, k, ks)
 		}
 	}
 }
@@ -522,14 +450,11 @@ func TestAutoBatcherTargetP99Unachievable(t *testing.T) {
 		words: func(int) int { return 10 },
 	}
 	ab := NewAutoBatcher(AutoBatcherConfig{
-		ApplyOps: asOps(f.apply), StartK: 8, MinK: 2, MaxK: 64, ProbeBatches: 1, WarmupBatches: -1,
+		StartK: 8, MinK: 2, MaxK: 64, ProbeBatches: 1, WarmupBatches: -1,
 		TargetP99Rounds: 40,
 	})
-	for i := 0; i < 400; i++ {
-		ab.Push(Update{Op: Insert, U: i, V: i + 1})
-	}
-	if ab.K() != 2 {
-		t.Fatalf("unachievable bound settled at %d, want MinK 2 (trajectory %v)", ab.K(), ab.Ks())
+	if ks := runAuto(f, ab, 400); ab.K() != 2 {
+		t.Fatalf("unachievable bound settled at %d, want MinK 2 (trajectory %v)", ab.K(), ks)
 	}
 }
 
@@ -546,18 +471,17 @@ func TestAutoBatcherTailInfeasibleAtMinK(t *testing.T) {
 		words: func(int) int { return 10 },
 	}
 	ab := NewAutoBatcher(AutoBatcherConfig{
-		ApplyOps: asOps(f.apply), StartK: 4, MinK: 1, MaxK: 64, ProbeBatches: 1, WarmupBatches: -1,
+		StartK: 4, MinK: 1, MaxK: 64, ProbeBatches: 1, WarmupBatches: -1,
 		ReprobeEvery: 2, TargetP99Rounds: 40,
 	})
+	ing := NewIngestor(IngestorConfig{Pipeline: f, Auto: ab})
 	// 4 → 2 → 1 → infeasible: three violating windows, then settle.
-	for i := 0; i < 16; i++ {
-		ab.Push(Update{Op: Insert, U: i, V: i + 1})
-	}
+	ing.Ingest(inserts(16))
 	if ab.K() != 1 {
-		t.Fatalf("unachievable bound settled at %d, want MinK 1 (trajectory %v)", ab.K(), ab.Ks())
+		t.Fatalf("unachievable bound settled at %d, want MinK 1 (chunks %v)", ab.K(), f.sizes)
 	}
 	if !ab.TailInfeasible() {
-		t.Fatalf("TailInfeasible() = false after violating at MinK (trajectory %v)", ab.Ks())
+		t.Fatalf("TailInfeasible() = false after violating at MinK (chunks %v)", f.sizes)
 	}
 	atSettle := ab.TailViolations()
 	if atSettle == 0 {
@@ -566,13 +490,14 @@ func TestAutoBatcherTailInfeasibleAtMinK(t *testing.T) {
 	// Many re-probe periods past the settle: every batch must run at k=1
 	// (each push flushes immediately — k never hit 0) and no new
 	// violations may accrue, i.e. the re-probe never re-opens the climb.
-	before := len(ab.Ks())
+	before := len(f.sizes)
 	for i := 0; i < 40; i++ {
-		if _, applied := ab.Push(Update{Op: Insert, U: 1000 + i, V: 1001 + i}); !applied {
+		ing.Push(Arrival{Op: Ins(1000+i, 1001+i)})
+		if ing.Pending() != 0 {
 			t.Fatalf("push %d after settling at k=1 did not flush a chunk", i)
 		}
 	}
-	for i, k := range ab.Ks()[before:] {
+	for i, k := range f.sizes[before:] {
 		if k != 1 {
 			t.Fatalf("batch %d after terminal settle ran at k=%d, want 1", before+i, k)
 		}
@@ -582,46 +507,48 @@ func TestAutoBatcherTailInfeasibleAtMinK(t *testing.T) {
 	}
 }
 
-// TestAutoBatcherApplyChunk pins the externally-formed-chunk entry: full
-// chunks feed the knee search exactly like Push-cut chunks, non-full
-// chunks are recorded but never adapt, and the guards reject misuse.
-func TestAutoBatcherApplyChunk(t *testing.T) {
-	cc := NewConnectivity(32, 128)
-	ab := NewAutoBatcher(AutoBatcherConfig{ApplyOps: cc.Apply, StartK: 4, ProbeBatches: 1, WarmupBatches: -1})
-	// Partial chunks: recorded, no adaptation.
-	for i := 0; i < 6; i += 2 {
-		if _, st := ab.ApplyChunk([]Op{Ins(i, i+1), QConnected(i, i+1)}, false); st.Ops != 2 {
-			t.Fatalf("chunk window covers %d ops, want 2", st.Ops)
-		}
+// TestAutoBatcherObserve pins the controller's one input, fed windows
+// directly as the Ingestor feeds them: full chunks drive the knee search,
+// chunks cut short are observed but never adapt.
+func TestAutoBatcherObserve(t *testing.T) {
+	ab := NewAutoBatcher(AutoBatcherConfig{StartK: 4, ProbeBatches: 1, WarmupBatches: -1})
+	window := func(ops, rounds int) MixedStats {
+		return MixedStats{Ops: ops, Updates: BatchStats{Updates: ops, UpdateStats: UpdateStats{Rounds: rounds}}}
+	}
+	for i := 0; i < 3; i++ {
+		ab.observe(window(2, 1000), false)
 	}
 	if ab.K() != 4 {
 		t.Fatalf("non-full chunks adapted k to %d", ab.K())
 	}
-	if len(ab.MixedHistory()) != 3 || len(ab.Ks()) != 3 {
-		t.Fatalf("chunks not recorded: %d windows, %d ks", len(ab.MixedHistory()), len(ab.Ks()))
+	ab.observe(window(4, 8), true)
+	if ab.K() != 8 {
+		t.Fatalf("a full chunk's first window grew k to %d, want 8", ab.K())
 	}
-	// Full chunks drive the search: k grows off a full window.
-	for k := ab.K(); ab.K() == k; {
-		chunk := make([]Op, ab.K())
-		for j := range chunk {
-			chunk[j] = QComponentOf(j)
-		}
-		ab.ApplyChunk(chunk, true)
-	}
-	if ab.K() <= 4 {
-		t.Fatalf("full chunks did not grow k: %d", ab.K())
-	}
-	wantPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s did not panic", name)
+}
+
+// TestAutoBatcherObserveAllocs pins the controller's bounded state: once
+// the probe window's sample buffer has grown to ProbeBatches, an
+// observation allocates nothing — settled for good, and cycling through
+// probe, settle and re-probe with and without the tail bound's in-place
+// sort.
+func TestAutoBatcherObserveAllocs(t *testing.T) {
+	full := MixedStats{Ops: 8, Updates: BatchStats{Updates: 8, UpdateStats: UpdateStats{Rounds: 16, MaxWords: 10}}}
+	for name, cfg := range map[string]AutoBatcherConfig{
+		"settled":         {StartK: 8, MaxK: 8, ReprobeEvery: -1},
+		"probing":         {StartK: 8, MaxK: 64, ReprobeEvery: 2},
+		"probing, tailed": {StartK: 8, MaxK: 64, ReprobeEvery: 2, TargetP99Rounds: 1 << 20},
+	} {
+		ab := NewAutoBatcher(cfg)
+		// One run is long enough to cross every state of the cycle (and
+		// AllocsPerRun's warm-up run grows the sample buffer once).
+		cycle := func() {
+			for i := 0; i < 64; i++ {
+				ab.observe(full, true)
 			}
-		}()
-		f()
+		}
+		if got := testing.AllocsPerRun(20, cycle); got != 0 {
+			t.Errorf("%s: 64 observations allocate %v, want 0", name, got)
+		}
 	}
-	wantPanic("ApplyChunk with a dirty Push buffer", func() {
-		ab.PushOp(Ins(20, 21))
-		ab.ApplyChunk([]Op{Ins(22, 23)}, false)
-	})
 }

@@ -136,7 +136,6 @@ func latencyAutoTable(n, nUpdates int, seed int64) []latencyAutoRow {
 	run := func(target int) (int, int64) {
 		p := ar.mk()
 		ab := dmpc.NewAutoBatcher(dmpc.AutoBatcherConfig{
-			ApplyOps:        p.Apply,
 			CapWords:        p.Cluster().Machines() * p.Cluster().MemWords(),
 			StartK:          8,
 			MaxK:            256,

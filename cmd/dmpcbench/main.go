@@ -288,40 +288,40 @@ type autoRow struct {
 	Amortized float64 `json:"amortized_rounds_per_update"`
 }
 
+// autoTable ingests the suite stream back to back through the bounds-only
+// front door (see boundsOnlyPipeline) with an AutoBatcher sizing the
+// chunks, so every chunk but the tail is a full k the knee search sees.
 func autoTable(n, nUpdates int, seed int64) []autoRow {
 	capEdges := 6 * n
-	stream := suiteStream(n, nUpdates, seed)
+	arrivals := dmpc.ArrivalsNow(dmpc.UpdateOps(suiteStream(n, nUpdates, seed)))
 	runners := []struct {
 		name string
-		mk   func() (applyOps, *mpc.Cluster)
+		mk   func() dmpc.Pipeline
 	}{
-		{"Connected comps (§5)", func() (applyOps, *mpc.Cluster) {
-			d := newDyncon(dyncon.Config{N: n, Mode: dyncon.CC, ExpectedEdges: capEdges})
-			return d.ApplyOps, d.Cluster()
-		}},
-		{"Maximal matching (§3)", func() (applyOps, *mpc.Cluster) {
-			m := newDMM(dmm.Config{N: n, CapEdges: capEdges})
-			return m.ApplyOps, m.Cluster()
-		}},
+		{"Connected comps (§5)", func() dmpc.Pipeline { return dmpc.NewConnectivity(n, capEdges, benchOpts()...) }},
+		{"Maximal matching (§3)", func() dmpc.Pipeline { return dmpc.NewMaximalMatching(n, capEdges, benchOpts()...) }},
 	}
 	var rows []autoRow
 	for _, rn := range runners {
-		apply, cl := rn.mk()
+		p := rn.mk()
 		ab := dmpc.NewAutoBatcher(dmpc.AutoBatcherConfig{
-			ApplyOps: apply,
-			CapWords: cl.Machines() * cl.MemWords(),
+			CapWords: p.Cluster().Machines() * p.Cluster().MemWords(),
 			StartK:   8,
 			MaxK:     256,
 		})
-		ab.Run(stream)
-		var rounds, upd int
-		for _, st := range ab.History() {
-			rounds += st.Rounds
-			upd += st.Updates
+		_, st := dmpc.Ingest(boundsOnlyPipeline{p}, arrivals, dmpc.IngestorConfig{Auto: ab})
+		// A full chunk holds exactly the k it was cut at; the tail was cut
+		// short of the final k.
+		ks := make([]int, len(st.Windows))
+		for i, w := range st.Windows {
+			ks[i] = w.Ops
+		}
+		if st.FlushTail > 0 {
+			ks[len(ks)-1] = ab.K()
 		}
 		rows = append(rows, autoRow{
-			Name: rn.name, Ks: ab.Ks(), FinalK: ab.K(),
-			Amortized: float64(rounds) / float64(upd),
+			Name: rn.name, Ks: ks, FinalK: ab.K(),
+			Amortized: float64(st.Rounds) / float64(st.Updates),
 		})
 	}
 	return rows

@@ -66,15 +66,16 @@
 // from a min-heap, admits each into the currently-forming wave set while
 // its schedule claims don't conflict with the set's, and flushes the
 // partial stream through Apply when a conflicting op arrives, an op ages
-// past MaxAge, or the set reaches the batch bound (fixed MaxBatch or an
-// AutoBatcher's adaptive k, optionally tail-constrained by
-// TargetP99Rounds). StreamStats attributes to every op its
-// rounds-from-arrival-to-answer latency (p50/p95/p99). Apply itself is
-// the zero-inter-arrival special case of this loop, so batch and
-// streaming callers share one code path; the FuzzArrivalEquivalence
-// harnesses pin that any arrival schedule yields answers bit-identical
-// to Apply on the full slice. See cmd/dmpcbench's arrivals table and
-// BENCH_0006.json for the latency picture.
+// past MaxAge, or the set reaches the batch bound (fixed MaxBatch, or the
+// adaptive k of an AutoBatcher — the Ingestor's k-controller, optionally
+// tail-constrained by TargetP99Rounds). StreamStats attributes to every
+// op its rounds-from-arrival-to-answer latency (p50/p95/p99). The
+// dependency runs one way: Apply is one MixedStats window and buffers
+// nothing, the Ingestor is the only thing that buffers, cuts and flushes,
+// and every flush is one Apply call; the FuzzArrivalEquivalence harnesses
+// pin that any arrival schedule yields answers bit-identical to Apply on
+// the full slice. See cmd/dmpcbench's arrivals table and BENCH_0006.json
+// for the latency picture.
 //
 // # Multi-tenant streams
 //
@@ -382,36 +383,16 @@ func newPipe(apply func([]graph.Op) (graph.Results, mpc.MixedStats), claims func
 }
 
 // Apply processes a mixed op stream through the structure's scheduled
-// pipeline in one MixedStats window; see Pipeline.
-//
-// Apply is the zero-inter-arrival special case of streaming ingestion:
-// the stream is timestamped at time zero and pushed through a degenerate
-// Ingestor (no admission control, no age or size bound), whose single
-// tail flush runs the whole slice through the scheduled pipeline in one
-// window. Batch and streaming callers therefore exercise one code path
-// and cannot drift.
-func (p pipe) Apply(ops []Op) (Results, MixedStats) {
-	if len(ops) == 0 {
-		return p.apply(ops)
-	}
-	ing := newIngestor(p, IngestorConfig{}, false)
-	for _, op := range ops {
-		ing.Push(Arrival{At: 0, Op: op})
-	}
-	res, st := ing.Close()
-	return res, st.Windows[0]
-}
+// pipeline in one MixedStats window; see Pipeline. It is the core's
+// ApplyOps and nothing else: no buffering, no cutting — an Ingestor flush
+// is exactly one call of it.
+func (p pipe) Apply(ops []Op) (Results, MixedStats) { return p.apply(ops) }
 
 // Cluster exposes the underlying cluster accounting.
 func (p pipe) Cluster() *Cluster { return p.cl }
 
 // Close releases the cluster's execution backend; see Pipeline.
 func (p pipe) Close() { p.cl.Close() }
-
-// rawApply is the un-ingested scheduled pipeline — what an Ingestor
-// flush calls, so routing Apply through a degenerate Ingestor cannot
-// recurse.
-func (p pipe) rawApply(ops []Op) (Results, MixedStats) { return p.apply(ops) }
 
 // streamClaims exposes the structure's per-op claims oracle to the
 // Ingestor's admission control.

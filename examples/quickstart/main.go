@@ -9,10 +9,10 @@
 // timestamped Arrivals and forms batches on the fly: ops join the
 // currently-forming set while their schedule claims don't conflict, and
 // the set flushes through the same pipeline on a conflict, an age bound,
-// or a size bound. Streaming costs nothing extra when arrivals are
-// simultaneous — Apply IS the zero-inter-arrival special case of Ingest —
-// and in exchange StreamStats tells you each op's rounds-from-arrival-
-// to-answer latency (p50/p95/p99), which a batch window cannot express.
+// or a size bound — every flush is one Apply call. Streaming changes no
+// answer, whatever the arrival schedule, and in exchange StreamStats tells
+// you each op's rounds-from-arrival-to-answer latency (p50/p95/p99),
+// which a batch window cannot express.
 package main
 
 import (

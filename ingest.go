@@ -22,7 +22,8 @@ type (
 // Arrival-schedule generators, re-exported for workload building.
 var (
 	// ArrivalsNow timestamps a whole op stream at time zero — the
-	// schedule under which Ingest coincides exactly with Apply.
+	// schedule under which a claims-free, bound-free Ingest is one flush,
+	// i.e. exactly Apply.
 	ArrivalsNow = graph.ArrivalsNow
 	// PoissonArrivals timestamps a stream with exponential inter-arrival
 	// gaps of a given mean (in rounds).
@@ -51,10 +52,10 @@ type IngestorConfig struct {
 	// this many rounds (measured on the virtual clock). 0 disables the
 	// age bound.
 	MaxAge int64
-	// Auto, when set, applies every flush through the AutoBatcher — k
-	// tracks its live knee search (only k-bound flushes feed the search,
-	// exactly as partial Flush never adapts) — and must have been built
-	// over this same Pipeline's Apply.
+	// Auto, when set, is the ingestor's k-controller: the batch bound
+	// tracks its live knee search, which is fed the window of every flush
+	// (only k-bound flushes drive the search; chunks cut short by a
+	// conflict, the age bound or Close never adapt k).
 	Auto *AutoBatcher
 	// Weights, when non-nil, makes the conflict admitter meter each
 	// tenant's summed shared-claim cost against a weighted deficit-
@@ -123,8 +124,8 @@ func (tb *TokenBucket) Admit(now int64) bool {
 	return false
 }
 
-// Ingestor is the streaming front door over a Pipeline — the event loop
-// the batch entry points are special cases of. It consumes timestamped
+// Ingestor is the streaming front door over a Pipeline — the one place
+// ops are buffered, cut into chunks and flushed. It consumes timestamped
 // arrivals in time order, admits each op into the currently-forming wave
 // set while the op's schedule-time claims don't conflict with the set
 // (the sched.Admitter rules, i.e. exactly when the scheduled pipeline
@@ -147,7 +148,6 @@ func (tb *TokenBucket) Admit(now int64) bool {
 // (pinned by the FuzzArrivalEquivalence harnesses).
 type Ingestor struct {
 	p      Pipeline
-	raw    func([]Op) (Results, MixedStats)
 	claims func(graph.Op) sched.Item
 	auto   *AutoBatcher
 
@@ -192,13 +192,7 @@ func NewIngestor(cfg IngestorConfig) *Ingestor {
 	if cfg.Pipeline == nil {
 		panic("dmpc: NewIngestor needs a Pipeline")
 	}
-	return newIngestor(cfg.Pipeline, cfg, true)
-}
-
-// newIngestor is the shared constructor; admission false builds the
-// degenerate ingestor Apply routes through (no claims, no bounds — one
-// tail flush).
-func newIngestor(p Pipeline, cfg IngestorConfig, admission bool) *Ingestor {
+	p := cfg.Pipeline
 	ing := &Ingestor{
 		p:           p,
 		maxBatch:    cfg.MaxBatch,
@@ -208,34 +202,25 @@ func newIngestor(p Pipeline, cfg IngestorConfig, admission bool) *Ingestor {
 		multiTenant: len(cfg.Weights) > 0 || cfg.Admission != nil,
 		tstats:      make(map[int]*mpc.TenantStreamStats),
 	}
-	if rp, ok := p.(interface {
-		rawApply([]Op) (Results, MixedStats)
+	if cp, ok := p.(interface {
+		streamClaims() func(graph.Op) sched.Item
 	}); ok {
-		ing.raw = rp.rawApply
-	} else {
-		ing.raw = p.Apply
-	}
-	if admission {
-		if cp, ok := p.(interface {
-			streamClaims() func(graph.Op) sched.Item
-		}); ok {
-			ing.claims = cp.streamClaims()
-			budget := 0
-			if cl := p.Cluster(); cl != nil {
-				budget = cl.MemWords()
-			}
-			var fair *sched.Fair // nil = first-fit
-			if len(cfg.Weights) > 0 {
-				fair = sched.NewFair(budget, cfg.Weights)
-			}
-			ing.adm = sched.NewAdmitterFair(budget, fair)
+		ing.claims = cp.streamClaims()
+		budget := 0
+		if cl := p.Cluster(); cl != nil {
+			budget = cl.MemWords()
 		}
+		var fair *sched.Fair // nil = first-fit
+		if len(cfg.Weights) > 0 {
+			fair = sched.NewFair(budget, cfg.Weights)
+		}
+		ing.adm = sched.NewAdmitterFair(budget, fair)
 	}
 	return ing
 }
 
 // k returns the live batch-size bound: the AutoBatcher's current K when
-// one drives the flushes, else MaxBatch (0 = unbounded).
+// one sizes the chunks, else MaxBatch (0 = unbounded).
 func (ing *Ingestor) k() int {
 	if ing.auto != nil {
 		return ing.auto.K()
@@ -391,12 +376,9 @@ func (ing *Ingestor) flushAt(trigger int64, reason int) {
 	if start < ing.now {
 		start = ing.now // the cluster is still busy with the previous flush
 	}
-	var res Results
-	var st MixedStats
+	res, st := ing.p.Apply(ing.forming)
 	if ing.auto != nil {
-		res, st = ing.auto.ApplyChunk(ing.forming, reason == flushFull)
-	} else {
-		res, st = ing.raw(ing.forming)
+		ing.auto.observe(st, reason == flushFull)
 	}
 	end := start + int64(st.Rounds())
 	ing.now = end

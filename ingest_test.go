@@ -2,6 +2,7 @@ package dmpc
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dmpc/internal/graph"
@@ -239,6 +240,41 @@ func TestIngestZeroGapMatchesApply(t *testing.T) {
 	}
 }
 
+// TestIngestOneWindowEqualsApply pins what routing Apply through an
+// Ingestor used to guarantee by construction: with no claims oracle and no
+// bound nothing cuts the stream, so Ingest performs exactly one (tail)
+// flush, and that flush is one Pipeline.Apply call — its window and
+// answers are those of Apply on a twin structure, on all three cores.
+func TestIngestOneWindowEqualsApply(t *testing.T) {
+	const n = 48
+	mateOf := func(r *rand.Rand) Op { return QMateOf(r.Intn(n)) }
+	for _, tc := range []struct {
+		name  string
+		mk    func() Pipeline
+		query func(*rand.Rand) Op
+	}{
+		{"connectivity §5", func() Pipeline { return NewConnectivity(n, 4*n) },
+			func(r *rand.Rand) Op { return QConnected(r.Intn(n), r.Intn(n)) }},
+		{"maximal matching §3", func() Pipeline { return NewMaximalMatching(n, 4*n) }, mateOf},
+		{"almost-maximal matching §6", func() Pipeline { return NewAlmostMaximalMatching(n, 0.5, 7) }, mateOf},
+	} {
+		rng := rand.New(rand.NewSource(21))
+		ops := graph.MixedStream(graph.RandomStream(n, 120, 0.6, 1, rng), 0.4, tc.query, rng)
+
+		want, wantSt := tc.mk().Apply(ops)
+		got, st := Ingest(foreignPipeline{tc.mk()}, ArrivalsNow(ops), IngestorConfig{})
+		if st.Flushes != 1 || st.FlushTail != 1 || len(st.Windows) != 1 {
+			t.Fatalf("%s: %d flushes (%d tail), want one tail flush", tc.name, st.Flushes, st.FlushTail)
+		}
+		if !st.Windows[0].Equal(wantSt) {
+			t.Fatalf("%s: the flush window differs from Apply's:\n got: %+v\nwant: %+v", tc.name, st.Windows[0], wantSt)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: answers differ from Apply's", tc.name)
+		}
+	}
+}
+
 // TestIngestPoissonMatchingEquivalence runs a well-formed mixed matching
 // stream through Poisson arrivals and pins answers and the final mate
 // table against Apply on the full slice.
@@ -282,9 +318,8 @@ func TestIngestPoissonMatchingEquivalence(t *testing.T) {
 }
 
 // TestIngestorWithAutoBatcher pins the Ingestor/AutoBatcher wiring: the
-// batcher sizes k live (the ingestor's full-flush cuts feed the knee
-// search), answers stay bit-identical to Apply on the full slice, and
-// every flush lands in the batcher's history.
+// controller sizes k live (the ingestor's full-flush cuts feed the knee
+// search) and answers stay bit-identical to Apply on the full slice.
 func TestIngestorWithAutoBatcher(t *testing.T) {
 	const n = 96
 	rng := rand.New(rand.NewSource(14))
@@ -297,7 +332,7 @@ func TestIngestorWithAutoBatcher(t *testing.T) {
 	want, _ := ref.Apply(ops)
 
 	cc := NewConnectivity(n, 5*n)
-	ab := NewAutoBatcher(AutoBatcherConfig{ApplyOps: cc.Apply, StartK: 8, MaxK: 256})
+	ab := NewAutoBatcher(AutoBatcherConfig{StartK: 8, MaxK: 256})
 	got, st := Ingest(cc, ArrivalsNow(ops), IngestorConfig{Auto: ab})
 	if len(got) != len(want) {
 		t.Fatalf("%d answers, want %d", len(got), len(want))
@@ -307,17 +342,16 @@ func TestIngestorWithAutoBatcher(t *testing.T) {
 			t.Fatalf("answer %d is %+v, want %+v", i, got[i], want[i])
 		}
 	}
-	if st.Flushes != len(ab.MixedHistory()) {
-		t.Fatalf("%d flushes but %d batcher windows", st.Flushes, len(ab.MixedHistory()))
-	}
+	// No chunk outgrows the k it was cut at, so a window wider than StartK
+	// means the search grew k.
 	grew := false
-	for _, k := range ab.Ks() {
-		if k > 8 {
+	for _, w := range st.Windows {
+		if w.Ops > 8 {
 			grew = true
 		}
 	}
-	if !grew {
-		t.Fatalf("batcher never grew k under ingest: trajectory %v", ab.Ks())
+	if !grew || st.FlushFull == 0 {
+		t.Fatalf("controller never grew k under ingest: final k %d, %+v", ab.K(), st)
 	}
 }
 
@@ -338,7 +372,7 @@ func TestIngestorForeignPipeline(t *testing.T) {
 
 // foreignPipeline hides the facade's claims plumbing behind a plain
 // Pipeline value, as an external implementation would look.
-type foreignPipeline struct{ inner *Connectivity }
+type foreignPipeline struct{ inner Pipeline }
 
 func (f foreignPipeline) Apply(ops []Op) (Results, MixedStats) { return f.inner.Apply(ops) }
 func (f foreignPipeline) Cluster() *Cluster                    { return f.inner.Cluster() }

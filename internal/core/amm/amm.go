@@ -196,7 +196,7 @@ func (m *M) injectWaves(run []graph.Op) {
 		for k < len(run) && m.packer.Admit(m.StreamItem(run[k])) {
 			k++
 		}
-		m.cluster.BeginMixedWave(k, 0)
+		m.cluster.BeginMixedWave(k, 0, nil)
 		for _, op := range run[:k] {
 			up := op.Update()
 			m.seq++
@@ -261,7 +261,7 @@ func (m *M) drainCycles(updates int) {
 // returned Results answers the j-th op with IsQuery() true.
 func (m *M) ApplyOps(ops []graph.Op) (graph.Results, mpc.MixedStats) {
 	nu, nq := graph.CountOps(ops)
-	m.cluster.BeginMixed(nu, nq)
+	m.cluster.BeginMixed(nu, nq, nil)
 	qids := make([]int64, len(ops))
 	for i := 0; i < len(ops); {
 		if !ops[i].IsQuery() {
@@ -286,7 +286,7 @@ func (m *M) ApplyOps(ops []graph.Op) (graph.Results, mpc.MixedStats) {
 		for j < len(ops) && ops[j].IsQuery() {
 			j++
 		}
-		m.cluster.BeginMixedWave(0, j-i)
+		m.cluster.BeginMixedWave(0, j-i, nil)
 		m.cluster.Drain(64, "amm: pre-read settle")
 		for x := i; x < j; x++ {
 			op := ops[x]

@@ -196,7 +196,6 @@ func (m *M) Close() { m.cluster.Close() }
 // returned Results answers the j-th op with IsQuery() true.
 func (m *M) ApplyOps(ops []graph.Op) (graph.Results, mpc.MixedStats) {
 	nu, nq := graph.CountOps(ops)
-	m.cluster.BeginMixed(nu, nq)
 	// Per-tenant accounting engages only for multi-tenant streams (a
 	// nonzero tenant tag or a configured fairness policy); single-tenant
 	// windows stay census-free and bit-identical.
@@ -207,9 +206,11 @@ func (m *M) ApplyOps(ops []graph.Op) (graph.Results, mpc.MixedStats) {
 			break
 		}
 	}
+	var census []mpc.TenantCount
 	if mt {
-		m.cluster.BeginMixedTenants(tenantCensus(ops, nil))
+		census = mpc.TenantCensus(ops, nil)
 	}
+	m.cluster.BeginMixed(nu, nq, census)
 	// Updates draw sequence numbers by stream position, queries draw from
 	// the separate queryID counter — exactly the ids sequential replay
 	// would hand out.
@@ -307,11 +308,11 @@ func (m *M) runOpWave(ops []graph.Op, ids []int64, wave []int, mt bool) {
 			nu++
 		}
 	}
+	var census []mpc.TenantCount
 	if mt {
-		m.cluster.BeginMixedWaveTenants(nu, nq, tenantCensus(ops, wave))
-	} else {
-		m.cluster.BeginMixedWave(nu, nq)
+		census = mpc.TenantCensus(ops, wave)
 	}
+	m.cluster.BeginMixedWave(nu, nq, census)
 	for _, i := range order {
 		op := ops[i]
 		if op.IsQuery() {
@@ -489,22 +490,6 @@ func (m *M) StreamItem(op graph.Op) sched.Item {
 	var it sched.Item
 	m.itemFor(op, m.coord.meanStoreSuffix(), &it)
 	return it
-}
-
-// tenantCensus counts the (sub)stream's ops per tenant: over all ops
-// when idx is nil, else over the stream indices in idx.
-func tenantCensus(ops []graph.Op, idx []int) []mpc.TenantCount {
-	n := len(ops)
-	if idx != nil {
-		n = len(idx)
-	}
-	return mpc.TenantCensus(n, func(i int) (int, bool) {
-		op := ops[i]
-		if idx != nil {
-			op = ops[idx[i]]
-		}
-		return op.Tenant, op.IsQuery()
-	})
 }
 
 // transitionPredicted reports whether the update will cross v's heavy

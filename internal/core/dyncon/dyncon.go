@@ -235,7 +235,6 @@ func (d *D) inject(up graph.Update, seq int64) {
 // returned Results answers the j-th op with IsQuery() true.
 func (d *D) ApplyOps(ops []graph.Op) (graph.Results, mpc.MixedStats) {
 	nu, nq := graph.CountOps(ops)
-	d.cluster.BeginMixed(nu, nq)
 	// Per-tenant accounting engages only when the stream is actually
 	// multi-tenant (a nonzero tenant tag or a configured fairness
 	// policy); single-tenant windows stay census-free and bit-identical.
@@ -246,9 +245,11 @@ func (d *D) ApplyOps(ops []graph.Op) (graph.Results, mpc.MixedStats) {
 			break
 		}
 	}
+	var census []mpc.TenantCount
 	if mt {
-		d.cluster.BeginMixedTenants(tenantCensus(ops, nil))
+		census = mpc.TenantCensus(ops, nil)
 	}
+	d.cluster.BeginMixed(nu, nq, census)
 	// Sequence numbers are assigned by *stream position*, not injection
 	// order: fresh component ids minted by cuts are derived from the seq
 	// (N + 2·seq), so position-based seqs make the labels of a reordered
@@ -419,22 +420,6 @@ func (d *D) audited(ops []graph.Op, item func(int) sched.Item, exec func([]int))
 		}
 }
 
-// tenantCensus counts the (sub)stream's ops per tenant: over all ops
-// when idx is nil, else over the stream indices in idx.
-func tenantCensus(ops []graph.Op, idx []int) []mpc.TenantCount {
-	n := len(ops)
-	if idx != nil {
-		n = len(idx)
-	}
-	return mpc.TenantCensus(n, func(i int) (int, bool) {
-		op := ops[i]
-		if idx != nil {
-			op = ops[idx[i]]
-		}
-		return op.Tenant, op.IsQuery()
-	})
-}
-
 // runOpWave injects the scheduled wave (stream indices: updates and
 // queries alike) concurrently and drives the cluster to quiescence inside
 // a per-wave attribution window. The test-only wavePerm hook permutes the
@@ -453,11 +438,11 @@ func (d *D) runOpWave(ops []graph.Op, ids []int64, wave []int, mt bool) {
 			nu++
 		}
 	}
+	var census []mpc.TenantCount
 	if mt {
-		d.cluster.BeginMixedWaveTenants(nu, nq, tenantCensus(ops, wave))
-	} else {
-		d.cluster.BeginMixedWave(nu, nq)
+		census = mpc.TenantCensus(ops, wave)
 	}
+	d.cluster.BeginMixedWave(nu, nq, census)
 	for _, i := range order {
 		op := ops[i]
 		switch op.Kind {

@@ -23,7 +23,7 @@ func TestBatchAccounting(t *testing.T) {
 		c.SetMachine(i, bounceMachine{})
 	}
 
-	c.BeginMixed(3, 0)
+	c.BeginMixed(3, 0, nil)
 	c.Send(Message{From: -1, To: 0, Payload: "ping", Words: 1})
 	first := c.Run(8)
 	c.Send(Message{From: -1, To: 1, Payload: "ping", Words: 1})
@@ -70,14 +70,14 @@ func TestWaveAccounting(t *testing.T) {
 		c.SetMachine(i, bounceMachine{})
 	}
 
-	c.BeginMixed(5, 0)
-	c.BeginMixedWave(3, 0)
+	c.BeginMixed(5, 0, nil)
+	c.BeginMixedWave(3, 0, nil)
 	c.Send(Message{From: -1, To: 0, Payload: "ping", Words: 1})
 	c.Run(8)
 	w1 := c.EndMixedWave()
 	c.Send(Message{From: -1, To: 1, Payload: "ping", Words: 1}) // scheduling traffic outside any wave
 	c.Run(8)
-	c.BeginMixedWave(2, 0)
+	c.BeginMixedWave(2, 0, nil)
 	c.Send(Message{From: -1, To: 2, Payload: "ping", Words: 1})
 	c.Run(8)
 	c.EndMixedWave()
@@ -108,10 +108,10 @@ func TestWaveAccounting(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("BeginMixedWave outside window", func() { c.BeginMixedWave(1, 0) })
-	c.BeginMixed(1, 0)
-	c.BeginMixedWave(1, 0)
-	mustPanic("nested BeginMixedWave", func() { c.BeginMixedWave(1, 0) })
+	mustPanic("BeginMixedWave outside window", func() { c.BeginMixedWave(1, 0, nil) })
+	c.BeginMixed(1, 0, nil)
+	c.BeginMixedWave(1, 0, nil)
+	mustPanic("nested BeginMixedWave", func() { c.BeginMixedWave(1, 0, nil) })
 	mustPanic("EndMixed with open wave", func() { c.EndMixed() })
 	c.EndMixedWave()
 	mustPanic("EndMixedWave without wave", func() { c.EndMixedWave() })

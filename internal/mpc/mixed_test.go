@@ -12,10 +12,10 @@ func TestMixedAttribution(t *testing.T) {
 		c.SetMachine(i, bounceMachine{})
 	}
 
-	c.BeginMixed(2, 3)
+	c.BeginMixed(2, 3, nil)
 
 	// Wave 1: one update plus two riding reads — update half.
-	c.BeginMixedWave(1, 2)
+	c.BeginMixedWave(1, 2, nil)
 	c.Send(Message{From: -1, To: 0, Payload: "ping", Words: 1})
 	c.Run(8)
 	w1 := c.EndMixedWave()
@@ -25,13 +25,13 @@ func TestMixedAttribution(t *testing.T) {
 	c.Run(8)
 
 	// Wave 2: query-only — query half.
-	c.BeginMixedWave(0, 1)
+	c.BeginMixedWave(0, 1, nil)
 	c.Send(Message{From: -1, To: 2, Payload: "ping", Words: 1})
 	c.Run(8)
 	w2 := c.EndMixedWave()
 
 	// Wave 3: one more update, no reads — update half.
-	c.BeginMixedWave(1, 0)
+	c.BeginMixedWave(1, 0, nil)
 	c.Send(Message{From: -1, To: 3, Payload: "ping", Words: 1})
 	c.Run(8)
 	w3 := c.EndMixedWave()
@@ -72,8 +72,8 @@ func TestMixedHalvesSkipEmpty(t *testing.T) {
 	c.SetMachine(0, bounceMachine{})
 	c.SetMachine(1, bounceMachine{})
 
-	c.BeginMixed(1, 0)
-	c.BeginMixedWave(1, 0)
+	c.BeginMixed(1, 0, nil)
+	c.BeginMixedWave(1, 0, nil)
 	c.Send(Message{From: -1, To: 0, Payload: "ping", Words: 1})
 	c.Run(8)
 	c.EndMixedWave()
@@ -85,8 +85,8 @@ func TestMixedHalvesSkipEmpty(t *testing.T) {
 		t.Fatalf("all-update window missing its update half: %+v", m.Updates)
 	}
 
-	c.BeginMixed(0, 2)
-	c.BeginMixedWave(0, 2)
+	c.BeginMixed(0, 2, nil)
+	c.BeginMixedWave(0, 2, nil)
 	c.Send(Message{From: -1, To: 1, Payload: "ping", Words: 1})
 	c.Run(8)
 	c.EndMixedWave()
@@ -117,14 +117,14 @@ func TestMixedWindowExclusivity(t *testing.T) {
 	fresh := func() *Cluster { return NewCluster(Config{Machines: 1, MemWords: 16}) }
 
 	c := fresh()
-	c.BeginMixed(1, 1)
+	c.BeginMixed(1, 1, nil)
 	wantPanic("BeginUpdate inside mixed", func() { c.BeginUpdate() })
-	wantPanic("BeginMixed inside mixed", func() { c.BeginMixed(1, 1) })
+	wantPanic("BeginMixed inside mixed", func() { c.BeginMixed(1, 1, nil) })
 
 	c4 := fresh()
 	c4.SetMachine(0, bounceMachine{})
 	c4.BeginUpdate()
-	wantPanic("BeginMixed inside update", func() { c4.BeginMixed(1, 1) })
+	wantPanic("BeginMixed inside update", func() { c4.BeginMixed(1, 1, nil) })
 	// A nested BeginUpdate used to replace the open window, silently
 	// discarding the outer window's rounds.
 	c4.Send(Message{From: -1, To: 0, Payload: "ping", Words: 1})
@@ -135,10 +135,10 @@ func TestMixedWindowExclusivity(t *testing.T) {
 	}
 
 	c5 := fresh()
-	wantPanic("BeginMixedWave outside mixed", func() { c5.BeginMixedWave(1, 0) })
-	c5.BeginMixed(1, 0)
-	c5.BeginMixedWave(1, 0)
-	wantPanic("nested mixed wave", func() { c5.BeginMixedWave(1, 0) })
+	wantPanic("BeginMixedWave outside mixed", func() { c5.BeginMixedWave(1, 0, nil) })
+	c5.BeginMixed(1, 0, nil)
+	c5.BeginMixedWave(1, 0, nil)
+	wantPanic("nested mixed wave", func() { c5.BeginMixedWave(1, 0, nil) })
 	wantPanic("EndMixed with open wave", func() { c5.EndMixed() })
 	c5.EndMixedWave()
 	wantPanic("EndMixedWave without wave", func() { c5.EndMixedWave() })

@@ -230,9 +230,9 @@ type MixedStats struct {
 	Waves   []WaveStats // every wave of the window, in execution order
 
 	// Tenants breaks the window down per tenant (see TenantStats); nil
-	// unless the window was opened with a tenant census
-	// (BeginMixedTenants), so single-tenant accounting is bit-identical
-	// to pre-tenancy behavior, golden JSON included.
+	// unless the window was opened with a tenant census (BeginMixed), so
+	// single-tenant accounting is bit-identical to pre-tenancy behavior,
+	// golden JSON included.
 	Tenants map[int]TenantStats `json:",omitempty"`
 }
 
@@ -398,19 +398,33 @@ func (c *Cluster) EndUpdate() UpdateStats {
 // updates writes and queries reads. Its whole point is to attribute each
 // round to exactly one of the two halves (see MixedStats), so opening one
 // inside another window panics. Within the window, waves are declared
-// with BeginMixedWave/EndMixedWave.
-func (c *Cluster) BeginMixed(updates, queries int) {
+// with BeginMixedWave/EndMixedWave. A non-nil census additionally opens
+// the window's per-tenant breakdown; a nil one (the single-tenant
+// default) never allocates the map, keeping MixedStats bit-identical to
+// pre-tenancy behavior.
+func (c *Cluster) BeginMixed(updates, queries int, census []TenantCount) {
 	if c.stats.currentUpdate != nil {
 		panic("mpc: BeginMixed inside an open update window (window kinds are mutually exclusive)")
 	}
 	if c.stats.currentMixed != nil {
 		panic("mpc: BeginMixed inside an open mixed window (close it with EndMixed first)")
 	}
-	c.stats.currentMixed = &MixedStats{
+	m := &MixedStats{
 		Ops:     updates + queries,
 		Updates: BatchStats{Updates: updates},
 		Queries: QueryStats{Queries: queries},
 	}
+	if census != nil {
+		m.Tenants = make(map[int]TenantStats, len(census))
+		for _, tc := range census {
+			ts := m.Tenants[tc.Tenant]
+			ts.Ops += tc.Updates + tc.Queries
+			ts.Updates += tc.Updates
+			ts.Queries += tc.Queries
+			m.Tenants[tc.Tenant] = ts
+		}
+	}
+	c.stats.currentMixed = m
 }
 
 // EndMixed closes the pipeline window and returns its aggregate. An open
@@ -432,9 +446,18 @@ func (c *Cluster) EndMixed() MixedStats {
 // the next rounds execute updates writes and queries reads concurrently.
 // A wave with updates == 0 is a query-only wave; its rounds fold into the
 // window's query half, while every other wave's rounds (the reads ride
-// along) fold into the update half. Waves never nest.
-func (c *Cluster) BeginMixedWave(updates, queries int) {
-	c.BeginMixedWaveTenants(updates, queries, nil)
+// along) fold into the update half. Waves never nest. EndMixedWave splits
+// the wave's rounds across census proportional to op counts; a nil census
+// (or a window opened without one) attributes nothing.
+func (c *Cluster) BeginMixedWave(updates, queries int, census []TenantCount) {
+	if c.stats.currentMixed == nil {
+		panic("mpc: BeginMixedWave outside a mixed window")
+	}
+	if c.stats.currentWave != nil {
+		panic("mpc: BeginMixedWave inside an open wave (close it with EndMixedWave first)")
+	}
+	c.stats.currentWave = &WaveStats{Updates: updates, Queries: queries}
+	c.stats.waveTenants = append(c.stats.waveTenants[:0], census...)
 }
 
 // EndMixedWave finishes the current wave and records it on the open mixed

@@ -12,8 +12,8 @@ func TestQueryAccounting(t *testing.T) {
 		c.SetMachine(i, bounceMachine{})
 	}
 
-	c.BeginMixed(0, 8)
-	c.BeginMixedWave(0, 8)
+	c.BeginMixed(0, 8, nil)
+	c.BeginMixedWave(0, 8, nil)
 	c.Send(Message{From: -1, To: 0, Payload: "ping", Words: 1})
 	c.Send(Message{From: -1, To: 2, Payload: "ping", Words: 1})
 	c.Run(8)
@@ -57,17 +57,17 @@ func TestQueryWindowExclusivity(t *testing.T) {
 	mustPanic("queries inside update", func() {
 		c := NewCluster(Config{Machines: 2, MemWords: 64})
 		c.BeginUpdate()
-		c.BeginMixed(0, 2)
+		c.BeginMixed(0, 2, nil)
 	})
 	mustPanic("update inside queries", func() {
 		c := NewCluster(Config{Machines: 2, MemWords: 64})
-		c.BeginMixed(0, 2)
+		c.BeginMixed(0, 2, nil)
 		c.BeginUpdate()
 	})
 	mustPanic("queries inside queries", func() {
 		c := NewCluster(Config{Machines: 2, MemWords: 64})
-		c.BeginMixed(0, 1)
-		c.BeginMixed(0, 2)
+		c.BeginMixed(0, 1, nil)
+		c.BeginMixed(0, 2, nil)
 	})
 
 	// Sequential windows remain fine: update, then queries, then an update.
@@ -79,8 +79,8 @@ func TestQueryWindowExclusivity(t *testing.T) {
 	c.Send(Message{From: -1, To: 0, Payload: "ping", Words: 1})
 	c.Run(8)
 	u1 := c.EndUpdate()
-	c.BeginMixed(0, 1)
-	c.BeginMixedWave(0, 1)
+	c.BeginMixed(0, 1, nil)
+	c.BeginMixedWave(0, 1, nil)
 	c.Send(Message{From: -1, To: 1, Payload: "ping", Words: 1})
 	c.Run(8)
 	c.EndMixedWave()

@@ -83,12 +83,11 @@ func TestPercentileBadQ(t *testing.T) {
 // rounds, never mints them).
 func TestMixedTenantAttribution(t *testing.T) {
 	c := NewCluster(Config{Machines: 2, MemWords: 64})
-	c.BeginMixed(3, 1)
-	c.BeginMixedTenants([]TenantCount{
+	c.BeginMixed(3, 1, []TenantCount{
 		{Tenant: 0, Updates: 1},
 		{Tenant: 1, Updates: 2, Queries: 1},
 	})
-	c.BeginMixedWaveTenants(2, 1, []TenantCount{
+	c.BeginMixedWave(2, 1, []TenantCount{
 		{Tenant: 0, Updates: 1},
 		{Tenant: 1, Updates: 1, Queries: 1},
 	})
@@ -120,8 +119,8 @@ func TestMixedTenantAttribution(t *testing.T) {
 	}
 	// A window without a census stays tenant-free: bit-identical
 	// accounting for single-tenant runs.
-	c.BeginMixed(1, 0)
-	c.BeginMixedWave(1, 0)
+	c.BeginMixed(1, 0, nil)
+	c.BeginMixedWave(1, 0, nil)
 	c.Round()
 	c.EndMixedWave()
 	if m := c.EndMixed(); m.Tenants != nil {

@@ -1,5 +1,7 @@
 package mpc
 
+import "dmpc/internal/graph"
+
 // TenantCount is one tenant's op census over a mixed window or one of
 // its waves: how many of the covered updates/queries belong to the
 // tenant. Censuses are how the algorithm layers (which know op tenancy)
@@ -25,63 +27,37 @@ type TenantStats struct {
 	Rounds  float64
 }
 
-// TenantCensus builds a census over n ops described by info (tenant id
-// and read/write side per index), grouping tenants in first-seen order
-// so the result is deterministic for a given op order. The algorithm
-// layers use it for both window and wave censuses.
-func TenantCensus(n int, info func(i int) (tenant int, query bool)) []TenantCount {
-	var census []TenantCount
+// TenantCensus counts a (sub)stream's ops per tenant — over all of ops
+// when idx is nil, else over the stream indices in idx — grouping tenants
+// in first-seen order so the result is deterministic for a given op
+// order. The algorithm layers build both window and wave censuses with
+// it. The result is never nil: a census of no ops still opens a tenanted
+// (empty) window.
+func TenantCensus(ops []graph.Op, idx []int) []TenantCount {
+	n := len(ops)
+	if idx != nil {
+		n = len(idx)
+	}
+	census := []TenantCount{}
 	slot := make(map[int]int, 2)
 	for i := 0; i < n; i++ {
-		t, q := info(i)
-		j, ok := slot[t]
+		op := ops[i]
+		if idx != nil {
+			op = ops[idx[i]]
+		}
+		j, ok := slot[op.Tenant]
 		if !ok {
 			j = len(census)
-			slot[t] = j
-			census = append(census, TenantCount{Tenant: t})
+			slot[op.Tenant] = j
+			census = append(census, TenantCount{Tenant: op.Tenant})
 		}
-		if q {
+		if op.IsQuery() {
 			census[j].Queries++
 		} else {
 			census[j].Updates++
 		}
 	}
 	return census
-}
-
-// BeginMixedTenants seeds the open mixed window's per-tenant breakdown
-// from the window census. Windows without a census (the single-tenant
-// default) never allocate the map, keeping MixedStats bit-identical to
-// pre-tenancy behavior.
-func (c *Cluster) BeginMixedTenants(census []TenantCount) {
-	m := c.stats.currentMixed
-	if m == nil {
-		panic("mpc: BeginMixedTenants outside a mixed window")
-	}
-	m.Tenants = make(map[int]TenantStats, len(census))
-	for _, tc := range census {
-		ts := m.Tenants[tc.Tenant]
-		ts.Ops += tc.Updates + tc.Queries
-		ts.Updates += tc.Updates
-		ts.Queries += tc.Queries
-		m.Tenants[tc.Tenant] = ts
-	}
-}
-
-// BeginMixedWaveTenants is BeginMixedWave plus the wave's tenant
-// census; EndMixedWave will split the wave's rounds across the census
-// proportional to op counts. A nil census (or a window without
-// BeginMixedTenants) attributes nothing — BeginMixedWave delegates
-// here.
-func (c *Cluster) BeginMixedWaveTenants(updates, queries int, census []TenantCount) {
-	if c.stats.currentMixed == nil {
-		panic("mpc: BeginMixedWave outside a mixed window")
-	}
-	if c.stats.currentWave != nil {
-		panic("mpc: BeginMixedWave inside an open wave (close it with EndMixedWave first)")
-	}
-	c.stats.currentWave = &WaveStats{Updates: updates, Queries: queries}
-	c.stats.waveTenants = append(c.stats.waveTenants[:0], census...)
 }
 
 // shareWaveRounds folds a closed wave's rounds into the window's
