@@ -16,21 +16,21 @@ import (
 // actually flowing, not for its write side alone, and the word cap
 // watches the peak round of either half. (On a query-free stream the
 // window is its update half, so the search sees exactly the rounds per
-// update.) Its state is O(ProbeBatches): the in-progress probe window and
+// update.) Its state is O(probe window): the in-progress probe window and
 // a handful of counters, however long the stream runs.
 //
 // Policy (deterministic, no randomness):
 //
-//   - Warm up first: the opening WarmupBatches full batches are applied
-//     but excluded from the search. A structure that starts empty processes
+//   - Warm up first: the opening three full batches (one probe window) are
+//     applied but excluded from the search. A structure that starts empty processes
 //     its first updates unrepresentatively cheaply (every insert lands in a
 //     tiny component), and letting that transient set the baseline poisons
 //     every later comparison.
-//   - Probe upward: evaluate each k over a window of ProbeBatches full
+//   - Probe upward: evaluate each k over a window of three full
 //     batches — the windowed amortized rounds/update is the measurement, so
 //     one unlucky batch cannot end the search — and double k as long as the
 //     window is not worse than the *best window seen so far* by more than
-//     Margin (relative). Amortized rounds are non-increasing in k by
+//     5% (relative). Amortized rounds are non-increasing in k by
 //     construction (more updates share each wave's rounds), but successive
 //     windows measure different stream segments of a drifting workload, so
 //     demanding a measured improvement per doubling would settle spuriously
@@ -38,16 +38,17 @@ import (
 //     curve through segment noise.
 //   - Settle at the knee, on two strikes: a single bad window re-measures
 //     at the same k instead of ending the search; two consecutive windows
-//     worse than the best by more than Margin mark genuine saturation, and
+//     worse than the best by more than that margin mark genuine saturation, and
 //     k steps back to the best-measured value and holds. MaxK bounds the
 //     search when the curve never worsens.
-//   - Respect the word cap: a batch whose MaxWords exceeds CapWords halves
+//   - Respect the word cap: a batch whose MaxWords exceeds the cap halves
 //     k immediately (mid-window, discarding the window), whatever the
 //     round trend said — wider waves mean more concurrent broadcasts per
 //     round, and the communication budget binds first. MaxWords counts
-//     cluster-wide words per round, so the natural setting is µ·S
-//     (Machines × MemWords), the model's aggregate per-round capacity.
-//   - Re-probe after the knee settles: every ReprobeEvery settled full
+//     cluster-wide words per round, so the cap is µ·S (Machines ×
+//     MemWords) of the Ingestor's pipeline, the model's aggregate
+//     per-round capacity; a pipeline without a cluster has no cap.
+//   - Re-probe after the knee settles: every 32 settled full
 //     batches the search re-opens so long-lived streams track workload
 //     drift — the settled k halves one step (so a knee that moved *down*
 //     is reachable, not just one that moved up), the stale best-window
@@ -71,13 +72,12 @@ import (
 //     climb and every later re-probe stay under — so the search
 //     minimizes rounds/op *subject to* the tail bound and settles on a
 //     smaller k than the unconstrained search whenever the bound bites.
-//     If even MinK violates the bound, the search settles there (the
+//     If even k = 1 violates the bound, the search settles there (the
 //     bound is unachievable; the batcher still minimizes what it can).
 type AutoBatcher struct {
 	capWords     int
 	minK         int
 	maxK         int
-	margin       float64
 	probeBatches int
 	reprobeEvery int
 	targetP99    int
@@ -91,7 +91,7 @@ type AutoBatcher struct {
 	settled  int     // full batches applied since the knee settled
 	capBound bool    // settled by the word cap: never re-probe upward
 
-	tailInfeasible bool // tail bound violated at MinK: settled for good
+	tailInfeasible bool // tail bound violated at minK: settled for good
 	tailViolations int  // probe windows whose p99 exceeded TargetP99Rounds
 
 	// accumulators of the in-progress probe window at the current k
@@ -99,33 +99,13 @@ type AutoBatcher struct {
 	winSamples                        []chunkSample // per-chunk (rounds, units), for the tail bound
 }
 
-// AutoBatcherConfig configures NewAutoBatcher; zero values pick the
-// documented defaults.
+// AutoBatcherConfig configures NewAutoBatcher: the two knobs callers
+// actually turn. Everything else about the policy is fixed (see the
+// constants below), and the word cap is the budget of the pipeline the
+// Ingestor runs on.
 type AutoBatcherConfig struct {
-	// CapWords is the cluster-wide per-round word budget (naturally µ·S);
-	// a batch observing MaxWords above it forces k to halve. 0 disables
-	// cap feedback.
-	CapWords int
-	// StartK (default 8) is the initial chunk size; MinK (default 1) and
-	// MaxK (default 1024) clamp the search.
-	StartK, MinK, MaxK int
-	// Margin (default 0.05) is the relative amortized-rounds worsening that
-	// counts as a strike: a window worse than the best seen by more than
-	// Margin re-measures, and two strikes in a row settle the search at the
-	// best-measured k.
-	Margin float64
-	// ProbeBatches (default 3) is how many full batches each k is measured
-	// over before the knee search judges it; larger windows smooth out
-	// batch-to-batch workload variance at the cost of a slower search.
-	ProbeBatches int
-	// WarmupBatches is how many opening full batches to apply without
-	// feeding the search (the empty-structure transient). 0 picks the
-	// default (ProbeBatches); negative disables the warmup.
-	WarmupBatches int
-	// ReprobeEvery re-opens the knee search after this many settled full
-	// batches, so long-lived streams track workload drift (see the policy
-	// comment). 0 picks the default (32); negative disables re-probing.
-	ReprobeEvery int
+	// MaxK (default 1024) bounds the knee search from above.
+	MaxK int
 	// TargetP99Rounds, when positive, constrains the knee search to
 	// chunk sizes whose worst-case 99th-percentile rounds-from-arrival
 	// stays at or under this bound (see the policy comment): minimize
@@ -133,60 +113,37 @@ type AutoBatcherConfig struct {
 	TargetP99Rounds int
 }
 
+// The policy's fixed parameters — the values every caller ran with.
+const (
+	autoStartK       = 8    // initial chunk size
+	autoMinK         = 1    // floor of the search
+	autoMargin       = 0.05 // relative worsening that counts as a strike
+	autoProbeBatches = 3    // full batches per probe window, and per warmup
+	autoReprobeEvery = 32   // settled full batches between re-probes
+)
+
 // chunkSample is one full chunk's contribution to a probe window's tail
 // estimate: units ops that each observed the chunk's rounds end to end.
 type chunkSample struct{ rounds, units int }
 
-// NewAutoBatcher builds the controller. It panics if MaxK is below MinK.
+// NewAutoBatcher builds the controller. Its word cap starts disabled;
+// NewIngestor sets it from the pipeline's cluster.
 func NewAutoBatcher(cfg AutoBatcherConfig) *AutoBatcher {
 	ab := &AutoBatcher{
-		capWords:     cfg.CapWords,
-		minK:         cfg.MinK,
+		minK:         autoMinK,
 		maxK:         cfg.MaxK,
-		margin:       cfg.Margin,
-		probeBatches: cfg.ProbeBatches,
-		targetP99:    cfg.TargetP99Rounds,
+		probeBatches: autoProbeBatches,
+		warmup:       autoProbeBatches,
+		reprobeEvery: autoReprobeEvery,
+		targetP99:    max(cfg.TargetP99Rounds, 0),
 		dir:          +1,
 		bestA:        -1,
-	}
-	if ab.targetP99 < 0 {
-		ab.targetP99 = 0
-	}
-	if ab.minK < 1 {
-		ab.minK = 1
 	}
 	if ab.maxK < 1 {
 		ab.maxK = 1024
 	}
-	if ab.maxK < ab.minK {
-		panic("dmpc: AutoBatcher MaxK below MinK")
-	}
-	if ab.margin <= 0 {
-		ab.margin = 0.05
-	}
-	if ab.probeBatches < 1 {
-		ab.probeBatches = 3
-	}
-	ab.k = cfg.StartK
-	if ab.k < 1 {
-		ab.k = 8
-	}
-	ab.k = ab.clamp(ab.k)
+	ab.k = ab.clamp(autoStartK)
 	ab.bestK = ab.k
-	ab.warmup = cfg.WarmupBatches
-	if ab.warmup == 0 {
-		ab.warmup = ab.probeBatches
-	}
-	if ab.warmup < 0 {
-		ab.warmup = 0
-	}
-	ab.reprobeEvery = cfg.ReprobeEvery
-	if ab.reprobeEvery == 0 {
-		ab.reprobeEvery = 32
-	}
-	if ab.reprobeEvery < 0 {
-		ab.reprobeEvery = 0
-	}
 	return ab
 }
 
@@ -206,12 +163,12 @@ func (ab *AutoBatcher) K() int { return ab.k }
 // TailViolations counts the completed probe windows whose worst-case p99
 // rounds exceeded TargetP99Rounds. A nonzero count with a settled small k
 // means the bound actively shaped the search; see TailInfeasible for the
-// case where even MinK cannot meet it.
+// case where even the smallest k cannot meet it.
 func (ab *AutoBatcher) TailViolations() int { return ab.tailViolations }
 
 // TailInfeasible reports that a probe window violated TargetP99Rounds at
-// k = MinK: the bound is unachievable for this workload, and the search
-// has settled terminally at MinK (no re-probe will re-open it) rather
+// the smallest k: the bound is unachievable for this workload, and the
+// search has settled terminally there (no re-probe will re-open it) rather
 // than looping halve/climb around a violation it cannot shed.
 func (ab *AutoBatcher) TailInfeasible() bool { return ab.tailInfeasible }
 
@@ -246,7 +203,7 @@ func (ab *AutoBatcher) adapt(rounds, units, maxWords int) {
 		if ab.reprobeEvery == 0 || ab.capBound || ab.tailInfeasible {
 			// Settled for good: nothing left to measure. The tail-
 			// infeasible case matters here — re-opening the climb would
-			// double k off MinK, violate the bound again, and halve back,
+			// double k off minK, violate the bound again, and halve back,
 			// looping the violation every re-probe period on purpose.
 			return
 		}
@@ -284,9 +241,9 @@ func (ab *AutoBatcher) adapt(rounds, units, maxWords int) {
 		// said: halve k and make the new k a hard ceiling, so neither
 		// the climb nor a later re-probe returns above it. A best window
 		// measured beyond the ceiling described an infeasible k — drop
-		// it. At MinK there is nothing left to shed: settle terminally
+		// it. At minK there is nothing left to shed: settle terminally
 		// (the bound is unachievable — TailInfeasible reports it) rather
-		// than halving MaxK below MinK or letting a re-probe climb back
+		// than halving maxK below minK or letting a re-probe climb back
 		// into the violation.
 		ab.tailViolations++
 		if ab.k <= ab.minK {
@@ -304,7 +261,7 @@ func (ab *AutoBatcher) adapt(rounds, units, maxWords int) {
 		ab.strikes = 0
 		return
 	}
-	if ab.bestA < 0 || a <= ab.bestA*(1+ab.margin) {
+	if ab.bestA < 0 || a <= ab.bestA*(1+autoMargin) {
 		// First window, or this k is not measurably worse than the best
 		// seen: record it if it is the new best, and keep growing unless
 		// the clamp already stops us (then settle where we are).

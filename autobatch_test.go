@@ -27,15 +27,44 @@ type fakeApply struct {
 func (f *fakeApply) Apply(ops []Op) (Results, MixedStats) {
 	k := len(ops)
 	f.sizes = append(f.sizes, k)
-	st := BatchStats{
-		Updates:     k,
-		UpdateStats: UpdateStats{Rounds: int(f.cost(k) * float64(k)), MaxWords: f.words(k)},
-	}
+	st := HalfStats{Ops: k, Rounds: int(f.cost(k) * float64(k)), MaxWords: f.words(k)}
 	f.applied += k
 	return nil, MixedStats{Ops: k, Updates: st}
 }
 func (f *fakeApply) Cluster() *Cluster { return nil }
 func (f *fakeApply) Close()            {}
+
+// tuning overrides the policy parameters AutoBatcherConfig no longer
+// carries — they are constants for every caller, but the scripted tests
+// need exact trajectories (one-batch windows, no warmup) and edge cases
+// (a word cap without a cluster, a raised floor). Zero keeps
+// NewAutoBatcher's value; a negative WarmupBatches or ReprobeEvery
+// disables that stage.
+type tuning struct {
+	StartK, MinK, CapWords, ProbeBatches, WarmupBatches, ReprobeEvery int
+}
+
+func tuned(cfg AutoBatcherConfig, tn tuning) *AutoBatcher {
+	ab := NewAutoBatcher(cfg)
+	ab.capWords = tn.CapWords
+	if tn.MinK > 0 {
+		ab.minK = tn.MinK
+	}
+	if tn.ProbeBatches > 0 {
+		ab.probeBatches, ab.warmup = tn.ProbeBatches, tn.ProbeBatches
+	}
+	if tn.WarmupBatches != 0 {
+		ab.warmup = max(tn.WarmupBatches, 0)
+	}
+	if tn.ReprobeEvery != 0 {
+		ab.reprobeEvery = max(tn.ReprobeEvery, 0)
+	}
+	if tn.StartK > 0 {
+		ab.k = ab.clamp(tn.StartK)
+		ab.bestK = ab.k
+	}
+	return ab
+}
 
 // inserts returns n back-to-back insert arrivals at time zero.
 func inserts(n int) []Arrival {
@@ -81,7 +110,7 @@ func TestAutoBatcherFindsKnee(t *testing.T) {
 		},
 		words: func(int) int { return 10 },
 	}
-	ab := NewAutoBatcher(AutoBatcherConfig{StartK: 8, MaxK: 512, ProbeBatches: 1, WarmupBatches: -1})
+	ab := tuned(AutoBatcherConfig{MaxK: 512}, tuning{ProbeBatches: 1, WarmupBatches: -1})
 	ks := runAuto(f, ab, 64*20)
 	// 128 appears twice: the first bad window is a strike that re-measures,
 	// the second settles back to the best-measured k.
@@ -117,7 +146,7 @@ func TestAutoBatcherWindowSmoothsNoise(t *testing.T) {
 		return base
 	}
 	f.words = func(int) int { return 10 }
-	ab := NewAutoBatcher(AutoBatcherConfig{StartK: 8, MaxK: 64, ProbeBatches: 3, WarmupBatches: -1})
+	ab := tuned(AutoBatcherConfig{MaxK: 64}, tuning{ProbeBatches: 3, WarmupBatches: -1})
 	ks := runAuto(f, ab, 64*12)
 	reached32 := false
 	for _, k := range ks {
@@ -149,7 +178,7 @@ func TestAutoBatcherWordCapForcesShrink(t *testing.T) {
 		cost:  func(k int) float64 { return 64.0 / float64(k) }, // rounds always favor growth
 		words: func(k int) int { return 10 * k },                // but words grow with k
 	}
-	ab := NewAutoBatcher(AutoBatcherConfig{StartK: 32, CapWords: 200})
+	ab := tuned(AutoBatcherConfig{}, tuning{StartK: 32, CapWords: 200})
 	// k=32 → 320 words > 200: halve to 16 and settle (160 words fits).
 	ks := runAuto(f, ab, 32*8)
 	if len(ks) < 3 || ks[0] != 32 || ks[1] != 16 {
@@ -182,9 +211,7 @@ func TestAutoBatcherReprobeTracksDrift(t *testing.T) {
 		return float64(k) / 4 // phase 2: cost grows with k — small batches win
 	}
 	f.words = func(int) int { return 10 }
-	ab := NewAutoBatcher(AutoBatcherConfig{
-		StartK: 8, MaxK: 128, ProbeBatches: 1, WarmupBatches: -1, ReprobeEvery: 4,
-	})
+	ab := tuned(AutoBatcherConfig{MaxK: 128}, tuning{ProbeBatches: 1, WarmupBatches: -1, ReprobeEvery: 4})
 	ks := runAuto(f, ab, 8000)
 	settledAtKnee := false
 	for i, k := range ks {
@@ -214,10 +241,7 @@ func TestAutoBatcherReprobeStableWorkload(t *testing.T) {
 		},
 		words: func(int) int { return 10 },
 	}
-	ab := NewAutoBatcher(AutoBatcherConfig{
-		StartK: 8, MaxK: 128,
-		ProbeBatches: 1, WarmupBatches: -1, ReprobeEvery: 3,
-	})
+	ab := tuned(AutoBatcherConfig{MaxK: 128}, tuning{ProbeBatches: 1, WarmupBatches: -1, ReprobeEvery: 3})
 	ks := runAuto(f, ab, 32*200)
 	// A probe may be in flight when the stream ends, so judge the cycle,
 	// not the final instant: after the first settle the search must stay
@@ -256,7 +280,7 @@ func TestAutoBatcherCapSettleNeverReprobes(t *testing.T) {
 		cost:  func(k int) float64 { return 64.0 / float64(k) }, // rounds always favor growth
 		words: func(k int) int { return 10 * k },
 	}
-	ab := NewAutoBatcher(AutoBatcherConfig{StartK: 32, CapWords: 200, ReprobeEvery: 2})
+	ab := tuned(AutoBatcherConfig{}, tuning{StartK: 32, CapWords: 200, ReprobeEvery: 2})
 	ks := runAuto(f, ab, 32*40)
 	for i, k := range ks {
 		if i > 0 && k != 16 {
@@ -279,7 +303,7 @@ func TestAutoBatcherPartialFlush(t *testing.T) {
 		cost:  func(k int) float64 { return 1000 }, // any full batch would stall the probe
 		words: func(int) int { return 1 },
 	}
-	ab := NewAutoBatcher(AutoBatcherConfig{StartK: 8})
+	ab := NewAutoBatcher(AutoBatcherConfig{})
 	ing := NewIngestor(IngestorConfig{Pipeline: f, Auto: ab})
 	ing.Ingest(inserts(3))
 	if _, st := ing.Close(); st.FlushTail != 1 {
@@ -304,11 +328,7 @@ func TestAutoBatcherOnConnectivity(t *testing.T) {
 	stream := graph.RandomStream(n, 512, 0.55, 1, rand.New(rand.NewSource(5)))
 
 	cc := NewConnectivity(n, 5*n)
-	ab := NewAutoBatcher(AutoBatcherConfig{
-		CapWords: cc.Cluster().Machines() * cc.Cluster().MemWords(),
-		StartK:   8,
-		MaxK:     256,
-	})
+	ab := NewAutoBatcher(AutoBatcherConfig{MaxK: 256})
 	_, st := Ingest(foreignPipeline{cc}, ArrivalsNow(UpdateOps(stream)), IngestorConfig{Auto: ab})
 	ks := fullKs(st)
 	if slices.Max(ks) <= 8 {
@@ -321,7 +341,7 @@ func TestAutoBatcherOnConnectivity(t *testing.T) {
 	for _, b := range Chunk(stream, 8) {
 		_, st := fixed.Apply(UpdateOps(b))
 		fRounds += st.Updates.Rounds
-		fUpd += st.Updates.Updates
+		fUpd += st.Updates.Ops
 	}
 	fixed8 := float64(fRounds) / float64(fUpd)
 	if auto >= fixed8 {
@@ -342,15 +362,11 @@ func TestAutoBatcherMixedStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	updates := graph.RandomStream(n, 384, 0.55, 1, rng)
 	ops := graph.MixedStream(updates, 0.5, func(r *rand.Rand) Op {
-		return OpQConnected(r.Intn(n), r.Intn(n))
+		return QConnected(r.Intn(n), r.Intn(n))
 	}, rng)
 
 	cc := NewConnectivity(n, 5*n)
-	ab := NewAutoBatcher(AutoBatcherConfig{
-		CapWords: cc.Cluster().Machines() * cc.Cluster().MemWords(),
-		StartK:   8,
-		MaxK:     256,
-	})
+	ab := NewAutoBatcher(AutoBatcherConfig{MaxK: 256})
 	got, st := Ingest(foreignPipeline{cc}, ArrivalsNow(ops), IngestorConfig{Auto: ab})
 	ks := fullKs(st)
 	if slices.Max(ks) <= 8 {
@@ -391,19 +407,6 @@ func TestAutoBatcherMixedStream(t *testing.T) {
 	}
 }
 
-// TestAutoBatcherModeGuards pins the configuration contract: the clamps
-// must be consistent. (Nothing else can be mis-wired: the controller holds
-// no apply func, so it cannot point at a different structure than the
-// Ingestor's Pipeline.)
-func TestAutoBatcherModeGuards(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MaxK below MinK did not panic")
-		}
-	}()
-	NewAutoBatcher(AutoBatcherConfig{MinK: 8, MaxK: 4})
-}
-
 // TestAutoBatcherTargetP99CapsK pins the tail constraint on a scripted
 // curve where amortized rounds/update keep improving with k forever
 // (rounds per chunk grow like sqrt(k)), so the unconstrained search
@@ -419,13 +422,8 @@ func TestAutoBatcherTargetP99CapsK(t *testing.T) {
 			words: func(int) int { return 10 },
 		}
 	}
-	free := NewAutoBatcher(AutoBatcherConfig{
-		StartK: 8, MaxK: 512, ProbeBatches: 1, WarmupBatches: -1,
-	})
-	bound := NewAutoBatcher(AutoBatcherConfig{
-		StartK: 8, MaxK: 512, ProbeBatches: 1, WarmupBatches: -1,
-		TargetP99Rounds: 40,
-	})
+	free := tuned(AutoBatcherConfig{MaxK: 512}, tuning{ProbeBatches: 1, WarmupBatches: -1})
+	bound := tuned(AutoBatcherConfig{MaxK: 512, TargetP99Rounds: 40}, tuning{ProbeBatches: 1, WarmupBatches: -1})
 	runAuto(mkFake(), free, 512*8)
 	ks := runAuto(mkFake(), bound, 512*8)
 	if free.K() != 512 {
@@ -449,10 +447,7 @@ func TestAutoBatcherTargetP99Unachievable(t *testing.T) {
 		cost:  func(k int) float64 { return 100 / float64(k) }, // 100 rounds per chunk at any k
 		words: func(int) int { return 10 },
 	}
-	ab := NewAutoBatcher(AutoBatcherConfig{
-		StartK: 8, MinK: 2, MaxK: 64, ProbeBatches: 1, WarmupBatches: -1,
-		TargetP99Rounds: 40,
-	})
+	ab := tuned(AutoBatcherConfig{MaxK: 64, TargetP99Rounds: 40}, tuning{MinK: 2, ProbeBatches: 1, WarmupBatches: -1})
 	if ks := runAuto(f, ab, 400); ab.K() != 2 {
 		t.Fatalf("unachievable bound settled at %d, want MinK 2 (trajectory %v)", ab.K(), ks)
 	}
@@ -470,10 +465,7 @@ func TestAutoBatcherTailInfeasibleAtMinK(t *testing.T) {
 		cost:  func(k int) float64 { return 100 / float64(k) }, // 100 rounds per chunk at any k
 		words: func(int) int { return 10 },
 	}
-	ab := NewAutoBatcher(AutoBatcherConfig{
-		StartK: 4, MinK: 1, MaxK: 64, ProbeBatches: 1, WarmupBatches: -1,
-		ReprobeEvery: 2, TargetP99Rounds: 40,
-	})
+	ab := tuned(AutoBatcherConfig{MaxK: 64, TargetP99Rounds: 40}, tuning{StartK: 4, MinK: 1, ProbeBatches: 1, WarmupBatches: -1, ReprobeEvery: 2})
 	ing := NewIngestor(IngestorConfig{Pipeline: f, Auto: ab})
 	// 4 → 2 → 1 → infeasible: three violating windows, then settle.
 	ing.Ingest(inserts(16))
@@ -511,9 +503,9 @@ func TestAutoBatcherTailInfeasibleAtMinK(t *testing.T) {
 // directly as the Ingestor feeds them: full chunks drive the knee search,
 // chunks cut short are observed but never adapt.
 func TestAutoBatcherObserve(t *testing.T) {
-	ab := NewAutoBatcher(AutoBatcherConfig{StartK: 4, ProbeBatches: 1, WarmupBatches: -1})
+	ab := tuned(AutoBatcherConfig{}, tuning{StartK: 4, ProbeBatches: 1, WarmupBatches: -1})
 	window := func(ops, rounds int) MixedStats {
-		return MixedStats{Ops: ops, Updates: BatchStats{Updates: ops, UpdateStats: UpdateStats{Rounds: rounds}}}
+		return MixedStats{Ops: ops, Updates: HalfStats{Ops: ops, Rounds: rounds}}
 	}
 	for i := 0; i < 3; i++ {
 		ab.observe(window(2, 1000), false)
@@ -533,13 +525,12 @@ func TestAutoBatcherObserve(t *testing.T) {
 // probe, settle and re-probe with and without the tail bound's in-place
 // sort.
 func TestAutoBatcherObserveAllocs(t *testing.T) {
-	full := MixedStats{Ops: 8, Updates: BatchStats{Updates: 8, UpdateStats: UpdateStats{Rounds: 16, MaxWords: 10}}}
-	for name, cfg := range map[string]AutoBatcherConfig{
-		"settled":         {StartK: 8, MaxK: 8, ReprobeEvery: -1},
-		"probing":         {StartK: 8, MaxK: 64, ReprobeEvery: 2},
-		"probing, tailed": {StartK: 8, MaxK: 64, ReprobeEvery: 2, TargetP99Rounds: 1 << 20},
+	full := MixedStats{Ops: 8, Updates: HalfStats{Ops: 8, Rounds: 16, MaxWords: 10}}
+	for name, ab := range map[string]*AutoBatcher{
+		"settled":         tuned(AutoBatcherConfig{MaxK: 8}, tuning{ReprobeEvery: -1}),
+		"probing":         tuned(AutoBatcherConfig{MaxK: 64}, tuning{ReprobeEvery: 2}),
+		"probing, tailed": tuned(AutoBatcherConfig{MaxK: 64, TargetP99Rounds: 1 << 20}, tuning{ReprobeEvery: 2}),
 	} {
-		ab := NewAutoBatcher(cfg)
 		// One run is long enough to cross every state of the cycle (and
 		// AllocsPerRun's warm-up run grows the sample buffer once).
 		cycle := func() {

@@ -1,10 +1,7 @@
 package main
 
 import (
-	"fmt"
 	"math/rand"
-	"os"
-	"text/tabwriter"
 
 	"dmpc"
 	"dmpc/internal/graph"
@@ -67,19 +64,18 @@ func arrivalRunners(n, nUpdates int, seed int64) []arrivalRunner {
 	}
 }
 
+type schedule struct {
+	gen string
+	arr []dmpc.Arrival
+}
+
 // arrivalSchedules stamps one op stream with the two arrival processes
 // under test: Poisson (mean inter-arrival gap 4 rounds) and bursty
 // (storms of 16 back-to-back ops, 48 quiet rounds between storms). The
 // rates keep the cluster under ~70% utilization so the tail reflects
 // batching policy, not an unstable queue.
-func arrivalSchedules(ops []dmpc.Op, seed int64) []struct {
-	gen string
-	arr []dmpc.Arrival
-} {
-	return []struct {
-		gen string
-		arr []dmpc.Arrival
-	}{
+func arrivalSchedules(ops []dmpc.Op, seed int64) []schedule {
+	return []schedule{
 		{"poisson", dmpc.PoissonArrivals(ops, 4, rand.New(rand.NewSource(seed+500)))},
 		{"bursty", dmpc.BurstyArrivals(ops, 16, 0, 48)},
 	}
@@ -135,12 +131,7 @@ func latencyAutoTable(n, nUpdates int, seed int64) []latencyAutoRow {
 	sched := arrivalSchedules(ar.ops, seed)[0] // poisson
 	run := func(target int) (int, int64) {
 		p := ar.mk()
-		ab := dmpc.NewAutoBatcher(dmpc.AutoBatcherConfig{
-			CapWords:        p.Cluster().Machines() * p.Cluster().MemWords(),
-			StartK:          8,
-			MaxK:            256,
-			TargetP99Rounds: target,
-		})
+		ab := dmpc.NewAutoBatcher(dmpc.AutoBatcherConfig{MaxK: 256, TargetP99Rounds: target})
 		_, st := dmpc.Ingest(boundsOnlyPipeline{p}, sched.arr, dmpc.IngestorConfig{Auto: ab})
 		return ab.K(), st.P99()
 	}
@@ -153,25 +144,20 @@ func latencyAutoTable(n, nUpdates int, seed int64) []latencyAutoRow {
 }
 
 func printArrivalTable(rows []arrivalRow, lrows []latencyAutoRow) {
-	fmt.Println("\nStreaming ingestion: per-op latency under timed arrivals (readfrac 0.75):")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "Algorithm\tarrivals\tk\tops\tflushes\tp50\tp95\tp99\tmakespan\trounds/op\n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%.2f\n",
-			r.Name, r.Gen, r.K, r.Ops, r.Flushes, r.P50, r.P95, r.P99, r.Makespan, r.RoundsPerOp)
-	}
-	w.Flush()
-	fmt.Println("(latency is rounds from arrival to answer; a larger batch bound amortizes")
-	fmt.Println(" rounds/op but holds early arrivals longer, which is the p99 column's story)")
-	fmt.Println("\nTail-constrained adaptive batching (TargetP99Rounds vs unconstrained):")
-	w = tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "Algorithm\tarrivals\ttarget p99\tfree k\tfree p99\tbound k\tbound p99\n")
-	for _, r := range lrows {
-		fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%d\t%d\t%d\n",
-			r.Name, r.Gen, r.Target, r.FreeK, r.FreeP99, r.BoundK, r.BoundP99)
-	}
-	w.Flush()
-	fmt.Println("(the tail bound caps the knee search: windows whose worst-case p99 exceeds")
-	fmt.Println(" the target halve k and lower the search ceiling, so the constrained run")
-	fmt.Println(" settles at a smaller batch than the pure rounds/op knee)")
+	printRows("\nStreaming ingestion: per-op latency under timed arrivals (readfrac 0.75):",
+		"Algorithm\tarrivals\tk\tops\tflushes\tp50\tp95\tp99\tmakespan\trounds/op",
+		"%s\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%.2f", rows,
+		func(r arrivalRow) []any {
+			return []any{r.Name, r.Gen, r.K, r.Ops, r.Flushes, r.P50, r.P95, r.P99, r.Makespan, r.RoundsPerOp}
+		},
+		"(latency is rounds from arrival to answer; a larger batch bound amortizes",
+		" rounds/op but holds early arrivals longer, which is the p99 column's story)")
+	printRows("\nTail-constrained adaptive batching (TargetP99Rounds vs unconstrained):",
+		"Algorithm\tarrivals\ttarget p99\tfree k\tfree p99\tbound k\tbound p99", "%s\t%s\t%d\t%d\t%d\t%d\t%d", lrows,
+		func(r latencyAutoRow) []any {
+			return []any{r.Name, r.Gen, r.Target, r.FreeK, r.FreeP99, r.BoundK, r.BoundP99}
+		},
+		"(the tail bound caps the knee search: windows whose worst-case p99 exceeds",
+		" the target halve k and lower the search ceiling, so the constrained run",
+		" settles at a smaller batch than the pure rounds/op knee)")
 }

@@ -7,7 +7,7 @@
 // against the quiescence split, read-only windows, streaming arrivals,
 // tenant isolation, tree DP, the §5 O(√N) sweep and the sim-vs-parallel
 // ladder up to -wallmax — and emits them as text tables or, with -json,
-// as one dmpcbench/v3 document (see benchReport; BENCH_0015.json is the
+// as one dmpcbench/v4 document (see benchReport; BENCH_0015.json is the
 // committed one). Wall-clock has its own harness, bench/.
 //
 // With -baseline FILE the run is judged against such a document by the
@@ -30,10 +30,10 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"reflect"
 	"runtime"
 	"runtime/pprof"
 	"text/tabwriter"
-	"time"
 
 	"dmpc"
 	"dmpc/internal/core/amm"
@@ -67,109 +67,146 @@ type table1Row struct {
 	Entropy       float64 `json:"comm_entropy_bits"`
 }
 
-type updater func(up graph.Update) mpc.UpdateStats
-
 // applyOps is a core's one execution path.
 type applyOps func([]graph.Op) (graph.Results, mpc.MixedStats)
 
-// perOp runs each update as its own one-op ApplyOps window and reports the
-// window (a read-free window is its update half) in the per-update shape.
-func perOp(apply applyOps) updater {
-	return func(up graph.Update) mpc.UpdateStats {
-		_, st := apply([]graph.Op{graph.OpUpdate(up)})
-		return st.Updates.UpdateStats
-	}
-}
+// runner executes one batch of updates and returns the update half it was
+// billed. A per-update measurement is a batch of one.
+type runner func(graph.Batch) mpc.HalfStats
 
-// perBatch runs each batch as one write-only ApplyOps window.
-func perBatch(apply applyOps) func(graph.Batch) mpc.BatchStats {
-	return func(b graph.Batch) mpc.BatchStats {
+// window runs each batch as one write-only ApplyOps window (a read-free
+// window is its update half).
+func window(apply applyOps) runner {
+	return func(b graph.Batch) mpc.HalfStats {
 		_, st := apply(graph.UpdateOps(b))
 		return st.Updates
 	}
 }
 
-// foldUpdates runs a batch through a per-update driver and folds the
-// update windows into the batch shape — for the drivers that have no
-// shared window (the §7 reduction, and §6's per-update cycle at k=1).
-func foldUpdates(f updater) func(graph.Batch) mpc.BatchStats {
-	return func(b graph.Batch) mpc.BatchStats {
-		st := mpc.BatchStats{Updates: len(b)}
+// add folds the half b into a: counts and sums add, peaks max.
+func add(a *mpc.HalfStats, b mpc.HalfStats) {
+	a.Ops += b.Ops
+	a.Rounds += b.Rounds
+	a.SumActive += b.SumActive
+	a.SumWords += b.SumWords
+	a.MaxActive = max(a.MaxActive, b.MaxActive)
+	a.MaxWords = max(a.MaxWords, b.MaxWords)
+}
+
+// perUpdate runs a batch through a driver that bills every update its own
+// window — the §7 reduction, §6's cycle — and sums the windows.
+func perUpdate(f func(graph.Update) mpc.HalfStats) runner {
+	return func(b graph.Batch) (st mpc.HalfStats) {
 		for _, up := range b {
-			u := f(up)
-			st.Rounds += u.Rounds
-			st.SumActive += u.SumActive
-			st.SumWords += u.SumWords
-			st.MaxActive = max(st.MaxActive, u.MaxActive)
-			st.MaxWords = max(st.MaxWords, u.MaxWords)
+			add(&st, f(up))
 		}
 		return st
 	}
 }
 
 // ammCycle is §6's fixed-schedule per-update driver (see amm.M.Insert).
-func ammCycle(m *amm.M) updater {
-	return func(up graph.Update) mpc.UpdateStats {
+func ammCycle(m *amm.M) runner {
+	return perUpdate(func(up graph.Update) mpc.HalfStats {
 		if up.Op == graph.Insert {
 			return m.Insert(up.U, up.V)
 		}
 		return m.Delete(up.U, up.V)
+	})
+}
+
+// tally is the fold every update table shares: a stream replayed in
+// chunks of k, its windows summed, counted, and the longest one noted.
+type tally struct {
+	mpc.HalfStats
+	windows, worstRounds int
+}
+
+func replay(updates []graph.Update, k int, run runner) (t tally) {
+	for _, b := range graph.Chunk(updates, k) {
+		st := run(b)
+		add(&t.HalfStats, st)
+		t.windows++
+		t.worstRounds = max(t.worstRounds, st.Rounds)
+	}
+	return t
+}
+
+// per divides, reading an empty denominator as zero.
+func per(a, b int) float64 {
+	if b == 0 {
+		return 0
+	}
+	return float64(a) / float64(b)
+}
+
+func measure(name, claim string, updates []graph.Update, run runner, cl *mpc.Cluster) table1Row {
+	t := replay(updates, 1, run)
+	return table1Row{
+		Name: name, Claim: claim,
+		MeanRounds: per(t.Rounds, t.Ops), WorstRounds: t.worstRounds, WorstMachines: t.MaxActive,
+		MeanWords: per(t.SumWords, t.Rounds), WorstWords: t.MaxWords,
+		Entropy: cl.CommEntropy(),
 	}
 }
 
-func measure(name, claim string, updates []graph.Update, f updater, cl *mpc.Cluster) table1Row {
-	r := table1Row{Name: name, Claim: claim}
-	var rounds, words int
-	for _, up := range updates {
-		st := f(up)
-		rounds += st.Rounds
-		words += st.SumWords
-		r.WorstRounds = max(r.WorstRounds, st.Rounds)
-		r.WorstMachines = max(r.WorstMachines, st.MaxActive)
-		r.WorstWords = max(r.WorstWords, st.MaxWords)
-	}
-	r.MeanRounds = float64(rounds) / float64(len(updates))
-	if rounds > 0 {
-		r.MeanWords = float64(words) / float64(rounds)
-	}
-	r.Entropy = cl.CommEntropy()
-	return r
+// alg is one dynamic algorithm as the update tables measure it; mk builds
+// a fresh instance. For the cores a per-update measurement is a batch of
+// one, so each and batch are the same write-only window — except §6,
+// whose per-update protocol is its fixed-schedule cycle — and the §7
+// reductions have no shared window, so a batch is its updates replayed one
+// by one (the simulation is inherently serial: the row stays flat).
+type alg struct {
+	name, claim string
+	mk          func() inst
 }
 
-func table(n, nUpdates int, seed int64) []table1Row {
+type inst struct {
+	each, batch runner
+	cl          *mpc.Cluster
+}
+
+func algs(n int, seed int64) []alg {
 	capEdges := 6 * n
-	mk := func(s int64) []graph.Update {
-		return graph.RandomStream(n, nUpdates, 0.55, 50, rand.New(rand.NewSource(seed+s)))
+	core := func(apply applyOps, cl *mpc.Cluster) inst { w := window(apply); return inst{w, w, cl} }
+	mm := func(threeHalves bool) inst {
+		m := newDMM(dmm.Config{N: n, CapEdges: capEdges, ThreeHalves: threeHalves})
+		return core(m.ApplyOps, m.Cluster())
 	}
+	cc := func(mode dyncon.Mode, eps float64) inst {
+		d := newDyncon(dyncon.Config{N: n, Mode: mode, Eps: eps, ExpectedEdges: capEdges})
+		return core(d.ApplyOps, d.Cluster())
+	}
+	red := func(t reduction.Target) inst {
+		sim := reduction.NewSim(8, 1<<18)
+		run := perUpdate(reduction.NewWrapped(sim, t).Update)
+		return inst{run, run, sim.Cluster()}
+	}
+	return []alg{
+		{"Maximal matching (§3)", "O(1) r, O(1) mach, O(√N) words", func() inst { return mm(false) }},
+		{"3/2-approx matching (§4)", "O(1) r, O(n/√N) mach, O(√N) words", func() inst { return mm(true) }},
+		{"(2+ε)-approx matching (§6)", "O(1) r, Õ(1) mach, Õ(1) words", func() inst {
+			m := newAMM(amm.Config{N: n, Seed: seed})
+			return inst{ammCycle(m), window(m.ApplyOps), m.Cluster()}
+		}},
+		{"Connected comps (§5)", "O(1) r, O(√N) mach, O(√N) words", func() inst { return cc(dyncon.CC, 0) }},
+		{"(1+ε)-MST (§5.1)", "O(1) r, O(√N) mach, O(√N) words", func() inst { return cc(dyncon.MST, 0.25) }},
+		{"Reduction: conn comps (§7+HDT)", "Õ(1) r amort., O(1) mach, O(1) words",
+			func() inst { return red(reduction.HDTTarget{H: seqdyn.NewHDT(n)}) }},
+		{"Reduction: matching (§7+NS)", "O(√m) r wc, O(1) mach, O(1) words",
+			func() inst { return red(reduction.NSMatchTarget{M: seqdyn.NewNSMatch(n, capEdges)}) }},
+		{"Reduction: MST (§7+DynMSF)", "Õ(1) r amort., O(1) mach, O(1) words",
+			func() inst { return red(reduction.MSFTarget{F: seqdyn.NewDynMSF(n)}) }},
+	}
+}
+
+// table measures every algorithm update by update, each on its own stream.
+func table(n, nUpdates int, seed int64) []table1Row {
 	var rows []table1Row
-
-	m1 := newDMM(dmm.Config{N: n, CapEdges: capEdges})
-	rows = append(rows, measure("Maximal matching (§3)", "O(1) r, O(1) mach, O(√N) words", mk(1), perOp(m1.ApplyOps), m1.Cluster()))
-
-	m2 := newDMM(dmm.Config{N: n, CapEdges: capEdges, ThreeHalves: true})
-	rows = append(rows, measure("3/2-approx matching (§4)", "O(1) r, O(n/√N) mach, O(√N) words", mk(2), perOp(m2.ApplyOps), m2.Cluster()))
-
-	m3 := newAMM(amm.Config{N: n, Seed: seed})
-	rows = append(rows, measure("(2+ε)-approx matching (§6)", "O(1) r, Õ(1) mach, Õ(1) words", mk(3), ammCycle(m3), m3.Cluster()))
-
-	d4 := newDyncon(dyncon.Config{N: n, Mode: dyncon.CC, ExpectedEdges: capEdges})
-	rows = append(rows, measure("Connected comps (§5)", "O(1) r, O(√N) mach, O(√N) words", mk(4), perOp(d4.ApplyOps), d4.Cluster()))
-
-	d5 := newDyncon(dyncon.Config{N: n, Mode: dyncon.MST, Eps: 0.25, ExpectedEdges: capEdges})
-	rows = append(rows, measure("(1+ε)-MST (§5.1)", "O(1) r, O(√N) mach, O(√N) words", mk(5), perOp(d5.ApplyOps), d5.Cluster()))
-
-	simH := reduction.NewSim(8, 1<<18)
-	wh := reduction.NewWrapped(simH, reduction.HDTTarget{H: seqdyn.NewHDT(n)})
-	rows = append(rows, measure("Reduction: conn comps (§7+HDT)", "Õ(1) r amort., O(1) mach, O(1) words", mk(6), wh.Update, simH.Cluster()))
-
-	simM := reduction.NewSim(8, 1<<18)
-	wm := reduction.NewWrapped(simM, reduction.NSMatchTarget{M: seqdyn.NewNSMatch(n, capEdges)})
-	rows = append(rows, measure("Reduction: matching (§7+NS)", "O(√m) r wc, O(1) mach, O(1) words", mk(7), wm.Update, simM.Cluster()))
-
-	simF := reduction.NewSim(8, 1<<18)
-	wf := reduction.NewWrapped(simF, reduction.MSFTarget{F: seqdyn.NewDynMSF(n)})
-	rows = append(rows, measure("Reduction: MST (§7+DynMSF)", "Õ(1) r amort., O(1) mach, O(1) words", mk(8), wf.Update, simF.Cluster()))
-
+	for i, a := range algs(n, seed) {
+		stream := graph.RandomStream(n, nUpdates, 0.55, 50, rand.New(rand.NewSource(seed+int64(i)+1)))
+		in := a.mk()
+		rows = append(rows, measure(a.name, a.claim, stream, in.each, in.cl))
+	}
 	return rows
 }
 
@@ -184,65 +221,13 @@ type batchRow struct {
 	MeanWords      float64 `json:"mean_words_per_round"`
 }
 
-type batchRunner struct {
-	name string
-	mk   func(k int) func(graph.Batch) mpc.BatchStats
-}
-
-// batchRunners builds one fresh instance per measurement so successive k
-// values see identical starting states.
-func batchRunners(n, capEdges int, seed int64) []batchRunner {
-	return []batchRunner{
-		{"Maximal matching (§3)", func(int) func(graph.Batch) mpc.BatchStats {
-			return perBatch(newDMM(dmm.Config{N: n, CapEdges: capEdges}).ApplyOps)
-		}},
-		{"3/2-approx matching (§4)", func(int) func(graph.Batch) mpc.BatchStats {
-			return perBatch(newDMM(dmm.Config{N: n, CapEdges: capEdges, ThreeHalves: true}).ApplyOps)
-		}},
-		{"(2+ε)-approx matching (§6)", func(k int) func(graph.Batch) mpc.BatchStats {
-			m := newAMM(amm.Config{N: n, Seed: seed})
-			if k == 1 {
-				// The k=1 column is by definition the per-update protocol.
-				return foldUpdates(ammCycle(m))
-			}
-			return perBatch(m.ApplyOps)
-		}},
-		{"Connected comps (§5)", func(int) func(graph.Batch) mpc.BatchStats {
-			return perBatch(newDyncon(dyncon.Config{N: n, Mode: dyncon.CC, ExpectedEdges: capEdges}).ApplyOps)
-		}},
-		{"(1+ε)-MST (§5.1)", func(int) func(graph.Batch) mpc.BatchStats {
-			return perBatch(newDyncon(dyncon.Config{N: n, Mode: dyncon.MST, Eps: 0.25, ExpectedEdges: capEdges}).ApplyOps)
-		}},
-		{"Reduction: conn comps (§7+HDT)", func(int) func(graph.Batch) mpc.BatchStats {
-			// The §7 simulation is inherently serial: a batch costs the sum
-			// of its updates' O(u(N))-round costs, so the row stays flat.
-			sim := reduction.NewSim(8, 1<<18)
-			return foldUpdates(reduction.NewWrapped(sim, reduction.HDTTarget{H: seqdyn.NewHDT(n)}).Update)
-		}},
+func measureBatch(name string, updates []graph.Update, k int, run runner) batchRow {
+	t := replay(updates, k, run)
+	return batchRow{
+		Name: name, K: k, Batches: t.windows,
+		RoundsPerBatch: per(t.Rounds, t.windows), Amortized: per(t.Rounds, t.Ops),
+		WorstMachines: t.MaxActive, MeanWords: per(t.SumWords, t.Rounds),
 	}
-}
-
-func measureBatch(name string, updates []graph.Update, k int, run func(graph.Batch) mpc.BatchStats) batchRow {
-	r := batchRow{Name: name, K: k}
-	var rounds, words, upd int
-	for _, b := range graph.Chunk(updates, k) {
-		st := run(b)
-		r.Batches++
-		rounds += st.Rounds
-		words += st.SumWords
-		upd += st.Updates
-		r.WorstMachines = max(r.WorstMachines, st.MaxActive)
-	}
-	if r.Batches > 0 {
-		r.RoundsPerBatch = float64(rounds) / float64(r.Batches)
-	}
-	if upd > 0 {
-		r.Amortized = float64(rounds) / float64(upd)
-	}
-	if rounds > 0 {
-		r.MeanWords = float64(words) / float64(rounds)
-	}
-	return r
 }
 
 // suiteStream is the one update stream the batch, autobatch, mixed and
@@ -251,30 +236,27 @@ func suiteStream(n, nUpdates int, seed int64) []graph.Update {
 	return graph.RandomStream(n, nUpdates, 0.55, 50, rand.New(rand.NewSource(seed+100)))
 }
 
-// batchTable measures every algorithm at k=1 and k=batchK over the same
-// stream (fresh instances per k).
+// batchTable measures the cores and one §7 reduction at k=1 (the
+// per-update driver) and k=batchK over the same stream, a fresh instance
+// per k so both see identical starting states.
 func batchTable(n, nUpdates int, seed int64) []batchRow {
 	stream := suiteStream(n, nUpdates, seed)
 	var rows []batchRow
-	for _, br := range batchRunners(n, 6*n, seed) {
-		for _, k := range []int{1, batchK} {
-			rows = append(rows, measureBatch(br.name, stream, k, br.mk(k)))
-		}
+	for _, a := range algs(n, seed)[:6] {
+		rows = append(rows, measureBatch(a.name, stream, 1, a.mk().each), measureBatch(a.name, stream, batchK, a.mk().batch))
 	}
 	return rows
 }
 
 func printBatchTable(rows []batchRow) {
-	fmt.Printf("\nBatch pipeline (write-only ApplyOps windows, k=%d vs k=1):\n", batchK)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "Algorithm\tk\trounds/batch\tamortized rounds/upd\tmach/round (wc)\twords/round (mean)\n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%d\t%.2f\t%.2f\t%d\t%.1f\n",
-			r.Name, r.K, r.RoundsPerBatch, r.Amortized, r.WorstMachines, r.MeanWords)
-	}
-	w.Flush()
-	fmt.Println("(amortized rounds/update dropping as k grows is the batch-dynamic headline;")
-	fmt.Println(" the §7 reduction replays sequentially, so its amortized cost stays flat)")
+	printRows(fmt.Sprintf("\nBatch pipeline (write-only ApplyOps windows, k=%d vs k=1):", batchK),
+		"Algorithm\tk\trounds/batch\tamortized rounds/upd\tmach/round (wc)\twords/round (mean)",
+		"%s\t%d\t%.2f\t%.2f\t%d\t%.1f", rows,
+		func(r batchRow) []any {
+			return []any{r.Name, r.K, r.RoundsPerBatch, r.Amortized, r.WorstMachines, r.MeanWords}
+		},
+		"(amortized rounds/update dropping as k grows is the batch-dynamic headline;",
+		" the §7 reduction replays sequentially, so its amortized cost stays flat)")
 }
 
 // --- adaptive batch sizing ------------------------------------------------
@@ -292,23 +274,11 @@ type autoRow struct {
 // front door (see boundsOnlyPipeline) with an AutoBatcher sizing the
 // chunks, so every chunk but the tail is a full k the knee search sees.
 func autoTable(n, nUpdates int, seed int64) []autoRow {
-	capEdges := 6 * n
 	arrivals := dmpc.ArrivalsNow(dmpc.UpdateOps(suiteStream(n, nUpdates, seed)))
-	runners := []struct {
-		name string
-		mk   func() dmpc.Pipeline
-	}{
-		{"Connected comps (§5)", func() dmpc.Pipeline { return dmpc.NewConnectivity(n, capEdges, benchOpts()...) }},
-		{"Maximal matching (§3)", func() dmpc.Pipeline { return dmpc.NewMaximalMatching(n, capEdges, benchOpts()...) }},
-	}
 	var rows []autoRow
-	for _, rn := range runners {
+	for _, rn := range arrivalRunners(n, nUpdates, seed) { // the same two facade structures
 		p := rn.mk()
-		ab := dmpc.NewAutoBatcher(dmpc.AutoBatcherConfig{
-			CapWords: p.Cluster().Machines() * p.Cluster().MemWords(),
-			StartK:   8,
-			MaxK:     256,
-		})
+		ab := dmpc.NewAutoBatcher(dmpc.AutoBatcherConfig{MaxK: 256})
 		_, st := dmpc.Ingest(boundsOnlyPipeline{p}, arrivals, dmpc.IngestorConfig{Auto: ab})
 		// A full chunk holds exactly the k it was cut at; the tail was cut
 		// short of the final k.
@@ -328,16 +298,12 @@ func autoTable(n, nUpdates int, seed int64) []autoRow {
 }
 
 func printAutoTable(rows []autoRow) {
-	fmt.Println("\nAdaptive batch sizing (dmpc.AutoBatcher knee search):")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "Algorithm\tk trajectory\tfinal k\tamortized rounds/upd\n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%v\t%d\t%.2f\n", r.Name, r.Ks, r.FinalK, r.Amortized)
-	}
-	w.Flush()
-	fmt.Println("(after a warmup the driver doubles k while probe windows stay within the")
-	fmt.Println(" noise margin of the best seen, settles at the knee on two bad windows, and")
-	fmt.Println(" halves k whenever the cluster-wide word budget is exceeded)")
+	printRows("\nAdaptive batch sizing (dmpc.AutoBatcher knee search):",
+		"Algorithm\tk trajectory\tfinal k\tamortized rounds/upd", "%s\t%v\t%d\t%.2f", rows,
+		func(r autoRow) []any { return []any{r.Name, r.Ks, r.FinalK, r.Amortized} },
+		"(after a warmup the driver doubles k while probe windows stay within the",
+		" noise margin of the best seen, settles at the knee on two bad windows, and",
+		" halves k whenever the cluster-wide word budget is exceeded)")
 }
 
 // --- unified op pipeline: in-wave reads vs quiescence --------------------
@@ -440,36 +406,28 @@ func mixedTable(n, nUpdates int, seed int64) []mixedRow {
 	var rows []mixedRow
 	for _, mr := range mixedRunners(n, 6*n) {
 		ops := graph.MixedStream(stream, readFrac, mr.mkQuery, rand.New(rand.NewSource(seed+200)))
-		ks := make([]int, 0, 3)
+		last := 0
 		for _, k := range []int{8, 64, 256} {
-			if k > len(ops) {
-				k = len(ops)
+			if k = min(k, len(ops)); k != last { // a short stream caps k; measure each k once
+				rows = append(rows, measureMixedPipeline(mr, ops, k))
+				last = k
 			}
-			if len(ks) > 0 && ks[len(ks)-1] == k {
-				continue
-			}
-			ks = append(ks, k)
-		}
-		for _, k := range ks {
-			rows = append(rows, measureMixedPipeline(mr, ops, k))
 		}
 	}
 	return rows
 }
 
 func printMixedTable(rows []mixedRow) {
-	fmt.Printf("\nUnified op pipeline: in-wave reads vs quiescence split (readfrac %.2f):\n", readFrac)
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "Algorithm\tk\tops\tinwave r/op\tquiescence r/op\tratio\tquery-half rounds\tfree-riding reads\n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%d\t%d\t%.3f\t%.3f\t%.2f\t%d\t%d/%d\n",
-			r.Name, r.K, r.Ops, r.InwavePerOp, r.QuiescencePerOp, r.Ratio, r.QueryHalf, r.FreeRides, r.Queries)
-	}
-	w.Flush()
-	fmt.Println("(both sides answer the same reads at the same stream positions; the split")
-	fmt.Println(" must quiesce at every read run, while the unified pipeline precedence-colors")
-	fmt.Println(" the reads into the update waves — a read sharing an update's wave costs zero")
-	fmt.Println(" extra rounds, which is where the ratio comes from)")
+	printRows(fmt.Sprintf("\nUnified op pipeline: in-wave reads vs quiescence split (readfrac %.2f):", readFrac),
+		"Algorithm\tk\tops\tinwave r/op\tquiescence r/op\tratio\tquery-half rounds\tfree-riding reads",
+		"%s\t%d\t%d\t%.3f\t%.3f\t%.2f\t%d\t%d/%d", rows,
+		func(r mixedRow) []any {
+			return []any{r.Name, r.K, r.Ops, r.InwavePerOp, r.QuiescencePerOp, r.Ratio, r.QueryHalf, r.FreeRides, r.Queries}
+		},
+		"(both sides answer the same reads at the same stream positions; the split",
+		" must quiesce at every read run, while the unified pipeline precedence-colors",
+		" the reads into the update waves — a read sharing an update's wave costs zero",
+		" extra rounds, which is where the ratio comes from)")
 }
 
 // readRow is one (algorithm, k) cell of the read-only-window table: after
@@ -506,14 +464,11 @@ func readTable(n, nUpdates int, seed int64) []readRow {
 					ops[j] = mr.mkQuery(rng)
 				}
 				_, st := apply(ops)
-				r.Queries += st.Queries.Queries
+				r.Queries += st.Queries.Ops
 				rounds += st.Queries.Rounds
 				words += st.Queries.SumWords
 			}
-			r.RoundsPerQuery = float64(rounds) / float64(r.Queries)
-			if rounds > 0 {
-				r.MeanWords = float64(words) / float64(rounds)
-			}
+			r.RoundsPerQuery, r.MeanWords = per(rounds, r.Queries), per(words, rounds)
 			rows = append(rows, r)
 		}
 	}
@@ -521,21 +476,18 @@ func readTable(n, nUpdates int, seed int64) []readRow {
 }
 
 func printReadTable(rows []readRow) {
-	fmt.Println("\nRead-only windows (k queries per ApplyOps window, after the batch stream):")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "Algorithm\tk\tqueries\trounds/query\twords/round (mean)\n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%d\t%d\t%.3f\t%.1f\n", r.Name, r.K, r.Queries, r.RoundsPerQuery, r.MeanWords)
-	}
-	w.Flush()
+	printRows("\nRead-only windows (k queries per ApplyOps window, after the batch stream):",
+		"Algorithm\tk\tqueries\trounds/query\twords/round (mean)", "%s\t%d\t%d\t%.3f\t%.1f", rows,
+		func(r readRow) []any { return []any{r.Name, r.K, r.Queries, r.RoundsPerQuery, r.MeanWords} })
 }
 
 // --- the suite document ----------------------------------------------------
 
-// benchReport is the dmpcbench/v3 document: the flags that shape the
-// streams, then one block per table. Only the treedp and wallclock blocks
-// carry machine-dependent (timing) columns; everything else is a
-// deterministic function of (n, updates, seed).
+// benchReport is the dmpcbench/v4 document: the flags that shape the
+// streams, then one block per table. Every field is a deterministic
+// function of (n, updates, seed, wallmax) except wallclock's
+// allocs_per_round, which jitters by a GC clock; time is printed, never
+// recorded.
 type benchReport struct {
 	Schema  string `json:"schema"`
 	N       int    `json:"n"`
@@ -563,7 +515,7 @@ type benchReport struct {
 // measureSuite runs every table.
 func measureSuite(n, updates int, seed int64, wallMax int) benchReport {
 	return benchReport{
-		Schema: "dmpcbench/v3", N: n, Updates: updates, Seed: seed, WallMax: wallMax,
+		Schema: "dmpcbench/v4", N: n, Updates: updates, Seed: seed, WallMax: wallMax,
 		Backend:     benchBackend.String(),
 		Table1:      table(n, updates, seed),
 		Static:      staticTable(n, seed),
@@ -581,8 +533,7 @@ func measureSuite(n, updates int, seed int64, wallMax int) benchReport {
 }
 
 func (rep benchReport) print() {
-	fmt.Printf("DMPC dynamic algorithms — Table 1 reproduction (n=%d, %d updates, seed %d)\n\n", rep.N, rep.Updates, rep.Seed)
-	printTable(rep.Table1, rep.N)
+	printTable(rep)
 	printStatic(rep.Static)
 	printBatchTable(rep.Batch)
 	printAutoTable(rep.Auto)
@@ -620,11 +571,36 @@ type cell struct {
 // measured value may not exceed the snapshot's by more than tol (relative)
 // plus slack (absolute). The sim oracle is deterministic for fixed flags
 // and seed, so any drift is a code change, and tol only leaves room for
-// intentional small scheduling tweaks between re-pins.
+// intentional small scheduling tweaks between re-pins. An exact gate has
+// no such room: its cells must equal the snapshot's, whatever tol says.
 type gate struct {
 	name  string
 	slack float64
+	exact bool
 	cells func(benchReport) []cell
+}
+
+// block gates a whole table exactly: one cell per numeric field of each
+// row (slice elements by index), keyed by the row's name.
+func block[T any](rows []T, name func(T) string) []cell {
+	var cs []cell
+	for _, r := range rows {
+		v := reflect.ValueOf(r)
+		for i := 0; i < v.NumField(); i++ {
+			key := name(r) + " " + v.Type().Field(i).Name
+			switch f := v.Field(i); {
+			case f.CanInt():
+				cs = append(cs, cell{key, float64(f.Int())})
+			case f.CanFloat():
+				cs = append(cs, cell{key, f.Float()})
+			case f.Kind() == reflect.Slice:
+				for j := 0; j < f.Len(); j++ {
+					cs = append(cs, cell{fmt.Sprintf("%s[%d]", key, j), float64(f.Index(j).Int())})
+				}
+			}
+		}
+	}
+	return cs
 }
 
 // column extracts a gate's cells from a table; gated=false skips the row.
@@ -641,37 +617,52 @@ func column[T any](rows []T, f func(T) (key string, v float64, gated bool)) []ce
 func wallKey(w wallRow) string { return fmt.Sprintf("%s n=%d %s", w.Name, w.N, w.Backend) }
 
 var gates = []gate{
-	{"batch: amortized rounds/update", 0, func(r benchReport) []cell {
+	{"table1: every cell", 0, true, func(r benchReport) []cell {
+		return block(r.Table1, func(t table1Row) string { return t.Name })
+	}},
+	{"static: every cell", 0, true, func(r benchReport) []cell {
+		return block(r.Static, func(t staticRow) string { return t.Name })
+	}},
+	{"autobatch: every cell", 0, true, func(r benchReport) []cell {
+		return block(r.Auto, func(a autoRow) string { return a.Name })
+	}},
+	{"read_only: every cell", 0, true, func(r benchReport) []cell {
+		return block(r.ReadOnly, func(q readRow) string { return fmt.Sprintf("%s k=%d", q.Name, q.K) })
+	}},
+	{"sweep: every cell", 0, true, func(r benchReport) []cell {
+		return block(r.Sweep, func(w sweepRow) string { return fmt.Sprintf("n=%d", w.N) })
+	}},
+	{"batch: amortized rounds/update", 0, false, func(r benchReport) []cell {
 		return column(r.Batch, func(b batchRow) (string, float64, bool) {
 			return fmt.Sprintf("%s k=%d", b.Name, b.K), b.Amortized, true
 		})
 	}},
-	{"mixed: in-wave rounds/op", 0, func(r benchReport) []cell {
+	{"mixed: in-wave rounds/op", 0, false, func(r benchReport) []cell {
 		return column(r.Mixed, func(m mixedRow) (string, float64, bool) {
 			return fmt.Sprintf("%s k=%d", m.Name, m.K), m.InwavePerOp, true
 		})
 	}},
-	{"arrivals: latency p99 rounds at k=64", 0, func(r benchReport) []cell {
+	{"arrivals: latency p99 rounds at k=64", 0, false, func(r benchReport) []cell {
 		return column(r.Arrivals, func(a arrivalRow) (string, float64, bool) {
 			return fmt.Sprintf("%s %s k=%d", a.Name, a.Gen, a.K), float64(a.P99), a.K == 64
 		})
 	}},
-	{"tenants: fair victim p99 rounds", 0, func(r benchReport) []cell {
+	{"tenants: fair victim p99 rounds", 0, false, func(r benchReport) []cell {
 		return column(r.Tenants, func(t tenantRow) (string, float64, bool) {
 			return t.Name, float64(t.VictimFairP99), true
 		})
 	}},
-	{"treedp: DP rounds/query at k=64", 0, func(r benchReport) []cell {
+	{"treedp: DP rounds/query at k=64", 0, false, func(r benchReport) []cell {
 		return column(r.TreeDP, func(t treedpRow) (string, float64, bool) {
 			return fmt.Sprintf("%s k=%d %s", t.Name, t.K, t.Backend), t.DPRoundsPerQuery, t.K == 64
 		})
 	}},
-	{"wallclock: rounds/op", 0, func(r benchReport) []cell {
+	{"wallclock: rounds/op", 0, false, func(r benchReport) []cell {
 		return column(r.Wall, func(w wallRow) (string, float64, bool) { return wallKey(w), w.RoundsPerOp, true })
 	}},
 	// The pooled round engine's allocation bill is a code property, not a
 	// machine property; the slack absorbs GC-clock jitter.
-	{"wallclock: allocs/round", 16, func(r benchReport) []cell {
+	{"wallclock: allocs/round", 16, false, func(r benchReport) []cell {
 		return column(r.Wall, func(w wallRow) (string, float64, bool) { return wallKey(w), w.AllocsPerRound, true })
 	}},
 }
@@ -688,6 +679,9 @@ func (g gate) check(rep, want benchReport, tol float64) error {
 			return fmt.Errorf("snapshot row %q was not measured", c.key)
 		}
 		delete(got, c.key)
+		if g.exact && v != c.v {
+			return fmt.Errorf("%s: %v differs from snapshot %v", c.key, v, c.v)
+		}
 		if v > c.v*(1+tol)+g.slack {
 			return fmt.Errorf("%s: %.3f regressed past snapshot %.3f by more than %.0f%%", c.key, v, c.v, tol*100)
 		}
@@ -767,14 +761,6 @@ var invariants = []invariant{
 			return nil
 		})
 	}},
-	{"wallclock: parallel makespan <= 1.02x sim at n>=10^4", func(r benchReport) error {
-		return wallPairs(r, func(sim, par wallRow) error {
-			if par.N >= 10_000 && par.MakespanNs > sim.MakespanNs*102/100 {
-				return fmt.Errorf("%s n=%d: parallel %s vs sim %s", par.Name, par.N, time.Duration(par.MakespanNs), time.Duration(sim.MakespanNs))
-			}
-			return nil
-		})
-	}},
 }
 
 // wallPairs calls f on every (sim, parallel) pair of wallclock rows; a row
@@ -825,15 +811,14 @@ func checkBaseline(rep, want benchReport, tol float64) []verdict {
 	return vs
 }
 
-func printTable(rows []table1Row, n int) {
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "Algorithm\tPaper bound\trounds/upd (mean)\trounds (wc)\tmach/round (wc)\twords/round (mean)\twords (wc)\tentropy (bits)\n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%s\t%.2f\t%d\t%d\t%.1f\t%d\t%.2f\n",
-			r.Name, r.Claim, r.MeanRounds, r.WorstRounds, r.WorstMachines, r.MeanWords, r.WorstWords, r.Entropy)
-	}
-	w.Flush()
-	fmt.Printf("\n(N = n + 2m ≈ %d; √N ≈ %.0f)\n", 13*n, math.Sqrt(13*float64(n)))
+func printTable(rep benchReport) {
+	printRows(fmt.Sprintf("DMPC dynamic algorithms — Table 1 reproduction (n=%d, %d updates, seed %d)\n", rep.N, rep.Updates, rep.Seed),
+		"Algorithm\tPaper bound\trounds/upd (mean)\trounds (wc)\tmach/round (wc)\twords/round (mean)\twords (wc)\tentropy (bits)",
+		"%s\t%s\t%.2f\t%d\t%d\t%.1f\t%d\t%.2f", rep.Table1,
+		func(r table1Row) []any {
+			return []any{r.Name, r.Claim, r.MeanRounds, r.WorstRounds, r.WorstMachines, r.MeanWords, r.WorstWords, r.Entropy}
+		},
+		fmt.Sprintf("\n(N = n + 2m ≈ %d; √N ≈ %.0f)", 13*rep.N, math.Sqrt(13*float64(rep.N))))
 }
 
 // staticRow is one recompute-from-scratch baseline, per recomputation.
@@ -850,20 +835,16 @@ func staticTable(n int, seed int64) []staticRow {
 	_, mm := staticmpc.MaximalMatching(g, 0, 0, seed)
 	_, mf := staticmpc.MinSpanningForest(g, 8)
 	return []staticRow{
-		{"Label-prop CC (O(log n) rounds)", cc.Rounds, cc.MaxActive, cc.TotalWords},
-		{"Proposal matching (O(log n) w.h.p.)", mm.Rounds, mm.MaxActive, mm.TotalWords},
-		{"Filtering MSF [26]", mf.Rounds, mf.MaxActive, mf.TotalWords},
+		{"Label-prop CC (O(log n) rounds)", cc.Rounds, cc.MaxActive, cc.SumWords},
+		{"Proposal matching (O(log n) w.h.p.)", mm.Rounds, mm.MaxActive, mm.SumWords},
+		{"Filtering MSF [26]", mf.Rounds, mf.MaxActive, mf.SumWords},
 	}
 }
 
 func printStatic(rows []staticRow) {
-	fmt.Println("\nStatic recompute-from-scratch baselines (per recomputation):")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "Baseline\trounds\tmach/round (wc)\twords total\n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%d\t%d\t%d\n", r.Name, r.Rounds, r.WorstMachines, r.TotalWords)
-	}
-	w.Flush()
+	printRows("\nStatic recompute-from-scratch baselines (per recomputation):",
+		"Baseline\trounds\tmach/round (wc)\twords total", "%s\t%d\t%d\t%d", rows,
+		func(r staticRow) []any { return []any{r.Name, r.Rounds, r.WorstMachines, r.TotalWords} })
 }
 
 // sweepRow is one input size of the §5 scaling sweep.
@@ -879,24 +860,37 @@ func sweepRows(seed int64) []sweepRow {
 	var rows []sweepRow
 	for _, n := range []int{64, 128, 256, 512, 1024} {
 		d := newDyncon(dyncon.Config{N: n, Mode: dyncon.CC, ExpectedEdges: 5 * n})
-		r := measure("", "", graph.RandomStream(n, 300, 0.55, 1, rand.New(rand.NewSource(seed))), perOp(d.ApplyOps), d.Cluster())
+		t := replay(graph.RandomStream(n, 300, 0.55, 1, rand.New(rand.NewSource(seed))), 1, window(d.ApplyOps))
 		rows = append(rows, sweepRow{
-			N: n, WorstRounds: r.WorstRounds, WorstMachines: r.WorstMachines, WorstWords: r.WorstWords,
-			WordsPerSqrtN: float64(r.WorstWords) / math.Sqrt(11*float64(n)),
+			N: n, WorstRounds: t.worstRounds, WorstMachines: t.MaxActive, WorstWords: t.MaxWords,
+			WordsPerSqrtN: float64(t.MaxWords) / math.Sqrt(11*float64(n)),
 		})
 	}
 	return rows
 }
 
 func printSweep(rows []sweepRow) {
-	fmt.Println("\nScaling sweep (§5 connectivity): words/round vs N")
+	printRows("\nScaling sweep (§5 connectivity): words/round vs N",
+		"n\trounds/upd (wc)\tmach/round (wc)\twords/round (wc)\twords/√N", "%d\t%d\t%d\t%d\t%.1f", rows,
+		func(r sweepRow) []any {
+			return []any{r.N, r.WorstRounds, r.WorstMachines, r.WorstWords, r.WordsPerSqrtN}
+		},
+		"(flat rounds and a roughly constant words/√N column are the paper's shape)")
+}
+
+// printRows prints one table: its title, the tab-separated header, one
+// formatted line per row, then the notes.
+func printRows[T any](title, header, format string, rows []T, cells func(T) []any, notes ...string) {
+	fmt.Println(title)
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "n\trounds/upd (wc)\tmach/round (wc)\twords/round (wc)\twords/√N\n")
+	fmt.Fprintln(w, header)
 	for _, r := range rows {
-		fmt.Fprintf(w, "%d\t%d\t%d\t%d\t%.1f\n", r.N, r.WorstRounds, r.WorstMachines, r.WorstWords, r.WordsPerSqrtN)
+		fmt.Fprintf(w, format+"\n", cells(r)...)
 	}
 	w.Flush()
-	fmt.Println("(flat rounds and a roughly constant words/√N column are the paper's shape)")
+	for _, n := range notes {
+		fmt.Println(n)
+	}
 }
 
 func fatal(code int, args ...any) {
@@ -913,8 +907,8 @@ func main() {
 	wallMax := flag.Int("wallmax", 10_000, "largest n of the sim-vs-parallel ladder {128, 10^4, 10^5, 10^6} (BENCH_0015.json and CI stop at the default)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the measured section to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile, captured right after the measured section, to this file")
-	asJSON := flag.Bool("json", false, "emit the measurements as one dmpcbench/v3 JSON document")
-	baseline := flag.String("baseline", "", "committed dmpcbench/v3 snapshot (BENCH_0015.json) to judge the run against; one verdict line per named check, exit nonzero if any fails")
+	asJSON := flag.Bool("json", false, "emit the measurements as one dmpcbench/v4 JSON document")
+	baseline := flag.String("baseline", "", "committed dmpcbench/v4 snapshot (BENCH_0015.json) to judge the run against; one verdict line per named check, exit nonzero if any fails")
 	tolerance := flag.Float64("tolerance", 0.10, "relative regression tolerance of the -baseline gates")
 	flag.Parse()
 

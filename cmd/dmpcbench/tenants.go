@@ -1,9 +1,7 @@
 package main
 
 import (
-	"fmt"
-	"os"
-	"text/tabwriter"
+	"slices"
 
 	"dmpc"
 )
@@ -59,10 +57,7 @@ func tenantStreams(n, steps int) (victim, mixed []dmpc.Arrival) {
 // structure (the structure whose claims oracle covers both op kinds the
 // scenario uses).
 func tenantTable(n, nUpdates int, seed int64) []tenantRow {
-	steps := nUpdates / 10
-	if steps < 20 {
-		steps = 20
-	}
+	steps := max(nUpdates/10, 20)
 	capEdges := 6 * n
 	weights := map[int]int{1: 3, 2: 1}
 	cfg := dmpc.IngestorConfig{MaxAge: 4}
@@ -91,15 +86,9 @@ func tenantTable(n, nUpdates int, seed int64) []tenantRow {
 	resPlain, stPlain := dmpc.Ingest(ccPlain, plain, cfg)
 	ccTag := dmpc.NewConnectivity(n, capEdges, benchOpts()...)
 	resTag, stTag := dmpc.Ingest(ccTag, mixed, cfg)
-	identical := len(resPlain) == len(resTag) &&
+	identical := slices.Equal(resPlain, resTag) &&
 		stPlain.Flushes == stTag.Flushes && stPlain.Rounds == stTag.Rounds &&
-		len(stPlain.Latencies) == len(stTag.Latencies)
-	for i := 0; identical && i < len(resPlain); i++ {
-		identical = resPlain[i] == resTag[i]
-	}
-	for i := 0; identical && i < len(stPlain.Latencies); i++ {
-		identical = stPlain.Latencies[i] == stTag.Latencies[i]
-	}
+		slices.Equal(stPlain.Latencies, stTag.Latencies)
 
 	v, noisy := stFair.Tenants[1], stFair.Tenants[2]
 	return []tenantRow{{
@@ -117,15 +106,12 @@ func tenantTable(n, nUpdates int, seed int64) []tenantRow {
 }
 
 func printTenantTable(rows []tenantRow) {
-	fmt.Println("\nMulti-tenant streams: victim read-p99 under a noisy tenant's write storm:")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "Algorithm\tvictim ops\tnoisy ops\tsolo p99\tunfair p99\tfair p99\trejected\tzero-tenant identical\n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%d\t%d\t%d\t%d\t%d\t%d\t%v\n",
-			r.Name, r.VictimOps, r.NoisyOps, r.VictimSoloP99, r.VictimUnfairP99,
-			r.VictimFairP99, r.NoisyRejected, r.ZeroTenantIdentical)
-	}
-	w.Flush()
-	fmt.Println("(fair = deficit-round-robin wave shares + token-bucket admission on the storm;")
-	fmt.Println(" the fair column must stay near the solo baseline while unfair drifts above it)")
+	printRows("\nMulti-tenant streams: victim read-p99 under a noisy tenant's write storm:",
+		"Algorithm\tvictim ops\tnoisy ops\tsolo p99\tunfair p99\tfair p99\trejected\tzero-tenant identical",
+		"%s\t%d\t%d\t%d\t%d\t%d\t%d\t%v", rows,
+		func(r tenantRow) []any {
+			return []any{r.Name, r.VictimOps, r.NoisyOps, r.VictimSoloP99, r.VictimUnfairP99, r.VictimFairP99, r.NoisyRejected, r.ZeroTenantIdentical}
+		},
+		"(fair = deficit-round-robin wave shares + token-bucket admission on the storm;",
+		" the fair column must stay near the solo baseline while unfair drifts above it)")
 }

@@ -1,11 +1,9 @@
 package main
 
 import (
-	"fmt"
 	"math/rand"
-	"os"
 	"runtime"
-	"text/tabwriter"
+	"slices"
 	"time"
 
 	"dmpc/internal/core/dyncon"
@@ -24,17 +22,16 @@ import (
 // parallel backends answered the identical stream bit-identically
 // (checkBaseline gates it outright).
 type treedpRow struct {
-	Name             string  `json:"name"` // workload generator: uniform | powerlaw
-	K                int     `json:"k"`
-	Backend          string  `json:"backend"`
-	Ops              int     `json:"ops"`
-	Updates          int     `json:"updates"`
-	DPQueries        int     `json:"dp_queries"`
-	RoundsPerOp      float64 `json:"rounds_per_op"`
-	DPRoundsPerQuery float64 `json:"dp_rounds_per_query"`
-	NsPerOp          float64 `json:"ns_per_op"`
-	MakespanNs       int64   `json:"makespan_ns"`
-	AnswersMatch     bool    `json:"answers_match"`
+	Name             string        `json:"name"` // workload generator: uniform | powerlaw
+	K                int           `json:"k"`
+	Backend          string        `json:"backend"`
+	Ops              int           `json:"ops"`
+	Updates          int           `json:"updates"`
+	DPQueries        int           `json:"dp_queries"`
+	RoundsPerOp      float64       `json:"rounds_per_op"`
+	DPRoundsPerQuery float64       `json:"dp_rounds_per_query"`
+	elapsed          time.Duration // printed only: time is the machine's, not the document's
+	AnswersMatch     bool          `json:"answers_match"`
 }
 
 // treeDPOps builds the tree-DP op stream: the generator's structural
@@ -78,30 +75,22 @@ func measureTreeDP(gen string, ops []graph.Op, n, k int, be mpc.BackendKind) (tr
 	d := dyncon.New(dyncon.Config{N: n, Mode: dyncon.CC, ExpectedEdges: 6 * n, Backend: be, Workers: benchWorkers})
 	defer d.Close()
 	var res graph.Results
-	var rounds, qrounds, updates int
+	var rounds, qrounds int
 	start := time.Now()
 	for _, chunk := range graph.SplitOps(ops, k) {
 		r, st := d.ApplyOps(chunk)
 		res = append(res, r...)
 		rounds += st.Rounds()
 		qrounds += st.Queries.Rounds
-		updates += st.Updates.Updates
 	}
-	elapsed := time.Since(start).Nanoseconds()
-	_, nq := graph.CountOps(ops)
-	row := treedpRow{
+	elapsed := time.Since(start)
+	updates, nq := graph.CountOps(ops)
+	return treedpRow{
 		Name: gen, K: k, Backend: be.String(),
 		Ops: len(ops), Updates: updates, DPQueries: nq,
-		MakespanNs: elapsed,
-	}
-	if len(ops) > 0 {
-		row.RoundsPerOp = float64(rounds) / float64(len(ops))
-		row.NsPerOp = float64(elapsed) / float64(len(ops))
-	}
-	if nq > 0 {
-		row.DPRoundsPerQuery = float64(qrounds) / float64(nq)
-	}
-	return row, res
+		RoundsPerOp: per(rounds, len(ops)), DPRoundsPerQuery: per(qrounds, nq),
+		elapsed: elapsed,
+	}, res
 }
 
 // treedpTable measures both workload generators at k in {8, 64, 256} on
@@ -113,10 +102,7 @@ func treedpTable(n, nUpdates int, seed int64) []treedpRow {
 		for _, k := range []int{8, 64, 256} {
 			simRow, simRes := measureTreeDP(gen, ops, n, k, mpc.BackendSim)
 			parRow, parRes := measureTreeDP(gen, ops, n, k, mpc.BackendParallel)
-			match := len(simRes) == len(parRes)
-			for i := 0; match && i < len(simRes); i++ {
-				match = simRes[i] == parRes[i]
-			}
+			match := slices.Equal(simRes, parRes)
 			simRow.AnswersMatch = match
 			parRow.AnswersMatch = match
 			rows = append(rows, simRow, parRow)
@@ -126,18 +112,16 @@ func treedpTable(n, nUpdates int, seed int64) []treedpRow {
 }
 
 func printTreeDPTable(rows []treedpRow) {
-	fmt.Println("\nTree-DP workload: mixed link/cut/weight/DP-query streams (SubtreeSum, PathSum, TreeTop):")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "Workload\tk\tbackend\tops\tDP reads\trounds/op\tDP rounds/query\tns/op\tanswers match\n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%d\t%s\t%d\t%d\t%.3f\t%.3f\t%.0f\t%v\n",
-			r.Name, r.K, r.Backend, r.Ops, r.DPQueries, r.RoundsPerOp, r.DPRoundsPerQuery, r.NsPerOp, r.AnswersMatch)
-	}
-	w.Flush()
-	fmt.Println("(DP rounds/query bills the query-half rounds to the stream's DP reads; reads")
-	fmt.Println(" that ride an update wave bill nothing, which pushes the amortized cost below")
-	fmt.Println(" one round per query at k >= 64 on the uniform workload. The power-law rows")
-	fmt.Println(" stay higher by design: nearly every op touches the preferential-attachment")
-	fmt.Println(" giant component, and a read ordered between two writes of its own component")
-	fmt.Println(" cannot share their waves — that is the snapshot-consistency contract)")
+	printRows("\nTree-DP workload: mixed link/cut/weight/DP-query streams (SubtreeSum, PathSum, TreeTop):",
+		"Workload\tk\tbackend\tops\tDP reads\trounds/op\tDP rounds/query\tns/op\tanswers match",
+		"%s\t%d\t%s\t%d\t%d\t%.3f\t%.3f\t%.0f\t%v", rows,
+		func(r treedpRow) []any {
+			return []any{r.Name, r.K, r.Backend, r.Ops, r.DPQueries, r.RoundsPerOp, r.DPRoundsPerQuery, per(int(r.elapsed), r.Ops), r.AnswersMatch}
+		},
+		"(DP rounds/query bills the query-half rounds to the stream's DP reads; reads",
+		" that ride an update wave bill nothing, which pushes the amortized cost below",
+		" one round per query at k >= 64 on the uniform workload. The power-law rows",
+		" stay higher by design: nearly every op touches the preferential-attachment",
+		" giant component, and a read ordered between two writes of its own component",
+		" cannot share their waves — that is the snapshot-consistency contract)")
 }

@@ -1,11 +1,8 @@
 package main
 
 import (
-	"fmt"
 	"math/rand"
-	"os"
 	"runtime"
-	"text/tabwriter"
 	"time"
 
 	"dmpc"
@@ -54,9 +51,10 @@ func benchOpts() []dmpc.Option {
 
 // wallRow is one (algorithm, n, backend) cell of the wall-clock table:
 // the same batched update stream measured in model rounds AND in real
-// time, so the snapshot records ns/op and makespan next to rounds/op.
-// Rounds are backend-independent by the determinism rule (checkBaseline
-// enforces the equality); time is what the backends compete on.
+// time. Rounds are backend-independent by the determinism rule
+// (checkBaseline enforces the equality); time is what the backends compete
+// on, but it is a property of the machine, so the ns columns are printed
+// and never enter the document (bench/ is the time harness).
 type wallRow struct {
 	Name        string  `json:"name"`
 	N           int     `json:"n"`
@@ -64,13 +62,12 @@ type wallRow struct {
 	Ops         int     `json:"ops"`
 	Backend     string  `json:"backend"`
 	RoundsPerOp float64 `json:"rounds_per_op"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	MakespanNs  int64   `json:"makespan_ns"`
-	NsPerRound  float64 `json:"ns_per_round"`
+	rounds      int
+	elapsed     time.Duration // the replay's makespan
 	// AllocsPerRound is the heap-allocation bill per round (Mallocs delta
-	// over the measured section of the fastest rep, construction excluded)
-	// — the figure the sparse-activation pooling drives toward zero and
-	// checkBaseline gates outright. Absent (0) in pre-PR-9 snapshots.
+	// over the measured section, construction excluded) — the figure the
+	// sparse-activation pooling drives toward zero and checkBaseline gates
+	// outright. Absent (0) in pre-PR-9 snapshots.
 	AllocsPerRound float64 `json:"allocs_per_round,omitempty"`
 }
 
@@ -93,76 +90,45 @@ const wallUpdates = 200
 // returns its batch front door plus the cluster teardown.
 type wallRunner struct {
 	name string
-	mk   func(n int, be mpc.BackendKind) (apply func(graph.Batch) mpc.BatchStats, closeFn func())
+	mk   func(n int, be mpc.BackendKind) (run runner, closeFn func())
 }
 
 func wallRunners() []wallRunner {
 	return []wallRunner{
-		{"Connected comps (§5)", func(n int, be mpc.BackendKind) (func(graph.Batch) mpc.BatchStats, func()) {
+		{"Connected comps (§5)", func(n int, be mpc.BackendKind) (runner, func()) {
 			d := dyncon.New(dyncon.Config{N: n, Mode: dyncon.CC, ExpectedEdges: 6 * n, Backend: be})
-			return perBatch(d.ApplyOps), d.Close
+			return window(d.ApplyOps), d.Close
 		}},
-		{"Maximal matching (§3)", func(n int, be mpc.BackendKind) (func(graph.Batch) mpc.BatchStats, func()) {
+		{"Maximal matching (§3)", func(n int, be mpc.BackendKind) (runner, func()) {
 			m := dmm.New(dmm.Config{N: n, CapEdges: 6 * n, Backend: be})
-			return perBatch(m.ApplyOps), m.Close
+			return window(m.ApplyOps), m.Close
 		}},
 	}
 }
 
-// wallReps is how many times each (algorithm, n, backend) cell replays
-// its stream; the reported makespan is the fastest rep. Reps alternate
-// between the two backends so each pair shares machine conditions, and
-// minima filter the one-sided noise (GC pacing, scheduler interference)
-// that a single shot would bake into the snapshot the baseline gate
-// compares against.
-const wallReps = 5
-
-// measureWallOnce times one backend over one replay of the chunked
-// stream on a fresh instance. Construction is outside the clock — the
-// makespan measures steady-state op processing — and, like the testing
-// package before each benchmark, the rep starts from a forced collection
-// so GC pacing inherited from earlier tables or the other backend's reps
-// cannot leak into this one. allocs is the heap-allocation count of the
-// measured section (Mallocs delta, construction excluded); the
-// ReadMemStats calls sit outside the clock.
-func measureWallOnce(wr wallRunner, n int, stream []graph.Update, be mpc.BackendKind) (rounds, ops int, allocs uint64, elapsed int64) {
-	runtime.GC()
-	apply, closeFn := wr.mk(n, be)
-	defer closeFn()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	for _, b := range graph.Chunk(stream, wallK) {
-		st := apply(b)
-		rounds += st.Rounds
-		ops += st.Updates
-	}
-	elapsed = time.Since(start).Nanoseconds()
-	runtime.ReadMemStats(&after)
-	return rounds, ops, after.Mallocs - before.Mallocs, elapsed
-}
-
-// measureWall measures one (algorithm, n) cell on both backends,
-// interleaving wallReps replays of each, and returns the sim row then
-// the parallel row (each the fastest rep).
+// measureWall measures one (algorithm, n) cell on both backends, sim row
+// first: one replay of the chunked stream on a fresh instance each.
+// Construction is outside the clock, and the replay starts from a forced
+// collection so GC pacing inherited from earlier tables cannot leak in.
+// allocs is the Mallocs delta of the measured section; the ReadMemStats
+// calls sit outside the clock.
 func measureWall(wr wallRunner, n int, stream []graph.Update) []wallRow {
-	backends := []mpc.BackendKind{mpc.BackendSim, mpc.BackendParallel}
-	rows := make([]wallRow, len(backends))
-	for rep := 0; rep < wallReps; rep++ {
-		for bi, be := range backends {
-			rounds, ops, allocs, elapsed := measureWallOnce(wr, n, stream, be)
-			if rows[bi].MakespanNs == 0 || elapsed < rows[bi].MakespanNs {
-				rows[bi] = wallRow{Name: wr.name, N: n, K: wallK, Ops: ops, Backend: be.String(), MakespanNs: elapsed}
-				if ops > 0 {
-					rows[bi].RoundsPerOp = float64(rounds) / float64(ops)
-					rows[bi].NsPerOp = float64(elapsed) / float64(ops)
-				}
-				if rounds > 0 {
-					rows[bi].NsPerRound = float64(elapsed) / float64(rounds)
-					rows[bi].AllocsPerRound = float64(allocs) / float64(rounds)
-				}
-			}
-		}
+	var rows []wallRow
+	for _, be := range []mpc.BackendKind{mpc.BackendSim, mpc.BackendParallel} {
+		runtime.GC()
+		run, closeFn := wr.mk(n, be)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		t := replay(stream, wallK, run)
+		elapsed := time.Since(start)
+		runtime.ReadMemStats(&after)
+		closeFn()
+		rows = append(rows, wallRow{
+			Name: wr.name, N: n, K: wallK, Ops: t.Ops, Backend: be.String(),
+			RoundsPerOp: per(t.Rounds, t.Ops), AllocsPerRound: per(int(after.Mallocs-before.Mallocs), t.Rounds),
+			rounds: t.Rounds, elapsed: elapsed,
+		})
 	}
 	return rows
 }
@@ -184,16 +150,13 @@ func wallTable(seed int64, wallMax int) []wallRow {
 }
 
 func printWallTable(rows []wallRow) {
-	fmt.Println("\nWall-clock trajectory: sim oracle vs parallel backend (same stream, k=64):")
-	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(w, "Algorithm\tn\tbackend\tops\trounds/op\tns/op\tns/round\tallocs/round\tmakespan\n")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%s\t%d\t%s\t%d\t%.2f\t%.0f\t%.0f\t%.1f\t%s\n",
-			r.Name, r.N, r.Backend, r.Ops, r.RoundsPerOp, r.NsPerOp, r.NsPerRound, r.AllocsPerRound,
-			time.Duration(r.MakespanNs))
-	}
-	w.Flush()
-	fmt.Println("(rounds/op is backend-independent — the determinism rule — so the ns columns")
-	fmt.Println(" isolate pure runtime overhead: long-lived channel-woken workers and one")
-	fmt.Println(" context slab per round against per-machine goroutine spawns and allocations)")
+	printRows("\nWall-clock trajectory: sim oracle vs parallel backend (same stream, k=64):",
+		"Algorithm\tn\tbackend\tops\trounds/op\tns/op\tns/round\tallocs/round\tmakespan",
+		"%s\t%d\t%s\t%d\t%.2f\t%.0f\t%.0f\t%.1f\t%s", rows,
+		func(r wallRow) []any {
+			return []any{r.Name, r.N, r.Backend, r.Ops, r.RoundsPerOp, per(int(r.elapsed), r.Ops), per(int(r.elapsed), r.rounds), r.AllocsPerRound, r.elapsed}
+		},
+		"(rounds/op is backend-independent — the determinism rule — so the ns columns",
+		" isolate pure runtime overhead: long-lived channel-woken workers and one",
+		" context slab per round against per-machine goroutine spawns and allocations)")
 }

@@ -23,15 +23,12 @@ import (
 	"dmpc/internal/mpc"
 )
 
-// cost is one update's bill: rounds, peak active machines, peak words.
-type cost struct{ rounds, machines, words int }
-
 // oneOp runs each update as a one-op ApplyOps window (a read-free window
 // is its update half).
-func oneOp(apply func([]graph.Op) (graph.Results, mpc.MixedStats)) func(graph.Update) cost {
-	return func(up graph.Update) cost {
+func oneOp(apply func([]graph.Op) (graph.Results, mpc.MixedStats)) func(graph.Update) mpc.HalfStats {
+	return func(up graph.Update) mpc.HalfStats {
 		_, st := apply([]graph.Op{graph.OpUpdate(up)})
-		return cost{st.Updates.Rounds, st.Updates.MaxActive, st.Updates.MaxWords}
+		return st.Updates
 	}
 }
 
@@ -46,7 +43,7 @@ func main() {
 	stream := graph.RandomStream(*n, *updates, 0.6, 50, rng)
 	g := graph.New(*n)
 
-	var apply func(up graph.Update) cost
+	var apply func(up graph.Update) mpc.HalfStats
 	var quality func() string
 
 	switch *alg {
@@ -80,14 +77,11 @@ func main() {
 		}
 	case "amm":
 		m := amm.New(amm.Config{N: *n, Seed: *seed})
-		apply = func(up graph.Update) cost {
-			var st mpc.UpdateStats
+		apply = func(up graph.Update) mpc.HalfStats {
 			if up.Op == graph.Insert {
-				st = m.Insert(up.U, up.V)
-			} else {
-				st = m.Delete(up.U, up.V)
+				return m.Insert(up.U, up.V)
 			}
-			return cost{st.Rounds, st.MaxActive, st.MaxWords}
+			return m.Delete(up.U, up.V)
 		}
 		quality = func() string {
 			mt := m.MateTable()
@@ -104,6 +98,6 @@ func main() {
 		st := apply(up)
 		g.Apply(up)
 		fmt.Printf("%-4d %-18s %7d %9d %8d  %s\n",
-			i, up.String(), st.rounds, st.machines, st.words, quality())
+			i, up.String(), st.Rounds, st.MaxActive, st.MaxWords, quality())
 	}
 }

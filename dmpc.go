@@ -94,16 +94,18 @@
 //
 // Apply is the only way a §3/§4/§5/§5.1 op is executed and billed: a
 // single update is an op stream of length one, a write-only batch is
-// UpdateOps(batch) (its BatchStats is the window's Updates half — one
-// shared round-accounting window with non-conflicting updates
-// parallelized into waves, per Nowicki–Onak, arXiv:2002.07800), and a
-// read-only stream is one scatter/gather wave charged to the Queries
-// half. Update and query accounting never mix: a window partitions its
-// rounds between its two halves by wave. The one exception is the §6
-// structure's Insert/Delete, the paper's fixed-schedule per-update cycle,
-// which is measurably not a length-one Apply (DESIGN.md §3). Driver-side
-// oracle accessors (MateTable, and dyncon's CompOf/ForestEdges) bypass
-// the cluster and are for validation only.
+// UpdateOps(batch) (billed to the window's Updates half — one shared
+// round-accounting window with non-conflicting updates parallelized into
+// waves, per Nowicki–Onak, arXiv:2002.07800), and a read-only stream is
+// one scatter/gather wave charged to the Queries half. There is one window
+// kind, MixedStats, and one type for either half of it, HalfStats; update
+// and query accounting never mix: a window partitions its rounds between
+// its two halves by wave. The one other driver is the §6 structure's
+// Insert/Delete, the paper's fixed-schedule per-update cycle, which is
+// measurably not a length-one Apply (DESIGN.md §3); it bills the same
+// window kind — a wave-free window of one update — and returns its Updates
+// half. Driver-side oracle accessors (MateTable, and dyncon's
+// CompOf/ForestEdges) bypass the cluster and are for validation only.
 //
 // See DESIGN.md for the system inventory, the op pipeline, and the
 // deviations from the paper; cmd/dmpcbench measures the model costs —
@@ -129,16 +131,9 @@ type (
 	Update = graph.Update
 	// Weight is an edge weight.
 	Weight = graph.Weight
-	// UpdateStats is the accounting of one §6 per-update cycle
-	// (AlmostMaximalMatching.Insert/Delete): rounds, active machines per
-	// round, words per round.
-	UpdateStats = mpc.UpdateStats
 	// Batch is an ordered sequence of updates; UpdateOps lifts it into an
 	// op stream.
 	Batch = graph.Batch
-	// BatchStats is the update half of a MixedStats window: the shared
-	// round accounting of the window's updates.
-	BatchStats = mpc.BatchStats
 	// WaveStats is one concurrent wave's slice of a window; the wave
 	// widths measure how much parallelism the scheduler extracted, and
 	// Queries counts the reads that rode the wave.
@@ -157,9 +152,11 @@ type (
 	// MixedStats is the round-accounting window of one mixed op stream,
 	// split into its update and query halves.
 	MixedStats = mpc.MixedStats
-	// QueryStats is the query half of a MixedStats window: the rounds of
-	// its query-only waves.
-	QueryStats = mpc.QueryStats
+	// HalfStats is either half of a MixedStats window — the shared round
+	// accounting of its updates (rounds, active machines and words per
+	// round) or of its query-only waves — and what one §6 per-update cycle
+	// (AlmostMaximalMatching.Insert/Delete) returns.
+	HalfStats = mpc.HalfStats
 	// Cluster is the simulated DMPC cluster.
 	Cluster = mpc.Cluster
 	// BackendKind selects the cluster's execution backend; see the
@@ -256,28 +253,8 @@ const (
 	OpTreeTop     = graph.OpTreeTop
 )
 
-// Op constructors, re-exported for workload building.
+// Stream lifting, re-exported for workload building.
 var (
-	// OpIns returns an insert op.
-	OpIns = graph.OpIns
-	// OpDel returns a delete op.
-	OpDel = graph.OpDel
-	// OpQConnected returns a connectivity query op.
-	OpQConnected = graph.OpQConnected
-	// OpQComponentOf returns a component-label query op.
-	OpQComponentOf = graph.OpQComponentOf
-	// OpQMateOf returns a mate query op.
-	OpQMateOf = graph.OpQMateOf
-	// OpQMatched returns a matched-edge query op.
-	OpQMatched = graph.OpQMatched
-	// OpSetW returns a vertex-weight write op.
-	OpSetW = graph.OpSetW
-	// OpQSubtreeSum returns a subtree-aggregate query op.
-	OpQSubtreeSum = graph.OpQSubtreeSum
-	// OpQPathSum returns a tree-path-aggregate query op.
-	OpQPathSum = graph.OpQPathSum
-	// OpQTreeTop returns a component-argmax query op.
-	OpQTreeTop = graph.OpQTreeTop
 	// OpOf lifts an Update into an Op.
 	OpOf = graph.OpUpdate
 	// UpdateOps lifts a write-only Batch into an op stream.
@@ -286,8 +263,7 @@ var (
 	CountOps = graph.CountOps
 )
 
-// Op construction helpers — the ergonomic spellings of the constructors
-// above, so workload code reads as the ops it performs.
+// Op constructors: workload code reads as the ops it performs.
 
 // Ins returns an insert op for the unit-weight edge (u,v); use InsW for
 // a weighted insert (MST workloads).
@@ -378,10 +354,6 @@ type pipe struct {
 	cl     *mpc.Cluster
 }
 
-func newPipe(apply func([]graph.Op) (graph.Results, mpc.MixedStats), claims func(graph.Op) sched.Item, cl *mpc.Cluster) pipe {
-	return pipe{apply: apply, claims: claims, cl: cl}
-}
-
 // Apply processes a mixed op stream through the structure's scheduled
 // pipeline in one MixedStats window; see Pipeline. It is the core's
 // ApplyOps and nothing else: no buffering, no cutting — an Ingestor flush
@@ -409,11 +381,11 @@ type Connectivity struct {
 func NewConnectivity(n, expectedEdges int, opts ...Option) *Connectivity {
 	o := buildOptions(opts)
 	d := dyncon.New(dyncon.Config{N: n, Mode: dyncon.CC, ExpectedEdges: expectedEdges, Backend: o.backend, Workers: o.workers, TenantWeights: o.tenants})
-	return &Connectivity{pipe: newPipe(d.ApplyOps, d.StreamItem, d.Cluster()), d: d}
+	return &Connectivity{pipe: pipe{d.ApplyOps, d.StreamItem, d.Cluster()}, d: d}
 }
 
 // CompOf returns v's component label by driver-side oracle access —
-// validation only, no protocol accounting. Use an OpQComponentOf op for
+// validation only, no protocol accounting. Use a QComponentOf op for
 // the protocol query.
 func (c *Connectivity) CompOf(v int) int64 { return c.d.CompOf(v) }
 
@@ -433,7 +405,7 @@ type MST struct {
 func NewMST(n int, eps float64, expectedEdges int, opts ...Option) *MST {
 	o := buildOptions(opts)
 	d := dyncon.New(dyncon.Config{N: n, Mode: dyncon.MST, Eps: eps, ExpectedEdges: expectedEdges, Backend: o.backend, Workers: o.workers, TenantWeights: o.tenants})
-	return &MST{pipe: newPipe(d.ApplyOps, d.StreamItem, d.Cluster()), d: d}
+	return &MST{pipe: pipe{d.ApplyOps, d.StreamItem, d.Cluster()}, d: d}
 }
 
 // Weight returns the maintained forest's total (bucketed) weight
@@ -459,7 +431,7 @@ type MaximalMatching struct {
 func NewMaximalMatching(n, capEdges int, opts ...Option) *MaximalMatching {
 	o := buildOptions(opts)
 	m := dmm.New(dmm.Config{N: n, CapEdges: capEdges, Backend: o.backend, Workers: o.workers, TenantWeights: o.tenants})
-	return &MaximalMatching{pipe: newPipe(m.ApplyOps, m.StreamItem, m.Cluster()), m: m}
+	return &MaximalMatching{pipe: pipe{m.ApplyOps, m.StreamItem, m.Cluster()}, m: m}
 }
 
 // NewThreeHalvesMatching builds the §4 structure: a 3/2-approximate
@@ -467,12 +439,12 @@ func NewMaximalMatching(n, capEdges int, opts ...Option) *MaximalMatching {
 func NewThreeHalvesMatching(n, capEdges int, opts ...Option) *MaximalMatching {
 	o := buildOptions(opts)
 	m := dmm.New(dmm.Config{N: n, CapEdges: capEdges, ThreeHalves: true, Backend: o.backend, Workers: o.workers, TenantWeights: o.tenants})
-	return &MaximalMatching{pipe: newPipe(m.ApplyOps, m.StreamItem, m.Cluster()), m: m}
+	return &MaximalMatching{pipe: pipe{m.ApplyOps, m.StreamItem, m.Cluster()}, m: m}
 }
 
 // MateTable returns the current matching as a mate table (-1 = free) by
 // driver-side oracle access — validation only, no protocol accounting. Use
-// OpQMateOf/OpQMatched ops for protocol queries.
+// QMateOf/QMatched ops for protocol queries.
 func (mm *MaximalMatching) MateTable() []int { return mm.m.MateTable() }
 
 // AlmostMaximalMatching maintains a (2+ε)-approximate matching (§6).
@@ -485,19 +457,20 @@ type AlmostMaximalMatching struct {
 func NewAlmostMaximalMatching(n int, eps float64, seed int64, opts ...Option) *AlmostMaximalMatching {
 	o := buildOptions(opts)
 	m := amm.New(amm.Config{N: n, Eps: eps, Seed: seed, Backend: o.backend, Workers: o.workers})
-	return &AlmostMaximalMatching{pipe: newPipe(m.ApplyOps, m.StreamItem, m.Cluster()), m: m}
+	return &AlmostMaximalMatching{pipe: pipe{m.ApplyOps, m.StreamItem, m.Cluster()}, m: m}
 }
 
 // Insert adds an edge through the paper's fixed-schedule per-update cycle
 // (seven rounds: the edge update plus one Δ-bounded batch of every
 // subscheduler) — the one sanctioned driver besides Apply, kept because it
 // is measurably not a length-one Apply (see amm.M.Insert, DESIGN.md §3).
-func (am *AlmostMaximalMatching) Insert(u, v int) UpdateStats { return am.m.Insert(u, v) }
+// The cycle is billed as a window of one update; its update half returns.
+func (am *AlmostMaximalMatching) Insert(u, v int) HalfStats { return am.m.Insert(u, v) }
 
 // Delete removes an edge through the per-update cycle; see Insert.
-func (am *AlmostMaximalMatching) Delete(u, v int) UpdateStats { return am.m.Delete(u, v) }
+func (am *AlmostMaximalMatching) Delete(u, v int) HalfStats { return am.m.Delete(u, v) }
 
 // MateTable returns the current matching as a mate table (-1 = free) by
 // driver-side oracle access — validation only, no protocol accounting. Use
-// OpQMateOf/OpQMatched ops for protocol queries.
+// QMateOf/QMatched ops for protocol queries.
 func (am *AlmostMaximalMatching) MateTable() []int { return am.m.MateTable() }

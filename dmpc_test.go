@@ -200,10 +200,10 @@ func TestQueryPipeline(t *testing.T) {
 	mm := NewMaximalMatching(n, 5*n)
 	g := NewGraph(n)
 	qrng := rand.New(rand.NewSource(34))
-	var got []BatchStats
+	var got []MixedStats
 	for _, b := range Chunk(stream, 32) {
 		_, wst := cc.Apply(UpdateOps(b))
-		got = append(got, wst.Updates)
+		got = append(got, wst)
 		mm.Apply(UpdateOps(b))
 		b.Apply(g)
 		// A read burst between write batches.
@@ -227,7 +227,7 @@ func TestQueryPipeline(t *testing.T) {
 
 	// Amortization on the public API: one k=64 window costs 2 rounds.
 	_, st := cc.Apply(connected(graph.RandomPairs(n, 64, qrng)))
-	if last := st.Queries; last.Queries != 64 || last.RoundsPerQuery() >= 0.5 {
+	if last := st.Queries; last.Ops != 64 || last.RoundsPerOp() >= 0.5 {
 		t.Fatalf("k=64 window %+v, want < 0.5 amortized rounds/query", last)
 	}
 
@@ -235,8 +235,8 @@ func TestQueryPipeline(t *testing.T) {
 	quiet := NewConnectivity(n, 5*n)
 	for i, b := range Chunk(stream, 32) {
 		_, wst := quiet.Apply(UpdateOps(b))
-		if !got[i].Equal(wst.Updates) {
-			t.Fatalf("batch %d accounting differs with reads interleaved: %+v vs %+v", i, got[i], wst.Updates)
+		if !got[i].Equal(wst) {
+			t.Fatalf("batch %d accounting differs with reads interleaved: %+v vs %+v", i, got[i], wst)
 		}
 	}
 }
@@ -251,9 +251,9 @@ func TestPipelineMixedConnectivity(t *testing.T) {
 	updates := graph.RandomStream(n, 240, 0.55, 1, rng)
 	ops := graph.MixedStream(updates, 0.4, func(r *rand.Rand) Op {
 		if r.Intn(3) == 0 {
-			return OpQComponentOf(r.Intn(n))
+			return QComponentOf(r.Intn(n))
 		}
-		return OpQConnected(r.Intn(n), r.Intn(n))
+		return QConnected(r.Intn(n), r.Intn(n))
 	}, rng)
 
 	ref := NewConnectivity(n, 5*n)
@@ -265,9 +265,9 @@ func TestPipelineMixedConnectivity(t *testing.T) {
 		res, st := cc.Apply(chunk)
 		got = append(got, res...)
 		u, q := CountOps(chunk)
-		if st.Ops != len(chunk) || st.Updates.Updates != u || st.Queries.Queries != q {
+		if st.Ops != len(chunk) || st.Updates.Ops != u || st.Queries.Ops != q {
 			t.Fatalf("window shape (%d,%d,%d) for chunk (%d,%d,%d)",
-				st.Ops, st.Updates.Updates, st.Queries.Queries, len(chunk), u, q)
+				st.Ops, st.Updates.Ops, st.Queries.Ops, len(chunk), u, q)
 		}
 		if st.Updates.Rounds+st.Queries.Rounds != st.Rounds() {
 			t.Fatalf("halves do not partition the window: %+v", st)
@@ -296,9 +296,9 @@ func TestPipelineMixedMatching(t *testing.T) {
 	updates := graph.RandomStream(n, 200, 0.6, 1, rng)
 	ops := graph.MixedStream(updates, 0.5, func(r *rand.Rand) Op {
 		if r.Intn(3) == 0 {
-			return OpQMatched(r.Intn(n), r.Intn(n))
+			return QMatched(r.Intn(n), r.Intn(n))
 		}
-		return OpQMateOf(r.Intn(n))
+		return QMateOf(r.Intn(n))
 	}, rng)
 
 	ref := NewMaximalMatching(n, len(updates))
@@ -345,11 +345,11 @@ func TestPipelineMixedAlmostMaximal(t *testing.T) {
 		// check them exactly.
 		probes := []int{rng.Intn(n), rng.Intn(n), rng.Intn(n)}
 		for _, v := range probes {
-			ops = append(ops, OpQMateOf(v))
+			ops = append(ops, QMateOf(v))
 		}
 		res, st := am.Apply(ops)
 		u, q := CountOps(ops)
-		if st.Updates.Updates != u || st.Queries.Queries != q {
+		if st.Updates.Ops != u || st.Queries.Ops != q {
 			t.Fatalf("window shape %+v for (%d,%d)", st, u, q)
 		}
 		for _, up := range chunk {
@@ -381,7 +381,7 @@ func TestPipelineRejectsForeignKinds(t *testing.T) {
 		f()
 	}
 	cc := NewConnectivity(8, 32)
-	wantPanic("MateOf on Connectivity", func() { cc.Apply([]Op{OpQMateOf(1)}) })
+	wantPanic("MateOf on Connectivity", func() { cc.Apply([]Op{QMateOf(1)}) })
 	mm := NewMaximalMatching(8, 32)
-	wantPanic("Connected on MaximalMatching", func() { mm.Apply([]Op{OpQConnected(1, 2)}) })
+	wantPanic("Connected on MaximalMatching", func() { mm.Apply([]Op{QConnected(1, 2)}) })
 }

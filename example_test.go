@@ -30,7 +30,7 @@ func ExamplePipeline() {
 		fmt.Printf("probe %d: %v\n", i, a.Bool)
 	}
 	fmt.Printf("ops: %d (%d updates + %d queries)\n",
-		st.Ops, st.Updates.Updates, st.Queries.Queries)
+		st.Ops, st.Updates.Ops, st.Queries.Ops)
 	fmt.Printf("rounds partitioned: %v\n",
 		st.Updates.Rounds+st.Queries.Rounds == st.Rounds())
 	// Output:

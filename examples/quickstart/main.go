@@ -106,7 +106,7 @@ func main() {
 	// none — so a run's mean is a fold over the windows it collected.
 	var upd, rounds, active, words int
 	for _, m := range []dmpc.MixedStats{built, st, wst} {
-		upd += m.Updates.Updates
+		upd += m.Updates.Ops
 		rounds += m.Updates.Rounds
 		active += m.Updates.SumActive
 		words += m.Updates.SumWords

@@ -51,5 +51,5 @@ func main() {
 	// baseline (all machines active, O(log n) rounds, Ω(N) traffic).
 	_, res := staticmpc.MaximalMatching(g, 0, 0, 1)
 	fmt.Printf("static recompute for comparison: %d rounds, %d machines, %d total words\n",
-		res.Rounds, res.MaxActive, res.TotalWords)
+		res.Rounds, res.MaxActive, res.SumWords)
 }

@@ -14,29 +14,17 @@ import (
 
 var updateGolden = flag.Bool("update", false, "regenerate testdata golden files")
 
-// goldenReport is the serialized accounting of one workload: the update
-// half of every window that had one (including per-wave attribution), the
-// query half of every window that had one, and — for the mixed workload —
-// every window verbatim.
+// goldenReport is the serialized accounting of one workload: every
+// window it ran, verbatim — both halves and the per-wave attribution.
 type goldenReport struct {
 	Name    string
-	Batches []BatchStats
-	Queries []QueryStats
-	Mixed   []MixedStats `json:",omitempty"`
+	Windows []MixedStats
 }
 
-// apply runs one op stream through the pipeline and files the returned
-// window's non-empty halves (a half is empty when it covers no ops and
-// was charged no rounds).
-func (r *goldenReport) apply(p Pipeline, ops []Op) MixedStats {
+// apply runs one op stream through the pipeline and files its window.
+func (r *goldenReport) apply(p Pipeline, ops []Op) {
 	_, st := p.Apply(ops)
-	if st.Updates.Updates > 0 || st.Updates.Rounds > 0 {
-		r.Batches = append(r.Batches, st.Updates)
-	}
-	if st.Queries.Queries > 0 || st.Queries.Rounds > 0 {
-		r.Queries = append(r.Queries, st.Queries)
-	}
-	return st
+	r.Windows = append(r.Windows, st)
 }
 
 // auditClaims switches on dyncon's AuditClaims check — every wave formed
@@ -95,19 +83,19 @@ func goldenWorkloads(t testing.TB) []goldenReport {
 	// per-wave read counts) against silent drift.
 	mrng := rand.New(rand.NewSource(80))
 	mops := graph.MixedStream(stream, 0.4, func(r *rand.Rand) Op {
-		return OpQConnected(r.Intn(n), r.Intn(n))
+		return QConnected(r.Intn(n), r.Intn(n))
 	}, mrng)
 	mixed := goldenReport{Name: "dyncon-cc mixed readfrac=0.4 k=20 (unified op pipeline)"}
 	mcc := NewConnectivity(n, 5*n)
 	auditClaims(t, mcc)
 	for _, chunk := range SplitOps(mops, 20) {
-		mixed.Mixed = append(mixed.Mixed, mixed.apply(mcc, chunk))
+		mixed.apply(mcc, chunk)
 	}
 	return append(out, mixed)
 }
 
-// TestGoldenStats pins the exact BatchStats/QueryStats accounting — rounds,
-// actives, words, and the per-wave breakdown — of a fixed seed/workload for
+// TestGoldenStats pins the exact window accounting — rounds, actives and
+// words of both halves, and the per-wave breakdown — of a fixed seed/workload for
 // every algorithm, so a scheduler refactor cannot silently change round
 // accounting: any drift fails here and must be re-pinned explicitly with
 // -update, making the accounting change visible in review.

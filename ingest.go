@@ -55,7 +55,8 @@ type IngestorConfig struct {
 	// Auto, when set, is the ingestor's k-controller: the batch bound
 	// tracks its live knee search, which is fed the window of every flush
 	// (only k-bound flushes drive the search; chunks cut short by a
-	// conflict, the age bound or Close never adapt k).
+	// conflict, the age bound or Close never adapt k). Its word cap is the
+	// Pipeline's cluster-wide per-round budget µ·S.
 	Auto *AutoBatcher
 	// Weights, when non-nil, makes the conflict admitter meter each
 	// tenant's summed shared-claim cost against a weighted deficit-
@@ -202,12 +203,16 @@ func NewIngestor(cfg IngestorConfig) *Ingestor {
 		multiTenant: len(cfg.Weights) > 0 || cfg.Admission != nil,
 		tstats:      make(map[int]*mpc.TenantStreamStats),
 	}
+	cl := p.Cluster()
+	if ing.auto != nil && cl != nil {
+		ing.auto.capWords = cl.Machines() * cl.MemWords()
+	}
 	if cp, ok := p.(interface {
 		streamClaims() func(graph.Op) sched.Item
 	}); ok {
 		ing.claims = cp.streamClaims()
 		budget := 0
-		if cl := p.Cluster(); cl != nil {
+		if cl != nil {
 			budget = cl.MemWords()
 		}
 		var fair *sched.Fair // nil = first-fit
@@ -411,8 +416,8 @@ func (ing *Ingestor) flushAt(trigger int64, reason int) {
 		}
 	}
 	ing.stats.Ops += st.Ops
-	ing.stats.Updates += st.Updates.Updates
-	ing.stats.Queries += st.Queries.Queries
+	ing.stats.Updates += st.Updates.Ops
+	ing.stats.Queries += st.Queries.Ops
 	ing.stats.Rounds += st.Rounds()
 	ing.stats.Flushes++
 	switch reason {

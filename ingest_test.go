@@ -332,7 +332,7 @@ func TestIngestorWithAutoBatcher(t *testing.T) {
 	want, _ := ref.Apply(ops)
 
 	cc := NewConnectivity(n, 5*n)
-	ab := NewAutoBatcher(AutoBatcherConfig{StartK: 8, MaxK: 256})
+	ab := NewAutoBatcher(AutoBatcherConfig{MaxK: 256})
 	got, st := Ingest(cc, ArrivalsNow(ops), IngestorConfig{Auto: ab})
 	if len(got) != len(want) {
 		t.Fatalf("%d answers, want %d", len(got), len(want))

@@ -140,19 +140,21 @@ func (m *M) owner(v int) int { return 1 + v%(len(m.shards)) }
 // that is not ApplyOps: it is not a duplicate of a length-1 ApplyOps run
 // (seven rounds per update against the batch path's inject-then-drain
 // schedule, and a different valid matching; DESIGN.md §3 has the figures),
-// so Table 1's §6 row and every k=1 §6 baseline measure it directly.
-func (m *M) Insert(u, v int) mpc.UpdateStats {
+// so Table 1's §6 row and every k=1 §6 baseline measure it directly. The
+// cycle is billed as a wave-free window of one update, whose update half
+// is returned.
+func (m *M) Insert(u, v int) mpc.HalfStats {
 	return m.update(graph.Update{Op: graph.Insert, U: u, V: v})
 }
 
 // Delete removes edge (u,v) and runs one update cycle.
-func (m *M) Delete(u, v int) mpc.UpdateStats {
+func (m *M) Delete(u, v int) mpc.HalfStats {
 	return m.update(graph.Update{Op: graph.Delete, U: u, V: v})
 }
 
-func (m *M) update(up graph.Update) mpc.UpdateStats {
+func (m *M) update(up graph.Update) mpc.HalfStats {
 	m.seq++
-	m.cluster.BeginUpdate()
+	m.cluster.BeginMixed(1, 0, nil)
 	m.cluster.Send(mpc.Message{
 		From: -1, To: m.owner(up.U),
 		Payload: amsg{Kind: aUpdate, U: int32(up.U), V: int32(up.V), Del: up.Op == graph.Delete, Seq: m.seq},
@@ -168,7 +170,7 @@ func (m *M) update(up graph.Update) mpc.UpdateStats {
 	m.cluster.Round() // scheduler arbitrates, sends match orders
 	m.cluster.Round() // owners apply matches, report freed ex-partners
 	m.cluster.Round() // scheduler ingests final reports
-	return m.cluster.EndUpdate()
+	return m.cluster.EndMixed().Updates
 }
 
 // StreamItem is the coarse claims oracle of the §6 structure: its epoch

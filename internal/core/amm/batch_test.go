@@ -21,7 +21,7 @@ func TestBatchValidity(t *testing.T) {
 		g := graph.New(n)
 		for _, b := range graph.Chunk(stream, k) {
 			st := applyBatch(m, b)
-			if st.Updates != len(b) || st.Rounds == 0 {
+			if st.Ops != len(b) || st.Rounds == 0 {
 				t.Fatalf("k=%d: bad batch stats %+v", k, st)
 			}
 			b.Apply(g)
@@ -79,8 +79,10 @@ func TestInjectWaveWidths(t *testing.T) {
 		graph.OpQMateOf(0),
 	})
 	var widths []int
-	for _, w := range st.Updates.Waves {
-		widths = append(widths, w.Updates)
+	for _, w := range st.Waves {
+		if w.Updates > 0 {
+			widths = append(widths, w.Updates)
+		}
 	}
 	if len(widths) != 2 || widths[0] != 2 || widths[1] != 1 {
 		t.Fatalf("update wave widths = %v, want [2 1]", widths)

@@ -48,8 +48,8 @@ func FuzzBatchEquivalence(f *testing.F) {
 		g := graph.New(n)
 		for _, b := range graph.Chunk(stream, k) {
 			st := applyBatch(batM, b)
-			if st.Updates != len(b) {
-				t.Fatalf("batch stats cover %d updates, batch has %d", st.Updates, len(b))
+			if st.Ops != len(b) {
+				t.Fatalf("batch stats cover %d updates, batch has %d", st.Ops, len(b))
 			}
 			b.Apply(g)
 		}

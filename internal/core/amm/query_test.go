@@ -39,7 +39,7 @@ func TestMateQueries(t *testing.T) {
 			t.Fatalf("asymmetric answers: mate(%d)=%d but mate(%d)=%d", v, w, w, got[w].Int)
 		}
 	}
-	if q := st.Queries; q.Queries != n || q.Rounds != 1 || st.Updates.Rounds != 0 {
+	if q := st.Queries; q.Ops != n || q.Rounds != 1 || st.Updates.Rounds != 0 {
 		t.Fatalf("read window %+v, want %d queries over 1 query-half round", st, n)
 	}
 
@@ -67,7 +67,7 @@ func TestMateQueries(t *testing.T) {
 // quiescent, and the next update's accounting is identical to a query-free
 // run.
 func TestQueryLeavesNoResidue(t *testing.T) {
-	build := func(withQuery bool) mpc.UpdateStats {
+	build := func(withQuery bool) mpc.HalfStats {
 		m := New(Config{N: 32, Seed: 5})
 		// A star around vertex 0 whose degree exceeds Delta, then a delete
 		// of 0's matched edge: the level change queues more neighbor

@@ -26,7 +26,7 @@ func TestBatchEquivalence(t *testing.T) {
 			g := graph.New(n)
 			for _, b := range graph.Chunk(stream, k) {
 				st := applyBatch(batM, b)
-				if st.Updates != len(b) || st.Rounds == 0 {
+				if st.Ops != len(b) || st.Rounds == 0 {
 					t.Fatalf("three=%v k=%d: bad batch stats %+v", three, k, st)
 				}
 				b.Apply(g)
@@ -65,7 +65,7 @@ func TestBatchAmortizedRoundsDrop(t *testing.T) {
 		for _, b := range graph.Chunk(stream, k) {
 			st := applyBatch(m, b)
 			rounds += st.Rounds
-			updates += st.Updates
+			updates += st.Ops
 		}
 		return float64(rounds) / float64(updates)
 	}

@@ -112,10 +112,10 @@ func New(cfg Config) *M {
 	// whole ring, 4 words per entry) must fit within a machine's per-round
 	// I/O budget a few times over. A short fixpoint iteration settles the
 	// constants.
-	mem := maxi(cfg.MemWords, maxi(edgeWords*heavyAt*2+64, 64*root))
+	mem := max(cfg.MemWords, edgeWords*heavyAt*2+64, 64*root)
 	var statsPer, numStats, poolSize, mu int
 	for i := 0; i < 4; i++ {
-		statsPer = maxi(1, mem/8)
+		statsPer = max(1, mem/8)
 		numStats = (cfg.N+statsPer-1)/statsPer + 1
 		poolSize = 4*(edgeWords*2*cfg.CapEdges/mem+1) + 3*root + 8
 		mu = 1 + numStats + poolSize
@@ -196,20 +196,10 @@ func (m *M) Close() { m.cluster.Close() }
 // returned Results answers the j-th op with IsQuery() true.
 func (m *M) ApplyOps(ops []graph.Op) (graph.Results, mpc.MixedStats) {
 	nu, nq := graph.CountOps(ops)
-	// Per-tenant accounting engages only for multi-tenant streams (a
-	// nonzero tenant tag or a configured fairness policy); single-tenant
-	// windows stay census-free and bit-identical.
-	mt := len(m.cfg.TenantWeights) > 0
-	for _, op := range ops {
-		if op.Tenant != 0 {
-			mt = true
-			break
-		}
-	}
-	var census []mpc.TenantCount
-	if mt {
-		census = mpc.TenantCensus(ops, nil)
-	}
+	// A nil census (single-tenant stream) keeps the window's accounting
+	// tenant-free; the waves follow the window.
+	census := mpc.WindowCensus(ops, len(m.cfg.TenantWeights) > 0)
+	mt := census != nil
 	m.cluster.BeginMixed(nu, nq, census)
 	// Updates draw sequence numbers by stream position, queries draw from
 	// the separate queryID counter — exactly the ids sequential replay
@@ -592,11 +582,4 @@ func (m *M) Validate(g *graph.Graph) error {
 		}
 	}
 	return nil
-}
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

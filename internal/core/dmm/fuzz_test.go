@@ -64,8 +64,8 @@ func FuzzBatchEquivalence(f *testing.F) {
 		batM := New(Config{N: n, CapEdges: capEdges})
 		for _, b := range graph.Chunk(stream, k) {
 			st := applyBatch(batM, b)
-			if st.Updates != len(b) {
-				t.Fatalf("batch stats cover %d updates, batch has %d", st.Updates, len(b))
+			if st.Ops != len(b) {
+				t.Fatalf("batch stats cover %d updates, batch has %d", st.Ops, len(b))
 			}
 			b.Apply(g)
 		}

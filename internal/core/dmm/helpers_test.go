@@ -11,19 +11,19 @@ import (
 // update half. "Sequential replay" everywhere in these tests means
 // ApplyOps one op at a time.
 
-func applyUpdate(m *M, up graph.Update) mpc.BatchStats {
+func applyUpdate(m *M, up graph.Update) mpc.HalfStats {
 	return applyBatch(m, graph.Batch{up})
 }
 
-func ins(m *M, u, v int) mpc.BatchStats {
+func ins(m *M, u, v int) mpc.HalfStats {
 	return applyUpdate(m, graph.Update{Op: graph.Insert, U: u, V: v})
 }
 
-func del(m *M, u, v int) mpc.BatchStats {
+func del(m *M, u, v int) mpc.HalfStats {
 	return applyUpdate(m, graph.Update{Op: graph.Delete, U: u, V: v})
 }
 
-func applyBatch(m *M, b graph.Batch) mpc.BatchStats {
+func applyBatch(m *M, b graph.Batch) mpc.HalfStats {
 	_, st := m.ApplyOps(graph.UpdateOps(b))
 	return st.Updates
 }

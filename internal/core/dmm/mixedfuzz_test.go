@@ -67,9 +67,9 @@ func FuzzMixedEquivalence(f *testing.F) {
 			res, st := batM.ApplyOps(chunk)
 			got = append(got, res...)
 			u, q := graph.CountOps(chunk)
-			if st.Ops != len(chunk) || st.Updates.Updates != u || st.Queries.Queries != q {
+			if st.Ops != len(chunk) || st.Updates.Ops != u || st.Queries.Ops != q {
 				t.Fatalf("mixed stats cover (%d,%d,%d), chunk has (%d,%d,%d)",
-					st.Ops, st.Updates.Updates, st.Queries.Queries, len(chunk), u, q)
+					st.Ops, st.Updates.Ops, st.Queries.Ops, len(chunk), u, q)
 			}
 			for _, op := range chunk {
 				if !op.IsQuery() {

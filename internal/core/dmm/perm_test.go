@@ -112,8 +112,8 @@ func TestWaveBatchBeatsChained(t *testing.T) {
 	waveM := New(Config{N: n, CapEdges: capEdges})
 	var wRounds, widest int
 	for _, b := range graph.Chunk(stream, 64) {
-		st := applyBatch(waveM, b)
-		wRounds += st.Rounds
+		_, st := waveM.ApplyOps(graph.UpdateOps(b))
+		wRounds += st.Rounds()
 		for _, w := range st.Waves {
 			widest = max(widest, w.Updates)
 		}

@@ -30,7 +30,7 @@ func TestMateQueries(t *testing.T) {
 			t.Fatalf("OpMateOf[%d] = %d, oracle %d", v, got[v].Int, oracle[v])
 		}
 	}
-	if st.Queries.Queries != n {
+	if st.Queries.Ops != n {
 		t.Fatalf("query half %+v, want one covering %d queries", st.Queries, n)
 	}
 	if st.Queries.Rounds != 1 {

@@ -47,7 +47,7 @@ func TestBatchEquivalence(t *testing.T) {
 			g := graph.New(n)
 			for _, b := range graph.Chunk(stream, k) {
 				st := applyBatch(batD, b)
-				if st.Updates != len(b) || st.Rounds == 0 {
+				if st.Ops != len(b) || st.Rounds == 0 {
 					t.Fatalf("%s k=%d: bad batch stats %+v", md.name, k, st)
 				}
 				b.Apply(g)
@@ -150,17 +150,17 @@ func TestConflictShardingBeatsPrefix(t *testing.T) {
 	d := New(Config{N: n, Mode: CC, ExpectedEdges: 5 * n})
 	rounds, waves, widest := 0, 0, 0
 	for _, b := range graph.Chunk(stream, 64) {
-		st := applyBatch(d, b)
+		_, st := d.ApplyOps(graph.UpdateOps(b))
 		covered := 0
 		for _, w := range st.Waves {
 			waves++
 			widest = max(widest, w.Updates)
 			covered += w.Updates
 		}
-		if covered != st.Updates {
-			t.Fatalf("waves cover %d updates, batch has %d", covered, st.Updates)
+		if covered != st.Updates.Ops {
+			t.Fatalf("waves cover %d updates, batch has %d", covered, st.Updates.Ops)
 		}
-		rounds += st.Rounds
+		rounds += st.Rounds()
 	}
 	if rounds >= prefixPackerRoundsSeed3 {
 		t.Fatalf("conflict sharding did not beat prefix packing: %d vs %d rounds", rounds, prefixPackerRoundsSeed3)
@@ -186,7 +186,7 @@ func TestBatchAmortizedRoundsDrop(t *testing.T) {
 		for _, b := range graph.Chunk(stream, k) {
 			st := applyBatch(d, b)
 			rounds += st.Rounds
-			updates += st.Updates
+			updates += st.Ops
 		}
 		return float64(rounds) / float64(updates)
 	}

@@ -235,20 +235,10 @@ func (d *D) inject(up graph.Update, seq int64) {
 // returned Results answers the j-th op with IsQuery() true.
 func (d *D) ApplyOps(ops []graph.Op) (graph.Results, mpc.MixedStats) {
 	nu, nq := graph.CountOps(ops)
-	// Per-tenant accounting engages only when the stream is actually
-	// multi-tenant (a nonzero tenant tag or a configured fairness
-	// policy); single-tenant windows stay census-free and bit-identical.
-	mt := len(d.cfg.TenantWeights) > 0
-	for _, op := range ops {
-		if op.Tenant != 0 {
-			mt = true
-			break
-		}
-	}
-	var census []mpc.TenantCount
-	if mt {
-		census = mpc.TenantCensus(ops, nil)
-	}
+	// A nil census (single-tenant stream) keeps the window's accounting
+	// tenant-free; the waves follow the window.
+	census := mpc.WindowCensus(ops, len(d.cfg.TenantWeights) > 0)
+	mt := census != nil
 	d.cluster.BeginMixed(nu, nq, census)
 	// Sequence numbers are assigned by *stream position*, not injection
 	// order: fresh component ids minted by cuts are derived from the seq

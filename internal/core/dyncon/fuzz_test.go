@@ -45,16 +45,16 @@ func FuzzBatchEquivalence(f *testing.F) {
 		batD := New(cfg)
 		batD.AuditClaims(t.Fatalf) // every wave is formed from items equal to a full re-read
 		for _, b := range graph.Chunk(stream, k) {
-			st := applyBatch(batD, b)
-			if st.Updates != len(b) {
-				t.Fatalf("batch stats cover %d updates, batch has %d", st.Updates, len(b))
+			_, st := batD.ApplyOps(graph.UpdateOps(b))
+			if st.Updates.Ops != len(b) {
+				t.Fatalf("batch stats cover %d updates, batch has %d", st.Updates.Ops, len(b))
 			}
 			covered := 0
 			for _, w := range st.Waves {
 				covered += w.Updates
 			}
-			if covered != st.Updates {
-				t.Fatalf("waves cover %d of %d updates", covered, st.Updates)
+			if covered != st.Updates.Ops {
+				t.Fatalf("waves cover %d of %d updates", covered, st.Updates.Ops)
 			}
 		}
 

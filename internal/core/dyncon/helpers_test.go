@@ -11,19 +11,19 @@ import (
 // update half. "Sequential replay" everywhere in these tests means
 // ApplyOps one op at a time.
 
-func applyUpdate(d *D, up graph.Update) mpc.BatchStats {
+func applyUpdate(d *D, up graph.Update) mpc.HalfStats {
 	return applyBatch(d, graph.Batch{up})
 }
 
-func ins(d *D, u, v int, w graph.Weight) mpc.BatchStats {
+func ins(d *D, u, v int, w graph.Weight) mpc.HalfStats {
 	return applyUpdate(d, graph.Update{Op: graph.Insert, U: u, V: v, W: w})
 }
 
-func del(d *D, u, v int) mpc.BatchStats {
+func del(d *D, u, v int) mpc.HalfStats {
 	return applyUpdate(d, graph.Update{Op: graph.Delete, U: u, V: v})
 }
 
-func applyBatch(d *D, b graph.Batch) mpc.BatchStats {
+func applyBatch(d *D, b graph.Batch) mpc.HalfStats {
 	_, st := d.ApplyOps(graph.UpdateOps(b))
 	return st.Updates
 }

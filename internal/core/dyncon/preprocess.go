@@ -5,6 +5,7 @@ import (
 
 	"dmpc/internal/etour"
 	"dmpc/internal/graph"
+	"dmpc/internal/mpc"
 	"dmpc/internal/staticmpc"
 )
 
@@ -20,7 +21,7 @@ import (
 //
 // In MST mode the forest is a minimum spanning forest of the (bucketed)
 // weights, so the (1+ε) factor of §5.1 indeed comes from preprocessing.
-func (d *D) Preprocess(g *graph.Graph) staticmpc.Result {
+func (d *D) Preprocess(g *graph.Graph) mpc.HalfStats {
 	if g.N() != d.cfg.N {
 		panic("dyncon: Preprocess graph size mismatch")
 	}
@@ -32,7 +33,7 @@ func (d *D) Preprocess(g *graph.Graph) staticmpc.Result {
 		}
 	}
 	var forest []graph.WEdge
-	var res staticmpc.Result
+	var res mpc.HalfStats
 	if d.cfg.Mode == MST {
 		forest, res = staticmpc.MinSpanningForest(work, 0)
 	} else {

@@ -22,11 +22,12 @@ func TestQueryWindowRegression(t *testing.T) {
 		return graph.RandomStream(n, 160, 0.55, 1, rng)
 	}
 
-	run := func(withQueries bool) (writes []mpc.BatchStats, reads []mpc.MixedStats) {
+	run := func(withQueries bool) (writes, reads []mpc.MixedStats) {
 		d := New(Config{N: n, Mode: CC, ExpectedEdges: 200})
 		qrng := rand.New(rand.NewSource(23))
 		for _, b := range graph.Chunk(mkStream(), 8) {
-			writes = append(writes, applyBatch(d, b))
+			_, w := d.ApplyOps(graph.UpdateOps(b))
+			writes = append(writes, w)
 			if !withQueries {
 				continue
 			}
@@ -65,7 +66,7 @@ func TestQueryWindowRegression(t *testing.T) {
 		if st.Queries.Rounds == 0 || st.Updates.Rounds != 0 {
 			t.Fatalf("read window misattributed its rounds: %+v", st)
 		}
-		counted += st.Queries.Queries
+		counted += st.Queries.Ops
 	}
 	if want := len(reads) / 3 * 6; counted != want {
 		t.Fatalf("%d queries issued, %d accounted in query halves", want, counted)
@@ -124,19 +125,19 @@ func TestConnectedBatchEquivalenceAndAmortization(t *testing.T) {
 		}
 	}
 	batch := st.Queries
-	if batch.Queries != 64 {
-		t.Fatalf("window covers %d queries, want 64", batch.Queries)
+	if batch.Ops != 64 {
+		t.Fatalf("window covers %d queries, want 64", batch.Ops)
 	}
 	if batch.Rounds != 2 || st.Updates.Rounds != 0 {
 		t.Fatalf("k=64 read window cost %d+%d rounds, want the 2 of one query", batch.Rounds, st.Updates.Rounds)
 	}
-	if rpq := batch.RoundsPerQuery(); rpq >= 0.5 {
+	if rpq := batch.RoundsPerOp(); rpq >= 0.5 {
 		t.Fatalf("amortized %.3f rounds/query at k=64, want < 0.5", rpq)
 	}
 
 	// A lone read still pays its own two rounds.
 	_, st = d.ApplyOps([]graph.Op{graph.OpQConnected(0, 1)})
-	if single := st.Queries; single.Queries != 1 || single.Rounds != 2 {
+	if single := st.Queries; single.Ops != 1 || single.Rounds != 2 {
 		t.Fatalf("lone query window %+v, want 1 query over 2 rounds", single)
 	}
 }
@@ -154,7 +155,7 @@ func TestComponentOfProtocol(t *testing.T) {
 		if got, want := res[0].Int, d.CompOf(v); got != want {
 			t.Fatalf("OpComponentOf(%d) = %d, oracle %d", v, got, want)
 		}
-		if q := st.Queries; q.Rounds != 1 || q.Queries != 1 || st.Updates.Rounds != 0 {
+		if q := st.Queries; q.Rounds != 1 || q.Ops != 1 || st.Updates.Rounds != 0 {
 			t.Fatalf("component query window %+v, want 1 query over 1 round", st)
 		}
 	}
@@ -171,10 +172,10 @@ func TestQueryInsideBatchPanics(t *testing.T) {
 		if r == nil {
 			t.Fatal("expected panic for a query inside an open window")
 		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, "mutually exclusive") {
+		if msg, ok := r.(string); !ok || !strings.Contains(msg, "inside an open window") {
 			t.Fatalf("panic %v does not name the window conflict", r)
 		}
 	}()
-	d.Cluster().BeginUpdate()
+	d.Cluster().BeginMixed(1, 0, nil)
 	connected(d, 0, 1)
 }

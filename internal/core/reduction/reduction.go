@@ -129,10 +129,6 @@ func (s *Sim) Write(addr int, val int64) {
 	s.cluster.Round()
 }
 
-// BeginUpdate / EndUpdate bracket per-update accounting.
-func (s *Sim) BeginUpdate()               { s.cluster.BeginUpdate() }
-func (s *Sim) EndUpdate() mpc.UpdateStats { return s.cluster.EndUpdate() }
-
 // ReplayOps simulates k counted elementary operations as read exchanges
 // with addresses derived from the operation index.
 func (s *Sim) ReplayOps(k int64, salt int64) {
@@ -159,16 +155,17 @@ type Wrapped struct {
 // NewWrapped builds the standard wrapper.
 func NewWrapped(sim *Sim, t Target) *Wrapped { return &Wrapped{Sim: sim, Target: t} }
 
-// Update performs one dynamic update under §7 accounting and returns the
-// update's statistics: Rounds = Θ(sequential operations).
-func (w *Wrapped) Update(up graph.Update) mpc.UpdateStats {
-	w.Sim.BeginUpdate()
+// Update performs one dynamic update under §7 accounting, billed as a
+// wave-free window of one update, and returns that window's update half:
+// Rounds = Θ(sequential operations).
+func (w *Wrapped) Update(up graph.Update) mpc.HalfStats {
+	w.Sim.cluster.BeginMixed(1, 0, nil)
 	before := w.Target.OpCounter().Count()
 	w.Target.Apply(up)
 	ops := w.Target.OpCounter().Count() - before
 	w.salt++
 	w.Sim.ReplayOps(ops, w.salt)
-	return w.Sim.EndUpdate()
+	return w.Sim.cluster.EndMixed().Updates
 }
 
 // --- ready-made targets ---------------------------------------------------

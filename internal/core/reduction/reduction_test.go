@@ -25,9 +25,9 @@ func TestStoreReadWriteRoundTrip(t *testing.T) {
 
 func TestMemoryOpAccounting(t *testing.T) {
 	sim := NewSim(4, 0)
-	sim.BeginUpdate()
+	sim.Cluster().BeginMixed(1, 0, nil)
 	sim.Read(5)
-	u := sim.EndUpdate()
+	u := sim.Cluster().EndMixed().Updates
 	// One read = request round + reply round, <= 2 machines active.
 	if u.Rounds != 2 {
 		t.Fatalf("read rounds = %d, want 2", u.Rounds)
@@ -38,9 +38,9 @@ func TestMemoryOpAccounting(t *testing.T) {
 	if u.MaxWords > 4 {
 		t.Fatalf("words = %d, want O(1)", u.MaxWords)
 	}
-	sim.BeginUpdate()
+	sim.Cluster().BeginMixed(1, 0, nil)
 	sim.Write(5, 1)
-	u = sim.EndUpdate()
+	u = sim.Cluster().EndMixed().Updates
 	if u.Rounds != 1 || u.MaxActive > 1 {
 		t.Fatalf("write stats = %+v", u)
 	}

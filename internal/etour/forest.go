@@ -90,9 +90,6 @@ func (fo *Forest) HasEdge(u, v int) bool {
 	return ok
 }
 
-// TreeDegree returns v's degree in the forest.
-func (fo *Forest) TreeDegree(v int) int { return len(fo.tadj[v]) }
-
 // TreeNeighbors returns v's forest neighbors in ascending order.
 func (fo *Forest) TreeNeighbors(v int) []int {
 	out := make([]int, 0, len(fo.tadj[v]))

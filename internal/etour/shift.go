@@ -183,12 +183,6 @@ func (s Shift) Moves(i int) bool {
 // charged by the DMPC accounting.
 func (s Shift) Words() int { return 5 }
 
-// InInterval reports whether a position i lies in the closed interval
-// [f, l]; with the conventions above this is the subtree membership test:
-// vertex v is in the subtree rooted at y iff f(y) <= f(v) and l(v) <= l(y),
-// and u is an ancestor-or-self of v iff InInterval(f(v), f(u), l(u)).
-func InInterval(i, f, l int) bool { return i >= f && i <= l }
-
 // InSubtree reports whether the vertex with appearance interval [fv, lv]
 // lies (weakly) inside the subtree of the vertex with interval [fy, ly].
 // Singletons (f = l = 0) are only inside their own (empty) interval.

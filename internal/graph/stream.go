@@ -157,16 +157,3 @@ func MixedStream(updates []Update, readfrac float64, mkQuery func(rng *rand.Rand
 	}
 	return ops
 }
-
-// InsertAll returns an insert-only stream materializing g in random order.
-func InsertAll(g *Graph, rng *rand.Rand) []Update {
-	edges := g.Edges()
-	if rng != nil {
-		rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
-	}
-	updates := make([]Update, len(edges))
-	for i, e := range edges {
-		updates[i] = Update{Op: Insert, U: e.U, V: e.V, W: e.W}
-	}
-	return updates
-}

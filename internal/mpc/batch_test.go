@@ -12,7 +12,7 @@ func (bounceMachine) HandleRound(ctx *Ctx, inbox []Message) {
 	}
 }
 
-// TestBatchAccounting pins the BatchStats semantics of a read-free
+// TestBatchAccounting pins the update-half semantics of a read-free
 // pipeline window: every round between BeginMixed and EndMixed folds into
 // the update half, the amortized helper reports against the window's
 // update count, the window is handed back to the caller, and rounds
@@ -31,19 +31,19 @@ func TestBatchAccounting(t *testing.T) {
 	m := c.EndMixed()
 	b := m.Updates
 
-	if b.Updates != 3 || m.Ops != 3 {
-		t.Fatalf("window covers %d updates / %d ops, want 3", b.Updates, m.Ops)
+	if b.Ops != 3 || m.Ops != 3 {
+		t.Fatalf("window covers %d updates / %d ops, want 3", b.Ops, m.Ops)
 	}
 	if b.Rounds <= first || b.Rounds != m.Rounds() {
 		t.Fatalf("update half has %d rounds, window %d, first run alone %d", b.Rounds, m.Rounds(), first)
 	}
-	if want := float64(b.Rounds) / 3; b.RoundsPerUpdate() != want {
-		t.Fatalf("RoundsPerUpdate %.3f, want %.3f", b.RoundsPerUpdate(), want)
+	if want := float64(b.Rounds) / 3; b.RoundsPerOp() != want {
+		t.Fatalf("RoundsPerOp %.3f, want %.3f", b.RoundsPerOp(), want)
 	}
 	if b.SumWords == 0 || b.MaxActive == 0 {
 		t.Fatalf("batch word/active accounting empty: %+v", b)
 	}
-	if m.Queries != (QueryStats{}) {
+	if m.Queries != (HalfStats{}) {
 		t.Fatalf("read-free window charged its query half: %+v", m.Queries)
 	}
 
@@ -81,22 +81,22 @@ func TestWaveAccounting(t *testing.T) {
 	c.Send(Message{From: -1, To: 2, Payload: "ping", Words: 1})
 	c.Run(8)
 	c.EndMixedWave()
-	b := c.EndMixed().Updates
+	m := c.EndMixed()
 
-	if len(b.Waves) != 2 {
-		t.Fatalf("window recorded %d waves, want 2", len(b.Waves))
+	if len(m.Waves) != 2 {
+		t.Fatalf("window recorded %d waves, want 2", len(m.Waves))
 	}
-	if b.Waves[0] != w1 {
-		t.Fatalf("EndMixedWave returned %+v, window recorded %+v", w1, b.Waves[0])
+	if m.Waves[0] != w1 {
+		t.Fatalf("EndMixedWave returned %+v, window recorded %+v", w1, m.Waves[0])
 	}
-	if b.Waves[0].Updates != 3 || b.Waves[1].Updates != 2 {
-		t.Fatalf("wave widths (%d,%d), want (3,2)", b.Waves[0].Updates, b.Waves[1].Updates)
+	if m.Waves[0].Updates != 3 || m.Waves[1].Updates != 2 {
+		t.Fatalf("wave widths (%d,%d), want (3,2)", m.Waves[0].Updates, m.Waves[1].Updates)
 	}
-	if b.Waves[0].Rounds == 0 || b.Waves[1].Rounds == 0 {
-		t.Fatalf("wave rounds empty: %+v", b.Waves)
+	if m.Waves[0].Rounds == 0 || m.Waves[1].Rounds == 0 {
+		t.Fatalf("wave rounds empty: %+v", m.Waves)
 	}
-	if sum := b.Waves[0].Rounds + b.Waves[1].Rounds; sum >= b.Rounds {
-		t.Fatalf("wave rounds %d should undercount window rounds %d (scheduling rounds are window-only)", sum, b.Rounds)
+	if sum := m.Waves[0].Rounds + m.Waves[1].Rounds; sum >= m.Updates.Rounds {
+		t.Fatalf("wave rounds %d should undercount window rounds %d (scheduling rounds are window-only)", sum, m.Updates.Rounds)
 	}
 
 	mustPanic := func(name string, f func()) {

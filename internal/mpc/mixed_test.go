@@ -38,14 +38,22 @@ func TestMixedAttribution(t *testing.T) {
 
 	m := c.EndMixed()
 
-	if m.Ops != 5 || m.Updates.Updates != 2 || m.Queries.Queries != 3 {
+	if m.Ops != 5 || m.Updates.Ops != 2 || m.Queries.Ops != 3 {
 		t.Fatalf("window shape wrong: %+v", m)
 	}
 	if len(m.Waves) != 3 || m.Waves[0] != w1 || m.Waves[1] != w2 || m.Waves[2] != w3 {
 		t.Fatalf("wave log wrong: %+v", m.Waves)
 	}
-	if len(m.Updates.Waves) != 2 || m.Updates.Waves[0] != w1 || m.Updates.Waves[1] != w3 {
-		t.Fatalf("update half must log exactly the update-bearing waves: %+v", m.Updates.Waves)
+	// The update half's waves are the log filtered by Updates > 0; their
+	// rounds plus the out-of-wave round are the half.
+	var updWaves []WaveStats
+	for _, w := range m.Waves {
+		if w.Updates > 0 {
+			updWaves = append(updWaves, w)
+		}
+	}
+	if len(updWaves) != 2 || updWaves[0] != w1 || updWaves[1] != w3 {
+		t.Fatalf("update-bearing waves of the log: %+v, want w1 and w3", updWaves)
 	}
 	if m.Queries.Rounds != w2.Rounds {
 		t.Fatalf("query half rounds %d, want query-only wave's %d", m.Queries.Rounds, w2.Rounds)
@@ -57,9 +65,6 @@ func TestMixedAttribution(t *testing.T) {
 	if m.Updates.Rounds <= w1.Rounds+w3.Rounds {
 		t.Fatalf("out-of-wave round missing from the update half: %d vs waves %d",
 			m.Updates.Rounds, w1.Rounds+w3.Rounds)
-	}
-	if want := float64(m.Rounds()) / 5; m.RoundsPerOp() != want {
-		t.Fatalf("RoundsPerOp %.3f, want %.3f", m.RoundsPerOp(), want)
 	}
 }
 
@@ -78,10 +83,10 @@ func TestMixedHalvesSkipEmpty(t *testing.T) {
 	c.Run(8)
 	c.EndMixedWave()
 	m := c.EndMixed()
-	if m.Queries != (QueryStats{}) {
+	if m.Queries != (HalfStats{}) {
 		t.Fatalf("all-update window charged its query half: %+v", m.Queries)
 	}
-	if m.Updates.Rounds == 0 || len(m.Updates.Waves) != 1 {
+	if m.Updates.Rounds == 0 || len(m.Waves) != 1 || m.Waves[0].Updates != 1 {
 		t.Fatalf("all-update window missing its update half: %+v", m.Updates)
 	}
 
@@ -91,18 +96,17 @@ func TestMixedHalvesSkipEmpty(t *testing.T) {
 	c.Run(8)
 	c.EndMixedWave()
 	m = c.EndMixed()
-	if !m.Updates.Equal(BatchStats{}) {
+	if m.Updates != (HalfStats{}) {
 		t.Fatalf("all-query window charged its update half: %+v", m.Updates)
 	}
-	if m.Queries.Queries != 2 || m.Queries.Rounds == 0 {
+	if m.Queries.Ops != 2 || m.Queries.Rounds == 0 {
 		t.Fatalf("all-query window missing its query half: %+v", m.Queries)
 	}
 }
 
-// TestMixedWindowExclusivity pins that the two window kinds — the
-// pipeline's mixed window and the plain update window — refuse to nest
-// with each other and with themselves, so no round is ever billed twice
-// or to a window that silently replaced the one it belonged to.
+// TestMixedWindowExclusivity pins that windows and waves refuse to nest,
+// so no round is ever billed twice or to a window that silently replaced
+// the one it belonged to.
 func TestMixedWindowExclusivity(t *testing.T) {
 	wantPanic := func(name string, f func()) {
 		t.Helper()
@@ -114,37 +118,25 @@ func TestMixedWindowExclusivity(t *testing.T) {
 		f()
 	}
 
-	fresh := func() *Cluster { return NewCluster(Config{Machines: 1, MemWords: 16}) }
-
-	c := fresh()
-	c.BeginMixed(1, 1, nil)
-	wantPanic("BeginUpdate inside mixed", func() { c.BeginUpdate() })
-	wantPanic("BeginMixed inside mixed", func() { c.BeginMixed(1, 1, nil) })
-
-	c4 := fresh()
-	c4.SetMachine(0, bounceMachine{})
-	c4.BeginUpdate()
-	wantPanic("BeginMixed inside update", func() { c4.BeginMixed(1, 1, nil) })
-	// A nested BeginUpdate used to replace the open window, silently
-	// discarding the outer window's rounds.
-	c4.Send(Message{From: -1, To: 0, Payload: "ping", Words: 1})
-	c4.Run(8)
-	wantPanic("BeginUpdate inside update", func() { c4.BeginUpdate() })
-	if u := c4.EndUpdate(); u.Rounds == 0 {
-		t.Fatal("refused nested BeginUpdate still discarded the outer window's rounds")
+	c := NewCluster(Config{Machines: 1, MemWords: 16})
+	c.SetMachine(0, bounceMachine{})
+	wantPanic("BeginMixedWave outside a window", func() { c.BeginMixedWave(1, 0, nil) })
+	c.BeginMixed(1, 0, nil)
+	// A nested Begin would replace the open window, silently discarding
+	// the outer window's rounds.
+	c.Send(Message{From: -1, To: 0, Payload: "ping", Words: 1})
+	c.Run(8)
+	wantPanic("BeginMixed inside a window", func() { c.BeginMixed(1, 1, nil) })
+	c.BeginMixedWave(1, 0, nil)
+	wantPanic("nested wave", func() { c.BeginMixedWave(1, 0, nil) })
+	wantPanic("EndMixed with open wave", func() { c.EndMixed() })
+	c.EndMixedWave()
+	wantPanic("EndMixedWave without wave", func() { c.EndMixedWave() })
+	if m := c.EndMixed(); m.Updates.Rounds == 0 {
+		t.Fatal("refused nested BeginMixed still discarded the outer window's rounds")
 	}
 
-	c5 := fresh()
-	wantPanic("BeginMixedWave outside mixed", func() { c5.BeginMixedWave(1, 0, nil) })
-	c5.BeginMixed(1, 0, nil)
-	c5.BeginMixedWave(1, 0, nil)
-	wantPanic("nested mixed wave", func() { c5.BeginMixedWave(1, 0, nil) })
-	wantPanic("EndMixed with open wave", func() { c5.EndMixed() })
-	c5.EndMixedWave()
-	wantPanic("EndMixedWave without wave", func() { c5.EndMixedWave() })
-	c5.EndMixed()
-
-	// A closed mixed window releases the cluster for the other kind.
-	c5.BeginUpdate()
-	c5.EndUpdate()
+	// A closed window releases the cluster for the next.
+	c.BeginMixed(0, 1, nil)
+	c.EndMixed()
 }

@@ -121,28 +121,39 @@ type RoundStats struct {
 	Messages int // number of messages delivered into this round
 }
 
-// UpdateStats aggregates the rounds of one accounting window: on its own,
-// the rounds spent processing one dynamic update; embedded in BatchStats
-// and QueryStats, the rounds of that half of a mixed window.
-type UpdateStats struct {
+// HalfStats aggregates the rounds of one accounting half of a mixed
+// window — the window's updates or its queries — which the half's Ops ops
+// share: the window is charged once, so RoundsPerOp is the amortized cost
+// the batch-dynamic model (Nowicki–Onak, arXiv:2002.07800) optimizes for.
+// A window of one update is the per-update bill of Table 1.
+type HalfStats struct {
+	Ops       int // k, the number of updates resp. queries the half covers
 	Rounds    int
-	MaxActive int // max active machines over the window's rounds
+	MaxActive int // max active machines over the half's rounds
 	SumActive int
-	MaxWords  int // max communicated words in any round of the window
+	MaxWords  int // max communicated words in any round of the half
 	SumWords  int
 }
 
 // Add folds a round into the aggregate.
-func (u *UpdateStats) Add(r RoundStats) {
-	u.Rounds++
-	u.SumActive += r.Active
-	u.SumWords += r.Words
-	if r.Active > u.MaxActive {
-		u.MaxActive = r.Active
+func (h *HalfStats) Add(r RoundStats) {
+	h.Rounds++
+	h.SumActive += r.Active
+	h.SumWords += r.Words
+	if r.Active > h.MaxActive {
+		h.MaxActive = r.Active
 	}
-	if r.Words > u.MaxWords {
-		u.MaxWords = r.Words
+	if r.Words > h.MaxWords {
+		h.MaxWords = r.Words
 	}
+}
+
+// RoundsPerOp returns the half's amortized rounds per op.
+func (h HalfStats) RoundsPerOp() float64 {
+	if h.Ops == 0 {
+		return 0
+	}
+	return float64(h.Rounds) / float64(h.Ops)
 }
 
 // WaveStats attributes a slice of a mixed window to one concurrent wave: a
@@ -160,73 +171,23 @@ type WaveStats struct {
 	MaxWords int // peak words in any round of the wave
 }
 
-// BatchStats is the update half of a mixed window: the rounds spent on the
-// window's k updates, which share one round-accounting window. Where
-// UpdateStats charges every update its own rounds, the window is charged
-// once, so RoundsPerUpdate reports the amortized cost the batch-dynamic
-// model (Nowicki–Onak, arXiv:2002.07800) optimizes for. Waves breaks the
-// half down per update-bearing wave; scheduling rounds outside any wave
-// belong to the half only.
-type BatchStats struct {
-	Updates     int         // k, the number of updates covered by the window
-	UpdateStats             // the half's rounds (fields promoted, JSON included)
-	Waves       []WaveStats // per-wave attribution, in execution order
-}
-
-// Equal reports deep equality, including the per-wave attribution.
-// (BatchStats holds a slice, so == does not compile.)
-func (b BatchStats) Equal(o BatchStats) bool {
-	if b.Updates != o.Updates || b.UpdateStats != o.UpdateStats || len(b.Waves) != len(o.Waves) {
-		return false
-	}
-	for i := range b.Waves {
-		if b.Waves[i] != o.Waves[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// RoundsPerUpdate returns the amortized rounds per update of the window.
-func (b BatchStats) RoundsPerUpdate() float64 {
-	if b.Updates == 0 {
-		return 0
-	}
-	return float64(b.Rounds) / float64(b.Updates)
-}
-
-// QueryStats is the query half of a mixed window: the rounds of its
-// query-only waves, shared by the window's k queries. Its rounds never
-// fold into the update half, so rounds-per-update figures stay comparable
-// across read-free and read-heavy workloads, and RoundsPerQuery reports
-// the amortized §5 query cost.
-type QueryStats struct {
-	Queries     int // k, the number of queries covered by the window
-	UpdateStats     // the half's rounds (fields promoted, JSON included)
-}
-
-// RoundsPerQuery returns the amortized rounds per query of the window.
-func (q QueryStats) RoundsPerQuery() float64 {
-	if q.Queries == 0 {
-		return 0
-	}
-	return float64(q.Rounds) / float64(q.Queries)
-}
-
-// MixedStats aggregates one pipeline window: a single scheduled run of
-// updates *and* queries, with the rounds attributed to the two accounting
-// halves without ever letting one leak into the other. The attribution
-// rule is per wave: a round folds into the query half iff the open wave
-// is query-only (it executes reads and nothing else); every other round —
-// update-bearing waves, scheduling and drain rounds outside any wave —
-// folds into the update half. A query sequenced into an update-bearing
-// wave therefore rides that wave's rounds for free, which is exactly the
-// batch-dynamic win the pipeline exists to measure, while the update half
-// of a read-free window is the whole window.
+// MixedStats aggregates one window — the only kind there is: a single
+// scheduled run of updates *and* queries, with the rounds attributed to
+// the two accounting halves without ever letting one leak into the other.
+// The attribution rule is per wave: a round folds into the query half iff
+// the open wave is query-only (it executes reads and nothing else); every
+// other round — update-bearing waves, scheduling and drain rounds outside
+// any wave — folds into the update half. A query sequenced into an
+// update-bearing wave therefore rides that wave's rounds for free, which
+// is exactly the batch-dynamic win the pipeline exists to measure, while
+// the update half of a read-free window is the whole window — which is
+// how the drivers outside the op pipeline (static baselines, the §7
+// reduction, §6's per-update cycle) bill: a wave-free window whose update
+// half they return.
 type MixedStats struct {
 	Ops     int         // updates + queries covered by the window
-	Updates BatchStats  // update half; its Waves hold the update-bearing waves
-	Queries QueryStats  // query half: the query-only waves
+	Updates HalfStats   // update half; its waves are the Waves with Updates > 0
+	Queries HalfStats   // query half: the query-only waves
 	Waves   []WaveStats // every wave of the window, in execution order
 
 	// Tenants breaks the window down per tenant (see TenantStats); nil
@@ -239,19 +200,9 @@ type MixedStats struct {
 // Rounds returns the whole window's round count (both halves).
 func (m MixedStats) Rounds() int { return m.Updates.Rounds + m.Queries.Rounds }
 
-// RoundsPerOp returns the amortized rounds per op of the window — the
-// figure a mixed workload optimizes for, and the one the AutoBatcher
-// sizes k against.
-func (m MixedStats) RoundsPerOp() float64 {
-	if m.Ops == 0 {
-		return 0
-	}
-	return float64(m.Rounds()) / float64(m.Ops)
-}
-
 // Equal reports deep equality, including the per-wave attribution.
 func (m MixedStats) Equal(o MixedStats) bool {
-	if m.Ops != o.Ops || !m.Updates.Equal(o.Updates) || m.Queries != o.Queries ||
+	if m.Ops != o.Ops || m.Updates != o.Updates || m.Queries != o.Queries ||
 		len(m.Waves) != len(o.Waves) || len(m.Tenants) != len(o.Tenants) {
 		return false
 	}
@@ -269,20 +220,19 @@ func (m MixedStats) Equal(o MixedStats) bool {
 }
 
 // Stats is the lifetime accounting of a cluster: running totals plus the
-// windows currently open. Closed windows are returned to whoever opened
-// them (EndUpdate, EndMixed) and never retained, so a cluster's footprint
-// does not grow with the number of windows it has served.
+// window currently open. A closed window is returned to whoever opened it
+// (EndMixed) and never retained, so a cluster's footprint does not grow
+// with the number of windows it has served.
 type Stats struct {
-	Rounds        int
-	Messages      int
-	Words         int
-	PeakMemWords  int
-	Violations    int
-	pairWords     map[[2]int]int // communication volume per (from,to) pair
-	currentUpdate *UpdateStats
-	currentMixed  *MixedStats
-	currentWave   *WaveStats
-	waveTenants   []TenantCount // tenant census of the open mixed wave
+	Rounds       int
+	Messages     int
+	Words        int
+	PeakMemWords int
+	Violations   int
+	pairWords    map[[2]int]int // communication volume per (from,to) pair
+	currentMixed *MixedStats
+	currentWave  *WaveStats
+	waveTenants  []TenantCount // tenant census of the open mixed wave
 }
 
 // Cluster is a simulated DMPC cluster. It is not safe for concurrent use by
@@ -323,9 +273,6 @@ func NewCluster(cfg Config) *Cluster {
 	return c
 }
 
-// Config returns the cluster configuration.
-func (c *Cluster) Config() Config { return c.cfg }
-
 // Machines returns µ.
 func (c *Cluster) Machines() int { return c.cfg.Machines }
 
@@ -360,59 +307,29 @@ func (c *Cluster) Send(msg Message) {
 	c.backend.Deliver(msg)
 }
 
-// Backend returns the configured execution backend kind.
-func (c *Cluster) Backend() BackendKind { return c.cfg.Backend }
-
 // Close releases the backend's resources — the parallel backend's
 // long-lived worker goroutines. A closed cluster must not Round again;
 // Close is idempotent and a no-op for the sim backend.
 func (c *Cluster) Close() { c.backend.Close() }
 
-// BeginUpdate starts a plain update window; every subsequent round is
-// folded into it until EndUpdate. This is the window of the drivers that
-// run outside the op pipeline — the static baselines, the §7 reduction and
-// amm's fixed-schedule per-update cycle. Windows never nest or overlap:
-// opening one while an update or mixed window is live would let rounds
-// leak across accounting classes, so it panics.
-func (c *Cluster) BeginUpdate() {
-	if c.stats.currentUpdate != nil {
-		panic("mpc: BeginUpdate inside an open update window (close it with EndUpdate first)")
-	}
-	if c.stats.currentMixed != nil {
-		panic("mpc: BeginUpdate inside an open mixed window (window kinds are mutually exclusive)")
-	}
-	c.stats.currentUpdate = &UpdateStats{}
-}
-
-// EndUpdate closes the update window and returns its aggregate.
-func (c *Cluster) EndUpdate() UpdateStats {
-	u := c.stats.currentUpdate
-	c.stats.currentUpdate = nil
-	if u == nil {
-		return UpdateStats{}
-	}
-	return *u
-}
-
-// BeginMixed starts the pipeline window of one ApplyOps call, covering
-// updates writes and queries reads. Its whole point is to attribute each
-// round to exactly one of the two halves (see MixedStats), so opening one
-// inside another window panics. Within the window, waves are declared
-// with BeginMixedWave/EndMixedWave. A non-nil census additionally opens
-// the window's per-tenant breakdown; a nil one (the single-tenant
+// BeginMixed starts an accounting window covering updates writes and
+// queries reads: every subsequent round is folded into it until EndMixed.
+// Its whole point is to attribute each round to exactly one of the two
+// halves (see MixedStats), and windows never nest or overlap — a nested
+// one would silently replace the open window and discard its rounds — so
+// opening one inside another panics. Within the window, waves are
+// declared with BeginMixedWave/EndMixedWave. A non-nil census additionally
+// opens the window's per-tenant breakdown; a nil one (the single-tenant
 // default) never allocates the map, keeping MixedStats bit-identical to
 // pre-tenancy behavior.
 func (c *Cluster) BeginMixed(updates, queries int, census []TenantCount) {
-	if c.stats.currentUpdate != nil {
-		panic("mpc: BeginMixed inside an open update window (window kinds are mutually exclusive)")
-	}
 	if c.stats.currentMixed != nil {
-		panic("mpc: BeginMixed inside an open mixed window (close it with EndMixed first)")
+		panic("mpc: BeginMixed inside an open window (close it with EndMixed first)")
 	}
 	m := &MixedStats{
 		Ops:     updates + queries,
-		Updates: BatchStats{Updates: updates},
-		Queries: QueryStats{Queries: queries},
+		Updates: HalfStats{Ops: updates},
+		Queries: HalfStats{Ops: queries},
 	}
 	if census != nil {
 		m.Tenants = make(map[int]TenantStats, len(census))
@@ -427,7 +344,7 @@ func (c *Cluster) BeginMixed(updates, queries int, census []TenantCount) {
 	c.stats.currentMixed = m
 }
 
-// EndMixed closes the pipeline window and returns its aggregate. An open
+// EndMixed closes the window and returns its aggregate. An open
 // wave is a driver bug (its rounds would be misattributed), so it panics.
 func (c *Cluster) EndMixed() MixedStats {
 	if c.stats.currentWave != nil {
@@ -460,9 +377,8 @@ func (c *Cluster) BeginMixedWave(updates, queries int, census []TenantCount) {
 	c.stats.waveTenants = append(c.stats.waveTenants[:0], census...)
 }
 
-// EndMixedWave finishes the current wave and records it on the open mixed
-// window (update-bearing waves additionally on the update half's wave
-// log).
+// EndMixedWave finishes the current wave and records it on the open
+// window's wave log.
 func (c *Cluster) EndMixedWave() WaveStats {
 	w := c.stats.currentWave
 	if w == nil {
@@ -471,9 +387,6 @@ func (c *Cluster) EndMixedWave() WaveStats {
 	m := c.stats.currentMixed
 	c.stats.currentWave = nil
 	m.Waves = append(m.Waves, *w)
-	if w.Updates > 0 {
-		m.Updates.Waves = append(m.Updates.Waves, *w)
-	}
 	c.stats.shareWaveRounds(m, *w)
 	return *w
 }
@@ -487,16 +400,13 @@ func (c *Cluster) Quiescent() bool {
 // Round executes one synchronous round through the configured backend:
 // delivers all pending messages, runs every active machine's handler,
 // stages the messages they send for the next round, and folds the round
-// into the open accounting windows. It returns the round's statistics.
+// into the open accounting window. It returns the round's statistics.
 func (c *Cluster) Round() RoundStats {
 	rs := c.backend.Round()
 
 	c.stats.Rounds++
 	c.stats.Messages += rs.Messages
 	c.stats.Words += rs.Words
-	if u := c.stats.currentUpdate; u != nil {
-		u.Add(rs)
-	}
 	w := c.stats.currentWave
 	if m := c.stats.currentMixed; m != nil {
 		// The per-wave attribution rule of MixedStats: query-only waves
@@ -600,9 +510,6 @@ type Ctx struct {
 	out      []Message
 	schedule []int
 }
-
-// Self returns the executing machine's id.
-func (ctx *Ctx) Self() int { return ctx.self }
 
 // Round returns the global round number.
 func (ctx *Ctx) Round() int { return ctx.round }

@@ -74,22 +74,28 @@ func TestUpdateAccounting(t *testing.T) {
 	c.SetMachine(1, &echoMachine{target: 2})
 	c.SetMachine(2, &echoMachine{target: -1})
 
-	c.BeginUpdate()
+	// A wave-free window of one update: how the drivers outside the op
+	// pipeline bill. Every round lands on the update half.
+	c.BeginMixed(1, 0, nil)
 	c.Send(Message{To: 0, Payload: 1, Words: 2})
 	c.Run(100)
-	u := c.EndUpdate()
+	m := c.EndMixed()
+	u := m.Updates
 	if u.Rounds != 3 {
 		t.Fatalf("rounds = %d, want 3 (chain 0->1->2)", u.Rounds)
 	}
-	if u.MaxActive != 1 || u.MaxWords != 2 {
+	if u.Ops != 1 || u.MaxActive != 1 || u.MaxWords != 2 {
 		t.Fatalf("update stats = %+v", u)
 	}
 	if u.SumActive != 3 || u.SumWords != 6 {
 		t.Fatalf("update sums = %+v, want 3 active and 6 words over the chain", u)
 	}
-	// The window is returned, not retained: a second EndUpdate has nothing.
-	if z := c.EndUpdate(); z != (UpdateStats{}) {
-		t.Fatalf("EndUpdate without BeginUpdate = %+v", z)
+	if m.Queries != (HalfStats{}) || len(m.Waves) != 0 || m.Rounds() != u.Rounds {
+		t.Fatalf("wave-free update window billed something besides its update half: %+v", m)
+	}
+	// The window is returned, not retained: a second EndMixed has nothing.
+	if z := c.EndMixed(); !z.Equal(MixedStats{}) {
+		t.Fatalf("EndMixed without BeginMixed = %+v", z)
 	}
 }
 
@@ -227,7 +233,7 @@ func TestDeterministicInboxOrder(t *testing.T) {
 
 func TestQuickUpdateStatsAddMonotone(t *testing.T) {
 	f := func(a, b uint8, w uint16) bool {
-		var u UpdateStats
+		var u HalfStats
 		r1 := RoundStats{Active: int(a), Words: int(w)}
 		r2 := RoundStats{Active: int(b), Words: int(w) / 2}
 		u.Add(r1)

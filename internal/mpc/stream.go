@@ -94,17 +94,11 @@ type TenantStreamStats struct {
 // the same nearest-rank rule as StreamStats.Percentile.
 func (t *TenantStreamStats) Percentile(q float64) int64 { return percentile(t.Latencies, q) }
 
-// P50 returns the tenant's median rounds-from-arrival-to-answer.
-func (t *TenantStreamStats) P50() int64 { return t.Percentile(50) }
-
-// P95 returns the tenant's 95th-percentile rounds-from-arrival-to-answer.
-func (t *TenantStreamStats) P95() int64 { return t.Percentile(95) }
-
 // P99 returns the tenant's 99th-percentile rounds-from-arrival-to-answer.
 func (t *TenantStreamStats) P99() int64 { return t.Percentile(99) }
 
-// RoundsPerOp returns the stream's amortized rounds per op — the same
-// figure MixedStats.RoundsPerOp reports per window, over all windows.
+// RoundsPerOp returns the stream's amortized rounds per op: all windows'
+// rounds over all ops.
 func (s StreamStats) RoundsPerOp() float64 {
 	if s.Ops == 0 {
 		return 0

@@ -60,6 +60,20 @@ func TenantCensus(ops []graph.Op, idx []int) []TenantCount {
 	return census
 }
 
+// WindowCensus is the census ApplyOps opens its window with: nil — no
+// per-tenant breakdown, accounting bit-identical to pre-tenancy — unless
+// the stream is actually multi-tenant, i.e. some op carries a nonzero
+// tenant tag or the structure is configured with tenant weights.
+func WindowCensus(ops []graph.Op, weighted bool) []TenantCount {
+	for i := 0; !weighted && i < len(ops); i++ {
+		weighted = ops[i].Tenant != 0
+	}
+	if !weighted {
+		return nil
+	}
+	return TenantCensus(ops, nil)
+}
+
 // shareWaveRounds folds a closed wave's rounds into the window's
 // per-tenant breakdown by wave share.
 func (s *Stats) shareWaveRounds(m *MixedStats, w WaveStats) {

@@ -1,6 +1,9 @@
 package seqdyn
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // NSMatch is a fully-dynamic maximal matching in the style of Neiman and
 // Solomon [30], the algorithm §3 of the paper distributes: vertices are
@@ -57,6 +60,18 @@ func (m *NSMatch) MateTable() []int {
 // Fallbacks reports how many times the heavy-vertex surrogate search had to
 // scan beyond the alive window (zero when the counting argument applies).
 func (m *NSMatch) Fallbacks() int64 { return m.fallback }
+
+// nbrs returns z's neighbors in ascending order, so which neighbor a scan
+// meets first — and with it the operation count §7 bills — does not depend
+// on map iteration order.
+func (m *NSMatch) nbrs(z int) []int32 {
+	out := make([]int32, 0, len(m.adj[z]))
+	for w := range m.adj[z] {
+		out = append(out, w)
+	}
+	slices.Sort(out)
+	return out
+}
 
 func (m *NSMatch) heavy(v int) bool { return len(m.adj[v]) >= m.heavyAt }
 
@@ -123,7 +138,7 @@ func (m *NSMatch) rematch(z int) {
 
 // rematchLight scans the (short) full adjacency list for a free neighbor.
 func (m *NSMatch) rematchLight(z int) {
-	for w := range m.adj[z] {
+	for _, w := range m.nbrs(z) {
 		m.Ops.Inc(1)
 		if m.mate[w] == -1 {
 			m.match(z, int(w))
@@ -137,7 +152,8 @@ func (m *NSMatch) rematchLight(z int) {
 func (m *NSMatch) rematchHeavy(z int) {
 	scanned := 0
 	stealFrom := -1
-	for w := range m.adj[z] {
+	nbrs := m.nbrs(z)
+	for _, w := range nbrs {
 		m.Ops.Inc(1)
 		if m.mate[w] == -1 {
 			m.match(z, int(w))
@@ -156,7 +172,7 @@ func (m *NSMatch) rematchHeavy(z int) {
 		// the alive window when parameters hold; at small scale we may
 		// need the rest of the list (counted as a fallback).
 		m.fallback++
-		for w := range m.adj[z] {
+		for _, w := range nbrs {
 			m.Ops.Inc(1)
 			if !m.heavy(int(m.mate[w])) {
 				stealFrom = int(w)

@@ -74,7 +74,7 @@ func (m *ccMachine) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 // ConnectedComponents runs the static CC baseline on g over a cluster with
 // mu machines and memWords memory per machine (pass 0,0 for automatic
 // sizing). It returns the component labeling and the run's accounting.
-func ConnectedComponents(g *graph.Graph, mu, memWords int) ([]int, Result) {
+func ConnectedComponents(g *graph.Graph, mu, memWords int) ([]int, mpc.HalfStats) {
 	n := g.N()
 	cfg := mpc.Auto(n+2*g.M(), 4)
 	if mu > 0 {
@@ -103,7 +103,7 @@ func ConnectedComponents(g *graph.Graph, mu, memWords int) ([]int, Result) {
 		}
 	}
 
-	cl.BeginUpdate()
+	cl.BeginMixed(1, 0, nil)
 	for iter := 0; iter < 4*bitsFor(n)+8; iter++ {
 		for i := range machines {
 			machines[i].changed = false
@@ -123,7 +123,7 @@ func ConnectedComponents(g *graph.Graph, mu, memWords int) ([]int, Result) {
 			break
 		}
 	}
-	stats := cl.EndUpdate()
+	stats := cl.EndMixed().Updates
 
 	labels := make([]int, n)
 	for _, m := range machines {
@@ -131,7 +131,7 @@ func ConnectedComponents(g *graph.Graph, mu, memWords int) ([]int, Result) {
 			labels[v] = int(l)
 		}
 	}
-	return labels, resultFrom(stats)
+	return labels, stats
 }
 
 func bitsFor(n int) int {

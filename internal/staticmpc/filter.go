@@ -59,11 +59,11 @@ func localMSF(n int, edges []graph.WEdge) []graph.WEdge {
 
 // MinSpanningForest computes an MSF of g by filtering, returning the forest
 // edges and the accounting. mu 0 sizes the cluster automatically.
-func MinSpanningForest(g *graph.Graph, mu int) ([]graph.WEdge, Result) {
+func MinSpanningForest(g *graph.Graph, mu int) ([]graph.WEdge, mpc.HalfStats) {
 	n := g.N()
 	edges := g.Edges()
 	if mu <= 0 {
-		mu = (len(edges)+n)/maxInt(n, 1) + 2
+		mu = (len(edges)+n)/max(n, 1) + 2
 	}
 	if mu < 2 {
 		mu = 2
@@ -81,7 +81,7 @@ func MinSpanningForest(g *graph.Graph, mu int) ([]graph.WEdge, Result) {
 		m.edges = append(m.edges, e)
 	}
 
-	cl.BeginUpdate()
+	cl.BeginMixed(1, 0, nil)
 	for live := mu; live > 1; live = (live + 1) / 2 {
 		half := (live + 1) / 2
 		for i := 0; i < live; i++ {
@@ -100,13 +100,13 @@ func MinSpanningForest(g *graph.Graph, mu int) ([]graph.WEdge, Result) {
 	machines[0].target = -1
 	cl.Schedule(0)
 	cl.Round() // final local MSF
-	stats := cl.EndUpdate()
+	stats := cl.EndMixed().Updates
 
-	return machines[0].edges, resultFrom(stats)
+	return machines[0].edges, stats
 }
 
 // SpanningForest computes an unweighted spanning forest by filtering.
-func SpanningForest(g *graph.Graph, mu int) ([]graph.Edge, Result) {
+func SpanningForest(g *graph.Graph, mu int) ([]graph.Edge, mpc.HalfStats) {
 	wedges, res := MinSpanningForest(g, mu)
 	out := make([]graph.Edge, len(wedges))
 	for i, e := range wedges {
@@ -115,19 +115,12 @@ func SpanningForest(g *graph.Graph, mu int) ([]graph.Edge, Result) {
 	return out, res
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // ApproxMinSpanningForest computes a (1+eps)-approximate MSF by rounding
 // weights into (1+eps) buckets before filtering — §5.1's preprocessing
 // recipe ("it is enough to bucket the edges by weights and compute
 // connected components by considering the edges in buckets of increasing
 // weights"). The returned edges carry their original weights.
-func ApproxMinSpanningForest(g *graph.Graph, eps float64, mu int) ([]graph.WEdge, Result) {
+func ApproxMinSpanningForest(g *graph.Graph, eps float64, mu int) ([]graph.WEdge, mpc.HalfStats) {
 	rounded := graph.New(g.N())
 	for _, e := range g.Edges() {
 		rounded.Insert(e.U, e.V, graph.BucketWeight(e.W, eps))

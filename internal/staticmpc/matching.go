@@ -98,14 +98,18 @@ func (m *mmMachine) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 			if len(cands) == 0 {
 				continue
 			}
+			// The pick-th free neighbor in adjacency (ascending) order: the
+			// run is then a function of the seed, not of map iteration.
 			pick := m.rng.Intn(len(cands))
-			i := 0
-			for w := range cands {
-				if i == pick {
+			for _, w := range m.adj[v] {
+				if !cands[w] {
+					continue
+				}
+				if pick == 0 {
 					ctx.Send(m.layout.Owner(int(w)), mmMsg{kind: mmPropose, a: w, b: v}, 3)
 					break
 				}
-				i++
+				pick--
 			}
 		}
 	case 1: // tails accept their smallest proposer
@@ -125,7 +129,7 @@ func (m *mmMachine) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 
 // MaximalMatching computes a maximal matching of g on a cluster, returning
 // the mate table and the accounting. seed fixes the proposal randomness.
-func MaximalMatching(g *graph.Graph, mu, memWords int, seed int64) ([]int, Result) {
+func MaximalMatching(g *graph.Graph, mu, memWords int, seed int64) ([]int, mpc.HalfStats) {
 	n := g.N()
 	cfg := mpc.Auto(n+2*g.M(), 4)
 	if mu > 0 {
@@ -162,7 +166,7 @@ func MaximalMatching(g *graph.Graph, mu, memWords int, seed int64) ([]int, Resul
 		}
 	}
 
-	cl.BeginUpdate()
+	cl.BeginMixed(1, 0, nil)
 	for iter := 0; iter < 16*bitsFor(n)+32; iter++ {
 		for i := range machines {
 			machines[i].phase = 0
@@ -192,7 +196,7 @@ func MaximalMatching(g *graph.Graph, mu, memWords int, seed int64) ([]int, Resul
 			break
 		}
 	}
-	stats := cl.EndUpdate()
+	stats := cl.EndMixed().Updates
 
 	mate := make([]int, n)
 	for _, m := range machines {
@@ -200,5 +204,5 @@ func MaximalMatching(g *graph.Graph, mu, memWords int, seed int64) ([]int, Resul
 			mate[v] = int(m.mate[v])
 		}
 	}
-	return mate, resultFrom(stats)
+	return mate, stats
 }

@@ -84,7 +84,7 @@ func (m *sortMachine) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 
 // Sort sorts items on a cluster of mu machines in a constant number of
 // rounds, returning the sorted slice and the accounting.
-func Sort(items []int64, mu int) ([]int64, Result) {
+func Sort(items []int64, mu int) ([]int64, mpc.HalfStats) {
 	if mu < 2 {
 		mu = 2
 	}
@@ -103,7 +103,7 @@ func Sort(items []int64, mu int) ([]int64, Result) {
 		m.items = append(m.items, x)
 	}
 
-	cl.BeginUpdate()
+	cl.BeginMixed(1, 0, nil)
 	// Phase A: samples to coordinator. The coordinator must not mix its
 	// own data with the sample buffer: it contributes its sample first and
 	// parks its data.
@@ -133,13 +133,13 @@ func Sort(items []int64, mu int) ([]int64, Result) {
 		cl.Schedule(i)
 	}
 	cl.Round() // buckets received; local sort
-	stats := cl.EndUpdate()
+	stats := cl.EndMixed().Updates
 
 	var out []int64
 	for i := 0; i < mu; i++ {
 		out = append(out, machines[i].items...)
 	}
-	return out, resultFrom(stats)
+	return out, stats
 }
 
 func sortInt64(xs []int64) {

@@ -14,10 +14,10 @@
 //
 // All algorithms run on an mpc.Cluster and are accounted in rounds, active
 // machines and words exactly like the dynamic algorithms, which is what
-// makes the static-vs-dynamic benches meaningful.
+// makes the static-vs-dynamic benches meaningful: one recomputation stands
+// where a dynamic algorithm has one update, so a run is billed as a
+// wave-free window of one update and returns that window's update half.
 package staticmpc
-
-import "dmpc/internal/mpc"
 
 // Layout distributes n vertices over mu machines in contiguous blocks.
 type Layout struct {
@@ -35,16 +35,4 @@ func (l Layout) Owner(v int) int {
 		o = l.Mu - 1
 	}
 	return o
-}
-
-// Result captures the accounting of one static run.
-type Result struct {
-	Rounds     int
-	MaxActive  int
-	MaxWords   int
-	TotalWords int
-}
-
-func resultFrom(u mpc.UpdateStats) Result {
-	return Result{Rounds: u.Rounds, MaxActive: u.MaxActive, MaxWords: u.MaxWords, TotalWords: u.SumWords}
 }
