@@ -364,13 +364,17 @@ func (m *M) QueueBacklog() int {
 // point: the matching is consistent; matched vertices have level ≥ 0 and
 // both endpoints of a matched edge share its level; free vertices are at
 // level -1; any free-free edge's endpoints are queued or active (the
-// almost-maximality bookkeeping); and no gathered query answer is left
+// almost-maximality bookkeeping); no gathered query answer is left
 // uncollected (ApplyOps is the result maps' only reader and deletes every
-// entry it collects).
+// entry it collects); and every shard's running MemWords equals a
+// recomputation by scan.
 func (m *M) Validate(g *graph.Graph) error {
 	for _, sh := range m.shards {
 		if n := len(sh.queryResults); n != 0 {
 			return fmt.Errorf("machine %d: %d uncollected query answers at quiescence", sh.id, n)
+		}
+		if got, want := sh.MemWords(), sh.scanWords(); got != want {
+			return fmt.Errorf("machine %d: shard word counter %d, %d recomputed", sh.id, got, want)
 		}
 	}
 	pending := map[int32]bool{}

@@ -74,6 +74,11 @@ type shard struct {
 	jobs         []job
 	rng          *rand.Rand
 	queryResults map[int64]int32 // mate answers, gathered driver-side
+
+	// MemWords' running terms: adjEntries is Σ len(vstate.adj), moved by
+	// setAdj/delAdj only; jobWords is Σ 2+len(job.todo), moved where jobs
+	// are queued and drained.
+	adjEntries, jobWords int
 }
 
 func newShard(id, mu int, cfg Config, levels int) *shard {
@@ -88,6 +93,11 @@ func newShard(id, mu int, cfg Config, levels int) *shard {
 func (s *shard) owner(v int32) int { return 1 + int(v)%s.mu }
 
 func (s *shard) MemWords() int {
+	return 2*len(s.queryResults) + 4*len(s.verts) + 2*s.adjEntries + s.jobWords
+}
+
+// scanWords is Validate's oracle for MemWords: the same sum by scan.
+func (s *shard) scanWords() int {
 	w := 2 * len(s.queryResults)
 	for _, st := range s.verts {
 		w += 4 + 2*len(st.adj)
@@ -96,6 +106,20 @@ func (s *shard) MemWords() int {
 		w += 2 + len(j.todo)
 	}
 	return w
+}
+
+func (s *shard) setAdj(st *vstate, w, lvl int32) {
+	if _, ok := st.adj[w]; !ok {
+		s.adjEntries++
+	}
+	st.adj[w] = lvl
+}
+
+func (s *shard) delAdj(st *vstate, w int32) {
+	if _, ok := st.adj[w]; ok {
+		s.adjEntries--
+		delete(st.adj, w)
+	}
 }
 
 func (s *shard) get(v int32) *vstate {
@@ -116,6 +140,7 @@ func (s *shard) queueLevelJob(v int32, lvl int32) {
 	}
 	sort.Slice(todo, func(i, j int) bool { return todo[i] < todo[j] })
 	s.jobs = append(s.jobs, job{v: v, lvl: lvl, todo: todo})
+	s.jobWords += 2 + len(todo)
 }
 
 // setLevel moves v to lvl and queues the neighbor notifications.
@@ -153,7 +178,7 @@ func (s *shard) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 			s.handleEdgeOther(ctx, m, &report, &dirty)
 		case aEdgeBack:
 			st := s.get(m.U)
-			st.adj[m.V] = m.Lvl
+			s.setAdj(st, m.V, m.Lvl)
 			if m.Found { // both-free match committed at the other side
 				st.mate = m.V
 				s.setLevel(m.U, 0)
@@ -216,14 +241,14 @@ func (s *shard) handleUpdate(ctx *mpc.Ctx, m amsg, report *amsg, dirty *bool) {
 	}
 	st := s.get(u)
 	if !m.Del {
-		st.adj[v] = -2 // unknown until the mirror reply
+		s.setAdj(st, v, -2) // unknown until the mirror reply
 		fwd := amsg{Kind: aEdge, U: v, V: u, Lvl: st.lvl, Free: st.mate == -1}
 		ctx.Send(s.owner(v), fwd, fwd.words())
 		return
 	}
 	// Delete.
 	wasMate := st.mate == v
-	delete(st.adj, v)
+	s.delAdj(st, v)
 	fwd := amsg{Kind: aEdge, U: v, V: u, Del: true, Found: wasMate, Lvl: st.lvl}
 	if wasMate {
 		report.Freed = append(report.Freed, u, st.lvl)
@@ -246,7 +271,7 @@ func (s *shard) handleEdgeOther(ctx *mpc.Ctx, m amsg, report *amsg, dirty *bool)
 	v, u := m.U, m.V
 	st := s.get(v)
 	if m.Del {
-		delete(st.adj, u)
+		s.delAdj(st, u)
 		if m.Found { // the deleted edge was the matched edge
 			report.Freed = append(report.Freed, v, st.lvl)
 			st.mate = -1
@@ -262,7 +287,7 @@ func (s *shard) handleEdgeOther(ctx *mpc.Ctx, m amsg, report *amsg, dirty *bool)
 		}
 		return
 	}
-	st.adj[u] = m.Lvl
+	s.setAdj(st, u, m.Lvl)
 	back := amsg{Kind: aEdgeBack, U: u, V: v, Lvl: st.lvl}
 	if m.Free && st.mate == -1 {
 		// Both endpoints free: match at level 0 (§6's insertion rule).
@@ -355,8 +380,10 @@ func (s *shard) processJobs(ctx *mpc.Ctx) {
 		}
 		j.todo = j.todo[n:]
 		budget -= n
+		s.jobWords -= n
 		if len(j.todo) == 0 {
 			s.jobs = s.jobs[1:]
+			s.jobWords -= 2
 		}
 	}
 }

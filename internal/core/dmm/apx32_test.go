@@ -37,7 +37,7 @@ func drive32(t *testing.T, m *M, g *graph.Graph, updates []graph.Update, tag str
 				}
 				return true
 			})
-			got := m.stats[v/m.coord.statsPer].get(int32(v)).freeNbr
+			got := m.statPeek(int32(v)).freeNbr
 			if got != want {
 				t.Fatalf("%s step %d (%v): freeNbr(%d) = %d, want %d",
 					tag, step, up, v, got, want)

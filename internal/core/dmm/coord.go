@@ -153,12 +153,17 @@ type coordinator struct {
 	heavyAt  int
 	aliveCap int
 
-	// update-history ring.
+	// update-history ring: h holds the last hCap entries, h[0] at stream
+	// position hBase. It is append-only by position — hAppend drops the
+	// front by reslicing and never rewrites a written index — so the
+	// suffixes suffixFor hands out are views, not copies.
 	h     []hentry
 	hBase int64
 	hCap  int
 
+	// lastSync is written by setSync only; syncSum is its running total.
 	lastSync  []int64
+	syncSum   int64
 	freeWords []int32
 	kindOf    []int8
 	refreshAt int
@@ -238,22 +243,28 @@ func (c *coordinator) hAppend(e hentry) {
 				panic(fmt.Sprintf("dmm: machine %d fell behind the update-history ring", m))
 			}
 		}
-		c.h = append(c.h[:0], c.h[drop:]...)
+		c.h = c.h[drop:]
 		c.hBase += int64(drop)
 	}
 }
 
+func (c *coordinator) hEnd() int64 { return c.hBase + int64(len(c.h)) }
+
+func (c *coordinator) setSync(m int32, pos int64) {
+	c.syncSum += pos - c.lastSync[m]
+	c.lastSync[m] = pos
+}
+
 // suffixFor returns the H entries machine m has not seen and advances its
-// cursor.
+// cursor. The result is a read-only view of the ring, capped so nothing can
+// append into it: later hAppends write past its end or into a fresh array.
 func (c *coordinator) suffixFor(m int32) []hentry {
-	end := c.hBase + int64(len(c.h))
 	ls := c.lastSync[m]
 	if ls < c.hBase {
 		panic(fmt.Sprintf("dmm: machine %d lost history (sync %d < base %d)", m, ls, c.hBase))
 	}
-	out := append([]hentry(nil), c.h[ls-c.hBase:]...)
-	c.lastSync[m] = end
-	return out
+	c.setSync(m, c.hEnd())
+	return c.h[ls-c.hBase : len(c.h) : len(c.h)]
 }
 
 // suffixLen reports how many H entries machine m has not yet seen, without
@@ -261,7 +272,7 @@ func (c *coordinator) suffixFor(m int32) []hentry {
 // suffix the next message to m will carry (the batch scheduler's MC budget
 // claim).
 func (c *coordinator) suffixLen(m int32) int {
-	return int(c.hBase + int64(len(c.h)) - c.lastSync[m])
+	return int(c.hEnd() - c.lastSync[m])
 }
 
 // meanStoreSuffix averages suffixLen over the storage pool — the expected
@@ -272,30 +283,21 @@ func (c *coordinator) meanStoreSuffix() int {
 	if n <= 0 {
 		return 0
 	}
-	total := 0
-	for m := c.firstStore(); m < c.mu; m++ {
-		total += c.suffixLen(int32(m))
-	}
-	return total / n
+	// Σ (end − lastSync[m]) over the pool; the cursors below it stay 0.
+	return int((int64(n)*c.hEnd() - c.syncSum) / int64(n))
 }
 
-// deletedInH reports whether edge (v,other) has a pending lazy deletion
-// (driver-side validation helper).
-func (c *coordinator) deletedInH(v, other int32) bool {
-	del := false
-	for _, e := range c.h {
-		same := (e.a == v && e.b == other) || (e.a == other && e.b == v)
-		if !same {
-			continue
-		}
-		switch e.op {
-		case hEdgeIns:
-			del = false
-		case hEdgeDel:
-			del = true
+// deletedInH reports whether machine mach's copy of edge (v,other) has a
+// pending lazy deletion: an hEdgeDel the machine has not replayed yet. A
+// later re-insert does not revive the copy — its record is stored anew,
+// possibly on another of v's machines (driver-side validation helper).
+func (c *coordinator) deletedInH(mach, v, other int32) bool {
+	for _, e := range c.h[c.lastSync[mach]-c.hBase:] {
+		if e.op == hEdgeDel && ((e.a == v && e.b == other) || (e.a == other && e.b == v)) {
+			return true
 		}
 	}
-	return del
+	return false
 }
 
 // allocate claims a machine: first-fit light sharing or a fresh exclusive.
@@ -313,7 +315,7 @@ func (c *coordinator) allocate(kind int8, need int32) int32 {
 			c.freeWords[m] = int32(c.mem)
 			// A fresh machine holds nothing, so its history cursor starts
 			// at the present.
-			c.lastSync[m] = c.hBase + int64(len(c.h))
+			c.setSync(int32(m), c.hEnd())
 			return int32(m)
 		}
 	}
@@ -324,7 +326,7 @@ func (c *coordinator) allocate(kind int8, need int32) int32 {
 func (c *coordinator) release(m int32) {
 	c.kindOf[m] = mkFree
 	c.freeWords[m] = int32(c.mem)
-	c.lastSync[m] = c.hBase + int64(len(c.h))
+	c.setSync(m, c.hEnd())
 }
 
 // await parks the current flow until n replies carrying its seq arrive.

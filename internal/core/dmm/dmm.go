@@ -79,7 +79,7 @@ type M struct {
 	cluster *mpc.Cluster
 	coord   *coordinator
 	stats   []*statsMachine
-	storage []*storeMachine
+	storage []storeMachine // one slab; a zero storeMachine is an empty one
 	// packer forms every executed wave and carries the tenant policy, if
 	// any; probe is the serial head-run width heuristic's own first-fit
 	// instance (a packer's wave is valid only until its next call, and the
@@ -141,10 +141,10 @@ func New(cfg Config) *M {
 		m.stats[i] = newStatsMachine(1+i, statsPer)
 		cl.SetMachine(1+i, m.stats[i])
 	}
-	m.storage = make([]*storeMachine, poolSize)
-	for i := 0; i < poolSize; i++ {
-		m.storage[i] = newStoreMachine(1 + numStats + i)
-		cl.SetMachine(1+numStats+i, m.storage[i])
+	m.storage = make([]storeMachine, poolSize)
+	for i := range m.storage {
+		m.storage[i].id = 1 + numStats + i
+		cl.SetMachine(1+numStats+i, &m.storage[i])
 	}
 	return m
 }
@@ -518,19 +518,37 @@ func (m *M) Fallbacks() int64 { return m.coord.fallbacks }
 // capacity, directory free-space figures match machine contents, and
 // nothing is left behind at quiescence: no gathered query answer (ApplyOps
 // is the result maps' only reader and deletes every entry it collects), no
-// coordinator flow still in flight, no update still queued.
+// coordinator flow still in flight, no update still queued. It also audits
+// every running summary against a recomputation from scratch — the
+// machines' MemWords counters, the storage owner index, MC's cursor sum —
+// and reads without writing: validating changes no machine's state.
 func (m *M) Validate(g *graph.Graph) error {
 	for _, sm := range m.stats {
 		if n := len(sm.queryResults); n != 0 {
 			return fmt.Errorf("machine %d: %d uncollected query answers at quiescence", sm.id, n)
 		}
+		if got, want := sm.MemWords(), sm.scanWords(); got != want {
+			return fmt.Errorf("machine %d: stats word counter %d, %d recomputed", sm.id, got, want)
+		}
+	}
+	for i := range m.storage {
+		if err := m.storage[i].audit(); err != nil {
+			return err
+		}
 	}
 	if fl, q := len(m.coord.inflight), len(m.coord.queue); fl+q != 0 {
 		return fmt.Errorf("coordinator: %d flows in flight and %d updates queued at quiescence", fl, q)
 	}
+	var sum int64
+	for _, ls := range m.coord.lastSync {
+		sum += ls
+	}
+	if sum != m.coord.syncSum {
+		return fmt.Errorf("coordinator: cursor sum %d, %d recomputed", m.coord.syncSum, sum)
+	}
 	// Effective edge sets per vertex, after applying pending H deletions.
 	for v := 0; v < m.cfg.N; v++ {
-		st := m.stats[v/m.coord.statsPer].get(int32(v))
+		st := m.statPeek(int32(v))
 		if int(st.deg) != g.Degree(v) {
 			return fmt.Errorf("vertex %d: stats degree %d, graph %d", v, st.deg, g.Degree(v))
 		}
@@ -543,9 +561,9 @@ func (m *M) Validate(g *graph.Graph) error {
 			if mach < 0 {
 				return nil
 			}
-			sm := m.storage[int(mach)-1-len(m.stats)]
+			sm := &m.storage[int(mach)-1-len(m.stats)]
 			for _, rec := range sm.edges[int32(v)] {
-				if m.coord.deletedInH(int32(v), rec.other) {
+				if m.coord.deletedInH(mach, int32(v), rec.other) {
 					continue
 				}
 				if edges[rec.other] {
@@ -572,7 +590,7 @@ func (m *M) Validate(g *graph.Graph) error {
 			return fmt.Errorf("vertex %d: %d stored, %d in graph", v, len(edges), g.Degree(v))
 		}
 		if st.heavy {
-			alive := m.storage[int(st.home)-1-len(m.stats)]
+			alive := &m.storage[int(st.home)-1-len(m.stats)]
 			if len(alive.edges[int32(v)]) > m.coord.aliveCap {
 				return fmt.Errorf("vertex %d: alive window %d exceeds cap %d",
 					v, len(alive.edges[int32(v)]), m.coord.aliveCap)

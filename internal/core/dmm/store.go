@@ -1,6 +1,10 @@
 package dmm
 
-import "dmpc/internal/mpc"
+import (
+	"fmt"
+
+	"dmpc/internal/mpc"
+)
 
 // statsMachine holds the authoritative per-vertex statistics for a
 // contiguous id range (the paper's O(n/√N) statistics machines).
@@ -9,6 +13,7 @@ type statsMachine struct {
 	per          int
 	stats        map[int32]*stat
 	queryResults map[int64]int32 // mate answers, gathered driver-side
+	suspWords    int             // Σ len(stat.suspended), kept at the one SetSusp site
 }
 
 func newStatsMachine(id, per int) *statsMachine {
@@ -20,6 +25,11 @@ func newStatsMachine(id, per int) *statsMachine {
 }
 
 func (s *statsMachine) MemWords() int {
+	return 2*len(s.queryResults) + 6*len(s.stats) + s.suspWords
+}
+
+// scanWords is Validate's oracle for MemWords: the same sum by scan.
+func (s *statsMachine) scanWords() int {
 	w := 2 * len(s.queryResults)
 	for _, st := range s.stats {
 		w += 6 + len(st.suspended)
@@ -36,16 +46,13 @@ func (s *statsMachine) get(v int32) *stat {
 	return st
 }
 
-// peek returns a copy of v's scalar stat fields without allocating
-// authoritative state for a never-touched vertex — the read the
-// driver-side batch scheduler and the MateTable oracle use. The suspended
-// list is withheld (nil) rather than copied: no peek caller reads it, and
-// handing out the live slice would alias machine state.
+// peek returns v's stat without allocating authoritative state for a
+// never-touched vertex — the read of the driver-side batch scheduler, the
+// MateTable oracle, Validate and mate queries. The suspended list is the
+// live slice, read-only (SetSusp replaces it whole; Validate alone looks).
 func (s *statsMachine) peek(v int32) stat {
 	if st, ok := s.stats[v]; ok {
-		cp := *st
-		cp.suspended = nil
-		return cp
+		return *st
 	}
 	return stat{mate: -1, home: -1}
 }
@@ -78,6 +85,7 @@ func (s *statsMachine) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 				st.aliveCnt = m.Cnt
 			}
 			if m.SetSusp {
+				s.suspWords += len(m.Susp) - len(st.suspended)
 				st.suspended = append([]int32(nil), m.Susp...)
 			}
 		case cCtrAdd:
@@ -87,11 +95,7 @@ func (s *statsMachine) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 		case cMateQuery:
 			// Plain lookup: a read must not allocate authoritative state
 			// for a never-touched vertex (free vertices report -1 anyway).
-			mate := int32(-1)
-			if st, ok := s.stats[m.V]; ok {
-				mate = st.mate
-			}
-			s.queryResults[m.Seq] = mate
+			s.queryResults[m.Seq] = s.peek(m.V).mate
 		case cCtrGet:
 			reply := cmsg{Kind: cCtrRep, Seq: m.Seq, Vs: append([]int32(nil), m.Vs...)}
 			reply.Ds = make([]int32, len(m.Vs))
@@ -105,26 +109,103 @@ func (s *statsMachine) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 
 // storeMachine holds adjacency records, keyed by owning vertex. It applies
 // H suffixes before acting and reports reclaimed space on every reply.
+//
+// Every record enters through add and leaves through unindex, which keep
+// nrecs (MemWords is edgeWords·nrecs) and the owner index: head[w] starts a
+// chain through nodes naming the owner of each record whose other endpoint
+// is w — once per record, since a stale lazily-deleted copy and its
+// re-insert can coexist — so an H entry costs the lists that mention its
+// vertices, not the machine. nodes[0] ends every chain and free heads the
+// recycled nodes: the zero machine is an empty one (the pool is one slab),
+// and its maps and nodes appear with its first record.
 type storeMachine struct {
 	id    int
 	edges map[int32][]edgeRec
+	nrecs int
+	head  map[int32]int32
+	nodes []ownerNode
+	free  int32
 }
 
-func newStoreMachine(id int) *storeMachine {
-	return &storeMachine{id: id, edges: make(map[int32][]edgeRec)}
-}
+type ownerNode struct{ owner, next int32 }
 
-func (s *storeMachine) MemWords() int {
-	w := 0
-	for _, recs := range s.edges {
-		w += edgeWords * len(recs)
+func (s *storeMachine) MemWords() int { return edgeWords * s.nrecs }
+
+func (s *storeMachine) add(v int32, rec edgeRec) {
+	if s.edges == nil {
+		s.edges, s.head = make(map[int32][]edgeRec), make(map[int32]int32)
+		s.nodes = []ownerNode{{owner: -1}}
 	}
-	return w
+	s.edges[v] = append(s.edges[v], rec)
+	s.nrecs++
+	p := s.free
+	if p != 0 {
+		s.free = s.nodes[p].next
+	} else {
+		p = int32(len(s.nodes))
+		s.nodes = append(s.nodes, ownerNode{})
+	}
+	s.nodes[p] = ownerNode{owner: v, next: s.head[rec.other]}
+	s.head[rec.other] = p
+}
+
+// unindex forgets one record of v naming other (the caller takes it out of
+// edges): the chain is a multiset, so the entry naming v takes over the
+// head's owner and the head node is recycled.
+func (s *storeMachine) unindex(v, other int32) {
+	s.nrecs--
+	p := s.head[other]
+	q := p
+	for s.nodes[q].owner != v {
+		if q = s.nodes[q].next; q == 0 {
+			panic(fmt.Sprintf("dmm: machine %d: owner index lost record (%d,%d)", s.id, v, other))
+		}
+	}
+	s.nodes[q].owner = s.nodes[p].owner
+	if next := s.nodes[p].next; next != 0 {
+		s.head[other] = next
+	} else {
+		delete(s.head, other)
+	}
+	s.nodes[p].next, s.free = s.free, p
+}
+
+// audit is Validate's oracle for the counter and the index: nrecs is the
+// number of stored records, and the chains hold exactly the multiset of
+// (other, owner) over edges.
+func (s *storeMachine) audit() error {
+	n := 0
+	pairs := map[[2]int32]int{}
+	for v, recs := range s.edges {
+		n += len(recs)
+		for _, r := range recs {
+			pairs[[2]int32{r.other, v}]++
+		}
+	}
+	if n != s.nrecs {
+		return fmt.Errorf("machine %d: record counter %d, %d stored", s.id, s.nrecs, n)
+	}
+	for other, p := range s.head {
+		for ; p != 0; p = s.nodes[p].next {
+			pairs[[2]int32{other, s.nodes[p].owner}]--
+		}
+	}
+	for k, d := range pairs {
+		if d != 0 {
+			return fmt.Errorf("machine %d: owner index off by %d for record (%d,%d)", s.id, -d, k[1], k[0])
+		}
+	}
+	return nil
 }
 
 // applyH replays an update-history suffix onto the local records,
-// returning the number of words reclaimed by lazy deletions.
+// returning the number of words reclaimed by lazy deletions. A machine
+// holding nothing — most round-robin refreshes land on free pool machines —
+// has nothing to replay onto.
 func (s *storeMachine) applyH(h []hentry) int32 {
+	if s.nrecs == 0 {
+		return 0
+	}
 	var freed int32
 	for _, e := range h {
 		switch e.op {
@@ -146,9 +227,12 @@ func (s *storeMachine) applyH(h []hentry) int32 {
 	return freed
 }
 
-// eachRec visits every record whose other endpoint is v.
+// eachRec visits every record whose other endpoint is v: the lists of the
+// owners v's chain names. An owner holding two such records is named (and
+// its list walked) twice; every visitor is idempotent.
 func (s *storeMachine) eachRec(v int32, f func(*edgeRec)) {
-	for _, recs := range s.edges {
+	for p := s.head[v]; p != 0; p = s.nodes[p].next {
+		recs := s.edges[s.nodes[p].owner]
 		for i := range recs {
 			if recs[i].other == v {
 				f(&recs[i])
@@ -157,7 +241,8 @@ func (s *storeMachine) eachRec(v int32, f func(*edgeRec)) {
 	}
 }
 
-// eachMate visits every record whose mirrored mate is v.
+// eachMate visits every record whose mirrored mate is v. It scans the
+// machine: only heavy transitions ask, and nothing indexes mates.
 func (s *storeMachine) eachMate(v int32, f func(*edgeRec)) {
 	for _, recs := range s.edges {
 		for i := range recs {
@@ -177,6 +262,7 @@ func (s *storeMachine) removeRec(v, other int32) int32 {
 			if len(s.edges[v]) == 0 {
 				delete(s.edges, v)
 			}
+			s.unindex(v, other)
 			return edgeWords
 		}
 	}
@@ -192,7 +278,7 @@ func (s *storeMachine) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 		switch m.Kind {
 		case cStore:
 			freed := s.applyH(m.H)
-			s.edges[m.V] = append(s.edges[m.V], m.Rec)
+			s.add(m.V, m.Rec)
 			if freed > 0 {
 				ctx.Send(0, cmsg{Kind: cAck, Seq: -1, Target: int32(s.id), Freed: freed}, 4)
 			}
@@ -227,6 +313,9 @@ func (s *storeMachine) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 			freed := s.applyH(m.H)
 			recs := s.edges[m.V]
 			delete(s.edges, m.V)
+			for _, r := range recs {
+				s.unindex(m.V, r.other)
+			}
 			freed += int32(len(recs) * edgeWords)
 			ctx.Send(int(m.Target), cmsg{
 				Kind: cMoveIn, Seq: m.Seq, V: m.V, Recs: recs, Keep: m.Keep, Overflow: m.Overflow,
@@ -238,7 +327,9 @@ func (s *storeMachine) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 			if m.Keep >= 0 && int(m.Keep) < len(recs) {
 				kept = recs[:m.Keep]
 			}
-			s.edges[m.V] = append(s.edges[m.V], kept...)
+			for _, r := range kept {
+				s.add(m.V, r)
+			}
 			ctx.Send(0, cmsg{
 				Kind: cAck, Seq: m.Seq, Target: int32(s.id),
 				Used: int32(len(kept) * edgeWords), Count: int32(len(kept)),
