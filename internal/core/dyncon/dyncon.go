@@ -24,7 +24,8 @@
 // learn those by sending and receiving an appropriate message"), reads
 // component sizes from the registry, and then broadcasts a single O(1)-word
 // message carrying the etour.Shift descriptors. Every machine applies the
-// shifts to every position it stores; because the maps are conditioned on
+// shifts to every position it stores for the components they name (reached
+// through shard.compVerts and shard.adj); because the maps are conditioned on
 // position values and component labels only, mirrored anchors stay
 // consistent with no further communication — this is the property §5
 // leverages to avoid Ω(N) neighbor updates. After a cut, machines scan
@@ -180,7 +181,7 @@ func (d *D) opWeight(w graph.Weight) graph.Weight {
 func (d *D) inject(up graph.Update, seq int64) {
 	d.cluster.Send(mpc.Message{
 		From: -1, To: d.owner(up.U),
-		Payload: wire{
+		Payload: &wire{
 			Kind: kUpdate, U: int32(up.U), V: int32(up.V), W: int64(d.opWeight(up.W)),
 			Seq: seq, Flag: up.Op == graph.Delete,
 		},
@@ -439,17 +440,17 @@ func (d *D) runOpWave(ops []graph.Op, ids []int64, wave []int, mt bool) {
 		case graph.OpConnected:
 			d.cluster.Send(mpc.Message{
 				From: -1, To: d.owner(op.U),
-				Payload: wire{Kind: kQuery, U: int32(op.U), V: int32(op.V), Seq: ids[i]},
+				Payload: &wire{Kind: kQuery, U: int32(op.U), V: int32(op.V), Seq: ids[i]},
 				Words:   4,
 			})
 		case graph.OpComponentOf:
 			d.cluster.Send(mpc.Message{
 				From: -1, To: d.owner(op.U),
-				Payload: wire{Kind: kCompQuery, V: int32(op.U), Seq: ids[i]},
+				Payload: &wire{Kind: kCompQuery, V: int32(op.U), Seq: ids[i]},
 				Words:   3,
 			})
 		case graph.OpSubtreeSum, graph.OpPathSum, graph.OpTreeTop:
-			msg := wire{Kind: kDPSubtree, U: int32(op.U), V: int32(op.V), Seq: ids[i]}
+			msg := &wire{Kind: kDPSubtree, U: int32(op.U), V: int32(op.V), Seq: ids[i]}
 			words := 5
 			switch op.Kind {
 			case graph.OpPathSum:
@@ -461,7 +462,7 @@ func (d *D) runOpWave(ops []graph.Op, ids []int64, wave []int, mt bool) {
 		case graph.OpSetWeight:
 			d.cluster.Send(mpc.Message{
 				From: -1, To: d.owner(op.U),
-				Payload: wire{Kind: kSetWeight, U: int32(op.U), W: int64(op.W), Seq: ids[i]},
+				Payload: &wire{Kind: kSetWeight, U: int32(op.U), W: int64(op.W), Seq: ids[i]},
 				Words:   4,
 			})
 		case graph.OpMateOf, graph.OpMatched:
@@ -607,6 +608,9 @@ func (d *D) Validate() error {
 		if listed != len(sh.verts) {
 			return fmt.Errorf("machine %d: compVerts indexes %d vertices, verts holds %d", sh.id, listed, len(sh.verts))
 		}
+		if err := sh.auditAdj(); err != nil {
+			return fmt.Errorf("machine %d: %w", sh.id, err)
+		}
 	}
 
 	// Registry sizes vs vertex labels.
@@ -744,6 +748,76 @@ func (d *D) Validate() error {
 		}
 	}
 	return nil
+}
+
+// auditAdj checks the adjacency against the by-edge maps, which it must
+// mirror exactly: every record listed once under each endpoint the shard
+// owns, marked unfiled at the other, and nothing else listed — no foreign
+// vertex, no drained entry, no stale record. Handlers reach records only
+// through it, so drift would silently skip (or double-apply) a Shift.
+func (s *shard) auditAdj() error {
+	tree := map[*treeRec][2]int{} // record -> times listed under U, under V
+	nt := map[*ntRec][2]int{}
+	for v, h := range s.adj {
+		if s.owner(v) != s.id {
+			return fmt.Errorf("adjacency files records under vertex %d, which machine %d owns", v, s.owner(v))
+		}
+		if h == (filed{}) {
+			return fmt.Errorf("adjacency keeps a drained entry for vertex %d", v)
+		}
+		n := 0
+		for r := h.tree; r != nil; r = *r.linkAt(v) {
+			if n++; n > len(s.tree) {
+				return fmt.Errorf("adjacency: the tree list of vertex %d does not end", v)
+			}
+			if s.tree[graph.Edge{U: r.pos.U, V: r.pos.V}] != r || (int(v) != r.pos.U && int(v) != r.pos.V) {
+				return fmt.Errorf("adjacency lists a stale or foreign tree record %d-%d under vertex %d", r.pos.U, r.pos.V, v)
+			}
+			c := tree[r]
+			c[b2i(int(v) != r.pos.U)]++
+			tree[r] = c
+		}
+		n = 0
+		for r := h.nt; r != nil; r = *r.linkAt(v) {
+			if n++; n > len(s.nontree) {
+				return fmt.Errorf("adjacency: the non-tree list of vertex %d does not end", v)
+			}
+			if s.nontree[graph.Edge{U: int(r.u), V: int(r.v)}] != r || (v != r.u && v != r.v) {
+				return fmt.Errorf("adjacency lists a stale or foreign non-tree record %d-%d under vertex %d", r.u, r.v, v)
+			}
+			c := nt[r]
+			c[b2i(v != r.u)]++
+			nt[r] = c
+		}
+	}
+	check := func(kind string, e graph.Edge, listed [2]int, unfiled [2]bool) error {
+		for i, x := range [2]int{e.U, e.V} {
+			owned := s.owner(int32(x)) == s.id
+			if listed[i] != b2i(owned) || unfiled[i] == owned {
+				return fmt.Errorf("adjacency lists %s record %v %d times under vertex %d (owned here: %v, marked unfiled: %v)",
+					kind, e, listed[i], x, owned, unfiled[i])
+			}
+		}
+		return nil
+	}
+	for e, r := range s.tree {
+		if err := check("tree", e, tree[r], [2]bool{r.next[0] == r, r.next[1] == r}); err != nil {
+			return err
+		}
+	}
+	for e, r := range s.nontree {
+		if err := check("non-tree", e, nt[r], [2]bool{r.next[0] == r, r.next[1] == r}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // WeightOf returns v's tree-DP weight by inspecting the shard directly —

@@ -105,6 +105,13 @@ func (d *D) Preprocess(g *graph.Graph) mpc.HalfStats {
 		sh.sizes = make(map[int64]int)
 		sh.tree = make(map[graph.Edge]*treeRec)
 		sh.nontree = make(map[graph.Edge]*ntRec)
+		sh.adj = make(map[int32]filed)
+		// Weights survive the reload, but their anchors and labels are the
+		// replaced forest's: re-anchor each at its vertex's first appearance
+		// in the new tours (0 for a singleton).
+		for v, rec := range sh.weights {
+			rec.Anchor, rec.Comp = seqs[int(comps[v])].First(int(v)), comps[v]
+		}
 	}
 	for c, k := range sizes {
 		d.shards[d.registry(c)].sizes[c] = k
@@ -129,10 +136,10 @@ func (d *D) Preprocess(g *graph.Graph) mpc.HalfStats {
 				w:    int64(isTree[e]),
 			}
 			cu := rec
-			d.shards[d.owner(e.U)].tree[e] = &cu
+			d.shards[d.owner(e.U)].addTree(e, &cu)
 			if d.owner(e.V) != d.owner(e.U) {
 				cv := rec
-				d.shards[d.owner(e.V)].tree[e] = &cv
+				d.shards[d.owner(e.V)].addTree(e, &cv)
 			}
 		}
 	}
@@ -159,10 +166,10 @@ func (d *D) Preprocess(g *graph.Graph) mpc.HalfStats {
 			w: int64(e.W),
 		}
 		cu := rec
-		d.shards[d.owner(e.U)].nontree[graph.Edge{U: e.U, V: e.V}] = &cu
+		d.shards[d.owner(e.U)].addNonTree(graph.Edge{U: e.U, V: e.V}, &cu)
 		if d.owner(e.V) != d.owner(e.U) {
 			cv := rec
-			d.shards[d.owner(e.V)].nontree[graph.Edge{U: e.U, V: e.V}] = &cv
+			d.shards[d.owner(e.V)].addNonTree(graph.Edge{U: e.U, V: e.V}, &cv)
 		}
 	}
 	return res

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dmpc/internal/graph"
+	"dmpc/internal/treedp"
 )
 
 func TestPreprocessArbitraryGraphThenUpdates(t *testing.T) {
@@ -105,5 +106,38 @@ func TestPreprocessMSTBucketedApprox(t *testing.T) {
 	}
 	if opt > lower*(1+eps)+float64(n)*(1+eps) {
 		t.Fatalf("preprocessing approximation violated: opt %v, bucketed %v", opt, lower)
+	}
+}
+
+// TestPreprocessReanchorsWeightRecords: Preprocess replaces the forest but
+// keeps the weights, and used to leave their anchors and labels pointing
+// into the forest it had just replaced (Validate: "weight record for 1:
+// component 0, verts says 1").
+func TestPreprocessReanchorsWeightRecords(t *testing.T) {
+	const n = 16
+	d := New(Config{N: n})
+	oracle := treedp.NewOracle(n)
+	d.ApplyOps([]graph.Op{graph.OpIns(0, 1, 1), graph.OpIns(1, 2, 1), graph.OpSetW(2, 7), graph.OpSetW(1, 5)})
+	oracle.SetWeight(2, 7)
+	oracle.SetWeight(1, 5)
+	g := graph.New(n)
+	for _, e := range [][2]int{{5, 2}, {2, 9}, {9, 1}} {
+		g.Insert(e[0], e[1], 1)
+	}
+	d.Preprocess(g)
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	res, _ := d.ApplyOps([]graph.Op{graph.OpQSubtreeSum(5, 9), graph.OpQPathSum(5, 1), graph.OpQPathSum(2, 0), graph.OpQSubtreeSum(1, 2)})
+	adj := forestAdj(d, n)
+	for i, want := range []int64{oracle.SubtreeSum(adj, 5, 9), oracle.PathSum(adj, 5, 1), oracle.PathSum(adj, 2, 0), oracle.SubtreeSum(adj, 1, 2)} {
+		if res[i].Int != want {
+			t.Fatalf("query %d after Preprocess answered %d, oracle says %d", i, res[i].Int, want)
+		}
+	}
+	// The re-anchored records repair under later links and cuts like any other.
+	d.ApplyOps([]graph.Op{graph.OpDel(2, 9), graph.OpIns(1, 7, 1)})
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }

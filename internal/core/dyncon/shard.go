@@ -2,7 +2,6 @@ package dyncon
 
 import (
 	"fmt"
-	"sort"
 
 	"dmpc/internal/etour"
 	"dmpc/internal/graph"
@@ -50,9 +49,14 @@ const (
 // wire is the single message payload of the protocol; Kind selects which
 // fields are meaningful. Words charged per message reflect the populated
 // field count, all O(1).
+//
+// Payloads travel as *wire and are immutable once sent: Broadcast hands one
+// payload to all µ inboxes, so a handler reads what it receives and never
+// writes it — which is also what lets Miss be shared.
 type wire struct {
 	Kind        kind
 	U, V        int32
+	ReplyTo     int32
 	W           int64
 	Seq         int64
 	Comp, Comp2 int64
@@ -71,30 +75,70 @@ type wire struct {
 	Promote     bool
 	Convert     bool // cut converts the edge to non-tree (MST swap)
 	NoReplace   bool
-	ReplyTo     int32
 	Found       bool
 	Flag        bool
+	// Miss, on a gathering broadcast (kDoCut, kPathMaxReq), is the reply of a
+	// machine with nothing to report: the broadcaster builds the one value
+	// its µ receivers would each have built, and they send that.
+	Miss *wire
 }
 
-func (w wire) words() int { return 16 + 5*len(w.Shifts) }
+func (w *wire) words() int { return 16 + 5*len(w.Shifts) }
 
 // treeRec is one tree edge's state: its four tour positions (etour.EdgePos,
 // self-describing), the component and the operative weight.
+//
+// next chains the records filed under endpoint pos.U (next[0]) and pos.V
+// (next[1]) in the shard's adjacency; nil ends a list. An endpoint another
+// machine owns has no list here, and its link points at the record itself —
+// "is the other endpoint filed here too" is then one pointer compare per
+// visit (an owner() division per visit was a fifth of a one-component
+// set-up).
 type treeRec struct {
 	pos  etour.EdgePos
 	comp int64
 	w    int64
+	next [2]*treeRec
 }
+
+func (r *treeRec) linkAt(v int32) **treeRec {
+	if int(v) == r.pos.U {
+		return &r.next[0]
+	}
+	return &r.next[1]
+}
+
+// rewrittenFrom reports whether a walk that reached r through its endpoint v
+// is the one that rewrites it: a record with both endpoints on this shard is
+// reached from each of them, and shifted from U only.
+func (r *treeRec) rewrittenFrom(v int32) bool { return int(v) == r.pos.U || r.next[0] == r }
 
 // ntRec is a non-tree edge: one anchor position and component per endpoint.
 // Anchors are arbitrary surviving tour appearances of their endpoint; 0
 // marks an endpoint that is currently a singleton (only possible while the
 // record crosses a fresh cut, and then that endpoint is always a named
-// endpoint of the healing link).
+// endpoint of the healing link). next files it the way treeRec's does.
 type ntRec struct {
+	u, v   int32
 	aU, aV int
 	cU, cV int64
 	w      int64
+	next   [2]*ntRec
+}
+
+func (r *ntRec) linkAt(v int32) **ntRec {
+	if v == r.u {
+		return &r.next[0]
+	}
+	return &r.next[1]
+}
+
+func (r *ntRec) rewrittenFrom(v int32) bool { return v == r.u || r.next[0] == r }
+
+// filed heads the records filed under one owned vertex.
+type filed struct {
+	tree *treeRec
+	nt   *ntRec
 }
 
 // pending tracks one in-flight orchestration at the coordinator-for-this-
@@ -157,9 +201,27 @@ type shard struct {
 	// cluster-wide work per update once n reaches 10^5). The index is a
 	// runtime cache derived from verts: it never changes messages, stats
 	// or MemWords, which charge for the logical state only.
-	compVerts    map[int64][]int32
+	compVerts map[int64][]int32
+	// tree and nontree are the by-edge lookup (duplicate check, delete,
+	// interval request, broadcasts) and what MemWords counts. adj files the
+	// same records under the owned vertices they are incident to — a record
+	// is on this shard because an endpoint is owned — so a handler that names
+	// a component reaches its records through compVerts[comp] → adj: it costs
+	// what the component holds here, and nothing on a shard holding none of
+	// it. Like compVerts, adj is a runtime cache, never billed or sent; an
+	// entry whose lists drain is dropped.
+	//
+	// The walk is exact because a Shift is a no-op on a position whose label
+	// it does not name, and a label is its vertex's: a tree record's comp
+	// labels both endpoints, a weight record's Comp its vertex, a non-tree
+	// anchor's component its endpoint. A named anchor whose endpoint lives
+	// elsewhere is reached from the record's owned endpoint, which carries
+	// the same label — unless the record crosses a fresh cut, and a crossing
+	// record exists only between a cut broadcast and its relink, both of
+	// which name both sides.
 	tree         map[graph.Edge]*treeRec
 	nontree      map[graph.Edge]*ntRec
+	adj          map[int32]filed
 	sizes        map[int64]int
 	queryResults map[int64]bool  // connectivity answers, gathered driver-side
 	compResults  map[int64]int64 // component answers, gathered driver-side
@@ -183,6 +245,7 @@ func newShard(id, mu int, cfg Config) *shard {
 		compVerts:    make(map[int64][]int32),
 		tree:         make(map[graph.Edge]*treeRec),
 		nontree:      make(map[graph.Edge]*ntRec),
+		adj:          make(map[int32]filed),
 		sizes:        make(map[int64]int),
 		queryResults: make(map[int64]bool),
 		compResults:  make(map[int64]int64),
@@ -201,15 +264,92 @@ func (s *shard) MemWords() int {
 	return 2*len(s.verts) + 7*len(s.tree) + 7*len(s.nontree) + 2*len(s.sizes) + 4*len(s.weights)
 }
 
-// flOf computes f(v), l(v) from the locally stored tree records — the
-// on-demand computation §5 prescribes. Zero values mean singleton.
-func (s *shard) flOf(v int32) (f, l int) {
-	for e, rec := range s.tree {
-		if int32(e.U) != v && int32(e.V) != v {
+// addTree stores e's tree record and files it under its owned endpoints.
+func (s *shard) addTree(e graph.Edge, r *treeRec) {
+	s.tree[e] = r
+	for i, x := range [2]int32{int32(e.U), int32(e.V)} {
+		if s.owner(x) != s.id {
+			r.next[i] = r
 			continue
 		}
-		p := posOf(&rec.pos, int(v))
-		for _, i := range p {
+		h := s.adj[x]
+		r.next[i], h.tree = h.tree, r
+		s.adj[x] = h
+	}
+}
+
+// removeTree unfiles and returns e's tree record, nil if the shard holds none.
+func (s *shard) removeTree(e graph.Edge) *treeRec {
+	r, ok := s.tree[e]
+	if !ok {
+		return nil
+	}
+	delete(s.tree, e)
+	for i, x := range [2]int32{int32(e.U), int32(e.V)} {
+		if r.next[i] == r {
+			continue
+		}
+		h := s.adj[x]
+		at := &h.tree
+		for *at != r {
+			at = (*at).linkAt(x)
+		}
+		*at = r.next[i]
+		s.setFiled(x, h)
+	}
+	return r
+}
+
+// addNonTree and removeNonTree are addTree and removeTree for non-tree records.
+func (s *shard) addNonTree(e graph.Edge, r *ntRec) {
+	r.u, r.v = int32(e.U), int32(e.V)
+	s.nontree[e] = r
+	for i, x := range [2]int32{r.u, r.v} {
+		if s.owner(x) != s.id {
+			r.next[i] = r
+			continue
+		}
+		h := s.adj[x]
+		r.next[i], h.nt = h.nt, r
+		s.adj[x] = h
+	}
+}
+
+func (s *shard) removeNonTree(e graph.Edge) *ntRec {
+	r, ok := s.nontree[e]
+	if !ok {
+		return nil
+	}
+	delete(s.nontree, e)
+	for i, x := range [2]int32{r.u, r.v} {
+		if r.next[i] == r {
+			continue
+		}
+		h := s.adj[x]
+		at := &h.nt
+		for *at != r {
+			at = (*at).linkAt(x)
+		}
+		*at = r.next[i]
+		s.setFiled(x, h)
+	}
+	return r
+}
+
+// setFiled writes back x's heads after an unlink, dropping a drained entry.
+func (s *shard) setFiled(x int32, h filed) {
+	if h == (filed{}) {
+		delete(s.adj, x)
+	} else {
+		s.adj[x] = h
+	}
+}
+
+// flOf computes f(v), l(v) from v's incident tree records — the on-demand
+// computation §5 prescribes. Zero values mean singleton.
+func (s *shard) flOf(v int32) (f, l int) {
+	for r := s.adj[v].tree; r != nil; r = *r.linkAt(v) {
+		for _, i := range posOf(&r.pos, int(v)) {
 			if f == 0 || i < f {
 				f = i
 			}
@@ -249,20 +389,27 @@ func applyChain(shifts []etour.Shift, pos int, comp int64) (int, int64) {
 
 // applyChainRec shifts all four positions of a tree record. The positions
 // of one record always sit on the same side of any cut interval and share
-// one component trajectory, so the relabel computed for the first position
-// applies to the record.
+// one component trajectory, so each shift is tested against the record's
+// component once and applied to all four, and the relabel decided on the
+// first position applies to the record.
 func applyChainRec(shifts []etour.Shift, rec *treeRec) {
-	var c int64
-	rec.pos.UV[0], c = applyChain(shifts, rec.pos.UV[0], rec.comp)
-	rec.pos.UV[1], _ = applyChain(shifts, rec.pos.UV[1], rec.comp)
-	rec.pos.VU[0], _ = applyChain(shifts, rec.pos.VU[0], rec.comp)
-	rec.pos.VU[1], _ = applyChain(shifts, rec.pos.VU[1], rec.comp)
-	rec.comp = c
+	p := &rec.pos
+	for i := range shifts {
+		sh := &shifts[i]
+		if rec.comp != sh.Comp {
+			continue
+		}
+		if sh.Moves(p.UV[0]) {
+			rec.comp = sh.NewComp
+		}
+		p.UV[0], p.UV[1] = sh.Apply(p.UV[0]), sh.Apply(p.UV[1])
+		p.VU[0], p.VU[1] = sh.Apply(p.VU[0]), sh.Apply(p.VU[1])
+	}
 }
 
 func (s *shard) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 	for _, m := range inbox {
-		w, ok := m.Payload.(wire)
+		w, ok := m.Payload.(*wire)
 		if !ok {
 			continue
 		}
@@ -271,39 +418,39 @@ func (s *shard) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 			s.startUpdate(ctx, w)
 		case kInfoReq:
 			f, l := s.flOf(w.U)
-			ctx.Send(int(w.ReplyTo), wire{
+			ctx.Send(int(w.ReplyTo), &wire{
 				Kind: kInfoRep, U: w.U, Seq: w.Seq,
 				Comp: s.verts[w.U], F: f, L: l,
 			}, 7)
 		case kInfoRep:
 			s.onInfo(ctx, w)
 		case kSizeReq:
-			ctx.Send(int(w.ReplyTo), wire{
+			ctx.Send(int(w.ReplyTo), &wire{
 				Kind: kSizeRep, Comp: w.Comp, Seq: w.Seq, Size: s.sizes[w.Comp],
 			}, 5)
 		case kSizeRep:
 			s.onSize(ctx, w)
 		case kDoLink:
-			s.onDoLink(ctx, w)
+			s.onDoLink(w)
 		case kAddNonTree:
 			e := graph.NormEdge(int(w.U), int(w.V))
-			au, av, cu, cv := w.AnchorU, w.AnchorV, w.Comp, w.Comp
+			au, av := w.AnchorU, w.AnchorV
 			if e.U != int(w.U) {
 				au, av = av, au
 			}
-			s.nontree[e] = &ntRec{aU: au, aV: av, cU: cu, cV: cv, w: w.W}
+			s.addNonTree(e, &ntRec{aU: au, aV: av, cU: w.Comp, cV: w.Comp, w: w.W})
 		case kDelNonTree:
-			delete(s.nontree, graph.NormEdge(int(w.U), int(w.V)))
+			s.removeNonTree(graph.NormEdge(int(w.U), int(w.V)))
 		case kDoCut:
-			s.onDoCut(ctx, w)
+			ctx.Send(int(w.ReplyTo), s.onDoCut(w), 6)
 		case kCandidate:
 			s.onCandidate(ctx, w)
 		case kPathMaxReq:
-			s.onPathMaxReq(ctx, w)
+			ctx.Send(int(w.ReplyTo), s.onPathMaxReq(w), 6)
 		case kPathMaxRep:
 			s.onPathMaxRep(ctx, w)
 		case kQuery:
-			ctx.Send(s.owner(w.V), wire{
+			ctx.Send(s.owner(w.V), &wire{
 				Kind: kQueryFwd, U: w.U, V: w.V, Seq: w.Seq, Comp: s.verts[w.U],
 			}, 5)
 		case kQueryFwd:
@@ -324,7 +471,7 @@ func (s *shard) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 			s.onDPTop(ctx, w)
 		case kDPInfoReq:
 			f, l := s.flOf(w.U)
-			ctx.Send(int(w.ReplyTo), wire{
+			ctx.Send(int(w.ReplyTo), &wire{
 				Kind: kDPInfoRep, U: w.U, Seq: w.Seq,
 				Comp: s.verts[w.U], F: f, L: l,
 			}, 7)
@@ -346,7 +493,7 @@ func (s *shard) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 
 // startUpdate begins orchestration at the owner of the update's endpoint.
 // Deletes are marked by w.Flag.
-func (s *shard) startUpdate(ctx *mpc.Ctx, w wire) {
+func (s *shard) startUpdate(ctx *mpc.Ctx, w *wire) {
 	e := graph.NormEdge(int(w.U), int(w.V))
 	if w.U == w.V {
 		return
@@ -366,15 +513,13 @@ func (s *shard) startUpdate(ctx *mpc.Ctx, w wire) {
 		return
 	}
 	// Delete.
-	if rec, ok := s.nontree[e]; ok {
-		_ = rec
-		delete(s.nontree, e)
+	if s.removeNonTree(e) != nil {
 		if s.owner(int32(e.V)) != s.id || s.owner(int32(e.U)) != s.id {
 			other := s.owner(int32(e.V))
 			if other == s.id {
 				other = s.owner(int32(e.U))
 			}
-			ctx.Send(other, wire{Kind: kDelNonTree, U: int32(e.U), V: int32(e.V)}, 3)
+			ctx.Send(other, &wire{Kind: kDelNonTree, U: int32(e.U), V: int32(e.V)}, 3)
 		}
 		return
 	}
@@ -392,25 +537,28 @@ func (s *shard) startUpdate(ctx *mpc.Ctx, w wire) {
 		newComp: int64(s.cfg.N) + 2*w.Seq,
 	}
 	s.pend[w.Seq] = p
-	ctx.Send(int(s.registry(rec.comp)), wire{
+	ctx.Send(int(s.registry(rec.comp)), &wire{
 		Kind: kSizeReq, Comp: rec.comp, Seq: w.Seq, ReplyTo: int32(s.id),
 	}, 5)
 }
 
 // childInterval extracts the child endpoint's [f,l] from an edge record:
-// the inner pair of its four positions.
+// the inner pair of its four positions. An arc's two positions are adjacent
+// (2k-1, 2k), so the arcs do not interleave and the inner pair is the end of
+// the earlier arc and the start of the later one.
 func childInterval(e *etour.EdgePos) (fy, ly int) {
-	ps := []int{e.UV[0], e.UV[1], e.VU[0], e.VU[1]}
-	sort.Ints(ps)
-	return ps[1], ps[2]
+	if e.UV[0] < e.VU[0] {
+		return e.UV[1], e.VU[0]
+	}
+	return e.VU[1], e.UV[0]
 }
 
 func (s *shard) sendInfoReqs(ctx *mpc.Ctx, seq int64, u, v int32) {
-	ctx.Send(s.owner(u), wire{Kind: kInfoReq, U: u, Seq: seq, ReplyTo: int32(s.id)}, 4)
-	ctx.Send(s.owner(v), wire{Kind: kInfoReq, U: v, Seq: seq, ReplyTo: int32(s.id)}, 4)
+	ctx.Send(s.owner(u), &wire{Kind: kInfoReq, U: u, Seq: seq, ReplyTo: int32(s.id)}, 4)
+	ctx.Send(s.owner(v), &wire{Kind: kInfoReq, U: v, Seq: seq, ReplyTo: int32(s.id)}, 4)
 }
 
-func (s *shard) onInfo(ctx *mpc.Ctx, w wire) {
+func (s *shard) onInfo(ctx *mpc.Ctx, w *wire) {
 	p, ok := s.pend[w.Seq]
 	if !ok {
 		return
@@ -438,10 +586,11 @@ func (s *shard) onInfo(ctx *mpc.Ctx, w wire) {
 				p.stage = stPathMax
 				p.replies = 0
 				p.bestFound = false
-				ctx.Broadcast(wire{
+				ctx.Broadcast(&wire{
 					Kind: kPathMaxReq, Seq: w.Seq, Comp: p.compU,
 					F: p.fU, L: p.lU, Fy: p.fV, LyCut: p.lV,
 					ReplyTo: int32(s.id),
+					Miss:    &wire{Kind: kPathMaxRep, Seq: w.Seq},
 				}, 9, true)
 				return
 			}
@@ -464,19 +613,19 @@ func (s *shard) onInfo(ctx *mpc.Ctx, w wire) {
 }
 
 func (s *shard) sendSizeReqs(ctx *mpc.Ctx, seq int64, compU, compV int64) {
-	ctx.Send(int(s.registry(compU)), wire{Kind: kSizeReq, Comp: compU, Seq: seq, ReplyTo: int32(s.id)}, 5)
-	ctx.Send(int(s.registry(compV)), wire{Kind: kSizeReq, Comp: compV, Seq: seq, ReplyTo: int32(s.id)}, 5)
+	ctx.Send(int(s.registry(compU)), &wire{Kind: kSizeReq, Comp: compU, Seq: seq, ReplyTo: int32(s.id)}, 5)
+	ctx.Send(int(s.registry(compV)), &wire{Kind: kSizeReq, Comp: compV, Seq: seq, ReplyTo: int32(s.id)}, 5)
 }
 
 func (s *shard) sendAddNonTree(ctx *mpc.Ctx, u, v int32, w int64, comp int64, au, av int) {
-	msg := wire{Kind: kAddNonTree, U: u, V: v, W: w, Comp: comp, AnchorU: au, AnchorV: av}
+	msg := &wire{Kind: kAddNonTree, U: u, V: v, W: w, Comp: comp, AnchorU: au, AnchorV: av}
 	ctx.Send(s.owner(u), msg, 8)
 	if s.owner(v) != s.owner(u) {
 		ctx.Send(s.owner(v), msg, 8)
 	}
 }
 
-func (s *shard) onSize(ctx *mpc.Ctx, w wire) {
+func (s *shard) onSize(ctx *mpc.Ctx, w *wire) {
 	p, ok := s.pend[w.Seq]
 	if !ok {
 		return
@@ -507,12 +656,8 @@ func (s *shard) onSize(ctx *mpc.Ctx, w wire) {
 		}
 		p.replies = 0
 		p.bestFound = false
-		if p.stage == stSizeForCut {
-			p.stage = stCandidates
-		} else {
-			p.stage = stCandidates // swap cut also collects (empty) candidate replies
-		}
-		ctx.Broadcast(wire{
+		p.stage = stCandidates // a swap cut also collects its (empty) candidate replies
+		msg := &wire{
 			Kind: kDoCut, Seq: w.Seq,
 			U: int32(p.cutEdge.U), V: int32(p.cutEdge.V), W: p.cutW,
 			Comp: p.cutComp, Comp2: p.newComp,
@@ -521,48 +666,98 @@ func (s *shard) onSize(ctx *mpc.Ctx, w wire) {
 			Shifts:  shifts,
 			Convert: p.convert, NoReplace: p.convert,
 			ReplyTo: int32(s.id),
-		}, wire{Shifts: shifts}.words(), true)
+			Miss:    &wire{Kind: kCandidate, Seq: w.Seq},
+		}
+		ctx.Broadcast(msg, msg.words(), true)
 	}
 }
 
-// onDoCut applies a cut broadcast to the local shard and reports a
-// replacement candidate (or the lack of one) to the orchestrator.
-func (s *shard) onDoCut(ctx *mpc.Ctx, w wire) {
-	e := graph.NormEdge(int(w.U), int(w.V))
-	fy, ly := w.Fy, w.LyCut
-	restSingleton := fy == 2 && ly == w.TourLen-1
+// rewrite applies link or cut broadcast w to everything filed under members,
+// the owned vertices of one component it names, each record once and left
+// final: chain — the shifts of w that can address a position carrying that
+// label — to their tree and weight records, all of w.Shifts to their non-tree
+// records, whose far anchor may carry the other named label. A link heals the
+// singleton anchors it names in the same visit; a cut returns the best
+// replacement candidate among the records it visited (every crossing record
+// carried the cut component's label on both sides before, so it is visited).
+func (s *shard) rewrite(w *wire, members []int32, chain []etour.Shift) (best *ntRec) {
+	weighted := len(s.weights) > 0
+	for _, v := range members {
+		if weighted {
+			if rec, ok := s.weights[v]; ok {
+				rec.ApplyShifts(chain)
+				if rec.Anchor == 0 && w.Kind == kDoLink {
+					rec.Anchor, rec.Comp = healed(w, v, rec.Comp)
+				}
+			}
+		}
+		h := s.adj[v]
+		for r := h.tree; r != nil; r = *r.linkAt(v) {
+			if r.rewrittenFrom(v) {
+				applyChainRec(chain, r)
+			}
+		}
+		for r := h.nt; r != nil; r = *r.linkAt(v) {
+			if !r.rewrittenFrom(v) {
+				continue
+			}
+			r.aU, r.cU = applyChain(w.Shifts, r.aU, r.cU)
+			r.aV, r.cV = applyChain(w.Shifts, r.aV, r.cV)
+			if w.Kind == kDoLink {
+				if r.aU == 0 {
+					r.aU, r.cU = healed(w, r.u, r.cU)
+				}
+				if r.aV == 0 {
+					r.aV, r.cV = healed(w, r.v, r.cV)
+				}
+			} else if (r.cU == w.Comp && r.cV == w.Comp2) || (r.cU == w.Comp2 && r.cV == w.Comp) {
+				if best == nil || betterCandidate(s.cfg.Mode, r.w, r.u, r.v, best.w, best.u, best.v) {
+					best = r
+				}
+			}
+		}
+	}
+	return best
+}
+
+// healed gives a singleton anchor of vertex v (position 0, labelled comp) its
+// fresh position under link w: x appears at q+1, y at q+2 and joins the host.
+// A singleton's component can only be linked through its own vertex, so the
+// link's names always cover anchor value 0.
+func healed(w *wire, v int32, comp int64) (int, int64) {
+	switch {
+	case v == w.U && comp == w.Comp:
+		return w.Q + 1, comp
+	case v == w.V && comp == w.Comp2:
+		return w.Q + 2, w.Comp
+	}
+	return 0, comp
+}
+
+// onDoCut applies a cut broadcast to the local shard and returns its reply
+// to the orchestrator: a replacement candidate, or w.Miss.
+func (s *shard) onDoCut(w *wire) *wire {
 	compOld, compNew := w.Comp, w.Comp2
-
+	// Only the owners of the cut edge's endpoints can hold its record.
 	var captured *treeRec
-	if rec, ok := s.tree[e]; ok {
-		captured = rec
-		delete(s.tree, e)
+	if s.owner(w.U) == s.id || s.owner(w.V) == s.id {
+		captured = s.removeTree(graph.NormEdge(int(w.U), int(w.V)))
 	}
-
-	// Tree records: all four positions shift together.
-	for _, rec := range s.tree {
-		applyChainRec(w.Shifts, rec)
-	}
-	// Non-tree anchors: per anchor.
-	for _, rec := range s.nontree {
-		rec.aU, rec.cU = applyChain(w.Shifts, rec.aU, rec.cU)
-		rec.aV, rec.cV = applyChain(w.Shifts, rec.aV, rec.cV)
-	}
-	// Weight records repair under the identical rule: the cut-repair
-	// shift remaps anchors sitting on the four removed positions onto
-	// surviving appearances (or 0 + the fresh component for a cut-off
+	// Tree records shift all four positions together, non-tree anchors one
+	// by one, and weight records repair under the identical rule: the
+	// cut-repair shift remaps anchors sitting on the four removed positions
+	// onto surviving appearances (or 0 + the fresh component for a cut-off
 	// singleton), and the sub/rest shifts renumber the rest.
-	for _, rec := range s.weights {
-		rec.ApplyShifts(w.Shifts)
-	}
+	members := s.compVerts[compOld]
+	best := s.rewrite(w, members, w.Shifts)
 	// Named endpoints: the child (whose interval was [fy,ly] pre-cut) is
 	// the endpoint appearing at fy on the captured record. Resolved before
-	// the relabel pass so the index filter can route it directly.
+	// the relabel pass so it can be routed directly.
 	childV := int32(-1)
 	child, parent := int(w.U), int(w.V)
 	if captured != nil {
 		pu := posOf(&captured.pos, int(w.U))
-		if pu[0] != fy && pu[1] != fy {
+		if pu[0] != w.Fy && pu[1] != w.Fy {
 			child, parent = int(w.V), int(w.U)
 		}
 		if s.owner(int32(child)) == s.id {
@@ -570,26 +765,19 @@ func (s *shard) onDoCut(ctx *mpc.Ctx, w wire) {
 		}
 	}
 	// Vertex labels: an owned vertex adopts the component of any of its
-	// incident (already shifted) tree records; the named child endpoint is
-	// handled explicitly since it may have lost its only record. Only
-	// vertices labeled compOld can move, so the pass walks the compVerts
-	// inverse index instead of every owned vertex; all tour appearances of
-	// a vertex land on one side of the cut, so its incident records agree
-	// on the adopted label exactly as the old full scan did.
-	if members := s.compVerts[compOld]; len(members) > 0 {
-		vcomp := make(map[int32]int64, 2*len(s.tree))
-		for ge, rec := range s.tree {
-			vcomp[int32(ge.U)] = rec.comp
-			vcomp[int32(ge.V)] = rec.comp
-		}
+	// incident tree records, all final by now — all tour appearances of a
+	// vertex land on one side of the cut, so they agree; the named child
+	// endpoint is handled explicitly since it may have lost its only record.
+	// Only vertices labeled compOld can move.
+	if len(members) > 0 {
 		kept := members[:0]
 		for _, v := range members {
 			if v == childV {
 				continue // labeled compNew below
 			}
-			if c, ok := vcomp[v]; ok && c != compOld {
-				s.verts[v] = c
-				s.compVerts[c] = append(s.compVerts[c], v)
+			if r := s.adj[v].tree; r != nil && r.comp != compOld {
+				s.verts[v] = r.comp
+				s.compVerts[r.comp] = append(s.compVerts[r.comp], v)
 			} else {
 				kept = append(kept, v)
 			}
@@ -604,24 +792,21 @@ func (s *shard) onDoCut(ctx *mpc.Ctx, w wire) {
 		s.verts[childV] = compNew
 		s.compVerts[compNew] = append(s.compVerts[compNew], childV)
 	}
-	if captured != nil {
-		if w.Convert && (s.owner(int32(e.U)) == s.id || s.owner(int32(e.V)) == s.id) {
-			// Re-add the evicted MST edge as a non-tree record with
-			// repaired anchors; the repair shift handles the singleton
-			// endpoints (position 0, fresh component) uniformly.
-			pU := posOf(&captured.pos, e.U)[0]
-			pV := posOf(&captured.pos, e.V)[0]
-			aU, cU := applyChain(w.Shifts, pU, compOld)
-			aV, cV := applyChain(w.Shifts, pV, compOld)
-			if restSingleton {
-				if e.U == parent {
-					aU, cU = 0, compOld
-				} else {
-					aV, cV = 0, compOld
-				}
+	if captured != nil && w.Convert {
+		// Re-add the evicted MST edge as a non-tree record with repaired
+		// anchors; the repair shift handles the singleton endpoints
+		// (position 0, fresh component) uniformly.
+		e := graph.Edge{U: captured.pos.U, V: captured.pos.V}
+		aU, cU := applyChain(w.Shifts, posOf(&captured.pos, e.U)[0], compOld)
+		aV, cV := applyChain(w.Shifts, posOf(&captured.pos, e.V)[0], compOld)
+		if w.Fy == 2 && w.LyCut == w.TourLen-1 { // the rest is a singleton
+			if e.U == parent {
+				aU, cU = 0, compOld
+			} else {
+				aV, cV = 0, compOld
 			}
-			s.nontree[e] = &ntRec{aU: aU, aV: aV, cU: cU, cV: cV, w: w.W}
 		}
+		s.addNonTree(e, &ntRec{aU: aU, aV: aV, cU: cU, cV: cV, w: w.W})
 	}
 	// Registry updates.
 	if s.registry(compOld) == int32(s.id) {
@@ -630,23 +815,10 @@ func (s *shard) onDoCut(ctx *mpc.Ctx, w wire) {
 	if s.registry(compNew) == int32(s.id) {
 		s.sizes[compNew] = w.SubSize
 	}
-
-	// Candidate scan.
-	reply := wire{Kind: kCandidate, Seq: w.Seq, Found: false}
-	if !w.NoReplace {
-		for ge, rec := range s.nontree {
-			crossing := (rec.cU == compOld && rec.cV == compNew) ||
-				(rec.cU == compNew && rec.cV == compOld)
-			if !crossing {
-				continue
-			}
-			if !reply.Found || betterCandidate(s.cfg.Mode, rec.w, int32(ge.U), int32(ge.V), reply.W, reply.U, reply.V) {
-				reply.Found = true
-				reply.U, reply.V, reply.W = int32(ge.U), int32(ge.V), rec.w
-			}
-		}
+	if best == nil || w.NoReplace {
+		return w.Miss
 	}
-	ctx.Send(int(w.ReplyTo), reply, 6)
+	return &wire{Kind: kCandidate, Seq: w.Seq, Found: true, U: best.u, V: best.v, W: best.w}
 }
 
 // betterCandidate orders replacement candidates: min weight first in MST
@@ -661,7 +833,7 @@ func betterCandidate(mode Mode, w int64, u, v int32, bw int64, bu, bv int32) boo
 	return v < bv
 }
 
-func (s *shard) onCandidate(ctx *mpc.Ctx, w wire) {
+func (s *shard) onCandidate(ctx *mpc.Ctx, w *wire) {
 	p, ok := s.pend[w.Seq]
 	if !ok || p.stage != stCandidates {
 		return
@@ -697,29 +869,30 @@ func (s *shard) onCandidate(ctx *mpc.Ctx, w wire) {
 	s.sendInfoReqs(ctx, w.Seq, p.bestU, p.bestV)
 }
 
-func (s *shard) onPathMaxReq(ctx *mpc.Ctx, w wire) {
+func (s *shard) onPathMaxReq(w *wire) *wire {
 	// Broadcast fields: F,L = f(x),l(x); Fy,LyCut = f(y),l(y); Comp.
 	fx, fy := w.F, w.Fy
-	reply := wire{Kind: kPathMaxRep, Seq: w.Seq, Found: false}
-	for ge, rec := range s.tree {
-		if rec.comp != w.Comp {
-			continue
-		}
-		cf, cl := childInterval(&rec.pos)
-		onPath := (cf <= fx && fx <= cl) != (cf <= fy && fy <= cl)
-		if !onPath {
-			continue
-		}
-		if !reply.Found || rec.w > reply.W ||
-			(rec.w == reply.W && (int32(ge.U) < reply.U || (int32(ge.U) == reply.U && int32(ge.V) < reply.V))) {
-			reply.Found = true
-			reply.U, reply.V, reply.W = int32(ge.U), int32(ge.V), rec.w
+	var best *treeRec
+	for _, v := range s.compVerts[w.Comp] {
+		for r := s.adj[v].tree; r != nil; r = *r.linkAt(v) {
+			cf, cl := childInterval(&r.pos)
+			onPath := (cf <= fx && fx <= cl) != (cf <= fy && fy <= cl)
+			if !onPath {
+				continue
+			}
+			if best == nil || r.w > best.w ||
+				(r.w == best.w && (r.pos.U < best.pos.U || (r.pos.U == best.pos.U && r.pos.V < best.pos.V))) {
+				best = r
+			}
 		}
 	}
-	ctx.Send(int(w.ReplyTo), reply, 6)
+	if best == nil {
+		return w.Miss
+	}
+	return &wire{Kind: kPathMaxRep, Seq: w.Seq, Found: true, U: int32(best.pos.U), V: int32(best.pos.V), W: best.w}
 }
 
-func (s *shard) onPathMaxRep(ctx *mpc.Ctx, w wire) {
+func (s *shard) onPathMaxRep(ctx *mpc.Ctx, w *wire) {
 	p, ok := s.pend[w.Seq]
 	if !ok || p.stage != stPathMax {
 		return
@@ -748,29 +921,29 @@ func (s *shard) onPathMaxRep(ctx *mpc.Ctx, w wire) {
 	p.cutComp = p.compU
 	p.newComp = int64(s.cfg.N) + 2*w.Seq + 1
 	p.stage = stInterval
-	ctx.Send(s.owner(p.bestU), wire{
+	ctx.Send(s.owner(p.bestU), &wire{
 		Kind: kIntervalReq, U: p.bestU, V: p.bestV, Seq: w.Seq, ReplyTo: int32(s.id),
 	}, 5)
 }
 
-func (s *shard) onIntervalReq(ctx *mpc.Ctx, w wire) {
+func (s *shard) onIntervalReq(ctx *mpc.Ctx, w *wire) {
 	e := graph.NormEdge(int(w.U), int(w.V))
 	rec, ok := s.tree[e]
 	if !ok {
 		panic(fmt.Sprintf("dyncon: interval request for unknown tree edge %v at machine %d", e, s.id))
 	}
 	fy, ly := childInterval(&rec.pos)
-	ctx.Send(int(w.ReplyTo), wire{Kind: kIntervalRep, Seq: w.Seq, Fy: fy, LyCut: ly}, 5)
+	ctx.Send(int(w.ReplyTo), &wire{Kind: kIntervalRep, Seq: w.Seq, Fy: fy, LyCut: ly}, 5)
 }
 
-func (s *shard) onIntervalRep(ctx *mpc.Ctx, w wire) {
+func (s *shard) onIntervalRep(ctx *mpc.Ctx, w *wire) {
 	p, ok := s.pend[w.Seq]
 	if !ok || p.stage != stInterval {
 		return
 	}
 	p.fy, p.ly = w.Fy, w.LyCut
 	p.stage = stSizeForSwapCut
-	ctx.Send(int(s.registry(p.cutComp)), wire{
+	ctx.Send(int(s.registry(p.cutComp)), &wire{
 		Kind: kSizeReq, Comp: p.cutComp, Seq: w.Seq, ReplyTo: int32(s.id),
 	}, 5)
 }
@@ -782,13 +955,6 @@ func (s *shard) onIntervalRep(ctx *mpc.Ctx, w wire) {
 func (s *shard) broadcastLink(ctx *mpc.Ctx, seq int64, x, y int32, w int64,
 	compX, compY int64, sizeX, sizeY int, fx, lx, fy, ly int, promote bool) {
 
-	var shifts []etour.Shift
-	if sizeY > 1 && fy != 1 {
-		shifts = append(shifts, etour.Shift{
-			Kind: etour.ShiftReroot, Comp: compY, NewComp: compY,
-			A: 4 * (sizeY - 1), B: ly,
-		})
-	}
 	q := 0
 	switch {
 	case sizeX == 1:
@@ -799,10 +965,15 @@ func (s *shard) broadcastLink(ctx *mpc.Ctx, seq int64, x, y int32, w int64,
 		q = fx
 	}
 	Ly := 4 * (sizeY - 1)
-	shifts = append(shifts,
-		etour.Shift{Kind: etour.ShiftLinkHost, Comp: compX, NewComp: compX, A: q, B: Ly},
-		etour.Shift{Kind: etour.ShiftLinkGuest, Comp: compY, NewComp: compX, A: q, B: Ly},
-	)
+	// The host's shift first, then the guest's: a position's label selects
+	// which of them address it, so onDoLink hands each side its own part of
+	// the chain (LinkHost must precede LinkGuest, which relabels to compX).
+	shifts := make([]etour.Shift, 1, 3)
+	shifts[0] = etour.Shift{Kind: etour.ShiftLinkHost, Comp: compX, NewComp: compX, A: q, B: Ly}
+	if sizeY > 1 && fy != 1 {
+		shifts = append(shifts, etour.Shift{Kind: etour.ShiftReroot, Comp: compY, NewComp: compY, A: Ly, B: ly})
+	}
+	shifts = append(shifts, etour.Shift{Kind: etour.ShiftLinkGuest, Comp: compY, NewComp: compX, A: q, B: Ly})
 	e := graph.NormEdge(int(x), int(y))
 	pos := etour.EdgePos{U: e.U, V: e.V}
 	if e.U == int(x) {
@@ -812,7 +983,7 @@ func (s *shard) broadcastLink(ctx *mpc.Ctx, seq int64, x, y int32, w int64,
 		pos.VU = [2]int{q + 1, q + 2}
 		pos.UV = [2]int{q + Ly + 3, q + Ly + 4}
 	}
-	msg := wire{
+	msg := &wire{
 		Kind: kDoLink, Seq: seq, U: x, V: y, W: w,
 		Comp: compX, Comp2: compY, Q: q, Ly: Ly,
 		Size: sizeX + sizeY, Shifts: shifts, Pos: pos, Promote: promote,
@@ -820,69 +991,31 @@ func (s *shard) broadcastLink(ctx *mpc.Ctx, seq int64, x, y int32, w int64,
 	ctx.Broadcast(msg, msg.words(), true)
 }
 
-// onDoLink applies a link broadcast to the local shard.
-func (s *shard) onDoLink(ctx *mpc.Ctx, w wire) {
+// onDoLink applies a link broadcast to the local shard: hosts take the
+// chain's LinkHost, guests the rest. A shard holding no vertex of either
+// component holds no record of them and no endpoint, and is done after the
+// two lookups.
+func (s *shard) onDoLink(w *wire) {
 	compX, compY := w.Comp, w.Comp2
-	for _, rec := range s.tree {
-		applyChainRec(w.Shifts, rec)
-	}
-	for _, rec := range s.nontree {
-		rec.aU, rec.cU = applyChain(w.Shifts, rec.aU, rec.cU)
-		rec.aV, rec.cV = applyChain(w.Shifts, rec.aV, rec.cV)
-	}
-	// Singleton anchors of the named endpoints receive their fresh
-	// positions: x appears at q+1, y at q+2 (a singleton's component can
-	// only be linked through its own vertex, so the names always cover
-	// anchor value 0).
-	for ge, rec := range s.nontree {
-		if rec.aU == 0 {
-			if int32(ge.U) == w.U && rec.cU == compX {
-				rec.aU = w.Q + 1
-			} else if int32(ge.U) == w.V && rec.cU == compY {
-				rec.aU, rec.cU = w.Q+2, compX
+	hosts, guests := s.compVerts[compX], s.compVerts[compY]
+	if len(hosts) > 0 || len(guests) > 0 {
+		s.rewrite(w, hosts, w.Shifts[:1])
+		s.rewrite(w, guests, w.Shifts[1:])
+		// Guest vertices adopt the host's label.
+		for _, v := range guests {
+			s.verts[v] = compX
+		}
+		if len(guests) > 0 {
+			s.compVerts[compX] = append(hosts, guests...)
+			delete(s.compVerts, compY)
+		}
+		e := graph.NormEdge(int(w.U), int(w.V))
+		if s.owner(w.U) == s.id || s.owner(w.V) == s.id {
+			if w.Promote {
+				s.removeNonTree(e)
 			}
+			s.addTree(e, &treeRec{pos: w.Pos, comp: compX, w: w.W})
 		}
-		if rec.aV == 0 {
-			if int32(ge.V) == w.U && rec.cV == compX {
-				rec.aV = w.Q + 1
-			} else if int32(ge.V) == w.V && rec.cV == compY {
-				rec.aV, rec.cV = w.Q+2, compX
-			}
-		}
-	}
-	// Weight records: same shift chain, same named-endpoint healing for
-	// singleton anchors (a singleton component is only ever linked
-	// through its own vertex, so the link names it).
-	for _, rec := range s.weights {
-		rec.ApplyShifts(w.Shifts)
-	}
-	for v, rec := range s.weights {
-		if rec.Anchor != 0 {
-			continue
-		}
-		if v == w.U && rec.Comp == compX {
-			rec.Anchor = w.Q + 1
-		} else if v == w.V && rec.Comp == compY {
-			rec.Anchor, rec.Comp = w.Q+2, compX
-		}
-	}
-	// Guest vertices adopt the host's label; the compVerts inverse index
-	// hands over exactly the owned vertices labeled compY, so the relabel
-	// is O(|guest ∩ shard|) instead of a scan over every owned vertex.
-	guests := s.compVerts[compY]
-	for _, v := range guests {
-		s.verts[v] = compX
-	}
-	if len(guests) > 0 {
-		s.compVerts[compX] = append(s.compVerts[compX], guests...)
-	}
-	delete(s.compVerts, compY)
-	e := graph.NormEdge(int(w.U), int(w.V))
-	if s.owner(int32(e.U)) == s.id || s.owner(int32(e.V)) == s.id {
-		if w.Promote {
-			delete(s.nontree, e)
-		}
-		s.tree[e] = &treeRec{pos: w.Pos, comp: compX, w: w.W}
 	}
 	if s.registry(compX) == int32(s.id) {
 		s.sizes[compX] = w.Size

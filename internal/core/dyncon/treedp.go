@@ -51,12 +51,12 @@ type dpPending struct {
 // The anchor is any current appearance of the vertex (f(v), computed on
 // demand; 0 for a singleton) — from here on it is maintained purely by
 // the broadcast shift chains, like every non-tree anchor.
-func (s *shard) onSetWeight(w wire) {
+func (s *shard) onSetWeight(w *wire) {
 	f, _ := s.flOf(w.U)
 	s.weights[w.U] = &treedp.Rec{Anchor: f, Comp: s.verts[w.U], W: w.W}
 }
 
-func (s *shard) onDPSubtree(ctx *mpc.Ctx, w wire) {
+func (s *shard) onDPSubtree(ctx *mpc.Ctx, w *wire) {
 	u, r := w.U, w.V
 	comp := s.verts[u]
 	if u == r {
@@ -67,10 +67,10 @@ func (s *shard) onDPSubtree(ctx *mpc.Ctx, w wire) {
 	}
 	fu, lu := s.flOf(u)
 	s.qpend[w.Seq] = &dpPending{kind: graph.OpSubtreeSum, u: u, v: r, comp: comp, fu: fu, lu: lu}
-	ctx.Send(s.owner(r), wire{Kind: kDPInfoReq, U: r, Seq: w.Seq, ReplyTo: int32(s.id)}, 4)
+	ctx.Send(s.owner(r), &wire{Kind: kDPInfoReq, U: r, Seq: w.Seq, ReplyTo: int32(s.id)}, 4)
 }
 
-func (s *shard) onDPPath(ctx *mpc.Ctx, w wire) {
+func (s *shard) onDPPath(ctx *mpc.Ctx, w *wire) {
 	u, v := w.U, w.V
 	if u == v {
 		// The trivial path: w(u), readable locally at u's owner.
@@ -83,18 +83,18 @@ func (s *shard) onDPPath(ctx *mpc.Ctx, w wire) {
 	}
 	fu, _ := s.flOf(u)
 	s.qpend[w.Seq] = &dpPending{kind: graph.OpPathSum, u: u, v: v, comp: s.verts[u], fu: fu}
-	ctx.Send(s.owner(v), wire{Kind: kDPInfoReq, U: v, Seq: w.Seq, ReplyTo: int32(s.id)}, 4)
+	ctx.Send(s.owner(v), &wire{Kind: kDPInfoReq, U: v, Seq: w.Seq, ReplyTo: int32(s.id)}, 4)
 }
 
-func (s *shard) onDPTop(ctx *mpc.Ctx, w wire) {
+func (s *shard) onDPTop(ctx *mpc.Ctx, w *wire) {
 	comp := s.verts[w.U]
 	s.qpend[w.Seq] = &dpPending{kind: graph.OpTreeTop, u: w.U, comp: comp}
-	ctx.Broadcast(wire{Kind: kDPTopReq, Seq: w.Seq, Comp: comp, ReplyTo: int32(s.id)}, 4, true)
+	ctx.Broadcast(&wire{Kind: kDPTopReq, Seq: w.Seq, Comp: comp, ReplyTo: int32(s.id)}, 4, true)
 }
 
 // onDPInfo resumes a SubtreeSum or PathSum orchestration once the far
 // vertex's component and appearance arrive.
-func (s *shard) onDPInfo(ctx *mpc.Ctx, w wire) {
+func (s *shard) onDPInfo(ctx *mpc.Ctx, w *wire) {
 	p, ok := s.qpend[w.Seq]
 	if !ok {
 		return
@@ -122,7 +122,7 @@ func (s *shard) onDPInfo(ctx *mpc.Ctx, w wire) {
 			return
 		}
 		p.replies, p.sum = 0, 0
-		ctx.Broadcast(wire{
+		ctx.Broadcast(&wire{
 			Kind: kDPPathReq, Seq: w.Seq, Comp: p.comp,
 			F: p.fu, L: w.F, ReplyTo: int32(s.id),
 		}, 6, true)
@@ -133,10 +133,7 @@ func (s *shard) onDPInfo(ctx *mpc.Ctx, w wire) {
 // appearance fr — u's owner holds every u-incident tree record, and on
 // each record u is the parent iff its positions are the outer pair.
 func (s *shard) childTowards(u int32, comp int64, fr int) (int, int) {
-	for ge, rec := range s.tree {
-		if rec.comp != comp || (int32(ge.U) != u && int32(ge.V) != u) {
-			continue
-		}
+	for rec := s.adj[u].tree; rec != nil; rec = *rec.linkAt(u) {
 		cf, cl := childInterval(&rec.pos)
 		pu := posOf(&rec.pos, int(u))
 		if pu[0] == cf || pu[0] == cl {
@@ -154,25 +151,27 @@ func (s *shard) childTowards(u int32, comp int64, fr int) (int, int) {
 func (s *shard) dpBroadcastSum(ctx *mpc.Ctx, seq int64, comp int64, span treedp.Span) {
 	p := s.qpend[seq]
 	p.replies, p.sum = 0, 0
-	ctx.Broadcast(wire{
+	ctx.Broadcast(&wire{
 		Kind: kDPSumReq, Seq: seq, Comp: comp, Span: span, ReplyTo: int32(s.id),
 	}, 4+span.Words(), true)
 }
 
-// onDPSumReq evaluates the Span over the shard's weight records: one
-// anchor comparison per record, one partial sum back. O(local records)
-// work, O(1) words.
-func (s *shard) onDPSumReq(ctx *mpc.Ctx, w wire) {
+// onDPSumReq evaluates the Span over the weight records of the component's
+// owned vertices: one anchor comparison per record, one partial sum back.
+// O(the component's share of the shard) work, O(1) words.
+func (s *shard) onDPSumReq(ctx *mpc.Ctx, w *wire) {
 	var sum int64
-	for _, rec := range s.weights {
-		if rec.Comp == w.Comp && w.Span.Contains(rec.Anchor) {
-			sum += rec.W
+	if len(s.weights) > 0 {
+		for _, v := range s.compVerts[w.Comp] {
+			if rec, ok := s.weights[v]; ok && w.Span.Contains(rec.Anchor) {
+				sum += rec.W
+			}
 		}
 	}
-	ctx.Send(int(w.ReplyTo), wire{Kind: kDPSumRep, Seq: w.Seq, W: sum}, 3)
+	ctx.Send(int(w.ReplyTo), &wire{Kind: kDPSumRep, Seq: w.Seq, W: sum}, 3)
 }
 
-func (s *shard) onDPSumRep(w wire) {
+func (s *shard) onDPSumRep(w *wire) {
 	p, ok := s.qpend[w.Seq]
 	if !ok {
 		return
@@ -187,68 +186,41 @@ func (s *shard) onDPSumRep(w wire) {
 }
 
 // onDPPathReq evaluates the OnPath predicate for every owned weighted
-// vertex of the component. One pass over the local tree records
-// computes, per weighted vertex, its interval [f, l] (min/max of its
-// positions on incident records — the owner holds them all) and whether
-// a single child interval holds both broadcast appearances; OnPath then
-// keeps exactly the vertices of the u–v path (LCA included once).
-func (s *shard) onDPPathReq(ctx *mpc.Ctx, w wire) {
+// vertex of the component. A vertex's incident tree records — the owner
+// files them all — give its interval [f, l] (flOf) and whether a single
+// child interval holds both broadcast appearances; OnPath then keeps
+// exactly the vertices of the u–v path (LCA included once).
+func (s *shard) onDPPathReq(ctx *mpc.Ctx, w *wire) {
 	au, av := w.F, w.L
-	type pathInfo struct {
-		f, l      int
-		childBoth bool
-	}
-	var info map[int32]*pathInfo
-	for v, rec := range s.weights {
-		if rec.Comp != w.Comp {
-			continue
-		}
-		if info == nil {
-			info = make(map[int32]*pathInfo)
-		}
-		info[v] = &pathInfo{}
-	}
 	var sum int64
-	if len(info) > 0 {
-		for ge, rec := range s.tree {
-			if rec.comp != w.Comp {
+	if len(s.weights) > 0 {
+		for _, v := range s.compVerts[w.Comp] {
+			wt, ok := s.weights[v]
+			if !ok {
 				continue
 			}
-			cf, cl := childInterval(&rec.pos)
-			for _, x := range [2]int{ge.U, ge.V} {
-				pi, ok := info[int32(x)]
-				if !ok {
-					continue
-				}
-				pu := posOf(&rec.pos, x)
-				for _, i := range pu {
-					if pi.f == 0 || i < pi.f {
-						pi.f = i
-					}
-					if i > pi.l {
-						pi.l = i
-					}
-				}
-				if pu[0] != cf && pu[0] != cl && // x is the parent here
+			f, l := s.flOf(v)
+			childBoth := false
+			for rec := s.adj[v].tree; rec != nil; rec = *rec.linkAt(v) {
+				cf, cl := childInterval(&rec.pos)
+				if p := posOf(&rec.pos, int(v))[0]; p != cf && p != cl && // v is the parent here
 					cf <= au && au <= cl && cf <= av && av <= cl {
-					pi.childBoth = true
+					childBoth = true
 				}
 			}
-		}
-		for v, pi := range info {
-			if treedp.OnPath(pi.f, pi.l, au, av, pi.childBoth) {
-				sum += s.weights[v].W
+			if treedp.OnPath(f, l, au, av, childBoth) {
+				sum += wt.W
 			}
 		}
 	}
-	ctx.Send(int(w.ReplyTo), wire{Kind: kDPSumRep, Seq: w.Seq, W: sum}, 3)
+	ctx.Send(int(w.ReplyTo), &wire{Kind: kDPSumRep, Seq: w.Seq, W: sum}, 3)
 }
 
 // onDPTopReq reports the shard's local argmax over the component's
 // owned vertices — every vertex counts, at weight 0 when unrecorded, so
 // the global answer is total over the component.
-func (s *shard) onDPTopReq(ctx *mpc.Ctx, w wire) {
-	reply := wire{Kind: kDPTopRep, Seq: w.Seq}
+func (s *shard) onDPTopReq(ctx *mpc.Ctx, w *wire) {
+	reply := &wire{Kind: kDPTopRep, Seq: w.Seq}
 	for _, v := range s.compVerts[w.Comp] {
 		var wt int64
 		if rec, ok := s.weights[v]; ok {
@@ -262,7 +234,7 @@ func (s *shard) onDPTopReq(ctx *mpc.Ctx, w wire) {
 	ctx.Send(int(w.ReplyTo), reply, 5)
 }
 
-func (s *shard) onDPTopRep(w wire) {
+func (s *shard) onDPTopRep(w *wire) {
 	p, ok := s.qpend[w.Seq]
 	if !ok || p.kind != graph.OpTreeTop {
 		return
