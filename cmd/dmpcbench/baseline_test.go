@@ -55,11 +55,12 @@ func failing(vs []verdict) []string {
 
 // TestEveryNamedCheckTrips applies one mutation per named check to a
 // passing report/snapshot pair and requires that exactly that check fails.
-// Gates are tripped by tightening the snapshot (so no invariant of the run
-// moves) — the exact ones by any difference, improvements included —
-// invariants by a mutation of the run that no gate sees.
+// Gates are tripped by moving the snapshot (so no invariant of the run
+// moves) — by any difference, so each of the six that used to be
+// one-sided tolerances is tripped once by a regression and once by an
+// improvement — invariants by a mutation of the run that no gate sees.
 func TestEveryNamedCheckTrips(t *testing.T) {
-	if names := failing(checkBaseline(passingReport(), passingReport(), 0.10)); len(names) != 0 {
+	if names := failing(checkBaseline(passingReport(), passingReport())); len(names) != 0 {
 		t.Fatalf("unmutated pair fails %q", names)
 	}
 	cases := []struct {
@@ -79,11 +80,17 @@ func TestEveryNamedCheckTrips(t *testing.T) {
 		{"read_only: every cell", "cc k=8 RoundsPerQuery", func(_, want *benchReport) { want.ReadOnly[0].RoundsPerQuery = 0.5 }},
 		{"sweep: every cell", "n=64 WorstWords", func(_, want *benchReport) { want.Sweep[0].WorstWords = 301 }},
 		{"batch: amortized rounds/update", "cc k=64", func(_, want *benchReport) { want.Batch[1].Amortized = 1.0 }},
+		{"batch: amortized rounds/update", "cc k=64", func(_, want *benchReport) { want.Batch[1].Amortized = 1.6 }},
 		{"mixed: in-wave rounds/op", "cc k=64", func(_, want *benchReport) { want.Mixed[1].InwavePerOp = 0.5 }},
+		{"mixed: in-wave rounds/op", "cc k=64", func(_, want *benchReport) { want.Mixed[1].InwavePerOp = 1.05 }},
 		{"arrivals: latency p99 rounds at k=64", "cc poisson k=64", func(_, want *benchReport) { want.Arrivals[1].P99 = 50 }},
+		{"arrivals: latency p99 rounds at k=64", "cc poisson k=64", func(_, want *benchReport) { want.Arrivals[1].P99 = 74 }},
 		{"tenants: fair victim p99 rounds", "cc", func(_, want *benchReport) { want.Tenants[0].VictimFairP99 = 4 }},
+		{"tenants: fair victim p99 rounds", "cc", func(_, want *benchReport) { want.Tenants[0].VictimFairP99 = 7 }},
 		{"treedp: DP rounds/query at k=64", "uniform k=64 sim", func(_, want *benchReport) { want.TreeDP[0].DPRoundsPerQuery = 0.01 }},
+		{"treedp: DP rounds/query at k=64", "uniform k=64 sim", func(_, want *benchReport) { want.TreeDP[0].DPRoundsPerQuery = 0.041 }},
 		{"wallclock: rounds/op", "cc n=10000 sim", func(_, want *benchReport) { want.Wall[0].RoundsPerOp = 1.0 }},
+		{"wallclock: rounds/op", "cc n=10000 sim", func(_, want *benchReport) { want.Wall[0].RoundsPerOp = 1.51 }},
 		{"wallclock: allocs/round", "cc n=10000 parallel", func(_, want *benchReport) { want.Wall[1].AllocsPerRound = 10 }},
 
 		// A gated row missing on either side is an error naming table and key.
@@ -100,13 +107,14 @@ func TestEveryNamedCheckTrips(t *testing.T) {
 		{"tenants: tags alone change nothing", "cc", func(rep, _ *benchReport) { rep.Tenants[0].ZeroTenantIdentical = false }},
 		{"treedp: uniform DP reads < 1 round/query at k>=64", "k=256", func(rep, _ *benchReport) { rep.TreeDP[1].DPRoundsPerQuery = 1.5 }},
 		{"treedp: DP answers match across backends", "powerlaw k=64", func(rep, _ *benchReport) { rep.TreeDP[2].AnswersMatch = false }},
-		{"wallclock: rounds/op bit-equal across backends", "parallel 1.400 vs sim 1.500", func(rep, _ *benchReport) { rep.Wall[1].RoundsPerOp = 1.4 }},
+		{"wallclock: rounds/op bit-equal across backends", "parallel 1.400 vs sim 1.500",
+			func(rep, want *benchReport) { rep.Wall[1].RoundsPerOp, want.Wall[1].RoundsPerOp = 1.4, 1.4 }},
 	}
 	tripped := map[string]bool{}
 	for _, tc := range cases {
 		rep, want := passingReport(), passingReport()
 		tc.mutate(&rep, &want)
-		vs := checkBaseline(rep, want, 0.10)
+		vs := checkBaseline(rep, want)
 		if names := failing(vs); !slices.Equal(names, []string{tc.check}) {
 			t.Errorf("%s (%s): failing checks %q, want exactly that one", tc.check, tc.detail, names)
 			continue
@@ -118,21 +126,30 @@ func TestEveryNamedCheckTrips(t *testing.T) {
 		}
 		tripped[tc.check] = true
 	}
-	for _, v := range checkBaseline(passingReport(), passingReport(), 0.10) {
+	for _, v := range checkBaseline(passingReport(), passingReport()) {
 		if !tripped[v.name] {
 			t.Errorf("check %q has no mutation that trips it", v.name)
 		}
 	}
 }
 
-// TestGateTolerance pins the comparator's arithmetic: drift up to tol
-// (plus the allocs gate's absolute slack) passes, improvement passes.
+// TestGateTolerance pins the one budget gate's arithmetic: allocs/round
+// may sit up to 10 % + 16 over the snapshot and anywhere under it, one
+// alloc more fails — and no other gate has any give at all.
 func TestGateTolerance(t *testing.T) {
 	rep, want := passingReport(), passingReport()
-	rep.Batch[1].Amortized = 1.5 * 1.09
-	rep.Mixed[1].InwavePerOp = 0.2
-	rep.Wall[1].AllocsPerRound = 50*1.10 + 15
-	if names := failing(checkBaseline(rep, want, 0.10)); len(names) != 0 {
-		t.Errorf("drift within tolerance fails %q", names)
+	rep.Wall[0].AllocsPerRound = 3
+	rep.Wall[1].AllocsPerRound = 50*1.10 + 16
+	if names := failing(checkBaseline(rep, want)); len(names) != 0 {
+		t.Errorf("allocs/round within its budget fails %q", names)
+	}
+	rep.Wall[1].AllocsPerRound++
+	if names := failing(checkBaseline(rep, want)); !slices.Equal(names, []string{"wallclock: allocs/round"}) {
+		t.Errorf("allocs/round one over its budget: failing checks %q, want that gate alone", names)
+	}
+	for _, g := range gates {
+		if g.budget != (g.name == "wallclock: allocs/round") {
+			t.Errorf("gate %q: budget=%v; allocs/round is the only budget gate", g.name, g.budget)
+		}
 	}
 }

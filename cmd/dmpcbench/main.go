@@ -20,7 +20,7 @@
 //
 // Usage:
 //
-//	dmpcbench [-n 128] [-updates 500] [-seed 1] [-wallmax n] [-backend b] [-workers w] [-cpuprofile FILE] [-memprofile FILE] [-json] [-baseline FILE] [-tolerance f]
+//	dmpcbench [-n 128] [-updates 500] [-seed 1] [-wallmax n] [-backend b] [-workers w] [-cpuprofile FILE] [-memprofile FILE] [-json] [-baseline FILE]
 package main
 
 import (
@@ -566,21 +566,27 @@ type cell struct {
 	v   float64
 }
 
-// gate is a tolerance check on one column of one table. Every gated row
-// of the snapshot must find its measured partner and vice versa, and the
-// measured value may not exceed the snapshot's by more than tol (relative)
-// plus slack (absolute). The sim oracle is deterministic for fixed flags
-// and seed, so any drift is a code change, and tol only leaves room for
-// intentional small scheduling tweaks between re-pins. An exact gate has
-// no such room: its cells must equal the snapshot's, whatever tol says.
+// gate is a check on the cells of one table. Every gated row of the
+// snapshot must find its measured partner and vice versa, and every cell
+// must equal the snapshot's: the suite is deterministic for fixed flags
+// and seed, so any difference — an improvement included, which would
+// otherwise leave a stale baseline for a later regression to hide behind —
+// is a code change and wants a re-pin. The one budget gate is the
+// exception: allocs/round jitters with the GC clock, so there the measured
+// value may only not exceed the snapshot's by more than allocsTol
+// (relative) plus allocsSlack (absolute).
 type gate struct {
-	name  string
-	slack float64
-	exact bool
-	cells func(benchReport) []cell
+	name   string
+	budget bool
+	cells  func(benchReport) []cell
 }
 
-// block gates a whole table exactly: one cell per numeric field of each
+const (
+	allocsTol   = 0.10
+	allocsSlack = 16
+)
+
+// block gates a whole table: one cell per numeric field of each
 // row (slice elements by index), keyed by the row's name.
 func block[T any](rows []T, name func(T) string) []cell {
 	var cs []cell
@@ -617,57 +623,57 @@ func column[T any](rows []T, f func(T) (key string, v float64, gated bool)) []ce
 func wallKey(w wallRow) string { return fmt.Sprintf("%s n=%d %s", w.Name, w.N, w.Backend) }
 
 var gates = []gate{
-	{"table1: every cell", 0, true, func(r benchReport) []cell {
+	{"table1: every cell", false, func(r benchReport) []cell {
 		return block(r.Table1, func(t table1Row) string { return t.Name })
 	}},
-	{"static: every cell", 0, true, func(r benchReport) []cell {
+	{"static: every cell", false, func(r benchReport) []cell {
 		return block(r.Static, func(t staticRow) string { return t.Name })
 	}},
-	{"autobatch: every cell", 0, true, func(r benchReport) []cell {
+	{"autobatch: every cell", false, func(r benchReport) []cell {
 		return block(r.Auto, func(a autoRow) string { return a.Name })
 	}},
-	{"read_only: every cell", 0, true, func(r benchReport) []cell {
+	{"read_only: every cell", false, func(r benchReport) []cell {
 		return block(r.ReadOnly, func(q readRow) string { return fmt.Sprintf("%s k=%d", q.Name, q.K) })
 	}},
-	{"sweep: every cell", 0, true, func(r benchReport) []cell {
+	{"sweep: every cell", false, func(r benchReport) []cell {
 		return block(r.Sweep, func(w sweepRow) string { return fmt.Sprintf("n=%d", w.N) })
 	}},
-	{"batch: amortized rounds/update", 0, false, func(r benchReport) []cell {
+	{"batch: amortized rounds/update", false, func(r benchReport) []cell {
 		return column(r.Batch, func(b batchRow) (string, float64, bool) {
 			return fmt.Sprintf("%s k=%d", b.Name, b.K), b.Amortized, true
 		})
 	}},
-	{"mixed: in-wave rounds/op", 0, false, func(r benchReport) []cell {
+	{"mixed: in-wave rounds/op", false, func(r benchReport) []cell {
 		return column(r.Mixed, func(m mixedRow) (string, float64, bool) {
 			return fmt.Sprintf("%s k=%d", m.Name, m.K), m.InwavePerOp, true
 		})
 	}},
-	{"arrivals: latency p99 rounds at k=64", 0, false, func(r benchReport) []cell {
+	{"arrivals: latency p99 rounds at k=64", false, func(r benchReport) []cell {
 		return column(r.Arrivals, func(a arrivalRow) (string, float64, bool) {
 			return fmt.Sprintf("%s %s k=%d", a.Name, a.Gen, a.K), float64(a.P99), a.K == 64
 		})
 	}},
-	{"tenants: fair victim p99 rounds", 0, false, func(r benchReport) []cell {
+	{"tenants: fair victim p99 rounds", false, func(r benchReport) []cell {
 		return column(r.Tenants, func(t tenantRow) (string, float64, bool) {
 			return t.Name, float64(t.VictimFairP99), true
 		})
 	}},
-	{"treedp: DP rounds/query at k=64", 0, false, func(r benchReport) []cell {
+	{"treedp: DP rounds/query at k=64", false, func(r benchReport) []cell {
 		return column(r.TreeDP, func(t treedpRow) (string, float64, bool) {
 			return fmt.Sprintf("%s k=%d %s", t.Name, t.K, t.Backend), t.DPRoundsPerQuery, t.K == 64
 		})
 	}},
-	{"wallclock: rounds/op", 0, false, func(r benchReport) []cell {
+	{"wallclock: rounds/op", false, func(r benchReport) []cell {
 		return column(r.Wall, func(w wallRow) (string, float64, bool) { return wallKey(w), w.RoundsPerOp, true })
 	}},
 	// The pooled round engine's allocation bill is a code property, not a
-	// machine property; the slack absorbs GC-clock jitter.
-	{"wallclock: allocs/round", 16, false, func(r benchReport) []cell {
+	// machine property; the budget absorbs GC-clock jitter.
+	{"wallclock: allocs/round", true, func(r benchReport) []cell {
 		return column(r.Wall, func(w wallRow) (string, float64, bool) { return wallKey(w), w.AllocsPerRound, true })
 	}},
 }
 
-func (g gate) check(rep, want benchReport, tol float64) error {
+func (g gate) check(rep, want benchReport) error {
 	measured := g.cells(rep)
 	got := make(map[string]float64, len(measured))
 	for _, c := range measured {
@@ -679,11 +685,11 @@ func (g gate) check(rep, want benchReport, tol float64) error {
 			return fmt.Errorf("snapshot row %q was not measured", c.key)
 		}
 		delete(got, c.key)
-		if g.exact && v != c.v {
+		switch {
+		case !g.budget && v != c.v:
 			return fmt.Errorf("%s: %v differs from snapshot %v", c.key, v, c.v)
-		}
-		if v > c.v*(1+tol)+g.slack {
-			return fmt.Errorf("%s: %.3f regressed past snapshot %.3f by more than %.0f%%", c.key, v, c.v, tol*100)
+		case g.budget && v > c.v*(1+allocsTol)+allocsSlack:
+			return fmt.Errorf("%s: %.3f is over snapshot %.3f by more than %.0f%% + %d", c.key, v, c.v, allocsTol*100, allocsSlack)
 		}
 	}
 	for _, c := range measured {
@@ -796,14 +802,14 @@ type verdict struct {
 // checkBaseline judges a run against a committed snapshot of the same
 // suite: first that both measured the same streams, then every gate and
 // every invariant, each reported under its own name.
-func checkBaseline(rep, want benchReport, tol float64) []verdict {
+func checkBaseline(rep, want benchReport) []verdict {
 	if want.Schema != rep.Schema || want.N != rep.N || want.Updates != rep.Updates || want.Seed != rep.Seed || want.WallMax != rep.WallMax {
 		return []verdict{{"same suite", fmt.Errorf("snapshot is %s -n %d -updates %d -seed %d -wallmax %d; this run is %s -n %d -updates %d -seed %d -wallmax %d",
 			want.Schema, want.N, want.Updates, want.Seed, want.WallMax, rep.Schema, rep.N, rep.Updates, rep.Seed, rep.WallMax)}}
 	}
 	vs := []verdict{{"same suite", nil}}
 	for _, g := range gates {
-		vs = append(vs, verdict{g.name, g.check(rep, want, tol)})
+		vs = append(vs, verdict{g.name, g.check(rep, want)})
 	}
 	for _, iv := range invariants {
 		vs = append(vs, verdict{iv.name, iv.check(rep)})
@@ -909,7 +915,6 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile, captured right after the measured section, to this file")
 	asJSON := flag.Bool("json", false, "emit the measurements as one dmpcbench/v4 JSON document")
 	baseline := flag.String("baseline", "", "committed dmpcbench/v4 snapshot (BENCH_0015.json) to judge the run against; one verdict line per named check, exit nonzero if any fails")
-	tolerance := flag.Float64("tolerance", 0.10, "relative regression tolerance of the -baseline gates")
 	flag.Parse()
 
 	be, err := mpc.ParseBackend(*backendFlag)
@@ -954,7 +959,7 @@ func main() {
 
 	if *baseline != "" {
 		failed := 0
-		for _, v := range checkBaseline(rep, want, *tolerance) {
+		for _, v := range checkBaseline(rep, want) {
 			if v.err != nil {
 				failed++
 				fmt.Fprintf(os.Stderr, "FAIL  %s: %v\n", v.name, v.err)
@@ -965,7 +970,7 @@ func main() {
 		if failed > 0 {
 			fatal(1, fmt.Sprintf("bench regression vs %s: %d checks failed", *baseline, failed))
 		}
-		fmt.Fprintf(os.Stderr, "dmpcbench: no bench regression vs %s (tolerance %.0f%%)\n", *baseline, *tolerance*100)
+		fmt.Fprintf(os.Stderr, "dmpcbench: every named check passes against %s\n", *baseline)
 	}
 	if *asJSON {
 		enc := json.NewEncoder(os.Stdout)

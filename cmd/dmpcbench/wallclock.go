@@ -79,11 +79,11 @@ const wallK = 64
 // wallNs is the input-size ladder: the Table 1 default plus the three
 // orders of magnitude the parallel backend and the sparse-activation
 // round engine exist for. -wallmax caps it (CI and BENCH_0015.json stop
-// at 10^4; BENCH_0009.json records the full climb).
+// at 10^4; the full climb takes minutes).
 var wallNs = []int{128, 10_000, 100_000, 1_000_000}
 
 // wallUpdates is the ladder's stream length, pinned independently of
-// -updates so its rounds/op stay comparable with BENCH_0009.json's.
+// -updates so its rounds/op stay comparable with BENCH_0015.json's.
 const wallUpdates = 200
 
 // wallRunner builds one algorithm instance pinned to a backend and

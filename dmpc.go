@@ -39,7 +39,7 @@
 // instead of waiting for cluster quiescence. Reads touching state no
 // in-flight write conflicts with ride a write wave's rounds for free,
 // which is where mixed workloads beat quiescing at every read run (see
-// cmd/dmpcbench's mixed table and BENCH_0005.json).
+// cmd/dmpcbench's mixed table, in BENCH_0015.json).
 //
 // # Tree-DP queries
 //
@@ -54,7 +54,7 @@
 // interval (or path) predicate answered with one partial sum per machine
 // (DESIGN.md §2e). DP reads ride the same waves as every other read, so
 // mixed link/cut/weight/query streams amortize below one round per query
-// (cmd/dmpcbench's treedp table, BENCH_0010.json); the FuzzTreeDPEquivalence
+// (cmd/dmpcbench's treedp table, in BENCH_0015.json); the FuzzTreeDPEquivalence
 // harness pins answers bit-identical to sequential replay and to a
 // tour-free oracle on both backends. See examples/orgchart for a worked
 // rollup workload.
@@ -74,7 +74,7 @@
 // nothing, the Ingestor is the only thing that buffers, cuts and flushes,
 // and every flush is one Apply call; the FuzzArrivalEquivalence harnesses
 // pin that any arrival schedule yields answers bit-identical to Apply on
-// the full slice. See cmd/dmpcbench's arrivals table and BENCH_0006.json
+// the full slice. See cmd/dmpcbench's arrivals table, in BENCH_0015.json,
 // for the latency picture.
 //
 // # Multi-tenant streams
@@ -89,7 +89,7 @@
 // TokenBucket) shape the streaming front door the same way, with
 // refused ops surfaced as typed Rejections, and StreamStats/MixedStats
 // gain per-tenant breakdowns (TenantStreamStats, TenantStats). See
-// DESIGN.md §2c and cmd/dmpcbench's tenants table (BENCH_0008.json) for
+// DESIGN.md §2c and cmd/dmpcbench's tenants table (in BENCH_0015.json) for
 // the noisy-neighbor isolation picture.
 //
 // Apply is the only way a §3/§4/§5/§5.1 op is executed and billed: a

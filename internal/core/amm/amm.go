@@ -46,19 +46,21 @@ import (
 	"dmpc/internal/sched"
 )
 
+// gamma is the level base γ.
+const gamma = 4
+
 // Config sizes an instance.
 type Config struct {
-	N        int
-	Eps      float64 // support slack; default 0.2
-	Gamma    int     // level base; default 4
-	Delta    int     // batch budget; default 4·⌈log2 n⌉
-	Seed     int64
-	Machines int // 0 = auto
+	N    int
+	Eps  float64 // support slack; default 0.2
+	Seed int64
 	// Backend selects the cluster execution backend (zero value =
 	// mpc.BackendSim oracle; mpc.BackendParallel requires Close).
 	// Workers bounds its handler concurrency (0 = GOMAXPROCS).
 	Backend mpc.BackendKind
 	Workers int
+
+	delta int // batch budget Δ = 4·⌈log2 n⌉, derived by New
 }
 
 // M is the §6 structure.
@@ -80,18 +82,10 @@ func New(cfg Config) *M {
 	if cfg.Eps <= 0 {
 		cfg.Eps = 0.2
 	}
-	if cfg.Gamma < 2 {
-		cfg.Gamma = 4
-	}
-	if cfg.Delta <= 0 {
-		cfg.Delta = 4 * bits(cfg.N)
-	}
-	mu := cfg.Machines
-	if mu <= 0 {
-		mu = int(math.Ceil(math.Sqrt(float64(cfg.N))))*2 + 2
-	}
+	cfg.delta = 4 * bits(cfg.N)
+	mu := int(math.Ceil(math.Sqrt(float64(cfg.N))))*2 + 2
 	levels := 1
-	for pow(cfg.Gamma, levels) < cfg.N {
+	for pow(gamma, levels) < cfg.N {
 		levels++
 	}
 	cl := mpc.NewCluster(mpc.Config{Machines: mu + 1, MemWords: 1 << 20, Backend: cfg.Backend, Workers: cfg.Workers})
@@ -305,7 +299,7 @@ func (m *M) ApplyOps(ops []graph.Op) (graph.Results, mpc.MixedStats) {
 				Words:   3,
 			})
 		}
-		m.cluster.Drain(64, fmt.Sprintf("amm: read wave of %d", j-i))
+		m.cluster.Drain(64, "amm: read wave")
 		m.cluster.EndMixedWave()
 		i = j
 	}

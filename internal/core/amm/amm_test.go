@@ -168,7 +168,7 @@ func TestShardWordCounterAudited(t *testing.T) {
 	m := New(Config{N: 32, Seed: 5})
 	g := graph.New(32)
 	var ups []graph.Update
-	for v := 1; v <= m.cfg.Delta+4; v++ { // a star wider than one Δ-bounded tick drains
+	for v := 1; v <= m.cfg.delta+4; v++ { // a star wider than one Δ-bounded tick drains
 		ups = append(ups, graph.Update{Op: graph.Insert, U: 0, V: v})
 	}
 	ups = append(ups, graph.Update{Op: graph.Delete, U: 0, V: 1})

@@ -18,7 +18,6 @@ const (
 	aHandleFree                // scheduler -> owner: run handle-free(v)
 	aCandidate                 // owner -> scheduler: sampled mate proposal
 	aMatchOrder                // scheduler -> owner: commit (v,w) at level ℓ
-	aMatchedAck                // owner -> scheduler: committed; names the stolen ex-partner
 	aExFreed                   // owner(w) -> owner(ex): your partner was stolen
 	aUnmatchOrder              // scheduler -> owner: proactively unmatch v's edge
 	aTick                      // scheduler -> owner: process Δ level-notification jobs
@@ -155,7 +154,7 @@ func (s *shard) setLevel(v int32, lvl int32) {
 
 // lowThreshold is (1-2ε)·γ^ℓ, the proactive unmatch trigger.
 func (s *shard) lowThreshold(lvl int32) int32 {
-	return int32((1 - 2*s.cfg.Eps) * float64(pow(s.cfg.Gamma, int(lvl))))
+	return int32((1 - 2*s.cfg.Eps) * float64(pow(gamma, int(lvl))))
 }
 
 func (s *shard) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
@@ -322,7 +321,7 @@ func (s *shard) handleFree(ctx *mpc.Ctx, m amsg) {
 				phi++
 			}
 		}
-		if phi >= pow(s.cfg.Gamma, l) {
+		if phi >= pow(gamma, l) {
 			bestLvl = int32(l)
 		}
 	}
@@ -367,7 +366,7 @@ func (s *shard) commitMatch(ctx *mpc.Ctx, m amsg, report *amsg, dirty *bool) {
 
 // processJobs delivers up to Δ pending level notifications.
 func (s *shard) processJobs(ctx *mpc.Ctx) {
-	budget := s.cfg.Delta
+	budget := s.cfg.delta
 	for budget > 0 && len(s.jobs) > 0 {
 		j := &s.jobs[0]
 		n := budget
@@ -439,7 +438,7 @@ func (s *shard) handleProbe(ctx *mpc.Ctx, m amsg) {
 						phi++
 					}
 				}
-				if phi > pow(s.cfg.Gamma, l)*cap {
+				if phi > pow(gamma, l)*cap {
 					rep.Found = true
 					rep.U = v
 					rep.Lvl = int32(l)
@@ -530,9 +529,6 @@ func (s *scheduler) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 			runCycle = true
 		case aCandidate:
 			s.arbitrate(ctx, m)
-		case aMatchedAck:
-			delete(s.active, m.U)
-			delete(s.active, m.V)
 		case aProbeRep:
 			if m.Found {
 				s.pendingUnmatch = append(s.pendingUnmatch, m.U)

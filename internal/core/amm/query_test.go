@@ -73,7 +73,7 @@ func TestQueryLeavesNoResidue(t *testing.T) {
 		// of 0's matched edge: the level change queues more neighbor
 		// notifications than one Δ-bounded tick can drain, so 0's owner
 		// shard still holds pending jobs when the read arrives.
-		for v := 1; v <= m.cfg.Delta+4; v++ {
+		for v := 1; v <= m.cfg.delta+4; v++ {
 			m.Insert(0, v)
 		}
 		m.Delete(0, 1)

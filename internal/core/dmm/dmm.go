@@ -53,8 +53,6 @@ import (
 type Config struct {
 	N        int // vertices
 	CapEdges int // maximum simultaneous edges (the paper's m)
-	// MemWords overrides the per-machine memory (0 = derived from CapEdges).
-	MemWords int
 	// ThreeHalves enables the §4 extension: free-neighbor counters on the
 	// statistics machines and elimination of all length-3 augmenting
 	// paths, upgrading the guarantee from maximal (2-approximate) to
@@ -112,7 +110,7 @@ func New(cfg Config) *M {
 	// whole ring, 4 words per entry) must fit within a machine's per-round
 	// I/O budget a few times over. A short fixpoint iteration settles the
 	// constants.
-	mem := max(cfg.MemWords, edgeWords*heavyAt*2+64, 64*root)
+	mem := max(edgeWords*heavyAt*2+64, 64*root)
 	var statsPer, numStats, poolSize, mu int
 	for i := 0; i < 4; i++ {
 		statsPer = max(1, mem/8)
@@ -318,7 +316,7 @@ func (m *M) runOpWave(ops []graph.Op, ids []int64, wave []int, mt bool) {
 	if nu == 0 {
 		m.cluster.Round() // reads answer in the delivery round; no flows to drive
 	} else {
-		m.driveFlows(80*nu+16, fmt.Sprintf("dmm: op wave of %d updates + %d reads", nu, nq))
+		m.driveFlows(nu, "dmm: op wave")
 	}
 	m.cluster.EndMixedWave()
 }
@@ -335,7 +333,7 @@ func (m *M) runChained(ops []graph.Op, ids []int64, seg []int) {
 	for _, i := range seg {
 		m.inject(ops[i].Update(), ids[i])
 	}
-	m.driveFlows(80*len(seg)+16, fmt.Sprintf("dmm: chained run of %d updates", len(seg)))
+	m.driveFlows(len(seg), "dmm: chained run")
 }
 
 func (m *M) inject(up graph.Update, seq int64) {
@@ -353,9 +351,10 @@ func (m *M) inject(up graph.Update, seq int64) {
 // robin refresh and store acks of the tail are deliberately left in
 // flight: they carry no semantic state (they only true up MC's free-space
 // directory), so their rounds overlap the next wave instead of extending
-// this one.
-func (m *M) driveFlows(limit int, what string) {
-	rounds := 0
+// this one. The round budget is linear in the nu updates injected; what
+// names the caller if it is ever exhausted.
+func (m *M) driveFlows(nu int, what string) {
+	limit, rounds := 80*nu+16, 0
 	for {
 		m.cluster.Round()
 		rounds++
@@ -364,7 +363,8 @@ func (m *M) driveFlows(limit int, what string) {
 			return
 		}
 		if rounds >= limit {
-			panic(fmt.Sprintf("%s did not complete within %d rounds", what, limit))
+			panic(fmt.Sprintf("%s of %d updates did not complete within %d rounds (%d flows open, %d queued)",
+				what, nu, limit, len(m.coord.inflight), len(m.coord.queue)))
 		}
 	}
 }

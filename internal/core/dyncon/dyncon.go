@@ -75,10 +75,9 @@ type Config struct {
 	// §5.1 preprocessing; 0 keeps weights exact (the forest is then an
 	// exact MSF, which the tests exploit).
 	Eps float64
-	// Machines and MemWords size the cluster; zero values auto-size from
-	// ExpectedEdges.
+	// ExpectedEdges sizes the cluster; Machines, when positive, overrides
+	// the µ derived from it.
 	Machines      int
-	MemWords      int
 	ExpectedEdges int
 	// Backend selects the cluster execution backend (the zero value is
 	// the deterministic mpc.BackendSim oracle; mpc.BackendParallel is
@@ -127,9 +126,6 @@ func New(cfg Config) *D {
 	auto := mpc.Auto(cfg.N+2*exp, 8)
 	if cfg.Machines > 0 {
 		auto.Machines = cfg.Machines
-	}
-	if cfg.MemWords > 0 {
-		auto.MemWords = cfg.MemWords
 	}
 	// The orchestrator's broadcast ships a ~31-word shift descriptor to
 	// every machine in one round; the per-round I/O cap S must absorb it.
@@ -471,7 +467,7 @@ func (d *D) runOpWave(ops []graph.Op, ids []int64, wave []int, mt bool) {
 			d.inject(op.Update(), ids[i])
 		}
 	}
-	d.cluster.Drain(64, fmt.Sprintf("dyncon: op wave of %d updates + %d reads", nu, nq))
+	d.cluster.Drain(64, "dyncon: op wave")
 	d.cluster.EndMixedWave()
 }
 

@@ -6,29 +6,24 @@ import (
 	"sort"
 )
 
-// BackendKind selects the execution backend of a Cluster — the runtime
-// that owns message delivery and scheduling state and executes the
-// machine-step loop. All backends are observationally identical: for the
-// same machine programs and the same injected inputs they produce
-// bit-identical answers, Stats accounting, and violation counts (pinned
-// by the backend-equivalence suites over the committed fuzz corpora).
-// They differ only in wall-clock time.
+// BackendKind selects the execution backend of a Cluster — how a round's
+// handlers run. All backends are observationally identical: for the same
+// machine programs and the same injected inputs they produce bit-identical
+// answers, Stats accounting, and violation counts (pinned by the
+// backend-equivalence suites over the committed fuzz corpora). They differ
+// only in wall-clock time.
 type BackendKind int
 
 const (
-	// BackendSim is the deterministic single-driver simulator loop: the
-	// driver goroutine orchestrates every round, spawning short-lived
-	// handler goroutines bounded by Config.Workers. It is the
+	// BackendSim runs every active machine's handler on its own
+	// short-lived goroutine, bounded by Config.Workers. It is the
 	// correctness and accounting oracle every other backend is measured
 	// against.
 	BackendSim BackendKind = iota
 	// BackendParallel is the goroutine-per-machine runtime: long-lived
 	// worker goroutines (one per machine, sharded when µ exceeds the
-	// worker cap) woken over channels each round, with a contiguous
-	// per-round context slab staging outgoing messages lock-free per
-	// sender and a deterministic ascending-id merge at the round
-	// barrier. Same
-	// answers and stats as BackendSim, measured in real time.
+	// worker cap) woken over channels each round. Same answers and stats
+	// as BackendSim, measured in real time.
 	BackendParallel
 )
 
@@ -55,138 +50,69 @@ func ParseBackend(s string) (BackendKind, error) {
 	return BackendSim, fmt.Errorf("unknown backend %q (want sim or parallel)", s)
 }
 
-// Backend executes the machine-step loop of a Cluster: it owns the
-// per-machine inboxes and next-round schedules, delivers externally
-// injected messages, and runs one synchronous round at a time. The
-// Cluster folds the returned RoundStats into its accounting windows; a
-// backend must produce bit-identical RoundStats, Stats side effects
-// (pairWords, violations, peak memory) and machine state transitions for
-// a given input history regardless of its execution strategy — the
-// determinism rule that keeps every backend interchangeable with the
-// BackendSim oracle.
-type Backend interface {
-	// Deliver enqueues an externally injected message for the next round.
-	Deliver(msg Message)
-	// Schedule marks machine id active in the next round.
-	Schedule(id int)
-	// Quiescent reports whether another Round would be a no-op.
-	Quiescent() bool
-	// Round executes one synchronous round and returns its statistics.
-	Round() RoundStats
-	// Close releases backend resources (long-lived worker goroutines).
-	// The cluster must not Round after Close; Close is idempotent.
-	Close()
+// executor is the one thing backends differ in: how the handlers of a
+// round's active machines run. run calls c.handle(&slab[i], active[i])
+// exactly once for every position i, concurrently or not, and returns when
+// all have; close releases whatever it holds and is idempotent. Everything
+// that bills the model — delivery, staging order, pair accounting, caps —
+// happens in the Cluster before and after, so a backend cannot change the
+// computation, only its speed.
+type executor interface {
+	run(active []int, slab []Ctx)
+	close()
 }
 
-// backendBase is the delivery, scheduling and staging state shared by
-// every backend, plus the deterministic pre- and post-round phases. Only
-// the handler-execution phase in between differs per backend, so the
-// accounting-relevant code paths exist exactly once.
-//
-// Activation is sparse: the base incrementally maintains the exact set of
-// machines with a nonempty inbox or a set schedule bit (pending, an
-// unordered dirty-id buffer deduplicated through inPending), so a round
-// costs O(active·log active + delivered) instead of the former O(µ) scan
-// over every machine — the work-efficiency the model's O(1)-machines
-// claims demand once µ grows past the handful of machines an update
-// touches. Quiescent is a length check on the same buffer, O(1).
-type backendBase struct {
-	c       *Cluster
-	inboxes [][]Message
-	sched   []bool
+// pairKey packs an ordered machine pair into one word: from (−1 for
+// external input) and to in the two halves, exact while µ < 2³¹.
+func pairKey(from, to int) uint64 { return uint64(uint32(from))<<32 | uint64(uint32(to)) }
 
-	// pending holds exactly the ids with a nonempty inbox or schedule bit
-	// (the Quiescent set), unordered; inPending deduplicates insertions.
-	// active is the per-round ascending scratch pending is sorted into;
-	// the two buffers swap every round, so neither is reallocated.
-	pending   []int
-	inPending []bool
-	active    []int
-
-	pool  msgPool   // retired inbox backing arrays, payload-cleared (pool.go)
-	pairs pairStage // flat per-round (from,to,words) runs, folded at settle
-
-	// debugActive, when set by tests, observes every round's active set
-	// right after beginRound computes it — the strictly-ascending,
-	// duplicate-free invariant settle's deterministic merge depends on.
-	debugActive func([]int)
+// stage is the one way into an inbox: it appends msg to its destination's
+// inbox through the pool, marks the destination pending and bills the
+// pair table. Send (external input) and settle (handler output) call it
+// after their own bounds check; the table is therefore current whenever
+// the driver looks. Integer addition commutes and CommEntropy sums in
+// sorted-volume order, so the order of calls never shows.
+func (c *Cluster) stage(msg Message) {
+	c.inboxes[msg.To] = c.pool.grab(c.inboxes[msg.To], msg)
+	c.Schedule(msg.To)
+	c.stats.pairWords[pairKey(msg.From, msg.To)] += msg.Words
 }
 
-func newBackendBase(c *Cluster) backendBase {
-	return backendBase{
-		c:         c,
-		inboxes:   make([][]Message, c.cfg.Machines),
-		sched:     make([]bool, c.cfg.Machines),
-		inPending: make([]bool, c.cfg.Machines),
-	}
-}
-
-// markPending records that machine id now has pending input. Idempotent
-// per round via the inPending marker.
-func (b *backendBase) markPending(id int) {
-	if !b.inPending[id] {
-		b.inPending[id] = true
-		b.pending = append(b.pending, id)
-	}
-}
-
-// Deliver enqueues an externally injected message (Cluster.Send). An
-// out-of-range destination is a model violation, not an index panic, and
-// injected words count toward the pair-communication distribution so
-// CommEntropy sees the cluster's full traffic. External injection folds
-// into the pair map directly — unlike the settle path, no round boundary
-// is guaranteed to follow, and CommEntropy/MaxPairWords must be current
-// whenever the driver looks.
-func (b *backendBase) Deliver(msg Message) {
-	if msg.Words <= 0 {
-		msg.Words = 1
-	}
-	if msg.To < 0 || msg.To >= len(b.inboxes) {
-		b.c.violation("external send to invalid machine %d", msg.To)
-		return
-	}
-	b.c.stats.pairWords[[2]int{msg.From, msg.To}] += msg.Words
-	b.inboxes[msg.To] = b.pool.grab(b.inboxes[msg.To], msg)
-	b.markPending(msg.To)
-}
-
-// Schedule marks machine id active for the next round.
-func (b *backendBase) Schedule(id int) {
-	if !b.sched[id] {
-		b.sched[id] = true
-		b.markPending(id)
-	}
-}
-
-// Quiescent reports whether no machine has pending messages or
-// scheduling. The pending buffer is exactly that set, so this is O(1).
-func (b *backendBase) Quiescent() bool {
-	return len(b.pending) == 0
-}
-
-// beginRound computes the round's active set (ascending machine id) and
-// the delivery statistics. The pending buffer *is* the active set — it
-// just needs sorting — and the emptied scratch becomes the next round's
-// pending buffer, so the swap allocates nothing. The inPending markers
-// are cleared here: nothing can mark between beginRound and settle (the
-// driver is synchronous and handlers stage through their Ctx), and
-// settle's own staging re-marks the next round's receivers.
-func (b *backendBase) beginRound() ([]int, RoundStats) {
-	b.active, b.pending = b.pending, b.active[:0]
-	slices.Sort(b.active)
-	var rs RoundStats
-	for _, id := range b.active {
-		b.inPending[id] = false
-		for _, m := range b.inboxes[id] {
+// beginRound turns the pending buffer into the round's active set
+// (ascending machine id) and returns the delivery statistics. The emptied
+// scratch becomes the next round's pending buffer, so the swap allocates
+// nothing. The inPending markers are cleared here: nothing can mark
+// between beginRound and settle (the driver is synchronous and handlers
+// stage through their Ctx), and settle's staging re-marks the next
+// round's receivers.
+func (c *Cluster) beginRound() RoundStats {
+	c.active, c.pending = c.pending, c.active[:0]
+	slices.Sort(c.active)
+	rs := RoundStats{Active: len(c.active)}
+	for _, id := range c.active {
+		c.inPending[id] = false
+		rs.Messages += len(c.inboxes[id])
+		for _, m := range c.inboxes[id] {
 			rs.Words += m.Words
-			rs.Messages++
 		}
 	}
-	rs.Active = len(b.active)
-	if b.debugActive != nil {
-		b.debugActive(b.active)
+	if c.debugActive != nil {
+		c.debugActive(c.active)
 	}
-	return b.active, rs
+	return rs
+}
+
+// handle runs machine id's handler for this round against ctx: context
+// set-up, inbox sort, HandleRound unless the slot is empty. It is what
+// every executor calls, and it touches only id's own inbox and ctx, so
+// co-active machines may run it concurrently.
+func (c *Cluster) handle(ctx *Ctx, id int) {
+	ctx.cluster, ctx.self, ctx.round = c, id, c.stats.Rounds
+	inbox := c.inboxes[id]
+	sortInbox(inbox)
+	if m := c.machines[id]; m != nil {
+		m.HandleRound(ctx, inbox)
+	}
 }
 
 // sortInbox orders a machine's inbox deterministically: by sender, then
@@ -215,53 +141,42 @@ func msgLess(a, b Message) bool {
 }
 
 // settle is the deterministic round barrier: it retires the consumed
-// inboxes into the pool (payload-cleared) and clears the schedules,
-// stages every active machine's outgoing messages and next-round
-// schedules in ascending machine order — the merge order that keeps
-// delivery, pair accounting and violations bit-identical across
-// backends — enforces the per-machine I/O cap, folds the round's staged
-// pair-communication runs into the lifetime map in one pass, recycles
-// each Ctx for the backend's slab, and folds memory accounting. ctxAt
-// maps an active-set position (and its machine id) to the Ctx the
-// handler ran with.
-func (b *backendBase) settle(active []int, ctxAt func(i, id int) *Ctx) {
-	for _, id := range active {
-		b.inboxes[id] = b.pool.retire(b.inboxes[id])
-		b.sched[id] = false
+// inboxes into the pool (payload-cleared), then stages every active
+// machine's outgoing messages and next-round schedules in ascending
+// machine order — the merge order that keeps delivery and violations
+// bit-identical across backends — enforcing the per-machine I/O cap and
+// recycling each Ctx, and finally folds memory accounting.
+func (c *Cluster) settle() {
+	for _, id := range c.active {
+		c.inboxes[id] = c.pool.retire(c.inboxes[id])
 	}
-	for i, id := range active {
-		ctx := ctxAt(i, id)
+	for i, id := range c.active {
+		ctx := &c.slab[i]
 		sent := 0
 		for _, msg := range ctx.out {
 			sent += msg.Words
-			if msg.To < 0 || msg.To >= len(b.c.machines) {
-				b.c.violation("machine %d sent to invalid machine %d", id, msg.To)
+			if msg.To < 0 || msg.To >= len(c.machines) {
+				c.violation("machine %d sent to invalid machine %d", id, msg.To)
 				continue
 			}
-			b.inboxes[msg.To] = b.pool.grab(b.inboxes[msg.To], msg)
-			b.markPending(msg.To)
-			b.pairs.add(msg.From, msg.To, msg.Words)
+			c.stage(msg)
 		}
-		if sent > b.c.cfg.MemWords {
-			b.c.violation("machine %d sent %d words in one round (cap %d)", id, sent, b.c.cfg.MemWords)
+		if sent > c.cfg.MemWords {
+			c.violation("machine %d sent %d words in one round (cap %d)", id, sent, c.cfg.MemWords)
 		}
 		for _, s := range ctx.schedule {
-			if !b.sched[s] {
-				b.sched[s] = true
-				b.markPending(s)
-			}
+			c.Schedule(s)
 		}
 		ctx.recycle()
 	}
-	b.pairs.fold(&b.c.stats)
-	for _, id := range active {
-		if mr, ok := b.c.machines[id].(MemReporter); ok {
+	for _, id := range c.active {
+		if mr, ok := c.machines[id].(MemReporter); ok {
 			w := mr.MemWords()
-			if w > b.c.stats.PeakMemWords {
-				b.c.stats.PeakMemWords = w
+			if w > c.stats.PeakMemWords {
+				c.stats.PeakMemWords = w
 			}
-			if w > b.c.cfg.MemWords {
-				b.c.violation("machine %d uses %d words (cap %d)", id, w, b.c.cfg.MemWords)
+			if w > c.cfg.MemWords {
+				c.violation("machine %d uses %d words (cap %d)", id, w, c.cfg.MemWords)
 			}
 		}
 	}

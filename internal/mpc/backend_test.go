@@ -8,7 +8,7 @@ import (
 // relayFingerprint is the full observable state of one relay run — the
 // answer trace plus every accounting figure the determinism rule pins,
 // including the pair-communication distribution (CommEntropy and
-// MaxPairWords must survive the staged-fold accounting path bit for bit).
+// MaxPairWords).
 type relayFingerprint struct {
 	rounds, words, maxPair int
 	entropy                float64
@@ -161,18 +161,35 @@ func TestExternalWordsCounted(t *testing.T) {
 	}
 }
 
-// TestCloseIsIdempotentAndFinal: closing twice is fine; rounding a
-// closed parallel cluster is a driver bug and panics.
+// TestCloseIsIdempotentAndFinal: Close returns only once every worker has
+// exited — the goroutine count is back at its pre-NewCluster value the
+// moment it does, with no grace period — closing twice is fine, and
+// rounding a closed parallel cluster is a driver bug and panics. It runs
+// on one P, as bench/ does: there the closer cannot be scheduled before
+// the last worker is gone, so the count is exact, whereas with more Ps the
+// runtime retires a goroutine a few instructions after its last statement,
+// a window no user code can wait out. (A Close that does not wait leaves
+// all three workers unrun here and fails every time.)
 func TestCloseIsIdempotentAndFinal(t *testing.T) {
-	c := NewCluster(Config{Machines: 4, MemWords: 64, Workers: 2, Backend: BackendParallel})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	before := runtime.NumGoroutine()
+	c := newPingCluster(8, BackendParallel, 4)
+	if n := c.exec.(*parallelExec).nshards; n != 4 {
+		t.Fatalf("%d shards, want 4 (three worker goroutines; shard 0 is the driver's)", n)
+	}
+	c.Run(10)
 	c.Close()
+	// > rather than !=: an earlier test's goroutine may still have been
+	// winding down when before was read.
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines when Close returned, %d before NewCluster", n, before)
+	}
 	c.Close()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Round on a closed parallel cluster did not panic")
 		}
 	}()
-	c.Schedule(0)
 	c.Round()
 }
 

@@ -17,19 +17,17 @@
 //
 // # Execution backends
 //
-// The machine-step loop is pluggable behind the Backend interface,
-// selected by Config.Backend. BackendSim (the default) is the
-// deterministic single-driver loop: the driver orchestrates each round
-// and runs handlers on short-lived goroutines bounded by Config.Workers
-// — it is the correctness and accounting oracle. BackendParallel is the
-// goroutine-per-machine runtime: long-lived workers (machines sharded
-// over at most Config.Workers goroutines, default GOMAXPROCS) woken over
-// channels each round, lock-free per-sender outbox staging, and a
-// deterministic ascending-id merge at the round barrier. Both backends
-// produce bit-identical answers and Stats for the same inputs — the
-// parallel backend exists to measure real wall-clock time next to the
-// model's round counts, and clusters using it must be Close()d to
-// release the workers.
+// The Cluster owns a round — delivery, the active set, staging, pair
+// accounting, the I/O and memory caps — and a backend, selected by
+// Config.Backend, is only how the round's handlers run. BackendSim (the
+// default) runs each on a short-lived goroutine bounded by Config.Workers
+// — it is the correctness and accounting oracle. BackendParallel shards
+// the machines over at most Config.Workers long-lived workers (default
+// GOMAXPROCS) woken over channels each round; it exists to measure real
+// wall-clock time next to the model's round counts, and clusters using it
+// must be Close()d to release the workers. A backend sees only the active
+// set and the contexts to run it against, so both produce bit-identical
+// answers and Stats for the same inputs.
 package mpc
 
 import (
@@ -41,8 +39,8 @@ import (
 
 // Message is a single inter-machine message. Payload stays in process (the
 // simulator never serializes); Words is the size charged to the model's
-// communication measure and must be set by the sender. The Cluster validates
-// that Words is positive.
+// communication measure and must be set by the sender; the Cluster coerces
+// Words ≤ 0 to 1.
 type Message struct {
 	From    int
 	To      int
@@ -229,7 +227,7 @@ type Stats struct {
 	Words        int
 	PeakMemWords int
 	Violations   int
-	pairWords    map[[2]int]int // communication volume per (from,to) pair
+	pairWords    map[uint64]int // communication volume per (from,to) pair, keyed by pairKey
 	currentMixed *MixedStats
 	currentWave  *WaveStats
 	waveTenants  []TenantCount // tenant census of the open mixed wave
@@ -237,11 +235,28 @@ type Stats struct {
 
 // Cluster is a simulated DMPC cluster. It is not safe for concurrent use by
 // multiple goroutines; one Cluster drives one simulation.
+//
+// Activation is sparse: pending holds exactly the ids that received a
+// message or were scheduled since the last round, unordered and
+// deduplicated through inPending, so a round costs O(active·log active +
+// delivered) rather than a scan of all µ machines, and Quiescent is a
+// length check. active is the ascending scratch pending is sorted into
+// each round; the two buffers swap, so neither is reallocated.
 type Cluster struct {
 	cfg      Config
 	machines []Machine
 	stats    Stats
-	backend  Backend
+	exec     executor // how a round's handlers run; the only thing backends differ in
+
+	inboxes   [][]Message
+	pending   []int
+	inPending []bool
+	active    []int
+
+	pool msgPool // retired inbox backing arrays, payload-cleared (pool.go)
+	slab []Ctx   // one recycled context per active machine, positional over active
+
+	debugActive func([]int) // set by tests: sees every round's active set as beginRound computed it
 }
 
 // NewCluster builds a cluster with the given configuration. Machines are
@@ -258,15 +273,17 @@ func NewCluster(cfg Config) *Cluster {
 		w = runtime.GOMAXPROCS(0)
 	}
 	c := &Cluster{
-		cfg:      cfg,
-		machines: make([]Machine, cfg.Machines),
+		cfg:       cfg,
+		machines:  make([]Machine, cfg.Machines),
+		inboxes:   make([][]Message, cfg.Machines),
+		inPending: make([]bool, cfg.Machines),
 	}
-	c.stats.pairWords = make(map[[2]int]int)
+	c.stats.pairWords = make(map[uint64]int)
 	switch cfg.Backend {
 	case BackendSim:
-		c.backend = newSimBackend(c, w)
+		c.exec = newSimExec(c, w)
 	case BackendParallel:
-		c.backend = newParallelBackend(c, w)
+		c.exec = newParallelExec(c, w)
 	default:
 		panic(fmt.Sprintf("mpc: unknown backend %v", cfg.Backend))
 	}
@@ -292,9 +309,12 @@ func (c *Cluster) SetMachine(id int, m Machine) {
 func (c *Cluster) MachineAt(id int) Machine { return c.machines[id] }
 
 // Schedule marks machine id as active for the next round even if it
-// receives no messages. Used to bootstrap computation.
+// receives no messages (idempotent per round). Used to bootstrap computation.
 func (c *Cluster) Schedule(id int) {
-	c.backend.Schedule(id)
+	if !c.inPending[id] {
+		c.inPending[id] = true
+		c.pending = append(c.pending, id)
+	}
 }
 
 // Send enqueues a message for delivery at the start of the next round. It is
@@ -304,13 +324,21 @@ func (c *Cluster) Schedule(id int) {
 // in strict mode) and the message is dropped; delivered words count
 // toward the pair-communication distribution CommEntropy reports on.
 func (c *Cluster) Send(msg Message) {
-	c.backend.Deliver(msg)
+	if msg.Words <= 0 {
+		msg.Words = 1
+	}
+	if msg.To < 0 || msg.To >= len(c.inboxes) {
+		c.violation("external send to invalid machine %d", msg.To)
+		return
+	}
+	c.stage(msg)
 }
 
 // Close releases the backend's resources — the parallel backend's
-// long-lived worker goroutines. A closed cluster must not Round again;
-// Close is idempotent and a no-op for the sim backend.
-func (c *Cluster) Close() { c.backend.Close() }
+// long-lived worker goroutines, which have all exited when it returns. A
+// closed cluster must not Round again; Close is idempotent and a no-op for
+// the sim backend.
+func (c *Cluster) Close() { c.exec.close() }
 
 // BeginMixed starts an accounting window covering updates writes and
 // queries reads: every subsequent round is folded into it until EndMixed.
@@ -393,16 +421,17 @@ func (c *Cluster) EndMixedWave() WaveStats {
 
 // Quiescent reports whether no machine has pending messages or scheduling,
 // i.e. whether another Round would be a no-op.
-func (c *Cluster) Quiescent() bool {
-	return c.backend.Quiescent()
-}
+func (c *Cluster) Quiescent() bool { return len(c.pending) == 0 }
 
-// Round executes one synchronous round through the configured backend:
-// delivers all pending messages, runs every active machine's handler,
+// Round executes one synchronous round: delivers all pending messages,
+// runs every active machine's handler through the configured backend,
 // stages the messages they send for the next round, and folds the round
 // into the open accounting window. It returns the round's statistics.
 func (c *Cluster) Round() RoundStats {
-	rs := c.backend.Round()
+	rs := c.beginRound()
+	c.slab = growSlab(c.slab, len(c.active))
+	c.exec.run(c.active, c.slab)
+	c.settle()
 
 	c.stats.Rounds++
 	c.stats.Messages += rs.Messages
@@ -439,12 +468,16 @@ func (c *Cluster) Run(maxRounds int) int {
 }
 
 // Drain executes rounds until the cluster is quiescent, panicking with the
-// caller's context string if maxRounds is exhausted first, and returns the
-// number of rounds executed. This is the standard run-to-quiescence guard
-// the query paths share instead of fixed round budgets.
+// caller's context string — and the widths of the open wave, if any — if
+// maxRounds is exhausted first, and returns the number of rounds executed.
+// This is the standard run-to-quiescence guard the query paths share
+// instead of fixed round budgets.
 func (c *Cluster) Drain(maxRounds int, what string) int {
 	n := c.Run(maxRounds)
 	if !c.Quiescent() {
+		if w := c.stats.currentWave; w != nil {
+			what = fmt.Sprintf("%s of %d updates + %d reads", what, w.Updates, w.Queries)
+		}
 		panic(fmt.Sprintf("%s did not quiesce within %d rounds", what, maxRounds))
 	}
 	return n
@@ -463,12 +496,10 @@ func (c *Cluster) violation(format string, args ...any) {
 // its communication. Higher is more uniform; an algorithm funnelling all
 // traffic through a coordinator scores low.
 //
-// The summation runs over the pairs in sorted order: floating-point
-// addition does not commute at the ulp, so summing in (randomized) map
-// iteration order made the last bits of the result run- and
-// backend-dependent, which the determinism rule — bit-identical Stats
-// across backends, pinned by the equivalence fingerprints — does not
-// tolerate.
+// The summation runs over the volumes in sorted order: floating-point
+// addition does not commute at the ulp, and map iteration order would
+// make the last bits run- and backend-dependent, which the determinism
+// rule — bit-identical Stats across backends — does not tolerate.
 func (c *Cluster) CommEntropy() float64 {
 	total := 0
 	volumes := make([]int, 0, len(c.stats.pairWords))

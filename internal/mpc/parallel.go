@@ -2,72 +2,49 @@ package mpc
 
 import (
 	"math/bits"
-	"runtime"
+	"sync"
 )
 
-// ParallelBackend is the goroutine-per-machine parallel runtime. Machines
-// are statically sharded over long-lived worker goroutines — one machine
-// per worker while µ fits under the worker cap, contiguous blocks above
-// it — and each round the driver wakes exactly the workers whose shards
-// hold active machines over per-worker channels. A worker runs its
-// machines' handlers against a contiguous per-round context slab: the
-// active set is ascending and shards are contiguous id blocks, so worker
-// si owns exactly the slab positions of its slice of the active set, and
-// outbox staging is lock-free per sender. The drained done channel is the
-// round barrier; after it the driver merges the staged messages in
-// ascending machine order — the same deterministic merge the SimBackend
-// oracle uses — so answers, stats and violation accounting are
-// bit-identical to BackendSim.
-//
-// Two fast paths keep serial stretches cheap: the driver executes shard 0
-// itself while the woken workers run, and a round whose active machines
-// all fall into one shard runs entirely inline on the driver with no
-// channel traffic at all. The context slab is pooled across rounds
-// (growSlab + settle's payload-clearing recycle), so a cluster round
-// costs at most one channel wake per involved worker and no allocations
-// at steady state, instead of one goroutine spawn, one semaphore
-// round-trip and one context allocation per active machine — which is
-// where the wall-clock headroom over the sim backend comes from (see
-// BenchmarkBackends and TestSteadyStateAllocsPerRound).
-//
-// Close must be called to release the worker goroutines; the facade
-// structures forward their Close to it.
-type ParallelBackend struct {
-	backendBase
+// parallelExec is the parallel backend's executor. Machines are statically
+// sharded over long-lived worker goroutines — one machine per worker while
+// µ fits under the worker cap, contiguous blocks above it — and each round
+// the driver wakes exactly the workers whose shards hold active machines
+// over per-worker channels. The active set is ascending and shards are
+// contiguous id blocks, so worker si owns exactly the slab positions of
+// its slice of the active set and outbox staging is lock-free per sender.
+// The driver executes shard 0 itself while the woken workers run — a round
+// confined to shard 0 costs no channel traffic at all — and the drained
+// done channel is the barrier. Close must be called to release the
+// workers; the facade structures forward their Close to it.
+type parallelExec struct {
+	c       *Cluster
 	nshards int
-	work    []chan int // per-worker round signal, shards 1..nshards-1 (shard 0 is the driver's)
-	done    chan int   // round barrier: workers report their shard index
+	work    []chan struct{} // per-worker round signal, shards 1..nshards-1 (shard 0 is the driver's)
+	done    chan struct{}   // round barrier: one token per woken worker
+	exited  sync.WaitGroup  // the workers, for close
 
 	// Per-round state, written by the driver before the wakes and read by
 	// the workers (the channel send orders the accesses): the active set,
-	// one recycled context per active machine at the matching position,
-	// and each shard's [start, end) slice of both. The slab persists
-	// across rounds — settle payload-clears every slot, so keeping the
-	// backing array pins nothing.
+	// the context slab, and each shard's [lo, hi) slice of both.
 	active []int
 	slab   []Ctx
 	lo, hi []int
 	closed bool
 }
 
-func newParallelBackend(c *Cluster, workers int) *ParallelBackend {
-	w := workers
-	if w > c.cfg.Machines {
-		w = c.cfg.Machines
+func newParallelExec(c *Cluster, workers int) *parallelExec {
+	w := max(1, min(workers, c.cfg.Machines))
+	p := &parallelExec{
+		c:       c,
+		nshards: w,
+		work:    make([]chan struct{}, w),
+		done:    make(chan struct{}, w),
+		lo:      make([]int, w),
+		hi:      make([]int, w),
 	}
-	if w < 1 {
-		w = 1
-	}
-	p := &ParallelBackend{
-		backendBase: newBackendBase(c),
-		nshards:     w,
-		done:        make(chan int, w),
-		lo:          make([]int, w),
-		hi:          make([]int, w),
-	}
-	p.work = make([]chan int, w)
 	for si := 1; si < w; si++ {
-		p.work[si] = make(chan int, 1)
+		p.work[si] = make(chan struct{}, 1)
+		p.exited.Add(1)
 		go p.worker(si)
 	}
 	return p
@@ -80,65 +57,42 @@ func newParallelBackend(c *Cluster, workers int) *ParallelBackend {
 // near-MaxInt ids on 64-bit ones. The quotient always fits — id < µ, so
 // id·nshards/µ < nshards — which also satisfies Div64's hi < divisor
 // precondition.
-func (p *ParallelBackend) shardOf(id int) int {
+func (p *parallelExec) shardOf(id int) int {
 	hi, lo := bits.Mul64(uint64(id), uint64(p.nshards))
 	quo, _ := bits.Div64(hi, lo, uint64(p.c.cfg.Machines))
 	return int(quo)
 }
 
-// worker is the long-lived loop of one shard: woken with a round number,
-// it executes its shard's active machines and reports to the barrier. It
-// exits when the work channel is closed.
-func (p *ParallelBackend) worker(si int) {
-	for round := range p.work[si] {
-		p.runShard(si, round)
-		p.done <- si
+// worker is the long-lived loop of one shard: woken, it executes its
+// shard's active machines and reports to the barrier. It exits when the
+// work channel is closed.
+func (p *parallelExec) worker(si int) {
+	defer p.exited.Done()
+	for range p.work[si] {
+		p.runShard(si)
+		p.done <- struct{}{}
 	}
 }
 
-// runShard sorts the inboxes and runs the handlers of one shard's slice
-// of the active set. Each slab slot is written only here, by the single
-// goroutine executing this shard this round. The Gosched after every
-// handler mirrors the yield cadence the sim oracle gets for free from
-// its per-handler goroutines: without it this loop monopolizes its P for
-// the whole round, the concurrent GC mark worker starves, the mark phase
-// stretches, and every pointer write inside the stretched window pays
-// the full write-barrier flush (measured at >20% of round time on a
-// single-P box before the yields).
-func (p *ParallelBackend) runShard(si, round int) {
+// runShard runs the handlers of one shard's slice of the active set. Each
+// slab slot is written only here, by the single goroutine executing this
+// shard this round.
+func (p *parallelExec) runShard(si int) {
 	for i := p.lo[si]; i < p.hi[si]; i++ {
-		id := p.active[i]
-		ctx := &p.slab[i]
-		ctx.cluster, ctx.self, ctx.round = p.c, id, round
-		inbox := p.inboxes[id]
-		sortInbox(inbox)
-		if m := p.c.machines[id]; m != nil {
-			m.HandleRound(ctx, inbox)
-		}
-		runtime.Gosched()
+		p.c.handle(&p.slab[i], p.active[i])
 	}
-	runtime.Gosched()
 }
 
-// Round executes one synchronous round: wake the involved workers, run
-// the driver's own share, drain the barrier, then merge deterministically.
-func (p *ParallelBackend) Round() RoundStats {
+// run wakes the involved workers, runs the driver's own share and drains
+// the barrier. A shard's slice of the slab is the maximal run of
+// positions whose machine ids it owns.
+func (p *parallelExec) run(active []int, slab []Ctx) {
 	if p.closed {
 		panic("mpc: Round on a closed cluster")
 	}
-	active, rs := p.beginRound()
-	round := p.c.stats.Rounds
-
-	// One contiguous context slab, positionally aligned with the
-	// ascending active set and recycled across rounds (growSlab keeps
-	// the backing array; settle payload-cleared every slot last round).
-	// A shard's slice of it is the maximal run of positions whose
-	// machine ids it owns.
-	p.active = active
-	p.slab = growSlab(p.slab, len(active))
-	for si := range p.lo {
-		p.lo[si], p.hi[si] = 0, 0
-	}
+	p.active, p.slab = active, slab
+	clear(p.lo)
+	clear(p.hi)
 	prev := -1
 	for i, id := range active {
 		si := p.shardOf(id)
@@ -152,29 +106,19 @@ func (p *ParallelBackend) Round() RoundStats {
 	involved := 0
 	for si := 1; si < p.nshards; si++ {
 		if p.hi[si] > p.lo[si] {
-			p.work[si] <- round
+			p.work[si] <- struct{}{}
 			involved++
 		}
 	}
-	p.runShard(0, round)
+	p.runShard(0)
 	for ; involved > 0; involved-- {
 		<-p.done
 	}
-
-	slab := p.slab
-	p.settle(active, func(i, _ int) *Ctx { return &slab[i] })
-
-	// The slab stays banked for the next round: settle copied the staged
-	// messages into the receiving inboxes and recycled every slot with
-	// the payload-clearing rule, so the retained backing array holds no
-	// message payloads — the PR 7 "drop the slab" invariant, now enforced
-	// by clearing instead of dropping.
-	p.active = nil
-	return rs
 }
 
-// Close stops the worker goroutines. Idempotent; Round panics afterwards.
-func (p *ParallelBackend) Close() {
+// close stops the worker goroutines and waits for them to exit.
+// Idempotent; run panics afterwards.
+func (p *parallelExec) close() {
 	if p.closed {
 		return
 	}
@@ -182,4 +126,5 @@ func (p *ParallelBackend) Close() {
 	for si := 1; si < p.nshards; si++ {
 		close(p.work[si])
 	}
+	p.exited.Wait()
 }

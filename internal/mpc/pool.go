@@ -1,23 +1,21 @@
 package mpc
 
-// Per-round memory pooling for the backend hot loop. A steady-state round
-// used to allocate a fresh Ctx slab, re-grow every receiving machine's
-// inbox from nil, and append per-handler outboxes from scratch; the pools
-// here recycle all three backing stores so a bounded-active-set round
-// settles at ~zero allocations (pinned by TestSteadyStateAllocsPerRound).
+// Per-round memory pooling for the round loop: the Ctx slab, the inbox
+// backing arrays and the per-handler outboxes are all recycled, so a
+// bounded-active-set round settles at ~zero allocations (pinned by
+// TestSteadyStateAllocsPerRound).
 //
-// The one rule that makes recycling safe is the payload-clearing rule
-// inherited from PR 7's "drop the slab" lesson: a retired []Message
-// backing array holds Payload pointers, and parking it in a free-list
-// un-cleared would pin every payload of the round for the pool's
-// lifetime. Every retirement therefore zeroes the consumed elements
+// The one rule that makes recycling safe is the payload-clearing rule: a
+// retired []Message backing array holds Payload pointers, and parking it
+// in a free-list un-cleared would pin every payload of the round for the
+// pool's lifetime. Every retirement therefore zeroes the consumed elements
 // before banking the array. Elements beyond len(s) stay zero by
 // induction — fresh arrays start zeroed and append only writes the
 // elements that become part of len — so clearing len, not cap, suffices.
 
 // msgPool is a free-list of retired []Message backing arrays, shared by
 // the inboxes and refilled by settle each round. It is owned by the
-// single driver goroutine; workers never touch it.
+// driver goroutine; handlers never touch it.
 type msgPool struct {
 	free [][]Message
 }
@@ -69,41 +67,4 @@ func (ctx *Ctx) recycle() {
 	clear(ctx.out)
 	ctx.out = ctx.out[:0]
 	ctx.schedule = ctx.schedule[:0]
-}
-
-// pairEntry is one run of same-pair traffic staged by the current round.
-type pairEntry struct {
-	from, to, words int
-}
-
-// pairStage is the flat per-round accumulator for the pair-communication
-// distribution. The delivery path used to do one map[[2]int]int write per
-// staged message; the stage instead appends to a reused flat slice —
-// coalescing consecutive same-pair messages, the common shape of a sender
-// streaming to one destination — and folds into the map once at the end
-// of settle. Integer addition commutes, so the folded map (and with it
-// CommEntropy and MaxPairWords) is bit-identical to the per-message
-// writes.
-type pairStage struct {
-	entries []pairEntry
-}
-
-// add stages words of (from → to) traffic.
-func (s *pairStage) add(from, to, words int) {
-	if n := len(s.entries); n > 0 {
-		if e := &s.entries[n-1]; e.from == from && e.to == to {
-			e.words += words
-			return
-		}
-	}
-	s.entries = append(s.entries, pairEntry{from: from, to: to, words: words})
-}
-
-// fold flushes the staged runs into the lifetime pair map and resets the
-// stage for the next round.
-func (s *pairStage) fold(st *Stats) {
-	for _, e := range s.entries {
-		st.pairWords[[2]int{e.from, e.to}] += e.words
-	}
-	s.entries = s.entries[:0]
 }

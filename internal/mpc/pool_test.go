@@ -6,19 +6,6 @@ import (
 	"testing"
 )
 
-// setDebugActive installs a test observer on the backend's beginRound —
-// the hook sees every round's active set exactly as settle will.
-func setDebugActive(c *Cluster, f func([]int)) {
-	switch b := c.backend.(type) {
-	case *SimBackend:
-		b.debugActive = f
-	case *ParallelBackend:
-		b.debugActive = f
-	default:
-		panic("setDebugActive: unknown backend")
-	}
-}
-
 // xorshift is the test-local deterministic RNG (math/rand would work too;
 // this keeps the property test's two backend runs trivially identical).
 type xorshift uint64
@@ -34,8 +21,8 @@ func (x *xorshift) next() uint64 {
 
 // TestSteadyStateAllocsPerRound pins the allocation bill of a
 // steady-state Round with every machine active — the pooled hot path.
-// The parallel backend's per-round scratch (active set, Ctx slab, inbox
-// backing arrays, pair staging) is fully recycled, so its budget is zero.
+// The round's scratch (active set, Ctx slab, inbox backing arrays) is
+// fully recycled, so the parallel backend's budget is zero.
 // The sim oracle inherently spawns one handler goroutine per activation
 // (a closure plus the goroutine itself, ~2 allocations per active
 // machine); its budget pins that linear bill so the pooled parts can't
@@ -88,7 +75,7 @@ func (m *chaosMachine) HandleRound(ctx *Ctx, inbox []Message) {
 	}
 }
 
-// TestActiveSetInvariantUnderChaos: under randomized Deliver/Schedule
+// TestActiveSetInvariantUnderChaos: under randomized Send/Schedule
 // interleavings — external injections between rounds plus machines
 // sending and scheduling at random — the active set handed to settle is
 // strictly ascending, duplicate-free, in range, and exactly the set of
@@ -106,9 +93,9 @@ func TestActiveSetInvariantUnderChaos(t *testing.T) {
 			c.SetMachine(i, ms[i])
 		}
 		var observed []int
-		setDebugActive(c, func(active []int) {
+		c.debugActive = func(active []int) {
 			observed = append(observed[:0], active...)
-		})
+		}
 
 		drive := xorshift(42)
 		expect := map[int]bool{}
@@ -171,14 +158,11 @@ func TestActiveSetInvariantUnderChaos(t *testing.T) {
 // µ near MaxInt here stands in for the 32-bit case, where overflow
 // starts at entirely realistic cluster sizes (µ·shards > 2³¹). Pinned
 // against a big.Int oracle, alongside the graph.Chunk/SplitOps MaxInt
-// boundary tests. The backend is constructed bare: shardOf reads only
+// boundary tests. The executor is constructed bare: shardOf reads only
 // nshards and cfg.Machines, and a MaxInt cluster can't be allocated.
 func TestShardOfOverflowBoundary(t *testing.T) {
-	mk := func(machines, shards int) *ParallelBackend {
-		return &ParallelBackend{
-			backendBase: backendBase{c: &Cluster{cfg: Config{Machines: machines}}},
-			nshards:     shards,
-		}
+	mk := func(machines, shards int) *parallelExec {
+		return &parallelExec{c: &Cluster{cfg: Config{Machines: machines}}, nshards: shards}
 	}
 	want := func(id, shards, machines int) int {
 		n := new(big.Int).Mul(big.NewInt(int64(id)), big.NewInt(int64(shards)))
@@ -244,38 +228,80 @@ func TestMsgPoolPayloadClearing(t *testing.T) {
 	}
 }
 
-// TestPairStageFoldMatchesDirectWrites: folding the flat per-round runs
-// into the pair map — across random fold boundaries and with run-heavy
-// sequences exercising the same-pair coalescing — produces exactly the
-// map the old per-message writes built. Integer addition commutes, so
-// "exactly" means bit-identical CommEntropy/MaxPairWords inputs.
-func TestPairStageFoldMatchesDirectWrites(t *testing.T) {
-	var stage pairStage
-	st := Stats{pairWords: map[[2]int]int{}}
-	direct := map[[2]int]int{}
-	rng := xorshift(7)
-	from, to := 0, 1
-	for i := 0; i < 2000; i++ {
-		if rng.next()%3 != 0 { // bias toward repeating the previous pair
-			from, to = int(rng.next()%5), int(rng.next()%5)
-		}
-		words := int(rng.next()%9) + 1
-		stage.add(from, to, words)
-		direct[[2]int{from, to}] += words
-		if rng.next()%40 == 0 { // random round boundary
-			stage.fold(&st)
-		}
+// recorder wraps a machine and keeps every message it was handed; once
+// *mute is set it swallows its input, so the cluster drains.
+type recorder struct {
+	Machine
+	got  []Message
+	mute *bool
+}
+
+func (r *recorder) HandleRound(ctx *Ctx, inbox []Message) {
+	r.got = append(r.got, inbox...)
+	if !*r.mute {
+		r.Machine.HandleRound(ctx, inbox)
 	}
-	stage.fold(&st)
-	if len(stage.entries) != 0 {
-		t.Fatalf("stage holds %d entries after fold, want 0", len(stage.entries))
-	}
-	if len(st.pairWords) != len(direct) {
-		t.Fatalf("folded map has %d pairs, direct writes %d", len(st.pairWords), len(direct))
-	}
-	for pair, w := range direct {
-		if st.pairWords[pair] != w {
-			t.Fatalf("pair %v: folded %d words, direct %d", pair, st.pairWords[pair], w)
+}
+
+// TestPairTableMatchesMessages: on a random ping cluster fed external
+// input (From −1, one out-of-range send dropped as a violation) the pair
+// table equals the per-pair volumes recomputed from the messages the
+// machines were actually handed, on both backends, and CommEntropy and
+// MaxPairWords agree across them — stage is the one writer of the table
+// and bills exactly what it delivers.
+func TestPairTableMatchesMessages(t *testing.T) {
+	const mu = 19
+	var entropy [2]float64
+	var maxPair [2]int
+	for bi, be := range []BackendKind{BackendSim, BackendParallel} {
+		c := NewCluster(Config{Machines: mu, MemWords: 1 << 16, Workers: 4, Backend: be})
+		recs := make([]*recorder, mu)
+		mute := false
+		for i := range recs {
+			recs[i] = &recorder{mute: &mute, Machine: &chaosMachine{id: i, mu: mu, rng: xorshift(uint64(i)*0x9e3779b97f4a7c15 + 1)}}
+			c.SetMachine(i, recs[i])
 		}
+		drive := xorshift(99)
+		for step := 0; step < 200; step++ {
+			for k := drive.next() % 3; k > 0; k-- {
+				c.Send(Message{From: -1, To: int(drive.next() % mu), Payload: int64(step), Words: int(drive.next()%5) + 1})
+			}
+			if step == 100 {
+				c.Send(Message{From: -1, To: mu, Payload: int64(step), Words: 7})
+			}
+			c.Round()
+		}
+		mute = true // deliver what is staged, send nothing more
+		c.Drain(2, "muted ping cluster")
+		c.Close()
+		if c.stats.Violations != 1 {
+			t.Fatalf("%v: %d violations, want the one out-of-range send", be, c.stats.Violations)
+		}
+
+		want := map[uint64]int{}
+		for to, r := range recs {
+			for _, m := range r.got {
+				if m.To != to {
+					t.Fatalf("%v: machine %d was handed a message for %d", be, to, m.To)
+				}
+				want[pairKey(m.From, m.To)] += m.Words
+			}
+		}
+		if len(want) != len(c.stats.pairWords) {
+			t.Fatalf("%v: table has %d pairs, the delivered messages %d", be, len(c.stats.pairWords), len(want))
+		}
+		for k, w := range want {
+			if c.stats.pairWords[k] != w {
+				t.Fatalf("%v: pair (%d→%d): table %d words, delivered %d", be, int32(k>>32), int32(k), c.stats.pairWords[k], w)
+			}
+		}
+		if want[pairKey(-1, 0)] == 0 {
+			t.Fatalf("%v: no external traffic to machine 0 recorded under From −1", be)
+		}
+		entropy[bi], maxPair[bi] = c.CommEntropy(), c.MaxPairWords()
+	}
+	if entropy[0] != entropy[1] || maxPair[0] != maxPair[1] {
+		t.Fatalf("pair accounting differs across backends: entropy %v vs %v, max pair %d vs %d",
+			entropy[0], entropy[1], maxPair[0], maxPair[1])
 	}
 }

@@ -2,66 +2,36 @@ package mpc
 
 import "sync"
 
-// SimBackend is the deterministic single-driver simulator loop — the
-// correctness and accounting oracle. The driver goroutine orchestrates
-// every round: it computes the active set, sorts each inbox, runs the
-// handlers on short-lived goroutines bounded by the worker semaphore,
-// and stages the staged messages in ascending sender order. Handler
-// state is only ever touched by the machine's own handler, so results
-// are independent of the worker bound (pinned by the determinism tests).
-//
-// Per-round memory is pooled: the worker semaphore, the active scratch
-// and the Ctx slab are hoisted into the backend, slab slots are recycled
-// (payload-cleared) by settle, and inbox backing arrays cycle through
-// the shared msgPool — so a steady-state round's allocation bill is the
-// handler goroutine spawns plus whatever the handlers themselves
-// allocate (pinned by TestSteadyStateAllocsPerRound and
-// BenchmarkRoundAllocs).
-type SimBackend struct {
-	backendBase
-	workers int
-	sem     chan struct{} // hoisted handler-concurrency semaphore
-	slab    []Ctx         // pooled per-round contexts, positional over the active set
+// simExec is the sim backend's executor — the correctness and accounting
+// oracle. It runs every active machine's handler on its own short-lived
+// goroutine, at most cap(sem) at a time, so the race detector sees every
+// pair of co-active machines on separate goroutines. Handler state is
+// only ever touched by the machine's own handler, so results are
+// independent of the worker bound (pinned by the determinism tests). A
+// steady-state round's allocation bill is the goroutine spawns plus
+// whatever the handlers allocate (TestSteadyStateAllocsPerRound).
+type simExec struct {
+	c   *Cluster
+	sem chan struct{}
+	wg  sync.WaitGroup
 }
 
-func newSimBackend(c *Cluster, workers int) *SimBackend {
-	return &SimBackend{
-		backendBase: newBackendBase(c),
-		workers:     workers,
-		sem:         make(chan struct{}, workers),
-	}
+func newSimExec(c *Cluster, workers int) *simExec {
+	return &simExec{c: c, sem: make(chan struct{}, workers)}
 }
 
-// Round executes one synchronous round: delivers all pending messages,
-// runs every active machine's handler concurrently, and stages the
-// messages they send for the next round.
-func (s *SimBackend) Round() RoundStats {
-	active, rs := s.beginRound()
-	s.slab = growSlab(s.slab, len(active))
-
-	// Run handlers concurrently, bounded by the hoisted semaphore.
-	var wg sync.WaitGroup
+func (s *simExec) run(active []int, slab []Ctx) {
 	for i, id := range active {
-		ctx := &s.slab[i]
-		ctx.cluster, ctx.self, ctx.round = s.c, id, s.c.stats.Rounds
-		inbox := s.inboxes[id]
-		sortInbox(inbox)
-		m := s.c.machines[id]
-		wg.Add(1)
+		s.wg.Add(1)
 		s.sem <- struct{}{}
-		go func(m Machine, ctx *Ctx, inbox []Message) {
-			defer wg.Done()
+		go func(ctx *Ctx, id int) {
+			defer s.wg.Done()
 			defer func() { <-s.sem }()
-			if m != nil {
-				m.HandleRound(ctx, inbox)
-			}
-		}(m, ctx, inbox)
+			s.c.handle(ctx, id)
+		}(&slab[i], id)
 	}
-	wg.Wait()
-
-	s.settle(active, func(i, _ int) *Ctx { return &s.slab[i] })
-	return rs
+	s.wg.Wait()
 }
 
-// Close is a no-op: the sim backend holds no long-lived goroutines.
-func (s *SimBackend) Close() {}
+// close is a no-op: the sim executor holds no long-lived goroutines.
+func (s *simExec) close() {}
