@@ -324,13 +324,17 @@ func (m *M) ApplyOps(ops []graph.Op) (graph.Results, mpc.MixedStats) {
 	return res, st
 }
 
+// vert reads v's state at its owner without creating it: the oracles
+// below read, so they must not change the memory they report.
+func (m *M) vert(v int) vstate { return m.shards[m.owner(v)-1].lookup(int32(v)) }
+
 // MateTable reads the authoritative mates — driver-side oracle access for
 // validation only, not part of the protocol accounting. The protocol
 // queries are OpMateOf/OpMatched ops.
 func (m *M) MateTable() []int {
 	out := make([]int, m.cfg.N)
 	for v := 0; v < m.cfg.N; v++ {
-		out[v] = int(m.shards[m.owner(v)-1].get(int32(v)).mate)
+		out[v] = int(m.vert(v).mate)
 	}
 	return out
 }
@@ -339,7 +343,7 @@ func (m *M) MateTable() []int {
 func (m *M) Levels() []int {
 	out := make([]int, m.cfg.N)
 	for v := 0; v < m.cfg.N; v++ {
-		out[v] = int(m.shards[m.owner(v)-1].get(int32(v)).lvl)
+		out[v] = int(m.vert(v).lvl)
 	}
 	return out
 }
@@ -360,8 +364,9 @@ func (m *M) QueueBacklog() int {
 // level -1; any free-free edge's endpoints are queued or active (the
 // almost-maximality bookkeeping); no gathered query answer is left
 // uncollected (ApplyOps is the result maps' only reader and deletes every
-// entry it collects); and every shard's running MemWords equals a
-// recomputation by scan.
+// entry it collects); every shard's running MemWords equals a
+// recomputation by scan; and both probe indexes equal theirs. It reads
+// without writing.
 func (m *M) Validate(g *graph.Graph) error {
 	for _, sh := range m.shards {
 		if n := len(sh.queryResults); n != 0 {
@@ -369,6 +374,9 @@ func (m *M) Validate(g *graph.Graph) error {
 		}
 		if got, want := sh.MemWords(), sh.scanWords(); got != want {
 			return fmt.Errorf("machine %d: shard word counter %d, %d recomputed", sh.id, got, want)
+		}
+		if err := sh.auditIndexes(); err != nil {
+			return err
 		}
 	}
 	pending := map[int32]bool{}
@@ -381,9 +389,9 @@ func (m *M) Validate(g *graph.Graph) error {
 		pending[v] = true
 	}
 	for v := 0; v < m.cfg.N; v++ {
-		st := m.shards[m.owner(v)-1].get(int32(v))
+		st := m.vert(v)
 		if st.mate >= 0 {
-			other := m.shards[m.owner(int(st.mate))-1].get(st.mate)
+			other := m.vert(int(st.mate))
 			if other.mate != int32(v) {
 				return fmt.Errorf("vertex %d: mate %d disagrees", v, st.mate)
 			}
@@ -401,9 +409,7 @@ func (m *M) Validate(g *graph.Graph) error {
 		}
 	}
 	for _, e := range g.Edges() {
-		su := m.shards[m.owner(e.U)-1].get(int32(e.U))
-		sv := m.shards[m.owner(e.V)-1].get(int32(e.V))
-		if su.mate == -1 && sv.mate == -1 && !pending[int32(e.U)] && !pending[int32(e.V)] {
+		if m.vert(e.U).mate == -1 && m.vert(e.V).mate == -1 && !pending[int32(e.U)] && !pending[int32(e.V)] {
 			return fmt.Errorf("free-free edge (%d,%d) with neither endpoint pending", e.U, e.V)
 		}
 	}

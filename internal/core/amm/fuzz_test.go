@@ -18,6 +18,10 @@ import (
 // every §6 invariant passes, and the accounting covers the whole batch.
 // The raw bytes decode through graph.FuzzStreamWellFormed because amm's
 // owner bookkeeping, like dmm's, assumes the well-formed stream contract.
+// All three replicas are validated, so the probe-index audits run on each;
+// the committed seed shuffle-probe-hit (a star of eight around vertex 0
+// whose matched edge is deleted, so 0 rematches at level 1, then churn
+// elsewhere) makes a shuffle probe find a candidate in every replica.
 //
 // Run the full fuzzer with:
 //
@@ -64,6 +68,9 @@ func FuzzBatchEquivalence(f *testing.F) {
 		if !graph.IsMatching(g, batM.MateTable()) {
 			t.Fatalf("k=%d: batched matching invalid", k)
 		}
+		if err := seqM.Validate(gSeq); err != nil {
+			t.Fatalf("k=%d: invariants broken after sequential replay: %v", k, err)
+		}
 		if err := batM.Validate(g); err != nil {
 			t.Fatalf("k=%d: invariants broken after batches: %v", k, err)
 		}
@@ -79,6 +86,9 @@ func FuzzBatchEquivalence(f *testing.F) {
 		defer parM.Close()
 		for _, b := range graph.Chunk(stream, k) {
 			applyBatch(parM, b)
+		}
+		if err := parM.Validate(g); err != nil {
+			t.Fatalf("k=%d: invariants broken on the parallel replica: %v", k, err)
 		}
 		wantT, gotT := batM.MateTable(), parM.MateTable()
 		for v := range wantT {

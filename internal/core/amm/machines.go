@@ -1,7 +1,10 @@
 package amm
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"dmpc/internal/mpc"
@@ -54,7 +57,21 @@ type vstate struct {
 	lvl     int32 // -1 free
 	mate    int32 // -1 free
 	support int32
-	adj     map[int32]int32 // neighbor -> mirrored level
+	// Membership of the shard's probe indexes, written by reindex only.
+	// The flags sit in the padding after the int32s: vstate stays 24 bytes.
+	inShuffle, inRise bool
+	adj               map[int32]int32 // neighbor -> mirrored level
+}
+
+// phi is Φ_v(ℓ): v's neighbors whose mirrored level is below ℓ.
+func (st *vstate) phi(l int) int {
+	n := 0
+	for _, wl := range st.adj {
+		if int(wl) < l {
+			n++
+		}
+	}
+	return n
 }
 
 // job notifies v's neighbors about a level change, Δ per tick.
@@ -78,6 +95,12 @@ type shard struct {
 	// setAdj/delAdj only; jobWords is Σ 2+len(job.todo), moved where jobs
 	// are queued and drained.
 	adjEntries, jobWords int
+
+	// The probe indexes, ascending owned ids: shuffle holds the vertices
+	// shuffleCand admits, rise those riseCand admits. Runtime caches, never
+	// billed; reindex is their one writer and Validate audits them.
+	shuffle, rise []int32
+	riseCap       int // the rise invariant's c·log² n
 }
 
 func newShard(id, mu int, cfg Config, levels int) *shard {
@@ -86,6 +109,7 @@ func newShard(id, mu int, cfg Config, levels int) *shard {
 		verts:        make(map[int32]*vstate),
 		rng:          rand.New(rand.NewSource(cfg.Seed + int64(id)*7919)),
 		queryResults: make(map[int64]int32),
+		riseCap:      4 * bits(cfg.N) * bits(cfg.N),
 	}
 }
 
@@ -128,6 +152,83 @@ func (s *shard) get(v int32) *vstate {
 		s.verts[v] = st
 	}
 	return st
+}
+
+// lookup reads v's state without creating it, for readers: a vertex never
+// touched is free, at level -1.
+func (s *shard) lookup(v int32) vstate {
+	if st, ok := s.verts[v]; ok {
+		return *st
+	}
+	return vstate{lvl: -1, mate: -1}
+}
+
+// shuffleCand: the shuffle subscheduler resamples matched edges at level
+// ≥ 1, each named by its smaller endpoint.
+func shuffleCand(v int32, st *vstate) bool {
+	return st.mate >= 0 && st.lvl >= 1 && v < st.mate
+}
+
+// riseCand: Φ_v(ℓ) ≤ deg(v) and γ^ℓ·riseCap grows with ℓ, so only a vertex
+// whose degree exceeds the bound at its lowest tested level ℓ = lvl+1 can
+// violate the rise invariant.
+func (s *shard) riseCand(st *vstate) bool {
+	l := int(st.lvl) + 1
+	return l < s.levels && len(st.adj) > pow(gamma, l)*s.riseCap
+}
+
+// reindex refreshes v's membership of both probe indexes. Every write to
+// a vertex's mate, level or degree is made by a message naming that vertex,
+// so HandleRound calls it once per such message.
+func (s *shard) reindex(v int32) {
+	st, ok := s.verts[v]
+	if !ok {
+		return
+	}
+	if in := shuffleCand(v, st); in != st.inShuffle {
+		st.inShuffle = in
+		s.shuffle = toggle(s.shuffle, v, in)
+	}
+	if in := s.riseCand(st); in != st.inRise {
+		st.inRise = in
+		s.rise = toggle(s.rise, v, in)
+	}
+}
+
+// toggle inserts v into (in) or removes it from the ascending list ids.
+func toggle(ids []int32, v int32, in bool) []int32 {
+	i, _ := slices.BinarySearch(ids, v)
+	if in {
+		return slices.Insert(ids, i, v)
+	}
+	return slices.Delete(ids, i, i+1)
+}
+
+// auditIndexes is Validate's oracle for the probe indexes: both sets and
+// every flag recomputed by scan.
+func (s *shard) auditIndexes() error {
+	var shuffle, rise []int32
+	for v, st := range s.verts {
+		if in := shuffleCand(v, st); in != st.inShuffle {
+			return fmt.Errorf("machine %d: vertex %d flagged %v in the shuffle index, a scan says %v", s.id, v, st.inShuffle, in)
+		} else if in {
+			shuffle = append(shuffle, v)
+		}
+		if in := s.riseCand(st); in != st.inRise {
+			return fmt.Errorf("machine %d: vertex %d flagged %v in the rise index, a scan says %v", s.id, v, st.inRise, in)
+		} else if in {
+			rise = append(rise, v)
+		}
+	}
+	slices.Sort(shuffle)
+	slices.Sort(rise)
+	if !slices.Equal(s.shuffle, shuffle) {
+		return fmt.Errorf("machine %d: shuffle index lists %v, a scan finds %v", s.id, s.shuffle, shuffle)
+	}
+	if !slices.Equal(s.rise, rise) {
+		return fmt.Errorf("machine %d: rise index lists %v, a scan finds %v", s.id, s.rise, rise)
+	}
+	return nil
 }
 
 // queueLevelJob schedules neighbor notifications for v's new level.
@@ -208,15 +309,14 @@ func (s *shard) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 				st.adj[m.V] = m.Lvl
 			}
 		case aProbe:
-			s.handleProbe(ctx, m)
+			rep := s.probe(m.Shuffle)
+			ctx.Send(0, rep, rep.words())
 		case aMateQuery:
-			// Plain lookup: a read must not allocate authoritative state
-			// for a never-touched vertex (free vertices report -1 anyway).
-			mate := int32(-1)
-			if st, ok := s.verts[m.U]; ok {
-				mate = st.mate
-			}
-			s.queryResults[m.Seq] = mate
+			s.queryResults[m.Seq] = s.lookup(m.U).mate
+		}
+		switch m.Kind {
+		case aUpdate, aEdge, aEdgeBack, aExFreed, aMatchOrder, aUnmatchOrder:
+			s.reindex(m.U) // the one vertex whose mate, level or degree these write
 		}
 	}
 	// Pure reads report nothing: queries mutate no state, and the
@@ -309,19 +409,9 @@ func (s *shard) handleFree(ctx *mpc.Ctx, m amsg) {
 	if st.mate >= 0 || len(st.adj) == 0 {
 		return // nothing to do; scheduler's active entry expires
 	}
-	active := map[int32]bool{}
-	for _, a := range m.Active {
-		active[a] = true
-	}
 	bestLvl := int32(-1)
 	for l := 0; l < s.levels; l++ {
-		phi := 0
-		for _, wl := range st.adj {
-			if int(wl) < l {
-				phi++
-			}
-		}
-		if phi >= pow(gamma, l) {
+		if st.phi(l) >= pow(gamma, l) {
 			bestLvl = int32(l)
 		}
 	}
@@ -330,7 +420,10 @@ func (s *shard) handleFree(ctx *mpc.Ctx, m amsg) {
 	}
 	var pool []int32
 	for w, wl := range st.adj {
-		if wl < bestLvl && !active[w] {
+		if wl >= bestLvl {
+			continue
+		}
+		if _, active := slices.BinarySearch(m.Active, w); !active { // dispatch sorts the list
 			pool = append(pool, w)
 		}
 	}
@@ -405,52 +498,29 @@ func (s *shard) unmatchLocal(ctx *mpc.Ctx, v int32, report *amsg, dirty *bool) {
 	*dirty = true
 }
 
-// handleProbe serves the rise/shuffle subschedulers: report a random
-// matched vertex at level >= 1 (shuffle) or a Φ-invariant violator (rise).
-func (s *shard) handleProbe(ctx *mpc.Ctx, m amsg) {
-	rep := amsg{Kind: aProbeRep, Shuffle: m.Shuffle}
-	var ids []int32
-	for v := range s.verts {
-		ids = append(ids, v)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	if m.Shuffle {
-		var cands []int32
-		for _, v := range ids {
-			st := s.verts[v]
-			if st.mate >= 0 && st.lvl >= 1 && v < st.mate {
-				cands = append(cands, v)
-			}
-		}
-		if len(cands) > 0 {
+// probe serves the rise/shuffle subschedulers from the probe indexes:
+// report a random matched vertex at level >= 1 (shuffle) or the least
+// Φ-invariant violator (rise).
+func (s *shard) probe(shuffle bool) amsg {
+	rep := amsg{Kind: aProbeRep, Shuffle: shuffle}
+	if shuffle {
+		if len(s.shuffle) > 0 {
 			rep.Found = true
-			rep.U = cands[s.rng.Intn(len(cands))]
+			rep.U = s.shuffle[s.rng.Intn(len(s.shuffle))]
 		}
-	} else {
-		// Rise probe: Φ_v(ℓ) must stay ≤ γ^ℓ · c·log² n for ℓ > lvl(v).
-		cap := 4 * bits(s.cfg.N) * bits(s.cfg.N)
-		for _, v := range ids {
-			st := s.verts[v]
-			for l := int(st.lvl) + 1; l < s.levels; l++ {
-				phi := 0
-				for _, wl := range st.adj {
-					if int(wl) < l {
-						phi++
-					}
-				}
-				if phi > pow(gamma, l)*cap {
-					rep.Found = true
-					rep.U = v
-					rep.Lvl = int32(l)
-					break
-				}
-			}
-			if rep.Found {
-				break
+		return rep
+	}
+	// Rise probe: Φ_v(ℓ) must stay ≤ γ^ℓ · c·log² n for ℓ > lvl(v).
+	for _, v := range s.rise {
+		st := s.verts[v]
+		for l := int(st.lvl) + 1; l < s.levels; l++ {
+			if st.phi(l) > pow(gamma, l)*s.riseCap {
+				rep.Found, rep.U, rep.Lvl = true, v, int32(l)
+				return rep
 			}
 		}
 	}
-	ctx.Send(0, rep, rep.words())
+	return rep
 }
 
 // scheduler is machine 0: queues, active list, subscheduler arbitration.
@@ -557,14 +627,13 @@ func (s *scheduler) dispatch(ctx *mpc.Ctx) {
 	// low-support edges from the unmatch-scheduler).
 	orders := s.pendingUnmatch
 	s.pendingUnmatch = nil
-	var lows []int32
-	for v := range s.lowSupp {
-		lows = append(lows, v)
-	}
-	sort.Slice(lows, func(i, j int) bool { return lows[i] < lows[j] })
-	if len(lows) > 0 {
-		orders = append(orders, lows[0]) // lowest-support proxy: one per cycle
-		delete(s.lowSupp, lows[0])
+	if len(s.lowSupp) > 0 {
+		low := int32(math.MaxInt32)
+		for v := range s.lowSupp {
+			low = min(low, v)
+		}
+		orders = append(orders, low) // lowest-support proxy: one per cycle
+		delete(s.lowSupp, low)
 	}
 	seen := map[int32]bool{}
 	for _, v := range orders {
