@@ -4,6 +4,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 )
 
 // passingReport is a hand-built suite document that passes every check
@@ -58,10 +59,17 @@ func failing(vs []verdict) []string {
 // Gates are tripped by moving the snapshot (so no invariant of the run
 // moves) — by any difference, so each of the six that used to be
 // one-sided tolerances is tripped once by a regression and once by an
-// improvement — invariants by a mutation of the run that no gate sees.
+// improvement — invariants by a mutation no gate sees: a boolean of the
+// run, or the same number moved in run and snapshot alike.
 func TestEveryNamedCheckTrips(t *testing.T) {
 	if names := failing(checkBaseline(passingReport(), passingReport())); len(names) != 0 {
 		t.Fatalf("unmutated pair fails %q", names)
+	}
+	// Unexported fields are printed, never gated.
+	timed := passingReport()
+	timed.TreeDP[0].elapsed = time.Second
+	if names := failing(checkBaseline(timed, passingReport())); len(names) != 0 {
+		t.Fatalf("a run differing only in elapsed time fails %q", names)
 	}
 	cases := []struct {
 		check  string
@@ -79,33 +87,45 @@ func TestEveryNamedCheckTrips(t *testing.T) {
 			func(_, want *benchReport) { want.Auto[0].Ks = want.Auto[0].Ks[:2] }},
 		{"read_only: every cell", "cc k=8 RoundsPerQuery", func(_, want *benchReport) { want.ReadOnly[0].RoundsPerQuery = 0.5 }},
 		{"sweep: every cell", "n=64 WorstWords", func(_, want *benchReport) { want.Sweep[0].WorstWords = 301 }},
-		{"batch: amortized rounds/update", "cc k=64", func(_, want *benchReport) { want.Batch[1].Amortized = 1.0 }},
-		{"batch: amortized rounds/update", "cc k=64", func(_, want *benchReport) { want.Batch[1].Amortized = 1.6 }},
-		{"mixed: in-wave rounds/op", "cc k=64", func(_, want *benchReport) { want.Mixed[1].InwavePerOp = 0.5 }},
-		{"mixed: in-wave rounds/op", "cc k=64", func(_, want *benchReport) { want.Mixed[1].InwavePerOp = 1.05 }},
-		{"arrivals: latency p99 rounds at k=64", "cc poisson k=64", func(_, want *benchReport) { want.Arrivals[1].P99 = 50 }},
-		{"arrivals: latency p99 rounds at k=64", "cc poisson k=64", func(_, want *benchReport) { want.Arrivals[1].P99 = 74 }},
-		{"tenants: fair victim p99 rounds", "cc", func(_, want *benchReport) { want.Tenants[0].VictimFairP99 = 4 }},
-		{"tenants: fair victim p99 rounds", "cc", func(_, want *benchReport) { want.Tenants[0].VictimFairP99 = 7 }},
-		{"treedp: DP rounds/query at k=64", "uniform k=64 sim", func(_, want *benchReport) { want.TreeDP[0].DPRoundsPerQuery = 0.01 }},
-		{"treedp: DP rounds/query at k=64", "uniform k=64 sim", func(_, want *benchReport) { want.TreeDP[0].DPRoundsPerQuery = 0.041 }},
+		{"batch: every cell", "cc k=64 Amortized", func(_, want *benchReport) { want.Batch[1].Amortized = 1.0 }},
+		{"batch: every cell", "cc k=64 Amortized", func(_, want *benchReport) { want.Batch[1].Amortized = 1.6 }},
+		{"batch: every cell", "cc k=1 MeanWords", func(_, want *benchReport) { want.Batch[0].MeanWords = 40 }},
+		{"mixed: every cell", "cc k=64 InwavePerOp", func(_, want *benchReport) { want.Mixed[1].InwavePerOp = 0.5 }},
+		{"mixed: every cell", "cc k=64 InwavePerOp", func(_, want *benchReport) { want.Mixed[1].InwavePerOp = 1.05 }},
+		{"mixed: every cell", "cc k=8 FreeRides", func(_, want *benchReport) { want.Mixed[0].FreeRides = 3 }},
+		{"arrivals: every cell", "cc poisson k=64 P99", func(_, want *benchReport) { want.Arrivals[1].P99 = 50 }},
+		{"arrivals: every cell", "cc poisson k=64 P99", func(_, want *benchReport) { want.Arrivals[1].P99 = 74 }},
+		{"arrivals: every cell", "cc poisson k=8 P99", func(_, want *benchReport) { want.Arrivals[0].P99 = 48 }},
+		{"latency_autobatch: every cell", "cc poisson BoundK", func(_, want *benchReport) { want.LatencyAuto[0].BoundK = 32 }},
+		{"tenants: every cell", "cc VictimFairP99", func(_, want *benchReport) { want.Tenants[0].VictimFairP99 = 4 }},
+		{"tenants: every cell", "cc VictimFairP99", func(_, want *benchReport) { want.Tenants[0].VictimFairP99 = 7 }},
+		{"tenants: every cell", "cc NoisyFairRounds", func(_, want *benchReport) { want.Tenants[0].NoisyFairRounds = 30.5 }},
+		{"treedp: every cell", "uniform k=64 sim DPRoundsPerQuery", func(_, want *benchReport) { want.TreeDP[0].DPRoundsPerQuery = 0.01 }},
+		{"treedp: every cell", "uniform k=64 sim DPRoundsPerQuery", func(_, want *benchReport) { want.TreeDP[0].DPRoundsPerQuery = 0.041 }},
+		{"treedp: every cell", "uniform k=256 sim DPRoundsPerQuery", func(_, want *benchReport) { want.TreeDP[1].DPRoundsPerQuery = 0.03 }},
 		{"wallclock: rounds/op", "cc n=10000 sim", func(_, want *benchReport) { want.Wall[0].RoundsPerOp = 1.0 }},
 		{"wallclock: rounds/op", "cc n=10000 sim", func(_, want *benchReport) { want.Wall[0].RoundsPerOp = 1.51 }},
 		{"wallclock: allocs/round", "cc n=10000 parallel", func(_, want *benchReport) { want.Wall[1].AllocsPerRound = 10 }},
 
 		// A gated row missing on either side is an error naming table and key.
-		{"arrivals: latency p99 rounds at k=64", `snapshot row "cc poisson k=64" was not measured`,
+		{"arrivals: every cell", `snapshot row "cc poisson k=64 K" was not measured`,
 			func(rep, _ *benchReport) { rep.Arrivals = rep.Arrivals[:1] }},
-		{"arrivals: latency p99 rounds at k=64", `measured row "cc poisson k=64" is not in the snapshot`,
+		{"arrivals: every cell", `measured row "cc poisson k=64 K" is not in the snapshot`,
 			func(_, want *benchReport) { want.Arrivals = want.Arrivals[:1] }},
-		{"batch: amortized rounds/update", `snapshot row "cc k=1" was not measured`,
+		{"batch: every cell", `snapshot row "cc k=1 K" was not measured`,
 			func(rep, _ *benchReport) { rep.Batch = rep.Batch[1:] }},
 
-		{"mixed: in-wave reads beat the quiescence split at k>=64", "k=64", func(rep, _ *benchReport) { rep.Mixed[1].Ratio = 1.0 }},
-		{"arrivals: tail-constrained AutoBatcher settles below the free k", "k=128", func(rep, _ *benchReport) { rep.LatencyAuto[0].BoundK = 128 }},
-		{"tenants: fair victim p99 <= 2x solo", "solo 2", func(rep, _ *benchReport) { rep.Tenants[0].VictimSoloP99 = 2 }},
+		{"mixed: in-wave reads beat the quiescence split at k>=64", "k=64",
+			func(rep, want *benchReport) { rep.Mixed[1].Ratio, want.Mixed[1].Ratio = 1.0, 1.0 }},
+		{"arrivals: tail-constrained AutoBatcher settles below the free k", "k=128",
+			func(rep, want *benchReport) { rep.LatencyAuto[0].BoundK, want.LatencyAuto[0].BoundK = 128, 128 }},
+		{"tenants: fair victim p99 <= 2x solo", "solo 2",
+			func(rep, want *benchReport) { rep.Tenants[0].VictimSoloP99, want.Tenants[0].VictimSoloP99 = 2, 2 }},
 		{"tenants: tags alone change nothing", "cc", func(rep, _ *benchReport) { rep.Tenants[0].ZeroTenantIdentical = false }},
-		{"treedp: uniform DP reads < 1 round/query at k>=64", "k=256", func(rep, _ *benchReport) { rep.TreeDP[1].DPRoundsPerQuery = 1.5 }},
+		{"treedp: uniform DP reads < 1 round/query at k>=64", "k=256",
+			func(rep, want *benchReport) {
+				rep.TreeDP[1].DPRoundsPerQuery, want.TreeDP[1].DPRoundsPerQuery = 1.5, 1.5
+			}},
 		{"treedp: DP answers match across backends", "powerlaw k=64", func(rep, _ *benchReport) { rep.TreeDP[2].AnswersMatch = false }},
 		{"wallclock: rounds/op bit-equal across backends", "parallel 1.400 vs sim 1.500",
 			func(rep, want *benchReport) { rep.Wall[1].RoundsPerOp, want.Wall[1].RoundsPerOp = 1.4, 1.4 }},

@@ -586,13 +586,17 @@ const (
 	allocsSlack = 16
 )
 
-// block gates a whole table: one cell per numeric field of each
-// row (slice elements by index), keyed by the row's name.
+// block gates a whole table: one cell per exported numeric field of each
+// row (slice elements by index), keyed by the row's name. Unexported
+// fields are printed only, never recorded.
 func block[T any](rows []T, name func(T) string) []cell {
 	var cs []cell
 	for _, r := range rows {
 		v := reflect.ValueOf(r)
 		for i := 0; i < v.NumField(); i++ {
+			if !v.Type().Field(i).IsExported() {
+				continue
+			}
 			key := name(r) + " " + v.Type().Field(i).Name
 			switch f := v.Field(i); {
 			case f.CanInt():
@@ -609,13 +613,12 @@ func block[T any](rows []T, name func(T) string) []cell {
 	return cs
 }
 
-// column extracts a gate's cells from a table; gated=false skips the row.
-func column[T any](rows []T, f func(T) (key string, v float64, gated bool)) []cell {
+// column extracts one cell per row of a table.
+func column[T any](rows []T, f func(T) (key string, v float64)) []cell {
 	var cs []cell
 	for _, r := range rows {
-		if k, v, ok := f(r); ok {
-			cs = append(cs, cell{k, v})
-		}
+		k, v := f(r)
+		cs = append(cs, cell{k, v})
 	}
 	return cs
 }
@@ -629,47 +632,40 @@ var gates = []gate{
 	{"static: every cell", false, func(r benchReport) []cell {
 		return block(r.Static, func(t staticRow) string { return t.Name })
 	}},
+	{"batch: every cell", false, func(r benchReport) []cell {
+		return block(r.Batch, func(b batchRow) string { return fmt.Sprintf("%s k=%d", b.Name, b.K) })
+	}},
 	{"autobatch: every cell", false, func(r benchReport) []cell {
 		return block(r.Auto, func(a autoRow) string { return a.Name })
+	}},
+	{"mixed: every cell", false, func(r benchReport) []cell {
+		return block(r.Mixed, func(m mixedRow) string { return fmt.Sprintf("%s k=%d", m.Name, m.K) })
 	}},
 	{"read_only: every cell", false, func(r benchReport) []cell {
 		return block(r.ReadOnly, func(q readRow) string { return fmt.Sprintf("%s k=%d", q.Name, q.K) })
 	}},
+	{"arrivals: every cell", false, func(r benchReport) []cell {
+		return block(r.Arrivals, func(a arrivalRow) string { return fmt.Sprintf("%s %s k=%d", a.Name, a.Gen, a.K) })
+	}},
+	{"latency_autobatch: every cell", false, func(r benchReport) []cell {
+		return block(r.LatencyAuto, func(l latencyAutoRow) string { return fmt.Sprintf("%s %s", l.Name, l.Gen) })
+	}},
+	{"tenants: every cell", false, func(r benchReport) []cell {
+		return block(r.Tenants, func(t tenantRow) string { return t.Name })
+	}},
+	{"treedp: every cell", false, func(r benchReport) []cell {
+		return block(r.TreeDP, func(t treedpRow) string { return fmt.Sprintf("%s k=%d %s", t.Name, t.K, t.Backend) })
+	}},
 	{"sweep: every cell", false, func(r benchReport) []cell {
 		return block(r.Sweep, func(w sweepRow) string { return fmt.Sprintf("n=%d", w.N) })
 	}},
-	{"batch: amortized rounds/update", false, func(r benchReport) []cell {
-		return column(r.Batch, func(b batchRow) (string, float64, bool) {
-			return fmt.Sprintf("%s k=%d", b.Name, b.K), b.Amortized, true
-		})
-	}},
-	{"mixed: in-wave rounds/op", false, func(r benchReport) []cell {
-		return column(r.Mixed, func(m mixedRow) (string, float64, bool) {
-			return fmt.Sprintf("%s k=%d", m.Name, m.K), m.InwavePerOp, true
-		})
-	}},
-	{"arrivals: latency p99 rounds at k=64", false, func(r benchReport) []cell {
-		return column(r.Arrivals, func(a arrivalRow) (string, float64, bool) {
-			return fmt.Sprintf("%s %s k=%d", a.Name, a.Gen, a.K), float64(a.P99), a.K == 64
-		})
-	}},
-	{"tenants: fair victim p99 rounds", false, func(r benchReport) []cell {
-		return column(r.Tenants, func(t tenantRow) (string, float64, bool) {
-			return t.Name, float64(t.VictimFairP99), true
-		})
-	}},
-	{"treedp: DP rounds/query at k=64", false, func(r benchReport) []cell {
-		return column(r.TreeDP, func(t treedpRow) (string, float64, bool) {
-			return fmt.Sprintf("%s k=%d %s", t.Name, t.K, t.Backend), t.DPRoundsPerQuery, t.K == 64
-		})
-	}},
 	{"wallclock: rounds/op", false, func(r benchReport) []cell {
-		return column(r.Wall, func(w wallRow) (string, float64, bool) { return wallKey(w), w.RoundsPerOp, true })
+		return column(r.Wall, func(w wallRow) (string, float64) { return wallKey(w), w.RoundsPerOp })
 	}},
 	// The pooled round engine's allocation bill is a code property, not a
 	// machine property; the budget absorbs GC-clock jitter.
 	{"wallclock: allocs/round", true, func(r benchReport) []cell {
-		return column(r.Wall, func(w wallRow) (string, float64, bool) { return wallKey(w), w.AllocsPerRound, true })
+		return column(r.Wall, func(w wallRow) (string, float64) { return wallKey(w), w.AllocsPerRound })
 	}},
 }
 

@@ -79,8 +79,9 @@
 //
 // # Multi-tenant streams
 //
-// Ops carry a tenant id (Op.Tenant, zero = the single-tenant default;
-// tag streams with TenantOps). WithTenantWeights turns wave packing
+// Ops carry a tenant id (Op.Tenant, zero = the single-tenant default:
+// untagged streams behave exactly as before tenancy existed; tag an op
+// with Op.ForTenant). WithTenantWeights turns wave packing
 // into deficit-round-robin fair sharing of the per-round word budget —
 // a flooding tenant can fill only its weighted share of each wave, and
 // unused share rolls forward — without ever reordering conflicting
@@ -172,12 +173,6 @@ type (
 	// typed record in StreamStats.Rejections, never a silent drop.
 	Rejection = mpc.Rejection
 )
-
-// TenantOps tags every op of a stream with a tenant id (returning a new
-// slice); Op.ForTenant tags a single op. The zero tenant is the
-// single-tenant default: untagged streams behave exactly as before
-// tenancy existed.
-func TenantOps(t int, ops []Op) []Op { return graph.TenantOps(t, ops) }
 
 // Execution backends (see internal/mpc and DESIGN.md §2d). Every backend
 // produces bit-identical answers and accounting for the same op history —

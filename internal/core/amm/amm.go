@@ -71,7 +71,6 @@ type M struct {
 	sched   *scheduler
 	packer  *sched.Admitter // cuts update runs into endpoint-disjoint waves
 	seq     int64
-	queryID int64
 }
 
 // New builds an empty instance.
@@ -192,7 +191,7 @@ func (m *M) injectWaves(run []graph.Op) {
 		for k < len(run) && m.packer.Admit(m.StreamItem(run[k])) {
 			k++
 		}
-		m.cluster.BeginMixedWave(k, 0, nil)
+		m.cluster.BeginMixedWave(run[:k], nil)
 		for _, op := range run[:k] {
 			up := op.Update()
 			m.seq++
@@ -258,7 +257,6 @@ func (m *M) drainCycles(updates int) {
 func (m *M) ApplyOps(ops []graph.Op) (graph.Results, mpc.MixedStats) {
 	nu, nq := graph.CountOps(ops)
 	m.cluster.BeginMixed(nu, nq, nil)
-	qids := make([]int64, len(ops))
 	for i := 0; i < len(ops); {
 		if !ops[i].IsQuery() {
 			// Maximal update run, then the run's share of scheduler cycles
@@ -282,7 +280,7 @@ func (m *M) ApplyOps(ops []graph.Op) (graph.Results, mpc.MixedStats) {
 		for j < len(ops) && ops[j].IsQuery() {
 			j++
 		}
-		m.cluster.BeginMixedWave(0, j-i, nil)
+		m.cluster.BeginMixedWave(ops[i:j], nil)
 		m.cluster.Drain(64, "amm: pre-read settle")
 		for x := i; x < j; x++ {
 			op := ops[x]
@@ -291,11 +289,9 @@ func (m *M) ApplyOps(ops []graph.Op) (graph.Results, mpc.MixedStats) {
 			default:
 				panic(fmt.Sprintf("amm: unsupported query kind %v (matching answers OpMateOf and OpMatched)", op.Kind))
 			}
-			m.queryID++
-			qids[x] = m.queryID
 			m.cluster.Send(mpc.Message{
 				From: -1, To: m.owner(op.U),
-				Payload: amsg{Kind: aMateQuery, U: int32(op.U), Seq: qids[x]},
+				Payload: amsg{Kind: aMateQuery, U: int32(op.U), Seq: int64(x)},
 				Words:   3,
 			})
 		}
@@ -304,23 +300,8 @@ func (m *M) ApplyOps(ops []graph.Op) (graph.Results, mpc.MixedStats) {
 		i = j
 	}
 	st := m.cluster.EndMixed()
-	res := make(graph.Results, 0, nq)
-	for i, op := range ops {
-		if !op.IsQuery() {
-			continue
-		}
-		sh := m.shards[m.owner(op.U)-1]
-		mate, ok := sh.queryResults[qids[i]]
-		if !ok {
-			panic(fmt.Sprintf("amm: in-wave query %v produced no result", op))
-		}
-		delete(sh.queryResults, qids[i])
-		if op.Kind == graph.OpMatched {
-			res = append(res, graph.Answer{Bool: int(mate) == op.V})
-		} else {
-			res = append(res, graph.Answer{Int: int64(mate)})
-		}
-	}
+	res := m.cluster.Answers(ops)
+	graph.FoldMatched(ops, res)
 	return res, st
 }
 
@@ -362,16 +343,11 @@ func (m *M) QueueBacklog() int {
 // point: the matching is consistent; matched vertices have level ≥ 0 and
 // both endpoints of a matched edge share its level; free vertices are at
 // level -1; any free-free edge's endpoints are queued or active (the
-// almost-maximality bookkeeping); no gathered query answer is left
-// uncollected (ApplyOps is the result maps' only reader and deletes every
-// entry it collects); every shard's running MemWords equals a
+// almost-maximality bookkeeping); every shard's running MemWords equals a
 // recomputation by scan; and both probe indexes equal theirs. It reads
 // without writing.
 func (m *M) Validate(g *graph.Graph) error {
 	for _, sh := range m.shards {
-		if n := len(sh.queryResults); n != 0 {
-			return fmt.Errorf("machine %d: %d uncollected query answers at quiescence", sh.id, n)
-		}
 		if got, want := sh.MemWords(), sh.scanWords(); got != want {
 			return fmt.Errorf("machine %d: shard word counter %d, %d recomputed", sh.id, got, want)
 		}

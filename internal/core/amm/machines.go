@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 
+	"dmpc/internal/graph"
 	"dmpc/internal/mpc"
 )
 
@@ -82,14 +83,13 @@ type job struct {
 }
 
 type shard struct {
-	id           int
-	mu           int
-	cfg          Config
-	levels       int
-	verts        map[int32]*vstate
-	jobs         []job
-	rng          *rand.Rand
-	queryResults map[int64]int32 // mate answers, gathered driver-side
+	id     int
+	mu     int
+	cfg    Config
+	levels int
+	verts  map[int32]*vstate
+	jobs   []job
+	rng    *rand.Rand
 
 	// MemWords' running terms: adjEntries is Σ len(vstate.adj), moved by
 	// setAdj/delAdj only; jobWords is Σ 2+len(job.todo), moved where jobs
@@ -106,22 +106,21 @@ type shard struct {
 func newShard(id, mu int, cfg Config, levels int) *shard {
 	return &shard{
 		id: id, mu: mu, cfg: cfg, levels: levels,
-		verts:        make(map[int32]*vstate),
-		rng:          rand.New(rand.NewSource(cfg.Seed + int64(id)*7919)),
-		queryResults: make(map[int64]int32),
-		riseCap:      4 * bits(cfg.N) * bits(cfg.N),
+		verts:   make(map[int32]*vstate),
+		rng:     rand.New(rand.NewSource(cfg.Seed + int64(id)*7919)),
+		riseCap: 4 * bits(cfg.N) * bits(cfg.N),
 	}
 }
 
 func (s *shard) owner(v int32) int { return 1 + int(v)%s.mu }
 
 func (s *shard) MemWords() int {
-	return 2*len(s.queryResults) + 4*len(s.verts) + 2*s.adjEntries + s.jobWords
+	return 4*len(s.verts) + 2*s.adjEntries + s.jobWords
 }
 
 // scanWords is Validate's oracle for MemWords: the same sum by scan.
 func (s *shard) scanWords() int {
-	w := 2 * len(s.queryResults)
+	w := 0
 	for _, st := range s.verts {
 		w += 4 + 2*len(st.adj)
 	}
@@ -311,8 +310,8 @@ func (s *shard) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 		case aProbe:
 			rep := s.probe(m.Shuffle)
 			ctx.Send(0, rep, rep.words())
-		case aMateQuery:
-			s.queryResults[m.Seq] = s.lookup(m.U).mate
+		case aMateQuery: // the answer is mate(U); ApplyOps folds OpMatched from it
+			ctx.Answer(int(m.Seq), graph.Answer{Int: int64(s.lookup(m.U).mate)})
 		}
 		switch m.Kind {
 		case aUpdate, aEdge, aEdgeBack, aExFreed, aMatchOrder, aUnmatchOrder:

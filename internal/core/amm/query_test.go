@@ -95,3 +95,32 @@ func TestQueryLeavesNoResidue(t *testing.T) {
 		t.Fatalf("post-query update accounting differs: %+v vs %+v", noisy, quiet)
 	}
 }
+
+// TestReadsHoldNoMemory pins that an answer is output, not state: a
+// read-only window of 1 000 mate reads, every one answered by the same
+// shard, leaves the cluster's memory high-water mark where the updates
+// left it, and the answers equal the mate table.
+func TestReadsHoldNoMemory(t *testing.T) {
+	const n = 64
+	m := New(Config{N: n, Seed: 1})
+	for v := 0; v+1 < n; v += 2 {
+		m.Insert(v, v+1)
+	}
+	m.cluster.Run(64)
+	peak := m.Cluster().Stats().PeakMemWords
+	oracle := m.MateTable()
+	mu := len(m.shards) // vertices 0, mu, 2mu share one owner
+	ops := make([]graph.Op, 1000)
+	for i := range ops {
+		ops[i] = graph.OpQMateOf(i % 3 * mu)
+	}
+	res, _ := m.ApplyOps(ops)
+	for i, a := range res {
+		if v := i % 3 * mu; int(a.Int) != oracle[v] {
+			t.Fatalf("read %d: mate(%d) = %d, oracle %d", i, v, a.Int, oracle[v])
+		}
+	}
+	if got := m.Cluster().Stats().PeakMemWords; got != peak {
+		t.Fatalf("1000 reads moved the memory peak %d -> %d words", peak, got)
+	}
+}

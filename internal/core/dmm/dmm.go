@@ -85,7 +85,6 @@ type M struct {
 	packer, probe *sched.Admitter
 	items         []sched.Item // ApplyOps' re-read slots, slices reused
 	seq           int64
-	queryID       int64
 
 	// wavePerm, when set by a test, permutes the injection order of every
 	// scheduled wave in place — the hook behind the permutation-
@@ -136,7 +135,7 @@ func New(cfg Config) *M {
 	cl.SetMachine(0, m.coord)
 	m.stats = make([]*statsMachine, numStats)
 	for i := 0; i < numStats; i++ {
-		m.stats[i] = newStatsMachine(1+i, statsPer)
+		m.stats[i] = newStatsMachine(1 + i)
 		cl.SetMachine(1+i, m.stats[i])
 	}
 	m.storage = make([]storeMachine, poolSize)
@@ -196,18 +195,12 @@ func (m *M) ApplyOps(ops []graph.Op) (graph.Results, mpc.MixedStats) {
 	nu, nq := graph.CountOps(ops)
 	// A nil census (single-tenant stream) keeps the window's accounting
 	// tenant-free; the waves follow the window.
-	census := mpc.WindowCensus(ops, len(m.cfg.TenantWeights) > 0)
-	mt := census != nil
-	m.cluster.BeginMixed(nu, nq, census)
-	// Updates draw sequence numbers by stream position, queries draw from
-	// the separate queryID counter — exactly the ids sequential replay
-	// would hand out.
+	m.cluster.BeginMixed(nu, nq, mpc.WindowCensus(ops, len(m.cfg.TenantWeights) > 0))
+	// Updates draw sequence numbers by stream position — exactly the ids
+	// sequential replay would hand out. A read is named by its position.
 	ids := make([]int64, len(ops))
 	for i, op := range ops {
-		if op.IsQuery() {
-			m.queryID++
-			ids[i] = m.queryID
-		} else {
+		if !op.IsQuery() {
 			m.seq++
 			ids[i] = m.seq
 		}
@@ -229,7 +222,7 @@ func (m *M) ApplyOps(ops []graph.Op) (graph.Results, mpc.MixedStats) {
 		}
 		wave, rest := m.packer.Wave(pending, items[:len(pending)])
 		if len(wave) > 1 || ops[wave[0]].IsQuery() {
-			m.runOpWave(ops, ids, wave, mt)
+			m.runOpWave(ops, ids, wave)
 			pending = append(pending[:0], rest...)
 			continue
 		}
@@ -254,23 +247,8 @@ func (m *M) ApplyOps(ops []graph.Op) (graph.Results, mpc.MixedStats) {
 	// the structure is quiescent for whatever comes next.
 	m.cluster.Drain(16, "dmm: op ack tail")
 	st := m.cluster.EndMixed()
-	res := make(graph.Results, 0, nq)
-	for i, op := range ops {
-		if !op.IsQuery() {
-			continue
-		}
-		sm := m.stats[op.U/m.coord.statsPer]
-		mate, ok := sm.queryResults[ids[i]]
-		if !ok {
-			panic(fmt.Sprintf("dmm: in-wave query %v produced no result", op))
-		}
-		delete(sm.queryResults, ids[i])
-		if op.Kind == graph.OpMatched {
-			res = append(res, graph.Answer{Bool: int(mate) == op.V})
-		} else {
-			res = append(res, graph.Answer{Int: int64(mate)})
-		}
-	}
+	res := m.cluster.Answers(ops)
+	graph.FoldMatched(ops, res)
 	return res, st
 }
 
@@ -282,41 +260,29 @@ func (m *M) ApplyOps(ops []graph.Op) (graph.Results, mpc.MixedStats) {
 // scatter), charged to the query half. The test-only wavePerm
 // hook permutes the injection order, backing the permutation-
 // commutativity property test.
-func (m *M) runOpWave(ops []graph.Op, ids []int64, wave []int, mt bool) {
+func (m *M) runOpWave(ops []graph.Op, ids []int64, wave []int) {
 	order := wave
 	if m.wavePerm != nil {
 		order = append([]int(nil), wave...)
 		m.wavePerm(order)
 	}
-	nu, nq := 0, 0
-	for _, i := range wave {
-		if ops[i].IsQuery() {
-			nq++
-		} else {
-			nu++
-		}
-	}
-	var census []mpc.TenantCount
-	if mt {
-		census = mpc.TenantCensus(ops, wave)
-	}
-	m.cluster.BeginMixedWave(nu, nq, census)
+	w := m.cluster.BeginMixedWave(ops, wave)
 	for _, i := range order {
 		op := ops[i]
 		if op.IsQuery() {
 			m.cluster.Send(mpc.Message{
 				From: -1, To: 1 + op.U/m.coord.statsPer,
-				Payload: cmsg{Kind: cMateQuery, V: int32(op.U), Seq: ids[i]},
+				Payload: cmsg{Kind: cMateQuery, V: int32(op.U), Seq: int64(i)},
 				Words:   3,
 			})
 			continue
 		}
 		m.inject(op.Update(), ids[i])
 	}
-	if nu == 0 {
+	if w.Updates == 0 {
 		m.cluster.Round() // reads answer in the delivery round; no flows to drive
 	} else {
-		m.driveFlows(nu, "dmm: op wave")
+		m.driveFlows(w.Updates, "dmm: op wave")
 	}
 	m.cluster.EndMixedWave()
 }
@@ -516,17 +482,13 @@ func (m *M) Fallbacks() int64 { return m.coord.fallbacks }
 // stored under both endpoints exactly once (modulo lazy deletions still in
 // H), light vertices live on a single machine, alive windows respect their
 // capacity, directory free-space figures match machine contents, and
-// nothing is left behind at quiescence: no gathered query answer (ApplyOps
-// is the result maps' only reader and deletes every entry it collects), no
-// coordinator flow still in flight, no update still queued. It also audits
-// every running summary against a recomputation from scratch — the
-// machines' MemWords counters, the storage owner index, MC's cursor sum —
-// and reads without writing: validating changes no machine's state.
+// nothing is left behind at quiescence: no coordinator flow still in
+// flight, no update still queued. It also audits every running summary
+// against a recomputation from scratch — the machines' MemWords counters,
+// the storage owner index, MC's cursor sum — and reads without writing:
+// validating changes no machine's state.
 func (m *M) Validate(g *graph.Graph) error {
 	for _, sm := range m.stats {
-		if n := len(sm.queryResults); n != 0 {
-			return fmt.Errorf("machine %d: %d uncollected query answers at quiescence", sm.id, n)
-		}
 		if got, want := sm.MemWords(), sm.scanWords(); got != want {
 			return fmt.Errorf("machine %d: stats word counter %d, %d recomputed", sm.id, got, want)
 		}

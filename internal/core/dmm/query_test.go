@@ -54,3 +54,31 @@ func TestMateQueries(t *testing.T) {
 		}
 	}
 }
+
+// TestReadsHoldNoMemory pins that an answer is output, not state: a
+// read-only window of 1 000 mate reads, every one answered by the same
+// statistics machine, leaves the cluster's memory high-water mark where
+// the updates left it, and the answers equal the mate table.
+func TestReadsHoldNoMemory(t *testing.T) {
+	const n = 32
+	m := New(Config{N: n})
+	for v := 0; v+1 < n; v += 2 {
+		ins(m, v, v+1)
+	}
+	peak := m.Cluster().Stats().PeakMemWords
+	oracle := m.MateTable()
+	per := min(m.coord.statsPer, n) // vertices [0, per) share statistics machine 1
+	ops := make([]graph.Op, 1000)
+	for i := range ops {
+		ops[i] = graph.OpQMateOf(i % per)
+	}
+	res, _ := m.ApplyOps(ops)
+	for i, a := range res {
+		if int(a.Int) != oracle[i%per] {
+			t.Fatalf("read %d: mate(%d) = %d, oracle %d", i, i%per, a.Int, oracle[i%per])
+		}
+	}
+	if got := m.Cluster().Stats().PeakMemWords; got != peak {
+		t.Fatalf("1000 reads moved the memory peak %d -> %d words", peak, got)
+	}
+}

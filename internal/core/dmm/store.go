@@ -3,34 +3,29 @@ package dmm
 import (
 	"fmt"
 
+	"dmpc/internal/graph"
 	"dmpc/internal/mpc"
 )
 
 // statsMachine holds the authoritative per-vertex statistics for a
 // contiguous id range (the paper's O(n/√N) statistics machines).
 type statsMachine struct {
-	id           int
-	per          int
-	stats        map[int32]*stat
-	queryResults map[int64]int32 // mate answers, gathered driver-side
-	suspWords    int             // Σ len(stat.suspended), kept at the one SetSusp site
+	id        int
+	stats     map[int32]*stat
+	suspWords int // Σ len(stat.suspended), kept at the one SetSusp site
 }
 
-func newStatsMachine(id, per int) *statsMachine {
-	return &statsMachine{
-		id: id, per: per,
-		stats:        make(map[int32]*stat),
-		queryResults: make(map[int64]int32),
-	}
+func newStatsMachine(id int) *statsMachine {
+	return &statsMachine{id: id, stats: make(map[int32]*stat)}
 }
 
 func (s *statsMachine) MemWords() int {
-	return 2*len(s.queryResults) + 6*len(s.stats) + s.suspWords
+	return 6*len(s.stats) + s.suspWords
 }
 
 // scanWords is Validate's oracle for MemWords: the same sum by scan.
 func (s *statsMachine) scanWords() int {
-	w := 2 * len(s.queryResults)
+	w := 0
 	for _, st := range s.stats {
 		w += 6 + len(st.suspended)
 	}
@@ -95,7 +90,8 @@ func (s *statsMachine) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 		case cMateQuery:
 			// Plain lookup: a read must not allocate authoritative state
 			// for a never-touched vertex (free vertices report -1 anyway).
-			s.queryResults[m.Seq] = s.peek(m.V).mate
+			// The answer is mate(V); ApplyOps folds OpMatched from it.
+			ctx.Answer(int(m.Seq), graph.Answer{Int: int64(s.peek(m.V).mate)})
 		case cCtrGet:
 			reply := cmsg{Kind: cCtrRep, Seq: m.Seq, Vs: append([]int32(nil), m.Vs...)}
 			reply.Ds = make([]int32, len(m.Vs))

@@ -102,7 +102,6 @@ type D struct {
 	packer  *sched.Admitter // forms every wave; carries the tenant policy, if any
 	scratch sched.Item      // the item ApplyOps reads claims into, slices reused
 	seq     int64           // update sequence number, for fresh component ids
-	queryID int64
 
 	// wavePerm, when set by a test, permutes the injection order of every
 	// scheduled wave in place — the hook behind the permutation-
@@ -234,64 +233,27 @@ func (d *D) ApplyOps(ops []graph.Op) (graph.Results, mpc.MixedStats) {
 	nu, nq := graph.CountOps(ops)
 	// A nil census (single-tenant stream) keeps the window's accounting
 	// tenant-free; the waves follow the window.
-	census := mpc.WindowCensus(ops, len(d.cfg.TenantWeights) > 0)
-	mt := census != nil
-	d.cluster.BeginMixed(nu, nq, census)
+	d.cluster.BeginMixed(nu, nq, mpc.WindowCensus(ops, len(d.cfg.TenantWeights) > 0))
 	// Sequence numbers are assigned by *stream position*, not injection
 	// order: fresh component ids minted by cuts are derived from the seq
 	// (N + 2·seq), so position-based seqs make the labels of a reordered
-	// schedule bit-identical to sequential replay. Queries draw from the
-	// separate queryID counter.
+	// schedule bit-identical to sequential replay. A read is named by its
+	// position.
 	ids := make([]int64, len(ops))
 	for i, op := range ops {
-		if op.IsQuery() {
-			d.queryID++
-			ids[i] = d.queryID
-		} else {
+		if !op.IsQuery() {
 			d.seq++
 			ids[i] = d.seq
 		}
 	}
 	item := func(i int) sched.Item { d.claims(ops[i], &d.scratch); return d.scratch }
-	exec := func(wave []int) { d.runOpWave(ops, ids, wave, mt) }
+	exec := func(wave []int) { d.runOpWave(ops, ids, wave) }
 	if d.auditFail != nil {
 		item, exec = d.audited(ops, item, exec)
 	}
 	d.packer.Drive(len(ops), item, exec)
 	st := d.cluster.EndMixed()
-	res := make(graph.Results, 0, nq)
-	for i, op := range ops {
-		if !op.IsQuery() {
-			continue
-		}
-		switch op.Kind {
-		case graph.OpConnected:
-			sh := d.shards[d.owner(op.V)]
-			b, ok := sh.queryResults[ids[i]]
-			if !ok {
-				panic(fmt.Sprintf("dyncon: in-wave query %v produced no result", op))
-			}
-			delete(sh.queryResults, ids[i])
-			res = append(res, graph.Answer{Bool: b})
-		case graph.OpComponentOf:
-			sh := d.shards[d.owner(op.U)]
-			c, ok := sh.compResults[ids[i]]
-			if !ok {
-				panic(fmt.Sprintf("dyncon: in-wave query %v produced no result", op))
-			}
-			delete(sh.compResults, ids[i])
-			res = append(res, graph.Answer{Int: c})
-		case graph.OpSubtreeSum, graph.OpPathSum, graph.OpTreeTop:
-			sh := d.shards[d.owner(op.U)]
-			v, ok := sh.dpResults[ids[i]]
-			if !ok {
-				panic(fmt.Sprintf("dyncon: in-wave query %v produced no result", op))
-			}
-			delete(sh.dpResults, ids[i])
-			res = append(res, graph.Answer{Int: v})
-		}
-	}
-	return res, st
+	return d.cluster.Answers(ops), st
 }
 
 // StreamItem reads one op's schedule-time resources from live driver
@@ -411,42 +373,30 @@ func (d *D) audited(ops []graph.Op, item func(int) sched.Item, exec func([]int))
 // queries alike) concurrently and drives the cluster to quiescence inside
 // a per-wave attribution window. The test-only wavePerm hook permutes the
 // injection order, backing the permutation-commutativity property test.
-func (d *D) runOpWave(ops []graph.Op, ids []int64, wave []int, mt bool) {
+func (d *D) runOpWave(ops []graph.Op, ids []int64, wave []int) {
 	order := wave
 	if d.wavePerm != nil {
 		order = append([]int(nil), wave...)
 		d.wavePerm(order)
 	}
-	nu, nq := 0, 0
-	for _, i := range wave {
-		if ops[i].IsQuery() {
-			nq++
-		} else {
-			nu++
-		}
-	}
-	var census []mpc.TenantCount
-	if mt {
-		census = mpc.TenantCensus(ops, wave)
-	}
-	d.cluster.BeginMixedWave(nu, nq, census)
+	d.cluster.BeginMixedWave(ops, wave)
 	for _, i := range order {
 		op := ops[i]
 		switch op.Kind {
 		case graph.OpConnected:
 			d.cluster.Send(mpc.Message{
 				From: -1, To: d.owner(op.U),
-				Payload: &wire{Kind: kQuery, U: int32(op.U), V: int32(op.V), Seq: ids[i]},
+				Payload: &wire{Kind: kQuery, U: int32(op.U), V: int32(op.V), Seq: int64(i)},
 				Words:   4,
 			})
 		case graph.OpComponentOf:
 			d.cluster.Send(mpc.Message{
 				From: -1, To: d.owner(op.U),
-				Payload: &wire{Kind: kCompQuery, V: int32(op.U), Seq: ids[i]},
+				Payload: &wire{Kind: kCompQuery, V: int32(op.U), Seq: int64(i)},
 				Words:   3,
 			})
 		case graph.OpSubtreeSum, graph.OpPathSum, graph.OpTreeTop:
-			msg := &wire{Kind: kDPSubtree, U: int32(op.U), V: int32(op.V), Seq: ids[i]}
+			msg := &wire{Kind: kDPSubtree, U: int32(op.U), V: int32(op.V), Seq: int64(i)}
 			words := 5
 			switch op.Kind {
 			case graph.OpPathSum:
@@ -550,8 +500,8 @@ func (d *D) ForestWeight() graph.Weight {
 // must agree, every component's positions must reassemble into a valid
 // Euler tour, registry sizes must match vertex counts, and every non-tree
 // anchor must be a genuine appearance of its endpoint with consistent
-// component labels, and no gathered query answer or orchestration entry
-// may be left behind at quiescence.
+// component labels, and no orchestration entry may be left behind at
+// quiescence.
 // Driver-side; used by tests after every update.
 func (d *D) Validate() error {
 	type agg struct {
@@ -730,15 +680,10 @@ func (d *D) Validate() error {
 		}
 	}
 
-	// Gathered answers: ApplyOps is the result maps' only reader and deletes
-	// every entry it collects, so a leftover at quiescence is an answer
-	// some window produced and nobody picked up. Likewise the orchestration
-	// tables: an update or DP query that finished deleted its entry, so a
-	// leftover is an op some window started and never completed.
+	// The orchestration tables: an update or DP query that finished deleted
+	// its entry, so a leftover is an op some window started and never
+	// completed.
 	for _, sh := range d.shards {
-		if n := len(sh.queryResults) + len(sh.compResults) + len(sh.dpResults); n != 0 {
-			return fmt.Errorf("machine %d: %d uncollected query answers at quiescence", sh.id, n)
-		}
 		if n := len(sh.pend) + len(sh.qpend); n != 0 {
 			return fmt.Errorf("machine %d: %d unfinished orchestrations (pend %d, qpend %d) at quiescence", sh.id, n, len(sh.pend), len(sh.qpend))
 		}

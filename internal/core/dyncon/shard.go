@@ -219,41 +219,33 @@ type shard struct {
 	// the same label — unless the record crosses a fresh cut, and a crossing
 	// record exists only between a cut broadcast and its relink, both of
 	// which name both sides.
-	tree         map[graph.Edge]*treeRec
-	nontree      map[graph.Edge]*ntRec
-	adj          map[int32]filed
-	sizes        map[int64]int
-	queryResults map[int64]bool  // connectivity answers, gathered driver-side
-	compResults  map[int64]int64 // component answers, gathered driver-side
-	pend         map[int64]*pending
-	qcomp        map[int64]int64 // in-flight query: seq -> comp(u)
+	tree    map[graph.Edge]*treeRec
+	nontree map[graph.Edge]*ntRec
+	adj     map[int32]filed
+	sizes   map[int64]int
+	pend    map[int64]*pending
 
 	// Tree-DP state (internal/treedp): one weight record per owned
-	// weighted vertex, repaired on every link/cut broadcast; DP query
-	// orchestration state and answers, keyed by query id. qpend is
-	// deliberately separate from pend: query ids and update seqs are
-	// drawn from distinct counters that overlap numerically.
-	weights   map[int32]*treedp.Rec
-	qpend     map[int64]*dpPending
-	dpResults map[int64]int64 // DP answers, gathered driver-side
+	// weighted vertex, repaired on every link/cut broadcast, and DP query
+	// orchestration state, keyed by the read's stream position. qpend is
+	// deliberately separate from pend: read positions and update seqs
+	// overlap numerically.
+	weights map[int32]*treedp.Rec
+	qpend   map[int64]*dpPending
 }
 
 func newShard(id, mu int, cfg Config) *shard {
 	return &shard{
 		id: id, mu: mu, cfg: cfg,
-		verts:        make(map[int32]int64),
-		compVerts:    make(map[int64][]int32),
-		tree:         make(map[graph.Edge]*treeRec),
-		nontree:      make(map[graph.Edge]*ntRec),
-		adj:          make(map[int32]filed),
-		sizes:        make(map[int64]int),
-		queryResults: make(map[int64]bool),
-		compResults:  make(map[int64]int64),
-		pend:         make(map[int64]*pending),
-		qcomp:        make(map[int64]int64),
-		weights:      make(map[int32]*treedp.Rec),
-		qpend:        make(map[int64]*dpPending),
-		dpResults:    make(map[int64]int64),
+		verts:     make(map[int32]int64),
+		compVerts: make(map[int64][]int32),
+		tree:      make(map[graph.Edge]*treeRec),
+		nontree:   make(map[graph.Edge]*ntRec),
+		adj:       make(map[int32]filed),
+		sizes:     make(map[int64]int),
+		pend:      make(map[int64]*pending),
+		weights:   make(map[int32]*treedp.Rec),
+		qpend:     make(map[int64]*dpPending),
 	}
 }
 
@@ -454,9 +446,9 @@ func (s *shard) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 				Kind: kQueryFwd, U: w.U, V: w.V, Seq: w.Seq, Comp: s.verts[w.U],
 			}, 5)
 		case kQueryFwd:
-			s.queryResults[w.Seq] = s.verts[w.V] == w.Comp
+			ctx.Answer(int(w.Seq), graph.Answer{Bool: s.verts[w.V] == w.Comp})
 		case kCompQuery:
-			s.compResults[w.Seq] = s.verts[w.V]
+			ctx.Answer(int(w.Seq), graph.Answer{Int: s.verts[w.V]})
 		case kIntervalReq:
 			s.onIntervalReq(ctx, w)
 		case kIntervalRep:
@@ -480,13 +472,13 @@ func (s *shard) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 		case kDPSumReq:
 			s.onDPSumReq(ctx, w)
 		case kDPSumRep:
-			s.onDPSumRep(w)
+			s.onDPSumRep(ctx, w)
 		case kDPPathReq:
 			s.onDPPathReq(ctx, w)
 		case kDPTopReq:
 			s.onDPTopReq(ctx, w)
 		case kDPTopRep:
-			s.onDPTopRep(w)
+			s.onDPTopRep(ctx, w)
 		}
 	}
 }

@@ -11,7 +11,8 @@ import (
 
 // Tree-DP protocol over the §5 tour machinery (see internal/treedp for
 // the interval algebra). Three query orchestrations, all run at the
-// owner of the query's first vertex and keyed by query id in qpend:
+// owner of the query's first vertex and keyed by the read's stream
+// position in qpend:
 //
 //   - SubtreeSum: read f(u)/l(u) locally, fetch the root's comp and
 //     appearance from its owner (one round trip), decide the Span —
@@ -78,7 +79,7 @@ func (s *shard) onDPPath(ctx *mpc.Ctx, w *wire) {
 		if rec, ok := s.weights[u]; ok {
 			sum = rec.W
 		}
-		s.dpResults[w.Seq] = sum
+		ctx.Answer(int(w.Seq), graph.Answer{Int: sum})
 		return
 	}
 	fu, _ := s.flOf(u)
@@ -117,7 +118,7 @@ func (s *shard) onDPInfo(ctx *mpc.Ctx, w *wire) {
 		s.dpBroadcastSum(ctx, w.Seq, p.comp, span)
 	case graph.OpPathSum:
 		if w.Comp != p.comp {
-			s.dpResults[w.Seq] = 0
+			ctx.Answer(int(w.Seq), graph.Answer{})
 			delete(s.qpend, w.Seq)
 			return
 		}
@@ -171,7 +172,7 @@ func (s *shard) onDPSumReq(ctx *mpc.Ctx, w *wire) {
 	ctx.Send(int(w.ReplyTo), &wire{Kind: kDPSumRep, Seq: w.Seq, W: sum}, 3)
 }
 
-func (s *shard) onDPSumRep(w *wire) {
+func (s *shard) onDPSumRep(ctx *mpc.Ctx, w *wire) {
 	p, ok := s.qpend[w.Seq]
 	if !ok {
 		return
@@ -181,7 +182,7 @@ func (s *shard) onDPSumRep(w *wire) {
 	if p.replies < s.mu {
 		return
 	}
-	s.dpResults[w.Seq] = p.sum
+	ctx.Answer(int(w.Seq), graph.Answer{Int: p.sum})
 	delete(s.qpend, w.Seq)
 }
 
@@ -234,7 +235,7 @@ func (s *shard) onDPTopReq(ctx *mpc.Ctx, w *wire) {
 	ctx.Send(int(w.ReplyTo), reply, 5)
 }
 
-func (s *shard) onDPTopRep(w *wire) {
+func (s *shard) onDPTopRep(ctx *mpc.Ctx, w *wire) {
 	p, ok := s.qpend[w.Seq]
 	if !ok || p.kind != graph.OpTreeTop {
 		return
@@ -247,6 +248,6 @@ func (s *shard) onDPTopRep(w *wire) {
 	if p.replies < s.mu {
 		return
 	}
-	s.dpResults[w.Seq] = int64(p.bestV)
+	ctx.Answer(int(w.Seq), graph.Answer{Int: int64(p.bestV)})
 	delete(s.qpend, w.Seq)
 }

@@ -67,15 +67,14 @@ func (b *bank) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 // sequential algorithm's local work happens "on" it, which the MPC model
 // does not charge).
 type compute struct {
-	lastVal  int64
-	lastAddr int
-	got      bool
+	lastVal int64
+	got     bool
 }
 
 func (c *compute) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 	for _, raw := range inbox {
 		if m, ok := raw.Payload.(memMsg); ok && m.reply {
-			c.lastVal, c.lastAddr, c.got = m.val, m.addr, true
+			c.lastVal, c.got = m.val, true
 		}
 	}
 }
@@ -226,12 +225,11 @@ func (t MSFTarget) OpCounter() *seqdyn.Counter { return &t.F.Ops }
 // union-find with path halving, not a replay.
 type StoreUnionFind struct {
 	sim *Sim
-	n   int
 }
 
 // NewStoreUnionFind initializes parent[i] = i in distributed memory.
 func NewStoreUnionFind(sim *Sim, n int) *StoreUnionFind {
-	u := &StoreUnionFind{sim: sim, n: n}
+	u := &StoreUnionFind{sim: sim}
 	for i := 0; i < n; i++ {
 		sim.Write(i, int64(i))
 	}

@@ -131,17 +131,6 @@ func (o Op) ForTenant(t int) Op {
 	return o
 }
 
-// TenantOps tags every op of a stream with the tenant id, returning a
-// new slice; the input is not modified.
-func TenantOps(t int, ops []Op) []Op {
-	out := make([]Op, len(ops))
-	for i, o := range ops {
-		o.Tenant = t
-		out[i] = o
-	}
-	return out
-}
-
 // Op constructors, one per kind.
 
 // OpIns returns an insert op.
@@ -214,6 +203,23 @@ type Answer struct {
 // Results[j] answers the j-th op with IsQuery() true. Write ops produce no
 // entry, so len(Results) equals CountOps' query count.
 type Results []Answer
+
+// FoldMatched turns a matching's mate answers into the answers of ops, in
+// place. The matchings answer every mate read, OpMateOf(u) and
+// OpMatched(u,v) alike, with mate(u) in Int (-1 when free); OpMatched
+// asks whether that mate is v.
+func FoldMatched(ops []Op, res Results) {
+	j := 0
+	for _, op := range ops {
+		if !op.IsQuery() {
+			continue
+		}
+		if op.Kind == OpMatched {
+			res[j] = Answer{Bool: res[j].Int == int64(op.V)}
+		}
+		j++
+	}
+}
 
 // CountOps counts a stream's operations by side.
 func CountOps(ops []Op) (updates, queries int) {

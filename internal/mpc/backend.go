@@ -142,10 +142,11 @@ func msgLess(a, b Message) bool {
 
 // settle is the deterministic round barrier: it retires the consumed
 // inboxes into the pool (payload-cleared), then stages every active
-// machine's outgoing messages and next-round schedules in ascending
-// machine order — the merge order that keeps delivery and violations
-// bit-identical across backends — enforcing the per-machine I/O cap and
-// recycling each Ctx, and finally folds memory accounting.
+// machine's outgoing messages and next-round schedules and merges its
+// answers into the window's table in ascending machine order — the merge
+// order that keeps delivery and violations bit-identical across backends
+// — enforcing the per-machine I/O cap and recycling each Ctx, and finally
+// folds memory accounting.
 func (c *Cluster) settle() {
 	for _, id := range c.active {
 		c.inboxes[id] = c.pool.retire(c.inboxes[id])
@@ -167,6 +168,7 @@ func (c *Cluster) settle() {
 		for _, s := range ctx.schedule {
 			c.Schedule(s)
 		}
+		c.answers = append(c.answers, ctx.answers...)
 		ctx.recycle()
 	}
 	for _, id := range c.active {

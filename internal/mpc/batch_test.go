@@ -1,6 +1,10 @@
 package mpc
 
-import "testing"
+import (
+	"testing"
+
+	"dmpc/internal/graph"
+)
 
 type bounceMachine struct{}
 
@@ -61,23 +65,23 @@ func TestBatchAccounting(t *testing.T) {
 
 // TestWaveAccounting pins the per-wave attribution inside a pipeline
 // window: rounds fold into the open wave and the window simultaneously,
-// scheduling rounds outside waves belong to the window only, and the wave
-// discipline (waves only inside windows, never nested, closed before
-// EndMixed) is enforced by panics.
+// scheduling rounds outside waves belong to the window only, and a wave's
+// widths are counted from the stream indices it names.
 func TestWaveAccounting(t *testing.T) {
 	c := NewCluster(Config{Machines: 4, MemWords: 64})
 	for i := 0; i < 4; i++ {
 		c.SetMachine(i, bounceMachine{})
 	}
 
+	ops := waveOps(5, 0)
 	c.BeginMixed(5, 0, nil)
-	c.BeginMixedWave(3, 0, nil)
+	c.BeginMixedWave(ops, []int{0, 1, 2})
 	c.Send(Message{From: -1, To: 0, Payload: "ping", Words: 1})
 	c.Run(8)
 	w1 := c.EndMixedWave()
 	c.Send(Message{From: -1, To: 1, Payload: "ping", Words: 1}) // scheduling traffic outside any wave
 	c.Run(8)
-	c.BeginMixedWave(2, 0, nil)
+	c.BeginMixedWave(ops, []int{3, 4})
 	c.Send(Message{From: -1, To: 2, Payload: "ping", Words: 1})
 	c.Run(8)
 	c.EndMixedWave()
@@ -98,22 +102,17 @@ func TestWaveAccounting(t *testing.T) {
 	if sum := m.Waves[0].Rounds + m.Waves[1].Rounds; sum >= m.Updates.Rounds {
 		t.Fatalf("wave rounds %d should undercount window rounds %d (scheduling rounds are window-only)", sum, m.Updates.Rounds)
 	}
+}
 
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s did not panic", name)
-			}
-		}()
-		f()
+// waveOps is a stream of updates inserts followed by queries reads: the
+// ops a test wave bills itself from.
+func waveOps(updates, queries int) []graph.Op {
+	ops := make([]graph.Op, 0, updates+queries)
+	for i := 0; i < updates; i++ {
+		ops = append(ops, graph.OpIns(0, 1, 1))
 	}
-	mustPanic("BeginMixedWave outside window", func() { c.BeginMixedWave(1, 0, nil) })
-	c.BeginMixed(1, 0, nil)
-	c.BeginMixedWave(1, 0, nil)
-	mustPanic("nested BeginMixedWave", func() { c.BeginMixedWave(1, 0, nil) })
-	mustPanic("EndMixed with open wave", func() { c.EndMixed() })
-	c.EndMixedWave()
-	mustPanic("EndMixedWave without wave", func() { c.EndMixedWave() })
-	c.EndMixed()
+	for i := 0; i < queries; i++ {
+		ops = append(ops, graph.OpQMateOf(0))
+	}
+	return ops
 }

@@ -15,7 +15,7 @@ func TestMixedAttribution(t *testing.T) {
 	c.BeginMixed(2, 3, nil)
 
 	// Wave 1: one update plus two riding reads — update half.
-	c.BeginMixedWave(1, 2, nil)
+	c.BeginMixedWave(waveOps(1, 2), nil)
 	c.Send(Message{From: -1, To: 0, Payload: "ping", Words: 1})
 	c.Run(8)
 	w1 := c.EndMixedWave()
@@ -25,13 +25,13 @@ func TestMixedAttribution(t *testing.T) {
 	c.Run(8)
 
 	// Wave 2: query-only — query half.
-	c.BeginMixedWave(0, 1, nil)
+	c.BeginMixedWave(waveOps(0, 1), nil)
 	c.Send(Message{From: -1, To: 2, Payload: "ping", Words: 1})
 	c.Run(8)
 	w2 := c.EndMixedWave()
 
 	// Wave 3: one more update, no reads — update half.
-	c.BeginMixedWave(1, 0, nil)
+	c.BeginMixedWave(waveOps(1, 0), nil)
 	c.Send(Message{From: -1, To: 3, Payload: "ping", Words: 1})
 	c.Run(8)
 	w3 := c.EndMixedWave()
@@ -78,7 +78,7 @@ func TestMixedHalvesSkipEmpty(t *testing.T) {
 	c.SetMachine(1, bounceMachine{})
 
 	c.BeginMixed(1, 0, nil)
-	c.BeginMixedWave(1, 0, nil)
+	c.BeginMixedWave(waveOps(1, 0), nil)
 	c.Send(Message{From: -1, To: 0, Payload: "ping", Words: 1})
 	c.Run(8)
 	c.EndMixedWave()
@@ -91,7 +91,7 @@ func TestMixedHalvesSkipEmpty(t *testing.T) {
 	}
 
 	c.BeginMixed(0, 2, nil)
-	c.BeginMixedWave(0, 2, nil)
+	c.BeginMixedWave(waveOps(0, 2), nil)
 	c.Send(Message{From: -1, To: 1, Payload: "ping", Words: 1})
 	c.Run(8)
 	c.EndMixedWave()
@@ -120,15 +120,15 @@ func TestMixedWindowExclusivity(t *testing.T) {
 
 	c := NewCluster(Config{Machines: 1, MemWords: 16})
 	c.SetMachine(0, bounceMachine{})
-	wantPanic("BeginMixedWave outside a window", func() { c.BeginMixedWave(1, 0, nil) })
+	wantPanic("BeginMixedWave outside a window", func() { c.BeginMixedWave(waveOps(1, 0), nil) })
 	c.BeginMixed(1, 0, nil)
 	// A nested Begin would replace the open window, silently discarding
 	// the outer window's rounds.
 	c.Send(Message{From: -1, To: 0, Payload: "ping", Words: 1})
 	c.Run(8)
 	wantPanic("BeginMixed inside a window", func() { c.BeginMixed(1, 1, nil) })
-	c.BeginMixedWave(1, 0, nil)
-	wantPanic("nested wave", func() { c.BeginMixedWave(1, 0, nil) })
+	c.BeginMixedWave(waveOps(1, 0), nil)
+	wantPanic("nested wave", func() { c.BeginMixedWave(waveOps(1, 0), nil) })
 	wantPanic("EndMixed with open wave", func() { c.EndMixed() })
 	c.EndMixedWave()
 	wantPanic("EndMixedWave without wave", func() { c.EndMixedWave() })

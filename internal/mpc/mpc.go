@@ -35,6 +35,8 @@ import (
 	"math"
 	"runtime"
 	"slices"
+
+	"dmpc/internal/graph"
 )
 
 // Message is a single inter-machine message. Payload stays in process (the
@@ -256,6 +258,9 @@ type Cluster struct {
 	pool msgPool // retired inbox backing arrays, payload-cleared (pool.go)
 	slab []Ctx   // one recycled context per active machine, positional over active
 
+	answers []answer // the window's answers in settle order, collected by Answers
+	slots   []int    // Answers' scratch: each stream position's result index
+
 	debugActive func([]int) // set by tests: sees every round's active set as beginRound computed it
 }
 
@@ -346,14 +351,16 @@ func (c *Cluster) Close() { c.exec.close() }
 // halves (see MixedStats), and windows never nest or overlap — a nested
 // one would silently replace the open window and discard its rounds — so
 // opening one inside another panics. Within the window, waves are
-// declared with BeginMixedWave/EndMixedWave. A non-nil census additionally
-// opens the window's per-tenant breakdown; a nil one (the single-tenant
-// default) never allocates the map, keeping MixedStats bit-identical to
-// pre-tenancy behavior.
+// declared with BeginMixedWave/EndMixedWave, and the machines' answers
+// collect into the window's table until Answers reads them. A non-nil
+// census additionally opens the window's per-tenant breakdown; a nil one
+// (the single-tenant default) never allocates the map, keeping MixedStats
+// bit-identical to pre-tenancy behavior.
 func (c *Cluster) BeginMixed(updates, queries int, census []TenantCount) {
 	if c.stats.currentMixed != nil {
 		panic("mpc: BeginMixed inside an open window (close it with EndMixed first)")
 	}
+	c.answers = c.answers[:0]
 	m := &MixedStats{
 		Ops:     updates + queries,
 		Updates: HalfStats{Ops: updates},
@@ -388,21 +395,34 @@ func (c *Cluster) EndMixed() MixedStats {
 }
 
 // BeginMixedWave starts per-wave attribution inside an open mixed window:
-// the next rounds execute updates writes and queries reads concurrently.
-// A wave with updates == 0 is a query-only wave; its rounds fold into the
-// window's query half, while every other wave's rounds (the reads ride
-// along) fold into the update half. Waves never nest. EndMixedWave splits
-// the wave's rounds across census proportional to op counts; a nil census
-// (or a window opened without one) attributes nothing.
-func (c *Cluster) BeginMixedWave(updates, queries int, census []TenantCount) {
+// the next rounds execute the ops at the stream indices wave (nil means
+// all of ops) concurrently, and the wave bills itself from them — its
+// updates and reads and, in a window opened with a census, its tenant
+// census. A wave without updates is a query-only wave; its rounds fold
+// into the window's query half, while every other wave's rounds (the
+// reads ride along) fold into the update half. Waves never nest.
+// EndMixedWave splits the wave's rounds across its census proportional to
+// op counts. It returns the opened wave, its widths set.
+func (c *Cluster) BeginMixedWave(ops []graph.Op, wave []int) WaveStats {
 	if c.stats.currentMixed == nil {
 		panic("mpc: BeginMixedWave outside a mixed window")
 	}
 	if c.stats.currentWave != nil {
 		panic("mpc: BeginMixedWave inside an open wave (close it with EndMixedWave first)")
 	}
-	c.stats.currentWave = &WaveStats{Updates: updates, Queries: queries}
-	c.stats.waveTenants = append(c.stats.waveTenants[:0], census...)
+	w := &WaveStats{}
+	eachOp(ops, wave, func(op graph.Op) {
+		if op.IsQuery() {
+			w.Queries++
+		} else {
+			w.Updates++
+		}
+	})
+	c.stats.currentWave = w
+	if c.stats.currentMixed.Tenants != nil {
+		c.stats.waveTenants = tenantCensus(ops, wave)
+	}
+	return *w
 }
 
 // EndMixedWave finishes the current wave and records it on the open
@@ -417,6 +437,42 @@ func (c *Cluster) EndMixedWave() WaveStats {
 	m.Waves = append(m.Waves, *w)
 	c.stats.shareWaveRounds(m, *w)
 	return *w
+}
+
+// Answers returns the answers the machines output (Ctx.Answer) since the
+// last BeginMixed, one per read of ops in stream order: Results[j] answers
+// the j-th op with IsQuery() true. A read is named by its position in
+// ops. A read left unanswered, a read answered twice and an answer naming
+// no read of ops are driver or protocol bugs, so each panics, naming the
+// position.
+func (c *Cluster) Answers(ops []graph.Op) graph.Results {
+	slots, nq := c.slots[:0], 0
+	for _, op := range ops {
+		j := -1
+		if op.IsQuery() {
+			j, nq = nq, nq+1
+		}
+		slots = append(slots, j)
+	}
+	c.slots = slots
+	res := make(graph.Results, nq)
+	const answered = -2
+	for _, a := range c.answers {
+		if a.at < 0 || a.at >= len(ops) || slots[a.at] == -1 {
+			panic(fmt.Sprintf("mpc: stray answer for stream position %d, which is no read of the window's %d ops", a.at, len(ops)))
+		}
+		if slots[a.at] == answered {
+			panic(fmt.Sprintf("mpc: read %d (%v) answered twice", a.at, ops[a.at]))
+		}
+		res[slots[a.at]] = a.a
+		slots[a.at] = answered
+	}
+	for i, j := range slots {
+		if j >= 0 {
+			panic(fmt.Sprintf("mpc: read %d (%v) produced no answer", i, ops[i]))
+		}
+	}
+	return res
 }
 
 // Quiescent reports whether no machine has pending messages or scheduling,
@@ -540,6 +596,14 @@ type Ctx struct {
 	round    int
 	out      []Message
 	schedule []int
+	answers  []answer
+}
+
+// answer is one read's output: at is the read's position in the window's
+// op stream.
+type answer struct {
+	at int
+	a  graph.Answer
 }
 
 // Round returns the global round number.
@@ -575,4 +639,11 @@ func (ctx *Ctx) Broadcast(payload any, words int, includeSelf bool) {
 // Schedule marks a machine active in the next round without sending data.
 func (ctx *Ctx) Schedule(id int) {
 	ctx.schedule = append(ctx.schedule, id)
+}
+
+// Answer outputs the answer to the read at stream position at of the open
+// window (see Cluster.Answers). An answer is output, not state: it is
+// neither sent nor held, so it bills no words and no memory.
+func (ctx *Ctx) Answer(at int, a graph.Answer) {
+	ctx.answers = append(ctx.answers, answer{at: at, a: a})
 }

@@ -47,7 +47,7 @@ func (p *msgPool) grab(ms []Message, msg Message) []Message {
 }
 
 // growSlab returns a Ctx slab with at least n slots, preserving recycled
-// slots' out/schedule backing arrays across growth. Slots are recycled
+// slots' buffers' backing arrays across growth. Slots are recycled
 // (payload-cleared and truncated) by settle, so a reused slot's only live
 // state is its empty backing arrays.
 func growSlab(slab []Ctx, n int) []Ctx {
@@ -60,11 +60,12 @@ func growSlab(slab []Ctx, n int) []Ctx {
 }
 
 // recycle resets a Ctx for reuse in a later round: the staged messages
-// were already copied into the receiving inboxes by settle, so the only
-// thing the slot may keep is the backing arrays — zeroed first, per the
-// payload-clearing rule.
+// and answers were already copied out by settle, so the only thing the
+// slot may keep is the backing arrays — the outbox zeroed first, per the
+// payload-clearing rule (answers hold no pointers).
 func (ctx *Ctx) recycle() {
 	clear(ctx.out)
 	ctx.out = ctx.out[:0]
 	ctx.schedule = ctx.schedule[:0]
+	ctx.answers = ctx.answers[:0]
 }

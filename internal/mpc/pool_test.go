@@ -49,6 +49,42 @@ func TestSteadyStateAllocsPerRound(t *testing.T) {
 	}
 }
 
+// TestSteadyStateAllocsPerAnswer pins that answers ride the pooled round:
+// at steady state a parallel-backend window whose machines answer k reads
+// allocates what every one-wave window does — its MixedStats, its
+// WaveStats and the wave log — plus the slice Answers returns, and nothing
+// per answer.
+func TestSteadyStateAllocsPerAnswer(t *testing.T) {
+	const mu, k = 16, 256
+	c := NewCluster(Config{Machines: mu, MemWords: 1 << 16, Workers: 4, Backend: BackendParallel})
+	defer c.Close()
+	for i := 0; i < mu; i++ {
+		c.SetMachine(i, answerer)
+	}
+	ops := waveOps(0, k)
+	payloads := make([]any, k) // boxed once: the window under test allocates none
+	for i := range payloads {
+		payloads[i] = i
+	}
+	window := func() {
+		c.BeginMixed(0, k, nil)
+		c.BeginMixedWave(ops, nil)
+		for i, p := range payloads {
+			c.Send(Message{From: -1, To: i % mu, Payload: p, Words: 1})
+		}
+		c.Drain(2, "answerers")
+		c.EndMixedWave()
+		c.EndMixed()
+		c.Answers(ops)
+	}
+	for i := 0; i < 8; i++ { // warm the pools past the growth phase
+		window()
+	}
+	if avg := testing.AllocsPerRun(50, window); avg > 4 {
+		t.Errorf("%.2f allocs per window of %d answered reads, budget 4", avg, k)
+	}
+}
+
 // chaosMachine drives the active-set property test: each activation sends
 // to 0–3 deterministically random targets and occasionally schedules a
 // random machine, logging both so the test can maintain the reference

@@ -13,7 +13,7 @@ func TestQueryAccounting(t *testing.T) {
 	}
 
 	c.BeginMixed(0, 8, nil)
-	c.BeginMixedWave(0, 8, nil)
+	c.BeginMixedWave(waveOps(0, 8), nil)
 	c.Send(Message{From: -1, To: 0, Payload: "ping", Words: 1})
 	c.Send(Message{From: -1, To: 2, Payload: "ping", Words: 1})
 	c.Run(8)
@@ -82,7 +82,7 @@ func TestQueryWindowExclusivity(t *testing.T) {
 	}
 	u1 := update(0)
 	c.BeginMixed(0, 1, nil)
-	c.BeginMixedWave(0, 1, nil)
+	c.BeginMixedWave(waveOps(0, 1), nil)
 	c.Send(Message{From: -1, To: 1, Payload: "ping", Words: 1})
 	c.Run(8)
 	c.EndMixedWave()

@@ -87,10 +87,11 @@ func TestMixedTenantAttribution(t *testing.T) {
 		{Tenant: 0, Updates: 1},
 		{Tenant: 1, Updates: 2, Queries: 1},
 	})
-	c.BeginMixedWave(2, 1, []TenantCount{
-		{Tenant: 0, Updates: 1},
-		{Tenant: 1, Updates: 1, Queries: 1},
-	})
+	// The wave takes its own census from its ops: t0 one update, t1 one
+	// update and one read.
+	ops := waveOps(3, 1)
+	ops[1].Tenant, ops[2].Tenant, ops[3].Tenant = 1, 1, 1
+	c.BeginMixedWave(ops, []int{0, 1, 3})
 	c.Round()
 	c.Round()
 	c.EndMixedWave()
@@ -120,7 +121,7 @@ func TestMixedTenantAttribution(t *testing.T) {
 	// A window without a census stays tenant-free: bit-identical
 	// accounting for single-tenant runs.
 	c.BeginMixed(1, 0, nil)
-	c.BeginMixedWave(1, 0, nil)
+	c.BeginMixedWave(waveOps(1, 0), nil)
 	c.Round()
 	c.EndMixedWave()
 	if m := c.EndMixed(); m.Tenants != nil {

@@ -27,24 +27,29 @@ type TenantStats struct {
 	Rounds  float64
 }
 
-// TenantCensus counts a (sub)stream's ops per tenant — over all of ops
-// when idx is nil, else over the stream indices in idx — grouping tenants
-// in first-seen order so the result is deterministic for a given op
-// order. The algorithm layers build both window and wave censuses with
-// it. The result is never nil: a census of no ops still opens a tenanted
-// (empty) window.
-func TenantCensus(ops []graph.Op, idx []int) []TenantCount {
-	n := len(ops)
-	if idx != nil {
-		n = len(idx)
+// eachOp calls f on every op of ops when idx is nil, else on the ops at
+// the stream indices in idx, in that order.
+func eachOp(ops []graph.Op, idx []int, f func(graph.Op)) {
+	if idx == nil {
+		for _, op := range ops {
+			f(op)
+		}
+		return
 	}
+	for _, i := range idx {
+		f(ops[i])
+	}
+}
+
+// tenantCensus counts a (sub)stream's ops per tenant — the ops eachOp
+// visits — grouping tenants in first-seen order so the result is
+// deterministic for a given op order. Window censuses (WindowCensus) and
+// wave censuses (BeginMixedWave) are both built with it. The result is
+// never nil: a census of no ops still opens a tenanted (empty) window.
+func tenantCensus(ops []graph.Op, idx []int) []TenantCount {
 	census := []TenantCount{}
 	slot := make(map[int]int, 2)
-	for i := 0; i < n; i++ {
-		op := ops[i]
-		if idx != nil {
-			op = ops[idx[i]]
-		}
+	eachOp(ops, idx, func(op graph.Op) {
 		j, ok := slot[op.Tenant]
 		if !ok {
 			j = len(census)
@@ -56,7 +61,7 @@ func TenantCensus(ops []graph.Op, idx []int) []TenantCount {
 		} else {
 			census[j].Updates++
 		}
-	}
+	})
 	return census
 }
 
@@ -71,7 +76,7 @@ func WindowCensus(ops []graph.Op, weighted bool) []TenantCount {
 	if !weighted {
 		return nil
 	}
-	return TenantCensus(ops, nil)
+	return tenantCensus(ops, nil)
 }
 
 // shareWaveRounds folds a closed wave's rounds into the window's

@@ -14,7 +14,6 @@ import (
 // reduction rows for connected components.
 type HDT struct {
 	n      int
-	lmax   int
 	forest []*ETT                     // forest[i] spans edges of level >= i
 	adj    []map[int32]map[int32]bool // adj[i][v] = non-tree neighbors at level i
 	level  map[graph.Edge]int
@@ -33,7 +32,6 @@ func NewHDT(n int) *HDT {
 	// never populated in practice).
 	h := &HDT{
 		n:      n,
-		lmax:   lmax,
 		forest: make([]*ETT, lmax+2),
 		adj:    make([]map[int32]map[int32]bool, lmax+2),
 		level:  make(map[graph.Edge]int),
