@@ -498,10 +498,11 @@ func (d *D) ForestWeight() graph.Weight {
 
 // Validate cross-checks the distributed state: owner copies of each record
 // must agree, every component's positions must reassemble into a valid
-// Euler tour, registry sizes must match vertex counts, and every non-tree
-// anchor must be a genuine appearance of its endpoint with consistent
-// component labels, and no orchestration entry may be left behind at
-// quiescence.
+// Euler tour, each live component's size must be filed at its registry
+// alone and match its vertex count (and no dead label keep one), every
+// non-tree anchor must be a genuine appearance of its endpoint with
+// consistent component labels, and no orchestration entry may be left
+// behind at quiescence.
 // Driver-side; used by tests after every update.
 func (d *D) Validate() error {
 	type agg struct {
@@ -559,20 +560,26 @@ func (d *D) Validate() error {
 		}
 	}
 
-	// Registry sizes vs vertex labels.
-	sizes := map[int64]int{}
-	for _, sh := range d.shards {
-		for c, s := range sh.sizes {
-			sizes[c] = s
-		}
-	}
+	// Registry sizes vs vertex labels: one entry per live component, at its
+	// registry and nowhere else. A link or cut broadcast's sizes prove which
+	// shards hold none of a small component (shard.members).
 	counts := map[int64]int{}
 	for v := 0; v < d.cfg.N; v++ {
 		counts[d.CompOf(v)]++
 	}
+	for _, sh := range d.shards {
+		for c := range sh.sizes {
+			if counts[c] == 0 {
+				return fmt.Errorf("machine %d: registry keeps a size for component %d, which no vertex carries", sh.id, c)
+			}
+			if r := d.registry(c); r != sh.id {
+				return fmt.Errorf("machine %d: registry size for component %d filed here, its registry is machine %d", sh.id, c, r)
+			}
+		}
+	}
 	for c, k := range counts {
-		if sizes[c] != k {
-			return fmt.Errorf("component %d: registry size %d, actual %d", c, sizes[c], k)
+		if got := d.shards[d.registry(c)].sizes[c]; got != k {
+			return fmt.Errorf("component %d: registry size %d, actual %d", c, got, k)
 		}
 	}
 

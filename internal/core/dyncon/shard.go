@@ -712,6 +712,19 @@ func (s *shard) rewrite(w *wire, members []int32, chain []etour.Shift) (best *nt
 	return best
 }
 
+// members returns the owned vertices of comp, a component a link or cut
+// broadcast names. onlyNamed says the registry sizes the broadcast carries
+// leave no member but the named endpoints u and v — a link side of one
+// vertex, a cut component of two — so a shard owning neither holds none of
+// comp and skips the lookup: on a sparse graph, almost every shard for
+// almost every link and cut. Validate audits the registry sizes this trusts.
+func (s *shard) members(comp int64, onlyNamed bool, u, v int32) []int32 {
+	if onlyNamed && s.owner(u) != s.id && s.owner(v) != s.id {
+		return nil
+	}
+	return s.compVerts[comp]
+}
+
 // healed gives a singleton anchor of vertex v (position 0, labelled comp) its
 // fresh position under link w: x appears at q+1, y at q+2 and joins the host.
 // A singleton's component can only be linked through its own vertex, so the
@@ -740,7 +753,7 @@ func (s *shard) onDoCut(w *wire) *wire {
 	// cut-repair shift remaps anchors sitting on the four removed positions
 	// onto surviving appearances (or 0 + the fresh component for a cut-off
 	// singleton), and the sub/rest shifts renumber the rest.
-	members := s.compVerts[compOld]
+	members := s.members(compOld, w.SubSize+w.RestSize == 2, w.U, w.V)
 	best := s.rewrite(w, members, w.Shifts)
 	// Named endpoints: the child (whose interval was [fy,ly] pre-cut) is
 	// the endpoint appearing at fy on the captured record. Resolved before
@@ -986,10 +999,12 @@ func (s *shard) broadcastLink(ctx *mpc.Ctx, seq int64, x, y int32, w int64,
 // onDoLink applies a link broadcast to the local shard: hosts take the
 // chain's LinkHost, guests the rest. A shard holding no vertex of either
 // component holds no record of them and no endpoint, and is done after the
-// two lookups.
+// two lookups — or none, for a side of one vertex (members).
 func (s *shard) onDoLink(w *wire) {
 	compX, compY := w.Comp, w.Comp2
-	hosts, guests := s.compVerts[compX], s.compVerts[compY]
+	sizeY := w.Ly/4 + 1
+	hosts := s.members(compX, w.Size-sizeY == 1, w.U, w.U)
+	guests := s.members(compY, sizeY == 1, w.V, w.V)
 	if len(hosts) > 0 || len(guests) > 0 {
 		s.rewrite(w, hosts, w.Shifts[:1])
 		s.rewrite(w, guests, w.Shifts[1:])

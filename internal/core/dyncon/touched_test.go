@@ -247,6 +247,126 @@ func TestBroadcastTouchesOnlyNamed(t *testing.T) {
 	if got := testing.AllocsPerRun(100, func() { s.onDoCut(miss) }); got != 0 {
 		t.Fatalf("onDoCut without a candidate allocates %.0f times", got)
 	}
+
+	// Registry sizes on the wire: a link of two one-vertex sides and a cut
+	// of a two-vertex component have no members but their endpoints, so a
+	// shard owning neither holds nothing of them and must not look. Here it
+	// does hold vertices labelled A and B, with records filed under them —
+	// decoys, a state no registry allows — which the same broadcast with
+	// sizes that prove nothing rewrites, and this one must leave alone.
+	run := func(s *shard, w *wire) {
+		if w.Kind == kDoLink {
+			s.onDoLink(w)
+		} else if got := s.onDoCut(w); got != w.Miss {
+			t.Fatalf("cut of a two-vertex component held elsewhere replied %+v, want the shared miss", got)
+		}
+	}
+	for _, tiny := range []*wire{linkOf(compA, compB), cutOf(compA, compNew)} {
+		tiny.U, tiny.V = 70, 77 // both owned by machine 0
+		blind := *tiny
+		tiny.Size, tiny.Ly, tiny.SubSize, tiny.RestSize = 2, 0, 1, 1
+		s, _ = touchedShard(named)
+		before := shardState(s)
+		if blind.Kind == kDoLink {
+			s.onDoLink(&blind)
+		} else {
+			s.onDoCut(&blind)
+		}
+		if shardState(s) == before {
+			t.Fatalf("kind %d: the broadcast with uninformative sizes leaves the decoys alone", tiny.Kind)
+		}
+		s, _ = touchedShard(named)
+		run(s, tiny)
+		if shardState(s) != before {
+			t.Fatalf("kind %d of components of at most two vertices, all held elsewhere, changed this shard", tiny.Kind)
+		}
+		if got := testing.AllocsPerRun(100, func() { run(s, tiny) }); got != 0 {
+			t.Fatalf("kind %d of components held elsewhere allocates %.0f times", tiny.Kind, got)
+		}
+	}
+
+	// The positive side: a shard owning an endpoint of such a component
+	// looks, and ends exactly where the broadcast with uninformative sizes
+	// takes it. Vertices 43 and 50 are weighted singletons owned here, 70 one
+	// owned by machine 0: 43 hosts 70, 50 is 70's guest, and the two-vertex
+	// component 43-70 is cut again.
+	singletons := func() *shard {
+		s, _ := touchedShard(named)
+		for _, v := range []int32{43, 50} {
+			s.verts[v] = int64(v)
+			s.compVerts[int64(v)] = []int32{v}
+			s.weights[v] = &treedp.Rec{Comp: int64(v), W: 1}
+		}
+		return s
+	}
+	singletonLink := func(x, y int32) *wire {
+		e := graph.NormEdge(int(x), int(y))
+		pos := etour.EdgePos{U: e.U, V: e.V, UV: [2]int{1, 2}, VU: [2]int{3, 4}}
+		if e.U != int(x) {
+			pos.UV, pos.VU = pos.VU, pos.UV
+		}
+		return &wire{
+			Kind: kDoLink, U: x, V: y, W: 1, Comp: int64(x), Comp2: int64(y), Size: 2, Pos: pos,
+			Shifts: []etour.Shift{
+				{Kind: etour.ShiftLinkHost, Comp: int64(x), NewComp: int64(x)},
+				{Kind: etour.ShiftLinkGuest, Comp: int64(y), NewComp: int64(x)},
+			},
+		}
+	}
+	pairCut := &wire{
+		Kind: kDoCut, Seq: 1, U: 43, V: 70, W: 1, Comp: 43, Comp2: compNew,
+		Fy: 2, LyCut: 3, TourLen: 4, SubSize: 1, RestSize: 1,
+		Shifts: []etour.Shift{
+			{Kind: etour.ShiftCutRepair, Comp: 43, NewComp: compNew, A: 2, B: 3, C: 4},
+			{Kind: etour.ShiftCutSub, Comp: 43, NewComp: compNew, A: 2, B: 3},
+			{Kind: etour.ShiftCutRest, Comp: 43, NewComp: 43, A: 2, B: 3},
+		},
+		Miss: &wire{Kind: kCandidate, Seq: 1},
+	}
+	for _, tc := range []struct {
+		name  string
+		prior *wire // applied first, to both shards
+		w     *wire
+		blind func(w *wire)
+	}{
+		{"link of an owned one-vertex host", nil, singletonLink(43, 70), func(w *wire) { w.Size = 3 }},
+		{"link of an owned one-vertex guest", nil, singletonLink(70, 50), func(w *wire) { w.Size, w.Ly = 3, 4 }},
+		{"cut of a two-vertex component with an owned endpoint", singletonLink(43, 70), pairCut, func(w *wire) { w.RestSize = 2 }},
+	} {
+		blindW := *tc.w
+		tc.blind(&blindW)
+		got, want := singletons(), singletons()
+		if tc.prior != nil {
+			run(got, tc.prior)
+			run(want, tc.prior)
+		}
+		before := shardState(got)
+		run(got, tc.w)
+		run(want, &blindW)
+		if after := shardState(got); after == before || after != shardState(want) {
+			t.Fatalf("%s: changed the shard: %v; matches the uninformative-sizes broadcast: %v", tc.name, after != before, after == shardState(want))
+		}
+	}
+}
+
+// shardState renders everything a link or cut can change on a shard apart
+// from its registry: labels, the label index and every record's content.
+func shardState(s *shard) string {
+	tree, nt, weights := map[graph.Edge]treeRec{}, map[graph.Edge]ntRec{}, map[int32]treedp.Rec{}
+	for e, r := range s.tree {
+		c := *r
+		c.next = [2]*treeRec{}
+		tree[e] = c
+	}
+	for e, r := range s.nontree {
+		c := *r
+		c.next = [2]*ntRec{}
+		nt[e] = c
+	}
+	for v, r := range s.weights {
+		weights[v] = *r
+	}
+	return fmt.Sprint(s.verts, s.compVerts, tree, nt, weights, len(s.adj))
 }
 
 // crossingScript is a cut whose two sides are joined by two non-tree edges
@@ -309,8 +429,8 @@ func TestCrossingRecordsAreReached(t *testing.T) {
 	}
 }
 
-// TestEveryAuditTrips corrupts each derived index once and requires Validate
-// to name it.
+// TestEveryAuditTrips corrupts each derived index and the registry sizes once
+// and requires Validate to name the corruption.
 func TestEveryAuditTrips(t *testing.T) {
 	// Machine 0 owns 0 and µ, and holds the tree records 0-1, 0-µ, the
 	// non-tree record 0-2 and nothing filed under anything else.
@@ -357,6 +477,11 @@ func TestEveryAuditTrips(t *testing.T) {
 			}
 			r.next[0] = s.adj[0].tree
 		}},
+		// The registry sizes link and cut broadcasts trust to skip lookups:
+		// a stale size for a label no vertex carries, and a live singleton's
+		// size filed off its registry (vertex 3 is untouched, registry 3).
+		{"which no vertex carries", func(s *shard) { s.sizes[int64(1000*s.mu)] = 1 }},
+		{"component 3 filed here, its registry is machine 3", func(s *shard) { s.sizes[3] = 1 }},
 		{"marked unfiled: true", func(s *shard) { // the both-here record claims its V lives elsewhere
 			r := s.removeTree(graph.Edge{U: 0, V: s.mu})
 			s.tree[graph.Edge{U: 0, V: s.mu}] = r

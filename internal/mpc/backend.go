@@ -66,16 +66,50 @@ type executor interface {
 // external input) and to in the two halves, exact while µ < 2³¹.
 func pairKey(from, to int) uint64 { return uint64(uint32(from))<<32 | uint64(uint32(to)) }
 
-// stage is the one way into an inbox: it appends msg to its destination's
-// inbox through the pool, marks the destination pending and bills the
-// pair table. Send (external input) and settle (handler output) call it
-// after their own bounds check; the table is therefore current whenever
-// the driver looks. Integer addition commutes and CommEntropy sums in
-// sorted-volume order, so the order of calls never shows.
+// stage is the one way into an inbox for a unicast (fanOut is the one for
+// a broadcast): it appends msg to its destination's inbox through the
+// pool, marks the destination pending and bills the pair table. Send
+// (external input) and settle (handler output) call it after their own
+// bounds check; the table is therefore current whenever the driver looks.
+// Integer addition commutes and CommEntropy sums in sorted-volume order,
+// so the order of calls never shows.
 func (c *Cluster) stage(msg Message) {
+	c.deliver(msg)
+	c.stats.pairWords[pairKey(msg.From, msg.To)] += msg.Words
+}
+
+// deliver is stage without the billing, which fanOut does once per
+// broadcast.
+func (c *Cluster) deliver(msg Message) {
 	c.inboxes[msg.To] = c.pool.grab(c.inboxes[msg.To], msg)
 	c.Schedule(msg.To)
-	c.stats.pairWords[pairKey(msg.From, msg.To)] += msg.Words
+}
+
+// fanOut is stage for a broadcast entry b (Ctx.Broadcast): it delivers one
+// copy to every machine but b.To, each carrying b's sequence number, bills
+// the sender's broadcast total once instead of µ pair entries, and returns
+// the words sent.
+func (c *Cluster) fanOut(b Message) int {
+	skip := b.To
+	b.seq = ^b.seq
+	for to := range c.inboxes {
+		if to != skip {
+			b.To = to
+			c.deliver(b)
+		}
+	}
+	if c.stats.bcastWords == nil {
+		c.stats.bcastWords = make(map[int][2]int)
+	}
+	total, recipients := c.stats.bcastWords[b.From], len(c.inboxes)
+	if skip < 0 {
+		total[0] += b.Words
+	} else {
+		total[1] += b.Words
+		recipients--
+	}
+	c.stats.bcastWords[b.From] = total
+	return recipients * b.Words
 }
 
 // beginRound turns the pending buffer into the round's active set
@@ -117,13 +151,21 @@ func (c *Cluster) handle(ctx *Ctx, id int) {
 
 // sortInbox orders a machine's inbox deterministically: by sender, then
 // per-sender sequence number. Ties (external messages share From -1 and
-// seq 0) keep arrival order — both paths below are stable, so the result
-// is backend-independent. Small inboxes, the overwhelmingly common case,
-// take an allocation-free insertion sort instead of the reflective
-// sort.SliceStable.
+// seq 0) keep arrival order — every path below is stable, so the result
+// is backend-independent. settle stages in ascending sender order, so an
+// inbox holding only handler output is in order already and costs one
+// pass. Otherwise small inboxes take an allocation-free insertion sort
+// instead of the reflective sort.SliceStable.
 func sortInbox(inbox []Message) {
+	first := 1 // the first message out of order
+	for first < len(inbox) && !msgLess(inbox[first], inbox[first-1]) {
+		first++
+	}
+	if first >= len(inbox) {
+		return
+	}
 	if len(inbox) <= 32 {
-		for i := 1; i < len(inbox); i++ {
+		for i := first; i < len(inbox); i++ {
 			for j := i; j > 0 && msgLess(inbox[j], inbox[j-1]); j-- {
 				inbox[j], inbox[j-1] = inbox[j-1], inbox[j]
 			}
@@ -145,7 +187,8 @@ func msgLess(a, b Message) bool {
 // machine's outgoing messages and next-round schedules and merges its
 // answers into the window's table in ascending machine order — the merge
 // order that keeps delivery and violations bit-identical across backends
-// — enforcing the per-machine I/O cap and recycling each Ctx, and finally
+// — enforcing the per-machine I/O cap, which counts a broadcast's words
+// once per recipient, and recycling each Ctx, and finally
 // folds memory accounting.
 func (c *Cluster) settle() {
 	for _, id := range c.active {
@@ -155,6 +198,10 @@ func (c *Cluster) settle() {
 		ctx := &c.slab[i]
 		sent := 0
 		for _, msg := range ctx.out {
+			if msg.seq < 0 {
+				sent += c.fanOut(msg)
+				continue
+			}
 			sent += msg.Words
 			if msg.To < 0 || msg.To >= len(c.machines) {
 				c.violation("machine %d sent to invalid machine %d", id, msg.To)

@@ -32,6 +32,7 @@ package mpc
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"runtime"
 	"slices"
@@ -49,7 +50,9 @@ type Message struct {
 	Payload any
 	Words   int
 
-	seq int // per-sender sequence number for deterministic delivery order
+	// seq is the per-sender sequence number for deterministic delivery
+	// order; a negative one marks a broadcast entry (Ctx.Broadcast).
+	seq int
 }
 
 // Machine is the behavior of one simulated DMPC machine. Implementations
@@ -229,10 +232,18 @@ type Stats struct {
 	Words        int
 	PeakMemWords int
 	Violations   int
-	pairWords    map[uint64]int // communication volume per (from,to) pair, keyed by pairKey
+	pairWords    map[uint64]int // unicast volume per (from,to) pair, keyed by pairKey
 	currentMixed *MixedStats
 	currentWave  *WaveStats
 	waveTenants  []TenantCount // tenant census of the open mixed wave
+
+	// Broadcast volume per broadcasting sender, billed once per broadcast
+	// instead of once per copy: [0] the words sent to every machine, [1] to
+	// every machine but the sender. pairVolumes folds it into pairWords
+	// when read. Made at the first broadcast, so a cluster that never
+	// broadcasts holds none, and one word wide, so Cluster keeps its
+	// allocation size class.
+	bcastWords map[int][2]int
 }
 
 // Cluster is a simulated DMPC cluster. It is not safe for concurrent use by
@@ -557,9 +568,10 @@ func (c *Cluster) violation(format string, args ...any) {
 // make the last bits run- and backend-dependent, which the determinism
 // rule — bit-identical Stats across backends — does not tolerate.
 func (c *Cluster) CommEntropy() float64 {
+	pairs := c.pairVolumes()
 	total := 0
-	volumes := make([]int, 0, len(c.stats.pairWords))
-	for _, w := range c.stats.pairWords {
+	volumes := make([]int, 0, len(pairs))
+	for _, w := range pairs {
 		total += w
 		volumes = append(volumes, w)
 	}
@@ -581,12 +593,32 @@ func (c *Cluster) CommEntropy() float64 {
 // spike is. Zero for a cluster that has communicated nothing.
 func (c *Cluster) MaxPairWords() int {
 	max := 0
-	for _, w := range c.stats.pairWords {
+	for _, w := range c.pairVolumes() {
 		if w > max {
 			max = w
 		}
 	}
 	return max
+}
+
+// pairVolumes returns the lifetime volume of every ordered pair that has
+// communicated: the unicast table with each sender's broadcast totals
+// folded in, the same integers a table billed once per delivered copy
+// would hold.
+func (c *Cluster) pairVolumes() map[uint64]int {
+	vol := maps.Clone(c.stats.pairWords)
+	for from, b := range c.stats.bcastWords {
+		for to := range c.machines {
+			w := b[0]
+			if to != from {
+				w += b[1]
+			}
+			if w > 0 {
+				vol[pairKey(from, to)] += w
+			}
+		}
+	}
+	return vol
 }
 
 // Ctx is the per-round execution context handed to a machine's handler.
@@ -626,14 +658,26 @@ func (ctx *Ctx) Send(to int, payload any, words int) {
 
 // Broadcast sends the payload to every machine in the cluster (including
 // self if includeSelf). It charges words per recipient, matching the
-// model's accounting for a machine that transmits to all µ machines.
+// model's accounting for a machine that transmits to all µ machines, and
+// every recipient sees the copy at the position µ Sends in its place would
+// have had.
+//
+// It costs the sender one outbox entry, which settle fans out (fanOut): a
+// negative seq, ^s for the entry's sequence number s, marks it — no Send
+// produces one, so an invalid unicast destination is never mistaken for it
+// — and its To is the one machine it skips, −1 for none.
 func (ctx *Ctx) Broadcast(payload any, words int, includeSelf bool) {
-	for id := 0; id < ctx.cluster.cfg.Machines; id++ {
-		if id == ctx.self && !includeSelf {
-			continue
-		}
-		ctx.Send(id, payload, words)
+	if words <= 0 {
+		words = 1
 	}
+	skip := -1
+	if !includeSelf {
+		skip = ctx.self
+	}
+	ctx.out = append(ctx.out, Message{
+		From: ctx.self, To: skip, Payload: payload, Words: words,
+		seq: ^len(ctx.out),
+	})
 }
 
 // Schedule marks a machine active in the next round without sending data.

@@ -20,7 +20,9 @@ func (x *xorshift) next() uint64 {
 }
 
 // TestSteadyStateAllocsPerRound pins the allocation bill of a
-// steady-state Round with every machine active — the pooled hot path.
+// steady-state Round with every machine active — the pooled hot path —
+// and of the scatter/gather cascade, whose rounds alternate between one
+// broadcast fanned out to every inbox and every machine replying to one.
 // The round's scratch (active set, Ctx slab, inbox backing arrays) is
 // fully recycled, so the parallel backend's budget is zero.
 // The sim oracle inherently spawns one handler goroutine per activation
@@ -32,12 +34,14 @@ func TestSteadyStateAllocsPerRound(t *testing.T) {
 	for _, bc := range []struct {
 		name   string
 		be     BackendKind
+		build  func(mu int, be BackendKind, workers int) *Cluster
 		budget float64
 	}{
-		{"parallel", BackendParallel, 0.5},
-		{"sim", BackendSim, 2*mu + 8},
+		{"parallel", BackendParallel, newPingCluster, 0.5},
+		{"sim", BackendSim, newPingCluster, 2*mu + 8},
+		{"parallel broadcast", BackendParallel, newScatterCluster, 0.5},
 	} {
-		c := newPingCluster(mu, bc.be, 4)
+		c := bc.build(mu, bc.be, 4)
 		for i := 0; i < 64; i++ { // warm the pools past the growth phase
 			c.Round()
 		}
@@ -86,8 +90,9 @@ func TestSteadyStateAllocsPerAnswer(t *testing.T) {
 }
 
 // chaosMachine drives the active-set property test: each activation sends
-// to 0–3 deterministically random targets and occasionally schedules a
-// random machine, logging both so the test can maintain the reference
+// to 0–3 deterministically random targets, now and then broadcasts (with
+// or without self), and occasionally schedules a random machine, logging
+// every recipient and schedule so the test can maintain the reference
 // pending set. All state is per-machine, so concurrent handler execution
 // stays deterministic.
 type chaosMachine struct {
@@ -103,6 +108,14 @@ func (m *chaosMachine) HandleRound(ctx *Ctx, inbox []Message) {
 		to := int(m.rng.next() % uint64(m.mu))
 		ctx.Send(to, int64(to), 1)
 		m.sent = append(m.sent, to)
+	}
+	if r := m.rng.next() % 32; r < 2 {
+		ctx.Broadcast(int64(-1), 2, r == 0)
+		for to := 0; to < m.mu; to++ {
+			if to != m.id || r == 0 {
+				m.sent = append(m.sent, to)
+			}
+		}
 	}
 	if m.rng.next()%8 == 0 {
 		s := int(m.rng.next() % uint64(m.mu))
@@ -281,10 +294,11 @@ func (r *recorder) HandleRound(ctx *Ctx, inbox []Message) {
 
 // TestPairTableMatchesMessages: on a random ping cluster fed external
 // input (From −1, one out-of-range send dropped as a violation) the pair
-// table equals the per-pair volumes recomputed from the messages the
-// machines were actually handed, on both backends, and CommEntropy and
-// MaxPairWords agree across them — stage is the one writer of the table
-// and bills exactly what it delivers.
+// table — the unicast entries with the broadcast totals folded in —
+// equals the per-pair volumes recomputed from the messages the machines
+// were actually handed, on both backends, and CommEntropy and MaxPairWords
+// agree across them: stage and fanOut are the table's writers and bill
+// exactly what they deliver.
 func TestPairTableMatchesMessages(t *testing.T) {
 	const mu = 19
 	var entropy [2]float64
@@ -323,16 +337,24 @@ func TestPairTableMatchesMessages(t *testing.T) {
 				want[pairKey(m.From, m.To)] += m.Words
 			}
 		}
-		if len(want) != len(c.stats.pairWords) {
-			t.Fatalf("%v: table has %d pairs, the delivered messages %d", be, len(c.stats.pairWords), len(want))
+		table := c.pairVolumes()
+		if len(want) != len(table) {
+			t.Fatalf("%v: table has %d pairs, the delivered messages %d", be, len(table), len(want))
 		}
 		for k, w := range want {
-			if c.stats.pairWords[k] != w {
-				t.Fatalf("%v: pair (%d→%d): table %d words, delivered %d", be, int32(k>>32), int32(k), c.stats.pairWords[k], w)
+			if table[k] != w {
+				t.Fatalf("%v: pair (%d→%d): table %d words, delivered %d", be, int32(k>>32), int32(k), table[k], w)
 			}
 		}
 		if want[pairKey(-1, 0)] == 0 {
 			t.Fatalf("%v: no external traffic to machine 0 recorded under From −1", be)
+		}
+		var kinds [2]int
+		for _, b := range c.stats.bcastWords {
+			kinds[0], kinds[1] = max(kinds[0], b[0]), max(kinds[1], b[1])
+		}
+		if kinds[0] == 0 || kinds[1] == 0 {
+			t.Fatalf("%v: the script broadcast nothing with and without self", be)
 		}
 		entropy[bi], maxPair[bi] = c.CommEntropy(), c.MaxPairWords()
 	}
