@@ -91,3 +91,28 @@ func TestInjectWaveWidths(t *testing.T) {
 		t.Fatalf("window waves = %+v, want two update waves then one read wave", st.Waves)
 	}
 }
+
+// TestLevelJobSendsCurrentLevel: in one batch, 1's level change from the
+// first ins(1,2) queues a notification job that is delivered only after
+// the edge was deleted and re-inserted. The job must carry 1's level at
+// delivery, not the stale one it was queued with, or it overwrites 2's
+// fresh mirror of 1 and the free-free edge (1,2) is left with neither
+// endpoint pending.
+func TestLevelJobSendsCurrentLevel(t *testing.T) {
+	const n = 20
+	b := graph.Batch{
+		{Op: graph.Insert, U: 1, V: 2}, {Op: graph.Delete, U: 1, V: 2},
+		{Op: graph.Insert, U: 2, V: 3}, {Op: graph.Insert, U: 1, V: 2},
+		{Op: graph.Delete, U: 2, V: 3},
+	}
+	m := New(Config{N: n, Seed: 7})
+	applyBatch(m, b)
+	g := graph.New(n)
+	b.Apply(g)
+	if !graph.IsMatching(g, m.MateTable()) {
+		t.Fatal("invalid matching after the batch")
+	}
+	if err := m.Validate(g); err != nil {
+		t.Fatalf("invariants broken after the batch: %v", err)
+	}
+}

@@ -78,7 +78,6 @@ func (st *vstate) phi(l int) int {
 // job notifies v's neighbors about a level change, Δ per tick.
 type job struct {
 	v    int32
-	lvl  int32
 	todo []int32
 }
 
@@ -230,15 +229,16 @@ func (s *shard) auditIndexes() error {
 	return nil
 }
 
-// queueLevelJob schedules neighbor notifications for v's new level.
-func (s *shard) queueLevelJob(v int32, lvl int32) {
+// queueLevelJob schedules neighbor notifications for v's new level. A job
+// is billed two words (v and its level) plus its to-do list.
+func (s *shard) queueLevelJob(v int32) {
 	st := s.get(v)
 	todo := make([]int32, 0, len(st.adj))
 	for w := range st.adj {
 		todo = append(todo, w)
 	}
 	sort.Slice(todo, func(i, j int) bool { return todo[i] < todo[j] })
-	s.jobs = append(s.jobs, job{v: v, lvl: lvl, todo: todo})
+	s.jobs = append(s.jobs, job{v: v, todo: todo})
 	s.jobWords += 2 + len(todo)
 }
 
@@ -249,7 +249,7 @@ func (s *shard) setLevel(v int32, lvl int32) {
 		return
 	}
 	st.lvl = lvl
-	s.queueLevelJob(v, lvl)
+	s.queueLevelJob(v)
 }
 
 // lowThreshold is (1-2ε)·γ^ℓ, the proactive unmatch trigger.
@@ -293,7 +293,7 @@ func (s *shard) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 			if st.mate == m.V {
 				st.mate = -1
 				st.lvl = -1
-				s.queueLevelJob(m.U, -1)
+				s.queueLevelJob(m.U)
 				dirty = true
 			}
 		case aUnmatchOrder:
@@ -352,7 +352,7 @@ func (s *shard) handleUpdate(ctx *mpc.Ctx, m amsg, report *amsg, dirty *bool) {
 		report.Freed = append(report.Freed, u, st.lvl)
 		st.mate = -1
 		st.lvl = -1
-		s.queueLevelJob(u, -1)
+		s.queueLevelJob(u)
 		*dirty = true
 	} else if st.mate >= 0 {
 		st.support--
@@ -374,7 +374,7 @@ func (s *shard) handleEdgeOther(ctx *mpc.Ctx, m amsg, report *amsg, dirty *bool)
 			report.Freed = append(report.Freed, v, st.lvl)
 			st.mate = -1
 			st.lvl = -1
-			s.queueLevelJob(v, -1)
+			s.queueLevelJob(v)
 			*dirty = true
 		} else if st.mate >= 0 {
 			st.support--
@@ -465,8 +465,13 @@ func (s *shard) processJobs(ctx *mpc.Ctx) {
 		if n > len(j.todo) {
 			n = len(j.todo)
 		}
+		// The level sent is v's current one, not the one the job was queued
+		// with: a job delivered after later changes of v (an edge deleted and
+		// re-inserted in one batch) would otherwise overwrite a neighbour's
+		// fresher mirror with a stale level.
+		lvl := s.verts[j.v].lvl
 		for _, w := range j.todo[:n] {
-			upd := amsg{Kind: aLvlUpd, U: w, V: j.v, Lvl: j.lvl}
+			upd := amsg{Kind: aLvlUpd, U: w, V: j.v, Lvl: lvl}
 			ctx.Send(s.owner(w), upd, upd.words())
 		}
 		j.todo = j.todo[n:]
@@ -490,7 +495,7 @@ func (s *shard) unmatchLocal(ctx *mpc.Ctx, v int32, report *amsg, dirty *bool) {
 	lvl := st.lvl
 	st.mate = -1
 	st.lvl = -1
-	s.queueLevelJob(v, -1)
+	s.queueLevelJob(v)
 	fr := amsg{Kind: aExFreed, U: ex, V: v}
 	ctx.Send(s.owner(ex), fr, fr.words())
 	report.Freed = append(report.Freed, v, lvl, ex, lvl)

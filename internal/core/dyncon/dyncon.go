@@ -22,10 +22,14 @@
 // endpoint. It gathers f/l values from the endpoint owners (computed on
 // demand from their local arc positions — the paper's "x and y can simply
 // learn those by sending and receiving an appropriate message"), reads
-// component sizes from the registry, and then broadcasts a single O(1)-word
-// message carrying the etour.Shift descriptors. Every machine applies the
-// shifts to every position it stores for the components they name (reached
-// through shard.compVerts and shard.adj); because the maps are conditioned on
+// component sizes from the registry, and then sends a single O(1)-word
+// message carrying the etour.Shift descriptors. The paper broadcasts it to
+// all µ machines; here it goes only to the machines holding a vertex of the
+// components it names, whose set each registry keeps beside the size and
+// returns with it — a full broadcast is the worst case, taken for a set of
+// µ/2 machines or more. Every recipient applies the shifts to every
+// position it stores for the components they name (reached through
+// shard.compVerts and shard.adj); because the maps are conditioned on
 // position values and component labels only, mirrored anchors stay
 // consistent with no further communication — this is the property §5
 // leverages to avoid Ω(N) neighbor updates. After a cut, machines scan
@@ -146,7 +150,8 @@ func New(cfg Config) *D {
 		d.shards[i] = newShard(i, auto.Machines, cfg)
 		d.cluster.SetMachine(i, d.shards[i])
 	}
-	// Initial singleton components: comp(v) = v, size 1, registered.
+	// Initial singleton components: comp(v) = v, size 1, registered (a
+	// one-vertex component's holder set is implicit).
 	for v := 0; v < cfg.N; v++ {
 		sh := d.shards[d.owner(v)]
 		sh.verts[int32(v)] = int64(v)
@@ -221,8 +226,8 @@ func (d *D) inject(up graph.Update, seq int64) {
 // (snapshot-consistent mid-batch reads, pinned by FuzzMixedEquivalence),
 // while a wave of w ops costs the rounds of one op instead of w.
 //
-// The per-op orchestrator cost distinguishes updates that broadcast a
-// shift descriptor to all µ machines (links, cuts, MST cycle checks) from
+// The per-op orchestrator cost distinguishes updates that send a shift
+// descriptor to up to all µ machines (links, cuts, MST cycle checks) from
 // updates that stay O(1)-machine local (non-tree adds and deletes, no-ops,
 // and all queries): the latter pack onto a shared orchestrator nearly
 // freely, the former claim most of the machine's per-round word budget.
@@ -326,7 +331,11 @@ func (d *D) claims(op graph.Op, it *sched.Item) {
 	if broadcasts {
 		// Worst orchestration round of a broadcasting update: a 3-shift
 		// descriptor to every machine, plus slack for the same round's
-		// O(1) point-to-point traffic.
+		// O(1) point-to-point traffic. A link or cut goes only to the
+		// holders of its components, but the price is the worst case — a
+		// full broadcast — and stays independent of the holder sets, which
+		// the driver does not read: waves, rounds and latencies are those
+		// of a protocol that broadcasts.
 		cost = (16+5*3)*len(d.shards) + 32
 	}
 	it.Excl = append(it.Excl, d.CompOf(up.U), d.CompOf(up.V))
@@ -422,9 +431,9 @@ func (d *D) runOpWave(ops []graph.Op, ids []int64, wave []int) {
 }
 
 // broadcasts predicts, from driver-side oracle state at schedule time,
-// whether the §5 orchestration of up includes a cluster-wide broadcast
-// round: links (components differ), cuts (deleting a tree edge), and MST
-// cycle checks all broadcast; non-tree adds and deletes, duplicates and
+// whether the §5 orchestration of up includes a round that may reach every
+// machine: links (components differ), cuts (deleting a tree edge), and MST
+// cycle checks all do; non-tree adds and deletes, duplicates and
 // no-ops touch O(1) machines with O(1) words. The prediction stays valid
 // through the wave because wave members are component-disjoint: no wave
 // peer can move the edge between tree and non-tree or merge the endpoint
@@ -498,8 +507,8 @@ func (d *D) ForestWeight() graph.Weight {
 
 // Validate cross-checks the distributed state: owner copies of each record
 // must agree, every component's positions must reassemble into a valid
-// Euler tour, each live component's size must be filed at its registry
-// alone and match its vertex count (and no dead label keep one), every
+// Euler tour, each live component's size and holder set must be filed at its
+// registry alone and match its vertices (and no dead label keep one), every
 // non-tree anchor must be a genuine appearance of its endpoint with
 // consistent component labels, and no orchestration entry may be left
 // behind at quiescence.
@@ -534,7 +543,7 @@ func (d *D) Validate() error {
 
 	// The compVerts inverse index must mirror verts exactly on every
 	// shard: each owned vertex listed once under its current label, no
-	// stale or duplicate entries. The broadcast relabel loops walk this
+	// stale or duplicate entries. The link and cut relabel loops walk this
 	// index instead of scanning verts, so drift here would silently skip
 	// (or double-apply) component relabels.
 	for _, sh := range d.shards {
@@ -560,9 +569,13 @@ func (d *D) Validate() error {
 		}
 	}
 
-	// Registry sizes vs vertex labels: one entry per live component, at its
-	// registry and nowhere else. A link or cut broadcast's sizes prove which
-	// shards hold none of a small component (shard.members).
+	// Registry sizes and holder sets vs vertex labels: one size per live
+	// component, and one holder set per live component of two or more
+	// vertices, at its registry and nowhere else. Links and cuts are sent to
+	// the holder set, so a missing holder would skip a rewrite: a stored list
+	// must be exactly the machines owning a vertex of the component, fewer
+	// than µ/2; all is a superset and always allowed. Each registry bills the
+	// ids it stores.
 	counts := map[int64]int{}
 	for v := 0; v < d.cfg.N; v++ {
 		counts[d.CompOf(v)]++
@@ -576,10 +589,35 @@ func (d *D) Validate() error {
 				return fmt.Errorf("machine %d: registry size for component %d filed here, its registry is machine %d", sh.id, c, r)
 			}
 		}
+		words := 0
+		for c, h := range sh.holders {
+			if r := d.registry(c); r != sh.id {
+				return fmt.Errorf("machine %d: holder set for component %d filed here, its registry is machine %d", sh.id, c, r)
+			}
+			if counts[c] < 2 {
+				return fmt.Errorf("machine %d: registry keeps a holder set for component %d of %d vertices", sh.id, c, counts[c])
+			}
+			words += len(h.ids)
+		}
+		if words != sh.holderWords {
+			return fmt.Errorf("machine %d: MemWords bills %d holder ids, its holder lists store %d", sh.id, sh.holderWords, words)
+		}
 	}
 	for c, k := range counts {
-		if got := d.shards[d.registry(c)].sizes[c]; got != k {
+		reg := d.shards[d.registry(c)]
+		if got := reg.sizes[c]; got != k {
 			return fmt.Errorf("component %d: registry size %d, actual %d", c, got, k)
+		}
+		if h := reg.holders[c]; k > 1 && !h.all {
+			var want []int32
+			for _, sh := range d.shards {
+				if len(sh.compVerts[c]) > 0 {
+					want = append(want, int32(sh.id))
+				}
+			}
+			if !slices.Equal(h.ids, want) || 2*len(want) >= len(d.shards) {
+				return fmt.Errorf("component %d: registry holder list %v, holders %v of %d machines", c, h.ids, want, len(d.shards))
+			}
 		}
 	}
 

@@ -30,7 +30,7 @@ func stateFingerprint(d *D) string {
 			lines = append(lines, fmt.Sprintf("m%d vert %d comp=%d", sh.id, v, comp))
 		}
 		for comp, size := range sh.sizes {
-			lines = append(lines, fmt.Sprintf("m%d size %d=%d", sh.id, comp, size))
+			lines = append(lines, fmt.Sprintf("m%d size %d=%d holders=%+v", sh.id, comp, size, sh.holders[comp]))
 		}
 	}
 	sort.Strings(lines)

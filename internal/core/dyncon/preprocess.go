@@ -1,6 +1,7 @@
 package dyncon
 
 import (
+	"slices"
 	"sort"
 
 	"dmpc/internal/etour"
@@ -103,6 +104,7 @@ func (d *D) Preprocess(g *graph.Graph) mpc.HalfStats {
 	// Reset registries to the new components.
 	for _, sh := range d.shards {
 		sh.sizes = make(map[int64]int)
+		sh.holders, sh.holderWords = make(map[int64]holderSet), 0
 		sh.tree = make(map[graph.Edge]*treeRec)
 		sh.nontree = make(map[graph.Edge]*ntRec)
 		sh.adj = make(map[int32]filed)
@@ -113,8 +115,23 @@ func (d *D) Preprocess(g *graph.Graph) mpc.HalfStats {
 			rec.Anchor, rec.Comp = seqs[int(comps[v])].First(int(v)), comps[v]
 		}
 	}
+	owners := map[int64][]int32{} // component -> its vertices' owners, with repeats
+	for v := 0; v < g.N(); v++ {
+		if c := comps[v]; sizes[c] > 1 {
+			owners[c] = append(owners[c], int32(d.owner(v)))
+		}
+	}
 	for c, k := range sizes {
-		d.shards[d.registry(c)].sizes[c] = k
+		reg := d.shards[d.registry(c)]
+		reg.sizes[c] = k
+		if ids := owners[c]; k > 1 {
+			slices.Sort(ids)
+			h := holderSet{ids: slices.Clone(slices.Compact(ids))}
+			if 2*len(h.ids) >= len(d.shards) {
+				h = holderSet{all: true}
+			}
+			reg.setHolders(c, h)
+		}
 	}
 
 	// Tree records from arc positions.

@@ -2,6 +2,7 @@ package dyncon
 
 import (
 	"fmt"
+	"slices"
 
 	"dmpc/internal/etour"
 	"dmpc/internal/graph"
@@ -18,10 +19,10 @@ const (
 	kInfoRep                 // owner -> orchestrator
 	kSizeReq                 // orchestrator -> registry(comp)
 	kSizeRep                 // registry -> orchestrator
-	kDoLink                  // broadcast: apply link shifts, add tree record
+	kDoLink                  // to holders: apply link shifts, add tree record
 	kAddNonTree              // orchestrator -> owners: store a non-tree record
 	kDelNonTree              // orchestrator -> owner: drop a non-tree record
-	kDoCut                   // broadcast: apply cut shifts, report candidates
+	kDoCut                   // to holders: apply cut shifts, report candidates
 	kCandidate               // machine -> orchestrator: replacement candidate
 	kPathMaxReq              // broadcast (MST): report max tree edge on path
 	kPathMaxRep              // machine -> orchestrator
@@ -44,15 +45,17 @@ const (
 	kDPPathReq // broadcast: sum weights on the au..av tree path in Comp
 	kDPTopReq  // broadcast: local weight argmax over Comp's owned vertices
 	kDPTopRep  // machine -> DP orchestrator: local argmax candidate
+	kJoin      // cut recipient -> registry(Comp): the sender now holds Comp
+	kLeave     // cut recipient -> registry(Comp): the sender no longer holds Comp
 )
 
 // wire is the single message payload of the protocol; Kind selects which
 // fields are meaningful. Words charged per message reflect the populated
-// field count, all O(1).
+// field count: O(1), plus one word per machine id of a holder list.
 //
-// Payloads travel as *wire and are immutable once sent: Broadcast hands one
-// payload to all µ inboxes, so a handler reads what it receives and never
-// writes it — which is also what lets Miss be shared.
+// Payloads travel as *wire and are immutable once sent: a link or cut hands
+// one payload to every recipient, so a handler reads what it receives and
+// never writes it — which is also what lets Miss be shared.
 type wire struct {
 	Kind        kind
 	U, V        int32
@@ -76,11 +79,31 @@ type wire struct {
 	Convert     bool // cut converts the edge to non-tree (MST swap)
 	NoReplace   bool
 	Found       bool
-	Flag        bool
-	// Miss, on a gathering broadcast (kDoCut, kPathMaxReq), is the reply of a
-	// machine with nothing to report: the broadcaster builds the one value
-	// its µ receivers would each have built, and they send that.
+	// Flag marks a delete on kUpdate, and is the "all" flag of a holder set
+	// (see holderSet): the component's on kSizeRep and kDoCut, the merged
+	// one on kDoLink.
+	Flag bool
+	// Holders is a holder list: the component's on kSizeRep, the guest's on
+	// kDoLink (for the host's registry; nil when the guest has one vertex).
+	Holders []int32
+	// Miss, on a gathering request (kDoCut, kPathMaxReq), is the reply of a
+	// machine with nothing to report: the requester builds the one value its
+	// receivers would each have built, and they send that.
 	Miss *wire
+}
+
+// linkMsg and cutMsg hold a link's or a cut's payload together with what it
+// points to — the shift chain, and a cut's shared miss — so each costs one
+// allocation.
+type linkMsg struct {
+	wire
+	shifts [3]etour.Shift
+}
+
+type cutMsg struct {
+	wire
+	shifts [3]etour.Shift
+	miss   wire
 }
 
 func (w *wire) words() int { return 16 + 5*len(w.Shifts) }
@@ -154,6 +177,7 @@ type pending struct {
 
 	gotSizeU, gotSizeV bool
 	sizeU, sizeV       int
+	holdU, holdV       holderSet
 
 	// cut state
 	cutEdge  graph.Edge
@@ -164,8 +188,10 @@ type pending struct {
 	subSize  int
 	restSize int
 	convert  bool
+	cutHold  holderSet // the cut component's, which a relink rejoins
 
 	// pathmax / candidate collection
+	expect    int // replies a gathering request waits for
 	replies   int
 	bestFound bool
 	bestU     int32
@@ -195,9 +221,9 @@ type shard struct {
 
 	verts map[int32]int64
 	// compVerts is the inverse of verts — component label -> owned
-	// vertices carrying it — so the broadcast relabel loops in onDoLink
-	// and onDoCut walk only the touched component instead of scanning
-	// every owned vertex (O(n/µ) per machine per broadcast, i.e. O(n)
+	// vertices carrying it — so the relabel loops in onDoLink and onDoCut
+	// walk only the touched component instead of scanning every owned
+	// vertex (O(n/µ) per machine per link or cut, i.e. O(n)
 	// cluster-wide work per update once n reaches 10^5). The index is a
 	// runtime cache derived from verts: it never changes messages, stats
 	// or MemWords, which charge for the logical state only.
@@ -217,7 +243,7 @@ type shard struct {
 	// anchor's component its endpoint. A named anchor whose endpoint lives
 	// elsewhere is reached from the record's owned endpoint, which carries
 	// the same label — unless the record crosses a fresh cut, and a crossing
-	// record exists only between a cut broadcast and its relink, both of
+	// record exists only between a cut and its relink, both of
 	// which name both sides.
 	tree    map[graph.Edge]*treeRec
 	nontree map[graph.Edge]*ntRec
@@ -225,8 +251,17 @@ type shard struct {
 	sizes   map[int64]int
 	pend    map[int64]*pending
 
+	// holders is the rest of this machine's registry: the holder set of each
+	// live component c of two or more vertices with registry(c) = id.
+	// holderWords counts the machine ids its lists store, so MemWords stays
+	// O(1); setHolders is its writer.
+	holders     map[int64]holderSet
+	holderWords int
+	// to is the scratch recipient list of a link or cut this machine sends.
+	to []int32
+
 	// Tree-DP state (internal/treedp): one weight record per owned
-	// weighted vertex, repaired on every link/cut broadcast, and DP query
+	// weighted vertex, repaired on every link and cut, and DP query
 	// orchestration state, keyed by the read's stream position. qpend is
 	// deliberately separate from pend: read positions and update seqs
 	// overlap numerically.
@@ -243,6 +278,7 @@ func newShard(id, mu int, cfg Config) *shard {
 		nontree:   make(map[graph.Edge]*ntRec),
 		adj:       make(map[int32]filed),
 		sizes:     make(map[int64]int),
+		holders:   make(map[int64]holderSet),
 		pend:      make(map[int64]*pending),
 		weights:   make(map[int32]*treedp.Rec),
 		qpend:     make(map[int64]*dpPending),
@@ -253,7 +289,83 @@ func (s *shard) owner(v int32) int         { return int(v) % s.mu }
 func (s *shard) registry(comp int64) int32 { return int32(comp % int64(s.mu)) }
 
 func (s *shard) MemWords() int {
-	return 2*len(s.verts) + 7*len(s.tree) + 7*len(s.nontree) + 2*len(s.sizes) + 4*len(s.weights)
+	return 2*len(s.verts) + 7*len(s.tree) + 7*len(s.nontree) + 2*len(s.sizes) + s.holderWords + 4*len(s.weights)
+}
+
+// holderSet is the set of machines owning at least one vertex of a
+// component, as its registry keeps it and the protocol carries it: the
+// ascending ids, or all — one flag packed into the size word, stored for a
+// set of at least µ/2 machines and kept by a piece cut from such a set, so
+// "all" is a superset that a link or cut answers with a full broadcast. A
+// one-vertex component's set is implicit, its vertex's owner, and is the
+// zero value. Lists are never written in place once stored or sent: every
+// change builds a new one.
+type holderSet struct {
+	all bool
+	ids []int32
+}
+
+// setHolders files comp's holder set — the zero value drops its entry —
+// and keeps holderWords current.
+func (s *shard) setHolders(comp int64, h holderSet) {
+	s.holderWords += len(h.ids) - len(s.holders[comp].ids)
+	if h.all || len(h.ids) > 0 {
+		s.holders[comp] = h
+	} else {
+		delete(s.holders, comp)
+	}
+}
+
+// held is a component's holder set with the implicit one made explicit:
+// h, or {owner(v)} when the component is v alone.
+func (s *shard) held(h holderSet, size int, v int32) holderSet {
+	if size == 1 {
+		return holderSet{ids: []int32{int32(s.owner(v))}}
+	}
+	return h
+}
+
+// union merges two holder sets into a fresh one, all once it reaches µ/2.
+func (s *shard) union(a, b holderSet) holderSet {
+	if a.all || b.all {
+		return holderSet{all: true}
+	}
+	ids := append(append(make([]int32, 0, len(a.ids)+len(b.ids)), a.ids...), b.ids...)
+	slices.Sort(ids)
+	if ids = slices.Compact(ids); 2*len(ids) >= s.mu {
+		return holderSet{all: true}
+	}
+	return holderSet{ids: ids}
+}
+
+// sendTo delivers msg to the holders of a and b — the machines that can
+// hold records of the components it names — and to the registries r1 and
+// r2, in ascending id order, or broadcasts it when a or b is all. Each copy
+// is billed words, the one to r1 extra more (a holder list only r1 reads;
+// a broadcast carries none). It returns the number of recipients.
+func (s *shard) sendTo(ctx *mpc.Ctx, a, b holderSet, r1, r2 int32, msg *wire, words, extra int) int {
+	if a.all || b.all {
+		ctx.Broadcast(msg, words, true)
+		return s.mu
+	}
+	s.to = append(append(append(s.to[:0], a.ids...), b.ids...), r1, r2)
+	slices.Sort(s.to)
+	s.to = slices.Compact(s.to)
+	for _, to := range s.to {
+		ctx.Send(int(to), msg, words+extra*b2i(to == r1))
+	}
+	return len(s.to)
+}
+
+// join and leave apply a cut recipient's holder change to comp's list
+// here: the subtree's starts empty, the rest's is its parent's.
+func (s *shard) join(comp int64, m int32) {
+	s.setHolders(comp, s.union(s.holders[comp], holderSet{ids: []int32{m}}))
+}
+
+func (s *shard) leave(comp int64, m int32) {
+	ids := slices.DeleteFunc(slices.Clone(s.holders[comp].ids), func(x int32) bool { return x == m })
+	s.setHolders(comp, holderSet{ids: ids})
 }
 
 // addTree stores e's tree record and files it under its owned endpoints.
@@ -417,9 +529,11 @@ func (s *shard) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 		case kInfoRep:
 			s.onInfo(ctx, w)
 		case kSizeReq:
+			h := s.holders[w.Comp]
 			ctx.Send(int(w.ReplyTo), &wire{
 				Kind: kSizeRep, Comp: w.Comp, Seq: w.Seq, Size: s.sizes[w.Comp],
-			}, 5)
+				Flag: h.all, Holders: h.ids,
+			}, 5+len(h.ids))
 		case kSizeRep:
 			s.onSize(ctx, w)
 		case kDoLink:
@@ -434,9 +548,13 @@ func (s *shard) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 		case kDelNonTree:
 			s.removeNonTree(graph.NormEdge(int(w.U), int(w.V)))
 		case kDoCut:
-			ctx.Send(int(w.ReplyTo), s.onDoCut(w), 6)
+			ctx.Send(int(w.ReplyTo), s.onDoCut(ctx, w), 6)
 		case kCandidate:
 			s.onCandidate(ctx, w)
+		case kJoin:
+			s.join(w.Comp, int32(m.From))
+		case kLeave:
+			s.leave(w.Comp, int32(m.From))
 		case kPathMaxReq:
 			ctx.Send(int(w.ReplyTo), s.onPathMaxReq(w), 6)
 		case kPathMaxRep:
@@ -593,13 +711,16 @@ func (s *shard) onInfo(ctx *mpc.Ctx, w *wire) {
 		p.stage = stSizes
 		s.sendSizeReqs(ctx, w.Seq, p.compU, p.compV)
 	case stInfoRelink:
-		// Sizes of both components are already known from the cut.
+		// Sizes of both sides are already known from the cut. The relink
+		// rejoins its two pieces, so the cut component's holder set holds
+		// each side and is exactly their union: both the recipients and the
+		// host registry's merged set.
 		sizeU, sizeV := p.restSize, p.subSize
 		if p.compU == p.newComp {
 			sizeU, sizeV = p.subSize, p.restSize
 		}
-		s.broadcastLink(ctx, w.Seq, p.relinkU, p.relinkV, p.relinkW,
-			p.compU, p.compV, sizeU, sizeV, p.fU, p.lU, p.fV, p.lV, p.relinkPromote)
+		s.sendLink(ctx, w.Seq, p.relinkU, p.relinkV, p.relinkW,
+			p.compU, p.compV, sizeU, sizeV, p.cutHold, p.cutHold, p.fU, p.lU, p.fV, p.lV, p.relinkPromote)
 		delete(s.pend, w.Seq)
 	}
 }
@@ -624,24 +745,26 @@ func (s *shard) onSize(ctx *mpc.Ctx, w *wire) {
 	}
 	switch p.stage {
 	case stSizes:
+		hold := holderSet{all: w.Flag, ids: w.Holders}
 		if w.Comp == p.compU {
-			p.gotSizeU, p.sizeU = true, w.Size
+			p.gotSizeU, p.sizeU, p.holdU = true, w.Size, hold
 		}
 		if w.Comp == p.compV {
-			p.gotSizeV, p.sizeV = true, w.Size
+			p.gotSizeV, p.sizeV, p.holdV = true, w.Size, hold
 		}
 		if !p.gotSizeU || !p.gotSizeV {
 			return
 		}
-		s.broadcastLink(ctx, w.Seq, int32(p.op.U), int32(p.op.V), int64(p.op.W),
-			p.compU, p.compV, p.sizeU, p.sizeV, p.fU, p.lU, p.fV, p.lV, false)
+		s.sendLink(ctx, w.Seq, int32(p.op.U), int32(p.op.V), int64(p.op.W),
+			p.compU, p.compV, p.sizeU, p.sizeV, p.holdU, p.holdV, p.fU, p.lU, p.fV, p.lV, false)
 		delete(s.pend, w.Seq)
 	case stSizeForCut, stSizeForSwapCut:
 		size := w.Size
 		L := 4 * (size - 1)
 		p.subSize = (p.ly-p.fy-1)/4 + 1
 		p.restSize = size - p.subSize
-		shifts := []etour.Shift{
+		m := &cutMsg{miss: wire{Kind: kCandidate, Seq: w.Seq}}
+		m.shifts = [3]etour.Shift{
 			{Kind: etour.ShiftCutRepair, Comp: p.cutComp, NewComp: p.newComp, A: p.fy, B: p.ly, C: L},
 			{Kind: etour.ShiftCutSub, Comp: p.cutComp, NewComp: p.newComp, A: p.fy, B: p.ly},
 			{Kind: etour.ShiftCutRest, Comp: p.cutComp, NewComp: p.cutComp, A: p.fy, B: p.ly},
@@ -649,22 +772,24 @@ func (s *shard) onSize(ctx *mpc.Ctx, w *wire) {
 		p.replies = 0
 		p.bestFound = false
 		p.stage = stCandidates // a swap cut also collects its (empty) candidate replies
-		msg := &wire{
+		p.cutHold = holderSet{all: w.Flag, ids: w.Holders}
+		m.wire = wire{
 			Kind: kDoCut, Seq: w.Seq,
 			U: int32(p.cutEdge.U), V: int32(p.cutEdge.V), W: p.cutW,
 			Comp: p.cutComp, Comp2: p.newComp,
 			Fy: p.fy, LyCut: p.ly, TourLen: L,
 			SubSize: p.subSize, RestSize: p.restSize,
-			Shifts:  shifts,
+			Shifts:  m.shifts[:],
 			Convert: p.convert, NoReplace: p.convert,
+			Flag:    p.cutHold.all,
 			ReplyTo: int32(s.id),
-			Miss:    &wire{Kind: kCandidate, Seq: w.Seq},
+			Miss:    &m.miss,
 		}
-		ctx.Broadcast(msg, msg.words(), true)
+		p.expect = s.sendTo(ctx, p.cutHold, holderSet{}, s.registry(p.cutComp), s.registry(p.newComp), &m.wire, m.words(), 0)
 	}
 }
 
-// rewrite applies link or cut broadcast w to everything filed under members,
+// rewrite applies link or cut w to everything filed under members,
 // the owned vertices of one component it names, each record once and left
 // final: chain — the shifts of w that can address a position carrying that
 // label — to their tree and weight records, all of w.Shifts to their non-tree
@@ -712,19 +837,6 @@ func (s *shard) rewrite(w *wire, members []int32, chain []etour.Shift) (best *nt
 	return best
 }
 
-// members returns the owned vertices of comp, a component a link or cut
-// broadcast names. onlyNamed says the registry sizes the broadcast carries
-// leave no member but the named endpoints u and v — a link side of one
-// vertex, a cut component of two — so a shard owning neither holds none of
-// comp and skips the lookup: on a sparse graph, almost every shard for
-// almost every link and cut. Validate audits the registry sizes this trusts.
-func (s *shard) members(comp int64, onlyNamed bool, u, v int32) []int32 {
-	if onlyNamed && s.owner(u) != s.id && s.owner(v) != s.id {
-		return nil
-	}
-	return s.compVerts[comp]
-}
-
 // healed gives a singleton anchor of vertex v (position 0, labelled comp) its
 // fresh position under link w: x appears at q+1, y at q+2 and joins the host.
 // A singleton's component can only be linked through its own vertex, so the
@@ -739,9 +851,9 @@ func healed(w *wire, v int32, comp int64) (int, int64) {
 	return 0, comp
 }
 
-// onDoCut applies a cut broadcast to the local shard and returns its reply
-// to the orchestrator: a replacement candidate, or w.Miss.
-func (s *shard) onDoCut(w *wire) *wire {
+// onDoCut applies a cut to the local shard and returns its reply to the
+// orchestrator: a replacement candidate, or w.Miss.
+func (s *shard) onDoCut(ctx *mpc.Ctx, w *wire) *wire {
 	compOld, compNew := w.Comp, w.Comp2
 	// Only the owners of the cut edge's endpoints can hold its record.
 	var captured *treeRec
@@ -753,7 +865,8 @@ func (s *shard) onDoCut(w *wire) *wire {
 	// cut-repair shift remaps anchors sitting on the four removed positions
 	// onto surviving appearances (or 0 + the fresh component for a cut-off
 	// singleton), and the sub/rest shifts renumber the rest.
-	members := s.members(compOld, w.SubSize+w.RestSize == 2, w.U, w.V)
+	members := s.compVerts[compOld]
+	wasHolder := len(members) > 0
 	best := s.rewrite(w, members, w.Shifts)
 	// Named endpoints: the child (whose interval was [fy,ly] pre-cut) is
 	// the endpoint appearing at fy on the captured record. Resolved before
@@ -813,17 +926,49 @@ func (s *shard) onDoCut(w *wire) *wire {
 		}
 		s.addNonTree(e, &ntRec{aU: aU, aV: aV, cU: cU, cV: cV, w: w.W})
 	}
-	// Registry updates.
+	// Registries: the sizes come with the cut. A one-vertex side stores no
+	// holder set and a side cut from an all set stays all; otherwise the
+	// rest keeps its parent's list and the subtree's starts empty, and each
+	// machine whose membership changed corrects them with a leave or a join,
+	// which lands in the round of the replies, whether or not a relink
+	// follows.
 	if s.registry(compOld) == int32(s.id) {
 		s.sizes[compOld] = w.RestSize
+		if w.RestSize == 1 {
+			s.setHolders(compOld, holderSet{})
+		}
 	}
 	if s.registry(compNew) == int32(s.id) {
 		s.sizes[compNew] = w.SubSize
+		s.setHolders(compNew, holderSet{all: w.Flag && w.SubSize > 1})
+	}
+	rest, sub := len(s.compVerts[compOld]) > 0, len(s.compVerts[compNew]) > 0
+	if wasHolder && !w.Flag {
+		if !rest && w.RestSize > 1 {
+			s.notify(ctx, kLeave, compOld)
+		}
+		if sub && w.SubSize > 1 {
+			s.notify(ctx, kJoin, compNew)
+		}
 	}
 	if best == nil || w.NoReplace {
 		return w.Miss
 	}
 	return &wire{Kind: kCandidate, Seq: w.Seq, Found: true, U: best.u, V: best.v, W: best.w}
+}
+
+// notify tells comp's registry that this machine joined or left comp: a
+// two-word message, or a local update when the registry is this machine.
+func (s *shard) notify(ctx *mpc.Ctx, k kind, comp int64) {
+	r := s.registry(comp)
+	switch {
+	case r != int32(s.id):
+		ctx.Send(int(r), &wire{Kind: k, Comp: comp}, 2)
+	case k == kJoin:
+		s.join(comp, r)
+	default:
+		s.leave(comp, r)
+	}
 }
 
 // betterCandidate orders replacement candidates: min weight first in MST
@@ -848,7 +993,7 @@ func (s *shard) onCandidate(ctx *mpc.Ctx, w *wire) {
 		p.bestFound = true
 		p.bestU, p.bestV, p.bestW = w.U, w.V, w.W
 	}
-	if p.replies < s.mu {
+	if p.replies < p.expect {
 		return
 	}
 	if p.convert {
@@ -953,12 +1098,14 @@ func (s *shard) onIntervalRep(ctx *mpc.Ctx, w *wire) {
 	}, 5)
 }
 
-// broadcastLink computes the §5 insert plan (reroot of the guest tree,
-// host tail shift, guest splice shift, the new edge's four positions) and
-// broadcasts it. All parameters derive from the endpoint f/l values and
-// component sizes, so one broadcast suffices.
-func (s *shard) broadcastLink(ctx *mpc.Ctx, seq int64, x, y int32, w int64,
-	compX, compY int64, sizeX, sizeY int, fx, lx, fy, ly int, promote bool) {
+// sendLink computes the §5 insert plan (reroot of the guest tree, host tail
+// shift, guest splice shift, the new edge's four positions) and sends it to
+// the holders of both components and their registries. All parameters
+// derive from the endpoint f/l values and component sizes, so one message
+// suffices. The host's registry, which files the merged holder set, also
+// reads the guest's set off it.
+func (s *shard) sendLink(ctx *mpc.Ctx, seq int64, x, y int32, w int64,
+	compX, compY int64, sizeX, sizeY int, holdX, holdY holderSet, fx, lx, fy, ly int, promote bool) {
 
 	q := 0
 	switch {
@@ -973,7 +1120,8 @@ func (s *shard) broadcastLink(ctx *mpc.Ctx, seq int64, x, y int32, w int64,
 	// The host's shift first, then the guest's: a position's label selects
 	// which of them address it, so onDoLink hands each side its own part of
 	// the chain (LinkHost must precede LinkGuest, which relabels to compX).
-	shifts := make([]etour.Shift, 1, 3)
+	m := new(linkMsg)
+	shifts := m.shifts[:1]
 	shifts[0] = etour.Shift{Kind: etour.ShiftLinkHost, Comp: compX, NewComp: compX, A: q, B: Ly}
 	if sizeY > 1 && fy != 1 {
 		shifts = append(shifts, etour.Shift{Kind: etour.ShiftReroot, Comp: compY, NewComp: compY, A: Ly, B: ly})
@@ -988,46 +1136,56 @@ func (s *shard) broadcastLink(ctx *mpc.Ctx, seq int64, x, y int32, w int64,
 		pos.VU = [2]int{q + 1, q + 2}
 		pos.UV = [2]int{q + Ly + 3, q + Ly + 4}
 	}
-	msg := &wire{
+	m.wire = wire{
 		Kind: kDoLink, Seq: seq, U: x, V: y, W: w,
 		Comp: compX, Comp2: compY, Q: q, Ly: Ly,
 		Size: sizeX + sizeY, Shifts: shifts, Pos: pos, Promote: promote,
 	}
-	ctx.Broadcast(msg, msg.words(), true)
+	msg := &m.wire
+	hx, hy := s.held(holdX, sizeX, x), s.held(holdY, sizeY, y)
+	if hx.all || hy.all {
+		msg.Flag = true
+	} else if sizeY > 1 {
+		msg.Holders = holdY.ids
+	}
+	s.sendTo(ctx, hx, hy, s.registry(compX), s.registry(compY), msg, msg.words(), len(msg.Holders))
 }
 
-// onDoLink applies a link broadcast to the local shard: hosts take the
-// chain's LinkHost, guests the rest. A shard holding no vertex of either
-// component holds no record of them and no endpoint, and is done after the
-// two lookups — or none, for a side of one vertex (members).
+// onDoLink applies a link to the local shard: hosts take the chain's
+// LinkHost, guests the rest; the host's registry files the merged size and
+// holder set, the guest's drops its entry.
 func (s *shard) onDoLink(w *wire) {
 	compX, compY := w.Comp, w.Comp2
-	sizeY := w.Ly/4 + 1
-	hosts := s.members(compX, w.Size-sizeY == 1, w.U, w.U)
-	guests := s.members(compY, sizeY == 1, w.V, w.V)
-	if len(hosts) > 0 || len(guests) > 0 {
-		s.rewrite(w, hosts, w.Shifts[:1])
-		s.rewrite(w, guests, w.Shifts[1:])
-		// Guest vertices adopt the host's label.
-		for _, v := range guests {
-			s.verts[v] = compX
-		}
-		if len(guests) > 0 {
-			s.compVerts[compX] = append(hosts, guests...)
-			delete(s.compVerts, compY)
-		}
+	hosts, guests := s.compVerts[compX], s.compVerts[compY]
+	s.rewrite(w, hosts, w.Shifts[:1])
+	s.rewrite(w, guests, w.Shifts[1:])
+	// Guest vertices adopt the host's label.
+	for _, v := range guests {
+		s.verts[v] = compX
+	}
+	if len(guests) > 0 {
+		s.compVerts[compX] = append(hosts, guests...)
+		delete(s.compVerts, compY)
+	}
+	if s.owner(w.U) == s.id || s.owner(w.V) == s.id {
 		e := graph.NormEdge(int(w.U), int(w.V))
-		if s.owner(w.U) == s.id || s.owner(w.V) == s.id {
-			if w.Promote {
-				s.removeNonTree(e)
-			}
-			s.addTree(e, &treeRec{pos: w.Pos, comp: compX, w: w.W})
+		if w.Promote {
+			s.removeNonTree(e)
 		}
+		s.addTree(e, &treeRec{pos: w.Pos, comp: compX, w: w.W})
 	}
 	if s.registry(compX) == int32(s.id) {
+		merged := holderSet{all: true}
+		if !w.Flag {
+			sizeY := w.Ly/4 + 1
+			hx := s.held(s.holders[compX], w.Size-sizeY, w.U)
+			merged = s.union(hx, s.held(holderSet{ids: w.Holders}, sizeY, w.V))
+		}
 		s.sizes[compX] = w.Size
+		s.setHolders(compX, merged)
 	}
 	if s.registry(compY) == int32(s.id) {
 		delete(s.sizes, compY)
+		s.setHolders(compY, holderSet{})
 	}
 }

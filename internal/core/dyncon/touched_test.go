@@ -8,6 +8,7 @@ import (
 
 	"dmpc/internal/etour"
 	"dmpc/internal/graph"
+	"dmpc/internal/mpc"
 	"dmpc/internal/treedp"
 )
 
@@ -162,8 +163,11 @@ func expectBroadcast(t *testing.T, name string, decoy [2]int64, shifts []etour.S
 
 // TestBroadcastTouchesOnlyNamed: a link and a cut rewrite exactly the filed
 // records of the components they name — the same-shard records 1-8, 1-22 and
-// 1-15, reached from both their endpoints, exactly once — and a broadcast
-// naming nothing the shard holds visits nothing and allocates nothing.
+// 1-15, reached from both their endpoints, exactly once — and one naming
+// nothing the shard holds (what a registry that is no holder receives)
+// visits nothing and allocates nothing. On a µ = 147 cluster a link of two
+// singletons and a cut of two vertices reach only their holders and
+// registries (testDeliveries).
 func TestBroadcastTouchesOnlyNamed(t *testing.T) {
 	// link(21, 42): x = 21 has f = 16 in A; y = 42 has f, l = 4, 5 in B.
 	linkOf := func(a, b int64) *wire {
@@ -206,7 +210,7 @@ func TestBroadcastTouchesOnlyNamed(t *testing.T) {
 
 	cut := cutOf(compA, compNew)
 	var reply *wire
-	s = expectBroadcast(t, "cut", [2]int64{compA, compA}, cut.Shifts, func(s *shard) { reply = s.onDoCut(cut) })
+	s = expectBroadcast(t, "cut", [2]int64{compA, compA}, cut.Shifts, func(s *shard) { reply = s.onDoCut(new(mpc.Ctx), cut) })
 	if s.tree[graph.Edge{U: 7, V: 8}] != nil || len(s.tree) != 5000+7+2-1 {
 		t.Fatalf("cut: %d tree records left, 7-8 among them: %v", len(s.tree), s.tree[graph.Edge{U: 7, V: 8}] != nil)
 	}
@@ -217,13 +221,14 @@ func TestBroadcastTouchesOnlyNamed(t *testing.T) {
 		t.Fatalf("cut: labels 1:%d 8:%d 15:%d 22:%d", s.verts[1], s.verts[8], s.verts[15], s.verts[22])
 	}
 
-	// Components the shard holds no vertex of, but decoys labelled with.
+	// Components the shard holds no vertex of, but decoys labelled with: a
+	// registry of a named label that is no holder.
 	for _, far := range []*wire{linkOf(555, 556), cutOf(555, 556)} {
 		far.U, far.V = 70, 77 // endpoints owned by machine 0
 		run := func(s *shard) {
 			if far.Kind == kDoLink {
 				s.onDoLink(far)
-			} else if got := s.onDoCut(far); got != far.Miss {
+			} else if got := s.onDoCut(new(mpc.Ctx), far); got != far.Miss {
 				t.Fatalf("absent cut replied %+v, want the shared miss", got)
 			}
 		}
@@ -241,111 +246,90 @@ func TestBroadcastTouchesOnlyNamed(t *testing.T) {
 		miss.Shifts[i].A, miss.Shifts[i].B, miss.Shifts[i].C = 100, 101, 200
 	}
 	s, _ = touchedShard(named)
-	if got := s.onDoCut(miss); got != miss.Miss {
+	ctx := new(mpc.Ctx)
+	if got := s.onDoCut(ctx, miss); got != miss.Miss {
 		t.Fatalf("candidate-free cut replied %+v", got)
 	}
-	if got := testing.AllocsPerRun(100, func() { s.onDoCut(miss) }); got != 0 {
+	if got := testing.AllocsPerRun(100, func() { s.onDoCut(ctx, miss) }); got != 0 {
 		t.Fatalf("onDoCut without a candidate allocates %.0f times", got)
 	}
 
-	// Registry sizes on the wire: a link of two one-vertex sides and a cut
-	// of a two-vertex component have no members but their endpoints, so a
-	// shard owning neither holds nothing of them and must not look. Here it
-	// does hold vertices labelled A and B, with records filed under them —
-	// decoys, a state no registry allows — which the same broadcast with
-	// sizes that prove nothing rewrites, and this one must leave alone.
-	run := func(s *shard, w *wire) {
-		if w.Kind == kDoLink {
-			s.onDoLink(w)
-		} else if got := s.onDoCut(w); got != w.Miss {
-			t.Fatalf("cut of a two-vertex component held elsewhere replied %+v, want the shared miss", got)
-		}
-	}
-	for _, tiny := range []*wire{linkOf(compA, compB), cutOf(compA, compNew)} {
-		tiny.U, tiny.V = 70, 77 // both owned by machine 0
-		blind := *tiny
-		tiny.Size, tiny.Ly, tiny.SubSize, tiny.RestSize = 2, 0, 1, 1
-		s, _ = touchedShard(named)
-		before := shardState(s)
-		if blind.Kind == kDoLink {
-			s.onDoLink(&blind)
-		} else {
-			s.onDoCut(&blind)
-		}
-		if shardState(s) == before {
-			t.Fatalf("kind %d: the broadcast with uninformative sizes leaves the decoys alone", tiny.Kind)
-		}
-		s, _ = touchedShard(named)
-		run(s, tiny)
-		if shardState(s) != before {
-			t.Fatalf("kind %d of components of at most two vertices, all held elsewhere, changed this shard", tiny.Kind)
-		}
-		if got := testing.AllocsPerRun(100, func() { run(s, tiny) }); got != 0 {
-			t.Fatalf("kind %d of components held elsewhere allocates %.0f times", tiny.Kind, got)
-		}
-	}
+	testDeliveries(t)
+}
 
-	// The positive side: a shard owning an endpoint of such a component
-	// looks, and ends exactly where the broadcast with uninformative sizes
-	// takes it. Vertices 43 and 50 are weighted singletons owned here, 70 one
-	// owned by machine 0: 43 hosts 70, 50 is 70's guest, and the two-vertex
-	// component 43-70 is cut again.
-	singletons := func() *shard {
-		s, _ := touchedShard(named)
-		for _, v := range []int32{43, 50} {
-			s.verts[v] = int64(v)
-			s.compVerts[int64(v)] = []int32{v}
-			s.weights[v] = &treedp.Rec{Comp: int64(v), W: 1}
-		}
-		return s
+// counted is a shard that counts the messages of each kind it receives.
+type counted struct {
+	*shard
+	got map[kind]int
+}
+
+func (c *counted) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
+	for _, m := range inbox {
+		c.got[m.Payload.(*wire).Kind]++
 	}
-	singletonLink := func(x, y int32) *wire {
-		e := graph.NormEdge(int(x), int(y))
-		pos := etour.EdgePos{U: e.U, V: e.V, UV: [2]int{1, 2}, VU: [2]int{3, 4}}
-		if e.U != int(x) {
-			pos.UV, pos.VU = pos.VU, pos.UV
-		}
-		return &wire{
-			Kind: kDoLink, U: x, V: y, W: 1, Comp: int64(x), Comp2: int64(y), Size: 2, Pos: pos,
-			Shifts: []etour.Shift{
-				{Kind: etour.ShiftLinkHost, Comp: int64(x), NewComp: int64(x)},
-				{Kind: etour.ShiftLinkGuest, Comp: int64(y), NewComp: int64(x)},
-			},
-		}
+	c.shard.HandleRound(ctx, inbox)
+}
+
+// testDeliveries counts, on a µ = 147 cluster, the machines a link and a cut
+// reach: a link of two singletons and a cut of the two-vertex component it
+// made each reach at most 4 machines — the holders and the two registries —
+// the cut gathers at most 4 replies, a piece cut from a listed component is
+// listed too, and a machine holding none of them receives nothing and keeps
+// its records as they were.
+func testDeliveries(t *testing.T) {
+	const mu = 147
+	d := New(Config{N: 4 * mu, ExpectedEdges: 8 * mu, Machines: mu})
+	machines := make([]*counted, mu)
+	for i, sh := range d.shards {
+		machines[i] = &counted{shard: sh, got: map[kind]int{}}
+		d.cluster.SetMachine(i, machines[i])
 	}
-	pairCut := &wire{
-		Kind: kDoCut, Seq: 1, U: 43, V: 70, W: 1, Comp: 43, Comp2: compNew,
-		Fy: 2, LyCut: 3, TourLen: 4, SubSize: 1, RestSize: 1,
-		Shifts: []etour.Shift{
-			{Kind: etour.ShiftCutRepair, Comp: 43, NewComp: compNew, A: 2, B: 3, C: 4},
-			{Kind: etour.ShiftCutSub, Comp: 43, NewComp: compNew, A: 2, B: 3},
-			{Kind: etour.ShiftCutRest, Comp: 43, NewComp: 43, A: 2, B: 3},
-		},
-		Miss: &wire{Kind: kCandidate, Seq: 1},
+	// A bystander: machine 50 holds the component {50, 50+µ}.
+	applyBatch(d, graph.Batch{{Op: graph.Insert, U: 50, V: 50 + mu, W: 1}})
+	bystander := shardState(d.shards[50])
+	// reached returns the machines that received kind k since its last
+	// call, and how many copies they received.
+	reached := func(k kind) (at []int, copies int) {
+		for i, m := range machines {
+			if n := m.got[k]; n > 0 {
+				at, copies = append(at, i), copies+n
+				m.got[k] = 0
+			}
+		}
+		return at, copies
 	}
-	for _, tc := range []struct {
-		name  string
-		prior *wire // applied first, to both shards
-		w     *wire
-		blind func(w *wire)
-	}{
-		{"link of an owned one-vertex host", nil, singletonLink(43, 70), func(w *wire) { w.Size = 3 }},
-		{"link of an owned one-vertex guest", nil, singletonLink(70, 50), func(w *wire) { w.Size, w.Ly = 3, 4 }},
-		{"cut of a two-vertex component with an owned endpoint", singletonLink(43, 70), pairCut, func(w *wire) { w.RestSize = 2 }},
-	} {
-		blindW := *tc.w
-		tc.blind(&blindW)
-		got, want := singletons(), singletons()
-		if tc.prior != nil {
-			run(got, tc.prior)
-			run(want, tc.prior)
-		}
-		before := shardState(got)
-		run(got, tc.w)
-		run(want, &blindW)
-		if after := shardState(got); after == before || after != shardState(want) {
-			t.Fatalf("%s: changed the shard: %v; matches the uninformative-sizes broadcast: %v", tc.name, after != before, after == shardState(want))
-		}
+	// link(3, 9 + µ): two singletons, owned by machines 3 and 9.
+	applyBatch(d, graph.Batch{{Op: graph.Insert, U: 3, V: 9 + mu, W: 1}})
+	if at, _ := reached(kDoLink); len(at) > 4 || len(at) < 2 {
+		t.Fatalf("a link of two singletons reached machines %v, want 2..4", at)
+	}
+	// cut(3, 9 + µ): a two-vertex component, split with no replacement.
+	applyBatch(d, graph.Batch{{Op: graph.Delete, U: 3, V: 9 + mu}})
+	if at, _ := reached(kDoCut); len(at) > 4 || len(at) < 2 {
+		t.Fatalf("a cut of a two-vertex component reached machines %v, want 2..4", at)
+	}
+	if _, replies := reached(kCandidate); replies > 4 || replies < 2 {
+		t.Fatalf("a cut of a two-vertex component gathered %d replies, want 2..4", replies)
+	}
+	// A path 3 - 9+µ - 20+2µ on machines 3, 9 and 20, cut at 3: the subtree
+	// {9+µ, 20+2µ} gets its list from the joins, so cutting it again reaches
+	// only machines 9 and 20 and its registries.
+	applyBatch(d, graph.Batch{{Op: graph.Insert, U: 3, V: 9 + mu, W: 1}, {Op: graph.Insert, U: 9 + mu, V: 20 + 2*mu, W: 1}})
+	applyBatch(d, graph.Batch{{Op: graph.Delete, U: 3, V: 9 + mu}})
+	reached(kDoLink)
+	reached(kDoCut)
+	applyBatch(d, graph.Batch{{Op: graph.Delete, U: 9 + mu, V: 20 + 2*mu}})
+	if at, _ := reached(kDoCut); len(at) > 4 || len(at) < 2 {
+		t.Fatalf("a cut of a two-vertex piece of a cut reached machines %v, want 2..4", at)
+	}
+	if got := machines[50].got; got[kDoLink]+got[kDoCut] != 0 {
+		t.Fatalf("the bystander received %d links and %d cuts", got[kDoLink], got[kDoCut])
+	}
+	if shardState(d.shards[50]) != bystander {
+		t.Fatal("a link and a cut of components the bystander does not hold changed its records")
+	}
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -429,13 +413,15 @@ func TestCrossingRecordsAreReached(t *testing.T) {
 	}
 }
 
-// TestEveryAuditTrips corrupts each derived index and the registry sizes once
-// and requires Validate to name the corruption.
+// TestEveryAuditTrips corrupts each derived index and the registry entries
+// once and requires Validate to name the corruption.
 func TestEveryAuditTrips(t *testing.T) {
 	// Machine 0 owns 0 and µ, and holds the tree records 0-1, 0-µ, the
-	// non-tree record 0-2 and nothing filed under anything else.
+	// non-tree record 0-2 and nothing filed under anything else. It is the
+	// registry of their component 0, held by machines 0, 1 and 2 (of 16, so
+	// the registry keeps the list).
 	build := func() (*D, *shard) {
-		d := New(Config{N: 64, ExpectedEdges: 64})
+		d := New(Config{N: 64, ExpectedEdges: 64, Machines: 16})
 		mu := len(d.shards)
 		d.ApplyOps([]graph.Op{graph.OpIns(0, 1, 1), graph.OpIns(1, 2, 1), graph.OpIns(0, 2, 1), graph.OpIns(0, mu, 1)})
 		return d, d.shards[0]
@@ -477,11 +463,19 @@ func TestEveryAuditTrips(t *testing.T) {
 			}
 			r.next[0] = s.adj[0].tree
 		}},
-		// The registry sizes link and cut broadcasts trust to skip lookups:
-		// a stale size for a label no vertex carries, and a live singleton's
-		// size filed off its registry (vertex 3 is untouched, registry 3).
+		// The registry entries links and cuts are addressed from: a stale
+		// size for a label no vertex carries, a live singleton's size filed
+		// off its registry (vertex 3 is untouched, registry 3), a holder set
+		// filed there too, a holder list missing machine 2 or naming machine
+		// 5, which holds nothing of component 0, a singleton (vertex 32,
+		// registry 0) with a set, and holder ids MemWords does not bill.
 		{"which no vertex carries", func(s *shard) { s.sizes[int64(1000*s.mu)] = 1 }},
 		{"component 3 filed here, its registry is machine 3", func(s *shard) { s.sizes[3] = 1 }},
+		{"holder set for component 3 filed here, its registry is machine 3", func(s *shard) { s.setHolders(3, holderSet{ids: []int32{3}}) }},
+		{"holder list [0 1], holders [0 1 2]", func(s *shard) { s.setHolders(0, holderSet{ids: []int32{0, 1}}) }},
+		{"holder list [0 1 2 5], holders [0 1 2]", func(s *shard) { s.setHolders(0, holderSet{ids: []int32{0, 1, 2, 5}}) }},
+		{"holder set for component 32 of 1 vertices", func(s *shard) { s.setHolders(32, holderSet{all: true}) }},
+		{"MemWords bills 4 holder ids, its holder lists store 3", func(s *shard) { s.holderWords++ }},
 		{"marked unfiled: true", func(s *shard) { // the both-here record claims its V lives elsewhere
 			r := s.removeTree(graph.Edge{U: 0, V: s.mu})
 			s.tree[graph.Edge{U: 0, V: s.mu}] = r
@@ -533,5 +527,19 @@ func BenchmarkDynconTouched(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ops)), "ns/applied-op")
 		})
+	}
+}
+
+// BenchmarkLinkCut times the two updates most of a sparse stream is made of,
+// on a µ = 147 cluster: a link of two singletons and the cut of the
+// two-vertex component it made, alternating, one ApplyOps each, so ns/op and
+// allocs/op are per update.
+func BenchmarkLinkCut(b *testing.B) {
+	const mu = 147
+	d := New(Config{N: 4 * mu, ExpectedEdges: 8 * mu, Machines: mu})
+	ops := [2][]graph.Op{{graph.OpIns(3, 9+mu, 1)}, {graph.OpDel(3, 9+mu)}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		d.ApplyOps(ops[i%2])
 	}
 }

@@ -27,9 +27,9 @@ import (
 //     argmax over owned vertices (weight 0 when unrecorded).
 //
 // No new round *types* are introduced: the orchestrations reuse the
-// info-request/reply and broadcast/gather shapes of the §5 update
+// info-request/reply and send/gather shapes of the §5 update
 // protocol, and the weight partials themselves are repaired by the very
-// Shift descriptors links and cuts already broadcast (onDoLink /
+// Shift descriptors links and cuts already send (onDoLink /
 // onDoCut), so a zero-DP stream exchanges bit-identical messages to the
 // pre-DP protocol.
 
@@ -51,7 +51,7 @@ type dpPending struct {
 // onSetWeight installs or overwrites the owned vertex's weight record.
 // The anchor is any current appearance of the vertex (f(v), computed on
 // demand; 0 for a singleton) — from here on it is maintained purely by
-// the broadcast shift chains, like every non-tree anchor.
+// the link and cut shift chains, like every non-tree anchor.
 func (s *shard) onSetWeight(w *wire) {
 	f, _ := s.flOf(w.U)
 	s.weights[w.U] = &treedp.Rec{Anchor: f, Comp: s.verts[w.U], W: w.W}
