@@ -9,7 +9,7 @@ import (
 
 // passingReport is a hand-built suite document that passes every check
 // against itself: two rows per gated table (one gated, one not, where the
-// gate filters on k) and one sim/parallel wallclock pair at n = 10^4.
+// gate filters on k) and one inline/sharded wallclock pair at n = 10^4.
 func passingReport() benchReport {
 	return benchReport{
 		Schema: "dmpcbench/v4", N: 128, Updates: 500, Seed: 1, WallMax: 10_000,
@@ -33,13 +33,13 @@ func passingReport() benchReport {
 		LatencyAuto: []latencyAutoRow{{Name: "cc", Gen: "poisson", Target: 40, FreeK: 128, BoundK: 16}},
 		Tenants:     []tenantRow{{Name: "cc", VictimSoloP99: 4, VictimFairP99: 6, ZeroTenantIdentical: true}},
 		TreeDP: []treedpRow{
-			{Name: "uniform", K: 64, Backend: "sim", DPRoundsPerQuery: 0.04, AnswersMatch: true},
-			{Name: "uniform", K: 256, Backend: "sim", DPRoundsPerQuery: 0.02, AnswersMatch: true},
-			{Name: "powerlaw", K: 64, Backend: "sim", DPRoundsPerQuery: 2.3, AnswersMatch: true},
+			{Name: "uniform", K: 64, Workers: 1, DPRoundsPerQuery: 0.04, AnswersMatch: true},
+			{Name: "uniform", K: 256, Workers: 1, DPRoundsPerQuery: 0.02, AnswersMatch: true},
+			{Name: "powerlaw", K: 64, Workers: 1, DPRoundsPerQuery: 2.3, AnswersMatch: true},
 		},
 		Wall: []wallRow{
-			{Name: "cc", N: 10_000, Backend: "sim", RoundsPerOp: 1.5, AllocsPerRound: 100},
-			{Name: "cc", N: 10_000, Backend: "parallel", RoundsPerOp: 1.5, AllocsPerRound: 50},
+			{Name: "cc", N: 10_000, Workers: 1, RoundsPerOp: 1.5, AllocsPerRound: 100},
+			{Name: "cc", N: 10_000, Workers: 4, RoundsPerOp: 1.5, AllocsPerRound: 50},
 		},
 	}
 }
@@ -100,12 +100,12 @@ func TestEveryNamedCheckTrips(t *testing.T) {
 		{"tenants: every cell", "cc VictimFairP99", func(_, want *benchReport) { want.Tenants[0].VictimFairP99 = 4 }},
 		{"tenants: every cell", "cc VictimFairP99", func(_, want *benchReport) { want.Tenants[0].VictimFairP99 = 7 }},
 		{"tenants: every cell", "cc NoisyFairRounds", func(_, want *benchReport) { want.Tenants[0].NoisyFairRounds = 30.5 }},
-		{"treedp: every cell", "uniform k=64 sim DPRoundsPerQuery", func(_, want *benchReport) { want.TreeDP[0].DPRoundsPerQuery = 0.01 }},
-		{"treedp: every cell", "uniform k=64 sim DPRoundsPerQuery", func(_, want *benchReport) { want.TreeDP[0].DPRoundsPerQuery = 0.041 }},
-		{"treedp: every cell", "uniform k=256 sim DPRoundsPerQuery", func(_, want *benchReport) { want.TreeDP[1].DPRoundsPerQuery = 0.03 }},
-		{"wallclock: rounds/op", "cc n=10000 sim", func(_, want *benchReport) { want.Wall[0].RoundsPerOp = 1.0 }},
-		{"wallclock: rounds/op", "cc n=10000 sim", func(_, want *benchReport) { want.Wall[0].RoundsPerOp = 1.51 }},
-		{"wallclock: allocs/round", "cc n=10000 parallel", func(_, want *benchReport) { want.Wall[1].AllocsPerRound = 10 }},
+		{"treedp: every cell", "uniform k=64 workers=1 DPRoundsPerQuery", func(_, want *benchReport) { want.TreeDP[0].DPRoundsPerQuery = 0.01 }},
+		{"treedp: every cell", "uniform k=64 workers=1 DPRoundsPerQuery", func(_, want *benchReport) { want.TreeDP[0].DPRoundsPerQuery = 0.041 }},
+		{"treedp: every cell", "uniform k=256 workers=1 DPRoundsPerQuery", func(_, want *benchReport) { want.TreeDP[1].DPRoundsPerQuery = 0.03 }},
+		{"wallclock: rounds/op", "cc n=10000 workers=1", func(_, want *benchReport) { want.Wall[0].RoundsPerOp = 1.0 }},
+		{"wallclock: rounds/op", "cc n=10000 workers=1", func(_, want *benchReport) { want.Wall[0].RoundsPerOp = 1.51 }},
+		{"wallclock: allocs/round", "cc n=10000 workers=4", func(_, want *benchReport) { want.Wall[1].AllocsPerRound = 10 }},
 
 		// A gated row missing on either side is an error naming table and key.
 		{"arrivals: every cell", `snapshot row "cc poisson k=64 K" was not measured`,
@@ -126,8 +126,8 @@ func TestEveryNamedCheckTrips(t *testing.T) {
 			func(rep, want *benchReport) {
 				rep.TreeDP[1].DPRoundsPerQuery, want.TreeDP[1].DPRoundsPerQuery = 1.5, 1.5
 			}},
-		{"treedp: DP answers match across backends", "powerlaw k=64", func(rep, _ *benchReport) { rep.TreeDP[2].AnswersMatch = false }},
-		{"wallclock: rounds/op bit-equal across backends", "parallel 1.400 vs sim 1.500",
+		{"treedp: DP answers match across worker counts", "powerlaw k=64", func(rep, _ *benchReport) { rep.TreeDP[2].AnswersMatch = false }},
+		{"wallclock: rounds/op bit-equal across worker counts", "workers=4 1.400 vs inline 1.500",
 			func(rep, want *benchReport) { rep.Wall[1].RoundsPerOp, want.Wall[1].RoundsPerOp = 1.4, 1.4 }},
 	}
 	tripped := map[string]bool{}

@@ -5,10 +5,11 @@
 // the §7 reductions and the static recompute baselines), the batch
 // pipeline at k ∈ {1, 64}, the AutoBatcher's knee search, in-wave reads
 // against the quiescence split, read-only windows, streaming arrivals,
-// tenant isolation, tree DP, the §5 O(√N) sweep and the sim-vs-parallel
-// ladder up to -wallmax — and emits them as text tables or, with -json,
-// as one dmpcbench/v4 document (see benchReport; BENCH_0015.json is the
-// committed one). Wall-clock has its own harness, bench/.
+// tenant isolation, tree DP, the §5 O(√N) sweep and the inline-vs-sharded
+// wall-clock ladder up to -wallmax — and emits them as text tables or,
+// with -json, as one dmpcbench/v4 document (see benchReport;
+// BENCH_0015.json is the committed one). Wall-clock has its own harness,
+// bench/.
 //
 // With -baseline FILE the run is judged against such a document by the
 // named checks of checkBaseline, one verdict line each on stderr, and the
@@ -20,7 +21,7 @@
 //
 // Usage:
 //
-//	dmpcbench [-n 128] [-updates 500] [-seed 1] [-wallmax n] [-backend b] [-workers w] [-cpuprofile FILE] [-memprofile FILE] [-json] [-baseline FILE]
+//	dmpcbench [-n 128] [-updates 500] [-seed 1] [-wallmax n] [-workers w] [-cpuprofile FILE] [-memprofile FILE] [-json] [-baseline FILE]
 package main
 
 import (
@@ -494,9 +495,9 @@ type benchReport struct {
 	Updates int    `json:"updates"`
 	Seed    int64  `json:"seed"`
 	WallMax int    `json:"wallmax"`
-	// Backend records the -backend flag every table but treedp and
-	// wallclock ran on; those two always measure both backends.
-	Backend string `json:"backend"`
+	// Workers records the -workers flag every table but treedp and
+	// wallclock ran at; those two always measure compareWorkers.
+	Workers int `json:"workers"`
 
 	Table1      []table1Row      `json:"table1"`
 	Static      []staticRow      `json:"static"`
@@ -516,7 +517,7 @@ type benchReport struct {
 func measureSuite(n, updates int, seed int64, wallMax int) benchReport {
 	return benchReport{
 		Schema: "dmpcbench/v4", N: n, Updates: updates, Seed: seed, WallMax: wallMax,
-		Backend:     benchBackend.String(),
+		Workers:     benchWorkers,
 		Table1:      table(n, updates, seed),
 		Static:      staticTable(n, seed),
 		Batch:       batchTable(n, updates, seed),
@@ -623,7 +624,7 @@ func column[T any](rows []T, f func(T) (key string, v float64)) []cell {
 	return cs
 }
 
-func wallKey(w wallRow) string { return fmt.Sprintf("%s n=%d %s", w.Name, w.N, w.Backend) }
+func wallKey(w wallRow) string { return fmt.Sprintf("%s n=%d workers=%d", w.Name, w.N, w.Workers) }
 
 var gates = []gate{
 	{"table1: every cell", false, func(r benchReport) []cell {
@@ -654,7 +655,7 @@ var gates = []gate{
 		return block(r.Tenants, func(t tenantRow) string { return t.Name })
 	}},
 	{"treedp: every cell", false, func(r benchReport) []cell {
-		return block(r.TreeDP, func(t treedpRow) string { return fmt.Sprintf("%s k=%d %s", t.Name, t.K, t.Backend) })
+		return block(r.TreeDP, func(t treedpRow) string { return fmt.Sprintf("%s k=%d workers=%d", t.Name, t.K, t.Workers) })
 	}},
 	{"sweep: every cell", false, func(r benchReport) []cell {
 		return block(r.Sweep, func(w sweepRow) string { return fmt.Sprintf("n=%d", w.N) })
@@ -742,45 +743,47 @@ var invariants = []invariant{
 	{"treedp: uniform DP reads < 1 round/query at k>=64", func(r benchReport) error {
 		for _, t := range r.TreeDP {
 			if t.Name == "uniform" && t.K >= 64 && t.DPRoundsPerQuery >= 1 {
-				return fmt.Errorf("k=%d %s: %.3f rounds/query", t.K, t.Backend, t.DPRoundsPerQuery)
+				return fmt.Errorf("k=%d workers=%d: %.3f rounds/query", t.K, t.Workers, t.DPRoundsPerQuery)
 			}
 		}
 		return nil
 	}},
-	{"treedp: DP answers match across backends", func(r benchReport) error {
+	{"treedp: DP answers match across worker counts", func(r benchReport) error {
 		for _, t := range r.TreeDP {
 			if !t.AnswersMatch {
-				return fmt.Errorf("%s k=%d: sim and parallel disagree — the determinism rule is broken", t.Name, t.K)
+				return fmt.Errorf("%s k=%d: the worker counts disagree — the determinism rule is broken", t.Name, t.K)
 			}
 		}
 		return nil
 	}},
-	{"wallclock: rounds/op bit-equal across backends", func(r benchReport) error {
-		return wallPairs(r, func(sim, par wallRow) error {
-			if par.RoundsPerOp != sim.RoundsPerOp {
-				return fmt.Errorf("%s n=%d: parallel %.3f vs sim %.3f — a backend changed the computation, not just its speed", par.Name, par.N, par.RoundsPerOp, sim.RoundsPerOp)
+	{"wallclock: rounds/op bit-equal across worker counts", func(r benchReport) error {
+		return wallPairs(r, func(inline, sharded wallRow) error {
+			if sharded.RoundsPerOp != inline.RoundsPerOp {
+				return fmt.Errorf("%s n=%d: workers=%d %.3f vs inline %.3f — the worker count changed the computation, not just its speed",
+					sharded.Name, sharded.N, sharded.Workers, sharded.RoundsPerOp, inline.RoundsPerOp)
 			}
 			return nil
 		})
 	}},
 }
 
-// wallPairs calls f on every (sim, parallel) pair of wallclock rows; a row
-// without its partner is an error.
-func wallPairs(r benchReport, f func(sim, par wallRow) error) error {
+// wallPairs calls f on every (inline, sharded) pair of wallclock rows,
+// the two compareWorkers counts; a row without its partner is an error.
+func wallPairs(r benchReport, f func(inline, sharded wallRow) error) error {
 	rows := map[string]wallRow{}
 	for _, w := range r.Wall {
 		rows[wallKey(w)] = w
 	}
-	partner := map[string]string{"sim": "parallel", "parallel": "sim"}
+	inline, sharded := compareWorkers[0], compareWorkers[1]
+	partner := map[int]int{inline: sharded, sharded: inline}
 	for _, w := range r.Wall {
 		other := w
-		other.Backend = partner[w.Backend]
+		other.Workers = partner[w.Workers]
 		o, ok := rows[wallKey(other)]
 		if !ok {
-			return fmt.Errorf("%s has no %s partner", wallKey(w), other.Backend)
+			return fmt.Errorf("%s has no workers=%d partner", wallKey(w), other.Workers)
 		}
-		if w.Backend == "sim" {
+		if w.Workers == inline {
 			if err := f(w, o); err != nil {
 				return err
 			}
@@ -904,22 +907,17 @@ func main() {
 	n := flag.Int("n", 128, "number of vertices")
 	updates := flag.Int("updates", 500, "updates per algorithm")
 	seed := flag.Int64("seed", 1, "stream seed")
-	backendFlag := flag.String("backend", "sim", "execution backend for the measurement tables: sim (deterministic oracle) or parallel (goroutine-per-machine runtime)")
-	workers := flag.Int("workers", 0, "backend worker bound (0 = GOMAXPROCS); never changes rounds, only wall-clock time")
-	wallMax := flag.Int("wallmax", 10_000, "largest n of the sim-vs-parallel ladder {128, 10^4, 10^5, 10^6} (BENCH_0015.json and CI stop at the default)")
+	flag.IntVar(&benchWorkers, "workers", 1, "goroutines running each round's handlers in the measurement tables (<= 1: inline on the driver); never changes rounds, only wall-clock time")
+	wallMax := flag.Int("wallmax", 10_000, "largest n of the inline-vs-sharded ladder {128, 10^4, 10^5, 10^6} (BENCH_0015.json and CI stop at the default)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the measured section to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile, captured right after the measured section, to this file")
 	asJSON := flag.Bool("json", false, "emit the measurements as one dmpcbench/v4 JSON document")
 	baseline := flag.String("baseline", "", "committed dmpcbench/v4 snapshot (BENCH_0015.json) to judge the run against; one verdict line per named check, exit nonzero if any fails")
 	flag.Parse()
 
-	be, err := mpc.ParseBackend(*backendFlag)
-	if err != nil {
-		fatal(2, err)
-	}
-	benchBackend, benchWorkers = be, *workers
 	var want benchReport
 	if *baseline != "" {
+		var err error
 		if want, err = readReport(*baseline); err != nil {
 			fatal(2, err)
 		}

@@ -8,23 +8,22 @@ import (
 
 	"dmpc/internal/core/dyncon"
 	"dmpc/internal/graph"
-	"dmpc/internal/mpc"
 )
 
 // --- tree-DP workload -------------------------------------------------------
 
-// treedpRow is one (workload, k, backend) cell of the tree-DP table: a
+// treedpRow is one (workload, k, workers) cell of the tree-DP table: a
 // mixed link/cut/weight/DP-query stream chunked at k, measured in model
 // rounds and wall-clock. DPRoundsPerQuery is the query half's rounds
 // amortized over the stream's DP reads — a read that rides an update
 // wave bills the query half nothing, which is where the per-query cost
-// drops below one round — and AnswersMatch records that the sim and
-// parallel backends answered the identical stream bit-identically
+// drops below one round — and AnswersMatch records that every
+// compareWorkers count answered the identical stream bit-identically
 // (checkBaseline gates it outright).
 type treedpRow struct {
 	Name             string        `json:"name"` // workload generator: uniform | powerlaw
 	K                int           `json:"k"`
-	Backend          string        `json:"backend"`
+	Workers          int           `json:"workers"`
 	Ops              int           `json:"ops"`
 	Updates          int           `json:"updates"`
 	DPQueries        int           `json:"dp_queries"`
@@ -38,8 +37,9 @@ type treedpRow struct {
 // churn (uniform random, or the preferential-attachment power-law tail)
 // interleaved with vertex-weight writes and one DP read per update,
 // cycling SubtreeSum / PathSum / TreeTop so every orchestration shape is
-// on the bill. Deterministic for a fixed seed, so the sim and parallel
-// cells — and the committed snapshot — all measure the identical stream.
+// on the bill. Deterministic for a fixed seed, so the cells of every
+// worker count — and the committed snapshot — all measure the identical
+// stream.
 func treeDPOps(n, nUpdates int, gen string, seed int64) []graph.Op {
 	rng := rand.New(rand.NewSource(seed + 700))
 	var ups []graph.Update
@@ -67,12 +67,12 @@ func treeDPOps(n, nUpdates int, gen string, seed int64) []graph.Op {
 	return ops
 }
 
-// measureTreeDP runs one backend over the chunked stream on a fresh
+// measureTreeDP runs the chunked stream at one worker count on a fresh
 // instance, returning the row and the positional answers (for the
-// cross-backend equality bit). Construction sits outside the clock.
-func measureTreeDP(gen string, ops []graph.Op, n, k int, be mpc.BackendKind) (treedpRow, graph.Results) {
+// cross-worker-count equality bit). Construction sits outside the clock.
+func measureTreeDP(gen string, ops []graph.Op, n, k, workers int) (treedpRow, graph.Results) {
 	runtime.GC()
-	d := dyncon.New(dyncon.Config{N: n, Mode: dyncon.CC, ExpectedEdges: 6 * n, Backend: be, Workers: benchWorkers})
+	d := dyncon.New(dyncon.Config{N: n, Mode: dyncon.CC, ExpectedEdges: 6 * n, Workers: workers})
 	defer d.Close()
 	var res graph.Results
 	var rounds, qrounds int
@@ -86,26 +86,25 @@ func measureTreeDP(gen string, ops []graph.Op, n, k int, be mpc.BackendKind) (tr
 	elapsed := time.Since(start)
 	updates, nq := graph.CountOps(ops)
 	return treedpRow{
-		Name: gen, K: k, Backend: be.String(),
+		Name: gen, K: k, Workers: workers,
 		Ops: len(ops), Updates: updates, DPQueries: nq,
 		RoundsPerOp: per(rounds, len(ops)), DPRoundsPerQuery: per(qrounds, nq),
 		elapsed: elapsed,
 	}, res
 }
 
-// treedpTable measures both workload generators at k in {8, 64, 256} on
-// both backends, pinning cross-backend answer equality per cell pair.
+// treedpTable measures both workload generators at k in {8, 64, 256} at
+// both compareWorkers counts, pinning answer equality per cell pair.
 func treedpTable(n, nUpdates int, seed int64) []treedpRow {
 	var rows []treedpRow
 	for _, gen := range []string{"uniform", "powerlaw"} {
 		ops := treeDPOps(n, nUpdates, gen, seed)
 		for _, k := range []int{8, 64, 256} {
-			simRow, simRes := measureTreeDP(gen, ops, n, k, mpc.BackendSim)
-			parRow, parRes := measureTreeDP(gen, ops, n, k, mpc.BackendParallel)
-			match := slices.Equal(simRes, parRes)
-			simRow.AnswersMatch = match
-			parRow.AnswersMatch = match
-			rows = append(rows, simRow, parRow)
+			inline, inRes := measureTreeDP(gen, ops, n, k, compareWorkers[0])
+			sharded, shRes := measureTreeDP(gen, ops, n, k, compareWorkers[1])
+			match := slices.Equal(inRes, shRes)
+			inline.AnswersMatch, sharded.AnswersMatch = match, match
+			rows = append(rows, inline, sharded)
 		}
 	}
 	return rows
@@ -113,10 +112,10 @@ func treedpTable(n, nUpdates int, seed int64) []treedpRow {
 
 func printTreeDPTable(rows []treedpRow) {
 	printRows("\nTree-DP workload: mixed link/cut/weight/DP-query streams (SubtreeSum, PathSum, TreeTop):",
-		"Workload\tk\tbackend\tops\tDP reads\trounds/op\tDP rounds/query\tns/op\tanswers match",
-		"%s\t%d\t%s\t%d\t%d\t%.3f\t%.3f\t%.0f\t%v", rows,
+		"Workload\tk\tworkers\tops\tDP reads\trounds/op\tDP rounds/query\tns/op\tanswers match",
+		"%s\t%d\t%d\t%d\t%d\t%.3f\t%.3f\t%.0f\t%v", rows,
 		func(r treedpRow) []any {
-			return []any{r.Name, r.K, r.Backend, r.Ops, r.DPQueries, r.RoundsPerOp, r.DPRoundsPerQuery, per(int(r.elapsed), r.Ops), r.AnswersMatch}
+			return []any{r.Name, r.K, r.Workers, r.Ops, r.DPQueries, r.RoundsPerOp, r.DPRoundsPerQuery, per(int(r.elapsed), r.Ops), r.AnswersMatch}
 		},
 		"(DP rounds/query bills the query-half rounds to the stream's DP reads; reads",
 		" that ride an update wave bill nothing, which pushes the amortized cost below",

@@ -10,57 +10,55 @@ import (
 	"dmpc/internal/core/dmm"
 	"dmpc/internal/core/dyncon"
 	"dmpc/internal/graph"
-	"dmpc/internal/mpc"
 )
 
-// benchBackend and benchWorkers carry the -backend/-workers flag values;
-// every table's structure constructions route through the wrappers below,
-// so one flag retargets the whole measurement at an execution backend.
-// The wall-clock table ignores them and always measures both backends
-// head to head.
-var (
-	benchBackend mpc.BackendKind
-	benchWorkers int
-)
+// benchWorkers carries the -workers flag value; every table's structure
+// constructions route through the wrappers below, so one flag retargets
+// the whole measurement at a worker count. The tree-DP and wall-clock
+// tables ignore it and always measure compareWorkers head to head.
+var benchWorkers int
+
+// compareWorkers are the worker counts the tree-DP and wall-clock tables
+// measure side by side: every handler inline on the driver, and four
+// shards.
+var compareWorkers = []int{1, 4}
 
 func newDyncon(cfg dyncon.Config) *dyncon.D {
-	cfg.Backend = benchBackend
 	cfg.Workers = benchWorkers
 	return dyncon.New(cfg)
 }
 
 func newDMM(cfg dmm.Config) *dmm.M {
-	cfg.Backend = benchBackend
 	cfg.Workers = benchWorkers
 	return dmm.New(cfg)
 }
 
 func newAMM(cfg amm.Config) *amm.M {
-	cfg.Backend = benchBackend
 	cfg.Workers = benchWorkers
 	return amm.New(cfg)
 }
 
-// benchOpts translates the flag values into facade options for tables
+// benchOpts translates the flag value into facade options for tables
 // that build structures through the dmpc front door.
 func benchOpts() []dmpc.Option {
-	return []dmpc.Option{dmpc.WithBackend(benchBackend), dmpc.WithWorkers(benchWorkers)}
+	return []dmpc.Option{dmpc.WithWorkers(benchWorkers)}
 }
 
 // --- wall-clock trajectory -------------------------------------------------
 
-// wallRow is one (algorithm, n, backend) cell of the wall-clock table:
+// wallRow is one (algorithm, n, workers) cell of the wall-clock table:
 // the same batched update stream measured in model rounds AND in real
-// time. Rounds are backend-independent by the determinism rule
-// (checkBaseline enforces the equality); time is what the backends compete
-// on, but it is a property of the machine, so the ns columns are printed
-// and never enter the document (bench/ is the time harness).
+// time. Rounds are independent of the worker count by the determinism
+// rule (checkBaseline enforces the equality); time is what the worker
+// counts compete on, but it is a property of the machine, so the ns
+// columns are printed and never enter the document (bench/ is the time
+// harness).
 type wallRow struct {
 	Name        string  `json:"name"`
 	N           int     `json:"n"`
 	K           int     `json:"k"`
 	Ops         int     `json:"ops"`
-	Backend     string  `json:"backend"`
+	Workers     int     `json:"workers"`
 	RoundsPerOp float64 `json:"rounds_per_op"`
 	rounds      int
 	elapsed     time.Duration // the replay's makespan
@@ -77,8 +75,8 @@ type wallRow struct {
 const wallK = 64
 
 // wallNs is the input-size ladder: the Table 1 default plus the three
-// orders of magnitude the parallel backend and the sparse-activation
-// round engine exist for. -wallmax caps it (CI and BENCH_0015.json stop
+// orders of magnitude the worker pool and the sparse-activation round
+// engine exist for. -wallmax caps it (CI and BENCH_0015.json stop
 // at 10^4; the full climb takes minutes).
 var wallNs = []int{128, 10_000, 100_000, 1_000_000}
 
@@ -86,37 +84,38 @@ var wallNs = []int{128, 10_000, 100_000, 1_000_000}
 // -updates so its rounds/op stay comparable with BENCH_0015.json's.
 const wallUpdates = 200
 
-// wallRunner builds one algorithm instance pinned to a backend and
-// returns its batch front door plus the cluster teardown.
+// wallRunner builds one algorithm instance at a worker count and returns
+// its batch front door plus the cluster teardown.
 type wallRunner struct {
 	name string
-	mk   func(n int, be mpc.BackendKind) (run runner, closeFn func())
+	mk   func(n, workers int) (run runner, closeFn func())
 }
 
 func wallRunners() []wallRunner {
 	return []wallRunner{
-		{"Connected comps (§5)", func(n int, be mpc.BackendKind) (runner, func()) {
-			d := dyncon.New(dyncon.Config{N: n, Mode: dyncon.CC, ExpectedEdges: 6 * n, Backend: be})
+		{"Connected comps (§5)", func(n, workers int) (runner, func()) {
+			d := dyncon.New(dyncon.Config{N: n, Mode: dyncon.CC, ExpectedEdges: 6 * n, Workers: workers})
 			return window(d.ApplyOps), d.Close
 		}},
-		{"Maximal matching (§3)", func(n int, be mpc.BackendKind) (runner, func()) {
-			m := dmm.New(dmm.Config{N: n, CapEdges: 6 * n, Backend: be})
+		{"Maximal matching (§3)", func(n, workers int) (runner, func()) {
+			m := dmm.New(dmm.Config{N: n, CapEdges: 6 * n, Workers: workers})
 			return window(m.ApplyOps), m.Close
 		}},
 	}
 }
 
-// measureWall measures one (algorithm, n) cell on both backends, sim row
-// first: one replay of the chunked stream on a fresh instance each.
+// measureWall measures one (algorithm, n) cell at both compareWorkers
+// counts, inline row first: one replay of the chunked stream on a fresh
+// instance each.
 // Construction is outside the clock, and the replay starts from a forced
 // collection so GC pacing inherited from earlier tables cannot leak in.
 // allocs is the Mallocs delta of the measured section; the ReadMemStats
 // calls sit outside the clock.
 func measureWall(wr wallRunner, n int, stream []graph.Update) []wallRow {
 	var rows []wallRow
-	for _, be := range []mpc.BackendKind{mpc.BackendSim, mpc.BackendParallel} {
+	for _, w := range compareWorkers {
 		runtime.GC()
-		run, closeFn := wr.mk(n, be)
+		run, closeFn := wr.mk(n, w)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		start := time.Now()
@@ -125,7 +124,7 @@ func measureWall(wr wallRunner, n int, stream []graph.Update) []wallRow {
 		runtime.ReadMemStats(&after)
 		closeFn()
 		rows = append(rows, wallRow{
-			Name: wr.name, N: n, K: wallK, Ops: t.Ops, Backend: be.String(),
+			Name: wr.name, N: n, K: wallK, Ops: t.Ops, Workers: w,
 			RoundsPerOp: per(t.Rounds, t.Ops), AllocsPerRound: per(int(after.Mallocs-before.Mallocs), t.Rounds),
 			rounds: t.Rounds, elapsed: elapsed,
 		})
@@ -134,7 +133,7 @@ func measureWall(wr wallRunner, n int, stream []graph.Update) []wallRow {
 }
 
 // wallTable climbs the n ladder up to wallMax, measuring every algorithm
-// on both backends over the same stream.
+// at both compareWorkers counts over the same stream.
 func wallTable(seed int64, wallMax int) []wallRow {
 	var rows []wallRow
 	for _, n := range wallNs {
@@ -150,13 +149,13 @@ func wallTable(seed int64, wallMax int) []wallRow {
 }
 
 func printWallTable(rows []wallRow) {
-	printRows("\nWall-clock trajectory: sim oracle vs parallel backend (same stream, k=64):",
-		"Algorithm\tn\tbackend\tops\trounds/op\tns/op\tns/round\tallocs/round\tmakespan",
-		"%s\t%d\t%s\t%d\t%.2f\t%.0f\t%.0f\t%.1f\t%s", rows,
+	printRows("\nWall-clock trajectory: inline vs four worker shards (same stream, k=64):",
+		"Algorithm\tn\tworkers\tops\trounds/op\tns/op\tns/round\tallocs/round\tmakespan",
+		"%s\t%d\t%d\t%d\t%.2f\t%.0f\t%.0f\t%.1f\t%s", rows,
 		func(r wallRow) []any {
-			return []any{r.Name, r.N, r.Backend, r.Ops, r.RoundsPerOp, per(int(r.elapsed), r.Ops), per(int(r.elapsed), r.rounds), r.AllocsPerRound, r.elapsed}
+			return []any{r.Name, r.N, r.Workers, r.Ops, r.RoundsPerOp, per(int(r.elapsed), r.Ops), per(int(r.elapsed), r.rounds), r.AllocsPerRound, r.elapsed}
 		},
-		"(rounds/op is backend-independent — the determinism rule — so the ns columns",
-		" isolate pure runtime overhead: long-lived channel-woken workers and one",
-		" context slab per round against per-machine goroutine spawns and allocations)")
+		"(rounds/op does not depend on the worker count — the determinism rule — so",
+		" the ns columns isolate what sharding the handlers over channel-woken",
+		" workers buys or costs against running them inline on the driver)")
 }

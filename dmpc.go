@@ -56,7 +56,7 @@
 // mixed link/cut/weight/query streams amortize below one round per query
 // (cmd/dmpcbench's treedp table, in BENCH_0015.json); the FuzzTreeDPEquivalence
 // harness pins answers bit-identical to sequential replay and to a
-// tour-free oracle on both backends. See examples/orgchart for a worked
+// tour-free oracle at every worker count. See examples/orgchart for a worked
 // rollup workload.
 //
 // # Streaming ingestion
@@ -160,9 +160,6 @@ type (
 	HalfStats = mpc.HalfStats
 	// Cluster is the simulated DMPC cluster.
 	Cluster = mpc.Cluster
-	// BackendKind selects the cluster's execution backend; see the
-	// BackendSim and BackendParallel constants and WithBackend.
-	BackendKind = mpc.BackendKind
 	// TenantStats is one tenant's slice of a mixed window: op counts and
 	// the tenant's wave-share of the window's rounds.
 	TenantStats = mpc.TenantStats
@@ -174,29 +171,10 @@ type (
 	Rejection = mpc.Rejection
 )
 
-// Execution backends (see internal/mpc and DESIGN.md §2d). Every backend
-// produces bit-identical answers and accounting for the same op history —
-// pinned by the backend-equivalence fuzz suites — and differs only in
-// wall-clock time.
-const (
-	// BackendSim is the deterministic single-driver simulator loop, the
-	// correctness and accounting oracle. The zero-value default.
-	BackendSim = mpc.BackendSim
-	// BackendParallel is the goroutine-per-machine parallel runtime:
-	// long-lived channel-woken workers with a deterministic merge at the
-	// round barrier. Structures built on it must be Closed.
-	BackendParallel = mpc.BackendParallel
-)
-
-// ParseBackend parses the CLI spelling of a backend kind ("sim" or
-// "parallel").
-func ParseBackend(s string) (BackendKind, error) { return mpc.ParseBackend(s) }
-
 // Option configures a structure at construction time.
 type Option func(*options)
 
 type options struct {
-	backend mpc.BackendKind
 	workers int
 	tenants map[int]int
 }
@@ -209,13 +187,17 @@ func buildOptions(opts []Option) options {
 	return o
 }
 
-// WithBackend selects the cluster execution backend (default BackendSim).
-// A structure built with BackendParallel owns worker goroutines and must
-// be released with Close when done.
-func WithBackend(k BackendKind) Option { return func(o *options) { o.backend = k } }
+// WithBackend does nothing.
+//
+// Deprecated: WithWorkers alone decides how a structure's handlers run.
+func WithBackend(mpc.BackendKind) Option { return func(*options) {} }
 
-// WithWorkers bounds the backend's handler concurrency (0 = GOMAXPROCS).
-// Worker count never changes answers or accounting, only wall-clock time.
+// WithWorkers sets how many goroutines run each round's machine handlers
+// (DESIGN.md §2d): at most 1, the default, runs them all inline on the
+// calling goroutine; n ≥ 2 shards the machines over up to n − 1 long-lived
+// worker goroutines plus the caller, and the structure must be released
+// with Close when done. The worker count never changes answers or
+// accounting, only wall-clock time.
 func WithWorkers(n int) Option { return func(o *options) { o.workers = n } }
 
 // WithTenantWeights carves the per-round word budget S into weighted
@@ -326,9 +308,9 @@ func NewGraph(n int) *Graph { return graph.New(n) }
 type Pipeline interface {
 	Apply(ops []Op) (Results, MixedStats)
 	Cluster() *Cluster
-	// Close releases the cluster's execution backend (the parallel
-	// backend's worker goroutines). A no-op for BackendSim structures;
-	// the structure must not be used afterwards.
+	// Close releases the cluster's worker goroutines (WithWorkers ≥ 2);
+	// with one worker there are none. The structure must not be used
+	// afterwards.
 	Close()
 }
 
@@ -358,7 +340,7 @@ func (p pipe) Apply(ops []Op) (Results, MixedStats) { return p.apply(ops) }
 // Cluster exposes the underlying cluster accounting.
 func (p pipe) Cluster() *Cluster { return p.cl }
 
-// Close releases the cluster's execution backend; see Pipeline.
+// Close releases the cluster's worker goroutines; see Pipeline.
 func (p pipe) Close() { p.cl.Close() }
 
 // streamClaims exposes the structure's per-op claims oracle to the
@@ -375,7 +357,7 @@ type Connectivity struct {
 // n vertices, sized for expectedEdges simultaneous edges (0 = default).
 func NewConnectivity(n, expectedEdges int, opts ...Option) *Connectivity {
 	o := buildOptions(opts)
-	d := dyncon.New(dyncon.Config{N: n, Mode: dyncon.CC, ExpectedEdges: expectedEdges, Backend: o.backend, Workers: o.workers, TenantWeights: o.tenants})
+	d := dyncon.New(dyncon.Config{N: n, Mode: dyncon.CC, ExpectedEdges: expectedEdges, Workers: o.workers, TenantWeights: o.tenants})
 	return &Connectivity{pipe: pipe{d.ApplyOps, d.StreamItem, d.Cluster()}, d: d}
 }
 
@@ -399,7 +381,7 @@ type MST struct {
 // NewMST builds a fully-dynamic MSF structure.
 func NewMST(n int, eps float64, expectedEdges int, opts ...Option) *MST {
 	o := buildOptions(opts)
-	d := dyncon.New(dyncon.Config{N: n, Mode: dyncon.MST, Eps: eps, ExpectedEdges: expectedEdges, Backend: o.backend, Workers: o.workers, TenantWeights: o.tenants})
+	d := dyncon.New(dyncon.Config{N: n, Mode: dyncon.MST, Eps: eps, ExpectedEdges: expectedEdges, Workers: o.workers, TenantWeights: o.tenants})
 	return &MST{pipe: pipe{d.ApplyOps, d.StreamItem, d.Cluster()}, d: d}
 }
 
@@ -425,7 +407,7 @@ type MaximalMatching struct {
 // capEdges simultaneous edges.
 func NewMaximalMatching(n, capEdges int, opts ...Option) *MaximalMatching {
 	o := buildOptions(opts)
-	m := dmm.New(dmm.Config{N: n, CapEdges: capEdges, Backend: o.backend, Workers: o.workers, TenantWeights: o.tenants})
+	m := dmm.New(dmm.Config{N: n, CapEdges: capEdges, Workers: o.workers, TenantWeights: o.tenants})
 	return &MaximalMatching{pipe: pipe{m.ApplyOps, m.StreamItem, m.Cluster()}, m: m}
 }
 
@@ -433,7 +415,7 @@ func NewMaximalMatching(n, capEdges int, opts ...Option) *MaximalMatching {
 // maximum matching (the graph must start empty, which it does).
 func NewThreeHalvesMatching(n, capEdges int, opts ...Option) *MaximalMatching {
 	o := buildOptions(opts)
-	m := dmm.New(dmm.Config{N: n, CapEdges: capEdges, ThreeHalves: true, Backend: o.backend, Workers: o.workers, TenantWeights: o.tenants})
+	m := dmm.New(dmm.Config{N: n, CapEdges: capEdges, ThreeHalves: true, Workers: o.workers, TenantWeights: o.tenants})
 	return &MaximalMatching{pipe: pipe{m.ApplyOps, m.StreamItem, m.Cluster()}, m: m}
 }
 
@@ -451,7 +433,7 @@ type AlmostMaximalMatching struct {
 // NewAlmostMaximalMatching builds the §6 structure.
 func NewAlmostMaximalMatching(n int, eps float64, seed int64, opts ...Option) *AlmostMaximalMatching {
 	o := buildOptions(opts)
-	m := amm.New(amm.Config{N: n, Eps: eps, Seed: seed, Backend: o.backend, Workers: o.workers})
+	m := amm.New(amm.Config{N: n, Eps: eps, Seed: seed, Workers: o.workers})
 	return &AlmostMaximalMatching{pipe: pipe{m.ApplyOps, m.StreamItem, m.Cluster()}, m: m}
 }
 

@@ -15,7 +15,7 @@ import (
 // by the cluster, so a structure's live heap does not grow with the number
 // of windows it has served. 20 000 one-op ApplyOps windows toggle a fixed
 // edge set (the graph, and with it the structure's own state, stays
-// bounded) through a small sim-backend §5 and §3 instance; the live heap
+// bounded) through a small inline §5 and §3 instance; the live heap
 // after a forced GC at window 20 000 must sit within a fixed slack of its
 // value at window 2 000.
 func TestClusterKeepsNoPerWindowState(t *testing.T) {

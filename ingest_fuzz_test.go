@@ -96,10 +96,10 @@ func FuzzArrivalEquivalenceConn(f *testing.F) {
 			t.Fatalf("sel=%#x: %d cluster constraint violations", sel, v)
 		}
 
-		// Backend-equivalence replica: the same arrival schedule ingested
-		// on the goroutine-per-machine backend must answer and account
-		// bit-identically to the sim-backend streamed instance.
-		popts := []Option{WithBackend(BackendParallel), WithWorkers(3)}
+		// Worker-count replica: the same arrival schedule ingested on a
+		// sharded cluster must answer and account bit-identically to the
+		// inline streamed instance.
+		popts := []Option{WithWorkers(3)}
 		var par Pipeline
 		var parMST *MST
 		var parCC *Connectivity
@@ -113,27 +113,27 @@ func FuzzArrivalEquivalenceConn(f *testing.F) {
 		defer par.Close()
 		pgot, _ := Ingest(par, arrivals, cfg)
 		if len(pgot) != len(got) {
-			t.Fatalf("sel=%#x: parallel replica answered %d queries, sim %d", sel, len(pgot), len(got))
+			t.Fatalf("sel=%#x: sharded replica answered %d queries, inline %d", sel, len(pgot), len(got))
 		}
 		for j := range got {
 			if pgot[j] != got[j] {
-				t.Fatalf("sel=%#x: parallel replica answered query %d %+v, sim %+v", sel, j, pgot[j], got[j])
+				t.Fatalf("sel=%#x: sharded replica answered query %d %+v, inline %+v", sel, j, pgot[j], got[j])
 			}
 		}
 		if sel&0x80 != 0 {
 			wantF, gotF := sortedForest(strMST), sortedForest(parMST)
 			if len(wantF) != len(gotF) {
-				t.Fatalf("sel=%#x: parallel replica forest size %d, sim %d", sel, len(gotF), len(wantF))
+				t.Fatalf("sel=%#x: sharded replica forest size %d, inline %d", sel, len(gotF), len(wantF))
 			}
 			for i := range wantF {
 				if wantF[i] != gotF[i] {
-					t.Fatalf("sel=%#x: parallel replica forest edge %d: %v, sim %v", sel, i, gotF[i], wantF[i])
+					t.Fatalf("sel=%#x: sharded replica forest edge %d: %v, inline %v", sel, i, gotF[i], wantF[i])
 				}
 			}
 		} else {
 			for v := 0; v < n; v++ {
 				if strCC.CompOf(v) != parCC.CompOf(v) {
-					t.Fatalf("sel=%#x: parallel replica component of %d: %d, sim %d",
+					t.Fatalf("sel=%#x: sharded replica component of %d: %d, inline %d",
 						sel, v, parCC.CompOf(v), strCC.CompOf(v))
 				}
 			}
@@ -142,15 +142,14 @@ func FuzzArrivalEquivalenceConn(f *testing.F) {
 	})
 }
 
-// assertSameAccounting pins the backend determinism rule at the cluster
-// level: accounting a backend must reproduce bit for bit regardless of
-// execution strategy.
-func assertSameAccounting(t *testing.T, sim, par *Cluster) {
+// assertSameAccounting pins the determinism rule at the cluster level:
+// the accounting every worker count must reproduce bit for bit.
+func assertSameAccounting(t *testing.T, inline, rep *Cluster) {
 	t.Helper()
-	a, b := sim.Stats(), par.Stats()
+	a, b := inline.Stats(), rep.Stats()
 	if a.Rounds != b.Rounds || a.Words != b.Words || a.Messages != b.Messages ||
 		a.Violations != b.Violations || a.PeakMemWords != b.PeakMemWords {
-		t.Fatalf("parallel replica accounting (rounds %d, words %d, msgs %d, viol %d, peak %d) diverges from sim (rounds %d, words %d, msgs %d, viol %d, peak %d)",
+		t.Fatalf("replica accounting (rounds %d, words %d, msgs %d, viol %d, peak %d) diverges from inline (rounds %d, words %d, msgs %d, viol %d, peak %d)",
 			b.Rounds, b.Words, b.Messages, b.Violations, b.PeakMemWords,
 			a.Rounds, a.Words, a.Messages, a.Violations, a.PeakMemWords)
 	}
@@ -223,23 +222,23 @@ func FuzzArrivalEquivalenceDMM(f *testing.F) {
 			t.Fatalf("sel=%#x: %d cluster constraint violations", sel, v)
 		}
 
-		// Backend-equivalence replica: same arrivals, goroutine-per-machine
-		// backend, bit-identical answers, mate table and accounting.
-		par := NewMaximalMatching(n, 200, WithBackend(BackendParallel), WithWorkers(3))
+		// Worker-count replica: same arrivals on a sharded cluster,
+		// bit-identical answers, mate table and accounting.
+		par := NewMaximalMatching(n, 200, WithWorkers(3))
 		defer par.Close()
 		pgot, _ := Ingest(par, arrivals, cfg)
 		if len(pgot) != len(got) {
-			t.Fatalf("sel=%#x: parallel replica answered %d queries, sim %d", sel, len(pgot), len(got))
+			t.Fatalf("sel=%#x: sharded replica answered %d queries, inline %d", sel, len(pgot), len(got))
 		}
 		for j := range got {
 			if pgot[j] != got[j] {
-				t.Fatalf("sel=%#x: parallel replica answered query %d %+v, sim %+v", sel, j, pgot[j], got[j])
+				t.Fatalf("sel=%#x: sharded replica answered query %d %+v, inline %+v", sel, j, pgot[j], got[j])
 			}
 		}
 		wantP, gotP := str.MateTable(), par.MateTable()
 		for v := range wantP {
 			if wantP[v] != gotP[v] {
-				t.Fatalf("sel=%#x: parallel replica mate of %d: %d, sim %d", sel, v, gotP[v], wantP[v])
+				t.Fatalf("sel=%#x: sharded replica mate of %d: %d, inline %d", sel, v, gotP[v], wantP[v])
 			}
 		}
 		assertSameAccounting(t, str.Cluster(), par.Cluster())

@@ -54,11 +54,12 @@ type Config struct {
 	N    int
 	Eps  float64 // support slack; default 0.2
 	Seed int64
-	// Backend selects the cluster execution backend (zero value =
-	// mpc.BackendSim oracle; mpc.BackendParallel requires Close).
-	// Workers bounds its handler concurrency (0 = GOMAXPROCS).
-	Backend mpc.BackendKind
+	// Workers is the cluster's mpc.Config.Workers: at most 1 runs every
+	// handler inline on the driver, w ≥ 2 shards the machines over worker
+	// goroutines and requires Close.
 	Workers int
+	// Deprecated: ignored; Workers alone decides how handlers run.
+	Backend mpc.BackendKind
 
 	delta int // batch budget Δ = 4·⌈log2 n⌉, derived by New
 }
@@ -87,7 +88,7 @@ func New(cfg Config) *M {
 	for pow(gamma, levels) < cfg.N {
 		levels++
 	}
-	cl := mpc.NewCluster(mpc.Config{Machines: mu + 1, MemWords: 1 << 20, Backend: cfg.Backend, Workers: cfg.Workers})
+	cl := mpc.NewCluster(mpc.Config{Machines: mu + 1, MemWords: 1 << 20, Workers: cfg.Workers})
 	m := &M{cfg: cfg, packer: sched.NewAdmitterFair(0, nil)}
 	m.cluster = cl
 	m.sched = newScheduler(cfg, mu, levels)
@@ -122,8 +123,8 @@ func pow(b, e int) int {
 // Cluster exposes accounting.
 func (m *M) Cluster() *mpc.Cluster { return m.cluster }
 
-// Close releases the cluster's execution backend (the parallel backend's
-// worker goroutines). The structure must not be used afterwards.
+// Close releases the cluster's worker goroutines (Workers ≥ 2). The
+// structure must not be used afterwards.
 func (m *M) Close() { m.cluster.Close() }
 
 func (m *M) owner(v int) int { return 1 + v%(len(m.shards)) }

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"dmpc/internal/graph"
-	"dmpc/internal/mpc"
 )
 
 // FuzzBatchEquivalence is the property-based harness for the randomized §6
@@ -78,29 +77,32 @@ func FuzzBatchEquivalence(f *testing.F) {
 			t.Fatalf("k=%d: %d cluster constraint violations", k, v)
 		}
 
-		// Backend-equivalence replica: §6 is randomized but seeded, so a
-		// parallel-backend replica of the *batched* replay (same seed, same
-		// chunks) must land on the bit-identical matching and accounting —
-		// the backend determinism rule survives the randomized scheduler.
-		parM := New(Config{N: n, Seed: 7, Backend: mpc.BackendParallel, Workers: 3})
-		defer parM.Close()
-		for _, b := range graph.Chunk(stream, k) {
-			applyBatch(parM, b)
-		}
-		if err := parM.Validate(g); err != nil {
-			t.Fatalf("k=%d: invariants broken on the parallel replica: %v", k, err)
-		}
-		wantT, gotT := batM.MateTable(), parM.MateTable()
-		for v := range wantT {
-			if wantT[v] != gotT[v] {
-				t.Fatalf("k=%d: parallel replica mate of %d: %d, sim %d", k, v, gotT[v], wantT[v])
+		// Worker-count replicas: §6 is randomized but seeded, so a sharded
+		// replica of the *batched* replay (same seed, same chunks) — over
+		// three shards and over one goroutine per machine — must land on
+		// the bit-identical matching and accounting: the determinism rule
+		// survives the randomized scheduler.
+		for _, w := range []int{3, 1 << 16} {
+			parM := New(Config{N: n, Seed: 7, Workers: w})
+			defer parM.Close()
+			for _, b := range graph.Chunk(stream, k) {
+				applyBatch(parM, b)
 			}
-		}
-		a, b := batM.Cluster().Stats(), parM.Cluster().Stats()
-		if a.Rounds != b.Rounds || a.Words != b.Words || a.Messages != b.Messages ||
-			a.Violations != b.Violations || a.PeakMemWords != b.PeakMemWords {
-			t.Fatalf("k=%d: parallel replica accounting (rounds %d, words %d) diverges from sim (rounds %d, words %d)",
-				k, b.Rounds, b.Words, a.Rounds, a.Words)
+			if err := parM.Validate(g); err != nil {
+				t.Fatalf("k=%d: invariants broken on the workers=%d replica: %v", k, w, err)
+			}
+			wantT, gotT := batM.MateTable(), parM.MateTable()
+			for v := range wantT {
+				if wantT[v] != gotT[v] {
+					t.Fatalf("k=%d: workers=%d replica mate of %d: %d, inline %d", k, w, v, gotT[v], wantT[v])
+				}
+			}
+			a, b := batM.Cluster().Stats(), parM.Cluster().Stats()
+			if a.Rounds != b.Rounds || a.Words != b.Words || a.Messages != b.Messages ||
+				a.Violations != b.Violations || a.PeakMemWords != b.PeakMemWords {
+				t.Fatalf("k=%d: workers=%d replica accounting (rounds %d, words %d) diverges from inline (rounds %d, words %d)",
+					k, w, b.Rounds, b.Words, a.Rounds, a.Words)
+			}
 		}
 	})
 }

@@ -86,27 +86,27 @@ func plantRiser(s *shard, v int32, deg int) {
 	s.reindex(v)
 }
 
-// TestProbeMatchesScan: at every quiescent point of random streams, on both
-// backends, the indexes answer exactly what the deleted scan answered —
-// and a vertex of high degree enters and leaves the rise index as its
-// level moves.
+// TestProbeMatchesScan: at every quiescent point of random streams, inline
+// and over three shards, the indexes answer exactly what the deleted scan
+// answered — and a vertex of high degree enters and leaves the rise index
+// as its level moves.
 func TestProbeMatchesScan(t *testing.T) {
 	for _, n := range []int{64, 1024} {
-		for _, backend := range []mpc.BackendKind{mpc.BackendSim, mpc.BackendParallel} {
-			m, g := New(Config{N: n, Seed: 7, Backend: backend, Workers: 3}), graph.New(n)
+		for _, w := range []int{1, 3} {
+			m, g := New(Config{N: n, Seed: 7, Workers: w}), graph.New(n)
 			stream := graph.RandomStream(n, 3*n, 0.7, 1, rand.New(rand.NewSource(int64(n))))
 			withCands := 0
 			for i, b := range graph.Chunk(stream, 8) {
 				applyBatch(m, b)
 				b.Apply(g)
-				withCands += assertProbesMatchScan(t, m, fmt.Sprintf("n=%d %v window %d", n, backend, i))
+				withCands += assertProbesMatchScan(t, m, fmt.Sprintf("n=%d workers=%d window %d", n, w, i))
 			}
 			if err := m.Validate(g); err != nil {
-				t.Fatalf("n=%d %v: %v", n, backend, err)
+				t.Fatalf("n=%d workers=%d: %v", n, w, err)
 			}
 			m.Close()
 			if withCands == 0 {
-				t.Fatalf("n=%d %v: no shuffle candidate at any quiescent point", n, backend)
+				t.Fatalf("n=%d workers=%d: no shuffle candidate at any quiescent point", n, w)
 			}
 		}
 	}

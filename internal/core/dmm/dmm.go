@@ -59,11 +59,12 @@ type Config struct {
 	// 3/2-approximate at the price of O(n/√N) active machines per round.
 	// Per §4 the graph must start empty (it does).
 	ThreeHalves bool
-	// Backend selects the cluster execution backend (zero value =
-	// mpc.BackendSim oracle; mpc.BackendParallel requires Close).
-	// Workers bounds its handler concurrency (0 = GOMAXPROCS).
-	Backend mpc.BackendKind
+	// Workers is the cluster's mpc.Config.Workers: at most 1 runs every
+	// handler inline on the driver, w ≥ 2 shards the machines over worker
+	// goroutines and requires Close.
 	Workers int
+	// Deprecated: ignored; Workers alone decides how handlers run.
+	Backend mpc.BackendKind
 	// TenantWeights, when non-nil, carves the per-round word budget S
 	// into weighted deficit-round-robin tenant shares (sched.Fair) for
 	// wave packing. nil keeps the pre-tenancy first-fit schedule
@@ -123,7 +124,7 @@ func New(cfg Config) *M {
 		mem = need
 	}
 
-	cl := mpc.NewCluster(mpc.Config{Machines: mu, MemWords: mem, Backend: cfg.Backend, Workers: cfg.Workers})
+	cl := mpc.NewCluster(mpc.Config{Machines: mu, MemWords: mem, Workers: cfg.Workers})
 	m := &M{cfg: cfg, probe: sched.NewAdmitterFair(mem, nil)}
 	var fair *sched.Fair // nil = first-fit
 	if len(cfg.TenantWeights) > 0 {
@@ -149,8 +150,8 @@ func New(cfg Config) *M {
 // Cluster exposes the underlying cluster for accounting.
 func (m *M) Cluster() *mpc.Cluster { return m.cluster }
 
-// Close releases the cluster's execution backend (the parallel backend's
-// worker goroutines). The structure must not be used afterwards.
+// Close releases the cluster's worker goroutines (Workers ≥ 2). The
+// structure must not be used afterwards.
 func (m *M) Close() { m.cluster.Close() }
 
 // ApplyOps processes a mixed op stream — updates *and* typed reads

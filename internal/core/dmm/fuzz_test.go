@@ -86,15 +86,16 @@ func FuzzBatchEquivalence(f *testing.F) {
 			t.Fatalf("k=%d: %d cluster constraint violations", k, v)
 		}
 
-		// Backend-equivalence replica: the same chunks on the goroutine-
-		// per-machine runtime must reproduce the sim batches bit for bit —
-		// mate table and cluster accounting — so every committed corpus
-		// seed doubles as a backend determinism case.
-		parM := New(parallelConfig(Config{N: n, CapEdges: capEdges}))
-		defer parM.Close()
-		for _, b := range graph.Chunk(stream, k) {
-			applyBatch(parM, b)
+		// Worker-count replicas: the same chunks on sharded clusters must
+		// reproduce the inline batches bit for bit — mate table and cluster
+		// accounting — so every committed corpus seed doubles as a
+		// determinism case.
+		for _, parM := range replicas(Config{N: n, CapEdges: capEdges}) {
+			defer parM.Close()
+			for _, b := range graph.Chunk(stream, k) {
+				applyBatch(parM, b)
+			}
+			assertReplicaEquivalent(t, batM, parM)
 		}
-		assertBackendEquivalent(t, batM, parM)
 	})
 }

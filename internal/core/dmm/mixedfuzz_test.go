@@ -1,6 +1,7 @@
 package dmm
 
 import (
+	"slices"
 	"testing"
 
 	"dmpc/internal/graph"
@@ -102,25 +103,20 @@ func FuzzMixedEquivalence(f *testing.F) {
 			t.Fatalf("k=%d: %d cluster constraint violations", k, v)
 		}
 
-		// Backend-equivalence replica: the same mixed chunks on the
-		// goroutine-per-machine runtime must answer every in-wave query
-		// identically and reproduce the mate table and accounting bit for
-		// bit.
-		parM := New(parallelConfig(Config{N: n, CapEdges: capEdges}))
-		defer parM.Close()
-		var pgot graph.Results
-		for _, chunk := range graph.SplitOps(ops, k) {
-			res, _ := parM.ApplyOps(chunk)
-			pgot = append(pgot, res...)
-		}
-		if len(pgot) != len(got) {
-			t.Fatalf("parallel replica answered %d queries, sim %d", len(pgot), len(got))
-		}
-		for j := range got {
-			if pgot[j] != got[j] {
-				t.Fatalf("parallel replica answered query %d %+v, sim %+v", j, pgot[j], got[j])
+		// Worker-count replicas: the same mixed chunks on sharded clusters
+		// must answer every in-wave query identically and reproduce the
+		// mate table and accounting bit for bit.
+		for _, parM := range replicas(Config{N: n, CapEdges: capEdges}) {
+			defer parM.Close()
+			var pgot graph.Results
+			for _, chunk := range graph.SplitOps(ops, k) {
+				res, _ := parM.ApplyOps(chunk)
+				pgot = append(pgot, res...)
 			}
+			if !slices.Equal(pgot, got) {
+				t.Fatalf("workers=%d replica answered %v, inline %v", parM.cfg.Workers, pgot, got)
+			}
+			assertReplicaEquivalent(t, batM, parM)
 		}
-		assertBackendEquivalent(t, batM, parM)
 	})
 }

@@ -96,24 +96,28 @@ func TestSuffixViewImmutable(t *testing.T) {
 	}
 }
 
-// TestRingRolloverBackendEquivalence drives enough updates for the ring to
-// drop its front many times over on both backends. On BackendParallel MC
-// appends to the ring while storage machines replay the views sent a round
-// earlier — disjoint indices of one array — so under -race this is the
-// detector agreeing that the views need no copy.
-func TestRingRolloverBackendEquivalence(t *testing.T) {
+// TestRingRolloverWorkerEquivalence drives enough updates for the ring to
+// drop its front many times over at every worker count. On a sharded
+// cluster MC appends to the ring while storage machines replay the views
+// sent a round earlier — disjoint indices of one array — so under -race
+// this is the detector agreeing that the views need no copy.
+func TestRingRolloverWorkerEquivalence(t *testing.T) {
 	cfg := Config{N: 24, CapEdges: 150}
-	sim, g := randomInstance(t, cfg, 3000, 9)
-	par, _ := randomInstance(t, parallelConfig(cfg), 3000, 9)
-	defer par.Close()
-	if sim.coord.hBase < 2*int64(sim.coord.hCap) {
-		t.Fatalf("ring rolled only to %d, capacity %d", sim.coord.hBase, sim.coord.hCap)
+	inline, g := randomInstance(t, cfg, 3000, 9)
+	if inline.coord.hBase < 2*int64(inline.coord.hCap) {
+		t.Fatalf("ring rolled only to %d, capacity %d", inline.coord.hBase, inline.coord.hCap)
 	}
-	assertBackendEquivalent(t, sim, par)
-	for _, m := range []*M{sim, par} {
-		if err := m.Validate(g); err != nil {
+	for _, w := range replicaWorkers {
+		cfg.Workers = w
+		par, _ := randomInstance(t, cfg, 3000, 9)
+		defer par.Close()
+		assertReplicaEquivalent(t, inline, par)
+		if err := par.Validate(g); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := inline.Validate(g); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -83,12 +83,12 @@ type Config struct {
 	// the µ derived from it.
 	Machines      int
 	ExpectedEdges int
-	// Backend selects the cluster execution backend (the zero value is
-	// the deterministic mpc.BackendSim oracle; mpc.BackendParallel is
-	// the goroutine-per-machine runtime and requires Close). Workers
-	// bounds its handler concurrency (0 = GOMAXPROCS).
-	Backend mpc.BackendKind
+	// Workers is the cluster's mpc.Config.Workers: at most 1 runs every
+	// handler inline on the driver, w ≥ 2 shards the machines over worker
+	// goroutines and requires Close.
 	Workers int
+	// Deprecated: ignored; Workers alone decides how handlers run.
+	Backend mpc.BackendKind
 	// TenantWeights, when non-nil, carves the per-round word budget S
 	// into weighted deficit-round-robin tenant shares (sched.Fair):
 	// wave packing meters each tenant's summed shared cost against its
@@ -136,7 +136,6 @@ func New(cfg Config) *D {
 	if min := 40*auto.Machines + 64; auto.MemWords < min {
 		auto.MemWords = min
 	}
-	auto.Backend = cfg.Backend
 	auto.Workers = cfg.Workers
 	d := &D{cfg: cfg}
 	var fair *sched.Fair // nil = first-fit
@@ -167,8 +166,8 @@ func (d *D) registry(comp int64) int { return int(comp % int64(len(d.shards))) }
 // Cluster exposes the underlying cluster (stats, entropy metric).
 func (d *D) Cluster() *mpc.Cluster { return d.cluster }
 
-// Close releases the cluster's execution backend (the parallel backend's
-// worker goroutines). The structure must not be used afterwards.
+// Close releases the cluster's worker goroutines (Workers ≥ 2). The
+// structure must not be used afterwards.
 func (d *D) Close() { d.cluster.Close() }
 
 func (d *D) opWeight(w graph.Weight) graph.Weight {

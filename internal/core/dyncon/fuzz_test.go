@@ -80,15 +80,16 @@ func FuzzBatchEquivalence(f *testing.F) {
 			t.Fatalf("mode=%v k=%d: %d cluster constraint violations", cfg.Mode, k, v)
 		}
 
-		// Backend-equivalence replica: the same chunks on the goroutine-
-		// per-machine runtime must reproduce the sim batches bit for bit —
-		// state, invariants and cluster accounting — so every committed
-		// corpus seed doubles as a backend determinism case.
-		parD := New(parallelConfig(cfg))
-		defer parD.Close()
-		for _, b := range graph.Chunk(stream, k) {
-			applyBatch(parD, b)
+		// Worker-count replicas: the same chunks on sharded clusters must
+		// reproduce the inline batches bit for bit — state, invariants and
+		// cluster accounting — so every committed corpus seed doubles as a
+		// determinism case.
+		for _, parD := range replicas(cfg) {
+			defer parD.Close()
+			for _, b := range graph.Chunk(stream, k) {
+				applyBatch(parD, b)
+			}
+			assertReplicaEquivalent(t, batD, parD)
 		}
-		assertBackendEquivalent(t, batD, parD)
 	})
 }

@@ -1,6 +1,7 @@
 package dyncon
 
 import (
+	"slices"
 	"testing"
 
 	"dmpc/internal/graph"
@@ -108,24 +109,20 @@ func FuzzMixedEquivalence(f *testing.F) {
 			t.Fatalf("mode=%v k=%d: %d cluster constraint violations", cfg.Mode, k, v)
 		}
 
-		// Backend-equivalence replica: the same mixed chunks on the
-		// goroutine-per-machine runtime must answer every in-wave query
-		// identically and reproduce state and accounting bit for bit.
-		parD := New(parallelConfig(cfg))
-		defer parD.Close()
-		var pgot graph.Results
-		for _, chunk := range graph.SplitOps(ops, k) {
-			res, _ := parD.ApplyOps(chunk)
-			pgot = append(pgot, res...)
-		}
-		if len(pgot) != len(got) {
-			t.Fatalf("parallel replica answered %d queries, sim %d", len(pgot), len(got))
-		}
-		for j := range got {
-			if pgot[j] != got[j] {
-				t.Fatalf("parallel replica answered query %d %+v, sim %+v", j, pgot[j], got[j])
+		// Worker-count replicas: the same mixed chunks on sharded clusters
+		// must answer every in-wave query identically and reproduce state
+		// and accounting bit for bit.
+		for _, parD := range replicas(cfg) {
+			defer parD.Close()
+			var pgot graph.Results
+			for _, chunk := range graph.SplitOps(ops, k) {
+				res, _ := parD.ApplyOps(chunk)
+				pgot = append(pgot, res...)
 			}
+			if !slices.Equal(pgot, got) {
+				t.Fatalf("workers=%d replica answered %v, inline %v", parD.cfg.Workers, pgot, got)
+			}
+			assertReplicaEquivalent(t, batD, parD)
 		}
-		assertBackendEquivalent(t, batD, parD)
 	})
 }

@@ -382,20 +382,22 @@ func crossingScript(mode Mode) []graph.Op {
 // record crossing a fresh cut — the one kind whose named anchor's endpoint
 // may carry the other label — is rewritten by the cut and by its relink on
 // every machine holding a copy, in CC (replacement + promote) and in MST
-// (swap cut with Convert, then relink), on both backends.
+// (swap cut with Convert, then relink), at every worker count.
 func TestCrossingRecordsAreReached(t *testing.T) {
 	for _, mode := range []Mode{CC, MST} {
 		cfg := Config{N: 16, Mode: mode, ExpectedEdges: 64}
-		sim, par := New(cfg), New(parallelConfig(cfg))
-		defer par.Close()
-		if o := sim.owner; o(0) == o(1) || o(0) == o(2) || o(0) == o(3) {
-			t.Fatalf("mode %v: vertex 0 shares a machine with a neighbour (µ = %d)", mode, len(sim.shards))
+		inline, reps := New(cfg), replicas(cfg)
+		if o := inline.owner; o(0) == o(1) || o(0) == o(2) || o(0) == o(3) {
+			t.Fatalf("mode %v: vertex 0 shares a machine with a neighbour (µ = %d)", mode, len(inline.shards))
 		}
-		sim.AuditClaims(t.Fatalf)
-		par.AuditClaims(t.Fatalf)
+		all := append([]*D{inline}, reps...)
+		for _, d := range all {
+			defer d.Close()
+			d.AuditClaims(t.Fatalf)
+		}
 		g := graph.New(cfg.N)
 		for i, op := range crossingScript(mode) {
-			for _, d := range []*D{sim, par} {
+			for _, d := range all {
 				d.ApplyOps([]graph.Op{op})
 				if err := d.Validate(); err != nil {
 					t.Fatalf("mode %v op %d (%v): %v", mode, i, op, err)
@@ -404,12 +406,14 @@ func TestCrossingRecordsAreReached(t *testing.T) {
 			if up := op.Update(); up.Op == graph.Delete || !g.Has(up.U, up.V) {
 				g.Apply(up)
 			}
-			checkPartition(t, sim, g, fmt.Sprint(mode, " ", op))
-			if mode == MST && sim.ForestWeight() != graph.MSFWeight(g) {
-				t.Fatalf("op %d (%v): forest weight %d, Kruskal %d", i, op, sim.ForestWeight(), graph.MSFWeight(g))
+			checkPartition(t, inline, g, fmt.Sprint(mode, " ", op))
+			if mode == MST && inline.ForestWeight() != graph.MSFWeight(g) {
+				t.Fatalf("op %d (%v): forest weight %d, Kruskal %d", i, op, inline.ForestWeight(), graph.MSFWeight(g))
 			}
 		}
-		assertBackendEquivalent(t, sim, par)
+		for _, par := range reps {
+			assertReplicaEquivalent(t, inline, par)
+		}
 	}
 }
 

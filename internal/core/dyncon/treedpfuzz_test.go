@@ -1,6 +1,7 @@
 package dyncon
 
 import (
+	"slices"
 	"testing"
 
 	"dmpc/internal/graph"
@@ -28,8 +29,8 @@ func forestAdj(d *D, n int) [][]int {
 // the wave scheduling and shift-repair bookkeeping, while oracle
 // agreement pins the interval algebra itself (Span containment, OnPath,
 // anchor maintenance) against textbook BFS semantics, so the two sides
-// cannot share a bug. A parallel-backend replica then reruns the chunked
-// stream and must reproduce every answer, the forest, the weight records
+// cannot share a bug. Replicas at other worker counts then rerun the
+// chunked stream and must reproduce every answer, the forest, the weight records
 // and the round/word accounting exactly.
 //
 // Run the full fuzzer with:
@@ -146,29 +147,25 @@ func FuzzTreeDPEquivalence(f *testing.F) {
 			t.Fatalf("mode=%v k=%d: %d cluster constraint violations", cfg.Mode, k, v)
 		}
 
-		// Backend-equivalence replica: the same chunks on the goroutine-
-		// per-machine runtime must answer identically and reproduce the
-		// forest, weight records and accounting bit for bit.
-		parD := New(parallelConfig(cfg))
-		defer parD.Close()
-		var pgot graph.Results
-		for _, chunk := range graph.SplitOps(ops, k) {
-			res, _ := parD.ApplyOps(chunk)
-			pgot = append(pgot, res...)
-		}
-		if len(pgot) != len(got) {
-			t.Fatalf("parallel replica answered %d queries, sim %d", len(pgot), len(got))
-		}
-		for j := range got {
-			if pgot[j] != got[j] {
-				t.Fatalf("parallel replica answered query %d %+v, sim %+v", j, pgot[j], got[j])
+		// Worker-count replicas: the same chunks on sharded clusters must
+		// answer identically and reproduce the forest, weight records and
+		// accounting bit for bit.
+		for _, parD := range replicas(cfg) {
+			defer parD.Close()
+			var pgot graph.Results
+			for _, chunk := range graph.SplitOps(ops, k) {
+				res, _ := parD.ApplyOps(chunk)
+				pgot = append(pgot, res...)
 			}
-		}
-		for v := 0; v < n; v++ {
-			if parD.WeightOf(v) != batD.WeightOf(v) {
-				t.Fatalf("parallel replica weight of %d is %d, sim %d", v, parD.WeightOf(v), batD.WeightOf(v))
+			if !slices.Equal(pgot, got) {
+				t.Fatalf("workers=%d replica answered %v, inline %v", parD.cfg.Workers, pgot, got)
 			}
+			for v := 0; v < n; v++ {
+				if parD.WeightOf(v) != batD.WeightOf(v) {
+					t.Fatalf("workers=%d replica weight of %d is %d, inline %d", parD.cfg.Workers, v, parD.WeightOf(v), batD.WeightOf(v))
+				}
+			}
+			assertReplicaEquivalent(t, batD, parD)
 		}
-		assertBackendEquivalent(t, batD, parD)
 	})
 }

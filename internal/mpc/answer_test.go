@@ -19,7 +19,7 @@ var answerer = machineFunc(func(ctx *Ctx, inbox []Message) {
 
 // TestAnswersPositional pins the one answer path: machines output answers
 // by stream position, in whatever order they run, and Answers returns them
-// in stream order — on both backends — while a read left unanswered, a
+// in stream order — at every worker count — while a read left unanswered, a
 // read answered twice and an answer naming no read each panic, naming the
 // position.
 func TestAnswersPositional(t *testing.T) {
@@ -30,8 +30,8 @@ func TestAnswersPositional(t *testing.T) {
 	const mu = 4
 	// run sends the reads at the positions in send, the k-th to machine
 	// mu-1-k: settle merges a later read's answer first.
-	run := func(be BackendKind, send ...int) (res graph.Results, panicked string) {
-		c := NewCluster(Config{Machines: mu, MemWords: 64, Backend: be})
+	run := func(w int, send ...int) (res graph.Results, panicked string) {
+		c := NewCluster(Config{Machines: mu, MemWords: 64, Workers: w})
 		defer c.Close()
 		for i := 0; i < mu; i++ {
 			c.SetMachine(i, answerer)
@@ -49,11 +49,11 @@ func TestAnswersPositional(t *testing.T) {
 		}()
 		return c.Answers(ops), ""
 	}
-	for _, be := range []BackendKind{BackendSim, BackendParallel} {
-		res, p := run(be, 0, 2, 3, 5)
+	for _, w := range workerCounts(mu) {
+		res, p := run(w, 0, 2, 3, 5)
 		want := graph.Results{{Int: 0}, {Int: 20}, {Int: 30}, {Int: 50}}
 		if p != "" || fmt.Sprint(res) != fmt.Sprint(want) {
-			t.Fatalf("%v: Answers = %v (panic %q), want %v", be, res, p, want)
+			t.Fatalf("workers=%d: Answers = %v (panic %q), want %v", w, res, p, want)
 		}
 		for _, tc := range []struct {
 			name string
@@ -65,8 +65,8 @@ func TestAnswersPositional(t *testing.T) {
 			{"stray update", []int{0, 1, 2, 3, 5}, "stray answer for stream position 1"},
 			{"stray past the window", []int{0, 2, 3, 5, 6}, "stray answer for stream position 6"},
 		} {
-			if _, p := run(be, tc.send...); !strings.Contains(p, tc.want) {
-				t.Errorf("%v %s: panic %q, want one containing %q", be, tc.name, p, tc.want)
+			if _, p := run(w, tc.send...); !strings.Contains(p, tc.want) {
+				t.Errorf("workers=%d %s: panic %q, want one containing %q", w, tc.name, p, tc.want)
 			}
 		}
 	}

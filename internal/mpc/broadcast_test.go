@@ -1,6 +1,7 @@
 package mpc
 
 import (
+	"fmt"
 	"maps"
 	"slices"
 	"sort"
@@ -60,9 +61,9 @@ type fanRun struct {
 	maxPair    int
 }
 
-func runFan(be BackendKind, loop bool) fanRun {
+func runFan(workers int, loop bool) fanRun {
 	const mu, rounds = 9, 40
-	c := NewCluster(Config{Machines: mu, MemWords: 64, Workers: 4, Backend: be})
+	c := NewCluster(Config{Machines: mu, MemWords: 64, Workers: workers})
 	defer c.Close()
 	ms := make([]*fanMachine, mu)
 	for i := range ms {
@@ -91,28 +92,28 @@ func runFan(be BackendKind, loop bool) fanRun {
 // Sends it stands for — the same inboxes in the same order, the same
 // RoundStats, the same violations (a broadcast overflowing the send cap
 // counts its words once per recipient), and the same folded pair volumes,
-// hence CommEntropy and MaxPairWords — on both backends.
+// hence CommEntropy and MaxPairWords — at every worker count.
 func TestBroadcastEqualsSends(t *testing.T) {
-	want := runFan(BackendSim, true)
+	want := runFan(1, true)
 	if want.violations <= want.invalid || want.invalid == 0 {
 		t.Fatalf("script raised %d violations with %d invalid sends: it must overflow the send cap too", want.violations, want.invalid)
 	}
-	for _, be := range []BackendKind{BackendSim, BackendParallel} {
+	for _, w := range workerCounts(9) {
 		for _, loop := range []bool{false, true} {
-			got := runFan(be, loop)
+			got := runFan(w, loop)
 			if !slices.Equal(got.rounds, want.rounds) {
-				t.Fatalf("%v loop=%v: round stats %v, want %v", be, loop, got.rounds, want.rounds)
+				t.Fatalf("workers=%d loop=%v: round stats %v, want %v", w, loop, got.rounds, want.rounds)
 			}
 			for id := range want.inboxes {
 				if !slices.Equal(got.inboxes[id], want.inboxes[id]) {
-					t.Fatalf("%v loop=%v: machine %d was handed %v, want %v", be, loop, id, got.inboxes[id], want.inboxes[id])
+					t.Fatalf("workers=%d loop=%v: machine %d was handed %v, want %v", w, loop, id, got.inboxes[id], want.inboxes[id])
 				}
 			}
 			if got.violations != want.violations {
-				t.Fatalf("%v loop=%v: %d violations, want %d", be, loop, got.violations, want.violations)
+				t.Fatalf("workers=%d loop=%v: %d violations, want %d", w, loop, got.violations, want.violations)
 			}
 			if !maps.Equal(got.pairs, want.pairs) || got.entropy != want.entropy || got.maxPair != want.maxPair {
-				t.Fatalf("%v loop=%v: pair accounting %d pairs/%v/%d, want %d/%v/%d", be, loop,
+				t.Fatalf("workers=%d loop=%v: pair accounting %d pairs/%v/%d, want %d/%v/%d", w, loop,
 					len(got.pairs), got.entropy, got.maxPair, len(want.pairs), want.entropy, want.maxPair)
 			}
 		}
@@ -184,8 +185,8 @@ func (m *scatterMachine) HandleRound(ctx *Ctx, inbox []Message) {
 	}
 }
 
-func newScatterCluster(mu int, be BackendKind, workers int) *Cluster {
-	c := NewCluster(Config{Machines: mu, MemWords: 1 << 16, Workers: workers, Backend: be})
+func newScatterCluster(mu, workers int) *Cluster {
+	c := NewCluster(Config{Machines: mu, MemWords: 1 << 16, Workers: workers})
 	for i := 0; i < mu; i++ {
 		c.SetMachine(i, &scatterMachine{id: i, words: 4})
 	}
@@ -197,14 +198,12 @@ func newScatterCluster(mu int, be BackendKind, workers int) *Cluster {
 // µ = 147 (cc-uniform's cluster): one machine broadcasts 4 words, every
 // machine replies, so rounds alternate between one sender fanning out to µ
 // inboxes and µ senders converging on one. It is the round engine's cost of
-// a §5 broadcast, apart from any handler work.
+// a §5 broadcast, apart from any handler work, inline and over four
+// shards.
 func BenchmarkBroadcastRound(b *testing.B) {
-	for _, bc := range []struct {
-		name string
-		be   BackendKind
-	}{{"sim", BackendSim}, {"parallel", BackendParallel}} {
-		b.Run(bc.name, func(b *testing.B) {
-			c := newScatterCluster(147, bc.be, 0)
+	for _, w := range []int{1, 4} {
+		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
+			c := newScatterCluster(147, w)
 			defer c.Close()
 			b.ReportAllocs()
 			b.ResetTimer()

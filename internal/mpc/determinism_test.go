@@ -1,6 +1,8 @@
 package mpc
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -33,10 +35,22 @@ func (r *relayMachine) HandleRound(ctx *Ctx, inbox []Message) {
 	}
 }
 
-// run executes the branching relay and returns a trace fingerprint.
-func runRelay(workers int) (rounds int, words int, trace []int64) {
+// relayFingerprint is the full observable state of one relay run — the
+// answer trace plus every accounting figure the determinism rule pins,
+// including the pair-communication distribution (CommEntropy and
+// MaxPairWords).
+type relayFingerprint struct {
+	rounds, words, maxPair int
+	entropy                float64
+	trace                  []int64
+}
+
+// runRelay executes the branching relay at a worker count and returns its
+// fingerprint.
+func runRelay(workers int) relayFingerprint {
 	const mu = 7
 	c := NewCluster(Config{Machines: mu, MemWords: 1 << 20, Workers: workers})
+	defer c.Close()
 	ms := make([]*relayMachine, mu)
 	for i := range ms {
 		ms[i] = &relayMachine{id: i, mu: mu, budget: 40}
@@ -44,30 +58,36 @@ func runRelay(workers int) (rounds int, words int, trace []int64) {
 	}
 	c.Send(Message{To: 0, Payload: int64(1), Words: 1})
 	c.Run(500)
-	for _, m := range ms {
-		trace = append(trace, int64(len(m.seen)))
-		for _, v := range m.seen {
-			trace = append(trace, v)
-		}
+	fp := relayFingerprint{
+		rounds:  c.Stats().Rounds,
+		words:   c.Stats().Words,
+		maxPair: c.MaxPairWords(),
+		entropy: c.CommEntropy(),
 	}
-	return c.Stats().Rounds, c.Stats().Words, trace
+	for _, m := range ms {
+		fp.trace = append(fp.trace, int64(len(m.seen)))
+		fp.trace = append(fp.trace, m.seen...)
+	}
+	return fp
 }
 
-// TestDeterministicAcrossWorkerCounts: the simulation must produce
-// identical traces regardless of handler concurrency — the guarantee that
-// makes every experiment in this repository reproducible.
+// TestDeterministicAcrossWorkerCounts: the simulation must produce a
+// bit-identical trace, rounds, words and pair accounting whatever the
+// handler concurrency — inline, sharded over fewer workers than machines,
+// one goroutine per machine, more workers than machines, GOMAXPROCS — the
+// guarantee that makes every experiment in this repository reproducible.
 func TestDeterministicAcrossWorkerCounts(t *testing.T) {
-	r1, w1, t1 := runRelay(1)
-	r8, w8, t8 := runRelay(8)
-	if r1 != r8 || w1 != w8 {
-		t.Fatalf("stats diverge: rounds %d/%d words %d/%d", r1, r8, w1, w8)
-	}
-	if len(t1) != len(t8) {
-		t.Fatalf("trace lengths diverge: %d vs %d", len(t1), len(t8))
-	}
-	for i := range t1 {
-		if t1[i] != t8[i] {
-			t.Fatalf("trace diverges at %d: %d vs %d", i, t1[i], t8[i])
+	want := runRelay(1)
+	for _, w := range append(workerCounts(7), 0, 2, 16, runtime.GOMAXPROCS(0)) {
+		got := runRelay(w)
+		if got.rounds != want.rounds || got.words != want.words {
+			t.Fatalf("workers=%d: rounds/words %d/%d, inline %d/%d", w, got.rounds, got.words, want.rounds, want.words)
+		}
+		if got.maxPair != want.maxPair || got.entropy != want.entropy {
+			t.Fatalf("workers=%d: pair accounting %d/%v, inline %d/%v", w, got.maxPair, got.entropy, want.maxPair, want.entropy)
+		}
+		if !slices.Equal(got.trace, want.trace) {
+			t.Fatalf("workers=%d: trace %v, inline %v", w, got.trace, want.trace)
 		}
 	}
 }

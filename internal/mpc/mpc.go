@@ -15,26 +15,25 @@
 // Message delivery order is deterministic, so simulations are
 // reproducible for a fixed seed regardless of GOMAXPROCS.
 //
-// # Execution backends
+// # Execution
 //
 // The Cluster owns a round — delivery, the active set, staging, pair
-// accounting, the I/O and memory caps — and a backend, selected by
-// Config.Backend, is only how the round's handlers run. BackendSim (the
-// default) runs each on a short-lived goroutine bounded by Config.Workers
-// — it is the correctness and accounting oracle. BackendParallel shards
-// the machines over at most Config.Workers long-lived workers (default
-// GOMAXPROCS) woken over channels each round; it exists to measure real
-// wall-clock time next to the model's round counts, and clusters using it
-// must be Close()d to release the workers. A backend sees only the active
-// set and the contexts to run it against, so both produce bit-identical
-// answers and Stats for the same inputs.
+// accounting, the I/O and memory caps — and one worker pool runs the
+// round's handlers. Config.Workers alone says how: at most 1 (the
+// default) runs every handler inline on the driver goroutine, with no
+// goroutine to release; w ≥ 2 shards the machines over min(w, µ) shards,
+// run by long-lived workers woken over channels each round plus the
+// driver, and such a cluster must be Close()d to release them. The pool
+// sees only the active set and the contexts to run it against, so every
+// worker count produces bit-identical answers and Stats for the same
+// inputs. A handler panic reaches the caller of Round on the driver at
+// every worker count, naming the machine, and closes the cluster.
 package mpc
 
 import (
 	"fmt"
 	"maps"
 	"math"
-	"runtime"
 	"slices"
 
 	"dmpc/internal/graph"
@@ -87,14 +86,29 @@ type Config struct {
 	// over S, sends to out-of-range machines) fatal via panic. Violations
 	// are always counted in Stats regardless.
 	Strict bool
-	// Workers bounds handler concurrency; 0 means GOMAXPROCS. For
-	// BackendParallel it caps the number of long-lived worker
-	// goroutines the machines are sharded over.
+	// Workers is how many goroutines run a round's handlers: at most 1
+	// (the default) runs them all inline on the driver; w ≥ 2 shards the
+	// machines over min(w, µ) shards, the driver running one and a
+	// long-lived worker goroutine each of the others. It never changes
+	// answers or accounting, only wall-clock time.
 	Workers int
-	// Backend selects the execution backend; the zero value is
-	// BackendSim, the deterministic single-driver oracle.
+	// Backend is ignored.
+	//
+	// Deprecated: Workers alone decides how handlers run.
 	Backend BackendKind
 }
+
+// BackendKind once selected between two executors; there is one now.
+//
+// Deprecated: set Config.Workers instead. The name and its two constants
+// are no-ops, kept only until the last callers move off them.
+type BackendKind int
+
+// Deprecated: ignored, like Config.Backend.
+const (
+	BackendSim BackendKind = iota
+	BackendParallel
+)
 
 // Auto returns the canonical DMPC configuration for an input of size n
 // words: S = scale·⌈√n⌉ memory words per machine and µ = ⌈n/S⌉+slack
@@ -163,15 +177,11 @@ func (h HalfStats) RoundsPerOp() float64 {
 // set of ops the algorithm executed simultaneously because they were
 // pairwise conflict-free at schedule time. Wave widths are the direct
 // measure of how much parallelism the scheduler extracted — a window whose
-// waves are all width 1 degenerates to sequential replay — and the word
-// columns expose how close a wave's packing came to the per-round cap S,
-// the budget the shared scheduler (internal/sched) packs against.
+// waves are all width 1 degenerates to sequential replay.
 type WaveStats struct {
-	Updates  int // wave width: updates executed concurrently in this wave
-	Queries  int // reads sequenced into this wave
-	Rounds   int // rounds attributed to this wave
-	SumWords int // words communicated over the wave's rounds
-	MaxWords int // peak words in any round of the wave
+	Updates int // wave width: updates executed concurrently in this wave
+	Queries int // reads sequenced into this wave
+	Rounds  int // rounds attributed to this wave
 }
 
 // MixedStats aggregates one window — the only kind there is: a single
@@ -259,7 +269,7 @@ type Cluster struct {
 	cfg      Config
 	machines []Machine
 	stats    Stats
-	exec     executor // how a round's handlers run; the only thing backends differ in
+	exec     *workerPool // how a round's handlers run
 
 	inboxes   [][]Message
 	pending   []int
@@ -284,10 +294,6 @@ func NewCluster(cfg Config) *Cluster {
 	if cfg.MemWords <= 0 {
 		panic("mpc: per-machine memory must be positive")
 	}
-	w := cfg.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
 	c := &Cluster{
 		cfg:       cfg,
 		machines:  make([]Machine, cfg.Machines),
@@ -295,14 +301,7 @@ func NewCluster(cfg Config) *Cluster {
 		inPending: make([]bool, cfg.Machines),
 	}
 	c.stats.pairWords = make(map[uint64]int)
-	switch cfg.Backend {
-	case BackendSim:
-		c.exec = newSimExec(c, w)
-	case BackendParallel:
-		c.exec = newParallelExec(c, w)
-	default:
-		panic(fmt.Sprintf("mpc: unknown backend %v", cfg.Backend))
-	}
+	c.exec = newWorkerPool(c, cfg.Workers)
 	return c
 }
 
@@ -350,10 +349,9 @@ func (c *Cluster) Send(msg Message) {
 	c.stage(msg)
 }
 
-// Close releases the backend's resources — the parallel backend's
-// long-lived worker goroutines, which have all exited when it returns. A
-// closed cluster must not Round again; Close is idempotent and a no-op for
-// the sim backend.
+// Close releases the worker goroutines (Workers ≥ 2), which have all
+// exited when it returns. A closed cluster must not Round again; Close is
+// idempotent, and a cluster whose handler panicked is already closed.
 func (c *Cluster) Close() { c.exec.close() }
 
 // BeginMixed starts an accounting window covering updates writes and
@@ -491,7 +489,7 @@ func (c *Cluster) Answers(ops []graph.Op) graph.Results {
 func (c *Cluster) Quiescent() bool { return len(c.pending) == 0 }
 
 // Round executes one synchronous round: delivers all pending messages,
-// runs every active machine's handler through the configured backend,
+// runs every active machine's handler through the worker pool,
 // stages the messages they send for the next round, and folds the round
 // into the open accounting window. It returns the round's statistics.
 func (c *Cluster) Round() RoundStats {
@@ -515,10 +513,6 @@ func (c *Cluster) Round() RoundStats {
 	}
 	if w != nil {
 		w.Rounds++
-		w.SumWords += rs.Words
-		if rs.Words > w.MaxWords {
-			w.MaxWords = rs.Words
-		}
 	}
 	return rs
 }
@@ -565,8 +559,9 @@ func (c *Cluster) violation(format string, args ...any) {
 //
 // The summation runs over the volumes in sorted order: floating-point
 // addition does not commute at the ulp, and map iteration order would
-// make the last bits run- and backend-dependent, which the determinism
-// rule — bit-identical Stats across backends — does not tolerate.
+// make the last bits run- and worker-count-dependent, which the
+// determinism rule — bit-identical Stats at every worker count — does not
+// tolerate.
 func (c *Cluster) CommEntropy() float64 {
 	pairs := c.pairVolumes()
 	total := 0

@@ -7,7 +7,7 @@ import (
 )
 
 // xorshift is the test-local deterministic RNG (math/rand would work too;
-// this keeps the property test's two backend runs trivially identical).
+// this keeps the property test's runs trivially identical).
 type xorshift uint64
 
 func (x *xorshift) next() uint64 {
@@ -20,47 +20,38 @@ func (x *xorshift) next() uint64 {
 }
 
 // TestSteadyStateAllocsPerRound pins the allocation bill of a
-// steady-state Round with every machine active — the pooled hot path —
-// and of the scatter/gather cascade, whose rounds alternate between one
-// broadcast fanned out to every inbox and every machine replying to one.
-// The round's scratch (active set, Ctx slab, inbox backing arrays) is
-// fully recycled, so the parallel backend's budget is zero.
-// The sim oracle inherently spawns one handler goroutine per activation
-// (a closure plus the goroutine itself, ~2 allocations per active
-// machine); its budget pins that linear bill so the pooled parts can't
-// silently regress underneath it.
+// steady-state Round with every machine active and of the scatter/gather
+// cascade, whose rounds alternate between one broadcast fanned out to
+// every inbox and every machine replying to one. The round's scratch
+// (active set, Ctx slab, inbox backing arrays) is fully recycled and the
+// workers are long-lived, so the budget is zero at every worker count.
 func TestSteadyStateAllocsPerRound(t *testing.T) {
 	const mu = 64
 	for _, bc := range []struct {
-		name   string
-		be     BackendKind
-		build  func(mu int, be BackendKind, workers int) *Cluster
-		budget float64
-	}{
-		{"parallel", BackendParallel, newPingCluster, 0.5},
-		{"sim", BackendSim, newPingCluster, 2*mu + 8},
-		{"parallel broadcast", BackendParallel, newScatterCluster, 0.5},
-	} {
-		c := bc.build(mu, bc.be, 4)
-		for i := 0; i < 64; i++ { // warm the pools past the growth phase
-			c.Round()
+		name  string
+		build func(mu, workers int) *Cluster
+	}{{"ping", newPingCluster}, {"broadcast", newScatterCluster}} {
+		for _, w := range workerCounts(mu) {
+			c := bc.build(mu, w)
+			for i := 0; i < 64; i++ { // warm the pools past the growth phase
+				c.Round()
+			}
+			if avg := testing.AllocsPerRun(100, func() { c.Round() }); avg > 0.5 {
+				t.Errorf("%s workers=%d: %.2f allocs/round at steady state, budget 0.5", bc.name, w, avg)
+			}
+			c.Close()
 		}
-		avg := testing.AllocsPerRun(100, func() { c.Round() })
-		if avg > bc.budget {
-			t.Errorf("%s: %.2f allocs/round at steady state, budget %.1f", bc.name, avg, bc.budget)
-		}
-		c.Close()
 	}
 }
 
 // TestSteadyStateAllocsPerAnswer pins that answers ride the pooled round:
-// at steady state a parallel-backend window whose machines answer k reads
+// at steady state a sharded window whose machines answer k reads
 // allocates what every one-wave window does — its MixedStats, its
 // WaveStats and the wave log — plus the slice Answers returns, and nothing
 // per answer.
 func TestSteadyStateAllocsPerAnswer(t *testing.T) {
 	const mu, k = 16, 256
-	c := NewCluster(Config{Machines: mu, MemWords: 1 << 16, Workers: 4, Backend: BackendParallel})
+	c := NewCluster(Config{Machines: mu, MemWords: 1 << 16, Workers: 4})
 	defer c.Close()
 	for i := 0; i < mu; i++ {
 		c.SetMachine(i, answerer)
@@ -128,14 +119,14 @@ func (m *chaosMachine) HandleRound(ctx *Ctx, inbox []Message) {
 // interleavings — external injections between rounds plus machines
 // sending and scheduling at random — the active set handed to settle is
 // strictly ascending, duplicate-free, in range, and exactly the set of
-// machines with a pending message or schedule bit, on both backends.
+// machines with a pending message or schedule bit, at every worker count.
 // This is the invariant the sparse pending set must preserve (the old
 // O(µ) scan got it for free) and the one settle's deterministic
 // ascending-order merge depends on.
 func TestActiveSetInvariantUnderChaos(t *testing.T) {
 	const mu = 33
-	for _, be := range []BackendKind{BackendSim, BackendParallel} {
-		c := NewCluster(Config{Machines: mu, MemWords: 1 << 16, Workers: 5, Backend: be})
+	for _, w := range workerCounts(mu) {
+		c := NewCluster(Config{Machines: mu, MemWords: 1 << 16, Workers: w})
 		ms := make([]*chaosMachine, mu)
 		for i := range ms {
 			ms[i] = &chaosMachine{id: i, mu: mu, rng: xorshift(uint64(i)*0x9e3779b97f4a7c15 + 1)}
@@ -160,8 +151,8 @@ func TestActiveSetInvariantUnderChaos(t *testing.T) {
 				expect[id] = true
 			}
 			if c.Quiescent() != (len(expect) == 0) {
-				t.Fatalf("%v step %d: Quiescent()=%v with %d expected pending",
-					be, step, c.Quiescent(), len(expect))
+				t.Fatalf("workers=%d step %d: Quiescent()=%v with %d expected pending",
+					w, step, c.Quiescent(), len(expect))
 			}
 			if len(expect) == 0 {
 				continue
@@ -170,19 +161,19 @@ func TestActiveSetInvariantUnderChaos(t *testing.T) {
 			rs := c.Round()
 
 			if len(observed) != len(expect) || rs.Active != len(observed) {
-				t.Fatalf("%v step %d: active set size %d (RoundStats %d), want %d",
-					be, step, len(observed), rs.Active, len(expect))
+				t.Fatalf("workers=%d step %d: active set size %d (RoundStats %d), want %d",
+					w, step, len(observed), rs.Active, len(expect))
 			}
 			for i, id := range observed {
 				if id < 0 || id >= mu {
-					t.Fatalf("%v step %d: active id %d out of range", be, step, id)
+					t.Fatalf("workers=%d step %d: active id %d out of range", w, step, id)
 				}
 				if i > 0 && observed[i-1] >= id {
-					t.Fatalf("%v step %d: active set not strictly ascending at %d: %v",
-						be, step, i, observed)
+					t.Fatalf("workers=%d step %d: active set not strictly ascending at %d: %v",
+						w, step, i, observed)
 				}
 				if !expect[id] {
-					t.Fatalf("%v step %d: machine %d active but never delivered/scheduled", be, step, id)
+					t.Fatalf("workers=%d step %d: machine %d active but never delivered/scheduled", w, step, id)
 				}
 			}
 
@@ -207,11 +198,11 @@ func TestActiveSetInvariantUnderChaos(t *testing.T) {
 // µ near MaxInt here stands in for the 32-bit case, where overflow
 // starts at entirely realistic cluster sizes (µ·shards > 2³¹). Pinned
 // against a big.Int oracle, alongside the graph.Chunk/SplitOps MaxInt
-// boundary tests. The executor is constructed bare: shardOf reads only
+// boundary tests. The pool is constructed bare: shardOf reads only
 // nshards and cfg.Machines, and a MaxInt cluster can't be allocated.
 func TestShardOfOverflowBoundary(t *testing.T) {
-	mk := func(machines, shards int) *parallelExec {
-		return &parallelExec{c: &Cluster{cfg: Config{Machines: machines}}, nshards: shards}
+	mk := func(machines, shards int) *workerPool {
+		return &workerPool{c: &Cluster{cfg: Config{Machines: machines}}, nshards: shards}
 	}
 	want := func(id, shards, machines int) int {
 		n := new(big.Int).Mul(big.NewInt(int64(id)), big.NewInt(int64(shards)))
@@ -296,15 +287,15 @@ func (r *recorder) HandleRound(ctx *Ctx, inbox []Message) {
 // input (From −1, one out-of-range send dropped as a violation) the pair
 // table — the unicast entries with the broadcast totals folded in —
 // equals the per-pair volumes recomputed from the messages the machines
-// were actually handed, on both backends, and CommEntropy and MaxPairWords
-// agree across them: stage and fanOut are the table's writers and bill
-// exactly what they deliver.
+// were actually handed, at every worker count, and CommEntropy and
+// MaxPairWords agree across them: stage and fanOut are the table's writers
+// and bill exactly what they deliver.
 func TestPairTableMatchesMessages(t *testing.T) {
 	const mu = 19
-	var entropy [2]float64
-	var maxPair [2]int
-	for bi, be := range []BackendKind{BackendSim, BackendParallel} {
-		c := NewCluster(Config{Machines: mu, MemWords: 1 << 16, Workers: 4, Backend: be})
+	var entropy []float64
+	var maxPair []int
+	for _, w := range workerCounts(mu) {
+		c := NewCluster(Config{Machines: mu, MemWords: 1 << 16, Workers: w})
 		recs := make([]*recorder, mu)
 		mute := false
 		for i := range recs {
@@ -325,41 +316,43 @@ func TestPairTableMatchesMessages(t *testing.T) {
 		c.Drain(2, "muted ping cluster")
 		c.Close()
 		if c.stats.Violations != 1 {
-			t.Fatalf("%v: %d violations, want the one out-of-range send", be, c.stats.Violations)
+			t.Fatalf("workers=%d: %d violations, want the one out-of-range send", w, c.stats.Violations)
 		}
 
 		want := map[uint64]int{}
 		for to, r := range recs {
 			for _, m := range r.got {
 				if m.To != to {
-					t.Fatalf("%v: machine %d was handed a message for %d", be, to, m.To)
+					t.Fatalf("workers=%d: machine %d was handed a message for %d", w, to, m.To)
 				}
 				want[pairKey(m.From, m.To)] += m.Words
 			}
 		}
 		table := c.pairVolumes()
 		if len(want) != len(table) {
-			t.Fatalf("%v: table has %d pairs, the delivered messages %d", be, len(table), len(want))
+			t.Fatalf("workers=%d: table has %d pairs, the delivered messages %d", w, len(table), len(want))
 		}
 		for k, w := range want {
 			if table[k] != w {
-				t.Fatalf("%v: pair (%d→%d): table %d words, delivered %d", be, int32(k>>32), int32(k), table[k], w)
+				t.Fatalf("workers=%d: pair (%d→%d): table %d words, delivered %d", w, int32(k>>32), int32(k), table[k], w)
 			}
 		}
 		if want[pairKey(-1, 0)] == 0 {
-			t.Fatalf("%v: no external traffic to machine 0 recorded under From −1", be)
+			t.Fatalf("workers=%d: no external traffic to machine 0 recorded under From −1", w)
 		}
 		var kinds [2]int
 		for _, b := range c.stats.bcastWords {
 			kinds[0], kinds[1] = max(kinds[0], b[0]), max(kinds[1], b[1])
 		}
 		if kinds[0] == 0 || kinds[1] == 0 {
-			t.Fatalf("%v: the script broadcast nothing with and without self", be)
+			t.Fatalf("workers=%d: the script broadcast nothing with and without self", w)
 		}
-		entropy[bi], maxPair[bi] = c.CommEntropy(), c.MaxPairWords()
+		entropy, maxPair = append(entropy, c.CommEntropy()), append(maxPair, c.MaxPairWords())
 	}
-	if entropy[0] != entropy[1] || maxPair[0] != maxPair[1] {
-		t.Fatalf("pair accounting differs across backends: entropy %v vs %v, max pair %d vs %d",
-			entropy[0], entropy[1], maxPair[0], maxPair[1])
+	for i := range entropy {
+		if entropy[i] != entropy[0] || maxPair[i] != maxPair[0] {
+			t.Fatalf("pair accounting differs across worker counts %v: entropy %v, max pair %v",
+				workerCounts(mu), entropy, maxPair)
+		}
 	}
 }

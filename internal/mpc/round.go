@@ -1,66 +1,9 @@
 package mpc
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 )
-
-// BackendKind selects the execution backend of a Cluster — how a round's
-// handlers run. All backends are observationally identical: for the same
-// machine programs and the same injected inputs they produce bit-identical
-// answers, Stats accounting, and violation counts (pinned by the
-// backend-equivalence suites over the committed fuzz corpora). They differ
-// only in wall-clock time.
-type BackendKind int
-
-const (
-	// BackendSim runs every active machine's handler on its own
-	// short-lived goroutine, bounded by Config.Workers. It is the
-	// correctness and accounting oracle every other backend is measured
-	// against.
-	BackendSim BackendKind = iota
-	// BackendParallel is the goroutine-per-machine runtime: long-lived
-	// worker goroutines (one per machine, sharded when µ exceeds the
-	// worker cap) woken over channels each round. Same answers and stats
-	// as BackendSim, measured in real time.
-	BackendParallel
-)
-
-// String returns the CLI spelling of the backend kind.
-func (k BackendKind) String() string {
-	switch k {
-	case BackendSim:
-		return "sim"
-	case BackendParallel:
-		return "parallel"
-	}
-	return fmt.Sprintf("BackendKind(%d)", int(k))
-}
-
-// ParseBackend parses the CLI spelling of a backend kind ("sim" or
-// "parallel").
-func ParseBackend(s string) (BackendKind, error) {
-	switch s {
-	case "sim":
-		return BackendSim, nil
-	case "parallel":
-		return BackendParallel, nil
-	}
-	return BackendSim, fmt.Errorf("unknown backend %q (want sim or parallel)", s)
-}
-
-// executor is the one thing backends differ in: how the handlers of a
-// round's active machines run. run calls c.handle(&slab[i], active[i])
-// exactly once for every position i, concurrently or not, and returns when
-// all have; close releases whatever it holds and is idempotent. Everything
-// that bills the model — delivery, staging order, pair accounting, caps —
-// happens in the Cluster before and after, so a backend cannot change the
-// computation, only its speed.
-type executor interface {
-	run(active []int, slab []Ctx)
-	close()
-}
 
 // pairKey packs an ordered machine pair into one word: from (−1 for
 // external input) and to in the two halves, exact while µ < 2³¹.
@@ -138,7 +81,7 @@ func (c *Cluster) beginRound() RoundStats {
 
 // handle runs machine id's handler for this round against ctx: context
 // set-up, inbox sort, HandleRound unless the slot is empty. It is what
-// every executor calls, and it touches only id's own inbox and ctx, so
+// every worker shard calls, and it touches only id's own inbox and ctx, so
 // co-active machines may run it concurrently.
 func (c *Cluster) handle(ctx *Ctx, id int) {
 	ctx.cluster, ctx.self, ctx.round = c, id, c.stats.Rounds
@@ -152,7 +95,7 @@ func (c *Cluster) handle(ctx *Ctx, id int) {
 // sortInbox orders a machine's inbox deterministically: by sender, then
 // per-sender sequence number. Ties (external messages share From -1 and
 // seq 0) keep arrival order — every path below is stable, so the result
-// is backend-independent. settle stages in ascending sender order, so an
+// is independent of the worker count. settle stages in ascending sender order, so an
 // inbox holding only handler output is in order already and costs one
 // pass. Otherwise small inboxes take an allocation-free insertion sort
 // instead of the reflective sort.SliceStable.
@@ -186,10 +129,10 @@ func msgLess(a, b Message) bool {
 // inboxes into the pool (payload-cleared), then stages every active
 // machine's outgoing messages and next-round schedules and merges its
 // answers into the window's table in ascending machine order — the merge
-// order that keeps delivery and violations bit-identical across backends
-// — enforcing the per-machine I/O cap, which counts a broadcast's words
-// once per recipient, and recycling each Ctx, and finally
-// folds memory accounting.
+// order that keeps delivery and violations bit-identical at every worker
+// count — enforcing the per-machine I/O cap, which counts a broadcast's
+// words once per recipient, and recycling each Ctx, and finally folds
+// memory accounting.
 func (c *Cluster) settle() {
 	for _, id := range c.active {
 		c.inboxes[id] = c.pool.retire(c.inboxes[id])

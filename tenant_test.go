@@ -44,7 +44,7 @@ func noisyMerge(victim []Arrival, burst int) []Arrival {
 // weights alone cannot shed backlog; admission is what bounds it). The
 // unweighted shared run must measurably hurt the victim, and the fair
 // run must beat it, proving the mechanism (not luck) provides the
-// isolation. Deterministic: fixed streams, sim backend.
+// isolation. Deterministic: fixed streams, handlers inline.
 func TestAdversarialTenantIsolation(t *testing.T) {
 	const steps, burst = 40, 12
 	const gap = 4 // rounds between victim queries; the storm rides each one
