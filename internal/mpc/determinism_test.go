@@ -91,3 +91,73 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 		}
 	}
 }
+
+// relayRounds steps the branching relay round by round at a worker count
+// and returns every round's statistics alongside the final fingerprint.
+func relayRounds(workers int) ([]RoundStats, []int64) {
+	const mu = 7
+	c := NewCluster(Config{Machines: mu, MemWords: 1 << 20, Workers: workers})
+	defer c.Close()
+	ms := make([]*relayMachine, mu)
+	for i := range ms {
+		ms[i] = &relayMachine{id: i, mu: mu, budget: 40}
+		c.SetMachine(i, ms[i])
+	}
+	c.Send(Message{To: 0, Payload: int64(1), Words: 1})
+	var rounds []RoundStats
+	for i := 0; i < 500 && !c.Quiescent(); i++ {
+		rounds = append(rounds, c.Round())
+	}
+	var trace []int64
+	for _, m := range ms {
+		trace = append(trace, int64(len(m.seen)))
+		trace = append(trace, m.seen...)
+	}
+	return rounds, trace
+}
+
+// TestParallelBackendMatchesSim: the sharded worker pool must reproduce
+// the inline run (Workers 1, every handler on the driver, the serial
+// reference) not only in its totals but round for round — the same
+// active set size, words and messages in every round, and the same trace
+// — at fewer workers than machines, one goroutine per machine, and more
+// workers than machines.
+func TestParallelBackendMatchesSim(t *testing.T) {
+	wantRounds, wantTrace := relayRounds(1)
+	if len(wantRounds) < 2 {
+		t.Fatalf("relay ran %d rounds; the workload must cascade", len(wantRounds))
+	}
+	for _, w := range []int{2, 3, 7, 16} {
+		gotRounds, gotTrace := relayRounds(w)
+		if !slices.Equal(gotRounds, wantRounds) {
+			t.Fatalf("workers=%d: per-round stats %v, inline %v", w, gotRounds, wantRounds)
+		}
+		if !slices.Equal(gotTrace, wantTrace) {
+			t.Fatalf("workers=%d: trace %v, inline %v", w, gotTrace, wantTrace)
+		}
+	}
+}
+
+// TestWorkersDeterminismPerBackend: Workers=1 and Workers=GOMAXPROCS give
+// bit-identical accounting on both workloads the round loop is tested
+// with — the branching relay, whose active set changes every round, and
+// the steady-state cascade, where every machine is active every round.
+// This is the Config.Workers guarantee.
+func TestWorkersDeterminismPerBackend(t *testing.T) {
+	f1, fn := runRelay(1), runRelay(runtime.GOMAXPROCS(0))
+	if f1.rounds != fn.rounds || f1.words != fn.words || f1.maxPair != fn.maxPair ||
+		f1.entropy != fn.entropy || !slices.Equal(f1.trace, fn.trace) {
+		t.Fatalf("relay: workers=1 got %+v, GOMAXPROCS got %+v", f1, fn)
+	}
+	ping := func(workers int) (Stats, int, float64) {
+		c := newPingCluster(16, workers)
+		defer c.Close()
+		c.Run(20)
+		return *c.Stats(), c.MaxPairWords(), c.CommEntropy()
+	}
+	s1, p1, h1 := ping(1)
+	sn, pn, hn := ping(runtime.GOMAXPROCS(0))
+	if s1.Rounds != sn.Rounds || s1.Words != sn.Words || s1.Messages != sn.Messages || p1 != pn || h1 != hn {
+		t.Fatalf("cascade: workers=1 got %+v/%d/%v, GOMAXPROCS got %+v/%d/%v", s1, p1, h1, sn, pn, hn)
+	}
+}
