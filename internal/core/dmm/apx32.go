@@ -33,10 +33,10 @@ func (c *coordinator) ctrEdgeEvent(ctx *mpc.Ctx, x, y int32, xFree, yFree bool, 
 		d = -1
 	}
 	if yFree {
-		c.send(ctx, c.statsOf(x), cmsg{Kind: cCtrAdd, Vs: []int32{x}, Ds: []int32{d}})
+		c.send(ctx, c.statsOf(x), &ctrMsg{Kind: cCtrAdd, Vs: []int32{x}, Ds: []int32{d}})
 	}
 	if xFree {
-		c.send(ctx, c.statsOf(y), cmsg{Kind: cCtrAdd, Vs: []int32{y}, Ds: []int32{d}})
+		c.send(ctx, c.statsOf(y), &ctrMsg{Kind: cCtrAdd, Vs: []int32{y}, Ds: []int32{d}})
 	}
 }
 
@@ -78,20 +78,21 @@ func (c *coordinator) flushNext(ctx *mpc.Ctx, pending []int32, dirs map[int32]in
 			return
 		}
 		for _, m := range machines {
-			c.send(ctx, m, cmsg{Kind: cList, V: v, H: c.suffixFor(m), Target: m})
+			c.send(ctx, m, &storageReq{Kind: cList, Seq: c.cur.seq, V: v, H: c.suffixFor(m)})
 		}
 		c.await(ctx, len(machines), func(ctx *mpc.Ctx) {
 			// Batch ±1 deltas to the stats machines, grouped by owner.
-			group := map[int32]*cmsg{}
+			group := map[int32]*ctrMsg{}
 			for _, r := range c.cur.replies {
-				if r.Kind != cListRep {
+				r, ok := r.(*storageRep)
+				if !ok || r.Kind != cListRep {
 					continue
 				}
 				for _, rec := range r.Recs {
 					sm := c.statsOf(rec.other)
 					g, ok := group[sm]
 					if !ok {
-						g = &cmsg{Kind: cCtrAdd}
+						g = &ctrMsg{Kind: cCtrAdd}
 						group[sm] = g
 					}
 					g.Vs = append(g.Vs, rec.other)
@@ -99,7 +100,7 @@ func (c *coordinator) flushNext(ctx *mpc.Ctx, pending []int32, dirs map[int32]in
 				}
 			}
 			for sm, g := range group {
-				c.send(ctx, sm, *g)
+				c.send(ctx, sm, g)
 			}
 			c.flushNext(ctx, pending, dirs, i+1, cont)
 		})
@@ -144,7 +145,7 @@ func (c *coordinator) insertMatch32(ctx *mpc.Ctx, x int32, sx stat, y int32, sy 
 // new edge (free, matched): if mate has a free neighbor w != free, rotate.
 func (c *coordinator) aug3ViaEdge(ctx *mpc.Ctx, free int32, sFree stat, matched int32, sMatched stat, cont func(ctx *mpc.Ctx)) {
 	mate := sMatched.mate
-	c.send(ctx, c.statsOf(mate), cmsg{Kind: cCtrGet, Vs: []int32{mate}})
+	c.send(ctx, c.statsOf(mate), &ctrMsg{Kind: cCtrGet, Seq: c.cur.seq, Vs: []int32{mate}})
 	c.statsReq(ctx, mate, 0)
 	c.await(ctx, 2, func(ctx *mpc.Ctx) {
 		sMate := c.statOf(mate)
@@ -177,14 +178,14 @@ func (c *coordinator) scanFreeExcluding(ctx *mpc.Ctx, v int32, s stat, excl int3
 			return
 		}
 		m := machines[i]
-		c.send(ctx, m, cmsg{
-			Kind: cScan, V: v, WantFree: true, Exclude: excl,
-			H: c.suffixFor(m), Target: m,
+		c.send(ctx, m, &storageReq{
+			Kind: cScan, Seq: c.cur.seq, V: v, WantFree: true, Exclude: excl,
+			H: c.suffixFor(m),
 		})
 		c.await(ctx, 1, func(ctx *mpc.Ctx) {
 			r := c.scanRep()
 			if r.FoundFree {
-				done(ctx, r.FreeW, r.Rec.heavy, true)
+				done(ctx, r.Rec.other, r.Rec.heavy, true)
 				return
 			}
 			step(ctx, i+1)
@@ -195,7 +196,7 @@ func (c *coordinator) scanFreeExcluding(ctx *mpc.Ctx, v int32, s stat, excl int3
 
 func (c *coordinator) ctrOf(v int32) int32 {
 	for _, r := range c.cur.replies {
-		if r.Kind == cCtrRep {
+		if r, ok := r.(*ctrMsg); ok {
 			for i, x := range r.Vs {
 				if x == v {
 					return r.Ds[i]
@@ -246,7 +247,7 @@ func (c *coordinator) aug3From(ctx *mpc.Ctx, z int32, cont func(ctx *mpc.Ctx)) {
 		}
 		machines := c.vertexMachines(s)
 		for _, m := range machines {
-			c.send(ctx, m, cmsg{Kind: cList, V: z, H: c.suffixFor(m), Target: m})
+			c.send(ctx, m, &storageReq{Kind: cList, Seq: c.cur.seq, V: z, H: c.suffixFor(m)})
 		}
 		c.await(ctx, len(machines), func(ctx *mpc.Ctx) {
 			// Collect matched neighbors' mates; remember each mate's
@@ -257,7 +258,8 @@ func (c *coordinator) aug3From(ctx *mpc.Ctx, z int32, cont func(ctx *mpc.Ctx)) {
 			partner := map[int32]edgeRec{}
 			var mates []int32
 			for _, r := range c.cur.replies {
-				if r.Kind != cListRep {
+				r, ok := r.(*storageRep)
+				if !ok || r.Kind != cListRep {
 					continue
 				}
 				for _, rec := range r.Recs {
@@ -284,13 +286,14 @@ func (c *coordinator) aug3From(ctx *mpc.Ctx, z int32, cont func(ctx *mpc.Ctx)) {
 				group[c.statsOf(mt)] = append(group[c.statsOf(mt)], mt)
 			}
 			for sm, vs := range group {
-				c.send(ctx, sm, cmsg{Kind: cCtrGet, Vs: vs})
+				c.send(ctx, sm, &ctrMsg{Kind: cCtrGet, Seq: c.cur.seq, Vs: vs})
 			}
 			c.await(ctx, len(group), func(ctx *mpc.Ctx) {
 				var candMates []int32
 				ctrs := map[int32]int32{}
 				for _, r := range c.cur.replies {
-					if r.Kind != cCtrRep {
+					r, ok := r.(*ctrMsg)
+					if !ok {
 						continue
 					}
 					for i, v := range r.Vs {

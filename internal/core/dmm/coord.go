@@ -6,37 +6,23 @@ import (
 	"dmpc/internal/mpc"
 )
 
-// Message kinds of the §3 protocol. Every storage-bound message carries
-// the H suffix the target has not yet seen; every storage reply reports
-// words reclaimed by lazy deletions, keeping the coordinator's free-space
-// directory current.
-type ckind int32
+// ckind names the message kinds that share a payload type: the rare
+// storage traffic (scans, moves, lists) and the §4 counters. Every
+// storage-bound message carries the H suffix the target has not yet seen;
+// every storage reply reports words reclaimed by lazy deletions, keeping
+// the coordinator's free-space directory current.
+type ckind int8
 
 const (
-	cUpdate   ckind = iota // external update at MC
-	cStatsReq              // MC -> stats: apply degree delta, reply stat
-	cStatsRep
-	cStatsSet // MC -> stats: field updates
-	cStore    // MC -> storage: add one edge record (no reply)
-	cScan     // MC -> storage: scan v's records for matching candidates
-	cScanRep
-	cMoveOut // MC -> storage: ship v's records to a target
-	cMoveIn  // storage -> storage: record payload
-	cAck     // storage -> MC: {Freed, Used, Count}
-	cRefresh // MC -> storage: apply H suffix only (round-robin)
-
-	// §4 extension traffic.
-	cList    // MC -> storage: report v's full records
-	cListRep // storage -> MC
-	cCtrGet  // MC -> stats: batched free-neighbor counter reads
-	cCtrRep  // stats -> MC
-	cCtrAdd  // MC -> stats: batched counter deltas (no reply)
-
-	// Query traffic: external mate query at the authoritative statistics
-	// machine, which records the answer for the driver to gather. Queries
-	// bypass MC entirely — the §3 query path needs one round, not the
-	// coordinator's serial pipeline.
-	cMateQuery
+	cScan    ckind = iota // MC -> storage: scan v's records for matching candidates
+	cScanRep              // storage -> MC
+	cMoveOut              // MC -> storage: ship v's records to a target
+	cMoveIn               // storage -> storage: record payload
+	cList                 // MC -> storage: report v's full records (§4)
+	cListRep              // storage -> MC
+	cCtrGet               // MC -> stats: batched free-neighbor counter reads (§4)
+	cCtrRep               // stats -> MC
+	cCtrAdd               // MC -> stats: batched counter deltas (no reply)
 )
 
 // hop describes one update-history entry. hMatched carries the heaviness
@@ -64,8 +50,8 @@ type hentry struct {
 // all refreshed lazily through H.
 type edgeRec struct {
 	other     int32
-	matched   bool
 	mate      int32
+	matched   bool
 	heavy     bool
 	mateHeavy bool
 }
@@ -78,63 +64,133 @@ const edgeWords = 7
 type stat struct {
 	deg       int32
 	mate      int32 // -1 free
-	heavy     bool
 	home      int32
 	aliveCnt  int32 // physical records on the alive machine (approximate)
-	suspended []int32
 	freeNbr   int32 // §4 free-neighbor counter
+	heavy     bool
+	suspended []int32
 }
 
-type cmsg struct {
-	Kind ckind
-	A, B int32
+// Payloads. Every message travels as a pointer to one of the types below,
+// each holding only the fields of the kinds it serves (TestPayloadSizes
+// bounds them); the words a message bills are declared at its send.
+// Payloads are immutable once sent: a handler reads what it receives and
+// never writes it — a receiver may keep what it was sent, as a reply may
+// share its request's slices — and a flow that keeps a reply keeps the
+// pointer. The -race replays at replicaWorkers check it.
+
+// update is an external update at MC.
+type update struct {
 	Seq  int64
+	A, B int32
 	Del  bool
+}
 
-	// stats traffic
-	DegDelta int32
-	St       stat
-	SetMate  bool
-	Mate     int32
-	SetHeavy bool
-	Heavy    bool
-	SetHome  bool
-	Home     int32
-	SetCnt   bool
-	Cnt      int32
-	SetSusp  bool
-	Susp     []int32
+// mateQuery is an external mate query at V's statistics machine, which
+// answers it; Seq is the read's stream position. Queries bypass MC
+// entirely — the §3 query path needs one round, not the coordinator's
+// serial pipeline.
+type mateQuery struct {
+	Seq int64
+	V   int32
+}
 
-	// storage traffic
+// statsReq asks V's statistics machine to apply a degree delta and reply
+// with V's stat.
+type statsReq struct {
+	Seq      int64
 	V        int32
-	Rec      edgeRec
-	H        []hentry
-	Target   int32
-	Keep     int32
-	Overflow int32
-	Recs     []edgeRec
-	Freed    int32
-	Used     int32
-	Count    int32
-
-	// scan request/reply
-	WantFree   bool
-	WantSteal  bool
-	Exclude    int32 // vertex to skip in free-neighbor searches (-1 none)
-	FoundFree  bool
-	FreeW      int32
-	FoundSteal bool
-	StealW     int32
-	StealMate  int32
-
-	// §4 counter traffic
-	Vs []int32
-	Ds []int32
+	DegDelta int32
 }
 
-func (m cmsg) words() int {
-	return 14 + 4*len(m.H) + edgeWords*len(m.Recs) + len(m.Susp) + len(m.Vs) + len(m.Ds)
+type statsRep struct {
+	Seq int64
+	St  stat // St.suspended is the reply's own copy, capped
+	V   int32
 }
+
+// statsSet is one authoritative field write (no reply); suspSet replaces
+// V's suspended stack.
+type statsSet struct {
+	V     int32
+	Field sfield
+	Val   int32
+}
+
+type sfield int8
+
+const (
+	fMate  sfield = iota
+	fHeavy        // Val 0 or 1
+	fHome
+	fCnt
+)
+
+type suspSet struct {
+	V    int32
+	Susp []int32
+}
+
+// storeMsg replays H on a storage machine, then adds Rec to V's list (a
+// store) or, on a refresh, only acks.
+type storeMsg struct {
+	H       []hentry
+	V       int32
+	Rec     edgeRec
+	Refresh bool
+}
+
+// ack reports a storage machine's free-space delta to MC: Seq -1 for the
+// unsolicited store and refresh bookkeeping, the flow's seq on a move,
+// where Count is the number of records the target kept.
+type ack struct {
+	Seq                int64
+	Target             int32 // the sender
+	Freed, Used, Count int32
+}
+
+// storageReq is MC's rare storage traffic: replay H, then scan (cScan),
+// ship (cMoveOut: to Target, which keeps Keep records and passes the rest
+// to Overflow; -1 for all and none) or list (cList) V's records.
+type storageReq struct {
+	Seq                 int64
+	H                   []hentry
+	V, Target           int32
+	Keep, Overflow      int32
+	Exclude             int32 // scan: vertex to skip in free-neighbor searches (-1 none)
+	Kind                ckind
+	WantFree, WantSteal bool
+}
+
+// storageRep answers a storageReq: a scan's find (Rec: the free neighbor,
+// or the neighbor to steal, whose mate is Rec.mate), a list's records, or
+// — storage to storage — a move's records (cMoveIn, which carries the
+// move's V, Keep and Overflow).
+type storageRep struct {
+	Seq                   int64
+	Recs                  []edgeRec
+	V, Target, Freed      int32 // Target: the sender
+	Keep, Overflow        int32
+	Rec                   edgeRec
+	Kind                  ckind
+	FoundFree, FoundSteal bool
+}
+
+// ctrMsg is §4 counter traffic: reads (cCtrGet, answered by a cCtrRep
+// carrying the values in Ds) and deltas (cCtrAdd).
+type ctrMsg struct {
+	Seq    int64
+	Vs, Ds []int32
+	Kind   ckind
+}
+
+// What MC's sends declare: 14 words plus what the variable parts carry.
+func (*statsReq) words() int     { return 14 }
+func (*statsSet) words() int     { return 14 }
+func (m *suspSet) words() int    { return 14 + len(m.Susp) }
+func (m *storeMsg) words() int   { return 14 + 4*len(m.H) }
+func (m *storageReq) words() int { return 14 + 4*len(m.H) }
+func (m *ctrMsg) words() int     { return 14 + len(m.Vs) + len(m.Ds) }
 
 // Machine kinds in the coordinator's directory.
 const (
@@ -194,7 +250,7 @@ type coordinator struct {
 	// injection and ack-tail rounds with its successor but never running
 	// two case analyses concurrently.
 	serialize bool
-	queue     []cmsg
+	queue     []*update
 }
 
 // flow is one in-flight update's continuation state at MC: which replies
@@ -202,7 +258,7 @@ type coordinator struct {
 type flow struct {
 	seq     int64
 	waiting int
-	replies []cmsg
+	replies []any // payloads, as received
 	cont    func(ctx *mpc.Ctx)
 }
 
@@ -341,55 +397,62 @@ func (c *coordinator) await(ctx *mpc.Ctx, n int, f func(ctx *mpc.Ctx)) {
 	fl.cont = f
 }
 
-func (c *coordinator) send(ctx *mpc.Ctx, to int32, m cmsg) {
-	if m.Seq == 0 {
-		m.Seq = c.cur.seq
-	}
+func (c *coordinator) send(ctx *mpc.Ctx, to int32, m interface{ words() int }) {
 	ctx.Send(int(to), m, m.words())
 }
 
 // sendStore ships an edge record with the target's H suffix; no reply.
 func (c *coordinator) sendStore(ctx *mpc.Ctx, target, v int32, rec edgeRec) {
-	c.send(ctx, target, cmsg{Kind: cStore, V: v, Rec: rec, H: c.suffixFor(target), Target: target})
+	c.send(ctx, target, &storeMsg{V: v, Rec: rec, H: c.suffixFor(target)})
 	c.freeWords[target] -= edgeWords
+}
+
+// refresh ships machine m its H suffix; m acks with what it reclaimed.
+func (c *coordinator) refresh(ctx *mpc.Ctx, m int32) {
+	c.send(ctx, m, &storeMsg{H: c.suffixFor(m), Refresh: true})
 }
 
 func (c *coordinator) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 	for _, raw := range inbox {
-		m, ok := raw.Payload.(cmsg)
-		if !ok {
-			continue
-		}
-		switch m.Kind {
-		case cUpdate:
+		var seq int64
+		switch m := raw.Payload.(type) {
+		case *update:
 			if c.serialize && len(c.inflight) > 0 {
 				c.queue = append(c.queue, m)
 				continue
 			}
 			c.begin(ctx, m)
-		case cStatsRep, cScanRep, cAck, cListRep, cCtrRep:
-			if m.Kind != cStatsRep && m.Kind != cCtrRep {
-				// Free-space deltas ride on every storage reply.
-				c.freeWords[m.Target] += m.Freed - m.Used
-			}
-			fl := c.inflight[m.Seq] // Seq -1: unsolicited bookkeeping ack
-			if fl == nil {
-				continue
-			}
-			fl.replies = append(fl.replies, m)
-			if fl.cont != nil && len(fl.replies) >= fl.waiting {
-				f := fl.cont
-				fl.cont = nil
-				c.cur = fl
-				f(ctx)
-			}
+			continue
+		case *ack: // free-space deltas ride on every storage reply
+			c.freeWords[m.Target] += m.Freed - m.Used
+			seq = m.Seq
+		case *storageRep:
+			c.freeWords[m.Target] += m.Freed
+			seq = m.Seq
+		case *statsRep:
+			seq = m.Seq
+		case *ctrMsg:
+			seq = m.Seq
+		default:
+			continue
+		}
+		fl := c.inflight[seq] // seq -1: unsolicited bookkeeping ack
+		if fl == nil {
+			continue
+		}
+		fl.replies = append(fl.replies, raw.Payload)
+		if fl.cont != nil && len(fl.replies) >= fl.waiting {
+			f := fl.cont
+			fl.cont = nil
+			c.cur = fl
+			f(ctx)
 		}
 	}
 }
 
 // begin opens a flow for the update and starts its case analysis in the
 // current round.
-func (c *coordinator) begin(ctx *mpc.Ctx, m cmsg) {
+func (c *coordinator) begin(ctx *mpc.Ctx, m *update) {
 	fl := &flow{seq: m.Seq}
 	c.inflight[m.Seq] = fl
 	c.cur = fl
@@ -398,16 +461,16 @@ func (c *coordinator) begin(ctx *mpc.Ctx, m cmsg) {
 
 func (c *coordinator) statOf(v int32) stat {
 	for _, r := range c.cur.replies {
-		if r.Kind == cStatsRep && r.V == v {
+		if r, ok := r.(*statsRep); ok && r.V == v {
 			return r.St
 		}
 	}
 	panic(fmt.Sprintf("dmm: missing stats reply for %d", v))
 }
 
-func (c *coordinator) scanRep() cmsg {
+func (c *coordinator) scanRep() *storageRep {
 	for _, r := range c.cur.replies {
-		if r.Kind == cScanRep {
+		if r, ok := r.(*storageRep); ok && r.Kind == cScanRep {
 			return r
 		}
 	}
@@ -416,7 +479,7 @@ func (c *coordinator) scanRep() cmsg {
 
 func (c *coordinator) ackCount(target int32) int32 {
 	for _, r := range c.cur.replies {
-		if r.Kind == cAck && r.Target == target {
+		if r, ok := r.(*ack); ok && r.Target == target {
 			return r.Count
 		}
 	}
@@ -425,24 +488,18 @@ func (c *coordinator) ackCount(target int32) int32 {
 
 // statsSet helpers: authoritative field writes.
 
-func (c *coordinator) setMate(ctx *mpc.Ctx, v, mate int32) {
-	c.send(ctx, c.statsOf(v), cmsg{Kind: cStatsSet, V: v, SetMate: true, Mate: mate})
+func (c *coordinator) setField(ctx *mpc.Ctx, v int32, f sfield, val int32) {
+	c.send(ctx, c.statsOf(v), &statsSet{V: v, Field: f, Val: val})
 }
 
-func (c *coordinator) setHeavy(ctx *mpc.Ctx, v int32, heavy bool) {
-	c.send(ctx, c.statsOf(v), cmsg{Kind: cStatsSet, V: v, SetHeavy: true, Heavy: heavy})
-}
+func (c *coordinator) setMate(ctx *mpc.Ctx, v, mate int32) { c.setField(ctx, v, fMate, mate) }
 
-func (c *coordinator) setHome(ctx *mpc.Ctx, v, home int32) {
-	c.send(ctx, c.statsOf(v), cmsg{Kind: cStatsSet, V: v, SetHome: true, Home: home})
-}
+func (c *coordinator) setHome(ctx *mpc.Ctx, v, home int32) { c.setField(ctx, v, fHome, home) }
 
-func (c *coordinator) setCnt(ctx *mpc.Ctx, v, cnt int32) {
-	c.send(ctx, c.statsOf(v), cmsg{Kind: cStatsSet, V: v, SetCnt: true, Cnt: cnt})
-}
+func (c *coordinator) setCnt(ctx *mpc.Ctx, v, cnt int32) { c.setField(ctx, v, fCnt, cnt) }
 
 func (c *coordinator) setSusp(ctx *mpc.Ctx, v int32, susp []int32) {
-	c.send(ctx, c.statsOf(v), cmsg{Kind: cStatsSet, V: v, SetSusp: true, Susp: append([]int32(nil), susp...)})
+	c.send(ctx, c.statsOf(v), &suspSet{V: v, Susp: append([]int32(nil), susp...)})
 }
 
 // flipInfo coalesces a vertex's matching-status flips within one update;
@@ -534,6 +591,6 @@ func (c *coordinator) refreshOne(ctx *mpc.Ctx) {
 	if n > 0 {
 		m := int32(c.firstStore() + c.refreshAt%n)
 		c.refreshAt++
-		c.send(ctx, m, cmsg{Kind: cRefresh, H: c.suffixFor(m), Target: m})
+		c.refresh(ctx, m)
 	}
 }

@@ -273,7 +273,7 @@ func (m *M) runOpWave(ops []graph.Op, ids []int64, wave []int) {
 		if op.IsQuery() {
 			m.cluster.Send(mpc.Message{
 				From: -1, To: 1 + op.U/m.coord.statsPer,
-				Payload: cmsg{Kind: cMateQuery, V: int32(op.U), Seq: int64(i)},
+				Payload: &mateQuery{Seq: int64(i), V: int32(op.U)},
 				Words:   3,
 			})
 			continue
@@ -306,7 +306,7 @@ func (m *M) runChained(ops []graph.Op, ids []int64, seg []int) {
 func (m *M) inject(up graph.Update, seq int64) {
 	m.cluster.Send(mpc.Message{
 		From: -1, To: 0,
-		Payload: cmsg{Kind: cUpdate, A: int32(up.U), B: int32(up.V), Seq: seq, Del: up.Op == graph.Delete},
+		Payload: &update{Seq: seq, A: int32(up.U), B: int32(up.V), Del: up.Op == graph.Delete},
 		Words:   4,
 	})
 }

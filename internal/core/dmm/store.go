@@ -2,6 +2,7 @@ package dmm
 
 import (
 	"fmt"
+	"slices"
 
 	"dmpc/internal/graph"
 	"dmpc/internal/mpc"
@@ -12,7 +13,7 @@ import (
 type statsMachine struct {
 	id        int
 	stats     map[int32]*stat
-	suspWords int // Σ len(stat.suspended), kept at the one SetSusp site
+	suspWords int // Σ len(stat.suspended), kept at the one suspSet site
 }
 
 func newStatsMachine(id int) *statsMachine {
@@ -44,7 +45,7 @@ func (s *statsMachine) get(v int32) *stat {
 // peek returns v's stat without allocating authoritative state for a
 // never-touched vertex — the read of the driver-side batch scheduler, the
 // MateTable oracle, Validate and mate queries. The suspended list is the
-// live slice, read-only (SetSusp replaces it whole; Validate alone looks).
+// live slice, read-only (a suspSet replaces it whole; Validate alone looks).
 func (s *statsMachine) peek(v int32) stat {
 	if st, ok := s.stats[v]; ok {
 		return *st
@@ -54,47 +55,43 @@ func (s *statsMachine) peek(v int32) stat {
 
 func (s *statsMachine) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 	for _, raw := range inbox {
-		m, ok := raw.Payload.(cmsg)
-		if !ok {
-			continue
-		}
-		switch m.Kind {
-		case cStatsReq:
+		switch m := raw.Payload.(type) {
+		case *statsReq:
 			st := s.get(m.V)
 			st.deg += m.DegDelta
 			cp := *st
-			cp.suspended = append([]int32(nil), st.suspended...)
-			ctx.Send(0, cmsg{Kind: cStatsRep, Seq: m.Seq, V: m.V, St: cp}, 8+len(cp.suspended))
-		case cStatsSet:
+			cp.suspended = slices.Clip(append([]int32(nil), st.suspended...))
+			ctx.Send(0, &statsRep{Seq: m.Seq, V: m.V, St: cp}, 8+len(cp.suspended))
+		case *statsSet:
 			st := s.get(m.V)
-			if m.SetMate {
-				st.mate = m.Mate
+			switch m.Field {
+			case fMate:
+				st.mate = m.Val
+			case fHeavy:
+				st.heavy = m.Val != 0
+			case fHome:
+				st.home = m.Val
+			case fCnt:
+				st.aliveCnt = m.Val
 			}
-			if m.SetHeavy {
-				st.heavy = m.Heavy
-			}
-			if m.SetHome {
-				st.home = m.Home
-			}
-			if m.SetCnt {
-				st.aliveCnt = m.Cnt
-			}
-			if m.SetSusp {
-				s.suspWords += len(m.Susp) - len(st.suspended)
-				st.suspended = append([]int32(nil), m.Susp...)
-			}
-		case cCtrAdd:
-			for i, v := range m.Vs {
-				s.get(v).freeNbr += m.Ds[i]
-			}
-		case cMateQuery:
+		case *suspSet:
+			// MC sent its own copy and never writes it again: keep it.
+			st := s.get(m.V)
+			s.suspWords += len(m.Susp) - len(st.suspended)
+			st.suspended = m.Susp
+		case *mateQuery:
 			// Plain lookup: a read must not allocate authoritative state
 			// for a never-touched vertex (free vertices report -1 anyway).
 			// The answer is mate(V); ApplyOps folds OpMatched from it.
 			ctx.Answer(int(m.Seq), graph.Answer{Int: int64(s.peek(m.V).mate)})
-		case cCtrGet:
-			reply := cmsg{Kind: cCtrRep, Seq: m.Seq, Vs: append([]int32(nil), m.Vs...)}
-			reply.Ds = make([]int32, len(m.Vs))
+		case *ctrMsg:
+			if m.Kind == cCtrAdd {
+				for i, v := range m.Vs {
+					s.get(v).freeNbr += m.Ds[i]
+				}
+				continue
+			}
+			reply := &ctrMsg{Kind: cCtrRep, Seq: m.Seq, Vs: m.Vs, Ds: make([]int32, len(m.Vs))}
 			for i, v := range m.Vs {
 				reply.Ds[i] = s.get(v).freeNbr
 			}
@@ -267,57 +264,52 @@ func (s *storeMachine) removeRec(v, other int32) int32 {
 
 func (s *storeMachine) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 	for _, raw := range inbox {
-		m, ok := raw.Payload.(cmsg)
-		if !ok {
-			continue
-		}
-		switch m.Kind {
-		case cStore:
+		switch m := raw.Payload.(type) {
+		case *storeMsg:
 			freed := s.applyH(m.H)
-			s.add(m.V, m.Rec)
-			if freed > 0 {
-				ctx.Send(0, cmsg{Kind: cAck, Seq: -1, Target: int32(s.id), Freed: freed}, 4)
+			if !m.Refresh {
+				s.add(m.V, m.Rec)
 			}
-		case cRefresh:
+			if freed > 0 || m.Refresh {
+				ctx.Send(0, &ack{Seq: -1, Target: int32(s.id), Freed: freed}, 4)
+			}
+		case *storageReq:
 			freed := s.applyH(m.H)
-			ctx.Send(0, cmsg{Kind: cAck, Seq: -1, Target: int32(s.id), Freed: freed}, 4)
-		case cScan:
-			freed := s.applyH(m.H)
-			reply := cmsg{Kind: cScanRep, Seq: m.Seq, V: m.V, Target: int32(s.id), Freed: freed}
-			for _, r := range s.edges[m.V] {
-				if m.WantFree && !r.matched && r.other != m.Exclude {
-					reply.FoundFree, reply.FreeW, reply.Rec = true, r.other, r
-					break
+			switch m.Kind {
+			case cScan:
+				reply := &storageRep{Kind: cScanRep, Seq: m.Seq, Target: int32(s.id), Freed: freed}
+				for _, r := range s.edges[m.V] {
+					if m.WantFree && !r.matched && r.other != m.Exclude {
+						reply.FoundFree, reply.Rec = true, r
+						break
+					}
+					if m.WantSteal && !reply.FoundSteal && r.matched && !r.mateHeavy {
+						reply.FoundSteal, reply.Rec = true, r
+					}
 				}
-				if m.WantSteal && !reply.FoundSteal && r.matched && !r.mateHeavy {
-					reply.FoundSteal, reply.StealW, reply.StealMate = true, r.other, r.mate
-					reply.Rec = r
+				if reply.FoundFree {
+					reply.FoundSteal = false
 				}
+				ctx.Send(0, reply, 12)
+			case cList:
+				recs := append([]edgeRec(nil), s.edges[m.V]...)
+				ctx.Send(0, &storageRep{
+					Kind: cListRep, Seq: m.Seq, Target: int32(s.id),
+					Freed: freed, Recs: recs,
+				}, 4+edgeWords*len(recs))
+			case cMoveOut:
+				recs := s.edges[m.V]
+				delete(s.edges, m.V)
+				for _, r := range recs {
+					s.unindex(m.V, r.other)
+				}
+				freed += int32(len(recs) * edgeWords)
+				ctx.Send(int(m.Target), &storageRep{
+					Kind: cMoveIn, Seq: m.Seq, V: m.V, Recs: recs, Keep: m.Keep, Overflow: m.Overflow,
+				}, 2+edgeWords*len(recs))
+				ctx.Send(0, &ack{Seq: m.Seq, Target: int32(s.id), Freed: freed}, 4)
 			}
-			if reply.FoundFree {
-				reply.FoundSteal = false
-			}
-			ctx.Send(0, reply, 12)
-		case cList:
-			freed := s.applyH(m.H)
-			recs := append([]edgeRec(nil), s.edges[m.V]...)
-			ctx.Send(0, cmsg{
-				Kind: cListRep, Seq: m.Seq, V: m.V, Target: int32(s.id),
-				Freed: freed, Recs: recs,
-			}, 4+edgeWords*len(recs))
-		case cMoveOut:
-			freed := s.applyH(m.H)
-			recs := s.edges[m.V]
-			delete(s.edges, m.V)
-			for _, r := range recs {
-				s.unindex(m.V, r.other)
-			}
-			freed += int32(len(recs) * edgeWords)
-			ctx.Send(int(m.Target), cmsg{
-				Kind: cMoveIn, Seq: m.Seq, V: m.V, Recs: recs, Keep: m.Keep, Overflow: m.Overflow,
-			}, 2+edgeWords*len(recs))
-			ctx.Send(0, cmsg{Kind: cAck, Seq: m.Seq, Target: int32(s.id), Freed: freed}, 4)
-		case cMoveIn:
+		case *storageRep: // cMoveIn
 			recs := m.Recs
 			kept := recs
 			if m.Keep >= 0 && int(m.Keep) < len(recs) {
@@ -326,13 +318,13 @@ func (s *storeMachine) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 			for _, r := range kept {
 				s.add(m.V, r)
 			}
-			ctx.Send(0, cmsg{
-				Kind: cAck, Seq: m.Seq, Target: int32(s.id),
+			ctx.Send(0, &ack{
+				Seq: m.Seq, Target: int32(s.id),
 				Used: int32(len(kept) * edgeWords), Count: int32(len(kept)),
 			}, 5)
 			if m.Overflow >= 0 {
 				rest := recs[len(kept):]
-				ctx.Send(int(m.Overflow), cmsg{
+				ctx.Send(int(m.Overflow), &storageRep{
 					Kind: cMoveIn, Seq: m.Seq, V: m.V, Recs: rest, Keep: -1, Overflow: -1,
 				}, 2+edgeWords*len(rest))
 			}

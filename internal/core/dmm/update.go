@@ -9,7 +9,7 @@ import (
 // cluster rounds and touching O(1) machines; the H suffixes riding on the
 // messages bound communication by O(√N) words per round.
 
-func (c *coordinator) startUpdate(ctx *mpc.Ctx, m cmsg) {
+func (c *coordinator) startUpdate(ctx *mpc.Ctx, m *update) {
 	if m.A == m.B {
 		c.updateDone(ctx)
 		return
@@ -22,7 +22,7 @@ func (c *coordinator) startUpdate(ctx *mpc.Ctx, m cmsg) {
 }
 
 func (c *coordinator) statsReq(ctx *mpc.Ctx, v, delta int32) {
-	c.send(ctx, c.statsOf(v), cmsg{Kind: cStatsReq, V: v, DegDelta: delta})
+	c.send(ctx, c.statsOf(v), &statsReq{Seq: c.cur.seq, V: v, DegDelta: delta})
 }
 
 // --- insert -------------------------------------------------------------
@@ -156,14 +156,14 @@ func (c *coordinator) rematchLightKnown(ctx *mpc.Ctx, v int32, s stat, cont func
 		cont(ctx)
 		return
 	}
-	c.send(ctx, s.home, cmsg{
-		Kind: cScan, V: v, WantFree: true, Exclude: -1,
-		H: c.suffixFor(s.home), Target: s.home,
+	c.send(ctx, s.home, &storageReq{
+		Kind: cScan, Seq: c.cur.seq, V: v, WantFree: true, Exclude: -1,
+		H: c.suffixFor(s.home),
 	})
 	c.await(ctx, 1, func(ctx *mpc.Ctx) {
 		r := c.scanRep()
 		if r.FoundFree {
-			c.matchPair(ctx, v, r.FreeW, s.heavy, r.Rec.heavy)
+			c.matchPair(ctx, v, r.Rec.other, s.heavy, r.Rec.heavy)
 		}
 		cont(ctx)
 	})
@@ -193,18 +193,18 @@ func (c *coordinator) surrogateScan(ctx *mpc.Ctx, v int32, s stat, machines []in
 		cont(ctx)
 		return
 	}
-	c.send(ctx, m, cmsg{
-		Kind: cScan, V: v, WantFree: true, WantSteal: true, Exclude: -1,
-		H: c.suffixFor(m), Target: m,
+	c.send(ctx, m, &storageReq{
+		Kind: cScan, Seq: c.cur.seq, V: v, WantFree: true, WantSteal: true, Exclude: -1,
+		H: c.suffixFor(m),
 	})
 	c.await(ctx, 1, func(ctx *mpc.Ctx) {
 		r := c.scanRep()
 		switch {
 		case r.FoundFree:
-			c.matchPair(ctx, v, r.FreeW, s.heavy, r.Rec.heavy)
+			c.matchPair(ctx, v, r.Rec.other, s.heavy, r.Rec.heavy)
 			cont(ctx)
 		case r.FoundSteal:
-			w, z := r.StealW, r.StealMate
+			w, z := r.Rec.other, r.Rec.mate
 			c.unmatchPair(ctx, w, z)
 			c.matchPair(ctx, v, w, s.heavy, r.Rec.heavy)
 			c.rematchLight(ctx, z, cont)
@@ -239,7 +239,7 @@ func (c *coordinator) transitionUp(ctx *mpc.Ctx, v int32, s *stat, cont func(ctx
 	}
 	s.heavy = true
 	c.hAppend(hentry{op: hHeavyOn, a: v})
-	c.setHeavy(ctx, v, true)
+	c.setField(ctx, v, fHeavy, 1)
 	if s.home < 0 {
 		// Degenerate: no stored edges yet (cannot happen at threshold >= 1).
 		cont(ctx)
@@ -248,8 +248,8 @@ func (c *coordinator) transitionUp(ctx *mpc.Ctx, v int32, s *stat, cont func(ctx
 	alive := c.allocate(mkExclusive, int32(c.mem))
 	susp := c.allocate(mkExclusive, int32(c.mem))
 	old := s.home
-	c.send(ctx, old, cmsg{
-		Kind: cMoveOut, V: v, Target: alive, Keep: int32(c.aliveCap), Overflow: susp,
+	c.send(ctx, old, &storageReq{
+		Kind: cMoveOut, Seq: c.cur.seq, V: v, Target: alive, Keep: int32(c.aliveCap), Overflow: susp,
 		H: c.suffixFor(old),
 	})
 	// Three acks: source, alive target, overflow target.
@@ -281,17 +281,17 @@ func (c *coordinator) transitionDown(ctx *mpc.Ctx, v int32, s *stat, cont func(c
 	}
 	s.heavy = false
 	c.hAppend(hentry{op: hHeavyOff, a: v})
-	c.setHeavy(ctx, v, false)
+	c.setField(ctx, v, fHeavy, 0)
 	sources := append([]int32{}, s.home)
 	sources = append(sources, s.suspended...)
 	target := c.allocate(mkLight, (s.deg+2)*edgeWords)
 	// A shared target may hold other vertices' records behind the history;
 	// sync it now so the records arriving next round are not corrupted by
 	// a later suffix replay.
-	c.send(ctx, target, cmsg{Kind: cRefresh, H: c.suffixFor(target), Target: target})
+	c.refresh(ctx, target)
 	for _, src := range sources {
-		c.send(ctx, src, cmsg{
-			Kind: cMoveOut, V: v, Target: target, Keep: -1, Overflow: -1,
+		c.send(ctx, src, &storageReq{
+			Kind: cMoveOut, Seq: c.cur.seq, V: v, Target: target, Keep: -1, Overflow: -1,
 			H: c.suffixFor(src),
 		})
 	}
@@ -345,9 +345,9 @@ func (c *coordinator) storeOne(ctx *mpc.Ctx, v int32, s *stat, rec edgeRec, cont
 	// record. Sync the shared target first (see transitionDown).
 	target := c.allocate(mkLight, edgeWords*(s.deg+2))
 	old := s.home
-	c.send(ctx, target, cmsg{Kind: cRefresh, H: c.suffixFor(target), Target: target})
-	c.send(ctx, old, cmsg{
-		Kind: cMoveOut, V: v, Target: target, Keep: -1, Overflow: -1,
+	c.refresh(ctx, target)
+	c.send(ctx, old, &storageReq{
+		Kind: cMoveOut, Seq: c.cur.seq, V: v, Target: target, Keep: -1, Overflow: -1,
 		H: c.suffixFor(old),
 	})
 	c.await(ctx, 2, func(ctx *mpc.Ctx) {
