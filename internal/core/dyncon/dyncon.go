@@ -28,8 +28,8 @@
 // components it names, whose set each registry keeps beside the size and
 // returns with it — a full broadcast is the worst case, taken for a set of
 // µ/2 machines or more. Every recipient applies the shifts to every
-// position it stores for the components they name (reached through
-// shard.compVerts and shard.adj); because the maps are conditioned on
+// position it stores for the components they name (walking the records
+// filed on those labels' rings); because the maps are conditioned on
 // position values and component labels only, mirrored anchors stay
 // consistent with no further communication — this is the property §5
 // leverages to avoid Ω(N) neighbor updates. After a cut, machines scan
@@ -735,64 +735,79 @@ func (d *D) Validate() error {
 	return nil
 }
 
-// auditAdj checks the adjacency against the by-edge maps, which it must
-// mirror exactly: every record listed once under each endpoint the shard
-// owns, marked unfiled at the other, and nothing else listed — no foreign
+// auditAdj checks the adjacency and the rings against the by-edge maps,
+// which they must mirror exactly: every tree record listed once under each
+// endpoint the shard owns, marked unfiled at the other, every record once on
+// the ring of its home vertex's label, and nothing else listed — no foreign
 // vertex, no drained entry, no stale record. Handlers reach records only
-// through it, so drift would silently skip (or double-apply) a Shift.
+// through them, so drift would silently skip (or double-apply) a Shift.
 func (s *shard) auditAdj() error {
-	tree := map[*treeRec][2]int{} // record -> times listed under U, under V
-	nt := map[*ntRec][2]int{}
-	for v, h := range s.adj {
+	listed := map[*treeRec][2]int{} // record -> times listed under U, under V
+	for v, r := range s.adj {
 		if s.owner(v) != s.id {
 			return fmt.Errorf("adjacency files records under vertex %d, which machine %d owns", v, s.owner(v))
 		}
-		if h == (filed{}) {
+		if r == nil {
 			return fmt.Errorf("adjacency keeps a drained entry for vertex %d", v)
 		}
-		n := 0
-		for r := h.tree; r != nil; r = *r.linkAt(v) {
+		for n := 0; r != nil; r = *r.linkAt(v) {
 			if n++; n > len(s.tree) {
 				return fmt.Errorf("adjacency: the tree list of vertex %d does not end", v)
 			}
 			if s.tree[graph.Edge{U: r.pos.U, V: r.pos.V}] != r || (int(v) != r.pos.U && int(v) != r.pos.V) {
 				return fmt.Errorf("adjacency lists a stale or foreign tree record %d-%d under vertex %d", r.pos.U, r.pos.V, v)
 			}
-			c := tree[r]
+			c := listed[r]
 			c[b2i(int(v) != r.pos.U)]++
-			tree[r] = c
+			listed[r] = c
 		}
-		n = 0
-		for r := h.nt; r != nil; r = *r.linkAt(v) {
-			if n++; n > len(s.nontree) {
-				return fmt.Errorf("adjacency: the non-tree list of vertex %d does not end", v)
-			}
-			if s.nontree[graph.Edge{U: int(r.u), V: int(r.v)}] != r || (v != r.u && v != r.v) {
-				return fmt.Errorf("adjacency lists a stale or foreign non-tree record %d-%d under vertex %d", r.u, r.v, v)
-			}
-			c := nt[r]
-			c[b2i(v != r.u)]++
-			nt[r] = c
-		}
-	}
-	check := func(kind string, e graph.Edge, listed [2]int, unfiled [2]bool) error {
-		for i, x := range [2]int{e.U, e.V} {
-			owned := s.owner(int32(x)) == s.id
-			if listed[i] != b2i(owned) || unfiled[i] == owned {
-				return fmt.Errorf("adjacency lists %s record %v %d times under vertex %d (owned here: %v, marked unfiled: %v)",
-					kind, e, listed[i], x, owned, unfiled[i])
-			}
-		}
-		return nil
 	}
 	for e, r := range s.tree {
-		if err := check("tree", e, tree[r], [2]bool{r.next[0] == r, r.next[1] == r}); err != nil {
-			return err
+		for i, x := range [2]int{e.U, e.V} {
+			owned, unfiled := s.owner(int32(x)) == s.id, r.next[i] == r
+			if listed[r][i] != b2i(owned) || unfiled == owned {
+				return fmt.Errorf("adjacency lists tree record %v %d times under vertex %d (owned here: %v, marked unfiled: %v)",
+					e, listed[r][i], x, owned, unfiled)
+			}
 		}
 	}
-	for e, r := range s.nontree {
-		if err := check("non-tree", e, nt[r], [2]bool{r.next[0] == r, r.next[1] == r}); err != nil {
-			return err
+	err := auditRings(s, "tree", s.treeRing, s.tree, func(r *treeRec) graph.Edge { return graph.Edge{U: r.pos.U, V: r.pos.V} })
+	if err != nil {
+		return err
+	}
+	return auditRings(s, "non-tree", s.ntRing, s.nontree, func(r *ntRec) graph.Edge { return graph.Edge{U: int(r.u), V: int(r.v)} })
+}
+
+// auditRings checks one kind of ring: every stored record on exactly one,
+// the ring of its home vertex's label — U's, unless U is owned elsewhere —
+// every ring closed, and no head kept for a label without records.
+func auditRings[T any, P ringed[T]](s *shard, kind string, rings map[int64]*T, stored map[graph.Edge]*T, edge func(P) graph.Edge) error {
+	on := map[*T]int{}
+	for label, head := range rings {
+		if head == nil {
+			return fmt.Errorf("%s rings keep a head for label %d, which files no record", kind, label)
+		}
+		for r, n := head, 0; ; n++ {
+			l, e := P(r).at(), edge(r)
+			if n == len(stored) || l.next == nil || P(l.next).at().prev != r {
+				return fmt.Errorf("the %s ring of label %d does not close", kind, label)
+			}
+			home := int32(e.U)
+			if s.owner(home) != s.id {
+				home = int32(e.V)
+			}
+			if stored[e] != r || s.verts[home] != label {
+				return fmt.Errorf("the ring of label %d lists a stale or foreign %s record %v (home vertex %d)", label, kind, e, home)
+			}
+			if on[r]++; l.next == head {
+				break
+			}
+			r = l.next
+		}
+	}
+	for e, r := range stored {
+		if on[r] != 1 {
+			return fmt.Errorf("%s record %v is on %d rings", kind, e, on[r])
 		}
 	}
 	return nil

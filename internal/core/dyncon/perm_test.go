@@ -12,8 +12,8 @@ import (
 
 // stateFingerprint serializes the complete distributed state of d — every
 // shard's tree records (with all four tour positions), non-tree records
-// (with anchors and per-anchor components), vertex labels and registry
-// sizes — into one canonical string. Two structures with equal fingerprints
+// (with anchors and per-anchor components), vertex labels, registry sizes
+// and ring membership — into one canonical string. Two structures with equal fingerprints
 // are bit-identical, not merely equivalent.
 func stateFingerprint(d *D) string {
 	var lines []string
@@ -31,6 +31,12 @@ func stateFingerprint(d *D) string {
 		}
 		for comp, size := range sh.sizes {
 			lines = append(lines, fmt.Sprintf("m%d size %d=%d holders=%+v", sh.id, comp, size, sh.holders[comp]))
+		}
+		for label := range sh.treeRing {
+			lines = append(lines, fmt.Sprintf("m%d rings %d=%s", sh.id, label, ringEdges(sh, label)))
+		}
+		for label := range sh.ntRing {
+			lines = append(lines, fmt.Sprintf("m%d rings %d=%s", sh.id, label, ringEdges(sh, label)))
 		}
 	}
 	sort.Strings(lines)

@@ -107,7 +107,7 @@ func (d *D) Preprocess(g *graph.Graph) mpc.HalfStats {
 		sh.holders, sh.holderWords = make(map[int64]holderSet), 0
 		sh.tree = make(map[graph.Edge]*treeRec)
 		sh.nontree = make(map[graph.Edge]*ntRec)
-		sh.adj = make(map[int32]filed)
+		sh.adj, sh.treeRing, sh.ntRing = make(map[int32]*treeRec), make(map[int64]*treeRec), make(map[int64]*ntRec)
 		// Weights survive the reload, but their anchors and labels are the
 		// replaced forest's: re-anchor each at its vertex's first appearance
 		// in the new tours (0 for a singleton).

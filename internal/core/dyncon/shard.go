@@ -114,12 +114,11 @@ func (w *wire) words() int { return 16 + 5*len(w.Shifts) }
 // next chains the records filed under endpoint pos.U (next[0]) and pos.V
 // (next[1]) in the shard's adjacency; nil ends a list. An endpoint another
 // machine owns has no list here, and its link points at the record itself —
-// "is the other endpoint filed here too" is then one pointer compare per
-// visit (an owner() division per visit was a fifth of a one-component
-// set-up).
+// "is the other endpoint filed here too" is then one pointer compare.
 type treeRec struct {
-	pos  etour.EdgePos
+	ring link[treeRec] // first, beside comp and pos: what a walk reads
 	comp int64
+	pos  etour.EdgePos
 	w    int64
 	next [2]*treeRec
 }
@@ -131,37 +130,100 @@ func (r *treeRec) linkAt(v int32) **treeRec {
 	return &r.next[1]
 }
 
-// rewrittenFrom reports whether a walk that reached r through its endpoint v
-// is the one that rewrites it: a record with both endpoints on this shard is
-// reached from each of them, and shifted from U only.
-func (r *treeRec) rewrittenFrom(v int32) bool { return int(v) == r.pos.U || r.next[0] == r }
-
 // ntRec is a non-tree edge: one anchor position and component per endpoint.
 // Anchors are arbitrary surviving tour appearances of their endpoint; 0
 // marks an endpoint that is currently a singleton (only possible while the
 // record crosses a fresh cut, and then that endpoint is always a named
-// endpoint of the healing link). next files it the way treeRec's does.
+// endpoint of the healing link).
 type ntRec struct {
+	ring   link[ntRec]
 	u, v   int32
 	aU, aV int
 	cU, cV int64
 	w      int64
-	next   [2]*ntRec
 }
 
-func (r *ntRec) linkAt(v int32) **ntRec {
-	if v == r.u {
-		return &r.next[0]
+// home is the label of r's ring, read off its home vertex's anchor.
+func (s *shard) home(r *ntRec) int64 {
+	if s.owner(r.u) == s.id {
+		return r.cU
 	}
-	return &r.next[1]
+	return r.cV
 }
 
-func (r *ntRec) rewrittenFrom(v int32) bool { return v == r.u || r.next[0] == r }
+// link is a record's place on a ring: a circular doubly linked list, so a
+// record joins or leaves in O(1) and two rings splice in O(1).
+type link[T any] struct{ prev, next *T }
 
-// filed heads the records filed under one owned vertex.
-type filed struct {
-	tree *treeRec
-	nt   *ntRec
+type ringed[T any] interface {
+	*T
+	at() *link[T]
+}
+
+func (r *treeRec) at() *link[treeRec] { return &r.ring }
+func (r *ntRec) at() *link[ntRec]     { return &r.ring }
+
+// file puts r on the ring of label in rings, join splices the ring b onto it,
+// merge moves the ring of label from onto it, and unfile takes r off it.
+func file[T any, P ringed[T]](rings map[int64]*T, label int64, r P) {
+	l := r.at()
+	l.prev, l.next = (*T)(r), (*T)(r)
+	join[T, P](rings, label, (*T)(r))
+}
+
+func join[T any, P ringed[T]](rings map[int64]*T, label int64, b *T) {
+	if a := rings[label]; a != nil {
+		la, lb := P(a).at(), P(b).at()
+		P(la.prev).at().next, P(lb.prev).at().next = b, a
+		la.prev, lb.prev = lb.prev, la.prev
+	} else {
+		rings[label] = b
+	}
+}
+
+func merge[T any, P ringed[T]](rings map[int64]*T, label, from int64) {
+	if b := rings[from]; b != nil {
+		delete(rings, from)
+		join[T, P](rings, label, b)
+	}
+}
+
+func unfile[T any, P ringed[T]](rings map[int64]*T, label int64, r P) {
+	l, head := r.at(), rings[label]
+	P(l.prev).at().next, P(l.next).at().prev = l.next, l.prev
+	if l.next == (*T)(r) {
+		head = nil
+	} else if head == (*T)(r) {
+		head = l.next
+	}
+	setHead(rings, label, head)
+}
+
+// setHead writes back the head of a list or ring, dropping a drained one.
+func setHead[K comparable, T any](heads map[K]*T, k K, head *T) {
+	if head == nil {
+		delete(heads, k)
+	} else {
+		heads[k] = head
+	}
+}
+
+// walk calls visit once on each record of the ring of label in rings, and
+// moves those it reports moved onto the ring of label to.
+func walk[T any, P ringed[T]](rings map[int64]*T, label, to int64, visit func(P) bool) {
+	head := rings[label]
+	if head == nil {
+		return
+	}
+	for r, last, done := head, P(head).at().prev, false; !done; {
+		next := P(r).at().next
+		done = r == last
+		if visit(r) {
+			unfile(rings, label, P(r))
+			file(rings, to, P(r))
+		}
+		r = next
+	}
 }
 
 // pending tracks one in-flight orchestration at the coordinator-for-this-
@@ -230,26 +292,27 @@ type shard struct {
 	compVerts map[int64][]int32
 	// tree and nontree are the by-edge lookup (duplicate check, delete,
 	// interval request, broadcasts) and what MemWords counts. adj files the
-	// same records under the owned vertices they are incident to — a record
-	// is on this shard because an endpoint is owned — so a handler that names
-	// a component reaches its records through compVerts[comp] → adj: it costs
-	// what the component holds here, and nothing on a shard holding none of
-	// it. Like compVerts, adj is a runtime cache, never billed or sent; an
-	// entry whose lists drain is dropped.
+	// tree records under their owned endpoints for the per-vertex reads. The
+	// rings file each record once, on the ring of its home vertex's label
+	// (the owned endpoint, U when both are), so a handler that names a
+	// component walks its records, each once, and nothing on a shard holding
+	// none of it. adj and the rings are runtime caches, never billed or sent.
 	//
 	// The walk is exact because a Shift is a no-op on a position whose label
 	// it does not name, and a label is its vertex's: a tree record's comp
 	// labels both endpoints, a weight record's Comp its vertex, a non-tree
 	// anchor's component its endpoint. A named anchor whose endpoint lives
-	// elsewhere is reached from the record's owned endpoint, which carries
+	// elsewhere sits on the ring of the record's home vertex, which carries
 	// the same label — unless the record crosses a fresh cut, and a crossing
-	// record exists only between a cut and its relink, both of
-	// which name both sides.
-	tree    map[graph.Edge]*treeRec
-	nontree map[graph.Edge]*ntRec
-	adj     map[int32]filed
-	sizes   map[int64]int
-	pend    map[int64]*pending
+	// record exists only between a cut and its relink, both of which name
+	// both sides.
+	tree     map[graph.Edge]*treeRec
+	nontree  map[graph.Edge]*ntRec
+	adj      map[int32]*treeRec
+	treeRing map[int64]*treeRec
+	ntRing   map[int64]*ntRec
+	sizes    map[int64]int
+	pend     map[int64]*pending
 
 	// holders is the rest of this machine's registry: the holder set of each
 	// live component c of two or more vertices with registry(c) = id.
@@ -276,7 +339,9 @@ func newShard(id, mu int, cfg Config) *shard {
 		compVerts: make(map[int64][]int32),
 		tree:      make(map[graph.Edge]*treeRec),
 		nontree:   make(map[graph.Edge]*ntRec),
-		adj:       make(map[int32]filed),
+		adj:       make(map[int32]*treeRec),
+		treeRing:  make(map[int64]*treeRec),
+		ntRing:    make(map[int64]*ntRec),
 		sizes:     make(map[int64]int),
 		holders:   make(map[int64]holderSet),
 		pend:      make(map[int64]*pending),
@@ -368,17 +433,16 @@ func (s *shard) leave(comp int64, m int32) {
 	s.setHolders(comp, holderSet{ids: ids})
 }
 
-// addTree stores e's tree record and files it under its owned endpoints.
+// addTree stores e's tree record, filed under its owned endpoints and on a ring.
 func (s *shard) addTree(e graph.Edge, r *treeRec) {
 	s.tree[e] = r
+	file(s.treeRing, r.comp, r)
 	for i, x := range [2]int32{int32(e.U), int32(e.V)} {
 		if s.owner(x) != s.id {
 			r.next[i] = r
 			continue
 		}
-		h := s.adj[x]
-		r.next[i], h.tree = h.tree, r
-		s.adj[x] = h
+		r.next[i], s.adj[x] = s.adj[x], r
 	}
 }
 
@@ -389,17 +453,18 @@ func (s *shard) removeTree(e graph.Edge) *treeRec {
 		return nil
 	}
 	delete(s.tree, e)
+	unfile(s.treeRing, r.comp, r)
 	for i, x := range [2]int32{int32(e.U), int32(e.V)} {
 		if r.next[i] == r {
 			continue
 		}
-		h := s.adj[x]
-		at := &h.tree
+		head := s.adj[x]
+		at := &head
 		for *at != r {
 			at = (*at).linkAt(x)
 		}
 		*at = r.next[i]
-		s.setFiled(x, h)
+		setHead(s.adj, x, head)
 	}
 	return r
 }
@@ -408,51 +473,22 @@ func (s *shard) removeTree(e graph.Edge) *treeRec {
 func (s *shard) addNonTree(e graph.Edge, r *ntRec) {
 	r.u, r.v = int32(e.U), int32(e.V)
 	s.nontree[e] = r
-	for i, x := range [2]int32{r.u, r.v} {
-		if s.owner(x) != s.id {
-			r.next[i] = r
-			continue
-		}
-		h := s.adj[x]
-		r.next[i], h.nt = h.nt, r
-		s.adj[x] = h
-	}
+	file(s.ntRing, s.home(r), r)
 }
 
 func (s *shard) removeNonTree(e graph.Edge) *ntRec {
 	r, ok := s.nontree[e]
-	if !ok {
-		return nil
-	}
-	delete(s.nontree, e)
-	for i, x := range [2]int32{r.u, r.v} {
-		if r.next[i] == r {
-			continue
-		}
-		h := s.adj[x]
-		at := &h.nt
-		for *at != r {
-			at = (*at).linkAt(x)
-		}
-		*at = r.next[i]
-		s.setFiled(x, h)
+	if ok {
+		delete(s.nontree, e)
+		unfile(s.ntRing, s.home(r), r)
 	}
 	return r
-}
-
-// setFiled writes back x's heads after an unlink, dropping a drained entry.
-func (s *shard) setFiled(x int32, h filed) {
-	if h == (filed{}) {
-		delete(s.adj, x)
-	} else {
-		s.adj[x] = h
-	}
 }
 
 // flOf computes f(v), l(v) from v's incident tree records — the on-demand
 // computation §5 prescribes. Zero values mean singleton.
 func (s *shard) flOf(v int32) (f, l int) {
-	for r := s.adj[v].tree; r != nil; r = *r.linkAt(v) {
+	for r := s.adj[v]; r != nil; r = *r.linkAt(v) {
 		for _, i := range posOf(&r.pos, int(v)) {
 			if f == 0 || i < f {
 				f = i
@@ -497,17 +533,10 @@ func applyChain(shifts []etour.Shift, pos int, comp int64) (int, int64) {
 // component once and applied to all four, and the relabel decided on the
 // first position applies to the record.
 func applyChainRec(shifts []etour.Shift, rec *treeRec) {
-	p := &rec.pos
 	for i := range shifts {
-		sh := &shifts[i]
-		if rec.comp != sh.Comp {
-			continue
-		}
-		if sh.Moves(p.UV[0]) {
+		if sh := &shifts[i]; rec.comp == sh.Comp && sh.ApplyEdge(&rec.pos) {
 			rec.comp = sh.NewComp
 		}
-		p.UV[0], p.UV[1] = sh.Apply(p.UV[0]), sh.Apply(p.UV[1])
-		p.VU[0], p.VU[1] = sh.Apply(p.VU[0]), sh.Apply(p.VU[1])
 	}
 }
 
@@ -789,18 +818,18 @@ func (s *shard) onSize(ctx *mpc.Ctx, w *wire) {
 	}
 }
 
-// rewrite applies link or cut w to everything filed under members,
-// the owned vertices of one component it names, each record once and left
+// rewrite applies link or cut w to the records on label's ring and the
+// weight records of members, label's owned vertices, each once and left
 // final: chain — the shifts of w that can address a position carrying that
-// label — to their tree and weight records, all of w.Shifts to their non-tree
-// records, whose far anchor may carry the other named label. A link heals the
-// singleton anchors it names in the same visit; a cut returns the best
-// replacement candidate among the records it visited (every crossing record
-// carried the cut component's label on both sides before, so it is visited).
-func (s *shard) rewrite(w *wire, members []int32, chain []etour.Shift) (best *ntRec) {
-	weighted := len(s.weights) > 0
-	for _, v := range members {
-		if weighted {
+// label — to tree and weight records, all of w.Shifts to non-tree records,
+// whose far anchor may carry the other named label. A link heals the
+// singleton anchors it names in the same visit; a cut moves each record whose
+// home anchor it took to w.Comp2 onto that ring, and returns the best
+// replacement candidate (every crossing record carried the cut component's
+// label on both sides before, so it is visited).
+func (s *shard) rewrite(w *wire, label int64, members []int32, chain []etour.Shift) (best *ntRec) {
+	if len(s.weights) > 0 {
+		for _, v := range members {
 			if rec, ok := s.weights[v]; ok {
 				rec.ApplyShifts(chain)
 				if rec.Anchor == 0 && w.Kind == kDoLink {
@@ -808,32 +837,44 @@ func (s *shard) rewrite(w *wire, members []int32, chain []etour.Shift) (best *nt
 				}
 			}
 		}
-		h := s.adj[v]
-		for r := h.tree; r != nil; r = *r.linkAt(v) {
-			if r.rewrittenFrom(v) {
-				applyChainRec(chain, r)
+	}
+	cut := w.Kind == kDoCut
+	if cut {
+		walk(s.treeRing, label, w.Comp2, func(r *treeRec) bool {
+			applyChainRec(chain, r)
+			return r.comp != label
+		})
+	} else if head := s.treeRing[label]; head != nil {
+		// A link moves no record, and its tree ring is where a large
+		// component's time goes: two walks in from the ends, two load chains.
+		for a, b := head, head.ring.prev; ; a, b = a.ring.next, b.ring.prev {
+			if applyChainRec(chain, a); a == b {
+				break
 			}
-		}
-		for r := h.nt; r != nil; r = *r.linkAt(v) {
-			if !r.rewrittenFrom(v) {
-				continue
-			}
-			r.aU, r.cU = applyChain(w.Shifts, r.aU, r.cU)
-			r.aV, r.cV = applyChain(w.Shifts, r.aV, r.cV)
-			if w.Kind == kDoLink {
-				if r.aU == 0 {
-					r.aU, r.cU = healed(w, r.u, r.cU)
-				}
-				if r.aV == 0 {
-					r.aV, r.cV = healed(w, r.v, r.cV)
-				}
-			} else if (r.cU == w.Comp && r.cV == w.Comp2) || (r.cU == w.Comp2 && r.cV == w.Comp) {
-				if best == nil || betterCandidate(s.cfg.Mode, r.w, r.u, r.v, best.w, best.u, best.v) {
-					best = r
-				}
+			if applyChainRec(chain, b); a.ring.next == b {
+				break
 			}
 		}
 	}
+	walk(s.ntRing, label, w.Comp2, func(r *ntRec) bool {
+		r.aU, r.cU = applyChain(w.Shifts, r.aU, r.cU)
+		r.aV, r.cV = applyChain(w.Shifts, r.aV, r.cV)
+		if !cut {
+			if r.aU == 0 {
+				r.aU, r.cU = healed(w, r.u, r.cU)
+			}
+			if r.aV == 0 {
+				r.aV, r.cV = healed(w, r.v, r.cV)
+			}
+			return false
+		}
+		if (r.cU == w.Comp && r.cV == w.Comp2) || (r.cU == w.Comp2 && r.cV == w.Comp) {
+			if best == nil || betterCandidate(s.cfg.Mode, r.w, r.u, r.v, best.w, best.u, best.v) {
+				best = r
+			}
+		}
+		return s.home(r) != label
+	})
 	return best
 }
 
@@ -867,7 +908,7 @@ func (s *shard) onDoCut(ctx *mpc.Ctx, w *wire) *wire {
 	// singleton), and the sub/rest shifts renumber the rest.
 	members := s.compVerts[compOld]
 	wasHolder := len(members) > 0
-	best := s.rewrite(w, members, w.Shifts)
+	best := s.rewrite(w, compOld, members, w.Shifts)
 	// Named endpoints: the child (whose interval was [fy,ly] pre-cut) is
 	// the endpoint appearing at fy on the captured record. Resolved before
 	// the relabel pass so it can be routed directly.
@@ -893,7 +934,7 @@ func (s *shard) onDoCut(ctx *mpc.Ctx, w *wire) *wire {
 			if v == childV {
 				continue // labeled compNew below
 			}
-			if r := s.adj[v].tree; r != nil && r.comp != compOld {
+			if r := s.adj[v]; r != nil && r.comp != compOld {
 				s.verts[v] = r.comp
 				s.compVerts[r.comp] = append(s.compVerts[r.comp], v)
 			} else {
@@ -1023,17 +1064,16 @@ func (s *shard) onPathMaxReq(w *wire) *wire {
 	// Broadcast fields: F,L = f(x),l(x); Fy,LyCut = f(y),l(y); Comp.
 	fx, fy := w.F, w.Fy
 	var best *treeRec
-	for _, v := range s.compVerts[w.Comp] {
-		for r := s.adj[v].tree; r != nil; r = *r.linkAt(v) {
-			cf, cl := childInterval(&r.pos)
-			onPath := (cf <= fx && fx <= cl) != (cf <= fy && fy <= cl)
-			if !onPath {
-				continue
-			}
-			if best == nil || r.w > best.w ||
-				(r.w == best.w && (r.pos.U < best.pos.U || (r.pos.U == best.pos.U && r.pos.V < best.pos.V))) {
-				best = r
-			}
+	head := s.treeRing[w.Comp]
+	for r := head; r != nil; {
+		cf, cl := childInterval(&r.pos)
+		onPath := (cf <= fx && fx <= cl) != (cf <= fy && fy <= cl)
+		if onPath && (best == nil || r.w > best.w ||
+			(r.w == best.w && (r.pos.U < best.pos.U || (r.pos.U == best.pos.U && r.pos.V < best.pos.V)))) {
+			best = r
+		}
+		if r = r.ring.next; r == head {
+			break
 		}
 	}
 	if best == nil {
@@ -1157,9 +1197,9 @@ func (s *shard) sendLink(ctx *mpc.Ctx, seq int64, x, y int32, w int64,
 func (s *shard) onDoLink(w *wire) {
 	compX, compY := w.Comp, w.Comp2
 	hosts, guests := s.compVerts[compX], s.compVerts[compY]
-	s.rewrite(w, hosts, w.Shifts[:1])
-	s.rewrite(w, guests, w.Shifts[1:])
-	// Guest vertices adopt the host's label.
+	s.rewrite(w, compX, hosts, w.Shifts[:1])
+	s.rewrite(w, compY, guests, w.Shifts[1:])
+	// Guest vertices, and with them the guest's rings, adopt the host's label.
 	for _, v := range guests {
 		s.verts[v] = compX
 	}
@@ -1167,6 +1207,8 @@ func (s *shard) onDoLink(w *wire) {
 		s.compVerts[compX] = append(hosts, guests...)
 		delete(s.compVerts, compY)
 	}
+	merge(s.treeRing, compX, compY)
+	merge(s.ntRing, compX, compY)
 	if s.owner(w.U) == s.id || s.owner(w.V) == s.id {
 		e := graph.NormEdge(int(w.U), int(w.V))
 		if w.Promote {

@@ -1,8 +1,10 @@
 package dyncon
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,8 +15,9 @@ import (
 )
 
 // The tests below pin the O(touched) local work of the §5 machines: a
-// handler that names a component reaches records through compVerts → adj,
-// the adjacency is audited by Validate, and each audit is shown to trip.
+// handler that names a component reaches records through that label's rings,
+// the rings and the adjacency are audited by Validate, and each audit is
+// shown to trip.
 
 const (
 	touchedMu  = 7
@@ -26,8 +29,8 @@ const (
 // touchedShard is machine 1 of 7 holding two small named components and
 // 2 500 one-vertex filler components of four records each, plus decoys: a
 // tree, a non-tree and a weight record per label in decoy, present in the
-// by-edge maps but filed under no vertex of that label. A scan would rewrite
-// them; the walk cannot reach them.
+// by-edge maps but filed on no ring. A scan would rewrite them; the walk
+// cannot reach them.
 func touchedShard(decoy [2]int64) (s *shard, isDecoy map[any]bool) {
 	s = newShard(1, touchedMu, Config{N: 1 << 20})
 	own := func(v int32, comp int64) {
@@ -207,6 +210,11 @@ func TestBroadcastTouchesOnlyNamed(t *testing.T) {
 	if len(s.compVerts[compA]) != 6 || len(s.compVerts[compB]) != 0 {
 		t.Fatalf("link: compVerts lists %d hosts, %d guests", len(s.compVerts[compA]), len(s.compVerts[compB]))
 	}
+	// The guest's rings are spliced into the host's.
+	const linked = "[[{1 8} {1 22} {7 8} {7 15} {21 22} {29 36} {36 42}] [{1 15} {15 21} {29 42}]]"
+	if got := ringEdges(s, compA); got != linked || ringEdges(s, compB) != "[[] []]" {
+		t.Fatalf("link: the host's rings read %s, want %s; the guest's %s", got, linked, ringEdges(s, compB))
+	}
 
 	cut := cutOf(compA, compNew)
 	var reply *wire
@@ -219,6 +227,16 @@ func TestBroadcastTouchesOnlyNamed(t *testing.T) {
 	}
 	if s.verts[15] != compNew || s.verts[1] != compA || s.verts[8] != compA || s.verts[22] != compA {
 		t.Fatalf("cut: labels 1:%d 8:%d 15:%d 22:%d", s.verts[1], s.verts[8], s.verts[15], s.verts[22])
+	}
+	// Only the records homed at 15 move to the fresh label's rings: 7-15, and
+	// the crossing 15-21; the crossing 1-15 stays with its home vertex 1.
+	for label, want := range map[int64]string{
+		compA:   "[[{1 8} {1 22} {21 22}] [{1 15}]]",
+		compNew: "[[{7 15}] [{15 21}]]",
+	} {
+		if got := ringEdges(s, label); got != want {
+			t.Fatalf("cut: the rings of %d read %s, want %s", label, got, want)
+		}
 	}
 
 	// Components the shard holds no vertex of, but decoys labelled with: a
@@ -334,23 +352,53 @@ func testDeliveries(t *testing.T) {
 }
 
 // shardState renders everything a link or cut can change on a shard apart
-// from its registry: labels, the label index and every record's content.
+// from its registry: labels, the label index, every record's content and the
+// rings, each as its label and its records' edges in order.
 func shardState(s *shard) string {
 	tree, nt, weights := map[graph.Edge]treeRec{}, map[graph.Edge]ntRec{}, map[int32]treedp.Rec{}
 	for e, r := range s.tree {
 		c := *r
-		c.next = [2]*treeRec{}
+		c.next, c.ring = [2]*treeRec{}, link[treeRec]{}
 		tree[e] = c
 	}
 	for e, r := range s.nontree {
 		c := *r
-		c.next = [2]*ntRec{}
+		c.ring = link[ntRec]{}
 		nt[e] = c
 	}
 	for v, r := range s.weights {
 		weights[v] = *r
 	}
-	return fmt.Sprint(s.verts, s.compVerts, tree, nt, weights, len(s.adj))
+	rings := map[int64]string{}
+	for label := range s.treeRing {
+		rings[label] = ringEdges(s, label)
+	}
+	for label := range s.ntRing {
+		rings[label] = ringEdges(s, label)
+	}
+	return fmt.Sprint(s.verts, s.compVerts, tree, nt, weights, len(s.adj), rings)
+}
+
+// ringEdges renders the edges on label's tree ring and on its non-tree ring,
+// each sorted.
+func ringEdges(s *shard, label int64) string {
+	var on [2][]graph.Edge
+	for r, head := s.treeRing[label], s.treeRing[label]; r != nil; {
+		on[0] = append(on[0], graph.Edge{U: r.pos.U, V: r.pos.V})
+		if r = r.ring.next; r == head {
+			break
+		}
+	}
+	for r, head := s.ntRing[label], s.ntRing[label]; r != nil; {
+		on[1] = append(on[1], graph.Edge{U: int(r.u), V: int(r.v)})
+		if r = r.ring.next; r == head {
+			break
+		}
+	}
+	for _, es := range on {
+		slices.SortFunc(es, func(a, b graph.Edge) int { return cmp.Or(a.U-b.U, a.V-b.V) })
+	}
+	return fmt.Sprint(on)
 }
 
 // crossingScript is a cut whose two sides are joined by two non-tree edges
@@ -441,7 +489,7 @@ func TestEveryAuditTrips(t *testing.T) {
 		}},
 		{"compVerts indexes", func(s *shard) { delete(s.compVerts, s.verts[0]) }},
 		{"which machine 1 owns", func(s *shard) { s.adj[1] = s.adj[0] }},
-		{"drained entry", func(s *shard) { s.adj[int32(2*s.mu)] = filed{} }},
+		{"drained entry", func(s *shard) { s.adj[int32(2*s.mu)] = nil }},
 		{"stale or foreign tree record", func(s *shard) { // the edge's record is another one now
 			c := *s.tree[graph.Edge{U: 0, V: 1}]
 			s.tree[graph.Edge{U: 0, V: 1}] = &c
@@ -451,9 +499,7 @@ func TestEveryAuditTrips(t *testing.T) {
 			s.nontree[graph.Edge{U: 0, V: 2}] = &c
 		}},
 		{"stale or foreign tree record", func(s *shard) { // filed under a vertex it is not incident to
-			h := s.adj[int32(s.mu)]
-			h.tree = s.tree[graph.Edge{U: 0, V: 1}]
-			s.adj[int32(s.mu)] = h
+			s.adj[int32(s.mu)] = s.tree[graph.Edge{U: 0, V: 1}]
 		}},
 		{"tree record {0 1} 0 times under vertex 0", func(s *shard) { // unfiled, still stored
 			r := s.tree[graph.Edge{U: 0, V: 1}]
@@ -461,11 +507,11 @@ func TestEveryAuditTrips(t *testing.T) {
 			s.tree[graph.Edge{U: 0, V: 1}] = r
 		}},
 		{"does not end", func(s *shard) { // a cycle
-			r := s.adj[0].tree
+			r := s.adj[0]
 			for r.next[0] != nil {
 				r = r.next[0]
 			}
-			r.next[0] = s.adj[0].tree
+			r.next[0] = s.adj[0]
 		}},
 		// The registry entries links and cuts are addressed from: a stale
 		// size for a label no vertex carries, a live singleton's size filed
@@ -480,12 +526,24 @@ func TestEveryAuditTrips(t *testing.T) {
 		{"holder list [0 1 2 5], holders [0 1 2]", func(s *shard) { s.setHolders(0, holderSet{ids: []int32{0, 1, 2, 5}}) }},
 		{"holder set for component 32 of 1 vertices", func(s *shard) { s.setHolders(32, holderSet{all: true}) }},
 		{"MemWords bills 4 holder ids, its holder lists store 3", func(s *shard) { s.holderWords++ }},
+		// The rings: a record moved to another label's ring, a record dropped
+		// from its ring but still stored, a head kept for a label with no
+		// records, and a ring broken open.
+		{"the ring of label 999 lists a stale or foreign tree record {0 1}", func(s *shard) {
+			r := s.tree[graph.Edge{U: 0, V: 1}]
+			unfile(s.treeRing, r.comp, r)
+			file(s.treeRing, 999, r)
+		}},
+		{"non-tree record {0 2} is on 0 rings", func(s *shard) {
+			r := s.nontree[graph.Edge{U: 0, V: 2}]
+			unfile(s.ntRing, s.home(r), r)
+		}},
+		{"tree rings keep a head for label 999", func(s *shard) { s.treeRing[999] = nil }},
+		{"tree ring of label 0 does not close", func(s *shard) { s.treeRing[s.verts[0]].ring.next = nil }},
 		{"marked unfiled: true", func(s *shard) { // the both-here record claims its V lives elsewhere
 			r := s.removeTree(graph.Edge{U: 0, V: s.mu})
 			s.tree[graph.Edge{U: 0, V: s.mu}] = r
-			h := s.adj[0]
-			r.next[0], r.next[1], h.tree = h.tree, r, r
-			s.adj[0] = h
+			r.next[0], r.next[1], s.adj[0] = s.adj[0], r, r
 		}},
 	}
 	for _, tc := range cases {
@@ -546,4 +604,22 @@ func BenchmarkLinkCut(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		d.ApplyOps(ops[i%2])
 	}
+}
+
+// BenchmarkTreePreload times cc-onecomp's set-up at the layer it runs in: a
+// 4 096-vertex random spanning tree, then 512 extra edges, applied in windows
+// of 256 on one worker. Nearly every tree edge links a singleton into the one
+// growing component, so the time goes to rewriting that component's records.
+func BenchmarkTreePreload(b *testing.B) {
+	const n, k = 4096, 256
+	initial, _ := graph.TreeChurn(n, n/8, 0, 1, rand.New(rand.NewSource(1)))
+	ops := graph.UpdateOps(initial)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		d := New(Config{N: n, ExpectedEdges: 16 * n, Workers: 1})
+		for _, chunk := range graph.SplitOps(ops, k) {
+			d.ApplyOps(chunk)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ops)), "ns/update")
 }

@@ -134,7 +134,7 @@ func (s *shard) onDPInfo(ctx *mpc.Ctx, w *wire) {
 // appearance fr — u's owner holds every u-incident tree record, and on
 // each record u is the parent iff its positions are the outer pair.
 func (s *shard) childTowards(u int32, comp int64, fr int) (int, int) {
-	for rec := s.adj[u].tree; rec != nil; rec = *rec.linkAt(u) {
+	for rec := s.adj[u]; rec != nil; rec = *rec.linkAt(u) {
 		cf, cl := childInterval(&rec.pos)
 		pu := posOf(&rec.pos, int(u))
 		if pu[0] == cf || pu[0] == cl {
@@ -202,7 +202,7 @@ func (s *shard) onDPPathReq(ctx *mpc.Ctx, w *wire) {
 			}
 			f, l := s.flOf(v)
 			childBoth := false
-			for rec := s.adj[v].tree; rec != nil; rec = *rec.linkAt(v) {
+			for rec := s.adj[v]; rec != nil; rec = *rec.linkAt(v) {
 				cf, cl := childInterval(&rec.pos)
 				if p := posOf(&rec.pos, int(v))[0]; p != cf && p != cl && // v is the parent here
 					cf <= au && au <= cl && cf <= av && av <= cl {

@@ -522,3 +522,31 @@ func TestCutRepairMapsToSameVertex(t *testing.T) {
 		}
 	}
 }
+
+// FuzzApplyEdge checks the one-switch kernel against its definition: for
+// every kind, ApplyEdge leaves an edge's four positions where four Apply
+// calls would and reports Moves of UV[0] as it was. The parameters are a, b,
+// c in each kind's order (q and Ly, fy and ly and L, L and ly); each
+// position is picked by one byte of pick from 0, the parameters and their
+// neighbours — q, q+1, fy±1, ly±1, L — or raw.
+func FuzzApplyEdge(f *testing.F) {
+	f.Add(4, 9, 20, uint32(0x03020100), 7)
+	f.Fuzz(func(t *testing.T, a, b, c int, pick uint32, raw int) {
+		picks := [...]int{0, a, a + 1, a - 1, a + 2, b, b + 1, b - 1, b + 2, c, c - 1, c + 1, raw}
+		var e EdgePos
+		for i, p := range [4]*int{&e.UV[0], &e.UV[1], &e.VU[0], &e.VU[1]} {
+			*p = picks[int(pick>>(8*i)&0xff)%len(picks)]
+		}
+		for k := ShiftReroot; k <= ShiftCutRepair; k++ {
+			s := Shift{Kind: k, A: a, B: b, C: c}
+			got, want := e, e
+			moved := s.ApplyEdge(&got)
+			want.UV[0], want.UV[1] = s.Apply(e.UV[0]), s.Apply(e.UV[1])
+			want.VU[0], want.VU[1] = s.Apply(e.VU[0]), s.Apply(e.VU[1])
+			if got != want || moved != s.Moves(e.UV[0]) {
+				t.Fatalf("%v %+v on %+v: ApplyEdge gives %+v, moved %v; Apply gives %+v, Moves %v",
+					k, s, e, got, moved, want, s.Moves(e.UV[0]))
+			}
+		}
+	})
+}

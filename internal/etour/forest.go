@@ -23,13 +23,6 @@ func (e *EdgePos) positionsOf(v int) [2]int {
 	return [2]int{e.UV[1], e.VU[0]}
 }
 
-func (e *EdgePos) apply(s Shift) {
-	e.UV[0] = s.Apply(e.UV[0])
-	e.UV[1] = s.Apply(e.UV[1])
-	e.VU[0] = s.Apply(e.VU[0])
-	e.VU[1] = s.Apply(e.VU[1])
-}
-
 // Forest maintains Euler tours of a spanning forest purely through the
 // index arithmetic of §5: per tree edge the four arc positions, per vertex
 // the first/last appearance f(v), l(v) and a component id. Structural
@@ -134,7 +127,7 @@ func (fo *Forest) applyShiftToEdges(s Shift, members []int) {
 		for _, e := range fo.tadj[v] {
 			if !seen[e] {
 				seen[e] = true
-				e.apply(s)
+				s.ApplyEdge(e)
 			}
 		}
 	}

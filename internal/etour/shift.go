@@ -162,6 +162,36 @@ func (s Shift) Apply(i int) int {
 	return i
 }
 
+// ApplyEdge moves e's four positions as four Apply calls would and reports
+// Moves of e.UV[0] as it was, deciding the kind once per edge, not per position.
+func (s Shift) ApplyEdge(e *EdgePos) (moved bool) {
+	a, b, c, d := e.UV[0], e.UV[1], e.VU[0], e.VU[1]
+	switch s.Kind {
+	case ShiftLinkGuest:
+		k := s.A + 2
+		a, b, c, d, moved = a+k, b+k, c+k, d+k, true
+	case ShiftLinkHost:
+		q, k := s.A, s.B+4
+		a, b, c, d = above(a, q, k), above(b, q, k), above(c, q, k), above(d, q, k)
+	case ShiftCutRest:
+		q, k := s.B+1, -(s.B - s.A + 3)
+		a, b, c, d = above(a, q, k), above(b, q, k), above(c, q, k), above(d, q, k)
+	default: // a reroot, a cut's repair or sub shift: position by position
+		moved = s.Moves(a)
+		a, b, c, d = s.Apply(a), s.Apply(b), s.Apply(c), s.Apply(d)
+	}
+	e.UV[0], e.UV[1], e.VU[0], e.VU[1] = a, b, c, d
+	return moved
+}
+
+// above adds k to a position past q.
+func above(i, q, k int) int {
+	if i > q {
+		return i + k
+	}
+	return i
+}
+
 // Moves reports whether Apply would relocate position i into the NewComp
 // component (only meaningful for relabeling kinds). For ShiftCutRepair it
 // fires when the cut leaves the subtree side as a singleton: the child's
