@@ -90,7 +90,9 @@ func arrivalTable(n, nUpdates int, seed int64) []arrivalRow {
 	for _, ar := range arrivalRunners(n, nUpdates, seed) {
 		for _, sched := range arrivalSchedules(ar.ops, seed) {
 			for _, k := range []int{8, 64, 256} {
-				_, st := dmpc.Ingest(ar.mk(), sched.arr, dmpc.IngestorConfig{MaxBatch: k})
+				p := ar.mk()
+				_, st := dmpc.Ingest(p, sched.arr, dmpc.IngestorConfig{MaxBatch: k})
+				p.Close()
 				rows = append(rows, arrivalRow{
 					Name: ar.name, Gen: sched.gen, K: k,
 					Ops: st.Ops, Flushes: st.Flushes,
@@ -131,6 +133,7 @@ func latencyAutoTable(n, nUpdates int, seed int64) []latencyAutoRow {
 	sched := arrivalSchedules(ar.ops, seed)[0] // poisson
 	run := func(target int) (int, int64) {
 		p := ar.mk()
+		defer p.Close()
 		ab := dmpc.NewAutoBatcher(dmpc.AutoBatcherConfig{MaxK: 256, TargetP99Rounds: target})
 		_, st := dmpc.Ingest(boundsOnlyPipeline{p}, sched.arr, dmpc.IngestorConfig{Auto: ab})
 		return ab.K(), st.P99()

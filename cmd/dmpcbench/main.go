@@ -6,22 +6,18 @@
 // pipeline at k ∈ {1, 64}, the AutoBatcher's knee search, in-wave reads
 // against the quiescence split, read-only windows, streaming arrivals,
 // tenant isolation, tree DP, the §5 O(√N) sweep and the inline-vs-sharded
-// wall-clock ladder up to -wallmax — and emits them as text tables or,
-// with -json, as one dmpcbench/v4 document (see benchReport;
-// BENCH_0015.json is the committed one). Wall-clock has its own harness,
-// bench/.
+// ladder up to -wallmax — and emits them as text tables or, with -json,
+// as one dmpcbench/v4 document (see benchReport; BENCH_0015.json is the
+// committed one). It records model counts only: time and allocations are
+// measured by bench/ and by the packages' own tests and benchmarks.
 //
-// With -baseline FILE the run is judged against such a document by the
-// named checks of checkBaseline, one verdict line each on stderr, and the
-// command exits nonzero if any fails — the CI bench-regression step.
-//
-// -cpuprofile FILE / -memprofile FILE wrap the measured section (first
-// table to last; construction of the report and printing stay outside) in
-// a pprof CPU capture, resp. snapshot the live heap right after it.
+// The judge is `go test ./cmd/dmpcbench`: TestSuiteMatchesSnapshot
+// measures the suite at one and at four worker shards and requires every
+// cell to equal BENCH_0015.json's and every invariant to hold.
 //
 // Usage:
 //
-//	dmpcbench [-n 128] [-updates 500] [-seed 1] [-wallmax n] [-workers w] [-cpuprofile FILE] [-memprofile FILE] [-json] [-baseline FILE]
+//	dmpcbench [-n 128] [-updates 500] [-seed 1] [-wallmax n] [-workers w] [-json]
 package main
 
 import (
@@ -31,9 +27,6 @@ import (
 	"math"
 	"math/rand"
 	"os"
-	"reflect"
-	"runtime"
-	"runtime/pprof"
 	"text/tabwriter"
 
 	"dmpc"
@@ -168,14 +161,14 @@ type inst struct {
 
 func algs(n int, seed int64) []alg {
 	capEdges := 6 * n
-	core := func(apply applyOps, cl *mpc.Cluster) inst { w := window(apply); return inst{w, w, cl} }
+	windowed := func(apply applyOps, cl *mpc.Cluster) inst { w := window(apply); return inst{w, w, cl} }
 	mm := func(threeHalves bool) inst {
 		m := newDMM(dmm.Config{N: n, CapEdges: capEdges, ThreeHalves: threeHalves})
-		return core(m.ApplyOps, m.Cluster())
+		return windowed(m.ApplyOps, m.Cluster())
 	}
 	cc := func(mode dyncon.Mode, eps float64) inst {
 		d := newDyncon(dyncon.Config{N: n, Mode: mode, Eps: eps, ExpectedEdges: capEdges})
-		return core(d.ApplyOps, d.Cluster())
+		return windowed(d.ApplyOps, d.Cluster())
 	}
 	red := func(t reduction.Target) inst {
 		sim := reduction.NewSim(8, 1<<18)
@@ -207,6 +200,7 @@ func table(n, nUpdates int, seed int64) []table1Row {
 		stream := graph.RandomStream(n, nUpdates, 0.55, 50, rand.New(rand.NewSource(seed+int64(i)+1)))
 		in := a.mk()
 		rows = append(rows, measure(a.name, a.claim, stream, in.each, in.cl))
+		in.cl.Close()
 	}
 	return rows
 }
@@ -244,7 +238,10 @@ func batchTable(n, nUpdates int, seed int64) []batchRow {
 	stream := suiteStream(n, nUpdates, seed)
 	var rows []batchRow
 	for _, a := range algs(n, seed)[:6] {
-		rows = append(rows, measureBatch(a.name, stream, 1, a.mk().each), measureBatch(a.name, stream, batchK, a.mk().batch))
+		each, batch := a.mk(), a.mk()
+		rows = append(rows, measureBatch(a.name, stream, 1, each.each), measureBatch(a.name, stream, batchK, batch.batch))
+		each.cl.Close()
+		batch.cl.Close()
 	}
 	return rows
 }
@@ -281,6 +278,7 @@ func autoTable(n, nUpdates int, seed int64) []autoRow {
 		p := rn.mk()
 		ab := dmpc.NewAutoBatcher(dmpc.AutoBatcherConfig{MaxK: 256})
 		_, st := dmpc.Ingest(boundsOnlyPipeline{p}, arrivals, dmpc.IngestorConfig{Auto: ab})
+		p.Close()
 		// A full chunk holds exactly the k it was cut at; the tail was cut
 		// short of the final k.
 		ks := make([]int, len(st.Windows))
@@ -304,7 +302,7 @@ func printAutoTable(rows []autoRow) {
 		func(r autoRow) []any { return []any{r.Name, r.Ks, r.FinalK, r.Amortized} },
 		"(after a warmup the driver doubles k while probe windows stay within the",
 		" noise margin of the best seen, settles at the knee on two bad windows, and",
-		" halves k whenever the cluster-wide word budget is exceeded)")
+		" halves k whenever the cluster-wide word cap is exceeded)")
 }
 
 // --- unified op pipeline: in-wave reads vs quiescence --------------------
@@ -334,12 +332,19 @@ type mixedRow struct {
 	FreeRides       int     `json:"reads_riding_update_waves"`
 }
 
+// core is one instance of an algorithm as the mixed and read-only tables
+// drive it: its one execution path and its teardown.
+type core interface {
+	ApplyOps([]graph.Op) (graph.Results, mpc.MixedStats)
+	Close()
+}
+
 // mixedRunner builds fresh instances of one algorithm for the two sides
 // of the comparison.
 type mixedRunner struct {
 	name    string
 	mkQuery func(rng *rand.Rand) graph.Op
-	mk      func() applyOps
+	mk      func() core
 }
 
 func mixedRunners(n, capEdges int) []mixedRunner {
@@ -348,15 +353,15 @@ func mixedRunners(n, capEdges int) []mixedRunner {
 	// path to compare — its Pipeline front door exists for API uniformity.
 	connected := func(rng *rand.Rand) graph.Op { return graph.OpQConnected(rng.Intn(n), rng.Intn(n)) }
 	return []mixedRunner{
-		{"Connected comps (§5)", connected, func() applyOps {
-			return newDyncon(dyncon.Config{N: n, Mode: dyncon.CC, ExpectedEdges: capEdges}).ApplyOps
+		{"Connected comps (§5)", connected, func() core {
+			return newDyncon(dyncon.Config{N: n, Mode: dyncon.CC, ExpectedEdges: capEdges})
 		}},
-		{"(1+ε)-MST (§5.1)", connected, func() applyOps {
-			return newDyncon(dyncon.Config{N: n, Mode: dyncon.MST, Eps: 0.25, ExpectedEdges: capEdges}).ApplyOps
+		{"(1+ε)-MST (§5.1)", connected, func() core {
+			return newDyncon(dyncon.Config{N: n, Mode: dyncon.MST, Eps: 0.25, ExpectedEdges: capEdges})
 		}},
 		{"Maximal matching (§3)",
 			func(rng *rand.Rand) graph.Op { return graph.OpQMateOf(rng.Intn(n)) },
-			func() applyOps { return newDMM(dmm.Config{N: n, CapEdges: capEdges}).ApplyOps }},
+			func() core { return newDMM(dmm.Config{N: n, CapEdges: capEdges}) }},
 	}
 }
 
@@ -367,9 +372,10 @@ func measureMixedPipeline(mr mixedRunner, ops []graph.Op, k int) mixedRow {
 	row.Updates, row.Queries = graph.CountOps(ops)
 
 	inwave := mr.mk()
+	defer inwave.Close()
 	var inRounds int
 	for _, chunk := range graph.SplitOps(ops, k) {
-		_, m := inwave(chunk)
+		_, m := inwave.ApplyOps(chunk)
 		inRounds += m.Rounds()
 		row.QueryHalf += m.Queries.Rounds
 		for _, w := range m.Waves {
@@ -381,6 +387,7 @@ func measureMixedPipeline(mr mixedRunner, ops []graph.Op, k int) mixedRow {
 	row.InwavePerOp = float64(inRounds) / float64(len(ops))
 
 	split := mr.mk()
+	defer split.Close()
 	var splitRounds int
 	for _, chunk := range graph.SplitOps(ops, k) {
 		// Position-preserving quiescence split: one window per maximal
@@ -390,7 +397,7 @@ func measureMixedPipeline(mr mixedRunner, ops []graph.Op, k int) mixedRow {
 			for j < len(chunk) && chunk[j].IsQuery() == chunk[i].IsQuery() {
 				j++
 			}
-			_, m := split(chunk[i:j])
+			_, m := split.ApplyOps(chunk[i:j])
 			splitRounds += m.Rounds()
 			i = j
 		}
@@ -448,13 +455,13 @@ func readTable(n, nUpdates int, seed int64) []readRow {
 	stream := suiteStream(n, nUpdates, seed)
 	runners := append(mixedRunners(n, 6*n), mixedRunner{"(2+ε)-approx matching (§6)",
 		func(rng *rand.Rand) graph.Op { return graph.OpQMateOf(rng.Intn(n)) },
-		func() applyOps { return newAMM(amm.Config{N: n, Seed: seed}).ApplyOps }})
+		func() core { return newAMM(amm.Config{N: n, Seed: seed}) }})
 	var rows []readRow
 	for _, mr := range runners {
 		for _, k := range []int{1, 8, 64} {
-			apply := mr.mk()
+			c := mr.mk()
 			for _, b := range graph.Chunk(stream, batchK) {
-				apply(graph.UpdateOps(b))
+				c.ApplyOps(graph.UpdateOps(b))
 			}
 			rng := rand.New(rand.NewSource(seed + 600))
 			r := readRow{Name: mr.name, K: k}
@@ -464,11 +471,12 @@ func readTable(n, nUpdates int, seed int64) []readRow {
 				for j := range ops {
 					ops[j] = mr.mkQuery(rng)
 				}
-				_, st := apply(ops)
+				_, st := c.ApplyOps(ops)
 				r.Queries += st.Queries.Ops
 				rounds += st.Queries.Rounds
 				words += st.Queries.SumWords
 			}
+			c.Close()
 			r.RoundsPerQuery, r.MeanWords = per(rounds, r.Queries), per(words, rounds)
 			rows = append(rows, r)
 		}
@@ -485,10 +493,10 @@ func printReadTable(rows []readRow) {
 // --- the suite document ----------------------------------------------------
 
 // benchReport is the dmpcbench/v4 document: the flags that shape the
-// streams, then one block per table. Every field is a deterministic
-// function of (n, updates, seed, wallmax) except wallclock's
-// allocs_per_round, which jitters by a GC clock; time is printed, never
-// recorded.
+// streams, then one block per table. Every cell is a model count, a
+// deterministic function of (n, updates, seed, wallmax) at any worker
+// count, so two runs with the same flags write the same document apart
+// from the workers header.
 type benchReport struct {
 	Schema  string `json:"schema"`
 	N       int    `json:"n"`
@@ -547,275 +555,6 @@ func (rep benchReport) print() {
 	printWallTable(rep.Wall)
 }
 
-func readReport(path string) (benchReport, error) {
-	var rep benchReport
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return rep, err
-	}
-	if err := json.Unmarshal(raw, &rep); err != nil {
-		return rep, fmt.Errorf("%s: %w", path, err)
-	}
-	return rep, nil
-}
-
-// --- baseline checks -------------------------------------------------------
-
-// cell is one gated value and the key of the row it came from.
-type cell struct {
-	key string
-	v   float64
-}
-
-// gate is a check on the cells of one table. Every gated row of the
-// snapshot must find its measured partner and vice versa, and every cell
-// must equal the snapshot's: the suite is deterministic for fixed flags
-// and seed, so any difference — an improvement included, which would
-// otherwise leave a stale baseline for a later regression to hide behind —
-// is a code change and wants a re-pin. The one budget gate is the
-// exception: allocs/round jitters with the GC clock, so there the measured
-// value may only not exceed the snapshot's by more than allocsTol
-// (relative) plus allocsSlack (absolute).
-type gate struct {
-	name   string
-	budget bool
-	cells  func(benchReport) []cell
-}
-
-const (
-	allocsTol   = 0.10
-	allocsSlack = 16
-)
-
-// block gates a whole table: one cell per exported numeric field of each
-// row (slice elements by index), keyed by the row's name. Unexported
-// fields are printed only, never recorded.
-func block[T any](rows []T, name func(T) string) []cell {
-	var cs []cell
-	for _, r := range rows {
-		v := reflect.ValueOf(r)
-		for i := 0; i < v.NumField(); i++ {
-			if !v.Type().Field(i).IsExported() {
-				continue
-			}
-			key := name(r) + " " + v.Type().Field(i).Name
-			switch f := v.Field(i); {
-			case f.CanInt():
-				cs = append(cs, cell{key, float64(f.Int())})
-			case f.CanFloat():
-				cs = append(cs, cell{key, f.Float()})
-			case f.Kind() == reflect.Slice:
-				for j := 0; j < f.Len(); j++ {
-					cs = append(cs, cell{fmt.Sprintf("%s[%d]", key, j), float64(f.Index(j).Int())})
-				}
-			}
-		}
-	}
-	return cs
-}
-
-// column extracts one cell per row of a table.
-func column[T any](rows []T, f func(T) (key string, v float64)) []cell {
-	var cs []cell
-	for _, r := range rows {
-		k, v := f(r)
-		cs = append(cs, cell{k, v})
-	}
-	return cs
-}
-
-func wallKey(w wallRow) string { return fmt.Sprintf("%s n=%d workers=%d", w.Name, w.N, w.Workers) }
-
-var gates = []gate{
-	{"table1: every cell", false, func(r benchReport) []cell {
-		return block(r.Table1, func(t table1Row) string { return t.Name })
-	}},
-	{"static: every cell", false, func(r benchReport) []cell {
-		return block(r.Static, func(t staticRow) string { return t.Name })
-	}},
-	{"batch: every cell", false, func(r benchReport) []cell {
-		return block(r.Batch, func(b batchRow) string { return fmt.Sprintf("%s k=%d", b.Name, b.K) })
-	}},
-	{"autobatch: every cell", false, func(r benchReport) []cell {
-		return block(r.Auto, func(a autoRow) string { return a.Name })
-	}},
-	{"mixed: every cell", false, func(r benchReport) []cell {
-		return block(r.Mixed, func(m mixedRow) string { return fmt.Sprintf("%s k=%d", m.Name, m.K) })
-	}},
-	{"read_only: every cell", false, func(r benchReport) []cell {
-		return block(r.ReadOnly, func(q readRow) string { return fmt.Sprintf("%s k=%d", q.Name, q.K) })
-	}},
-	{"arrivals: every cell", false, func(r benchReport) []cell {
-		return block(r.Arrivals, func(a arrivalRow) string { return fmt.Sprintf("%s %s k=%d", a.Name, a.Gen, a.K) })
-	}},
-	{"latency_autobatch: every cell", false, func(r benchReport) []cell {
-		return block(r.LatencyAuto, func(l latencyAutoRow) string { return fmt.Sprintf("%s %s", l.Name, l.Gen) })
-	}},
-	{"tenants: every cell", false, func(r benchReport) []cell {
-		return block(r.Tenants, func(t tenantRow) string { return t.Name })
-	}},
-	{"treedp: every cell", false, func(r benchReport) []cell {
-		return block(r.TreeDP, func(t treedpRow) string { return fmt.Sprintf("%s k=%d workers=%d", t.Name, t.K, t.Workers) })
-	}},
-	{"sweep: every cell", false, func(r benchReport) []cell {
-		return block(r.Sweep, func(w sweepRow) string { return fmt.Sprintf("n=%d", w.N) })
-	}},
-	{"wallclock: rounds/op", false, func(r benchReport) []cell {
-		return column(r.Wall, func(w wallRow) (string, float64) { return wallKey(w), w.RoundsPerOp })
-	}},
-	// The pooled round engine's allocation bill is a code property, not a
-	// machine property; the budget absorbs GC-clock jitter.
-	{"wallclock: allocs/round", true, func(r benchReport) []cell {
-		return column(r.Wall, func(w wallRow) (string, float64) { return wallKey(w), w.AllocsPerRound })
-	}},
-}
-
-func (g gate) check(rep, want benchReport) error {
-	measured := g.cells(rep)
-	got := make(map[string]float64, len(measured))
-	for _, c := range measured {
-		got[c.key] = c.v
-	}
-	for _, c := range g.cells(want) {
-		v, ok := got[c.key]
-		if !ok {
-			return fmt.Errorf("snapshot row %q was not measured", c.key)
-		}
-		delete(got, c.key)
-		switch {
-		case !g.budget && v != c.v:
-			return fmt.Errorf("%s: %v differs from snapshot %v", c.key, v, c.v)
-		case g.budget && v > c.v*(1+allocsTol)+allocsSlack:
-			return fmt.Errorf("%s: %.3f is over snapshot %.3f by more than %.0f%% + %d", c.key, v, c.v, allocsTol*100, allocsSlack)
-		}
-	}
-	for _, c := range measured {
-		if _, unmatched := got[c.key]; unmatched {
-			return fmt.Errorf("measured row %q is not in the snapshot", c.key)
-		}
-	}
-	return nil
-}
-
-// invariant is a headline that must hold outright in the measured run,
-// whatever the snapshot says.
-type invariant struct {
-	name  string
-	check func(benchReport) error
-}
-
-var invariants = []invariant{
-	{"mixed: in-wave reads beat the quiescence split at k>=64", func(r benchReport) error {
-		for _, m := range r.Mixed {
-			if m.K >= 64 && m.Ratio >= 1 {
-				return fmt.Errorf("%s (k=%d): ratio %.3f", m.Name, m.K, m.Ratio)
-			}
-		}
-		return nil
-	}},
-	{"arrivals: tail-constrained AutoBatcher settles below the free k", func(r benchReport) error {
-		for _, l := range r.LatencyAuto {
-			if l.BoundK >= l.FreeK {
-				return fmt.Errorf("%s (%s): TargetP99Rounds=%d settled at k=%d, unconstrained at k=%d", l.Name, l.Gen, l.Target, l.BoundK, l.FreeK)
-			}
-		}
-		return nil
-	}},
-	{"tenants: fair victim p99 <= 2x solo", func(r benchReport) error {
-		for _, t := range r.Tenants {
-			if t.VictimFairP99 > 2*t.VictimSoloP99 {
-				return fmt.Errorf("%s: fair p99 %d rounds vs solo %d — the noisy tenant broke isolation", t.Name, t.VictimFairP99, t.VictimSoloP99)
-			}
-		}
-		return nil
-	}},
-	{"tenants: tags alone change nothing", func(r benchReport) error {
-		for _, t := range r.Tenants {
-			if !t.ZeroTenantIdentical {
-				return fmt.Errorf("%s: tagged and untagged runs differ in answers or accounting", t.Name)
-			}
-		}
-		return nil
-	}},
-	// The power-law rows are exempt: a giant component legitimately
-	// serializes its reads around its own structural churn (the
-	// snapshot-consistency contract).
-	{"treedp: uniform DP reads < 1 round/query at k>=64", func(r benchReport) error {
-		for _, t := range r.TreeDP {
-			if t.Name == "uniform" && t.K >= 64 && t.DPRoundsPerQuery >= 1 {
-				return fmt.Errorf("k=%d workers=%d: %.3f rounds/query", t.K, t.Workers, t.DPRoundsPerQuery)
-			}
-		}
-		return nil
-	}},
-	{"treedp: DP answers match across worker counts", func(r benchReport) error {
-		for _, t := range r.TreeDP {
-			if !t.AnswersMatch {
-				return fmt.Errorf("%s k=%d: the worker counts disagree — the determinism rule is broken", t.Name, t.K)
-			}
-		}
-		return nil
-	}},
-	{"wallclock: rounds/op bit-equal across worker counts", func(r benchReport) error {
-		return wallPairs(r, func(inline, sharded wallRow) error {
-			if sharded.RoundsPerOp != inline.RoundsPerOp {
-				return fmt.Errorf("%s n=%d: workers=%d %.3f vs inline %.3f — the worker count changed the computation, not just its speed",
-					sharded.Name, sharded.N, sharded.Workers, sharded.RoundsPerOp, inline.RoundsPerOp)
-			}
-			return nil
-		})
-	}},
-}
-
-// wallPairs calls f on every (inline, sharded) pair of wallclock rows,
-// the two compareWorkers counts; a row without its partner is an error.
-func wallPairs(r benchReport, f func(inline, sharded wallRow) error) error {
-	rows := map[string]wallRow{}
-	for _, w := range r.Wall {
-		rows[wallKey(w)] = w
-	}
-	inline, sharded := compareWorkers[0], compareWorkers[1]
-	partner := map[int]int{inline: sharded, sharded: inline}
-	for _, w := range r.Wall {
-		other := w
-		other.Workers = partner[w.Workers]
-		o, ok := rows[wallKey(other)]
-		if !ok {
-			return fmt.Errorf("%s has no workers=%d partner", wallKey(w), other.Workers)
-		}
-		if w.Workers == inline {
-			if err := f(w, o); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// verdict is one named check's outcome.
-type verdict struct {
-	name string
-	err  error
-}
-
-// checkBaseline judges a run against a committed snapshot of the same
-// suite: first that both measured the same streams, then every gate and
-// every invariant, each reported under its own name.
-func checkBaseline(rep, want benchReport) []verdict {
-	if want.Schema != rep.Schema || want.N != rep.N || want.Updates != rep.Updates || want.Seed != rep.Seed || want.WallMax != rep.WallMax {
-		return []verdict{{"same suite", fmt.Errorf("snapshot is %s -n %d -updates %d -seed %d -wallmax %d; this run is %s -n %d -updates %d -seed %d -wallmax %d",
-			want.Schema, want.N, want.Updates, want.Seed, want.WallMax, rep.Schema, rep.N, rep.Updates, rep.Seed, rep.WallMax)}}
-	}
-	vs := []verdict{{"same suite", nil}}
-	for _, g := range gates {
-		vs = append(vs, verdict{g.name, g.check(rep, want)})
-	}
-	for _, iv := range invariants {
-		vs = append(vs, verdict{iv.name, iv.check(rep)})
-	}
-	return vs
-}
-
 func printTable(rep benchReport) {
 	printRows(fmt.Sprintf("DMPC dynamic algorithms — Table 1 reproduction (n=%d, %d updates, seed %d)\n", rep.N, rep.Updates, rep.Seed),
 		"Algorithm\tPaper bound\trounds/upd (mean)\trounds (wc)\tmach/round (wc)\twords/round (mean)\twords (wc)\tentropy (bits)",
@@ -866,6 +605,7 @@ func sweepRows(seed int64) []sweepRow {
 	for _, n := range []int{64, 128, 256, 512, 1024} {
 		d := newDyncon(dyncon.Config{N: n, Mode: dyncon.CC, ExpectedEdges: 5 * n})
 		t := replay(graph.RandomStream(n, 300, 0.55, 1, rand.New(rand.NewSource(seed))), 1, window(d.ApplyOps))
+		d.Close()
 		rows = append(rows, sweepRow{
 			N: n, WorstRounds: t.worstRounds, WorstMachines: t.MaxActive, WorstWords: t.MaxWords,
 			WordsPerSqrtN: float64(t.MaxWords) / math.Sqrt(11*float64(n)),
@@ -898,81 +638,24 @@ func printRows[T any](title, header, format string, rows []T, cells func(T) []an
 	}
 }
 
-func fatal(code int, args ...any) {
-	fmt.Fprintln(os.Stderr, append([]any{"dmpcbench:"}, args...)...)
-	os.Exit(code)
-}
-
 func main() {
 	n := flag.Int("n", 128, "number of vertices")
 	updates := flag.Int("updates", 500, "updates per algorithm")
 	seed := flag.Int64("seed", 1, "stream seed")
-	flag.IntVar(&benchWorkers, "workers", 1, "goroutines running each round's handlers in the measurement tables (<= 1: inline on the driver); never changes rounds, only wall-clock time")
-	wallMax := flag.Int("wallmax", 10_000, "largest n of the inline-vs-sharded ladder {128, 10^4, 10^5, 10^6} (BENCH_0015.json and CI stop at the default)")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the measured section to this file")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile, captured right after the measured section, to this file")
+	flag.IntVar(&benchWorkers, "workers", 1, "goroutines running each round's handlers in the measurement tables (<= 1: inline on the driver); changes no recorded cell")
+	wallMax := flag.Int("wallmax", 10_000, "largest n of the inline-vs-sharded ladder {128, 10^4, 10^5, 10^6} (BENCH_0015.json stops at the default)")
 	asJSON := flag.Bool("json", false, "emit the measurements as one dmpcbench/v4 JSON document")
-	baseline := flag.String("baseline", "", "committed dmpcbench/v4 snapshot (BENCH_0015.json) to judge the run against; one verdict line per named check, exit nonzero if any fails")
 	flag.Parse()
 
-	var want benchReport
-	if *baseline != "" {
-		var err error
-		if want, err = readReport(*baseline); err != nil {
-			fatal(2, err)
-		}
-	}
-
-	// The profile window opens here and closes after the last table, so
-	// the captures cover exactly the measurements (see the doc comment).
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fatal(2, err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(2, "cpuprofile:", err)
-		}
-	}
 	rep := measureSuite(*n, *updates, *seed, *wallMax)
-	if *cpuProfile != "" {
-		pprof.StopCPUProfile()
-	}
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			fatal(2, err)
-		}
-		runtime.GC() // heap profile of live objects, not collectable garbage
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fatal(2, "memprofile:", err)
-		}
-		f.Close()
-	}
-
-	if *baseline != "" {
-		failed := 0
-		for _, v := range checkBaseline(rep, want) {
-			if v.err != nil {
-				failed++
-				fmt.Fprintf(os.Stderr, "FAIL  %s: %v\n", v.name, v.err)
-			} else {
-				fmt.Fprintf(os.Stderr, "ok    %s\n", v.name)
-			}
-		}
-		if failed > 0 {
-			fatal(1, fmt.Sprintf("bench regression vs %s: %d checks failed", *baseline, failed))
-		}
-		fmt.Fprintf(os.Stderr, "dmpcbench: every named check passes against %s\n", *baseline)
-	}
-	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fatal(1, err)
-		}
+	if !*asJSON {
+		rep.print()
 		return
 	}
-	rep.print()
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(rep); err != nil {
+		fmt.Fprintln(os.Stderr, "dmpcbench:", err)
+		os.Exit(1)
+	}
 }

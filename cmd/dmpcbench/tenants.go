@@ -32,7 +32,7 @@ type tenantRow struct {
 // tenantStreams builds the deterministic adversarial mix: one victim
 // connectivity query every 4 rounds on the low quarter of the vertex
 // range, and a 12-write storm riding each query on the disjoint high
-// range (contending only for wave budget and cluster time, never for the
+// range (contending only for wave capacity and cluster time, never for the
 // victim's data). steps scales with -updates.
 func tenantStreams(n, steps int) (victim, mixed []dmpc.Arrival) {
 	const gap, burst = 4, 12
@@ -62,19 +62,20 @@ func tenantTable(n, nUpdates int, seed int64) []tenantRow {
 	weights := map[int]int{1: 3, 2: 1}
 	cfg := dmpc.IngestorConfig{MaxAge: 4}
 	victim, mixed := tenantStreams(n, steps)
+	// ingest runs one schedule on a fresh structure and closes it.
+	ingest := func(arrivals []dmpc.Arrival, cfg dmpc.IngestorConfig, opts ...dmpc.Option) (dmpc.Results, dmpc.StreamStats) {
+		p := dmpc.NewConnectivity(n, capEdges, append(benchOpts(), opts...)...)
+		defer p.Close()
+		return dmpc.Ingest(p, arrivals, cfg)
+	}
 
-	solo := dmpc.NewConnectivity(n, capEdges, benchOpts()...)
-	_, stSolo := dmpc.Ingest(solo, victim, cfg)
+	_, stSolo := ingest(victim, cfg)
+	_, stUnfair := ingest(mixed, cfg)
 
-	unfair := dmpc.NewConnectivity(n, capEdges, benchOpts()...)
-	_, stUnfair := dmpc.Ingest(unfair, mixed, cfg)
-
-	fairOpts := append(benchOpts(), dmpc.WithTenantWeights(weights))
-	fair := dmpc.NewConnectivity(n, capEdges, fairOpts...)
 	fairCfg := cfg
 	fairCfg.Weights = weights
 	fairCfg.Admission = map[int]dmpc.AdmissionPolicy{2: &dmpc.TokenBucket{Rate: 0.1, Burst: 1}}
-	_, stFair := dmpc.Ingest(fair, mixed, fairCfg)
+	_, stFair := ingest(mixed, fairCfg, dmpc.WithTenantWeights(weights))
 
 	// Zero-tenant control: tags alone must change nothing.
 	plain := make([]dmpc.Arrival, len(mixed))
@@ -82,10 +83,8 @@ func tenantTable(n, nUpdates int, seed int64) []tenantRow {
 		a.Op.Tenant = 0
 		plain[i] = a
 	}
-	ccPlain := dmpc.NewConnectivity(n, capEdges, benchOpts()...)
-	resPlain, stPlain := dmpc.Ingest(ccPlain, plain, cfg)
-	ccTag := dmpc.NewConnectivity(n, capEdges, benchOpts()...)
-	resTag, stTag := dmpc.Ingest(ccTag, mixed, cfg)
+	resPlain, stPlain := ingest(plain, cfg)
+	resTag, stTag := ingest(mixed, cfg)
 	identical := slices.Equal(resPlain, resTag) &&
 		stPlain.Flushes == stTag.Flushes && stPlain.Rounds == stTag.Rounds &&
 		slices.Equal(stPlain.Latencies, stTag.Latencies)

@@ -2,9 +2,7 @@ package main
 
 import (
 	"math/rand"
-	"runtime"
 	"slices"
-	"time"
 
 	"dmpc/internal/core/dyncon"
 	"dmpc/internal/graph"
@@ -14,23 +12,22 @@ import (
 
 // treedpRow is one (workload, k, workers) cell of the tree-DP table: a
 // mixed link/cut/weight/DP-query stream chunked at k, measured in model
-// rounds and wall-clock. DPRoundsPerQuery is the query half's rounds
+// rounds. DPRoundsPerQuery is the query half's rounds
 // amortized over the stream's DP reads — a read that rides an update
 // wave bills the query half nothing, which is where the per-query cost
 // drops below one round — and AnswersMatch records that every
 // compareWorkers count answered the identical stream bit-identically
-// (checkBaseline gates it outright).
+// (the snapshot test requires it outright).
 type treedpRow struct {
-	Name             string        `json:"name"` // workload generator: uniform | powerlaw
-	K                int           `json:"k"`
-	Workers          int           `json:"workers"`
-	Ops              int           `json:"ops"`
-	Updates          int           `json:"updates"`
-	DPQueries        int           `json:"dp_queries"`
-	RoundsPerOp      float64       `json:"rounds_per_op"`
-	DPRoundsPerQuery float64       `json:"dp_rounds_per_query"`
-	elapsed          time.Duration // printed only: time is the machine's, not the document's
-	AnswersMatch     bool          `json:"answers_match"`
+	Name             string  `json:"name"` // workload generator: uniform | powerlaw
+	K                int     `json:"k"`
+	Workers          int     `json:"workers"`
+	Ops              int     `json:"ops"`
+	Updates          int     `json:"updates"`
+	DPQueries        int     `json:"dp_queries"`
+	RoundsPerOp      float64 `json:"rounds_per_op"`
+	DPRoundsPerQuery float64 `json:"dp_rounds_per_query"`
+	AnswersMatch     bool    `json:"answers_match"`
 }
 
 // treeDPOps builds the tree-DP op stream: the generator's structural
@@ -69,27 +66,23 @@ func treeDPOps(n, nUpdates int, gen string, seed int64) []graph.Op {
 
 // measureTreeDP runs the chunked stream at one worker count on a fresh
 // instance, returning the row and the positional answers (for the
-// cross-worker-count equality bit). Construction sits outside the clock.
+// cross-worker-count equality bit).
 func measureTreeDP(gen string, ops []graph.Op, n, k, workers int) (treedpRow, graph.Results) {
-	runtime.GC()
 	d := dyncon.New(dyncon.Config{N: n, Mode: dyncon.CC, ExpectedEdges: 6 * n, Workers: workers})
 	defer d.Close()
 	var res graph.Results
 	var rounds, qrounds int
-	start := time.Now()
 	for _, chunk := range graph.SplitOps(ops, k) {
 		r, st := d.ApplyOps(chunk)
 		res = append(res, r...)
 		rounds += st.Rounds()
 		qrounds += st.Queries.Rounds
 	}
-	elapsed := time.Since(start)
 	updates, nq := graph.CountOps(ops)
 	return treedpRow{
 		Name: gen, K: k, Workers: workers,
 		Ops: len(ops), Updates: updates, DPQueries: nq,
 		RoundsPerOp: per(rounds, len(ops)), DPRoundsPerQuery: per(qrounds, nq),
-		elapsed: elapsed,
 	}, res
 }
 
@@ -112,10 +105,10 @@ func treedpTable(n, nUpdates int, seed int64) []treedpRow {
 
 func printTreeDPTable(rows []treedpRow) {
 	printRows("\nTree-DP workload: mixed link/cut/weight/DP-query streams (SubtreeSum, PathSum, TreeTop):",
-		"Workload\tk\tworkers\tops\tDP reads\trounds/op\tDP rounds/query\tns/op\tanswers match",
-		"%s\t%d\t%d\t%d\t%d\t%.3f\t%.3f\t%.0f\t%v", rows,
+		"Workload\tk\tworkers\tops\tDP reads\trounds/op\tDP rounds/query\tanswers match",
+		"%s\t%d\t%d\t%d\t%d\t%.3f\t%.3f\t%v", rows,
 		func(r treedpRow) []any {
-			return []any{r.Name, r.K, r.Workers, r.Ops, r.DPQueries, r.RoundsPerOp, r.DPRoundsPerQuery, per(int(r.elapsed), r.Ops), r.AnswersMatch}
+			return []any{r.Name, r.K, r.Workers, r.Ops, r.DPQueries, r.RoundsPerOp, r.DPRoundsPerQuery, r.AnswersMatch}
 		},
 		"(DP rounds/query bills the query-half rounds to the stream's DP reads; reads",
 		" that ride an update wave bill nothing, which pushes the amortized cost below",

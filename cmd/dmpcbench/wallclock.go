@@ -2,8 +2,6 @@ package main
 
 import (
 	"math/rand"
-	"runtime"
-	"time"
 
 	"dmpc"
 	"dmpc/internal/core/amm"
@@ -14,11 +12,11 @@ import (
 
 // benchWorkers carries the -workers flag value; every table's structure
 // constructions route through the wrappers below, so one flag retargets
-// the whole measurement at a worker count. The tree-DP and wall-clock
+// the whole measurement at a worker count. The tree-DP and wallclock
 // tables ignore it and always measure compareWorkers head to head.
 var benchWorkers int
 
-// compareWorkers are the worker counts the tree-DP and wall-clock tables
+// compareWorkers are the worker counts the tree-DP and wallclock tables
 // measure side by side: every handler inline on the driver, and four
 // shards.
 var compareWorkers = []int{1, 4}
@@ -44,15 +42,14 @@ func benchOpts() []dmpc.Option {
 	return []dmpc.Option{dmpc.WithWorkers(benchWorkers)}
 }
 
-// --- wall-clock trajectory -------------------------------------------------
+// --- worker-count ladder ---------------------------------------------------
 
-// wallRow is one (algorithm, n, workers) cell of the wall-clock table:
-// the same batched update stream measured in model rounds AND in real
-// time. Rounds are independent of the worker count by the determinism
-// rule (checkBaseline enforces the equality); time is what the worker
-// counts compete on, but it is a property of the machine, so the ns
-// columns are printed and never enter the document (bench/ is the time
-// harness).
+// wallRow is one (algorithm, n, workers) cell of the inline-vs-sharded
+// ladder (the document's wallclock block): the same batched update
+// stream measured at each compareWorkers count. Rounds do not depend on
+// the worker count, by the determinism rule, and the snapshot test
+// requires the two rows of a pair to agree; what the worker counts
+// compete on is time, which bench/ measures.
 type wallRow struct {
 	Name        string  `json:"name"`
 	N           int     `json:"n"`
@@ -60,24 +57,16 @@ type wallRow struct {
 	Ops         int     `json:"ops"`
 	Workers     int     `json:"workers"`
 	RoundsPerOp float64 `json:"rounds_per_op"`
-	rounds      int
-	elapsed     time.Duration // the replay's makespan
-	// AllocsPerRound is the heap-allocation bill per round (Mallocs delta
-	// over the measured section, construction excluded) — the figure the
-	// sparse-activation pooling drives toward zero and checkBaseline gates
-	// outright. Absent (0) in pre-PR-9 snapshots.
-	AllocsPerRound float64 `json:"allocs_per_round,omitempty"`
 }
 
-// wallK is the batch size of the wall-clock runs: large enough to
-// amortize per-batch scheduling, small enough that every n sees many
-// batches.
+// wallK is the batch size of the ladder's runs: large enough to amortize
+// per-batch scheduling, small enough that every n sees many batches.
 const wallK = 64
 
 // wallNs is the input-size ladder: the Table 1 default plus the three
 // orders of magnitude the worker pool and the sparse-activation round
-// engine exist for. -wallmax caps it (CI and BENCH_0015.json stop
-// at 10^4; the full climb takes minutes).
+// engine exist for. -wallmax caps it (BENCH_0015.json stops at 10^4; the
+// full climb takes minutes).
 var wallNs = []int{128, 10_000, 100_000, 1_000_000}
 
 // wallUpdates is the ladder's stream length, pinned independently of
@@ -107,27 +96,13 @@ func wallRunners() []wallRunner {
 // measureWall measures one (algorithm, n) cell at both compareWorkers
 // counts, inline row first: one replay of the chunked stream on a fresh
 // instance each.
-// Construction is outside the clock, and the replay starts from a forced
-// collection so GC pacing inherited from earlier tables cannot leak in.
-// allocs is the Mallocs delta of the measured section; the ReadMemStats
-// calls sit outside the clock.
 func measureWall(wr wallRunner, n int, stream []graph.Update) []wallRow {
 	var rows []wallRow
 	for _, w := range compareWorkers {
-		runtime.GC()
 		run, closeFn := wr.mk(n, w)
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		start := time.Now()
 		t := replay(stream, wallK, run)
-		elapsed := time.Since(start)
-		runtime.ReadMemStats(&after)
 		closeFn()
-		rows = append(rows, wallRow{
-			Name: wr.name, N: n, K: wallK, Ops: t.Ops, Workers: w,
-			RoundsPerOp: per(t.Rounds, t.Ops), AllocsPerRound: per(int(after.Mallocs-before.Mallocs), t.Rounds),
-			rounds: t.Rounds, elapsed: elapsed,
-		})
+		rows = append(rows, wallRow{Name: wr.name, N: n, K: wallK, Ops: t.Ops, Workers: w, RoundsPerOp: per(t.Rounds, t.Ops)})
 	}
 	return rows
 }
@@ -149,13 +124,9 @@ func wallTable(seed int64, wallMax int) []wallRow {
 }
 
 func printWallTable(rows []wallRow) {
-	printRows("\nWall-clock trajectory: inline vs four worker shards (same stream, k=64):",
-		"Algorithm\tn\tworkers\tops\trounds/op\tns/op\tns/round\tallocs/round\tmakespan",
-		"%s\t%d\t%d\t%d\t%.2f\t%.0f\t%.0f\t%.1f\t%s", rows,
-		func(r wallRow) []any {
-			return []any{r.Name, r.N, r.Workers, r.Ops, r.RoundsPerOp, per(int(r.elapsed), r.Ops), per(int(r.elapsed), r.rounds), r.AllocsPerRound, r.elapsed}
-		},
-		"(rounds/op does not depend on the worker count — the determinism rule — so",
-		" the ns columns isolate what sharding the handlers over channel-woken",
-		" workers buys or costs against running them inline on the driver)")
+	printRows("\nInline vs four worker shards (same stream, k=64):",
+		"Algorithm\tn\tworkers\tops\trounds/op", "%s\t%d\t%d\t%d\t%.2f", rows,
+		func(r wallRow) []any { return []any{r.Name, r.N, r.Workers, r.Ops, r.RoundsPerOp} },
+		"(rounds/op does not depend on the worker count — the determinism rule;",
+		" what sharding the handlers buys or costs in time is bench/'s to measure)")
 }

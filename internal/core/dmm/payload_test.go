@@ -45,24 +45,28 @@ func mmUniformOps(n, updates int) []graph.Op {
 }
 
 // TestBytesPerOp bounds what ApplyOps allocates per op of an mm-uniform
-// stream in k = 64 windows. When every message boxed the whole 320-byte
-// message record and every flow copied its replies, this read 3 282 B and
-// 15.15 allocations per op.
+// stream in k = 64 windows, at n = 128 and n = 10⁴. When every message
+// boxed the whole 320-byte message record and every flow copied its
+// replies, this read 3 282 B and 15.15 allocations per op at n = 10⁴; at
+// n = 128 it read 615 B and 13.60 allocations when that size joined.
 func TestBytesPerOp(t *testing.T) {
-	const n, k = 10000, 64
-	ops := mmUniformOps(n, 2000)
-	m := New(Config{N: n, CapEdges: 6 * n, Workers: 1})
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for at := 0; at < len(ops); at += k {
-		m.ApplyOps(ops[at:min(at+k, len(ops))])
-	}
-	runtime.ReadMemStats(&after)
-	bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(ops))
-	allocs := float64(after.Mallocs-before.Mallocs) / float64(len(ops))
-	t.Logf("%d ops: %.0f B/op, %.2f allocs/op", len(ops), bytes, allocs)
-	if bytes > 1200 || allocs > 15.2 {
-		t.Fatalf("ApplyOps allocates %.0f B and %.2f allocations per op, over 1200 B and 15.2", bytes, allocs)
+	const k = 64
+	for _, n := range []int{128, 10000} {
+		ops := mmUniformOps(n, 2000)
+		m := New(Config{N: n, CapEdges: 6 * n, Workers: 1})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for at := 0; at < len(ops); at += k {
+			m.ApplyOps(ops[at:min(at+k, len(ops))])
+		}
+		runtime.ReadMemStats(&after)
+		m.Close()
+		bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(len(ops))
+		allocs := float64(after.Mallocs-before.Mallocs) / float64(len(ops))
+		t.Logf("n=%d, %d ops: %.0f B/op, %.2f allocs/op", n, len(ops), bytes, allocs)
+		if bytes > 1200 || allocs > 15.2 {
+			t.Errorf("n=%d: ApplyOps allocates %.0f B and %.2f allocations per op, over 1200 B and 15.2", n, bytes, allocs)
+		}
 	}
 }
 
