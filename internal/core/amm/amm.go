@@ -72,6 +72,8 @@ type M struct {
 	sched   *scheduler
 	packer  *sched.Admitter // cuts update runs into endpoint-disjoint waves
 	seq     int64
+	out     outbox   // the driver's payloads, slabbed by the round they are sent before
+	keys    [2]int64 // StreamItem's claim keys
 }
 
 // New builds an empty instance.
@@ -149,16 +151,12 @@ func (m *M) Delete(u, v int) mpc.HalfStats {
 func (m *M) update(up graph.Update) mpc.HalfStats {
 	m.seq++
 	m.cluster.BeginMixed(1, 0, nil)
-	m.cluster.Send(mpc.Message{
-		From: -1, To: m.owner(up.U),
-		Payload: amsg{Kind: aUpdate, U: int32(up.U), V: int32(up.V), Del: up.Op == graph.Delete, Seq: m.seq},
-		Words:   4,
-	})
+	m.send(m.owner(up.U), amsg{Kind: aUpdate, U: int32(up.U), V: int32(up.V), Del: up.Op == graph.Delete, Seq: m.seq}, 4)
 	// The edge update itself plus one batch of every subscheduler: a
 	// constant number of rounds by construction.
 	m.cluster.Round() // owner(u) processes, contacts owner(v)
 	m.cluster.Round() // owner(v) processes, reports to scheduler
-	m.cluster.Send(mpc.Message{From: -1, To: 0, Payload: amsg{Kind: aCycle, Seq: m.seq}, Words: 1})
+	m.send(0, amsg{Kind: aCycle, Seq: m.seq}, 1)
 	m.cluster.Round() // scheduler ingests reports, dispatches batch orders
 	m.cluster.Round() // owners execute orders, reply candidates/acks
 	m.cluster.Round() // scheduler arbitrates, sends match orders
@@ -167,18 +165,26 @@ func (m *M) update(up graph.Update) mpc.HalfStats {
 	return m.cluster.EndMixed().Updates
 }
 
+// send injects a driver message whose payload lives in m.out.
+func (m *M) send(to int, p amsg, words int) {
+	m.cluster.Send(mpc.Message{From: -1, To: to, Payload: m.out.put(m.cluster.Stats().Rounds, p), Words: words})
+}
+
 // StreamItem is the coarse claims oracle of the §6 structure: its epoch
 // scheduler rebuilds data-dependent slices of the matching, so the safe
 // schedule-time view is endpoint-level — updates hold both endpoints
 // exclusively, reads hold their vertex read-shared. injectWaves cuts
 // update runs with it, and the streaming Ingestor its forming set, where
 // coarser claims only flush earlier (ApplyOps itself orders every flushed
-// chunk correctly), so this errs toward latency, never correctness.
+// chunk correctly), so this errs toward latency, never correctness. The
+// returned item's slices are M's and valid until the next call
+// (sched.Admitter.Admit copies what it keeps).
 func (m *M) StreamItem(op graph.Op) sched.Item {
+	m.keys = [2]int64{int64(op.U), int64(op.V)}
 	if op.IsQuery() {
-		return sched.Item{Read: []int64{int64(op.U)}, Tenant: op.Tenant}
+		return sched.Item{Read: m.keys[:1], Tenant: op.Tenant}
 	}
-	return sched.Item{Excl: []int64{int64(op.U), int64(op.V)}, Tenant: op.Tenant}
+	return sched.Item{Excl: m.keys[:], Tenant: op.Tenant}
 }
 
 // injectWaves injects an update run as endpoint-disjoint waves of three
@@ -196,11 +202,7 @@ func (m *M) injectWaves(run []graph.Op) {
 		for _, op := range run[:k] {
 			up := op.Update()
 			m.seq++
-			m.cluster.Send(mpc.Message{
-				From: -1, To: m.owner(up.U),
-				Payload: amsg{Kind: aUpdate, U: int32(up.U), V: int32(up.V), Del: up.Op == graph.Delete, Seq: m.seq},
-				Words:   4,
-			})
+			m.send(m.owner(up.U), amsg{Kind: aUpdate, U: int32(up.U), V: int32(up.V), Del: up.Op == graph.Delete, Seq: m.seq}, 4)
 		}
 		run = run[k:]
 		m.cluster.Round() // owners of U process, contact owners of V
@@ -221,7 +223,7 @@ func (m *M) drainCycles(updates int) {
 	prev := -1
 	for cyc := 0; cyc < maxCycles; cyc++ {
 		m.seq++
-		m.cluster.Send(mpc.Message{From: -1, To: 0, Payload: amsg{Kind: aCycle, Seq: m.seq}, Words: 1})
+		m.send(0, amsg{Kind: aCycle, Seq: m.seq}, 1)
 		for r := 0; r < 5; r++ {
 			m.cluster.Round()
 		}
@@ -290,11 +292,7 @@ func (m *M) ApplyOps(ops []graph.Op) (graph.Results, mpc.MixedStats) {
 			default:
 				panic(fmt.Sprintf("amm: unsupported query kind %v (matching answers OpMateOf and OpMatched)", op.Kind))
 			}
-			m.cluster.Send(mpc.Message{
-				From: -1, To: m.owner(op.U),
-				Payload: amsg{Kind: aMateQuery, U: int32(op.U), Seq: int64(x)},
-				Words:   3,
-			})
+			m.send(m.owner(op.U), amsg{Kind: aMateQuery, U: int32(op.U), Seq: int64(x)}, 3)
 		}
 		m.cluster.Drain(64, "amm: read wave")
 		m.cluster.EndMixedWave()

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 
 	"dmpc/internal/graph"
 	"dmpc/internal/mpc"
@@ -49,8 +48,39 @@ type amsg struct {
 	Found   bool
 }
 
-func (m amsg) words() int {
+func (m *amsg) words() int {
 	return 10 + len(m.Freed) + len(m.Low) + len(m.Active)
+}
+
+// outbox holds what one sender sends, so a send allocates nothing: each
+// machine owns one, and M one for its driver sends, in two slabs by the
+// parity of the round a payload is sent in. The §6 payload rule: a payload
+// is immutable and lives until the end of the round after the one it was
+// sent in, and a receiver copies what it keeps. mpc consumes a message no
+// later than that (pool.go), so the first send in round r+2 resets slab r&1.
+type outbox struct {
+	slab [2][]amsg
+	at   [2]int // the round each slab was last reset in
+}
+
+// put copies m into a slot of round r's slab and returns the slot. A
+// reused slot keeps the capacity of its Freed and Low lists.
+func (o *outbox) put(r int, m amsg) *amsg {
+	p := r & 1
+	if o.at[p] != r {
+		o.at[p], o.slab[p] = r, o.slab[p][:0]
+	}
+	o.slab[p] = slices.Grow(o.slab[p], 1)[:len(o.slab[p])+1]
+	slot := &o.slab[p][len(o.slab[p])-1]
+	m.Freed, m.Low = append(slot.Freed[:0], m.Freed...), append(slot.Low[:0], m.Low...)
+	*slot = m
+	return slot
+}
+
+// send is Ctx.Send of a copy of m that lives in o.
+func (o *outbox) send(ctx *mpc.Ctx, to int, m amsg) {
+	p := o.put(ctx.Round(), m)
+	ctx.Send(to, p, p.words())
 }
 
 // vstate is the authoritative per-vertex state at its owner.
@@ -89,6 +119,9 @@ type shard struct {
 	verts  map[int32]*vstate
 	jobs   []job
 	rng    *rand.Rand
+	out    outbox
+	report amsg    // the round's report, built in place and sent as a copy
+	pool   []int32 // handleFree's scratch
 
 	// MemWords' running terms: adjEntries is Σ len(vstate.adj), moved by
 	// setAdj/delAdj only; jobWords is Σ 2+len(job.todo), moved where jobs
@@ -237,7 +270,7 @@ func (s *shard) queueLevelJob(v int32) {
 	for w := range st.adj {
 		todo = append(todo, w)
 	}
-	sort.Slice(todo, func(i, j int) bool { return todo[i] < todo[j] })
+	slices.Sort(todo)
 	s.jobs = append(s.jobs, job{v: v, todo: todo})
 	s.jobWords += 2 + len(todo)
 }
@@ -258,12 +291,13 @@ func (s *shard) lowThreshold(lvl int32) int32 {
 }
 
 func (s *shard) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
-	report := amsg{Kind: aReport, Seq: 0}
+	report := &s.report
+	*report = amsg{Kind: aReport, Freed: report.Freed[:0], Low: report.Low[:0]}
 	dirty := false
 	sawProtocol := false
 
 	for _, raw := range inbox {
-		m, ok := raw.Payload.(amsg)
+		m, ok := raw.Payload.(*amsg)
 		if !ok {
 			continue
 		}
@@ -272,9 +306,9 @@ func (s *shard) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 		}
 		switch m.Kind {
 		case aUpdate:
-			s.handleUpdate(ctx, m, &report, &dirty)
+			s.handleUpdate(ctx, m, report, &dirty)
 		case aEdge:
-			s.handleEdgeOther(ctx, m, &report, &dirty)
+			s.handleEdgeOther(ctx, m, report, &dirty)
 		case aEdgeBack:
 			st := s.get(m.U)
 			s.setAdj(st, m.V, m.Lvl)
@@ -287,7 +321,7 @@ func (s *shard) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 		case aHandleFree:
 			s.handleFree(ctx, m)
 		case aMatchOrder:
-			s.commitMatch(ctx, m, &report, &dirty)
+			s.commitMatch(ctx, m, report, &dirty)
 		case aExFreed:
 			st := s.get(m.U)
 			if st.mate == m.V {
@@ -297,19 +331,17 @@ func (s *shard) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 				dirty = true
 			}
 		case aUnmatchOrder:
-			s.unmatchLocal(ctx, m.U, &report, &dirty)
+			s.unmatchLocal(ctx, m.U, report, &dirty)
 		case aTick:
 			s.processJobs(ctx)
-			ack := amsg{Kind: aTickAck, U: int32(s.id), Pending: len(s.jobs) > 0}
-			ctx.Send(0, ack, ack.words())
+			s.out.send(ctx, 0, amsg{Kind: aTickAck, U: int32(s.id), Pending: len(s.jobs) > 0})
 		case aLvlUpd:
 			st := s.get(m.U)
 			if _, ok := st.adj[m.V]; ok {
 				st.adj[m.V] = m.Lvl
 			}
 		case aProbe:
-			rep := s.probe(m.Shuffle)
-			ctx.Send(0, rep, rep.words())
+			s.out.send(ctx, 0, s.probe(m.Shuffle))
 		case aMateQuery: // the answer is mate(U); ApplyOps folds OpMatched from it
 			ctx.Answer(int(m.Seq), graph.Answer{Int: int64(s.lookup(m.U).mate)})
 		}
@@ -327,12 +359,12 @@ func (s *shard) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 	if sawProtocol && (dirty || len(report.Freed) > 0 || len(report.Low) > 0 || pending) {
 		report.Pending = pending
 		report.U = int32(s.id)
-		ctx.Send(0, report, report.words())
+		s.out.send(ctx, 0, *report)
 	}
 }
 
 // handleUpdate is the first half of an edge update, at owner(u).
-func (s *shard) handleUpdate(ctx *mpc.Ctx, m amsg, report *amsg, dirty *bool) {
+func (s *shard) handleUpdate(ctx *mpc.Ctx, m *amsg, report *amsg, dirty *bool) {
 	u, v := m.U, m.V
 	if u == v {
 		return
@@ -340,8 +372,7 @@ func (s *shard) handleUpdate(ctx *mpc.Ctx, m amsg, report *amsg, dirty *bool) {
 	st := s.get(u)
 	if !m.Del {
 		s.setAdj(st, v, -2) // unknown until the mirror reply
-		fwd := amsg{Kind: aEdge, U: v, V: u, Lvl: st.lvl, Free: st.mate == -1}
-		ctx.Send(s.owner(v), fwd, fwd.words())
+		s.out.send(ctx, s.owner(v), amsg{Kind: aEdge, U: v, V: u, Lvl: st.lvl, Free: st.mate == -1})
 		return
 	}
 	// Delete.
@@ -361,11 +392,11 @@ func (s *shard) handleUpdate(ctx *mpc.Ctx, m amsg, report *amsg, dirty *bool) {
 			*dirty = true
 		}
 	}
-	ctx.Send(s.owner(v), fwd, fwd.words())
+	s.out.send(ctx, s.owner(v), fwd)
 }
 
 // handleEdgeOther is the second half, at owner(v).
-func (s *shard) handleEdgeOther(ctx *mpc.Ctx, m amsg, report *amsg, dirty *bool) {
+func (s *shard) handleEdgeOther(ctx *mpc.Ctx, m *amsg, report *amsg, dirty *bool) {
 	v, u := m.U, m.V
 	st := s.get(v)
 	if m.Del {
@@ -396,13 +427,13 @@ func (s *shard) handleEdgeOther(ctx *mpc.Ctx, m amsg, report *amsg, dirty *bool)
 		back.Lvl = 0
 		*dirty = true
 	}
-	ctx.Send(s.owner(u), back, back.words())
+	s.out.send(ctx, s.owner(u), back)
 }
 
 // handleFree runs the §6 handle-free(v): choose the highest level ℓ with
 // Φ_v(ℓ) ≥ γ^ℓ and sample a mate from the lower-level pool, excluding the
 // active list.
-func (s *shard) handleFree(ctx *mpc.Ctx, m amsg) {
+func (s *shard) handleFree(ctx *mpc.Ctx, m *amsg) {
 	v := m.U
 	st := s.get(v)
 	if st.mate >= 0 || len(st.adj) == 0 {
@@ -417,7 +448,7 @@ func (s *shard) handleFree(ctx *mpc.Ctx, m amsg) {
 	if bestLvl < 0 {
 		return
 	}
-	var pool []int32
+	pool := s.pool[:0]
 	for w, wl := range st.adj {
 		if wl >= bestLvl {
 			continue
@@ -426,27 +457,26 @@ func (s *shard) handleFree(ctx *mpc.Ctx, m amsg) {
 			pool = append(pool, w)
 		}
 	}
+	s.pool = pool
 	if len(pool) == 0 {
 		return
 	}
-	sort.Slice(pool, func(i, j int) bool { return pool[i] < pool[j] })
+	slices.Sort(pool)
 	w := pool[s.rng.Intn(len(pool))]
-	cand := amsg{Kind: aCandidate, U: v, V: w, Lvl: bestLvl, Support: int32(len(pool))}
-	ctx.Send(0, cand, cand.words())
+	s.out.send(ctx, 0, amsg{Kind: aCandidate, U: v, V: w, Lvl: bestLvl, Support: int32(len(pool))})
 }
 
 // commitMatch applies an arbitrated match order for the vertex this shard
 // owns. The first order (to w's owner, Found=true) steals w from its
 // current partner if necessary.
-func (s *shard) commitMatch(ctx *mpc.Ctx, m amsg, report *amsg, dirty *bool) {
+func (s *shard) commitMatch(ctx *mpc.Ctx, m *amsg, report *amsg, dirty *bool) {
 	v := m.U
 	st := s.get(v)
 	if m.Found && st.mate >= 0 {
 		// Steal: the ex-partner is freed.
 		ex := st.mate
 		exLvl := st.lvl
-		fr := amsg{Kind: aExFreed, U: ex, V: v}
-		ctx.Send(s.owner(ex), fr, fr.words())
+		s.out.send(ctx, s.owner(ex), amsg{Kind: aExFreed, U: ex, V: v})
 		report.Freed = append(report.Freed, ex, exLvl)
 		*dirty = true
 	}
@@ -458,9 +488,9 @@ func (s *shard) commitMatch(ctx *mpc.Ctx, m amsg, report *amsg, dirty *bool) {
 
 // processJobs delivers up to Δ pending level notifications.
 func (s *shard) processJobs(ctx *mpc.Ctx) {
-	budget := s.cfg.delta
-	for budget > 0 && len(s.jobs) > 0 {
-		j := &s.jobs[0]
+	budget, done := s.cfg.delta, 0
+	for budget > 0 && done < len(s.jobs) {
+		j := &s.jobs[done]
 		n := budget
 		if n > len(j.todo) {
 			n = len(j.todo)
@@ -471,17 +501,18 @@ func (s *shard) processJobs(ctx *mpc.Ctx) {
 		// fresher mirror with a stale level.
 		lvl := s.verts[j.v].lvl
 		for _, w := range j.todo[:n] {
-			upd := amsg{Kind: aLvlUpd, U: w, V: j.v, Lvl: lvl}
-			ctx.Send(s.owner(w), upd, upd.words())
+			s.out.send(ctx, s.owner(w), amsg{Kind: aLvlUpd, U: w, V: j.v, Lvl: lvl})
 		}
 		j.todo = j.todo[n:]
 		budget -= n
 		s.jobWords -= n
 		if len(j.todo) == 0 {
-			s.jobs = s.jobs[1:]
+			done++
 			s.jobWords -= 2
 		}
 	}
+	// Drop the finished jobs in place: the queue keeps its capacity.
+	s.jobs = slices.Delete(s.jobs, 0, done)
 }
 
 // unmatchLocal proactively unmatches v's edge (unmatch/shuffle/rise
@@ -496,8 +527,7 @@ func (s *shard) unmatchLocal(ctx *mpc.Ctx, v int32, report *amsg, dirty *bool) {
 	st.mate = -1
 	st.lvl = -1
 	s.queueLevelJob(v)
-	fr := amsg{Kind: aExFreed, U: ex, V: v}
-	ctx.Send(s.owner(ex), fr, fr.words())
+	s.out.send(ctx, s.owner(ex), amsg{Kind: aExFreed, U: ex, V: v})
 	report.Freed = append(report.Freed, v, lvl, ex, lvl)
 	*dirty = true
 }
@@ -541,6 +571,9 @@ type scheduler struct {
 	pendingAckClear []int32
 	rng             *rand.Rand
 	cycle           int64
+	out             outbox
+	seen            map[int32]bool // dispatch's scratch
+	acts            [2][]int32     // dispatch's active lists by round parity: payloads, under outbox's rule
 }
 
 func newScheduler(cfg Config, mu, levels int) *scheduler {
@@ -550,6 +583,7 @@ func newScheduler(cfg Config, mu, levels int) *scheduler {
 		active:      make(map[int32]bool),
 		lowSupp:     make(map[int32]bool),
 		pendingJobs: make(map[int32]bool),
+		seen:        make(map[int32]bool),
 		rng:         rand.New(rand.NewSource(cfg.Seed ^ 0x5bf0_3635)),
 	}
 }
@@ -578,7 +612,7 @@ func (s *scheduler) enqueue(v, lvl int32) {
 func (s *scheduler) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 	runCycle := false
 	for _, raw := range inbox {
-		m, ok := raw.Payload.(amsg)
+		m, ok := raw.Payload.(*amsg)
 		if !ok {
 			continue
 		}
@@ -639,24 +673,25 @@ func (s *scheduler) dispatch(ctx *mpc.Ctx) {
 		orders = append(orders, low) // lowest-support proxy: one per cycle
 		delete(s.lowSupp, low)
 	}
-	seen := map[int32]bool{}
+	clear(s.seen)
 	for _, v := range orders {
-		if seen[v] || s.active[v] {
+		if s.seen[v] || s.active[v] {
 			continue
 		}
-		seen[v] = true
-		o := amsg{Kind: aUnmatchOrder, U: v}
-		ctx.Send(s.owner(v), o, o.words())
+		s.seen[v] = true
+		s.out.send(ctx, s.owner(v), amsg{Kind: aUnmatchOrder, U: v})
 	}
 
 	// Free-schedule: pop one vertex per level, highest level first (the
 	// paper's processing order), and dispatch handle-free with the active
 	// list attached.
-	act := make([]int32, 0, len(s.active))
+	p := ctx.Round() & 1
+	act := s.acts[p][:0]
 	for v := range s.active {
 		act = append(act, v)
 	}
-	sort.Slice(act, func(i, j int) bool { return act[i] < act[j] })
+	slices.Sort(act)
+	s.acts[p] = act
 	for lvl := len(s.queues) - 1; lvl >= 0; lvl-- {
 		q := s.queues[lvl]
 		for len(q) > 0 {
@@ -665,8 +700,7 @@ func (s *scheduler) dispatch(ctx *mpc.Ctx) {
 			if s.active[v] {
 				continue
 			}
-			o := amsg{Kind: aHandleFree, U: v, Active: act}
-			ctx.Send(s.owner(v), o, o.words())
+			s.out.send(ctx, s.owner(v), amsg{Kind: aHandleFree, U: v, Active: act})
 			break
 		}
 		s.queues[lvl] = q
@@ -674,24 +708,21 @@ func (s *scheduler) dispatch(ctx *mpc.Ctx) {
 
 	// Tick machines with pending level-notification jobs.
 	for m := range s.pendingJobs {
-		o := amsg{Kind: aTick}
-		ctx.Send(int(m), o, o.words())
+		s.out.send(ctx, int(m), amsg{Kind: aTick})
 	}
 
 	// Shuffle and rise probes, one random shard each every few cycles.
 	if s.cycle%4 == 0 {
-		o := amsg{Kind: aProbe, Shuffle: true}
-		ctx.Send(1+s.rng.Intn(s.mu), o, o.words())
+		s.out.send(ctx, 1+s.rng.Intn(s.mu), amsg{Kind: aProbe, Shuffle: true})
 	}
 	if s.cycle%4 == 2 {
-		o := amsg{Kind: aProbe}
-		ctx.Send(1+s.rng.Intn(s.mu), o, o.words())
+		s.out.send(ctx, 1+s.rng.Intn(s.mu), amsg{Kind: aProbe})
 	}
 }
 
 // arbitrate resolves candidate conflicts: first valid candidate per vertex
 // wins; both sides become active until their acks arrive.
-func (s *scheduler) arbitrate(ctx *mpc.Ctx, m amsg) {
+func (s *scheduler) arbitrate(ctx *mpc.Ctx, m *amsg) {
 	v, w := m.U, m.V
 	if s.active[v] || s.active[w] {
 		s.enqueue(v, m.Lvl) // retry later
@@ -699,10 +730,8 @@ func (s *scheduler) arbitrate(ctx *mpc.Ctx, m amsg) {
 	}
 	s.active[v], s.active[w] = true, true
 	// w's side first (it may steal), then v's side.
-	ow := amsg{Kind: aMatchOrder, U: w, V: v, Lvl: m.Lvl, Support: m.Support, Found: true}
-	ctx.Send(s.owner(w), ow, ow.words())
-	ov := amsg{Kind: aMatchOrder, U: v, V: w, Lvl: m.Lvl, Support: m.Support}
-	ctx.Send(s.owner(v), ov, ov.words())
+	s.out.send(ctx, s.owner(w), amsg{Kind: aMatchOrder, U: w, V: v, Lvl: m.Lvl, Support: m.Support, Found: true})
+	s.out.send(ctx, s.owner(v), amsg{Kind: aMatchOrder, U: v, V: w, Lvl: m.Lvl, Support: m.Support})
 	// Acks are implicit: both orders always commit (the steal frees the
 	// ex-partner), so the active entries clear at the next cycle.
 	s.pendingAckClear = append(s.pendingAckClear, v, w)

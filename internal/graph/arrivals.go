@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"container/heap"
-	"math/rand"
-)
+import "math/rand"
 
 // Arrival is one timestamped operation of an asynchronous op stream: Op
 // arrives at virtual time At, measured in cluster rounds since the stream
@@ -19,8 +16,10 @@ type Arrival struct {
 // by insertion order (earlier-pushed arrivals pop first), so a schedule
 // with simultaneous arrivals replays deterministically in the order it
 // was built. Build one with NewArrivalHeap, then Pop until Len is zero.
+// Push and Pop sift in place: neither allocates once the heap has held as
+// many arrivals.
 type ArrivalHeap struct {
-	h       arrivalQueue
+	h       []arrivalEntry
 	nextSeq int
 }
 
@@ -29,33 +28,20 @@ type arrivalEntry struct {
 	seq int // insertion order, the tie-break
 }
 
-type arrivalQueue []arrivalEntry
-
-func (q arrivalQueue) Len() int { return len(q) }
-func (q arrivalQueue) Less(i, j int) bool {
-	if q[i].a.At != q[j].a.At {
-		return q[i].a.At < q[j].a.At
-	}
-	return q[i].seq < q[j].seq
-}
-func (q arrivalQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *arrivalQueue) Push(x interface{}) { *q = append(*q, x.(arrivalEntry)) }
-func (q *arrivalQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	x := old[n-1]
-	*q = old[:n-1]
-	return x
+func (e arrivalEntry) before(f arrivalEntry) bool {
+	return e.a.At < f.a.At || e.a.At == f.a.At && e.seq < f.seq
 }
 
 // NewArrivalHeap builds a heap holding the given arrivals. The input
 // slice is not modified.
 func NewArrivalHeap(arrivals []Arrival) *ArrivalHeap {
-	ah := &ArrivalHeap{h: make(arrivalQueue, len(arrivals)), nextSeq: len(arrivals)}
+	ah := &ArrivalHeap{h: make([]arrivalEntry, len(arrivals)), nextSeq: len(arrivals)}
 	for i, a := range arrivals {
 		ah.h[i] = arrivalEntry{a: a, seq: i}
 	}
-	heap.Init(&ah.h)
+	for i := len(ah.h)/2 - 1; i >= 0; i-- {
+		ah.down(i)
+	}
 	return ah
 }
 
@@ -65,14 +51,45 @@ func (ah *ArrivalHeap) Len() int { return len(ah.h) }
 // Push queues one more arrival; on an At tie it pops after everything
 // already queued.
 func (ah *ArrivalHeap) Push(a Arrival) {
-	heap.Push(&ah.h, arrivalEntry{a: a, seq: ah.nextSeq})
+	ah.h = append(ah.h, arrivalEntry{a: a, seq: ah.nextSeq})
 	ah.nextSeq++
+	for j := len(ah.h) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !ah.h[j].before(ah.h[i]) {
+			break
+		}
+		ah.h[i], ah.h[j] = ah.h[j], ah.h[i]
+		j = i
+	}
 }
 
 // Pop removes and returns the earliest arrival. It panics on an empty
 // heap.
 func (ah *ArrivalHeap) Pop() Arrival {
-	return heap.Pop(&ah.h).(arrivalEntry).a
+	n := len(ah.h) - 1
+	top := ah.h[0]
+	ah.h[0] = ah.h[n]
+	ah.h = ah.h[:n]
+	ah.down(0)
+	return top.a
+}
+
+// down sifts the entry at i down until neither child comes before it.
+func (ah *ArrivalHeap) down(i int) {
+	for {
+		j := 2*i + 1
+		if j >= len(ah.h) {
+			return
+		}
+		if r := j + 1; r < len(ah.h) && ah.h[r].before(ah.h[j]) {
+			j = r
+		}
+		if !ah.h[j].before(ah.h[i]) {
+			return
+		}
+		ah.h[i], ah.h[j] = ah.h[j], ah.h[i]
+		i = j
+	}
 }
 
 // ArrivalsNow timestamps a whole op stream at time zero — the degenerate

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"container/heap"
 	"math/rand"
 	"testing"
 )
@@ -34,6 +35,80 @@ func TestArrivalHeapOrder(t *testing.T) {
 	h.Push(Arrival{At: 2, Op: OpDel(0, 1)})
 	if first := h.Pop(); first.Op.Kind != OpInsert {
 		t.Fatalf("tied pushes reordered: first pop %+v", first)
+	}
+}
+
+// refQueue is the container/heap reading of ArrivalHeap's order, the
+// reference TestArrivalHeapMatchesContainerHeap holds the typed sifts to.
+type refQueue []arrivalEntry
+
+func (q refQueue) Len() int           { return len(q) }
+func (q refQueue) Less(i, j int) bool { return q[i].before(q[j]) }
+func (q refQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
+func (q *refQueue) Push(x any)        { *q = append(*q, x.(arrivalEntry)) }
+func (q *refQueue) Pop() any {
+	old := *q
+	x := old[len(old)-1]
+	*q = old[:len(old)-1]
+	return x
+}
+
+// TestArrivalHeapMatchesContainerHeap replays random schedules, built
+// whole and then grown by interleaved pushes and pops with most At values
+// tied, through ArrivalHeap and through container/heap over the same
+// entries: every pop must be the same arrival.
+func TestArrivalHeapMatchesContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		arr := make([]Arrival, rng.Intn(48))
+		for i := range arr {
+			arr[i] = Arrival{At: int64(rng.Intn(5)), Op: OpIns(i, i+1, 1)}
+		}
+		h := NewArrivalHeap(arr)
+		ref := make(refQueue, len(arr))
+		for i, a := range arr {
+			ref[i] = arrivalEntry{a: a, seq: i}
+		}
+		heap.Init(&ref)
+		seq := len(arr)
+		for step := 0; step < 96; step++ {
+			if ref.Len() == 0 || rng.Intn(2) == 0 {
+				a := Arrival{At: int64(rng.Intn(5)), Op: OpIns(seq, seq+1, 1)}
+				h.Push(a)
+				heap.Push(&ref, arrivalEntry{a: a, seq: seq})
+				seq++
+				continue
+			}
+			if got, want := h.Pop(), heap.Pop(&ref).(arrivalEntry).a; got != want {
+				t.Fatalf("trial %d step %d: popped %+v, container/heap pops %+v", trial, step, got, want)
+			}
+		}
+		for ref.Len() > 0 {
+			if got, want := h.Pop(), heap.Pop(&ref).(arrivalEntry).a; got != want {
+				t.Fatalf("trial %d drain: popped %+v, container/heap pops %+v", trial, got, want)
+			}
+		}
+		if h.Len() != 0 {
+			t.Fatalf("trial %d: %d arrivals left after the reference drained", trial, h.Len())
+		}
+	}
+}
+
+// TestArrivalHeapAllocs pins that a Push and a Pop on a heap that has held
+// that many arrivals allocate nothing.
+func TestArrivalHeapAllocs(t *testing.T) {
+	arr := make([]Arrival, 100)
+	for i := range arr {
+		arr[i] = Arrival{At: int64(i % 7), Op: OpIns(i, i+1, 1)}
+	}
+	h := NewArrivalHeap(arr)
+	at := int64(0)
+	if avg := testing.AllocsPerRun(1000, func() {
+		h.Push(Arrival{At: at % 7, Op: OpIns(0, 1, 1)})
+		h.Pop()
+		at++
+	}); avg != 0 {
+		t.Errorf("Push+Pop allocates %.2f times, want 0", avg)
 	}
 }
 

@@ -232,10 +232,10 @@ func (m MixedStats) Equal(o MixedStats) bool {
 	return true
 }
 
-// Stats is the lifetime accounting of a cluster: running totals plus the
-// window currently open. A closed window is returned to whoever opened it
-// (EndMixed) and never retained, so a cluster's footprint does not grow
-// with the number of windows it has served.
+// Stats is the lifetime accounting of a cluster: running totals. The
+// window currently open lives in the Cluster; a closed one is returned to
+// whoever opened it (EndMixed) and never retained, so a cluster's
+// footprint does not grow with the number of windows it has served.
 type Stats struct {
 	Rounds       int
 	Messages     int
@@ -243,9 +243,6 @@ type Stats struct {
 	PeakMemWords int
 	Violations   int
 	pairWords    map[uint64]int // unicast volume per (from,to) pair, keyed by pairKey
-	currentMixed *MixedStats
-	currentWave  *WaveStats
-	waveTenants  []TenantCount // tenant census of the open mixed wave
 
 	// Broadcast volume per broadcasting sender, billed once per broadcast
 	// instead of once per copy: [0] the words sent to every machine, [1] to
@@ -278,6 +275,14 @@ type Cluster struct {
 
 	pool msgPool // retired inbox backing arrays, payload-cleared (pool.go)
 	slab []Ctx   // one recycled context per active machine, positional over active
+
+	// The open window and wave (nil: none) point at mixed and wave, reused
+	// with the wave log's storage; EndMixed hands out a copy.
+	currentMixed *MixedStats
+	currentWave  *WaveStats
+	mixed        MixedStats
+	wave         WaveStats
+	waveTenants  []TenantCount // tenant census of the open mixed wave
 
 	answers []answer // the window's answers in settle order, collected by Answers
 	slots   []int    // Answers' scratch: each stream position's result index
@@ -366,14 +371,16 @@ func (c *Cluster) Close() { c.exec.close() }
 // (the single-tenant default) never allocates the map, keeping MixedStats
 // bit-identical to pre-tenancy behavior.
 func (c *Cluster) BeginMixed(updates, queries int, census []TenantCount) {
-	if c.stats.currentMixed != nil {
+	if c.currentMixed != nil {
 		panic("mpc: BeginMixed inside an open window (close it with EndMixed first)")
 	}
 	c.answers = c.answers[:0]
-	m := &MixedStats{
+	m := &c.mixed
+	*m = MixedStats{
 		Ops:     updates + queries,
 		Updates: HalfStats{Ops: updates},
 		Queries: HalfStats{Ops: queries},
+		Waves:   m.Waves[:0],
 	}
 	if census != nil {
 		m.Tenants = make(map[int]TenantStats, len(census))
@@ -385,22 +392,24 @@ func (c *Cluster) BeginMixed(updates, queries int, census []TenantCount) {
 			m.Tenants[tc.Tenant] = ts
 		}
 	}
-	c.stats.currentMixed = m
+	c.currentMixed = m
 }
 
 // EndMixed closes the window and returns its aggregate. An open
 // wave is a driver bug (its rounds would be misattributed), so it panics.
 func (c *Cluster) EndMixed() MixedStats {
-	if c.stats.currentWave != nil {
+	if c.currentWave != nil {
 		panic("mpc: EndMixed with an open wave (close it with EndMixedWave first)")
 	}
-	m := c.stats.currentMixed
-	c.stats.currentMixed = nil
+	m := c.currentMixed
+	c.currentMixed = nil
 	if m == nil {
 		return MixedStats{}
 	}
-	c.stats.shareLeftoverRounds(m)
-	return *m
+	c.shareLeftoverRounds(m)
+	out := *m
+	out.Waves = append([]WaveStats(nil), m.Waves...) // nil when no wave ran
+	return out
 }
 
 // BeginMixedWave starts per-wave attribution inside an open mixed window:
@@ -413,13 +422,14 @@ func (c *Cluster) EndMixed() MixedStats {
 // EndMixedWave splits the wave's rounds across its census proportional to
 // op counts. It returns the opened wave, its widths set.
 func (c *Cluster) BeginMixedWave(ops []graph.Op, wave []int) WaveStats {
-	if c.stats.currentMixed == nil {
+	if c.currentMixed == nil {
 		panic("mpc: BeginMixedWave outside a mixed window")
 	}
-	if c.stats.currentWave != nil {
+	if c.currentWave != nil {
 		panic("mpc: BeginMixedWave inside an open wave (close it with EndMixedWave first)")
 	}
-	w := &WaveStats{}
+	c.wave = WaveStats{}
+	w := &c.wave
 	eachOp(ops, wave, func(op graph.Op) {
 		if op.IsQuery() {
 			w.Queries++
@@ -427,9 +437,9 @@ func (c *Cluster) BeginMixedWave(ops []graph.Op, wave []int) WaveStats {
 			w.Updates++
 		}
 	})
-	c.stats.currentWave = w
-	if c.stats.currentMixed.Tenants != nil {
-		c.stats.waveTenants = tenantCensus(ops, wave)
+	c.currentWave = w
+	if c.currentMixed.Tenants != nil {
+		c.waveTenants = tenantCensus(ops, wave)
 	}
 	return *w
 }
@@ -437,14 +447,14 @@ func (c *Cluster) BeginMixedWave(ops []graph.Op, wave []int) WaveStats {
 // EndMixedWave finishes the current wave and records it on the open
 // window's wave log.
 func (c *Cluster) EndMixedWave() WaveStats {
-	w := c.stats.currentWave
+	w := c.currentWave
 	if w == nil {
 		panic("mpc: EndMixedWave without an open wave")
 	}
-	m := c.stats.currentMixed
-	c.stats.currentWave = nil
+	m := c.currentMixed
+	c.currentWave = nil
 	m.Waves = append(m.Waves, *w)
-	c.stats.shareWaveRounds(m, *w)
+	c.shareWaveRounds(m, *w)
 	return *w
 }
 
@@ -501,8 +511,8 @@ func (c *Cluster) Round() RoundStats {
 	c.stats.Rounds++
 	c.stats.Messages += rs.Messages
 	c.stats.Words += rs.Words
-	w := c.stats.currentWave
-	if m := c.stats.currentMixed; m != nil {
+	w := c.currentWave
+	if m := c.currentMixed; m != nil {
 		// The per-wave attribution rule of MixedStats: query-only waves
 		// feed the query half, everything else feeds the update half.
 		if w != nil && w.Updates == 0 && w.Queries > 0 {
@@ -536,7 +546,7 @@ func (c *Cluster) Run(maxRounds int) int {
 func (c *Cluster) Drain(maxRounds int, what string) int {
 	n := c.Run(maxRounds)
 	if !c.Quiescent() {
-		if w := c.stats.currentWave; w != nil {
+		if w := c.currentWave; w != nil {
 			what = fmt.Sprintf("%s of %d updates + %d reads", what, w.Updates, w.Queries)
 		}
 		panic(fmt.Sprintf("%s did not quiesce within %d rounds", what, maxRounds))

@@ -12,6 +12,11 @@ package mpc
 // before banking the array. Elements beyond len(s) stay zero by
 // induction — fresh arrays start zeroed and append only writes the
 // elements that become part of len — so clearing len, not cap, suffices.
+//
+// The delivery guarantee a sender that recycles payloads (amm's outbox)
+// relies on: a message a handler stages in round r (Ctx.Round() = r), or
+// that Send injects while Stats().Rounds = r, is consumed in the next
+// round, r+1 resp. r, and no later — settle retires every inbox it ran.
 
 // msgPool is a free-list of retired []Message backing arrays, shared by
 // the inboxes and refilled by settle each round. It is owned by the

@@ -46,9 +46,10 @@ func TestSteadyStateAllocsPerRound(t *testing.T) {
 
 // TestSteadyStateAllocsPerAnswer pins that answers ride the pooled round:
 // at steady state a sharded window whose machines answer k reads
-// allocates what every one-wave window does — its MixedStats, its
-// WaveStats and the wave log — plus the slice Answers returns, and nothing
-// per answer.
+// allocates what every one-wave window does — the copy of its wave log
+// EndMixed returns; the open window and wave are the Cluster's own — plus
+// the slice Answers returns, and nothing per answer. When the window and
+// the wave were allocated per opening, the budget was 4.
 func TestSteadyStateAllocsPerAnswer(t *testing.T) {
 	const mu, k = 16, 256
 	c := NewCluster(Config{Machines: mu, MemWords: 1 << 16, Workers: 4})
@@ -75,8 +76,8 @@ func TestSteadyStateAllocsPerAnswer(t *testing.T) {
 	for i := 0; i < 8; i++ { // warm the pools past the growth phase
 		window()
 	}
-	if avg := testing.AllocsPerRun(50, window); avg > 4 {
-		t.Errorf("%.2f allocs per window of %d answered reads, budget 4", avg, k)
+	if avg := testing.AllocsPerRun(50, window); avg > 2 {
+		t.Errorf("%.2f allocs per window of %d answered reads, budget 2", avg, k)
 	}
 }
 

@@ -81,9 +81,9 @@ func WindowCensus(ops []graph.Op, weighted bool) []TenantCount {
 
 // shareWaveRounds folds a closed wave's rounds into the window's
 // per-tenant breakdown by wave share.
-func (s *Stats) shareWaveRounds(m *MixedStats, w WaveStats) {
-	census := s.waveTenants
-	s.waveTenants = s.waveTenants[:0]
+func (c *Cluster) shareWaveRounds(m *MixedStats, w WaveStats) {
+	census := c.waveTenants
+	c.waveTenants = c.waveTenants[:0]
 	if m.Tenants == nil || len(census) == 0 || w.Rounds == 0 {
 		return
 	}
@@ -105,7 +105,7 @@ func (s *Stats) shareWaveRounds(m *MixedStats, w WaveStats) {
 // covered (scheduling, drain, chained serial segments) across the
 // window census, keeping the per-tenant Rounds a partition of the
 // window total.
-func (s *Stats) shareLeftoverRounds(m *MixedStats) {
+func (c *Cluster) shareLeftoverRounds(m *MixedStats) {
 	if m.Tenants == nil || m.Ops == 0 {
 		return
 	}
