@@ -23,15 +23,17 @@ func ammIngestOps(n, updates int) []graph.Op {
 
 // TestAllocsPerOp bounds what ApplyOps allocates per op of an amm-ingest
 // stream (2 000 updates) in k = 64 windows, every handler inline. Each
-// bound sits 10 % over what its size measured when it was set: 1.53
-// allocations per op at n = 128 and 2.98 at n = 10⁴. When every payload
-// was an amsg boxed into its message, they read 14.77 and 13.83.
+// bound sits 10 % over what its size measured when it was set: 1.05
+// allocations per op at n = 128 and 2.63 at n = 10⁴. Before the
+// scheduler's level queues and order lists kept their capacity, they read
+// 1.53 and 2.98; when every payload was an amsg boxed into its message,
+// 14.77 and 13.83.
 func TestAllocsPerOp(t *testing.T) {
 	const k = 64
 	for _, tc := range []struct {
 		n    int
 		most float64
-	}{{128, 1.7}, {10_000, 3.3}} {
+	}{{128, 1.16}, {10_000, 2.9}} {
 		ops := ammIngestOps(tc.n, 2000)
 		m := New(Config{N: tc.n, Seed: 1, Workers: 1})
 		var before, after runtime.MemStats

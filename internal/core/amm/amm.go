@@ -72,8 +72,8 @@ type M struct {
 	sched   *scheduler
 	packer  *sched.Admitter // cuts update runs into endpoint-disjoint waves
 	seq     int64
-	out     outbox   // the driver's payloads, slabbed by the round they are sent before
-	keys    [2]int64 // StreamItem's claim keys
+	out     mpc.Outbox[amsg] // the driver's payloads, slabbed by the round they are sent before
+	keys    [2]int64         // StreamItem's claim keys
 }
 
 // New builds an empty instance.
@@ -167,7 +167,7 @@ func (m *M) update(up graph.Update) mpc.HalfStats {
 
 // send injects a driver message whose payload lives in m.out.
 func (m *M) send(to int, p amsg, words int) {
-	m.cluster.Send(mpc.Message{From: -1, To: to, Payload: m.out.put(m.cluster.Stats().Rounds, p), Words: words})
+	m.cluster.Send(mpc.Message{From: -1, To: to, Payload: m.out.Put(m.cluster.Stats().Rounds, p), Words: words})
 }
 
 // StreamItem is the coarse claims oracle of the §6 structure: its epoch

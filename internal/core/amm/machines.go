@@ -52,35 +52,11 @@ func (m *amsg) words() int {
 	return 10 + len(m.Freed) + len(m.Low) + len(m.Active)
 }
 
-// outbox holds what one sender sends, so a send allocates nothing: each
-// machine owns one, and M one for its driver sends, in two slabs by the
-// parity of the round a payload is sent in. The §6 payload rule: a payload
-// is immutable and lives until the end of the round after the one it was
-// sent in, and a receiver copies what it keeps. mpc consumes a message no
-// later than that (pool.go), so the first send in round r+2 resets slab r&1.
-type outbox struct {
-	slab [2][]amsg
-	at   [2]int // the round each slab was last reset in
-}
-
-// put copies m into a slot of round r's slab and returns the slot. A
-// reused slot keeps the capacity of its Freed and Low lists.
-func (o *outbox) put(r int, m amsg) *amsg {
-	p := r & 1
-	if o.at[p] != r {
-		o.at[p], o.slab[p] = r, o.slab[p][:0]
-	}
-	o.slab[p] = slices.Grow(o.slab[p], 1)[:len(o.slab[p])+1]
-	slot := &o.slab[p][len(o.slab[p])-1]
-	m.Freed, m.Low = append(slot.Freed[:0], m.Freed...), append(slot.Low[:0], m.Low...)
-	*slot = m
-	return slot
-}
-
-// send is Ctx.Send of a copy of m that lives in o.
-func (o *outbox) send(ctx *mpc.Ctx, to int, m amsg) {
-	p := o.put(ctx.Round(), m)
-	ctx.Send(to, p, p.words())
+// send is ctx.Send of a copy of m that lives in o, the sender's
+// mpc.Outbox: a handler receives an *amsg, valid until the end of the
+// round, and copies what it keeps.
+func send(ctx *mpc.Ctx, o *mpc.Outbox[amsg], to int, m amsg) {
+	o.Send(ctx, to, m, m.words())
 }
 
 // vstate is the authoritative per-vertex state at its owner.
@@ -119,9 +95,12 @@ type shard struct {
 	verts  map[int32]*vstate
 	jobs   []job
 	rng    *rand.Rand
-	out    outbox
-	report amsg    // the round's report, built in place and sent as a copy
-	pool   []int32 // handleFree's scratch
+	out    mpc.Outbox[amsg]
+	// The round's report is built in place in reports[round parity] and
+	// sent as a copy that shares its Freed and Low lists, which the parity
+	// keeps intact, like the payload, until the end of the next round.
+	reports [2]amsg
+	pool    []int32 // handleFree's scratch
 
 	// MemWords' running terms: adjEntries is Σ len(vstate.adj), moved by
 	// setAdj/delAdj only; jobWords is Σ 2+len(job.todo), moved where jobs
@@ -291,7 +270,7 @@ func (s *shard) lowThreshold(lvl int32) int32 {
 }
 
 func (s *shard) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
-	report := &s.report
+	report := &s.reports[ctx.Round()&1]
 	*report = amsg{Kind: aReport, Freed: report.Freed[:0], Low: report.Low[:0]}
 	dirty := false
 	sawProtocol := false
@@ -334,14 +313,14 @@ func (s *shard) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 			s.unmatchLocal(ctx, m.U, report, &dirty)
 		case aTick:
 			s.processJobs(ctx)
-			s.out.send(ctx, 0, amsg{Kind: aTickAck, U: int32(s.id), Pending: len(s.jobs) > 0})
+			send(ctx, &s.out, 0, amsg{Kind: aTickAck, U: int32(s.id), Pending: len(s.jobs) > 0})
 		case aLvlUpd:
 			st := s.get(m.U)
 			if _, ok := st.adj[m.V]; ok {
 				st.adj[m.V] = m.Lvl
 			}
 		case aProbe:
-			s.out.send(ctx, 0, s.probe(m.Shuffle))
+			send(ctx, &s.out, 0, s.probe(m.Shuffle))
 		case aMateQuery: // the answer is mate(U); ApplyOps folds OpMatched from it
 			ctx.Answer(int(m.Seq), graph.Answer{Int: int64(s.lookup(m.U).mate)})
 		}
@@ -359,7 +338,7 @@ func (s *shard) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 	if sawProtocol && (dirty || len(report.Freed) > 0 || len(report.Low) > 0 || pending) {
 		report.Pending = pending
 		report.U = int32(s.id)
-		s.out.send(ctx, 0, *report)
+		send(ctx, &s.out, 0, *report)
 	}
 }
 
@@ -372,7 +351,7 @@ func (s *shard) handleUpdate(ctx *mpc.Ctx, m *amsg, report *amsg, dirty *bool) {
 	st := s.get(u)
 	if !m.Del {
 		s.setAdj(st, v, -2) // unknown until the mirror reply
-		s.out.send(ctx, s.owner(v), amsg{Kind: aEdge, U: v, V: u, Lvl: st.lvl, Free: st.mate == -1})
+		send(ctx, &s.out, s.owner(v), amsg{Kind: aEdge, U: v, V: u, Lvl: st.lvl, Free: st.mate == -1})
 		return
 	}
 	// Delete.
@@ -392,7 +371,7 @@ func (s *shard) handleUpdate(ctx *mpc.Ctx, m *amsg, report *amsg, dirty *bool) {
 			*dirty = true
 		}
 	}
-	s.out.send(ctx, s.owner(v), fwd)
+	send(ctx, &s.out, s.owner(v), fwd)
 }
 
 // handleEdgeOther is the second half, at owner(v).
@@ -427,7 +406,7 @@ func (s *shard) handleEdgeOther(ctx *mpc.Ctx, m *amsg, report *amsg, dirty *bool
 		back.Lvl = 0
 		*dirty = true
 	}
-	s.out.send(ctx, s.owner(u), back)
+	send(ctx, &s.out, s.owner(u), back)
 }
 
 // handleFree runs the §6 handle-free(v): choose the highest level ℓ with
@@ -463,7 +442,7 @@ func (s *shard) handleFree(ctx *mpc.Ctx, m *amsg) {
 	}
 	slices.Sort(pool)
 	w := pool[s.rng.Intn(len(pool))]
-	s.out.send(ctx, 0, amsg{Kind: aCandidate, U: v, V: w, Lvl: bestLvl, Support: int32(len(pool))})
+	send(ctx, &s.out, 0, amsg{Kind: aCandidate, U: v, V: w, Lvl: bestLvl, Support: int32(len(pool))})
 }
 
 // commitMatch applies an arbitrated match order for the vertex this shard
@@ -476,7 +455,7 @@ func (s *shard) commitMatch(ctx *mpc.Ctx, m *amsg, report *amsg, dirty *bool) {
 		// Steal: the ex-partner is freed.
 		ex := st.mate
 		exLvl := st.lvl
-		s.out.send(ctx, s.owner(ex), amsg{Kind: aExFreed, U: ex, V: v})
+		send(ctx, &s.out, s.owner(ex), amsg{Kind: aExFreed, U: ex, V: v})
 		report.Freed = append(report.Freed, ex, exLvl)
 		*dirty = true
 	}
@@ -501,7 +480,7 @@ func (s *shard) processJobs(ctx *mpc.Ctx) {
 		// fresher mirror with a stale level.
 		lvl := s.verts[j.v].lvl
 		for _, w := range j.todo[:n] {
-			s.out.send(ctx, s.owner(w), amsg{Kind: aLvlUpd, U: w, V: j.v, Lvl: lvl})
+			send(ctx, &s.out, s.owner(w), amsg{Kind: aLvlUpd, U: w, V: j.v, Lvl: lvl})
 		}
 		j.todo = j.todo[n:]
 		budget -= n
@@ -527,7 +506,7 @@ func (s *shard) unmatchLocal(ctx *mpc.Ctx, v int32, report *amsg, dirty *bool) {
 	st.mate = -1
 	st.lvl = -1
 	s.queueLevelJob(v)
-	s.out.send(ctx, s.owner(ex), amsg{Kind: aExFreed, U: ex, V: v})
+	send(ctx, &s.out, s.owner(ex), amsg{Kind: aExFreed, U: ex, V: v})
 	report.Freed = append(report.Freed, v, lvl, ex, lvl)
 	*dirty = true
 }
@@ -571,9 +550,9 @@ type scheduler struct {
 	pendingAckClear []int32
 	rng             *rand.Rand
 	cycle           int64
-	out             outbox
+	out             mpc.Outbox[amsg]
 	seen            map[int32]bool // dispatch's scratch
-	acts            [2][]int32     // dispatch's active lists by round parity: payloads, under outbox's rule
+	acts            [2][]int32     // dispatch's active lists by round parity: payloads, under mpc.Outbox's rule
 }
 
 func newScheduler(cfg Config, mu, levels int) *scheduler {
@@ -660,11 +639,11 @@ func (s *scheduler) dispatch(ctx *mpc.Ctx) {
 	for _, v := range s.pendingAckClear {
 		delete(s.active, v)
 	}
-	s.pendingAckClear = nil
+	s.pendingAckClear = s.pendingAckClear[:0]
 	// Deferred unmatch orders (shuffle/rise picks from the previous cycle,
-	// low-support edges from the unmatch-scheduler).
+	// low-support edges from the unmatch-scheduler), sent from the
+	// pending list itself, which then starts over with its capacity.
 	orders := s.pendingUnmatch
-	s.pendingUnmatch = nil
 	if len(s.lowSupp) > 0 {
 		low := int32(math.MaxInt32)
 		for v := range s.lowSupp {
@@ -679,8 +658,9 @@ func (s *scheduler) dispatch(ctx *mpc.Ctx) {
 			continue
 		}
 		s.seen[v] = true
-		s.out.send(ctx, s.owner(v), amsg{Kind: aUnmatchOrder, U: v})
+		send(ctx, &s.out, s.owner(v), amsg{Kind: aUnmatchOrder, U: v})
 	}
+	s.pendingUnmatch = orders[:0]
 
 	// Free-schedule: pop one vertex per level, highest level first (the
 	// paper's processing order), and dispatch handle-free with the active
@@ -694,29 +674,30 @@ func (s *scheduler) dispatch(ctx *mpc.Ctx) {
 	s.acts[p] = act
 	for lvl := len(s.queues) - 1; lvl >= 0; lvl-- {
 		q := s.queues[lvl]
-		for len(q) > 0 {
-			v := q[0]
-			q = q[1:]
+		popped := 0
+		for popped < len(q) {
+			v := q[popped]
+			popped++
 			if s.active[v] {
 				continue
 			}
-			s.out.send(ctx, s.owner(v), amsg{Kind: aHandleFree, U: v, Active: act})
+			send(ctx, &s.out, s.owner(v), amsg{Kind: aHandleFree, U: v, Active: act})
 			break
 		}
-		s.queues[lvl] = q
+		s.queues[lvl] = slices.Delete(q, 0, popped) // the queue keeps its capacity
 	}
 
 	// Tick machines with pending level-notification jobs.
 	for m := range s.pendingJobs {
-		s.out.send(ctx, int(m), amsg{Kind: aTick})
+		send(ctx, &s.out, int(m), amsg{Kind: aTick})
 	}
 
 	// Shuffle and rise probes, one random shard each every few cycles.
 	if s.cycle%4 == 0 {
-		s.out.send(ctx, 1+s.rng.Intn(s.mu), amsg{Kind: aProbe, Shuffle: true})
+		send(ctx, &s.out, 1+s.rng.Intn(s.mu), amsg{Kind: aProbe, Shuffle: true})
 	}
 	if s.cycle%4 == 2 {
-		s.out.send(ctx, 1+s.rng.Intn(s.mu), amsg{Kind: aProbe})
+		send(ctx, &s.out, 1+s.rng.Intn(s.mu), amsg{Kind: aProbe})
 	}
 }
 
@@ -730,8 +711,8 @@ func (s *scheduler) arbitrate(ctx *mpc.Ctx, m *amsg) {
 	}
 	s.active[v], s.active[w] = true, true
 	// w's side first (it may steal), then v's side.
-	s.out.send(ctx, s.owner(w), amsg{Kind: aMatchOrder, U: w, V: v, Lvl: m.Lvl, Support: m.Support, Found: true})
-	s.out.send(ctx, s.owner(v), amsg{Kind: aMatchOrder, U: v, V: w, Lvl: m.Lvl, Support: m.Support})
+	send(ctx, &s.out, s.owner(w), amsg{Kind: aMatchOrder, U: w, V: v, Lvl: m.Lvl, Support: m.Support, Found: true})
+	send(ctx, &s.out, s.owner(v), amsg{Kind: aMatchOrder, U: v, V: w, Lvl: m.Lvl, Support: m.Support})
 	// Acks are implicit: both orders always commit (the steal frees the
 	// ex-partner), so the active entries clear at the next cycle.
 	s.pendingAckClear = append(s.pendingAckClear, v, w)

@@ -83,9 +83,8 @@ func (c *coordinator) flushNext(ctx *mpc.Ctx, pending []int32, dirs map[int32]in
 		c.await(ctx, len(machines), func(ctx *mpc.Ctx) {
 			// Batch ±1 deltas to the stats machines, grouped by owner.
 			group := map[int32]*ctrMsg{}
-			for _, r := range c.cur.replies {
-				r, ok := r.(*storageRep)
-				if !ok || r.Kind != cListRep {
+			for _, r := range c.cur.stores {
+				if r.Kind != cListRep {
 					continue
 				}
 				for _, rec := range r.Recs {
@@ -195,12 +194,10 @@ func (c *coordinator) scanFreeExcluding(ctx *mpc.Ctx, v int32, s stat, excl int3
 }
 
 func (c *coordinator) ctrOf(v int32) int32 {
-	for _, r := range c.cur.replies {
-		if r, ok := r.(*ctrMsg); ok {
-			for i, x := range r.Vs {
-				if x == v {
-					return r.Ds[i]
-				}
+	for _, r := range c.cur.ctrs {
+		for i, x := range r.Vs {
+			if x == v {
+				return r.Ds[i]
 			}
 		}
 	}
@@ -257,9 +254,8 @@ func (c *coordinator) aug3From(ctx *mpc.Ctx, z int32, cont func(ctx *mpc.Ctx)) {
 			// under the rare fallback paths.
 			partner := map[int32]edgeRec{}
 			var mates []int32
-			for _, r := range c.cur.replies {
-				r, ok := r.(*storageRep)
-				if !ok || r.Kind != cListRep {
+			for _, r := range c.cur.stores {
+				if r.Kind != cListRep {
 					continue
 				}
 				for _, rec := range r.Recs {
@@ -291,11 +287,7 @@ func (c *coordinator) aug3From(ctx *mpc.Ctx, z int32, cont func(ctx *mpc.Ctx)) {
 			c.await(ctx, len(group), func(ctx *mpc.Ctx) {
 				var candMates []int32
 				ctrs := map[int32]int32{}
-				for _, r := range c.cur.replies {
-					r, ok := r.(*ctrMsg)
-					if !ok {
-						continue
-					}
+				for _, r := range c.cur.ctrs {
 					for i, v := range r.Vs {
 						if r.Ds[i] >= 1 {
 							candMates = append(candMates, v)

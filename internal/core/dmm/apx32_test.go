@@ -61,13 +61,26 @@ func TestApx32Basic(t *testing.T) {
 	}, "basic")
 }
 
+// TestApx32RandomStreams drives random streams through §4 inline, then
+// replays each at replicaWorkers: the §4 counter and list traffic is under
+// the payload rule too, and the replicas must end on the inline mate
+// table and accounting.
 func TestApx32RandomStreams(t *testing.T) {
 	const n = 20
 	for seed := int64(0); seed < 4; seed++ {
 		rng := rand.New(rand.NewSource(seed + 21))
-		m := New(Config{N: n, CapEdges: 120, ThreeHalves: true})
+		cfg := Config{N: n, CapEdges: 120, ThreeHalves: true}
+		m := New(cfg)
 		g := graph.New(n)
-		drive32(t, m, g, graph.RandomStream(n, 250, 0.55, 1, rng), "random32")
+		stream := graph.RandomStream(n, 250, 0.55, 1, rng)
+		drive32(t, m, g, stream, "random32")
+		for _, rep := range replicas(cfg) {
+			for _, up := range stream {
+				applyUpdate(rep, up)
+			}
+			assertReplicaEquivalent(t, m, rep)
+			rep.Close()
+		}
 	}
 }
 

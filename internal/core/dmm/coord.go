@@ -73,11 +73,19 @@ type stat struct {
 
 // Payloads. Every message travels as a pointer to one of the types below,
 // each holding only the fields of the kinds it serves (TestPayloadSizes
-// bounds them); the words a message bills are declared at its send.
-// Payloads are immutable once sent: a handler reads what it receives and
-// never writes it — a receiver may keep what it was sent, as a reply may
-// share its request's slices — and a flow that keeps a reply keeps the
-// pointer. The -race replays at replicaWorkers check it.
+// bounds them); the words a message bills are declared at its send. The
+// per-update traffic — update and mateQuery from M's driver, statsReq,
+// statsSet and storeMsg from MC, statsRep from the statistics machines —
+// lives in its sender's mpc.Outbox, so those sends allocate nothing; the
+// rarer kinds are boxed one by one. Every payload follows mpc.Outbox's
+// rule: it is immutable once sent and valid until the end of the round
+// after its send, and a receiver copies what it keeps — MC's flows keep
+// typed reply copies, its serialize queue update values, a statistics
+// machine its own copy of a suspended stack, and a counter reply its own
+// vertex list. A slice a payload carries may be a view of state its
+// sender never rewrites (an H suffix, a statistics machine's suspended
+// stack), which a copy may keep. The -race replays at replicaWorkers
+// check it.
 
 // update is an external update at MC.
 type update struct {
@@ -244,22 +252,46 @@ type coordinator struct {
 	inflight map[int64]*flow
 	cur      *flow
 
+	// free holds the finished flows begin reuses.
+	free []*flow
+
 	// serialize is the serial-segment mode ApplyOps' runChained drives:
 	// updates arriving while one is in flight queue here and start in the
 	// round the previous update finishes, overlapping each update's
 	// injection and ack-tail rounds with its successor but never running
-	// two case analyses concurrently.
+	// two case analyses concurrently. The queued updates are
+	// queue[qHead:]; the queue keeps its capacity.
 	serialize bool
-	queue     []*update
+	queue     []update
+	qHead     int
+
+	// MC's per-update sends live in these (see Payloads).
+	reqs   mpc.Outbox[statsReq]
+	sets   mpc.Outbox[statsSet]
+	stores mpc.Outbox[storeMsg]
 }
 
 // flow is one in-flight update's continuation state at MC: which replies
-// it is waiting for and what to do when they are all in.
+// it is waiting for, the copies of those received since its last await,
+// by type and in arrival order, and what to do when they are all in.
 type flow struct {
 	seq     int64
 	waiting int
-	replies []any // payloads, as received
+	got     int
+	stats   []statsRep
+	acks    []ack
+	stores  []storageRep
+	ctrs    []ctrMsg
 	cont    func(ctx *mpc.Ctx)
+}
+
+// reset empties the flow's replies, keeping their capacity.
+func (fl *flow) reset() {
+	clear(fl.stats)
+	clear(fl.acks)
+	clear(fl.stores)
+	clear(fl.ctrs)
+	fl.got, fl.stats, fl.acks, fl.stores, fl.ctrs = 0, fl.stats[:0], fl.acks[:0], fl.stores[:0], fl.ctrs[:0]
 }
 
 func newCoordinator(cfg Config, mu, numStats, statsPer, mem, heavyAt, aliveCap int) *coordinator {
@@ -285,8 +317,11 @@ func newCoordinator(cfg Config, mu, numStats, statsPer, mem, heavyAt, aliveCap i
 func (c *coordinator) firstStore() int { return 1 + c.numStats }
 
 func (c *coordinator) MemWords() int {
-	return len(c.h)*4 + len(c.lastSync)*2 + len(c.freeWords) + 4*len(c.queue) + 8*len(c.inflight) + 16
+	return len(c.h)*4 + len(c.lastSync)*2 + len(c.freeWords) + 4*c.queued() + 8*len(c.inflight) + 16
 }
+
+// queued is the number of updates waiting in the serialize queue.
+func (c *coordinator) queued() int { return len(c.queue) - c.qHead }
 
 func (c *coordinator) statsOf(v int32) int32 { return 1 + v/int32(c.statsPer) }
 
@@ -392,8 +427,8 @@ func (c *coordinator) await(ctx *mpc.Ctx, n int, f func(ctx *mpc.Ctx)) {
 		return
 	}
 	fl := c.cur
+	fl.reset()
 	fl.waiting = n
-	fl.replies = fl.replies[:0]
 	fl.cont = f
 }
 
@@ -403,45 +438,53 @@ func (c *coordinator) send(ctx *mpc.Ctx, to int32, m interface{ words() int }) {
 
 // sendStore ships an edge record with the target's H suffix; no reply.
 func (c *coordinator) sendStore(ctx *mpc.Ctx, target, v int32, rec edgeRec) {
-	c.send(ctx, target, &storeMsg{V: v, Rec: rec, H: c.suffixFor(target)})
+	m := storeMsg{V: v, Rec: rec, H: c.suffixFor(target)}
+	c.stores.Send(ctx, int(target), m, m.words())
 	c.freeWords[target] -= edgeWords
 }
 
-// refresh ships machine m its H suffix; m acks with what it reclaimed.
-func (c *coordinator) refresh(ctx *mpc.Ctx, m int32) {
-	c.send(ctx, m, &storeMsg{H: c.suffixFor(m), Refresh: true})
+// refresh ships machine target its H suffix; it acks with what it
+// reclaimed.
+func (c *coordinator) refresh(ctx *mpc.Ctx, target int32) {
+	m := storeMsg{H: c.suffixFor(target), Refresh: true}
+	c.stores.Send(ctx, int(target), m, m.words())
 }
 
 func (c *coordinator) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 	for _, raw := range inbox {
-		var seq int64
+		var fl *flow // nil for seq -1: an unsolicited bookkeeping ack
 		switch m := raw.Payload.(type) {
 		case *update:
 			if c.serialize && len(c.inflight) > 0 {
-				c.queue = append(c.queue, m)
+				c.queue = append(c.queue, *m)
 				continue
 			}
-			c.begin(ctx, m)
+			c.begin(ctx, *m)
 			continue
 		case *ack: // free-space deltas ride on every storage reply
 			c.freeWords[m.Target] += m.Freed - m.Used
-			seq = m.Seq
+			if fl = c.inflight[m.Seq]; fl != nil {
+				fl.acks = append(fl.acks, *m)
+			}
 		case *storageRep:
 			c.freeWords[m.Target] += m.Freed
-			seq = m.Seq
+			if fl = c.inflight[m.Seq]; fl != nil {
+				fl.stores = append(fl.stores, *m)
+			}
 		case *statsRep:
-			seq = m.Seq
+			if fl = c.inflight[m.Seq]; fl != nil {
+				fl.stats = append(fl.stats, *m)
+			}
 		case *ctrMsg:
-			seq = m.Seq
-		default:
-			continue
+			if fl = c.inflight[m.Seq]; fl != nil {
+				fl.ctrs = append(fl.ctrs, *m)
+			}
 		}
-		fl := c.inflight[seq] // seq -1: unsolicited bookkeeping ack
 		if fl == nil {
 			continue
 		}
-		fl.replies = append(fl.replies, raw.Payload)
-		if fl.cont != nil && len(fl.replies) >= fl.waiting {
+		fl.got++
+		if fl.cont != nil && fl.got >= fl.waiting {
 			f := fl.cont
 			fl.cont = nil
 			c.cur = fl
@@ -450,18 +493,24 @@ func (c *coordinator) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 	}
 }
 
-// begin opens a flow for the update and starts its case analysis in the
-// current round.
-func (c *coordinator) begin(ctx *mpc.Ctx, m *update) {
-	fl := &flow{seq: m.Seq}
+// begin opens a flow for the update, reusing a finished one, and starts
+// its case analysis in the current round.
+func (c *coordinator) begin(ctx *mpc.Ctx, m update) {
+	var fl *flow
+	if n := len(c.free); n > 0 {
+		fl, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		fl = new(flow)
+	}
+	fl.seq = m.Seq
 	c.inflight[m.Seq] = fl
 	c.cur = fl
 	c.startUpdate(ctx, m)
 }
 
 func (c *coordinator) statOf(v int32) stat {
-	for _, r := range c.cur.replies {
-		if r, ok := r.(*statsRep); ok && r.V == v {
+	for i := range c.cur.stats {
+		if r := &c.cur.stats[i]; r.V == v {
 			return r.St
 		}
 	}
@@ -469,8 +518,8 @@ func (c *coordinator) statOf(v int32) stat {
 }
 
 func (c *coordinator) scanRep() *storageRep {
-	for _, r := range c.cur.replies {
-		if r, ok := r.(*storageRep); ok && r.Kind == cScanRep {
+	for i := range c.cur.stores {
+		if r := &c.cur.stores[i]; r.Kind == cScanRep {
 			return r
 		}
 	}
@@ -478,8 +527,8 @@ func (c *coordinator) scanRep() *storageRep {
 }
 
 func (c *coordinator) ackCount(target int32) int32 {
-	for _, r := range c.cur.replies {
-		if r, ok := r.(*ack); ok && r.Target == target {
+	for _, r := range c.cur.acks {
+		if r.Target == target {
 			return r.Count
 		}
 	}
@@ -489,7 +538,8 @@ func (c *coordinator) ackCount(target int32) int32 {
 // statsSet helpers: authoritative field writes.
 
 func (c *coordinator) setField(ctx *mpc.Ctx, v int32, f sfield, val int32) {
-	c.send(ctx, c.statsOf(v), &statsSet{V: v, Field: f, Val: val})
+	m := statsSet{V: v, Field: f, Val: val}
+	c.sets.Send(ctx, int(c.statsOf(v)), m, m.words())
 }
 
 func (c *coordinator) setMate(ctx *mpc.Ctx, v, mate int32) { c.setField(ctx, v, fMate, mate) }
@@ -498,8 +548,11 @@ func (c *coordinator) setHome(ctx *mpc.Ctx, v, home int32) { c.setField(ctx, v, 
 
 func (c *coordinator) setCnt(ctx *mpc.Ctx, v, cnt int32) { c.setField(ctx, v, fCnt, cnt) }
 
+// setSusp sends v's suspended stack as it stands: a flow's stack is a
+// statistics machine's immutable view or one MC appended to, and MC
+// never rewrites an element it has sent. The statistics machine copies it.
 func (c *coordinator) setSusp(ctx *mpc.Ctx, v int32, susp []int32) {
-	c.send(ctx, c.statsOf(v), &suspSet{V: v, Susp: append([]int32(nil), susp...)})
+	c.send(ctx, c.statsOf(v), &suspSet{V: v, Susp: susp})
 }
 
 // flipInfo coalesces a vertex's matching-status flips within one update;
@@ -578,11 +631,15 @@ func (c *coordinator) finishUpdate(ctx *mpc.Ctx) {
 // opens its own flow on arrival.
 func (c *coordinator) updateDone(ctx *mpc.Ctx) {
 	delete(c.inflight, c.cur.seq)
-	if len(c.queue) == 0 {
+	c.cur.reset()
+	c.free = append(c.free, c.cur)
+	if c.queued() == 0 {
 		return
 	}
-	m := c.queue[0]
-	c.queue = c.queue[1:]
+	m := c.queue[c.qHead]
+	if c.qHead++; c.qHead == len(c.queue) {
+		c.queue, c.qHead = c.queue[:0], 0
+	}
 	c.begin(ctx, m)
 }
 

@@ -86,6 +86,9 @@ type M struct {
 	packer, probe *sched.Admitter
 	items         []sched.Item // ApplyOps' re-read slots, slices reused
 	seq           int64
+	// The driver's injections live in these (see coord.go's Payloads).
+	updates mpc.Outbox[update]
+	queries mpc.Outbox[mateQuery]
 
 	// wavePerm, when set by a test, permutes the injection order of every
 	// scheduled wave in place — the hook behind the permutation-
@@ -273,7 +276,7 @@ func (m *M) runOpWave(ops []graph.Op, ids []int64, wave []int) {
 		if op.IsQuery() {
 			m.cluster.Send(mpc.Message{
 				From: -1, To: 1 + op.U/m.coord.statsPer,
-				Payload: &mateQuery{Seq: int64(i), V: int32(op.U)},
+				Payload: m.queries.Put(m.cluster.Stats().Rounds, mateQuery{Seq: int64(i), V: int32(op.U)}),
 				Words:   3,
 			})
 			continue
@@ -306,7 +309,7 @@ func (m *M) runChained(ops []graph.Op, ids []int64, seg []int) {
 func (m *M) inject(up graph.Update, seq int64) {
 	m.cluster.Send(mpc.Message{
 		From: -1, To: 0,
-		Payload: &update{Seq: seq, A: int32(up.U), B: int32(up.V), Del: up.Op == graph.Delete},
+		Payload: m.updates.Put(m.cluster.Stats().Rounds, update{Seq: seq, A: int32(up.U), B: int32(up.V), Del: up.Op == graph.Delete}),
 		Words:   4,
 	})
 }
@@ -325,13 +328,13 @@ func (m *M) driveFlows(nu int, what string) {
 	for {
 		m.cluster.Round()
 		rounds++
-		if len(m.coord.inflight) == 0 && len(m.coord.queue) == 0 {
+		if len(m.coord.inflight) == 0 && m.coord.queued() == 0 {
 			m.cluster.Round()
 			return
 		}
 		if rounds >= limit {
 			panic(fmt.Sprintf("%s of %d updates did not complete within %d rounds (%d flows open, %d queued)",
-				what, nu, limit, len(m.coord.inflight), len(m.coord.queue)))
+				what, nu, limit, len(m.coord.inflight), m.coord.queued()))
 		}
 	}
 }
@@ -499,7 +502,7 @@ func (m *M) Validate(g *graph.Graph) error {
 			return err
 		}
 	}
-	if fl, q := len(m.coord.inflight), len(m.coord.queue); fl+q != 0 {
+	if fl, q := len(m.coord.inflight), m.coord.queued(); fl+q != 0 {
 		return fmt.Errorf("coordinator: %d flows in flight and %d updates queued at quiescence", fl, q)
 	}
 	var sum int64

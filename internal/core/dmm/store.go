@@ -14,6 +14,7 @@ type statsMachine struct {
 	id        int
 	stats     map[int32]*stat
 	suspWords int // Σ len(stat.suspended), kept at the one suspSet site
+	reps      mpc.Outbox[statsRep]
 }
 
 func newStatsMachine(id int) *statsMachine {
@@ -45,7 +46,8 @@ func (s *statsMachine) get(v int32) *stat {
 // peek returns v's stat without allocating authoritative state for a
 // never-touched vertex — the read of the driver-side batch scheduler, the
 // MateTable oracle, Validate and mate queries. The suspended list is the
-// live slice, read-only (a suspSet replaces it whole; Validate alone looks).
+// live slice, read-only: a suspSet replaces it whole with a fresh copy and
+// nothing writes into it, so every view of it stays as it was taken.
 func (s *statsMachine) peek(v int32) stat {
 	if st, ok := s.stats[v]; ok {
 		return *st
@@ -60,8 +62,9 @@ func (s *statsMachine) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 			st := s.get(m.V)
 			st.deg += m.DegDelta
 			cp := *st
-			cp.suspended = slices.Clip(append([]int32(nil), st.suspended...))
-			ctx.Send(0, &statsRep{Seq: m.Seq, V: m.V, St: cp}, 8+len(cp.suspended))
+			// A capped view of the immutable stack: MC's appends reallocate.
+			cp.suspended = slices.Clip(st.suspended)
+			s.reps.Send(ctx, 0, statsRep{Seq: m.Seq, V: m.V, St: cp}, 8+len(cp.suspended))
 		case *statsSet:
 			st := s.get(m.V)
 			switch m.Field {
@@ -75,10 +78,9 @@ func (s *statsMachine) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 				st.aliveCnt = m.Val
 			}
 		case *suspSet:
-			// MC sent its own copy and never writes it again: keep it.
 			st := s.get(m.V)
 			s.suspWords += len(m.Susp) - len(st.suspended)
-			st.suspended = m.Susp
+			st.suspended = slices.Clone(m.Susp)
 		case *mateQuery:
 			// Plain lookup: a read must not allocate authoritative state
 			// for a never-touched vertex (free vertices report -1 anyway).
@@ -91,7 +93,7 @@ func (s *statsMachine) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 				}
 				continue
 			}
-			reply := &ctrMsg{Kind: cCtrRep, Seq: m.Seq, Vs: m.Vs, Ds: make([]int32, len(m.Vs))}
+			reply := &ctrMsg{Kind: cCtrRep, Seq: m.Seq, Vs: slices.Clone(m.Vs), Ds: make([]int32, len(m.Vs))}
 			for i, v := range m.Vs {
 				reply.Ds[i] = s.get(v).freeNbr
 			}

@@ -9,7 +9,7 @@ import (
 // cluster rounds and touching O(1) machines; the H suffixes riding on the
 // messages bound communication by O(√N) words per round.
 
-func (c *coordinator) startUpdate(ctx *mpc.Ctx, m *update) {
+func (c *coordinator) startUpdate(ctx *mpc.Ctx, m update) {
 	if m.A == m.B {
 		c.updateDone(ctx)
 		return
@@ -22,7 +22,8 @@ func (c *coordinator) startUpdate(ctx *mpc.Ctx, m *update) {
 }
 
 func (c *coordinator) statsReq(ctx *mpc.Ctx, v, delta int32) {
-	c.send(ctx, c.statsOf(v), &statsReq{Seq: c.cur.seq, V: v, DegDelta: delta})
+	m := statsReq{Seq: c.cur.seq, V: v, DegDelta: delta}
+	c.reqs.Send(ctx, int(c.statsOf(v)), m, m.words())
 }
 
 // --- insert -------------------------------------------------------------
@@ -53,19 +54,14 @@ func (c *coordinator) startInsert(ctx *mpc.Ctx, x, y int32) {
 			c.statsReq(ctx, z, 0)
 		}
 		c.await(ctx, len(need), func(ctx *mpc.Ctx) {
-			mateHeavy := map[int32]bool{}
-			if sx.mate >= 0 {
-				mateHeavy[sx.mate] = c.statOf(sx.mate).heavy
-			}
-			if sy.mate >= 0 {
-				mateHeavy[sy.mate] = c.statOf(sy.mate).heavy
-			}
+			xMateHeavy := sx.mate >= 0 && c.statOf(sx.mate).heavy
+			yMateHeavy := sy.mate >= 0 && c.statOf(sy.mate).heavy
 			c.transitionUp(ctx, x, &sx, func(ctx *mpc.Ctx) {
 				c.transitionUp(ctx, y, &sy, func(ctx *mpc.Ctx) {
 					recX := edgeRec{other: y, matched: sy.mate >= 0, mate: sy.mate,
-						heavy: sy.heavy, mateHeavy: sy.mate >= 0 && mateHeavy[sy.mate]}
+						heavy: sy.heavy, mateHeavy: yMateHeavy}
 					recY := edgeRec{other: x, matched: sx.mate >= 0, mate: sx.mate,
-						heavy: sx.heavy, mateHeavy: sx.mate >= 0 && mateHeavy[sx.mate]}
+						heavy: sx.heavy, mateHeavy: xMateHeavy}
 					c.storeOne(ctx, x, &sx, recX, func(ctx *mpc.Ctx) {
 						c.storeOne(ctx, y, &sy, recY, func(ctx *mpc.Ctx) {
 							c.insertMatch(ctx, x, sx, y, sy)

@@ -13,10 +13,43 @@ package mpc
 // induction — fresh arrays start zeroed and append only writes the
 // elements that become part of len — so clearing len, not cap, suffices.
 //
-// The delivery guarantee a sender that recycles payloads (amm's outbox)
-// relies on: a message a handler stages in round r (Ctx.Round() = r), or
-// that Send injects while Stats().Rounds = r, is consumed in the next
-// round, r+1 resp. r, and no later — settle retires every inbox it ran.
+// The delivery guarantee Outbox relies on: a message a handler stages in
+// round r (Ctx.Round() = r), or that Send injects while Stats().Rounds =
+// r, is consumed in the next round, r+1 resp. r, and no later — settle
+// retires every inbox it ran.
+
+// Outbox holds what one sender sends, so a send allocates nothing: a
+// sender (a machine, or a driver for what it injects) owns one per payload
+// type, in two slabs by the parity of the round a payload is sent in. The
+// payload rule: a payload is immutable and lives until the end of the
+// round after the one it was sent in, and a receiver copies what it keeps.
+// The delivery guarantee above consumes a message no later than that, so
+// the first Put in round r+2 resets slab r&1. A reset clears the slab's
+// slots (the payload-clearing rule again: a stale slot would pin whatever
+// it referenced), so elements beyond len are zero by induction. The zero
+// Outbox is empty and ready.
+type Outbox[T any] struct {
+	slab [2][]T
+	at   [2]int // the round each slab was last reset in
+}
+
+// Put copies v into a slot of round r's slab and returns the slot: the
+// payload to send in round r (Ctx.Round(), or Stats().Rounds for a driver
+// injection).
+func (o *Outbox[T]) Put(r int, v T) *T {
+	p := r & 1
+	if o.at[p] != r {
+		clear(o.slab[p])
+		o.at[p], o.slab[p] = r, o.slab[p][:0]
+	}
+	o.slab[p] = append(o.slab[p], v)
+	return &o.slab[p][len(o.slab[p])-1]
+}
+
+// Send is ctx.Send of a copy of v that lives in o.
+func (o *Outbox[T]) Send(ctx *Ctx, to int, v T, words int) {
+	ctx.Send(to, o.Put(ctx.round, v), words)
+}
 
 // msgPool is a free-list of retired []Message backing arrays, shared by
 // the inboxes and refilled by settle each round. It is owned by the
