@@ -1,7 +1,8 @@
 package dmm
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"dmpc/internal/mpc"
 )
@@ -43,158 +44,183 @@ func (c *coordinator) ctrEdgeEvent(ctx *mpc.Ctx, x, y int32, xFree, yFree bool, 
 // counterFlush propagates the net status flips accumulated so far: for
 // each vertex whose status changed, its neighbor list is fetched and ±1
 // deltas are batched to the statistics machines.
-func (c *coordinator) counterFlush(ctx *mpc.Ctx, cont func(ctx *mpc.Ctx)) {
-	var pending []int32
+func (c *coordinator) counterFlush(ctx *mpc.Ctx, fl *flow, ret step) {
+	fl.push(ret)
+	fl.pending = fl.pending[:0]
 	for v, fi := range c.flips {
 		if fi.flips%2 == 1 {
-			pending = append(pending, v)
+			fl.pending = append(fl.pending, v)
 		}
 	}
-	sort.Slice(pending, func(i, j int) bool { return pending[i] < pending[j] })
-	dirs := make(map[int32]int32, len(pending))
-	for _, v := range pending {
+	slices.Sort(fl.pending)
+	fl.dirs = fl.dirs[:0]
+	for _, v := range fl.pending {
 		if c.flips[v].origFree {
-			dirs[v] = -1 // became matched: neighbors lose a free neighbor
+			fl.dirs = append(fl.dirs, -1) // became matched: neighbors lose a free neighbor
 		} else {
-			dirs[v] = +1
+			fl.dirs = append(fl.dirs, +1)
 		}
 	}
-	c.flips = make(map[int32]*flipInfo)
-	c.flushNext(ctx, pending, dirs, 0, cont)
+	clear(c.flips)
+	fl.op.pi = 0
+	c.flushNext(ctx, fl)
 }
 
-func (c *coordinator) flushNext(ctx *mpc.Ctx, pending []int32, dirs map[int32]int32, i int, cont func(ctx *mpc.Ctx)) {
-	if i >= len(pending) {
-		cont(ctx)
+func (c *coordinator) flushNext(ctx *mpc.Ctx, fl *flow) {
+	if fl.op.pi >= len(fl.pending) {
+		c.ret(ctx, fl)
 		return
 	}
-	v := pending[i]
-	c.statsReq(ctx, v, 0)
-	c.await(ctx, 1, func(ctx *mpc.Ctx) {
-		s := c.statOf(v)
-		machines := c.vertexMachines(s)
-		if len(machines) == 0 {
-			c.flushNext(ctx, pending, dirs, i+1, cont)
-			return
-		}
-		for _, m := range machines {
-			c.send(ctx, m, &storageReq{Kind: cList, Seq: c.cur.seq, V: v, H: c.suffixFor(m)})
-		}
-		c.await(ctx, len(machines), func(ctx *mpc.Ctx) {
-			// Batch ±1 deltas to the stats machines, grouped by owner.
-			group := map[int32]*ctrMsg{}
-			for _, r := range c.cur.stores {
-				if r.Kind != cListRep {
-					continue
-				}
-				for _, rec := range r.Recs {
-					sm := c.statsOf(rec.other)
-					g, ok := group[sm]
-					if !ok {
-						g = &ctrMsg{Kind: cCtrAdd}
-						group[sm] = g
-					}
-					g.Vs = append(g.Vs, rec.other)
-					g.Ds = append(g.Ds, dirs[v])
-				}
-			}
-			for sm, g := range group {
-				c.send(ctx, sm, g)
-			}
-			c.flushNext(ctx, pending, dirs, i+1, cont)
-		})
-	})
+	c.statsReq(ctx, fl, fl.pending[fl.op.pi], 0)
+	c.await(ctx, fl, 1, (*coordinator).flushStat)
 }
 
-// vertexMachines lists the storage machines holding v's records.
-func (c *coordinator) vertexMachines(s stat) []int32 {
-	var out []int32
-	if s.home >= 0 {
-		out = append(out, s.home)
+func (c *coordinator) flushStat(ctx *mpc.Ctx, fl *flow) {
+	v := fl.pending[fl.op.pi]
+	machines := fl.vertexMachines(fl.statOf(v))
+	if len(machines) == 0 {
+		fl.op.pi++
+		c.flushNext(ctx, fl)
+		return
 	}
-	out = append(out, s.suspended...)
-	return out
+	for _, m := range machines {
+		c.send(ctx, m, &storageReq{Kind: cList, Seq: fl.seq, V: v, H: c.suffixFor(m)})
+	}
+	c.await(ctx, fl, len(machines), (*coordinator).flushLists)
+}
+
+func (c *coordinator) flushLists(ctx *mpc.Ctx, fl *flow) {
+	// Batch ±1 deltas to the stats machines, grouped by owner.
+	d := fl.dirs[fl.op.pi]
+	group := map[int32]*ctrMsg{}
+	for _, r := range fl.stores {
+		if r.Kind != cListRep {
+			continue
+		}
+		for _, rec := range r.Recs {
+			sm := c.statsOf(rec.other)
+			g, ok := group[sm]
+			if !ok {
+				g = &ctrMsg{Kind: cCtrAdd}
+				group[sm] = g
+			}
+			g.Vs = append(g.Vs, rec.other)
+			g.Ds = append(g.Ds, d)
+		}
+	}
+	for sm, g := range group {
+		c.send(ctx, sm, g)
+	}
+	fl.op.pi++
+	c.flushNext(ctx, fl)
+}
+
+// vertexMachines lists the storage machines holding the records of the
+// vertex whose stat is s, in fl's machine scratch.
+func (fl *flow) vertexMachines(s stat) []int32 {
+	fl.machines = fl.machines[:0]
+	if s.home >= 0 {
+		fl.machines = append(fl.machines, s.home)
+	}
+	fl.machines = append(fl.machines, s.suspended...)
+	return fl.machines
 }
 
 // insertMatch32 is the §4 case analysis after an insert's edge is stored.
-func (c *coordinator) insertMatch32(ctx *mpc.Ctx, x int32, sx stat, y int32, sy stat) {
-	xFree, yFree := sx.mate < 0, sy.mate < 0
+func (c *coordinator) insertMatch32(ctx *mpc.Ctx, fl *flow) {
+	o := &fl.op
+	xFree, yFree := o.sx.mate < 0, o.sy.mate < 0
 	switch {
 	case xFree && yFree:
 		// Maximality ensured neither endpoint had a free neighbor, so no
 		// augmenting path appears.
-		c.matchPair(ctx, x, y, sx.heavy, sy.heavy)
-		c.finishUpdate(ctx)
-	case xFree && sx.heavy:
-		c.surrogate(ctx, x, sx, c.finishUpdate)
-	case yFree && sy.heavy:
-		c.surrogate(ctx, y, sy, c.finishUpdate)
+		c.matchPair(ctx, o.x, o.y, o.sx.heavy, o.sy.heavy)
+		c.finishUpdate(ctx, fl)
+	case xFree && o.sx.heavy:
+		c.surrogate(ctx, fl, o.x, o.sx, (*coordinator).finishUpdate)
+	case yFree && o.sy.heavy:
+		c.surrogate(ctx, fl, o.y, o.sy, (*coordinator).finishUpdate)
 	case xFree:
 		// x free and light, y matched: the new edge may close the
 		// augmenting path x - (y,y') - w.
-		c.aug3ViaEdge(ctx, x, sx, y, sy, c.finishUpdate)
+		c.aug3ViaEdge(ctx, fl, o.x, o.sx.heavy, o.y, o.sy, (*coordinator).finishUpdate)
 	case yFree:
-		c.aug3ViaEdge(ctx, y, sy, x, sx, c.finishUpdate)
+		c.aug3ViaEdge(ctx, fl, o.y, o.sy.heavy, o.x, o.sx, (*coordinator).finishUpdate)
 	default:
-		c.finishUpdate(ctx)
+		c.finishUpdate(ctx, fl)
 	}
 }
 
-// aug3ViaEdge resolves the path free - (matched, mate) - free created by a
-// new edge (free, matched): if mate has a free neighbor w != free, rotate.
-func (c *coordinator) aug3ViaEdge(ctx *mpc.Ctx, free int32, sFree stat, matched int32, sMatched stat, cont func(ctx *mpc.Ctx)) {
+// aug3ViaEdge resolves the path free - (matched, mate) - q created by a
+// new edge (free, matched): if mate has a free neighbor q != free, rotate.
+func (c *coordinator) aug3ViaEdge(ctx *mpc.Ctx, fl *flow, free int32, freeHeavy bool, matched int32, sMatched stat, ret step) {
+	fl.push(ret)
 	mate := sMatched.mate
-	c.send(ctx, c.statsOf(mate), &ctrMsg{Kind: cCtrGet, Seq: c.cur.seq, Vs: []int32{mate}})
-	c.statsReq(ctx, mate, 0)
-	c.await(ctx, 2, func(ctx *mpc.Ctx) {
-		sMate := c.statOf(mate)
-		ctr := c.ctrOf(mate)
-		if ctr < 1 {
-			cont(ctx)
-			return
-		}
-		c.scanFreeExcluding(ctx, mate, sMate, free, func(ctx *mpc.Ctx, w int32, wHeavy, found bool) {
-			if !found {
-				cont(ctx)
-				return
-			}
-			c.unmatchPair(ctx, matched, mate)
-			c.matchPair(ctx, matched, free, sMatched.heavy, sFree.heavy)
-			c.matchPair(ctx, mate, w, sMate.heavy, wHeavy)
-			cont(ctx)
-		})
-	})
+	c.send(ctx, c.statsOf(mate), &ctrMsg{Kind: cCtrGet, Seq: fl.seq, Vs: []int32{mate}})
+	c.statsReq(ctx, fl, mate, 0)
+	o := &fl.op
+	o.z, o.zHeavy, o.w, o.wHeavy, o.mate = free, freeHeavy, matched, sMatched.heavy, mate
+	c.await(ctx, fl, 2, (*coordinator).aug3EdgeRead)
+}
+
+func (c *coordinator) aug3EdgeRead(ctx *mpc.Ctx, fl *flow) {
+	o := &fl.op
+	sMate := fl.statOf(o.mate)
+	if fl.ctrOf(o.mate) < 1 {
+		c.ret(ctx, fl)
+		return
+	}
+	o.mateHeavy = sMate.heavy
+	c.scanFreeExcluding(ctx, fl, o.mate, sMate, o.z, (*coordinator).aug3EdgeScanned)
+}
+
+func (c *coordinator) aug3EdgeScanned(ctx *mpc.Ctx, fl *flow) {
+	o := &fl.op
+	if o.found {
+		c.unmatchPair(ctx, o.w, o.mate)
+		c.matchPair(ctx, o.w, o.z, o.wHeavy, o.zHeavy)
+		c.matchPair(ctx, o.mate, o.q, o.mateHeavy, o.qHeavy)
+	}
+	c.ret(ctx, fl)
 }
 
 // scanFreeExcluding scans v's machines for a free neighbor other than
-// excl, walking the suspended stack if needed.
-func (c *coordinator) scanFreeExcluding(ctx *mpc.Ctx, v int32, s stat, excl int32, done func(ctx *mpc.Ctx, w int32, wHeavy, found bool)) {
-	machines := c.vertexMachines(s)
-	var step func(ctx *mpc.Ctx, i int)
-	step = func(ctx *mpc.Ctx, i int) {
-		if i >= len(machines) {
-			done(ctx, -1, false, false)
-			return
-		}
-		m := machines[i]
-		c.send(ctx, m, &storageReq{
-			Kind: cScan, Seq: c.cur.seq, V: v, WantFree: true, Exclude: excl,
-			H: c.suffixFor(m),
-		})
-		c.await(ctx, 1, func(ctx *mpc.Ctx) {
-			r := c.scanRep()
-			if r.FoundFree {
-				done(ctx, r.Rec.other, r.Rec.heavy, true)
-				return
-			}
-			step(ctx, i+1)
-		})
-	}
-	step(ctx, 0)
+// excl, walking the suspended stack if needed; it returns with o.found
+// set and, if found, the neighbor in o.q and its heaviness in o.qHeavy.
+func (c *coordinator) scanFreeExcluding(ctx *mpc.Ctx, fl *flow, v int32, s stat, excl int32, ret step) {
+	fl.push(ret)
+	fl.vertexMachines(s)
+	fl.op.v, fl.op.excl, fl.op.mi, fl.op.found = v, excl, 0, false
+	c.scanFreeNext(ctx, fl)
 }
 
-func (c *coordinator) ctrOf(v int32) int32 {
-	for _, r := range c.cur.ctrs {
+func (c *coordinator) scanFreeNext(ctx *mpc.Ctx, fl *flow) {
+	o := &fl.op
+	if o.mi >= len(fl.machines) {
+		c.ret(ctx, fl)
+		return
+	}
+	m := fl.machines[o.mi]
+	c.send(ctx, m, &storageReq{
+		Kind: cScan, Seq: fl.seq, V: o.v, WantFree: true, Exclude: o.excl,
+		H: c.suffixFor(m),
+	})
+	c.await(ctx, fl, 1, (*coordinator).scanFreeScanned)
+}
+
+func (c *coordinator) scanFreeScanned(ctx *mpc.Ctx, fl *flow) {
+	o := &fl.op
+	if r := fl.scanRep(); r.FoundFree {
+		o.q, o.qHeavy, o.found = r.Rec.other, r.Rec.heavy, true
+		c.ret(ctx, fl)
+		return
+	}
+	o.mi++
+	c.scanFreeNext(ctx, fl)
+}
+
+func (fl *flow) ctrOf(v int32) int32 {
+	for _, r := range fl.ctrs {
 		for i, x := range r.Vs {
 			if x == v {
 				return r.Ds[i]
@@ -207,136 +233,166 @@ func (c *coordinator) ctrOf(v int32) int32 {
 // augSweep runs the delete-side elimination: every vertex left free by the
 // §3 logic is checked for a length-3 augmenting path through one of its
 // neighbors' mates.
-func (c *coordinator) augSweep(ctx *mpc.Ctx, cont func(ctx *mpc.Ctx)) {
-	var cands []int32
+func (c *coordinator) augSweep(ctx *mpc.Ctx, fl *flow, ret step) {
+	fl.push(ret)
+	fl.sweep = fl.sweep[:0]
 	for v := range c.freed {
-		cands = append(cands, v)
+		fl.sweep = append(fl.sweep, v)
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i] < cands[j] })
-	c.freed = make(map[int32]bool)
-	c.sweepNext(ctx, cands, 0, cont)
+	slices.Sort(fl.sweep)
+	clear(c.freed)
+	fl.op.si = 0
+	c.sweepNext(ctx, fl)
 }
 
-func (c *coordinator) sweepNext(ctx *mpc.Ctx, cands []int32, i int, cont func(ctx *mpc.Ctx)) {
-	if i >= len(cands) {
-		cont(ctx)
+func (c *coordinator) sweepNext(ctx *mpc.Ctx, fl *flow) {
+	if fl.op.si >= len(fl.sweep) {
+		c.ret(ctx, fl)
 		return
 	}
 	// Flips from a previous rotation must land in the counters before the
 	// next candidate reads them.
-	c.counterFlush(ctx, func(ctx *mpc.Ctx) {
-		c.aug3From(ctx, cands[i], func(ctx *mpc.Ctx) {
-			c.sweepNext(ctx, cands, i+1, cont)
-		})
-	})
+	c.counterFlush(ctx, fl, (*coordinator).sweepFlushed)
+}
+
+func (c *coordinator) sweepFlushed(ctx *mpc.Ctx, fl *flow) {
+	c.aug3From(ctx, fl, fl.sweep[fl.op.si], (*coordinator).sweepTried)
+}
+
+func (c *coordinator) sweepTried(ctx *mpc.Ctx, fl *flow) {
+	fl.op.si++
+	c.sweepNext(ctx, fl)
 }
 
 // aug3From searches for an augmenting path of length 3 starting at z (a
 // vertex that is free after the base update) and rotates the matching
 // along it if found.
-func (c *coordinator) aug3From(ctx *mpc.Ctx, z int32, cont func(ctx *mpc.Ctx)) {
-	c.statsReq(ctx, z, 0)
-	c.await(ctx, 1, func(ctx *mpc.Ctx) {
-		s := c.statOf(z)
-		if s.mate >= 0 || s.deg == 0 {
-			cont(ctx)
-			return
+func (c *coordinator) aug3From(ctx *mpc.Ctx, fl *flow, z int32, ret step) {
+	fl.push(ret)
+	fl.op.z = z
+	c.statsReq(ctx, fl, z, 0)
+	c.await(ctx, fl, 1, (*coordinator).aug3FromStat)
+}
+
+func (c *coordinator) aug3FromStat(ctx *mpc.Ctx, fl *flow) {
+	o := &fl.op
+	s := fl.statOf(o.z)
+	if s.mate >= 0 || s.deg == 0 {
+		c.ret(ctx, fl)
+		return
+	}
+	o.zHeavy = s.heavy
+	machines := fl.vertexMachines(s)
+	for _, m := range machines {
+		c.send(ctx, m, &storageReq{Kind: cList, Seq: fl.seq, V: o.z, H: c.suffixFor(m)})
+	}
+	c.await(ctx, fl, len(machines), (*coordinator).aug3FromLists)
+}
+
+func (c *coordinator) aug3FromLists(ctx *mpc.Ctx, fl *flow) {
+	o := &fl.op
+	// Collect matched neighbors' mates; remember each mate's partner
+	// record (z's neighbor, with its heaviness mirror). A free neighbor in
+	// the list is matched immediately — the base logic normally prevents
+	// this, but it preserves maximality under the rare fallback paths.
+	if fl.partner == nil {
+		fl.partner = make(map[int32]edgeRec)
+	}
+	clear(fl.partner)
+	fl.mates = fl.mates[:0]
+	for _, r := range fl.stores {
+		if r.Kind != cListRep {
+			continue
 		}
-		machines := c.vertexMachines(s)
-		for _, m := range machines {
-			c.send(ctx, m, &storageReq{Kind: cList, Seq: c.cur.seq, V: z, H: c.suffixFor(m)})
-		}
-		c.await(ctx, len(machines), func(ctx *mpc.Ctx) {
-			// Collect matched neighbors' mates; remember each mate's
-			// partner record (z's neighbor, with its heaviness mirror). A
-			// free neighbor in the list is matched immediately — the base
-			// logic normally prevents this, but it preserves maximality
-			// under the rare fallback paths.
-			partner := map[int32]edgeRec{}
-			var mates []int32
-			for _, r := range c.cur.stores {
-				if r.Kind != cListRep {
-					continue
-				}
-				for _, rec := range r.Recs {
-					if !rec.matched {
-						c.matchPair(ctx, z, rec.other, s.heavy, rec.heavy)
-						cont(ctx)
-						return
-					}
-					if rec.mate >= 0 {
-						if _, dup := partner[rec.mate]; !dup {
-							partner[rec.mate] = rec
-							mates = append(mates, rec.mate)
-						}
-					}
-				}
-			}
-			if len(mates) == 0 {
-				cont(ctx)
+		for _, rec := range r.Recs {
+			if !rec.matched {
+				c.matchPair(ctx, o.z, rec.other, o.zHeavy, rec.heavy)
+				c.ret(ctx, fl)
 				return
 			}
-			// Batched counter reads grouped by statistics machine.
-			group := map[int32][]int32{}
-			for _, mt := range mates {
-				group[c.statsOf(mt)] = append(group[c.statsOf(mt)], mt)
-			}
-			for sm, vs := range group {
-				c.send(ctx, sm, &ctrMsg{Kind: cCtrGet, Seq: c.cur.seq, Vs: vs})
-			}
-			c.await(ctx, len(group), func(ctx *mpc.Ctx) {
-				var candMates []int32
-				ctrs := map[int32]int32{}
-				for _, r := range c.cur.ctrs {
-					for i, v := range r.Vs {
-						if r.Ds[i] >= 1 {
-							candMates = append(candMates, v)
-							ctrs[v] = r.Ds[i]
-						}
-					}
+			if rec.mate >= 0 {
+				if _, dup := fl.partner[rec.mate]; !dup {
+					fl.partner[rec.mate] = rec
+					fl.mates = append(fl.mates, rec.mate)
 				}
-				// Prefer counters >= 2 (always verifiable) and stable order.
-				sort.Slice(candMates, func(a, b int) bool {
-					ca, cb := ctrs[candMates[a]] >= 2, ctrs[candMates[b]] >= 2
-					if ca != cb {
-						return ca
-					}
-					return candMates[a] < candMates[b]
-				})
-				c.tryRotate(ctx, z, s, partner, candMates, 0, cont)
-			})
-		})
+			}
+		}
+	}
+	if len(fl.mates) == 0 {
+		c.ret(ctx, fl)
+		return
+	}
+	// Batched counter reads grouped by statistics machine.
+	group := map[int32][]int32{}
+	for _, mt := range fl.mates {
+		group[c.statsOf(mt)] = append(group[c.statsOf(mt)], mt)
+	}
+	for sm, vs := range group {
+		c.send(ctx, sm, &ctrMsg{Kind: cCtrGet, Seq: fl.seq, Vs: vs})
+	}
+	c.await(ctx, fl, len(group), (*coordinator).aug3FromCtrs)
+}
+
+func (c *coordinator) aug3FromCtrs(ctx *mpc.Ctx, fl *flow) {
+	fl.rot = fl.rot[:0]
+	for _, r := range fl.ctrs {
+		for i, v := range r.Vs {
+			if r.Ds[i] >= 1 {
+				fl.rot = append(fl.rot, rotCand{mate: v, ctr: r.Ds[i]})
+			}
+		}
+	}
+	// Prefer counters >= 2 (always verifiable) and stable order.
+	slices.SortFunc(fl.rot, func(a, b rotCand) int {
+		if ca, cb := a.ctr >= 2, b.ctr >= 2; ca != cb {
+			if ca {
+				return -1
+			}
+			return 1
+		}
+		return cmp.Compare(a.mate, b.mate)
 	})
+	fl.op.ri = 0
+	c.tryRotate(ctx, fl)
 }
 
 // tryRotate verifies candidates in order: the mate must have a free
 // neighbor other than z; the first verified candidate rotates the
 // matching.
-func (c *coordinator) tryRotate(ctx *mpc.Ctx, z int32, sz stat, partner map[int32]edgeRec, mates []int32, i int, cont func(ctx *mpc.Ctx)) {
-	if i >= len(mates) {
-		cont(ctx) // no length-3 augmenting path through z
+func (c *coordinator) tryRotate(ctx *mpc.Ctx, fl *flow) {
+	o := &fl.op
+	if o.ri >= len(fl.rot) {
+		c.ret(ctx, fl) // no length-3 augmenting path through z
 		return
 	}
-	mate := mates[i]
-	c.statsReq(ctx, mate, 0)
-	c.await(ctx, 1, func(ctx *mpc.Ctx) {
-		sMate := c.statOf(mate)
-		wRec := partner[mate]
-		w := wRec.other
-		if sMate.mate != w {
-			// A stale mirror or an earlier rotation re-matched this pair.
-			c.tryRotate(ctx, z, sz, partner, mates, i+1, cont)
-			return
-		}
-		c.scanFreeExcluding(ctx, mate, sMate, z, func(ctx *mpc.Ctx, q int32, qHeavy, found bool) {
-			if !found {
-				c.tryRotate(ctx, z, sz, partner, mates, i+1, cont)
-				return
-			}
-			c.unmatchPair(ctx, w, mate)
-			c.matchPair(ctx, z, w, sz.heavy, wRec.heavy)
-			c.matchPair(ctx, mate, q, sMate.heavy, qHeavy)
-			cont(ctx)
-		})
-	})
+	o.mate = fl.rot[o.ri].mate
+	c.statsReq(ctx, fl, o.mate, 0)
+	c.await(ctx, fl, 1, (*coordinator).tryRotateStat)
+}
+
+func (c *coordinator) tryRotateStat(ctx *mpc.Ctx, fl *flow) {
+	o := &fl.op
+	sMate := fl.statOf(o.mate)
+	wRec := fl.partner[o.mate]
+	if sMate.mate != wRec.other {
+		// A stale mirror or an earlier rotation re-matched this pair.
+		o.ri++
+		c.tryRotate(ctx, fl)
+		return
+	}
+	o.w, o.wHeavy, o.mateHeavy = wRec.other, wRec.heavy, sMate.heavy
+	c.scanFreeExcluding(ctx, fl, o.mate, sMate, o.z, (*coordinator).tryRotateScanned)
+}
+
+func (c *coordinator) tryRotateScanned(ctx *mpc.Ctx, fl *flow) {
+	o := &fl.op
+	if !o.found {
+		o.ri++
+		c.tryRotate(ctx, fl)
+		return
+	}
+	c.unmatchPair(ctx, o.w, o.mate)
+	c.matchPair(ctx, o.z, o.w, o.zHeavy, o.wHeavy)
+	c.matchPair(ctx, o.mate, o.q, o.mateHeavy, o.qHeavy)
+	c.ret(ctx, fl)
 }

@@ -1,7 +1,9 @@
 package dmm
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
 
 	"dmpc/internal/mpc"
 )
@@ -238,21 +240,20 @@ type coordinator struct {
 	// of vertices freed during the update (augmenting-path sweep
 	// candidates).
 	threeHalves bool
-	flips       map[int32]*flipInfo
+	flips       map[int32]flipInfo
 	freed       map[int32]bool
 
-	// continuation-driven orchestration, one flow per in-flight update:
-	// the per-seq continuation table that lets endpoint-disjoint updates
-	// progress the §3 case analysis phase-parallel within a wave. Solicited
-	// replies echo their update's seq and route to its flow; unsolicited
-	// acks (store/refresh bookkeeping) carry -1 and only adjust the
-	// free-space directory. cur is the flow whose continuation is
-	// executing — the helpers (send, await, statOf, ...) read it, so the
-	// orchestration code in update.go stays written per update.
+	// Orchestration: one flow per in-flight update, keyed by its seq, so
+	// endpoint-disjoint updates progress the §3 case analysis phase-
+	// parallel within a wave. Solicited replies echo their update's seq
+	// and route to its flow, which HandleRound resumes at its parked step
+	// once they are all in; unsolicited acks (store/refresh bookkeeping)
+	// carry -1 and only adjust the free-space directory. Every step and
+	// helper takes the flow it runs for, so the orchestration code in
+	// update.go stays written per update.
 	inflight map[int64]*flow
-	cur      *flow
 
-	// free holds the finished flows begin reuses.
+	// free holds the finished flows begin reuses, each fully reset.
 	free []*flow
 
 	// serialize is the serial-segment mode ApplyOps' runChained drives:
@@ -271,9 +272,21 @@ type coordinator struct {
 	stores mpc.Outbox[storeMsg]
 }
 
-// flow is one in-flight update's continuation state at MC: which replies
-// it is waiting for, the copies of those received since its last await,
-// by type and in arrival order, and what to do when they are all in.
+// step is one segment of an update's orchestration at MC. It runs when
+// the replies it waits for are in, sends, and then parks its flow on the
+// next step (await), hands over to another step or helper, or returns
+// from the running helper (ret). Steps are coordinator methods named by
+// method expression, so a parked flow captures nothing: whatever a step
+// reads after a round trip lives on the flow.
+type step func(c *coordinator, ctx *mpc.Ctx, fl *flow)
+
+// flow is one in-flight update's resumable record at MC: which replies it
+// is waiting for, the copies of those received since its last await, by
+// type and in arrival order, the step that resumes when they are all in,
+// the return stack of the helpers it is running (a helper pushes where it
+// returns to on entry and leaves through ret), and the operands and
+// scratch its steps keep across rounds. Between updates a flow sits in
+// coordinator.free with all of it reset (idle audits that).
 type flow struct {
 	seq     int64
 	waiting int
@@ -282,16 +295,103 @@ type flow struct {
 	acks    []ack
 	stores  []storageRep
 	ctrs    []ctrMsg
-	cont    func(ctx *mpc.Ctx)
+	next    step
+	rets    []step
+	op      flowOps
+
+	// Helper scratch, empty between updates and kept by capacity: the
+	// machines a scan visits or a transition drains; §4's flush list (each
+	// vertex beside its neighbors' counter delta), sweep candidates, and an
+	// augmenting-path search's neighbor mates, the neighbor record behind
+	// each, and the mates worth a rotation attempt.
+	machines      []int32
+	pending, dirs []int32
+	sweep         []int32
+	mates         []int32
+	partner       map[int32]edgeRec
+	rot           []rotCand
 }
 
-// reset empties the flow's replies, keeping their capacity.
-func (fl *flow) reset() {
+// flowOps is what an update's steps read across rounds. It is zero
+// between updates.
+type flowOps struct {
+	x, y                   int32 // the update's endpoints
+	sx, sy                 stat  // their stats, kept current as the update changes them
+	wasMatched             bool  // a delete of a matched edge
+	xMateHeavy, yMateHeavy bool  // an insert's mirror bits: each endpoint's mate is heavy
+
+	// The running §3 helper's: the vertex it serves and that vertex's
+	// heaviness, the stat a transition or store updates in place (&sx or
+	// &sy), where records go, the record to store, the next machine to
+	// scan.
+	v                int32
+	heavy            bool
+	s                *stat
+	target, overflow int32
+	rec              edgeRec
+	mi               int
+
+	// §4: the next flush entry, sweep candidate and rotation candidate;
+	// a length-3 augmenting path's free end z, the matched w it takes and
+	// w's mate, with their heaviness; a scan's excluded vertex; and what
+	// the scan found: a free neighbor q of the mate.
+	pi, si, ri                int
+	z, w, mate                int32
+	zHeavy, wHeavy, mateHeavy bool
+	excl, q                   int32
+	qHeavy, found             bool
+}
+
+// rotCand is a rotation candidate: a neighbor's mate and its
+// free-neighbor counter.
+type rotCand struct{ mate, ctr int32 }
+
+// emptyReplies drops the flow's replies, keeping their capacity.
+func (fl *flow) emptyReplies() {
 	clear(fl.stats)
 	clear(fl.acks)
 	clear(fl.stores)
 	clear(fl.ctrs)
 	fl.got, fl.stats, fl.acks, fl.stores, fl.ctrs = 0, fl.stats[:0], fl.acks[:0], fl.stores[:0], fl.ctrs[:0]
+}
+
+// retire resets everything the finished update left on the flow, keeping
+// the capacity of its lists, so the next update starts from nothing.
+func (fl *flow) retire() {
+	fl.emptyReplies()
+	clear(fl.partner)
+	fl.seq, fl.waiting, fl.next, fl.rets, fl.op = 0, 0, nil, fl.rets[:0], flowOps{}
+	fl.machines, fl.pending, fl.dirs = fl.machines[:0], fl.pending[:0], fl.dirs[:0]
+	fl.sweep, fl.mates, fl.rot = fl.sweep[:0], fl.mates[:0], fl.rot[:0]
+}
+
+// idle reports what a pooled flow still holds, nil if nothing.
+func (fl *flow) idle() error {
+	switch {
+	case fl.next != nil:
+		return errors.New("a parked step")
+	case len(fl.rets) > 0:
+		return fmt.Errorf("%d return steps", len(fl.rets))
+	case fl.seq != 0 || fl.waiting != 0 || fl.got != 0 || len(fl.stats)+len(fl.acks)+len(fl.stores)+len(fl.ctrs) > 0:
+		return fmt.Errorf("replies (seq %d, awaiting %d, %d in)", fl.seq, fl.waiting, fl.got)
+	case !reflect.ValueOf(fl.op).IsZero():
+		return fmt.Errorf("operands %+v", fl.op)
+	case len(fl.machines)+len(fl.pending)+len(fl.dirs)+len(fl.sweep)+len(fl.mates)+len(fl.partner)+len(fl.rot) > 0:
+		return errors.New("helper scratch")
+	}
+	return nil
+}
+
+// push records where the helper about to run returns to.
+func (fl *flow) push(ret step) { fl.rets = append(fl.rets, ret) }
+
+// pop takes the running helper's return step off the stack — to run it,
+// or to hand it on to a helper the running one finishes with.
+func (fl *flow) pop() step {
+	n := len(fl.rets) - 1
+	ret := fl.rets[n]
+	fl.rets = fl.rets[:n]
+	return ret
 }
 
 func newCoordinator(cfg Config, mu, numStats, statsPer, mem, heavyAt, aliveCap int) *coordinator {
@@ -303,7 +403,7 @@ func newCoordinator(cfg Config, mu, numStats, statsPer, mem, heavyAt, aliveCap i
 		freeWords:   make([]int32, mu),
 		kindOf:      make([]int8, mu),
 		threeHalves: cfg.ThreeHalves,
-		flips:       make(map[int32]*flipInfo),
+		flips:       make(map[int32]flipInfo),
 		freed:       make(map[int32]bool),
 		inflight:    make(map[int64]*flow),
 	}
@@ -420,17 +520,20 @@ func (c *coordinator) release(m int32) {
 	c.setSync(m, c.hEnd())
 }
 
-// await parks the current flow until n replies carrying its seq arrive.
-func (c *coordinator) await(ctx *mpc.Ctx, n int, f func(ctx *mpc.Ctx)) {
+// await parks fl until n replies carrying its seq arrive, for HandleRound
+// to resume it at next; with nothing to wait for, next runs at once.
+func (c *coordinator) await(ctx *mpc.Ctx, fl *flow, n int, next step) {
 	if n == 0 {
-		f(ctx)
+		next(c, ctx, fl)
 		return
 	}
-	fl := c.cur
-	fl.reset()
+	fl.emptyReplies()
 	fl.waiting = n
-	fl.cont = f
+	fl.next = next
 }
+
+// ret returns from fl's running helper to the step its caller pushed.
+func (c *coordinator) ret(ctx *mpc.Ctx, fl *flow) { fl.pop()(c, ctx, fl) }
 
 func (c *coordinator) send(ctx *mpc.Ctx, to int32, m interface{ words() int }) {
 	ctx.Send(int(to), m, m.words())
@@ -484,11 +587,10 @@ func (c *coordinator) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 			continue
 		}
 		fl.got++
-		if fl.cont != nil && fl.got >= fl.waiting {
-			f := fl.cont
-			fl.cont = nil
-			c.cur = fl
-			f(ctx)
+		if fl.next != nil && fl.got >= fl.waiting {
+			next := fl.next
+			fl.next = nil
+			next(c, ctx, fl)
 		}
 	}
 }
@@ -504,30 +606,30 @@ func (c *coordinator) begin(ctx *mpc.Ctx, m update) {
 	}
 	fl.seq = m.Seq
 	c.inflight[m.Seq] = fl
-	c.cur = fl
-	c.startUpdate(ctx, m)
+	fl.op.x, fl.op.y = m.A, m.B
+	c.startUpdate(ctx, fl, m.Del)
 }
 
-func (c *coordinator) statOf(v int32) stat {
-	for i := range c.cur.stats {
-		if r := &c.cur.stats[i]; r.V == v {
+func (fl *flow) statOf(v int32) stat {
+	for i := range fl.stats {
+		if r := &fl.stats[i]; r.V == v {
 			return r.St
 		}
 	}
 	panic(fmt.Sprintf("dmm: missing stats reply for %d", v))
 }
 
-func (c *coordinator) scanRep() *storageRep {
-	for i := range c.cur.stores {
-		if r := &c.cur.stores[i]; r.Kind == cScanRep {
+func (fl *flow) scanRep() *storageRep {
+	for i := range fl.stores {
+		if r := &fl.stores[i]; r.Kind == cScanRep {
 			return r
 		}
 	}
 	panic("dmm: missing scan reply")
 }
 
-func (c *coordinator) ackCount(target int32) int32 {
-	for _, r := range c.cur.acks {
+func (fl *flow) ackCount(target int32) int32 {
+	for _, r := range fl.acks {
 		if r.Target == target {
 			return r.Count
 		}
@@ -569,10 +671,10 @@ func (c *coordinator) noteFlip(v int32, wasFree bool) {
 	}
 	fi, ok := c.flips[v]
 	if !ok {
-		fi = &flipInfo{origFree: wasFree}
-		c.flips[v] = fi
+		fi.origFree = wasFree
 	}
 	fi.flips++
+	c.flips[v] = fi
 }
 
 // matchPair records (v,w) as matched: H entry (with heaviness bits for the
@@ -603,36 +705,41 @@ func (c *coordinator) unmatchPair(ctx *mpc.Ctx, v, w int32) {
 }
 
 // finishUpdate closes the update: in §4 mode it first flushes the pending
-// counter flips and sweeps for length-3 augmenting paths; it always ends
-// with the round-robin refresh that keeps every storage machine within
-// O(√N) updates of the history.
-func (c *coordinator) finishUpdate(ctx *mpc.Ctx) {
-	done := func(ctx *mpc.Ctx) {
-		c.refreshOne(ctx)
-		c.updateDone(ctx)
-	}
+// counter flips, sweeps for length-3 augmenting paths and flushes again;
+// it always ends with the round-robin refresh that keeps every storage
+// machine within O(√N) updates of the history.
+func (c *coordinator) finishUpdate(ctx *mpc.Ctx, fl *flow) {
 	if c.threeHalves {
-		c.counterFlush(ctx, func(ctx *mpc.Ctx) {
-			c.augSweep(ctx, func(ctx *mpc.Ctx) {
-				c.counterFlush(ctx, done)
-			})
-		})
+		c.counterFlush(ctx, fl, (*coordinator).finishFlushed)
 		return
 	}
-	done(ctx)
+	c.closeUpdate(ctx, fl)
 }
 
-// updateDone closes the current flow and, in serialize mode, chains the
+func (c *coordinator) finishFlushed(ctx *mpc.Ctx, fl *flow) {
+	c.augSweep(ctx, fl, (*coordinator).finishSwept)
+}
+
+func (c *coordinator) finishSwept(ctx *mpc.Ctx, fl *flow) {
+	c.counterFlush(ctx, fl, (*coordinator).closeUpdate)
+}
+
+func (c *coordinator) closeUpdate(ctx *mpc.Ctx, fl *flow) {
+	c.refreshOne(ctx)
+	c.updateDone(ctx, fl)
+}
+
+// updateDone retires fl to the pool and, in serialize mode, chains the
 // next queued update into the current round: its first stats requests
 // leave in the same round as the finished update's final writes and
 // refresh, so a chained batch of k updates pays the injection and ack-tail
 // rounds once instead of k times. In wave mode the queue is never used —
 // the driver injects each conflict-free wave in one round and every member
 // opens its own flow on arrival.
-func (c *coordinator) updateDone(ctx *mpc.Ctx) {
-	delete(c.inflight, c.cur.seq)
-	c.cur.reset()
-	c.free = append(c.free, c.cur)
+func (c *coordinator) updateDone(ctx *mpc.Ctx, fl *flow) {
+	delete(c.inflight, fl.seq)
+	fl.retire()
+	c.free = append(c.free, fl)
 	if c.queued() == 0 {
 		return
 	}

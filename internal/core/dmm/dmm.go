@@ -85,6 +85,8 @@ type M struct {
 	// heuristic must never spend tenant deficit).
 	packer, probe *sched.Admitter
 	items         []sched.Item // ApplyOps' re-read slots, slices reused
+	ids           []int64      // ApplyOps' sequence numbers by stream index
+	pending       []int        // ApplyOps' unscheduled stream indices
 	seq           int64
 	// The driver's injections live in these (see coord.go's Payloads).
 	updates mpc.Outbox[update]
@@ -162,7 +164,7 @@ func (m *M) Close() { m.cluster.Close() }
 // mixed round-accounting window (mpc.MixedStats), using the shared wave
 // scheduler (internal/sched). Updates whose §3 case analysis provably
 // touches only their endpoints and those endpoints' current mates run
-// phase-parallel as one concurrent wave — MC opens a per-seq continuation
+// phase-parallel as one concurrent wave — MC opens a per-seq resumable
 // flow for each and interleaves their stats/storage round trips — while
 // updates whose touch set cannot be bounded at schedule time (deletions
 // of matched edges and insertions at a free heavy endpoint, whose
@@ -202,17 +204,18 @@ func (m *M) ApplyOps(ops []graph.Op) (graph.Results, mpc.MixedStats) {
 	m.cluster.BeginMixed(nu, nq, mpc.WindowCensus(ops, len(m.cfg.TenantWeights) > 0))
 	// Updates draw sequence numbers by stream position — exactly the ids
 	// sequential replay would hand out. A read is named by its position.
-	ids := make([]int64, len(ops))
+	// Both buffers are M's, reused from window to window.
+	ids, pending := m.ids[:0], m.pending[:0]
 	for i, op := range ops {
+		id := int64(0)
 		if !op.IsQuery() {
 			m.seq++
-			ids[i] = m.seq
+			id = m.seq
 		}
+		ids = append(ids, id)
+		pending = append(pending, i)
 	}
-	pending := make([]int, len(ops))
-	for i := range pending {
-		pending[i] = i
-	}
+	m.ids, m.pending = ids, pending
 	if cap(m.items) < len(ops) {
 		m.items = append(m.items[:cap(m.items)], make([]sched.Item, len(ops)-cap(m.items))...)
 	}
@@ -258,7 +261,7 @@ func (m *M) ApplyOps(ops []graph.Op) (graph.Results, mpc.MixedStats) {
 
 // runOpWave injects the scheduled wave (stream indices: updates at MC,
 // reads at their statistics machines) in one round — every update opens
-// its own continuation flow on arrival, every read is answered in the
+// its own flow on arrival, every read is answered in the
 // delivery round — and drives the flows to completion inside a per-wave
 // attribution window. A query-only wave needs exactly one round (the
 // scatter), charged to the query half. The test-only wavePerm
@@ -374,7 +377,7 @@ func (m *M) driveFlows(nu int, what string) {
 //
 // Every item carries the op's tenant tag for the optional fairness policy.
 //
-// itemFor writes the item into it, reusing it's slices: ApplyOps' re-read
+// itemFor writes the item into it, reusing its slices: ApplyOps' re-read
 // loop fills its own slots wave after wave and allocates nothing.
 func (m *M) itemFor(op graph.Op, meanSuffix int, it *sched.Item) {
 	*it = sched.Item{Excl: it.Excl[:0], Read: it.Read[:0], Shared: it.Shared[:0], Tenant: op.Tenant}
@@ -487,7 +490,9 @@ func (m *M) Fallbacks() int64 { return m.coord.fallbacks }
 // H), light vertices live on a single machine, alive windows respect their
 // capacity, directory free-space figures match machine contents, and
 // nothing is left behind at quiescence: no coordinator flow still in
-// flight, no update still queued. It also audits every running summary
+// flight, no update still queued, and no pooled flow holding a parked
+// step, a return step, a reply, an operand or helper scratch that the
+// next update could inherit. It also audits every running summary
 // against a recomputation from scratch — the machines' MemWords counters,
 // the storage owner index, MC's cursor sum — and reads without writing:
 // validating changes no machine's state.
@@ -504,6 +509,11 @@ func (m *M) Validate(g *graph.Graph) error {
 	}
 	if fl, q := len(m.coord.inflight), m.coord.queued(); fl+q != 0 {
 		return fmt.Errorf("coordinator: %d flows in flight and %d updates queued at quiescence", fl, q)
+	}
+	for i, fl := range m.coord.free {
+		if err := fl.idle(); err != nil {
+			return fmt.Errorf("coordinator: pooled flow %d keeps %v", i, err)
+		}
 	}
 	var sum int64
 	for _, ls := range m.coord.lastSync {

@@ -121,8 +121,8 @@ func TestRingRolloverWorkerEquivalence(t *testing.T) {
 	}
 }
 
-// TestEveryAuditTrips corrupts each running summary by one and requires
-// Validate to name it.
+// TestEveryAuditTrips corrupts each running summary by one, and each part
+// of a pooled flow's reset, and requires Validate to name it.
 func TestEveryAuditTrips(t *testing.T) {
 	holder := func(m *M) *storeMachine {
 		for i := range m.storage {
@@ -147,6 +147,11 @@ func TestEveryAuditTrips(t *testing.T) {
 			}
 		}},
 		{"cursor sum", func(m *M) { m.coord.syncSum-- }},
+		{"pooled flow 0 keeps a parked step", func(m *M) { m.coord.free[0].next = (*coordinator).finishUpdate }},
+		{"pooled flow 0 keeps 1 return steps", func(m *M) { m.coord.free[0].push((*coordinator).finishUpdate) }},
+		{"pooled flow 0 keeps replies", func(m *M) { m.coord.free[0].stats = append(m.coord.free[0].stats, statsRep{}) }},
+		{"pooled flow 0 keeps operands", func(m *M) { m.coord.free[0].op.sy.suspended = []int32{3} }},
+		{"pooled flow 0 keeps helper scratch", func(m *M) { m.coord.free[0].machines = append(m.coord.free[0].machines, 3) }},
 	}
 	for _, tc := range cases {
 		m, g := randomInstance(t, Config{N: 24, CapEdges: 150}, 120, 5)

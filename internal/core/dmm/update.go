@@ -5,24 +5,31 @@ import (
 )
 
 // Orchestration of one update at MC, §3's insert(x,y) / delete(x,y). The
-// flow is a chain of continuations, each segment costing one or two
-// cluster rounds and touching O(1) machines; the H suffixes riding on the
-// messages bound communication by O(√N) words per round.
+// update runs as a fixed sequence of steps over its flow, each step
+// costing one or two cluster rounds and touching O(1) machines; the H
+// suffixes riding on the messages bound communication by O(√N) words per
+// round. A step that waits for replies parks the flow on the step that
+// reads them (await). Helpers shared by several steps — transitions,
+// storage placement, rematching — take the step they return to, push it
+// on entry and leave through ret; a helper that finishes with another
+// hands its own return step on (fl.pop()). What a step reads after a
+// round trip it finds on the flow: the update's operands and the running
+// helper's in fl.op, lists in the flow's scratch.
 
-func (c *coordinator) startUpdate(ctx *mpc.Ctx, m update) {
-	if m.A == m.B {
-		c.updateDone(ctx)
+func (c *coordinator) startUpdate(ctx *mpc.Ctx, fl *flow, del bool) {
+	if fl.op.x == fl.op.y {
+		c.updateDone(ctx, fl)
 		return
 	}
-	if m.Del {
-		c.startDelete(ctx, m.A, m.B)
+	if del {
+		c.startDelete(ctx, fl)
 	} else {
-		c.startInsert(ctx, m.A, m.B)
+		c.startInsert(ctx, fl)
 	}
 }
 
-func (c *coordinator) statsReq(ctx *mpc.Ctx, v, delta int32) {
-	m := statsReq{Seq: c.cur.seq, V: v, DegDelta: delta}
+func (c *coordinator) statsReq(ctx *mpc.Ctx, fl *flow, v, delta int32) {
+	m := statsReq{Seq: fl.seq, V: v, DegDelta: delta}
 	c.reqs.Send(ctx, int(c.statsOf(v)), m, m.words())
 }
 
@@ -31,138 +38,166 @@ func (c *coordinator) statsReq(ctx *mpc.Ctx, v, delta int32) {
 // startInsert assumes a well-formed stream (no duplicate inserts, no
 // deletes of absent edges), the standard contract for dynamic algorithms;
 // the degree bookkeeping on the statistics machines relies on it.
-func (c *coordinator) startInsert(ctx *mpc.Ctx, x, y int32) {
+func (c *coordinator) startInsert(ctx *mpc.Ctx, fl *flow) {
+	x, y := fl.op.x, fl.op.y
 	c.hAppend(hentry{op: hEdgeIns, a: x, b: y})
-	c.statsReq(ctx, x, +1)
-	c.statsReq(ctx, y, +1)
-	c.await(ctx, 2, func(ctx *mpc.Ctx) {
-		sx, sy := c.statOf(x), c.statOf(y)
-		if c.threeHalves {
-			// §4 edge event: the new edge contributes the endpoints'
-			// pre-matching statuses to each other's counters.
-			c.ctrEdgeEvent(ctx, x, y, sx.mate < 0, sy.mate < 0, true)
-		}
-		// Mirror records need the heaviness of the endpoints' mates.
-		var need []int32
-		if sx.mate >= 0 {
-			need = append(need, sx.mate)
-		}
-		if sy.mate >= 0 && sy.mate != sx.mate {
-			need = append(need, sy.mate)
-		}
-		for _, z := range need {
-			c.statsReq(ctx, z, 0)
-		}
-		c.await(ctx, len(need), func(ctx *mpc.Ctx) {
-			xMateHeavy := sx.mate >= 0 && c.statOf(sx.mate).heavy
-			yMateHeavy := sy.mate >= 0 && c.statOf(sy.mate).heavy
-			c.transitionUp(ctx, x, &sx, func(ctx *mpc.Ctx) {
-				c.transitionUp(ctx, y, &sy, func(ctx *mpc.Ctx) {
-					recX := edgeRec{other: y, matched: sy.mate >= 0, mate: sy.mate,
-						heavy: sy.heavy, mateHeavy: yMateHeavy}
-					recY := edgeRec{other: x, matched: sx.mate >= 0, mate: sx.mate,
-						heavy: sx.heavy, mateHeavy: xMateHeavy}
-					c.storeOne(ctx, x, &sx, recX, func(ctx *mpc.Ctx) {
-						c.storeOne(ctx, y, &sy, recY, func(ctx *mpc.Ctx) {
-							c.insertMatch(ctx, x, sx, y, sy)
-						})
-					})
-				})
-			})
-		})
-	})
+	c.statsReq(ctx, fl, x, +1)
+	c.statsReq(ctx, fl, y, +1)
+	c.await(ctx, fl, 2, (*coordinator).insertStats)
+}
+
+func (c *coordinator) insertStats(ctx *mpc.Ctx, fl *flow) {
+	o := &fl.op
+	o.sx, o.sy = fl.statOf(o.x), fl.statOf(o.y)
+	if c.threeHalves {
+		// §4 edge event: the new edge contributes the endpoints'
+		// pre-matching statuses to each other's counters.
+		c.ctrEdgeEvent(ctx, o.x, o.y, o.sx.mate < 0, o.sy.mate < 0, true)
+	}
+	// Mirror records need the heaviness of the endpoints' mates.
+	need := 0
+	if o.sx.mate >= 0 {
+		c.statsReq(ctx, fl, o.sx.mate, 0)
+		need++
+	}
+	if o.sy.mate >= 0 && o.sy.mate != o.sx.mate {
+		c.statsReq(ctx, fl, o.sy.mate, 0)
+		need++
+	}
+	c.await(ctx, fl, need, (*coordinator).insertMates)
+}
+
+func (c *coordinator) insertMates(ctx *mpc.Ctx, fl *flow) {
+	o := &fl.op
+	o.xMateHeavy = o.sx.mate >= 0 && fl.statOf(o.sx.mate).heavy
+	o.yMateHeavy = o.sy.mate >= 0 && fl.statOf(o.sy.mate).heavy
+	c.transitionUp(ctx, fl, o.x, &o.sx, (*coordinator).insertUpY)
+}
+
+func (c *coordinator) insertUpY(ctx *mpc.Ctx, fl *flow) {
+	c.transitionUp(ctx, fl, fl.op.y, &fl.op.sy, (*coordinator).insertStoreX)
+}
+
+func (c *coordinator) insertStoreX(ctx *mpc.Ctx, fl *flow) {
+	o := &fl.op
+	rec := edgeRec{other: o.y, matched: o.sy.mate >= 0, mate: o.sy.mate, heavy: o.sy.heavy, mateHeavy: o.yMateHeavy}
+	c.storeOne(ctx, fl, o.x, &o.sx, rec, (*coordinator).insertStoreY)
+}
+
+// insertStoreY stores y's copy; storing x's changed none of the fields of
+// sx the record mirrors.
+func (c *coordinator) insertStoreY(ctx *mpc.Ctx, fl *flow) {
+	o := &fl.op
+	rec := edgeRec{other: o.x, matched: o.sx.mate >= 0, mate: o.sx.mate, heavy: o.sx.heavy, mateHeavy: o.xMateHeavy}
+	c.storeOne(ctx, fl, o.y, &o.sy, rec, (*coordinator).insertMatch)
 }
 
 // insertMatch applies §3's case analysis after the edge is stored.
-func (c *coordinator) insertMatch(ctx *mpc.Ctx, x int32, sx stat, y int32, sy stat) {
+func (c *coordinator) insertMatch(ctx *mpc.Ctx, fl *flow) {
 	if c.threeHalves {
-		c.insertMatch32(ctx, x, sx, y, sy)
+		c.insertMatch32(ctx, fl)
 		return
 	}
-	xFree, yFree := sx.mate < 0, sy.mate < 0
+	o := &fl.op
+	xFree, yFree := o.sx.mate < 0, o.sy.mate < 0
 	switch {
 	case xFree && yFree:
-		c.matchPair(ctx, x, y, sx.heavy, sy.heavy)
-		c.finishUpdate(ctx)
-	case xFree && sx.heavy:
-		c.surrogate(ctx, x, sx, func(ctx *mpc.Ctx) { c.finishUpdate(ctx) })
-	case yFree && sy.heavy:
-		c.surrogate(ctx, y, sy, func(ctx *mpc.Ctx) { c.finishUpdate(ctx) })
+		c.matchPair(ctx, o.x, o.y, o.sx.heavy, o.sy.heavy)
+		c.finishUpdate(ctx, fl)
+	case xFree && o.sx.heavy:
+		c.surrogate(ctx, fl, o.x, o.sx, (*coordinator).finishUpdate)
+	case yFree && o.sy.heavy:
+		c.surrogate(ctx, fl, o.y, o.sy, (*coordinator).finishUpdate)
 	default:
-		c.finishUpdate(ctx)
+		c.finishUpdate(ctx, fl)
 	}
 }
 
 // --- delete -------------------------------------------------------------
 
-func (c *coordinator) startDelete(ctx *mpc.Ctx, x, y int32) {
+func (c *coordinator) startDelete(ctx *mpc.Ctx, fl *flow) {
+	x, y := fl.op.x, fl.op.y
 	c.hAppend(hentry{op: hEdgeDel, a: x, b: y})
-	c.statsReq(ctx, x, -1)
-	c.statsReq(ctx, y, -1)
-	c.await(ctx, 2, func(ctx *mpc.Ctx) {
-		sx, sy := c.statOf(x), c.statOf(y)
-		wasMatched := sx.mate == y
-		if c.threeHalves {
-			// §4 edge event with pre-deletion statuses.
-			c.ctrEdgeEvent(ctx, x, y, sx.mate < 0, sy.mate < 0, false)
-		}
-		if wasMatched {
-			c.unmatchPair(ctx, x, y)
-			sx.mate, sy.mate = -1, -1
-		}
-		c.transitionDown(ctx, x, &sx, func(ctx *mpc.Ctx) {
-			c.transitionDown(ctx, y, &sy, func(ctx *mpc.Ctx) {
-				if !wasMatched {
-					c.finishUpdate(ctx)
-					return
-				}
-				c.rematch(ctx, x, func(ctx *mpc.Ctx) {
-					c.rematch(ctx, y, func(ctx *mpc.Ctx) {
-						c.finishUpdate(ctx)
-					})
-				})
-			})
-		})
-	})
+	c.statsReq(ctx, fl, x, -1)
+	c.statsReq(ctx, fl, y, -1)
+	c.await(ctx, fl, 2, (*coordinator).deleteStats)
+}
+
+func (c *coordinator) deleteStats(ctx *mpc.Ctx, fl *flow) {
+	o := &fl.op
+	o.sx, o.sy = fl.statOf(o.x), fl.statOf(o.y)
+	o.wasMatched = o.sx.mate == o.y
+	if c.threeHalves {
+		// §4 edge event with pre-deletion statuses.
+		c.ctrEdgeEvent(ctx, o.x, o.y, o.sx.mate < 0, o.sy.mate < 0, false)
+	}
+	if o.wasMatched {
+		c.unmatchPair(ctx, o.x, o.y)
+		o.sx.mate, o.sy.mate = -1, -1
+	}
+	c.transitionDown(ctx, fl, o.x, &o.sx, (*coordinator).deleteDownY)
+}
+
+func (c *coordinator) deleteDownY(ctx *mpc.Ctx, fl *flow) {
+	c.transitionDown(ctx, fl, fl.op.y, &fl.op.sy, (*coordinator).deleteRematch)
+}
+
+func (c *coordinator) deleteRematch(ctx *mpc.Ctx, fl *flow) {
+	if !fl.op.wasMatched {
+		c.finishUpdate(ctx, fl)
+		return
+	}
+	c.rematch(ctx, fl, fl.op.x, (*coordinator).deleteRematchY)
+}
+
+func (c *coordinator) deleteRematchY(ctx *mpc.Ctx, fl *flow) {
+	c.rematch(ctx, fl, fl.op.y, (*coordinator).finishUpdate)
 }
 
 // rematch re-reads v's authoritative stat (the x-side rematch may already
 // have matched y through an augmenting steal) and restores maximality
 // around v.
-func (c *coordinator) rematch(ctx *mpc.Ctx, v int32, cont func(ctx *mpc.Ctx)) {
-	c.statsReq(ctx, v, 0)
-	c.await(ctx, 1, func(ctx *mpc.Ctx) {
-		s := c.statOf(v)
-		if s.mate >= 0 || s.deg == 0 {
-			cont(ctx)
-			return
-		}
-		if !s.heavy {
-			c.rematchLightKnown(ctx, v, s, cont)
-			return
-		}
-		c.surrogate(ctx, v, s, cont)
-	})
+func (c *coordinator) rematch(ctx *mpc.Ctx, fl *flow, v int32, ret step) {
+	fl.push(ret)
+	fl.op.v = v
+	c.statsReq(ctx, fl, v, 0)
+	c.await(ctx, fl, 1, (*coordinator).rematchStat)
+}
+
+func (c *coordinator) rematchStat(ctx *mpc.Ctx, fl *flow) {
+	v := fl.op.v
+	s := fl.statOf(v)
+	switch {
+	case s.mate >= 0 || s.deg == 0:
+		c.ret(ctx, fl)
+	case !s.heavy:
+		c.rematchLightKnown(ctx, fl, v, s, fl.pop())
+	default:
+		c.surrogate(ctx, fl, v, s, fl.pop())
+	}
 }
 
 // rematchLightKnown scans the light vertex's single home machine for a
 // free neighbor.
-func (c *coordinator) rematchLightKnown(ctx *mpc.Ctx, v int32, s stat, cont func(ctx *mpc.Ctx)) {
+func (c *coordinator) rematchLightKnown(ctx *mpc.Ctx, fl *flow, v int32, s stat, ret step) {
+	fl.push(ret)
 	if s.home < 0 {
-		cont(ctx)
+		c.ret(ctx, fl)
 		return
 	}
 	c.send(ctx, s.home, &storageReq{
-		Kind: cScan, Seq: c.cur.seq, V: v, WantFree: true, Exclude: -1,
+		Kind: cScan, Seq: fl.seq, V: v, WantFree: true, Exclude: -1,
 		H: c.suffixFor(s.home),
 	})
-	c.await(ctx, 1, func(ctx *mpc.Ctx) {
-		r := c.scanRep()
-		if r.FoundFree {
-			c.matchPair(ctx, v, r.Rec.other, s.heavy, r.Rec.heavy)
-		}
-		cont(ctx)
-	})
+	fl.op.v, fl.op.heavy = v, s.heavy
+	c.await(ctx, fl, 1, (*coordinator).rematchLightScanned)
+}
+
+func (c *coordinator) rematchLightScanned(ctx *mpc.Ctx, fl *flow) {
+	if r := fl.scanRep(); r.FoundFree {
+		c.matchPair(ctx, fl.op.v, r.Rec.other, fl.op.heavy, r.Rec.heavy)
+	}
+	c.ret(ctx, fl)
 }
 
 // surrogate restores Invariant 3.1 for a free heavy vertex v: match a free
@@ -170,57 +205,67 @@ func (c *coordinator) rematchLightKnown(ctx *mpc.Ctx, v int32, s stat, cont func
 // light, then rematch z from its own (single-machine) adjacency. If the
 // alive window offers neither, the suspended stack is scanned as a counted
 // fallback.
-func (c *coordinator) surrogate(ctx *mpc.Ctx, v int32, s stat, cont func(ctx *mpc.Ctx)) {
-	machines := append([]int32{}, s.home)
-	machines = append(machines, s.suspended...)
-	c.surrogateScan(ctx, v, s, machines, 0, cont)
+func (c *coordinator) surrogate(ctx *mpc.Ctx, fl *flow, v int32, s stat, ret step) {
+	fl.push(ret)
+	fl.machines = append(append(fl.machines[:0], s.home), s.suspended...)
+	fl.op.v, fl.op.heavy, fl.op.mi = v, s.heavy, 0
+	c.surrogateScan(ctx, fl)
 }
 
-func (c *coordinator) surrogateScan(ctx *mpc.Ctx, v int32, s stat, machines []int32, idx int, cont func(ctx *mpc.Ctx)) {
-	if idx >= len(machines) {
-		cont(ctx) // v stays free; all neighbors are matched with heavy mates
+func (c *coordinator) surrogateScan(ctx *mpc.Ctx, fl *flow) {
+	o := &fl.op
+	if o.mi >= len(fl.machines) {
+		c.ret(ctx, fl) // v stays free; all neighbors are matched with heavy mates
 		return
 	}
-	if idx == 1 {
+	if o.mi == 1 {
 		c.fallbacks++
 	}
-	m := machines[idx]
+	m := fl.machines[o.mi]
 	if m < 0 {
-		cont(ctx)
+		c.ret(ctx, fl)
 		return
 	}
 	c.send(ctx, m, &storageReq{
-		Kind: cScan, Seq: c.cur.seq, V: v, WantFree: true, WantSteal: true, Exclude: -1,
+		Kind: cScan, Seq: fl.seq, V: o.v, WantFree: true, WantSteal: true, Exclude: -1,
 		H: c.suffixFor(m),
 	})
-	c.await(ctx, 1, func(ctx *mpc.Ctx) {
-		r := c.scanRep()
-		switch {
-		case r.FoundFree:
-			c.matchPair(ctx, v, r.Rec.other, s.heavy, r.Rec.heavy)
-			cont(ctx)
-		case r.FoundSteal:
-			w, z := r.Rec.other, r.Rec.mate
-			c.unmatchPair(ctx, w, z)
-			c.matchPair(ctx, v, w, s.heavy, r.Rec.heavy)
-			c.rematchLight(ctx, z, cont)
-		default:
-			c.surrogateScan(ctx, v, s, machines, idx+1, cont)
-		}
-	})
+	c.await(ctx, fl, 1, (*coordinator).surrogateScanned)
+}
+
+func (c *coordinator) surrogateScanned(ctx *mpc.Ctx, fl *flow) {
+	o := &fl.op
+	r := fl.scanRep()
+	switch {
+	case r.FoundFree:
+		c.matchPair(ctx, o.v, r.Rec.other, o.heavy, r.Rec.heavy)
+		c.ret(ctx, fl)
+	case r.FoundSteal:
+		w, z := r.Rec.other, r.Rec.mate
+		c.unmatchPair(ctx, w, z)
+		c.matchPair(ctx, o.v, w, o.heavy, r.Rec.heavy)
+		c.rematchLight(ctx, fl, z, fl.pop())
+	default:
+		o.mi++
+		c.surrogateScan(ctx, fl)
+	}
 }
 
 // rematchLight fetches z's stat first (the steal just freed it).
-func (c *coordinator) rematchLight(ctx *mpc.Ctx, z int32, cont func(ctx *mpc.Ctx)) {
-	c.statsReq(ctx, z, 0)
-	c.await(ctx, 1, func(ctx *mpc.Ctx) {
-		s := c.statOf(z)
-		if s.mate >= 0 {
-			cont(ctx)
-			return
-		}
-		c.rematchLightKnown(ctx, z, s, cont)
-	})
+func (c *coordinator) rematchLight(ctx *mpc.Ctx, fl *flow, z int32, ret step) {
+	fl.push(ret)
+	fl.op.v = z
+	c.statsReq(ctx, fl, z, 0)
+	c.await(ctx, fl, 1, (*coordinator).rematchLightStat)
+}
+
+func (c *coordinator) rematchLightStat(ctx *mpc.Ctx, fl *flow) {
+	s := fl.statOf(fl.op.v)
+	if s.mate >= 0 {
+		c.ret(ctx, fl)
+		return
+	}
+	c.rematchLightKnown(ctx, fl, fl.op.v, s, fl.pop())
 }
 
 // --- transitions & storage placement ------------------------------------
@@ -228,9 +273,10 @@ func (c *coordinator) rematchLight(ctx *mpc.Ctx, z int32, cont func(ctx *mpc.Ctx
 // transitionUp promotes v to heavy when an insertion pushes its degree to
 // the threshold: a fresh alive machine takes the first aliveCap records,
 // the remainder goes to a fresh suspended machine.
-func (c *coordinator) transitionUp(ctx *mpc.Ctx, v int32, s *stat, cont func(ctx *mpc.Ctx)) {
+func (c *coordinator) transitionUp(ctx *mpc.Ctx, fl *flow, v int32, s *stat, ret step) {
+	fl.push(ret)
 	if s.heavy || int(s.deg) < c.heavyAt {
-		cont(ctx)
+		c.ret(ctx, fl)
 		return
 	}
 	s.heavy = true
@@ -238,77 +284,86 @@ func (c *coordinator) transitionUp(ctx *mpc.Ctx, v int32, s *stat, cont func(ctx
 	c.setField(ctx, v, fHeavy, 1)
 	if s.home < 0 {
 		// Degenerate: no stored edges yet (cannot happen at threshold >= 1).
-		cont(ctx)
+		c.ret(ctx, fl)
 		return
 	}
 	alive := c.allocate(mkExclusive, int32(c.mem))
 	susp := c.allocate(mkExclusive, int32(c.mem))
 	old := s.home
 	c.send(ctx, old, &storageReq{
-		Kind: cMoveOut, Seq: c.cur.seq, V: v, Target: alive, Keep: int32(c.aliveCap), Overflow: susp,
+		Kind: cMoveOut, Seq: fl.seq, V: v, Target: alive, Keep: int32(c.aliveCap), Overflow: susp,
 		H: c.suffixFor(old),
 	})
+	fl.op.v, fl.op.s, fl.op.target, fl.op.overflow = v, s, alive, susp
 	// Three acks: source, alive target, overflow target.
-	c.await(ctx, 3, func(ctx *mpc.Ctx) {
-		kept := c.ackCount(alive)
-		overflowed := c.ackCount(susp)
-		s.home = alive
-		s.aliveCnt = kept
-		s.suspended = nil
-		if overflowed > 0 {
-			s.suspended = []int32{susp}
-		} else {
-			c.release(susp)
-		}
-		c.setHome(ctx, v, alive)
-		c.setCnt(ctx, v, kept)
-		c.setSusp(ctx, v, s.suspended)
-		cont(ctx)
-	})
+	c.await(ctx, fl, 3, (*coordinator).transitionUpMoved)
+}
+
+func (c *coordinator) transitionUpMoved(ctx *mpc.Ctx, fl *flow) {
+	v, s, alive, susp := fl.op.v, fl.op.s, fl.op.target, fl.op.overflow
+	kept := fl.ackCount(alive)
+	overflowed := fl.ackCount(susp)
+	s.home = alive
+	s.aliveCnt = kept
+	s.suspended = nil
+	if overflowed > 0 {
+		s.suspended = []int32{susp}
+	} else {
+		c.release(susp)
+	}
+	c.setHome(ctx, v, alive)
+	c.setCnt(ctx, v, kept)
+	c.setSusp(ctx, v, s.suspended)
+	c.ret(ctx, fl)
 }
 
 // transitionDown demotes v to light when a deletion drops its degree below
 // the threshold: alive and suspended records consolidate onto one shared
 // light machine.
-func (c *coordinator) transitionDown(ctx *mpc.Ctx, v int32, s *stat, cont func(ctx *mpc.Ctx)) {
+func (c *coordinator) transitionDown(ctx *mpc.Ctx, fl *flow, v int32, s *stat, ret step) {
+	fl.push(ret)
 	if !s.heavy || int(s.deg) >= c.heavyAt {
-		cont(ctx)
+		c.ret(ctx, fl)
 		return
 	}
 	s.heavy = false
 	c.hAppend(hentry{op: hHeavyOff, a: v})
 	c.setField(ctx, v, fHeavy, 0)
-	sources := append([]int32{}, s.home)
-	sources = append(sources, s.suspended...)
+	fl.machines = append(append(fl.machines[:0], s.home), s.suspended...)
 	target := c.allocate(mkLight, (s.deg+2)*edgeWords)
 	// A shared target may hold other vertices' records behind the history;
 	// sync it now so the records arriving next round are not corrupted by
 	// a later suffix replay.
 	c.refresh(ctx, target)
-	for _, src := range sources {
+	for _, src := range fl.machines {
 		c.send(ctx, src, &storageReq{
-			Kind: cMoveOut, Seq: c.cur.seq, V: v, Target: target, Keep: -1, Overflow: -1,
+			Kind: cMoveOut, Seq: fl.seq, V: v, Target: target, Keep: -1, Overflow: -1,
 			H: c.suffixFor(src),
 		})
 	}
+	fl.op.v, fl.op.s, fl.op.target = v, s, target
 	// Each source acks, and the target acks each shipment.
-	c.await(ctx, 2*len(sources), func(ctx *mpc.Ctx) {
-		for _, src := range sources {
-			c.release(src)
-		}
-		s.home = target
-		s.aliveCnt = 0
-		s.suspended = nil
-		c.setHome(ctx, v, target)
-		c.setCnt(ctx, v, 0)
-		c.setSusp(ctx, v, nil)
-		cont(ctx)
-	})
+	c.await(ctx, fl, 2*len(fl.machines), (*coordinator).transitionDownMoved)
+}
+
+func (c *coordinator) transitionDownMoved(ctx *mpc.Ctx, fl *flow) {
+	v, s, target := fl.op.v, fl.op.s, fl.op.target
+	for _, src := range fl.machines {
+		c.release(src)
+	}
+	s.home = target
+	s.aliveCnt = 0
+	s.suspended = nil
+	c.setHome(ctx, v, target)
+	c.setCnt(ctx, v, 0)
+	c.setSusp(ctx, v, nil)
+	c.ret(ctx, fl)
 }
 
 // storeOne places v's copy of a new edge record, relocating v's light list
 // when its home machine is full (the paper's moveEdges/toFit).
-func (c *coordinator) storeOne(ctx *mpc.Ctx, v int32, s *stat, rec edgeRec, cont func(ctx *mpc.Ctx)) {
+func (c *coordinator) storeOne(ctx *mpc.Ctx, fl *flow, v int32, s *stat, rec edgeRec, ret step) {
+	fl.push(ret)
 	if s.heavy {
 		target := int32(-1)
 		switch {
@@ -324,7 +379,7 @@ func (c *coordinator) storeOne(ctx *mpc.Ctx, v int32, s *stat, rec edgeRec, cont
 			c.setSusp(ctx, v, s.suspended)
 		}
 		c.sendStore(ctx, target, v, rec)
-		cont(ctx)
+		c.ret(ctx, fl)
 		return
 	}
 	// Light vertex.
@@ -334,7 +389,7 @@ func (c *coordinator) storeOne(ctx *mpc.Ctx, v int32, s *stat, rec edgeRec, cont
 	}
 	if c.freeWords[s.home] >= edgeWords {
 		c.sendStore(ctx, s.home, v, rec)
-		cont(ctx)
+		c.ret(ctx, fl)
 		return
 	}
 	// Relocate the whole list to a machine that fits it plus the new
@@ -343,13 +398,17 @@ func (c *coordinator) storeOne(ctx *mpc.Ctx, v int32, s *stat, rec edgeRec, cont
 	old := s.home
 	c.refresh(ctx, target)
 	c.send(ctx, old, &storageReq{
-		Kind: cMoveOut, Seq: c.cur.seq, V: v, Target: target, Keep: -1, Overflow: -1,
+		Kind: cMoveOut, Seq: fl.seq, V: v, Target: target, Keep: -1, Overflow: -1,
 		H: c.suffixFor(old),
 	})
-	c.await(ctx, 2, func(ctx *mpc.Ctx) {
-		s.home = target
-		c.setHome(ctx, v, target)
-		c.sendStore(ctx, target, v, rec)
-		cont(ctx)
-	})
+	fl.op.v, fl.op.s, fl.op.target, fl.op.rec = v, s, target, rec
+	c.await(ctx, fl, 2, (*coordinator).storeOneMoved)
+}
+
+func (c *coordinator) storeOneMoved(ctx *mpc.Ctx, fl *flow) {
+	v, s, target := fl.op.v, fl.op.s, fl.op.target
+	s.home = target
+	c.setHome(ctx, v, target)
+	c.sendStore(ctx, target, v, fl.op.rec)
+	c.ret(ctx, fl)
 }
