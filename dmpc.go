@@ -88,8 +88,12 @@
 // ops, so answers stay bit-identical to the unweighted run.
 // IngestorConfig.Weights and IngestorConfig.Admission (AlwaysAdmit,
 // TokenBucket) shape the streaming front door the same way, with
-// refused ops surfaced as typed Rejections, and StreamStats/MixedStats
-// gain per-tenant breakdowns (TenantStreamStats, TenantStats). See
+// refused ops surfaced as typed Rejections, and StreamStats gains a
+// per-tenant breakdown (TenantStreamStats): the Ingestor is the one place
+// that knows tenants, and it charges each op an equal share of its flush
+// window's rounds, while MixedStats counts rounds only. The §6 structure
+// takes no weights: its claims carry no shared cost, so neither
+// WithTenantWeights nor IngestorConfig.Weights changes its schedule. See
 // DESIGN.md §2c and cmd/dmpcbench's tenants table (in BENCH_0015.json) for
 // the noisy-neighbor isolation picture.
 //
@@ -160,9 +164,6 @@ type (
 	HalfStats = mpc.HalfStats
 	// Cluster is the simulated DMPC cluster.
 	Cluster = mpc.Cluster
-	// TenantStats is one tenant's slice of a mixed window: op counts and
-	// the tenant's wave-share of the window's rounds.
-	TenantStats = mpc.TenantStats
 	// TenantStreamStats is one tenant's slice of an ingested stream: op
 	// counts, admission rejections, rounds share, latency percentiles.
 	TenantStreamStats = mpc.TenantStreamStats
@@ -210,7 +211,8 @@ func WithWorkers(n int) Option { return func(o *options) { o.workers = n } }
 // absent from the map weigh 1 against the same total; nil (the
 // default) keeps the single-tenant first-fit schedule bit-identically.
 // Pair with IngestorConfig.Weights/Admission to also shape the
-// streaming front door.
+// streaming front door. NewAlmostMaximalMatching ignores it: §6 claims
+// are endpoint keys with no shared cost, so there is nothing to meter.
 func WithTenantWeights(w map[int]int) Option { return func(o *options) { o.tenants = w } }
 
 // Operation kinds for Update.Op and Op.Kind.

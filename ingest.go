@@ -2,6 +2,7 @@ package dmpc
 
 import (
 	"fmt"
+	"slices"
 
 	"dmpc/internal/graph"
 	"dmpc/internal/mpc"
@@ -65,7 +66,9 @@ type IngestorConfig struct {
 	// packing the whole forming set, so one noisy tenant cannot fill
 	// every wave. This shapes how the *forming set* groups; pair it with
 	// the structure-level WithTenantWeights option to also shape wave
-	// packing inside each flush window.
+	// packing inside each flush window. Over an AlmostMaximalMatching it
+	// is a no-op: §6 claims carry no shared cost (endpoint keys only, never
+	// Solo), so no tenant ever spends its share.
 	Weights map[int]int
 	// Admission maps tenant id -> admission policy, consulted before an
 	// arrival enters the forming set. Tenants absent from the map are
@@ -244,11 +247,21 @@ func (ing *Ingestor) Pending() int { return len(ing.forming) }
 // ops still forming appear only after the flush that answers them. The
 // per-tenant breakdown appears only on multi-tenant streams (a nonzero
 // tenant tag seen, or Weights/Admission configured) — single-tenant
-// accounting is bit-identical to pre-tenancy behavior.
+// accounting is bit-identical to pre-tenancy behavior. The snapshot's
+// slices are capped and its breakdown is a copy, so later pushes do not
+// move it, and appending to it does not write into the stream's records.
 func (ing *Ingestor) Stats() StreamStats {
 	st := ing.stats
+	st.Latencies = slices.Clip(st.Latencies)
+	st.Windows = slices.Clip(st.Windows)
+	st.Rejections = slices.Clip(st.Rejections)
 	if ing.multiTenant {
-		st.Tenants = ing.tstats
+		st.Tenants = make(map[int]*mpc.TenantStreamStats, len(ing.tstats))
+		for t, ts := range ing.tstats {
+			c := *ts
+			c.Latencies = slices.Clip(c.Latencies)
+			st.Tenants[t] = &c
+		}
 	}
 	return st
 }
@@ -372,7 +385,8 @@ func (ing *Ingestor) Close() (Results, StreamStats) {
 
 // flushAt runs the forming set through the pipeline as one window,
 // starting at the trigger time or at the previous flush's completion,
-// whichever is later, and attributes each op's arrival-to-answer latency.
+// whichever is later, and charges each op its arrival-to-answer latency
+// and, to its tenant, an equal share of the window's rounds.
 func (ing *Ingestor) flushAt(trigger int64, reason int) {
 	if len(ing.forming) == 0 {
 		return
@@ -387,6 +401,7 @@ func (ing *Ingestor) flushAt(trigger int64, reason int) {
 	}
 	end := start + int64(st.Rounds())
 	ing.now = end
+	share := float64(st.Rounds()) / float64(len(ing.forming))
 	for x, at := range ing.formingAt {
 		lat := end - at
 		ing.stats.Latencies = append(ing.stats.Latencies, lat)
@@ -398,22 +413,7 @@ func (ing *Ingestor) flushAt(trigger int64, reason int) {
 			ts.Updates++
 		}
 		ts.Latencies = append(ts.Latencies, lat)
-	}
-	// Tenant rounds: prefer the window's own wave-share attribution;
-	// windows without one (a pipeline whose core does no tenant census)
-	// fall back to splitting the window total over the chunk's op counts.
-	if st.Tenants != nil {
-		for t, tc := range st.Tenants {
-			ing.tstat(t).Rounds += tc.Rounds
-		}
-	} else if len(ing.forming) > 0 {
-		counts := make(map[int]int, 2)
-		for _, op := range ing.forming {
-			counts[op.Tenant]++
-		}
-		for t, c := range counts {
-			ing.tstat(t).Rounds += float64(st.Rounds()) * float64(c) / float64(len(ing.forming))
-		}
+		ts.Rounds += share
 	}
 	ing.stats.Ops += st.Ops
 	ing.stats.Updates += st.Updates.Ops

@@ -150,7 +150,7 @@ func (m *M) Delete(u, v int) mpc.HalfStats {
 
 func (m *M) update(up graph.Update) mpc.HalfStats {
 	m.seq++
-	m.cluster.BeginMixed(1, 0, nil)
+	m.cluster.BeginMixed(1, 0)
 	m.send(m.owner(up.U), amsg{Kind: aUpdate, U: int32(up.U), V: int32(up.V), Del: up.Op == graph.Delete, Seq: m.seq}, 4)
 	// The edge update itself plus one batch of every subscheduler: a
 	// constant number of rounds by construction.
@@ -259,7 +259,7 @@ func (m *M) drainCycles(updates int) {
 // returned Results answers the j-th op with IsQuery() true.
 func (m *M) ApplyOps(ops []graph.Op) (graph.Results, mpc.MixedStats) {
 	nu, nq := graph.CountOps(ops)
-	m.cluster.BeginMixed(nu, nq, nil)
+	m.cluster.BeginMixed(nu, nq)
 	for i := 0; i < len(ops); {
 		if !ops[i].IsQuery() {
 			// Maximal update run, then the run's share of scheduler cycles

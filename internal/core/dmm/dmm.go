@@ -199,9 +199,8 @@ func (m *M) Close() { m.cluster.Close() }
 // returned Results answers the j-th op with IsQuery() true.
 func (m *M) ApplyOps(ops []graph.Op) (graph.Results, mpc.MixedStats) {
 	nu, nq := graph.CountOps(ops)
-	// A nil census (single-tenant stream) keeps the window's accounting
-	// tenant-free; the waves follow the window.
-	m.cluster.BeginMixed(nu, nq, mpc.WindowCensus(ops, len(m.cfg.TenantWeights) > 0))
+	// The window counts rounds only; the facade's Ingestor bills tenants.
+	m.cluster.BeginMixed(nu, nq)
 	// Updates draw sequence numbers by stream position — exactly the ids
 	// sequential replay would hand out. A read is named by its position.
 	// Both buffers are M's, reused from window to window.

@@ -235,9 +235,8 @@ func (d *D) inject(up graph.Update, seq int64) {
 // returned Results answers the j-th op with IsQuery() true.
 func (d *D) ApplyOps(ops []graph.Op) (graph.Results, mpc.MixedStats) {
 	nu, nq := graph.CountOps(ops)
-	// A nil census (single-tenant stream) keeps the window's accounting
-	// tenant-free; the waves follow the window.
-	d.cluster.BeginMixed(nu, nq, mpc.WindowCensus(ops, len(d.cfg.TenantWeights) > 0))
+	// The window counts rounds only; the facade's Ingestor bills tenants.
+	d.cluster.BeginMixed(nu, nq)
 	// Sequence numbers are assigned by *stream position*, not injection
 	// order: fresh component ids minted by cuts are derived from the seq
 	// (N + 2·seq), so position-based seqs make the labels of a reordered

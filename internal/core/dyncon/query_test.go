@@ -176,6 +176,6 @@ func TestQueryInsideBatchPanics(t *testing.T) {
 			t.Fatalf("panic %v does not name the window conflict", r)
 		}
 	}()
-	d.Cluster().BeginMixed(1, 0, nil)
+	d.Cluster().BeginMixed(1, 0)
 	connected(d, 0, 1)
 }

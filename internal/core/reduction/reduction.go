@@ -158,7 +158,7 @@ func NewWrapped(sim *Sim, t Target) *Wrapped { return &Wrapped{Sim: sim, Target:
 // wave-free window of one update, and returns that window's update half:
 // Rounds = Θ(sequential operations).
 func (w *Wrapped) Update(up graph.Update) mpc.HalfStats {
-	w.Sim.cluster.BeginMixed(1, 0, nil)
+	w.Sim.cluster.BeginMixed(1, 0)
 	before := w.Target.OpCounter().Count()
 	w.Target.Apply(up)
 	ops := w.Target.OpCounter().Count() - before

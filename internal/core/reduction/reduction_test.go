@@ -25,7 +25,7 @@ func TestStoreReadWriteRoundTrip(t *testing.T) {
 
 func TestMemoryOpAccounting(t *testing.T) {
 	sim := NewSim(4, 0)
-	sim.Cluster().BeginMixed(1, 0, nil)
+	sim.Cluster().BeginMixed(1, 0)
 	sim.Read(5)
 	u := sim.Cluster().EndMixed().Updates
 	// One read = request round + reply round, <= 2 machines active.
@@ -38,7 +38,7 @@ func TestMemoryOpAccounting(t *testing.T) {
 	if u.MaxWords > 4 {
 		t.Fatalf("words = %d, want O(1)", u.MaxWords)
 	}
-	sim.Cluster().BeginMixed(1, 0, nil)
+	sim.Cluster().BeginMixed(1, 0)
 	sim.Write(5, 1)
 	u = sim.Cluster().EndMixed().Updates
 	if u.Rounds != 1 || u.MaxActive > 1 {

@@ -36,7 +36,7 @@ func TestAnswersPositional(t *testing.T) {
 		for i := 0; i < mu; i++ {
 			c.SetMachine(i, answerer)
 		}
-		c.BeginMixed(2, 4, nil)
+		c.BeginMixed(2, 4)
 		for k, at := range send {
 			c.Send(Message{From: -1, To: mu - 1 - k%mu, Payload: at, Words: 1})
 		}

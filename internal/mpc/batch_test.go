@@ -27,7 +27,7 @@ func TestBatchAccounting(t *testing.T) {
 		c.SetMachine(i, bounceMachine{})
 	}
 
-	c.BeginMixed(3, 0, nil)
+	c.BeginMixed(3, 0)
 	c.Send(Message{From: -1, To: 0, Payload: "ping", Words: 1})
 	first := c.Run(8)
 	c.Send(Message{From: -1, To: 1, Payload: "ping", Words: 1})
@@ -74,7 +74,7 @@ func TestWaveAccounting(t *testing.T) {
 	}
 
 	ops := waveOps(5, 0)
-	c.BeginMixed(5, 0, nil)
+	c.BeginMixed(5, 0)
 	c.BeginMixedWave(ops, []int{0, 1, 2})
 	c.Send(Message{From: -1, To: 0, Payload: "ping", Words: 1})
 	c.Run(8)

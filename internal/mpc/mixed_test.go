@@ -12,7 +12,7 @@ func TestMixedAttribution(t *testing.T) {
 		c.SetMachine(i, bounceMachine{})
 	}
 
-	c.BeginMixed(2, 3, nil)
+	c.BeginMixed(2, 3)
 
 	// Wave 1: one update plus two riding reads — update half.
 	c.BeginMixedWave(waveOps(1, 2), nil)
@@ -77,7 +77,7 @@ func TestMixedHalvesSkipEmpty(t *testing.T) {
 	c.SetMachine(0, bounceMachine{})
 	c.SetMachine(1, bounceMachine{})
 
-	c.BeginMixed(1, 0, nil)
+	c.BeginMixed(1, 0)
 	c.BeginMixedWave(waveOps(1, 0), nil)
 	c.Send(Message{From: -1, To: 0, Payload: "ping", Words: 1})
 	c.Run(8)
@@ -90,7 +90,7 @@ func TestMixedHalvesSkipEmpty(t *testing.T) {
 		t.Fatalf("all-update window missing its update half: %+v", m.Updates)
 	}
 
-	c.BeginMixed(0, 2, nil)
+	c.BeginMixed(0, 2)
 	c.BeginMixedWave(waveOps(0, 2), nil)
 	c.Send(Message{From: -1, To: 1, Payload: "ping", Words: 1})
 	c.Run(8)
@@ -121,12 +121,12 @@ func TestMixedWindowExclusivity(t *testing.T) {
 	c := NewCluster(Config{Machines: 1, MemWords: 16})
 	c.SetMachine(0, bounceMachine{})
 	wantPanic("BeginMixedWave outside a window", func() { c.BeginMixedWave(waveOps(1, 0), nil) })
-	c.BeginMixed(1, 0, nil)
+	c.BeginMixed(1, 0)
 	// A nested Begin would replace the open window, silently discarding
 	// the outer window's rounds.
 	c.Send(Message{From: -1, To: 0, Payload: "ping", Words: 1})
 	c.Run(8)
-	wantPanic("BeginMixed inside a window", func() { c.BeginMixed(1, 1, nil) })
+	wantPanic("BeginMixed inside a window", func() { c.BeginMixed(1, 1) })
 	c.BeginMixedWave(waveOps(1, 0), nil)
 	wantPanic("nested wave", func() { c.BeginMixedWave(waveOps(1, 0), nil) })
 	wantPanic("EndMixed with open wave", func() { c.EndMixed() })
@@ -137,6 +137,6 @@ func TestMixedWindowExclusivity(t *testing.T) {
 	}
 
 	// A closed window releases the cluster for the next.
-	c.BeginMixed(0, 1, nil)
+	c.BeginMixed(0, 1)
 	c.EndMixed()
 }

@@ -202,12 +202,6 @@ type MixedStats struct {
 	Updates HalfStats   // update half; its waves are the Waves with Updates > 0
 	Queries HalfStats   // query half: the query-only waves
 	Waves   []WaveStats // every wave of the window, in execution order
-
-	// Tenants breaks the window down per tenant (see TenantStats); nil
-	// unless the window was opened with a tenant census (BeginMixed), so
-	// single-tenant accounting is bit-identical to pre-tenancy behavior,
-	// golden JSON included.
-	Tenants map[int]TenantStats `json:",omitempty"`
 }
 
 // Rounds returns the whole window's round count (both halves).
@@ -216,16 +210,11 @@ func (m MixedStats) Rounds() int { return m.Updates.Rounds + m.Queries.Rounds }
 // Equal reports deep equality, including the per-wave attribution.
 func (m MixedStats) Equal(o MixedStats) bool {
 	if m.Ops != o.Ops || m.Updates != o.Updates || m.Queries != o.Queries ||
-		len(m.Waves) != len(o.Waves) || len(m.Tenants) != len(o.Tenants) {
+		len(m.Waves) != len(o.Waves) {
 		return false
 	}
 	for i := range m.Waves {
 		if m.Waves[i] != o.Waves[i] {
-			return false
-		}
-	}
-	for t, ts := range m.Tenants {
-		if o.Tenants[t] != ts {
 			return false
 		}
 	}
@@ -282,7 +271,6 @@ type Cluster struct {
 	currentWave  *WaveStats
 	mixed        MixedStats
 	wave         WaveStats
-	waveTenants  []TenantCount // tenant census of the open mixed wave
 
 	answers []answer // the window's answers in settle order, collected by Answers
 	slots   []int    // Answers' scratch: each stream position's result index
@@ -366,11 +354,10 @@ func (c *Cluster) Close() { c.exec.close() }
 // one would silently replace the open window and discard its rounds — so
 // opening one inside another panics. Within the window, waves are
 // declared with BeginMixedWave/EndMixedWave, and the machines' answers
-// collect into the window's table until Answers reads them. A non-nil
-// census additionally opens the window's per-tenant breakdown; a nil one
-// (the single-tenant default) never allocates the map, keeping MixedStats
-// bit-identical to pre-tenancy behavior.
-func (c *Cluster) BeginMixed(updates, queries int, census []TenantCount) {
+// collect into the window's table until Answers reads them. The window
+// knows no tenants: a front door that does splits the window's rounds
+// itself (the facade's Ingestor, by op share).
+func (c *Cluster) BeginMixed(updates, queries int) {
 	if c.currentMixed != nil {
 		panic("mpc: BeginMixed inside an open window (close it with EndMixed first)")
 	}
@@ -381,16 +368,6 @@ func (c *Cluster) BeginMixed(updates, queries int, census []TenantCount) {
 		Updates: HalfStats{Ops: updates},
 		Queries: HalfStats{Ops: queries},
 		Waves:   m.Waves[:0],
-	}
-	if census != nil {
-		m.Tenants = make(map[int]TenantStats, len(census))
-		for _, tc := range census {
-			ts := m.Tenants[tc.Tenant]
-			ts.Ops += tc.Updates + tc.Queries
-			ts.Updates += tc.Updates
-			ts.Queries += tc.Queries
-			m.Tenants[tc.Tenant] = ts
-		}
 	}
 	c.currentMixed = m
 }
@@ -406,7 +383,6 @@ func (c *Cluster) EndMixed() MixedStats {
 	if m == nil {
 		return MixedStats{}
 	}
-	c.shareLeftoverRounds(m)
 	out := *m
 	out.Waves = append([]WaveStats(nil), m.Waves...) // nil when no wave ran
 	return out
@@ -414,13 +390,11 @@ func (c *Cluster) EndMixed() MixedStats {
 
 // BeginMixedWave starts per-wave attribution inside an open mixed window:
 // the next rounds execute the ops at the stream indices wave (nil means
-// all of ops) concurrently, and the wave bills itself from them — its
-// updates and reads and, in a window opened with a census, its tenant
-// census. A wave without updates is a query-only wave; its rounds fold
-// into the window's query half, while every other wave's rounds (the
-// reads ride along) fold into the update half. Waves never nest.
-// EndMixedWave splits the wave's rounds across its census proportional to
-// op counts. It returns the opened wave, its widths set.
+// all of ops) concurrently, and the wave counts its own updates and
+// reads from them. A wave without updates is a query-only wave; its
+// rounds fold into the window's query half, while every other wave's
+// rounds (the reads ride along) fold into the update half. Waves never
+// nest. It returns the opened wave, its widths set.
 func (c *Cluster) BeginMixedWave(ops []graph.Op, wave []int) WaveStats {
 	if c.currentMixed == nil {
 		panic("mpc: BeginMixedWave outside a mixed window")
@@ -430,17 +404,22 @@ func (c *Cluster) BeginMixedWave(ops []graph.Op, wave []int) WaveStats {
 	}
 	c.wave = WaveStats{}
 	w := &c.wave
-	eachOp(ops, wave, func(op graph.Op) {
-		if op.IsQuery() {
+	n := len(ops)
+	if wave != nil {
+		n = len(wave)
+	}
+	for j := range n {
+		i := j
+		if wave != nil {
+			i = wave[j]
+		}
+		if ops[i].IsQuery() {
 			w.Queries++
 		} else {
 			w.Updates++
 		}
-	})
-	c.currentWave = w
-	if c.currentMixed.Tenants != nil {
-		c.waveTenants = tenantCensus(ops, wave)
 	}
+	c.currentWave = w
 	return *w
 }
 
@@ -454,7 +433,6 @@ func (c *Cluster) EndMixedWave() WaveStats {
 	m := c.currentMixed
 	c.currentWave = nil
 	m.Waves = append(m.Waves, *w)
-	c.shareWaveRounds(m, *w)
 	return *w
 }
 

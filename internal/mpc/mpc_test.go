@@ -76,7 +76,7 @@ func TestUpdateAccounting(t *testing.T) {
 
 	// A wave-free window of one update: how the drivers outside the op
 	// pipeline bill. Every round lands on the update half.
-	c.BeginMixed(1, 0, nil)
+	c.BeginMixed(1, 0)
 	c.Send(Message{To: 0, Payload: 1, Words: 2})
 	c.Run(100)
 	m := c.EndMixed()

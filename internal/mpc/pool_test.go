@@ -63,7 +63,7 @@ func TestSteadyStateAllocsPerAnswer(t *testing.T) {
 		payloads[i] = i
 	}
 	window := func() {
-		c.BeginMixed(0, k, nil)
+		c.BeginMixed(0, k)
 		c.BeginMixedWave(ops, nil)
 		for i, p := range payloads {
 			c.Send(Message{From: -1, To: i % mu, Payload: p, Words: 1})

@@ -12,7 +12,7 @@ func TestQueryAccounting(t *testing.T) {
 		c.SetMachine(i, bounceMachine{})
 	}
 
-	c.BeginMixed(0, 8, nil)
+	c.BeginMixed(0, 8)
 	c.BeginMixedWave(waveOps(0, 8), nil)
 	c.Send(Message{From: -1, To: 0, Payload: "ping", Words: 1})
 	c.Send(Message{From: -1, To: 2, Payload: "ping", Words: 1})
@@ -64,8 +64,8 @@ func TestQueryWindowExclusivity(t *testing.T) {
 	} {
 		mustPanic(tc.name, func() {
 			c := NewCluster(Config{Machines: 2, MemWords: 64})
-			c.BeginMixed(tc.outerU, tc.outerQ, nil)
-			c.BeginMixed(tc.u, tc.q, nil)
+			c.BeginMixed(tc.outerU, tc.outerQ)
+			c.BeginMixed(tc.u, tc.q)
 		})
 	}
 
@@ -75,13 +75,13 @@ func TestQueryWindowExclusivity(t *testing.T) {
 		c.SetMachine(i, bounceMachine{})
 	}
 	update := func(to int) HalfStats {
-		c.BeginMixed(1, 0, nil)
+		c.BeginMixed(1, 0)
 		c.Send(Message{From: -1, To: to, Payload: "ping", Words: 1})
 		c.Run(8)
 		return c.EndMixed().Updates
 	}
 	u1 := update(0)
-	c.BeginMixed(0, 1, nil)
+	c.BeginMixed(0, 1)
 	c.BeginMixedWave(waveOps(0, 1), nil)
 	c.Send(Message{From: -1, To: 1, Payload: "ping", Words: 1})
 	c.Run(8)

@@ -47,7 +47,9 @@ type StreamStats struct {
 	// application landing).
 	Latencies []int64
 
-	// Windows holds each flush's mixed accounting, in flush order.
+	// Windows holds each flush's mixed accounting, in flush order: one
+	// entry per flush for the life of the stream, so it grows with the
+	// stream (the bench/ harness reads it).
 	Windows []MixedStats
 
 	// Rejected counts ops refused by a per-tenant admission policy
@@ -79,7 +81,8 @@ type Rejection struct {
 
 // TenantStreamStats is one tenant's slice of a stream window: its op
 // counts, its admission rejections, its share of the flush windows'
-// rounds (attributed by wave share, see TenantStats), and its own
+// rounds (each op of a window is charged an equal share of the window's
+// rounds, so the tenants' Rounds sum to StreamStats.Rounds), and its own
 // arrival-to-answer latency vector.
 type TenantStreamStats struct {
 	Ops       int

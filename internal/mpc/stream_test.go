@@ -75,56 +75,3 @@ func TestPercentileBadQ(t *testing.T) {
 		}()
 	}
 }
-
-// TestMixedTenantAttribution pins the per-tenant rounds rule on a
-// hand-built window: a wave's rounds split across its census by op
-// count, rounds outside any wave split across the window census, and
-// the tenant shares always sum to the window total (attribution splits
-// rounds, never mints them).
-func TestMixedTenantAttribution(t *testing.T) {
-	c := NewCluster(Config{Machines: 2, MemWords: 64})
-	c.BeginMixed(3, 1, []TenantCount{
-		{Tenant: 0, Updates: 1},
-		{Tenant: 1, Updates: 2, Queries: 1},
-	})
-	// The wave takes its own census from its ops: t0 one update, t1 one
-	// update and one read.
-	ops := waveOps(3, 1)
-	ops[1].Tenant, ops[2].Tenant, ops[3].Tenant = 1, 1, 1
-	c.BeginMixedWave(ops, []int{0, 1, 3})
-	c.Round()
-	c.Round()
-	c.EndMixedWave()
-	c.Round() // outside any wave: leftover, split over the window census
-	m := c.EndMixed()
-	if m.Rounds() != 3 {
-		t.Fatalf("window rounds = %d, want 3", m.Rounds())
-	}
-	if len(m.Tenants) != 2 {
-		t.Fatalf("tenants = %v, want 2 entries", m.Tenants)
-	}
-	const eps = 1e-9
-	// Wave: 2 rounds over 3 ops (t0 has 1, t1 has 2); leftover: 1 round
-	// over the 4-op window census (t0 has 1, t1 has 3).
-	want0 := 2.0*1/3 + 1.0*1/4
-	want1 := 2.0*2/3 + 1.0*3/4
-	if got := m.Tenants[0]; math.Abs(got.Rounds-want0) > eps || got.Ops != 1 || got.Updates != 1 {
-		t.Fatalf("tenant 0 = %+v, want Rounds %v", got, want0)
-	}
-	if got := m.Tenants[1]; math.Abs(got.Rounds-want1) > eps || got.Ops != 3 || got.Queries != 1 {
-		t.Fatalf("tenant 1 = %+v, want Rounds %v", got, want1)
-	}
-	sum := m.Tenants[0].Rounds + m.Tenants[1].Rounds
-	if math.Abs(sum-float64(m.Rounds())) > eps {
-		t.Fatalf("tenant rounds sum %v != window rounds %d", sum, m.Rounds())
-	}
-	// A window without a census stays tenant-free: bit-identical
-	// accounting for single-tenant runs.
-	c.BeginMixed(1, 0, nil)
-	c.BeginMixedWave(waveOps(1, 0), nil)
-	c.Round()
-	c.EndMixedWave()
-	if m := c.EndMixed(); m.Tenants != nil {
-		t.Fatalf("censusless window grew Tenants = %v", m.Tenants)
-	}
-}

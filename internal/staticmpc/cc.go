@@ -103,7 +103,7 @@ func ConnectedComponents(g *graph.Graph, mu, memWords int) ([]int, mpc.HalfStats
 		}
 	}
 
-	cl.BeginMixed(1, 0, nil)
+	cl.BeginMixed(1, 0)
 	for iter := 0; iter < 4*bitsFor(n)+8; iter++ {
 		for i := range machines {
 			machines[i].changed = false

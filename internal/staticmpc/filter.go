@@ -81,7 +81,7 @@ func MinSpanningForest(g *graph.Graph, mu int) ([]graph.WEdge, mpc.HalfStats) {
 		m.edges = append(m.edges, e)
 	}
 
-	cl.BeginMixed(1, 0, nil)
+	cl.BeginMixed(1, 0)
 	for live := mu; live > 1; live = (live + 1) / 2 {
 		half := (live + 1) / 2
 		for i := 0; i < live; i++ {

@@ -166,7 +166,7 @@ func MaximalMatching(g *graph.Graph, mu, memWords int, seed int64) ([]int, mpc.H
 		}
 	}
 
-	cl.BeginMixed(1, 0, nil)
+	cl.BeginMixed(1, 0)
 	for iter := 0; iter < 16*bitsFor(n)+32; iter++ {
 		for i := range machines {
 			machines[i].phase = 0

@@ -103,7 +103,7 @@ func Sort(items []int64, mu int) ([]int64, mpc.HalfStats) {
 		m.items = append(m.items, x)
 	}
 
-	cl.BeginMixed(1, 0, nil)
+	cl.BeginMixed(1, 0)
 	// Phase A: samples to coordinator. The coordinator must not mix its
 	// own data with the sample buffer: it contributes its sample first and
 	// parks its data.

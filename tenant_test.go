@@ -1,7 +1,11 @@
 package dmpc
 
 import (
+	"math"
+	"math/rand"
 	"testing"
+
+	"dmpc/internal/graph"
 )
 
 // victimArrivals is the read-mostly tenant-1 stream of the adversarial
@@ -117,6 +121,59 @@ func TestAdversarialTenantIsolation(t *testing.T) {
 	if n.Ops+n.Rejected != steps*burst || n.Queries != 0 {
 		t.Fatalf("noisy tenant stats %+v: admitted %d + rejected %d ops, want %d writes total",
 			n, n.Ops, n.Rejected, steps*burst)
+	}
+}
+
+// TestTenantSharesPartitionStream pins the Ingestor's one per-tenant
+// rounds rule on all four structures: every op of a flush window is
+// charged an equal share of the window's rounds, so over a tagged stream
+// the tenants' Ops sum to the stream's Ops and their Rounds to its Rounds.
+// The front door is weighted, as amm-ingest's is.
+func TestTenantSharesPartitionStream(t *testing.T) {
+	const n = 48
+	connected := func(r *rand.Rand) Op { u := r.Intn(n - 1); return QConnected(u, u+1) }
+	mateOf := func(r *rand.Rand) Op { return QMateOf(r.Intn(n)) }
+	for _, tc := range []struct {
+		name string
+		maxW Weight
+		read func(*rand.Rand) Op
+		mk   func() Pipeline
+	}{
+		{"Connectivity", 1, connected, func() Pipeline { return NewConnectivity(n, 4*n) }},
+		{"MST", 50, connected, func() Pipeline { return NewMST(n, 0, 4*n) }},
+		{"MaximalMatching", 1, mateOf, func() Pipeline { return NewMaximalMatching(n, 4*n) }},
+		{"AlmostMaximalMatching", 1, mateOf, func() Pipeline { return NewAlmostMaximalMatching(n, 0.25, 1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(31))
+			ops := graph.MixedStream(graph.RandomStream(n, 300, .55, tc.maxW, rng), .4, tc.read, rng)
+			for i := range ops {
+				ops[i].Tenant = i % 4
+			}
+			p := tc.mk()
+			defer p.Close()
+			_, st := Ingest(p, PoissonArrivals(ops, 3, rng), IngestorConfig{
+				MaxBatch: 16, MaxAge: 16, Weights: map[int]int{0: 1, 1: 2, 2: 3, 3: 4},
+			})
+			if st.Ops != len(ops) || st.Flushes < 2 || st.Rounds == 0 {
+				t.Fatalf("degenerate stream: %d of %d ops in %d flushes, %d rounds",
+					st.Ops, len(ops), st.Flushes, st.Rounds)
+			}
+			if len(st.Tenants) != 4 {
+				t.Fatalf("%d tenant entries, want 4", len(st.Tenants))
+			}
+			nops, rounds := 0, 0.0
+			for _, ts := range st.Tenants {
+				nops += ts.Ops
+				rounds += ts.Rounds
+			}
+			if nops != st.Ops {
+				t.Fatalf("tenant Ops sum to %d, stream has %d", nops, st.Ops)
+			}
+			if math.Abs(rounds-float64(st.Rounds)) > 1e-9*float64(st.Rounds) {
+				t.Fatalf("tenant Rounds sum to %v, stream has %d", rounds, st.Rounds)
+			}
+		})
 	}
 }
 
