@@ -11,11 +11,12 @@ import (
 // tenantRow is one algorithm's adversarial-mix measurement: a read-mostly
 // victim tenant shares the ingestion front door with a write-storm tenant,
 // and the victim's p99 rounds-from-arrival is measured solo, shared with
-// no controls (unfair), and shared under weighted fair-wave packing plus
-// token-bucket admission on the storm (fair). ZeroTenantIdentical is the
-// compatibility control: the same shared stream, tenant-tagged but with
-// no weights or admission, must answer and account identically to the
-// untagged run.
+// no controls (unfair), and shared under the front door's fair forming
+// sets plus token-bucket admission on the storm (fair). The weights are
+// the Ingestor's alone: the structure below packs first-fit.
+// ZeroTenantIdentical is the compatibility control: the same shared
+// stream, tenant-tagged but with no weights or admission, must answer and
+// account identically to the untagged run.
 type tenantRow struct {
 	Name                string  `json:"name"`
 	VictimOps           int     `json:"victim_ops"`
@@ -59,12 +60,11 @@ func tenantStreams(n, steps int) (victim, mixed []dmpc.Arrival) {
 func tenantTable(n, nUpdates int, seed int64) []tenantRow {
 	steps := max(nUpdates/10, 20)
 	capEdges := 6 * n
-	weights := map[int]int{1: 3, 2: 1}
 	cfg := dmpc.IngestorConfig{MaxAge: 4}
 	victim, mixed := tenantStreams(n, steps)
 	// ingest runs one schedule on a fresh structure and closes it.
-	ingest := func(arrivals []dmpc.Arrival, cfg dmpc.IngestorConfig, opts ...dmpc.Option) (dmpc.Results, dmpc.StreamStats) {
-		p := dmpc.NewConnectivity(n, capEdges, append(benchOpts(), opts...)...)
+	ingest := func(arrivals []dmpc.Arrival, cfg dmpc.IngestorConfig) (dmpc.Results, dmpc.StreamStats) {
+		p := dmpc.NewConnectivity(n, capEdges, benchOpts()...)
 		defer p.Close()
 		return dmpc.Ingest(p, arrivals, cfg)
 	}
@@ -73,9 +73,9 @@ func tenantTable(n, nUpdates int, seed int64) []tenantRow {
 	_, stUnfair := ingest(mixed, cfg)
 
 	fairCfg := cfg
-	fairCfg.Weights = weights
+	fairCfg.Weights = map[int]int{1: 3, 2: 1}
 	fairCfg.Admission = map[int]dmpc.AdmissionPolicy{2: &dmpc.TokenBucket{Rate: 0.1, Burst: 1}}
-	_, stFair := ingest(mixed, fairCfg, dmpc.WithTenantWeights(weights))
+	_, stFair := ingest(mixed, fairCfg)
 
 	// Zero-tenant control: tags alone must change nothing.
 	plain := make([]dmpc.Arrival, len(mixed))

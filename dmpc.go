@@ -81,21 +81,21 @@
 //
 // Ops carry a tenant id (Op.Tenant, zero = the single-tenant default:
 // untagged streams behave exactly as before tenancy existed; tag an op
-// with Op.ForTenant). WithTenantWeights turns wave packing
-// into deficit-round-robin fair sharing of the per-round word budget —
-// a flooding tenant can fill only its weighted share of each wave, and
-// unused share rolls forward — without ever reordering conflicting
-// ops, so answers stay bit-identical to the unweighted run.
-// IngestorConfig.Weights and IngestorConfig.Admission (AlwaysAdmit,
-// TokenBucket) shape the streaming front door the same way, with
-// refused ops surfaced as typed Rejections, and StreamStats gains a
-// per-tenant breakdown (TenantStreamStats): the Ingestor is the one place
-// that knows tenants, and it charges each op an equal share of its flush
-// window's rounds, while MixedStats counts rounds only. The §6 structure
-// takes no weights: its claims carry no shared cost, so neither
-// WithTenantWeights nor IngestorConfig.Weights changes its schedule. See
-// DESIGN.md §2c and cmd/dmpcbench's tenants table (in BENCH_0015.json) for
-// the noisy-neighbor isolation picture.
+// with Op.ForTenant). The Ingestor is the one place that knows tenants.
+// IngestorConfig.Weights meters each tenant's claim cost against a
+// deficit-round-robin share of the per-round word budget while the
+// forming set grows, so a flooding tenant cuts its windows early instead
+// of filling them, and IngestorConfig.Admission (AlwaysAdmit,
+// TokenBucket) refuses ops at the door, counting them in
+// StreamStats.Rejected and answering refused reads with Answer.Rejected.
+// StreamStats gains a per-tenant breakdown (TenantStreamStats) that
+// charges each op an equal share of its flush window's rounds, while
+// MixedStats counts rounds only. The cores below take no weights: a
+// window the Ingestor admitted runs as one first-fit wave, so there is
+// nothing left to meter. The §6 structure's claims carry no shared cost,
+// so Weights does not change its schedule. See DESIGN.md §2c and
+// cmd/dmpcbench's tenants table (in BENCH_0015.json) for the
+// noisy-neighbor isolation picture.
 //
 // Apply is the only way a §3/§4/§5/§5.1 op is executed and billed: a
 // single update is an op stream of length one, a write-only batch is
@@ -164,12 +164,6 @@ type (
 	HalfStats = mpc.HalfStats
 	// Cluster is the simulated DMPC cluster.
 	Cluster = mpc.Cluster
-	// TenantStreamStats is one tenant's slice of an ingested stream: op
-	// counts, admission rejections, rounds share, latency percentiles.
-	TenantStreamStats = mpc.TenantStreamStats
-	// Rejection is one op refused by a per-tenant admission policy — a
-	// typed record in StreamStats.Rejections, never a silent drop.
-	Rejection = mpc.Rejection
 )
 
 // Option configures a structure at construction time.
@@ -177,7 +171,6 @@ type Option func(*options)
 
 type options struct {
 	workers int
-	tenants map[int]int
 }
 
 func buildOptions(opts []Option) options {
@@ -200,20 +193,6 @@ func WithBackend(mpc.BackendKind) Option { return func(*options) {} }
 // with Close when done. The worker count never changes answers or
 // accounting, only wall-clock time.
 func WithWorkers(n int) Option { return func(o *options) { o.workers = n } }
-
-// WithTenantWeights carves the per-round word budget S into weighted
-// deficit-round-robin tenant shares: wave packing meters each tenant's
-// summed shared-claim cost against its share (unused share rolls
-// forward, capped at one wave's budget) instead of packing first-fit,
-// so a noisy tenant's cascading updates cannot fill every wave while a
-// read-mostly tenant starves. Fairness never reorders conflicting ops —
-// it only reshapes which non-conflicting ops share a wave. Tenants
-// absent from the map weigh 1 against the same total; nil (the
-// default) keeps the single-tenant first-fit schedule bit-identically.
-// Pair with IngestorConfig.Weights/Admission to also shape the
-// streaming front door. NewAlmostMaximalMatching ignores it: §6 claims
-// are endpoint keys with no shared cost, so there is nothing to meter.
-func WithTenantWeights(w map[int]int) Option { return func(o *options) { o.tenants = w } }
 
 // Operation kinds for Update.Op and Op.Kind.
 const (
@@ -359,7 +338,7 @@ type Connectivity struct {
 // n vertices, sized for expectedEdges simultaneous edges (0 = default).
 func NewConnectivity(n, expectedEdges int, opts ...Option) *Connectivity {
 	o := buildOptions(opts)
-	d := dyncon.New(dyncon.Config{N: n, Mode: dyncon.CC, ExpectedEdges: expectedEdges, Workers: o.workers, TenantWeights: o.tenants})
+	d := dyncon.New(dyncon.Config{N: n, Mode: dyncon.CC, ExpectedEdges: expectedEdges, Workers: o.workers})
 	return &Connectivity{pipe: pipe{d.ApplyOps, d.StreamItem, d.Cluster()}, d: d}
 }
 
@@ -383,7 +362,7 @@ type MST struct {
 // NewMST builds a fully-dynamic MSF structure.
 func NewMST(n int, eps float64, expectedEdges int, opts ...Option) *MST {
 	o := buildOptions(opts)
-	d := dyncon.New(dyncon.Config{N: n, Mode: dyncon.MST, Eps: eps, ExpectedEdges: expectedEdges, Workers: o.workers, TenantWeights: o.tenants})
+	d := dyncon.New(dyncon.Config{N: n, Mode: dyncon.MST, Eps: eps, ExpectedEdges: expectedEdges, Workers: o.workers})
 	return &MST{pipe: pipe{d.ApplyOps, d.StreamItem, d.Cluster()}, d: d}
 }
 
@@ -409,7 +388,7 @@ type MaximalMatching struct {
 // capEdges simultaneous edges.
 func NewMaximalMatching(n, capEdges int, opts ...Option) *MaximalMatching {
 	o := buildOptions(opts)
-	m := dmm.New(dmm.Config{N: n, CapEdges: capEdges, Workers: o.workers, TenantWeights: o.tenants})
+	m := dmm.New(dmm.Config{N: n, CapEdges: capEdges, Workers: o.workers})
 	return &MaximalMatching{pipe: pipe{m.ApplyOps, m.StreamItem, m.Cluster()}, m: m}
 }
 
@@ -417,7 +396,7 @@ func NewMaximalMatching(n, capEdges int, opts ...Option) *MaximalMatching {
 // maximum matching (the graph must start empty, which it does).
 func NewThreeHalvesMatching(n, capEdges int, opts ...Option) *MaximalMatching {
 	o := buildOptions(opts)
-	m := dmm.New(dmm.Config{N: n, CapEdges: capEdges, ThreeHalves: true, Workers: o.workers, TenantWeights: o.tenants})
+	m := dmm.New(dmm.Config{N: n, CapEdges: capEdges, ThreeHalves: true, Workers: o.workers})
 	return &MaximalMatching{pipe: pipe{m.ApplyOps, m.StreamItem, m.Cluster()}, m: m}
 }
 

@@ -70,10 +70,10 @@ func main() {
 		same, sst.Flushes, sst.P50(), sst.P99())
 
 	// Two tenants through one front door: tag each tenant's ops, give the
-	// read-mostly tenant the heavier wave share, and rate-limit the
-	// writer with a token bucket. The stream stats split per tenant, and
-	// refused ops come back as typed rejections — never silent drops.
-	cc3 := dmpc.NewConnectivity(100, 400, dmpc.WithTenantWeights(map[int]int{1: 3, 2: 1}))
+	// read-mostly tenant the heavier share of each forming set, and
+	// rate-limit the writer with a token bucket. The stream stats split
+	// per tenant, and refused ops are counted — never silent drops.
+	cc3 := dmpc.NewConnectivity(100, 400)
 	var tarr []dmpc.Arrival
 	for i := 0; i < 8; i++ {
 		tarr = append(tarr, dmpc.Arrival{At: int64(4 * i), Op: dmpc.QConnected(0, 99).ForTenant(1)})

@@ -2,23 +2,16 @@ package dmpc
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"dmpc/internal/graph"
-	"dmpc/internal/mpc"
 	"dmpc/internal/sched"
 )
 
-// Streaming re-exports.
-type (
-	// Arrival is one timestamped op of an asynchronous stream: Op arrives
-	// at virtual time At (in cluster rounds).
-	Arrival = graph.Arrival
-	// StreamStats is the accounting window of one ingested stream:
-	// amortized rounds/op plus per-op arrival-to-answer latency
-	// percentiles, flush counts by trigger, and per-flush mixed windows.
-	StreamStats = mpc.StreamStats
-)
+// Arrival is one timestamped op of an asynchronous stream: Op arrives at
+// virtual time At (in cluster rounds).
+type Arrival = graph.Arrival
 
 // Arrival-schedule generators, re-exported for workload building.
 var (
@@ -35,6 +28,122 @@ var (
 	// NewArrivalHeap builds the min-heap Ingest consumes arrivals from.
 	NewArrivalHeap = graph.NewArrivalHeap
 )
+
+// StreamStats is the accounting window of one ingested stream — the
+// streaming counterpart of MixedStats. Where a mixed window reports the
+// amortized rounds per op of one batch, a stream window additionally
+// reports what amortization hides: each op's rounds from *arrival* to
+// answer, measured on the Ingestor's virtual clock (an op arriving at
+// time t and answered by a flush window ending at time t' observed
+// latency t'−t, waiting included). The p50/p95/p99 of those latencies
+// sit next to RoundsPerOp because the two disagree by design: the
+// amortized-optimal batch size k makes early arrivals of every chunk wait
+// longest, which is exactly what the AutoBatcher's TargetP99Rounds
+// constraint trades against. The Ingestor accumulates it flush by flush.
+type StreamStats struct {
+	Ops     int // ops ingested (updates + queries)
+	Updates int
+
+	// Flushes counts the Apply windows the stream was cut into, broken
+	// down by what triggered each cut: a conflicting arrival refused
+	// admission to the forming set (FlushConflict), the set reaching the
+	// batch-size bound k (FlushFull), the oldest forming op reaching the
+	// age bound (FlushAge), or the end of the stream (FlushTail).
+	Flushes       int
+	FlushConflict int
+	FlushFull     int
+	FlushAge      int
+	FlushTail     int
+
+	// Rounds is the total cluster rounds the flush windows executed;
+	// Makespan is the virtual time the last flush completed at — at least
+	// Rounds, larger when arrival gaps left the cluster idle.
+	Rounds   int
+	Makespan int64
+
+	// Latencies holds every op's rounds-from-arrival-to-answer, in
+	// arrival order (updates count: an update's "answer" is its
+	// application landing).
+	Latencies []int64
+
+	// Windows holds each flush's mixed accounting, in flush order: one
+	// entry per flush for the life of the stream, so it grows with the
+	// stream (the bench/ harness reads it).
+	Windows []MixedStats
+
+	// Rejected counts ops refused by a per-tenant admission policy
+	// before entering the forming set. Rejected ops are not counted in
+	// Ops and record no latency — they never ran.
+	Rejected int `json:",omitempty"`
+
+	// Tenants breaks the stream down per tenant. nil for single-tenant
+	// streams (every op on the zero tenant, no admission policies or
+	// weights configured), keeping the accounting bit-identical to
+	// pre-tenancy behavior.
+	Tenants map[int]*TenantStreamStats `json:",omitempty"`
+}
+
+// TenantStreamStats is one tenant's slice of a stream window: its
+// admitted ops, its admission rejections, its share of the flush windows'
+// rounds (each op of a window is charged an equal share of the window's
+// rounds, so the tenants' Rounds sum to StreamStats.Rounds), and its own
+// arrival-to-answer latency vector.
+type TenantStreamStats struct {
+	Ops       int
+	Rejected  int
+	Rounds    float64
+	Latencies []int64
+}
+
+// Percentile returns the q-th latency percentile of the tenant's ops by
+// the same nearest-rank rule as StreamStats.Percentile.
+func (t *TenantStreamStats) Percentile(q float64) int64 { return percentile(t.Latencies, q) }
+
+// P99 returns the tenant's 99th-percentile rounds-from-arrival-to-answer.
+func (t *TenantStreamStats) P99() int64 { return t.Percentile(99) }
+
+// RoundsPerOp returns the stream's amortized rounds per op: all windows'
+// rounds over all ops.
+func (s StreamStats) RoundsPerOp() float64 {
+	if s.Ops == 0 {
+		return 0
+	}
+	return float64(s.Rounds) / float64(s.Ops)
+}
+
+// Percentile returns the q-th latency percentile (0 < q <= 100) by the
+// nearest-rank rule on a sorted copy of Latencies: the smallest recorded
+// latency with at least ceil(q/100·n) recorded latencies at or below it.
+// It returns 0 when no latencies were recorded — an empty stream has no
+// tail, and 0 composes with the "latency in rounds" scale (pinned by
+// TestPercentileEmpty) — and panics on q outside (0,100] (q=0 or
+// negative would silently alias the minimum, q>100 the maximum, and
+// NaN whatever the comparison happened to do; all three are caller
+// bugs, pinned by TestPercentileBadQ).
+func (s StreamStats) Percentile(q float64) int64 { return percentile(s.Latencies, q) }
+
+// P50 returns the median rounds-from-arrival-to-answer.
+func (s StreamStats) P50() int64 { return s.Percentile(50) }
+
+// P95 returns the 95th-percentile rounds-from-arrival-to-answer.
+func (s StreamStats) P95() int64 { return s.Percentile(95) }
+
+// P99 returns the 99th-percentile rounds-from-arrival-to-answer.
+func (s StreamStats) P99() int64 { return s.Percentile(99) }
+
+func percentile(lat []int64, q float64) int64 {
+	if math.IsNaN(q) || q <= 0 || q > 100 {
+		panic(fmt.Sprintf("dmpc: Percentile(%v) outside (0,100]", q))
+	}
+	n := len(lat)
+	if n == 0 {
+		return 0
+	}
+	sorted := slices.Clone(lat)
+	slices.Sort(sorted)
+	rank := int(math.Ceil(float64(n) * q / 100))
+	return sorted[min(max(rank, 1), n)-1]
+}
 
 // IngestorConfig configures NewIngestor. Pipeline is required; zero
 // values elsewhere disable the corresponding flush trigger.
@@ -64,17 +173,17 @@ type IngestorConfig struct {
 	// round-robin share of the per-round word budget S (sched.Fair): a
 	// tenant that has spent its share cuts the window early instead of
 	// packing the whole forming set, so one noisy tenant cannot fill
-	// every wave. This shapes how the *forming set* groups; pair it with
-	// the structure-level WithTenantWeights option to also shape wave
-	// packing inside each flush window. Over an AlmostMaximalMatching it
-	// is a no-op: §6 claims carry no shared cost (endpoint keys only, never
+	// every wave. It is the one weights setting: a flushed window runs as
+	// one first-fit wave in the structure, so there is nothing left to
+	// meter below the front door. Over an AlmostMaximalMatching it is a
+	// no-op: §6 claims carry no shared cost (endpoint keys only, never
 	// Solo), so no tenant ever spends its share.
 	Weights map[int]int
 	// Admission maps tenant id -> admission policy, consulted before an
 	// arrival enters the forming set. Tenants absent from the map are
 	// always admitted. A rejected op is surfaced, never silently
-	// dropped: it is recorded in StreamStats.Rejections (and the
-	// tenant's Rejected count), and a rejected query additionally gets a
+	// dropped: it is counted in StreamStats.Rejected (and the tenant's
+	// Rejected count), and a rejected query additionally gets a
 	// positional Results entry with Rejected set so result indexing
 	// stays aligned. nil disables admission control.
 	Admission map[int]AdmissionPolicy
@@ -168,15 +277,14 @@ type Ingestor struct {
 	lastAt int64 // latest arrival seen, for monotonicity + tail flush
 	closed bool
 
-	pushed int // arrivals seen, admitted and rejected alike
-	qseq   int // queries seen, admitted and rejected alike
+	qseq int // queries seen, admitted and rejected alike
 
 	// multiTenant gates whether the per-tenant breakdown is exposed:
 	// set by configuration (Weights/Admission) or the first nonzero
 	// tenant tag. Accounting is always accumulated in tstats so a tag
 	// arriving mid-stream still yields complete tenant-0 history.
 	multiTenant bool
-	tstats      map[int]*mpc.TenantStreamStats
+	tstats      map[int]*TenantStreamStats
 
 	res   Results
 	stats StreamStats
@@ -203,8 +311,8 @@ func NewIngestor(cfg IngestorConfig) *Ingestor {
 		maxAge:      cfg.MaxAge,
 		auto:        cfg.Auto,
 		admission:   cfg.Admission,
-		multiTenant: len(cfg.Weights) > 0 || cfg.Admission != nil,
-		tstats:      make(map[int]*mpc.TenantStreamStats),
+		multiTenant: len(cfg.Weights) > 0 || len(cfg.Admission) > 0,
+		tstats:      make(map[int]*TenantStreamStats),
 	}
 	cl := p.Cluster()
 	if ing.auto != nil && cl != nil {
@@ -254,9 +362,8 @@ func (ing *Ingestor) Stats() StreamStats {
 	st := ing.stats
 	st.Latencies = slices.Clip(st.Latencies)
 	st.Windows = slices.Clip(st.Windows)
-	st.Rejections = slices.Clip(st.Rejections)
 	if ing.multiTenant {
-		st.Tenants = make(map[int]*mpc.TenantStreamStats, len(ing.tstats))
+		st.Tenants = make(map[int]*TenantStreamStats, len(ing.tstats))
 		for t, ts := range ing.tstats {
 			c := *ts
 			c.Latencies = slices.Clip(c.Latencies)
@@ -289,21 +396,17 @@ func (ing *Ingestor) Push(a Arrival) {
 		ing.flushAt(ing.formingAt[0]+ing.maxAge, flushAge)
 	}
 	// Per-tenant admission: policy-rejected ops never reach the forming
-	// set, but they are surfaced — a typed Rejections record, and for
-	// queries a positional Results entry with Rejected set (the age
+	// set, but they are surfaced — counted in Rejected, and for queries
+	// a positional Results entry with Rejected set (the age
 	// flush above still ran: a rejected arrival is an event on the
 	// virtual clock like any other).
 	if pol := ing.admission[a.Op.Tenant]; pol != nil && !pol.Admit(a.At) {
 		ing.stats.Rejected++
-		ing.stats.Rejections = append(ing.stats.Rejections, mpc.Rejection{
-			Index: ing.pushed, Tenant: a.Op.Tenant, At: a.At, Query: a.Op.IsQuery(),
-		})
 		ing.tstat(a.Op.Tenant).Rejected++
 		if a.Op.IsQuery() {
 			ing.place(ing.qseq, Answer{Rejected: true})
 			ing.qseq++
 		}
-		ing.pushed++
 		return
 	}
 	// Conflict admission: an op whose claims collide with the forming
@@ -316,9 +419,9 @@ func (ing *Ingestor) Push(a Arrival) {
 	// deficit-round-robin share, so a share-exhausted tenant cuts the
 	// window exactly like a conflicting one.
 	if ing.claims != nil {
-		if !ing.adm.Admit(ing.claims(a.Op)) {
+		if !ing.adm.Admit(ing.item(a.Op)) {
 			ing.flushAt(a.At, flushConflict)
-			ing.adm.Admit(ing.claims(a.Op)) // fresh set: always admits
+			ing.adm.Admit(ing.item(a.Op)) // fresh set: always admits
 		}
 	}
 	qi := -1
@@ -326,7 +429,6 @@ func (ing *Ingestor) Push(a Arrival) {
 		qi = ing.qseq
 		ing.qseq++
 	}
-	ing.pushed++
 	ing.forming = append(ing.forming, a.Op)
 	ing.formingAt = append(ing.formingAt, a.At)
 	ing.formingQI = append(ing.formingQI, qi)
@@ -335,11 +437,19 @@ func (ing *Ingestor) Push(a Arrival) {
 	}
 }
 
+// item reads the op's claims and tags them with its tenant, which only a
+// Fair policy reads.
+func (ing *Ingestor) item(op graph.Op) sched.Item {
+	it := ing.claims(op)
+	it.Tenant = op.Tenant
+	return it
+}
+
 // tstat returns (creating on demand) the tenant's accumulator.
-func (ing *Ingestor) tstat(t int) *mpc.TenantStreamStats {
+func (ing *Ingestor) tstat(t int) *TenantStreamStats {
 	ts := ing.tstats[t]
 	if ts == nil {
-		ts = &mpc.TenantStreamStats{}
+		ts = &TenantStreamStats{}
 		ing.tstats[t] = ts
 	}
 	return ts
@@ -407,17 +517,11 @@ func (ing *Ingestor) flushAt(trigger int64, reason int) {
 		ing.stats.Latencies = append(ing.stats.Latencies, lat)
 		ts := ing.tstat(ing.forming[x].Tenant)
 		ts.Ops++
-		if ing.forming[x].IsQuery() {
-			ts.Queries++
-		} else {
-			ts.Updates++
-		}
 		ts.Latencies = append(ts.Latencies, lat)
 		ts.Rounds += share
 	}
 	ing.stats.Ops += st.Ops
 	ing.stats.Updates += st.Updates.Ops
-	ing.stats.Queries += st.Queries.Ops
 	ing.stats.Rounds += st.Rounds()
 	ing.stats.Flushes++
 	switch reason {

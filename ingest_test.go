@@ -381,7 +381,7 @@ func (f foreignPipeline) Close()                               { f.inner.Close()
 
 // TestIngestorStatsIsSnapshot pins that Stats is a snapshot: pushes after
 // it move none of its per-tenant counts, and appending to any of its
-// slices (latencies, windows, rejections, a tenant's latencies) leaves
+// slices (latencies, windows, a tenant's latencies) leaves
 // the live records alone. Tenant 2's bucket never refills, so each of its
 // ops is a rejection.
 func TestIngestorStatsIsSnapshot(t *testing.T) {
@@ -402,20 +402,19 @@ func TestIngestorStatsIsSnapshot(t *testing.T) {
 	v.Latencies = append(v.Latencies, -1)
 	snap.Latencies = append(snap.Latencies, -1)
 	snap.Windows = append(snap.Windows, MixedStats{Ops: -1})
-	snap.Rejections = append(snap.Rejections, Rejection{Index: -1})
 	for i := 3; i < 5; i++ {
 		push(i)
 	}
-	if v.Ops != 3 || v.Updates != 3 || v.Rounds != rounds || snap.Tenants[2].Rejected != 3 {
+	if v.Ops != 3 || v.Rounds != rounds || snap.Tenants[2].Rejected != 3 || snap.Rejected != 3 {
 		t.Fatalf("snapshot moved after two more pushes: %+v (Rounds was %v), %+v", v, rounds, snap.Tenants[2])
 	}
-	if v.Latencies[3] != -1 || snap.Latencies[3] != -1 || snap.Windows[3].Ops != -1 || snap.Rejections[3].Index != -1 {
+	if v.Latencies[3] != -1 || snap.Latencies[3] != -1 || snap.Windows[3].Ops != -1 {
 		t.Fatal("a push after the snapshot wrote into one of its slices")
 	}
 	_, st := ing.Close()
 	live := st.Tenants[1]
 	if live.Ops != 5 || slices.Contains(live.Latencies, -1) || slices.Contains(st.Latencies, -1) ||
-		st.Windows[3].Ops == -1 || st.Rejections[3].Index == -1 {
+		st.Windows[3].Ops == -1 || st.Rejected != 5 {
 		t.Fatalf("live records %+v: want 5 ops and none of the snapshot's appends", st)
 	}
 }

@@ -182,9 +182,9 @@ func (m *M) send(to int, p amsg, words int) {
 func (m *M) StreamItem(op graph.Op) sched.Item {
 	m.keys = [2]int64{int64(op.U), int64(op.V)}
 	if op.IsQuery() {
-		return sched.Item{Read: m.keys[:1], Tenant: op.Tenant}
+		return sched.Item{Read: m.keys[:1]}
 	}
-	return sched.Item{Excl: m.keys[:], Tenant: op.Tenant}
+	return sched.Item{Excl: m.keys[:]}
 }
 
 // injectWaves injects an update run as endpoint-disjoint waves of three

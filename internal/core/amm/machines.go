@@ -37,7 +37,6 @@ type amsg struct {
 	Seq     int64
 	Del     bool
 	Lvl     int32
-	Lvl2    int32
 	Support int32
 	Free    bool
 	Freed   []int32 // pairs (vertex, level)
@@ -538,9 +537,7 @@ func (s *shard) probe(shuffle bool) amsg {
 
 // scheduler is machine 0: queues, active list, subscheduler arbitration.
 type scheduler struct {
-	cfg    Config
-	mu     int
-	levels int
+	mu int
 
 	queues          [][]int32 // per level (index lvl+1)
 	active          map[int32]bool
@@ -557,7 +554,7 @@ type scheduler struct {
 
 func newScheduler(cfg Config, mu, levels int) *scheduler {
 	return &scheduler{
-		cfg: cfg, mu: mu, levels: levels,
+		mu:          mu,
 		queues:      make([][]int32, levels+1),
 		active:      make(map[int32]bool),
 		lowSupp:     make(map[int32]bool),

@@ -211,7 +211,6 @@ const (
 
 // coordinator is machine 0: the paper's MC.
 type coordinator struct {
-	cfg      Config
 	mu       int
 	numStats int
 	statsPer int
@@ -396,7 +395,7 @@ func (fl *flow) pop() step {
 
 func newCoordinator(cfg Config, mu, numStats, statsPer, mem, heavyAt, aliveCap int) *coordinator {
 	c := &coordinator{
-		cfg: cfg, mu: mu, numStats: numStats, statsPer: statsPer, mem: mem,
+		mu: mu, numStats: numStats, statsPer: statsPer, mem: mem,
 		heavyAt: heavyAt, aliveCap: aliveCap,
 		hCap:        12*mu + 128,
 		lastSync:    make([]int64, mu),

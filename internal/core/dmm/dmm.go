@@ -65,11 +65,6 @@ type Config struct {
 	Workers int
 	// Deprecated: ignored; Workers alone decides how handlers run.
 	Backend mpc.BackendKind
-	// TenantWeights, when non-nil, carves the per-round word budget S
-	// into weighted deficit-round-robin tenant shares (sched.Fair) for
-	// wave packing. nil keeps the pre-tenancy first-fit schedule
-	// bit-identically.
-	TenantWeights map[int]int
 }
 
 // M is the §3 dynamic maximal matching structure.
@@ -78,16 +73,12 @@ type M struct {
 	cluster *mpc.Cluster
 	coord   *coordinator
 	stats   []*statsMachine
-	storage []storeMachine // one slab; a zero storeMachine is an empty one
-	// packer forms every executed wave and carries the tenant policy, if
-	// any; probe is the serial head-run width heuristic's own first-fit
-	// instance (a packer's wave is valid only until its next call, and the
-	// heuristic must never spend tenant deficit).
-	packer, probe *sched.Admitter
-	items         []sched.Item // ApplyOps' re-read slots, slices reused
-	ids           []int64      // ApplyOps' sequence numbers by stream index
-	pending       []int        // ApplyOps' unscheduled stream indices
-	seq           int64
+	storage []storeMachine  // one slab; a zero storeMachine is an empty one
+	packer  *sched.Admitter // forms every wave, first-fit, and probes head-run widths
+	items   []sched.Item    // ApplyOps' re-read slots, slices reused
+	ids     []int64         // ApplyOps' sequence numbers by stream index
+	pending []int           // ApplyOps' unscheduled stream indices
+	seq     int64
 	// The driver's injections live in these (see coord.go's Payloads).
 	updates mpc.Outbox[update]
 	queries mpc.Outbox[mateQuery]
@@ -130,12 +121,7 @@ func New(cfg Config) *M {
 	}
 
 	cl := mpc.NewCluster(mpc.Config{Machines: mu, MemWords: mem, Workers: cfg.Workers})
-	m := &M{cfg: cfg, probe: sched.NewAdmitterFair(mem, nil)}
-	var fair *sched.Fair // nil = first-fit
-	if len(cfg.TenantWeights) > 0 {
-		fair = sched.NewFair(mem, cfg.TenantWeights)
-	}
-	m.packer = sched.NewAdmitterFair(mem, fair)
+	m := &M{cfg: cfg, packer: sched.NewAdmitterFair(mem, nil)}
 	m.cluster = cl
 	m.coord = newCoordinator(cfg, mu, numStats, statsPer, mem, heavyAt, aliveCap)
 	cl.SetMachine(0, m.coord)
@@ -236,12 +222,11 @@ func (m *M) ApplyOps(ops []graph.Op) (graph.Results, mpc.MixedStats) {
 		// Chain forward while the (schedule-time) item view keeps yielding
 		// width-1 waves over consecutive *updates* — a segmentation
 		// heuristic only; chained execution is sequential replay whatever
-		// the items say, which is also why it runs on the first-fit probe:
-		// a width guess over hypothetical futures must not consume the
-		// deficit top-ups of the real waves.
+		// the items say. The probe reuses the packer, whose wave and rest
+		// it overwrites: neither is read past this point.
 		run := 1
 		for run < len(pending) && !ops[pending[run]].IsQuery() {
-			if w, _ := m.probe.Wave(pending[run:], items[run:len(pending)]); len(w) != 1 {
+			if w, _ := m.packer.Wave(pending[run:], items[run:len(pending)]); len(w) != 1 {
 				break
 			}
 			run++
@@ -374,12 +359,10 @@ func (m *M) driveFlows(nu int, what string) {
 // key: transitions hold fresh exclusive machines transiently, so at most
 // one per wave keeps the storage pool within its sequential envelope.
 //
-// Every item carries the op's tenant tag for the optional fairness policy.
-//
 // itemFor writes the item into it, reusing its slices: ApplyOps' re-read
 // loop fills its own slots wave after wave and allocates nothing.
 func (m *M) itemFor(op graph.Op, meanSuffix int, it *sched.Item) {
-	*it = sched.Item{Excl: it.Excl[:0], Read: it.Read[:0], Shared: it.Shared[:0], Tenant: op.Tenant}
+	*it = sched.Item{Excl: it.Excl[:0], Read: it.Read[:0], Shared: it.Shared[:0]}
 	c := m.coord
 	const transitionKey = int64(-1) // vertex ids are >= 0
 	if op.IsQuery() {

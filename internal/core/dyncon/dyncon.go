@@ -89,12 +89,6 @@ type Config struct {
 	Workers int
 	// Deprecated: ignored; Workers alone decides how handlers run.
 	Backend mpc.BackendKind
-	// TenantWeights, when non-nil, carves the per-round word budget S
-	// into weighted deficit-round-robin tenant shares (sched.Fair):
-	// wave packing meters each tenant's summed shared cost against its
-	// share instead of packing first-fit. nil keeps the pre-tenancy
-	// first-fit schedule bit-identically.
-	TenantWeights map[int]int
 }
 
 // D is a fully-dynamic connectivity/MST structure over a simulated DMPC
@@ -103,7 +97,7 @@ type D struct {
 	cfg     Config
 	cluster *mpc.Cluster
 	shards  []*shard
-	packer  *sched.Admitter // forms every wave; carries the tenant policy, if any
+	packer  *sched.Admitter // forms every wave, first-fit
 	scratch sched.Item      // the item ApplyOps reads claims into, slices reused
 	seq     int64           // update sequence number, for fresh component ids
 
@@ -138,11 +132,7 @@ func New(cfg Config) *D {
 	}
 	auto.Workers = cfg.Workers
 	d := &D{cfg: cfg}
-	var fair *sched.Fair // nil = first-fit
-	if len(cfg.TenantWeights) > 0 {
-		fair = sched.NewFair(auto.MemWords, cfg.TenantWeights)
-	}
-	d.packer = sched.NewAdmitterFair(auto.MemWords, fair)
+	d.packer = sched.NewAdmitterFair(auto.MemWords, nil)
 	d.cluster = mpc.NewCluster(auto)
 	d.shards = make([]*shard, auto.Machines)
 	for i := range d.shards {
@@ -286,7 +276,7 @@ func (d *D) StreamItem(op graph.Op) sched.Item {
 // re-insert a cheap duplicate, an absent one a cycle-check broadcast), so
 // there only reads and weight writes are Stable.
 func (d *D) claims(op graph.Op, it *sched.Item) {
-	*it = sched.Item{Excl: it.Excl[:0], Read: it.Read[:0], Shared: it.Shared[:0], Tenant: op.Tenant, Stable: true}
+	*it = sched.Item{Excl: it.Excl[:0], Read: it.Read[:0], Shared: it.Shared[:0], Stable: true}
 	orch := int64(d.owner(op.U))
 	switch op.Kind {
 	case graph.OpConnected:
@@ -364,7 +354,7 @@ func (d *D) audited(ops []graph.Op, item func(int) sched.Item, exec func([]int))
 					continue
 				}
 				now, was := d.StreamItem(op), last[i]
-				if now.Solo != was.Solo || now.Tenant != was.Tenant || now.Stable != was.Stable ||
+				if now.Solo != was.Solo || now.Stable != was.Stable ||
 					!slices.Equal(now.Excl, was.Excl) || !slices.Equal(now.Read, was.Read) || !slices.Equal(now.Shared, was.Shared) {
 					d.auditFail("dyncon: pending op %d (%v) reads as %+v, but the packer holds %+v", i, op, now, was)
 				}

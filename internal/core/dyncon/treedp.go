@@ -36,7 +36,7 @@ import (
 // dpPending is one in-flight DP query orchestration.
 type dpPending struct {
 	kind   graph.OpKind
-	u, v   int32
+	u      int32
 	comp   int64
 	fu, lu int
 
@@ -67,7 +67,7 @@ func (s *shard) onDPSubtree(ctx *mpc.Ctx, w *wire) {
 		return
 	}
 	fu, lu := s.flOf(u)
-	s.qpend[w.Seq] = &dpPending{kind: graph.OpSubtreeSum, u: u, v: r, comp: comp, fu: fu, lu: lu}
+	s.qpend[w.Seq] = &dpPending{kind: graph.OpSubtreeSum, u: u, comp: comp, fu: fu, lu: lu}
 	ctx.Send(s.owner(r), &wire{Kind: kDPInfoReq, U: r, Seq: w.Seq, ReplyTo: int32(s.id)}, 4)
 }
 
@@ -83,7 +83,7 @@ func (s *shard) onDPPath(ctx *mpc.Ctx, w *wire) {
 		return
 	}
 	fu, _ := s.flOf(u)
-	s.qpend[w.Seq] = &dpPending{kind: graph.OpPathSum, u: u, v: v, comp: s.verts[u], fu: fu}
+	s.qpend[w.Seq] = &dpPending{kind: graph.OpPathSum, u: u, comp: s.verts[u], fu: fu}
 	ctx.Send(s.owner(v), &wire{Kind: kDPInfoReq, U: v, Seq: w.Seq, ReplyTo: int32(s.id)}, 4)
 }
 

@@ -77,13 +77,13 @@ func TestWaveAccounting(t *testing.T) {
 	c.BeginMixed(5, 0)
 	c.BeginMixedWave(ops, []int{0, 1, 2})
 	c.Send(Message{From: -1, To: 0, Payload: "ping", Words: 1})
-	c.Run(8)
+	r1 := c.Run(8)
 	w1 := c.EndMixedWave()
 	c.Send(Message{From: -1, To: 1, Payload: "ping", Words: 1}) // scheduling traffic outside any wave
-	c.Run(8)
+	rSched := c.Run(8)
 	c.BeginMixedWave(ops, []int{3, 4})
 	c.Send(Message{From: -1, To: 2, Payload: "ping", Words: 1})
-	c.Run(8)
+	r2 := c.Run(8)
 	c.EndMixedWave()
 	m := c.EndMixed()
 
@@ -96,11 +96,8 @@ func TestWaveAccounting(t *testing.T) {
 	if m.Waves[0].Updates != 3 || m.Waves[1].Updates != 2 {
 		t.Fatalf("wave widths (%d,%d), want (3,2)", m.Waves[0].Updates, m.Waves[1].Updates)
 	}
-	if m.Waves[0].Rounds == 0 || m.Waves[1].Rounds == 0 {
-		t.Fatalf("wave rounds empty: %+v", m.Waves)
-	}
-	if sum := m.Waves[0].Rounds + m.Waves[1].Rounds; sum >= m.Updates.Rounds {
-		t.Fatalf("wave rounds %d should undercount window rounds %d (scheduling rounds are window-only)", sum, m.Updates.Rounds)
+	if r1 == 0 || rSched == 0 || r2 == 0 || m.Updates.Rounds != r1+rSched+r2 {
+		t.Fatalf("window rounds %d, want waves' %d + %d and the scheduling rounds' %d", m.Updates.Rounds, r1, r2, rSched)
 	}
 }
 

@@ -181,7 +181,6 @@ func (h HalfStats) RoundsPerOp() float64 {
 type WaveStats struct {
 	Updates int // wave width: updates executed concurrently in this wave
 	Queries int // reads sequenced into this wave
-	Rounds  int // rounds attributed to this wave
 }
 
 // MixedStats aggregates one window — the only kind there is: a single
@@ -489,8 +488,7 @@ func (c *Cluster) Round() RoundStats {
 	c.stats.Rounds++
 	c.stats.Messages += rs.Messages
 	c.stats.Words += rs.Words
-	w := c.currentWave
-	if m := c.currentMixed; m != nil {
+	if m, w := c.currentMixed, c.currentWave; m != nil {
 		// The per-wave attribution rule of MixedStats: query-only waves
 		// feed the query half, everything else feeds the update half.
 		if w != nil && w.Updates == 0 && w.Queries > 0 {
@@ -498,9 +496,6 @@ func (c *Cluster) Round() RoundStats {
 		} else {
 			m.Updates.Add(rs)
 		}
-	}
-	if w != nil {
-		w.Rounds++
 	}
 	return rs
 }

@@ -1,9 +1,10 @@
 package sched
 
 // Fair is a weighted deficit-round-robin share of the per-round word
-// budget S across tenants. Each tenant t holds a deficit counter; every
-// time the packer opens a set (once per wave, once per Ingestor flush)
-// the counter is topped up by the tenant's quantum
+// budget S across tenants, carried by the streaming Ingestor's packer.
+// Each tenant t holds a deficit counter; every time the packer opens a
+// set (once per Ingestor flush) the counter is topped up by the tenant's
+// quantum
 //
 //	quantum(t) = max(1, S * weight(t) / totalWeight)
 //

@@ -77,10 +77,10 @@
 // per-machine cursor staleness, which every wave moves whatever it held —
 // and therefore stays on Wave with a full re-read.
 //
-// With a Fair policy attached, every tenant's deficit is topped up once
-// per set, when the set opens — at the first item offered after
-// construction or Reset — which is once per wave under Wave/Drive and once
-// per flush under the Ingestor.
+// Only the streaming Ingestor attaches a Fair policy; the cores pack
+// first-fit. Every tenant's deficit is topped up once per forming set,
+// when the set opens — at the first item offered after construction or
+// Reset — which is once per flush.
 package sched
 
 // Claim is one capacity-limited resource claim: the update needs Cost
@@ -107,10 +107,10 @@ type Item struct {
 	// Solo marks an update whose touch set is unbounded at schedule time:
 	// it conflicts with every other update.
 	Solo bool
-	// Tenant is the logical stream the op belongs to. It does not affect
-	// conflict semantics — only how a Fair policy meters the op's shared
-	// cost against the tenant's deficit (see Fair). Zero is the
-	// single-tenant default.
+	// Tenant is the logical stream the op belongs to, set by the Ingestor
+	// on the item it admits. It does not affect conflict semantics — only
+	// how a Fair policy meters the op's shared cost against the tenant's
+	// deficit (see Fair). Zero is the single-tenant default.
 	Tenant int
 	// Stable marks an op whose execution changes no state that any op's
 	// Item is read from: Drive re-reads nothing on its account. Leaving it

@@ -18,7 +18,6 @@ import (
 // reduction's claim is "rounds proportional to sequential work", which the
 // operation counter captures either way).
 type DynMSF struct {
-	n       int
 	lct     *LCT
 	ett     *ETT // mirrors the tree edges, for smaller-side enumeration
 	edgeID  map[graph.Edge]int
@@ -32,7 +31,6 @@ type DynMSF struct {
 // NewDynMSF returns an empty forest on n vertices.
 func NewDynMSF(n int) *DynMSF {
 	d := &DynMSF{
-		n:       n,
 		edgeID:  make(map[graph.Edge]int),
 		edgeOf:  make(map[int]graph.Edge),
 		weights: make(map[graph.Edge]graph.Weight),

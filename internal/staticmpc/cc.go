@@ -18,7 +18,6 @@ type ccMsg struct {
 }
 
 type ccMachine struct {
-	id      int
 	layout  Layout
 	verts   []int32           // owned vertices
 	adj     map[int32][]int32 // owned vertex -> neighbors
@@ -88,9 +87,9 @@ func ConnectedComponents(g *graph.Graph, mu, memWords int) ([]int, mpc.HalfStats
 	machines := make([]*ccMachine, cfg.Machines)
 	for i := range machines {
 		machines[i] = &ccMachine{
-			id: i, layout: layout,
-			adj:   make(map[int32][]int32),
-			label: make(map[int32]int32),
+			layout: layout,
+			adj:    make(map[int32][]int32),
+			label:  make(map[int32]int32),
 		}
 		cl.SetMachine(i, machines[i])
 	}

@@ -19,7 +19,6 @@ type sortMsg struct {
 }
 
 type sortMachine struct {
-	id         int
 	items      []int64
 	splitters  []int64
 	phase      int32
@@ -92,7 +91,7 @@ func Sort(items []int64, mu int) ([]int64, mpc.HalfStats) {
 	cl := mpc.NewCluster(mpc.Config{Machines: mu, MemWords: mem})
 	machines := make([]*sortMachine, mu)
 	for i := range machines {
-		machines[i] = &sortMachine{id: i, phase: -1, sampleAt: 0, oversample: 4}
+		machines[i] = &sortMachine{phase: -1, sampleAt: 0, oversample: 4}
 		cl.SetMachine(i, machines[i])
 	}
 	// The coordinator's own items would bias its sample buffer; keep data
