@@ -16,7 +16,7 @@ func passingReport() benchReport {
 	return benchReport{
 		Schema: "dmpcbench/v4", N: 128, Updates: 500, Seed: 1, WallMax: 10_000,
 		Table1:   []table1Row{{Name: "cc", MeanRounds: 5.5, WorstRounds: 9, Entropy: 2.5}},
-		Static:   []staticRow{{Name: "label-prop", Rounds: 12, TotalWords: 17586}},
+		Static:   []staticRow{{Name: "filtering", Rounds: 7, TotalWords: 2086}},
 		Auto:     []autoRow{{Name: "cc", Ks: []int{8, 16, 32}, FinalK: 32, Amortized: 1.7}},
 		ReadOnly: []readRow{{Name: "cc", K: 8, Queries: 128, RoundsPerQuery: 0.25}},
 		Sweep:    []sweepRow{{N: 64, WorstRounds: 9, WorstWords: 300}},

@@ -2,7 +2,7 @@
 // measures every table on a deterministic random update stream — Table 1
 // of the paper (rounds per update, active machines and communicated words
 // per round, communication entropy, next to the bound the paper claims,
-// the §7 reductions and the static recompute baselines), the batch
+// the §7 reductions and the filtering-MSF static recompute), the batch
 // pipeline at k ∈ {1, 64}, the AutoBatcher's knee search, in-wave reads
 // against the quiescence split, read-only windows, streaming arrivals,
 // tenant isolation, tree DP, the §5 O(√N) sweep and the inline-vs-sharded
@@ -565,7 +565,7 @@ func printTable(rep benchReport) {
 		fmt.Sprintf("\n(N = n + 2m ≈ %d; √N ≈ %.0f)", 13*rep.N, math.Sqrt(13*float64(rep.N))))
 }
 
-// staticRow is one recompute-from-scratch baseline, per recomputation.
+// staticRow is the recompute-from-scratch baseline, per recomputation.
 type staticRow struct {
 	Name          string `json:"name"`
 	Rounds        int    `json:"rounds_per_recompute"`
@@ -575,18 +575,12 @@ type staticRow struct {
 
 func staticTable(n int, seed int64) []staticRow {
 	g := graph.GNM(n, 5*n, 50, rand.New(rand.NewSource(seed)))
-	_, cc := staticmpc.ConnectedComponents(g, 0, 0)
-	_, mm := staticmpc.MaximalMatching(g, 0, 0, seed)
 	_, mf := staticmpc.MinSpanningForest(g, 8)
-	return []staticRow{
-		{"Label-prop CC (O(log n) rounds)", cc.Rounds, cc.MaxActive, cc.SumWords},
-		{"Proposal matching (O(log n) w.h.p.)", mm.Rounds, mm.MaxActive, mm.SumWords},
-		{"Filtering MSF [26]", mf.Rounds, mf.MaxActive, mf.SumWords},
-	}
+	return []staticRow{{"Filtering MSF [26]", mf.Rounds, mf.MaxActive, mf.SumWords}}
 }
 
 func printStatic(rows []staticRow) {
-	printRows("\nStatic recompute-from-scratch baselines (per recomputation):",
+	printRows("\nStatic recompute-from-scratch baseline (per recomputation):",
 		"Baseline\trounds\tmach/round (wc)\twords total", "%s\t%d\t%d\t%d", rows,
 		func(r staticRow) []any { return []any{r.Name, r.Rounds, r.WorstMachines, r.TotalWords} })
 }

@@ -279,10 +279,10 @@ type Ingestor struct {
 
 	qseq int // queries seen, admitted and rejected alike
 
-	// multiTenant gates whether the per-tenant breakdown is exposed:
-	// set by configuration (Weights/Admission) or the first nonzero
-	// tenant tag. Accounting is always accumulated in tstats so a tag
-	// arriving mid-stream still yields complete tenant-0 history.
+	// multiTenant gates the per-tenant breakdown: set by configuration
+	// (Weights/Admission) or the first nonzero tenant tag. tstats is fed
+	// only while it is set; a tag arriving mid-stream seeds tenant 0's
+	// record from the stream's own, since every op before it was tenant 0.
 	multiTenant bool
 	tstats      map[int]*TenantStreamStats
 
@@ -384,8 +384,14 @@ func (ing *Ingestor) Push(a Arrival) {
 		panic(fmt.Sprintf("dmpc: Ingestor arrivals out of order (%d after %d)", a.At, ing.lastAt))
 	}
 	ing.lastAt = a.At
-	if a.Op.Tenant != 0 {
+	if a.Op.Tenant != 0 && !ing.multiTenant {
 		ing.multiTenant = true
+		if ing.stats.Ops > 0 {
+			ing.tstats[0] = &TenantStreamStats{
+				Ops: ing.stats.Ops, Rounds: float64(ing.stats.Rounds),
+				Latencies: slices.Clone(ing.stats.Latencies),
+			}
+		}
 	}
 	// Age bound: the oldest forming op must not wait past MaxAge, so the
 	// set flushed at that deadline, before this arrival's time. The
@@ -515,10 +521,12 @@ func (ing *Ingestor) flushAt(trigger int64, reason int) {
 	for x, at := range ing.formingAt {
 		lat := end - at
 		ing.stats.Latencies = append(ing.stats.Latencies, lat)
-		ts := ing.tstat(ing.forming[x].Tenant)
-		ts.Ops++
-		ts.Latencies = append(ts.Latencies, lat)
-		ts.Rounds += share
+		if ing.multiTenant {
+			ts := ing.tstat(ing.forming[x].Tenant)
+			ts.Ops++
+			ts.Latencies = append(ts.Latencies, lat)
+			ts.Rounds += share
+		}
 	}
 	ing.stats.Ops += st.Ops
 	ing.stats.Updates += st.Updates.Ops

@@ -77,14 +77,14 @@ type MemReporter interface {
 type Config struct {
 	// Machines is µ, the number of machines in the cluster.
 	Machines int
-	// MemWords is S, the per-machine memory budget in words. In strict
-	// mode it also caps per-machine per-round communication, as in the
+	// MemWords is S, the per-machine memory budget in words. It also caps
+	// what one machine sends and what it receives in a round, as in the
 	// model definition ("each machine can send and receive messages of
-	// total size up to S at each round").
+	// total size up to S at each round"): each is checked separately.
 	MemWords int
-	// Strict makes constraint violations (memory over S, per-round I/O
-	// over S, sends to out-of-range machines) fatal via panic. Violations
-	// are always counted in Stats regardless.
+	// Strict makes constraint violations (memory over S, words sent or
+	// received in one round over S, sends to out-of-range machines) fatal
+	// via panic. Violations are always counted in Stats regardless.
 	Strict bool
 	// Workers is how many goroutines run a round's handlers: at most 1
 	// (the default) runs them all inline on the driver; w ≥ 2 shards the
@@ -193,9 +193,9 @@ type WaveStats struct {
 // update-bearing wave therefore rides that wave's rounds for free, which
 // is exactly the batch-dynamic win the pipeline exists to measure, while
 // the update half of a read-free window is the whole window — which is
-// how the drivers outside the op pipeline (static baselines, the §7
-// reduction, §6's per-update cycle) bill: a wave-free window whose update
-// half they return.
+// how the drivers outside the op pipeline (the static filtering MSF, the
+// §7 reduction, §6's per-update cycle) bill: a wave-free window whose
+// update half they return.
 type MixedStats struct {
 	Ops     int         // updates + queries covered by the window
 	Updates HalfStats   // update half; its waves are the Waves with Updates > 0

@@ -2,6 +2,7 @@ package mpc
 
 import (
 	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -138,13 +139,49 @@ func TestStrictIOCapPanics(t *testing.T) {
 	c.Round()
 }
 
+// TestViolationCountedNonStrict: a 10-word message into a 4-word machine
+// that echoes it breaks the cap twice in one round, once on receipt and
+// once on the send.
 func TestViolationCountedNonStrict(t *testing.T) {
 	c := NewCluster(Config{Machines: 2, MemWords: 4})
 	c.SetMachine(0, &echoMachine{target: 1})
 	c.Send(Message{To: 0, Payload: "big", Words: 10})
 	c.Round()
-	if c.Stats().Violations != 1 {
-		t.Fatalf("violations = %d, want 1", c.Stats().Violations)
+	if c.Stats().Violations != 2 {
+		t.Fatalf("violations = %d, want 2 (receive and send)", c.Stats().Violations)
+	}
+}
+
+// TestReceiveCapEnforced: two machines each send 3 words to a third with
+// S = 4. No machine sends over S, but the third receives 6 words, which
+// is exactly one violation at every worker count, and under Strict a
+// panic that names the receive.
+func TestReceiveCapEnforced(t *testing.T) {
+	run := func(strict bool, workers int) int {
+		c := NewCluster(Config{Machines: 3, MemWords: 4, Strict: strict, Workers: workers})
+		defer c.Close()
+		c.SetMachine(0, &echoMachine{target: 2})
+		c.SetMachine(1, &echoMachine{target: 2})
+		c.SetMachine(2, &echoMachine{target: -1})
+		c.Send(Message{To: 0, Payload: "a", Words: 3})
+		c.Send(Message{To: 1, Payload: "b", Words: 3})
+		c.Round() // 0 and 1 each forward 3 words to 2
+		c.Round() // 2 receives 6
+		return c.Stats().Violations
+	}
+	for _, w := range []int{1, 4} {
+		if v := run(false, w); v != 1 {
+			t.Fatalf("workers=%d: violations = %d, want exactly 1 (the receive)", w, v)
+		}
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "machine 2 received 6 words") {
+					t.Fatalf("workers=%d: strict panic %q does not name the receive", w, msg)
+				}
+			}()
+			run(true, w)
+		}()
 	}
 }
 

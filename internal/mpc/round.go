@@ -56,7 +56,9 @@ func (c *Cluster) fanOut(b Message) int {
 }
 
 // beginRound turns the pending buffer into the round's active set
-// (ascending machine id) and returns the delivery statistics. The emptied
+// (ascending machine id) and returns the delivery statistics, enforcing
+// the receive half of the per-machine I/O cap (settle enforces the send
+// half) in ascending machine order, like every violation. The emptied
 // scratch becomes the next round's pending buffer, so the swap allocates
 // nothing. The inPending markers are cleared here: nothing can mark
 // between beginRound and settle (the driver is synchronous and handlers
@@ -69,8 +71,13 @@ func (c *Cluster) beginRound() RoundStats {
 	for _, id := range c.active {
 		c.inPending[id] = false
 		rs.Messages += len(c.inboxes[id])
+		got := 0
 		for _, m := range c.inboxes[id] {
-			rs.Words += m.Words
+			got += m.Words
+		}
+		rs.Words += got
+		if got > c.cfg.MemWords {
+			c.violation("machine %d received %d words in one round (cap %d)", id, got, c.cfg.MemWords)
 		}
 	}
 	if c.debugActive != nil {
@@ -130,8 +137,9 @@ func msgLess(a, b Message) bool {
 // machine's outgoing messages and next-round schedules and merges its
 // answers into the window's table in ascending machine order — the merge
 // order that keeps delivery and violations bit-identical at every worker
-// count — enforcing the per-machine I/O cap, which counts a broadcast's
-// words once per recipient, and recycling each Ctx, and finally folds
+// count — enforcing the send half of the per-machine I/O cap, which
+// counts a broadcast's words once per recipient, and recycling each Ctx,
+// and finally folds
 // memory accounting.
 func (c *Cluster) settle() {
 	for _, id := range c.active {

@@ -2,90 +2,10 @@ package staticmpc
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 
 	"dmpc/internal/graph"
 )
-
-func TestLayoutCoversAll(t *testing.T) {
-	for _, tc := range []struct{ n, mu int }{{10, 3}, {1, 1}, {100, 7}, {5, 10}} {
-		l := Layout{N: tc.n, Mu: tc.mu}
-		for v := 0; v < tc.n; v++ {
-			o := l.Owner(v)
-			if o < 0 || o >= tc.mu {
-				t.Fatalf("owner(%d) = %d out of range for %+v", v, o, tc)
-			}
-		}
-	}
-}
-
-func TestConnectedComponentsMatchesOracle(t *testing.T) {
-	cases := []*graph.Graph{
-		graph.Path(40),
-		graph.Cycle(30),
-		graph.Star(25),
-		graph.Grid(6, 7, 1, nil),
-	}
-	rng := rand.New(rand.NewSource(3))
-	cases = append(cases, graph.GNM(50, 60, 1, rng))
-	// Disconnected case.
-	g := graph.New(20)
-	for i := 0; i < 8; i++ {
-		g.Insert(i, (i+1)%9, 1)
-	}
-	g.Insert(10, 11, 1)
-	cases = append(cases, g)
-
-	for i, g := range cases {
-		labels, res := ConnectedComponents(g, 0, 0)
-		if !graph.SameLabeling(labels, graph.Components(g)) {
-			t.Fatalf("case %d: wrong labeling", i)
-		}
-		if res.Rounds <= 0 {
-			t.Fatalf("case %d: no rounds recorded", i)
-		}
-	}
-}
-
-func TestConnectedComponentsRoundsLogarithmic(t *testing.T) {
-	// On a path of length n, doubling must converge in O(log n)
-	// iterations, not O(n) — each iteration is 3 cluster rounds.
-	for _, n := range []int{64, 256, 1024} {
-		_, res := ConnectedComponents(graph.Path(n), 0, 0)
-		iters := res.Rounds / 3
-		limit := 4*bitsFor(n) + 8
-		if iters > limit {
-			t.Fatalf("n=%d: %d iterations exceeds budget %d", n, iters, limit)
-		}
-		// Without doubling a path needs ~n iterations; with it, far fewer.
-		if iters > n/4 {
-			t.Fatalf("n=%d: %d iterations suggests doubling is broken", n, iters)
-		}
-	}
-}
-
-func TestMaximalMatchingMatchesOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	cases := []*graph.Graph{
-		graph.Path(30),
-		graph.Star(20),
-		graph.CompleteBipartite(8, 9),
-		graph.GNM(40, 80, 1, rng),
-	}
-	for i, g := range cases {
-		mate, res := MaximalMatching(g, 0, 0, int64(i)+1)
-		if !graph.IsMatching(g, mate) {
-			t.Fatalf("case %d: invalid matching", i)
-		}
-		if !graph.IsMaximalMatching(g, mate) {
-			t.Fatalf("case %d: not maximal", i)
-		}
-		if res.Rounds <= 0 {
-			t.Fatalf("case %d: no rounds", i)
-		}
-	}
-}
 
 func TestMinSpanningForestMatchesKruskal(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -115,76 +35,5 @@ func TestSpanningForestUnweighted(t *testing.T) {
 	forest, _ := SpanningForest(g, 6)
 	if !graph.IsSpanningForest(g, forest) {
 		t.Fatal("not a spanning forest")
-	}
-}
-
-func TestSortMatchesStdlib(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, n := range []int{0, 1, 10, 1000, 5000} {
-		items := make([]int64, n)
-		for i := range items {
-			items[i] = rng.Int63n(1 << 40)
-		}
-		want := append([]int64(nil), items...)
-		sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-		got, res := Sort(items, 8)
-		if len(got) != n {
-			t.Fatalf("n=%d: lost items: %d", n, len(got))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d: mismatch at %d: %d != %d", n, i, got[i], want[i])
-			}
-		}
-		if res.Rounds != 4 {
-			t.Fatalf("n=%d: sample sort took %d rounds, want 4 (constant)", n, res.Rounds)
-		}
-	}
-}
-
-func TestSortIsConstantRounds(t *testing.T) {
-	// Rounds must not grow with input size — that is the whole point of
-	// the [19] primitive.
-	rounds := map[int]int{}
-	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{100, 10_000} {
-		items := make([]int64, n)
-		for i := range items {
-			items[i] = rng.Int63()
-		}
-		_, res := Sort(items, 8)
-		rounds[n] = res.Rounds
-	}
-	if rounds[100] != rounds[10_000] {
-		t.Fatalf("rounds vary with size: %v", rounds)
-	}
-}
-
-func TestApproxMinSpanningForestFactor(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	eps := 0.25
-	for i := 0; i < 4; i++ {
-		g := graph.GNM(50, 150, 1000, rng)
-		forest, res := ApproxMinSpanningForest(g, eps, 8)
-		var plain []graph.Edge
-		var w graph.Weight
-		for _, e := range forest {
-			plain = append(plain, graph.Edge{U: e.U, V: e.V})
-			w += e.W
-		}
-		if !graph.IsSpanningForest(g, plain) {
-			t.Fatalf("case %d: not a spanning forest", i)
-		}
-		opt := graph.MSFWeight(g)
-		if w < opt {
-			t.Fatalf("case %d: below optimum?! %d < %d", i, w, opt)
-		}
-		slack := float64(g.N()) * (1 + eps)
-		if float64(w) > float64(opt)*(1+eps)+slack {
-			t.Fatalf("case %d: weight %d exceeds (1+eps)*%d", i, w, opt)
-		}
-		if res.Rounds <= 0 {
-			t.Fatal("no rounds accounted")
-		}
 	}
 }

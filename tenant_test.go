@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dmpc/internal/graph"
@@ -175,6 +176,63 @@ func TestTenantSharesPartitionStream(t *testing.T) {
 				t.Fatalf("tenant Rounds sum to %v, stream has %d", rounds, st.Rounds)
 			}
 		})
+	}
+}
+
+// TestFirstTagMidStream pins the breakdown of a stream whose first
+// nonzero tag arrives after an untagged prefix has flushed several
+// windows: the front door keeps no tenant records until then, and tenant
+// 0's record is exactly the prefix's — its Ops, its latencies in flush
+// order — with the shares still summing to the stream's rounds.
+func TestFirstTagMidStream(t *testing.T) {
+	const n, prefix = 48, 120
+	rng := rand.New(rand.NewSource(17))
+	connected := func(r *rand.Rand) Op { u := r.Intn(n - 1); return QConnected(u, u+1) }
+	ops := graph.MixedStream(graph.RandomStream(n, 300, .55, 1, rng), .4, connected, rng)
+	for i := prefix; i < len(ops); i++ {
+		ops[i].Tenant = 1 + i%3
+	}
+	arr := PoissonArrivals(ops, 3, rng)
+	cc := NewConnectivity(n, 4*n)
+	defer cc.Close()
+	ing := NewIngestor(IngestorConfig{Pipeline: cc, MaxBatch: 16, MaxAge: 16})
+	for _, a := range arr[:prefix] {
+		ing.Push(a)
+	}
+	if pre := ing.Stats(); pre.Flushes < 3 || pre.Tenants != nil || len(ing.tstats) != 0 {
+		t.Fatalf("untagged prefix: %d flushes, breakdown %v, %d tenant records — want several flushes and none",
+			pre.Flushes, pre.Tenants, len(ing.tstats))
+	}
+	for _, a := range arr[prefix:] {
+		ing.Push(a)
+	}
+	_, st := ing.Close()
+	t0 := st.Tenants[0]
+	if t0 == nil || t0.Ops != prefix || !slices.Equal(t0.Latencies, st.Latencies[:prefix]) {
+		t.Fatalf("tenant 0 record %+v, want the prefix's %d ops and latencies %v", t0, prefix, st.Latencies[:prefix])
+	}
+	nops, rounds := 0, 0.0
+	for _, ts := range st.Tenants {
+		nops += ts.Ops
+		rounds += ts.Rounds
+	}
+	if nops != st.Ops || math.Abs(rounds-float64(st.Rounds)) > 1e-9*float64(st.Rounds) {
+		t.Fatalf("tenants sum to %d ops and %v rounds, stream has %d and %d", nops, rounds, st.Ops, st.Rounds)
+	}
+}
+
+// TestUntaggedStreamKeepsNoTenantRecords: an unconfigured stream that
+// never sees a tag keeps no per-tenant copy of its records.
+func TestUntaggedStreamKeepsNoTenantRecords(t *testing.T) {
+	const n = 128
+	rng := rand.New(rand.NewSource(5))
+	ops := UpdateOps(graph.RandomStream(n, 6000, .55, 1, rng))
+	cc := NewConnectivity(n, 4*n)
+	defer cc.Close()
+	ing := NewIngestor(IngestorConfig{Pipeline: cc, MaxBatch: 64})
+	ing.Ingest(PoissonArrivals(ops, 1, rng))
+	if _, st := ing.Close(); st.Ops != len(ops) || len(ing.tstats) != 0 {
+		t.Fatalf("untagged %d-op stream (%d ingested) left %d tenant records", len(ops), st.Ops, len(ing.tstats))
 	}
 }
 

@@ -27,10 +27,10 @@ func TestUpdateDriversBillOneWindow(t *testing.T) {
 		run      func() (mpc.HalfStats, *mpc.Cluster)
 		executed int // rounds the driver executes, when the cluster cannot say
 	}{
-		{"staticmpc.Sort", func() (mpc.HalfStats, *mpc.Cluster) {
-			_, half := staticmpc.Sort([]int64{5, 3, 9, 1, 7, 2, 8, 4}, 4)
+		{"staticmpc.MinSpanningForest", func() (mpc.HalfStats, *mpc.Cluster) {
+			_, half := staticmpc.MinSpanningForest(graph.Path(8), 4)
 			return half, nil
-		}, 4}, // sample sort is four cl.Round() calls whatever the input
+		}, 5}, // filtering halves 4 machines twice (two rounds each), then one final round
 		{"reduction.Wrapped.Update", func() (mpc.HalfStats, *mpc.Cluster) {
 			sim := reduction.NewSim(4, 0)
 			w := reduction.NewWrapped(sim, reduction.HDTTarget{H: seqdyn.NewHDT(8)})
