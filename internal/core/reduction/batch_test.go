@@ -9,7 +9,7 @@ import (
 )
 
 // TestBatchSequentialReplay pins the §7 batch story: the simulation is
-// serial at the compute machine, so a batch is its updates replayed one
+// serial at machine 0, so a batch is its updates replayed one
 // window at a time — the cluster spends exactly the sum of the returned
 // per-update windows' rounds on it, nothing shared and nothing unbilled —
 // and the wrapped structure's answers still match the oracle.

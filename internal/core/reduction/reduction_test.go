@@ -12,61 +12,27 @@ func TestStoreReadWriteRoundTrip(t *testing.T) {
 	sim := NewSim(4, 0)
 	sim.Write(7, 42)
 	sim.Write(1003, -5)
-	if got := sim.Read(7); got != 42 {
-		t.Fatalf("read = %d", got)
+	sim.Write(7, 43)
+	for addr, want := range map[int]int64{7: 43, 1003: -5} {
+		b := sim.Cluster().MachineAt(sim.bankOf(addr)).(*bank)
+		if got, ok := b.words[addr]; !ok || got != want {
+			t.Fatalf("bank %d holds %d at %d (present %v), want %d", sim.bankOf(addr), got, addr, ok, want)
+		}
 	}
-	if got := sim.Read(1003); got != -5 {
-		t.Fatalf("read = %d", got)
-	}
-	if got := sim.Read(99); got != 0 {
-		t.Fatalf("unwritten read = %d", got)
+	if sim.Cluster().MachineAt(0) != nil {
+		t.Fatal("machine 0 runs a handler")
 	}
 }
 
 func TestMemoryOpAccounting(t *testing.T) {
+	// One write is the §7 reduction's one exchange: a single round in
+	// which the address's bank alone is active and 3 words move.
 	sim := NewSim(4, 0)
 	sim.Cluster().BeginMixed(1, 0)
-	sim.Read(5)
-	u := sim.Cluster().EndMixed().Updates
-	// One read = request round + reply round, <= 2 machines active.
-	if u.Rounds != 2 {
-		t.Fatalf("read rounds = %d, want 2", u.Rounds)
-	}
-	if u.MaxActive > 2 {
-		t.Fatalf("active = %d, want <= 2", u.MaxActive)
-	}
-	if u.MaxWords > 4 {
-		t.Fatalf("words = %d, want O(1)", u.MaxWords)
-	}
-	sim.Cluster().BeginMixed(1, 0)
 	sim.Write(5, 1)
-	u = sim.Cluster().EndMixed().Updates
-	if u.Rounds != 1 || u.MaxActive > 1 {
-		t.Fatalf("write stats = %+v", u)
-	}
-}
-
-func TestStoreUnionFindMatchesOracle(t *testing.T) {
-	const n = 32
-	rng := rand.New(rand.NewSource(3))
-	sim := NewSim(8, 0)
-	uf := NewStoreUnionFind(sim, n)
-	g := graph.New(n)
-	for i := 0; i < 60; i++ {
-		a, b := rng.Intn(n), rng.Intn(n)
-		if a == b {
-			continue
-		}
-		g.Insert(a, b, 1)
-		uf.Union(a, b)
-	}
-	comp := graph.Components(g)
-	for a := 0; a < n; a++ {
-		for b := a + 1; b < n; b += 3 {
-			if uf.Connected(a, b) != (comp[a] == comp[b]) {
-				t.Fatalf("Connected(%d,%d) mismatch", a, b)
-			}
-		}
+	u := sim.Cluster().EndMixed().Updates
+	if u.Rounds != 1 || u.MaxActive != 1 || u.SumActive != 1 || u.MaxWords != 3 || u.SumWords != 3 {
+		t.Fatalf("write stats = %+v, want 1 round, 1 active machine, 3 words", u)
 	}
 }
 

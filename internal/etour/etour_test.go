@@ -1,6 +1,7 @@
 package etour
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -549,4 +550,48 @@ func FuzzApplyEdge(f *testing.F) {
 			}
 		}
 	})
+}
+
+// LinkSeq splices guest (which must be rooted at y, or be a singleton) into
+// host at host-vertex x, returning the merged tour. hostX identifies x; for
+// a singleton host the caller passes the singleton's vertex id.
+func LinkSeq(host *Seq, x int, guest *Seq, y int) *Seq {
+	// Splice point q: an even-aligned appearance of x.
+	q := 0
+	if host.Len() > 0 {
+		if host.Root() == x {
+			q = host.Len()
+		} else {
+			q = host.First(x) // even for non-root vertices
+		}
+	}
+	merged := make([]int, 0, host.Len()+guest.Len()+4)
+	merged = append(merged, host.s[:q]...)
+	merged = append(merged, x, y) // arc x -> y
+	merged = append(merged, guest.s...)
+	merged = append(merged, y, x) // arc y -> x
+	merged = append(merged, host.s[q:]...)
+	return &Seq{s: merged}
+}
+
+// CutSeq removes tree edge (x,y) where one endpoint is the parent of the
+// other, returning the remaining tour (containing the parent) and the
+// subtree tour (rooted at the child). It panics if the edge's arcs are not
+// found where the conventions place them.
+func CutSeq(t *Seq, x, y int) (rest, sub *Seq) {
+	fx, lx := t.First(x), t.Last(x)
+	fy, ly := t.First(y), t.Last(y)
+	if InSubtree(fx, lx, fy, ly) {
+		// y is the parent.
+		x, y = y, x
+		fy, ly = fx, lx
+	}
+	if t.s[fy-2] != x || t.s[ly] != x {
+		panic(fmt.Sprintf("etour: arcs of (%d,%d) not adjacent to subtree interval", x, y))
+	}
+	subSeq := append([]int(nil), t.s[fy:ly-1]...) // positions fy+1 .. ly-1
+	restSeq := make([]int, 0, len(t.s)-len(subSeq)-4)
+	restSeq = append(restSeq, t.s[:fy-2]...) // positions 1 .. fy-2
+	restSeq = append(restSeq, t.s[ly+1:]...) // positions ly+2 .. L
+	return &Seq{s: restSeq}, &Seq{s: subSeq}
 }

@@ -77,12 +77,6 @@ func (fo *Forest) L(v int) int { return fo.l[v] }
 // SameTree reports whether u and v are in the same tree.
 func (fo *Forest) SameTree(u, v int) bool { return fo.comp[u] == fo.comp[v] }
 
-// HasEdge reports whether (u,v) is a tree edge.
-func (fo *Forest) HasEdge(u, v int) bool {
-	_, ok := fo.tadj[u][v]
-	return ok
-}
-
 // TreeNeighbors returns v's forest neighbors in ascending order.
 func (fo *Forest) TreeNeighbors(v int) []int {
 	out := make([]int, 0, len(fo.tadj[v]))

@@ -34,20 +34,6 @@ func Chunk(updates []Update, k int) []Batch {
 	return out
 }
 
-// Inserts and Deletes count the batch's operations by kind.
-func (b Batch) Inserts() int {
-	n := 0
-	for _, u := range b {
-		if u.Op == Insert {
-			n++
-		}
-	}
-	return n
-}
-
-// Deletes counts the deletion operations in the batch.
-func (b Batch) Deletes() int { return len(b) - b.Inserts() }
-
 // Apply replays the batch onto g, returning how many updates changed it.
 func (b Batch) Apply(g *Graph) int {
 	changed := 0

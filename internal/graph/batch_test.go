@@ -112,14 +112,3 @@ func TestBatchApplyMatchesSequential(t *testing.T) {
 		}
 	}
 }
-
-func TestBatchCounts(t *testing.T) {
-	b := Batch{
-		{Op: Insert, U: 0, V: 1},
-		{Op: Delete, U: 0, V: 1},
-		{Op: Insert, U: 2, V: 3},
-	}
-	if b.Inserts() != 2 || b.Deletes() != 1 {
-		t.Fatalf("counts: %d inserts, %d deletes", b.Inserts(), b.Deletes())
-	}
-}

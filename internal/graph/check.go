@@ -32,12 +32,6 @@ func Components(g *Graph) []int {
 	return comp
 }
 
-// SameComponent reports whether u and v are connected in g.
-func SameComponent(g *Graph, u, v int) bool {
-	comp := Components(g)
-	return comp[u] == comp[v]
-}
-
 // NumComponents returns the number of connected components (isolated
 // vertices count).
 func NumComponents(g *Graph) int {

@@ -2,8 +2,9 @@ package graph
 
 import "math/rand"
 
-// Generators for the workload families used across the experiments. All
-// generators are deterministic for a given *rand.Rand.
+// Generators for the static graphs and the preferential-attachment stream
+// that programs and tests build workloads from. All generators are
+// deterministic for a given *rand.Rand.
 
 // GNM returns a uniform random simple graph with n vertices and (up to) m
 // edges; weights are drawn uniformly from [1, maxW].
@@ -30,24 +31,6 @@ func Path(n int) *Graph {
 	g := New(n)
 	for i := 0; i+1 < n; i++ {
 		g.Insert(i, i+1, 1)
-	}
-	return g
-}
-
-// Cycle returns the n-cycle.
-func Cycle(n int) *Graph {
-	g := Path(n)
-	if n > 2 {
-		g.Insert(n-1, 0, 1)
-	}
-	return g
-}
-
-// Star returns a star with center 0 and n-1 leaves.
-func Star(n int) *Graph {
-	g := New(n)
-	for i := 1; i < n; i++ {
-		g.Insert(0, i, 1)
 	}
 	return g
 }
@@ -91,46 +74,12 @@ func RandomTree(n int, maxW Weight, rng *rand.Rand) *Graph {
 	return g
 }
 
-// PrefAttach returns a preferential-attachment graph: each new vertex
-// attaches k edges to existing vertices chosen proportionally to degree,
-// producing the heavy-tailed degree distributions of web/social graphs that
-// motivate the paper's light/heavy vertex split.
-func PrefAttach(n, k int, rng *rand.Rand) *Graph {
-	g := New(n)
-	if n < 2 {
-		return g
-	}
-	// endpoint pool: every edge contributes both endpoints, so sampling
-	// from the pool is degree-proportional sampling.
-	pool := []int{0}
-	for v := 1; v < n; v++ {
-		added := 0
-		for t := 0; t < 4*k && added < k; t++ {
-			u := pool[rng.Intn(len(pool))]
-			if g.Insert(u, v, 1) {
-				added++
-			}
-		}
-		if added == 0 {
-			g.Insert(rng.Intn(v), v, 1)
-		}
-		for range g.Neighbors(v) {
-			pool = append(pool, v)
-		}
-		for _, u := range g.Neighbors(v) {
-			pool = append(pool, u)
-		}
-	}
-	return g
-}
-
 // PrefAttachStream returns a well-formed update stream with
 // preferential-attachment skew: inserts choose their existing endpoint
-// degree-proportionally (the endpoint-pool trick of PrefAttach), so a few
-// hub vertices accumulate most of the edges, and roughly delFrac of the
-// stream deletes a uniformly chosen present edge. The result is the
-// power-law *churn* workload — hubs keep getting hit — as opposed to
-// PrefAttach's static power-law snapshot; RandomStream is its
+// degree-proportionally from a pool that lists every edge's endpoints, so
+// a few hub vertices accumulate most of the edges, and roughly delFrac of
+// the stream deletes a uniformly chosen present edge. The result is the
+// power-law *churn* workload — hubs keep getting hit; RandomStream is its
 // uniform-skew counterpart.
 func PrefAttachStream(n, length int, delFrac float64, rng *rand.Rand) []Update {
 	g := New(n)
@@ -190,16 +139,4 @@ func PrefAttachStream(n, length int, delFrac float64, rng *rand.Rand) []Update {
 		}
 	}
 	return updates
-}
-
-// CompleteBipartite returns K_{a,b}: vertices 0..a-1 on one side and
-// a..a+b-1 on the other.
-func CompleteBipartite(a, b int) *Graph {
-	g := New(a + b)
-	for i := 0; i < a; i++ {
-		for j := 0; j < b; j++ {
-			g.Insert(i, a+j, 1)
-		}
-	}
-	return g
 }

@@ -53,7 +53,10 @@ func TestCloneIndependent(t *testing.T) {
 }
 
 func TestNeighborsSorted(t *testing.T) {
-	g := Star(6)
+	g := New(6)
+	for v := 5; v >= 1; v-- {
+		g.Insert(0, v, 1)
+	}
 	nbrs := g.Neighbors(0)
 	if len(nbrs) != 5 {
 		t.Fatalf("center degree = %d", len(nbrs))
@@ -93,33 +96,11 @@ func TestGenerators(t *testing.T) {
 	if g := Path(10); g.M() != 9 || NumComponents(g) != 1 {
 		t.Fatal("path wrong")
 	}
-	if g := Cycle(10); g.M() != 10 || NumComponents(g) != 1 {
-		t.Fatal("cycle wrong")
-	}
-	if g := Star(10); g.M() != 9 || g.Degree(0) != 9 {
-		t.Fatal("star wrong")
-	}
 	if g := Grid(4, 5, 1, nil); g.M() != 4*4+3*5 || NumComponents(g) != 1 {
 		t.Fatal("grid wrong")
 	}
 	if g := RandomTree(50, 5, rng); g.M() != 49 || NumComponents(g) != 1 {
 		t.Fatal("tree wrong")
-	}
-	if g := CompleteBipartite(3, 4); g.M() != 12 {
-		t.Fatal("bipartite wrong")
-	}
-	g := PrefAttach(100, 3, rng)
-	if NumComponents(g) != 1 {
-		t.Fatal("pref attach should be connected")
-	}
-	maxDeg := 0
-	for v := 0; v < g.N(); v++ {
-		if d := g.Degree(v); d > maxDeg {
-			maxDeg = d
-		}
-	}
-	if maxDeg < 6 {
-		t.Fatalf("pref attach should have a hub, max degree = %d", maxDeg)
 	}
 }
 
@@ -174,10 +155,22 @@ func TestComponentsAgainstUnionFind(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := GNM(25, 30, 1, rng)
 		comp := Components(g)
-		// Brute force: same component iff BFS from u reaches v.
+		parent := make([]int, g.N())
+		for v := range parent {
+			parent[v] = v
+		}
+		find := func(v int) int {
+			for parent[v] != v {
+				v = parent[v]
+			}
+			return v
+		}
+		for _, e := range g.Edges() {
+			parent[find(e.U)] = find(e.V)
+		}
 		for u := 0; u < g.N(); u++ {
 			for v := 0; v < g.N(); v++ {
-				if (comp[u] == comp[v]) != SameComponent(g, u, v) {
+				if (comp[u] == comp[v]) != (find(u) == find(v)) {
 					return false
 				}
 			}
@@ -202,7 +195,8 @@ func TestSameLabeling(t *testing.T) {
 }
 
 func TestIsSpanningForest(t *testing.T) {
-	g := Cycle(5)
+	g := Path(5)
+	g.Insert(4, 0, 1)
 	forest := []Edge{{0, 1}, {1, 2}, {2, 3}, {3, 4}}
 	if !IsSpanningForest(g, forest) {
 		t.Fatal("path should span the cycle")
@@ -221,7 +215,7 @@ func TestIsSpanningForest(t *testing.T) {
 
 func TestMatchingCheckers(t *testing.T) {
 	g := Path(6) // 0-1-2-3-4-5
-	mate := MateTable(6, []Edge{{1, 2}, {3, 4}})
+	mate := []int{-1, 2, 1, 4, 3, -1}
 	if !IsMatching(g, mate) {
 		t.Fatal("valid matching rejected")
 	}
@@ -239,7 +233,7 @@ func TestMatchingCheckers(t *testing.T) {
 	if HasLength3AugPath(g, mate) {
 		t.Fatal("no length-3 augmenting path expected")
 	}
-	mate2 := MateTable(6, []Edge{{2, 3}})
+	mate2 := []int{-1, -1, 3, 2, -1, -1}
 	// 1 - (2,3) - 4 with 1 and 4 free: augmenting path of length 3.
 	if !HasLength3AugPath(g, mate2) {
 		t.Fatal("length-3 augmenting path should be found")
@@ -250,30 +244,26 @@ func TestMaxMatchingSizeSmall(t *testing.T) {
 	if got := MaxMatchingSize(Path(6)); got != 3 {
 		t.Fatalf("path6 max matching = %d, want 3", got)
 	}
-	if got := MaxMatchingSize(Cycle(5)); got != 2 {
+	cycle := Path(5)
+	cycle.Insert(4, 0, 1)
+	if got := MaxMatchingSize(cycle); got != 2 {
 		t.Fatalf("cycle5 max matching = %d, want 2", got)
 	}
-	if got := MaxMatchingSize(Star(8)); got != 1 {
+	star := New(8)
+	for v := 1; v < 8; v++ {
+		star.Insert(0, v, 1)
+	}
+	if got := MaxMatchingSize(star); got != 1 {
 		t.Fatalf("star8 max matching = %d, want 1", got)
 	}
-	if got := MaxMatchingSize(CompleteBipartite(3, 5)); got != 3 {
-		t.Fatalf("K35 max matching = %d, want 3", got)
-	}
-}
-
-func TestGreedyMaximalMatchingProperties(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := GNM(18, 30, 1, rng)
-		mate := GreedyMaximalMatching(g)
-		if !IsMaximalMatching(g, mate) {
-			return false
+	k35 := New(8)
+	for u := 0; u < 3; u++ {
+		for v := 3; v < 8; v++ {
+			k35.Insert(u, v, 1)
 		}
-		// Maximal matching is a 2-approximation of maximum.
-		return 2*MatchingSize(mate) >= MaxMatchingSize(g)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
-		t.Fatal(err)
+	if got := MaxMatchingSize(k35); got != 3 {
+		t.Fatalf("K35 max matching = %d, want 3", got)
 	}
 }
 
@@ -293,8 +283,15 @@ func TestMSF(t *testing.T) {
 	}
 	// Cut property spot check: total weight must not exceed any other
 	// spanning forest; compare against the unweighted spanning forest.
-	w := MSFWeight(g)
-	if alt, ok := ForestWeight(g, plain); !ok || alt != w {
+	var alt Weight
+	for _, e := range plain {
+		w, ok := g.WeightOf(e.U, e.V)
+		if !ok {
+			t.Fatalf("msf edge %v not in g", e)
+		}
+		alt += w
+	}
+	if alt != MSFWeight(g) {
 		t.Fatal("forest weight mismatch")
 	}
 }

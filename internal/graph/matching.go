@@ -1,25 +1,8 @@
 package graph
 
-// Matching oracles: validity, maximality, augmenting-path detection and
-// exact maximum matchings on small graphs. A matching is represented as a
-// mate table: mate[v] = partner of v, or -1 if v is free.
-
-// MateTable converts an edge list into a mate table, panicking if the edges
-// do not form a matching on [0,n).
-func MateTable(n int, matching []Edge) []int {
-	mate := make([]int, n)
-	for i := range mate {
-		mate[i] = -1
-	}
-	for _, e := range matching {
-		if mate[e.U] != -1 || mate[e.V] != -1 {
-			panic("graph: edge list is not a matching")
-		}
-		mate[e.U] = e.V
-		mate[e.V] = e.U
-	}
-	return mate
-}
+// Matching oracles over a mate table (mate[v] = partner of v, or -1 if v
+// is free): size, validity, maximality, length-3 augmenting paths and the
+// exact maximum matching size on small graphs.
 
 // MatchingSize returns the number of matched edges in a mate table.
 func MatchingSize(mate []int) int {
@@ -172,20 +155,4 @@ func MaxMatchingSize(g *Graph) int {
 	}
 	full := uint32(1)<<uint(n) - 1
 	return int(solve(full))
-}
-
-// GreedyMaximalMatching returns a maximal matching built greedily over the
-// sorted edge list — the static baseline for matching experiments.
-func GreedyMaximalMatching(g *Graph) []int {
-	mate := make([]int, g.N())
-	for i := range mate {
-		mate[i] = -1
-	}
-	for _, e := range g.Edges() {
-		if mate[e.U] == -1 && mate[e.V] == -1 {
-			mate[e.U] = e.V
-			mate[e.V] = e.U
-		}
-	}
-	return mate
 }

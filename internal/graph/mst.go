@@ -49,19 +49,6 @@ func MSFWeight(g *Graph) Weight {
 	return total
 }
 
-// ForestWeight sums the weights of the given edges as found in g; ok is
-// false if any edge is missing from g.
-func ForestWeight(g *Graph, edges []Edge) (total Weight, ok bool) {
-	for _, e := range edges {
-		w, present := g.WeightOf(e.U, e.V)
-		if !present {
-			return 0, false
-		}
-		total += w
-	}
-	return total, true
-}
-
 // BucketWeight rounds w down to the representative of its (1+eps) bucket:
 // bucket k holds weights in [(1+eps)^k, (1+eps)^{k+1}) and is represented
 // by ⌊(1+eps)^k⌋. The representative b satisfies b <= w < b*(1+eps)+1+eps

@@ -50,12 +50,6 @@ func (h *HDT) Connected(u, v int) bool {
 	return h.forest[0].Connected(u, v)
 }
 
-// HasEdge reports whether (u,v) is currently in the graph.
-func (h *HDT) HasEdge(u, v int) bool {
-	_, ok := h.level[graph.NormEdge(u, v)]
-	return ok
-}
-
 func (h *HDT) addNonTree(lvl int, u, v int32) {
 	for _, pair := range [2][2]int32{{u, v}, {v, u}} {
 		a, b := pair[0], pair[1]
