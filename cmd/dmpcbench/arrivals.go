@@ -26,19 +26,6 @@ type arrivalRow struct {
 	RoundsPerOp float64 `json:"rounds_per_op"`
 }
 
-// latencyAutoRow compares an unconstrained AutoBatcher against a
-// TargetP99Rounds-constrained one over the same arrival schedule: the
-// tail bound must buy its latency by settling at a smaller k.
-type latencyAutoRow struct {
-	Name     string `json:"name"`
-	Gen      string `json:"arrivals"`
-	Target   int    `json:"target_p99_rounds"`
-	FreeK    int    `json:"unconstrained_final_k"`
-	BoundK   int    `json:"constrained_final_k"`
-	FreeP99  int64  `json:"unconstrained_p99"`
-	BoundP99 int64  `json:"constrained_p99"`
-}
-
 // arrivalRunner builds one algorithm's fresh Pipeline plus the mixed op
 // stream it ingests (reads interleaved at readfrac 0.75 — read-heavy,
 // so batch-bound flushes and not just conflict cuts shape the latency).
@@ -105,48 +92,7 @@ func arrivalTable(n, nUpdates int, seed int64) []arrivalRow {
 	return rows
 }
 
-// boundsOnlyPipeline hides the facade's claims oracle from the Ingestor,
-// so ingestion runs in the foreign-Pipeline regime: no admission control,
-// only the configured bounds cut the stream. With claims on, the
-// packer refuses any op that would not fit the forming set's first
-// wave, which caps a chunk's rounds by construction and hides the
-// batch-size/tail trade this table exists to measure.
-type boundsOnlyPipeline struct{ p dmpc.Pipeline }
-
-func (o boundsOnlyPipeline) Apply(ops []dmpc.Op) (dmpc.Results, dmpc.MixedStats) {
-	return o.p.Apply(ops)
-}
-func (o boundsOnlyPipeline) Cluster() *dmpc.Cluster { return o.p.Cluster() }
-func (o boundsOnlyPipeline) Close()                 { o.p.Close() }
-
-// latencyAutoTable runs one Poisson arrival schedule through two
-// AutoBatcher-driven ingests — one free, one tail-constrained — and
-// records where each knee search settled. Admission control is off (see
-// boundsOnlyPipeline), so every flush is a k-bound full chunk the knee
-// search sees, and a chunk's rounds grow with the conflicting updates it
-// serializes. Unconstrained, the search chases amortized rounds/op
-// toward large k; the tail bound must refuse those windows and settle
-// smaller.
-func latencyAutoTable(n, nUpdates int, seed int64) []latencyAutoRow {
-	const target = 40
-	ar := arrivalRunners(n, nUpdates, seed)[0] // connectivity, mixed 0.75
-	sched := arrivalSchedules(ar.ops, seed)[0] // poisson
-	run := func(target int) (int, int64) {
-		p := ar.mk()
-		defer p.Close()
-		ab := dmpc.NewAutoBatcher(dmpc.AutoBatcherConfig{MaxK: 256, TargetP99Rounds: target})
-		_, st := dmpc.Ingest(boundsOnlyPipeline{p}, sched.arr, dmpc.IngestorConfig{Auto: ab})
-		return ab.K(), st.P99()
-	}
-	freeK, freeP99 := run(0)
-	boundK, boundP99 := run(target)
-	return []latencyAutoRow{{
-		Name: ar.name + ", bounds-only", Gen: "poisson", Target: target,
-		FreeK: freeK, BoundK: boundK, FreeP99: freeP99, BoundP99: boundP99,
-	}}
-}
-
-func printArrivalTable(rows []arrivalRow, lrows []latencyAutoRow) {
+func printArrivalTable(rows []arrivalRow) {
 	printRows("\nStreaming ingestion: per-op latency under timed arrivals (readfrac 0.75):",
 		"Algorithm\tarrivals\tk\tops\tflushes\tp50\tp95\tp99\tmakespan\trounds/op",
 		"%s\t%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%.2f", rows,
@@ -155,12 +101,4 @@ func printArrivalTable(rows []arrivalRow, lrows []latencyAutoRow) {
 		},
 		"(latency is rounds from arrival to answer; a larger batch bound amortizes",
 		" rounds/op but holds early arrivals longer, which is the p99 column's story)")
-	printRows("\nTail-constrained adaptive batching (TargetP99Rounds vs unconstrained):",
-		"Algorithm\tarrivals\ttarget p99\tfree k\tfree p99\tbound k\tbound p99", "%s\t%s\t%d\t%d\t%d\t%d\t%d", lrows,
-		func(r latencyAutoRow) []any {
-			return []any{r.Name, r.Gen, r.Target, r.FreeK, r.FreeP99, r.BoundK, r.BoundP99}
-		},
-		"(the tail bound caps the knee search: windows whose worst-case p99 exceeds",
-		" the target halve k and lower the search ceiling, so the constrained run",
-		" settles at a smaller batch than the pure rounds/op knee)")
 }

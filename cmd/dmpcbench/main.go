@@ -3,13 +3,13 @@
 // of the paper (rounds per update, active machines and communicated words
 // per round, communication entropy, next to the bound the paper claims,
 // the §7 reductions and the filtering-MSF static recompute), the batch
-// pipeline at k ∈ {1, 64}, the AutoBatcher's knee search, in-wave reads
-// against the quiescence split, read-only windows, streaming arrivals,
-// tenant isolation, tree DP, the §5 O(√N) sweep and the inline-vs-sharded
-// ladder up to -wallmax — and emits them as text tables or, with -json,
-// as one dmpcbench/v4 document (see benchReport; BENCH_0015.json is the
-// committed one). It records model counts only: time and allocations are
-// measured by bench/ and by the packages' own tests and benchmarks.
+// pipeline at k ∈ {1, 64}, in-wave reads against the quiescence split,
+// read-only windows, streaming arrivals, tenant isolation, tree DP, the §5
+// O(√N) sweep and the inline-vs-sharded ladder up to -wallmax — and emits
+// them as text tables or, with -json, as one dmpcbench/v4 document (see
+// benchReport; BENCH_0015.json is the committed one). It records model
+// counts only: time and allocations are measured by bench/ and by the
+// packages' own tests and benchmarks.
 //
 // The judge is `go test ./cmd/dmpcbench`: TestSuiteMatchesSnapshot
 // measures the suite at one and at four worker shards and requires every
@@ -29,7 +29,6 @@ import (
 	"os"
 	"text/tabwriter"
 
-	"dmpc"
 	"dmpc/internal/core/amm"
 	"dmpc/internal/core/dmm"
 	"dmpc/internal/core/dyncon"
@@ -225,8 +224,8 @@ func measureBatch(name string, updates []graph.Update, k int, run runner) batchR
 	}
 }
 
-// suiteStream is the one update stream the batch, autobatch, mixed and
-// read-only tables all replay, so their round counts are comparable.
+// suiteStream is the one update stream the batch, mixed and read-only
+// tables all replay, so their round counts are comparable.
 func suiteStream(n, nUpdates int, seed int64) []graph.Update {
 	return graph.RandomStream(n, nUpdates, 0.55, 50, rand.New(rand.NewSource(seed+100)))
 }
@@ -255,54 +254,6 @@ func printBatchTable(rows []batchRow) {
 		},
 		"(amortized rounds/update dropping as k grows is the batch-dynamic headline;",
 		" the §7 reduction replays sequentially, so its amortized cost stays flat)")
-}
-
-// --- adaptive batch sizing ------------------------------------------------
-
-// autoRow is one algorithm's AutoBatcher run: the k trajectory the
-// knee-search took and the overall amortized rounds it landed at.
-type autoRow struct {
-	Name      string  `json:"name"`
-	Ks        []int   `json:"k_trajectory"`
-	FinalK    int     `json:"final_k"`
-	Amortized float64 `json:"amortized_rounds_per_update"`
-}
-
-// autoTable ingests the suite stream back to back through the bounds-only
-// front door (see boundsOnlyPipeline) with an AutoBatcher sizing the
-// chunks, so every chunk but the tail is a full k the knee search sees.
-func autoTable(n, nUpdates int, seed int64) []autoRow {
-	arrivals := dmpc.ArrivalsNow(dmpc.UpdateOps(suiteStream(n, nUpdates, seed)))
-	var rows []autoRow
-	for _, rn := range arrivalRunners(n, nUpdates, seed) { // the same two facade structures
-		p := rn.mk()
-		ab := dmpc.NewAutoBatcher(dmpc.AutoBatcherConfig{MaxK: 256})
-		_, st := dmpc.Ingest(boundsOnlyPipeline{p}, arrivals, dmpc.IngestorConfig{Auto: ab})
-		p.Close()
-		// A full chunk holds exactly the k it was cut at; the tail was cut
-		// short of the final k.
-		ks := make([]int, len(st.Windows))
-		for i, w := range st.Windows {
-			ks[i] = w.Ops
-		}
-		if st.FlushTail > 0 {
-			ks[len(ks)-1] = ab.K()
-		}
-		rows = append(rows, autoRow{
-			Name: rn.name, Ks: ks, FinalK: ab.K(),
-			Amortized: float64(st.Rounds) / float64(st.Updates),
-		})
-	}
-	return rows
-}
-
-func printAutoTable(rows []autoRow) {
-	printRows("\nAdaptive batch sizing (dmpc.AutoBatcher knee search):",
-		"Algorithm\tk trajectory\tfinal k\tamortized rounds/upd", "%s\t%v\t%d\t%.2f", rows,
-		func(r autoRow) []any { return []any{r.Name, r.Ks, r.FinalK, r.Amortized} },
-		"(after a warmup the driver doubles k while probe windows stay within the",
-		" noise margin of the best seen, settles at the knee on two bad windows, and",
-		" halves k whenever the cluster-wide word cap is exceeded)")
 }
 
 // --- unified op pipeline: in-wave reads vs quiescence --------------------
@@ -507,37 +458,33 @@ type benchReport struct {
 	// wallclock ran at; those two always measure compareWorkers.
 	Workers int `json:"workers"`
 
-	Table1      []table1Row      `json:"table1"`
-	Static      []staticRow      `json:"static"`
-	Batch       []batchRow       `json:"batch"`
-	Auto        []autoRow        `json:"autobatch"`
-	Mixed       []mixedRow       `json:"mixed"`
-	ReadOnly    []readRow        `json:"read_only"`
-	Arrivals    []arrivalRow     `json:"arrivals"`
-	LatencyAuto []latencyAutoRow `json:"latency_autobatch"`
-	Tenants     []tenantRow      `json:"tenants"`
-	TreeDP      []treedpRow      `json:"treedp"`
-	Sweep       []sweepRow       `json:"sweep"`
-	Wall        []wallRow        `json:"wallclock"`
+	Table1   []table1Row  `json:"table1"`
+	Static   []staticRow  `json:"static"`
+	Batch    []batchRow   `json:"batch"`
+	Mixed    []mixedRow   `json:"mixed"`
+	ReadOnly []readRow    `json:"read_only"`
+	Arrivals []arrivalRow `json:"arrivals"`
+	Tenants  []tenantRow  `json:"tenants"`
+	TreeDP   []treedpRow  `json:"treedp"`
+	Sweep    []sweepRow   `json:"sweep"`
+	Wall     []wallRow    `json:"wallclock"`
 }
 
 // measureSuite runs every table.
 func measureSuite(n, updates int, seed int64, wallMax int) benchReport {
 	return benchReport{
 		Schema: "dmpcbench/v4", N: n, Updates: updates, Seed: seed, WallMax: wallMax,
-		Workers:     benchWorkers,
-		Table1:      table(n, updates, seed),
-		Static:      staticTable(n, seed),
-		Batch:       batchTable(n, updates, seed),
-		Auto:        autoTable(n, updates, seed),
-		Mixed:       mixedTable(n, updates, seed),
-		ReadOnly:    readTable(n, updates, seed),
-		Arrivals:    arrivalTable(n, updates, seed),
-		LatencyAuto: latencyAutoTable(n, updates, seed),
-		Tenants:     tenantTable(n, updates, seed),
-		TreeDP:      treedpTable(n, updates, seed),
-		Sweep:       sweepRows(seed),
-		Wall:        wallTable(seed, wallMax),
+		Workers:  benchWorkers,
+		Table1:   table(n, updates, seed),
+		Static:   staticTable(n, seed),
+		Batch:    batchTable(n, updates, seed),
+		Mixed:    mixedTable(n, updates, seed),
+		ReadOnly: readTable(n, updates, seed),
+		Arrivals: arrivalTable(n, updates, seed),
+		Tenants:  tenantTable(n, updates, seed),
+		TreeDP:   treedpTable(n, updates, seed),
+		Sweep:    sweepRows(seed),
+		Wall:     wallTable(seed, wallMax),
 	}
 }
 
@@ -545,10 +492,9 @@ func (rep benchReport) print() {
 	printTable(rep)
 	printStatic(rep.Static)
 	printBatchTable(rep.Batch)
-	printAutoTable(rep.Auto)
 	printMixedTable(rep.Mixed)
 	printReadTable(rep.ReadOnly)
-	printArrivalTable(rep.Arrivals, rep.LatencyAuto)
+	printArrivalTable(rep.Arrivals)
 	printTenantTable(rep.Tenants)
 	printTreeDPTable(rep.TreeDP)
 	printSweep(rep.Sweep)

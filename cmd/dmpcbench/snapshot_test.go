@@ -158,14 +158,6 @@ var invariants = []invariant{
 		}
 		return nil
 	}},
-	{"arrivals: tail-constrained AutoBatcher settles below the free k", func(r benchReport) error {
-		for _, l := range r.LatencyAuto {
-			if l.BoundK >= l.FreeK {
-				return fmt.Errorf("%s (%s): TargetP99Rounds=%d settled at k=%d, unconstrained at k=%d", l.Name, l.Gen, l.Target, l.BoundK, l.FreeK)
-			}
-		}
-		return nil
-	}},
 	{"tenants: fair victim p99 <= 2x solo", func(r benchReport) error {
 		for _, t := range r.Tenants {
 			if t.VictimFairP99 > 2*t.VictimSoloP99 {

@@ -66,10 +66,11 @@
 // from a min-heap, admits each into the currently-forming wave set while
 // its schedule claims don't conflict with the set's, and flushes the
 // partial stream through Apply when a conflicting op arrives, an op ages
-// past MaxAge, or the set reaches the batch bound (fixed MaxBatch, or the
-// adaptive k of an AutoBatcher — the Ingestor's k-controller, optionally
-// tail-constrained by TargetP99Rounds). StreamStats attributes to every
-// op its rounds-from-arrival-to-answer latency (p50/p95/p99). The
+// past MaxAge, or the set reaches MaxBatch. Conflict admission is the one
+// window-sizing rule: a window ends where the next arrival would
+// serialize behind it, so nothing needs to learn a batch size. StreamStats
+// attributes to every op its rounds-from-arrival-to-answer latency
+// (p50/p95/p99). The
 // dependency runs one way: Apply is one MixedStats window and buffers
 // nothing, the Ingestor is the only thing that buffers, cuts and flushes,
 // and every flush is one Apply call; the FuzzArrivalEquivalence harnesses
@@ -120,6 +121,8 @@
 package dmpc
 
 import (
+	"fmt"
+
 	"dmpc/internal/core/amm"
 	"dmpc/internal/core/dmm"
 	"dmpc/internal/core/dyncon"
@@ -285,7 +288,8 @@ func NewGraph(n int) *Graph { return graph.New(n) }
 // answers the j-th op with IsQuery() true) and the mixed window's
 // accounting. Each structure answers its own query kinds — OpConnected
 // and OpComponentOf on Connectivity/MST, OpMateOf and OpMatched on the
-// matchings — and panics on a kind it cannot answer.
+// matchings — and panics on a kind it cannot answer or on an op naming a
+// vertex outside [0, n).
 type Pipeline interface {
 	Apply(ops []Op) (Results, MixedStats)
 	Cluster() *Cluster
@@ -304,9 +308,10 @@ var (
 )
 
 // pipe is the facade plumbing shared by all four structures — the one
-// copy of the Apply front door, the per-op claims oracle the Ingestor
-// admits arrivals with, and the Cluster accessor.
+// copy of the Apply front door, the vertex-range check, the per-op claims
+// oracle the Ingestor admits arrivals with, and the Cluster accessor.
 type pipe struct {
+	n      int // vertices: every op must name vertices in [0, n)
 	apply  func([]graph.Op) (graph.Results, mpc.MixedStats)
 	claims func(graph.Op) sched.Item
 	cl     *mpc.Cluster
@@ -315,8 +320,23 @@ type pipe struct {
 // Apply processes a mixed op stream through the structure's scheduled
 // pipeline in one MixedStats window; see Pipeline. It is the core's
 // ApplyOps and nothing else: no buffering, no cutting — an Ingestor flush
-// is exactly one call of it.
-func (p pipe) Apply(ops []Op) (Results, MixedStats) { return p.apply(ops) }
+// is exactly one call of it. It panics, before any op runs, on an op
+// naming a vertex outside [0, n).
+func (p pipe) Apply(ops []Op) (Results, MixedStats) {
+	for _, op := range ops {
+		p.checkOp(op)
+	}
+	return p.apply(ops)
+}
+
+// checkOp panics on an op naming a vertex outside [0, n): the cores index
+// per-vertex state by it, so such an op would otherwise read another
+// vertex's state or fail with a bare index error.
+func (p pipe) checkOp(op Op) {
+	if v, out := op.Outside(p.n); out {
+		panic(fmt.Sprintf("dmpc: op %v names vertex %d outside [0, %d)", op, v, p.n))
+	}
+}
 
 // Cluster exposes the underlying cluster accounting.
 func (p pipe) Cluster() *Cluster { return p.cl }
@@ -339,7 +359,7 @@ type Connectivity struct {
 func NewConnectivity(n, expectedEdges int, opts ...Option) *Connectivity {
 	o := buildOptions(opts)
 	d := dyncon.New(dyncon.Config{N: n, Mode: dyncon.CC, ExpectedEdges: expectedEdges, Workers: o.workers})
-	return &Connectivity{pipe: pipe{d.ApplyOps, d.StreamItem, d.Cluster()}, d: d}
+	return &Connectivity{pipe: pipe{n, d.ApplyOps, d.StreamItem, d.Cluster()}, d: d}
 }
 
 // CompOf returns v's component label by driver-side oracle access —
@@ -363,7 +383,7 @@ type MST struct {
 func NewMST(n int, eps float64, expectedEdges int, opts ...Option) *MST {
 	o := buildOptions(opts)
 	d := dyncon.New(dyncon.Config{N: n, Mode: dyncon.MST, Eps: eps, ExpectedEdges: expectedEdges, Workers: o.workers})
-	return &MST{pipe: pipe{d.ApplyOps, d.StreamItem, d.Cluster()}, d: d}
+	return &MST{pipe: pipe{n, d.ApplyOps, d.StreamItem, d.Cluster()}, d: d}
 }
 
 // Weight returns the maintained forest's total (bucketed) weight
@@ -389,7 +409,7 @@ type MaximalMatching struct {
 func NewMaximalMatching(n, capEdges int, opts ...Option) *MaximalMatching {
 	o := buildOptions(opts)
 	m := dmm.New(dmm.Config{N: n, CapEdges: capEdges, Workers: o.workers})
-	return &MaximalMatching{pipe: pipe{m.ApplyOps, m.StreamItem, m.Cluster()}, m: m}
+	return &MaximalMatching{pipe: pipe{n, m.ApplyOps, m.StreamItem, m.Cluster()}, m: m}
 }
 
 // NewThreeHalvesMatching builds the §4 structure: a 3/2-approximate
@@ -397,7 +417,7 @@ func NewMaximalMatching(n, capEdges int, opts ...Option) *MaximalMatching {
 func NewThreeHalvesMatching(n, capEdges int, opts ...Option) *MaximalMatching {
 	o := buildOptions(opts)
 	m := dmm.New(dmm.Config{N: n, CapEdges: capEdges, ThreeHalves: true, Workers: o.workers})
-	return &MaximalMatching{pipe: pipe{m.ApplyOps, m.StreamItem, m.Cluster()}, m: m}
+	return &MaximalMatching{pipe: pipe{n, m.ApplyOps, m.StreamItem, m.Cluster()}, m: m}
 }
 
 // MateTable returns the current matching as a mate table (-1 = free) by
@@ -415,7 +435,7 @@ type AlmostMaximalMatching struct {
 func NewAlmostMaximalMatching(n int, eps float64, seed int64, opts ...Option) *AlmostMaximalMatching {
 	o := buildOptions(opts)
 	m := amm.New(amm.Config{N: n, Eps: eps, Seed: seed, Workers: o.workers})
-	return &AlmostMaximalMatching{pipe: pipe{m.ApplyOps, m.StreamItem, m.Cluster()}, m: m}
+	return &AlmostMaximalMatching{pipe: pipe{n, m.ApplyOps, m.StreamItem, m.Cluster()}, m: m}
 }
 
 // Insert adds an edge through the paper's fixed-schedule per-update cycle
@@ -423,10 +443,17 @@ func NewAlmostMaximalMatching(n int, eps float64, seed int64, opts ...Option) *A
 // subscheduler) — the one sanctioned driver besides Apply, kept because it
 // is measurably not a length-one Apply (see amm.M.Insert, DESIGN.md §3).
 // The cycle is billed as a window of one update; its update half returns.
-func (am *AlmostMaximalMatching) Insert(u, v int) HalfStats { return am.m.Insert(u, v) }
+// Like Apply, it panics on a vertex outside [0, n).
+func (am *AlmostMaximalMatching) Insert(u, v int) HalfStats {
+	am.checkOp(graph.OpIns(u, v, 1))
+	return am.m.Insert(u, v)
+}
 
 // Delete removes an edge through the per-update cycle; see Insert.
-func (am *AlmostMaximalMatching) Delete(u, v int) HalfStats { return am.m.Delete(u, v) }
+func (am *AlmostMaximalMatching) Delete(u, v int) HalfStats {
+	am.checkOp(graph.OpDel(u, v))
+	return am.m.Delete(u, v)
+}
 
 // MateTable returns the current matching as a mate table (-1 = free) by
 // driver-side oracle access — validation only, no protocol accounting. Use

@@ -1,7 +1,9 @@
 package dmpc
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"dmpc/internal/graph"
@@ -384,4 +386,73 @@ func TestPipelineRejectsForeignKinds(t *testing.T) {
 	wantPanic("MateOf on Connectivity", func() { cc.Apply([]Op{QMateOf(1)}) })
 	mm := NewMaximalMatching(8, 32)
 	wantPanic("Connected on MaximalMatching", func() { mm.Apply([]Op{QConnected(1, 2)}) })
+}
+
+// TestOutOfRangeVertexRejected pins the vertex-range contract of the front
+// doors: Apply on every structure and Ingestor.Push over a claims-admitting
+// pipeline refuse an op naming a vertex outside [0, n) with a panic that
+// names the op, the vertex and n, before any op of the call runs or the
+// arrival reaches the forming set.
+func TestOutOfRangeVertexRejected(t *testing.T) {
+	const n = 8
+	refused := func(t *testing.T, op Op, bad int, f func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			msg := fmt.Sprint(recover())
+			if want := fmt.Sprintf("op %v names vertex %d outside [0, %d)", op, bad, n); !strings.Contains(msg, want) {
+				t.Fatalf("panic %q, want one containing %q", msg, want)
+			}
+		}()
+		f()
+	}
+	connected := func(p Pipeline) bool { r, _ := p.Apply([]Op{QConnected(0, 1)}); return r[0].Bool }
+	mated := func(p Pipeline) bool { r, _ := p.Apply([]Op{QMateOf(0)}); return r[0].Int != -1 }
+	for _, tc := range []struct {
+		name string
+		mk   func() Pipeline
+		read func(v int) Op
+		// joined reports whether Ins(0, 1) landed.
+		joined func(Pipeline) bool
+	}{
+		{"MaximalMatching", func() Pipeline { return NewMaximalMatching(n, 4*n) }, QMateOf, mated},
+		{"ThreeHalvesMatching", func() Pipeline { return NewThreeHalvesMatching(n, 4*n) }, QMateOf, mated},
+		{"Connectivity", func() Pipeline { return NewConnectivity(n, 4*n) }, QComponentOf, connected},
+		{"MST", func() Pipeline { return NewMST(n, 0.25, 4*n) }, QComponentOf, connected},
+		{"AlmostMaximalMatching", func() Pipeline { return NewAlmostMaximalMatching(n, 0.5, 1) }, QMateOf, mated},
+	} {
+		for _, bad := range []int{n, -1} {
+			t.Run(fmt.Sprintf("%s/Apply/%d", tc.name, bad), func(t *testing.T) {
+				p := tc.mk()
+				defer p.Close()
+				refused(t, Ins(0, bad), bad, func() { p.Apply([]Op{Ins(0, 1), Ins(0, bad)}) })
+				refused(t, tc.read(bad), bad, func() { p.Apply([]Op{tc.read(bad)}) })
+				if tc.joined(p) {
+					t.Fatal("the valid op ahead of the refused one ran")
+				}
+			})
+		}
+	}
+	for _, bad := range []int{n, -1} {
+		t.Run(fmt.Sprintf("AlmostMaximalMatching/Insert/%d", bad), func(t *testing.T) {
+			am := NewAlmostMaximalMatching(n, 0.5, 1)
+			defer am.Close()
+			refused(t, Ins(bad, 0), bad, func() { am.Insert(bad, 0) })
+			refused(t, Del(0, bad), bad, func() { am.Delete(0, bad) })
+		})
+		t.Run(fmt.Sprintf("Connectivity/Push/%d", bad), func(t *testing.T) {
+			cc := NewConnectivity(n, 4*n)
+			defer cc.Close()
+			ing := NewIngestor(IngestorConfig{Pipeline: cc})
+			ing.Push(Arrival{At: 0, Op: Ins(0, 1)})
+			refused(t, QConnected(bad, 0), bad, func() { ing.Push(Arrival{At: 1, Op: QConnected(bad, 0)}) })
+			if ing.Pending() != 1 {
+				t.Fatalf("%d ops forming after the refusal, want 1", ing.Pending())
+			}
+			ing.Push(Arrival{At: 2, Op: QConnected(0, 1)})
+			if res, st := ing.Close(); len(res) != 1 || !res[0].Bool || st.Ops != 2 {
+				t.Fatalf("stream after the refusal answered %+v over %d ops, want [connected] over 2", res, st.Ops)
+			}
+		})
+	}
 }

@@ -36,13 +36,11 @@ var (
 // answer, measured on the Ingestor's virtual clock (an op arriving at
 // time t and answered by a flush window ending at time t' observed
 // latency t'−t, waiting included). The p50/p95/p99 of those latencies
-// sit next to RoundsPerOp because the two disagree by design: the
-// amortized-optimal batch size k makes early arrivals of every chunk wait
-// longest, which is exactly what the AutoBatcher's TargetP99Rounds
-// constraint trades against. The Ingestor accumulates it flush by flush.
+// sit next to RoundsPerOp because the two can disagree: a window's early
+// arrivals wait for its cut, so a looser MaxBatch or MaxAge amortizes
+// rounds at the tail's expense. The Ingestor accumulates it flush by flush.
 type StreamStats struct {
-	Ops     int // ops ingested (updates + queries)
-	Updates int
+	Ops int // ops ingested (updates + queries)
 
 	// Flushes counts the Apply windows the stream was cut into, broken
 	// down by what triggered each cut: a conflicting arrival refused
@@ -155,19 +153,12 @@ type IngestorConfig struct {
 	// cut the stream.
 	Pipeline Pipeline
 	// MaxBatch flushes the forming set when it holds this many ops (the
-	// k bound). 0 means unbounded; ignored when Auto is set, which sizes
-	// k adaptively.
+	// k bound). 0 means unbounded.
 	MaxBatch int
 	// MaxAge flushes the forming set the moment its oldest op has waited
 	// this many rounds (measured on the virtual clock). 0 disables the
 	// age bound.
 	MaxAge int64
-	// Auto, when set, is the ingestor's k-controller: the batch bound
-	// tracks its live knee search, which is fed the window of every flush
-	// (only k-bound flushes drive the search; chunks cut short by a
-	// conflict, the age bound or Close never adapt k). Its word cap is the
-	// Pipeline's cluster-wide per-round budget µ·S.
-	Auto *AutoBatcher
 	// Weights, when non-nil, makes the conflict admitter meter each
 	// tenant's summed shared-claim cost against a weighted deficit-
 	// round-robin share of the per-round word budget S (sched.Fair): a
@@ -251,9 +242,13 @@ func (tb *TokenBucket) Admit(now int64) bool {
 // t starts at max(t, completion of the previous flush) and completes its
 // window's rounds later, and every op in it observed latency completion
 // − arrival. Close returns those latencies' percentiles in StreamStats,
-// next to the amortized rounds/op the batch view reports — the two
-// disagree under load, which is what the AutoBatcher's TargetP99Rounds
-// constraint trades on.
+// next to the amortized rounds/op the batch view reports.
+//
+// Over the facade's structures, admission is the one window-sizing rule:
+// a window ends where the next arrival would serialize behind it (on §3
+// and §5 a flushed window runs as at most one wave, pinned by
+// TestFlushedWindowIsOneWave). The fixed MaxBatch and MaxAge bounds only
+// cap how long a window may form.
 //
 // Answers are positional over the whole stream's queries in arrival
 // order, exactly as Apply's are over a slice; end state and answers are
@@ -261,8 +256,8 @@ func (tb *TokenBucket) Admit(now int64) bool {
 // (pinned by the FuzzArrivalEquivalence harnesses).
 type Ingestor struct {
 	p      Pipeline
+	check  func(graph.Op) // the facade's vertex-range check; nil iff claims is
 	claims func(graph.Op) sched.Item
-	auto   *AutoBatcher
 
 	maxBatch int
 	maxAge   int64
@@ -309,23 +304,16 @@ func NewIngestor(cfg IngestorConfig) *Ingestor {
 		p:           p,
 		maxBatch:    cfg.MaxBatch,
 		maxAge:      cfg.MaxAge,
-		auto:        cfg.Auto,
 		admission:   cfg.Admission,
 		multiTenant: len(cfg.Weights) > 0 || len(cfg.Admission) > 0,
 		tstats:      make(map[int]*TenantStreamStats),
 	}
-	cl := p.Cluster()
-	if ing.auto != nil && cl != nil {
-		ing.auto.capWords = cl.Machines() * cl.MemWords()
-	}
 	if cp, ok := p.(interface {
+		checkOp(graph.Op)
 		streamClaims() func(graph.Op) sched.Item
 	}); ok {
-		ing.claims = cp.streamClaims()
-		budget := 0
-		if cl != nil {
-			budget = cl.MemWords()
-		}
+		ing.check, ing.claims = cp.checkOp, cp.streamClaims()
+		budget := p.Cluster().MemWords()
 		var fair *sched.Fair // nil = first-fit
 		if len(cfg.Weights) > 0 {
 			fair = sched.NewFair(budget, cfg.Weights)
@@ -333,15 +321,6 @@ func NewIngestor(cfg IngestorConfig) *Ingestor {
 		ing.adm = sched.NewAdmitterFair(budget, fair)
 	}
 	return ing
-}
-
-// k returns the live batch-size bound: the AutoBatcher's current K when
-// one sizes the chunks, else MaxBatch (0 = unbounded).
-func (ing *Ingestor) k() int {
-	if ing.auto != nil {
-		return ing.auto.K()
-	}
-	return ing.maxBatch
 }
 
 // Now returns the virtual clock: the completion time (in rounds) of the
@@ -375,10 +354,15 @@ func (ing *Ingestor) Stats() StreamStats {
 
 // Push feeds one arrival into the event loop. Arrivals must be pushed in
 // time order (use Ingest, which consumes a heap, when the source does
-// not sort); Push panics on a time regression or a closed ingestor.
+// not sort); Push panics on a time regression or a closed ingestor, and,
+// over the facade's structures, on an op naming a vertex outside [0, n),
+// before the op reaches the clock, a policy or a claim.
 func (ing *Ingestor) Push(a Arrival) {
 	if ing.closed {
 		panic("dmpc: Push on a closed Ingestor")
+	}
+	if ing.check != nil {
+		ing.check(a.Op)
 	}
 	if a.At < ing.lastAt {
 		panic(fmt.Sprintf("dmpc: Ingestor arrivals out of order (%d after %d)", a.At, ing.lastAt))
@@ -438,7 +422,7 @@ func (ing *Ingestor) Push(a Arrival) {
 	ing.forming = append(ing.forming, a.Op)
 	ing.formingAt = append(ing.formingAt, a.At)
 	ing.formingQI = append(ing.formingQI, qi)
-	if k := ing.k(); k > 0 && len(ing.forming) >= k {
+	if ing.maxBatch > 0 && len(ing.forming) >= ing.maxBatch {
 		ing.flushAt(a.At, flushFull)
 	}
 }
@@ -512,9 +496,6 @@ func (ing *Ingestor) flushAt(trigger int64, reason int) {
 		start = ing.now // the cluster is still busy with the previous flush
 	}
 	res, st := ing.p.Apply(ing.forming)
-	if ing.auto != nil {
-		ing.auto.observe(st, reason == flushFull)
-	}
 	end := start + int64(st.Rounds())
 	ing.now = end
 	share := float64(st.Rounds()) / float64(len(ing.forming))
@@ -529,7 +510,6 @@ func (ing *Ingestor) flushAt(trigger int64, reason int) {
 		}
 	}
 	ing.stats.Ops += st.Ops
-	ing.stats.Updates += st.Updates.Ops
 	ing.stats.Rounds += st.Rounds()
 	ing.stats.Flushes++
 	switch reason {

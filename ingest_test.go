@@ -318,44 +318,6 @@ func TestIngestPoissonMatchingEquivalence(t *testing.T) {
 	}
 }
 
-// TestIngestorWithAutoBatcher pins the Ingestor/AutoBatcher wiring: the
-// controller sizes k live (the ingestor's full-flush cuts feed the knee
-// search) and answers stay bit-identical to Apply on the full slice.
-func TestIngestorWithAutoBatcher(t *testing.T) {
-	const n = 96
-	rng := rand.New(rand.NewSource(14))
-	updates := graph.RandomStream(n, 480, 0.55, 1, rng)
-	ops := graph.MixedStream(updates, 0.5, func(r *rand.Rand) Op {
-		return QConnected(r.Intn(n), r.Intn(n))
-	}, rng)
-
-	ref := NewConnectivity(n, 5*n)
-	want, _ := ref.Apply(ops)
-
-	cc := NewConnectivity(n, 5*n)
-	ab := NewAutoBatcher(AutoBatcherConfig{MaxK: 256})
-	got, st := Ingest(cc, ArrivalsNow(ops), IngestorConfig{Auto: ab})
-	if len(got) != len(want) {
-		t.Fatalf("%d answers, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("answer %d is %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	// No chunk outgrows the k it was cut at, so a window wider than StartK
-	// means the search grew k.
-	grew := false
-	for _, w := range st.Windows {
-		if w.Ops > 8 {
-			grew = true
-		}
-	}
-	if !grew || st.FlushFull == 0 {
-		t.Fatalf("controller never grew k under ingest: final k %d, %+v", ab.K(), st)
-	}
-}
-
 // TestIngestorForeignPipeline pins the no-claims path: a Pipeline
 // implementation from outside the facade ingests without admission
 // control, so only the configured bounds cut the stream.

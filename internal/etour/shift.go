@@ -209,10 +209,6 @@ func (s Shift) Moves(i int) bool {
 	return false
 }
 
-// Words returns the message size of the descriptor in machine words, as
-// charged by the DMPC accounting.
-func (s Shift) Words() int { return 5 }
-
 // InSubtree reports whether the vertex with appearance interval [fv, lv]
 // lies (weakly) inside the subtree of the vertex with interval [fy, ly].
 // Singletons (f = l = 0) are only inside their own (empty) interval.

@@ -105,6 +105,19 @@ func (o Op) Update() Update {
 	panic(fmt.Sprintf("graph: Op %v is a query, not an update", o))
 }
 
+// Outside returns a vertex the op names that lies outside [0, n), and
+// whether there is one. The single-vertex kinds name only U.
+func (o Op) Outside(n int) (int, bool) {
+	if uint(o.U) >= uint(n) {
+		return o.U, true
+	}
+	switch o.Kind {
+	case OpSetWeight, OpComponentOf, OpMateOf, OpTreeTop:
+		return 0, false
+	}
+	return o.V, uint(o.V) >= uint(n)
+}
+
 func (o Op) String() string {
 	s := ""
 	switch o.Kind {

@@ -150,9 +150,6 @@ func less(a, b graph.Edge) bool {
 	return a.V < b.V
 }
 
-// Connected reports whether u and v are connected in the current graph.
-func (d *DynMSF) Connected(u, v int) bool { return d.ett.Connected(u, v) }
-
 // Weight returns the total weight of the maintained forest.
 func (d *DynMSF) Weight() graph.Weight {
 	var total graph.Weight
