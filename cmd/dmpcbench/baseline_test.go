@@ -10,15 +10,13 @@ import (
 
 // passingReport is a hand-built suite document that passes every check
 // against itself: a row or more in every table, two or three where an
-// invariant filters on k or name, and one inline/sharded wallclock pair
-// at n = 10^4.
+// invariant filters on k or name.
 func passingReport() benchReport {
 	return benchReport{
-		Schema: "dmpcbench/v4", N: 128, Updates: 500, Seed: 1, WallMax: 10_000,
+		Schema: "dmpcbench/v5", N: 128, Updates: 500, Seed: 1,
 		Table1:   []table1Row{{Name: "cc", MeanRounds: 5.5, WorstRounds: 9, Entropy: 2.5}},
 		Static:   []staticRow{{Name: "filtering", Rounds: 7, TotalWords: 2086}},
 		ReadOnly: []readRow{{Name: "cc", K: 8, Queries: 128, RoundsPerQuery: 0.25}},
-		Sweep:    []sweepRow{{N: 64, WorstRounds: 9, WorstWords: 300}},
 		Batch: []batchRow{
 			{Name: "cc", K: 1, Amortized: 5.5},
 			{Name: "cc", K: 64, Amortized: 1.5},
@@ -33,14 +31,11 @@ func passingReport() benchReport {
 		},
 		Tenants: []tenantRow{{Name: "cc", VictimSoloP99: 4, VictimFairP99: 6, ZeroTenantIdentical: true}},
 		TreeDP: []treedpRow{
-			{Name: "uniform", K: 64, Workers: 1, DPRoundsPerQuery: 0.04, AnswersMatch: true},
-			{Name: "uniform", K: 256, Workers: 1, DPRoundsPerQuery: 0.02, AnswersMatch: true},
-			{Name: "powerlaw", K: 64, Workers: 1, DPRoundsPerQuery: 2.3, AnswersMatch: true},
+			{Name: "uniform", K: 64, DPRoundsPerQuery: 0.04},
+			{Name: "uniform", K: 256, DPRoundsPerQuery: 0.02},
+			{Name: "powerlaw", K: 64, DPRoundsPerQuery: 2.3},
 		},
-		Wall: []wallRow{
-			{Name: "cc", N: 10_000, Workers: 1, RoundsPerOp: 1.5},
-			{Name: "cc", N: 10_000, Workers: 4, RoundsPerOp: 1.5},
-		},
+		Ladder: []ladderRow{{Name: "cc", N: 256, Mu: 9, S: 424, InputN: 1280, Ops: 512, PeakMemOverS: 2.2, Violations: 9447}},
 	}
 }
 
@@ -73,7 +68,7 @@ func TestEveryNamedCheckTrips(t *testing.T) {
 	}
 	cases := []mutation{
 		{"same suite", "-seed 2", func(_, want *benchReport) { want.Seed = 2 }},
-		{"same suite", "-wallmax 128", func(rep, _ *benchReport) { rep.WallMax = 128 }},
+		{"same suite", "-updates 100", func(rep, _ *benchReport) { rep.Updates = 100 }},
 		{"same suite", "dmpcbench/v2", func(_, want *benchReport) { want.Schema = "dmpcbench/v2" }},
 
 		// Every differing cell is listed, not just the first.
@@ -92,10 +87,6 @@ func TestEveryNamedCheckTrips(t *testing.T) {
 			func(rep, want *benchReport) {
 				rep.TreeDP[1].DPRoundsPerQuery, want.TreeDP[1].DPRoundsPerQuery = 1.5, 1.5
 			}},
-		{"treedp: DP answers match across worker counts", "powerlaw k=64",
-			func(rep, want *benchReport) { rep.TreeDP[2].AnswersMatch, want.TreeDP[2].AnswersMatch = false, false }},
-		{"wallclock: rounds/op bit-equal across worker counts", "workers=4 1.400 vs inline 1.500",
-			func(rep, want *benchReport) { rep.Wall[1].RoundsPerOp, want.Wall[1].RoundsPerOp = 1.4, 1.4 }},
 	}
 	for i, tb := range tables(reflect.ValueOf(passingReport())) {
 		check := tb.key + ": every cell"

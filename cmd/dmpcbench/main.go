@@ -4,12 +4,12 @@
 // per round, communication entropy, next to the bound the paper claims,
 // the §7 reductions and the filtering-MSF static recompute), the batch
 // pipeline at k ∈ {1, 64}, in-wave reads against the quiescence split,
-// read-only windows, streaming arrivals, tenant isolation, tree DP, the §5
-// O(√N) sweep and the inline-vs-sharded ladder up to -wallmax — and emits
-// them as text tables or, with -json, as one dmpcbench/v4 document (see
-// benchReport; BENCH_0015.json is the committed one). It records model
-// counts only: time and allocations are measured by bench/ and by the
-// packages' own tests and benchmarks.
+// read-only windows, streaming arrivals, tenant isolation, tree DP and the
+// n-ladder (the five paper cores filled to E = 2n, then churned, at
+// n ∈ {256, 1024, 4096}) — and emits them as text tables or, with -json,
+// as one dmpcbench/v5 document (see benchReport; BENCH_0015.json is the
+// committed one). It records model counts only: time and allocations are
+// measured by bench/ and by the packages' own tests and benchmarks.
 //
 // The judge is `go test ./cmd/dmpcbench`: TestSuiteMatchesSnapshot
 // measures the suite at one and at four worker shards and requires every
@@ -17,7 +17,7 @@
 //
 // Usage:
 //
-//	dmpcbench [-n 128] [-updates 500] [-seed 1] [-wallmax n] [-workers w] [-json]
+//	dmpcbench [-n 128] [-updates 500] [-seed 1] [-json]
 package main
 
 import (
@@ -29,6 +29,7 @@ import (
 	"os"
 	"text/tabwriter"
 
+	"dmpc"
 	"dmpc/internal/core/amm"
 	"dmpc/internal/core/dmm"
 	"dmpc/internal/core/dyncon"
@@ -158,8 +159,37 @@ type inst struct {
 	cl          *mpc.Cluster
 }
 
-func algs(n int, seed int64) []alg {
-	capEdges := 6 * n
+// benchWorkers is the worker count every structure of the suite is built
+// at: every construction routes through the wrappers below. The command
+// runs inline; the snapshot test reruns the suite at four shards, which
+// must change no cell.
+var benchWorkers int
+
+func newDyncon(cfg dyncon.Config) *dyncon.D {
+	cfg.Workers = benchWorkers
+	return dyncon.New(cfg)
+}
+
+func newDMM(cfg dmm.Config) *dmm.M {
+	cfg.Workers = benchWorkers
+	return dmm.New(cfg)
+}
+
+func newAMM(cfg amm.Config) *amm.M {
+	cfg.Workers = benchWorkers
+	return amm.New(cfg)
+}
+
+// benchOpts is benchWorkers as facade options, for tables that build
+// structures through the dmpc front door.
+func benchOpts() []dmpc.Option {
+	return []dmpc.Option{dmpc.WithWorkers(benchWorkers)}
+}
+
+// algs lists the algorithms at n vertices and declared edge capacity
+// capEdges: the five paper cores first (§3, §4, §6, §5, §5.1), then the
+// three §7 reductions.
+func algs(n, capEdges int, seed int64) []alg {
 	windowed := func(apply applyOps, cl *mpc.Cluster) inst { w := window(apply); return inst{w, w, cl} }
 	mm := func(threeHalves bool) inst {
 		m := newDMM(dmm.Config{N: n, CapEdges: capEdges, ThreeHalves: threeHalves})
@@ -195,7 +225,7 @@ func algs(n int, seed int64) []alg {
 // table measures every algorithm update by update, each on its own stream.
 func table(n, nUpdates int, seed int64) []table1Row {
 	var rows []table1Row
-	for i, a := range algs(n, seed) {
+	for i, a := range algs(n, 6*n, seed) {
 		stream := graph.RandomStream(n, nUpdates, 0.55, 50, rand.New(rand.NewSource(seed+int64(i)+1)))
 		in := a.mk()
 		rows = append(rows, measure(a.name, a.claim, stream, in.each, in.cl))
@@ -236,7 +266,7 @@ func suiteStream(n, nUpdates int, seed int64) []graph.Update {
 func batchTable(n, nUpdates int, seed int64) []batchRow {
 	stream := suiteStream(n, nUpdates, seed)
 	var rows []batchRow
-	for _, a := range algs(n, seed)[:6] {
+	for _, a := range algs(n, 6*n, seed)[:6] {
 		each, batch := a.mk(), a.mk()
 		rows = append(rows, measureBatch(a.name, stream, 1, each.each), measureBatch(a.name, stream, batchK, batch.batch))
 		each.cl.Close()
@@ -443,20 +473,15 @@ func printReadTable(rows []readRow) {
 
 // --- the suite document ----------------------------------------------------
 
-// benchReport is the dmpcbench/v4 document: the flags that shape the
+// benchReport is the dmpcbench/v5 document: the flags that shape the
 // streams, then one block per table. Every cell is a model count, a
-// deterministic function of (n, updates, seed, wallmax) at any worker
-// count, so two runs with the same flags write the same document apart
-// from the workers header.
+// deterministic function of (n, updates, seed) at any worker count, so two
+// runs with the same flags write the same document.
 type benchReport struct {
 	Schema  string `json:"schema"`
 	N       int    `json:"n"`
 	Updates int    `json:"updates"`
 	Seed    int64  `json:"seed"`
-	WallMax int    `json:"wallmax"`
-	// Workers records the -workers flag every table but treedp and
-	// wallclock ran at; those two always measure compareWorkers.
-	Workers int `json:"workers"`
 
 	Table1   []table1Row  `json:"table1"`
 	Static   []staticRow  `json:"static"`
@@ -466,15 +491,13 @@ type benchReport struct {
 	Arrivals []arrivalRow `json:"arrivals"`
 	Tenants  []tenantRow  `json:"tenants"`
 	TreeDP   []treedpRow  `json:"treedp"`
-	Sweep    []sweepRow   `json:"sweep"`
-	Wall     []wallRow    `json:"wallclock"`
+	Ladder   []ladderRow  `json:"ladder"`
 }
 
 // measureSuite runs every table.
-func measureSuite(n, updates int, seed int64, wallMax int) benchReport {
+func measureSuite(n, updates int, seed int64) benchReport {
 	return benchReport{
-		Schema: "dmpcbench/v4", N: n, Updates: updates, Seed: seed, WallMax: wallMax,
-		Workers:  benchWorkers,
+		Schema: "dmpcbench/v5", N: n, Updates: updates, Seed: seed,
 		Table1:   table(n, updates, seed),
 		Static:   staticTable(n, seed),
 		Batch:    batchTable(n, updates, seed),
@@ -483,8 +506,7 @@ func measureSuite(n, updates int, seed int64, wallMax int) benchReport {
 		Arrivals: arrivalTable(n, updates, seed),
 		Tenants:  tenantTable(n, updates, seed),
 		TreeDP:   treedpTable(n, updates, seed),
-		Sweep:    sweepRows(seed),
-		Wall:     wallTable(seed, wallMax),
+		Ladder:   ladderTable(seed),
 	}
 }
 
@@ -497,8 +519,7 @@ func (rep benchReport) print() {
 	printArrivalTable(rep.Arrivals)
 	printTenantTable(rep.Tenants)
 	printTreeDPTable(rep.TreeDP)
-	printSweep(rep.Sweep)
-	printWallTable(rep.Wall)
+	printLadder(rep.Ladder)
 }
 
 func printTable(rep benchReport) {
@@ -531,36 +552,68 @@ func printStatic(rows []staticRow) {
 		func(r staticRow) []any { return []any{r.Name, r.Rounds, r.WorstMachines, r.TotalWords} })
 }
 
-// sweepRow is one input size of the §5 scaling sweep.
-type sweepRow struct {
-	N             int     `json:"n"`
-	WorstRounds   int     `json:"wc_rounds_per_update"`
-	WorstMachines int     `json:"wc_machines_per_round"`
-	WorstWords    int     `json:"wc_words_per_round"`
-	WordsPerSqrtN float64 `json:"wc_words_per_sqrt_n"`
+// ladderRow is one (core, n) rung of the n-ladder, on a graph that grows
+// with n: the core is built with declared capacity E = 2n, filled to E
+// edges in windows of batchK, then churned update by update for
+// ladderChurn delete+insert pairs (the oldest edge out, a fresh one in),
+// so the churn runs on a graph of exactly E edges. Rounds, machines and
+// words are the churn's, per update; PeakMemOverS and Violations are the
+// cluster's over the whole run, fill included. InputN is the input size
+// N = n + 2E the paper's O(√N) bounds are stated in.
+type ladderRow struct {
+	Name            string  `json:"name"`
+	N               int     `json:"n"`
+	Mu              int     `json:"mu"`
+	S               int     `json:"S_words"`
+	InputN          int     `json:"N_words"`
+	Ops             int     `json:"ops"`
+	RoundsPerUpdate float64 `json:"rounds_per_update"`
+	WorstMachines   int     `json:"wc_machines_per_round"`
+	WorstWords      int     `json:"wc_words_per_round"`
+	WordsPerSqrtN   float64 `json:"wc_words_per_sqrt_n"`
+	PeakMemOverS    float64 `json:"peak_mem_over_S"`
+	Violations      int     `json:"violations"`
 }
 
-func sweepRows(seed int64) []sweepRow {
-	var rows []sweepRow
-	for _, n := range []int{64, 128, 256, 512, 1024} {
-		d := newDyncon(dyncon.Config{N: n, Mode: dyncon.CC, ExpectedEdges: 5 * n})
-		t := replay(graph.RandomStream(n, 300, 0.55, 1, rand.New(rand.NewSource(seed))), 1, window(d.ApplyOps))
-		d.Close()
-		rows = append(rows, sweepRow{
-			N: n, WorstRounds: t.worstRounds, WorstMachines: t.MaxActive, WorstWords: t.MaxWords,
-			WordsPerSqrtN: float64(t.MaxWords) / math.Sqrt(11*float64(n)),
-		})
+// ladderChurn is the number of delete+insert pairs each rung churns.
+const ladderChurn = 256
+
+// ladderTable measures the five paper cores at every rung, each on the
+// rung's one fill-then-churn stream.
+func ladderTable(seed int64) []ladderRow {
+	var rows []ladderRow
+	for _, n := range []int{256, 1024, 4096} {
+		e := 2 * n
+		bigN := n + 2*e
+		stream := graph.SlidingWindow(n, e, e+2*ladderChurn, 50, rand.New(rand.NewSource(seed+800)))
+		for _, a := range algs(n, e, seed)[:5] {
+			in := a.mk()
+			replay(stream[:e], batchK, in.batch)
+			t := replay(stream[e:], 1, in.each)
+			st, mu, s := in.cl.Stats(), in.cl.Machines(), in.cl.MemWords()
+			in.cl.Close()
+			rows = append(rows, ladderRow{
+				Name: a.name, N: n, Mu: mu, S: s, InputN: bigN, Ops: t.Ops,
+				RoundsPerUpdate: per(t.Rounds, t.Ops), WorstMachines: t.MaxActive, WorstWords: t.MaxWords,
+				WordsPerSqrtN: float64(t.MaxWords) / math.Sqrt(float64(bigN)),
+				PeakMemOverS:  per(st.PeakMemWords, s), Violations: st.Violations,
+			})
+		}
 	}
 	return rows
 }
 
-func printSweep(rows []sweepRow) {
-	printRows("\nScaling sweep (§5 connectivity): words/round vs N",
-		"n\trounds/upd (wc)\tmach/round (wc)\twords/round (wc)\twords/√N", "%d\t%d\t%d\t%d\t%.1f", rows,
-		func(r sweepRow) []any {
-			return []any{r.N, r.WorstRounds, r.WorstMachines, r.WorstWords, r.WordsPerSqrtN}
+func printLadder(rows []ladderRow) {
+	printRows("\nn-ladder (paper cores filled to E = 2n, then churned): the Table 1 bounds vs N",
+		"Algorithm\tn\tµ\tS\tN\tops\trounds/upd\tmach/round (wc)\twords/round (wc)\twords/√N\tpeak mem/S\tviolations",
+		"%s\t%d\t%d\t%d\t%d\t%d\t%.2f\t%d\t%d\t%.2f\t%.2f\t%d", rows,
+		func(r ladderRow) []any {
+			return []any{r.Name, r.N, r.Mu, r.S, r.InputN, r.Ops, r.RoundsPerUpdate, r.WorstMachines,
+				r.WorstWords, r.WordsPerSqrtN, r.PeakMemOverS, r.Violations}
 		},
-		"(flat rounds and a roughly constant words/√N column are the paper's shape)")
+		"(per-update columns are the churn's; peak mem/S and violations span fill and churn.",
+		" Flat rounds/upd and words/√N, and peak mem/S <= 1 with no violations, are the",
+		" paper's shape; the table reports and does not gate)")
 }
 
 // printRows prints one table: its title, the tab-separated header, one
@@ -582,12 +635,10 @@ func main() {
 	n := flag.Int("n", 128, "number of vertices")
 	updates := flag.Int("updates", 500, "updates per algorithm")
 	seed := flag.Int64("seed", 1, "stream seed")
-	flag.IntVar(&benchWorkers, "workers", 1, "goroutines running each round's handlers in the measurement tables (<= 1: inline on the driver); changes no recorded cell")
-	wallMax := flag.Int("wallmax", 10_000, "largest n of the inline-vs-sharded ladder {128, 10^4, 10^5, 10^6} (BENCH_0015.json stops at the default)")
-	asJSON := flag.Bool("json", false, "emit the measurements as one dmpcbench/v4 JSON document")
+	asJSON := flag.Bool("json", false, "emit the measurements as one dmpcbench/v5 JSON document")
 	flag.Parse()
 
-	rep := measureSuite(*n, *updates, *seed, *wallMax)
+	rep := measureSuite(*n, *updates, *seed)
 	if !*asJSON {
 		rep.print()
 		return

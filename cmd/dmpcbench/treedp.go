@@ -2,7 +2,6 @@ package main
 
 import (
 	"math/rand"
-	"slices"
 
 	"dmpc/internal/core/dyncon"
 	"dmpc/internal/graph"
@@ -10,33 +9,27 @@ import (
 
 // --- tree-DP workload -------------------------------------------------------
 
-// treedpRow is one (workload, k, workers) cell of the tree-DP table: a
-// mixed link/cut/weight/DP-query stream chunked at k, measured in model
-// rounds. DPRoundsPerQuery is the query half's rounds
-// amortized over the stream's DP reads — a read that rides an update
-// wave bills the query half nothing, which is where the per-query cost
-// drops below one round — and AnswersMatch records that every
-// compareWorkers count answered the identical stream bit-identically
-// (the snapshot test requires it outright).
+// treedpRow is one (workload, k) cell of the tree-DP table: a mixed
+// link/cut/weight/DP-query stream chunked at k, measured in model rounds.
+// DPRoundsPerQuery is the query half's rounds amortized over the stream's
+// DP reads — a read that rides an update wave bills the query half
+// nothing, which is where the per-query cost drops below one round.
 type treedpRow struct {
 	Name             string  `json:"name"` // workload generator: uniform | powerlaw
 	K                int     `json:"k"`
-	Workers          int     `json:"workers"`
 	Ops              int     `json:"ops"`
 	Updates          int     `json:"updates"`
 	DPQueries        int     `json:"dp_queries"`
 	RoundsPerOp      float64 `json:"rounds_per_op"`
 	DPRoundsPerQuery float64 `json:"dp_rounds_per_query"`
-	AnswersMatch     bool    `json:"answers_match"`
 }
 
 // treeDPOps builds the tree-DP op stream: the generator's structural
 // churn (uniform random, or the preferential-attachment power-law tail)
 // interleaved with vertex-weight writes and one DP read per update,
 // cycling SubtreeSum / PathSum / TreeTop so every orchestration shape is
-// on the bill. Deterministic for a fixed seed, so the cells of every
-// worker count — and the committed snapshot — all measure the identical
-// stream.
+// on the bill. Deterministic for a fixed seed, so every run — and the
+// committed snapshot — measures the identical stream.
 func treeDPOps(n, nUpdates int, gen string, seed int64) []graph.Op {
 	rng := rand.New(rand.NewSource(seed + 700))
 	var ups []graph.Update
@@ -64,40 +57,30 @@ func treeDPOps(n, nUpdates int, gen string, seed int64) []graph.Op {
 	return ops
 }
 
-// measureTreeDP runs the chunked stream at one worker count on a fresh
-// instance, returning the row and the positional answers (for the
-// cross-worker-count equality bit).
-func measureTreeDP(gen string, ops []graph.Op, n, k, workers int) (treedpRow, graph.Results) {
-	d := dyncon.New(dyncon.Config{N: n, Mode: dyncon.CC, ExpectedEdges: 6 * n, Workers: workers})
+// measureTreeDP runs the chunked stream on a fresh instance.
+func measureTreeDP(gen string, ops []graph.Op, n, k int) treedpRow {
+	d := newDyncon(dyncon.Config{N: n, Mode: dyncon.CC, ExpectedEdges: 6 * n})
 	defer d.Close()
-	var res graph.Results
 	var rounds, qrounds int
 	for _, chunk := range graph.SplitOps(ops, k) {
-		r, st := d.ApplyOps(chunk)
-		res = append(res, r...)
+		_, st := d.ApplyOps(chunk)
 		rounds += st.Rounds()
 		qrounds += st.Queries.Rounds
 	}
 	updates, nq := graph.CountOps(ops)
 	return treedpRow{
-		Name: gen, K: k, Workers: workers,
-		Ops: len(ops), Updates: updates, DPQueries: nq,
+		Name: gen, K: k, Ops: len(ops), Updates: updates, DPQueries: nq,
 		RoundsPerOp: per(rounds, len(ops)), DPRoundsPerQuery: per(qrounds, nq),
-	}, res
+	}
 }
 
-// treedpTable measures both workload generators at k in {8, 64, 256} at
-// both compareWorkers counts, pinning answer equality per cell pair.
+// treedpTable measures both workload generators at k in {8, 64, 256}.
 func treedpTable(n, nUpdates int, seed int64) []treedpRow {
 	var rows []treedpRow
 	for _, gen := range []string{"uniform", "powerlaw"} {
 		ops := treeDPOps(n, nUpdates, gen, seed)
 		for _, k := range []int{8, 64, 256} {
-			inline, inRes := measureTreeDP(gen, ops, n, k, compareWorkers[0])
-			sharded, shRes := measureTreeDP(gen, ops, n, k, compareWorkers[1])
-			match := slices.Equal(inRes, shRes)
-			inline.AnswersMatch, sharded.AnswersMatch = match, match
-			rows = append(rows, inline, sharded)
+			rows = append(rows, measureTreeDP(gen, ops, n, k))
 		}
 	}
 	return rows
@@ -105,10 +88,10 @@ func treedpTable(n, nUpdates int, seed int64) []treedpRow {
 
 func printTreeDPTable(rows []treedpRow) {
 	printRows("\nTree-DP workload: mixed link/cut/weight/DP-query streams (SubtreeSum, PathSum, TreeTop):",
-		"Workload\tk\tworkers\tops\tDP reads\trounds/op\tDP rounds/query\tanswers match",
-		"%s\t%d\t%d\t%d\t%d\t%.3f\t%.3f\t%v", rows,
+		"Workload\tk\tops\tDP reads\trounds/op\tDP rounds/query",
+		"%s\t%d\t%d\t%d\t%.3f\t%.3f", rows,
 		func(r treedpRow) []any {
-			return []any{r.Name, r.K, r.Workers, r.Ops, r.DPQueries, r.RoundsPerOp, r.DPRoundsPerQuery, r.AnswersMatch}
+			return []any{r.Name, r.K, r.Ops, r.DPQueries, r.RoundsPerOp, r.DPRoundsPerQuery}
 		},
 		"(DP rounds/query bills the query-half rounds to the stream's DP reads; reads",
 		" that ride an update wave bill nothing, which pushes the amortized cost below",

@@ -119,16 +119,28 @@ func TestRandomStreamReplayConsistent(t *testing.T) {
 	}
 }
 
+// TestSlidingWindowBoundsEdges pins the fill-then-churn shape (dmpcbench's
+// n-ladder is the second case): the first window updates insert, ending at
+// exactly window edges, and the rest are delete+insert pairs, each delete
+// naming a present edge and each pair ending where it began.
 func TestSlidingWindowBoundsEdges(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	updates := SlidingWindow(30, 25, 400, 1, rng)
-	g := New(30)
-	for _, u := range updates {
-		if !g.Apply(u) {
-			t.Fatalf("no-op update %v", u)
+	for _, tc := range []struct{ n, window, length int }{{30, 25, 400}, {256, 512, 1024}} {
+		updates := SlidingWindow(tc.n, tc.window, tc.length, 50, rand.New(rand.NewSource(9)))
+		if len(updates) != tc.length {
+			t.Fatalf("n=%d: %d updates, want %d", tc.n, len(updates), tc.length)
 		}
-		if g.M() > 25 {
-			t.Fatalf("window exceeded: m=%d", g.M())
+		g := New(tc.n)
+		for i, u := range updates {
+			churn := i - tc.window
+			if want := (churn < 0 || churn%2 == 1); (u.Op == Insert) != want {
+				t.Fatalf("n=%d: update %d is %v, want an insert: %v", tc.n, i, u, want)
+			}
+			if !g.Apply(u) {
+				t.Fatalf("n=%d: update %d (%v) was a no-op", tc.n, i, u)
+			}
+			if churn >= -1 && churn%2 != 0 && g.M() != tc.window {
+				t.Fatalf("n=%d: after update %d the graph holds %d edges, want %d", tc.n, i, g.M(), tc.window)
+			}
 		}
 	}
 }
