@@ -1,7 +1,8 @@
 // Command dmpctrace runs one dynamic DMPC algorithm over a random update
 // stream and prints a per-update trace of the model accounting — rounds,
 // active machines, communicated words — plus solution-quality checks
-// against sequential oracles. Every update is its own one-op ApplyOps
+// against sequential oracles (mm and mm32 also print the running count of
+// suspended-stack fallback scans). Every update is its own one-op ApplyOps
 // window (amm runs its per-update §6 cycle). It is the quickest way to
 // watch the protocols at work.
 //
@@ -73,7 +74,9 @@ func main() {
 			if *alg == "mm32" {
 				s += fmt.Sprintf(" no-aug3=%v", !graph.HasLength3AugPath(g, mt))
 			}
-			return s
+			// Suspended-stack scans so far: each is an update that took
+			// extra round trips because its alive window had no surrogate.
+			return s + fmt.Sprintf(" fallbacks=%d", m.Fallbacks())
 		}
 	case "amm":
 		m := amm.New(amm.Config{N: *n, Seed: *seed})

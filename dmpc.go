@@ -289,7 +289,9 @@ func NewGraph(n int) *Graph { return graph.New(n) }
 // accounting. Each structure answers its own query kinds — OpConnected
 // and OpComponentOf on Connectivity/MST, OpMateOf and OpMatched on the
 // matchings — and panics on a kind it cannot answer or on an op naming a
-// vertex outside [0, n).
+// vertex outside [0, n). Only this package's structures implement it:
+// its two unexported methods hand the Ingestor the vertex-range check and
+// the per-op claims oracle that admission reads.
 type Pipeline interface {
 	Apply(ops []Op) (Results, MixedStats)
 	Cluster() *Cluster
@@ -297,6 +299,9 @@ type Pipeline interface {
 	// with one worker there are none. The structure must not be used
 	// afterwards.
 	Close()
+
+	checkOp(Op)
+	streamClaims() func(graph.Op) sched.Item
 }
 
 // Compile-time assertions: all four structures implement Pipeline.

@@ -1,7 +1,9 @@
 package dmpc
 
 // The source gates read the module's own Go. One type-check of every
-// non-test package, bench/, cmd/ and examples/ included, serves them all.
+// non-test package, bench/, cmd/ and examples/ included, serves them all;
+// the tests are type-checked once beside it, so both reach gates resolve
+// what a test uses by type, not by spelling.
 
 import (
 	"fmt"
@@ -11,9 +13,9 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"path"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -22,19 +24,24 @@ import (
 // srcFile is one parsed Go file and the import path of its directory.
 type srcFile struct {
 	path string
-	test bool // a _test.go file: parsed, never type-checked
+	test bool // a _test.go file: type-checked only for testRefs
 	f    *ast.File
 }
 
 // checked is one type-check of a module's non-test Go. An import of a
 // module package resolves to that package's own check, so every
 // declaration has exactly one object and one Info holds every package.
+// The tests are type-checked apart, directory by directory; what they use
+// is kept only as testRefs.
 type checked struct {
 	root  string // printed positions are relative to it
 	fset  *token.FileSet
 	files []srcFile
 	pkgs  map[string]*types.Package // by import path
 	info  *types.Info
+	// testRefs holds the declaration position of every non-test object a
+	// test file of another directory uses (a method by its generic origin).
+	testRefs map[token.Pos]bool
 }
 
 type importerFunc func(path string) (*types.Package, error)
@@ -42,13 +49,16 @@ type importerFunc func(path string) (*types.Package, error)
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 // checkSource type-checks the non-test files of files, one package per
-// import path. Any import outside them is the standard library, which is
-// type-checked from GOROOT's source.
+// import path, and then each directory's tests (see checkTests). Any
+// import outside them is the standard library, which is type-checked from
+// GOROOT's source.
 func checkSource(fset *token.FileSet, files []srcFile) (*checked, error) {
 	c := &checked{fset: fset, files: files, pkgs: map[string]*types.Package{}, info: &types.Info{
 		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Instances:  map[*ast.Ident]types.Instance{},
 	}}
 	byPath := map[string][]*ast.File{}
 	for _, sf := range files {
@@ -80,7 +90,77 @@ func checkSource(fset *token.FileSet, files []srcFile) (*checked, error) {
 			return nil, err
 		}
 	}
-	return c, nil
+	return c, c.checkTests(std, byPath)
+}
+
+// checkTests type-checks each directory's tests as go test builds them:
+// the in-package test files together with the directory's non-test files,
+// then the external _test package, which imports that augmented package.
+// Every other import resolves to the module check or the standard library,
+// so an object the tests use from another directory is the module check's
+// own, and one re-declared by the augmented package has the same position.
+// It records in c.testRefs what each directory's tests use from another.
+func (c *checked) checkTests(std types.Importer, byPath map[string][]*ast.File) error {
+	inPkg, ext := map[string][]*ast.File{}, map[string][]*ast.File{}
+	var dirs []string
+	for _, sf := range c.files {
+		if !sf.test {
+			continue
+		}
+		if len(inPkg[sf.path])+len(ext[sf.path]) == 0 {
+			dirs = append(dirs, sf.path)
+		}
+		if strings.HasSuffix(sf.f.Name.Name, "_test") {
+			ext[sf.path] = append(ext[sf.path], sf.f)
+		} else {
+			inPkg[sf.path] = append(inPkg[sf.path], sf.f)
+		}
+	}
+	c.testRefs = map[token.Pos]bool{}
+	for _, dir := range dirs {
+		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+		own := c.pkgs[dir]
+		conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+			if path == dir {
+				return own, nil
+			}
+			if p := c.pkgs[path]; p != nil {
+				return p, nil
+			}
+			return std.Import(path)
+		})}
+		if files := inPkg[dir]; len(files) > 0 {
+			p, err := conf.Check(dir, c.fset, append(append([]*ast.File{}, byPath[dir]...), files...), info)
+			if err != nil {
+				return fmt.Errorf("type-checking %s's tests: %v", dir, err)
+			}
+			own = p
+		}
+		if files := ext[dir]; len(files) > 0 {
+			if _, err := conf.Check(dir+"_test", c.fset, files, info); err != nil {
+				return fmt.Errorf("type-checking %s_test: %v", dir, err)
+			}
+		}
+		for _, f := range append(inPkg[dir], ext[dir]...) {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					if obj := info.Uses[id]; obj != nil && obj.Pkg() != nil && obj.Pkg().Path() != dir {
+						c.testRefs[origin(obj).Pos()] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	return nil
+}
+
+// origin is obj, or the generic method or function it instantiates.
+func origin(obj types.Object) types.Object {
+	if f, ok := obj.(*types.Func); ok {
+		return f.Origin()
+	}
+	return obj
 }
 
 // modulePath is the root package's import path: the facade.
@@ -249,7 +329,8 @@ func fieldReads(f *ast.File, info *types.Info) []token.Pos {
 // neither from non-test Go outside its own declaration, nor from a test
 // in another directory (a shared oracle, fuzz source or validator), and
 // is not an exported name of the facade. A type's methods are part of its
-// declaration. main and init are exempt; methods are not judged.
+// declaration. main and init are exempt; TestNoUnreachedMethods judges
+// methods.
 func TestNoUnreachedDecls(t *testing.T) {
 	c := loadModule(t)
 	var bad []string
@@ -313,9 +394,7 @@ func unreachedDecls(c *checked, facade string) []types.Object {
 
 	reached := map[types.Object]bool{}
 	for id, obj := range c.info.Uses {
-		if f, ok := obj.(*types.Func); ok {
-			obj = f.Origin()
-		}
+		obj = origin(obj)
 		spans, ok := own[obj]
 		if !ok || reached[obj] {
 			continue
@@ -327,47 +406,252 @@ func unreachedDecls(c *checked, facade string) []types.Object {
 		reached[obj] = !inside
 	}
 
-	// A test names another directory's declarations only through that
-	// package's import name, so its references are read from its syntax.
-	testRefs := map[string]bool{} // import path + "." + name
-	for _, sf := range c.files {
-		if !sf.test {
-			continue
-		}
-		imports := map[string]string{} // import name -> path
-		for _, spec := range sf.f.Imports {
-			path, _ := strconv.Unquote(spec.Path.Value)
-			if p := c.pkgs[path]; p != nil && path != sf.path {
-				name := p.Name()
-				if spec.Name != nil {
-					name = spec.Name.Name
-				}
-				imports[name] = path
-			}
-		}
-		ast.Inspect(sf.f, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok {
-				if x, ok := sel.X.(*ast.Ident); ok && imports[x.Name] != "" {
-					testRefs[imports[x.Name]+"."+sel.Sel.Name] = true
-				}
-			}
-			return true
-		})
-	}
-
 	var bad []types.Object
 	for obj := range own {
 		path := obj.Pkg().Path()
-		if reached[obj] || testRefs[path+"."+obj.Name()] || path == facade && obj.Exported() {
+		if reached[obj] || c.testRefs[obj.Pos()] || path == facade && obj.Exported() {
 			continue
 		}
 		bad = append(bad, obj)
 	}
-	sort.Slice(bad, func(i, j int) bool {
-		a, b := c.fset.Position(bad[i].Pos()), c.fset.Position(bad[j].Pos())
+	c.sortByPos(bad)
+	return bad
+}
+
+// sortByPos orders objs by file, then by offset.
+func (c *checked) sortByPos(objs []types.Object) {
+	sort.Slice(objs, func(i, j int) bool {
+		a, b := c.fset.Position(objs[i].Pos()), c.fset.Position(objs[j].Pos())
 		return a.Filename < b.Filename || a.Filename == b.Filename && a.Offset < b.Offset
 	})
+}
+
+// TestNoUnreachedMethods fails on a method of the module's non-test Go
+// that no program reaches: one that non-test Go outside its own body never
+// names, that satisfies no interface non-test Go uses through a method it
+// lists, that no test in another directory uses, and that is not an
+// exported method of a type the facade declares. A method only its own
+// directory's tests call belongs in a _test.go file of its package.
+func TestNoUnreachedMethods(t *testing.T) {
+	c := loadModule(t)
+	var bad []string
+	for _, obj := range unreachedMethods(c, modulePath) {
+		bad = append(bad, fmt.Sprintf("%s (%s)", methodName(obj), c.where(obj.Pos())))
+	}
+	if len(bad) > 0 {
+		t.Fatalf("%d methods nothing reaches; call each, move it beside its tests or delete it:\n\t%s", len(bad), strings.Join(bad, "\n\t"))
+	}
+}
+
+// methodName labels a method package.Type.method.
+func methodName(obj types.Object) string {
+	recv := obj.Type().(*types.Signature).Recv().Type()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	return obj.Pkg().Name() + "." + recv.(*types.Named).Obj().Name() + "." + obj.Name()
+}
+
+// unreachedMethods returns the methods of c's non-test Go that nothing
+// reaches (see TestNoUnreachedMethods), in position order. facade is the
+// import path whose types' exported methods are exempt.
+func unreachedMethods(c *checked, facade string) []types.Object {
+	type span struct{ from, to token.Pos }
+	body := map[types.Object]span{}
+	for _, sf := range c.files {
+		if sf.test {
+			continue
+		}
+		for _, d := range sf.f.Decls {
+			if d, ok := d.(*ast.FuncDecl); ok && d.Recv != nil {
+				body[c.info.Defs[d.Name]] = span{d.Pos(), d.End()}
+			}
+		}
+	}
+
+	reached := map[types.Object]bool{}
+	for id, obj := range c.info.Uses {
+		if s, ok := body[origin(obj)]; ok && (id.Pos() < s.from || s.to <= id.Pos()) {
+			reached[origin(obj)] = true
+		}
+	}
+
+	// A method an interface lists is reached through every type that
+	// satisfies it: a named type of the module, a pointer to one, or an
+	// instance of a generic one. types.Satisfies is types.Implements
+	// extended to constraints, whose type sets Implements refuses.
+	var named []*types.Named
+	for _, obj := range c.info.Defs {
+		if tn, ok := obj.(*types.TypeName); ok && !tn.IsAlias() {
+			if n, ok := tn.Type().(*types.Named); ok && n.TypeParams().Len() == 0 {
+				named = append(named, n)
+			}
+		}
+	}
+	for _, inst := range c.info.Instances {
+		if n, ok := inst.Type.(*types.Named); ok {
+			named = append(named, n)
+		}
+	}
+	ifaces := usedInterfaces(c)
+	for _, n := range named {
+		if types.IsInterface(n) {
+			continue
+		}
+		for _, t := range []types.Type{n, types.NewPointer(n)} {
+			for _, in := range ifaces {
+				if !types.Satisfies(t, in) {
+					continue
+				}
+				for i := 0; i < in.NumMethods(); i++ {
+					m := in.Method(i)
+					if obj, _, _ := types.LookupFieldOrMethod(t, false, m.Pkg(), m.Name()); obj != nil {
+						reached[origin(obj)] = true
+					}
+				}
+			}
+		}
+	}
+
+	var bad []types.Object
+	for obj := range body {
+		if reached[obj] || c.testRefs[obj.Pos()] || obj.Pkg().Path() == facade && obj.Exported() {
+			continue
+		}
+		bad = append(bad, obj)
+	}
+	c.sortByPos(bad)
 	return bad
+}
+
+// usedInterfaces returns the interfaces with methods that c's non-test Go
+// uses: each interface type its expressions and type expressions are
+// built from (a parameter's, a result's, an element's or a field's type,
+// named or anonymous), each interface an imported package outside the
+// module exports (fmt asserts its Stringer on what it prints), and each
+// type parameter's constraint as one of its instantiations fills it in.
+func usedInterfaces(c *checked) []*types.Interface {
+	var out []*types.Interface
+	seen := map[types.Type]bool{}
+	add := func(t types.Type) {
+		if in, ok := t.Underlying().(*types.Interface); ok && in.NumMethods() > 0 {
+			out = append(out, in)
+		}
+	}
+	var walk func(t types.Type)
+	walk = func(t types.Type) {
+		if t == nil || seen[t] {
+			return
+		}
+		seen[t] = true
+		switch t := t.(type) {
+		case *types.Alias:
+			walk(types.Unalias(t))
+		case *types.Named:
+			if types.IsInterface(t) {
+				add(t)
+			}
+			for i := 0; i < t.TypeArgs().Len(); i++ {
+				walk(t.TypeArgs().At(i))
+			}
+		case *types.Interface:
+			add(t)
+		case *types.Pointer:
+			walk(t.Elem())
+		case *types.Slice:
+			walk(t.Elem())
+		case *types.Array:
+			walk(t.Elem())
+		case *types.Chan:
+			walk(t.Elem())
+		case *types.Map:
+			walk(t.Key())
+			walk(t.Elem())
+		case *types.Signature:
+			walk(t.Params())
+			walk(t.Results())
+		case *types.Tuple:
+			for i := 0; i < t.Len(); i++ {
+				walk(t.At(i).Type())
+			}
+		case *types.Struct:
+			for i := 0; i < t.NumFields(); i++ {
+				walk(t.Field(i).Type())
+			}
+		}
+	}
+	for _, tv := range c.info.Types {
+		walk(tv.Type)
+	}
+	for _, p := range c.pkgs {
+		for _, imp := range p.Imports() {
+			if c.pkgs[imp.Path()] == nil {
+				for _, name := range imp.Scope().Names() {
+					if tn, ok := imp.Scope().Lookup(name).(*types.TypeName); ok && tn.Exported() {
+						walk(tn.Type())
+					}
+				}
+			}
+		}
+	}
+	for id, inst := range c.info.Instances {
+		var tparams *types.TypeParamList
+		switch g := c.info.Uses[id].(type) {
+		case *types.Func:
+			tparams = g.Origin().Type().(*types.Signature).TypeParams()
+		case *types.TypeName:
+			tparams = g.Type().(*types.Named).TypeParams()
+		}
+		for i := 0; i < tparams.Len(); i++ {
+			add(instantiate(tparams.At(i).Constraint(), tparams, inst.TypeArgs))
+		}
+	}
+	return out
+}
+
+// instantiate fills the type parameters of tparams in constraint in with
+// targs. A constraint is a named generic interface, such as ringed[T], or
+// one that names no type parameter; any other comes back as it is.
+func instantiate(constraint types.Type, tparams *types.TypeParamList, targs *types.TypeList) types.Type {
+	n, ok := constraint.(*types.Named)
+	if !ok || n.TypeArgs().Len() == 0 {
+		return constraint
+	}
+	args := make([]types.Type, n.TypeArgs().Len())
+	for i := range args {
+		args[i] = n.TypeArgs().At(i)
+		if tp, ok := args[i].(*types.TypeParam); ok && tp.Index() < tparams.Len() && tparams.At(tp.Index()) == tp {
+			args[i] = targs.At(tp.Index())
+		}
+	}
+	inst, err := types.Instantiate(nil, n.Origin(), args, false)
+	if err != nil {
+		return constraint
+	}
+	return inst
+}
+
+// fixFile is one file of an in-memory module; its import path is its
+// directory.
+type fixFile struct{ name, text string }
+
+// checkFixture type-checks an in-memory module.
+func checkFixture(t *testing.T, srcs []fixFile) *checked {
+	t.Helper()
+	fset := token.NewFileSet()
+	var files []srcFile
+	for _, src := range srcs {
+		f, err := parser.ParseFile(fset, src.name, src.text, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, srcFile{path: path.Dir(src.name), test: strings.HasSuffix(src.name, "_test.go"), f: f})
+	}
+	c, err := checkSource(fset, files)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
 }
 
 // TestUnreachedDeclsGateTrips runs the checker over a small module: it
@@ -375,16 +659,14 @@ func unreachedDecls(c *checked, facade string) []types.Object {
 // its own directory's tests call and the type only its own methods name,
 // and nothing else.
 func TestUnreachedDeclsGateTrips(t *testing.T) {
-	fset := token.NewFileSet()
-	var files []srcFile
-	for _, src := range []struct{ path, name, text string }{
-		{"fix", "fix/fix.go", `package fix
+	c := checkFixture(t, []fixFile{
+		{"fix/fix.go", `package fix
 
 import "fix/lib"
 
 func Exported() int { return lib.Used() }
 `},
-		{"fix/lib", "fix/lib/lib.go", `package lib
+		{"fix/lib/lib.go", `package lib
 
 func Used() int { return 1 }
 
@@ -405,38 +687,125 @@ type selfNamed struct{ next *selfNamed }
 
 func (s *selfNamed) walk() *selfNamed { return s.next }
 `},
-		{"fix/lib", "fix/lib/lib_test.go", `package lib
+		{"fix/lib/lib_test.go", `package lib
 
 func TestInternal() { OwnTestsOnly() }
 `},
-		{"fix/lib", "fix/lib/ext_test.go", `package lib_test
+		{"fix/lib/ext_test.go", `package lib_test
 
 import "fix/lib"
 
 func TestExternal() { lib.OwnTestsOnly() }
 `},
-		{"fix/other", "fix/other/other_test.go", `package other
+		{"fix/other/other_test.go", `package other
 
 import "fix/lib"
 
 func TestOracle() { lib.Oracle() }
 `},
-	} {
-		f, err := parser.ParseFile(fset, src.name, src.text, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		files = append(files, srcFile{path: src.path, test: strings.HasSuffix(src.name, "_test.go"), f: f})
-	}
-	c, err := checkSource(fset, files)
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	var got []string
 	for _, obj := range unreachedDecls(c, "fix") {
 		got = append(got, obj.Pkg().Name()+"."+obj.Name())
 	}
 	want := []string{"lib.Orphan", "lib.Recursive", "lib.OwnTestsOnly", "lib.selfNamed"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("unreached = %v, want %v", got, want)
+	}
+}
+
+// TestUnreachedMethodsGateTrips runs the method checker over a small
+// module. It must name the orphan, the method only its own body calls,
+// the methods only their own directory's tests call (one per test
+// package) and the method that shares an interface's method name but not
+// its signature. It must not name a method a program calls, one reached
+// only through an anonymous interface or only through a generic
+// constraint, one a test in another directory reaches through a field
+// chain without importing its package, or an exported method of a facade
+// type.
+func TestUnreachedMethodsGateTrips(t *testing.T) {
+	c := checkFixture(t, []fixFile{
+		{"fix/fix.go", `package fix
+
+import "fix/lib"
+
+type Outer struct{ in lib.Inner }
+
+func (o *Outer) Size() int { return 0 }
+
+func New() *Outer { return &Outer{} }
+
+func Run() int { return lib.Used() }
+`},
+		{"fix/fix_test.go", `package fix
+
+func TestChain() { New().in.Audit() }
+`},
+		{"fix/lib/lib.go", `package lib
+
+type T struct{}
+
+func (T) Called() int { return 1 }
+
+func (T) Orphan() int { return 2 }
+
+func (t T) Recurse(n int) int {
+	if n == 0 {
+		return 0
+	}
+	return t.Recurse(n - 1)
+}
+
+func (T) OwnInternal() int { return 3 }
+
+func (T) OwnExternal() int { return 4 }
+
+type Inner struct{}
+
+func (Inner) Audit() int { return 5 }
+
+type sized struct{}
+
+func (sized) words() int { return 6 }
+
+type loud struct{}
+
+func (loud) words() string { return "" }
+
+func send(m interface{ words() int }) int { return m.words() }
+
+type node struct{ next *node }
+
+func (n *node) step() *node { return n.next }
+
+type stepper[T any] interface {
+	*T
+	step() *T
+}
+
+func walk[T any, P stepper[T]](x *T) *T { return P(x).step() }
+
+func Used() int {
+	walk(&node{})
+	return T{}.Called() + send(sized{})
+}
+`},
+		{"fix/lib/lib_test.go", `package lib
+
+func TestInternal() { T{}.OwnInternal() }
+`},
+		{"fix/lib/ext_test.go", `package lib_test
+
+import "fix/lib"
+
+func TestExternal() { lib.T{}.OwnExternal() }
+`},
+	})
+	var got []string
+	for _, obj := range unreachedMethods(c, "fix") {
+		got = append(got, methodName(obj))
+	}
+	want := []string{"lib.T.Orphan", "lib.T.Recurse", "lib.T.OwnInternal", "lib.T.OwnExternal", "lib.loud.words"}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Fatalf("unreached = %v, want %v", got, want)
 	}

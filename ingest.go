@@ -16,8 +16,8 @@ type Arrival = graph.Arrival
 // Arrival-schedule generators, re-exported for workload building.
 var (
 	// ArrivalsNow timestamps a whole op stream at time zero — the
-	// schedule under which a claims-free, bound-free Ingest is one flush,
-	// i.e. exactly Apply.
+	// schedule under which, with no bound set, only conflict admission
+	// cuts an Ingest into windows.
 	ArrivalsNow = graph.ArrivalsNow
 	// PoissonArrivals timestamps a stream with exponential inter-arrival
 	// gaps of a given mean (in rounds).
@@ -146,11 +146,8 @@ func percentile(lat []int64, q float64) int64 {
 // IngestorConfig configures NewIngestor. Pipeline is required; zero
 // values elsewhere disable the corresponding flush trigger.
 type IngestorConfig struct {
-	// Pipeline is the structure the stream flows into. The facade's own
-	// structures additionally expose their per-op claims oracle to the
-	// ingestor (conflict admission); a foreign Pipeline implementation
-	// ingests without admission control — only the age and size bounds
-	// cut the stream.
+	// Pipeline is the structure the stream flows into; its per-op claims
+	// oracle drives conflict admission.
 	Pipeline Pipeline
 	// MaxBatch flushes the forming set when it holds this many ops (the
 	// k bound). 0 means unbounded.
@@ -244,7 +241,7 @@ func (tb *TokenBucket) Admit(now int64) bool {
 // − arrival. Close returns those latencies' percentiles in StreamStats,
 // next to the amortized rounds/op the batch view reports.
 //
-// Over the facade's structures, admission is the one window-sizing rule:
+// Conflict admission is the one window-sizing rule:
 // a window ends where the next arrival would serialize behind it (on §3
 // and §5 a flushed window runs as at most one wave, pinned by
 // TestFlushedWindowIsOneWave). The fixed MaxBatch and MaxAge bounds only
@@ -256,13 +253,12 @@ func (tb *TokenBucket) Admit(now int64) bool {
 // (pinned by the FuzzArrivalEquivalence harnesses).
 type Ingestor struct {
 	p      Pipeline
-	check  func(graph.Op) // the facade's vertex-range check; nil iff claims is
-	claims func(graph.Op) sched.Item
+	claims func(graph.Op) sched.Item // p's claims oracle
 
 	maxBatch int
 	maxAge   int64
 
-	adm       *sched.Admitter // the forming set's packer; nil iff claims is
+	adm       *sched.Admitter // the forming set's packer
 	admission map[int]AdmissionPolicy
 	forming   []Op
 	formingAt []int64
@@ -300,27 +296,21 @@ func NewIngestor(cfg IngestorConfig) *Ingestor {
 		panic("dmpc: NewIngestor needs a Pipeline")
 	}
 	p := cfg.Pipeline
-	ing := &Ingestor{
+	budget := p.Cluster().MemWords()
+	var fair *sched.Fair // nil = first-fit
+	if len(cfg.Weights) > 0 {
+		fair = sched.NewFair(budget, cfg.Weights)
+	}
+	return &Ingestor{
 		p:           p,
+		claims:      p.streamClaims(),
 		maxBatch:    cfg.MaxBatch,
 		maxAge:      cfg.MaxAge,
+		adm:         sched.NewAdmitterFair(budget, fair),
 		admission:   cfg.Admission,
 		multiTenant: len(cfg.Weights) > 0 || len(cfg.Admission) > 0,
 		tstats:      make(map[int]*TenantStreamStats),
 	}
-	if cp, ok := p.(interface {
-		checkOp(graph.Op)
-		streamClaims() func(graph.Op) sched.Item
-	}); ok {
-		ing.check, ing.claims = cp.checkOp, cp.streamClaims()
-		budget := p.Cluster().MemWords()
-		var fair *sched.Fair // nil = first-fit
-		if len(cfg.Weights) > 0 {
-			fair = sched.NewFair(budget, cfg.Weights)
-		}
-		ing.adm = sched.NewAdmitterFair(budget, fair)
-	}
-	return ing
 }
 
 // Now returns the virtual clock: the completion time (in rounds) of the
@@ -354,16 +344,14 @@ func (ing *Ingestor) Stats() StreamStats {
 
 // Push feeds one arrival into the event loop. Arrivals must be pushed in
 // time order (use Ingest, which consumes a heap, when the source does
-// not sort); Push panics on a time regression or a closed ingestor, and,
-// over the facade's structures, on an op naming a vertex outside [0, n),
-// before the op reaches the clock, a policy or a claim.
+// not sort); Push panics on a time regression or a closed ingestor, and
+// on an op naming a vertex outside [0, n), before the op reaches the
+// clock, a policy or a claim.
 func (ing *Ingestor) Push(a Arrival) {
 	if ing.closed {
 		panic("dmpc: Push on a closed Ingestor")
 	}
-	if ing.check != nil {
-		ing.check(a.Op)
-	}
+	ing.p.checkOp(a.Op)
 	if a.At < ing.lastAt {
 		panic(fmt.Sprintf("dmpc: Ingestor arrivals out of order (%d after %d)", a.At, ing.lastAt))
 	}
@@ -408,11 +396,9 @@ func (ing *Ingestor) Push(a Arrival) {
 	// packer additionally meters each tenant's claim cost against its
 	// deficit-round-robin share, so a share-exhausted tenant cuts the
 	// window exactly like a conflicting one.
-	if ing.claims != nil {
-		if !ing.adm.Admit(ing.item(a.Op)) {
-			ing.flushAt(a.At, flushConflict)
-			ing.adm.Admit(ing.item(a.Op)) // fresh set: always admits
-		}
+	if !ing.adm.Admit(ing.item(a.Op)) {
+		ing.flushAt(a.At, flushConflict)
+		ing.adm.Admit(ing.item(a.Op)) // fresh set: always admits
 	}
 	qi := -1
 	if a.Op.IsQuery() {
@@ -533,9 +519,7 @@ func (ing *Ingestor) flushAt(trigger int64, reason int) {
 	ing.forming = ing.forming[:0]
 	ing.formingAt = ing.formingAt[:0]
 	ing.formingQI = ing.formingQI[:0]
-	if ing.adm != nil {
-		ing.adm.Reset()
-	}
+	ing.adm.Reset()
 }
 
 // Ingest is the one-call streaming entry: it builds an Ingestor over the

@@ -241,11 +241,11 @@ func TestIngestZeroGapMatchesApply(t *testing.T) {
 	}
 }
 
-// TestIngestOneWindowEqualsApply pins what routing Apply through an
-// Ingestor used to guarantee by construction: with no claims oracle and no
-// bound nothing cuts the stream, so Ingest performs exactly one (tail)
-// flush, and that flush is one Pipeline.Apply call — its window and
-// answers are those of Apply on a twin structure, on all three cores.
+// TestIngestOneWindowEqualsApply pins that an Ingestor flush is one
+// Pipeline.Apply call and nothing else: replaying the windows an Ingest of
+// an ArrivalsNow schedule cut, each as one Apply on a twin structure,
+// gives the same window accounting and the same answers, on all three
+// cores.
 func TestIngestOneWindowEqualsApply(t *testing.T) {
 	const n = 48
 	mateOf := func(r *rand.Rand) Op { return QMateOf(r.Intn(n)) }
@@ -262,13 +262,20 @@ func TestIngestOneWindowEqualsApply(t *testing.T) {
 		rng := rand.New(rand.NewSource(21))
 		ops := graph.MixedStream(graph.RandomStream(n, 120, 0.6, 1, rng), 0.4, tc.query, rng)
 
-		want, wantSt := tc.mk().Apply(ops)
-		got, st := Ingest(foreignPipeline{tc.mk()}, ArrivalsNow(ops), IngestorConfig{})
-		if st.Flushes != 1 || st.FlushTail != 1 || len(st.Windows) != 1 {
-			t.Fatalf("%s: %d flushes (%d tail), want one tail flush", tc.name, st.Flushes, st.FlushTail)
+		got, st := Ingest(tc.mk(), ArrivalsNow(ops), IngestorConfig{})
+		twin := tc.mk()
+		var want Results
+		at := 0
+		for i, w := range st.Windows {
+			res, wst := twin.Apply(ops[at : at+w.Ops])
+			if !w.Equal(wst) {
+				t.Fatalf("%s: flush %d differs from Apply of its ops:\n got: %+v\nwant: %+v", tc.name, i, w, wst)
+			}
+			want = append(want, res...)
+			at += w.Ops
 		}
-		if !st.Windows[0].Equal(wantSt) {
-			t.Fatalf("%s: the flush window differs from Apply's:\n got: %+v\nwant: %+v", tc.name, st.Windows[0], wantSt)
+		if at != len(ops) {
+			t.Fatalf("%s: the flushes cover %d ops of %d", tc.name, at, len(ops))
 		}
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s: answers differ from Apply's", tc.name)
@@ -317,29 +324,6 @@ func TestIngestPoissonMatchingEquivalence(t *testing.T) {
 		t.Fatalf("%d cluster violations", v)
 	}
 }
-
-// TestIngestorForeignPipeline pins the no-claims path: a Pipeline
-// implementation from outside the facade ingests without admission
-// control, so only the configured bounds cut the stream.
-func TestIngestorForeignPipeline(t *testing.T) {
-	cc := NewConnectivity(16, 64)
-	fp := foreignPipeline{cc}
-	ing := NewIngestor(IngestorConfig{Pipeline: fp})
-	ing.Push(Arrival{At: 0, Op: Ins(0, 1)})
-	ing.Push(Arrival{At: 0, Op: Ins(1, 2)}) // would conflict under claims
-	_, st := ing.Close()
-	if st.Flushes != 1 || st.FlushConflict != 0 {
-		t.Fatalf("foreign pipeline saw admission control: %+v", st)
-	}
-}
-
-// foreignPipeline hides the facade's claims plumbing behind a plain
-// Pipeline value, as an external implementation would look.
-type foreignPipeline struct{ inner Pipeline }
-
-func (f foreignPipeline) Apply(ops []Op) (Results, MixedStats) { return f.inner.Apply(ops) }
-func (f foreignPipeline) Cluster() *Cluster                    { return f.inner.Cluster() }
-func (f foreignPipeline) Close()                               { f.inner.Close() }
 
 // TestIngestorStatsIsSnapshot pins that Stats is a snapshot: pushes after
 // it move none of its per-tenant counts, and appending to any of its

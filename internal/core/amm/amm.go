@@ -319,15 +319,6 @@ func (m *M) MateTable() []int {
 	return out
 }
 
-// Levels reads the level decomposition (driver-side oracle).
-func (m *M) Levels() []int {
-	out := make([]int, m.cfg.N)
-	for v := 0; v < m.cfg.N; v++ {
-		out[v] = int(m.vert(v).lvl)
-	}
-	return out
-}
-
 // QueueBacklog reports the number of vertices waiting in the scheduler's
 // queues (the transient non-maximality source).
 func (m *M) QueueBacklog() int {
@@ -336,57 +327,4 @@ func (m *M) QueueBacklog() int {
 		total += len(q)
 	}
 	return total
-}
-
-// Validate checks the §6 invariants that must hold at every quiescent
-// point: the matching is consistent; matched vertices have level ≥ 0 and
-// both endpoints of a matched edge share its level; free vertices are at
-// level -1; any free-free edge's endpoints are queued or active (the
-// almost-maximality bookkeeping); every shard's running MemWords equals a
-// recomputation by scan; and both probe indexes equal theirs. It reads
-// without writing.
-func (m *M) Validate(g *graph.Graph) error {
-	for _, sh := range m.shards {
-		if got, want := sh.MemWords(), sh.scanWords(); got != want {
-			return fmt.Errorf("machine %d: shard word counter %d, %d recomputed", sh.id, got, want)
-		}
-		if err := sh.auditIndexes(); err != nil {
-			return err
-		}
-	}
-	pending := map[int32]bool{}
-	for _, q := range m.sched.queues {
-		for _, v := range q {
-			pending[v] = true
-		}
-	}
-	for v := range m.sched.active {
-		pending[v] = true
-	}
-	for v := 0; v < m.cfg.N; v++ {
-		st := m.vert(v)
-		if st.mate >= 0 {
-			other := m.vert(int(st.mate))
-			if other.mate != int32(v) {
-				return fmt.Errorf("vertex %d: mate %d disagrees", v, st.mate)
-			}
-			if !g.Has(v, int(st.mate)) {
-				return fmt.Errorf("matched edge (%d,%d) not in graph", v, st.mate)
-			}
-			if st.lvl < 0 {
-				return fmt.Errorf("matched vertex %d at level %d", v, st.lvl)
-			}
-			if st.lvl != other.lvl {
-				return fmt.Errorf("matched edge (%d,%d) spans levels %d,%d", v, st.mate, st.lvl, other.lvl)
-			}
-		} else if st.lvl != -1 {
-			return fmt.Errorf("free vertex %d at level %d", v, st.lvl)
-		}
-	}
-	for _, e := range g.Edges() {
-		if m.vert(e.U).mate == -1 && m.vert(e.V).mate == -1 && !pending[int32(e.U)] && !pending[int32(e.V)] {
-			return fmt.Errorf("free-free edge (%d,%d) with neither endpoint pending", e.U, e.V)
-		}
-	}
-	return nil
 }

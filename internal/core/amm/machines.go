@@ -1,7 +1,6 @@
 package amm
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -128,18 +127,6 @@ func (s *shard) MemWords() int {
 	return 4*len(s.verts) + 2*s.adjEntries + s.jobWords
 }
 
-// scanWords is Validate's oracle for MemWords: the same sum by scan.
-func (s *shard) scanWords() int {
-	w := 0
-	for _, st := range s.verts {
-		w += 4 + 2*len(st.adj)
-	}
-	for _, j := range s.jobs {
-		w += 2 + len(j.todo)
-	}
-	return w
-}
-
 func (s *shard) setAdj(st *vstate, w, lvl int32) {
 	if _, ok := st.adj[w]; !ok {
 		s.adjEntries++
@@ -211,33 +198,6 @@ func toggle(ids []int32, v int32, in bool) []int32 {
 		return slices.Insert(ids, i, v)
 	}
 	return slices.Delete(ids, i, i+1)
-}
-
-// auditIndexes is Validate's oracle for the probe indexes: both sets and
-// every flag recomputed by scan.
-func (s *shard) auditIndexes() error {
-	var shuffle, rise []int32
-	for v, st := range s.verts {
-		if in := shuffleCand(v, st); in != st.inShuffle {
-			return fmt.Errorf("machine %d: vertex %d flagged %v in the shuffle index, a scan says %v", s.id, v, st.inShuffle, in)
-		} else if in {
-			shuffle = append(shuffle, v)
-		}
-		if in := s.riseCand(st); in != st.inRise {
-			return fmt.Errorf("machine %d: vertex %d flagged %v in the rise index, a scan says %v", s.id, v, st.inRise, in)
-		} else if in {
-			rise = append(rise, v)
-		}
-	}
-	slices.Sort(shuffle)
-	slices.Sort(rise)
-	if !slices.Equal(s.shuffle, shuffle) {
-		return fmt.Errorf("machine %d: shuffle index lists %v, a scan finds %v", s.id, s.shuffle, shuffle)
-	}
-	if !slices.Equal(s.rise, rise) {
-		return fmt.Errorf("machine %d: rise index lists %v, a scan finds %v", s.id, s.rise, rise)
-	}
-	return nil
 }
 
 // queueLevelJob schedules neighbor notifications for v's new level. A job

@@ -1,9 +1,7 @@
 package dmm
 
 import (
-	"errors"
 	"fmt"
-	"reflect"
 
 	"dmpc/internal/mpc"
 )
@@ -364,23 +362,6 @@ func (fl *flow) retire() {
 	fl.sweep, fl.mates, fl.rot = fl.sweep[:0], fl.mates[:0], fl.rot[:0]
 }
 
-// idle reports what a pooled flow still holds, nil if nothing.
-func (fl *flow) idle() error {
-	switch {
-	case fl.next != nil:
-		return errors.New("a parked step")
-	case len(fl.rets) > 0:
-		return fmt.Errorf("%d return steps", len(fl.rets))
-	case fl.seq != 0 || fl.waiting != 0 || fl.got != 0 || len(fl.stats)+len(fl.acks)+len(fl.stores)+len(fl.ctrs) > 0:
-		return fmt.Errorf("replies (seq %d, awaiting %d, %d in)", fl.seq, fl.waiting, fl.got)
-	case !reflect.ValueOf(fl.op).IsZero():
-		return fmt.Errorf("operands %+v", fl.op)
-	case len(fl.machines)+len(fl.pending)+len(fl.dirs)+len(fl.sweep)+len(fl.mates)+len(fl.partner)+len(fl.rot) > 0:
-		return errors.New("helper scratch")
-	}
-	return nil
-}
-
 // push records where the helper about to run returns to.
 func (fl *flow) push(ret step) { fl.rets = append(fl.rets, ret) }
 
@@ -475,19 +456,6 @@ func (c *coordinator) meanStoreSuffix() int {
 	}
 	// Σ (end − lastSync[m]) over the pool; the cursors below it stay 0.
 	return int((int64(n)*c.hEnd() - c.syncSum) / int64(n))
-}
-
-// deletedInH reports whether machine mach's copy of edge (v,other) has a
-// pending lazy deletion: an hEdgeDel the machine has not replayed yet. A
-// later re-insert does not revive the copy — its record is stored anew,
-// possibly on another of v's machines (driver-side validation helper).
-func (c *coordinator) deletedInH(mach, v, other int32) bool {
-	for _, e := range c.h[c.lastSync[mach]-c.hBase:] {
-		if e.op == hEdgeDel && ((e.a == v && e.b == other) || (e.a == other && e.b == v)) {
-			return true
-		}
-	}
-	return false
 }
 
 // allocate claims a machine: first-fit light sharing or a fresh exclusive.

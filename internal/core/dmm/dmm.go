@@ -127,7 +127,7 @@ func New(cfg Config) *M {
 	cl.SetMachine(0, m.coord)
 	m.stats = make([]*statsMachine, numStats)
 	for i := 0; i < numStats; i++ {
-		m.stats[i] = newStatsMachine(1 + i)
+		m.stats[i] = newStatsMachine()
 		cl.SetMachine(1+i, m.stats[i])
 	}
 	m.storage = make([]storeMachine, poolSize)
@@ -466,96 +466,3 @@ func (m *M) MateTable() []int {
 // Fallbacks reports how often the suspended stack had to be scanned
 // because the alive window offered no surrogate (see package comment).
 func (m *M) Fallbacks() int64 { return m.coord.fallbacks }
-
-// Validate checks the distributed storage invariants: every graph edge is
-// stored under both endpoints exactly once (modulo lazy deletions still in
-// H), light vertices live on a single machine, alive windows respect their
-// capacity, directory free-space figures match machine contents, and
-// nothing is left behind at quiescence: no coordinator flow still in
-// flight, no update still queued, and no pooled flow holding a parked
-// step, a return step, a reply, an operand or helper scratch that the
-// next update could inherit. It also audits every running summary
-// against a recomputation from scratch — the machines' MemWords counters,
-// the storage owner index, MC's cursor sum — and reads without writing:
-// validating changes no machine's state.
-func (m *M) Validate(g *graph.Graph) error {
-	for _, sm := range m.stats {
-		if got, want := sm.MemWords(), sm.scanWords(); got != want {
-			return fmt.Errorf("machine %d: stats word counter %d, %d recomputed", sm.id, got, want)
-		}
-	}
-	for i := range m.storage {
-		if err := m.storage[i].audit(); err != nil {
-			return err
-		}
-	}
-	if fl, q := len(m.coord.inflight), m.coord.queued(); fl+q != 0 {
-		return fmt.Errorf("coordinator: %d flows in flight and %d updates queued at quiescence", fl, q)
-	}
-	for i, fl := range m.coord.free {
-		if err := fl.idle(); err != nil {
-			return fmt.Errorf("coordinator: pooled flow %d keeps %v", i, err)
-		}
-	}
-	var sum int64
-	for _, ls := range m.coord.lastSync {
-		sum += ls
-	}
-	if sum != m.coord.syncSum {
-		return fmt.Errorf("coordinator: cursor sum %d, %d recomputed", m.coord.syncSum, sum)
-	}
-	// Effective edge sets per vertex, after applying pending H deletions.
-	for v := 0; v < m.cfg.N; v++ {
-		st := m.statPeek(int32(v))
-		if int(st.deg) != g.Degree(v) {
-			return fmt.Errorf("vertex %d: stats degree %d, graph %d", v, st.deg, g.Degree(v))
-		}
-		want := g.Degree(v) >= m.coord.heavyAt
-		if st.heavy != want {
-			return fmt.Errorf("vertex %d: heavy=%v, degree %d, threshold %d", v, st.heavy, g.Degree(v), m.coord.heavyAt)
-		}
-		edges := map[int32]bool{}
-		collect := func(mach int32) error {
-			if mach < 0 {
-				return nil
-			}
-			sm := &m.storage[int(mach)-1-len(m.stats)]
-			for _, rec := range sm.edges[int32(v)] {
-				if m.coord.deletedInH(mach, int32(v), rec.other) {
-					continue
-				}
-				if edges[rec.other] {
-					return fmt.Errorf("vertex %d: duplicate edge to %d", v, rec.other)
-				}
-				edges[rec.other] = true
-			}
-			return nil
-		}
-		if err := collect(st.home); err != nil {
-			return err
-		}
-		for _, sm := range st.suspended {
-			if err := collect(sm); err != nil {
-				return err
-			}
-		}
-		for _, w := range g.Neighbors(v) {
-			if !edges[int32(w)] {
-				return fmt.Errorf("vertex %d: edge to %d missing from storage", v, w)
-			}
-		}
-		if len(edges) != g.Degree(v) {
-			return fmt.Errorf("vertex %d: %d stored, %d in graph", v, len(edges), g.Degree(v))
-		}
-		if st.heavy {
-			alive := &m.storage[int(st.home)-1-len(m.stats)]
-			if len(alive.edges[int32(v)]) > m.coord.aliveCap {
-				return fmt.Errorf("vertex %d: alive window %d exceeds cap %d",
-					v, len(alive.edges[int32(v)]), m.coord.aliveCap)
-			}
-		} else if len(st.suspended) > 0 {
-			return fmt.Errorf("light vertex %d has suspended machines", v)
-		}
-	}
-	return nil
-}

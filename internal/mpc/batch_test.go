@@ -6,12 +6,14 @@ import (
 	"dmpc/internal/graph"
 )
 
+// bounceMachine answers a ping with a pong to the next machine of a
+// four-machine cluster.
 type bounceMachine struct{}
 
 func (bounceMachine) HandleRound(ctx *Ctx, inbox []Message) {
 	for _, m := range inbox {
 		if m.Payload == "ping" {
-			ctx.Send((m.To+1)%ctx.Machines(), "pong", 1)
+			ctx.Send((m.To+1)%4, "pong", 1)
 		}
 	}
 }

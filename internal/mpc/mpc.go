@@ -11,7 +11,7 @@
 //   - the total number of words communicated in each round.
 //
 // A machine is active in a round if it sends or receives at least one
-// message in that round, or if it was explicitly scheduled to run.
+// message in that round, or if the driver scheduled it (Cluster.Schedule).
 // Message delivery order is deterministic, so simulations are
 // reproducible for a fixed seed regardless of GOMAXPROCS.
 //
@@ -60,8 +60,8 @@ type Message struct {
 // except through ctx.Send.
 type Machine interface {
 	// HandleRound processes the inbox for this round. It may send messages
-	// for delivery at the start of the next round via ctx.Send and may
-	// schedule itself or others for the next round via ctx.Schedule.
+	// for delivery at the start of the next round via ctx.Send or
+	// ctx.Broadcast; a machine that must run again sends to itself.
 	HandleRound(ctx *Ctx, inbox []Message)
 }
 
@@ -601,12 +601,10 @@ func (c *Cluster) pairVolumes() map[uint64]int {
 
 // Ctx is the per-round execution context handed to a machine's handler.
 type Ctx struct {
-	cluster  *Cluster
-	self     int
-	round    int
-	out      []Message
-	schedule []int
-	answers  []answer
+	self    int
+	round   int
+	out     []Message
+	answers []answer
 }
 
 // answer is one read's output: at is the read's position in the window's
@@ -618,9 +616,6 @@ type answer struct {
 
 // Round returns the global round number.
 func (ctx *Ctx) Round() int { return ctx.round }
-
-// Machines returns µ for the cluster.
-func (ctx *Ctx) Machines() int { return ctx.cluster.cfg.Machines }
 
 // Send stages a message for delivery at the start of the next round. Words
 // must reflect the payload size in machine words; zero is coerced to one.
@@ -656,11 +651,6 @@ func (ctx *Ctx) Broadcast(payload any, words int, includeSelf bool) {
 		From: ctx.self, To: skip, Payload: payload, Words: words,
 		seq: ^len(ctx.out),
 	})
-}
-
-// Schedule marks a machine active in the next round without sending data.
-func (ctx *Ctx) Schedule(id int) {
-	ctx.schedule = append(ctx.schedule, id)
 }
 
 // Answer outputs the answer to the read at stream position at of the open

@@ -290,9 +290,9 @@ func TestQuickUpdateStatsAddMonotone(t *testing.T) {
 }
 
 func TestRunStopsAtMaxRounds(t *testing.T) {
-	// A self-perpetuating machine: always reschedules itself.
+	// A self-perpetuating machine: always messages itself.
 	c := NewCluster(Config{Machines: 1, MemWords: 64})
-	c.SetMachine(0, machineFunc(func(ctx *Ctx, inbox []Message) { ctx.Schedule(0) }))
+	c.SetMachine(0, machineFunc(func(ctx *Ctx, inbox []Message) { ctx.Send(0, nil, 1) }))
 	c.Schedule(0)
 	if n := c.Run(7); n != 7 {
 		t.Fatalf("ran %d rounds, want 7", n)

@@ -104,6 +104,5 @@ func growSlab(slab []Ctx, n int) []Ctx {
 func (ctx *Ctx) recycle() {
 	clear(ctx.out)
 	ctx.out = ctx.out[:0]
-	ctx.schedule = ctx.schedule[:0]
 	ctx.answers = ctx.answers[:0]
 }

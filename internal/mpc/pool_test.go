@@ -82,20 +82,18 @@ func TestSteadyStateAllocsPerAnswer(t *testing.T) {
 }
 
 // chaosMachine drives the active-set property test: each activation sends
-// to 0–3 deterministically random targets, now and then broadcasts (with
-// or without self), and occasionally schedules a random machine, logging
-// every recipient and schedule so the test can maintain the reference
-// pending set. All state is per-machine, so concurrent handler execution
-// stays deterministic.
+// to 0–3 deterministically random targets and now and then broadcasts
+// (with or without self), logging every recipient so the test can
+// maintain the reference pending set. All state is per-machine, so
+// concurrent handler execution stays deterministic.
 type chaosMachine struct {
-	id, mu    int
-	rng       xorshift
-	sent      []int
-	scheduled []int
+	id, mu int
+	rng    xorshift
+	sent   []int
 }
 
 func (m *chaosMachine) HandleRound(ctx *Ctx, inbox []Message) {
-	m.sent, m.scheduled = m.sent[:0], m.scheduled[:0]
+	m.sent = m.sent[:0]
 	for k := m.rng.next() % 4; k > 0; k-- {
 		to := int(m.rng.next() % uint64(m.mu))
 		ctx.Send(to, int64(to), 1)
@@ -109,16 +107,11 @@ func (m *chaosMachine) HandleRound(ctx *Ctx, inbox []Message) {
 			}
 		}
 	}
-	if m.rng.next()%8 == 0 {
-		s := int(m.rng.next() % uint64(m.mu))
-		ctx.Schedule(s)
-		m.scheduled = append(m.scheduled, s)
-	}
 }
 
 // TestActiveSetInvariantUnderChaos: under randomized Send/Schedule
-// interleavings — external injections between rounds plus machines
-// sending and scheduling at random — the active set handed to settle is
+// interleavings — external injections and schedules between rounds plus
+// machines sending at random — the active set handed to settle is
 // strictly ascending, duplicate-free, in range, and exactly the set of
 // machines with a pending message or schedule bit, at every worker count.
 // This is the invariant the sparse pending set must preserve (the old
@@ -179,14 +172,11 @@ func TestActiveSetInvariantUnderChaos(t *testing.T) {
 			}
 
 			// The next round's reference set: whatever the machines that
-			// just ran sent or scheduled.
+			// just ran sent to.
 			clear(expect)
 			for _, id := range observed {
 				for _, to := range ms[id].sent {
 					expect[to] = true
-				}
-				for _, s := range ms[id].scheduled {
-					expect[s] = true
 				}
 			}
 		}

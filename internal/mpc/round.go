@@ -91,7 +91,7 @@ func (c *Cluster) beginRound() RoundStats {
 // every worker shard calls, and it touches only id's own inbox and ctx, so
 // co-active machines may run it concurrently.
 func (c *Cluster) handle(ctx *Ctx, id int) {
-	ctx.cluster, ctx.self, ctx.round = c, id, c.stats.Rounds
+	ctx.self, ctx.round = id, c.stats.Rounds
 	inbox := c.inboxes[id]
 	sortInbox(inbox)
 	if m := c.machines[id]; m != nil {
@@ -134,13 +134,12 @@ func msgLess(a, b Message) bool {
 
 // settle is the deterministic round barrier: it retires the consumed
 // inboxes into the pool (payload-cleared), then stages every active
-// machine's outgoing messages and next-round schedules and merges its
-// answers into the window's table in ascending machine order — the merge
-// order that keeps delivery and violations bit-identical at every worker
-// count — enforcing the send half of the per-machine I/O cap, which
-// counts a broadcast's words once per recipient, and recycling each Ctx,
-// and finally folds
-// memory accounting.
+// machine's outgoing messages and merges its answers into the window's
+// table in ascending machine order — the merge order that keeps delivery
+// and violations bit-identical at every worker count — enforcing the send
+// half of the per-machine I/O cap, which counts a broadcast's words once
+// per recipient, and recycling each Ctx, and finally folds memory
+// accounting.
 func (c *Cluster) settle() {
 	for _, id := range c.active {
 		c.inboxes[id] = c.pool.retire(c.inboxes[id])
@@ -162,9 +161,6 @@ func (c *Cluster) settle() {
 		}
 		if sent > c.cfg.MemWords {
 			c.violation("machine %d sent %d words in one round (cap %d)", id, sent, c.cfg.MemWords)
-		}
-		for _, s := range ctx.schedule {
-			c.Schedule(s)
 		}
 		c.answers = append(c.answers, ctx.answers...)
 		ctx.recycle()

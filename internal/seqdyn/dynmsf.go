@@ -1,10 +1,6 @@
 package seqdyn
 
-import (
-	"fmt"
-
-	"dmpc/internal/graph"
-)
+import "dmpc/internal/graph"
 
 // DynMSF maintains an exact minimum spanning forest under edge insertions
 // and deletions.
@@ -159,32 +155,4 @@ func (d *DynMSF) Weight() graph.Weight {
 		}
 	}
 	return total
-}
-
-// ForestEdges returns the current forest's edges.
-func (d *DynMSF) ForestEdges() []graph.Edge {
-	var out []graph.Edge
-	for e, tree := range d.isTree {
-		if tree {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// CheckInvariants verifies the forest is consistent (every tree edge is in
-// both the LCT and ETT mirrors).
-func (d *DynMSF) CheckInvariants() error {
-	for e, tree := range d.isTree {
-		if !tree {
-			continue
-		}
-		if _, ok := d.edgeID[e]; !ok {
-			return fmt.Errorf("tree edge %v missing LCT node", e)
-		}
-		if !d.ett.Connected(e.U, e.V) {
-			return fmt.Errorf("tree edge %v not connected in ETT", e)
-		}
-	}
-	return nil
 }

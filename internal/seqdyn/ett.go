@@ -188,12 +188,6 @@ func (t *ETT) TreeSize(v int) int {
 	return int(t.rootOf(t.loopNode(int32(v))).loops)
 }
 
-// HasEdge reports whether (u,v) is a tree edge of this forest.
-func (t *ETT) HasEdge(u, v int) bool {
-	_, ok := t.arc[arcKey(int32(u), int32(v))]
-	return ok
-}
-
 // reroot rotates v's tour so it starts at v's loop node.
 func (t *ETT) reroot(n *ettNode) *ettNode {
 	root := t.rootOf(n)

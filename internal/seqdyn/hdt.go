@@ -1,10 +1,6 @@
 package seqdyn
 
-import (
-	"fmt"
-
-	"dmpc/internal/graph"
-)
+import "dmpc/internal/graph"
 
 // HDT is the fully-dynamic connectivity structure of Holm, de Lichtenberg
 // and Thorup (J.ACM 2001), reference [21] of the paper: a hierarchy of
@@ -190,24 +186,4 @@ func (h *HDT) Components() int {
 		}
 	}
 	return uf.Components()
-}
-
-// CheckInvariants verifies that tree/non-tree classification matches the
-// actual forests and that non-tree edges never cross components. Used by
-// tests; returns the first violation.
-func (h *HDT) CheckInvariants() error {
-	for e, lvl := range h.level {
-		if h.isTree[e] {
-			for i := 0; i <= lvl; i++ {
-				if !h.forest[i].HasEdge(e.U, e.V) && !h.forest[i].HasEdge(e.V, e.U) {
-					return fmt.Errorf("tree edge %v missing from forest %d (level %d)", e, i, lvl)
-				}
-			}
-		} else {
-			if !h.forest[lvl].Connected(e.U, e.V) {
-				return fmt.Errorf("non-tree edge %v crosses components at level %d", e, lvl)
-			}
-		}
-	}
-	return nil
 }

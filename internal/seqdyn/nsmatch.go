@@ -21,7 +21,6 @@ type NSMatch struct {
 	aliveCap int // alive-window size: ⌈√(2·cap)⌉
 	adj      []map[int32]bool
 	mate     []int32
-	fallback int64 // full-scan fallbacks (the counting argument ~never needs them)
 	Ops      Counter
 }
 
@@ -45,9 +44,6 @@ func NewNSMatch(n, capEdges int) *NSMatch {
 	return m
 }
 
-// Mate returns v's partner, or -1 if free.
-func (m *NSMatch) Mate(v int) int { return int(m.mate[v]) }
-
 // MateTable returns a copy of the full mate table.
 func (m *NSMatch) MateTable() []int {
 	out := make([]int, m.n)
@@ -56,10 +52,6 @@ func (m *NSMatch) MateTable() []int {
 	}
 	return out
 }
-
-// Fallbacks reports how many times the heavy-vertex surrogate search had to
-// scan beyond the alive window (zero when the counting argument applies).
-func (m *NSMatch) Fallbacks() int64 { return m.fallback }
 
 // nbrs returns z's neighbors in ascending order, so which neighbor a scan
 // meets first — and with it the operation count §7 bills — does not depend
@@ -168,20 +160,10 @@ func (m *NSMatch) rematchHeavy(z int) {
 		}
 	}
 	if stealFrom == -1 {
-		// The counting argument guarantees a light-mated neighbor among
-		// the alive window when parameters hold; at small scale we may
-		// need the rest of the list (counted as a fallback).
-		m.fallback++
-		for _, w := range nbrs {
-			m.Ops.Inc(1)
-			if !m.heavy(int(m.mate[w])) {
-				stealFrom = int(w)
-				break
-			}
-		}
-	}
-	if stealFrom == -1 {
-		return // genuinely nothing to steal (e.g. all mates heavy); z stays free
+		// The scan stops early only once it holds a surrogate, so it
+		// read every neighbor: nothing to steal (all mates heavy), and
+		// z stays free.
+		return
 	}
 	lightMate := int(m.mate[stealFrom])
 	m.unmatch(stealFrom, lightMate)

@@ -30,10 +30,3 @@ func (c *Counter) Inc(k int) { c.n += int64(k) }
 
 // Count returns the total so far.
 func (c *Counter) Count() int64 { return c.n }
-
-// Reset zeroes the counter and returns the previous value.
-func (c *Counter) Reset() int64 {
-	v := c.n
-	c.n = 0
-	return v
-}

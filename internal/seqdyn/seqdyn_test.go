@@ -513,21 +513,3 @@ func TestLCTCutPanicsOnNonAdjacent(t *testing.T) {
 	}()
 	lct.Cut(0, 2)
 }
-
-func TestNSMatchFallbacksStayZeroAtScale(t *testing.T) {
-	// With the paper's parameters the counting argument guarantees a
-	// light-mated surrogate; at a healthy capacity the fallback path
-	// should essentially never fire.
-	rng := rand.New(rand.NewSource(23))
-	m := NewNSMatch(60, 500)
-	for _, u := range graph.RandomStream(60, 1500, 0.55, 1, rng) {
-		if u.Op == graph.Insert {
-			m.Insert(u.U, u.V)
-		} else {
-			m.Delete(u.U, u.V)
-		}
-	}
-	if m.Fallbacks() > 40 {
-		t.Fatalf("fallbacks = %d over 1500 updates", m.Fallbacks())
-	}
-}

@@ -52,8 +52,5 @@ func (u *UnionFind) Union(a, b int) bool {
 	return true
 }
 
-// Connected reports whether a and b are in the same set.
-func (u *UnionFind) Connected(a, b int) bool { return u.Find(a) == u.Find(b) }
-
 // Components returns the number of disjoint sets.
 func (u *UnionFind) Components() int { return u.comps }

@@ -1,7 +1,7 @@
 // Package staticmpc implements the one static MPC algorithm the paper's
-// dynamic structures lean on: spanning forest and minimum spanning forest
-// by filtering (Lattanzi et al. [26]), §5's preprocessing substrate and
-// the recompute-from-scratch baseline dmpcbench's static table measures.
+// dynamic structures lean on: minimum spanning forest by filtering
+// (Lattanzi et al. [26]), the recompute-from-scratch baseline dmpcbench's
+// static table measures.
 //
 // Edges are spread over the machines; every round each live machine
 // computes the MSF of its local edge set (local computation is free in the
@@ -110,14 +110,4 @@ func MinSpanningForest(g *graph.Graph, mu int) ([]graph.WEdge, mpc.HalfStats) {
 	stats := cl.EndMixed().Updates
 
 	return machines[0].edges, stats
-}
-
-// SpanningForest computes an unweighted spanning forest by filtering.
-func SpanningForest(g *graph.Graph, mu int) ([]graph.Edge, mpc.HalfStats) {
-	wedges, res := MinSpanningForest(g, mu)
-	out := make([]graph.Edge, len(wedges))
-	for i, e := range wedges {
-		out[i] = graph.Edge{U: e.U, V: e.V}
-	}
-	return out, res
 }

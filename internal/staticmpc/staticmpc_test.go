@@ -30,10 +30,16 @@ func TestMinSpanningForestMatchesKruskal(t *testing.T) {
 	}
 }
 
+// TestSpanningForestUnweighted runs the filtering forest on a grid whose
+// edges all weigh the same, so every filter step breaks ties alone.
 func TestSpanningForestUnweighted(t *testing.T) {
 	g := graph.Grid(5, 8, 1, nil)
-	forest, _ := SpanningForest(g, 6)
-	if !graph.IsSpanningForest(g, forest) {
+	forest, _ := MinSpanningForest(g, 6)
+	plain := make([]graph.Edge, len(forest))
+	for i, e := range forest {
+		plain[i] = graph.Edge{U: e.U, V: e.V}
+	}
+	if !graph.IsSpanningForest(g, plain) {
 		t.Fatal("not a spanning forest")
 	}
 }

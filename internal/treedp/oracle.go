@@ -15,9 +15,6 @@ func NewOracle(n int) *Oracle { return &Oracle{w: make([]int64, n)} }
 // SetWeight assigns v's weight.
 func (o *Oracle) SetWeight(v int, w int64) { o.w[v] = w }
 
-// Weight reads v's weight (0 by default).
-func (o *Oracle) Weight(v int) int64 { return o.w[v] }
-
 // component collects u's component in the forest adjacency, in BFS
 // order, and returns parent pointers of the BFS tree rooted at u
 // (parent[u] = -1; vertices outside the component keep parent -2).
