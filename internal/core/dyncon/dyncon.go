@@ -96,9 +96,10 @@ type D struct {
 	cfg     Config
 	cluster *mpc.Cluster
 	shards  []*shard
-	packer  *sched.Admitter // forms every wave, first-fit
-	scratch sched.Item      // the item ApplyOps reads claims into, slices reused
-	seq     int64           // update sequence number, for fresh component ids
+	packer  *sched.Admitter  // forms every wave, first-fit
+	scratch sched.Item       // the item ApplyOps reads claims into, slices reused
+	out     mpc.Outbox[wire] // the driver's payloads, slabbed by the round they are sent before
+	seq     int64            // update sequence number, for fresh component ids
 
 	// wavePerm, when set by a test, permutes the injection order of every
 	// scheduled wave in place — the hook behind the permutation-
@@ -166,15 +167,16 @@ func (d *D) opWeight(w graph.Weight) graph.Weight {
 	return w
 }
 
+// send injects w for v's owner, the payload in the driver's outbox.
+func (d *D) send(v int, w wire, words int) {
+	d.cluster.Send(mpc.Message{From: -1, To: d.owner(v), Payload: d.out.Put(d.cluster.Stats().Rounds, w), Words: words})
+}
+
 func (d *D) inject(up graph.Update, seq int64) {
-	d.cluster.Send(mpc.Message{
-		From: -1, To: d.owner(up.U),
-		Payload: &wire{
-			Kind: kUpdate, U: int32(up.U), V: int32(up.V), W: int64(d.opWeight(up.W)),
-			Seq: seq, Flag: up.Op == graph.Delete,
-		},
-		Words: 6,
-	})
+	d.send(up.U, wire{
+		Kind: kUpdate, U: int32(up.U), V: int32(up.V), W: int64(d.opWeight(up.W)),
+		Seq: seq, Flag: up.Op == graph.Delete,
+	}, 6)
 }
 
 // ApplyOps processes a mixed op stream — updates (edge and vertex-weight
@@ -380,35 +382,17 @@ func (d *D) runOpWave(ops []graph.Op, ids []int64, wave []int) {
 		op := ops[i]
 		switch op.Kind {
 		case graph.OpConnected:
-			d.cluster.Send(mpc.Message{
-				From: -1, To: d.owner(op.U),
-				Payload: &wire{Kind: kQuery, U: int32(op.U), V: int32(op.V), Seq: int64(i)},
-				Words:   4,
-			})
+			d.send(op.U, wire{Kind: kQuery, U: int32(op.U), V: int32(op.V), Seq: int64(i)}, 4)
 		case graph.OpComponentOf:
-			d.cluster.Send(mpc.Message{
-				From: -1, To: d.owner(op.U),
-				Payload: &wire{Kind: kCompQuery, V: int32(op.U), Seq: int64(i)},
-				Words:   3,
-			})
-		case graph.OpSubtreeSum, graph.OpPathSum, graph.OpTreeTop:
-			msg := &wire{Kind: kDPSubtree, U: int32(op.U), V: int32(op.V), Seq: int64(i)}
-			words := 5
-			switch op.Kind {
-			case graph.OpPathSum:
-				msg.Kind = kDPPath
-			case graph.OpTreeTop:
-				msg.Kind, msg.V, words = kDPTop, 0, 4
-			}
-			d.cluster.Send(mpc.Message{From: -1, To: d.owner(op.U), Payload: msg, Words: words})
+			d.send(op.U, wire{Kind: kCompQuery, V: int32(op.U), Seq: int64(i)}, 3)
+		case graph.OpSubtreeSum:
+			d.send(op.U, wire{Kind: kDPSubtree, U: int32(op.U), V: int32(op.V), Seq: int64(i)}, 5)
+		case graph.OpPathSum:
+			d.send(op.U, wire{Kind: kDPPath, U: int32(op.U), V: int32(op.V), Seq: int64(i)}, 5)
+		case graph.OpTreeTop:
+			d.send(op.U, wire{Kind: kDPTop, U: int32(op.U), Seq: int64(i)}, 4)
 		case graph.OpSetWeight:
-			d.cluster.Send(mpc.Message{
-				From: -1, To: d.owner(op.U),
-				Payload: &wire{Kind: kSetWeight, U: int32(op.U), W: int64(op.W), Seq: ids[i]},
-				Words:   4,
-			})
-		case graph.OpMateOf, graph.OpMatched:
-			panic(fmt.Sprintf("dyncon: unsupported query kind %v (connectivity answers OpConnected and OpComponentOf)", op.Kind))
+			d.send(op.U, wire{Kind: kSetWeight, U: int32(op.U), W: int64(op.W), Seq: ids[i]}, 4)
 		default:
 			d.inject(op.Update(), ids[i])
 		}

@@ -14,7 +14,8 @@ import (
 type kind int32
 
 const (
-	kUpdate      kind = iota // external update, delivered to owner(U)
+	_            kind = iota // 0, a cleared mpc.Outbox slot: never sent, and HandleRound fails on it
+	kUpdate                  // external update, delivered to owner(U)
 	kInfoReq                 // orchestrator -> owner(v): report comp, f, l
 	kInfoRep                 // owner -> orchestrator
 	kSizeReq                 // orchestrator -> registry(comp)
@@ -53,9 +54,14 @@ const (
 // fields are meaningful. Words charged per message reflect the populated
 // field count: O(1), plus one word per machine id of a holder list.
 //
-// Payloads travel as *wire and are immutable once sent: a link or cut hands
-// one payload to every recipient, so a handler reads what it receives and
-// never writes it — which is also what lets Miss be shared.
+// Payloads travel as *wire, each in a slot of its sender's mpc.Outbox, and
+// follow its rule: a payload is immutable, lives until the end of the round
+// after the one it was sent in, and a receiver copies what it keeps. A link
+// or cut hands one payload to every recipient, so a handler never writes
+// what it receives, and no handler sends a payload it received: every reply
+// is put into the replier's own outbox. What a payload's slices point to is
+// not in the slab: Holders is a view of a registry's list, which is never
+// written in place, and Shifts the chain in the payload's own slot.
 type wire struct {
 	Kind        kind
 	U, V        int32
@@ -86,24 +92,13 @@ type wire struct {
 	// Holders is a holder list: the component's on kSizeRep, the guest's on
 	// kDoLink (for the host's registry; nil when the guest has one vertex).
 	Holders []int32
-	// Miss, on a gathering request (kDoCut, kPathMaxReq), is the reply of a
-	// machine with nothing to report: the requester builds the one value its
-	// receivers would each have built, and they send that.
-	Miss *wire
 }
 
-// linkMsg and cutMsg hold a link's or a cut's payload together with what it
-// points to — the shift chain, and a cut's shared miss — so each costs one
-// allocation.
-type linkMsg struct {
+// shiftMsg is a link's or a cut's payload together with its shift chain,
+// the slot type of a shard's second outbox.
+type shiftMsg struct {
 	wire
 	shifts [3]etour.Shift
-}
-
-type cutMsg struct {
-	wire
-	shifts [3]etour.Shift
-	miss   wire
 }
 
 func (w *wire) words() int { return 16 + 5*len(w.Shifts) }
@@ -277,6 +272,36 @@ const (
 	stSizeForSwapCut
 )
 
+// records is a shard's in-flight orchestrations of one kind, by key, with
+// the retired records kept for reuse, so a steady stream of orchestrations
+// allocates none.
+type records[T any] struct {
+	live map[int64]*T
+	free []*T
+}
+
+// start files v as k's record, in a retired record's memory if there is one.
+func (r *records[T]) start(k int64, v T) {
+	var p *T
+	if n := len(r.free); n > 0 {
+		p, r.free = r.free[n-1], r.free[:n-1]
+	} else {
+		p = new(T)
+	}
+	*p = v
+	r.live[k] = p
+}
+
+// end retires k's record, zeroed so it pins nothing (a pending holds
+// registry lists); its holder must not use it again.
+func (r *records[T]) end(k int64) {
+	p := r.live[k]
+	delete(r.live, k)
+	var zero T
+	*p = zero
+	r.free = append(r.free, p)
+}
+
 type shard struct {
 	id, mu int
 	cfg    Config
@@ -312,7 +337,7 @@ type shard struct {
 	treeRing map[int64]*treeRec
 	ntRing   map[int64]*ntRec
 	sizes    map[int64]int
-	pend     map[int64]*pending
+	pend     records[pending]
 
 	// holders is the rest of this machine's registry: the holder set of each
 	// live component c of two or more vertices with registry(c) = id.
@@ -322,6 +347,10 @@ type shard struct {
 	holderWords int
 	// to is the scratch recipient list of a link or cut this machine sends.
 	to []int32
+	// out holds every payload this machine sends but its links and cuts,
+	// which shifted holds with their shift chains.
+	out     mpc.Outbox[wire]
+	shifted mpc.Outbox[shiftMsg]
 
 	// Tree-DP state (internal/treedp): one weight record per owned
 	// weighted vertex, repaired on every link and cut, and DP query
@@ -329,7 +358,7 @@ type shard struct {
 	// deliberately separate from pend: read positions and update seqs
 	// overlap numerically.
 	weights map[int32]*treedp.Rec
-	qpend   map[int64]*dpPending
+	qpend   records[dpPending]
 }
 
 func newShard(id, mu int, cfg Config) *shard {
@@ -344,9 +373,9 @@ func newShard(id, mu int, cfg Config) *shard {
 		ntRing:    make(map[int64]*ntRec),
 		sizes:     make(map[int64]int),
 		holders:   make(map[int64]holderSet),
-		pend:      make(map[int64]*pending),
+		pend:      records[pending]{live: make(map[int64]*pending)},
 		weights:   make(map[int32]*treedp.Rec),
-		qpend:     make(map[int64]*dpPending),
+		qpend:     records[dpPending]{live: make(map[int64]*dpPending)},
 	}
 }
 
@@ -403,12 +432,17 @@ func (s *shard) union(a, b holderSet) holderSet {
 	return holderSet{ids: ids}
 }
 
-// sendTo delivers msg to the holders of a and b — the machines that can
+// sendTo puts link or cut w, whose chain is shifts[:n], into the shifted
+// outbox and delivers it to the holders of a and b — the machines that can
 // hold records of the components it names — and to the registries r1 and
 // r2, in ascending id order, or broadcasts it when a or b is all. Each copy
-// is billed words, the one to r1 extra more (a holder list only r1 reads;
-// a broadcast carries none). It returns the number of recipients.
-func (s *shard) sendTo(ctx *mpc.Ctx, a, b holderSet, r1, r2 int32, msg *wire, words, extra int) int {
+// is billed w's words, the one to r1 one more per id of w.Holders (a list
+// only r1 reads; a broadcast carries none). It returns the number of
+// recipients.
+func (s *shard) sendTo(ctx *mpc.Ctx, a, b holderSet, r1, r2 int32, w wire, shifts [3]etour.Shift, n int) int {
+	m := s.shifted.Put(ctx.Round(), shiftMsg{wire: w, shifts: shifts})
+	m.Shifts = m.shifts[:n]
+	msg, words := &m.wire, m.words()
 	if a.all || b.all {
 		ctx.Broadcast(msg, words, true)
 		return s.mu
@@ -417,7 +451,7 @@ func (s *shard) sendTo(ctx *mpc.Ctx, a, b holderSet, r1, r2 int32, msg *wire, wo
 	slices.Sort(s.to)
 	s.to = slices.Compact(s.to)
 	for _, to := range s.to {
-		ctx.Send(int(to), msg, words+extra*b2i(to == r1))
+		ctx.Send(int(to), msg, words+len(msg.Holders)*b2i(to == r1))
 	}
 	return len(s.to)
 }
@@ -551,7 +585,7 @@ func (s *shard) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 			s.startUpdate(ctx, w)
 		case kInfoReq:
 			f, l := s.flOf(w.U)
-			ctx.Send(int(w.ReplyTo), &wire{
+			s.out.Send(ctx, int(w.ReplyTo), wire{
 				Kind: kInfoRep, U: w.U, Seq: w.Seq,
 				Comp: s.verts[w.U], F: f, L: l,
 			}, 7)
@@ -559,7 +593,7 @@ func (s *shard) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 			s.onInfo(ctx, w)
 		case kSizeReq:
 			h := s.holders[w.Comp]
-			ctx.Send(int(w.ReplyTo), &wire{
+			s.out.Send(ctx, int(w.ReplyTo), wire{
 				Kind: kSizeRep, Comp: w.Comp, Seq: w.Seq, Size: s.sizes[w.Comp],
 				Flag: h.all, Holders: h.ids,
 			}, 5+len(h.ids))
@@ -577,7 +611,7 @@ func (s *shard) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 		case kDelNonTree:
 			s.removeNonTree(graph.NormEdge(int(w.U), int(w.V)))
 		case kDoCut:
-			ctx.Send(int(w.ReplyTo), s.onDoCut(ctx, w), 6)
+			s.out.Send(ctx, int(w.ReplyTo), s.onDoCut(ctx, w), 6)
 		case kCandidate:
 			s.onCandidate(ctx, w)
 		case kJoin:
@@ -585,11 +619,11 @@ func (s *shard) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 		case kLeave:
 			s.leave(w.Comp, int32(m.From))
 		case kPathMaxReq:
-			ctx.Send(int(w.ReplyTo), s.onPathMaxReq(w), 6)
+			s.out.Send(ctx, int(w.ReplyTo), s.onPathMaxReq(w), 6)
 		case kPathMaxRep:
 			s.onPathMaxRep(ctx, w)
 		case kQuery:
-			ctx.Send(s.owner(w.V), &wire{
+			s.out.Send(ctx, s.owner(w.V), wire{
 				Kind: kQueryFwd, U: w.U, V: w.V, Seq: w.Seq, Comp: s.verts[w.U],
 			}, 5)
 		case kQueryFwd:
@@ -610,7 +644,7 @@ func (s *shard) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 			s.onDPTop(ctx, w)
 		case kDPInfoReq:
 			f, l := s.flOf(w.U)
-			ctx.Send(int(w.ReplyTo), &wire{
+			s.out.Send(ctx, int(w.ReplyTo), wire{
 				Kind: kDPInfoRep, U: w.U, Seq: w.Seq,
 				Comp: s.verts[w.U], F: f, L: l,
 			}, 7)
@@ -626,6 +660,8 @@ func (s *shard) HandleRound(ctx *mpc.Ctx, inbox []mpc.Message) {
 			s.onDPTopReq(ctx, w)
 		case kDPTopRep:
 			s.onDPTopRep(ctx, w)
+		default:
+			panic(fmt.Sprintf("dyncon: machine %d received a payload of kind %d, a cleared or unknown one", s.id, w.Kind))
 		}
 	}
 }
@@ -646,8 +682,7 @@ func (s *shard) startUpdate(ctx *mpc.Ctx, w *wire) {
 		if _, dup := s.nontree[e]; dup {
 			return
 		}
-		p := &pending{op: graph.Update{Op: graph.Insert, U: int(w.U), V: int(w.V), W: graph.Weight(w.W)}, stage: stInfo}
-		s.pend[w.Seq] = p
+		s.pend.start(w.Seq, pending{op: graph.Update{Op: graph.Insert, U: int(w.U), V: int(w.V), W: graph.Weight(w.W)}, stage: stInfo})
 		s.sendInfoReqs(ctx, w.Seq, w.U, w.V)
 		return
 	}
@@ -658,7 +693,7 @@ func (s *shard) startUpdate(ctx *mpc.Ctx, w *wire) {
 			if other == s.id {
 				other = s.owner(int32(e.U))
 			}
-			ctx.Send(other, &wire{Kind: kDelNonTree, U: int32(e.U), V: int32(e.V)}, 3)
+			s.out.Send(ctx, other, wire{Kind: kDelNonTree, U: int32(e.U), V: int32(e.V)}, 3)
 		}
 		return
 	}
@@ -668,15 +703,14 @@ func (s *shard) startUpdate(ctx *mpc.Ctx, w *wire) {
 	}
 	// Tree edge: identify the child interval from the inner position pair.
 	fy, ly := childInterval(&rec.pos)
-	p := &pending{
+	s.pend.start(w.Seq, pending{
 		op:      graph.Update{Op: graph.Delete, U: int(w.U), V: int(w.V)},
 		stage:   stSizeForCut,
 		cutEdge: e, cutW: rec.w, cutComp: rec.comp,
 		fy: fy, ly: ly,
 		newComp: int64(s.cfg.N) + 2*w.Seq,
-	}
-	s.pend[w.Seq] = p
-	ctx.Send(int(s.registry(rec.comp)), &wire{
+	})
+	s.out.Send(ctx, int(s.registry(rec.comp)), wire{
 		Kind: kSizeReq, Comp: rec.comp, Seq: w.Seq, ReplyTo: int32(s.id),
 	}, 5)
 }
@@ -693,12 +727,12 @@ func childInterval(e *etour.EdgePos) (fy, ly int) {
 }
 
 func (s *shard) sendInfoReqs(ctx *mpc.Ctx, seq int64, u, v int32) {
-	ctx.Send(s.owner(u), &wire{Kind: kInfoReq, U: u, Seq: seq, ReplyTo: int32(s.id)}, 4)
-	ctx.Send(s.owner(v), &wire{Kind: kInfoReq, U: v, Seq: seq, ReplyTo: int32(s.id)}, 4)
+	s.out.Send(ctx, s.owner(u), wire{Kind: kInfoReq, U: u, Seq: seq, ReplyTo: int32(s.id)}, 4)
+	s.out.Send(ctx, s.owner(v), wire{Kind: kInfoReq, U: v, Seq: seq, ReplyTo: int32(s.id)}, 4)
 }
 
 func (s *shard) onInfo(ctx *mpc.Ctx, w *wire) {
-	p, ok := s.pend[w.Seq]
+	p, ok := s.pend.live[w.Seq]
 	if !ok {
 		return
 	}
@@ -725,16 +759,15 @@ func (s *shard) onInfo(ctx *mpc.Ctx, w *wire) {
 				p.stage = stPathMax
 				p.replies = 0
 				p.bestFound = false
-				ctx.Broadcast(&wire{
+				ctx.Broadcast(s.out.Put(ctx.Round(), wire{
 					Kind: kPathMaxReq, Seq: w.Seq, Comp: p.compU,
 					F: p.fU, L: p.lU, Fy: p.fV, LyCut: p.lV,
 					ReplyTo: int32(s.id),
-					Miss:    &wire{Kind: kPathMaxRep, Seq: w.Seq},
-				}, 9, true)
+				}), 9, true)
 				return
 			}
 			s.sendAddNonTree(ctx, int32(p.op.U), int32(p.op.V), int64(p.op.W), p.compU, p.fU, p.fV)
-			delete(s.pend, w.Seq)
+			s.pend.end(w.Seq)
 			return
 		}
 		p.stage = stSizes
@@ -750,17 +783,17 @@ func (s *shard) onInfo(ctx *mpc.Ctx, w *wire) {
 		}
 		s.sendLink(ctx, w.Seq, p.relinkU, p.relinkV, p.relinkW,
 			p.compU, p.compV, sizeU, sizeV, p.cutHold, p.cutHold, p.fU, p.lU, p.fV, p.lV, p.relinkPromote)
-		delete(s.pend, w.Seq)
+		s.pend.end(w.Seq)
 	}
 }
 
 func (s *shard) sendSizeReqs(ctx *mpc.Ctx, seq int64, compU, compV int64) {
-	ctx.Send(int(s.registry(compU)), &wire{Kind: kSizeReq, Comp: compU, Seq: seq, ReplyTo: int32(s.id)}, 5)
-	ctx.Send(int(s.registry(compV)), &wire{Kind: kSizeReq, Comp: compV, Seq: seq, ReplyTo: int32(s.id)}, 5)
+	s.out.Send(ctx, int(s.registry(compU)), wire{Kind: kSizeReq, Comp: compU, Seq: seq, ReplyTo: int32(s.id)}, 5)
+	s.out.Send(ctx, int(s.registry(compV)), wire{Kind: kSizeReq, Comp: compV, Seq: seq, ReplyTo: int32(s.id)}, 5)
 }
 
 func (s *shard) sendAddNonTree(ctx *mpc.Ctx, u, v int32, w int64, comp int64, au, av int) {
-	msg := &wire{Kind: kAddNonTree, U: u, V: v, W: w, Comp: comp, AnchorU: au, AnchorV: av}
+	msg := s.out.Put(ctx.Round(), wire{Kind: kAddNonTree, U: u, V: v, W: w, Comp: comp, AnchorU: au, AnchorV: av})
 	ctx.Send(s.owner(u), msg, 8)
 	if s.owner(v) != s.owner(u) {
 		ctx.Send(s.owner(v), msg, 8)
@@ -768,7 +801,7 @@ func (s *shard) sendAddNonTree(ctx *mpc.Ctx, u, v int32, w int64, comp int64, au
 }
 
 func (s *shard) onSize(ctx *mpc.Ctx, w *wire) {
-	p, ok := s.pend[w.Seq]
+	p, ok := s.pend.live[w.Seq]
 	if !ok {
 		return
 	}
@@ -786,14 +819,13 @@ func (s *shard) onSize(ctx *mpc.Ctx, w *wire) {
 		}
 		s.sendLink(ctx, w.Seq, int32(p.op.U), int32(p.op.V), int64(p.op.W),
 			p.compU, p.compV, p.sizeU, p.sizeV, p.holdU, p.holdV, p.fU, p.lU, p.fV, p.lV, false)
-		delete(s.pend, w.Seq)
+		s.pend.end(w.Seq)
 	case stSizeForCut, stSizeForSwapCut:
 		size := w.Size
 		L := 4 * (size - 1)
 		p.subSize = (p.ly-p.fy-1)/4 + 1
 		p.restSize = size - p.subSize
-		m := &cutMsg{miss: wire{Kind: kCandidate, Seq: w.Seq}}
-		m.shifts = [3]etour.Shift{
+		shifts := [3]etour.Shift{
 			{Kind: etour.ShiftCutRepair, Comp: p.cutComp, NewComp: p.newComp, A: p.fy, B: p.ly, C: L},
 			{Kind: etour.ShiftCutSub, Comp: p.cutComp, NewComp: p.newComp, A: p.fy, B: p.ly},
 			{Kind: etour.ShiftCutRest, Comp: p.cutComp, NewComp: p.cutComp, A: p.fy, B: p.ly},
@@ -802,19 +834,16 @@ func (s *shard) onSize(ctx *mpc.Ctx, w *wire) {
 		p.bestFound = false
 		p.stage = stCandidates // a swap cut also collects its (empty) candidate replies
 		p.cutHold = holderSet{all: w.Flag, ids: w.Holders}
-		m.wire = wire{
+		p.expect = s.sendTo(ctx, p.cutHold, holderSet{}, s.registry(p.cutComp), s.registry(p.newComp), wire{
 			Kind: kDoCut, Seq: w.Seq,
 			U: int32(p.cutEdge.U), V: int32(p.cutEdge.V), W: p.cutW,
 			Comp: p.cutComp, Comp2: p.newComp,
 			Fy: p.fy, LyCut: p.ly, TourLen: L,
 			SubSize: p.subSize, RestSize: p.restSize,
-			Shifts:  m.shifts[:],
 			Convert: p.convert, NoReplace: p.convert,
 			Flag:    p.cutHold.all,
 			ReplyTo: int32(s.id),
-			Miss:    &m.miss,
-		}
-		p.expect = s.sendTo(ctx, p.cutHold, holderSet{}, s.registry(p.cutComp), s.registry(p.newComp), &m.wire, m.words(), 0)
+		}, shifts, len(shifts))
 	}
 }
 
@@ -893,8 +922,8 @@ func healed(w *wire, v int32, comp int64) (int, int64) {
 }
 
 // onDoCut applies a cut to the local shard and returns its reply to the
-// orchestrator: a replacement candidate, or w.Miss.
-func (s *shard) onDoCut(ctx *mpc.Ctx, w *wire) *wire {
+// orchestrator: a replacement candidate, or a miss.
+func (s *shard) onDoCut(ctx *mpc.Ctx, w *wire) wire {
 	compOld, compNew := w.Comp, w.Comp2
 	// Only the owners of the cut edge's endpoints can hold its record.
 	var captured *treeRec
@@ -993,9 +1022,9 @@ func (s *shard) onDoCut(ctx *mpc.Ctx, w *wire) *wire {
 		}
 	}
 	if best == nil || w.NoReplace {
-		return w.Miss
+		return wire{Kind: kCandidate, Seq: w.Seq}
 	}
-	return &wire{Kind: kCandidate, Seq: w.Seq, Found: true, U: best.u, V: best.v, W: best.w}
+	return wire{Kind: kCandidate, Seq: w.Seq, Found: true, U: best.u, V: best.v, W: best.w}
 }
 
 // notify tells comp's registry that this machine joined or left comp: a
@@ -1004,7 +1033,7 @@ func (s *shard) notify(ctx *mpc.Ctx, k kind, comp int64) {
 	r := s.registry(comp)
 	switch {
 	case r != int32(s.id):
-		ctx.Send(int(r), &wire{Kind: k, Comp: comp}, 2)
+		s.out.Send(ctx, int(r), wire{Kind: k, Comp: comp}, 2)
 	case k == kJoin:
 		s.join(comp, r)
 	default:
@@ -1025,7 +1054,7 @@ func betterCandidate(mode Mode, w int64, u, v int32, bw int64, bu, bv int32) boo
 }
 
 func (s *shard) onCandidate(ctx *mpc.Ctx, w *wire) {
-	p, ok := s.pend[w.Seq]
+	p, ok := s.pend.live[w.Seq]
 	if !ok || p.stage != stCandidates {
 		return
 	}
@@ -1048,7 +1077,7 @@ func (s *shard) onCandidate(ctx *mpc.Ctx, w *wire) {
 		return
 	}
 	if !p.bestFound {
-		delete(s.pend, w.Seq) // components stay split
+		s.pend.end(w.Seq) // components stay split
 		return
 	}
 	// Promote the winning non-tree edge to a tree edge via a link.
@@ -1060,7 +1089,7 @@ func (s *shard) onCandidate(ctx *mpc.Ctx, w *wire) {
 	s.sendInfoReqs(ctx, w.Seq, p.bestU, p.bestV)
 }
 
-func (s *shard) onPathMaxReq(w *wire) *wire {
+func (s *shard) onPathMaxReq(w *wire) wire {
 	// Broadcast fields: F,L = f(x),l(x); Fy,LyCut = f(y),l(y); Comp.
 	fx, fy := w.F, w.Fy
 	var best *treeRec
@@ -1077,13 +1106,13 @@ func (s *shard) onPathMaxReq(w *wire) *wire {
 		}
 	}
 	if best == nil {
-		return w.Miss
+		return wire{Kind: kPathMaxRep, Seq: w.Seq}
 	}
-	return &wire{Kind: kPathMaxRep, Seq: w.Seq, Found: true, U: int32(best.pos.U), V: int32(best.pos.V), W: best.w}
+	return wire{Kind: kPathMaxRep, Seq: w.Seq, Found: true, U: int32(best.pos.U), V: int32(best.pos.V), W: best.w}
 }
 
 func (s *shard) onPathMaxRep(ctx *mpc.Ctx, w *wire) {
-	p, ok := s.pend[w.Seq]
+	p, ok := s.pend.live[w.Seq]
 	if !ok || p.stage != stPathMax {
 		return
 	}
@@ -1099,7 +1128,7 @@ func (s *shard) onPathMaxRep(ctx *mpc.Ctx, w *wire) {
 	if !p.bestFound || p.bestW <= int64(p.op.W) {
 		// Keep the forest; the new edge becomes non-tree.
 		s.sendAddNonTree(ctx, int32(p.op.U), int32(p.op.V), int64(p.op.W), p.compU, p.fU, p.fV)
-		delete(s.pend, w.Seq)
+		s.pend.end(w.Seq)
 		return
 	}
 	// Swap: cut the heaviest cycle edge (converting it to non-tree), then
@@ -1111,7 +1140,7 @@ func (s *shard) onPathMaxRep(ctx *mpc.Ctx, w *wire) {
 	p.cutComp = p.compU
 	p.newComp = int64(s.cfg.N) + 2*w.Seq + 1
 	p.stage = stInterval
-	ctx.Send(s.owner(p.bestU), &wire{
+	s.out.Send(ctx, s.owner(p.bestU), wire{
 		Kind: kIntervalReq, U: p.bestU, V: p.bestV, Seq: w.Seq, ReplyTo: int32(s.id),
 	}, 5)
 }
@@ -1123,17 +1152,17 @@ func (s *shard) onIntervalReq(ctx *mpc.Ctx, w *wire) {
 		panic(fmt.Sprintf("dyncon: interval request for unknown tree edge %v at machine %d", e, s.id))
 	}
 	fy, ly := childInterval(&rec.pos)
-	ctx.Send(int(w.ReplyTo), &wire{Kind: kIntervalRep, Seq: w.Seq, Fy: fy, LyCut: ly}, 5)
+	s.out.Send(ctx, int(w.ReplyTo), wire{Kind: kIntervalRep, Seq: w.Seq, Fy: fy, LyCut: ly}, 5)
 }
 
 func (s *shard) onIntervalRep(ctx *mpc.Ctx, w *wire) {
-	p, ok := s.pend[w.Seq]
+	p, ok := s.pend.live[w.Seq]
 	if !ok || p.stage != stInterval {
 		return
 	}
 	p.fy, p.ly = w.Fy, w.LyCut
 	p.stage = stSizeForSwapCut
-	ctx.Send(int(s.registry(p.cutComp)), &wire{
+	s.out.Send(ctx, int(s.registry(p.cutComp)), wire{
 		Kind: kSizeReq, Comp: p.cutComp, Seq: w.Seq, ReplyTo: int32(s.id),
 	}, 5)
 }
@@ -1160,13 +1189,11 @@ func (s *shard) sendLink(ctx *mpc.Ctx, seq int64, x, y int32, w int64,
 	// The host's shift first, then the guest's: a position's label selects
 	// which of them address it, so onDoLink hands each side its own part of
 	// the chain (LinkHost must precede LinkGuest, which relabels to compX).
-	m := new(linkMsg)
-	shifts := m.shifts[:1]
-	shifts[0] = etour.Shift{Kind: etour.ShiftLinkHost, Comp: compX, NewComp: compX, A: q, B: Ly}
+	shifts, n := [3]etour.Shift{{Kind: etour.ShiftLinkHost, Comp: compX, NewComp: compX, A: q, B: Ly}}, 1
 	if sizeY > 1 && fy != 1 {
-		shifts = append(shifts, etour.Shift{Kind: etour.ShiftReroot, Comp: compY, NewComp: compY, A: Ly, B: ly})
+		shifts[n], n = etour.Shift{Kind: etour.ShiftReroot, Comp: compY, NewComp: compY, A: Ly, B: ly}, n+1
 	}
-	shifts = append(shifts, etour.Shift{Kind: etour.ShiftLinkGuest, Comp: compY, NewComp: compX, A: q, B: Ly})
+	shifts[n], n = etour.Shift{Kind: etour.ShiftLinkGuest, Comp: compY, NewComp: compX, A: q, B: Ly}, n+1
 	e := graph.NormEdge(int(x), int(y))
 	pos := etour.EdgePos{U: e.U, V: e.V}
 	if e.U == int(x) {
@@ -1176,19 +1203,18 @@ func (s *shard) sendLink(ctx *mpc.Ctx, seq int64, x, y int32, w int64,
 		pos.VU = [2]int{q + 1, q + 2}
 		pos.UV = [2]int{q + Ly + 3, q + Ly + 4}
 	}
-	m.wire = wire{
+	msg := wire{
 		Kind: kDoLink, Seq: seq, U: x, V: y, W: w,
 		Comp: compX, Comp2: compY, Q: q, Ly: Ly,
-		Size: sizeX + sizeY, Shifts: shifts, Pos: pos, Promote: promote,
+		Size: sizeX + sizeY, Pos: pos, Promote: promote,
 	}
-	msg := &m.wire
 	hx, hy := s.held(holdX, sizeX, x), s.held(holdY, sizeY, y)
 	if hx.all || hy.all {
 		msg.Flag = true
 	} else if sizeY > 1 {
 		msg.Holders = holdY.ids
 	}
-	s.sendTo(ctx, hx, hy, s.registry(compX), s.registry(compY), msg, msg.words(), len(msg.Holders))
+	s.sendTo(ctx, hx, hy, s.registry(compX), s.registry(compY), msg, shifts, n)
 }
 
 // onDoLink applies a link to the local shard: hosts take the chain's

@@ -194,7 +194,6 @@ func TestBroadcastTouchesOnlyNamed(t *testing.T) {
 				{Kind: etour.ShiftCutSub, Comp: a, NewComp: b, A: 4, B: 9},
 				{Kind: etour.ShiftCutRest, Comp: a, NewComp: a, A: 4, B: 9},
 			},
-			Miss: &wire{Kind: kCandidate, Seq: 1},
 		}
 	}
 	const compNew = int64(1<<20 + 2)
@@ -217,7 +216,7 @@ func TestBroadcastTouchesOnlyNamed(t *testing.T) {
 	}
 
 	cut := cutOf(compA, compNew)
-	var reply *wire
+	var reply wire
 	s = expectBroadcast(t, "cut", [2]int64{compA, compA}, cut.Shifts, func(s *shard) { reply = s.onDoCut(new(mpc.Ctx), cut) })
 	if s.tree[graph.Edge{U: 7, V: 8}] != nil || len(s.tree) != 5000+7+2-1 {
 		t.Fatalf("cut: %d tree records left, 7-8 among them: %v", len(s.tree), s.tree[graph.Edge{U: 7, V: 8}] != nil)
@@ -246,8 +245,8 @@ func TestBroadcastTouchesOnlyNamed(t *testing.T) {
 		run := func(s *shard) {
 			if far.Kind == kDoLink {
 				s.onDoLink(far)
-			} else if got := s.onDoCut(new(mpc.Ctx), far); got != far.Miss {
-				t.Fatalf("absent cut replied %+v, want the shared miss", got)
+			} else if got := s.onDoCut(new(mpc.Ctx), far); got.Kind != kCandidate || got.Found || got.Seq != far.Seq {
+				t.Fatalf("absent cut replied %+v, want a miss", got)
 			}
 		}
 		s = expectBroadcast(t, "absent", [2]int64{555, far.Shifts[1].Comp}, far.Shifts, run)
@@ -265,7 +264,7 @@ func TestBroadcastTouchesOnlyNamed(t *testing.T) {
 	}
 	s, _ = touchedShard(named)
 	ctx := new(mpc.Ctx)
-	if got := s.onDoCut(ctx, miss); got != miss.Miss {
+	if got := s.onDoCut(ctx, miss); got.Kind != kCandidate || got.Found || got.Seq != miss.Seq {
 		t.Fatalf("candidate-free cut replied %+v", got)
 	}
 	if got := testing.AllocsPerRun(100, func() { s.onDoCut(ctx, miss) }); got != 0 {

@@ -62,13 +62,13 @@ func (s *shard) onDPSubtree(ctx *mpc.Ctx, w *wire) {
 	comp := s.verts[u]
 	if u == r {
 		// Rooting at u itself: the subtree is the whole component.
-		s.qpend[w.Seq] = &dpPending{kind: graph.OpSubtreeSum, u: u, comp: comp}
+		s.qpend.start(w.Seq, dpPending{kind: graph.OpSubtreeSum, u: u, comp: comp})
 		s.dpBroadcastSum(ctx, w.Seq, comp, treedp.Span{All: true})
 		return
 	}
 	fu, lu := s.flOf(u)
-	s.qpend[w.Seq] = &dpPending{kind: graph.OpSubtreeSum, u: u, comp: comp, fu: fu, lu: lu}
-	ctx.Send(s.owner(r), &wire{Kind: kDPInfoReq, U: r, Seq: w.Seq, ReplyTo: int32(s.id)}, 4)
+	s.qpend.start(w.Seq, dpPending{kind: graph.OpSubtreeSum, u: u, comp: comp, fu: fu, lu: lu})
+	s.out.Send(ctx, s.owner(r), wire{Kind: kDPInfoReq, U: r, Seq: w.Seq, ReplyTo: int32(s.id)}, 4)
 }
 
 func (s *shard) onDPPath(ctx *mpc.Ctx, w *wire) {
@@ -83,20 +83,20 @@ func (s *shard) onDPPath(ctx *mpc.Ctx, w *wire) {
 		return
 	}
 	fu, _ := s.flOf(u)
-	s.qpend[w.Seq] = &dpPending{kind: graph.OpPathSum, u: u, comp: s.verts[u], fu: fu}
-	ctx.Send(s.owner(v), &wire{Kind: kDPInfoReq, U: v, Seq: w.Seq, ReplyTo: int32(s.id)}, 4)
+	s.qpend.start(w.Seq, dpPending{kind: graph.OpPathSum, u: u, comp: s.verts[u], fu: fu})
+	s.out.Send(ctx, s.owner(v), wire{Kind: kDPInfoReq, U: v, Seq: w.Seq, ReplyTo: int32(s.id)}, 4)
 }
 
 func (s *shard) onDPTop(ctx *mpc.Ctx, w *wire) {
 	comp := s.verts[w.U]
-	s.qpend[w.Seq] = &dpPending{kind: graph.OpTreeTop, u: w.U, comp: comp}
-	ctx.Broadcast(&wire{Kind: kDPTopReq, Seq: w.Seq, Comp: comp, ReplyTo: int32(s.id)}, 4, true)
+	s.qpend.start(w.Seq, dpPending{kind: graph.OpTreeTop, u: w.U, comp: comp})
+	ctx.Broadcast(s.out.Put(ctx.Round(), wire{Kind: kDPTopReq, Seq: w.Seq, Comp: comp, ReplyTo: int32(s.id)}), 4, true)
 }
 
 // onDPInfo resumes a SubtreeSum or PathSum orchestration once the far
 // vertex's component and appearance arrive.
 func (s *shard) onDPInfo(ctx *mpc.Ctx, w *wire) {
-	p, ok := s.qpend[w.Seq]
+	p, ok := s.qpend.live[w.Seq]
 	if !ok {
 		return
 	}
@@ -119,14 +119,14 @@ func (s *shard) onDPInfo(ctx *mpc.Ctx, w *wire) {
 	case graph.OpPathSum:
 		if w.Comp != p.comp {
 			ctx.Answer(int(w.Seq), graph.Answer{})
-			delete(s.qpend, w.Seq)
+			s.qpend.end(w.Seq)
 			return
 		}
 		p.replies, p.sum = 0, 0
-		ctx.Broadcast(&wire{
+		ctx.Broadcast(s.out.Put(ctx.Round(), wire{
 			Kind: kDPPathReq, Seq: w.Seq, Comp: p.comp,
 			F: p.fu, L: w.F, ReplyTo: int32(s.id),
-		}, 6, true)
+		}), 6, true)
 	}
 }
 
@@ -150,11 +150,11 @@ func (s *shard) childTowards(u int32, comp int64, fr int) (int, int) {
 // dpBroadcastSum ships the Span predicate to every machine and resets
 // the pending reply collection.
 func (s *shard) dpBroadcastSum(ctx *mpc.Ctx, seq int64, comp int64, span treedp.Span) {
-	p := s.qpend[seq]
+	p := s.qpend.live[seq]
 	p.replies, p.sum = 0, 0
-	ctx.Broadcast(&wire{
+	ctx.Broadcast(s.out.Put(ctx.Round(), wire{
 		Kind: kDPSumReq, Seq: seq, Comp: comp, Span: span, ReplyTo: int32(s.id),
-	}, 4+span.Words(), true)
+	}), 4+span.Words(), true)
 }
 
 // onDPSumReq evaluates the Span over the weight records of the component's
@@ -169,11 +169,11 @@ func (s *shard) onDPSumReq(ctx *mpc.Ctx, w *wire) {
 			}
 		}
 	}
-	ctx.Send(int(w.ReplyTo), &wire{Kind: kDPSumRep, Seq: w.Seq, W: sum}, 3)
+	s.out.Send(ctx, int(w.ReplyTo), wire{Kind: kDPSumRep, Seq: w.Seq, W: sum}, 3)
 }
 
 func (s *shard) onDPSumRep(ctx *mpc.Ctx, w *wire) {
-	p, ok := s.qpend[w.Seq]
+	p, ok := s.qpend.live[w.Seq]
 	if !ok {
 		return
 	}
@@ -183,7 +183,7 @@ func (s *shard) onDPSumRep(ctx *mpc.Ctx, w *wire) {
 		return
 	}
 	ctx.Answer(int(w.Seq), graph.Answer{Int: p.sum})
-	delete(s.qpend, w.Seq)
+	s.qpend.end(w.Seq)
 }
 
 // onDPPathReq evaluates the OnPath predicate for every owned weighted
@@ -214,14 +214,14 @@ func (s *shard) onDPPathReq(ctx *mpc.Ctx, w *wire) {
 			}
 		}
 	}
-	ctx.Send(int(w.ReplyTo), &wire{Kind: kDPSumRep, Seq: w.Seq, W: sum}, 3)
+	s.out.Send(ctx, int(w.ReplyTo), wire{Kind: kDPSumRep, Seq: w.Seq, W: sum}, 3)
 }
 
 // onDPTopReq reports the shard's local argmax over the component's
 // owned vertices — every vertex counts, at weight 0 when unrecorded, so
 // the global answer is total over the component.
 func (s *shard) onDPTopReq(ctx *mpc.Ctx, w *wire) {
-	reply := &wire{Kind: kDPTopRep, Seq: w.Seq}
+	reply := wire{Kind: kDPTopRep, Seq: w.Seq}
 	for _, v := range s.compVerts[w.Comp] {
 		var wt int64
 		if rec, ok := s.weights[v]; ok {
@@ -232,11 +232,11 @@ func (s *shard) onDPTopReq(ctx *mpc.Ctx, w *wire) {
 			reply.U, reply.W = v, wt
 		}
 	}
-	ctx.Send(int(w.ReplyTo), reply, 5)
+	s.out.Send(ctx, int(w.ReplyTo), reply, 5)
 }
 
 func (s *shard) onDPTopRep(ctx *mpc.Ctx, w *wire) {
-	p, ok := s.qpend[w.Seq]
+	p, ok := s.qpend.live[w.Seq]
 	if !ok || p.kind != graph.OpTreeTop {
 		return
 	}
@@ -249,5 +249,5 @@ func (s *shard) onDPTopRep(ctx *mpc.Ctx, w *wire) {
 		return
 	}
 	ctx.Answer(int(w.Seq), graph.Answer{Int: int64(p.bestV)})
-	delete(s.qpend, w.Seq)
+	s.qpend.end(w.Seq)
 }

@@ -2,6 +2,7 @@ package dyncon
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 
 	"dmpc/internal/etour"
@@ -244,12 +245,29 @@ func (d *D) Validate() error {
 		}
 	}
 
-	// The orchestration tables: an update or DP query that finished deleted
-	// its entry, so a leftover is an op some window started and never
-	// completed.
+	// The orchestration tables: an update or DP query that finished retired
+	// its record, so a leftover is an op some window started and never
+	// completed, and a retired record that is not zero was written after
+	// its retirement.
 	for _, sh := range d.shards {
-		if n := len(sh.pend) + len(sh.qpend); n != 0 {
-			return fmt.Errorf("machine %d: %d unfinished orchestrations (pend %d, qpend %d) at quiescence", sh.id, n, len(sh.pend), len(sh.qpend))
+		if n := len(sh.pend.live) + len(sh.qpend.live); n != 0 {
+			return fmt.Errorf("machine %d: %d unfinished orchestrations (pend %d, qpend %d) at quiescence", sh.id, n, len(sh.pend.live), len(sh.qpend.live))
+		}
+		if err := auditRetired(sh.id, &sh.pend); err != nil {
+			return err
+		}
+		if err := auditRetired(sh.id, &sh.qpend); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// auditRetired checks that every retired record of r is zero.
+func auditRetired[T any](id int, r *records[T]) error {
+	for _, p := range r.free {
+		if !reflect.ValueOf(p).Elem().IsZero() {
+			return fmt.Errorf("machine %d: retired %T record reads %+v", id, *p, *p)
 		}
 	}
 	return nil

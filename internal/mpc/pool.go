@@ -27,7 +27,8 @@ package mpc
 // the first Put in round r+2 resets slab r&1. A reset clears the slab's
 // slots (the payload-clearing rule again: a stale slot would pin whatever
 // it referenced), so elements beyond len are zero by induction. The zero
-// Outbox is empty and ready.
+// Outbox is empty and ready. amm, dmm and dyncon send their per-update
+// payloads through Outboxes.
 type Outbox[T any] struct {
 	slab [2][]T
 	at   [2]int // the round each slab was last reset in
