@@ -9,7 +9,11 @@
 // n ∈ {256, 1024, 4096}) — and emits them as text tables or, with -json,
 // as one dmpcbench/v5 document (see benchReport; BENCH_0015.json is the
 // committed one). It records model counts only: time and allocations are
-// measured by bench/ and by the packages' own tests and benchmarks.
+// measured by bench/ and by the packages' own tests and benchmarks. Every
+// paper core is built through the dmpc facade's constructors and driven
+// through Pipeline.Apply, the path users run; only the §7 reductions and
+// the static baseline, which the facade does not offer, are built from
+// their packages.
 //
 // The judge is `go test ./cmd/dmpcbench`: TestSuiteMatchesSnapshot
 // measures the suite at one and at four worker shards and requires every
@@ -30,9 +34,6 @@ import (
 	"text/tabwriter"
 
 	"dmpc"
-	"dmpc/internal/core/amm"
-	"dmpc/internal/core/dmm"
-	"dmpc/internal/core/dyncon"
 	"dmpc/internal/core/reduction"
 	"dmpc/internal/graph"
 	"dmpc/internal/mpc"
@@ -61,18 +62,15 @@ type table1Row struct {
 	Entropy       float64 `json:"comm_entropy_bits"`
 }
 
-// applyOps is a core's one execution path.
-type applyOps func([]graph.Op) (graph.Results, mpc.MixedStats)
-
 // runner executes one batch of updates and returns the update half it was
 // billed. A per-update measurement is a batch of one.
 type runner func(graph.Batch) mpc.HalfStats
 
-// window runs each batch as one write-only ApplyOps window (a read-free
+// window runs each batch as one write-only Apply window (a read-free
 // window is its update half).
-func window(apply applyOps) runner {
+func window(p dmpc.Pipeline) runner {
 	return func(b graph.Batch) mpc.HalfStats {
-		_, st := apply(graph.UpdateOps(b))
+		_, st := p.Apply(graph.UpdateOps(b))
 		return st.Updates
 	}
 }
@@ -98,8 +96,9 @@ func perUpdate(f func(graph.Update) mpc.HalfStats) runner {
 	}
 }
 
-// ammCycle is §6's fixed-schedule per-update driver (see amm.M.Insert).
-func ammCycle(m *amm.M) runner {
+// ammCycle is §6's fixed-schedule per-update driver (see
+// AlmostMaximalMatching.Insert).
+func ammCycle(m *dmpc.AlmostMaximalMatching) runner {
 	return perUpdate(func(up graph.Update) mpc.HalfStats {
 		if up.Op == graph.Insert {
 			return m.Insert(up.U, up.V)
@@ -160,28 +159,13 @@ type inst struct {
 }
 
 // benchWorkers is the worker count every structure of the suite is built
-// at: every construction routes through the wrappers below. The command
-// runs inline; the snapshot test reruns the suite at four shards, which
-// must change no cell.
+// at: every structure is built by the facade's constructors with
+// benchOpts, and runs the Apply path users run. The command runs inline;
+// the snapshot test reruns the suite at four shards, which must change no
+// cell.
 var benchWorkers int
 
-func newDyncon(cfg dyncon.Config) *dyncon.D {
-	cfg.Workers = benchWorkers
-	return dyncon.New(cfg)
-}
-
-func newDMM(cfg dmm.Config) *dmm.M {
-	cfg.Workers = benchWorkers
-	return dmm.New(cfg)
-}
-
-func newAMM(cfg amm.Config) *amm.M {
-	cfg.Workers = benchWorkers
-	return amm.New(cfg)
-}
-
-// benchOpts is benchWorkers as facade options, for tables that build
-// structures through the dmpc front door.
+// benchOpts is benchWorkers as facade options.
 func benchOpts() []dmpc.Option {
 	return []dmpc.Option{dmpc.WithWorkers(benchWorkers)}
 }
@@ -190,29 +174,25 @@ func benchOpts() []dmpc.Option {
 // capEdges: the five paper cores first (§3, §4, §6, §5, §5.1), then the
 // three §7 reductions.
 func algs(n, capEdges int, seed int64) []alg {
-	windowed := func(apply applyOps, cl *mpc.Cluster) inst { w := window(apply); return inst{w, w, cl} }
-	mm := func(threeHalves bool) inst {
-		m := newDMM(dmm.Config{N: n, CapEdges: capEdges, ThreeHalves: threeHalves})
-		return windowed(m.ApplyOps, m.Cluster())
-	}
-	cc := func(mode dyncon.Mode, eps float64) inst {
-		d := newDyncon(dyncon.Config{N: n, Mode: mode, Eps: eps, ExpectedEdges: capEdges})
-		return windowed(d.ApplyOps, d.Cluster())
-	}
+	windowed := func(p dmpc.Pipeline) inst { w := window(p); return inst{w, w, p.Cluster()} }
 	red := func(t reduction.Target) inst {
 		sim := reduction.NewSim(8, 1<<18)
 		run := perUpdate(reduction.NewWrapped(sim, t).Update)
 		return inst{run, run, sim.Cluster()}
 	}
 	return []alg{
-		{"Maximal matching (§3)", "O(1) r, O(1) mach, O(√N) words", func() inst { return mm(false) }},
-		{"3/2-approx matching (§4)", "O(1) r, O(n/√N) mach, O(√N) words", func() inst { return mm(true) }},
+		{"Maximal matching (§3)", "O(1) r, O(1) mach, O(√N) words",
+			func() inst { return windowed(dmpc.NewMaximalMatching(n, capEdges, benchOpts()...)) }},
+		{"3/2-approx matching (§4)", "O(1) r, O(n/√N) mach, O(√N) words",
+			func() inst { return windowed(dmpc.NewThreeHalvesMatching(n, capEdges, benchOpts()...)) }},
 		{"(2+ε)-approx matching (§6)", "O(1) r, Õ(1) mach, Õ(1) words", func() inst {
-			m := newAMM(amm.Config{N: n, Seed: seed})
-			return inst{ammCycle(m), window(m.ApplyOps), m.Cluster()}
+			m := dmpc.NewAlmostMaximalMatching(n, 0, seed, benchOpts()...)
+			return inst{ammCycle(m), window(m), m.Cluster()}
 		}},
-		{"Connected comps (§5)", "O(1) r, O(√N) mach, O(√N) words", func() inst { return cc(dyncon.CC, 0) }},
-		{"(1+ε)-MST (§5.1)", "O(1) r, O(√N) mach, O(√N) words", func() inst { return cc(dyncon.MST, 0.25) }},
+		{"Connected comps (§5)", "O(1) r, O(√N) mach, O(√N) words",
+			func() inst { return windowed(dmpc.NewConnectivity(n, capEdges, benchOpts()...)) }},
+		{"(1+ε)-MST (§5.1)", "O(1) r, O(√N) mach, O(√N) words",
+			func() inst { return windowed(dmpc.NewMST(n, 0.25, capEdges, benchOpts()...)) }},
 		{"Reduction: conn comps (§7+HDT)", "Õ(1) r amort., O(1) mach, O(1) words",
 			func() inst { return red(reduction.HDTTarget{H: seqdyn.NewHDT(n)}) }},
 		{"Reduction: matching (§7+NS)", "O(√m) r wc, O(1) mach, O(1) words",
@@ -293,7 +273,7 @@ func printBatchTable(rows []batchRow) {
 // chunked at k ops. The split answers the *same* queries at the *same*
 // stream positions — the only way to do that without in-wave scheduling is
 // to cut each chunk at its read runs: every maximal update run and every
-// maximal read run is its own ApplyOps window, so each read run waits for
+// maximal read run is its own Apply window, so each read run waits for
 // the preceding writes to quiesce. (Moving all reads to the chunk boundary
 // would be cheaper but answers different queries — chunk-end state instead
 // of stream-position state — so it is not a baseline for the same
@@ -313,19 +293,12 @@ type mixedRow struct {
 	FreeRides       int     `json:"reads_riding_update_waves"`
 }
 
-// core is one instance of an algorithm as the mixed and read-only tables
-// drive it: its one execution path and its teardown.
-type core interface {
-	ApplyOps([]graph.Op) (graph.Results, mpc.MixedStats)
-	Close()
-}
-
 // mixedRunner builds fresh instances of one algorithm for the two sides
 // of the comparison.
 type mixedRunner struct {
 	name    string
 	mkQuery func(rng *rand.Rand) graph.Op
-	mk      func() core
+	mk      func() dmpc.Pipeline
 }
 
 func mixedRunners(n, capEdges int) []mixedRunner {
@@ -334,15 +307,13 @@ func mixedRunners(n, capEdges int) []mixedRunner {
 	// path to compare — its Pipeline front door exists for API uniformity.
 	connected := func(rng *rand.Rand) graph.Op { return graph.OpQConnected(rng.Intn(n), rng.Intn(n)) }
 	return []mixedRunner{
-		{"Connected comps (§5)", connected, func() core {
-			return newDyncon(dyncon.Config{N: n, Mode: dyncon.CC, ExpectedEdges: capEdges})
-		}},
-		{"(1+ε)-MST (§5.1)", connected, func() core {
-			return newDyncon(dyncon.Config{N: n, Mode: dyncon.MST, Eps: 0.25, ExpectedEdges: capEdges})
-		}},
+		{"Connected comps (§5)", connected,
+			func() dmpc.Pipeline { return dmpc.NewConnectivity(n, capEdges, benchOpts()...) }},
+		{"(1+ε)-MST (§5.1)", connected,
+			func() dmpc.Pipeline { return dmpc.NewMST(n, 0.25, capEdges, benchOpts()...) }},
 		{"Maximal matching (§3)",
 			func(rng *rand.Rand) graph.Op { return graph.OpQMateOf(rng.Intn(n)) },
-			func() core { return newDMM(dmm.Config{N: n, CapEdges: capEdges}) }},
+			func() dmpc.Pipeline { return dmpc.NewMaximalMatching(n, capEdges, benchOpts()...) }},
 	}
 }
 
@@ -356,7 +327,7 @@ func measureMixedPipeline(mr mixedRunner, ops []graph.Op, k int) mixedRow {
 	defer inwave.Close()
 	var inRounds int
 	for _, chunk := range graph.SplitOps(ops, k) {
-		_, m := inwave.ApplyOps(chunk)
+		_, m := inwave.Apply(chunk)
 		inRounds += m.Rounds()
 		row.QueryHalf += m.Queries.Rounds
 		for _, w := range m.Waves {
@@ -378,7 +349,7 @@ func measureMixedPipeline(mr mixedRunner, ops []graph.Op, k int) mixedRow {
 			for j < len(chunk) && chunk[j].IsQuery() == chunk[i].IsQuery() {
 				j++
 			}
-			_, m := split.ApplyOps(chunk[i:j])
+			_, m := split.Apply(chunk[i:j])
 			splitRounds += m.Rounds()
 			i = j
 		}
@@ -421,7 +392,7 @@ func printMixedTable(rows []mixedRow) {
 
 // readRow is one (algorithm, k) cell of the read-only-window table: after
 // the batch stream has been applied, 128 queries are answered in
-// read-only ApplyOps windows of k. A window's reads share its gather
+// read-only Apply windows of k. A window's reads share its gather
 // rounds, so rounds/query falls from ~2 (§5) resp. 1 (§3) toward 2/k resp.
 // 1/k — the read-side mirror of the batch table.
 type readRow struct {
@@ -436,13 +407,13 @@ func readTable(n, nUpdates int, seed int64) []readRow {
 	stream := suiteStream(n, nUpdates, seed)
 	runners := append(mixedRunners(n, 6*n), mixedRunner{"(2+ε)-approx matching (§6)",
 		func(rng *rand.Rand) graph.Op { return graph.OpQMateOf(rng.Intn(n)) },
-		func() core { return newAMM(amm.Config{N: n, Seed: seed}) }})
+		func() dmpc.Pipeline { return dmpc.NewAlmostMaximalMatching(n, 0, seed, benchOpts()...) }})
 	var rows []readRow
 	for _, mr := range runners {
 		for _, k := range []int{1, 8, 64} {
 			c := mr.mk()
 			for _, b := range graph.Chunk(stream, batchK) {
-				c.ApplyOps(graph.UpdateOps(b))
+				c.Apply(graph.UpdateOps(b))
 			}
 			rng := rand.New(rand.NewSource(seed + 600))
 			r := readRow{Name: mr.name, K: k}
@@ -452,7 +423,7 @@ func readTable(n, nUpdates int, seed int64) []readRow {
 				for j := range ops {
 					ops[j] = mr.mkQuery(rng)
 				}
-				_, st := c.ApplyOps(ops)
+				_, st := c.Apply(ops)
 				r.Queries += st.Queries.Ops
 				rounds += st.Queries.Rounds
 				words += st.Queries.SumWords

@@ -3,7 +3,7 @@ package main
 import (
 	"math/rand"
 
-	"dmpc/internal/core/dyncon"
+	"dmpc"
 	"dmpc/internal/graph"
 )
 
@@ -59,11 +59,11 @@ func treeDPOps(n, nUpdates int, gen string, seed int64) []graph.Op {
 
 // measureTreeDP runs the chunked stream on a fresh instance.
 func measureTreeDP(gen string, ops []graph.Op, n, k int) treedpRow {
-	d := newDyncon(dyncon.Config{N: n, Mode: dyncon.CC, ExpectedEdges: 6 * n})
-	defer d.Close()
+	c := dmpc.NewConnectivity(n, 6*n, benchOpts()...)
+	defer c.Close()
 	var rounds, qrounds int
 	for _, chunk := range graph.SplitOps(ops, k) {
-		_, st := d.ApplyOps(chunk)
+		_, st := c.Apply(chunk)
 		rounds += st.Rounds()
 		qrounds += st.Queries.Rounds
 	}

@@ -86,8 +86,8 @@
 // IngestorConfig.Weights meters each tenant's claim cost against a
 // deficit-round-robin share of the per-round word budget while the
 // forming set grows, so a flooding tenant cuts its windows early instead
-// of filling them, and IngestorConfig.Admission (AlwaysAdmit,
-// TokenBucket) refuses ops at the door, counting them in
+// of filling them, and IngestorConfig.Admission (a TokenBucket per
+// throttled tenant) refuses ops at the door, counting them in
 // StreamStats.Rejected and answering refused reads with Answer.Rejected.
 // StreamStats gains a per-tenant breakdown (TenantStreamStats) that
 // charges each op an equal share of its flush window's rounds, while

@@ -185,13 +185,6 @@ type AdmissionPolicy interface {
 	Admit(now int64) bool
 }
 
-// AlwaysAdmit admits every op — the explicit form of "no policy", for
-// mixing open tenants with throttled ones in one Admission map.
-type AlwaysAdmit struct{}
-
-// Admit always reports true.
-func (AlwaysAdmit) Admit(int64) bool { return true }
-
 // TokenBucket admits ops against a token bucket refilled on the
 // virtual clock: Rate tokens per round, holding at most Burst. Each
 // admitted op consumes one token; an op arriving with less than one

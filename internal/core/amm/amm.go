@@ -167,7 +167,7 @@ func (m *M) update(up graph.Update) mpc.HalfStats {
 
 // send injects a driver message whose payload lives in m.out.
 func (m *M) send(to int, p amsg, words int) {
-	m.cluster.Send(mpc.Message{From: -1, To: to, Payload: m.out.Put(m.cluster.Stats().Rounds, p), Words: words})
+	m.out.Inject(m.cluster, to, p, words)
 }
 
 // StreamItem is the coarse claims oracle of the §6 structure: its epoch

@@ -261,11 +261,7 @@ func (m *M) runOpWave(ops []graph.Op, ids []int64, wave []int) {
 	for _, i := range order {
 		op := ops[i]
 		if op.IsQuery() {
-			m.cluster.Send(mpc.Message{
-				From: -1, To: 1 + op.U/m.coord.statsPer,
-				Payload: m.queries.Put(m.cluster.Stats().Rounds, mateQuery{Seq: int64(i), V: int32(op.U)}),
-				Words:   3,
-			})
+			m.queries.Inject(m.cluster, 1+op.U/m.coord.statsPer, mateQuery{Seq: int64(i), V: int32(op.U)}, 3)
 			continue
 		}
 		m.inject(op.Update(), ids[i])
@@ -294,11 +290,7 @@ func (m *M) runChained(ops []graph.Op, ids []int64, seg []int) {
 }
 
 func (m *M) inject(up graph.Update, seq int64) {
-	m.cluster.Send(mpc.Message{
-		From: -1, To: 0,
-		Payload: m.updates.Put(m.cluster.Stats().Rounds, update{Seq: seq, A: int32(up.U), B: int32(up.V), Del: up.Op == graph.Delete}),
-		Words:   4,
-	})
+	m.updates.Inject(m.cluster, 0, update{Seq: seq, A: int32(up.U), B: int32(up.V), Del: up.Op == graph.Delete}, 4)
 }
 
 // driveFlows runs rounds from the injection round until MC has closed

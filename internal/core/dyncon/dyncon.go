@@ -169,7 +169,7 @@ func (d *D) opWeight(w graph.Weight) graph.Weight {
 
 // send injects w for v's owner, the payload in the driver's outbox.
 func (d *D) send(v int, w wire, words int) {
-	d.cluster.Send(mpc.Message{From: -1, To: d.owner(v), Payload: d.out.Put(d.cluster.Stats().Rounds, w), Words: words})
+	d.out.Inject(d.cluster, d.owner(v), w, words)
 }
 
 func (d *D) inject(up graph.Update, seq int64) {

@@ -69,31 +69,42 @@ func SameLabeling(a, b []int) bool {
 // g: acyclic, every edge present in g, and connecting exactly g's
 // components.
 func IsSpanningForest(g *Graph, f []Edge) bool {
-	parent := make([]int, g.N())
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
+	uf := newUnionFind(g.N())
 	for _, e := range f {
-		if !g.Has(e.U, e.V) {
-			return false
+		if !g.Has(e.U, e.V) || !uf.union(e.U, e.V) {
+			return false // a non-edge or a cycle
 		}
-		ru, rv := find(e.U), find(e.V)
-		if ru == rv {
-			return false // cycle
-		}
-		parent[ru] = rv
 	}
 	forestComp := make([]int, g.N())
 	for v := range forestComp {
-		forestComp[v] = find(v)
+		forestComp[v] = uf.find(v)
 	}
 	return SameLabeling(Components(g), forestComp)
+}
+
+// unionFind is a disjoint-set forest over 0..n-1 with path halving.
+type unionFind []int
+
+func newUnionFind(n int) unionFind {
+	parent := make(unionFind, n)
+	for i := range parent {
+		parent[i] = i
+	}
+	return parent
+}
+
+func (p unionFind) find(x int) int {
+	for p[x] != x {
+		p[x] = p[p[x]]
+		x = p[x]
+	}
+	return x
+}
+
+// union merges the sets of a and b, linking a's root under b's, and
+// reports whether they were distinct.
+func (p unionFind) union(a, b int) bool {
+	ra, rb := p.find(a), p.find(b)
+	p[ra] = rb
+	return ra != rb
 }

@@ -16,23 +16,27 @@ func FuzzStream(data []byte, n int, maxW Weight) []Update {
 	}
 	ups := make([]Update, 0, len(data)/3)
 	for i := 0; i+2 < len(data); i += 3 {
-		sel, b1, b2 := data[i], data[i+1], data[i+2]
-		u := int(b1) % n
-		v := int(b2) % n
-		if u == v {
-			v = (v + 1) % n
-		}
-		if sel&1 == 0 {
-			w := Weight(1)
-			if maxW > 1 {
-				w = 1 + Weight(sel>>1)%maxW
-			}
-			ups = append(ups, Update{Op: Insert, U: u, V: v, W: w})
-		} else {
-			ups = append(ups, Update{Op: Delete, U: u, V: v})
-		}
+		ups = append(ups, fuzzUpdate(data[i:i+3], n, maxW))
 	}
 	return ups
+}
+
+// fuzzUpdate decodes one three-byte update record (selector, two
+// endpoints) on n >= 2 vertices, as FuzzStream documents.
+func fuzzUpdate(rec []byte, n int, maxW Weight) Update {
+	sel := rec[0]
+	u, v := int(rec[1])%n, int(rec[2])%n
+	if u == v {
+		v = (v + 1) % n
+	}
+	if sel&1 == 1 {
+		return Update{Op: Delete, U: u, V: v}
+	}
+	w := Weight(1)
+	if maxW > 1 {
+		w = 1 + Weight(sel>>1)%maxW
+	}
+	return Update{Op: Insert, U: u, V: v, W: w}
 }
 
 // FuzzOps deterministically decodes raw fuzzer bytes into a mixed op
@@ -63,81 +67,40 @@ func fuzzOps(data []byte, stride, n int, maxW Weight, qkinds []OpKind, wellForme
 		return nil, nil
 	}
 	// Well-formedness state for the update side only.
-	g := New(n)
-	var present []Edge
-	pos := make(map[Edge]int)
+	var live *edgeSet
+	if wellFormed {
+		live = newEdgeSet(n, 0)
+	}
 	ops = make([]Op, 0, len(data)/stride)
 	extras = make([][]byte, 0, len(data)/stride)
-	emit := func(op Op, i int) {
-		ops = append(ops, op)
-		extras = append(extras, data[i+3:i+stride])
-	}
 	for i := 0; i+stride-1 < len(data); i += stride {
-		sel, b1, b2 := data[i], data[i+1], data[i+2]
-		u := int(b1) % n
-		v := int(b2) % n
-		if u == v {
-			v = (v + 1) % n
-		}
-		switch sel & 3 {
-		case 2, 3:
-			k := qkinds[int(sel>>2)%len(qkinds)]
-			if k == OpSetWeight {
-				// A vertex-weight write drawn from the kind list: not
-				// a query, but it rides the query selector so harnesses
+		up := fuzzUpdate(data[i:i+3], n, maxW)
+		op := OpUpdate(up)
+		if sel := data[i]; sel&3 >= 2 {
+			op = Op{Kind: qkinds[int(sel>>2)%len(qkinds)], U: up.U, V: up.V}
+			switch op.Kind {
+			case OpSetWeight:
+				// A vertex-weight write drawn from the kind list: not a
+				// query, but it rides the query selector so harnesses
 				// opting in get weight churn interleaved with reads.
-				emit(Op{Kind: OpSetWeight, U: u, W: Weight(b2) % (maxW + 1)}, i)
-				continue
-			}
-			if k == OpComponentOf || k == OpMateOf || k == OpTreeTop {
-				v = 0
-			}
-			if k == OpSubtreeSum || k == OpPathSum {
+				op.V, op.W = 0, Weight(data[i+2])%(maxW+1)
+			case OpComponentOf, OpMateOf, OpTreeTop:
+				op.V = 0
+			case OpSubtreeSum, OpPathSum:
 				// Undo the self-loop bump: rooting a subtree query at u
 				// itself and the trivial u-u path are both legal and have
 				// dedicated fast paths worth fuzzing.
-				v = int(b2) % n
+				op.V = int(data[i+2]) % n
 			}
-			emit(Op{Kind: k, U: u, V: v}, i)
-			continue
-		}
-		up := Update{Op: Delete, U: u, V: v}
-		if sel&1 == 0 {
-			w := Weight(1)
-			if maxW > 1 {
-				w = 1 + Weight(sel>>1)%maxW
-			}
-			up = Update{Op: Insert, U: u, V: v, W: w}
-		}
-		if !wellFormed {
-			emit(OpUpdate(up), i)
-			continue
-		}
-		e := NormEdge(up.U, up.V)
-		if up.Op == Insert {
-			if g.Has(e.U, e.V) {
+		} else if live != nil {
+			var ok bool
+			if up, ok = live.keepWellFormed(up); !ok {
 				continue
 			}
-			g.Insert(e.U, e.V, up.W)
-			pos[e] = len(present)
-			present = append(present, e)
-			emit(OpUpdate(up), i)
-			continue
+			op = OpUpdate(up)
 		}
-		if !g.Has(e.U, e.V) {
-			if len(present) == 0 {
-				continue
-			}
-			e = present[(e.U+e.V)%len(present)]
-		}
-		last := len(present) - 1
-		j := pos[e]
-		present[j] = present[last]
-		pos[present[j]] = j
-		present = present[:last]
-		delete(pos, e)
-		g.Delete(e.U, e.V)
-		emit(OpDel(e.U, e.V), i)
+		ops = append(ops, op)
+		extras = append(extras, data[i+3:i+stride])
 	}
 	return ops, extras
 }
@@ -152,36 +115,12 @@ func fuzzOps(data []byte, stride, n int, maxW Weight, qkinds []OpKind, wellForme
 // edge to insert).
 func FuzzStreamWellFormed(data []byte, n int, maxW Weight) []Update {
 	raw := FuzzStream(data, n, maxW)
-	g := New(n)
-	var present []Edge
-	pos := make(map[Edge]int)
-	ups := make([]Update, 0, len(raw))
+	live := newEdgeSet(n, 0)
+	ups := raw[:0]
 	for _, up := range raw {
-		e := NormEdge(up.U, up.V)
-		if up.Op == Insert {
-			if g.Has(e.U, e.V) {
-				continue
-			}
-			g.Insert(e.U, e.V, up.W)
-			pos[e] = len(present)
-			present = append(present, e)
+		if up, ok := live.keepWellFormed(up); ok {
 			ups = append(ups, up)
-			continue
 		}
-		if !g.Has(e.U, e.V) {
-			if len(present) == 0 {
-				continue
-			}
-			e = present[(e.U+e.V)%len(present)]
-		}
-		last := len(present) - 1
-		i := pos[e]
-		present[i] = present[last]
-		pos[present[i]] = i
-		present = present[:last]
-		delete(pos, e)
-		g.Delete(e.U, e.V)
-		ups = append(ups, Update{Op: Delete, U: e.U, V: e.V})
 	}
 	return ups
 }

@@ -39,20 +39,14 @@ func Path(n int) *Graph {
 // from [1, maxW]; pass maxW=1 for an unweighted grid.
 func Grid(r, c int, maxW Weight, rng *rand.Rand) *Graph {
 	g := New(r * c)
-	w := func() Weight {
-		if maxW <= 1 || rng == nil {
-			return 1
-		}
-		return 1 + Weight(rng.Int63n(int64(maxW)))
-	}
 	for i := 0; i < r; i++ {
 		for j := 0; j < c; j++ {
 			v := i*c + j
 			if j+1 < c {
-				g.Insert(v, v+1, w())
+				g.Insert(v, v+1, randomWeight(maxW, rng))
 			}
 			if i+1 < r {
-				g.Insert(v, v+c, w())
+				g.Insert(v, v+c, randomWeight(maxW, rng))
 			}
 		}
 	}
@@ -65,11 +59,7 @@ func RandomTree(n int, maxW Weight, rng *rand.Rand) *Graph {
 	g := New(n)
 	for v := 1; v < n; v++ {
 		u := rng.Intn(v)
-		w := Weight(1)
-		if maxW > 1 {
-			w = 1 + Weight(rng.Int63n(int64(maxW)))
-		}
-		g.Insert(u, v, w)
+		g.Insert(u, v, randomWeight(maxW, rng))
 	}
 	return g
 }
@@ -82,10 +72,8 @@ func RandomTree(n int, maxW Weight, rng *rand.Rand) *Graph {
 // power-law *churn* workload — hubs keep getting hit; RandomStream is its
 // uniform-skew counterpart.
 func PrefAttachStream(n, length int, delFrac float64, rng *rand.Rand) []Update {
-	g := New(n)
+	s := newEdgeSet(n, length)
 	updates := make([]Update, 0, length)
-	present := make([]Edge, 0, length)
-	pos := make(map[Edge]int)
 	// Seed the pool with every vertex once so isolated vertices stay
 	// reachable as attachment targets; each inserted edge then adds both
 	// endpoints, making pool draws degree-proportional (plus one).
@@ -94,49 +82,21 @@ func PrefAttachStream(n, length int, delFrac float64, rng *rand.Rand) []Update {
 		pool[v] = v
 	}
 	for len(updates) < length {
-		if delFrac > 0 && len(present) > 0 && rng.Float64() < delFrac {
-			i := rng.Intn(len(present))
-			e := present[i]
-			last := len(present) - 1
-			present[i] = present[last]
-			pos[present[i]] = i
-			present = present[:last]
-			delete(pos, e)
-			g.Delete(e.U, e.V)
-			updates = append(updates, Update{Op: Delete, U: e.U, V: e.V})
-			continue
-		}
-		inserted := false
-		for t := 0; t < 50 && !inserted; t++ {
-			u := pool[rng.Intn(len(pool))]
-			v := rng.Intn(n)
-			if u == v || g.Has(u, v) {
+		if delFrac <= 0 || len(s.present) == 0 || rng.Float64() >= delFrac {
+			if u, v, ok := drawEdge(s.g, pool, rng); ok {
+				s.add(u, v, 1)
+				pool = append(pool, u, v)
+				updates = append(updates, Update{Op: Insert, U: u, V: v, W: 1})
 				continue
 			}
-			g.Insert(u, v, 1)
-			e := NormEdge(u, v)
-			pos[e] = len(present)
-			present = append(present, e)
-			pool = append(pool, u, v)
-			updates = append(updates, Update{Op: Insert, U: u, V: v, W: 1})
-			inserted = true
-		}
-		if !inserted {
 			// Dense corner: fall back to deleting so the stream always
 			// reaches its length.
-			if len(present) == 0 {
+			if len(s.present) == 0 {
 				break
 			}
-			i := rng.Intn(len(present))
-			e := present[i]
-			last := len(present) - 1
-			present[i] = present[last]
-			pos[present[i]] = i
-			present = present[:last]
-			delete(pos, e)
-			g.Delete(e.U, e.V)
-			updates = append(updates, Update{Op: Delete, U: e.U, V: e.V})
 		}
+		e := s.removeAt(rng.Intn(len(s.present)))
+		updates = append(updates, Update{Op: Delete, U: e.U, V: e.V})
 	}
 	return updates
 }

@@ -145,6 +145,24 @@ func TestSlidingWindowBoundsEdges(t *testing.T) {
 	}
 }
 
+// TestSlidingWindowDegenerate covers windows the vertices cannot hold and
+// the empty window: each stream ends, stays well-formed and is no longer
+// than asked for.
+func TestSlidingWindowDegenerate(t *testing.T) {
+	for _, tc := range []struct{ n, window, length int }{{2, 4, 10}, {1, 4, 10}, {5, 0, 7}, {3, 9, 12}} {
+		updates := SlidingWindow(tc.n, tc.window, tc.length, 5, rand.New(rand.NewSource(4)))
+		if len(updates) > tc.length {
+			t.Fatalf("%+v: %d updates", tc, len(updates))
+		}
+		g := New(tc.n)
+		for i, u := range updates {
+			if !g.Apply(u) {
+				t.Fatalf("%+v: update %d (%v) was a no-op", tc, i, u)
+			}
+		}
+	}
+}
+
 func TestTreeChurnDeletesTreeEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	initial, churn := TreeChurn(40, 20, 50, 8, rng)
@@ -167,22 +185,13 @@ func TestComponentsAgainstUnionFind(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := GNM(25, 30, 1, rng)
 		comp := Components(g)
-		parent := make([]int, g.N())
-		for v := range parent {
-			parent[v] = v
-		}
-		find := func(v int) int {
-			for parent[v] != v {
-				v = parent[v]
-			}
-			return v
-		}
+		uf := newUnionFind(g.N())
 		for _, e := range g.Edges() {
-			parent[find(e.U)] = find(e.V)
+			uf.union(e.U, e.V)
 		}
 		for u := 0; u < g.N(); u++ {
 			for v := 0; v < g.N(); v++ {
-				if (comp[u] == comp[v]) != (find(u) == find(v)) {
+				if (comp[u] == comp[v]) != (uf.find(u) == uf.find(v)) {
 					return false
 				}
 			}

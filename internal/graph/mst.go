@@ -17,23 +17,10 @@ func MSFEdges(g *Graph) []WEdge {
 		}
 		return edges[i].V < edges[j].V
 	})
-	parent := make([]int, g.N())
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
+	uf := newUnionFind(g.N())
 	var out []WEdge
 	for _, e := range edges {
-		ru, rv := find(e.U), find(e.V)
-		if ru != rv {
-			parent[ru] = rv
+		if uf.union(e.U, e.V) {
 			out = append(out, e)
 		}
 	}

@@ -6,59 +6,111 @@ import "math/rand"
 // updates and the final graph obtained by replaying them; callers that need
 // intermediate states replay the prefix themselves.
 
+// edgeSet is a live edge set: the graph, its edges in a list, and each
+// edge's position in the list, so a uniformly drawn edge leaves in O(1).
+type edgeSet struct {
+	g       *Graph
+	present []Edge
+	pos     map[Edge]int
+}
+
+func newEdgeSet(n, capacity int) *edgeSet {
+	return &edgeSet{g: New(n), present: make([]Edge, 0, capacity), pos: make(map[Edge]int)}
+}
+
+// add inserts the edge (u, v), which must be absent.
+func (s *edgeSet) add(u, v int, w Weight) {
+	s.g.Insert(u, v, w)
+	e := NormEdge(u, v)
+	s.pos[e] = len(s.present)
+	s.present = append(s.present, e)
+}
+
+// removeAt deletes the i-th listed edge, moving the last one into its
+// slot, and returns it.
+func (s *edgeSet) removeAt(i int) Edge {
+	e := s.present[i]
+	last := len(s.present) - 1
+	s.present[i] = s.present[last]
+	s.pos[s.present[i]] = i
+	s.present = s.present[:last]
+	delete(s.pos, e)
+	s.g.Delete(e.U, e.V)
+	return e
+}
+
+// keepWellFormed applies up if the stream stays well-formed and returns
+// the update to emit: a duplicate insert is dropped (false), and a delete
+// of an absent edge deletes present[(u+v) mod len] instead, so deletes
+// keep their coverage; it is dropped only when the set is empty.
+func (s *edgeSet) keepWellFormed(up Update) (Update, bool) {
+	e := NormEdge(up.U, up.V)
+	i, ok := s.pos[e]
+	if up.Op == Insert {
+		if !ok {
+			s.add(e.U, e.V, up.W)
+		}
+		return up, !ok
+	}
+	if !ok {
+		if len(s.present) == 0 {
+			return up, false
+		}
+		i = (e.U + e.V) % len(s.present)
+	}
+	e = s.removeAt(i)
+	return Update{Op: Delete, U: e.U, V: e.V}, true
+}
+
+// drawEdge makes up to 50 endpoint draws and returns the first pair that
+// is neither a self-loop nor an edge of g. The first endpoint is drawn
+// from pool when it is non-nil, uniformly otherwise; the second always
+// uniformly.
+func drawEdge(g *Graph, pool []int, rng *rand.Rand) (u, v int, ok bool) {
+	for t := 0; t < 50; t++ {
+		if pool != nil {
+			u = pool[rng.Intn(len(pool))]
+		} else {
+			u = rng.Intn(g.N())
+		}
+		v = rng.Intn(g.N())
+		if u != v && !g.Has(u, v) {
+			return u, v, true
+		}
+	}
+	return 0, 0, false
+}
+
+// randomWeight draws a weight uniform in [1, maxW]; it is 1, and draws
+// nothing, when maxW <= 1 or rng is nil.
+func randomWeight(maxW Weight, rng *rand.Rand) Weight {
+	if maxW <= 1 || rng == nil {
+		return 1
+	}
+	return 1 + Weight(rng.Int63n(int64(maxW)))
+}
+
 // RandomStream emits length updates on n vertices: with probability pInsert
 // a fresh random edge is inserted, otherwise a uniformly random present edge
 // is deleted (falling back to an insert when the graph is empty). Weights
 // are uniform in [1, maxW].
 func RandomStream(n, length int, pInsert float64, maxW Weight, rng *rand.Rand) []Update {
-	g := New(n)
+	s := newEdgeSet(n, length)
 	updates := make([]Update, 0, length)
-	present := make([]Edge, 0, length)
-	pos := make(map[Edge]int)
-
-	addRandom := func() bool {
-		for t := 0; t < 50; t++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u == v || g.Has(u, v) {
+	for len(updates) < length {
+		if rng.Float64() < pInsert || len(s.present) == 0 {
+			if u, v, ok := drawEdge(s.g, nil, rng); ok {
+				w := randomWeight(maxW, rng)
+				s.add(u, v, w)
+				updates = append(updates, Update{Op: Insert, U: u, V: v, W: w})
 				continue
 			}
-			w := Weight(1)
-			if maxW > 1 {
-				w = 1 + Weight(rng.Int63n(int64(maxW)))
-			}
-			g.Insert(u, v, w)
-			e := NormEdge(u, v)
-			pos[e] = len(present)
-			present = append(present, e)
-			updates = append(updates, Update{Op: Insert, U: u, V: v, W: w})
-			return true
-		}
-		return false
-	}
-	removeRandom := func() bool {
-		if len(present) == 0 {
-			return false
-		}
-		i := rng.Intn(len(present))
-		e := present[i]
-		last := len(present) - 1
-		present[i] = present[last]
-		pos[present[i]] = i
-		present = present[:last]
-		delete(pos, e)
-		g.Delete(e.U, e.V)
-		updates = append(updates, Update{Op: Delete, U: e.U, V: e.V})
-		return true
-	}
-
-	for len(updates) < length {
-		if rng.Float64() < pInsert || len(present) == 0 {
-			if !addRandom() && !removeRandom() {
+			if len(s.present) == 0 {
 				break
 			}
-		} else {
-			removeRandom()
 		}
+		e := s.removeAt(rng.Intn(len(s.present)))
+		updates = append(updates, Update{Op: Delete, U: e.U, V: e.V})
 	}
 	return updates
 }
@@ -66,30 +118,27 @@ func RandomStream(n, length int, pInsert float64, maxW Weight, rng *rand.Rand) [
 // SlidingWindow emits inserts until the graph holds window edges, then
 // alternates deleting the oldest edge and inserting a fresh one — the
 // "evolving web / social network" workload from the paper's introduction.
+// A window the n vertices cannot hold slides once the graph is complete,
+// and an empty window ends the stream early.
 func SlidingWindow(n, window, length int, maxW Weight, rng *rand.Rand) []Update {
 	g := New(n)
 	var fifo []Edge
 	updates := make([]Update, 0, length)
 	insert := func() {
-		for t := 0; t < 50; t++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u == v || g.Has(u, v) {
-				continue
-			}
-			w := Weight(1)
-			if maxW > 1 {
-				w = 1 + Weight(rng.Int63n(int64(maxW)))
-			}
+		if u, v, ok := drawEdge(g, nil, rng); ok {
+			w := randomWeight(maxW, rng)
 			g.Insert(u, v, w)
 			fifo = append(fifo, NormEdge(u, v))
 			updates = append(updates, Update{Op: Insert, U: u, V: v, W: w})
-			return
 		}
 	}
 	for len(updates) < length {
-		if len(fifo) < window {
+		if len(fifo) < window && g.M() < n*(n-1)/2 {
 			insert()
 			continue
+		}
+		if len(fifo) == 0 {
+			break
 		}
 		e := fifo[0]
 		fifo = fifo[1:]
@@ -114,18 +163,10 @@ func TreeChurn(n, extra, churn int, maxW Weight, rng *rand.Rand) (initial []Upda
 		initial = append(initial, Update{Op: Insert, U: e.U, V: e.V, W: e.W})
 	}
 	for i := 0; i < extra; i++ {
-		for t := 0; t < 50; t++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u == v || g.Has(u, v) {
-				continue
-			}
-			w := Weight(1)
-			if maxW > 1 {
-				w = 1 + Weight(rng.Int63n(int64(maxW)))
-			}
+		if u, v, ok := drawEdge(g, nil, rng); ok {
+			w := randomWeight(maxW, rng)
 			g.Insert(u, v, w)
 			initial = append(initial, Update{Op: Insert, U: u, V: v, W: w})
-			break
 		}
 	}
 	for i := 0; i < churn; i++ {

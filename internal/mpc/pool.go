@@ -35,8 +35,8 @@ type Outbox[T any] struct {
 }
 
 // Put copies v into a slot of round r's slab and returns the slot: the
-// payload to send in round r (Ctx.Round(), or Stats().Rounds for a driver
-// injection).
+// payload to send in round r (Ctx.Round() for a handler's send; Inject
+// puts a driver's injection at Stats().Rounds).
 func (o *Outbox[T]) Put(r int, v T) *T {
 	p := r & 1
 	if o.at[p] != r {
@@ -50,6 +50,13 @@ func (o *Outbox[T]) Put(r int, v T) *T {
 // Send is ctx.Send of a copy of v that lives in o.
 func (o *Outbox[T]) Send(ctx *Ctx, to int, v T, words int) {
 	ctx.Send(to, o.Put(ctx.round, v), words)
+}
+
+// Inject is c.Send of a copy of v that lives in o: a driver injection
+// (From -1), its payload put at c's current round, the round the delivery
+// guarantee consumes it in.
+func (o *Outbox[T]) Inject(c *Cluster, to int, v T, words int) {
+	c.Send(Message{From: -1, To: to, Payload: o.Put(c.Stats().Rounds, v), Words: words})
 }
 
 // msgPool is a free-list of retired []Message backing arrays, shared by

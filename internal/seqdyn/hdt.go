@@ -179,11 +179,11 @@ func (h *HDT) replace(u, v, lvl int) {
 // Components returns the number of connected components (all n vertices
 // count, including isolated ones).
 func (h *HDT) Components() int {
-	uf := NewUnionFind(h.n)
+	g := graph.New(h.n)
 	for e, tree := range h.isTree {
 		if tree {
-			uf.Union(e.U, e.V)
+			g.Insert(e.U, e.V, 1)
 		}
 	}
-	return uf.Components()
+	return graph.NumComponents(g)
 }

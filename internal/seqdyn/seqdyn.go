@@ -1,5 +1,5 @@
 // Package seqdyn implements the centralized (sequential) dynamic graph
-// algorithms the paper builds on: union-find, Euler-tour trees over treaps,
+// algorithms the paper builds on: Euler-tour trees over treaps,
 // Holm–de Lichtenberg–Thorup fully-dynamic connectivity, link-cut trees,
 // fully-dynamic minimum spanning forests and Neiman–Solomon-style maximal
 // matching.

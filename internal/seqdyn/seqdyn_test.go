@@ -8,57 +8,6 @@ import (
 	"dmpc/internal/graph"
 )
 
-func TestUnionFindBasic(t *testing.T) {
-	uf := NewUnionFind(6)
-	if uf.Components() != 6 {
-		t.Fatal("should start with 6 components")
-	}
-	if !uf.Union(0, 1) || !uf.Union(1, 2) {
-		t.Fatal("unions should succeed")
-	}
-	if uf.Union(0, 2) {
-		t.Fatal("redundant union should report false")
-	}
-	if !uf.Connected(0, 2) || uf.Connected(0, 3) {
-		t.Fatal("connectivity wrong")
-	}
-	if uf.Components() != 4 {
-		t.Fatalf("components = %d", uf.Components())
-	}
-	if uf.Ops.Count() == 0 {
-		t.Fatal("ops should be counted")
-	}
-}
-
-func TestUnionFindQuick(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 20
-		uf := NewUnionFind(n)
-		g := graph.New(n)
-		for i := 0; i < 30; i++ {
-			u, v := rng.Intn(n), rng.Intn(n)
-			if u == v {
-				continue
-			}
-			g.Insert(u, v, 1)
-			uf.Union(u, v)
-		}
-		comp := graph.Components(g)
-		for u := 0; u < n; u++ {
-			for v := 0; v < n; v++ {
-				if (comp[u] == comp[v]) != uf.Connected(u, v) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // replayETT drives an ETT and a DSU-recomputed oracle through random
 // link/cut operations.
 func TestETTLinkCutRandom(t *testing.T) {

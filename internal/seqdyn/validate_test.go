@@ -67,9 +67,6 @@ func (c *Counter) Reset() int64 {
 	return v
 }
 
-// Connected reports whether a and b are in the same set.
-func (u *UnionFind) Connected(a, b int) bool { return u.Find(a) == u.Find(b) }
-
 // HasEdge reports whether (u,v) is a tree edge of this forest.
 func (t *ETT) HasEdge(u, v int) bool {
 	_, ok := t.arc[arcKey(int32(u), int32(v))]

@@ -300,15 +300,14 @@ func TestZeroTenantStreamsIdentical(t *testing.T) {
 // TestIngestorAdmission pins the per-tenant front door: a TokenBucket
 // throttles the noisy tenant's storm, every refusal is counted against
 // its tenant (never a silent drop), rejected queries still occupy their positional
-// slot in Results with Rejected set, and an AlwaysAdmit tenant sails
-// through untouched.
+// slot in Results with Rejected set, and a tenant absent from the map
+// sails through untouched.
 func TestIngestorAdmission(t *testing.T) {
 	cc := NewConnectivity(32, 128)
 	ing := NewIngestor(IngestorConfig{
 		Pipeline: cc,
 		MaxAge:   4,
 		Admission: map[int]AdmissionPolicy{
-			1: AlwaysAdmit{},
 			2: &TokenBucket{Rate: 0.5, Burst: 2}, // ~1 op per 2 rounds after the burst
 		},
 	})
